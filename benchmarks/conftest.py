@@ -38,13 +38,13 @@ def bench_scale() -> float:
 def bench_net_model() -> str:
     """Network flow model for the panel sweeps (``REPRO_NET_MODEL``).
 
-    ``chunked`` (default, calibrated), ``fluid``, or ``auto`` — see
+    ``chunked`` (default, calibrated) or ``fluid`` — see
     :mod:`repro.sim.network`.  Running a panel under ``fluid`` is how
     the chunked-vs-fluid drift acceptance is checked at figure scale.
     """
     model = os.environ.get("REPRO_NET_MODEL", "chunked")
-    if model not in ("chunked", "fluid", "auto"):
-        raise ValueError(f"REPRO_NET_MODEL must be chunked|fluid|auto, got {model!r}")
+    if model not in ("chunked", "fluid"):
+        raise ValueError(f"REPRO_NET_MODEL must be chunked|fluid, got {model!r}")
     return model
 
 

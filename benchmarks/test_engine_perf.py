@@ -208,85 +208,6 @@ def _speedup_floor(serial_seconds: float, job_walls: list[float]) -> float:
     return 0.5 * ideal
 
 
-def _small_io_cell():
-    """One fig6d-style cell: IOR separate-file writes, 8 KB blocks.
-
-    Small blocks maximise per-byte page-cache traffic, which is where
-    the serial hot-path cuts (bisect interval ops, zero-copy reads)
-    show up.
-    """
-    workload = IorWorkload(op="write", block_size=8192, scale=0.05)
-    res = run_cell("direct-pnfs", workload, 2)
-    return res.makespan, res.total_bytes
-
-
-def _time_small_io_cell(repeats: int = 3):
-    best = float("inf")
-    physics = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        this = _small_io_cell()
-        best = min(best, time.perf_counter() - t0)
-        assert physics is None or physics == this
-        physics = this
-    return best, physics
-
-
-def test_serial_small_io_cell_hot_path_cut():
-    """The serial leg of the tentpole: zero-copy reads pay on small I/O.
-
-    Times a fig6d-style 8 KB-block cell with the current zero-copy
-    ``FileData.read`` and again with the pre-PR copying read
-    reinstated, asserting identical physics and recording the ratio in
-    ``BENCH_parallel.json`` (under ``serial_cell``; the engine test
-    below merges its sections into the same file).  The wall assertion
-    only guards against the zero-copy path being a regression — the
-    recorded ratio is the measurement.
-    """
-    from repro.vfs.api import Payload
-    from repro.vfs.filedata import FileData
-
-    zero_copy_s, zero_copy_phys = _time_small_io_cell()
-
-    orig = FileData.read
-
-    def read_copying(self, offset, nbytes):
-        p = orig(self, offset, nbytes)
-        if p.is_synthetic:
-            return p
-        return Payload(p.data)  # force-materialise: the pre-PR copy
-
-    FileData.read = read_copying
-    try:
-        copying_s, copying_phys = _time_small_io_cell()
-    finally:
-        FileData.read = orig
-
-    assert zero_copy_phys == copying_phys, "zero-copy read changed the physics"
-    ratio = copying_s / zero_copy_s
-    section = {
-        "cell": "direct-pnfs / ior-write-8k (fig6d-style) @ 2 clients",
-        "zero_copy_seconds": zero_copy_s,
-        "copying_read_seconds": copying_s,
-        "speedup": ratio,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_parallel.json"
-    report = json.loads(path.read_text()) if path.exists() else {}
-    report["serial_cell"] = section
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    print(
-        f"\n  small-I/O cell  {zero_copy_s:.2f}s zero-copy  "
-        f"{copying_s:.2f}s copying read  ({ratio:.2f}x)"
-    )
-    # Slack for wall noise: the cut must at minimum not cost anything.
-    assert ratio > 0.90, (
-        f"zero-copy read slower than the copying read it replaced "
-        f"({zero_copy_s:.2f}s vs {copying_s:.2f}s)"
-    )
-
-
 def test_parallel_engine_determinism_cache_and_speedup(tmp_path):
     """The tentpole gate: jobs=N is hash-identical to jobs=1 and pays off.
 
@@ -358,11 +279,8 @@ def test_parallel_engine_determinism_cache_and_speedup(tmp_path):
     # the worker count — on >= 8 cores the floor is the criterion's 4x.
     torture_floor = 0.5 * min(PAR_JOBS, CORES)
 
-    # Merge into BENCH_parallel.json rather than overwrite it: the
-    # serial hot-path test above contributes its own section.
     out_path = RESULTS_DIR / "BENCH_parallel.json"
-    report = json.loads(out_path.read_text()) if out_path.exists() else {}
-    report |= {
+    report = {
         "cores": CORES,
         "jobs": PAR_JOBS,
         "panel": {

@@ -15,7 +15,7 @@ Run:  python examples/bottleneck_analysis.py [arch] [read|write] [scale]
 import sys
 
 from repro.bench.runner import run_cell
-from repro.tracing import RpcTracer
+from repro.obs import RpcTrace
 from repro.workloads import IorWorkload
 
 MB = 1024 * 1024
@@ -27,8 +27,9 @@ def main() -> None:
     scale = float(sys.argv[3]) if len(sys.argv) > 3 else 0.1
 
     workload = IorWorkload(op=op, block_size=4 * MB, scale=scale)
-    with RpcTracer() as tracer:
-        result = run_cell(arch, workload, n_clients=8, measure_utilisation=True)
+    result = run_cell(
+        arch, workload, n_clients=8, measure_utilisation=True, trace=True
+    )
 
     print(f"{arch} / IOR {op} @ 8 clients (scale {scale})")
     print(f"aggregate: {result.aggregate_mbps:.1f} MB/s over {result.makespan:.2f} s\n")
@@ -37,8 +38,8 @@ def main() -> None:
     for report in result.utilisation:
         print(f"  {report}")
 
-    print("\nRPC mix (includes preparation traffic):")
-    print(tracer.summary())
+    print("\nRPC mix over the measured window:")
+    print(RpcTrace.from_spans(result.trace).summary())
 
     dominant = {r.dominant for r in result.utilisation if r.node.startswith("server")}
     print(

@@ -25,8 +25,8 @@ import sys
 from repro.cluster.testbed import Testbed, default_nfs_config, default_pvfs2_config
 from repro.core import DirectPnfsSystem
 from repro.pvfs2 import Pvfs2System
+from repro.obs import RpcTrace, SpanCollector
 from repro.sim import FaultInjector
-from repro.tracing import RpcTracer
 from repro.vfs import Payload
 
 N_BLOCKS = 12  # four per phase, striped round-robin over six servers
@@ -88,7 +88,7 @@ def main() -> None:
         yield from reader.close(f)
         return healthy, degraded, recovered
 
-    with RpcTracer() as tracer:
+    with SpanCollector(sim) as spans:
         healthy, degraded, recovered = sim.run(until=sim.process(run_demo()))
 
     print(f"\nthroughput healthy  : {healthy / 1e6:8.1f} MB/s")
@@ -102,7 +102,7 @@ def main() -> None:
     for t, what in inj.events:
         print(f"  t={t:7.3f}s  {what}")
     print("\nRPC trace (note the retries and errors the fault layer absorbed):")
-    print(tracer.summary())
+    print(RpcTrace.from_spans(spans).summary())
 
     assert degraded < healthy, "the dead server should cost throughput"
     assert recovered > degraded, "direct access should come back"

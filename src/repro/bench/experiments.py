@@ -218,8 +218,8 @@ def run_experiment(
     """Run one figure panel's sweep and collect the metric values.
 
     ``net_model`` selects the network flow model for every cell
-    (``"chunked"`` | ``"fluid"`` | ``"auto"``); the calibrated figures
-    use the default ``"chunked"``.
+    (``"chunked"`` | ``"fluid"``); the calibrated figures use the
+    default ``"chunked"``.
 
     ``jobs`` fans the (system, client-count) cells over that many
     worker processes via :mod:`repro.parallel`; every cell is a pure

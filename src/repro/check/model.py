@@ -104,13 +104,7 @@ class Model:
         self.program = program
         self.files: dict[str, _FileState] = {}
         for path in program.files:
-            size = program.file_size(path)
-            owner = np.fromiter(
-                (program.owner_of(path, x) for x in range(0, size, 1)),
-                dtype=np.int16,
-                count=size,
-            )
-            self.files[path] = _FileState(size=size, owner=owner)
+            self.files[path] = self._new_state(path)
         #: (client, path) pairs that saw an I/O error: read-your-writes
         #: no longer applies (data may legitimately have been dropped
         #: after the error was *surfaced* — that is errseq working).
@@ -122,6 +116,10 @@ class Model:
         self.bytes_checked = 0
         self.synthetic_reads = 0
 
+    def _new_state(self, path: str) -> _FileState:
+        owner = self.program.owner_map(path)
+        return _FileState(size=len(owner), owner=owner)
+
     def _state(self, path: str) -> _FileState:
         """State for ``path``, materialising one if the runner reaches a
         name the model has not tracked there (possible only after a
@@ -129,13 +127,7 @@ class Model:
         ``ns_uncertain`` so they are never verified, only tolerated."""
         st = self.files.get(path)
         if st is None:
-            size = self.program.file_size(path)
-            owner = np.fromiter(
-                (self.program.owner_of(path, x) for x in range(size)),
-                dtype=np.int16,
-                count=size,
-            )
-            st = _FileState(size=size, owner=owner)
+            st = self._new_state(path)
             st.ns_uncertain = True
             self.files[path] = st
         return st

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
+from types import MethodType
 
 from repro import rpc
 from repro.check.model import Model
-from repro.check.program import Program, generate
+from repro.check.program import Program
 from repro.cluster.configs import make_deployment
 from repro.nfs.sessions import Session
 from repro.sim.faults import FaultInjector
@@ -38,8 +40,7 @@ from repro.vfs.api import FsError, Payload
 
 __all__ = [
     "EpisodeResult",
-    "buggy_truncate_factory",
-    "buggy_writeback_factory",
+    "MUTANTS",
     "run_episode",
     "sweep",
     "TORTURE_NFS",
@@ -97,62 +98,60 @@ def _caps(arch: str) -> set:
     return _FAULT_CAPS.get(arch, {"outage", "blackout", "nic_drop", "nic_delay"})
 
 
-def buggy_writeback_factory(dep, node):
-    """Client factory reintroducing the pre-fix write-back bug.
+def _unfixed_writeback(self, f, start, end):
+    """``Nfs4Client._writeback`` with the pre-fix write-back bug.
 
     Before the errseq fix, a failed asynchronous write-back left the
     range off the dirty list and latched no error: the bytes were gone
     and the next fsync still reported success.  Re-running a sweep with
-    this factory must make the durability oracle report the silent
+    this mutant must make the durability oracle report the silent
     loss — the standing proof that the harness has the power to catch
     the bug class this repo already shipped a fix for.
     """
-    import types
-
-    cl = dep.make_client(node)
-    if not hasattr(cl, "_writeback"):  # native PVFS2 client: no cache
-        return cl
-
-    def _writeback(self, f, start, end):
-        data = f.state["cache"].read(start, end - start)
-        try:
-            yield from self._io_write(f, start, data)
-        except (FsError, rpc.RpcTimeout):
-            return  # the bug: range already left ``dirty``, no error latched
-        finally:
-            f.state["flushing"].remove(start, end)
-        f.state["commit_needed"] = True
-        self.bytes_written += data.nbytes
-
-    cl._writeback = types.MethodType(_writeback, cl)
-    return cl
+    data = f.state["cache"].read(start, end - start)
+    try:
+        yield from self._io_write(f, start, data)
+    except (FsError, rpc.RpcTimeout):
+        return  # the bug: range already left ``dirty``, no error latched
+    finally:
+        f.state["flushing"].remove(start, end)
+    f.state["commit_needed"] = True
+    self.bytes_written += data.nbytes
 
 
-def buggy_truncate_factory(dep, node):
-    """Client factory reintroducing the pre-fix truncate bug.
+def _unfixed_truncate(self, path, size):
+    """``Nfs4Client.truncate`` with the pre-fix truncate bug.
 
     Before the fix, ``truncate`` only dropped the path's cached
     attributes: every open file kept its stale ``size``, its cached
     pages above the cut, and its dirty ranges — so later reads served
     resurrected bytes from local cache and later write-backs pushed
     them back to the server.  A metadata-enabled sweep with this
-    factory must report truncate-resurrection — the checker-power
-    proof for this PR's headline fix.
+    mutant must report truncate-resurrection.
     """
-    import types
+    self._attr_cache.pop(path, None)  # the bug: this was the whole fix-less op
+    yield from self._call(
+        "truncate", {"path": path, "size": size, "callback": self._cb}
+    )
 
+
+def _mutant(name, method, dep, node):
+    """Client factory: ``dep``'s client with pre-fix ``method`` bound
+    over its ``name``.  The native PVFS2 client has no page cache,
+    hence neither bug: it stays stock."""
     cl = dep.make_client(node)
-    if not hasattr(cl, "_open_paths"):  # native PVFS2 client: no cache
-        return cl
-
-    def truncate(self, path, size):
-        self._attr_cache.pop(path, None)  # the bug: this was the whole fix-less op
-        yield from self._call(
-            "truncate", {"path": path, "size": size, "callback": self._cb}
-        )
-
-    cl.truncate = types.MethodType(truncate, cl)
+    if hasattr(cl, "_open_paths"):
+        setattr(cl, name, MethodType(method, cl))
     return cl
+
+
+#: Named client factories that each revert one shipped fix in memory —
+#: the checker-power gates (``repro torture --mutant NAME``).  A new
+#: gate is one entry here; the name travels through specs and the CLI.
+MUTANTS = {
+    "writeback": partial(_mutant, "_writeback", _unfixed_writeback),
+    "truncate": partial(_mutant, "truncate", _unfixed_truncate),
+}
 
 
 def run_episode(
@@ -552,7 +551,7 @@ def sweep(
     arches: list[str],
     seeds: int,
     start_seed: int = 0,
-    client_factory=None,
+    mutant: str | None = None,
     progress=None,
     jobs: int = 1,
     cache=None,
@@ -562,48 +561,22 @@ def sweep(
 
     Returns every result (failing and passing); callers filter.  The
     program for a seed is shared across architectures — the same
-    workload must hold up everywhere.  ``progress(result, wall_seconds,
-    cached)`` is called once per finished episode.
+    workload must hold up everywhere.  ``progress(spec, result,
+    wall_seconds, cached)`` is called once per finished episode.
 
     ``jobs`` fans the (seed, arch) episodes over worker processes via
     :mod:`repro.parallel`; every episode is a pure function of its
     seed, so the result list — including each episode's ``trace_hash``
-    — is identical whatever ``jobs`` is.  Parallel runs only support
-    the stock client factory or :func:`buggy_writeback_factory`
-    (workers rebuild it from a flag; arbitrary callables don't pickle),
-    so any other ``client_factory`` forces the serial path.
+    — is identical whatever ``jobs`` is.  ``mutant`` names a
+    :data:`MUTANTS` client factory to run every episode with (workers
+    look it up by name; callables don't pickle).
     """
-    picklable = (None, buggy_writeback_factory, buggy_truncate_factory)
-    if client_factory not in picklable:
-        jobs = 1
-    if jobs <= 1 and cache is None:
-        results = []
-        for seed in range(start_seed, start_seed + seeds):
-            program = generate(seed, metadata_ops=metadata)
-            for arch in arches:
-                res = run_episode(program, arch, client_factory=client_factory)
-                results.append(res)
-                if progress is not None:
-                    progress(res, 0.0, False)
-        return results
-
     from repro.parallel import run_jobs, torture_spec
 
     specs = [
-        torture_spec(
-            seed,
-            arch,
-            buggy_writeback=client_factory is buggy_writeback_factory,
-            buggy_truncate=client_factory is buggy_truncate_factory,
-            metadata=metadata,
-        )
+        torture_spec(seed, arch, mutant=mutant, metadata=metadata)
         for seed in range(start_seed, start_seed + seeds)
         for arch in arches
     ]
-    wrapped = None
-    if progress is not None:
-
-        def wrapped(spec, res, wall, cached):
-            progress(res, wall, cached)
-    results, _report = run_jobs(specs, jobs=jobs, cache=cache, progress=wrapped)
+    results, _report = run_jobs(specs, jobs=jobs, cache=cache, progress=progress)
     return results

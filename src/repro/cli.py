@@ -88,14 +88,18 @@ def _cmd_run(args) -> int:
     if args.json:
         report = experiment_report(result)
         report["timing"] = result.parallel  # wall-clock: outside the hash
-        text = json.dumps(report, indent=2)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.json}", file=out)
+        _emit_json(json.dumps(report, indent=2), args.json, out)
     return 0 if ok else 1
+
+
+def _emit_json(text: str, dest: str, out) -> None:
+    """``--json DEST``: ``-`` owns stdout, anything else is a file."""
+    if dest == "-":
+        print(text)
+    else:
+        with open(dest, "w") as fh:
+            fh.write(text + "\n")
+        print(f"wrote {dest}", file=out)
 
 
 _WORKLOADS = {
@@ -124,15 +128,33 @@ def _mk(name: str, scale: float):
     return getattr(w, name)(scale=scale)
 
 
-def _cmd_cell(args) -> int:
+def _add_cell_args(parser) -> None:
+    """The (architecture, workload, clients, scale) of one cell."""
+    parser.add_argument("arch", help="architecture (see `repro list`)")
+    parser.add_argument("workload", choices=sorted(_WORKLOADS))
+    parser.add_argument("--clients", type=int, default=4)
+    parser.add_argument("--scale", type=float, default=0.1)
+
+
+def _cell(args):
+    """``(header, run)`` for the cell ``_add_cell_args`` describes;
+    ``run(**run_cell_kwargs)`` executes it."""
+    from functools import partial
+
     from repro.bench.runner import run_cell
 
     workload = _WORKLOADS[args.workload](args.scale)
-    result = run_cell(args.arch, workload, n_clients=args.clients)
-    print(
+    header = (
         f"{args.arch} / {args.workload} @ {args.clients} clients "
         f"(scale {args.scale}):"
     )
+    return header, partial(run_cell, args.arch, workload, n_clients=args.clients)
+
+
+def _cmd_cell(args) -> int:
+    header, run = _cell(args)
+    result = run()
+    print(header)
     print(f"  makespan   : {result.makespan:.3f} s")
     print(f"  aggregate  : {result.aggregate_mbps:.1f} MB/s")
     print(f"  tps        : {result.transactions_per_second:.1f}")
@@ -144,21 +166,10 @@ def _cmd_metrics(args) -> int:
     import json
 
     from repro.bench.report import format_metrics
-    from repro.bench.runner import run_cell
 
-    workload = _WORKLOADS[args.workload](args.scale)
-    result = run_cell(
-        args.arch,
-        workload,
-        n_clients=args.clients,
-        metrics=True,
-        sample_interval=args.interval,
-    )
-    print(
-        f"{args.arch} / {args.workload} @ {args.clients} clients "
-        f"(scale {args.scale}): {result.makespan:.3f} s makespan, "
-        f"{result.aggregate_mbps:.1f} MB/s"
-    )
+    header, run = _cell(args)
+    result = run(metrics=True, sample_interval=args.interval)
+    print(f"{header} {result.makespan:.3f} s makespan, {result.aggregate_mbps:.1f} MB/s")
     print(format_metrics(result))
     if args.json:
         report = {
@@ -179,18 +190,11 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_trace(args) -> int:
     """Run one cell under a span collector and export a Chrome trace."""
-    from repro.bench.runner import run_cell
-
-    workload = _WORKLOADS[args.workload](args.scale)
-    result = run_cell(
-        args.arch, workload, n_clients=args.clients, trace=True
-    )
+    header, run = _cell(args)
+    result = run(trace=True)
     result.trace.write_chrome_trace(args.out)
     cats = {c: len(s) for c, s in sorted(result.trace.by_category().items())}
-    print(
-        f"{args.arch} / {args.workload} @ {args.clients} clients "
-        f"(scale {args.scale}): {result.makespan:.3f} s makespan"
-    )
+    print(f"{header} {result.makespan:.3f} s makespan")
     print(f"  {len(result.trace.spans)} spans: " + ", ".join(
         f"{n} {c}" for c, n in cats.items()
     ))
@@ -210,18 +214,15 @@ def _cmd_profile(args) -> int:
     import json
     import pstats
 
-    from repro.bench.runner import run_cell
-
-    workload = _WORKLOADS[args.workload](args.scale)
+    header, run = _cell(args)
     prof = cProfile.Profile()
     prof.enable()
-    result = run_cell(args.arch, workload, n_clients=args.clients)
+    result = run()
     prof.disable()
 
     out = sys.stderr if args.json == "-" else sys.stdout
     print(
-        f"{args.arch} / {args.workload} @ {args.clients} clients "
-        f"(scale {args.scale}): {result.makespan:.3f} s sim makespan, "
+        f"{header} {result.makespan:.3f} s sim makespan, "
         f"{result.aggregate_mbps:.1f} MB/s",
         file=out,
     )
@@ -241,23 +242,15 @@ def _cmd_profile(args) -> int:
             for (path, line, name), (cc, nc, tt, ct, _callers) in stats.stats.items()
         ]
         rows.sort(key=lambda r: r["cumtime"], reverse=True)
-        payload = json.dumps(
-            {
-                "arch": args.arch,
-                "workload": args.workload,
-                "n_clients": args.clients,
-                "scale": args.scale,
-                "makespan": result.makespan,
-                "top": rows[: args.top],
-            },
-            indent=2,
-        )
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload + "\n")
-            print(f"wrote {args.json}", file=out)
+        report = {
+            "arch": args.arch,
+            "workload": args.workload,
+            "n_clients": args.clients,
+            "scale": args.scale,
+            "makespan": result.makespan,
+            "top": rows[: args.top],
+        }
+        _emit_json(json.dumps(report, indent=2), args.json, out)
     return 0
 
 
@@ -266,15 +259,17 @@ def _cmd_torture(args) -> int:
     import json
 
     from repro.check import generate, run_episode, shrink_program
-    from repro.check.runner import buggy_truncate_factory, buggy_writeback_factory
+    from repro.check.runner import MUTANTS
 
     arches = args.arch or ["direct-pnfs", "pnfs-2tier"]
-    factory = None
-    if args.buggy_writeback:
-        factory = buggy_writeback_factory
-    elif args.buggy_truncate:
-        factory = buggy_truncate_factory
-    metadata = args.metadata or args.buggy_truncate
+    if args.mutant and args.mutant not in MUTANTS:
+        print(
+            f"unknown mutant {args.mutant!r}; choose from {sorted(MUTANTS)}",
+            file=sys.stderr,
+        )
+        return 2
+    factory = MUTANTS[args.mutant] if args.mutant else None
+    metadata = args.metadata or args.mutant == "truncate"
 
     if args.replay is not None:
         program = generate(args.replay, metadata_ops=metadata)
@@ -316,7 +311,7 @@ def _cmd_torture(args) -> int:
     total = args.seeds * len(arches)
     reporter = ProgressReporter(total, label="episodes")
 
-    def progress(res, wall, cached):
+    def progress(_spec, res, wall, cached):
         reporter.update(f"seed {res.seed} / {res.arch}", wall, cached)
         if res.violations:
             reporter.note(f"FAIL seed {res.seed} / {res.arch}:")
@@ -327,7 +322,7 @@ def _cmd_torture(args) -> int:
         arches,
         args.seeds,
         start_seed=args.start_seed,
-        client_factory=factory,
+        mutant=args.mutant,
         progress=progress,
         jobs=default_jobs(args.jobs),
         metadata=metadata,
@@ -412,18 +407,12 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_cell = sub.add_parser("cell", help="run one (architecture, workload) cell")
-    p_cell.add_argument("arch", help="direct-pnfs | pvfs2 | pnfs-2tier | pnfs-3tier | nfsv4")
-    p_cell.add_argument("workload", choices=sorted(_WORKLOADS))
-    p_cell.add_argument("--clients", type=int, default=4)
-    p_cell.add_argument("--scale", type=float, default=0.1)
+    _add_cell_args(p_cell)
 
     p_metrics = sub.add_parser(
         "metrics", help="run one cell with the metrics registry attached"
     )
-    p_metrics.add_argument("arch", help="architecture (see `repro list`)")
-    p_metrics.add_argument("workload", choices=sorted(_WORKLOADS))
-    p_metrics.add_argument("--clients", type=int, default=4)
-    p_metrics.add_argument("--scale", type=float, default=0.1)
+    _add_cell_args(p_metrics)
     p_metrics.add_argument(
         "--interval", type=float, default=0.25, help="sampler interval (sim s)"
     )
@@ -432,10 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     p_trace = sub.add_parser(
         "trace", help="run one cell and export a Chrome/Perfetto trace"
     )
-    p_trace.add_argument("arch", help="architecture (see `repro list`)")
-    p_trace.add_argument("workload", choices=sorted(_WORKLOADS))
-    p_trace.add_argument("--clients", type=int, default=4)
-    p_trace.add_argument("--scale", type=float, default=0.1)
+    _add_cell_args(p_trace)
     p_trace.add_argument(
         "--out", default="repro.trace.json", help="trace file path"
     )
@@ -461,22 +447,17 @@ def main(argv: list[str] | None = None) -> int:
         help="with --replay: print the minimal failing program",
     )
     p_torture.add_argument(
-        "--buggy-writeback",
-        action="store_true",
-        help="reintroduce the pre-fix silent write-back loss "
-        "(demonstrates checker power)",
-    )
-    p_torture.add_argument(
         "--metadata",
         action="store_true",
         help="generate metadata/namespace op kinds (truncate, remove+"
         "recreate, rename, mkdir/readdir, getattr) with coherence oracles",
     )
     p_torture.add_argument(
-        "--buggy-truncate",
-        action="store_true",
-        help="reintroduce the pre-fix attr-cache-only truncate (implies "
-        "--metadata; demonstrates checker power)",
+        "--mutant",
+        metavar="NAME",
+        help="run with one shipped fix reverted, to demonstrate checker "
+        "power: 'writeback' = pre-fix silent write-back loss, 'truncate' "
+        "= pre-fix attr-cache-only truncate (implies --metadata)",
     )
     p_torture.add_argument("--json", help="write failing programs as JSON")
     p_torture.add_argument(
@@ -489,10 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     p_profile = sub.add_parser(
         "profile", help="cProfile one cell and print the hottest functions"
     )
-    p_profile.add_argument("arch", help="architecture (see `repro list`)")
-    p_profile.add_argument("workload", choices=sorted(_WORKLOADS))
-    p_profile.add_argument("--clients", type=int, default=4)
-    p_profile.add_argument("--scale", type=float, default=0.1)
+    _add_cell_args(p_profile)
     p_profile.add_argument(
         "--top", type=int, default=25, help="functions to print (by cumtime)"
     )

@@ -90,52 +90,72 @@ def build_pvfs2(tb: Testbed, nfs_overrides=None, pvfs_overrides=None) -> Deploym
     )
 
 
-def build_pnfs_2tier(
-    tb: Testbed, nfs_overrides=None, pvfs_overrides=None, stripe_unit: int = 1 * MB
+def _build_tiered(
+    tb: Testbed,
+    nfs_overrides,
+    pvfs_overrides,
+    label: str,
+    ds_nodes: list[Node],
+    stripe_unit: int,
+    mds_name: str,
+    **ds_costs,
 ) -> Deployment:
+    """File-layout pNFS: NFSv4 data servers on ``ds_nodes`` (the first
+    also hosts the MDS), each reaching data through a FULL parallel-FS
+    client — a request for a byte range is satisfied wherever PVFS2 put
+    it — under synthetic layouts striped at ``stripe_unit``."""
     nfs_cfg, pvfs_cfg = _configs(nfs_overrides, pvfs_overrides)
     pvfs = Pvfs2System(tb.sim, tb.storage_nodes, pvfs_cfg)
-    # Data servers sit on the storage nodes but reach data through FULL
-    # parallel-FS clients: a request for a byte range is satisfied
-    # wherever PVFS2 put it — mostly on peer nodes.
+    tier = label.removeprefix("pnfs-")
     data_servers = [
         Nfs4Server(
             tb.sim,
             node,
             pvfs.make_client(node),
             nfs_cfg,
-            name=f"{node.name}.2tier-ds",
-            loopback_copy_per_byte=LOOPBACK_COPY_PER_BYTE,
+            name=f"{node.name}.{tier}-ds",
             extra_write_per_byte=GATEWAY_WRITE_PER_BYTE,
+            **ds_costs,
         )
-        for node in tb.storage_nodes
+        for node in ds_nodes
     ]
-    # Synthetic layout with a 1 MB stripe: a deliberate block-size
-    # mismatch against PVFS2's 2 MB stripes (§3.4.1) — on average only
-    # 1/6 of the bytes a data server serves are local to it.
-    # (``stripe_unit`` is overridable for the locality ablation.)
     provider = SyntheticFileLayoutProvider(len(data_servers), stripe_unit=stripe_unit)
     mds = PnfsMetadataServer(
         tb.sim,
-        pvfs.mds_node,
-        pvfs.make_client(pvfs.mds_node),
+        ds_nodes[0],
+        pvfs.make_client(ds_nodes[0]),
         nfs_cfg,
         data_servers,
         provider,
-        name=f"{pvfs.mds_node.name}.2tier-mds",
+        name=mds_name,
     )
 
     def make_client(node: Node):
         client = PnfsClient(tb.sim, node, mds, nfs_cfg)
-        client.label = "pnfs-2tier"
+        client.label = label
         return client
 
     return Deployment(
-        label="pnfs-2tier",
+        label=label,
         testbed=tb,
         make_client=make_client,
         pvfs=pvfs,
         servers=data_servers + [mds],
+    )
+
+
+def build_pnfs_2tier(
+    tb: Testbed, nfs_overrides=None, pvfs_overrides=None, stripe_unit: int = 1 * MB
+) -> Deployment:
+    # Data servers sit on the storage nodes, the MDS beside PVFS2's
+    # own.  The 1 MB synthetic stripe is a deliberate block-size
+    # mismatch against PVFS2's 2 MB stripes (§3.4.1) — on average only
+    # 1/6 of the bytes a data server serves are local to it.
+    # (``stripe_unit`` is overridable for the locality ablation.)
+    return _build_tiered(
+        tb, nfs_overrides, pvfs_overrides, "pnfs-2tier", tb.storage_nodes,
+        stripe_unit, f"{tb.storage_nodes[0].name}.2tier-mds",
+        loopback_copy_per_byte=LOOPBACK_COPY_PER_BYTE,
     )
 
 
@@ -144,42 +164,10 @@ def build_pnfs_3tier(tb: Testbed, nfs_overrides=None, pvfs_overrides=None) -> De
         raise ValueError(
             "pnfs-3tier needs a testbed built with server_disks=(0,0,0,2,2,2)"
         )
-    nfs_cfg, pvfs_cfg = _configs(nfs_overrides, pvfs_overrides)
-    pvfs = Pvfs2System(tb.sim, tb.storage_nodes, pvfs_cfg)
-    data_servers = [
-        Nfs4Server(
-            tb.sim,
-            node,
-            pvfs.make_client(node),
-            nfs_cfg,
-            name=f"{node.name}.3tier-ds",
-            extra_read_per_byte=GATEWAY_READ_PER_BYTE_3TIER,
-            extra_write_per_byte=GATEWAY_WRITE_PER_BYTE,
-        )
-        for node in tb.diskless_server_nodes
-    ]
-    provider = SyntheticFileLayoutProvider(len(data_servers), stripe_unit=2 * MB)
-    mds = PnfsMetadataServer(
-        tb.sim,
-        tb.diskless_server_nodes[0],
-        pvfs.make_client(tb.diskless_server_nodes[0]),
-        nfs_cfg,
-        data_servers,
-        provider,
-        name="3tier-mds",
-    )
-
-    def make_client(node: Node):
-        client = PnfsClient(tb.sim, node, mds, nfs_cfg)
-        client.label = "pnfs-3tier"
-        return client
-
-    return Deployment(
-        label="pnfs-3tier",
-        testbed=tb,
-        make_client=make_client,
-        pvfs=pvfs,
-        servers=data_servers + [mds],
+    return _build_tiered(
+        tb, nfs_overrides, pvfs_overrides, "pnfs-3tier", tb.diskless_server_nodes,
+        2 * MB, "3tier-mds",
+        extra_read_per_byte=GATEWAY_READ_PER_BYTE_3TIER,
     )
 
 
@@ -250,9 +238,9 @@ def make_deployment(
     """Build the named architecture on a fresh testbed.
 
     ``net_model`` selects the network flow model (``"chunked"`` |
-    ``"fluid"`` | ``"auto"``, see :mod:`repro.sim.network`); the
-    calibrated default stays ``"chunked"``.  ``seed`` initialises the
-    testbed's simulator (identical-seed deployments replay identically).
+    ``"fluid"``, see :mod:`repro.sim.network`); the calibrated default
+    stays ``"chunked"``.  ``seed`` initialises the testbed's simulator
+    (identical-seed deployments replay identically).
     """
     try:
         builder = ARCHITECTURES[arch]

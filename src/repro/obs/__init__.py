@@ -9,6 +9,9 @@ The diagnostic substrate behind the paper's per-component arguments
 * :class:`SpanCollector` — span tracing from client op through RPC
   attempt, server handler, and disk request, exported as Chrome
   trace-event JSON for Perfetto (:mod:`repro.obs.spans`);
+* :class:`RpcTrace` — the same spans reduced to one record per RPC
+  exchange, with per-procedure / per-server latency, volume and
+  failure tables (:mod:`repro.obs.rpc_trace`);
 * ``repro metrics`` / ``repro trace`` CLI verbs and the
   ``run_cell(metrics=True, trace=True)`` harness hooks consume both.
 
@@ -27,6 +30,7 @@ from repro.obs.attach import (
     observe_storage_daemon,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Sampler
+from repro.obs.rpc_trace import RpcRecord, RpcTrace
 from repro.obs.spans import Span, SpanCollector, current_collector
 
 __all__ = [
@@ -34,6 +38,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "RpcRecord",
+    "RpcTrace",
     "Sampler",
     "Span",
     "SpanCollector",

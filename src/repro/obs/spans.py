@@ -15,8 +15,9 @@ so a run can be dropped into Perfetto (https://ui.perfetto.dev) or
 
 Pay-for-what-you-use: instrumented code checks the module-level
 ``ACTIVE`` slot (one attribute load) and does nothing when no collector
-is installed — the same pattern as :class:`repro.tracing.RpcTracer`,
-so uninstrumented benchmark runs keep their event schedule and cost.
+is installed, so uninstrumented benchmark runs keep their event
+schedule and cost.  It is the only tracing hook in the request path:
+:class:`repro.obs.RpcTrace` is a reducer over the ``rpc`` spans.
 
 Tracks: each span carries a ``track`` (rendered as the Chrome "pid",
 one per node or component) and a lane within it (the "tid"), assigned

@@ -51,17 +51,18 @@ def figure_cell_spec(
 def torture_spec(
     seed: int,
     arch: str,
-    buggy_writeback: bool = False,
-    buggy_truncate: bool = False,
+    mutant: str | None = None,
     metadata: bool = False,
 ) -> dict:
-    """Spec for one torture episode (seed x architecture)."""
+    """Spec for one torture episode (seed x architecture).
+
+    ``mutant`` names an entry of :data:`repro.check.runner.MUTANTS`.
+    """
     return {
         "kind": "torture",
         "seed": seed,
         "arch": arch,
-        "buggy_writeback": buggy_writeback,
-        "buggy_truncate": buggy_truncate,
+        "mutant": mutant,
         "metadata": metadata,
     }
 
@@ -94,19 +95,13 @@ def _run_figure_cell(spec: dict):
 
 def _run_torture(spec: dict):
     from repro.check.program import generate
-    from repro.check.runner import (
-        buggy_truncate_factory,
-        buggy_writeback_factory,
-        run_episode,
-    )
+    from repro.check.runner import MUTANTS, run_episode
 
     program = generate(spec["seed"], metadata_ops=spec.get("metadata", False))
-    factory = None
-    if spec.get("buggy_writeback"):
-        factory = buggy_writeback_factory
-    elif spec.get("buggy_truncate"):
-        factory = buggy_truncate_factory
-    return run_episode(program, spec["arch"], client_factory=factory)
+    mutant = spec.get("mutant")
+    return run_episode(
+        program, spec["arch"], client_factory=MUTANTS[mutant] if mutant else None
+    )
 
 
 _RUNNERS = {

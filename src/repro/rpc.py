@@ -239,165 +239,129 @@ def _attempt(
     The span covers the whole attempt — marshalling, wire, queueing,
     handler, reply — and is closed by the ``finally`` even when a retry
     timer interrupts the attempt mid-flight, so abandoned attempts show
-    up in the trace as truncated bars rather than vanishing.
+    up in the trace as truncated bars rather than vanishing.  Only an
+    exchange that runs to its reply — success or error status — stamps
+    the span with its payload sizes, which is how
+    :class:`repro.obs.RpcTrace` tells the two apart.
     """
     col = obs_spans.ACTIVE
-    if col is None:
-        return (
-            yield from _attempt_body(
-                client_node, server, proc, handler, args, payload,
-                args_bytes, session, seq, retries,
-            )
+    span = None
+    if col is not None:
+        span = col.begin(
+            f"rpc:{proc}", "rpc", client_node.name,
+            server=server.name, attempt=retries,
         )
-    span = col.begin(
-        f"rpc:{proc}", "rpc", client_node.name,
-        server=server.name, attempt=retries,
-    )
     ok = False
     try:
-        result = yield from _attempt_body(
-            client_node, server, proc, handler, args, payload,
-            args_bytes, session, seq, retries,
-        )
-        ok = True
-        return result
-    finally:
-        col.end(span, ok=ok)
+        sim = client_node.sim
+        costs = server.costs
+        req_payload_bytes = payload.nbytes if payload is not None else 0
+        req_bytes = HEADER_BYTES + args_bytes + req_payload_bytes
 
-
-def _attempt_body(
-    client_node: Node,
-    server: RpcServer,
-    proc: str,
-    handler: Callable,
-    args: object,
-    payload: Optional[Payload],
-    args_bytes: int,
-    session,
-    seq: Optional[int],
-    retries: int,
-):
-    """One request/reply exchange (the pre-fault-layer ``call`` body)."""
-    sim = client_node.sim
-    costs = server.costs
-    req_payload_bytes = payload.nbytes if payload is not None else 0
-    req_bytes = HEADER_BYTES + args_bytes + req_payload_bytes
-    from repro.tracing import current_tracer
-
-    tracer = current_tracer()
-    t_start = sim.now
-
-    # 1. Client-side marshalling, then copy-out OVERLAPPED with the
-    #    request transfer: real stacks stream while copying, so wall
-    #    time is max(copy, wire), with the CPU held for the copy part.
-    #    Legs run as lightweight spawned tasks rather than full
-    #    joinable processes: nothing ever joins or interrupts a leg
-    #    individually (a retry timer interrupts the *attempt*, and an
-    #    in-flight transfer keeps the wire busy regardless), so the
-    #    per-leg Process + completion-event + AllOf machinery was pure
-    #    overhead.
-    yield from client_node.compute(costs.client_per_call)
-    if req_payload_bytes:
-        yield sim.spawn(
-            client_node.network.transfer(client_node.name, server.node.name, req_bytes),
-            client_node.compute(costs.client_per_byte * req_payload_bytes),
-        )
-    else:
-        yield sim.spawn(
-            client_node.network.transfer(client_node.name, server.node.name, req_bytes)
-        )
-    if not server.up:
-        yield _lost(sim)  # request arrived at a dead server
-
-    # 2. Server processing under a worker thread.
-    yield server.threads.acquire()
-    error: Optional[FsError] = None
-    result = None
-    reply_payload: Optional[Payload] = None
-    try:
-        if not server.up:
-            yield _lost(sim)  # server died while the request queued
-        yield from server.node.compute(
-            costs.server_per_call + costs.per_byte_in * req_payload_bytes
-        )
-        cached = session.cached_reply(seq) if session is not None and seq is not None else None
-        if cached is not None:
-            # NFSv4.1 slot-table retransmission hit: replay the reply
-            # recorded by the original execution — exactly-once.
-            result, reply_payload, error = cached
-            server.calls_replayed += 1
-        else:
-            if session is not None and seq is not None:
-                session.note_execution(seq)
-            col = obs_spans.ACTIVE
-            hspan = (
-                col.begin(f"handle:{proc}", "server", server.node.name)
-                if col is not None
-                else None
-            )
-            try:
-                result, reply_payload = yield from handler(args, payload)
-            except FsError as exc:
-                error = exc
-            except (Interrupt, SimulationError):
-                raise
-            except Exception as exc:
-                # Server bug: do not let it escape the reply path — the
-                # exchange completes as a traced server-error reply.
-                error = RpcServerError(
-                    f"{server.name}.{proc}: unhandled handler exception: {exc!r}"
-                )
-                error.__cause__ = exc
-            finally:
-                if hspan is not None:
-                    col.end(hspan, ok=error is None)
-            if session is not None and seq is not None:
-                session.cache_reply(seq, result, reply_payload, error)
-        # 3. Reply: server copy-out, wire, and client copy-in all
-        #    overlap (chunk-pipelined), while the thread stays busy.
-        if not server.up:
-            yield _lost(sim)  # server died before the reply left
-        reply_payload_bytes = reply_payload.nbytes if reply_payload is not None else 0
-        reply_bytes = HEADER_BYTES + reply_payload_bytes
-        if reply_payload_bytes:
+        # 1. Client-side marshalling, then copy-out OVERLAPPED with the
+        #    request transfer: real stacks stream while copying, so wall
+        #    time is max(copy, wire), with the CPU held for the copy part.
+        #    Legs run as lightweight spawned tasks rather than full
+        #    joinable processes: nothing ever joins or interrupts a leg
+        #    individually (a retry timer interrupts the *attempt*, and an
+        #    in-flight transfer keeps the wire busy regardless), so the
+        #    per-leg Process + completion-event + AllOf machinery was pure
+        #    overhead.
+        yield from client_node.compute(costs.client_per_call)
+        if req_payload_bytes:
             yield sim.spawn(
-                client_node.network.transfer(
-                    server.node.name, client_node.name, reply_bytes
-                ),
-                server.node.compute(costs.per_byte_out * reply_payload_bytes),
-                client_node.compute(costs.client_per_byte * reply_payload_bytes),
+                client_node.network.transfer(client_node.name, server.node.name, req_bytes),
+                client_node.compute(costs.client_per_byte * req_payload_bytes),
             )
         else:
             yield sim.spawn(
-                client_node.network.transfer(
-                    server.node.name, client_node.name, reply_bytes
-                )
+                client_node.network.transfer(client_node.name, server.node.name, req_bytes)
             )
-        server.calls_served += 1
-        if error is not None:
-            server.errors += 1
-    finally:
-        server.threads.release()
+        if not server.up:
+            yield _lost(sim)  # request arrived at a dead server
 
-    if tracer is not None:
-        from repro.tracing import RpcRecord
+        # 2. Server processing under a worker thread.
+        yield server.threads.acquire()
+        error: Optional[FsError] = None
+        result = None
+        reply_payload: Optional[Payload] = None
+        try:
+            if not server.up:
+                yield _lost(sim)  # server died while the request queued
+            yield from server.node.compute(
+                costs.server_per_call + costs.per_byte_in * req_payload_bytes
+            )
+            cached = session.cached_reply(seq) if session is not None and seq is not None else None
+            if cached is not None:
+                # NFSv4.1 slot-table retransmission hit: replay the reply
+                # recorded by the original execution — exactly-once.
+                result, reply_payload, error = cached
+                server.calls_replayed += 1
+            else:
+                if session is not None and seq is not None:
+                    session.note_execution(seq)
+                hspan = (
+                    col.begin(f"handle:{proc}", "server", server.node.name)
+                    if span is not None
+                    else None
+                )
+                try:
+                    result, reply_payload = yield from handler(args, payload)
+                except FsError as exc:
+                    error = exc
+                except (Interrupt, SimulationError):
+                    raise
+                except Exception as exc:
+                    # Server bug: do not let it escape the reply path — the
+                    # exchange completes as a traced server-error reply.
+                    error = RpcServerError(
+                        f"{server.name}.{proc}: unhandled handler exception: {exc!r}"
+                    )
+                    error.__cause__ = exc
+                finally:
+                    if hspan is not None:
+                        col.end(hspan, ok=error is None)
+                if session is not None and seq is not None:
+                    session.cache_reply(seq, result, reply_payload, error)
+            # 3. Reply: server copy-out, wire, and client copy-in all
+            #    overlap (chunk-pipelined), while the thread stays busy.
+            if not server.up:
+                yield _lost(sim)  # server died before the reply left
+            reply_payload_bytes = reply_payload.nbytes if reply_payload is not None else 0
+            reply_bytes = HEADER_BYTES + reply_payload_bytes
+            if reply_payload_bytes:
+                yield sim.spawn(
+                    client_node.network.transfer(
+                        server.node.name, client_node.name, reply_bytes
+                    ),
+                    server.node.compute(costs.per_byte_out * reply_payload_bytes),
+                    client_node.compute(costs.client_per_byte * reply_payload_bytes),
+                )
+            else:
+                yield sim.spawn(
+                    client_node.network.transfer(
+                        server.node.name, client_node.name, reply_bytes
+                    )
+                )
+            server.calls_served += 1
+            if error is not None:
+                server.errors += 1
+        finally:
+            server.threads.release()
 
-        tracer.record(
-            RpcRecord(
-                start=t_start,
-                end=sim.now,
-                client=client_node.name,
-                server=server.name,
-                proc=proc,
+        ok = error is None
+        if span is not None:
+            span.args.update(
                 req_bytes=req_payload_bytes,
-                reply_bytes=reply_payload.nbytes if reply_payload is not None else 0,
-                error=error is not None,
-                retries=retries,
+                reply_bytes=reply_payload_bytes,
+                error=not ok,
             )
-        )
-    if error is not None:
-        raise error
-    return result, reply_payload
+        if error is not None:
+            raise error
+        return result, reply_payload
+    finally:
+        if span is not None:
+            col.end(span, ok=ok)
 
 
 def call(
@@ -426,25 +390,19 @@ def call(
     sim = client_node.sim
     handler = server.handler(proc)  # fail fast on bad procedure
 
-    if policy is None:
-        # Fast path: identical behaviour (and event schedule) to the
-        # pre-fault-layer RPC — calibrated benchmarks depend on it.
-        try:
-            result = yield from _attempt(
-                client_node, server, proc, handler, args, payload,
-                args_bytes, session, seq, retries=0,
-            )
-        finally:
-            if session is not None and seq is not None:
-                session.retire(seq)
-        return result
-
-    from repro.tracing import current_tracer
-
     t_first = sim.now
     attempt_no = 0
     timer = None
     try:
+        if policy is None:
+            # Fast path: identical behaviour (and event schedule) to the
+            # pre-fault-layer RPC — calibrated benchmarks depend on it.
+            return (
+                yield from _attempt(
+                    client_node, server, proc, handler, args, payload,
+                    args_bytes, session, seq, retries=0,
+                )
+            )
         while True:
             attempt = sim.process(
                 _attempt(
@@ -460,10 +418,9 @@ def call(
                 timer = sim.timeout(policy.timeout_for(attempt_no))
             else:
                 timer = timer.reset(policy.timeout_for(attempt_no))
-            try:
-                idx, value = yield sim.any_of([attempt, timer])
-            except FsError:
-                raise  # an error *reply* — the exchange completed
+            # An FsError surfacing here is an error *reply*: the exchange
+            # completed, so it propagates to the caller untouched.
+            idx, value = yield sim.any_of([attempt, timer])
             if idx == 0:
                 return value
             # Timer fired first.  A photo finish (attempt completed in
@@ -481,23 +438,18 @@ def call(
             attempt_no += 1
             if attempt_no > policy.max_retries:
                 server.client_timeouts += 1
-                tracer = current_tracer()
-                if tracer is not None:
-                    from repro.tracing import RpcRecord
-
-                    tracer.record(
-                        RpcRecord(
-                            start=t_first,
-                            end=sim.now,
-                            client=client_node.name,
-                            server=server.name,
-                            proc=proc,
-                            req_bytes=payload.nbytes if payload is not None else 0,
-                            reply_bytes=0,
-                            error=True,
-                            retries=attempt_no - 1,
-                            timeout=True,
-                        )
+                col = obs_spans.ACTIVE
+                if col is not None:
+                    # One span for the whole failed call, from the first
+                    # send to the give-up.
+                    span = col.begin(
+                        f"rpc:{proc}", "rpc", client_node.name,
+                        server=server.name, attempt=attempt_no - 1,
+                    )
+                    span.start = t_first
+                    col.end(
+                        span, ok=False, timeout=True, error=True, reply_bytes=0,
+                        req_bytes=payload.nbytes if payload is not None else 0,
                     )
                 raise RpcTimeout(
                     f"{proc} to {server.name}: no reply after {attempt_no} attempts",

@@ -22,10 +22,9 @@ charged additively so sub-chunk messages keep the chunked model's
 2x store-and-forward cost.
 
 ``model`` selects between them: ``"chunked"`` (default — bit-identical
-to the pre-fluid schedule), ``"fluid"`` (wire transfers longer than two
-chunks are rate-based; shorter ones — per-RPC headers, single flow
-units — keep chunked fidelity), or ``"auto"`` (the crossover rises to
-``fluid_threshold`` wire bytes).
+to the pre-fluid schedule) or ``"fluid"`` (wire transfers longer than
+two chunks are rate-based; shorter ones — per-RPC headers, single flow
+units — keep chunked fidelity).
 
 When the two regimes share a pipe they are *coupled* so neither
 double-books the wire: chunked transfers of at least one chunk claim a
@@ -66,13 +65,6 @@ DEFAULT_CHUNK = 256 * 1024
 #: Per-flow switch-buffer window, in chunks: how far a flow's tx legs
 #: may run ahead of its rx legs.
 FLOW_WINDOW = 3
-
-#: Crossover for ``model="auto"``: transfers of at least this many wire
-#: bytes take the fluid path.  Four chunks is where the chunked model's
-#: event cost starts to dominate while its interleaving detail stops
-#: mattering (the fluid rate and the chunk-fair share already agree to
-#: well under a chunk time).
-DEFAULT_FLUID_THRESHOLD = 4 * DEFAULT_CHUNK
 
 #: A fluid flow with fewer remaining bytes than this is drained
 #: (absolute float-residue guard; half a byte of wire time is far below
@@ -492,9 +484,8 @@ class Network:
     ``latency`` is the one-way message latency (propagation + switch +
     interrupt handling), charged once per transfer.  ``per_message_bytes``
     models framing/RPC header overhead added to every transfer.
-    ``model`` picks the flow model — ``"chunked"`` | ``"fluid"`` |
-    ``"auto"`` (see the module docstring); ``fluid_threshold`` is the
-    auto-mode crossover in wire bytes.
+    ``model`` picks the flow model — ``"chunked"`` | ``"fluid"`` (see
+    the module docstring).
     """
 
     def __init__(
@@ -504,20 +495,16 @@ class Network:
         chunk_bytes: int = DEFAULT_CHUNK,
         per_message_bytes: int = 120,
         model: str = "chunked",
-        fluid_threshold: int = DEFAULT_FLUID_THRESHOLD,
     ):
         if chunk_bytes < 1:
             raise ValueError("chunk_bytes must be >= 1")
-        if model not in ("chunked", "fluid", "auto"):
+        if model not in ("chunked", "fluid"):
             raise ValueError(f"unknown network model {model!r}")
-        if fluid_threshold < 0:
-            raise ValueError("fluid_threshold must be >= 0")
         self.sim = sim
         self.latency = latency
         self.chunk_bytes = chunk_bytes
         self.per_message_bytes = per_message_bytes
         self.model = model
-        self.fluid_threshold = fluid_threshold
         self._nics: dict[str, Nic] = {}
         self._fluid = FluidSolver(sim)
         #: Cached bound method: the per-flow drop check sits on the hot
@@ -624,16 +611,8 @@ class Network:
         # fan-out), while the event savings are nil — so even in
         # "fluid" mode such flows (every per-RPC header/reply, and
         # single flow units that exceed one chunk only by their framing
-        # bytes) keep the chunked leg.  "auto" raises the bar to
-        # ``fluid_threshold`` to keep chunk-level interleaving fidelity
-        # for moderately sized flows too.
-        if self.model == "fluid":
-            use_fluid = wire_bytes > 2 * self.chunk_bytes
-        elif self.model == "auto":
-            use_fluid = wire_bytes >= self.fluid_threshold
-        else:
-            use_fluid = False
-        if use_fluid:
+        # bytes) keep the chunked leg.
+        if self.model == "fluid" and wire_bytes > 2 * self.chunk_bytes:
             yield from self._fluid_leg(snic, dnic, wire_bytes)
             self.flows_fluid += 1
         else:

@@ -27,8 +27,8 @@ def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     n=1 it is the only value).
 
     The one canonical quantile helper in the repository:
-    :mod:`repro.tracing` and :class:`LatencyRecorder` both delegate
-    here (they used to carry diverging copies).
+    :class:`repro.obs.RpcTrace` and :class:`LatencyRecorder` both
+    delegate here (they used to carry diverging copies).
     """
     if not sorted_values:
         raise ValueError("no values")

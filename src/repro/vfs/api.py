@@ -88,27 +88,21 @@ class InvalidArgument(FsError):
 
 
 class Payload:
-    """A chunk of file data: real bytes, a borrowed view, or a length.
+    """A chunk of file data: real bytes or a synthetic length.
 
     ``Payload(b"abc")`` carries real bytes; ``Payload.synthetic(n)``
     carries only a length.  Synthetic payloads compare equal to each
     other by length; slicing and concatenation work on both kinds.
-
-    A third, internal kind backs the zero-copy read path: a payload may
-    *borrow* a ``memoryview`` into a store's buffer instead of copying
-    it (:meth:`_of_view`, used by :class:`repro.vfs.filedata.FileData`).
-    The bytes are materialised lazily — only when someone actually
-    inspects :attr:`data` (escape) or when the owning store is about to
-    mutate the underlying buffer (:meth:`_freeze`).  Workloads that
-    move data without looking at it never pay the copy.
+    A real payload owns an immutable copy of its bytes, so it keeps
+    observing what was read even if the store it came from changes.
     """
 
-    __slots__ = ("nbytes", "_data", "_view", "__weakref__")
+    __slots__ = ("nbytes", "data")
 
     def __init__(self, data: bytes | bytearray | memoryview):
-        self._data: Optional[bytes] = bytes(data)
-        self._view: Optional[memoryview] = None
-        self.nbytes: int = len(self._data)
+        #: The payload bytes (``None`` when synthetic).
+        self.data: Optional[bytes] = bytes(data)
+        self.nbytes: int = len(self.data)
 
     @classmethod
     def synthetic(cls, nbytes: int) -> "Payload":
@@ -116,52 +110,13 @@ class Payload:
         if nbytes < 0:
             raise ValueError("payload size must be >= 0")
         p = cls.__new__(cls)
-        p._data = None
-        p._view = None
+        p.data = None
         p.nbytes = nbytes
         return p
 
-    @classmethod
-    def _of_view(cls, view: memoryview) -> "Payload":
-        """Zero-copy payload borrowing ``view`` (internal).
-
-        The lender must call :meth:`_freeze` before mutating or
-        resizing the viewed buffer; views over immutable ``bytes``
-        never need freezing.
-        """
-        p = cls.__new__(cls)
-        p._data = None
-        p._view = view
-        p.nbytes = len(view)
-        return p
-
-    def _freeze(self) -> None:
-        """Materialise a borrowed view into owned bytes."""
-        if self._view is not None:
-            self._data = bytes(self._view)
-            self._view = None
-
-    @property
-    def data(self) -> Optional[bytes]:
-        """The payload bytes (``None`` when synthetic).
-
-        Accessing it on a borrowed-view payload materialises the copy —
-        this is the "escape" in copy-on-escape.
-        """
-        if self._view is not None:
-            self._freeze()
-        return self._data
-
-    @property
-    def raw(self):
-        """Cheapest readable buffer: the live view if one is borrowed,
-        else the owned bytes (``None`` when synthetic).  For copying
-        *out* of the payload without forcing materialisation."""
-        return self._view if self._view is not None else self._data
-
     @property
     def is_synthetic(self) -> bool:
-        return self._data is None and self._view is None
+        return self.data is None
 
     def __len__(self) -> int:
         return self.nbytes
@@ -172,12 +127,9 @@ class Payload:
             raise ValueError("negative slice bounds")
         start = min(start, self.nbytes)
         length = min(length, self.nbytes - start)
-        if self.is_synthetic:
+        if self.data is None:
             return Payload.synthetic(length)
-        # Freeze first (if borrowed), then lend a view over the owned
-        # immutable bytes: slicing never copies the sliced range.
-        data = self.data
-        return Payload._of_view(memoryview(data)[start : start + length])
+        return Payload(self.data[start : start + length])
 
     @staticmethod
     def concat(parts: list["Payload"]) -> "Payload":
@@ -185,7 +137,7 @@ class Payload:
         total = sum(p.nbytes for p in parts)
         if any(p.is_synthetic for p in parts):
             return Payload.synthetic(total)
-        return Payload(b"".join(p.raw for p in parts))  # type: ignore[arg-type]
+        return Payload(b"".join(p.data for p in parts))  # type: ignore[arg-type]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Payload):
@@ -198,12 +150,6 @@ class Payload:
 
     def __hash__(self) -> int:
         return hash((self.nbytes, self.data))
-
-    def __reduce__(self):
-        # Views don't pickle; ship the materialised kind instead.
-        if self.is_synthetic:
-            return (Payload.synthetic, (self.nbytes,))
-        return (Payload, (self.data,))
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "synthetic" if self.is_synthetic else "bytes"

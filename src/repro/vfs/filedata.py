@@ -8,22 +8,9 @@ file outgrows the materialisation cap; from then on reads return
 synthetic payloads of the correct length.  The switch is one-way and
 per-file, so small functional files keep full fidelity even in runs
 that also move synthetic gigabytes.
-
-Zero-copy reads
----------------
-:meth:`FileData.read` does not copy: it returns a
-:class:`~repro.vfs.api.Payload` borrowing a ``memoryview`` into the
-store's buffer.  The store remembers every outstanding view (weakly)
-and freezes them — materialising their bytes — immediately before any
-operation that mutates or resizes the buffer, so a payload always
-observes the buffer contents as of its ``read`` call, exactly as the
-copying implementation did.  Readers that never inspect the bytes
-(every benchmark workload) never pay the copy.
 """
 
 from __future__ import annotations
-
-import weakref
 
 from repro.vfs.api import Payload
 
@@ -36,30 +23,13 @@ MATERIALISE_CAP = 64 * 1024 * 1024
 class FileData:
     """Contents of one storage object (whole file or one server's stripe)."""
 
-    __slots__ = ("size", "_buf", "exact", "cap", "_views")
+    __slots__ = ("size", "_buf", "exact", "cap")
 
     def __init__(self, cap: int = MATERIALISE_CAP):
         self.size = 0
         self._buf = bytearray()
         self.exact = True
         self.cap = cap
-        #: Weak refs to Payloads currently borrowing views of ``_buf``.
-        self._views: list = []
-
-    def _freeze_views(self) -> None:
-        """Materialise every outstanding borrowed view.
-
-        Must run before any mutation of ``_buf``: in-place writes would
-        silently change what lent-out views observe, and resizes would
-        raise ``BufferError`` while exports are alive.
-        """
-        views = self._views
-        if views:
-            for ref in views:
-                p = ref()
-                if p is not None:
-                    p._freeze()
-            views.clear()
 
     def write(self, offset: int, payload: Payload) -> None:
         """Store ``payload`` at ``offset``, extending the object if needed."""
@@ -70,23 +40,18 @@ class FileData:
         if not self.exact:
             return
         if payload.is_synthetic or end > self.cap:
-            # One-way degradation to size-only accounting.  The old
-            # buffer is abandoned, never mutated again: outstanding
-            # views stay valid snapshots without freezing.
+            # One-way degradation to size-only accounting.
             self.exact = False
             self._buf = bytearray()
-            self._views.clear()
             return
-        self._freeze_views()
         if len(self._buf) < end:
             self._buf.extend(b"\x00" * (end - len(self._buf)))
-        self._buf[offset:end] = payload.raw  # type: ignore[index]
+        self._buf[offset:end] = payload.data  # type: ignore[index]
 
     def read(self, offset: int, nbytes: int) -> Payload:
         """Read up to ``nbytes`` at ``offset``; truncated at EOF.
 
-        Zero-copy: the returned payload borrows a view of the buffer
-        (frozen automatically before the next mutation).
+        The payload owns a copy of the bytes as of this call.
         """
         if offset < 0 or nbytes < 0:
             raise ValueError("offset/nbytes must be >= 0")
@@ -97,13 +62,9 @@ class FileData:
         end = start + length
         if len(self._buf) < end:
             # Sparse tail beyond what was materialised: zero-fill.
-            self._freeze_views()
             self._buf.extend(b"\x00" * (end - len(self._buf)))
-        if length == 0:
-            return Payload(b"")
-        p = Payload._of_view(memoryview(self._buf)[start:end])
-        self._views.append(weakref.ref(p))
-        return p
+        # One copy: bytes() of a view, not of a sliced bytearray.
+        return Payload(memoryview(self._buf)[start:end])
 
     def truncate(self, new_size: int) -> None:
         """Set the object size; shrinking discards trailing bytes."""
@@ -111,5 +72,4 @@ class FileData:
             raise ValueError("size must be >= 0")
         self.size = new_size
         if self.exact and len(self._buf) > new_size:
-            self._freeze_views()
             del self._buf[new_size:]

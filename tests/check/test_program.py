@@ -20,6 +20,20 @@ class TestGeneration:
                     for x in (op.offset, op.offset + op.length - 1):
                         assert p.owner_of(op.file, x) == c, (seed, c, op)
 
+    def test_owner_map_equals_per_byte_owner_of(self):
+        """The vectorised map is defined by ``owner_of``, byte for byte."""
+        from repro.check.program import ns_path
+
+        for seed in (0, 7, 28):
+            for metadata in (False, True):
+                p = generate(seed, metadata_ops=metadata)
+                paths = p.files + [ns_path(p.ns_slot_of(c)) for c in range(p.n_clients)]
+                for path in paths:
+                    per_byte = [p.owner_of(path, x) for x in range(p.file_size(path))]
+                    owners = p.owner_map(path)
+                    assert owners.dtype.name == "int16"
+                    assert owners.tolist() == per_byte, (seed, metadata, path)
+
     def test_write_tags_nonzero(self):
         for seed in range(30):
             for track in generate(seed).ops:

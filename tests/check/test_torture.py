@@ -20,7 +20,7 @@ so the failure mode can never quietly return:
 import pytest
 
 from repro.check.program import generate
-from repro.check.runner import buggy_writeback_factory, run_episode, sweep
+from repro.check.runner import MUTANTS, run_episode, sweep
 from repro.check.shrink import shrink_list
 
 ALL_ARCHES = ["direct-pnfs", "pvfs2", "pnfs-2tier", "pnfs-3tier", "nfsv4"]
@@ -79,7 +79,7 @@ class TestPinnedRegressions:
         # no DS failover, so a long blackout really does kill the
         # write-backs.
         res = run_episode(
-            generate(28), "nfsv4", client_factory=buggy_writeback_factory
+            generate(28), "nfsv4", client_factory=MUTANTS["writeback"]
         )
         assert not res.ok
         assert any("silent-loss" in v for v in res.violations)
@@ -102,10 +102,10 @@ class TestShrinker:
         from repro.check.shrink import shrink_program
 
         program = generate(65)
-        small, runs = shrink_program(program, "nfsv4", buggy_writeback_factory)
+        small, runs = shrink_program(program, "nfsv4", MUTANTS["writeback"])
         assert runs > 1
         # Not asserting an exact program — just that ddmin made real
         # progress and the result still fails for the same reason.
         assert small.op_count < program.op_count
-        res = run_episode(small, "nfsv4", client_factory=buggy_writeback_factory)
+        res = run_episode(small, "nfsv4", client_factory=MUTANTS["writeback"])
         assert not res.ok

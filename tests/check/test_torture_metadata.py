@@ -15,11 +15,7 @@ Pinned regressions for the metadata bug swarm:
 import pytest
 
 from repro.check.program import Program, generate, ns_path, scratch_path
-from repro.check.runner import (
-    buggy_truncate_factory,
-    run_episode,
-    sweep,
-)
+from repro.check.runner import MUTANTS, run_episode, sweep
 
 ALL_ARCHES = ["direct-pnfs", "pvfs2", "pnfs-2tier", "pnfs-3tier", "nfsv4"]
 
@@ -106,7 +102,7 @@ class TestPinnedRegressions:
         res = run_episode(
             generate(0, metadata_ops=True),
             "nfsv4",
-            client_factory=buggy_truncate_factory,
+            client_factory=MUTANTS["truncate"],
         )
         assert not res.ok
         assert any("truncate-resurrection" in v for v in res.violations)
@@ -128,12 +124,12 @@ class TestShrinker:
 
         program = generate(0, metadata_ops=True)
         small, runs = shrink_program(
-            program, "nfsv4", buggy_truncate_factory
+            program, "nfsv4", MUTANTS["truncate"]
         )
         assert runs > 1
         assert small.op_count < program.op_count
         res = run_episode(
-            small, "nfsv4", client_factory=buggy_truncate_factory
+            small, "nfsv4", client_factory=MUTANTS["truncate"]
         )
         assert not res.ok
         # The minimised program still carries the essential metadata op.

@@ -13,9 +13,9 @@ from repro import rpc
 from repro.core import DirectPnfsSystem
 from repro.nfs import NfsConfig
 from repro.nfs.sessions import Session
+from repro.obs import RpcTrace, SpanCollector
 from repro.pvfs2 import Pvfs2Config, Pvfs2System
 from repro.sim import FaultInjector, SimulationError
-from repro.tracing import RpcTracer
 from repro.vfs import Payload
 
 from tests.conftest import build_cluster, drive
@@ -54,8 +54,9 @@ class TestRetry:
             )
             return result, cluster.sim.now
 
-        with RpcTracer() as tracer:
+        with SpanCollector(cluster.sim) as spans:
             result, done_at = drive(cluster.sim, scenario())
+        tracer = RpcTrace.from_spans(spans)
         assert result == {"ok": True}
         assert 1.2 < done_at < 1.3
         assert len(calls) == 1  # only the surviving attempt executed
@@ -76,8 +77,9 @@ class TestRetry:
             except rpc.RpcTimeout as exc:
                 return exc, cluster.sim.now
 
-        with RpcTracer() as tracer:
+        with SpanCollector(cluster.sim) as spans:
             exc, gave_up_at = drive(cluster.sim, scenario())
+        tracer = RpcTrace.from_spans(spans)
         assert isinstance(exc, rpc.RpcTimeout)
         assert not isinstance(exc, rpc.FsError)  # a timeout is not a reply
         assert exc.attempts == 3

@@ -123,3 +123,76 @@ class TestChromeTrace:
         path = tmp_path / "t.json"
         col.write_chrome_trace(path)
         json.loads(path.read_text())  # must not raise
+
+
+class TestRpcTraceReduction:
+    def test_faulted_run_reduces_to_one_record_per_exchange(self, cluster):
+        """Error reply, retransmitted-then-delivered and give-up each
+        become one record; attempts abandoned by the retry timer become
+        none (their spans stay in the trace as truncated bars)."""
+        from repro import rpc
+        from repro.obs import RpcTrace
+        from repro.sim import FaultInjector
+        from repro.vfs.api import NoEntry, Payload
+
+        sim = cluster.sim
+        server = rpc.RpcServer(sim, cluster.storage[0], "svc", rpc.RpcCosts())
+
+        def echo(args, payload):
+            return args, payload
+            yield  # pragma: no cover
+
+        def fail(args, payload):
+            raise NoEntry("x")
+            yield  # pragma: no cover
+
+        server.register("echo", echo)
+        server.register("fail", fail)
+        inj = FaultInjector(sim)
+        node = cluster.clients[0]
+        marks = {}
+
+        def scenario():
+            with pytest.raises(NoEntry):
+                yield from rpc.call(node, server, "fail", {})
+            # Down until +1.0 s: the sends at +0 and +0.4 are swallowed,
+            # the one at +1.2 is answered.
+            inj.fail_server(server)
+            inj.at(sim.now + 1.0, lambda: inj.restore_server(server))
+            yield from rpc.call(
+                node, server, "echo", {}, payload=Payload(b"abc"),
+                policy=rpc.RpcPolicy(timeout=0.4, max_retries=5, backoff=2.0),
+            )
+            inj.fail_server(server)
+            marks["gave_up_from"] = sim.now
+            with pytest.raises(rpc.RpcTimeout):
+                yield from rpc.call(
+                    node, server, "echo", {}, payload=Payload(b"abcde"),
+                    policy=rpc.RpcPolicy(timeout=0.2, max_retries=2, backoff=2.0),
+                )
+            marks["gave_up_at"] = sim.now
+
+        with SpanCollector(sim) as col:
+            sim.run(until=sim.process(scenario()))
+        rpc_spans = col.by_category()["rpc"]
+        trace = RpcTrace.from_spans(col)
+        errored, delivered, gave_up = trace.records
+
+        assert (errored.proc, errored.error, errored.timeout, errored.retries) == (
+            "fail", True, False, 0)
+        assert (delivered.error, delivered.timeout, delivered.retries) == (False, False, 2)
+        assert (delivered.req_bytes, delivered.reply_bytes) == (3, 3)
+        assert (gave_up.error, gave_up.timeout, gave_up.retries) == (True, True, 2)
+        assert (gave_up.req_bytes, gave_up.reply_bytes) == (5, 0)
+        assert (gave_up.start, gave_up.end) == (marks["gave_up_from"], marks["gave_up_at"])
+        assert {r.client for r in trace.records} == {node.name}
+        assert {r.server for r in trace.records} == {"svc"}
+
+        # 1 + 3 + 3 attempt spans and the give-up span; the five
+        # abandoned attempts closed not-ok and reduced to nothing.
+        assert len(rpc_spans) == 8
+        abandoned = [s for s in rpc_spans if "req_bytes" not in s.args]
+        assert len(abandoned) == 5
+        assert all(s.end is not None and s.args["ok"] is False for s in abandoned)
+        assert trace.server_counters()["svc"] == {
+            "calls": 3, "errors": 1, "timeouts": 1, "retries": 4}

@@ -233,9 +233,14 @@ class TestDurability:
         payload_bytes = sum(n.disk.write_bytes for n in cluster.storage)
         assert 1_000_000 <= payload_bytes <= 1_000_000 + 16 * 4096
 
-    def test_fsync_time_reflects_disk_speed(self, cluster, fs, client):
+    def test_fsync_time_reflects_disk_speed(self, cluster):
         """A large write + fsync must wait for the platter drain (minus
         the per-daemon write-cache allowance)."""
+        # About platter drain, not striping: 120 MB through the fixture's
+        # 64-byte stripes is ~2 M requests and minutes of wall-clock.
+        fs = make_fs(cluster, stripe_size=2 * 1024 * 1024)
+        client = fs.make_client(cluster.clients[0])
+        drive(cluster.sim, client.mount())
         total = 120_000_000
 
         def scenario():

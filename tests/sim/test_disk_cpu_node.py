@@ -302,7 +302,7 @@ class TestStats:
 
     def test_nearest_rank_shared_between_stats_and_tracing(self):
         from repro.sim.stats import nearest_rank
-        from repro.tracing import nearest_rank as tracing_nearest_rank
+        from repro.obs.rpc_trace import nearest_rank as tracing_nearest_rank
 
         assert tracing_nearest_rank is nearest_rank
         assert nearest_rank([1, 2, 3, 4], 0.5) == 2

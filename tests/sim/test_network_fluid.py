@@ -12,7 +12,6 @@ import pytest
 
 from repro import rpc
 from repro.sim import FaultInjector, Network, Simulator
-from repro.sim.network import DEFAULT_FLUID_THRESHOLD
 from repro.vfs import Payload
 
 from tests.conftest import build_cluster, drive
@@ -129,15 +128,15 @@ class TestEquivalence:
 class TestModelKnob:
     def test_unknown_model_rejected(self):
         sim = Simulator()
-        with pytest.raises(ValueError):
-            Network(sim, model="quantum")
+        for model in ("quantum", "auto"):
+            with pytest.raises(ValueError):
+                Network(sim, model=model)
 
-    def test_auto_routes_by_threshold(self):
-        sim, net = make_net("auto")
-        assert net.fluid_threshold == DEFAULT_FLUID_THRESHOLD
+    def test_fluid_routes_by_wire_size(self):
+        sim, net = make_net("fluid")
 
         def xfers():
-            yield from net.transfer("n0", "n1", 8 * 1024)  # below
+            yield from net.transfer("n0", "n1", 8 * 1024)  # <= 2 chunks
             yield from net.transfer("n0", "n1", 8 * MB)  # above
 
         drive(sim, xfers())

@@ -190,7 +190,7 @@ class TestHandlerCrash:
         assert server.errors == 1
 
     def test_crash_reply_is_traced(self, cluster):
-        from repro.tracing import RpcTracer
+        from repro.obs import RpcTrace, SpanCollector
 
         server = self.make_buggy_server(cluster)
 
@@ -200,7 +200,8 @@ class TestHandlerCrash:
             except rpc.RpcServerError:
                 pass
 
-        with RpcTracer() as tracer:
+        with SpanCollector(cluster.sim) as spans:
             drive(cluster.sim, scenario())
-        assert len(tracer.records) == 1
-        assert tracer.records[0].error
+        records = RpcTrace.from_spans(spans).records
+        assert len(records) == 1
+        assert records[0].error

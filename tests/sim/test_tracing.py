@@ -1,9 +1,10 @@
-"""RPC tracer tests."""
+"""RPC trace tests: ``RpcTrace`` as a reducer over ``rpc`` spans."""
 
 import pytest
 
 from repro import rpc
-from repro.tracing import RpcRecord, RpcTracer, current_tracer, nearest_rank
+from repro.obs import RpcRecord, RpcTrace, SpanCollector, current_collector
+from repro.sim.stats import nearest_rank
 from repro.vfs.api import NoEntry, Payload
 
 from tests.conftest import build_cluster, drive
@@ -52,8 +53,9 @@ class TestTracer:
             )
             yield from rpc.call(cluster.clients[0], server, "echo", {"a": 2})
 
-        with RpcTracer() as tracer:
+        with SpanCollector(cluster.sim) as spans:
             drive(cluster.sim, scenario())
+        tracer = RpcTrace.from_spans(spans)
         assert len(tracer.records) == 2
         first = tracer.records[0]
         assert first.proc == "echo"
@@ -73,9 +75,9 @@ class TestTracer:
             except NoEntry:
                 return "raised"
 
-        with RpcTracer() as tracer:
+        with SpanCollector(cluster.sim) as spans:
             assert drive(cluster.sim, scenario()) == "raised"
-        assert tracer.records[0].error
+        assert RpcTrace.from_spans(spans).records[0].error
 
     def test_not_installed_means_no_overhead(self, cluster):
         server = make_server(cluster)
@@ -84,12 +86,12 @@ class TestTracer:
             yield from rpc.call(cluster.clients[0], server, "echo", {})
 
         drive(cluster.sim, scenario())
-        assert current_tracer() is None
+        assert current_collector() is None
 
-    def test_nested_installation_rejected(self):
-        with RpcTracer():
+    def test_nested_installation_rejected(self, cluster):
+        with SpanCollector(cluster.sim):
             with pytest.raises(RuntimeError):
-                RpcTracer().__enter__()
+                SpanCollector(cluster.sim).__enter__()
 
     def test_aggregations_and_summary(self, cluster):
         server = make_server(cluster)
@@ -100,8 +102,9 @@ class TestTracer:
                     cluster.clients[0], server, "echo", {}, payload=Payload(b"z" * 100)
                 )
 
-        with RpcTracer() as tracer:
+        with SpanCollector(cluster.sim) as spans:
             drive(cluster.sim, scenario())
+        tracer = RpcTrace.from_spans(spans)
         assert set(tracer.by_proc()) == {"echo"}
         assert set(tracer.by_server()) == {"svc"}
         assert tracer.total_payload_bytes() == 5 * 200
@@ -128,30 +131,30 @@ class TestTracer:
     def test_summary_p95_column_nearest_rank(self):
         """The summary's p95 column for 20 x 1..20 ms must read 19.00,
         not 20.00 (the pre-fix clamp-to-max)."""
-        tracer = RpcTracer()
-        for i in range(1, 21):
-            tracer.record(make_record(i / 1000.0))
+        tracer = RpcTrace(make_record(i / 1000.0) for i in range(1, 21))
         row = tracer.summary().splitlines()[1].split()
         # columns: proc calls mean p95 MB errors retries
         assert row[0] == "echo"
         assert row[3] == "19.00"
 
     def test_summary_errors_column_counts_timeouts(self):
-        tracer = RpcTracer()
-        tracer.record(make_record(0.001))
-        tracer.record(make_record(0.002, error=True))
-        tracer.record(make_record(0.003, error=True, timeout=True, retries=3))
+        tracer = RpcTrace([
+            make_record(0.001),
+            make_record(0.002, error=True),
+            make_record(0.003, error=True, timeout=True, retries=3),
+        ])
         row = tracer.summary().splitlines()[1].split()
         assert row[1] == "3"  # calls
         assert row[5] == "2"  # errors: one error reply + one timeout
         assert row[6] == "3"  # retries
 
     def test_server_counters(self):
-        tracer = RpcTracer()
-        tracer.record(make_record(0.001, server="a"))
-        tracer.record(make_record(0.002, server="a", error=True))
-        tracer.record(make_record(0.003, server="a", error=True, timeout=True, retries=2))
-        tracer.record(make_record(0.001, server="b", retries=1))
+        tracer = RpcTrace([
+            make_record(0.001, server="a"),
+            make_record(0.002, server="a", error=True),
+            make_record(0.003, server="a", error=True, timeout=True, retries=2),
+            make_record(0.001, server="b", retries=1),
+        ])
         counters = tracer.server_counters()
         assert counters["a"] == {"calls": 3, "errors": 1, "timeouts": 1, "retries": 2}
         assert counters["b"] == {"calls": 1, "errors": 0, "timeouts": 0, "retries": 1}
@@ -173,9 +176,9 @@ class TestTracer:
             yield from client.write(f, 0, P.synthetic(256 * 1024))
             yield from client.close(f)
 
-        with RpcTracer() as tracer:
+        with SpanCollector(cluster.sim) as spans:
             drive(cluster.sim, scenario())
-        procs = set(tracer.by_proc())
+        procs = set(RpcTrace.from_spans(spans).by_proc())
         # control, layout, data, and storage protocols all visible
         assert {"mount", "getdevlist", "layoutget", "open", "write", "commit"} <= procs
         assert any(p in procs for p in ("flush", "create_bstream"))

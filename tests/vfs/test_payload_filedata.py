@@ -1,5 +1,7 @@
 """Tests for Payload and FileData."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,57 @@ class TestPayload:
     def test_accepts_bytearray_and_memoryview(self):
         assert Payload(bytearray(b"ab")).data == b"ab"
         assert Payload(memoryview(b"ab")).data == b"ab"
+
+    def test_pickle_round_trip(self):
+        fd = FileData()
+        fd.write(0, Payload(b"abcd"))
+        for p in (fd.read(0, 4), Payload(b"abcd").slice(1, 2), Payload.synthetic(9)):
+            clone = pickle.loads(pickle.dumps(p))
+            assert clone == p and clone.data == p.data
+
+
+class TestSnapshotAtRead:
+    """A read payload owns its bytes: it keeps observing the store as
+    of the ``read`` call whatever happens to the store afterwards."""
+
+    def test_read_observes_bytes_as_of_the_read(self):
+        fd = FileData()
+        fd.write(0, Payload(b"aaaa"))
+        snap = fd.read(0, 4)
+        fd.write(0, Payload(b"bbbb"))
+        assert snap.data == b"aaaa"
+        assert fd.read(0, 4).data == b"bbbb"
+
+    def test_read_survives_later_truncate(self):
+        fd = FileData()
+        fd.write(0, Payload(b"abcdef"))
+        snap = fd.read(0, 6)
+        fd.truncate(2)
+        assert snap.data == b"abcdef"
+        assert fd.read(0, 6).data == b"ab"
+
+    def test_read_survives_degradation_to_synthetic(self):
+        fd = FileData(cap=8)
+        fd.write(0, Payload(b"12345678"))
+        snap = fd.read(0, 8)
+        fd.write(8, Payload(b"xx"))  # over cap: store goes size-only
+        assert snap.data == b"12345678"
+        assert fd.read(0, 4).is_synthetic
+
+    def test_many_reads_survive_one_overwrite(self):
+        fd = FileData()
+        fd.write(0, Payload(bytes(range(64))))
+        snaps = [fd.read(i, 8) for i in range(0, 64, 8)]
+        fd.write(0, Payload(b"\xff" * 64))
+        for i, snap in enumerate(snaps):
+            assert snap.data == bytes(range(i * 8, i * 8 + 8))
+
+    def test_read_payload_equality_and_hash(self):
+        fd = FileData()
+        fd.write(0, Payload(b"abcd"))
+        got = fd.read(0, 4)
+        assert got == Payload(b"abcd")
+        assert hash(got) == hash(Payload(b"abcd"))
 
 
 class TestFileData:
