@@ -19,6 +19,7 @@ pieces its evaluation depends on:
 from repro.pvfs2.config import Pvfs2Config
 from repro.pvfs2.distribution import (
     Distribution,
+    Extent,
     Run,
     SimpleStripe,
     VarStrip,
@@ -31,6 +32,7 @@ from repro.pvfs2.system import Pvfs2System
 
 __all__ = [
     "Distribution",
+    "Extent",
     "FileMeta",
     "MetadataServer",
     "Pvfs2Client",

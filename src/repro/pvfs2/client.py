@@ -9,11 +9,14 @@ PVFS2 1.5.1 (§5):
   read/write becomes storage-protocol requests immediately, so 8 KB
   application I/O pays a full round trip per request (Figures 6d/6e,
   7c/7d);
-* **large transfer buffers** — requests move in ``flow_unit`` slices;
+* **large transfer buffers** — a read/write is one request per storage
+  server touched, for that server's single bstream extent of the byte
+  range however many stripe units it spans, moved in ``flow_unit``
+  slices;
 * **limited request parallelisation** — at most ``client_max_flight``
   flow units outstanding per client;
-* **substantial per-request overhead** — the storage-protocol RPC cost
-  model.
+* **substantial per-request overhead** — request setup once per server
+  touched, on top of the storage-protocol RPC cost of each flow unit.
 
 A ``local_only`` restriction turns the client into the loopback conduit
 used by Direct-pNFS data servers: it refuses I/O that would touch a
@@ -133,33 +136,48 @@ class Pvfs2Client(FileSystemClient):
             self._flight.release()
 
     def _split_units(self, dist, offset: int, nbytes: int):
-        """(server, local, length, src_off, first_of_run) flow units."""
-        units: list[tuple[int, int, int, int, bool]] = []
-        for run in dist.runs(offset, nbytes):
-            self._check_local(run.server)
+        """Flow units of one op: ``(server, local, length, setup, parts)``.
+
+        Each server's bstream extent of the range is cut into
+        ``flow_unit`` slices.  ``parts`` are the ``(src_off, length)``
+        logical pieces (``src_off`` relative to ``offset``) that tile a
+        slice; ``setup`` marks the first slice of an extent.
+        """
+        flow_unit = self.cfg.flow_unit
+        units: list[tuple[int, int, int, bool, list[tuple[int, int]]]] = []
+        for ext in dist.extents(offset, nbytes):
+            self._check_local(ext.server)
+            pieces = iter(ext.pieces)
+            piece = next(pieces)
+            used = 0  # bytes of ``piece`` already handed to a slice
             pos = 0
-            while pos < run.length:
-                length = min(self.cfg.flow_unit, run.length - pos)
-                units.append(
-                    (
-                        run.server,
-                        run.local + pos,
-                        length,
-                        run.logical - offset + pos,
-                        pos == 0,
-                    )
-                )
+            while pos < ext.length:
+                length = min(flow_unit, ext.length - pos)
+                parts = []
+                need = length
+                while need:
+                    if used == piece.length:
+                        piece = next(pieces)
+                        used = 0
+                    take = min(need, piece.length - used)
+                    parts.append((piece.logical - offset + used, take))
+                    used += take
+                    need -= take
+                units.append((ext.server, ext.local + pos, length, pos == 0, parts))
                 pos += length
         return units
+
+    def _setup(self, units):
+        """Client-side request setup: once per server touched by the op."""
+        nsetups = sum(1 for u in units if u[3])
+        if nsetups:
+            yield from self.node.compute(self.cfg.request_setup_client * nsetups)
 
     def read(self, f: OpenFile, offset: int, nbytes: int):
         dist = self._dist_of(f)
         dfiles = f.state["dfiles"]
         units = self._split_units(dist, offset, nbytes)
-        # Request setup: once per server touched by this operation.
-        nruns = sum(1 for u in units if u[4])
-        if nruns:
-            yield from self.node.compute(self.cfg.request_setup_client * nruns)
+        yield from self._setup(units)
         results: list = [None] * len(units)
         procs = [
             self.sim.process(
@@ -170,33 +188,40 @@ class Pvfs2Client(FileSystemClient):
                         "handle": dfiles[server],
                         "offset": local,
                         "nbytes": length,
-                        "setup": first,
+                        "setup": setup,
                     },
                     None,
                     results,
                     i,
                 )
             )
-            for i, (server, local, length, _src, first) in enumerate(units)
+            for i, (server, local, length, setup, _parts) in enumerate(units)
         ]
         if procs:
             yield self.sim.all_of(procs)
-        payloads = [reply for (_result, reply) in results]
+        # Scatter each reply back onto its logical pieces; a reply cut
+        # short by the end of its bstream leaves the later ones empty.
+        frags: list[tuple[int, int, Payload]] = []
+        for (_server, _local, _length, _setup, parts), (_n, reply) in zip(units, results):
+            pos = 0
+            for src_off, length in parts:
+                frags.append((src_off, length, reply.slice(pos, length)))
+                pos += length
+        frags.sort(key=lambda frag: frag[0])
         # Zero-fill interior shortfalls (sparse regions followed by data).
-        last_with_data = -1
-        for i, p in enumerate(payloads):
-            if p.nbytes > 0:
-                last_with_data = i
-        for i in range(last_with_data):
-            want = units[i][2]
-            p = payloads[i]
-            if p.nbytes < want:
+        last_with_data = max(
+            (i for i, frag in enumerate(frags) if frag[2].nbytes > 0), default=-1
+        )
+        payloads = []
+        for i, (_src_off, want, p) in enumerate(frags):
+            if i < last_with_data and p.nbytes < want:
                 pad = (
                     Payload.synthetic(want - p.nbytes)
                     if p.is_synthetic
                     else Payload(b"\x00" * (want - p.nbytes))
                 )
-                payloads[i] = Payload.concat([p, pad])
+                p = Payload.concat([p, pad])
+            payloads.append(p)
         out = Payload.concat(payloads) if payloads else Payload(b"")
         self.bytes_read += out.nbytes
         return out
@@ -205,21 +230,22 @@ class Pvfs2Client(FileSystemClient):
         dist = self._dist_of(f)
         dfiles = f.state["dfiles"]
         units = self._split_units(dist, offset, payload.nbytes)
-        nruns = sum(1 for u in units if u[4])
-        if nruns:
-            yield from self.node.compute(self.cfg.request_setup_client * nruns)
+        yield from self._setup(units)
         procs = [
             self.sim.process(
                 self._unit_io(
                     "write",
                     server,
-                    {"handle": dfiles[server], "offset": local, "setup": first},
-                    payload.slice(src_off, length),
+                    {"handle": dfiles[server], "offset": local, "setup": setup},
+                    # Gather the slice's logical pieces into one payload.
+                    payload.slice(*parts[0])
+                    if len(parts) == 1
+                    else Payload.concat([payload.slice(*part) for part in parts]),
                     None,
                     i,
                 )
             )
-            for i, (server, local, length, src_off, first) in enumerate(units)
+            for i, (server, local, _length, setup, parts) in enumerate(units)
         ]
         if procs:
             yield self.sim.all_of(procs)

@@ -4,7 +4,8 @@ A :class:`Distribution` answers three questions:
 
 * which server stores logical offset *o* and at which *local* offset in
   that server's bstream (``runs`` splits a byte range into per-server
-  contiguous runs),
+  contiguous runs; ``extents`` groups those runs into the one bstream
+  extent each server holds of the range),
 * how large is the logical file given each server's bstream size
   (``logical_size`` — PVFS2 derives file size from its datafiles), and
 * how to describe itself portably (``describe`` /
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "Distribution",
+    "Extent",
     "Run",
     "SimpleStripe",
     "VarStrip",
@@ -45,6 +47,20 @@ class Run:
     local: int
     length: int
     logical: int
+
+
+@dataclass(frozen=True)
+class Extent:
+    """One server's share of a contiguous logical range.
+
+    Bstream bytes ``[local, local + length)`` on ``server``; ``pieces``
+    are the runs that tile it, in logical and local order alike.
+    """
+
+    server: int
+    local: int
+    length: int
+    pieces: tuple[Run, ...]
 
 
 class Distribution(ABC):
@@ -92,6 +108,35 @@ class Distribution(ABC):
                 out.append(Run(server, local, length, pos))
             pos += length
         return out
+
+    def extents(self, offset: int, nbytes: int) -> list[Extent]:
+        """Group ``runs(offset, nbytes)`` into per-server bstream extents.
+
+        Striping hands a server its stripe units at consecutive local
+        offsets, so the runs a contiguous logical range leaves on one
+        server abut: each server touched gets exactly one extent,
+        listed in order of first touch.  This is the only place that
+        relies on that; a distribution whose runs did not abut would
+        simply start a second extent for the server.
+        """
+        groups: list[list[Run]] = []
+        current: dict[int, list[Run]] = {}
+        for run in self.runs(offset, nbytes):
+            group = current.get(run.server)
+            if group is not None and group[-1].local + group[-1].length == run.local:
+                group.append(run)
+            else:
+                group = current[run.server] = [run]
+                groups.append(group)
+        return [
+            Extent(
+                g[0].server,
+                g[0].local,
+                g[-1].local + g[-1].length - g[0].local,
+                tuple(g),
+            )
+            for g in groups
+        ]
 
 
 class SimpleStripe(Distribution):

@@ -31,7 +31,7 @@ from repro.rpc import RpcServer
 from repro.sim.engine import Event, Simulator
 from repro.sim.node import Node
 from repro.sim.resources import Resource
-from repro.vfs.api import NoEntry, Payload
+from repro.vfs.api import FsError, NoEntry, Payload
 from repro.vfs.filedata import FileData
 
 __all__ = ["StorageDaemon"]
@@ -246,8 +246,6 @@ class StorageDaemon:
             self.dirty_tokens.release(self.dirty_tokens.in_use)
         self._pending_bytes = 0
         waiters, self._drain_waiters = self._drain_waiters, []
-        from repro.vfs.api import FsError
-
         for ev in waiters:
             ev.fail(FsError(f"{self.name}: storage daemon crashed during flush"))
 

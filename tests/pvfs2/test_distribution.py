@@ -5,10 +5,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pvfs2 import (
+    Distribution,
     SimpleStripe,
     VarStrip,
     distribution_from_description,
 )
+
+
+def check_extents(d: Distribution, offset: int, nbytes: int) -> None:
+    """``extents`` is ``runs`` regrouped: one bstream extent per server."""
+    runs = d.runs(offset, nbytes)
+    extents = d.extents(offset, nbytes)
+    # One locally-contiguous extent per server touched, in order of first touch.
+    assert [e.server for e in extents] == list(dict.fromkeys(r.server for r in runs))
+    for e in extents:
+        assert list(e.pieces) == [r for r in runs if r.server == e.server]
+        pos = e.local
+        for piece in e.pieces:
+            assert piece.local == pos
+            pos += piece.length
+        assert pos == e.local + e.length
+    # The pieces cover the logical range exactly, and gathering a
+    # payload into extents then scattering it back is the identity.
+    pieces = sorted((p for e in extents for p in e.pieces), key=lambda p: p.logical)
+    assert pieces == runs
+    data = bytes(i % 251 for i in range(nbytes))
+    out = bytearray(nbytes)
+    for e in extents:
+        gathered = b"".join(
+            data[p.logical - offset : p.logical - offset + p.length] for p in e.pieces
+        )
+        assert len(gathered) == e.length
+        for p in e.pieces:
+            at = p.local - e.local
+            out[p.logical - offset : p.logical - offset + p.length] = gathered[
+                at : at + p.length
+            ]
+    assert bytes(out) == data
+    # An op that revisits no server maps to the same requests as its runs.
+    if len(extents) == len(runs):
+        assert [(e.server, e.local, e.length) for e in extents] == [
+            (r.server, r.local, r.length) for r in runs
+        ]
 
 
 class TestSimpleStripe:
@@ -89,6 +127,28 @@ class TestSimpleStripe:
             server, local, _rem = d.locate(r.logical)
             assert (server, local) == (r.server, r.local)
 
+    def test_extents_one_per_server_in_first_touch_order(self):
+        d = SimpleStripe(nservers=2, stripe_size=10, start_server=1)
+        extents = d.extents(5, 40)
+        # [5,10) s1 | [10,20) s0 | [20,30) s1 | [30,40) s0 | [40,45) s1
+        assert [(e.server, e.local, e.length) for e in extents] == [
+            (1, 5, 20),
+            (0, 0, 20),
+        ]
+        assert [p.logical for p in extents[0].pieces] == [5, 20, 40]
+        assert d.extents(7, 0) == []
+
+    @given(
+        nservers=st.integers(1, 6),
+        stripe=st.integers(1, 64),
+        start=st.integers(0, 5),
+        offset=st.integers(0, 10_000),
+        nbytes=st.integers(0, 4_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_extents(self, nservers, stripe, start, offset, nbytes):
+        check_extents(SimpleStripe(nservers, stripe, start % nservers), offset, nbytes)
+
     @given(
         nservers=st.integers(1, 5),
         stripe=st.integers(1, 32),
@@ -152,6 +212,18 @@ class TestVarStrip:
 
     @given(
         pattern=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 16)), min_size=1, max_size=5
+        ),
+        offset=st.integers(0, 2_000),
+        nbytes=st.integers(0, 1_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_extents(self, pattern, offset, nbytes):
+        # Includes patterns that name one server several times per cycle.
+        check_extents(VarStrip(4, pattern), offset, nbytes)
+
+    @given(
+        pattern=st.lists(
             st.tuples(st.integers(0, 2), st.integers(1, 8)), min_size=1, max_size=4
         ),
         size=st.integers(0, 600),
@@ -185,3 +257,28 @@ class TestVarStrip:
 def test_unknown_description_rejected():
     with pytest.raises(ValueError):
         distribution_from_description({"type": "mystery"})
+
+
+def test_extents_start_a_second_extent_where_runs_do_not_abut():
+    """The one-extent-per-server fact is a property of striping, not an
+    assumption: a distribution that breaks it still maps correctly."""
+
+    class Backwards(SimpleStripe):
+        name = "backwards"
+
+        def locate(self, offset):
+            server, local, remaining = super().locate(offset)
+            # Server 0 stores its stripe units in reverse order.
+            if server == 0:
+                unit = self.stripe_size
+                local = (9 - local // unit) * unit + local % unit
+            return server, local, remaining
+
+    d = Backwards(nservers=2, stripe_size=10)
+    extents = d.extents(0, 40)
+    assert [(e.server, e.local, e.length) for e in extents] == [
+        (0, 90, 10),
+        (1, 0, 20),
+        (0, 80, 10),
+    ]
+    assert [p.logical for e in extents for p in e.pieces] == [0, 10, 30, 20]

@@ -123,6 +123,94 @@ class TestBasicIo:
         assert drive(cluster.sim, scenario()) == 3
 
 
+class TestPerServerExtents:
+    """One bstream extent per storage server per op, in ``flow_unit`` slices."""
+
+    # Flow units that straddle stripe units: slices gather several pieces.
+    @pytest.mark.parametrize("stripe, flow_unit", [(64, 100), (4096, 6000)])
+    def test_real_bytes_round_trip_against_byte_model(self, cluster, stripe, flow_unit):
+        fs = make_fs(
+            cluster, stripe_size=stripe, flow_unit=flow_unit, dirty_watermark=1 << 20
+        )
+        writer = fs.make_client(cluster.clients[0])
+        reader = fs.make_client(cluster.clients[1])
+        u = stripe
+        model = bytearray()
+
+        def pattern(n, salt):
+            return bytes((salt + 7 * i) % 251 + 1 for i in range(n))
+
+        # Each write revisits all three servers; the second leaves an
+        # interior hole; the third overwrites across a stripe boundary.
+        # EOF lands 8 bytes into a stripe, so the last server is short.
+        writes = [
+            (u // 2 + 3, pattern(7 * u + 5, 1)),
+            (20 * u + 1, pattern(5 * u + 7, 2)),
+            (5 * u - 1, pattern(2 * u + 2, 3)),
+        ]
+        reads = [
+            (0, 30 * u),  # everything, and past EOF
+            (u + 1, 21 * u),  # data | hole | data
+            (9 * u, 3 * u),  # inside the hole
+            (24 * u, 3 * u),  # full stripe, 8-byte stripe, nothing
+            (40 * u, 100),  # beyond EOF
+        ]
+
+        def scenario():
+            yield from writer.mount()
+            yield from reader.mount()
+            f = yield from writer.create("/bytes")
+            for offset, data in writes:
+                yield from writer.write(f, offset, Payload(data))
+                if len(model) < offset + len(data):
+                    model.extend(bytes(offset + len(data) - len(model)))
+                model[offset : offset + len(data)] = data
+            g = yield from reader.open("/bytes")
+            attrs = yield from reader.getattr("/bytes")
+            out = []
+            for offset, nbytes in reads:
+                out.append((yield from reader.read(g, offset, nbytes)))
+            return attrs, out
+
+        attrs, out = drive(cluster.sim, scenario())
+        assert attrs.size == len(model) == 25 * u + 8
+        for (offset, nbytes), got in zip(reads, out):
+            assert got.data == bytes(model[offset : offset + nbytes]), (offset, nbytes)
+
+    def test_request_and_event_budget_is_flat_in_stripe_size(self):
+        """Parameter robustness: shrinking the stripe 32 768x must not
+        multiply the work of a 1 MB write + read."""
+        mb = 1 << 20
+        cost = {}
+        for stripe in (64, 4096, 64 * 1024, 2 * mb):
+            cluster = build_cluster()
+            fs = make_fs(cluster, stripe_size=stripe)
+            client = fs.make_client(cluster.clients[0])
+
+            def served():
+                return sum(d.rpc.calls_served for d in fs.daemons)
+
+            def scenario():
+                yield from client.mount()
+                f = yield from client.create("/f")
+                counts = [served()]
+                yield from client.write(f, 0, Payload.synthetic(mb))
+                counts.append(served())
+                data = yield from client.read(f, 0, mb)
+                counts.append(served())
+                return data, counts
+
+            before = cluster.sim.stats.events_processed
+            data, counts = drive(cluster.sim, scenario())
+            cost[stripe] = cluster.sim.stats.events_processed - before
+            assert data.nbytes == mb
+            extent = max(e.length for e in SimpleStripe(3, stripe).extents(0, mb))
+            budget = len(fs.daemons) * -(-extent // fs.cfg.flow_unit)
+            for op_requests in (counts[1] - counts[0], counts[2] - counts[1]):
+                assert 1 <= op_requests <= budget, (stripe, op_requests, budget)
+        assert all(c <= 2 * cost[2 * mb] for c in cost.values()), cost
+
+
 class TestMetadata:
     def test_getattr_size_across_stripes(self, cluster, client):
         def scenario():
@@ -228,16 +316,16 @@ class TestDurability:
             yield from client.write(f, 0, Payload.synthetic(1_000_000))
 
         drive(cluster.sim, scenario())
-        # run() drained all events, so the flusher finished too;
-        # the invariant is that data eventually reaches disk unprompted.
+        cluster.sim.run()  # drive() stops with the scenario; let the flushers drain
+        # The invariant is that data eventually reaches disk unprompted.
         payload_bytes = sum(n.disk.write_bytes for n in cluster.storage)
         assert 1_000_000 <= payload_bytes <= 1_000_000 + 16 * 4096
 
     def test_fsync_time_reflects_disk_speed(self, cluster):
         """A large write + fsync must wait for the platter drain (minus
         the per-daemon write-cache allowance)."""
-        # About platter drain, not striping: 120 MB through the fixture's
-        # 64-byte stripes is ~2 M requests and minutes of wall-clock.
+        # About platter drain, not striping: the fixture's 64-byte stripes
+        # would only add ~1.9 M runs of client-side gather to one write.
         fs = make_fs(cluster, stripe_size=2 * 1024 * 1024)
         client = fs.make_client(cluster.clients[0])
         drive(cluster.sim, client.mount())
@@ -268,6 +356,24 @@ class TestLocalOnlyConduit:
                 return "refused"
 
         assert drive(cluster.sim, scenario()) == "refused"
+
+    @pytest.mark.parametrize("offset, nbytes", [(64, 65), (100, 64 * 4), (0, 64 * 9)])
+    def test_conduit_rejects_any_remote_server_before_io(self, cluster, fs, offset, nbytes):
+        """Ops that start, end or pass through the local server still
+        touch a remote one: refused, with no request sent anywhere."""
+        conduit = fs.make_client(cluster.storage[1], local_only=True)
+
+        def scenario():
+            yield from conduit.mount()
+            f = yield from conduit.create("/c3")
+            with pytest.raises(FsError):
+                yield from conduit.write(f, offset, Payload(bytes(nbytes)))
+            with pytest.raises(FsError):
+                yield from conduit.read(f, offset, nbytes)
+
+        drive(cluster.sim, scenario())
+        assert all(d.bytes_written == 0 and d.bytes_read == 0 for d in fs.daemons)
+        assert all(fd.size == 0 for d in fs.daemons for fd in d.bstreams.values())
 
     def test_conduit_allows_local_io(self, cluster, fs):
         conduit = fs.make_client(cluster.storage[1], local_only=True)
