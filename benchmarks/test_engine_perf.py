@@ -9,6 +9,13 @@ NFSv4 — under both network models and fails if
   baseline (``engine_perf_baseline.json``), or
 * the two models disagree with each other by > 5 %.
 
+The chunked side of both throughput gates is the *mean over
+``CHUNKED_SEEDS``*: randomised pipe arbitration makes one chunked
+trajectory of this cell wander by more than the 5 % being gated
+(30.8-32.6 MB/s over eight simulator seeds), so a single run says more
+about the seed than about the model.  The fluid side is one run — its
+large flows never reach the arbiter.
+
 Why this config: the fluid path removes per-chunk *network* events, so
 the gate must run where those dominate.  NFSv4 moves every byte across
 the wire twice (client -> server, then the server's parallel-FS client
@@ -29,6 +36,7 @@ the CI artifact trail.
 
 import json
 import pathlib
+from statistics import fmean
 
 import pytest
 
@@ -48,9 +56,10 @@ BLOCK = 16 * MB
 
 MIN_SPEEDUP = 3.0
 MAX_DRIFT = 0.05
+CHUNKED_SEEDS = range(1, 9)
 
 
-def run_model(model: str):
+def run_model(model: str, seed: int | None = None):
     workload = IorWorkload(
         op="write", block_size=BLOCK, shared_file=False, scale=SCALE
     )
@@ -61,6 +70,7 @@ def run_model(model: str):
         net_model=model,
         nfs_overrides={"wsize": BLOCK, "rsize": BLOCK},
         pvfs_overrides={"flow_unit": BLOCK, "stripe_size": BLOCK},
+        seed=seed,
     )
     return {
         "aggregate_mbps": res.aggregate_mbps,
@@ -71,7 +81,15 @@ def run_model(model: str):
 
 
 def test_fluid_speedup_and_throughput_drift():
-    chunked = run_model("chunked")
+    runs = [run_model("chunked", seed) for seed in CHUNKED_SEEDS]
+    per_seed = [r["aggregate_mbps"] for r in runs]
+    chunked = {
+        "seeds": list(CHUNKED_SEEDS),
+        "aggregate_mbps": fmean(per_seed),
+        "aggregate_mbps_per_seed": per_seed,
+        "events_processed": fmean(r["events_processed"] for r in runs),
+        "wall_seconds": fmean(r["wall_seconds"] for r in runs),
+    }
     fluid = run_model("fluid")
     speedup = chunked["wall_seconds"] / fluid["wall_seconds"]
     event_ratio = chunked["events_processed"] / fluid["events_processed"]
@@ -94,8 +112,12 @@ def test_fluid_speedup_and_throughput_drift():
     for model, r in (("chunked", chunked), ("fluid", fluid)):
         print(
             f"  {model:8s} {r['aggregate_mbps']:7.1f} MB/s  "
-            f"{r['events_processed']:>9} events  {r['wall_seconds']:.3f}s wall"
+            f"{r['events_processed']:>9.0f} events  {r['wall_seconds']:.3f}s wall"
         )
+    print(
+        f"  chunked is the mean of {len(runs)} seeds "
+        f"({min(per_seed):.2f}-{max(per_seed):.2f} MB/s)"
+    )
     print(f"  wall speedup {speedup:.1f}x, event ratio {event_ratio:.1f}x")
 
     # Cross-model agreement: the fast path must not change the physics.

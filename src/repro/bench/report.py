@@ -268,8 +268,8 @@ def shape_checks(res: ExperimentResult) -> list[ShapeCheck]:
                 p >= 0.9 * d,
                 f"pvfs2 {p:.0f} vs direct {d:.0f} at {n_hi} clients "
                 "(paper: pvfs2 slightly ahead, 530.7 vs ~505; we measure "
-                "near-parity — the loopback tax narrows but does not flip "
-                "the gap at benchmark scale)",
+                "near-parity — the loopback tax narrows the gap to where "
+                "the arbitration seed decides who is ahead)",
             )
     elif exp.id in ("fig7c", "fig7d"):
         d, p = _at(res, "direct-pnfs", n_hi), _at(res, "pvfs2", n_hi)

@@ -86,8 +86,12 @@ def run_cell(
     metrics: bool = False,
     sample_interval: float = 0.25,
     trace: bool = False,
+    seed: int | None = None,
 ) -> RunResult:
     """Build the architecture, run the workload on ``n_clients``.
+
+    ``seed`` initialises the deployment's simulator (randomised pipe
+    arbitration); ``None`` is the simulator's own default.
 
     ``metrics=True`` attaches a :class:`~repro.obs.MetricsRegistry` to
     every component, samples it every ``sample_interval`` sim seconds
@@ -104,6 +108,7 @@ def run_cell(
         nfs_overrides=nfs_overrides,
         pvfs_overrides=pvfs_overrides,
         net_model=net_model,
+        seed=seed,
     )
     tb = dep.testbed
     sim = tb.sim

@@ -261,27 +261,26 @@ def _attempt(
         # 1. Client-side marshalling, then copy-out OVERLAPPED with the
         #    request transfer: real stacks stream while copying, so wall
         #    time is max(copy, wire), with the CPU held for the copy part.
-        #    Legs run as lightweight spawned tasks rather than full
-        #    joinable processes: nothing ever joins or interrupts a leg
-        #    individually (a retry timer interrupts the *attempt*, and an
-        #    in-flight transfer keeps the wire busy regardless), so the
-        #    per-leg Process + completion-event + AllOf machinery was pure
-        #    overhead.
+        #    A lone transfer is waited on inline; overlapped legs run as
+        #    lightweight spawned tasks.  Either way nothing interrupts a
+        #    leg individually: a retry timer interrupts the *attempt*,
+        #    which only detaches it from the wait — the network flow
+        #    holds its own pipes and keeps the wire busy regardless.
         yield from client_node.compute(costs.client_per_call)
+        request = client_node.network.transfer(client_node.name, server.node.name, req_bytes)
         if req_payload_bytes:
             yield sim.spawn(
-                client_node.network.transfer(client_node.name, server.node.name, req_bytes),
-                client_node.compute(costs.client_per_byte * req_payload_bytes),
+                request, client_node.compute(costs.client_per_byte * req_payload_bytes)
             )
         else:
-            yield sim.spawn(
-                client_node.network.transfer(client_node.name, server.node.name, req_bytes)
-            )
+            yield from request
         if not server.up:
             yield _lost(sim)  # request arrived at a dead server
 
-        # 2. Server processing under a worker thread.
-        yield server.threads.acquire()
+        # 2. Server processing under a worker thread (no grant event
+        #    when one is free and nobody queues for it).
+        if not server.threads.try_acquire():
+            yield server.threads.acquire()
         error: Optional[FsError] = None
         result = None
         reply_payload: Optional[Payload] = None
@@ -329,20 +328,17 @@ def _attempt(
                 yield _lost(sim)  # server died before the reply left
             reply_payload_bytes = reply_payload.nbytes if reply_payload is not None else 0
             reply_bytes = HEADER_BYTES + reply_payload_bytes
+            reply = client_node.network.transfer(
+                server.node.name, client_node.name, reply_bytes
+            )
             if reply_payload_bytes:
                 yield sim.spawn(
-                    client_node.network.transfer(
-                        server.node.name, client_node.name, reply_bytes
-                    ),
+                    reply,
                     server.node.compute(costs.per_byte_out * reply_payload_bytes),
                     client_node.compute(costs.client_per_byte * reply_payload_bytes),
                 )
             else:
-                yield sim.spawn(
-                    client_node.network.transfer(
-                        server.node.name, client_node.name, reply_bytes
-                    )
-                )
+                yield from reply
             server.calls_served += 1
             if error is not None:
                 server.errors += 1
@@ -431,8 +427,9 @@ def call(
                     return attempt.value
                 raise attempt.value
             # The attempt is genuinely stuck: abandon it.  The interrupt
-            # unwinds its generator stack, releasing worker threads,
-            # resource grants, and network pipes via their finallys.
+            # unwinds its generator stack, releasing worker threads and
+            # resource grants via their finallys; a message already on
+            # the wire is not the attempt's to release and runs on.
             attempt.defuse()
             attempt.interrupt("rpc timeout")
             attempt_no += 1

@@ -48,7 +48,10 @@ class Cpu:
             raise ValueError("work must be >= 0")
         if work_seconds == 0:
             return
-        yield self.cores.acquire()
+        # A free core is taken on the spot; only a busy (or queued-for)
+        # CPU costs a grant event, in FIFO order.
+        if not self.cores.try_acquire():
+            yield self.cores.acquire()
         try:
             duration = work_seconds / self.spec.speed
             yield self.sim.timeout(duration)

@@ -7,9 +7,9 @@ pipes (full-duplex Ethernet).  Two interchangeable models move bytes:
 fixed-size chunks; each chunk holds the sender's tx pipe, is buffered
 at the switch, then holds the receiver's rx pipe, with a small per-flow
 window keeping tx/rx pipelined.  Faithful at packet-interleaving
-granularity, but a 1 GB transfer costs ~4,000 chunks x ~5 heap events —
-the event loop, not model fidelity, bounds how large a cluster can be
-simulated.
+granularity, but a 1 GB transfer costs ~4,000 chunks x 4 events (a
+grant and a service time on each pipe) — the event loop, not model
+fidelity, bounds how large a cluster can be simulated.
 
 **Fluid** (the fast path).  A transfer registers with a max-min
 fair-share rate solver (:class:`FluidSolver`) over the tx/rx NIC pipes
@@ -31,6 +31,10 @@ double-books the wire: chunked transfers of at least one chunk claim a
 phantom share in the water-filling while fluid flows are active, and
 chunk service times stretch by the solver's fluid allocation on the
 pipe (see :class:`FluidSolver`).
+
+Either way a transfer is one :class:`_WireFlow` driven by event
+callbacks: it holds the pipes itself, and :meth:`Network.transfer` is
+only the generator that waits for it.
 
 Both models preserve the same invariants:
 
@@ -546,18 +550,6 @@ class Network:
         """Fault hook (``nic.down = True``): strand in-flight fluid flows."""
         self._fluid.strand_nic(nic)
 
-    def _stranded(self):
-        """Park the calling transfer forever: a flow lost on the wire.
-
-        The yielded event never fires; only an interrupt (an RPC retry
-        timer unwinding the waiter) ever leaves this generator.  If the
-        event is somehow succeeded, the assertion makes the bug loud
-        instead of letting the transfer fall through into the live
-        latency/byte-moving code below it.
-        """
-        yield Event(self.sim)
-        raise AssertionError("stranded flow must never resume")
-
     def transfer(self, src: str, dst: str, nbytes: int):
         """Process generator moving ``nbytes`` from ``src`` to ``dst``.
 
@@ -565,6 +557,11 @@ class Network:
         transfers (src == dst) skip the wire entirely; the memory-copy
         cost of loopback is charged by the caller as CPU time, which is
         how the Direct-pNFS prototype's loopback conduit is modelled.
+
+        The generator only *waits*: the bytes are moved by a
+        :class:`_WireFlow` that holds the pipes itself, so interrupting
+        the waiter (an RPC retry timer) detaches it and the flow runs
+        on — an in-flight transfer keeps the wire busy regardless.
 
         Byte accounting is uniform across models: every completed
         transfer counts one ``flows_completed``; ``nbytes`` of *payload*
@@ -584,57 +581,162 @@ class Network:
                 lnic.loopback_bytes += nbytes
             flow.end = self.sim.now
             self.flows_completed += 1
-            return flow
-
-        snic = self.nic(src)
-        dnic = self.nic(dst)
-        dropped = snic._down or dnic._down
-        for nic in (snic, dnic):
-            if not dropped and nic.drop_prob > 0.0:
-                dropped = float(self._rng_random()) < nic.drop_prob
-        if dropped:
-            # The flow vanishes on the wire: it never completes, and no
-            # error surfaces here — a waiting process hangs until an
-            # RPC timeout (repro.rpc) interrupts it.
-            snic.flows_dropped += 1
-            yield from self._stranded()
-
-        latency = self.latency + snic.extra_latency + dnic.extra_latency
-        if latency > 0:
-            yield self.sim.timeout(latency)
-
-        wire_bytes = nbytes + self.per_message_bytes
-        # Crossover: the solver only pays off when a flow spans many
-        # chunks.  A flow of one or two chunks lives mostly in
-        # store-and-forward fill/drain, where chunk-level detail *is*
-        # the physics (and the rate model visibly diverges under heavy
-        # fan-out), while the event savings are nil — so even in
-        # "fluid" mode such flows (every per-RPC header/reply, and
-        # single flow units that exceed one chunk only by their framing
-        # bytes) keep the chunked leg.
-        if self.model == "fluid" and wire_bytes > 2 * self.chunk_bytes:
-            yield from self._fluid_leg(snic, dnic, wire_bytes)
-            self.flows_fluid += 1
+            # Delivered in this instant, but through an event like any
+            # other message: the receiver joins its server's queues
+            # behind work already scheduled, not ahead of it.
+            done = Event(self.sim).succeed()
         else:
-            yield from self._chunked_leg(snic, dnic, wire_bytes)
-            self.flows_chunked += 1
-
-        snic.tx_bytes += nbytes
-        dnic.rx_bytes += nbytes
-        flow.end = self.sim.now
-        self.flows_completed += 1
+            snic = self.nic(src)
+            dnic = self.nic(dst)
+            dropped = snic._down or dnic._down
+            for nic in (snic, dnic):
+                if not dropped and nic.drop_prob > 0.0:
+                    dropped = float(self._rng_random()) < nic.drop_prob
+            if dropped:
+                # The flow vanishes on the wire: its completion never
+                # fires, and no error surfaces here — a waiting process
+                # hangs until an RPC timeout (repro.rpc) interrupts it.
+                snic.flows_dropped += 1
+                done = Event(self.sim)
+            else:
+                done = _WireFlow(self, snic, dnic, flow).done
+        yield done
+        if flow.end is None:
+            raise AssertionError("a dropped flow must never complete")
         return flow
 
-    def _fluid_leg(self, snic: Nic, dnic: Nic, wire_bytes: int):
-        """Rate-based serialisation: one registration, one completion."""
-        fluid = self._fluid.add(snic, dnic, float(wire_bytes))
-        try:
-            yield fluid.done
-        finally:
-            # Interrupt unwind (RPC retry timer) or fault strand: make
-            # sure the flow stops consuming solver bandwidth.  A no-op
-            # after normal completion.
-            self._fluid.discard(fluid)
+
+class _WireFlow:
+    """One wire transfer as a callback state machine.
+
+    Every event the flow schedules is a physical delay or a pipe
+    arbitration point — there is no process, so nothing is spent on
+    start kicks, completion relays or joins:
+
+    * the one-way **latency** ``Timeout``;
+    * per chunk, the sender's **tx grant** (``tx.acquire()``), the **tx
+      service** ``Timeout``, the receiver's **rx grant** and the **rx
+      service** ``Timeout`` — store-and-forward through the switch,
+      with the pipes decoupled so a busy receiver never freezes the
+      sender's NIC for other flows;
+    * one **completion** event (``done``), fired with the counters
+      already settled.
+
+    A lone k-chunk flow therefore costs ``4k + 2`` events.  The grants
+    stay events even on an idle pipe: the hop decides which same-instant
+    requests are eligible in a random arbitration round, which is
+    fairness, not plumbing.
+
+    ``FLOW_WINDOW`` bounds switch buffering per flow and keeps tx/rx
+    pipelined so an uncontended flow still sees the full link
+    bandwidth: after starting an rx leg, the oldest of more than
+    ``FLOW_WINDOW`` tracked legs is popped and, if it is still in
+    service, the tx pipe is not requested again until it finishes.
+
+    Chunk service times are coupled to the fluid solver: a chunk
+    serialises at the pipe's bandwidth minus the current fluid
+    allocation (full bandwidth when no fluid flow is active), and a
+    chunked transfer of at least one chunk registers a phantom
+    competitor with the solver while real fluid flows share its pipes,
+    so neither model double-books the wire.  The phantom check is per
+    chunk, so a fluid flow arriving mid-transfer is seen within one
+    chunk time; tiny header/reply messages skip registration (their
+    wire share is noise, their solver churn is not) and rely on the
+    fair-share floor in ``tx_rate``/``rx_rate``.
+
+    Under ``model="fluid"`` a flow longer than two chunks takes the
+    other branch instead: one solver registration, its drain event,
+    then the store-and-forward tail ``Timeout``.  The solver only pays
+    off when a flow spans many chunks; a flow of one or two chunks
+    lives mostly in store-and-forward fill/drain, where chunk-level
+    detail *is* the physics (and the rate model visibly diverges under
+    heavy fan-out), while the event savings are nil — so such flows
+    (every per-RPC header/reply, and single flow units that exceed one
+    chunk only by their framing bytes) stay chunked in both models.
+    """
+
+    __slots__ = (
+        "net", "snic", "dnic", "record", "done", "wire_bytes", "remaining",
+        "phantom", "legs", "live", "blocked_on",
+    )
+
+    def __init__(self, net: Network, snic: Nic, dnic: Nic, record: Flow):
+        self.net = net
+        self.snic = snic
+        self.dnic = dnic
+        self.record = record
+        self.done = Event(net.sim)
+        self.wire_bytes = self.remaining = record.nbytes + net.per_message_bytes
+        self.phantom: Optional[_FluidFlow] = None
+        #: The newest ``FLOW_WINDOW`` rx legs, oldest first.
+        self.legs: deque[_RxLeg] = deque()
+        #: Rx legs queued or in service (legs outside the window are done).
+        self.live = 0
+        #: The popped rx leg the next tx request waits for, if any.
+        self.blocked_on: Optional[_RxLeg] = None
+        latency = net.latency + snic.extra_latency + dnic.extra_latency
+        if latency > 0:
+            Timeout(net.sim, latency).add_callback(self._arrived)
+        else:
+            self._arrived(None)
+
+    def _arrived(self, _ev) -> None:
+        net = self.net
+        if net.model == "fluid" and self.wire_bytes > 2 * net.chunk_bytes:
+            fluid = net._fluid.add(self.snic, self.dnic, float(self.wire_bytes))
+            # Never fires if a NIC dies mid-drain: the flow is stranded.
+            fluid.done.add_callback(self._drained)
+        else:
+            self._next_chunk()
+
+    # -- chunked branch -------------------------------------------------------
+    def _next_chunk(self) -> None:
+        if self.remaining <= 0:
+            if not self.live:
+                self._finish(fluid=False)
+            return
+        solver = self.net._fluid
+        if (
+            solver.fluid_count
+            and self.phantom is None
+            and self.wire_bytes >= self.net.chunk_bytes
+        ):
+            self.phantom = solver.add_phantom(self.snic, self.dnic)
+        self.snic.tx.acquire().add_callback(self._tx_granted)
+
+    def _tx_granted(self, _ev) -> None:
+        net = self.net
+        chunk = min(self.remaining, net.chunk_bytes)
+        Timeout(net.sim, chunk / net._fluid.tx_rate(self.snic)).add_callback(self._tx_served)
+
+    def _tx_served(self, _ev) -> None:
+        self.snic.tx.release()
+        chunk = min(self.remaining, self.net.chunk_bytes)
+        self.remaining -= chunk
+        leg = _RxLeg(self, chunk)
+        self.live += 1
+        legs = self.legs
+        legs.append(leg)
+        self.dnic.rx.acquire().add_callback(leg.granted)
+        if len(legs) > FLOW_WINDOW:
+            oldest = legs.popleft()
+            if oldest.alive:
+                self.blocked_on = oldest
+                return
+        self._next_chunk()
+
+    def _rx_served(self, leg: "_RxLeg") -> None:
+        self.dnic.rx.release()
+        leg.alive = False
+        self.live -= 1
+        if self.blocked_on is leg:
+            self.blocked_on = None
+            self._next_chunk()
+        elif self.remaining <= 0 and not self.live:
+            self._finish(fluid=False)
+
+    # -- fluid branch ---------------------------------------------------------
+    def _drained(self, _ev) -> None:
         # Store-and-forward tail: the last chunk's rx leg cannot overlap
         # the tx stream, so sub-chunk messages cost two wire crossings
         # exactly as under the chunked model; for large flows the tail
@@ -642,62 +744,44 @@ class Network:
         # bandwidth on an idle or tx-paced pipe, one extra chunk time
         # per rx-bottlenecked survivor still bursting into it — the
         # arbitration wait the chunked model's last chunk would see.
-        tail = min(wire_bytes, self.chunk_bytes) / self._fluid.tail_rate(dnic)
-        if tail > 0:
-            yield self.sim.timeout(tail)
+        net = self.net
+        tail = min(self.wire_bytes, net.chunk_bytes) / net._fluid.tail_rate(self.dnic)
+        Timeout(net.sim, tail).add_callback(self._tail_served)
 
-    def _chunked_leg(self, snic: Nic, dnic: Nic, wire_bytes: int):
-        """Store-and-forward through the switch with a small per-flow
-        window: a chunk occupies the sender's tx pipe, is buffered at
-        the switch, then occupies the receiver's rx pipe.  Decoupling
-        the pipes avoids head-of-line blocking (a busy receiver must
-        not freeze the sender's NIC for other flows); the window
-        bounds switch buffering per flow and keeps tx/rx pipelined so
-        an uncontended flow still sees the full link bandwidth.
+    def _tail_served(self, _ev) -> None:
+        self._finish(fluid=True)
 
-        Chunk service times are coupled to the fluid solver: a chunk
-        serialises at the pipe's bandwidth minus the current fluid
-        allocation (full bandwidth when no fluid flow is active), and a
-        chunked transfer of at least one chunk registers a phantom
-        competitor with the solver while real fluid flows share its
-        pipes, so neither model double-books the wire.  The phantom
-        check is per chunk, so a fluid flow arriving mid-transfer is
-        seen within one chunk time; tiny header/reply messages skip
-        registration (their wire share is noise, their solver churn is
-        not) and rely on the fair-share floor in ``tx_rate``/``rx_rate``.
-        """
-        solver = self._fluid
+    # -- completion -----------------------------------------------------------
+    def _finish(self, fluid: bool) -> None:
+        net = self.net
+        if self.phantom is not None:
+            net._fluid.discard(self.phantom)
+        if fluid:
+            net.flows_fluid += 1
+        else:
+            net.flows_chunked += 1
+        record = self.record
+        self.snic.tx_bytes += record.nbytes
+        self.dnic.rx_bytes += record.nbytes
+        record.end = net.sim.now
+        net.flows_completed += 1
+        self.done.succeed(record)
 
-        def rx_leg(chunk_bytes: int):
-            yield dnic.rx.acquire()
-            try:
-                yield self.sim.timeout(chunk_bytes / solver.rx_rate(dnic))
-            finally:
-                dnic.rx.release()
 
-        couple = wire_bytes >= self.chunk_bytes
-        phantom = None
-        rx_procs: deque = deque()
-        remaining = wire_bytes
-        try:
-            while remaining > 0:
-                if couple and phantom is None and solver.fluid_count:
-                    phantom = solver.add_phantom(snic, dnic)
-                chunk = min(remaining, self.chunk_bytes)
-                yield snic.tx.acquire()
-                try:
-                    yield self.sim.timeout(chunk / solver.tx_rate(snic))
-                finally:
-                    snic.tx.release()
-                rx_procs.append(self.sim.process(rx_leg(chunk)))
-                if len(rx_procs) > FLOW_WINDOW:
-                    oldest = rx_procs.popleft()
-                    if oldest.is_alive:
-                        yield oldest
-                remaining -= chunk
-            live = [p for p in rx_procs if p.is_alive]
-            if live:
-                yield self.sim.all_of(live)
-        finally:
-            if phantom is not None:
-                solver.discard(phantom)
+class _RxLeg:
+    """One chunk buffered at the switch, then serialised into the rx pipe."""
+
+    __slots__ = ("flow", "nbytes", "alive")
+
+    def __init__(self, flow: _WireFlow, nbytes: int):
+        self.flow = flow
+        self.nbytes = nbytes
+        self.alive = True
+
+    def granted(self, _ev) -> None:
+        flow = self.flow
+        net = flow.net
+        Timeout(net.sim, self.nbytes / net._fluid.rx_rate(flow.dnic)).add_callback(self.served)
+
+    def served(self, _ev) -> None:
+        self.flow._rx_served(self)

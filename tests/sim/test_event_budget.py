@@ -1,0 +1,356 @@
+"""Exact event budgets and flow invariants of the network/CPU/RPC hot path.
+
+Every count here is deterministic (no wall clock): one event per
+physical delay or pipe arbitration point, nothing for relaying control.
+A budget that grows means a relay hop came back; one that shrinks means
+an arbitration point was dropped (see docs/architecture.md, "Layer 1").
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import rpc
+from repro.sim import CpuSpec, Interrupt, Network, Node, NodeSpec, Simulator
+from repro.sim import network as network_mod
+from repro.sim.cpu import Cpu
+from repro.sim.network import FLOW_WINDOW
+from repro.sim.resources import Resource
+
+BW = 1e6
+CHUNK = 1000
+LATENCY = 60e-6
+
+
+def make_net(sim, n=4, model="chunked", latency=LATENCY, per_message_bytes=0):
+    net = Network(
+        sim, latency=latency, chunk_bytes=CHUNK,
+        per_message_bytes=per_message_bytes, model=model,
+    )
+    for i in range(n):
+        net.add_nic(f"n{i}", BW)
+    return net
+
+
+def events_of(sim, gen):
+    """Run ``gen`` as the only process; events it cost beyond the
+    process's own start kick and completion."""
+    before = sim.stats.events_processed
+    proc = sim.process(gen)
+    sim.run()
+    assert proc.processed and proc.ok
+    return sim.stats.events_processed - before - 2
+
+
+def pipes(net):
+    return [pipe for nic in net._nics.values() for pipe in (nic.tx, nic.rx)]
+
+
+def assert_idle(net):
+    for pipe in pipes(net):
+        assert pipe.in_use == 0 and pipe.queue_len == 0, pipe.name
+    assert len(net._fluid) == 0
+
+
+class TestMessageBudget:
+    def test_lone_subchunk_message_costs_six_events(self):
+        """Latency, tx grant, tx service, rx grant, rx service, completion."""
+        sim = Simulator()
+        net = make_net(sim, per_message_bytes=120)
+        assert events_of(sim, net.transfer("n0", "n1", 344)) == 6
+        # Store-and-forward: the last bit lands after two wire crossings.
+        assert sim.now == pytest.approx(LATENCY + 2 * (344 + 120) / BW, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, FLOW_WINDOW + 1, FLOW_WINDOW + 2, 10])
+    def test_lone_k_chunk_flow_costs_4k_plus_2(self, k):
+        sim = Simulator()
+        net = make_net(sim)
+        nbytes = k * CHUNK - 1  # k chunks, the last one short
+        assert events_of(sim, net.transfer("n0", "n1", nbytes)) == 4 * k + 2
+        # Pipelined: the short last chunk reaches the rx pipe behind the
+        # full chunk before it, k chunk times in; alone it crosses twice.
+        last = nbytes - (k - 1) * CHUNK
+        ahead = k * CHUNK if k > 1 else last
+        assert sim.now == pytest.approx(LATENCY + (ahead + last) / BW, rel=1e-9)
+        assert net.flows_chunked == 1 and net.nic("n1").rx_bytes == nbytes
+        assert_idle(net)
+
+    def test_lone_fluid_flow_costs_seven_events(self):
+        """Latency, solver tick, drain timer, drain event, the tick that
+        clears the solver, tail, completion — whatever its size."""
+        for nbytes in (3 * CHUNK, 300 * CHUNK):
+            sim = Simulator()
+            net = make_net(sim, model="fluid")
+            assert events_of(sim, net.transfer("n0", "n1", nbytes)) == 7
+            assert sim.now == pytest.approx(LATENCY + (nbytes + CHUNK) / BW, rel=1e-9)
+            assert net.flows_fluid == 1
+            assert_idle(net)
+
+    def test_stalled_receiver_fills_the_window_and_no_more(self, monkeypatch):
+        """Three senders into one sink: a flow runs ahead of the rx pipe
+        by its window plus the leg it is blocked on, never further."""
+        peaks = {}
+        tx_served = network_mod._WireFlow._tx_served
+
+        def watched(self, ev):
+            tx_served(self, ev)
+            peaks[self] = max(peaks.get(self, 0), self.live)
+
+        monkeypatch.setattr(network_mod._WireFlow, "_tx_served", watched)
+        sim = Simulator()
+        net = make_net(sim, latency=0.0)
+        for i in (1, 2, 3):
+            sim.process(net.transfer(f"n{i}", "n0", 10 * CHUNK))
+        sim.run()
+        assert sorted(peaks.values()) == [FLOW_WINDOW + 1] * 3
+        # One chunk time to fill the switch, then the sink never idles.
+        assert sim.now == pytest.approx(31 * CHUNK / BW, rel=1e-9)
+        assert_idle(net)
+
+    def test_loopback_message_costs_one_event(self):
+        """No wire, but still a delivery: the receiver continues behind
+        work already scheduled in this instant, not ahead of it."""
+        sim = Simulator()
+        net = make_net(sim)
+        assert events_of(sim, net.transfer("n0", "n0", 5000)) == 1
+        assert sim.now == 0.0 and net.nic("n0").loopback_bytes == 5000
+
+    def test_dropped_flow_never_completes_and_costs_nothing(self):
+        sim = Simulator()
+        net = make_net(sim)
+        net.nic("n1").down = True
+        proc = sim.process(net.transfer("n0", "n1", 5000))
+        sim.run()
+        assert proc.is_alive and sim.stats.events_processed == 1  # the kick
+        assert net.nic("n0").flows_dropped == 1 and net.flows_completed == 0
+        assert_idle(net)
+
+
+class TestCpuBudget:
+    def test_free_core_costs_one_event(self):
+        sim = Simulator()
+        cpu = Cpu(sim, CpuSpec(cores=2, speed=2.0))
+        assert events_of(sim, cpu.consume(1.0)) == 1  # the service time
+        assert sim.now == 0.5 and cpu.busy_time == 0.5
+        assert cpu.cores.in_use == 0
+
+    def test_busy_core_queues_fifo_with_one_grant_event_each(self):
+        sim = Simulator()
+        cpu = Cpu(sim, CpuSpec(cores=1, speed=1.0))
+        finished = []
+
+        def job(tag):
+            yield from cpu.consume(1.0)
+            finished.append((tag, sim.now))
+
+        before = sim.stats.events_processed
+        for tag in "abc":
+            sim.process(job(tag))
+        sim.run()
+        assert finished == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
+        # Per job: kick, service, completion; b and c also a grant.
+        assert sim.stats.events_processed - before == 3 * 3 + 2
+        assert cpu.cores.high_water == 1
+
+    def test_interrupt_while_queued_withdraws_without_leak(self):
+        sim = Simulator()
+        cpu = Cpu(sim, CpuSpec(cores=1, speed=1.0))
+        log = []
+
+        def job(tag):
+            try:
+                yield from cpu.consume(1.0)
+                log.append((tag, sim.now))
+            except Interrupt:
+                log.append((tag, "interrupted"))
+
+        sim.process(job("a"))
+        queued = sim.process(job("b"))
+        sim.process(job("c"))
+
+        def canceller():
+            yield sim.timeout(0.5)
+            assert cpu.queue_len == 2
+            queued.interrupt()
+            assert cpu.queue_len == 1
+
+        sim.process(canceller())
+        sim.run()
+        assert log == [("b", "interrupted"), ("a", 1.0), ("c", 2.0)]
+        assert cpu.cores.in_use == 0 and cpu.queue_len == 0
+        assert cpu.busy_time == 2.0
+
+
+class TestRpcBudget:
+    def test_header_only_rpc_to_idle_server_costs_fourteen_events(self):
+        """Eight physical delays (client CPU, then latency / tx service /
+        rx service each way, server CPU between) are eight heap events;
+        the six zero-delay ones are the four pipe grants and the two
+        message completions.  The free cores and worker thread cost
+        nothing."""
+        sim = Simulator()
+        net = Network(sim, latency=LATENCY, per_message_bytes=120)
+        client = Node(sim, NodeSpec(name="c", cpu=CpuSpec(cores=2, speed=1.0), nic_bw=BW), net)
+        server_node = Node(sim, NodeSpec(name="s", cpu=CpuSpec(cores=2, speed=1.0), nic_bw=BW), net)
+        costs = rpc.RpcCosts(client_per_call=20e-6, server_per_call=25e-6)
+        server = rpc.RpcServer(sim, server_node, "svc", costs, threads=8)
+
+        def ping(args, payload):
+            return "pong", None
+            yield  # pragma: no cover
+
+        server.register("ping", ping)
+        heap_before = sim.stats.heap_events
+        assert events_of(sim, rpc.call(client, server, "ping", args_bytes=64)) == 14
+        assert sim.stats.heap_events - heap_before == 8
+        request = (rpc.HEADER_BYTES + 64 + 120) / BW
+        reply = (rpc.HEADER_BYTES + 120) / BW
+        assert sim.now == pytest.approx(
+            20e-6 + LATENCY + 2 * request + 25e-6 + LATENCY + 2 * reply, rel=1e-12
+        )
+        assert server.calls_served == 1
+        assert server.threads.in_use == 0 and server.threads.high_water == 1
+        assert_idle(net)
+
+
+# -- flow invariants over random flow sets -----------------------------------
+
+@st.composite
+def flow_sets(draw):
+    n_nodes = 4
+    pattern = draw(st.sampled_from(["incast", "fanout", "mixed"]))
+    flows = []
+    for _ in range(draw(st.integers(1, 8))):
+        if pattern == "incast":
+            src, dst = draw(st.integers(1, n_nodes - 1)), 0
+        elif pattern == "fanout":
+            src, dst = 0, draw(st.integers(1, n_nodes - 1))
+        else:
+            src = draw(st.integers(0, n_nodes - 1))
+            dst = draw(st.integers(0, n_nodes - 1).filter(lambda d: d != src))
+        # Long flows often enough that receivers stall and windows fill.
+        chunks = draw(st.one_of(st.integers(0, 10), st.just(10)))
+        tail = draw(st.integers(0, CHUNK - 1)) if chunks < 10 else 0
+        # Starts staggered on a half-chunk-time grid, so ties are common.
+        start = draw(st.integers(0, 12)) * (CHUNK / BW / 2)
+        flows.append((start, f"n{src}", f"n{dst}", chunks * CHUNK + tail))
+    fault = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(st.just("drop"), st.integers(0, n_nodes - 1), st.just(0.5)),
+            st.tuples(
+                st.just("down"), st.integers(0, n_nodes - 1),
+                st.integers(0, 12).map(lambda i: i * (CHUNK / BW / 2)),
+            ),
+        )
+    )
+    return flows, fault
+
+
+def run_flow_set(flows, fault, model, monkeypatch):
+    """One run with every pipe and flow watched; returns its outcome."""
+    sim = Simulator(seed=7)
+    net = make_net(sim, model=model, latency=0.0)
+    acquire, release = Resource.acquire, Resource.release
+
+    # The NIC pipes are the only resources this simulation has.
+    def checked_acquire(self, units=1):
+        ev = acquire(self, units)
+        assert self.in_use <= 1
+        return ev
+
+    def checked_release(self, units=1):
+        release(self, units)
+        assert 0 <= self.in_use <= 1
+
+    tx_served = network_mod._WireFlow._tx_served
+
+    def checked_tx_served(self, ev):
+        tx_served(self, ev)
+        assert self.live <= FLOW_WINDOW + 1
+
+    monkeypatch.setattr(Resource, "acquire", checked_acquire)
+    monkeypatch.setattr(Resource, "release", checked_release)
+    monkeypatch.setattr(network_mod._WireFlow, "_tx_served", checked_tx_served)
+
+    finished = {}
+
+    def sender(i, start, src, dst, nbytes):
+        yield sim.timeout(start)
+        flow = yield from net.transfer(src, dst, nbytes)
+        assert flow.end == sim.now and flow.nbytes == nbytes
+        finished[i] = sim.now
+
+    if fault is not None and fault[0] == "drop":
+        net.nic(f"n{fault[1]}").drop_prob = fault[2]
+    for i, spec in enumerate(flows):
+        sim.process(sender(i, *spec))
+    if fault is not None and fault[0] == "down":
+        def kill():
+            yield sim.timeout(fault[2])
+            net.nic(f"n{fault[1]}").down = True
+
+        sim.process(kill())
+    sim.run()
+
+    nics = list(net._nics.values())
+    moved = sum(flows[i][3] for i in finished)
+    assert sum(n.tx_bytes for n in nics) == moved
+    assert sum(n.rx_bytes for n in nics) == moved
+    assert net.flows_completed == len(finished) == net.flows_chunked + net.flows_fluid
+    lost = sum(n.flows_dropped + n.flows_stranded for n in nics)
+    assert len(finished) + lost == len(flows)
+    if fault is None:
+        assert lost == 0
+    assert_idle(net)
+    return finished, sim.stats.events_processed, [n.counters() for n in nics]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(flow_sets(), st.sampled_from(["chunked", "fluid"]))
+def test_flow_invariants_hold_and_replays_are_identical(spec, model):
+    flows, fault = spec
+    with pytest.MonkeyPatch.context() as mp:
+        first = run_flow_set(flows, fault, model, mp)
+        assert run_flow_set(flows, fault, model, mp) == first
+
+
+# -- interrupted waiter ---------------------------------------------------------
+
+@pytest.mark.parametrize("model,nbytes", [("chunked", 6 * CHUNK), ("fluid", 60 * CHUNK)])
+def test_interrupted_waiter_leaves_the_flow_running(model, nbytes):
+    """The pipes belong to the flow, not to the waiting generator: an
+    interrupt (an RPC retry timer) detaches the waiter and nothing else."""
+
+    def run(interrupt_at):
+        sim = Simulator()
+        net = make_net(sim, model=model)
+        outcome = []
+
+        def waiter():
+            try:
+                yield from net.transfer("n0", "n1", nbytes)
+                outcome.append(("done", sim.now))
+            except Interrupt:
+                outcome.append(("interrupted", sim.now))
+
+        proc = sim.process(waiter())
+        # A second flow queues behind the first on both pipes: it sees
+        # the first one's holds end exactly when they would have anyway.
+        follower = sim.process(net.transfer("n0", "n1", 2 * CHUNK))
+        if interrupt_at is not None:
+            def timer():
+                yield sim.timeout(interrupt_at)
+                proc.interrupt("rpc timeout")
+
+            sim.process(timer())
+        sim.run()
+        assert_idle(net)
+        return outcome, follower.value.end, net.flows_completed, net.nic("n1").rx_bytes, sim.now
+
+    undisturbed = run(None)
+    interrupted = run(LATENCY + 1.5 * CHUNK / BW)
+    assert undisturbed[0][0][0] == "done"
+    assert interrupted[0] == [("interrupted", LATENCY + 1.5 * CHUNK / BW)]
+    assert interrupted[1:] == undisturbed[1:]
+    assert interrupted[2] == 2 and interrupted[3] == nbytes + 2 * CHUNK
