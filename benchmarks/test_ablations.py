@@ -225,7 +225,7 @@ def test_ablation_commit_through_mds(benchmark):
             from repro.cluster.testbed import default_nfs_config
 
             system = DirectPnfsSystem(tb.sim, pvfs, default_nfs_config())
-            system.translator.commit_through_mds = through_mds
+            system.mds.layout_provider.commit_through_mds = through_mds
             out[label] = run_deployment(
                 _as_deployment(system, tb), OltpWorkload(scale=SCALE * 0.1), 4
             )

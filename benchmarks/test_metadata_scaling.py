@@ -8,8 +8,9 @@ that NFSv4's central server gives up.
 
 import os
 
-from repro.core.multi_mds import ShardedDirectPnfs, ShardedPvfs2System
+from repro.core import DirectPnfsSystem
 from repro.cluster.testbed import Testbed, default_nfs_config, default_pvfs2_config
+from repro.pvfs2 import Pvfs2System
 from repro.workloads import MdtestWorkload
 
 SCALE = float(os.environ.get("REPRO_SCALE", "0.25"))
@@ -17,13 +18,13 @@ SCALE = float(os.environ.get("REPRO_SCALE", "0.25"))
 
 def run_storm(n_meta: int, n_clients: int = 8, metadata_sync: bool = True) -> float:
     tb = Testbed(n_clients=n_clients)
-    pvfs = ShardedPvfs2System(
+    pvfs = Pvfs2System(
         tb.sim,
         tb.storage_nodes,
         default_pvfs2_config(metadata_sync=metadata_sync),
         n_meta=n_meta,
     )
-    system = ShardedDirectPnfs(tb.sim, pvfs, default_nfs_config())
+    system = DirectPnfsSystem(tb.sim, pvfs, default_nfs_config())
     # mdtest-style: 8 ranks per client node so the metadata path is
     # actually saturated rather than client-latency-bound.
     workload = MdtestWorkload(nfiles=400, concurrency=8, scale=SCALE)

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Check or re-record the pinned torture trace hashes.
+
+ROADMAP calls trace hashes "the contract": a refactor must replay every
+pinned episode bit-identically.  ``tests/check/trace_pins.json`` records,
+per ``mode:seed:arch`` episode, the trace hash, the violation count and
+the wedged flag::
+
+    python scripts/trace_pins.py --check     # exit 1 on any difference
+    python scripts/trace_pins.py --update    # re-record (one reviewed commit)
+
+The table is seeds 0-24 plus the seeds earlier PRs pinned by hand (28 is
+the writeback mutant's seed) x the five paper architectures x plain and
+``--metadata`` programs: 300 episodes, about ten seconds.  Tier-1 checks
+a subset (``tests/check/test_trace_pins.py``); CI's ``torture-smoke``
+job checks all of it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.check import generate, run_episode  # noqa: E402
+
+PINS = ROOT / "tests" / "check" / "trace_pins.json"
+SEEDS = [*range(25), 28, 32, 65, 146, 161]
+ARCHES = ["direct-pnfs", "nfsv4", "pnfs-2tier", "pnfs-3tier", "pvfs2"]
+MODES = ["plain", "metadata"]
+
+
+def keys() -> list[str]:
+    return [f"{mode}:{seed}:{arch}" for mode in MODES for seed in SEEDS for arch in ARCHES]
+
+
+def run_pin(key: str) -> dict:
+    """Replay the episode ``key`` names and return its pin record."""
+    mode, seed, arch = key.split(":")
+    program = generate(int(seed), metadata_ops=mode == "metadata")
+    result = run_episode(program, arch)
+    return {
+        "hash": result.trace_hash,
+        "violations": len(result.violations),
+        "wedged": result.wedged,
+    }
+
+
+def mismatches(selected: list[str]) -> list[str]:
+    """One line per selected episode whose replay differs from its pin."""
+    pins = json.loads(PINS.read_text())
+    out = []
+    for key in selected:
+        got = run_pin(key)
+        if got != pins.get(key):
+            out.append(f"{key}: pinned {pins.get(key)}, got {got}")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--check", action="store_true", help="replay and compare")
+    action.add_argument("--update", action="store_true", help="replay and re-record")
+    args = parser.parse_args(argv)
+    table = keys()
+    if args.update:
+        pins = {key: run_pin(key) for key in table}
+        PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+        print(f"recorded {len(pins)} episodes in {PINS.relative_to(ROOT)}")
+        return 0
+    bad = mismatches(table)
+    for line in bad:
+        print(line)
+    print(f"{len(table) - len(bad)}/{len(table)} pinned episodes identical")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

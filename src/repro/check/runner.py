@@ -13,7 +13,7 @@ Invariants checked (ISSUE: torture-harness checkers):
 
 * data integrity / errseq — :mod:`repro.check.model` oracles;
 * exactly-once — no session sequence id executes twice server-side
-  (``Session.TRACK_EXECUTIONS``);
+  (``Session.duplicate_executions``);
 * lock safety — a monitor polls every server's lock tables for
   conflicting coexisting grants;
 * liveness — the episode and the final verification each finish within
@@ -34,7 +34,6 @@ from repro import rpc
 from repro.check.model import Model
 from repro.check.program import Program
 from repro.cluster.configs import make_deployment
-from repro.nfs.sessions import Session
 from repro.sim.faults import FaultInjector
 from repro.vfs.api import FsError, Payload
 
@@ -180,370 +179,343 @@ def run_episode(
     violations = result.violations
     make_client = client_factory or (lambda d, node: d.make_client(node))
 
-    was_tracking = Session.TRACK_EXECUTIONS
-    Session.TRACK_EXECUTIONS = True
-    try:
-        clients = [
-            make_client(dep, node)
-            for node in dep.testbed.client_nodes[: program.n_clients]
-        ]
+    clients = [
+        make_client(dep, node)
+        for node in dep.testbed.client_nodes[: program.n_clients]
+    ]
 
-        # -- setup: mount + create every file before faults start ----------
-        def setup():
-            for c, cl in enumerate(clients):
-                if hasattr(cl, "mount"):
-                    yield from cl.mount()
-            cl = clients[0]
-            for path in program.files:
-                f = yield from cl.create(path)
-                yield from cl.close(f)
+    # -- setup: mount + create every file before faults start ----------
+    def setup():
+        for cl in clients:
+            yield from cl.mount()
+        cl = clients[0]
+        for path in program.files:
+            f = yield from cl.create(path)
+            yield from cl.close(f)
 
-        sim.run(until=sim.process(setup(), name="torture-setup"))
-        t0 = sim.now
+    sim.run(until=sim.process(setup(), name="torture-setup"))
+    t0 = sim.now
 
-        # -- fault schedule ------------------------------------------------
-        inj = FaultInjector(sim)
-        caps = _caps(arch)
-        for spec in program.faults:
-            if spec.kind not in caps:
-                trace.append(("fault-skipped", spec.kind, arch))
-                continue
-            start = t0 + spec.start
-            if spec.kind == "outage":
-                srv = dep.servers[spec.target % len(dep.servers)]
+    # -- fault schedule ------------------------------------------------
+    inj = FaultInjector(sim)
+    caps = _caps(arch)
+    for spec in program.faults:
+        if spec.kind not in caps:
+            trace.append(("fault-skipped", spec.kind, arch))
+            continue
+        start = t0 + spec.start
+        if spec.kind == "outage":
+            srv = dep.servers[spec.target % len(dep.servers)]
+            inj.outage(srv.rpc, start, spec.duration)
+        elif spec.kind == "blackout":
+            for srv in dep.servers:
                 inj.outage(srv.rpc, start, spec.duration)
-            elif spec.kind == "blackout":
-                for srv in dep.servers:
-                    inj.outage(srv.rpc, start, spec.duration)
-            elif spec.kind == "nic_drop":
-                nic = dep.testbed.client_nodes[spec.target % program.n_clients].nic
-                inj.flaky_nic(nic, spec.param, start, spec.duration)
-            elif spec.kind == "nic_delay":
-                nic = dep.testbed.client_nodes[spec.target % program.n_clients].nic
-                inj.at(start, lambda nic=nic, p=spec.param: inj.nic_delay(nic, p))
-                inj.at(
-                    start + spec.duration,
-                    lambda nic=nic: inj.nic_delay(nic, 0.0),
-                )
+        elif spec.kind == "nic_drop":
+            nic = dep.testbed.client_nodes[spec.target % program.n_clients].nic
+            inj.flaky_nic(nic, spec.param, start, spec.duration)
+        elif spec.kind == "nic_delay":
+            nic = dep.testbed.client_nodes[spec.target % program.n_clients].nic
+            inj.at(start, lambda nic=nic, p=spec.param: inj.nic_delay(nic, p))
+            inj.at(
+                start + spec.duration,
+                lambda nic=nic: inj.nic_delay(nic, 0.0),
+            )
 
-        # -- workers -------------------------------------------------------
-        def worker(c: int, cl, track):
-            files: dict[str, object] = {}
+    # -- workers -------------------------------------------------------
+    def worker(c: int, cl, track):
+        files: dict[str, object] = {}
 
-            def ensure_open(path):
-                if path not in files:
-                    files[path] = yield from cl.open(path, write=True)
-                return files[path]
+        def ensure_open(path):
+            if path not in files:
+                files[path] = yield from cl.open(path, write=True)
+            return files[path]
 
-            for op in track:
-                t = round(sim.now - t0, 9)
-                try:
-                    if op.kind == "sleep":
-                        yield sim.timeout(op.delay)
-                        outcome = "ok"
-                    elif op.kind == "write":
+        for op in track:
+            t = round(sim.now - t0, 9)
+            try:
+                if op.kind == "sleep":
+                    yield sim.timeout(op.delay)
+                    outcome = "ok"
+                elif op.kind == "write":
+                    f = yield from ensure_open(op.file)
+                    idx = model.on_write_start(
+                        c, op.file, op.offset, op.offset + op.length, op.tag
+                    )
+                    yield from cl.write(
+                        f, op.offset, Payload(bytes([op.tag]) * op.length)
+                    )
+                    model.on_write_ack(op.file, idx)
+                    outcome = f"ok:{op.length}"
+                elif op.kind == "read":
+                    f = yield from ensure_open(op.file)
+                    got = yield from cl.read(f, op.offset, op.length)
+                    violations.extend(
+                        model.check_read(
+                            c, op.file, op.offset, got.data, got.nbytes
+                        )
+                    )
+                    outcome = f"ok:{got.nbytes}"
+                elif op.kind == "fsync":
+                    if op.file in files:
+                        yield from cl.fsync(files[op.file])
+                        model.on_durable(c, op.file)
+                    outcome = "ok"
+                elif op.kind == "reopen":
+                    if op.file in files:
+                        yield from cl.close(files.pop(op.file))
+                        model.on_durable(c, op.file)
+                    files[op.file] = yield from cl.open(op.file, write=True)
+                    outcome = "ok"
+                elif op.kind == "lock":
+                    if not hasattr(cl, "lock"):
+                        outcome = "skip"
+                    else:
                         f = yield from ensure_open(op.file)
-                        idx = model.on_write_start(
-                            c, op.file, op.offset, op.offset + op.length, op.tag
+                        yield from cl.lock(
+                            f, op.offset, op.offset + op.length, op.lock_kind
                         )
-                        yield from cl.write(
-                            f, op.offset, Payload(bytes([op.tag]) * op.length)
+                        outcome = "ok"
+                elif op.kind == "unlock":
+                    if not hasattr(cl, "lock") or op.file not in files:
+                        outcome = "skip"
+                    else:
+                        yield from cl.unlock(
+                            files[op.file], op.offset, op.offset + op.length
                         )
-                        model.on_write_ack(op.file, idx)
+                        outcome = "ok"
+                elif op.kind == "truncate":
+                    # ``length`` holds the new size.  The model hooks
+                    # are error-aware (an unacked truncate may have
+                    # landed), so handle failures here rather than in
+                    # the generic except below.
+                    idx = model.on_trunc_start(c, op.file, op.length)
+                    try:
+                        yield from cl.truncate(op.file, op.length)
+                    except (FsError, rpc.RpcTimeout) as exc:
+                        model.on_trunc_error(c, op.file)
+                        outcome = f"err:{type(exc).__name__}"
+                    else:
+                        model.on_trunc_ack(op.file, idx, op.length)
                         outcome = f"ok:{op.length}"
-                    elif op.kind == "read":
-                        f = yield from ensure_open(op.file)
-                        got = yield from cl.read(f, op.offset, op.length)
-                        violations.extend(
-                            model.check_read(
-                                c, op.file, op.offset, got.data, got.nbytes
-                            )
-                        )
-                        outcome = f"ok:{got.nbytes}"
-                    elif op.kind == "fsync":
-                        if op.file in files:
-                            yield from cl.fsync(files[op.file])
-                            model.on_durable(c, op.file)
-                        outcome = "ok"
-                    elif op.kind == "reopen":
+                elif op.kind == "recreate":
+                    try:
                         if op.file in files:
                             yield from cl.close(files.pop(op.file))
                             model.on_durable(c, op.file)
-                        files[op.file] = yield from cl.open(op.file, write=True)
+                        yield from cl.remove(op.file)
+                        model.on_remove_ack(c, op.file)
+                        f = yield from cl.create(op.file)
+                        model.on_recreate_ack(c, op.file)
+                        files[op.file] = f
                         outcome = "ok"
-                    elif op.kind == "lock":
-                        if not hasattr(cl, "lock"):
-                            outcome = "skip"
-                        else:
-                            f = yield from ensure_open(op.file)
-                            yield from cl.lock(
-                                f, op.offset, op.offset + op.length, op.lock_kind
-                            )
-                            outcome = "ok"
-                    elif op.kind == "unlock":
-                        if not hasattr(cl, "lock") or op.file not in files:
-                            outcome = "skip"
-                        else:
-                            yield from cl.unlock(
-                                files[op.file], op.offset, op.offset + op.length
-                            )
-                            outcome = "ok"
-                    elif op.kind == "truncate":
-                        # ``length`` holds the new size.  The model hooks
-                        # are error-aware (an unacked truncate may have
-                        # landed), so handle failures here rather than in
-                        # the generic except below.
-                        if not hasattr(cl, "truncate"):
-                            outcome = "skip"
-                        else:
-                            idx = model.on_trunc_start(c, op.file, op.length)
-                            try:
-                                yield from cl.truncate(op.file, op.length)
-                            except (FsError, rpc.RpcTimeout) as exc:
-                                model.on_trunc_error(c, op.file)
-                                outcome = f"err:{type(exc).__name__}"
-                            else:
-                                model.on_trunc_ack(op.file, idx, op.length)
-                                outcome = f"ok:{op.length}"
-                    elif op.kind == "recreate":
-                        if not hasattr(cl, "remove"):
-                            outcome = "skip"
-                        else:
-                            try:
-                                if op.file in files:
-                                    yield from cl.close(files.pop(op.file))
-                                    model.on_durable(c, op.file)
-                                yield from cl.remove(op.file)
-                                model.on_remove_ack(c, op.file)
-                                f = yield from cl.create(op.file)
-                                model.on_recreate_ack(c, op.file)
-                                files[op.file] = f
-                                outcome = "ok"
-                            except (FsError, rpc.RpcTimeout) as exc:
-                                model.on_ns_error(c, op.file, op.kind)
-                                outcome = f"err:{type(exc).__name__}"
-                    elif op.kind == "rename":
-                        if not hasattr(cl, "rename"):
-                            outcome = "skip"
-                        else:
-                            try:
-                                if op.file in files:
-                                    yield from cl.close(files.pop(op.file))
-                                    model.on_durable(c, op.file)
-                                yield from cl.rename(op.file, op.dest)
-                                model.on_rename_ack(c, op.file, op.dest)
-                                outcome = "ok"
-                            except (FsError, rpc.RpcTimeout) as exc:
-                                model.on_rename_error(c, op.file, op.dest)
-                                outcome = f"err:{type(exc).__name__}"
-                    elif op.kind == "mkdir":
-                        if not hasattr(cl, "mkdir"):
-                            outcome = "skip"
-                        else:
-                            try:
-                                yield from cl.mkdir(op.file)
-                                model.on_mkdir_ack(c, op.file)
-                                outcome = "ok"
-                            except (FsError, rpc.RpcTimeout) as exc:
-                                model.on_mkdir_error(c, op.file)
-                                outcome = f"err:{type(exc).__name__}"
-                    elif op.kind == "readdir":
-                        if not hasattr(cl, "readdir"):
-                            outcome = "skip"
-                        else:
-                            names = yield from cl.readdir(op.file)
-                            violations.extend(
-                                model.check_readdir(c, op.file, names)
-                            )
-                            outcome = f"ok:{len(names)}"
-                    elif op.kind == "getattr":
-                        if not hasattr(cl, "getattr"):
-                            outcome = "skip"
-                        else:
-                            attrs = yield from cl.getattr(op.file)
-                            violations.extend(
-                                model.check_getattr(c, op.file, attrs)
-                            )
-                            outcome = (
-                                f"ok:{int(attrs.size)}"
-                                if attrs is not None
-                                else "ok"
-                            )
-                    else:  # pragma: no cover - generator never emits others
-                        outcome = "skip"
-                except (FsError, rpc.RpcTimeout) as exc:
-                    # Trace the *class*, never the message: messages can
-                    # embed object reprs (memory addresses) and would
-                    # break trace-hash determinism.
-                    outcome = f"err:{type(exc).__name__}"
-                    model.on_error(c, op.file, op.kind)
-                trace.append((t, c, op.kind, op.file, outcome))
-            for path, f in list(files.items()):
-                try:
-                    yield from cl.close(f)
-                    model.on_durable(c, path)
-                    trace.append((round(sim.now - t0, 9), c, "close", path, "ok"))
-                except (FsError, rpc.RpcTimeout) as exc:
-                    model.on_error(c, path, "close")
-                    trace.append(
-                        (
-                            round(sim.now - t0, 9),
-                            c,
-                            "close",
-                            path,
-                            f"err:{type(exc).__name__}",
-                        )
-                    )
-
-        procs = [
-            sim.process(worker(c, cl, track), name=f"torture-c{c}")
-            for c, (cl, track) in enumerate(zip(clients, program.ops))
-        ]
-        done = sim.all_of(procs)
-
-        # -- lock-safety monitor ------------------------------------------
-        lock_reports: set[str] = set()
-
-        def lock_monitor():
-            while not done.triggered:
-                for srv in dep.servers:
-                    locks = getattr(srv, "locks", None)
-                    if locks is None:
-                        continue
-                    for fh, table in locks.snapshot().items():
-                        for i, a in enumerate(table):
-                            for b in table[i + 1 :]:
-                                if (
-                                    a.owner != b.owner
-                                    and a.overlaps(b.start, b.end)
-                                    and ("write" in (a.kind, b.kind))
-                                ):
-                                    lock_reports.add(
-                                        f"lock-safety: {srv.name} fh={fh} "
-                                        f"conflicting grants {a.kind}"
-                                        f"[{a.start},{a.end}) and {b.kind}"
-                                        f"[{b.start},{b.end}) coexist"
-                                    )
-                yield sim.timeout(_LOCK_POLL)
-
-        sim.process(lock_monitor(), name="lock-monitor")
-
-        sim.run(until=sim.any_of([done, sim.timeout(deadline)]))
-        if not done.triggered:
-            result.wedged = True
-            stuck = [p.name for p in procs if not p.triggered]
-            violations.append(
-                f"liveness: episode exceeded {deadline}s sim deadline; "
-                f"stuck: {', '.join(stuck)}"
-            )
-        violations.extend(sorted(lock_reports))
-
-        # -- heal + settle -------------------------------------------------
-        sim.run(until=sim.now + _SETTLE)
-
-        # -- final verification (skip if wedged: cluster state is moot) ----
-        if not result.wedged:
-            verifier = make_client(
-                dep, dep.testbed.client_nodes[program.n_clients]
-            )
-
-            def verify():
-                if hasattr(verifier, "mount"):
-                    yield from verifier.mount()
-                # The model's namespace, not ``program.files``: renames
-                # move files, removes kill them, and paths whose
-                # namespace history is ambiguous cannot be verified.
-                for path in model.final_paths():
-                    f = yield from verifier.open(path, write=False)
-                    got = yield from verifier.read(
-                        f, 0, model.files[path].size
-                    )
+                    except (FsError, rpc.RpcTimeout) as exc:
+                        model.on_ns_error(c, op.file, op.kind)
+                        outcome = f"err:{type(exc).__name__}"
+                elif op.kind == "rename":
+                    try:
+                        if op.file in files:
+                            yield from cl.close(files.pop(op.file))
+                            model.on_durable(c, op.file)
+                        yield from cl.rename(op.file, op.dest)
+                        model.on_rename_ack(c, op.file, op.dest)
+                        outcome = "ok"
+                    except (FsError, rpc.RpcTimeout) as exc:
+                        model.on_rename_error(c, op.file, op.dest)
+                        outcome = f"err:{type(exc).__name__}"
+                elif op.kind == "mkdir":
+                    try:
+                        yield from cl.mkdir(op.file)
+                        model.on_mkdir_ack(c, op.file)
+                        outcome = "ok"
+                    except (FsError, rpc.RpcTimeout) as exc:
+                        model.on_mkdir_error(c, op.file)
+                        outcome = f"err:{type(exc).__name__}"
+                elif op.kind == "readdir":
+                    names = yield from cl.readdir(op.file)
                     violations.extend(
-                        model.check_final(path, got.data, got.nbytes)
+                        model.check_readdir(c, op.file, names)
                     )
-                    yield from verifier.close(f)
-                    if hasattr(verifier, "getattr"):
-                        attrs = yield from verifier.getattr(path)
-                        violations.extend(
-                            model.check_final_getattr(path, attrs)
-                        )
-                if hasattr(verifier, "readdir"):
-                    for dpath in sorted(model.dirs):
-                        try:
-                            names = yield from verifier.readdir(dpath)
-                        except (FsError, rpc.RpcTimeout):
-                            continue  # dir's very existence is uncertain
-                        violations.extend(
-                            model.check_readdir(-1, dpath, names)
-                        )
-
-            vproc = sim.process(verify(), name="torture-verify")
-            sim.run(until=sim.any_of([vproc, sim.timeout(_VERIFY_DEADLINE)]))
-            if not vproc.triggered:
-                result.wedged = True
-                violations.append(
-                    f"liveness: final verification exceeded "
-                    f"{_VERIFY_DEADLINE}s sim deadline"
+                    outcome = f"ok:{len(names)}"
+                elif op.kind == "getattr":
+                    attrs = yield from cl.getattr(op.file)
+                    violations.extend(
+                        model.check_getattr(c, op.file, attrs)
+                    )
+                    outcome = (
+                        f"ok:{int(attrs.size)}"
+                        if attrs is not None
+                        else "ok"
+                    )
+                else:  # pragma: no cover - generator never emits others
+                    outcome = "skip"
+            except (FsError, rpc.RpcTimeout) as exc:
+                # Trace the *class*, never the message: messages can
+                # embed object reprs (memory addresses) and would
+                # break trace-hash determinism.
+                outcome = f"err:{type(exc).__name__}"
+                model.on_error(c, op.file, op.kind)
+            trace.append((t, c, op.kind, op.file, outcome))
+        for path, f in list(files.items()):
+            try:
+                yield from cl.close(f)
+                model.on_durable(c, path)
+                trace.append((round(sim.now - t0, 9), c, "close", path, "ok"))
+            except (FsError, rpc.RpcTimeout) as exc:
+                model.on_error(c, path, "close")
+                trace.append(
+                    (
+                        round(sim.now - t0, 9),
+                        c,
+                        "close",
+                        path,
+                        f"err:{type(exc).__name__}",
+                    )
                 )
 
-            # -- leaks + conservation (only meaningful post-quiesce) ------
-            all_clients = clients + [verifier]
-            for c, cl in enumerate(all_clients):
-                for srv, sess in getattr(cl, "_sessions", {}).items():
-                    if sess.slots.in_use:
-                        violations.append(
-                            f"leak: client{c} session to {srv.name} still "
-                            f"holds {sess.slots.in_use} slots after quiesce"
-                        )
-                    if sess.duplicate_executions:
-                        violations.append(
-                            f"exactly-once: client{c} session to {srv.name} "
-                            f"re-executed {sess.duplicate_executions} "
-                            f"retransmitted requests (reply cache failed)"
-                        )
-                issued = getattr(cl, "readahead_issued_bytes", 0)
-                used = getattr(cl, "readahead_used_bytes", 0)
-                if used > issued:
-                    violations.append(
-                        f"conservation: client{c} readahead used {used} > "
-                        f"issued {issued}"
-                    )
+    procs = [
+        sim.process(worker(c, cl, track), name=f"torture-c{c}")
+        for c, (cl, track) in enumerate(zip(clients, program.ops))
+    ]
+    done = sim.all_of(procs)
+
+    # -- lock-safety monitor ------------------------------------------
+    lock_reports: set[str] = set()
+
+    def lock_monitor():
+        while not done.triggered:
             for srv in dep.servers:
-                if srv.rpc.threads.in_use:
-                    violations.append(
-                        f"leak: {srv.name} still holds "
-                        f"{srv.rpc.threads.in_use} worker threads after "
-                        f"quiesce"
-                    )
-            nodes = (
-                dep.testbed.server_nodes
-                + dep.testbed.client_nodes
-                + [dep.testbed.extra_node]
-            )
-            tx = sum(n.nic.tx_bytes for n in nodes)
-            rx = sum(n.nic.rx_bytes for n in nodes)
-            if rx > tx:
-                violations.append(
-                    f"conservation: network delivered {rx} bytes but only "
-                    f"{tx} were sent"
+                locks = getattr(srv, "locks", None)
+                if locks is None:
+                    continue
+                for fh, table in locks.snapshot().items():
+                    for i, a in enumerate(table):
+                        for b in table[i + 1 :]:
+                            if (
+                                a.owner != b.owner
+                                and a.overlaps(b.start, b.end)
+                                and ("write" in (a.kind, b.kind))
+                            ):
+                                lock_reports.add(
+                                    f"lock-safety: {srv.name} fh={fh} "
+                                    f"conflicting grants {a.kind}"
+                                    f"[{a.start},{a.end}) and {b.kind}"
+                                    f"[{b.start},{b.end}) coexist"
+                                )
+            yield sim.timeout(_LOCK_POLL)
+
+    sim.process(lock_monitor(), name="lock-monitor")
+
+    sim.run(until=sim.any_of([done, sim.timeout(deadline)]))
+    if not done.triggered:
+        result.wedged = True
+        stuck = [p.name for p in procs if not p.triggered]
+        violations.append(
+            f"liveness: episode exceeded {deadline}s sim deadline; "
+            f"stuck: {', '.join(stuck)}"
+        )
+    violations.extend(sorted(lock_reports))
+
+    # -- heal + settle -------------------------------------------------
+    sim.run(until=sim.now + _SETTLE)
+
+    # -- final verification (skip if wedged: cluster state is moot) ----
+    if not result.wedged:
+        verifier = make_client(
+            dep, dep.testbed.client_nodes[program.n_clients]
+        )
+
+        def verify():
+            yield from verifier.mount()
+            # The model's namespace, not ``program.files``: renames
+            # move files, removes kill them, and paths whose
+            # namespace history is ambiguous cannot be verified.
+            for path in model.final_paths():
+                f = yield from verifier.open(path, write=False)
+                got = yield from verifier.read(
+                    f, 0, model.files[path].size
+                )
+                violations.extend(
+                    model.check_final(path, got.data, got.nbytes)
+                )
+                yield from verifier.close(f)
+                attrs = yield from verifier.getattr(path)
+                violations.extend(
+                    model.check_final_getattr(path, attrs)
+                )
+            for dpath in sorted(model.dirs):
+                try:
+                    names = yield from verifier.readdir(dpath)
+                except (FsError, rpc.RpcTimeout):
+                    continue  # dir's very existence is uncertain
+                violations.extend(
+                    model.check_readdir(-1, dpath, names)
                 )
 
-        result.fault_log = list(inj.events)
-        result.stats = {
-            "reads_checked": model.reads_checked,
-            "bytes_checked": model.bytes_checked,
-            "synthetic_reads": model.synthetic_reads,
-            "trace_len": len(trace),
-            "sim_time": round(sim.now, 6),
-        }
-        digest = hashlib.sha256()
-        for entry in trace:
-            digest.update(repr(entry).encode())
-        for when, what in inj.events:
-            digest.update(f"{when:.9f}:{what}".encode())
-        result.trace_hash = digest.hexdigest()
-    finally:
-        Session.TRACK_EXECUTIONS = was_tracking
+        vproc = sim.process(verify(), name="torture-verify")
+        sim.run(until=sim.any_of([vproc, sim.timeout(_VERIFY_DEADLINE)]))
+        if not vproc.triggered:
+            result.wedged = True
+            violations.append(
+                f"liveness: final verification exceeded "
+                f"{_VERIFY_DEADLINE}s sim deadline"
+            )
+
+        # -- leaks + conservation (only meaningful post-quiesce) ------
+        all_clients = clients + [verifier]
+        for c, cl in enumerate(all_clients):
+            for srv, sess in getattr(cl, "_sessions", {}).items():
+                if sess.slots.in_use:
+                    violations.append(
+                        f"leak: client{c} session to {srv.name} still "
+                        f"holds {sess.slots.in_use} slots after quiesce"
+                    )
+                if sess.duplicate_executions:
+                    violations.append(
+                        f"exactly-once: client{c} session to {srv.name} "
+                        f"re-executed {sess.duplicate_executions} "
+                        f"retransmitted requests (reply cache failed)"
+                    )
+            issued = getattr(cl, "readahead_issued_bytes", 0)
+            used = getattr(cl, "readahead_used_bytes", 0)
+            if used > issued:
+                violations.append(
+                    f"conservation: client{c} readahead used {used} > "
+                    f"issued {issued}"
+                )
+        for srv in dep.servers:
+            if srv.rpc.threads.in_use:
+                violations.append(
+                    f"leak: {srv.name} still holds "
+                    f"{srv.rpc.threads.in_use} worker threads after "
+                    f"quiesce"
+                )
+        nodes = (
+            dep.testbed.server_nodes
+            + dep.testbed.client_nodes
+            + [dep.testbed.extra_node]
+        )
+        tx = sum(n.nic.tx_bytes for n in nodes)
+        rx = sum(n.nic.rx_bytes for n in nodes)
+        if rx > tx:
+            violations.append(
+                f"conservation: network delivered {rx} bytes but only "
+                f"{tx} were sent"
+            )
+
+    result.fault_log = list(inj.events)
+    result.stats = {
+        "reads_checked": model.reads_checked,
+        "bytes_checked": model.bytes_checked,
+        "synthetic_reads": model.synthetic_reads,
+        "trace_len": len(trace),
+        "sim_time": round(sim.now, 6),
+    }
+    digest = hashlib.sha256()
+    for entry in trace:
+        digest.update(repr(entry).encode())
+    for when, what in inj.events:
+        digest.update(f"{when:.9f}:{what}".encode())
+    result.trace_hash = digest.hexdigest()
     return result
 
 

@@ -16,11 +16,15 @@ nodes, six disks, 2 MB PVFS2 stripes.
   two-disk storage nodes (Figure 3a).
 * ``nfsv4`` — one NFSv4 server on a dedicated node exporting a PVFS2
   client.
+
+Beyond the paper, ``direct-pnfs-sharded`` is ``direct-pnfs`` with two
+hash-partitioned metadata servers (:mod:`repro.pvfs2.sharding`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.core.system import DirectPnfsSystem
@@ -63,18 +67,22 @@ def _configs(nfs_overrides: dict | None, pvfs_overrides: dict | None):
     return nfs_cfg, pvfs_cfg
 
 
-def build_direct_pnfs(tb: Testbed, nfs_overrides=None, pvfs_overrides=None) -> Deployment:
+def build_direct_pnfs(
+    tb: Testbed, nfs_overrides=None, pvfs_overrides=None, n_meta: int = 1
+) -> Deployment:
+    """Direct-pNFS; ``n_meta > 1`` is the extension architecture with
+    hash-partitioned metadata servers (:mod:`repro.pvfs2.sharding`)."""
     nfs_cfg, pvfs_cfg = _configs(nfs_overrides, pvfs_overrides)
-    pvfs = Pvfs2System(tb.sim, tb.storage_nodes, pvfs_cfg)
+    pvfs = Pvfs2System(tb.sim, tb.storage_nodes, pvfs_cfg, n_meta=n_meta)
     system = DirectPnfsSystem(
         tb.sim, pvfs, nfs_cfg, loopback_copy_per_byte=LOOPBACK_COPY_PER_BYTE
     )
     return Deployment(
-        label="direct-pnfs",
+        label="direct-pnfs" if n_meta == 1 else "direct-pnfs-sharded",
         testbed=tb,
         make_client=system.make_client,
         pvfs=pvfs,
-        servers=system.data_servers + [system.mds],
+        servers=system.data_servers + system.mds_list,
     )
 
 
@@ -197,32 +205,13 @@ def build_nfsv4(tb: Testbed, nfs_overrides=None, pvfs_overrides=None) -> Deploym
     )
 
 
-def build_direct_pnfs_sharded(
-    tb: Testbed, nfs_overrides=None, pvfs_overrides=None, n_meta: int = 2
-) -> Deployment:
-    """Extension architecture: Direct-pNFS with ``n_meta`` hash-
-    partitioned metadata servers (see :mod:`repro.core.multi_mds`)."""
-    from repro.core.multi_mds import ShardedDirectPnfs, ShardedPvfs2System
-
-    nfs_cfg, pvfs_cfg = _configs(nfs_overrides, pvfs_overrides)
-    pvfs = ShardedPvfs2System(tb.sim, tb.storage_nodes, pvfs_cfg, n_meta=n_meta)
-    system = ShardedDirectPnfs(tb.sim, pvfs, nfs_cfg)
-    return Deployment(
-        label="direct-pnfs-sharded",
-        testbed=tb,
-        make_client=system.make_client,
-        pvfs=pvfs,
-        servers=system.data_servers + system.mds_list,
-    )
-
-
 ARCHITECTURES: dict[str, Callable] = {
     "direct-pnfs": build_direct_pnfs,
     "pvfs2": build_pvfs2,
     "pnfs-2tier": build_pnfs_2tier,
     "pnfs-3tier": build_pnfs_3tier,
     "nfsv4": build_nfsv4,
-    "direct-pnfs-sharded": build_direct_pnfs_sharded,
+    "direct-pnfs-sharded": partial(build_direct_pnfs, n_meta=2),
 }
 
 

@@ -92,12 +92,13 @@ PVFS2_META_COSTS = RpcCosts(
 #: Extra per-byte cost on data servers colocated with storage: the
 #: nfsd <-> loopback <-> user-level PVFS2 hop (§5) — copies plus
 #: kernel/user crossings.  The write side is cheaper than the read side
-#: (reads copy the reply back through the conduit's buffers); the read
+#: (reads copy the reply back through the conduit's buffers: a Direct-pNFS
+#: data server adds ``repro.core.data_server.DEFAULT_LOOPBACK_READ_EXTRA``,
+#: a property of the conduit rather than of this testbed); the read
 #: total calibrates the data-server CPU ceiling that flattens
 #: warm-cache reads near 509 MB/s (Fig 7a) and costs Direct-pNFS the
 #: Figure 7b crossover against PVFS2 at eight clients.
 LOOPBACK_COPY_PER_BYTE = 8e-9
-LOOPBACK_READ_EXTRA_PER_BYTE = 12e-9
 
 #: Gateway surcharges for servers whose backend is a FULL parallel-FS
 #: client (store-and-forward).  These are *measured* inefficiencies the

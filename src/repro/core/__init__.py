@@ -32,7 +32,6 @@ from repro.core.aggregation import (
 from repro.core.layout_translator import LayoutTranslator
 from repro.core.data_server import build_data_server
 from repro.core.system import DirectPnfsSystem
-from repro.core.multi_mds import ShardedDirectPnfs, ShardedPvfs2System
 
 __all__ = [
     "AggregationDriver",
@@ -43,8 +42,6 @@ __all__ = [
     "LayoutTranslator",
     "ReplicatedDriver",
     "RoundRobinDriver",
-    "ShardedDirectPnfs",
-    "ShardedPvfs2System",
     "VarStripDriver",
     "build_data_server",
     "driver_for",

@@ -37,7 +37,6 @@ def build_data_server(
     pvfs_system,
     cfg: NfsConfig,
     loopback_copy_per_byte: float = DEFAULT_LOOPBACK_COPY,
-    loopback_read_extra_per_byte: float = DEFAULT_LOOPBACK_READ_EXTRA,
 ) -> Nfs4Server:
     """NFSv4.1 data server on ``node`` over a local-only conduit."""
     conduit = pvfs_system.make_client(node, local_only=True)
@@ -48,5 +47,5 @@ def build_data_server(
         cfg,
         name=f"{node.name}.direct-ds",
         loopback_copy_per_byte=loopback_copy_per_byte,
-        extra_read_per_byte=loopback_read_extra_per_byte,
+        extra_read_per_byte=DEFAULT_LOOPBACK_READ_EXTRA,
     )

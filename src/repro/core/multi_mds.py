@@ -1,335 +1,45 @@
-"""Extension: decentralised metadata (the paper's future-work item).
+"""Extension: Direct-pNFS over decentralised metadata.
 
-§6.4.3 closes: "NFSv4 relies on a central metadata server, effectively
-recentralizing the decentralized parallel file system metadata
-protocol... the sharp contrast in metadata management technique between
-NFSv4 and parallel file systems merits further study."
-
-This module is that study, as a labelled **extension beyond the paper**:
-the namespace is hash-partitioned across several PVFS2 metadata servers
-(as real PVFS2 supports), and Direct-pNFS gains one pNFS metadata
-server per shard.  Sharding is by the subtree two levels deep; the root
-and top-level directories are *broadcast* (replicated on every shard)
-so each shard resolves its subtrees locally.  Clients route operations
-by path; data placement is unchanged (all shards share the same storage
-daemons), so the data-path results of the paper are unaffected while
-metadata throughput scales with the shard count — quantified by the
-mdtest workload in ``benchmarks/test_metadata_scaling.py`` (which also
-records the caveat: with PVFS2's synchronous metadata journalling on,
-the per-create daemon-side disk work does not shard and caps the gain).
-
-Restrictions (documented, enforced): a rename may not cross shards or
-move broadcast entries, and directory listings of broadcast paths are
-shard unions.
+:mod:`repro.pvfs2.sharding` hash-partitions the PVFS2 namespace over
+several metadata servers; :class:`~repro.core.system.DirectPnfsSystem`
+then colocates one pNFS metadata server with each.  The client side is
+this router: stock pNFS clients, one session per shard, control
+operations routed by path — the decentralised counterpart of NFSv4's
+single metadata server (§6.4.3, future work in the paper).
 """
 
 from __future__ import annotations
 
-from repro.core.data_server import (
-    DEFAULT_LOOPBACK_COPY,
-    DEFAULT_LOOPBACK_READ_EXTRA,
-    build_data_server,
-)
-from repro.core.layout_translator import LayoutTranslator
-from repro.nfs.config import NfsConfig
-from repro.pnfs.server import PnfsMetadataServer
-from repro.pvfs2.client import Pvfs2Client
-from repro.pvfs2.config import Pvfs2Config
-from repro.pvfs2.metadata import MetadataServer
-from repro.pvfs2.storage import StorageDaemon
-from repro.sim.engine import Simulator
+from repro.pvfs2.sharding import ShardRouting, is_broadcast_path
 from repro.sim.node import Node
-from repro.vfs.api import FileSystemClient, FsError, OpenFile, split_path
+from repro.vfs.api import FileSystemClient
 
-__all__ = ["ShardedPvfs2System", "ShardedDirectPnfs", "shard_of"]
-
-#: Handle-space stride so every shard's namespace/datafile handles are
-#: globally unique.
-SHARD_HANDLE_STRIDE = 1 << 32
+__all__ = ["ShardedPnfsRouter"]
 
 
-def _fnv(text: str) -> int:
-    """Stable, implementation-independent hash (FNV-1a 32-bit)."""
-    h = 2166136261
-    for ch in text.encode():
-        h = ((h ^ ch) * 16777619) & 0xFFFFFFFF
-    return h
-
-
-def shard_of(path: str, nshards: int) -> int:
-    """Deterministic shard for a path.
-
-    Sharding is by the subtree rooted two levels deep: the first two
-    path components are hashed.  Top-level directories are *broadcast*
-    (they exist on every shard) so that deeper subtrees can resolve
-    locally; see :meth:`ShardedPvfs2Client.mkdir`.
-    """
-    parts = split_path(path)
-    if not parts:
-        return 0
-    return _fnv("/".join(parts[:2])) % nshards
-
-
-def is_broadcast_path(path: str) -> bool:
-    """Top-level directories (and the root) are replicated on all shards."""
-    return len(split_path(path)) <= 1
-
-
-class ShardedPvfs2System:
-    """A PVFS2 deployment with ``n_meta`` hash-partitioned MDSes.
-
-    All shards share the same storage daemons (data placement is
-    orthogonal to namespace partitioning).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        storage_nodes: list[Node],
-        cfg: Pvfs2Config | None = None,
-        n_meta: int = 2,
-    ):
-        if not 1 <= n_meta <= len(storage_nodes):
-            raise ValueError("need 1..n_storage metadata servers")
-        self.sim = sim
-        self.cfg = cfg or Pvfs2Config()
-        self.storage_nodes = storage_nodes
-        self.daemons = [StorageDaemon(sim, node, self.cfg) for node in storage_nodes]
-        self.metadata_servers: list[MetadataServer] = []
-        for k in range(n_meta):
-            mds = MetadataServer(
-                sim,
-                storage_nodes[k],
-                self.daemons,
-                self.cfg,
-                name=f"{storage_nodes[k].name}.pvfs2-mds{k}",
-            )
-            # Disjoint handle spaces across shards.
-            mds.namespace._next_handle = k * SHARD_HANDLE_STRIDE + 2
-            mds.namespace.root.handle = k * SHARD_HANDLE_STRIDE + 1
-            mds.namespace._by_handle = {mds.namespace.root.handle: mds.namespace.root}
-            mds._next_dfile = k * SHARD_HANDLE_STRIDE + 1
-            self.metadata_servers.append(mds)
-
-    @property
-    def n_meta(self) -> int:
-        return len(self.metadata_servers)
-
-    def mds_for_path(self, path: str) -> MetadataServer:
-        return self.metadata_servers[shard_of(path, self.n_meta)]
-
-    def mds_for_handle(self, handle: int) -> MetadataServer:
-        return self.metadata_servers[handle // SHARD_HANDLE_STRIDE]
-
-    def make_client(self, node: Node, local_only: bool = False) -> "ShardedPvfs2Client":
-        return ShardedPvfs2Client(self, node, local_only=local_only)
-
-
-class _ShardRouting:
-    """Routing shared by the PVFS2- and pNFS-level sharded clients.
-
-    ``self._shards`` must be a list of per-shard FileSystemClients.
-    Top-level directories are broadcast: mkdir creates them on every
-    shard (so deep subtrees resolve locally), readdir unions children
-    across shards, and remove attempts every shard.
-    """
-
-    _shards: list
-
-    def _shard(self, path: str):
-        return self._shards[shard_of(path, len(self._shards))]
-
-    def create(self, path: str):
-        return (yield from self._shard(path).create(path))
-
-    def open(self, path: str, write: bool = True):
-        return (yield from self._shard(path).open(path, write=write))
-
-    def read(self, f: OpenFile, offset, nbytes):
-        return (yield from f.client.read(f, offset, nbytes))
-
-    def write(self, f: OpenFile, offset, payload):
-        return (yield from f.client.write(f, offset, payload))
-
-    def fsync(self, f: OpenFile):
-        return (yield from f.client.fsync(f))
-
-    def close(self, f: OpenFile):
-        return (yield from f.client.close(f))
-
-    def getattr(self, path: str):
-        return (yield from self._shard(path).getattr(path))
-
-    def mkdir(self, path: str):
-        if is_broadcast_path(path):
-            for shard in self._shards:
-                yield from shard.mkdir(path)
-            return None
-        return (yield from self._shard(path).mkdir(path))
-
-    def readdir(self, path: str):
-        if is_broadcast_path(path):
-            names: set[str] = set()
-            for shard in self._shards:
-                names.update((yield from shard.readdir(path)))
-            return sorted(names)
-        return (yield from self._shard(path).readdir(path))
-
-    def remove(self, path: str):
-        if is_broadcast_path(path):
-            from repro.vfs.api import NoEntry
-
-            removed = False
-            for shard in self._shards:
-                try:
-                    yield from shard.remove(path)
-                    removed = True
-                except NoEntry:
-                    continue
-            if not removed:
-                raise NoEntry(path)
-            return None
-        return (yield from self._shard(path).remove(path))
-
-    def rename(self, old: str, new: str):
-        if is_broadcast_path(old) or is_broadcast_path(new):
-            raise FsError("rename of a broadcast (top-level) entry is not supported")
-        if shard_of(old, len(self._shards)) != shard_of(new, len(self._shards)):
-            raise FsError(
-                f"rename across metadata shards is not supported: {old} -> {new}"
-            )
-        return (yield from self._shard(old).rename(old, new))
-
-    def truncate(self, path: str, size: int):
-        return (yield from self._shard(path).truncate(path, size))
-
-    def setattr(self, path: str, mode=None):
-        return (yield from self._shard(path).setattr(path, mode=mode))
-
-
-class ShardedPvfs2Client(_ShardRouting, FileSystemClient):
-    """Routes each operation to the shard owning its path."""
-
-    label = "pvfs2-sharded"
-
-    def __init__(self, system: ShardedPvfs2System, node: Node, local_only: bool = False):
-        self.system = system
-        self.node = node
-        self._shards = [
-            Pvfs2Client(
-                system.sim, node, mds, system.daemons, system.cfg, local_only=local_only
-            )
-            for mds in system.metadata_servers
-        ]
-
-    def _shard_by_handle(self, handle: int) -> Pvfs2Client:
-        return self._shards[handle // SHARD_HANDLE_STRIDE]
-
-    def mount(self):
-        infos = []
-        for shard in self._shards:
-            infos.append((yield from shard.mount()))
-        return infos[0]
-
-    def open_by_handle(self, handle: int):
-        return (yield from self._shard_by_handle(handle).open_by_handle(handle))
-
-    def getattr_handle(self, handle: int):
-        return (yield from self._shard_by_handle(handle).getattr_handle(handle))
-
-    def size_hint(self, handle, size):
-        return (yield from self._shard_by_handle(handle).size_hint(handle, size))
-
-
-class ShardedDirectPnfs:
-    """Direct-pNFS over a sharded-metadata PVFS2 (extension).
-
-    One pNFS metadata server per PVFS2 shard, colocated with it; data
-    servers are exactly as in the base system.  Clients route control
-    operations by path and keep per-shard sessions — the decentralised
-    counterpart of :class:`repro.core.system.DirectPnfsSystem`.
-    """
+class ShardedPnfsRouter(ShardRouting, FileSystemClient):
+    """Client-side router over one stock pNFS client per metadata shard."""
 
     label = "direct-pnfs-sharded"
 
-    def __init__(
-        self,
-        sim: Simulator,
-        pvfs: ShardedPvfs2System,
-        cfg: NfsConfig | None = None,
-    ):
-        self.sim = sim
-        self.pvfs = pvfs
-        self.cfg = cfg or NfsConfig()
-        self.data_servers = [
-            build_data_server(
-                sim,
-                node,
-                pvfs,
-                self.cfg,
-                loopback_copy_per_byte=DEFAULT_LOOPBACK_COPY,
-                loopback_read_extra_per_byte=DEFAULT_LOOPBACK_READ_EXTRA,
-            )
-            for node in pvfs.storage_nodes
-        ]
-        self.mds_list: list[PnfsMetadataServer] = []
-        self._backends: list[ShardedPvfs2Client] = []
-        for k, mds in enumerate(pvfs.metadata_servers):
-            backend = pvfs.make_client(mds.node)
-            translator = LayoutTranslator(backend)
-            self.mds_list.append(
-                PnfsMetadataServer(
-                    sim,
-                    mds.node,
-                    backend,
-                    self.cfg,
-                    self.data_servers,
-                    translator,
-                    name=f"{mds.node.name}.direct-mds{k}",
-                )
-            )
-            self._backends.append(backend)
-
-    def make_client(self, node: Node) -> "ShardedPnfsRouter":
-        return ShardedPnfsRouter(self, node)
-
-
-class ShardedPnfsRouter(_ShardRouting, FileSystemClient):
-    """Client-side router over per-shard pNFS clients."""
-
-    label = "direct-pnfs-sharded"
-
-    def __init__(self, system: ShardedDirectPnfs, node: Node):
-        from repro.pnfs.client import PnfsClient
-
-        self.system = system
+    def __init__(self, node: Node, shards: list):
         self.node = node
-        self._shards = [
-            PnfsClient(system.sim, node, mds, system.cfg)
-            for mds in system.mds_list
-        ]
-
-    def mount(self):
-        first = None
-        for shard in self._shards:
-            result = yield from shard.mount()
-            first = first if first is not None else result
-        return first
+        self.shards = shards
 
     # Broadcast paths: each pNFS MDS's *backend* is itself a sharded
     # client that broadcasts/unions — routing through one MDS suffices
     # (and broadcasting here too would double-create).
     def mkdir(self, path: str):
         if is_broadcast_path(path):
-            return (yield from self._shards[0].mkdir(path))
+            return (yield from self.shards[0].mkdir(path))
         return (yield from self._shard(path).mkdir(path))
 
     def readdir(self, path: str):
         if is_broadcast_path(path):
-            return (yield from self._shards[0].readdir(path))
+            return (yield from self.shards[0].readdir(path))
         return (yield from self._shard(path).readdir(path))
 
     def remove(self, path: str):
         if is_broadcast_path(path):
-            return (yield from self._shards[0].remove(path))
+            return (yield from self.shards[0].remove(path))
         return (yield from self._shard(path).remove(path))

@@ -4,19 +4,22 @@ Given a running :class:`~repro.pvfs2.system.Pvfs2System`:
 
 * every storage node gets a data server (NFSv4.1 over the local
   conduit);
-* the PVFS2 metadata node also hosts the pNFS metadata server — pNFS
+* each PVFS2 metadata node also hosts a pNFS metadata server — pNFS
   and parallel-FS metadata components co-exist on one node, eliminating
   remote parallel-FS metadata requests from the pNFS server (§4.1);
 * the metadata server's layout provider is the layout translator.
 
 Clients are stock :class:`~repro.pnfs.client.PnfsClient` instances — no
-file-system-specific layout driver anywhere on the client.
+file-system-specific layout driver anywhere on the client.  Over a
+PVFS2 with several metadata servers they sit behind
+:class:`~repro.core.multi_mds.ShardedPnfsRouter`, one session per shard.
 """
 
 from __future__ import annotations
 
 from repro.core.data_server import DEFAULT_LOOPBACK_COPY, build_data_server
 from repro.core.layout_translator import LayoutTranslator
+from repro.core.multi_mds import ShardedPnfsRouter
 from repro.nfs.config import NfsConfig
 from repro.pnfs.server import PnfsMetadataServer
 from repro.pvfs2.system import Pvfs2System
@@ -49,19 +52,23 @@ class DirectPnfsSystem:
             )
             for node in pvfs.storage_nodes
         ]
-        # pNFS MDS colocated with the parallel FS MDS; its backend is a
-        # full parallel-FS client whose metadata traffic is loopback.
-        self.mds_backend = pvfs.make_client(pvfs.mds_node)
-        self.translator = LayoutTranslator(self.mds_backend)
-        self.mds = PnfsMetadataServer(
-            sim,
-            pvfs.mds_node,
-            self.mds_backend,
-            self.cfg,
-            self.data_servers,
-            self.translator,
-            name=f"{pvfs.mds_node.name}.direct-mds",
-        )
+        # One pNFS MDS colocated with each parallel FS MDS; its backend
+        # is a full parallel-FS client whose metadata traffic is loopback.
+        self.mds_list: list[PnfsMetadataServer] = []
+        for pvfs_mds in pvfs.metadata_servers:
+            backend = pvfs.make_client(pvfs_mds.node)
+            self.mds_list.append(
+                PnfsMetadataServer(
+                    sim,
+                    pvfs_mds.node,
+                    backend,
+                    self.cfg,
+                    self.data_servers,
+                    LayoutTranslator(backend),
+                    name=f"{pvfs_mds.node.name}.direct-mds",
+                )
+            )
+        self.mds = self.mds_list[0]
 
     def make_client(self, node: Node):
         """An unmodified NFSv4.1 client with the file layout driver."""
@@ -69,9 +76,11 @@ class DirectPnfsSystem:
         # aggregation-driver registry from repro.core.
         from repro.pnfs.client import PnfsClient
 
-        client = PnfsClient(self.sim, node, self.mds, self.cfg)
-        client.label = self.label
-        return client
+        shards = [PnfsClient(self.sim, node, mds, self.cfg) for mds in self.mds_list]
+        if len(shards) > 1:
+            return ShardedPnfsRouter(node, shards)
+        shards[0].label = self.label
+        return shards[0]
 
     # -- fault-injection targets -------------------------------------------
     def data_server_for(self, node: Node | str):

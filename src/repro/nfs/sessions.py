@@ -31,12 +31,6 @@ __all__ = ["Session"]
 class Session:
     """One client↔server NFSv4.1 session."""
 
-    #: Process-wide instrumentation switch (torture harness): when True,
-    #: sessions record how many times each sequence id actually executed
-    #: server-side, so an invariant checker can prove exactly-once.  Off
-    #: by default — benchmarks pay nothing.
-    TRACK_EXECUTIONS = False
-
     def __init__(self, sim: Simulator, slots: int, name: str = ""):
         # Session ids come from the simulation's own id stream, so a
         # replayed run hands out identical ids no matter how many other
@@ -49,7 +43,9 @@ class Session:
         self._replay: dict[int, tuple] = {}
         #: Reply-cache hits observed on this session.
         self.replays = 0
-        #: Executions per seq (only populated when ``TRACK_EXECUTIONS``).
+        #: Server-side executions per unretired seq.  Only retrying
+        #: clients hand their session to :func:`repro.rpc.call`, so
+        #: policy-less (calibrated) runs never reach this bookkeeping.
         self.executed: dict[int, int] = {}
         #: Sequence ids the server ran more than once — an exactly-once
         #: violation (the reply cache failed to suppress a retransmitted
@@ -84,8 +80,6 @@ class Session:
 
     def note_execution(self, seq: int) -> None:
         """The server is about to *execute* (not replay) ``seq``."""
-        if not Session.TRACK_EXECUTIONS:
-            return
         n = self.executed.get(seq, 0) + 1
         self.executed[seq] = n
         if n > 1:
@@ -109,5 +103,8 @@ class Session:
 
     def retire(self, seq: int) -> None:
         """The client received the reply for ``seq``: the server may
-        drop its cache entry (slot-reuse advances the cache window)."""
+        drop its cache entry (slot-reuse advances the cache window).
+        No attempt for ``seq`` is alive any more, so its execution count
+        is final and goes too."""
         self._replay.pop(seq, None)
+        self.executed.pop(seq, None)

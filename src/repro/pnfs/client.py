@@ -190,22 +190,9 @@ class PnfsClient(Nfs4Client):
         if procs:
             yield self.sim.all_of(procs)
 
-        payloads = [data for (_res, data) in results]
-        last_with_data = -1
-        for i, p in enumerate(payloads):
-            if p.nbytes > 0:
-                last_with_data = i
-        for i in range(last_with_data):
-            want = segments[i].length
-            p = payloads[i]
-            if p.nbytes < want:
-                pad = (
-                    Payload.synthetic(want - p.nbytes)
-                    if p.is_synthetic
-                    else Payload(b"\x00" * (want - p.nbytes))
-                )
-                payloads[i] = Payload.concat([p, pad])
-        out = Payload.concat(payloads) if payloads else Payload(b"")
+        out = Payload.assemble(
+            [(seg.length, data) for seg, (_res, data) in zip(segments, results)]
+        )
         return {"count": out.nbytes, "eof": out.nbytes < nbytes}, out
 
     def _io_write(self, f: OpenFile, offset: int, payload: Payload):

@@ -208,21 +208,7 @@ class Pvfs2Client(FileSystemClient):
                 frags.append((src_off, length, reply.slice(pos, length)))
                 pos += length
         frags.sort(key=lambda frag: frag[0])
-        # Zero-fill interior shortfalls (sparse regions followed by data).
-        last_with_data = max(
-            (i for i, frag in enumerate(frags) if frag[2].nbytes > 0), default=-1
-        )
-        payloads = []
-        for i, (_src_off, want, p) in enumerate(frags):
-            if i < last_with_data and p.nbytes < want:
-                pad = (
-                    Payload.synthetic(want - p.nbytes)
-                    if p.is_synthetic
-                    else Payload(b"\x00" * (want - p.nbytes))
-                )
-                p = Payload.concat([p, pad])
-            payloads.append(p)
-        out = Payload.concat(payloads) if payloads else Payload(b"")
+        out = Payload.assemble([(want, p) for _src_off, want, p in frags])
         self.bytes_read += out.nbytes
         return out
 

@@ -49,6 +49,7 @@ class MetadataServer:
         daemons: list,
         cfg: Pvfs2Config,
         name: str = "",
+        handle_base: int = 0,
     ):
         if not daemons:
             raise ValueError("need at least one storage daemon")
@@ -60,9 +61,11 @@ class MetadataServer:
         self.rpc = rpc.RpcServer(
             sim, node, self.name, cfg.meta_costs, threads=cfg.storage_threads
         )
-        self.namespace = Namespace()
+        # Namespace and datafile handles both start above ``handle_base``:
+        # metadata servers sharing storage daemons get disjoint spaces.
+        self.namespace = Namespace(handle_base)
         self.files: dict[int, FileMeta] = {}
-        self._next_dfile = 1
+        self._next_dfile = handle_base + 1
         self._created_files = 0
         from repro.sim.resources import Resource as _Resource
 

@@ -25,18 +25,17 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import Resource, Store, TokenBucket
+from repro.sim.resources import Resource
 from repro.sim.network import Network, Nic, Flow
 from repro.sim.disk import Disk, DiskFailed, DiskSpec
 from repro.sim.faults import FaultInjector
 from repro.sim.cpu import Cpu, CpuSpec
 from repro.sim.node import Node, NodeSpec
-from repro.sim.stats import Counter, ThroughputMeter, LatencyRecorder
+from repro.sim.stats import LatencyRecorder
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "Cpu",
     "CpuSpec",
     "Disk",
@@ -56,8 +55,5 @@ __all__ = [
     "Resource",
     "SimulationError",
     "Simulator",
-    "Store",
-    "ThroughputMeter",
     "Timeout",
-    "TokenBucket",
 ]

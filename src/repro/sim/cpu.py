@@ -63,10 +63,3 @@ class Cpu:
     def queue_len(self) -> int:
         """Work items waiting for a core (instantaneous queue depth)."""
         return self.cores.queue_len
-
-    @property
-    def utilisation_hint(self) -> float:
-        """Fraction of one core-lifetime spent busy (coarse diagnostic)."""
-        if self.sim.now == 0:
-            return 0.0
-        return self.busy_time / (self.sim.now * self.spec.cores)

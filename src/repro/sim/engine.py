@@ -701,38 +701,6 @@ class Simulator:
         if len(queue) > stats.peak_heap:
             stats.peak_heap = len(queue)
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._fast:
-            # Fast-lane entries always fire at the current instant.
-            return self.now
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event (the merged-order head of both lanes)."""
-        fast = self._fast
-        queue = self._queue
-        if fast:
-            if queue:
-                when, prio, seq, event = queue[0]
-                # The heap head beats the fast-lane head only when its
-                # (time, prio, seq) key is smaller; fast entries sit at
-                # (now, 1, seq), so that means an urgent event at ``now``
-                # or an older same-instant heap entry.
-                if (when, prio, seq) < (self.now, 1, fast[0][0]):
-                    heapq.heappop(queue)
-                else:
-                    event = fast.popleft()[1]
-            else:
-                event = fast.popleft()[1]
-        else:
-            when, _prio, _seq, event = heapq.heappop(queue)
-            if when < self.now:  # pragma: no cover - heap guarantees ordering
-                raise SimulationError("event queue corrupted: time went backwards")
-            self.now = when
-        self.stats.events_processed += 1
-        event._process_callbacks()
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queues drain, a deadline passes, or an event fires.
 
@@ -754,8 +722,8 @@ class Simulator:
                 )
 
         # Hot loop: this is where a protocol simulation spends most of
-        # its wall clock, so lane heads are compared inline (no step()
-        # call, no key-tuple allocation) and hot attributes live in
+        # its wall clock, so lane heads are compared inline (no
+        # key-tuple allocation) and hot attributes live in
         # locals.  ``events_processed`` is batched into one add at exit.
         stats = self.stats
         queue = self._queue

@@ -1,23 +1,17 @@
-"""Resource primitives for the simulation engine.
+"""Resource primitive for the simulation engine.
 
-Three primitives cover every queueing structure in the reproduction:
-
-* :class:`Resource` — a FIFO counting semaphore (CPU cores, disk arms,
-  NFS server threads, NFSv4.1 session slots, PVFS2 buffer pools).
-* :class:`Store` — a FIFO queue of items with optional capacity
-  (request queues between daemons).
-* :class:`TokenBucket` — byte-rate limiting (used in tests and for
-  optional client throttling).
+One primitive covers every queueing structure in the reproduction:
+:class:`Resource`, a counting semaphore (CPU cores, disk arms, network
+pipes, NFS server threads, NFSv4.1 session slots, PVFS2 buffer pools).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Store", "TokenBucket"]
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -208,112 +202,3 @@ class Resource:
                 self.high_water = self._in_use
             ev.succeed(want)
 
-
-class Store:
-    """FIFO item queue with optional capacity bound.
-
-    ``put`` returns an event that fires when the item is accepted
-    (immediately if there is room); ``get`` returns an event that fires
-    with the oldest item.
-    """
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf"), name: str = ""):
-        if capacity < 1:
-            raise ValueError("store capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        """Snapshot of queued items (oldest first)."""
-        return tuple(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Queue ``item``; event fires when accepted."""
-        ev = Event(self.sim)
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(item)
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed(item)
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def get(self) -> Event:
-        """Event firing with the oldest available item."""
-        ev = Event(self.sim)
-        if self._items:
-            ev.succeed(self._items.popleft())
-            # Admission of a blocked putter now that there is room.
-            if self._putters and len(self._items) < self.capacity:
-                put_ev, item = self._putters.popleft()
-                self._items.append(item)
-                put_ev.succeed(item)
-        elif self._putters:
-            put_ev, item = self._putters.popleft()
-            put_ev.succeed(item)
-            ev.succeed(item)
-        else:
-            self._getters.append(ev)
-        return ev
-
-
-class TokenBucket:
-    """Byte-rate limiter: ``take(n)`` completes at ``n / rate`` pacing.
-
-    The bucket accumulates capacity at ``rate`` units/second up to
-    ``burst`` units; a take larger than the burst is paced in slices.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        rate: float,
-        burst: Optional[float] = None,
-        name: str = "",
-    ):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.sim = sim
-        self.rate = rate
-        self.burst = burst if burst is not None else rate
-        self.name = name
-        self._tokens = self.burst
-        self._last_refill = sim.now
-        self._gate = Resource(sim, 1, name=f"{name}.gate")
-
-    def _refill(self) -> None:
-        now = self.sim.now
-        self._tokens = min(self.burst, self._tokens + (now - self._last_refill) * self.rate)
-        self._last_refill = now
-
-    def take(self, amount: float):
-        """Process generator: consume ``amount`` units at the bucket rate."""
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        yield self._gate.acquire()
-        try:
-            remaining = amount
-            # Epsilon guards against float residue spinning the loop
-            # without advancing simulated time.
-            while remaining > 1e-9:
-                self._refill()
-                need = min(remaining, self.burst)
-                if self._tokens + 1e-12 < need:
-                    yield self.sim.timeout((need - self._tokens) / self.rate)
-                    self._refill()
-                take = min(need, self._tokens)
-                self._tokens -= take
-                remaining -= take
-        finally:
-            self._gate.release()

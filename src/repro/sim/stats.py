@@ -1,4 +1,4 @@
-"""Measurement helpers: counters, throughput meters, latency recorders.
+"""Measurement helpers: the MB unit, quantiles, latency recorders.
 
 The benchmark harness reports what the paper reports: aggregate
 throughput in MB/s (decimal megabytes, total payload bytes divided by
@@ -9,10 +9,9 @@ transactions per second.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["Counter", "ThroughputMeter", "LatencyRecorder", "MB", "nearest_rank"]
+__all__ = ["LatencyRecorder", "MB", "nearest_rank"]
 
 #: One decimal megabyte — the unit of every figure in the paper.
 MB = 1e6
@@ -35,56 +34,6 @@ def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     if not 0.0 < q <= 1.0:
         raise ValueError(f"quantile must be in (0, 1], got {q}")
     return sorted_values[max(0, math.ceil(q * len(sorted_values)) - 1)]
-
-
-@dataclass
-class Counter:
-    """Named monotonic counter."""
-
-    name: str = ""
-    value: float = 0
-
-    def add(self, amount: float = 1) -> None:
-        self.value += amount
-
-
-class ThroughputMeter:
-    """Accumulates completed payload bytes with their completion times.
-
-    ``aggregate_mbps(start, end)`` reproduces the paper's metric:
-    total bytes moved by all clients divided by the group makespan.
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.total_bytes = 0
-        self.first_at = math.inf
-        self.last_at = -math.inf
-
-    def record(self, nbytes: int, now: float) -> None:
-        """Record ``nbytes`` of payload completed at time ``now``."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        self.total_bytes += nbytes
-        self.first_at = min(self.first_at, now)
-        self.last_at = max(self.last_at, now)
-
-    def aggregate_mbps(self, start: float, end: float) -> float:
-        """Total MB moved divided by the ``end - start`` makespan.
-
-        An empty meter reports 0.0 regardless of the window.  A
-        zero-width window with data in it means every byte completed in
-        one sim instant — the rate is unbounded, reported as ``inf``
-        rather than blowing up the report path.  Only a *negative*
-        window is a caller bug.
-        """
-        if end < start:
-            raise ValueError("end must not precede start")
-        if self.total_bytes == 0:
-            return 0.0
-        if end == start:
-            return math.inf
-        return (self.total_bytes / MB) / (end - start)
 
 
 class LatencyRecorder:

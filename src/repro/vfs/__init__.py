@@ -19,7 +19,6 @@ from repro.vfs.api import (
     NotDirectory,
     OpenFile,
     Payload,
-    StaleHandle,
 )
 from repro.vfs.filedata import FileData
 from repro.vfs.namespace import Namespace
@@ -37,5 +36,4 @@ __all__ = [
     "NotDirectory",
     "OpenFile",
     "Payload",
-    "StaleHandle",
 ]

@@ -40,7 +40,6 @@ __all__ = [
     "NotDirectory",
     "OpenFile",
     "Payload",
-    "StaleHandle",
 ]
 
 
@@ -71,10 +70,6 @@ class IsDirectory(FsError):
 
 class AccessDenied(FsError):
     """Caller lacks permission (EACCES / NFS4ERR_ACCESS)."""
-
-
-class StaleHandle(FsError):
-    """Filehandle no longer refers to a live object (ESTALE)."""
 
 
 class InvalidArgument(FsError):
@@ -138,6 +133,28 @@ class Payload:
         if any(p.is_synthetic for p in parts):
             return Payload.synthetic(total)
         return Payload(b"".join(p.data for p in parts))  # type: ignore[arg-type]
+
+    @staticmethod
+    def assemble(pieces: list[tuple[int, "Payload"]]) -> "Payload":
+        """Join the replies of one striped read, given in file order as
+        ``(asked_length, payload)``.
+
+        A piece shorter than asked *and followed by data* is a hole in a
+        sparse file: it is zero-filled to its asked length (synthetically
+        if the short piece is synthetic).  A trailing shortfall is
+        end-of-file and stays short.
+        """
+        last_with_data = max(
+            (i for i, (_want, p) in enumerate(pieces) if p.nbytes > 0), default=-1
+        )
+        parts = []
+        for i, (want, p) in enumerate(pieces):
+            if i < last_with_data and p.nbytes < want:
+                gap = want - p.nbytes
+                pad = Payload.synthetic(gap) if p.is_synthetic else Payload(bytes(gap))
+                p = Payload.concat([p, pad])
+            parts.append(p)
+        return Payload.concat(parts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Payload):

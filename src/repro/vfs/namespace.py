@@ -40,17 +40,21 @@ class NsEntry:
 
 
 class Namespace:
-    """A rooted directory tree handing out monotonically increasing handles."""
+    """A rooted directory tree handing out monotonically increasing handles.
 
-    def __init__(self):
-        self._next_handle = 2  # handle 1 is the root
+    Handles start above ``handle_base`` (the root takes the first), so
+    namespaces with different bases never hand out the same handle.
+    """
+
+    def __init__(self, handle_base: int = 0):
+        self._next_handle = handle_base + 2
         self.root = NsEntry(
-            handle=1,
+            handle=handle_base + 1,
             attrs=FileAttributes(is_dir=True, mode=0o755, nlink=2),
             children={},
             name="/",
         )
-        self._by_handle: dict[int, NsEntry] = {1: self.root}
+        self._by_handle: dict[int, NsEntry] = {self.root.handle: self.root}
 
     def _alloc_handle(self) -> int:
         h = self._next_handle

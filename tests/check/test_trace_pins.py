@@ -1,0 +1,35 @@
+"""Tier-1 slice of the pinned torture trace hashes.
+
+``scripts/trace_pins.py --check`` replays all 300 pinned episodes (CI's
+torture-smoke job); this replays every sixth — 50 episodes that still
+cover both program modes and all five architectures.
+"""
+
+import importlib.util
+import json
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location(
+        "trace_pins", ROOT / "scripts" / "trace_pins.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pin_file_covers_exactly_the_pinned_table():
+    script = load_script()
+    assert sorted(json.loads(script.PINS.read_text())) == sorted(script.keys())
+
+
+def test_pinned_subset_replays_bit_identically():
+    script = load_script()
+    subset = script.keys()[::6]
+    assert len(subset) == 50
+    assert {k.split(":")[2] for k in subset} == set(script.ARCHES)
+    assert {k.split(":")[0] for k in subset} == set(script.MODES)
+    assert script.mismatches(subset) == []

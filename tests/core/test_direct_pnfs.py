@@ -47,7 +47,7 @@ class TestLayoutTranslator:
         }
         assert layout.device_slots == list(range(len(pvfs.daemons)))
         assert layout.policy["source"] == "layout-translator"
-        assert system.translator.translated >= 1
+        assert system.mds.layout_provider.translated >= 1
 
     def test_varstrip_distribution_translates_to_varstrip_driver(self, cluster):
         pvfs = Pvfs2System(cluster.sim, cluster.storage, Pvfs2Config())
@@ -59,7 +59,7 @@ class TestLayoutTranslator:
             yield from client.mount()
             # create with an explicit varstrip distribution via the MDS
             dist = VarStrip(3, pattern).describe()
-            info, _ = yield from system.mds_backend._mds_call(
+            info, _ = yield from system.mds.backend._mds_call(
                 "create", {"path": "/vs", "dist": dist}
             )
             return (yield from client.open("/vs"))
@@ -134,7 +134,7 @@ class TestEndToEnd:
 
         # Track NIC traffic among storage nodes before/after (MDS node
         # excluded: control traffic legitimately flows to it).
-        non_mds = [n for n in cluster.storage if n is not pvfs.mds_node]
+        non_mds = [n for n in cluster.storage if n is not pvfs.mds.node]
         before = [(n.nic.tx_bytes, n.nic.rx_bytes) for n in non_mds]
         drive(cluster.sim, scenario())
         for node, (tx0, rx0) in zip(non_mds, before):

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.core.multi_mds import (
-    ShardedDirectPnfs,
-    ShardedPvfs2System,
-    shard_of,
-)
+from repro.core import DirectPnfsSystem
 from repro.nfs import NfsConfig
-from repro.pvfs2 import Pvfs2Config
+from repro.pvfs2 import Pvfs2Config, Pvfs2System
+from repro.pvfs2.sharding import shard_of
 from repro.vfs import Payload
 from repro.vfs.api import FsError
 
@@ -16,13 +13,13 @@ from tests.conftest import build_cluster, drive
 
 
 def make_sharded(cluster, n_meta=2):
-    pvfs = ShardedPvfs2System(
+    pvfs = Pvfs2System(
         cluster.sim,
         cluster.storage,
         Pvfs2Config(stripe_size=64 * 1024),
         n_meta=n_meta,
     )
-    system = ShardedDirectPnfs(
+    system = DirectPnfsSystem(
         cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
     )
     return pvfs, system
@@ -47,9 +44,9 @@ class TestSharding:
 
     def test_invalid_shard_count(self, cluster):
         with pytest.raises(ValueError):
-            ShardedPvfs2System(cluster.sim, cluster.storage, n_meta=0)
+            Pvfs2System(cluster.sim, cluster.storage, n_meta=0)
         with pytest.raises(ValueError):
-            ShardedPvfs2System(cluster.sim, cluster.storage, n_meta=99)
+            Pvfs2System(cluster.sim, cluster.storage, n_meta=99)
 
 
 class TestShardedPvfs2:
@@ -177,10 +174,10 @@ class TestShardedDirectPnfs:
 
         def create_storm(n_meta):
             cl = build_cluster(n_storage=3, n_clients=4)
-            pvfs = ShardedPvfs2System(
+            pvfs = Pvfs2System(
                 cl.sim, cl.storage, Pvfs2Config(stripe_size=64 * 1024), n_meta=n_meta
             )
-            system = ShardedDirectPnfs(
+            system = DirectPnfsSystem(
                 cl.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
             )
             clients = [system.make_client(cl.clients[i]) for i in range(4)]
@@ -200,3 +197,58 @@ class TestShardedDirectPnfs:
         t1 = create_storm(1)
         t3 = create_storm(3)
         assert t3 < t1 * 0.75  # meaningful scaling, not noise
+
+
+class TestFoldedIntoBaseSystems:
+    """Sharding is ``n_meta`` on the base systems: what the base systems
+    do for one metadata server, they do for every shard."""
+
+    def test_every_shard_conduit_gets_the_local_only_discount(self, cluster):
+        cfg = Pvfs2Config(stripe_size=64 * 1024)
+        sharded = Pvfs2System(cluster.sim, cluster.storage, cfg, n_meta=2)
+        single = Pvfs2System(cluster.sim, cluster.storage, cfg)
+        node = cluster.storage[1]
+        discounted = single.make_client(node, local_only=True).cfg.request_setup_client
+        assert discounted < cfg.request_setup_client
+        conduit = sharded.make_client(node, local_only=True)
+        assert [s.cfg.request_setup_client for s in conduit.shards] == [discounted] * 2
+        full = sharded.make_client(node)
+        assert [s.cfg.request_setup_client for s in full.shards] == (
+            [cfg.request_setup_client] * 2
+        )
+
+    def test_one_shard_is_the_plain_client(self, cluster):
+        from repro.pnfs import PnfsClient
+        from repro.pvfs2 import Pvfs2Client
+
+        pvfs, system = make_sharded(cluster, n_meta=1)
+        assert type(pvfs.make_client(cluster.clients[0])) is Pvfs2Client
+        assert type(system.make_client(cluster.clients[0])) is PnfsClient
+
+    def test_sharded_direct_pnfs_has_the_fault_helpers(self, cluster):
+        _pvfs, system = make_sharded(cluster, n_meta=2)
+        ds = system.data_server_for(cluster.storage[2])
+        system.kill_data_server(cluster.storage[2])
+        assert not ds.rpc.up
+        system.restart_data_server("s2")
+        assert ds.rpc.up
+
+    def test_shard_k_handles_start_at_k_times_2_to_32(self, cluster):
+        pvfs, _system = make_sharded(cluster, n_meta=3)
+        client = pvfs.make_client(cluster.clients[0])
+
+        def scenario():
+            yield from client.mount()
+            yield from client.mkdir("/h")
+            for i in range(12):
+                yield from client.create(f"/h/f{i}")
+
+        drive(cluster.sim, scenario())
+        for k, mds in enumerate(pvfs.metadata_servers):
+            base = k << 32
+            assert mds.namespace.root.handle == base + 1
+            assert mds.files, "every shard should own some of the twelve files"
+            # /h is broadcast, so it took base + 2 on every shard.
+            assert sorted(mds.files) == list(range(base + 3, base + 3 + len(mds.files)))
+            dfiles = sorted(d for meta in mds.files.values() for d in meta.dfiles)
+            assert dfiles == list(range(base + 1, base + 1 + len(dfiles)))

@@ -66,7 +66,7 @@ class TestCommitThroughMds:
         system = DirectPnfsSystem(
             cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
         )
-        system.translator.commit_through_mds = True
+        system.mds.layout_provider.commit_through_mds = True
         client = system.make_client(cluster.clients[0])
 
         def scenario():

@@ -13,7 +13,7 @@ from repro.sim import (
     Simulator,
 )
 from repro.sim.resources import Resource
-from repro.sim.stats import Counter, LatencyRecorder, ThroughputMeter
+from repro.sim.stats import LatencyRecorder
 
 
 class TestDisk:
@@ -253,36 +253,6 @@ class TestNode:
 
 
 class TestStats:
-    def test_counter(self):
-        c = Counter("ops")
-        c.add()
-        c.add(4)
-        assert c.value == 5
-
-    def test_throughput_meter_aggregate(self):
-        m = ThroughputMeter()
-        m.record(50_000_000, now=1.0)
-        m.record(50_000_000, now=2.0)
-        assert m.aggregate_mbps(0.0, 2.0) == pytest.approx(50.0)
-        assert m.total_bytes == 100_000_000
-
-    def test_throughput_meter_rejects_bad_window(self):
-        m = ThroughputMeter()
-        with pytest.raises(ValueError):
-            m.aggregate_mbps(2.0, 1.0)  # end precedes start
-
-    def test_throughput_meter_degenerate_windows(self):
-        # An empty meter moved nothing: 0 MB/s whatever the window,
-        # including the zero-width one (this used to raise and abort
-        # report generation for idle components).
-        m = ThroughputMeter()
-        assert m.aggregate_mbps(2.0, 2.0) == 0.0
-        assert m.aggregate_mbps(0.0, 5.0) == 0.0
-        # Bytes moved in a zero-width window is an infinite rate, not
-        # a crash — the caller decides how to render it.
-        m.record(1_000_000, now=2.0)
-        assert m.aggregate_mbps(2.0, 2.0) == float("inf")
-
     def test_latency_recorder_percentiles(self):
         r = LatencyRecorder()
         for v in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]:

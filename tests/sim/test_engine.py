@@ -103,12 +103,6 @@ class TestRunSemantics:
         sim.run()
         assert sim.now == 0.0
 
-    def test_peek_reports_next_event_time(self, sim):
-        sim.timeout(7)
-        assert sim.peek() == 7
-        sim.run()
-        assert sim.peek() == float("inf")
-
 
 class TestEvents:
     def test_manual_succeed_wakes_waiter(self, sim):

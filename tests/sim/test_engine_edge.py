@@ -139,15 +139,6 @@ class TestRandomPolicyDeterminism:
 
 
 class TestEngineMisc:
-    def test_step_processes_exactly_one_event(self):
-        sim = Simulator()
-        hits = []
-        sim.timeout(1).add_callback(lambda e: hits.append(1))
-        sim.timeout(2).add_callback(lambda e: hits.append(2))
-        sim.step()
-        assert hits == [1]
-        assert sim.now == 1
-
     def test_run_past_deadline_then_continue(self):
         sim = Simulator()
         done = []

@@ -1,10 +1,10 @@
-"""Unit and property tests for Resource, Store, and TokenBucket."""
+"""Unit and property tests for Resource."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator, Store, TokenBucket
+from repro.sim import Resource, Simulator
 from repro.sim.engine import Interrupt, SimulationError
 
 
@@ -245,115 +245,3 @@ class TestLongWaiterQueues:
         res.release()
         assert res.in_use == 0
 
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("x")
-        got = []
-
-        def getter():
-            got.append((yield store.get()))
-
-        sim.process(getter())
-        sim.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        got = []
-
-        def getter():
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        def putter():
-            yield sim.timeout(4)
-            store.put("late")
-
-        sim.process(getter())
-        sim.process(putter())
-        sim.run()
-        assert got == [("late", 4)]
-
-    def test_fifo_item_order(self, sim):
-        store = Store(sim)
-        for i in range(5):
-            store.put(i)
-        got = []
-
-        def drain():
-            for _ in range(5):
-                got.append((yield store.get()))
-
-        sim.process(drain())
-        sim.run()
-        assert got == [0, 1, 2, 3, 4]
-
-    def test_capacity_blocks_putter(self, sim):
-        store = Store(sim, capacity=1)
-        timeline = []
-
-        def producer():
-            yield store.put("a")
-            timeline.append(("a", sim.now))
-            yield store.put("b")
-            timeline.append(("b", sim.now))
-
-        def consumer():
-            yield sim.timeout(5)
-            yield store.get()
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert timeline == [("a", 0), ("b", 5)]
-
-    def test_len_and_items(self, sim):
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-        assert store.items == (1, 2)
-
-
-class TestTokenBucket:
-    def test_paced_at_rate(self, sim):
-        bucket = TokenBucket(sim, rate=100.0, burst=1.0)
-
-        def taker():
-            yield sim.process(bucket.take(500))
-            return sim.now
-
-        p = sim.process(taker())
-        sim.run()
-        # 500 units at 100/s with negligible burst ≈ 5 seconds.
-        assert p.value == pytest.approx(5.0, rel=0.02)
-
-    def test_burst_absorbs_initial_take(self, sim):
-        bucket = TokenBucket(sim, rate=10.0, burst=100.0)
-
-        def taker():
-            yield sim.process(bucket.take(100))
-            return sim.now
-
-        p = sim.process(taker())
-        sim.run()
-        assert p.value == pytest.approx(0.0, abs=1e-9)
-
-    def test_serialised_takers_share_rate(self, sim):
-        bucket = TokenBucket(sim, rate=50.0, burst=1.0)
-        finish = []
-
-        def taker():
-            yield sim.process(bucket.take(100))
-            finish.append(sim.now)
-
-        sim.process(taker())
-        sim.process(taker())
-        sim.run()
-        assert finish[-1] == pytest.approx(4.0, rel=0.05)
-
-    def test_invalid_rate_rejected(self, sim):
-        with pytest.raises(ValueError):
-            TokenBucket(sim, rate=0)

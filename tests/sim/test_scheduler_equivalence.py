@@ -19,8 +19,51 @@ import random
 
 import pytest
 
-from repro.sim.engine import Interrupt, Simulator
-from repro.sim.resources import Resource, Store
+from collections import deque
+
+from repro.sim.engine import Event, Interrupt, Simulator
+from repro.sim.resources import Resource
+
+
+class Store:
+    """Bounded FIFO item queue: bare events handed between processes
+    (``put``/``get`` succeed each other's events directly), a wake-up
+    pattern no product primitive has — kept here for the programs."""
+
+    def __init__(self, sim, capacity):
+        self.sim = sim
+        self.capacity = capacity
+        self._items = deque()
+        self._getters = deque()
+        self._putters = deque()
+
+    def put(self, item):
+        ev = Event(self.sim)
+        if self._getters:
+            self._getters.popleft().succeed(item)
+            ev.succeed(item)
+        elif len(self._items) < self.capacity:
+            self._items.append(item)
+            ev.succeed(item)
+        else:
+            self._putters.append((ev, item))
+        return ev
+
+    def get(self):
+        ev = Event(self.sim)
+        if self._items:
+            ev.succeed(self._items.popleft())
+            if self._putters and len(self._items) < self.capacity:
+                put_ev, item = self._putters.popleft()
+                self._items.append(item)
+                put_ev.succeed(item)
+        elif self._putters:
+            put_ev, item = self._putters.popleft()
+            put_ev.succeed(item)
+            ev.succeed(item)
+        else:
+            self._getters.append(ev)
+        return ev
 
 
 def _run_program(two_lane: bool, seed: int) -> list:
@@ -31,7 +74,7 @@ def _run_program(two_lane: bool, seed: int) -> list:
 
     fifo = Resource(sim, capacity=rnd.randint(1, 3), name="fifo")
     rand = Resource(sim, capacity=rnd.randint(1, 3), name="rand", policy="random")
-    store = Store(sim, capacity=4, name="store")
+    store = Store(sim, capacity=4)
     procs: list = []
 
     def worker(wid: int, steps: int):

@@ -47,6 +47,31 @@ class TestPayload:
         out = Payload.concat([Payload(b"ab"), Payload.synthetic(3)])
         assert out.is_synthetic and out.nbytes == 5
 
+    @pytest.mark.parametrize(
+        "pieces, expected",
+        [
+            # every piece full: plain concatenation
+            ([(2, Payload(b"ab")), (2, Payload(b"cd"))], Payload(b"abcd")),
+            # short piece followed by data: a hole, zero-filled to its asked length
+            (
+                [(3, Payload(b"a")), (2, Payload(b"")), (2, Payload(b"yz"))],
+                Payload(b"a\0\0\0\0yz"),
+            ),
+            # trailing shortfall (and what follows it): EOF, stays short
+            ([(2, Payload(b"ab")), (4, Payload(b"c")), (4, Payload(b""))], Payload(b"abc")),
+            # a synthetic short piece gets a synthetic pad
+            (
+                [(8, Payload.synthetic(3)), (4, Payload.synthetic(4))],
+                Payload.synthetic(12),
+            ),
+            # nothing asked, or nothing there at all
+            ([], Payload(b"")),
+            ([(4, Payload(b"")), (4, Payload(b""))], Payload(b"")),
+        ],
+    )
+    def test_assemble_zero_fills_holes_but_not_eof(self, pieces, expected):
+        assert Payload.assemble(pieces) == expected
+
     def test_equality(self):
         assert Payload(b"x") == Payload(b"x")
         assert Payload(b"x") != Payload(b"y")
