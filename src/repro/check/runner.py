@@ -107,14 +107,15 @@ def _unfixed_writeback(self, f, start, end):
     loss — the standing proof that the harness has the power to catch
     the bug class this repo already shipped a fix for.
     """
-    data = f.state["cache"].read(start, end - start)
+    pc = f.state["pc"]
+    data = pc.cache.read(start, end - start)
     try:
         yield from self._io_write(f, start, data)
     except (FsError, rpc.RpcTimeout):
         return  # the bug: range already left ``dirty``, no error latched
     finally:
-        f.state["flushing"].remove(start, end)
-    f.state["commit_needed"] = True
+        pc.flushing.remove(start, end)
+    pc.commit_needed = True
     self.bytes_written += data.nbytes
 
 
@@ -125,8 +126,9 @@ def _unfixed_truncate(self, path, size):
     attributes: every open file kept its stale ``size``, its cached
     pages above the cut, and its dirty ranges — so later reads served
     resurrected bytes from local cache and later write-backs pushed
-    them back to the server.  A metadata-enabled sweep with this
-    mutant must report truncate-resurrection.
+    them back to the server — no ``PageCache.clip``, hence no readahead
+    cursor reset either.  A metadata-enabled sweep with this mutant must
+    report truncate-resurrection.
     """
     self._attr_cache.pop(path, None)  # the bug: this was the whole fix-less op
     yield from self._call(

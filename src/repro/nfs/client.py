@@ -27,13 +27,13 @@ from typing import Optional
 from repro import rpc
 from repro.nfs.config import NfsConfig
 from repro.nfs.intervals import IntervalSet
+from repro.nfs.pagecache import END, PageCache
 from repro.nfs.server import Nfs4Server
 from repro.nfs.sessions import Session
 from repro.obs import spans as obs_spans
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
 from repro.vfs.api import FileSystemClient, FsError, OpenFile, Payload
-from repro.vfs.filedata import FileData
 
 __all__ = ["Nfs4Client"]
 
@@ -62,7 +62,7 @@ class Nfs4Client(FileSystemClient):
         #: Per-inode page cache retained across open/close, revalidated
         #: close-to-open style on the next open (Linux NFS behaviour —
         #: the reason repeated header reads during a build are free).
-        self._inode_cache: dict[object, dict] = {}
+        self._inode_cache: dict[object, PageCache] = {}
         #: Live open files by path: the set truncate/remove/rename must
         #: reach to invalidate per-open page-cache state (Linux: those
         #: ops act on the inode, which every open fd shares).
@@ -89,6 +89,9 @@ class Nfs4Client(FileSystemClient):
         #: Asynchronous write-backs that failed (the error is latched on
         #: the open file and surfaced at the next fsync/close).
         self.writeback_errors = 0
+        #: Prefetches that failed (silently: the pages stay invalid and
+        #: a later read asks for them again).
+        self.readahead_errors = 0
 
     @property
     def readahead_wasted_bytes(self) -> int:
@@ -158,8 +161,14 @@ class Nfs4Client(FileSystemClient):
         yield  # pragma: no cover
 
     # -- open-file state ---------------------------------------------------
-    def _register_open(self, f: OpenFile) -> None:
-        self._open_paths.setdefault(f.path, []).append(f)
+    def _new_open(self, path: str, fh, size: int, attrs=None, writable=True) -> OpenFile:
+        """The open-file record: a page cache (adopting the inode's
+        retained one when revalidation allows) registered under ``path``."""
+        f = OpenFile(path=path, handle=fh, client=self, writable=writable)
+        f.state["fh"] = fh
+        f.state["pc"] = PageCache(size, attrs, self._inode_cache.get(fh))
+        self._open_paths.setdefault(path, []).append(f)
+        return f
 
     def _unregister_open(self, f: OpenFile) -> None:
         siblings = self._open_paths.get(f.path)
@@ -175,51 +184,8 @@ class Nfs4Client(FileSystemClient):
         """Drop retained pages for ``path`` — its inode is gone (remove)
         or was replaced (rename-over): a recreated file must never adopt
         the dead file's cache on a close-to-open size/mtime match."""
-        for fh in [
-            fh for fh, e in self._inode_cache.items() if e.get("path") == path
-        ]:
+        for fh in [fh for fh, pc in self._inode_cache.items() if pc.path == path]:
             del self._inode_cache[fh]
-
-    def _init_state(self, f: OpenFile, fh, size: int, attrs=None) -> None:
-        cache, valid = FileData(), IntervalSet()
-        dirty, commit_needed = IntervalSet(), False
-        entry = self._inode_cache.get(fh)
-        if entry is not None and entry.get("dirty"):
-            # Unflushed dirty pages (a previous close's flush failed and
-            # re-dirtied them) pin the whole page cache: revalidation
-            # must not discard data the client still owes the server.
-            cache, valid = entry["cache"], entry["valid"]
-            dirty = entry.pop("dirty")
-            commit_needed = entry.pop("commit_needed", False)
-            # An unflushed extending write makes the server size stale.
-            size = max(size, entry["size"])
-        elif entry is not None and attrs is not None:
-            # Close-to-open revalidation: reuse the cached pages when
-            # the attributes say the file has not changed.  When this
-            # client wrote the file itself, the server mtime is unknown
-            # to it, so size match is the (weakly consistent, Linux-
-            # faithful) criterion.
-            same_size = attrs.size == entry["size"]
-            mtime_ok = entry["own_writes"] or attrs.mtime == entry["mtime"]
-            if same_size and mtime_ok:
-                cache, valid = entry["cache"], entry["valid"]
-        f.state.update(
-            fh=fh,
-            size=size,
-            cache=cache,
-            valid=valid,
-            dirty=dirty,
-            flushing=IntervalSet(),
-            inflight=[],
-            ra=[],
-            ra_issued=IntervalSet(),
-            wb_error=None,
-            commit_needed=commit_needed,
-            last_read_end=None,
-            open_mtime=attrs.mtime if attrs is not None else None,
-            wrote=False,
-            trunc_gen=0,
-        )
 
     # -- FileSystemClient ----------------------------------------------------
     def mount(self):
@@ -228,9 +194,7 @@ class Nfs4Client(FileSystemClient):
 
     def create(self, path: str):
         result, _ = yield from self._call("open", {"path": path, "create": True})
-        f = OpenFile(path=path, handle=result["fh"], client=self)
-        self._init_state(f, result["fh"], 0)
-        self._register_open(f)
+        f = self._new_open(path, result["fh"], 0)
         self._attr_cache.pop(path, None)
         yield from self._post_open(f)
         return f
@@ -252,9 +216,8 @@ class Nfs4Client(FileSystemClient):
             if held is not None:
                 # Open served locally under the read delegation: no
                 # round trip at all (the Linux NFSv4 fast path).
-                f = OpenFile(path=path, handle=held["fh"], client=self, writable=False)
-                self._init_state(f, held["fh"], held["attrs"].size, attrs=held["attrs"])
-                self._register_open(f)
+                attrs = held["attrs"]
+                f = self._new_open(path, held["fh"], attrs.size, attrs, writable=False)
                 yield from self._post_open(f)
                 f.state["local_open"] = True
                 return f
@@ -265,26 +228,26 @@ class Nfs4Client(FileSystemClient):
         if result.get("delegation"):
             self._delegations[path] = {"fh": result["fh"], "attrs": result["attrs"]}
         attrs = result["attrs"]
-        f = OpenFile(path=path, handle=result["fh"], client=self, writable=write)
-        self._init_state(f, result["fh"], attrs.size if attrs else 0, attrs=attrs)
-        self._register_open(f)
+        f = self._new_open(path, result["fh"], attrs.size if attrs else 0, attrs, write)
         f.state["open_write"] = write
         yield from self._post_open(f)
         return f
 
     # -- reads ----------------------------------------------------------------
     def _fetch_block(self, f: OpenFile, start: int, end: int):
-        gen = f.state["trunc_gen"]
+        pc: PageCache = f.state["pc"]
+        gen = pc.trunc_gen
         _result, data = yield from self._io_read(f, start, end - start)
-        if f.state["trunc_gen"] != gen:
+        if pc.trunc_gen != gen:
             # The file was truncated while this fetch was on the wire:
             # the bytes predate the cut and must not repopulate pages
             # the truncation just invalidated.
+            pc.forget_readahead()
             return
         # The attribute-derived size is authoritative: a short read
         # below it is a sparse hole, zero-filled exactly as the VFS
         # does.  (Servers addressing holes cannot tell them from EOF.)
-        want = min(end, f.state["size"]) - start
+        want = min(end, pc.size) - start
         if data.nbytes < want:
             pad = want - data.nbytes
             filler = (
@@ -297,52 +260,74 @@ class Nfs4Client(FileSystemClient):
             # Never clobber pages dirtied (or being flushed) while this
             # fetch was in flight — page-cache semantics: local
             # modifications win over a concurrently completing read.
-            protected = f.state["dirty"].copy()
-            for s, e in f.state["flushing"]:
+            protected = pc.dirty.copy()
+            for s, e in pc.flushing:
                 protected.add(s, e)
             for s, e in protected.gaps(start, start + data.nbytes):
-                f.state["cache"].write(s, data.slice(s - start, e - s))
-                f.state["valid"].add(s, e)
+                pc.cache.write(s, data.slice(s - start, e - s))
+                pc.valid.add(s, e)
+
+    def _prefetch_block(self, f: OpenFile, start: int, end: int):
+        """One readahead block.  Its process is pre-defused: a failure
+        reaches a reader already waiting on the block and is otherwise
+        silent, as in Linux — the bytes stay invalid and the next read
+        that wants them asks again."""
+        pc: PageCache = f.state["pc"]
+        try:
+            yield from self._fetch_block(f, start, end)
+        except (FsError, rpc.RpcTimeout):
+            self.readahead_errors += 1
+            pc.forget_readahead()
+            raise
+        finally:
+            pc.ra_done = True  # the next read prunes it from the pipeline
+
+    @staticmethod
+    def _blocks(ranges, size: int):
+        """Cut each range, from its own start, into pieces of ≤ ``size``."""
+        for s, e in ranges:
+            for pos in range(s, e, size):
+                yield pos, min(pos + size, e)
 
     def _fetch(self, f: OpenFile, ranges: list[tuple[int, int]]):
-        procs = []
-        for s, e in ranges:
-            pos = s
-            while pos < e:
-                length = min(self.cfg.rsize, e - pos)
-                procs.append(self.sim.process(self._fetch_block(f, pos, pos + length)))
-                pos += length
+        procs = [
+            self.sim.process(self._fetch_block(f, s, e))
+            for s, e in self._blocks(ranges, self.cfg.rsize)
+        ]
         if procs:
             yield self.sim.all_of(procs)
 
-    def _extend_readahead(self, f: OpenFile, end: int) -> None:
+    def _extend_readahead(self, f: OpenFile, pc: PageCache, end: int) -> None:
         """Top up the prefetch pipeline to a full window beyond ``end``.
 
         One prefetch process per rsize block, so readers wait only for
         the blocks they overlap.  Issued *before* any wait so the
         pipeline refills while the reader blocks at the frontier.
         """
-        state = f.state
         rsize = self.cfg.rsize
-        ra_end = min(
-            ((end + self.cfg.readahead + rsize - 1) // rsize) * rsize,
-            state["size"],
-        )
+        top = min(-(-(end + self.cfg.readahead) // rsize) * rsize, pc.size)
+        if top == pc.ra_top and end >= pc.ra_from:
+            # The rounded window top moves once per rsize: this window
+            # lies inside the one last examined, which left nothing to
+            # issue, and nothing has invalidated that since.
+            return
+        pc.ra_from, pc.ra_top = end, top
         # missing = (window \ valid) \ already-pending fetches
-        missing = IntervalSet()
-        for s, e in state["valid"].gaps(end, ra_end):
-            missing.add(s, e)
-        for s, e, _p in state["ra"]:
-            missing.remove(s, e)
-        for s, e in missing:
-            pos = s
-            while pos < e:
-                blk_end = min(pos + rsize, e)
-                proc = self.sim.process(self._fetch_block(f, pos, blk_end))
-                state["ra"].append((pos, blk_end, proc))
-                state["ra_issued"].add(pos, blk_end)
-                self.readahead_issued_bytes += blk_end - pos
-                pos = blk_end
+        missing = pc.valid.gaps(end, top)
+        if missing and pc.ra:
+            pending = IntervalSet()
+            for s, e in missing:
+                pending.add(s, e)
+            for s, e, _p in pc.ra:
+                pending.remove(s, e)
+            missing = list(pending)
+        for s, e in self._blocks(missing, rsize):
+            proc = self.sim.process(self._prefetch_block(f, s, e))
+            proc.defuse()
+            pc.ra.append((s, e, proc))
+            pc.ra_lo = min(pc.ra_lo, s)
+            pc.ra_issued.add(s, e)
+            self.readahead_issued_bytes += e - s
 
     def read(self, f: OpenFile, offset: int, nbytes: int):
         col = obs_spans.ACTIVE
@@ -358,56 +343,60 @@ class Nfs4Client(FileSystemClient):
             col.end(span)
 
     def _read_impl(self, f: OpenFile, offset: int, nbytes: int):
-        state = f.state
-        end = min(offset + nbytes, state["size"])
+        pc: PageCache = f.state["pc"]
+        end = min(offset + nbytes, pc.size)
         if end <= offset:
             return Payload(b"")
 
         # Sequential stream: top up the prefetch window BEFORE waiting,
         # so the pipeline refills while we block at its frontier.
-        sequential = state["last_read_end"] is None or offset == state["last_read_end"]
+        sequential = pc.last_read_end is None or offset == pc.last_read_end
         if sequential and self.cfg.readahead > 0:
-            self._extend_readahead(f, end)
+            self._extend_readahead(f, pc, end)
 
-        # Wait for readahead already covering part of this range.
-        overlapping = [
-            p for (s, e, p) in state["ra"] if s < end and e > offset and p.is_alive
-        ]
-        if overlapping:
-            yield self.sim.all_of(overlapping)
-        state["ra"] = [(s, e, p) for (s, e, p) in state["ra"] if p.is_alive]
-        end = min(end, state["size"])  # eof may have moved during the wait
-        if end <= offset:
-            return Payload(b"")
+        # Wait for readahead already covering part of this range — none
+        # can when every pending block starts at or beyond ``end``.
+        if pc.ra_done or pc.ra_lo < end:
+            overlapping = [
+                p for (s, e, p) in pc.ra if s < end and e > offset and p.is_alive
+            ]
+            if overlapping:
+                yield self.sim.all_of(overlapping)
+            pc.ra = [r for r in pc.ra if r[2].is_alive]
+            pc.ra_lo = min((r[0] for r in pc.ra), default=END)
+            pc.ra_done = False
+            end = min(end, pc.size)  # eof may have moved during the wait
+            if end <= offset:
+                return Payload(b"")
 
         # Readahead accounting: bytes of this range a prefetch covered
         # count as used (each issued byte is counted used at most once).
-        ra_used = sum(e - s for s, e in state["ra_issued"].runs_in(offset, end))
-        if ra_used:
-            self.readahead_used_bytes += ra_used
-            state["ra_issued"].remove(offset, end)
+        self.readahead_used_bytes += pc.ra_issued.take(offset, end)
 
-        gaps = state["valid"].gaps(offset, end)
         # Hit/miss accounting: a miss is a byte fetched synchronously
         # on demand; everything else (cached or prefetched) is a hit.
-        miss = sum(e - s for s, e in gaps)
-        self.cache_miss_bytes += miss
-        self.cache_hit_bytes += (end - offset) - miss
-        if gaps:
+        if pc.valid.covers(offset, end):
+            self.cache_hit_bytes += end - offset
+        else:
+            gaps = pc.valid.gaps(offset, end)
+            miss = sum(e - s for s, e in gaps)
+            self.cache_miss_bytes += miss
+            self.cache_hit_bytes += (end - offset) - miss
             yield from self._fetch(f, gaps)
-            end = min(end, state["size"])
+            end = min(end, pc.size)
             if end <= offset:
                 return Payload(b"")
-        state["last_read_end"] = end
+        pc.last_read_end = end
 
         length = end - offset
         yield from self.node.compute(self.cfg.client_copy_per_byte * length)
         self.bytes_read += length
-        return state["cache"].read(offset, length)
+        return pc.cache.read(offset, length)
 
     # -- writes ---------------------------------------------------------------
     def _writeback(self, f: OpenFile, start: int, end: int):
-        data = f.state["cache"].read(start, end - start)
+        pc: PageCache = f.state["pc"]
+        data = pc.cache.read(start, end - start)
         try:
             yield from self._io_write(f, start, data)
         except (FsError, rpc.RpcTimeout) as exc:
@@ -419,23 +408,24 @@ class Nfs4Client(FileSystemClient):
             # otherwise crash the whole simulation.  Before this path
             # existed the range had already left ``dirty`` and the bytes
             # were silently lost while fsync reported success.
-            f.state["dirty"].add(start, end)
-            if f.state["wb_error"] is None:
-                f.state["wb_error"] = exc
+            pc.dirty.add(start, end)
+            pc.flush_deferred = True
+            if pc.wb_error is None:
+                pc.wb_error = exc
             self.writeback_errors += 1
             return
         finally:
-            f.state["flushing"].remove(start, end)
-        f.state["commit_needed"] = True
+            pc.flushing.remove(start, end)
+        pc.commit_needed = True
         self.bytes_written += data.nbytes
 
     def _spawn_writeback(self, f: OpenFile, start: int, end: int) -> None:
-        f.state["dirty"].remove(start, end)
-        f.state["flushing"].add(start, end)
-        proc = self.sim.process(self._writeback(f, start, end))
-        f.state["inflight"].append(proc)
+        pc: PageCache = f.state["pc"]
+        pc.dirty.remove(start, end)
+        pc.flushing.add(start, end)
+        pc.inflight.append(self.sim.process(self._writeback(f, start, end)))
 
-    def _flush_full_blocks(self, f: OpenFile) -> None:
+    def _flush_full_blocks(self, f: OpenFile, pc: PageCache) -> None:
         """Kick async WRITEs for every full wsize-aligned dirty block.
 
         A byte already under write-back is never flushed again until
@@ -444,17 +434,20 @@ class Nfs4Client(FileSystemClient):
         server in either order, so the one carrying older data may win
         — found by the torture harness as seed 146's silent reordering
         loss.  Deferred bytes stay dirty; fsync's flush loop (or the
-        next full-block pass) picks them up once the range clears.
+        next full-block pass, which ``flush_deferred`` asks every write
+        for until none is left) picks them up once the range clears.
         """
         wsize = self.cfg.wsize
-        flushing = f.state["flushing"]
-        for s, e in list(f.state["dirty"]):
-            first = ((s + wsize - 1) // wsize) * wsize
+        flushing = pc.flushing
+        pc.flush_deferred = False
+        for s, e in list(pc.dirty):
+            pos = -(-s // wsize) * wsize
             last = (e // wsize) * wsize
-            pos = first
             while pos < last:
                 if flushing.gaps(pos, pos + wsize) == [(pos, pos + wsize)]:
                     self._spawn_writeback(f, pos, pos + wsize)
+                else:
+                    pc.flush_deferred = True
                 pos += wsize
 
     def write(self, f: OpenFile, offset: int, payload: Payload):
@@ -471,24 +464,29 @@ class Nfs4Client(FileSystemClient):
             col.end(span)
 
     def _write_impl(self, f: OpenFile, offset: int, payload: Payload):
-        state = f.state
+        pc: PageCache = f.state["pc"]
         yield from self.node.compute(self.cfg.client_copy_per_byte * payload.nbytes)
-        state["cache"].write(offset, payload)
+        pc.cache.write(offset, payload)
         end = offset + payload.nbytes
-        state["valid"].add(offset, end)
-        state["dirty"].add(offset, end)
-        state["size"] = max(state["size"], end)
-        state["wrote"] = True
+        pc.valid.add(offset, end)
+        run_start, run_end = pc.dirty.add(offset, end)
+        if end > pc.size:
+            pc.size = end
+        pc.own_writes = True
         # Local change wins over cached attributes (Linux: i_size is
         # authoritative for local writes): a getattr served from the
         # attr cache within ac_timeo must not under-report an extend
         # this client just made.
         hit = self._attr_cache.get(f.path)
-        if hit is not None and hit[0].size < state["size"]:
+        if hit is not None and hit[0].size < pc.size:
             patched = hit[0].copy()
-            patched.size = state["size"]
+            patched.size = pc.size
             self._attr_cache[f.path] = (patched, hit[1])
-        self._flush_full_blocks(f)
+        # Only the run just written can have completed a wsize block —
+        # unless an earlier pass (or a failed write-back) left one.
+        wsize = self.cfg.wsize
+        if pc.flush_deferred or -(-run_start // wsize) * wsize + wsize <= run_end:
+            self._flush_full_blocks(f, pc)
         return payload.nbytes
 
     def fsync(self, f: OpenFile):
@@ -502,7 +500,7 @@ class Nfs4Client(FileSystemClient):
             col.end(span)
 
     def _fsync_impl(self, f: OpenFile):
-        state = f.state
+        pc: PageCache = f.state["pc"]
         # Flush every remaining dirty run in ≤ wsize slices — except
         # bytes already under write-back, which are deferred until the
         # in-flight WRITE completes (same-range WRITEs must never race:
@@ -512,32 +510,28 @@ class Nfs4Client(FileSystemClient):
         # fsync would spin against a dead server).
         while True:
             plan: list[tuple[int, int]] = []
-            for s, e in list(state["dirty"]):
-                plan.extend(state["flushing"].gaps(s, e))
-            for s, e in plan:
-                pos = s
-                while pos < e:
-                    length = min(self.cfg.wsize, e - pos)
-                    self._spawn_writeback(f, pos, pos + length)
-                    pos += length
-            if not state["inflight"]:
+            for s, e in list(pc.dirty):
+                plan.extend(pc.flushing.gaps(s, e))
+            for s, e in self._blocks(plan, self.cfg.wsize):
+                self._spawn_writeback(f, s, e)
+            if not pc.inflight:
                 break
-            while state["inflight"]:
-                procs, state["inflight"] = state["inflight"], []
+            while pc.inflight:
+                procs, pc.inflight = pc.inflight, []
                 yield self.sim.all_of(procs)
-            if state["wb_error"] is not None:
+            if pc.wb_error is not None:
                 break
-        err = state["wb_error"]
+        err = pc.wb_error
         if err is not None:
             # Surface the latched write-back failure (errseq semantics:
             # reported once, then cleared).  The failed ranges are back
             # in ``dirty``, so a later fsync — after the server
             # recovers — re-flushes them; nothing is silently dropped.
-            state["wb_error"] = None
+            pc.wb_error = None
             raise err
-        if state["commit_needed"]:
+        if pc.commit_needed:
             yield from self._io_commit(f)
-            state["commit_needed"] = False
+            pc.commit_needed = False
 
     def close(self, f: OpenFile):
         try:
@@ -552,16 +546,9 @@ class Nfs4Client(FileSystemClient):
             # this, the re-dirtied ranges died with the abandoned
             # OpenFile and a post-reopen fsync reported clean — torture
             # seed 65 (write, reopen during a long outage, fsync).
-            self._inode_cache[f.state["fh"]] = {
-                "path": f.path,
-                "cache": f.state["cache"],
-                "valid": f.state["valid"],
-                "size": f.state["size"],
-                "mtime": f.state["open_mtime"],
-                "own_writes": f.state["wrote"],
-                "dirty": f.state["dirty"],
-                "commit_needed": f.state["commit_needed"],
-            }
+            pc: PageCache = f.state["pc"]
+            pc.path = f.path
+            self._inode_cache[f.state["fh"]] = pc
             self._unregister_open(f)
         if not f.state.get("local_open"):
             yield from self._call(
@@ -586,7 +573,7 @@ class Nfs4Client(FileSystemClient):
         dirty extends not yet written back make both the server's and
         the cached size under-report what this client already wrote."""
         local = max(
-            (f.state["size"] for f in self._live_opens(path)), default=None
+            (f.state["pc"].size for f in self._live_opens(path)), default=None
         )
         if local is not None and attrs is not None and attrs.size < local:
             attrs = attrs.copy()
@@ -624,9 +611,9 @@ class Nfs4Client(FileSystemClient):
         # pages must die with it.  The renamed file's own cache follows
         # the inode to its new name, as do live open handles.
         self._evict_inode_cache(new)
-        for entry in self._inode_cache.values():
-            if entry.get("path") == old:
-                entry["path"] = new
+        for pc in self._inode_cache.values():
+            if pc.path == old:
+                pc.path = new
         for f in self._open_paths.pop(old, []):
             f.path = new
             self._open_paths.setdefault(new, []).append(f)
@@ -637,37 +624,22 @@ class Nfs4Client(FileSystemClient):
         # PageWriteback): a WRITE completing after the cut would land
         # pre-truncate bytes back on the server.
         for f in open_files:
-            while f.state["inflight"]:
-                procs, f.state["inflight"] = f.state["inflight"], []
+            pc: PageCache = f.state["pc"]
+            while pc.inflight:
+                procs, pc.inflight = pc.inflight, []
                 yield self.sim.all_of(procs)
         self._delegations.pop(path, None)
         result, _ = yield from self._call(
             "truncate", {"path": path, "size": size, "callback": self._cb}
         )
-        # Invalidate/clip every open handle for the path: stale
-        # ``state["size"]`` would keep serving cached pages beyond the
-        # new EOF, and ``dirty`` ranges past the cut would be written
-        # back later, resurrecting the truncated bytes server-side.
-        big = 1 << 62
+        # Clip every open handle for the path, and the retained
+        # close-to-open caches (clipped, not evicted: dirty ranges below
+        # the cut are still owed to the server).
         for f in open_files:
-            st = f.state
-            st["size"] = size
-            st["trunc_gen"] += 1  # in-flight fetches discard their data
-            st["cache"].truncate(size)
-            st["valid"].remove(size, big)
-            st["dirty"].remove(size, big)
-            st["flushing"].remove(size, big)
-            st["ra_issued"].remove(size, big)
-            st["last_read_end"] = None
-        # Retained close-to-open caches are clipped, not evicted: dirty
-        # ranges below the cut are still owed to the server.
-        for entry in self._inode_cache.values():
-            if entry.get("path") == path and entry["size"] > size:
-                entry["size"] = size
-                entry["cache"].truncate(size)
-                entry["valid"].remove(size, big)
-                if entry.get("dirty"):
-                    entry["dirty"].remove(size, big)
+            f.state["pc"].clip(size)
+        for pc in self._inode_cache.values():
+            if pc.path == path and pc.size > size:
+                pc.clip(size)
         attrs = (result or {}).get("attrs")
         if attrs is not None:
             self._attr_cache[path] = (attrs, self.sim.now + self.cfg.ac_timeo)

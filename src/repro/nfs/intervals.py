@@ -42,13 +42,23 @@ class IntervalSet:
             return (0, 0)
         return (self._ivs[0][0], self._ivs[-1][1])
 
-    def add(self, start: int, end: int) -> None:
-        """Insert ``[start, end)``, merging overlapping/adjacent intervals."""
+    def add(self, start: int, end: int) -> tuple[int, int]:
+        """Insert ``[start, end)``, merging overlapping/adjacent intervals;
+        returns the coalesced run it now belongs to.
+
+        Growing the last run — the append stream every sequential
+        writer produces — is done in place, without a bisect.
+        """
         if start >= end:
-            return
+            return (start, end)
         ivs = self._ivs
+        if ivs:
+            s, e = ivs[-1]
+            if s <= start <= e:
+                run = ivs[-1] = (s, max(e, end))
+                return run
         # Find all intervals touching [start, end] (adjacency merges too).
-        lo = bisect_left(ivs, (start,)) if ivs else 0
+        lo = bisect_left(ivs, (start,))
         # Step back if the previous interval reaches start.
         if lo > 0 and ivs[lo - 1][1] >= start:
             lo -= 1
@@ -58,16 +68,18 @@ class IntervalSet:
             end = max(end, ivs[hi][1])
             hi += 1
         ivs[lo:hi] = [(start, end)]
+        return (start, end)
 
-    def remove(self, start: int, end: int) -> None:
-        """Delete coverage of ``[start, end)``; splits as needed.
+    def take(self, start: int, end: int) -> int:
+        """Delete coverage of ``[start, end)``, splitting as needed;
+        returns how many bytes of it were covered.
 
         Like :meth:`add`, the touched run is located with ``bisect`` and
         replaced with one slice splice — O(log n + k) for k affected
         intervals, instead of rebuilding the whole list.
         """
         if start >= end or not self._ivs:
-            return
+            return 0
         ivs = self._ivs
         lo = bisect_left(ivs, (start,))
         # The preceding interval may reach into [start, end).
@@ -75,16 +87,23 @@ class IntervalSet:
             lo -= 1
         hi = lo
         n = len(ivs)
+        taken = 0
         repl: list[tuple[int, int]] = []
         while hi < n and ivs[hi][0] < end:
             s, e = ivs[hi]
             if s < start:
                 repl.append((s, start))
+                s = start
             if e > end:
                 repl.append((end, e))
+                e = end
+            taken += e - s
             hi += 1
         if hi > lo:
             ivs[lo:hi] = repl
+        return taken
+
+    remove = take  # for callers that do not want the count
 
     def _first_overlapping(self, start: int) -> int:
         """Index of the first interval with ``end > start``."""

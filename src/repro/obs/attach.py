@@ -81,6 +81,7 @@ def observe_client(reg: MetricsRegistry, client, name: str = "") -> None:
         "readahead_issued_bytes",
         "readahead_used_bytes",
         "readahead_wasted_bytes",
+        "readahead_errors",
         "writeback_errors",
     ):
         if hasattr(client, attr):

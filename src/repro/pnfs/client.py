@@ -88,7 +88,7 @@ class PnfsClient(Nfs4Client):
         f.state["layout"] = layout
         f.state["agg"] = driver_for(layout.aggregation)
         f.state.setdefault("commit_slots", set())
-        f.state.setdefault("layoutcommitted_size", f.state["size"])
+        f.state.setdefault("layoutcommitted_size", f.state["pc"].size)
         siblings = self._open_by_fh.setdefault(f.state["fh"], [])
         if f not in siblings:
             siblings.append(f)
@@ -265,11 +265,12 @@ class PnfsClient(Nfs4Client):
         # Inform the MDS of metadata changes — only when the file size
         # may actually have moved (Linux sends LAYOUTCOMMIT only for
         # size/mtime changes beyond the MDS's knowledge).
-        if f.state["size"] > f.state.get("layoutcommitted_size", -1):
+        pc = f.state["pc"]
+        if pc.size > f.state.get("layoutcommitted_size", -1):
             yield from self._call(
-                "layoutcommit", {"fh": f.state["fh"], "size": f.state["size"]}
+                "layoutcommit", {"fh": f.state["fh"], "size": pc.size}
             )
-            f.state["layoutcommitted_size"] = f.state["size"]
+            f.state["layoutcommitted_size"] = pc.size
 
     def close(self, f: OpenFile):
         yield from super().close(f)

@@ -434,17 +434,19 @@ class AllOf(_Condition):
 
     Its value is a tuple of the constituent values in construction
     order.  If any constituent fails, the condition fails with that
-    exception.
+    exception; failures of later constituents are defused — the waiter
+    was handed the first, and nobody can observe the rest.
     """
 
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self._state != _PENDING:
-            return
         if not event.ok:
             event.defuse()
-            self.fail(event._value)
+            if self._state == _PENDING:
+                self.fail(event._value)
+            return
+        if self._state != _PENDING:
             return
         self._pending_count -= 1
         if self._pending_count == 0:
@@ -508,12 +510,10 @@ class Join(Event):
             self.succeed(None)
 
     def _task_fail(self, exc: BaseException) -> None:
+        # Mirrors AllOf: the first failure fails the join; a later one
+        # has no observer left and is dropped.
         if self._state == _PENDING:
             self.fail(exc)
-        else:
-            # Mirrors a leg Process failing after its AllOf resolved:
-            # nobody can observe the failure, so it crashes the run.
-            raise exc
 
 
 class _Task:

@@ -47,6 +47,7 @@ class TestCli:
         }
         counters = report["metrics"]["counters"]
         assert any(name.endswith("writeback_errors") for name in counters)
+        assert any(name.endswith("readahead_errors") for name in counters)
 
     def test_trace(self, capsys, tmp_path):
         import json

@@ -1,18 +1,14 @@
 """scripts/update_experiments.py keeps what it does not generate."""
 
-import importlib.util
 import pathlib
+
+from tests.conftest import load_script as _load_script
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def load_script():
-    spec = importlib.util.spec_from_file_location(
-        "update_experiments", ROOT / "scripts" / "update_experiments.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_script("update_experiments")
 
 
 def test_hand_written_sections_survive_regeneration():

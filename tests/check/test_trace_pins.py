@@ -5,20 +5,13 @@ torture-smoke job); this replays every sixth — 50 episodes that still
 cover both program modes and all five architectures.
 """
 
-import importlib.util
 import json
-import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parents[2]
+from tests.conftest import load_script as _load_script
 
 
 def load_script():
-    spec = importlib.util.spec_from_file_location(
-        "trace_pins", ROOT / "scripts" / "trace_pins.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_script("trace_pins")
 
 
 def test_pin_file_covers_exactly_the_pinned_table():

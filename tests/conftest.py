@@ -1,5 +1,7 @@
 """Shared test fixtures: small clusters and process-driving helpers."""
 
+import importlib.util
+import pathlib
 from dataclasses import dataclass, field
 
 import pytest
@@ -51,6 +53,15 @@ def build_cluster(
         for i in range(n_clients)
     ]
     return MiniCluster(sim=sim, network=net, storage=storage, clients=clients)
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` (the pin recorders tier-1 replays)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def drive(sim: Simulator, gen):

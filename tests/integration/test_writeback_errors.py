@@ -56,7 +56,7 @@ class TestWritebackFailure:
             return f
 
         f = drive(sim, fill())
-        assert f.state["flushing"] or f.state["dirty"]
+        assert f.state["pc"].flushing or f.state["pc"].dirty
 
         # The WRITE RPCs are now in flight; the service dies under them.
         server.rpc.fail()
@@ -73,10 +73,10 @@ class TestWritebackFailure:
         assert client.writeback_errors > 0
         # Every lost range is dirty again — nothing fell into the gap
         # between ``dirty`` and ``flushing``.
-        assert f.state["dirty"].total == len(BLOB)
-        assert not f.state["flushing"]
+        assert f.state["pc"].dirty.total == len(BLOB)
+        assert not f.state["pc"].flushing
         # The latch is one-shot: it reported, and is clear again.
-        assert f.state["wb_error"] is None
+        assert f.state["pc"].wb_error is None
 
         # Recovery: the service comes back; the retried fsync pushes the
         # re-marked pages and the file is durable on the server.
@@ -87,7 +87,7 @@ class TestWritebackFailure:
             yield from client.close(f)
 
         drive(sim, retry_and_verify())
-        assert not f.state["dirty"] and not f.state["flushing"]
+        assert not f.state["pc"].dirty and not f.state["pc"].flushing
 
         # Read back through a cold client: every byte must have reached
         # the server (the writer's own cache cannot mask loss).
@@ -123,7 +123,7 @@ class TestWritebackFailure:
 
         assert isinstance(drive(sim, closing()), RpcTimeout)
         assert client.writeback_errors > 0
-        assert f.state["dirty"].total == len(BLOB)
+        assert f.state["pc"].dirty.total == len(BLOB)
 
     def test_healthy_path_unchanged(self, cluster):
         """With no failure, the fix is invisible: fsync commits, no
@@ -140,7 +140,7 @@ class TestWritebackFailure:
 
         f = drive(sim, scenario())
         assert client.writeback_errors == 0
-        assert f.state["wb_error"] is None
-        assert not f.state["dirty"] and not f.state["flushing"]
+        assert f.state["pc"].wb_error is None
+        assert not f.state["pc"].dirty and not f.state["pc"].flushing
         entry = backing.namespace.resolve("/ok")
         assert backing.contents[entry.handle].size == len(BLOB)

@@ -48,7 +48,7 @@ class TestTruncateCoherence:
             yield from c0.read(f, 0, 8192)  # populate the page cache
             yield from c0.truncate("/t", 100)
             got = yield from c0.read(f, 0, 8192)
-            size = f.state["size"]
+            size = f.state["pc"].size
             yield from c0.close(f)
             return got, size
 

@@ -51,7 +51,7 @@ class TestWriteBackAlignment:
         f = drive(cluster.sim, scenario())
         # blocks [64K,128K) and [128K,192K) are full and were kicked;
         # the unaligned head and tail remain dirty
-        dirty = list(f.state["dirty"])
+        dirty = list(f.state["pc"].dirty)
         assert (1000, 64 * KB) in dirty
         assert dirty[-1][1] == 1000 + 3 * 64 * KB
 
@@ -67,8 +67,8 @@ class TestWriteBackAlignment:
         f = drive(cluster.sim, scenario())
         entry = backing.namespace.resolve("/once")
         assert backing.contents[entry.handle].size == 200 * KB
-        assert not f.state["dirty"]
-        assert not f.state["flushing"]
+        assert not f.state["pc"].dirty
+        assert not f.state["pc"].flushing
         assert client.bytes_written == 200 * KB  # no double-send
 
     def test_overwrite_of_inflight_block_is_rewritten(self, cluster):
@@ -132,8 +132,8 @@ class TestCloseErrorSemantics:
             return f2
 
         f2 = drive(cluster.sim, scenario())
-        assert not f2.state["dirty"]
-        assert not f2.state["commit_needed"]
+        assert not f2.state["pc"].dirty
+        assert not f2.state["pc"].commit_needed
 
 
 class TestReadaheadBehaviour:

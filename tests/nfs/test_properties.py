@@ -25,7 +25,14 @@ SEEDS = 150
 def gen_interval_ops(rng, count=30):
     ops = []
     for _ in range(count):
-        kind = "add" if rng.random() < 0.6 else "remove"
+        roll = rng.random()
+        if roll < 0.15:
+            # ("tail", back, length): an add placed relative to the set's
+            # current end — beyond it, touching it, or reaching back into
+            # the last run: the append stream ``add`` handles without bisect.
+            ops.append(("tail", int(rng.integers(-2, 6)), int(rng.integers(0, 5))))
+            continue
+        kind = "add" if roll < 0.6 else "remove"
         s = int(rng.integers(0, LIMIT))
         e = int(rng.integers(s, LIMIT + 1))  # empty ranges allowed on purpose
         ops.append((kind, s, e))
@@ -37,11 +44,29 @@ def interval_violation(ops):
     ivs = IntervalSet()
     model = set()
     for step, (kind, s, e) in enumerate(ops):
+        if kind == "tail":
+            s = max(0, max(model, default=-1) + 1 - s)
+            kind, e = "add", s + e
         if kind == "add":
-            ivs.add(s, e)
+            run = ivs.add(s, e)
             model |= set(range(s, e))
+            if s < e:
+                lo, hi = run
+                while lo - 1 in model:
+                    lo -= 1
+                while hi in model:
+                    hi += 1
+                if not (run[0] <= s and e <= run[1]) or (lo, hi) != run:
+                    return f"step {step}: add({s},{e}) returned {run}, maximal run is {(lo, hi)}"
+                if not model.issuperset(range(*run)):
+                    return f"step {step}: add({s},{e}) returned uncovered {run}"
+            elif run != (s, e):
+                return f"step {step}: empty add({s},{e}) returned {run}"
         else:
-            ivs.remove(s, e)
+            # ``remove`` is ``take``: the count of bytes it uncovered.
+            taken = ivs.take(s, e)
+            if taken != len(model & set(range(s, e))):
+                return f"step {step}: take({s},{e}) returned {taken}"
             model -= set(range(s, e))
         got = {b for rs, re_ in ivs for b in range(rs, re_)}
         if got != model:

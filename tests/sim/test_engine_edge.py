@@ -167,3 +167,65 @@ class TestEngineMisc:
         a.process(proc())
         with pytest.raises(SimulationError):
             a.run()
+
+
+class TestGatherWithTwoFailingLegs:
+    """A gather that already failed — and delivered that failure to its
+    waiter — defuses every later failing leg: the waiter saw the first
+    error, nobody can observe the second, and it must not be re-raised
+    out of ``Simulator.run()``.  (A fan-out of block fetches against a
+    dead server times out leg after leg.)"""
+
+    @staticmethod
+    def _leg(sim, delay, message):
+        yield sim.timeout(delay)
+        raise RuntimeError(message)
+
+    def test_all_of_waiter_sees_the_first_failure_and_the_run_survives(self):
+        sim = Simulator()
+
+        def waiter():
+            legs = [
+                sim.process(self._leg(sim, 1, "first")),
+                sim.process(self._leg(sim, 2, "second")),
+                sim.process(self._leg(sim, 2, "third")),
+            ]
+            try:
+                yield sim.all_of(legs)
+            except RuntimeError as exc:
+                return str(exc)
+
+        p = sim.process(waiter())
+        sim.run()  # drains the later failures too
+        assert p.value == "first"
+        assert sim.now == 2
+
+    def test_spawn_join_waiter_sees_the_first_failure_and_the_run_survives(self):
+        sim = Simulator()
+
+        def waiter():
+            try:
+                yield sim.spawn(
+                    self._leg(sim, 1, "first"), self._leg(sim, 2, "second")
+                )
+            except RuntimeError as exc:
+                return str(exc)
+
+        p = sim.process(waiter())
+        sim.run()
+        assert p.value == "first"
+        assert sim.now == 2
+
+    def test_a_leg_failing_after_the_gather_succeeded_still_surfaces(self):
+        """Only a *failed* gather absorbs later failures: a leg shared
+        with an ``AnyOf`` that already fired successfully is unobserved
+        and still crashes the run."""
+        sim = Simulator()
+        late = sim.process(self._leg(sim, 5, "late"))
+
+        def waiter():
+            yield AnyOf(sim, [sim.timeout(1), late])
+
+        sim.process(waiter())
+        with pytest.raises(RuntimeError, match="late"):
+            sim.run()
