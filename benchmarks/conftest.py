@@ -4,7 +4,9 @@ Each benchmark test regenerates one figure panel of the paper: it runs
 the sweep on the simulated testbed, prints a measured-vs-paper table,
 asserts the qualitative shape criteria from DESIGN.md §3, and records
 the measured values under ``benchmarks/results/`` (consumed when
-updating EXPERIMENTS.md).
+updating EXPERIMENTS.md).  The recorded file holds only what the
+simulation determines — the same run writes the same bytes — so the
+engine's host-side cost is printed, not stored.
 
 Scale: set ``REPRO_SCALE`` (default 0.25 — 125 MB IOR files) to trade
 run time against steady-state fidelity; 1.0 reproduces the paper's full
@@ -33,19 +35,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 def bench_scale() -> float:
     return float(os.environ.get("REPRO_SCALE", "0.25"))
-
-
-def bench_net_model() -> str:
-    """Network flow model for the panel sweeps (``REPRO_NET_MODEL``).
-
-    ``chunked`` (default, calibrated) or ``fluid`` — see
-    :mod:`repro.sim.network`.  Running a panel under ``fluid`` is how
-    the chunked-vs-fluid drift acceptance is checked at figure scale.
-    """
-    model = os.environ.get("REPRO_NET_MODEL", "chunked")
-    if model not in ("chunked", "fluid"):
-        raise ValueError(f"REPRO_NET_MODEL must be chunked|fluid, got {model!r}")
-    return model
 
 
 def bench_jobs() -> int:
@@ -81,7 +70,6 @@ def run_panel(benchmark):
                 exp_id,
                 scale=bench_scale(),
                 client_counts=bench_counts(exp_id),
-                net_model=bench_net_model(),
                 jobs=bench_jobs(),
                 cache=bench_cache(),
             )
@@ -96,15 +84,12 @@ def run_panel(benchmark):
         # Aggregate engine cost over the sweep: how much the cells
         # cost to *simulate*, alongside what they measured.
         cells = list(res.raw.values())
-        engine = {
-            "net_model": bench_net_model(),
-            "events_scheduled": sum(c.engine["events_scheduled"] for c in cells),
-            "events_processed": sum(c.engine["events_processed"] for c in cells),
-            "peak_heap": max(c.engine["peak_heap"] for c in cells),
-            "wall_seconds": sum(c.engine["wall_seconds"] for c in cells),
-            "flows_chunked": sum(c.engine["flows_chunked"] for c in cells),
-            "flows_fluid": sum(c.engine["flows_fluid"] for c in cells),
-        }
+        print(
+            f"   engine: {sum(c.engine['events_processed'] for c in cells)} events, "
+            f"peak heap {max(c.engine['peak_heap'] for c in cells)}, "
+            f"{sum(c.engine['flows_chunked'] for c in cells)} wire flows, "
+            f"{sum(c.engine['wall_seconds'] for c in cells):.2f}s in the event loop"
+        )
         RESULTS_DIR.mkdir(exist_ok=True)
         with open(RESULTS_DIR / f"{exp_id}.json", "w") as fh:
             json.dump(
@@ -114,8 +99,6 @@ def run_panel(benchmark):
                     "metric": res.experiment.metric,
                     "scale": res.scale,
                     "values": res.values,
-                    "engine": engine,
-                    "parallel": res.parallel,
                     "checks": [
                         {"name": c.name, "ok": c.ok, "detail": c.detail}
                         for c in checks

@@ -1,158 +1,41 @@
-"""Perf smoke: the fluid network model must actually be faster.
+"""Engine smoke: observability is pay-for-use, the parallel engine is exact.
 
-Runs one fixed cell — 8-client IOR write, 16 MB blocks, separate files,
-NFSv4 — under both network models and fails if
+Two gates on what it costs to *simulate*, not on what is simulated:
 
-* the fluid model is not >= 3x cheaper in engine wall-seconds on this
-  large-transfer config, or
-* either model's aggregate throughput drifts > 5 % from the checked-in
-  baseline (``engine_perf_baseline.json``), or
-* the two models disagree with each other by > 5 %.
+* metrics + tracing switched on leave the simulated physics
+  bit-identical and add only the sampler's own events, within a bounded
+  wall-clock ratio;
+* ``repro.parallel`` (``jobs=N``, the result cache) is hash-identical
+  to a serial run and pays off on this machine's cores
+  (``benchmarks/results/BENCH_parallel.json``).
 
-The chunked side of both throughput gates is the *mean over
-``CHUNKED_SEEDS``*: randomised pipe arbitration makes one chunked
-trajectory of this cell wander by more than the 5 % being gated
-(30.8-32.6 MB/s over eight simulator seeds), so a single run says more
-about the seed than about the model.  The fluid side is one run — its
-large flows never reach the arbiter.
-
-Why this config: the fluid path removes per-chunk *network* events, so
-the gate must run where those dominate.  NFSv4 moves every byte across
-the wire twice (client -> server, then the server's parallel-FS client
--> storage nodes) with large 16 MB RPCs and flow units, so the chunked
-event bill is ~2 x 64 chunks per block while the protocol event bill
-stays per-RPC.  The paper-calibrated figure configs (2 MB wsize,
-256 KB flow units) are protocol-event-bound instead — there the fluid
-model is accuracy-neutral but only ~1.2x cheaper, which is why the
-speedup gate lives on this pinned config and not on the figure sweeps.
-
-The config ignores the ``REPRO_*`` knobs so the baseline stays
-comparable across runs and machines: simulated throughput is
-deterministic for a fixed config, and the wall-second *ratio* is
-machine-independent to first order even though the absolute wall time
-is not.  Results land in ``benchmarks/results/engine_perf.json`` for
-the CI artifact trail.
+The configs ignore the ``REPRO_*`` knobs so the numbers stay comparable
+across runs and machines.
 """
 
 import json
+import os
 import pathlib
-from statistics import fmean
-
-import pytest
+import time
 
 from repro.bench.runner import run_cell
 from repro.workloads import IorWorkload
 
 MB = 1024 * 1024
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-BASELINE = pathlib.Path(__file__).parent / "engine_perf_baseline.json"
-
-#: Pinned config: large enough that the chunked event storm dominates
-#: (the regime the fluid model exists for), small enough for CI.
-SCALE = 0.2  # 100 MB per client
-N_CLIENTS = 8
-ARCH = "nfsv4"
-BLOCK = 16 * MB
-
-MIN_SPEEDUP = 3.0
-MAX_DRIFT = 0.05
-CHUNKED_SEEDS = range(1, 9)
-
-
-def run_model(model: str, seed: int | None = None):
-    workload = IorWorkload(
-        op="write", block_size=BLOCK, shared_file=False, scale=SCALE
-    )
-    res = run_cell(
-        ARCH,
-        workload,
-        N_CLIENTS,
-        net_model=model,
-        nfs_overrides={"wsize": BLOCK, "rsize": BLOCK},
-        pvfs_overrides={"flow_unit": BLOCK, "stripe_size": BLOCK},
-        seed=seed,
-    )
-    return {
-        "aggregate_mbps": res.aggregate_mbps,
-        "makespan": res.makespan,
-        "total_bytes": res.total_bytes,
-        **res.engine,
-    }
-
-
-def test_fluid_speedup_and_throughput_drift():
-    runs = [run_model("chunked", seed) for seed in CHUNKED_SEEDS]
-    per_seed = [r["aggregate_mbps"] for r in runs]
-    chunked = {
-        "seeds": list(CHUNKED_SEEDS),
-        "aggregate_mbps": fmean(per_seed),
-        "aggregate_mbps_per_seed": per_seed,
-        "events_processed": fmean(r["events_processed"] for r in runs),
-        "wall_seconds": fmean(r["wall_seconds"] for r in runs),
-    }
-    fluid = run_model("fluid")
-    speedup = chunked["wall_seconds"] / fluid["wall_seconds"]
-    event_ratio = chunked["events_processed"] / fluid["events_processed"]
-    report = {
-        "config": {
-            "arch": ARCH,
-            "workload": "ior-write-16MB-separate",
-            "n_clients": N_CLIENTS,
-            "scale": SCALE,
-        },
-        "chunked": chunked,
-        "fluid": fluid,
-        "wall_speedup": speedup,
-        "event_ratio": event_ratio,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with open(RESULTS_DIR / "engine_perf.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-    print()
-    for model, r in (("chunked", chunked), ("fluid", fluid)):
-        print(
-            f"  {model:8s} {r['aggregate_mbps']:7.1f} MB/s  "
-            f"{r['events_processed']:>9.0f} events  {r['wall_seconds']:.3f}s wall"
-        )
-    print(
-        f"  chunked is the mean of {len(runs)} seeds "
-        f"({min(per_seed):.2f}-{max(per_seed):.2f} MB/s)"
-    )
-    print(f"  wall speedup {speedup:.1f}x, event ratio {event_ratio:.1f}x")
-
-    # Cross-model agreement: the fast path must not change the physics.
-    assert fluid["aggregate_mbps"] == pytest.approx(
-        chunked["aggregate_mbps"], rel=MAX_DRIFT
-    )
-    # Drift against the checked-in baseline (simulated throughput is
-    # deterministic, so this is a tight regression tripwire).
-    baseline = json.loads(BASELINE.read_text())
-    for model, r in (("chunked", chunked), ("fluid", fluid)):
-        expect = baseline[model]["aggregate_mbps"]
-        assert r["aggregate_mbps"] == pytest.approx(expect, rel=MAX_DRIFT), (
-            f"{model} throughput drifted >5% from baseline "
-            f"({r['aggregate_mbps']:.1f} vs {expect:.1f} MB/s)"
-        )
-    # The point of the fast path, enforced: >= 3x cheaper to simulate.
-    assert speedup >= MIN_SPEEDUP, (
-        f"fluid model only {speedup:.1f}x faster than chunked "
-        f"(need >= {MIN_SPEEDUP}x)"
-    )
 
 
 def test_observability_is_pay_for_what_you_use():
     """The obs layer's contract: off means free, on means same physics.
 
-    * With no registry or collector installed (the default — every run
-      above), the instrumented code paths must not change the simulated
-      outcome; the baseline-drift gate in the previous test is the
-      wall-clock guard for that path.
+    * With no registry or collector installed (the default), the
+      instrumented code paths must not change the simulated outcome;
+      the repository benchmark (``perf/``) is the wall-clock guard for
+      that path.
     * With metrics + tracing on, the simulation must compute the exact
       same physics (makespan, bytes, throughput): observation reads the
       run, it never perturbs it.  Wall overhead must stay bounded.
     """
-    import time
-
     from repro.obs import spans as obs_spans
 
     assert obs_spans.ACTIVE is None  # default-off really is off
@@ -161,9 +44,7 @@ def test_observability_is_pay_for_what_you_use():
 
     def run(**obs_kw):
         t0 = time.perf_counter()
-        res = run_cell(
-            ARCH, IorWorkload(**workload_kw), 4, net_model="fluid", **obs_kw
-        )
+        res = run_cell("nfsv4", IorWorkload(**workload_kw), 4, **obs_kw)
         return res, time.perf_counter() - t0
 
     plain, wall_off = run()
@@ -199,9 +80,6 @@ def test_observability_is_pay_for_what_you_use():
 # ---------------------------------------------------------------------------
 # Parallel experiment engine (repro.parallel): determinism, cache, speedup
 # ---------------------------------------------------------------------------
-
-import os
-import time
 
 PANEL = "fig7a"
 PANEL_KW = dict(scale=0.05, client_counts=[1, 2, 4])

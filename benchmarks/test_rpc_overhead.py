@@ -22,7 +22,7 @@ This gate pins that down so it cannot silently regress:
 
 The measurement lands in ``benchmarks/results/BENCH_engine.json`` —
 the engine-cost trajectory artifact CI uploads next to
-``engine_perf.json`` and ``BENCH_parallel.json``.
+``BENCH_parallel.json``.
 """
 
 import json

@@ -463,8 +463,14 @@ def run_episode(
             )
 
         # -- leaks + conservation (only meaningful post-quiesce) ------
-        all_clients = clients + [verifier]
-        for c, cl in enumerate(all_clients):
+        # A shard router keeps no sessions or cache counters of its
+        # own: its per-shard NFS clients do.
+        all_clients = [
+            (c, part)
+            for c, cl in enumerate(clients + [verifier])
+            for part in getattr(cl, "shards", [cl])
+        ]
+        for c, cl in all_clients:
             for srv, sess in getattr(cl, "_sessions", {}).items():
                 if sess.slots.in_use:
                     violations.append(

@@ -221,15 +221,12 @@ def make_deployment(
     net_bw: float = GIGE,
     nfs_overrides: dict | None = None,
     pvfs_overrides: dict | None = None,
-    net_model: str = "chunked",
     seed: int | None = None,
 ) -> Deployment:
     """Build the named architecture on a fresh testbed.
 
-    ``net_model`` selects the network flow model (``"chunked"`` |
-    ``"fluid"``, see :mod:`repro.sim.network`); the calibrated default
-    stays ``"chunked"``.  ``seed`` initialises the testbed's simulator
-    (identical-seed deployments replay identically).
+    ``seed`` initialises the testbed's simulator (identical-seed
+    deployments replay identically).
     """
     try:
         builder = ARCHITECTURES[arch]
@@ -242,7 +239,6 @@ def make_deployment(
         n_clients=n_clients,
         net_bw=net_bw,
         server_disks=disks,
-        net_model=net_model,
         seed=seed,
     )
     return builder(tb, nfs_overrides=nfs_overrides, pvfs_overrides=pvfs_overrides)

@@ -30,13 +30,7 @@ import time
 __all__ = ["figure_cell_spec", "torture_spec", "run_job", "timed_job"]
 
 
-def figure_cell_spec(
-    exp_id: str,
-    system: str,
-    n_clients: int,
-    scale: float,
-    net_model: str = "chunked",
-) -> dict:
+def figure_cell_spec(exp_id: str, system: str, n_clients: int, scale: float) -> dict:
     """Spec for one (system, client-count) cell of figure ``exp_id``."""
     return {
         "kind": "figure-cell",
@@ -44,7 +38,6 @@ def figure_cell_spec(
         "system": system,
         "n_clients": n_clients,
         "scale": scale,
-        "net_model": net_model,
     }
 
 
@@ -89,7 +82,6 @@ def _run_figure_cell(spec: dict):
         net_bw=exp.net_bw,
         nfs_overrides=exp.nfs_overrides or None,
         pvfs_overrides=exp.pvfs_overrides or None,
-        net_model=spec["net_model"],
     )
 
 

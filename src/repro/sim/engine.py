@@ -569,8 +569,8 @@ class EngineStats:
     """Event-loop accounting: how much work a simulation actually did.
 
     ``wall_seconds`` accumulates real (host) time spent inside
-    :meth:`Simulator.run` — the number the fluid-model speedup claims
-    are measured against, not asserted from.
+    :meth:`Simulator.run` — the number host-cost claims are measured
+    against, not asserted from.
     """
 
     events_processed: int = 0

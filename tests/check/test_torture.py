@@ -54,6 +54,22 @@ class TestEpisodes:
         assert all(r.ok for r in results)
 
 
+class TestPostQuiesceOracles:
+    def test_slot_leak_inside_a_shard_router_is_reported(self):
+        """The leak / exactly-once / readahead oracles descend into a
+        router's per-shard clients, where the sessions live."""
+
+        def leaky(dep, node):
+            cl = dep.make_client(node)
+            shard = cl.shards[1]
+            shard._session_for(shard.server).slots.acquire()  # never returned
+            return cl
+
+        res = run_episode(generate(3), "direct-pnfs-sharded", client_factory=leaky)
+        assert any(v.startswith("leak: client0 session to") for v in res.violations)
+        assert run_episode(generate(3), "direct-pnfs-sharded").ok
+
+
 class TestPinnedRegressions:
     @pytest.mark.parametrize("arch", ["direct-pnfs", "pnfs-2tier", "nfsv4"])
     def test_seed_146_writeback_reorder(self, arch):

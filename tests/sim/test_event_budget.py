@@ -22,10 +22,9 @@ CHUNK = 1000
 LATENCY = 60e-6
 
 
-def make_net(sim, n=4, model="chunked", latency=LATENCY, per_message_bytes=0):
+def make_net(sim, n=4, latency=LATENCY, per_message_bytes=0):
     net = Network(
-        sim, latency=latency, chunk_bytes=CHUNK,
-        per_message_bytes=per_message_bytes, model=model,
+        sim, latency=latency, chunk_bytes=CHUNK, per_message_bytes=per_message_bytes
     )
     for i in range(n):
         net.add_nic(f"n{i}", BW)
@@ -49,7 +48,6 @@ def pipes(net):
 def assert_idle(net):
     for pipe in pipes(net):
         assert pipe.in_use == 0 and pipe.queue_len == 0, pipe.name
-    assert len(net._fluid) == 0
 
 
 class TestMessageBudget:
@@ -74,17 +72,6 @@ class TestMessageBudget:
         assert sim.now == pytest.approx(LATENCY + (ahead + last) / BW, rel=1e-9)
         assert net.flows_chunked == 1 and net.nic("n1").rx_bytes == nbytes
         assert_idle(net)
-
-    def test_lone_fluid_flow_costs_seven_events(self):
-        """Latency, solver tick, drain timer, drain event, the tick that
-        clears the solver, tail, completion — whatever its size."""
-        for nbytes in (3 * CHUNK, 300 * CHUNK):
-            sim = Simulator()
-            net = make_net(sim, model="fluid")
-            assert events_of(sim, net.transfer("n0", "n1", nbytes)) == 7
-            assert sim.now == pytest.approx(LATENCY + (nbytes + CHUNK) / BW, rel=1e-9)
-            assert net.flows_fluid == 1
-            assert_idle(net)
 
     def test_stalled_receiver_fills_the_window_and_no_more(self, monkeypatch):
         """Three senders into one sink: a flow runs ahead of the rx pipe
@@ -247,10 +234,10 @@ def flow_sets(draw):
     return flows, fault
 
 
-def run_flow_set(flows, fault, model, monkeypatch):
+def run_flow_set(flows, fault, monkeypatch):
     """One run with every pipe and flow watched; returns its outcome."""
     sim = Simulator(seed=7)
-    net = make_net(sim, model=model, latency=0.0)
+    net = make_net(sim, latency=0.0)
     acquire, release = Resource.acquire, Resource.release
 
     # The NIC pipes are the only resources this simulation has.
@@ -297,8 +284,8 @@ def run_flow_set(flows, fault, model, monkeypatch):
     moved = sum(flows[i][3] for i in finished)
     assert sum(n.tx_bytes for n in nics) == moved
     assert sum(n.rx_bytes for n in nics) == moved
-    assert net.flows_completed == len(finished) == net.flows_chunked + net.flows_fluid
-    lost = sum(n.flows_dropped + n.flows_stranded for n in nics)
+    assert net.flows_completed == len(finished) == net.flows_chunked
+    lost = sum(n.flows_dropped for n in nics)
     assert len(finished) + lost == len(flows)
     if fault is None:
         assert lost == 0
@@ -307,24 +294,24 @@ def run_flow_set(flows, fault, model, monkeypatch):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(flow_sets(), st.sampled_from(["chunked", "fluid"]))
-def test_flow_invariants_hold_and_replays_are_identical(spec, model):
+@given(flow_sets())
+def test_flow_invariants_hold_and_replays_are_identical(spec):
     flows, fault = spec
     with pytest.MonkeyPatch.context() as mp:
-        first = run_flow_set(flows, fault, model, mp)
-        assert run_flow_set(flows, fault, model, mp) == first
+        first = run_flow_set(flows, fault, mp)
+        assert run_flow_set(flows, fault, mp) == first
 
 
 # -- interrupted waiter ---------------------------------------------------------
 
-@pytest.mark.parametrize("model,nbytes", [("chunked", 6 * CHUNK), ("fluid", 60 * CHUNK)])
-def test_interrupted_waiter_leaves_the_flow_running(model, nbytes):
+def test_interrupted_waiter_leaves_the_flow_running():
     """The pipes belong to the flow, not to the waiting generator: an
     interrupt (an RPC retry timer) detaches the waiter and nothing else."""
+    nbytes = 6 * CHUNK
 
     def run(interrupt_at):
         sim = Simulator()
-        net = make_net(sim, model=model)
+        net = make_net(sim)
         outcome = []
 
         def waiter():

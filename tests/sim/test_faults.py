@@ -5,8 +5,11 @@ import pytest
 from repro import rpc
 from repro.sim import DiskFailed, FaultInjector, Network, Simulator
 from repro.sim.faults import FaultInjector as DirectImport  # noqa: F401
+from repro.vfs import Payload
 
 from tests.conftest import build_cluster, drive
+
+MB = 1024 * 1024
 
 
 class TestSchedules:
@@ -88,6 +91,82 @@ class TestNicFaults:
 
         drive(cluster.sim, xfer2())
         assert cluster.storage[0].nic.rx_bytes == 10_000
+
+    # Alone, the 50 MB flow below lands at t = 0.4504 s.
+    @pytest.mark.parametrize(
+        "cut_at", [30e-6, 0.1, 0.4495], ids=["in-latency", "mid-flow", "last-chunk"]
+    )
+    def test_nic_death_cuts_the_flow_in_flight(self, cluster, cut_at):
+        sim, net = cluster.sim, cluster.network
+        src, dst = cluster.clients[0].nic, cluster.storage[0].nic
+        p = sim.process(net.transfer("c0", "s0", 50 * MB))
+        inj = FaultInjector(sim)
+        inj.at(cut_at, lambda: inj.nic_down(dst))
+        sim.run()
+        # A dead NIC carries nothing: the flow never completes, no bytes
+        # are counted, and what it held on the pipes has drained.
+        assert p.is_alive and net.flows_completed == 0
+        assert src.tx_bytes == 0 and dst.rx_bytes == 0
+        assert src.flows_dropped == 1 and dst.flows_dropped == 0
+        for pipe in (src.tx, src.rx, dst.tx, dst.rx):
+            assert pipe.in_use == 0 and pipe.queue_len == 0, pipe.name
+        assert sim.now < cut_at + 0.02  # a few buffered chunks, not the flow
+
+    def test_survivor_reclaims_the_pipe_from_a_dead_sender(self, cluster):
+        sim = cluster.sim
+        done = {}
+
+        def xfer(src):
+            yield from cluster.network.transfer(src, "s0", 40 * MB)
+            done[src] = sim.now
+
+        sim.process(xfer("c0"))
+        sim.process(xfer("c1"))
+        inj = FaultInjector(sim)
+        inj.at(0.2, lambda: inj.nic_down(cluster.clients[1].nic))
+        sim.run()
+        assert "c1" not in done
+        # Shared until 0.2 s (~11.7 MB each), alone after: ~0.2 + 30 MB at
+        # full rate = 0.46 s, against 0.72 s had the dead sender kept going.
+        assert done["c0"] == pytest.approx(0.46, abs=0.02)
+
+    def test_nic_death_mid_rpc_raises_timeout(self, cluster):
+        """Kill the server NIC mid-request: the payload never reaches the
+        handler and the RPC retry layer surfaces RpcTimeout."""
+        sim = cluster.sim
+        server = rpc.RpcServer(sim, cluster.storage[0], "svc", rpc.RpcCosts(), threads=2)
+        received = []
+
+        def sink(args, payload):
+            received.append(sim.now)
+            return {"ok": True}, None
+            yield  # pragma: no cover
+
+        server.register("put", sink)
+        inj = FaultInjector(sim)
+        # A 50 MB payload takes ~0.45 s on the wire; cut it at 0.1 s.
+        inj.at(0.1, lambda: inj.nic_down(cluster.storage[0].nic))
+        policy = rpc.RpcPolicy(timeout=0.3, max_retries=1, backoff=1.0)
+
+        def scenario():
+            try:
+                yield from rpc.call(
+                    cluster.clients[0], server, "put", {},
+                    payload=Payload.synthetic(50 * MB), policy=policy,
+                )
+            except rpc.RpcTimeout as exc:
+                return exc, sim.now
+
+        exc, gave_up = drive(sim, scenario())
+        assert isinstance(exc, rpc.RpcTimeout)
+        assert exc.attempts == 2
+        # 0.3 s first patience + 0.3 s retry patience.
+        assert gave_up == pytest.approx(0.6, abs=0.05)
+        # The first attempt was cut in flight; the retransmission found
+        # the NIC already down at flow start.
+        assert cluster.clients[0].nic.flows_dropped == 2
+        sim.run()
+        assert received == [] and cluster.storage[0].nic.rx_bytes == 0
 
     def test_nic_delay_slows_flows(self, cluster):
         inj = FaultInjector(cluster.sim)
