@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.pvfs2.sharding import ShardRouting, is_broadcast_path
 from repro.sim.node import Node
-from repro.vfs.api import FileSystemClient
+from repro.vfs.api import FileSystemClient, OpenFile
 
 __all__ = ["ShardedPnfsRouter"]
 
@@ -25,6 +25,18 @@ class ShardedPnfsRouter(ShardRouting, FileSystemClient):
     def __init__(self, node: Node, shards: list):
         self.node = node
         self.shards = shards
+
+    # Byte-range locks live on the NFS servers (a PVFS2 client has
+    # none, so these are not on ShardRouting): the open file's own
+    # shard holds its lock table.
+    def lock(self, f: OpenFile, start: int, end: int, kind: str = "write"):
+        return (yield from f.client.lock(f, start, end, kind))
+
+    def unlock(self, f: OpenFile, start: int, end: int):
+        return (yield from f.client.unlock(f, start, end))
+
+    def test_lock(self, f: OpenFile, start: int, end: int, kind: str = "write"):
+        return (yield from f.client.test_lock(f, start, end, kind))
 
     # Broadcast paths: each pNFS MDS's *backend* is itself a sharded
     # client that broadcasts/unions — routing through one MDS suffices

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DirectPnfsSystem
 from repro.nfs import NfsConfig
+from repro.nfs.locks import LockConflict
 from repro.pvfs2 import Pvfs2Config, Pvfs2System
 from repro.pvfs2.sharding import shard_of
 from repro.vfs import Payload
@@ -151,6 +152,29 @@ class TestShardedDirectPnfs:
             return (yield from client.read(g, 0, len(blob)))
 
         assert drive(cluster.sim, scenario()).data == blob
+
+    def test_byte_range_locks_route_to_the_files_shard(self, cluster):
+        """lock / test_lock / unlock reach the shard that opened the
+        file: a second router's conflicting lock is refused until the
+        first unlocks (the router had no lock methods at all)."""
+        _pvfs, system = make_sharded(cluster, n_meta=2)
+        a = system.make_client(cluster.clients[0])
+        b = system.make_client(cluster.clients[1])
+
+        def scenario():
+            yield from a.mount()
+            yield from b.mount()
+            yield from a.mkdir("/science")
+            fa = yield from a.create("/science/data")
+            fb = yield from b.open("/science/data")
+            yield from a.lock(fa, 0, 100)
+            assert (yield from b.test_lock(fb, 50, 60))["start"] == 0
+            with pytest.raises(LockConflict):
+                yield from b.lock(fb, 50, 60)
+            yield from a.unlock(fa, 0, 100)
+            return (yield from b.lock(fb, 50, 60))
+
+        assert drive(cluster.sim, scenario()) == (50, 60, "write")
 
     def test_data_placement_unchanged_by_sharding(self, cluster):
         """Sharding the namespace must not move data: bytes still stripe
