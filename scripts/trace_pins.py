@@ -10,8 +10,9 @@ the wedged flag::
     python scripts/trace_pins.py --update    # re-record (one reviewed commit)
 
 The table is seeds 0-24 plus the seeds earlier PRs pinned by hand (28 is
-the writeback mutant's seed) x the five paper architectures x plain and
-``--metadata`` programs: 300 episodes, about ten seconds.  Tier-1 checks
+the writeback mutant's seed) x the five paper architectures and
+``direct-pnfs-sharded`` x plain and ``--metadata`` programs: 360
+episodes, about twelve seconds.  Tier-1 checks
 a subset (``tests/check/test_trace_pins.py``); CI's ``torture-smoke``
 job checks all of it.
 """
@@ -30,7 +31,9 @@ from repro.check import generate, run_episode  # noqa: E402
 
 PINS = ROOT / "tests" / "check" / "trace_pins.json"
 SEEDS = [*range(25), 28, 32, 65, 146, 161]
-ARCHES = ["direct-pnfs", "nfsv4", "pnfs-2tier", "pnfs-3tier", "pvfs2"]
+ARCHES = [
+    "direct-pnfs", "nfsv4", "pnfs-2tier", "pnfs-3tier", "pvfs2", "direct-pnfs-sharded",
+]
 MODES = ["plain", "metadata"]
 
 
