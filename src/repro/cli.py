@@ -337,9 +337,14 @@ def _cmd_torture(args) -> int:
     if not failures:
         return 0
     first = failures[0]
+    # The sweep's own program flags: without them the replay (and the
+    # programs written below) would be the plain program of the seed.
+    flags = " --metadata" * args.metadata
+    if args.mutant:
+        flags += f" --mutant {args.mutant}"
     print(
         f"\nreproduce with: repro torture --replay {first.seed} "
-        f"--arch {first.arch} --shrink"
+        f"--arch {first.arch}{flags} --shrink"
     )
     if args.json:
         with open(args.json, "w") as fh:
@@ -350,7 +355,9 @@ def _cmd_torture(args) -> int:
                         "arch": r.arch,
                         "violations": r.violations,
                         "trace_hash": r.trace_hash,
-                        "program": json.loads(generate(r.seed).to_json()),
+                        "program": json.loads(
+                            generate(r.seed, metadata_ops=metadata).to_json()
+                        ),
                     }
                     for r in failures
                 ],

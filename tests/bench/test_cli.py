@@ -65,6 +65,29 @@ class TestCli:
         cats = {e.get("cat") for e in doc["traceEvents"]}
         assert {"client-op", "rpc", "server", "disk"} <= cats
 
+    def test_torture_json_holds_the_program_that_failed(self, capsys, tmp_path):
+        """A failing sweep writes (and tells how to replay) the program
+        it ran — the metadata program ``--mutant truncate`` implies, not
+        the plain program of the same seed."""
+        import json
+
+        out_json = tmp_path / "failures.json"
+        rc = main(
+            [
+                "torture", "--seeds", "1", "--arch", "nfsv4",
+                "--mutant", "truncate", "--json", str(out_json),
+            ]
+        )
+        assert rc == 1  # seed 0 is the mutant's pinned catching seed
+        hint = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("reproduce with:")
+        ]
+        assert hint and "--mutant truncate" in hint[0]
+        (failure,) = json.loads(out_json.read_text())
+        kinds = {op["kind"] for ops in failure["program"]["ops"] for op in ops}
+        assert "truncate" in kinds
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
