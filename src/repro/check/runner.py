@@ -534,7 +534,6 @@ def sweep(
     mutant: str | None = None,
     progress=None,
     jobs: int = 1,
-    cache=None,
     metadata: bool = False,
 ) -> list[EpisodeResult]:
     """Run ``seeds`` consecutive seeds against each architecture.
@@ -558,5 +557,5 @@ def sweep(
         for seed in range(start_seed, start_seed + seeds)
         for arch in arches
     ]
-    results, _report = run_jobs(specs, jobs=jobs, cache=cache, progress=progress)
+    results, _report = run_jobs(specs, jobs=jobs, progress=progress)
     return results

@@ -65,19 +65,13 @@ class LayoutTranslator(LayoutProvider):
 
     ``meta_backend`` is the parallel-FS client colocated with the MDS
     (its metadata lookups are loopback — §4.1's elimination of remote
-    parallel FS metadata requests).  ``device_order[i]`` is the device
-    slot of the data server colocated with parallel-FS storage server
-    ``i`` (identity when data servers are built in daemon order).
+    parallel FS metadata requests).  Device slot ``i`` is the data
+    server colocated with parallel-FS storage server ``i``: data
+    servers are built in daemon order.
     """
 
-    def __init__(
-        self,
-        meta_backend: FileSystemClient,
-        device_order: list[int] | None = None,
-        commit_through_mds: bool = False,
-    ):
+    def __init__(self, meta_backend: FileSystemClient, commit_through_mds: bool = False):
         self.meta_backend = meta_backend
-        self.device_order = device_order
         self.commit_through_mds = commit_through_mds
         self.translated = 0
 
@@ -89,16 +83,11 @@ class LayoutTranslator(LayoutProvider):
         nservers = dist_desc.get(
             "nservers", len({s for s, _l in dist_desc.get("pattern", [])})
         )
-        order = self.device_order or list(range(nservers))
-        if len(order) != nservers:
-            raise ValueError(
-                f"device_order has {len(order)} entries for {nservers} servers"
-            )
         # The pNFS server specifies the filehandles (§4.2): the backend
         # object handle is valid at every data server.
         self.translated += 1
         return FileLayout(
-            device_slots=list(order),
+            device_slots=list(range(nservers)),
             fhs=[fh] * nservers,
             aggregation=aggregation,
             policy={"source": "layout-translator", "dist_type": dist_desc.get("type")},

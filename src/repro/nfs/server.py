@@ -23,12 +23,16 @@ semantics.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro import rpc
 from repro.nfs.config import NfsConfig
+from repro.nfs.locks import LockManager
 from repro.rpc import RpcServer
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
 from repro.vfs.api import FileSystemClient, FsError, OpenFile
+from repro.vfs.security import READ, WRITE, check_access
 
 __all__ = ["Nfs4Server"]
 
@@ -66,8 +70,6 @@ class Nfs4Server:
         # Per-byte path costs are part of the server's streaming
         # pipeline: fold them into the RPC cost model so they overlap
         # the wire (and still consume this node's CPU).
-        from dataclasses import replace
-
         costs = replace(
             cfg.costs,
             server_per_byte_in=cfg.costs.per_byte_in
@@ -89,8 +91,6 @@ class Nfs4Server:
         self._lease_seen: dict[object, float] = {}  # cb -> last renewal
         self.delegations_granted = 0
         self.delegations_recalled = 0
-        from repro.nfs.locks import LockManager
-
         self.locks = LockManager()
         for proc, handler in [
             ("mount", self._h_mount),
@@ -107,7 +107,6 @@ class Nfs4Server:
             ("remove", self._h_remove),
             ("rename", self._h_rename),
             ("truncate", self._h_truncate),
-            ("delegreturn", self._h_delegreturn),
             ("renew", self._h_renew),
             ("lock", self._h_lock),
             ("unlock", self._h_unlock),
@@ -123,7 +122,6 @@ class Nfs4Server:
             f = yield from self.backend.open_by_handle(fh)
             self._open_files[fh] = f
         return f
-
 
     # -- handlers -------------------------------------------------------------
     def _h_mount(self, args, payload):
@@ -147,22 +145,18 @@ class Nfs4Server:
             self._lease_seen[callback] = self.sim.now
         if create:
             f = yield from self.backend.create(path)
-            attrs = None
         else:
             f = yield from self.backend.open(path, write=write)
-            attrs = None
         self._open_files[f.handle] = f
         stateid = self._next_stateid
         self._next_stateid += 1
-        if args.get("want_attrs", True):
-            attrs = yield from self.backend.getattr(path)
+        attrs = yield from self.backend.getattr(path)
         # Authorization on the control path (NFSv4 ACLs / mode bits,
         # §3.1): the data path inherits this decision via the stateid.
+        # A read-only open asks for read permission only.
         cred = args.get("cred")
-        if cred is not None and attrs is not None and not create:
-            from repro.vfs.security import READ, WRITE, check_access
-
-            check_access(attrs, cred, args.get("access", READ | WRITE))
+        if cred is not None and not create:
+            check_access(attrs, cred, READ | WRITE if write else READ)
 
         delegation = None
         if write:
@@ -198,12 +192,6 @@ class Nfs4Server:
         if f is not None:
             yield from self.backend.close(f)
         return None, None
-
-    def _h_delegreturn(self, args, payload):
-        holders = self._read_delegations.get(args["fh"], {})
-        holders.pop(args.get("callback"), None)
-        return None, None
-        yield  # pragma: no cover
 
     def _h_renew(self, args, payload):
         self._lease_seen[args["callback"]] = self.sim.now

@@ -78,19 +78,6 @@ class EngineReport:
             "per_job": self.per_job,
         }
 
-    def to_metrics(self, registry) -> None:
-        """Export the batch totals as ``repro.obs`` counters."""
-        pairs = [
-            ("parallel.jobs", self.jobs),
-            ("parallel.cache_hits", self.cache_hits),
-            ("parallel.workers", self.workers),
-            ("parallel.job_seconds", self.job_seconds),
-            ("parallel.wall_seconds", self.wall_seconds),
-            ("parallel.events_processed", self.events_processed),
-        ]
-        for name, value in pairs:
-            registry.counter(name).inc(value)
-
     def _record(self, spec: dict, wall: float, cached: bool, result) -> None:
         self.jobs += 1
         if cached:

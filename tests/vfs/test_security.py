@@ -102,3 +102,38 @@ class TestNfsIntegration:
                 return "denied"
 
         assert drive(cluster.sim, scenario()) == "denied"
+
+    def test_read_only_open_needs_read_permission_only(self, cluster):
+        """A stranger may open a world-readable 0o644 file for reading
+        (the server used to demand write permission of every OPEN) and
+        is still refused a writable open."""
+        from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
+        from repro.vfs.localfs import LocalClient, LocalFileSystem
+        from tests.conftest import drive
+
+        cfg = NfsConfig()
+        server = Nfs4Server(
+            cluster.sim,
+            cluster.storage[0],
+            LocalClient(cluster.sim, LocalFileSystem()),
+            cfg,
+        )
+        owner = Nfs4Client(cluster.sim, cluster.clients[0], server, cfg)
+        stranger = Nfs4Client(
+            cluster.sim, cluster.clients[1], server, cfg, cred=Credential("mallory")
+        )
+
+        def scenario():
+            yield from owner.mount()
+            yield from stranger.mount()
+            f = yield from owner.create("/pub")
+            yield from owner.write(f, 0, Payload(b"notice"))
+            yield from owner.close(f)
+            yield from owner.setattr("/pub", mode=0o644)
+            g = yield from stranger.open("/pub", write=False)
+            data = yield from stranger.read(g, 0, 6)
+            with pytest.raises(AccessDenied):
+                yield from stranger.open("/pub", write=True)
+            return data.data
+
+        assert drive(cluster.sim, scenario()) == b"notice"
