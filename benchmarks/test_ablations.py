@@ -20,46 +20,17 @@ measures the consequence the paper attributes to it:
 """
 
 import os
-
-import pytest
+from dataclasses import replace
 
 from repro.bench.runner import run_cell
-from repro.cluster.configs import build_direct_pnfs, build_pnfs_2tier
-from repro.cluster.testbed import Testbed
-from repro.core.system import DirectPnfsSystem
-from repro.pvfs2.system import Pvfs2System
+from repro.cluster.configs import ARCHITECTURES, make_deployment
 from repro.workloads import IorWorkload, OltpWorkload, PostmarkWorkload
 
 MB = 1024 * 1024
 SCALE = float(os.environ.get("REPRO_SCALE", "0.25"))
 
-
-def run_deployment(dep, workload, n_clients):
-    """Run a workload over an already-built deployment."""
-    tb = dep.testbed
-    sim = tb.sim
-    admin = dep.make_client(tb.client_nodes[0])
-
-    def prep():
-        yield from admin.mount()
-        yield from workload.prepare(sim, admin, n_clients)
-
-    sim.run(until=sim.process(prep()))
-    clients = [dep.make_client(tb.client_nodes[i]) for i in range(n_clients)]
-
-    def mounts():
-        for c in clients:
-            yield from c.mount()
-
-    sim.run(until=sim.process(mounts()))
-    t0 = sim.now
-    procs = [
-        sim.process(workload.client_proc(sim, c, i, n_clients))
-        for i, c in enumerate(clients)
-    ]
-    sim.run(until=sim.all_of(procs))
-    total = sum(p.value.bytes_moved for p in procs)
-    return total / 1e6 / (sim.now - t0)
+#: 2-tier with its synthetic stripe matched to PVFS2's 2 MB.
+MATCHED_2TIER = replace(ARCHITECTURES["pnfs-2tier"], layout_stripe=2 * MB)
 
 
 def test_ablation_accurate_layouts(benchmark):
@@ -76,13 +47,11 @@ def test_ablation_accurate_layouts(benchmark):
 
     def once():
         w = IorWorkload(op="read", block_size=4 * MB, scale=SCALE)
-        direct = run_deployment(
-            build_direct_pnfs(Testbed(n_clients=8)), w, 8
-        )
+        direct = run_cell("direct-pnfs", w, 8).aggregate_mbps
         w = IorWorkload(op="read", block_size=4 * MB, scale=SCALE)
-        blind_dep = build_pnfs_2tier(Testbed(n_clients=8), stripe_unit=2 * MB)
-        blind_dep.servers[-1].layout_provider._issued = 1  # break alignment
-        blind = run_deployment(blind_dep, w, 8)
+        blind_dep = make_deployment(MATCHED_2TIER, n_clients=8)
+        blind_dep.pnfs.mds.layout_provider._issued = 1  # break alignment
+        blind = run_cell(blind_dep, w, 8).aggregate_mbps
         out.update(direct=direct, blind=blind)
 
     benchmark.pedantic(once, rounds=1, iterations=1)
@@ -100,13 +69,9 @@ def test_ablation_block_size_mismatch(benchmark):
 
     def once():
         w = IorWorkload(op="write", block_size=4 * MB, scale=SCALE)
-        matched = run_deployment(
-            build_pnfs_2tier(Testbed(n_clients=4), stripe_unit=2 * MB), w, 4
-        )
+        matched = run_cell(MATCHED_2TIER, w, 4).aggregate_mbps
         w = IorWorkload(op="write", block_size=4 * MB, scale=SCALE)
-        mismatched = run_deployment(
-            build_pnfs_2tier(Testbed(n_clients=4), stripe_unit=1 * MB), w, 4
-        )
+        mismatched = run_cell("pnfs-2tier", w, 4).aggregate_mbps
         out.update(matched=matched, mismatched=mismatched)
 
     benchmark.pedantic(once, rounds=1, iterations=1)
@@ -175,24 +140,14 @@ def test_ablation_loopback_tax(benchmark):
     out = {}
 
     def once():
-        w = IorWorkload(op="read", block_size=4 * MB, shared_file=True, scale=SCALE)
-        tb = Testbed(n_clients=8)
-        pvfs = Pvfs2System(tb.sim, tb.storage_nodes)
-        from repro.cluster.testbed import default_nfs_config
-
-        taxed = DirectPnfsSystem(tb.sim, pvfs, default_nfs_config())
-        out["taxed"] = run_deployment(
-            _as_deployment(taxed, tb), w, 8
+        free = replace(
+            ARCHITECTURES["direct-pnfs"],
+            loopback_copy_per_byte=0.0,
+            extra_read_per_byte=0.0,
         )
-        w = IorWorkload(op="read", block_size=4 * MB, shared_file=True, scale=SCALE)
-        tb2 = Testbed(n_clients=8)
-        pvfs2sys = Pvfs2System(tb2.sim, tb2.storage_nodes)
-        free = DirectPnfsSystem(
-            tb2.sim, pvfs2sys, default_nfs_config(), loopback_copy_per_byte=0.0
-        )
-        for ds in free.data_servers:
-            ds.rpc.costs = ds.cfg.costs  # drop read-extra too
-        out["free"] = run_deployment(_as_deployment(free, tb2), w, 8)
+        for label, arch in (("taxed", "direct-pnfs"), ("free", free)):
+            w = IorWorkload(op="read", block_size=4 * MB, shared_file=True, scale=SCALE)
+            out[label] = run_cell(arch, w, 8).aggregate_mbps
 
     benchmark.pedantic(once, rounds=1, iterations=1)
     print(
@@ -202,33 +157,15 @@ def test_ablation_loopback_tax(benchmark):
     assert out["free"] > out["taxed"]
 
 
-def _as_deployment(system, tb):
-    from repro.cluster.configs import Deployment
-
-    return Deployment(
-        label="direct-ablation",
-        testbed=tb,
-        make_client=system.make_client,
-        pvfs=system.pvfs,
-        servers=system.data_servers + [system.mds],
-    )
-
-
 def test_ablation_commit_through_mds(benchmark):
     """OLTP with COMMIT recentralised at the MDS vs at the data servers."""
     out = {}
 
     def once():
         for label, through_mds in (("ds", False), ("mds", True)):
-            tb = Testbed(n_clients=4)
-            pvfs = Pvfs2System(tb.sim, tb.storage_nodes)
-            from repro.cluster.testbed import default_nfs_config
-
-            system = DirectPnfsSystem(tb.sim, pvfs, default_nfs_config())
-            system.mds.layout_provider.commit_through_mds = through_mds
-            out[label] = run_deployment(
-                _as_deployment(system, tb), OltpWorkload(scale=SCALE * 0.1), 4
-            )
+            dep = make_deployment("direct-pnfs", n_clients=4)
+            dep.pnfs.mds.layout_provider.commit_through_mds = through_mds
+            out[label] = run_cell(dep, OltpWorkload(scale=SCALE * 0.1), 4).aggregate_mbps
 
     benchmark.pedantic(once, rounds=1, iterations=1)
     print(

@@ -16,9 +16,7 @@ import json
 import os
 import pathlib
 
-from repro.cluster.testbed import Testbed, default_nfs_config, default_pvfs2_config
-from repro.core import DirectPnfsSystem
-from repro.pvfs2 import Pvfs2System
+from repro.cluster.configs import make_deployment
 from repro.sim import FaultInjector
 from repro.vfs import Payload
 
@@ -32,14 +30,11 @@ PER_CLIENT_BYTES = int(500 * MB * SCALE)
 
 
 def build(rpc_timeout: float, ds_retry: float):
-    tb = Testbed(n_clients=N_CLIENTS)
-    pvfs = Pvfs2System(
-        tb.sim, tb.storage_nodes, default_pvfs2_config(stripe_size=BLOCK)
-    )
-    system = DirectPnfsSystem(
-        tb.sim,
-        pvfs,
-        default_nfs_config(
+    dep = make_deployment(
+        "direct-pnfs",
+        n_clients=N_CLIENTS,
+        pvfs_overrides=dict(stripe_size=BLOCK),
+        nfs_overrides=dict(
             rsize=BLOCK,
             wsize=BLOCK,
             readahead=0,  # per-block completion stamps stay meaningful
@@ -48,6 +43,7 @@ def build(rpc_timeout: float, ds_retry: float):
             ds_retry_interval=ds_retry,
         ),
     )
+    tb, system = dep.testbed, dep.pnfs
     clients = [system.make_client(tb.client_nodes[i]) for i in range(N_CLIENTS)]
     return tb, system, clients
 

@@ -7,44 +7,24 @@ that NFSv4's central server gives up.
 """
 
 import os
+from dataclasses import replace
 
-from repro.core import DirectPnfsSystem
-from repro.cluster.testbed import Testbed, default_nfs_config, default_pvfs2_config
-from repro.pvfs2 import Pvfs2System
+from repro.bench.runner import run_cell
+from repro.cluster.configs import ARCHITECTURES
 from repro.workloads import MdtestWorkload
 
 SCALE = float(os.environ.get("REPRO_SCALE", "0.25"))
 
 
 def run_storm(n_meta: int, n_clients: int = 8, metadata_sync: bool = True) -> float:
-    tb = Testbed(n_clients=n_clients)
-    pvfs = Pvfs2System(
-        tb.sim,
-        tb.storage_nodes,
-        default_pvfs2_config(metadata_sync=metadata_sync),
-        n_meta=n_meta,
-    )
-    system = DirectPnfsSystem(tb.sim, pvfs, default_nfs_config())
     # mdtest-style: 8 ranks per client node so the metadata path is
     # actually saturated rather than client-latency-bound.
-    workload = MdtestWorkload(nfiles=400, concurrency=8, scale=SCALE)
-    clients = [system.make_client(tb.client_nodes[i]) for i in range(n_clients)]
-
-    def prep():
-        yield from clients[0].mount()
-        yield from workload.prepare(tb.sim, clients[0], n_clients)
-
-    tb.sim.run(until=tb.sim.process(prep()))
-
-    def one(i):
-        if i != 0:
-            yield from clients[i].mount()
-        return (yield from workload.client_proc(tb.sim, clients[i], i, n_clients))
-
-    t0 = tb.sim.now
-    procs = [tb.sim.process(one(i)) for i in range(n_clients)]
-    tb.sim.run(until=tb.sim.all_of(procs))
-    return tb.sim.now - t0
+    return run_cell(
+        replace(ARCHITECTURES["direct-pnfs"], n_meta=n_meta),
+        MdtestWorkload(nfiles=400, concurrency=8, scale=SCALE),
+        n_clients,
+        pvfs_overrides={"metadata_sync": metadata_sync},
+    ).makespan
 
 
 def test_metadata_scaling_with_shards(benchmark):

@@ -15,8 +15,7 @@ example:
 Run:  python examples/custom_aggregation.py
 """
 
-from repro.cluster.testbed import Testbed
-from repro.cluster.configs import build_direct_pnfs
+from repro.cluster.configs import make_deployment
 from repro.core.aggregation import RoundRobinDriver, register_driver
 from repro.core.layout_translator import register_translation
 from repro.pvfs2.distribution import VarStrip
@@ -26,8 +25,8 @@ KB = 1024
 
 
 def main() -> None:
-    tb = Testbed(n_clients=1)
-    deployment = build_direct_pnfs(tb)
+    deployment = make_deployment("direct-pnfs", n_clients=1)
+    tb = deployment.testbed
     sim = tb.sim
     client = deployment.make_client(tb.client_nodes[0])
     mds_backend = deployment.pvfs.mds  # PVFS2 metadata server

@@ -22,9 +22,7 @@ Run:  python examples/failover_demo.py [scale]
 
 import sys
 
-from repro.cluster.testbed import Testbed, default_nfs_config, default_pvfs2_config
-from repro.core import DirectPnfsSystem
-from repro.pvfs2 import Pvfs2System
+from repro.cluster.configs import make_deployment
 from repro.obs import RpcTrace, SpanCollector
 from repro.sim import FaultInjector
 from repro.vfs import Payload
@@ -36,12 +34,11 @@ def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.25
     block = max(64 * 1024, int(2 * 1024 * 1024 * scale))
 
-    tb = Testbed(n_clients=2)
-    pvfs = Pvfs2System(tb.sim, tb.storage_nodes, default_pvfs2_config(stripe_size=block))
-    system = DirectPnfsSystem(
-        tb.sim,
-        pvfs,
-        default_nfs_config(
+    deployment = make_deployment(
+        "direct-pnfs",
+        n_clients=2,
+        pvfs_overrides=dict(stripe_size=block),
+        nfs_overrides=dict(
             rsize=block,
             wsize=block,
             readahead=0,  # keep each phase honest: no prefetch across the kill
@@ -50,6 +47,7 @@ def main() -> None:
             ds_retry_interval=1.0,
         ),
     )
+    tb, system = deployment.testbed, deployment.pnfs  # the PnfsSystem has the fault helpers
     sim = tb.sim
     inj = FaultInjector(sim)
     writer = system.make_client(tb.client_nodes[0])

@@ -11,14 +11,13 @@ storage nodes directly.
 Run:  python examples/quickstart.py
 """
 
-from repro.cluster.testbed import Testbed
-from repro.cluster.configs import build_direct_pnfs
+from repro.cluster.configs import make_deployment
 from repro.vfs import Payload
 
 
 def main() -> None:
-    tb = Testbed(n_clients=2)
-    deployment = build_direct_pnfs(tb)
+    deployment = make_deployment("direct-pnfs", n_clients=2)
+    tb = deployment.testbed
     sim = tb.sim
     client = deployment.make_client(tb.client_nodes[0])
 

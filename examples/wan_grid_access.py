@@ -14,7 +14,8 @@ Run:  python examples/wan_grid_access.py  [scale]
 
 import sys
 
-from repro.cluster.configs import build_direct_pnfs
+from repro.bench.runner import run_cell
+from repro.cluster.configs import make_deployment
 from repro.cluster.testbed import Testbed
 from repro.workloads import IorWorkload
 
@@ -22,32 +23,10 @@ MB = 1024 * 1024
 
 
 def measure(latency: float, op: str, scale: float) -> float:
-    tb = Testbed(n_clients=4, latency=latency)
-    deployment = build_direct_pnfs(tb)
-    sim = tb.sim
+    # The one thing a table name cannot say: a testbed with WAN latency.
+    deployment = make_deployment("direct-pnfs", testbed=Testbed(n_clients=4, latency=latency))
     workload = IorWorkload(op=op, block_size=4 * MB, scale=scale)
-    admin = deployment.make_client(tb.client_nodes[0])
-
-    def prep():
-        yield from admin.mount()
-        yield from workload.prepare(sim, admin, 4)
-
-    sim.run(until=sim.process(prep()))
-    clients = [deployment.make_client(tb.client_nodes[i]) for i in range(4)]
-
-    def mounts():
-        for c in clients:
-            yield from c.mount()
-
-    sim.run(until=sim.process(mounts()))
-    t0 = sim.now
-    procs = [
-        sim.process(workload.client_proc(sim, c, i, 4))
-        for i, c in enumerate(clients)
-    ]
-    sim.run(until=sim.all_of(procs))
-    total = sum(p.value.bytes_moved for p in procs)
-    return total / 1e6 / (sim.now - t0)
+    return run_cell(deployment, workload, 4).aggregate_mbps
 
 
 def main() -> None:

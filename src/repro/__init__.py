@@ -4,21 +4,22 @@ Top-level convenience imports for the most common entry points; the
 subpackages hold the substance:
 
 * :mod:`repro.core` — Direct-pNFS itself (layout translator,
-  aggregation drivers, data servers, deployment builder);
+  aggregation drivers, the pNFS system builder);
 * :mod:`repro.nfs`, :mod:`repro.pnfs`, :mod:`repro.pvfs2` — the
   protocol substrates;
 * :mod:`repro.sim` — the discrete-event cluster simulator;
 * :mod:`repro.vfs` — the generic file-system interface and data types;
 * :mod:`repro.workloads` — the paper's benchmarks;
-* :mod:`repro.cluster` — the testbed and the five architectures;
+* :mod:`repro.cluster` — the testbed, the table of architectures and
+  ``make_deployment``, the one way to build any of them;
 * :mod:`repro.bench` — experiment runner and figure harness.
 
 Quick start::
 
-    from repro import Testbed, build_direct_pnfs, Payload
+    from repro import make_deployment, Payload
 
-    tb = Testbed(n_clients=1)
-    deployment = build_direct_pnfs(tb)
+    deployment = make_deployment("direct-pnfs", n_clients=1)
+    tb = deployment.testbed
     client = deployment.make_client(tb.client_nodes[0])
 
     def app():
@@ -30,15 +31,7 @@ Quick start::
     tb.sim.run(until=tb.sim.process(app()))
 """
 
-from repro.cluster.configs import (
-    ARCHITECTURES,
-    build_direct_pnfs,
-    build_nfsv4,
-    build_pnfs_2tier,
-    build_pnfs_3tier,
-    build_pvfs2,
-    make_deployment,
-)
+from repro.cluster.configs import ARCHITECTURES, make_deployment
 from repro.cluster.testbed import Testbed
 from repro.core.system import DirectPnfsSystem
 from repro.pvfs2.system import Pvfs2System
@@ -55,11 +48,6 @@ __all__ = [
     "Pvfs2System",
     "Simulator",
     "Testbed",
-    "build_direct_pnfs",
-    "build_nfsv4",
-    "build_pnfs_2tier",
-    "build_pnfs_3tier",
-    "build_pvfs2",
     "make_deployment",
     "__version__",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.configs import Deployment, make_deployment
+from repro.cluster.configs import Architecture, Deployment, make_deployment
 from repro.cluster.testbed import GIGE
 from repro.sim.stats import MB
 from repro.workloads.base import Workload, WorkloadResult
@@ -73,7 +73,7 @@ class RunResult:
 
 
 def run_cell(
-    arch: str,
+    arch: str | Architecture | Deployment,
     workload: Workload,
     n_clients: int,
     net_bw: float = GIGE,
@@ -88,8 +88,12 @@ def run_cell(
 ) -> RunResult:
     """Build the architecture, run the workload on ``n_clients``.
 
-    ``seed`` initialises the deployment's simulator (randomised pipe
-    arbitration); ``None`` is the simulator's own default.
+    ``arch`` is whatever :func:`make_deployment` takes — a table name
+    or an :class:`Architecture` row — or an already-built
+    :class:`Deployment` (for a run that adjusts a component first; the
+    four build arguments are then unused).  ``seed`` initialises the
+    deployment's simulator (randomised pipe arbitration); ``None`` is
+    the simulator's own default.
 
     ``metrics=True`` attaches a :class:`~repro.obs.MetricsRegistry` to
     every component, samples it every ``sample_interval`` sim seconds
@@ -99,14 +103,16 @@ def run_cell(
     ``RunResult.trace``.  Both default off and add nothing to the run
     when off.
     """
-    dep = make_deployment(
-        arch,
-        n_clients=n_clients,
-        net_bw=net_bw,
-        nfs_overrides=nfs_overrides,
-        pvfs_overrides=pvfs_overrides,
-        seed=seed,
-    )
+    dep = arch
+    if not isinstance(arch, Deployment):
+        dep = make_deployment(
+            arch,
+            n_clients=n_clients,
+            net_bw=net_bw,
+            nfs_overrides=nfs_overrides,
+            pvfs_overrides=pvfs_overrides,
+            seed=seed,
+        )
     tb = dep.testbed
     sim = tb.sim
 
@@ -207,7 +213,7 @@ def run_cell(
     engine = dict(sim.stats.as_dict())
     engine["flows_chunked"] = tb.network.flows_chunked
     return RunResult(
-        arch=arch,
+        arch=dep.label,
         workload=workload.name,
         n_clients=n_clients,
         makespan=makespan,

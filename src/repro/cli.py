@@ -339,7 +339,7 @@ def _cmd_torture(args) -> int:
     first = failures[0]
     # The sweep's own program flags: without them the replay (and the
     # programs written below) would be the plain program of the seed.
-    flags = " --metadata" * args.metadata
+    flags = " --metadata" if args.metadata else ""
     if args.mutant:
         flags += f" --mutant {args.mutant}"
     print(

@@ -11,11 +11,12 @@ file system's storage nodes directly:
 * **aggregation drivers** (:mod:`repro.core.aggregation`) give clients
   a compact, pluggable way to understand non-round-robin placements
   (variable stripes, replication, hierarchical striping);
-* **data servers** (:mod:`repro.core.data_server`) are stock NFSv4.1
-  servers colocated with storage nodes, reaching local data through a
-  loopback conduit — no inter-server data traffic;
-* :mod:`repro.core.system` assembles a complete Direct-pNFS deployment
-  over any :class:`~repro.pvfs2.system.Pvfs2System`.
+* **data servers** are stock NFSv4.1 servers colocated with storage
+  nodes, reaching local data through a loopback conduit — no
+  inter-server data traffic;
+* :mod:`repro.core.system` assembles any file-layout pNFS system over a
+  :class:`~repro.pvfs2.system.Pvfs2System` (``PnfsSystem``); Direct-pNFS
+  is the one with the translator and the conduits (``DirectPnfsSystem``).
 """
 
 from repro.core.aggregation import (
@@ -30,8 +31,10 @@ from repro.core.aggregation import (
     register_driver,
 )
 from repro.core.layout_translator import LayoutTranslator
-from repro.core.data_server import build_data_server
-from repro.core.system import DirectPnfsSystem
+
+# Last: it imports repro.pnfs.client, which imports the aggregation
+# registry above.
+from repro.core.system import DirectPnfsSystem, PnfsSystem
 
 __all__ = [
     "AggregationDriver",
@@ -40,10 +43,10 @@ __all__ = [
     "HierarchicalDriver",
     "IoSegment",
     "LayoutTranslator",
+    "PnfsSystem",
     "ReplicatedDriver",
     "RoundRobinDriver",
     "VarStripDriver",
-    "build_data_server",
     "driver_for",
     "register_driver",
 ]

@@ -1,81 +1,117 @@
-"""Assemble a complete Direct-pNFS deployment (paper Figures 4 and 5).
+"""Assemble a file-layout pNFS front over a running parallel FS.
 
-Given a running :class:`~repro.pvfs2.system.Pvfs2System`:
+Every pNFS architecture is the same three things in front of a
+:class:`~repro.pvfs2.system.Pvfs2System` (paper Figures 3–5):
 
-* every storage node gets a data server (NFSv4.1 over the local
-  conduit);
-* each PVFS2 metadata node also hosts a pNFS metadata server — pNFS
-  and parallel-FS metadata components co-exist on one node, eliminating
-  remote parallel-FS metadata requests from the pNFS server (§4.1);
-* the metadata server's layout provider is the layout translator.
+* N data servers — stock NFSv4.1 servers, each over a parallel-FS
+  client on its own node;
+* one pNFS metadata server per parallel-FS metadata server, on the
+  first data-server nodes;
+* stock :class:`~repro.pnfs.client.PnfsClient` instances — no
+  file-system-specific layout driver anywhere on the client.  Over
+  several metadata servers they sit behind
+  :class:`~repro.core.multi_mds.ShardedPnfsRouter`, one session per shard.
 
-Clients are stock :class:`~repro.pnfs.client.PnfsClient` instances — no
-file-system-specific layout driver anywhere on the client.  Over a
-PVFS2 with several metadata servers they sit behind
-:class:`~repro.core.multi_mds.ShardedPnfsRouter`, one session per shard.
+**Direct-pNFS = pNFS + layout translator + conduit** (§4), and nothing
+else.  The *translator* replaces blind synthetic layouts with the
+parallel FS's own distribution, so clients learn the exact location of
+every byte; the *conduit* replaces the full parallel-FS client behind
+each data server with a local-only one — "the PVFS2 client on the data
+servers functions solely as a conduit between the NFSv4 server and the
+PVFS2 storage node on the node" (§5).  With accurate layouts a data
+server is only ever asked for bytes its own node stores, data servers
+never talk to each other, and because data servers then share the
+storage nodes, pNFS and parallel-FS metadata servers share a node too —
+no remote parallel-FS metadata requests from the pNFS server (§4.1).
 """
 
 from __future__ import annotations
 
-from repro.core.data_server import DEFAULT_LOOPBACK_COPY, build_data_server
 from repro.core.layout_translator import LayoutTranslator
 from repro.core.multi_mds import ShardedPnfsRouter
 from repro.nfs.config import NfsConfig
+from repro.nfs.server import Nfs4Server
+from repro.pnfs.client import PnfsClient
+from repro.pnfs.providers import SyntheticFileLayoutProvider
 from repro.pnfs.server import PnfsMetadataServer
 from repro.pvfs2.system import Pvfs2System
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
 
-__all__ = ["DirectPnfsSystem"]
+__all__ = ["DEFAULT_LOOPBACK_COPY", "DEFAULT_LOOPBACK_READ_EXTRA", "DirectPnfsSystem", "PnfsSystem"]
+
+#: Per-byte CPU cost (s/byte) of the nfsd <-> loopback <-> user-level
+#: PVFS2 hop on a data server that shares its node with a storage
+#: daemon (§5): an extra user↔kernel copy plus the crossings.  Through
+#: the conduit, replies cross the transfer buffers once more than writes
+#: do — the read extra.  The read total calibrates the data-server CPU
+#: ceiling that flattens warm-cache reads near 509 MB/s (Fig 7a) and
+#: costs Direct-pNFS the Figure 7b crossover against PVFS2 at eight
+#: clients.
+DEFAULT_LOOPBACK_COPY = 8e-9
+DEFAULT_LOOPBACK_READ_EXTRA = 12e-9
 
 
-class DirectPnfsSystem:
-    """A running Direct-pNFS file system exported from a parallel FS."""
+class PnfsSystem:
+    """A running file-layout pNFS file system exported from a parallel FS.
 
-    label = "direct-pnfs"
+    ``ds_nodes`` are dedicated data-server nodes (3-tier); by default
+    the data servers share the parallel FS's storage nodes, in daemon
+    order, so the translator's identity device mapping lines up with
+    the distribution.  ``conduit`` makes their backends local-only;
+    ``stripe_unit`` issues synthetic round-robin layouts at that unit —
+    blind to where PVFS2 put the bytes (§3.4.1) — instead of translated
+    ones.  ``ds_costs`` are the per-byte surcharges of every data
+    server (:class:`~repro.nfs.server.Nfs4Server`'s three).  ``label``
+    names the clients and, less its ``pnfs`` affix, the servers.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         pvfs: Pvfs2System,
         cfg: NfsConfig | None = None,
-        loopback_copy_per_byte: float = DEFAULT_LOOPBACK_COPY,
+        label: str = "pnfs",
+        ds_nodes: list[Node] | None = None,
+        conduit: bool = False,
+        stripe_unit: int | None = None,
+        **ds_costs: float,
     ):
         self.sim = sim
         self.pvfs = pvfs
-        self.cfg = cfg or NfsConfig()
-        # One data server per storage node, in daemon order so the
-        # identity device mapping lines up with the distribution.
+        self.cfg = cfg = cfg or NfsConfig()
+        self.label = label
+        # Server names are hashed into the trace pins and printed by the
+        # fault log: ``{node}.{tier}-ds`` / ``{node}.{tier}-mds``, the
+        # MDS of a dedicated tier historically without its node prefix.
+        tier = label.removeprefix("pnfs-").removesuffix("-pnfs")
+        dedicated = ds_nodes is not None
+        if not dedicated:
+            ds_nodes = pvfs.storage_nodes
         self.data_servers = [
-            build_data_server(
-                sim, node, pvfs, self.cfg, loopback_copy_per_byte=loopback_copy_per_byte
+            Nfs4Server(
+                sim, node, pvfs.make_client(node, local_only=conduit), cfg,
+                name=f"{node.name}.{tier}-ds", **ds_costs,
             )
-            for node in pvfs.storage_nodes
+            for node in ds_nodes
         ]
-        # One pNFS MDS colocated with each parallel FS MDS; its backend
-        # is a full parallel-FS client whose metadata traffic is loopback.
+        # Each MDS's backend is a full parallel-FS client; beside a
+        # parallel-FS MDS its metadata traffic is loopback.
         self.mds_list: list[PnfsMetadataServer] = []
-        for pvfs_mds in pvfs.metadata_servers:
-            backend = pvfs.make_client(pvfs_mds.node)
+        for node in ds_nodes[: len(pvfs.metadata_servers)]:
+            backend = pvfs.make_client(node)
+            if stripe_unit is None:
+                provider = LayoutTranslator(backend)
+            else:
+                provider = SyntheticFileLayoutProvider(len(ds_nodes), stripe_unit)
+            name = f"{tier}-mds" if dedicated else f"{node.name}.{tier}-mds"
             self.mds_list.append(
-                PnfsMetadataServer(
-                    sim,
-                    pvfs_mds.node,
-                    backend,
-                    self.cfg,
-                    self.data_servers,
-                    LayoutTranslator(backend),
-                    name=f"{pvfs_mds.node.name}.direct-mds",
-                )
+                PnfsMetadataServer(sim, node, backend, cfg, self.data_servers, provider, name=name)
             )
         self.mds = self.mds_list[0]
 
     def make_client(self, node: Node):
         """An unmodified NFSv4.1 client with the file layout driver."""
-        # Imported here: repro.pnfs.client itself imports the
-        # aggregation-driver registry from repro.core.
-        from repro.pnfs.client import PnfsClient
-
         shards = [PnfsClient(self.sim, node, mds, self.cfg) for mds in self.mds_list]
         if len(shards) > 1:
             return ShardedPnfsRouter(node, shards)
@@ -104,3 +140,15 @@ class DirectPnfsSystem:
     def restart_data_server(self, node: Node | str) -> None:
         """Bring the data-server service on ``node`` back up."""
         self.data_server_for(node).rpc.restore()
+
+
+class DirectPnfsSystem(PnfsSystem):
+    """Direct-pNFS over ``pvfs`` (Figures 4 and 5): translated layouts,
+    conduit data servers on every storage node."""
+
+    def __init__(self, sim: Simulator, pvfs: Pvfs2System, cfg: NfsConfig | None = None):
+        super().__init__(
+            sim, pvfs, cfg, label="direct-pnfs", conduit=True,
+            loopback_copy_per_byte=DEFAULT_LOOPBACK_COPY,
+            extra_read_per_byte=DEFAULT_LOOPBACK_READ_EXTRA,
+        )

@@ -64,7 +64,7 @@ class Nfs4Server:
         #: standalone NFSv4): extra effective CPU per byte on the read
         #: and write paths beyond what the copy model captures —
         #: request re-buffering, kernel/user crossings, unaligned
-        #: stripe handling (see repro.cluster.testbed).
+        #: stripe handling (see repro.cluster.configs).
         self.extra_read_per_byte = extra_read_per_byte
         self.extra_write_per_byte = extra_write_per_byte
         # Per-byte path costs are part of the server's streaming

@@ -1,9 +1,11 @@
 """PVFS2 tunables and cost model.
 
-Defaults reproduce the character of PVFS2 1.5.1 as the paper describes
-it (§5): large transfer buffers, limited request parallelisation,
-substantial per-request overhead, no client data or write-back cache.
-The calibrated testbed values are set in :mod:`repro.cluster.testbed`.
+Defaults reproduce PVFS2 1.5.1 as the paper deploys and describes it
+(§5, §6.1): 2 MB stripes, large transfer buffers, limited request
+parallelisation, substantial per-request overhead, no client data or
+write-back cache.  They *are* the calibrated values every figure runs
+(docs/calibration.md): ``Pvfs2Config()`` is what ``make_deployment``
+builds with.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class Pvfs2Config:
     metadata_sync: bool = True
     journal_io_bytes: int = 4096
 
-    #: Per-flow-unit RPC costs (cheap: units pipeline within a request).
+    #: Per-flow-unit RPC costs (cheap: units pipeline within a request;
+    #: the heavy per-*request* setup is separate, below).
     costs: RpcCosts = field(
         default_factory=lambda: RpcCosts(
             client_per_call=60e-6,
@@ -62,17 +65,18 @@ class Pvfs2Config:
     )
     #: Per-*request* setup, charged once per (I/O op, server) pair —
     #: the "substantial per-request overhead" of §5: request posting,
-    #: flow establishment, user-level daemon scheduling.  Writes pay an
-    #: additional two-phase acknowledgement/admission cost.
+    #: flow establishment, user-level daemon scheduling.  Calibrates
+    #: the small-I/O collapse (39.4 / 51 MB/s in Figs 6d, 7c).  Writes
+    #: pay an additional two-phase acknowledgement/admission cost.
     request_setup_client: float = 900e-6
     request_setup_server: float = 500e-6
     request_setup_write_extra: float = 250e-6
-    #: Metadata-operation RPC costs.
+    #: Metadata-protocol RPC costs (lighter than the data path).
     meta_costs: RpcCosts = field(
         default_factory=lambda: RpcCosts(
-            client_per_call=120e-6,
+            client_per_call=150e-6,
             client_per_byte=2e-9,
-            server_per_call=150e-6,
+            server_per_call=180e-6,
             server_per_byte=2e-9,
         )
     )

@@ -131,8 +131,8 @@ class RpcCosts:
     handling; ``*_per_byte`` covers data copies (user↔kernel↔NIC).
     ``server_per_byte_in``/``_out`` override the symmetric
     ``server_per_byte`` for asymmetric paths (gateway data servers whose
-    write and read pipelines differ).  The calibrated values live in
-    :mod:`repro.cluster.testbed`.
+    write and read pipelines differ).  The calibrated values are the
+    ``NfsConfig`` / ``Pvfs2Config`` defaults.
     """
 
     client_per_call: float = 20e-6

@@ -1,9 +1,13 @@
-"""Tests for the testbed model and the five architecture builders."""
+"""Tests for the testbed model and the table of architectures."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.cluster.configs import ARCHITECTURES, make_deployment
 from repro.cluster.testbed import FAST_ETHERNET, GIGE, Testbed
+from repro.nfs import NfsConfig
+from repro.pvfs2 import Pvfs2Config
 from repro.vfs import Payload
 
 from tests.conftest import drive
@@ -124,3 +128,115 @@ class TestDeploymentShapes:
         layout = f.state["layout"]
         assert layout.aggregation["stripe_unit"] == 1024 * 1024
         assert dep.pvfs.cfg.stripe_size == 2 * 1024 * 1024
+
+
+KB = 1024
+MB = 1024 * KB
+
+#: ``RpcServer`` names and the order of ``Deployment.servers`` are
+#: hashed into the trace pins (the fault log prints names; torture picks
+#: ``servers[target % len]``): a fold must not rename or reorder them.
+SERVER_NAMES = {
+    "direct-pnfs": [f"server{i}.direct-ds" for i in range(6)] + ["server0.direct-mds"],
+    "direct-pnfs-sharded": [f"server{i}.direct-ds" for i in range(6)]
+    + ["server0.direct-mds", "server1.direct-mds"],
+    "pnfs-2tier": [f"server{i}.2tier-ds" for i in range(6)] + ["server0.2tier-mds"],
+    "pnfs-3tier": [f"server{i}.3tier-ds" for i in range(3)] + ["3tier-mds"],
+    "nfsv4": ["nfsv4-server"],
+    "pvfs2": [f"server{i}.pvfs2d" for i in range(6)] + ["server0.pvfs2-mds"],
+}
+
+
+class TestArchitectureTable:
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_server_names_and_order_are_the_hashed_ones(self, arch):
+        assert [s.name for s in make_deployment(arch).servers] == SERVER_NAMES[arch]
+
+    def test_an_ablation_is_a_row_with_one_field_replaced(self):
+        matched = replace(ARCHITECTURES["pnfs-2tier"], layout_stripe=2 * MB)
+        dep = make_deployment(matched, n_clients=1)
+        client = dep.make_client(dep.testbed.client_nodes[0])
+
+        def scenario():
+            yield from client.mount()
+            return (yield from client.create("/m"))
+
+        f = drive(dep.testbed.sim, scenario())
+        assert f.state["layout"].aggregation["stripe_unit"] == 2 * MB
+        assert dep.label == client.label == "pnfs-2tier"
+
+    def test_sharded_is_direct_with_two_metadata_servers(self):
+        direct = ARCHITECTURES["direct-pnfs"]
+        assert replace(direct, n_meta=2) == ARCHITECTURES["direct-pnfs-sharded"]
+
+    def test_every_row_field_distinguishes_two_architectures(self):
+        """The row holds what differs between architectures, nothing else."""
+        rows = list(ARCHITECTURES.values())
+        for name in rows[0].__dataclass_fields__:
+            assert len({getattr(row, name) for row in rows}) >= 2, name
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_figures_run_the_dataclass_defaults(self, arch):
+        """One set of protocol numbers: a figure deployment's configs
+        are ``NfsConfig()`` / ``Pvfs2Config()``, field for field."""
+        dep = make_deployment(arch, n_clients=1)
+        assert dep.pvfs.cfg == Pvfs2Config()
+        for server in dep.servers:
+            if server not in dep.pvfs.daemons + dep.pvfs.metadata_servers:
+                assert server.cfg == NfsConfig()
+
+    def test_testbed_argument_is_built_on(self):
+        tb = Testbed(n_clients=3, latency=1e-3)
+        assert make_deployment("nfsv4", testbed=tb).testbed is tb
+        with pytest.raises(ValueError, match="server_disks"):
+            make_deployment("pnfs-3tier", testbed=tb)
+
+    def test_2tier_data_server_loss_is_proxied_through_the_mds(self):
+        """The fault helpers off Direct-pNFS: a 2-tier client whose data
+        server dies proxies that server's stripes through the MDS, and
+        goes direct again after the restart."""
+        dep = make_deployment(
+            "pnfs-2tier",
+            n_clients=2,
+            nfs_overrides=dict(
+                rsize=64 * KB, wsize=64 * KB, readahead=0,
+                rpc_timeout=0.25, rpc_max_retries=1, ds_retry_interval=1.0,
+            ),
+            pvfs_overrides=dict(stripe_size=64 * KB),
+        )
+        sim, system = dep.testbed.sim, dep.pnfs
+        writer, reader = (dep.make_client(node) for node in dep.testbed.client_nodes)
+        blob = bytes(range(256)) * (8 * KB)  # 2 MB: stripes on every data server
+
+        def setup():
+            yield from writer.mount()
+            yield from reader.mount()
+            f = yield from writer.create("/data")
+            yield from writer.write(f, 0, Payload(blob))
+            yield from writer.close(f)
+
+        drive(sim, setup())
+        system.kill_data_server("server1")
+        victim = system.data_server_for("server1")
+
+        def read_back():
+            g = yield from reader.open("/data", write=False)
+            data = yield from reader.read(g, 0, len(blob))
+            yield from reader.close(g)
+            return data
+
+        assert drive(sim, read_back()).data == blob
+        assert reader.failovers >= 1 and reader.proxied_bytes > 0
+
+        system.restart_data_server("server1")
+        served_before = victim.rpc.calls_served
+
+        def after_restart():
+            yield sim.timeout(1.5)  # past ds_retry_interval
+            f = yield from reader.create("/data2")
+            yield from reader.write(f, 0, Payload(blob))
+            yield from reader.close(f)
+
+        drive(sim, after_restart())
+        assert reader.recoveries >= 1
+        assert victim.rpc.calls_served > served_before  # direct again

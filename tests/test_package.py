@@ -23,8 +23,8 @@ class TestPackageSurface:
 
     def test_quickstart_snippet_from_docstring(self):
         """The module docstring's quick start must actually run."""
-        tb = repro.Testbed(n_clients=1)
-        deployment = repro.build_direct_pnfs(tb)
+        deployment = repro.make_deployment("direct-pnfs", n_clients=1)
+        tb = deployment.testbed
         client = deployment.make_client(tb.client_nodes[0])
 
         def app():
