@@ -27,14 +27,12 @@ def main() -> None:
     scale = float(sys.argv[3]) if len(sys.argv) > 3 else 0.1
 
     workload = IorWorkload(op=op, block_size=4 * MB, scale=scale)
-    result = run_cell(
-        arch, workload, n_clients=8, measure_utilisation=True, trace=True
-    )
+    result = run_cell(arch, workload, n_clients=8, trace=True)
 
     print(f"{arch} / IOR {op} @ 8 clients (scale {scale})")
     print(f"aggregate: {result.aggregate_mbps:.1f} MB/s over {result.makespan:.2f} s\n")
 
-    print("server-node utilisation over the measured window:")
+    print("per-node utilisation over the measured window:")
     for report in result.utilisation:
         print(f"  {report}")
 

@@ -69,7 +69,12 @@ def main() -> None:
 
     # -- 2. a custom driver registered at runtime -------------------------
     class EvenStripesFirstDriver(RoundRobinDriver):
-        """Toy scheme: even stripes on slots 0..2, odd stripes on 3..5."""
+        """Toy scheme: even stripes on slots 0..2, odd stripes on 3..5.
+
+        Overrides ``map`` to show the seam a scheme that is not a strip
+        pattern uses; this one is, and could simply be
+        ``DeviceCycleDriver([0, 3, 1, 4, 2, 5], stripe_unit)``.
+        """
 
         name = "even_odd"
 

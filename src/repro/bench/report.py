@@ -90,16 +90,10 @@ def format_metrics(result) -> str:
             f"({bn['utilisation']:.1%} utilised)"
         )
     always = ("writeback_errors", "client_timeouts", "retransmissions", "errors")
-    interesting = []
-    for name, value in m["counters"].items():
-        if isinstance(value, dict):  # histogram summary
-            if value.get("count"):
-                interesting.append((name, value))
-        elif value or name.endswith(always):
-            interesting.append((name, value))
     lines.append("  counters:")
-    for name, value in interesting:
-        lines.append(f"    {name} = {value}")
+    for name, value in m["counters"].items():
+        if value or name.endswith(always):
+            lines.append(f"    {name} = {value}")
     n_samples = len(m["series"]["t"])
     lines.append(
         f"  sampler: {n_samples} samples at {m['series']['interval']}s intervals"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.bench.bottleneck import attribute, snapshot, utilisation
 from repro.cluster.configs import Architecture, Deployment, make_deployment
 from repro.cluster.testbed import GIGE
 from repro.sim.stats import MB
@@ -30,8 +31,8 @@ class RunResult:
     total_bytes: int
     results: list[WorkloadResult] = field(default_factory=list)
     deployment: Deployment | None = None
-    #: Per-server-node utilisation over the measured window (populated
-    #: when ``run_cell(measure_utilisation=True)``).
+    #: Per-node utilisation over the measured window: the server nodes,
+    #: the extra node and the measured client nodes.
     utilisation: list = field(default_factory=list)
     #: Observability section (populated when ``run_cell(metrics=True)``):
     #: final counter/gauge values, the sampler's time series, per-node
@@ -80,7 +81,6 @@ def run_cell(
     nfs_overrides: dict | None = None,
     pvfs_overrides: dict | None = None,
     keep_deployment: bool = False,
-    measure_utilisation: bool = False,
     metrics: bool = False,
     sample_interval: float = 0.25,
     trace: bool = False,
@@ -95,6 +95,8 @@ def run_cell(
     deployment's simulator (randomised pipe arbitration); ``None`` is
     the simulator's own default.
 
+    ``RunResult.utilisation`` always holds per-node CPU / NIC / disk
+    utilisation over the measured phase (two counter snapshots).
     ``metrics=True`` attaches a :class:`~repro.obs.MetricsRegistry` to
     every component, samples it every ``sample_interval`` sim seconds
     over the measured phase, and fills ``RunResult.metrics`` with
@@ -151,15 +153,8 @@ def run_cell(
     mount_proc = sim.process(mount_all(), name="mounts")
     sim.run(until=mount_proc)
 
-    monitored = tb.server_nodes + [tb.extra_node] if measure_utilisation else []
-    if metrics:
-        # Metrics runs always attribute utilisation, over every node.
-        monitored = tb.server_nodes + [tb.extra_node] + tb.client_nodes[:n_clients]
-    before = None
-    if monitored:
-        from repro.bench.bottleneck import snapshot, utilisation
-
-        before = [snapshot(node) for node in monitored]
+    monitored = tb.server_nodes + [tb.extra_node] + tb.client_nodes[:n_clients]
+    before = [snapshot(node) for node in monitored]
 
     registry = sampler = None
     if metrics:
@@ -194,16 +189,10 @@ def run_cell(
     makespan = sim.now - t0
     results = [p.value for p in procs]
 
-    reports = []
-    if monitored:
-        after = [snapshot(node) for node in monitored]
-        reports = [
-            utilisation(node, b, a) for node, b, a in zip(monitored, before, after)
-        ]
+    after = [snapshot(node) for node in monitored]
+    reports = [utilisation(node, b, a) for node, b, a in zip(monitored, before, after)]
     metrics_section: dict = {}
     if metrics:
-        from repro.bench.bottleneck import attribute
-
         metrics_section = {
             "counters": registry.collect(),
             "series": sampler.as_dict(),

@@ -277,6 +277,11 @@ def generate(
             length = int(rng.integers(1, span - (start - base) + 1))
             return path, start, start + length
 
+        def rw_path(rng=rng, c=c):
+            """A read/fsync/reopen target: anywhere in any file —
+            including other owners' bytes."""
+            return SHARED if rng.random() < 0.7 else private_path(c)
+
         # Metadata programs: current name of the client's scratch file
         # (renames toggle it against the client's namespace slot) and
         # the number of directories created so far.
@@ -308,100 +313,41 @@ def generate(
             length = int(rng.integers(1, span - (start - base) + 1))
             return path, start, start + length
 
+        # The mode selects the op table and the two path pickers; the
+        # metadata kinds are reachable from the metadata table only.
+        if metadata_ops:
+            kinds, weights = _META_OP_KINDS, _META_OP_WEIGHTS
+            write_range, pick_path = own_range_meta, meta_rw_path
+        else:
+            kinds, weights = _OP_KINDS, _OP_WEIGHTS
+            write_range, pick_path = own_range, rw_path
+
         count = (
             int(ops_per_client)
             if ops_per_client is not None
             else int(rng.integers(6, 14))
         )
         for _ in range(count):
-            if metadata_ops:
-                kind = str(rng.choice(_META_OP_KINDS, p=_META_OP_WEIGHTS))
-                if kind == "write":
-                    path, start, end = own_range_meta()
-                    track.append(
-                        Op("write", path, start, end - start, tag=take_tag())
-                    )
-                elif kind == "read":
-                    path = meta_rw_path()
-                    size = prog.file_size(path)
-                    start = int(rng.integers(0, size))
-                    length = int(rng.integers(1, min(64 * KB, size - start) + 1))
-                    track.append(Op("read", path, start, length))
-                elif kind == "fsync":
-                    track.append(Op("fsync", meta_rw_path()))
-                elif kind == "reopen":
-                    track.append(Op("reopen", meta_rw_path()))
-                elif kind == "lock":
-                    # Locks stay on the stable files: a lock held on a
-                    # path that is then renamed/recreated could never be
-                    # released by its (path-keyed) unlock op.
-                    if held and rng.random() < 0.45:
-                        path, start, end = held.pop(int(rng.integers(len(held))))
-                        track.append(Op("unlock", path, start, end - start))
-                    else:
-                        path, start, end = own_range()
-                        lk = "write" if rng.random() < 0.7 else "read"
-                        track.append(
-                            Op("lock", path, start, end - start, lock_kind=lk)
-                        )
-                        held.append((path, start, end))
-                elif kind == "truncate":
-                    target = cur_scratch if rng.random() < 0.6 else private_path(c)
-                    new_size = int(rng.integers(0, prog.private_size + 1))
-                    track.append(Op("truncate", target, length=new_size))
-                elif kind == "recreate":
-                    track.append(Op("recreate", cur_scratch))
-                elif kind == "rename":
-                    other = (
-                        slot_name
-                        if cur_scratch == scratch_path(c)
-                        else scratch_path(c)
-                    )
-                    track.append(Op("rename", cur_scratch, dest=other))
-                    cur_scratch = other
-                elif kind == "mkdir":
-                    path = (
-                        dir_path(c) if ndirs == 0 else f"{dir_path(c)}/d{ndirs}"
-                    )
-                    track.append(Op("mkdir", path))
-                    ndirs += 1
-                elif kind == "readdir":
-                    if ndirs == 0:
-                        track.append(Op("mkdir", dir_path(c)))
-                        ndirs += 1
-                    else:
-                        track.append(Op("readdir", dir_path(c)))
-                elif kind == "getattr":
-                    r = rng.random()
-                    path = (
-                        SHARED
-                        if r < 0.4
-                        else (private_path(c) if r < 0.7 else cur_scratch)
-                    )
-                    track.append(Op("getattr", path))
-                else:
-                    track.append(Op("sleep", delay=float(rng.uniform(0.01, 0.15))))
-                continue
-            kind = str(rng.choice(_OP_KINDS, p=_OP_WEIGHTS))
+            kind = str(rng.choice(kinds, p=weights))
             if kind == "write":
-                path, start, end = own_range()
+                path, start, end = write_range()
                 track.append(
                     Op("write", path, start, end - start, tag=take_tag())
                 )
             elif kind == "read":
-                # Anywhere in any file — including other owners' bytes.
-                path = SHARED if rng.random() < 0.7 else private_path(c)
+                path = pick_path()
                 size = prog.file_size(path)
                 start = int(rng.integers(0, size))
                 length = int(rng.integers(1, min(64 * KB, size - start) + 1))
                 track.append(Op("read", path, start, length))
             elif kind == "fsync":
-                path = SHARED if rng.random() < 0.7 else private_path(c)
-                track.append(Op("fsync", path))
+                track.append(Op("fsync", pick_path()))
             elif kind == "reopen":
-                path = SHARED if rng.random() < 0.7 else private_path(c)
-                track.append(Op("reopen", path))
+                track.append(Op("reopen", pick_path()))
             elif kind == "lock":
+                # Locks stay on the stable files in either mode: a lock
+                # held on a path that is then renamed/recreated could
+                # never be released by its (path-keyed) unlock op.
                 if held and rng.random() < 0.45:
                     path, start, end = held.pop(int(rng.integers(len(held))))
                     track.append(Op("unlock", path, start, end - start))
@@ -410,6 +356,40 @@ def generate(
                     lk = "write" if rng.random() < 0.7 else "read"
                     track.append(Op("lock", path, start, end - start, lock_kind=lk))
                     held.append((path, start, end))
+            elif kind == "truncate":
+                target = cur_scratch if rng.random() < 0.6 else private_path(c)
+                new_size = int(rng.integers(0, prog.private_size + 1))
+                track.append(Op("truncate", target, length=new_size))
+            elif kind == "recreate":
+                track.append(Op("recreate", cur_scratch))
+            elif kind == "rename":
+                other = (
+                    slot_name
+                    if cur_scratch == scratch_path(c)
+                    else scratch_path(c)
+                )
+                track.append(Op("rename", cur_scratch, dest=other))
+                cur_scratch = other
+            elif kind == "mkdir":
+                path = (
+                    dir_path(c) if ndirs == 0 else f"{dir_path(c)}/d{ndirs}"
+                )
+                track.append(Op("mkdir", path))
+                ndirs += 1
+            elif kind == "readdir":
+                if ndirs == 0:
+                    track.append(Op("mkdir", dir_path(c)))
+                    ndirs += 1
+                else:
+                    track.append(Op("readdir", dir_path(c)))
+            elif kind == "getattr":
+                r = rng.random()
+                path = (
+                    SHARED
+                    if r < 0.4
+                    else (private_path(c) if r < 0.7 else cur_scratch)
+                )
+                track.append(Op("getattr", path))
             else:
                 # Think time stretches the episode across the fault
                 # windows; without it the whole workload outruns them.

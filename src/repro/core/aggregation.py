@@ -14,6 +14,12 @@ range into :class:`IoSegment`\\ s, each naming a *device slot* (an index
 into the layout's device list).  Data servers are addressed with
 logical file offsets (sparse packing), so segments carry the logical
 offset unchanged.
+
+Like the PVFS2 distributions they mirror, the striping drivers are
+each a :class:`~repro.vfs.striping.StripPattern` over device slots: a
+driver builds its strips and describes its parameters, and the
+inherited ``map`` walks them.  ``ReplicatedDriver`` wraps another
+driver and is the one ``map`` written out here.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
+
+from repro.vfs.striping import StripPattern
 
 __all__ = [
     "AggregationDriver",
@@ -45,25 +53,29 @@ class IoSegment:
 
 
 class AggregationDriver(ABC):
-    """Maps logical byte ranges onto layout device slots."""
+    """Maps logical byte ranges onto layout device slots.
+
+    A striping scheme sets ``strips`` in its constructor; a scheme that
+    is not a strip pattern overrides :meth:`map`.
+    """
 
     name: str = "abstract"
+    strips: StripPattern
 
-    @abstractmethod
     def map(self, offset: int, nbytes: int, for_write: bool = False) -> list[IoSegment]:
         """Split ``[offset, offset+nbytes)`` into per-device segments.
 
         Segments are returned in logical order.  ``for_write`` matters
         for replicated placements (writes fan out to every replica).
         """
+        return [
+            IoSegment(run.server, run.logical, run.length)
+            for run in self.strips.runs(offset, nbytes)
+        ]
 
     @abstractmethod
     def describe(self) -> dict:
         """Self-description: ``{"type": name, ...params}``."""
-
-    def _check(self, offset: int, nbytes: int) -> None:
-        if offset < 0 or nbytes < 0:
-            raise ValueError("offset/nbytes must be >= 0")
 
 
 class RoundRobinDriver(AggregationDriver):
@@ -80,18 +92,9 @@ class RoundRobinDriver(AggregationDriver):
         self.nslots = nslots
         self.stripe_unit = stripe_unit
         self.first_slot = first_slot
-
-    def map(self, offset: int, nbytes: int, for_write: bool = False) -> list[IoSegment]:
-        self._check(offset, nbytes)
-        out: list[IoSegment] = []
-        pos, end = offset, offset + nbytes
-        unit = self.stripe_unit
-        while pos < end:
-            stripe = pos // unit
-            take = min(end - pos, (stripe + 1) * unit - pos)
-            out.append(IoSegment((stripe + self.first_slot) % self.nslots, pos, take))
-            pos += take
-        return _merge(out)
+        self.strips = StripPattern(
+            [((first_slot + i) % nslots, stripe_unit) for i in range(nslots)]
+        )
 
     def describe(self) -> dict:
         return {
@@ -112,26 +115,9 @@ class DeviceCycleDriver(AggregationDriver):
     name = "device_cycle"
 
     def __init__(self, cycle: list[int], stripe_unit: int):
-        if not cycle:
-            raise ValueError("cycle must be non-empty")
-        if stripe_unit < 1:
-            raise ValueError("stripe_unit must be >= 1")
-        if any(s < 0 for s in cycle):
-            raise ValueError("device slots must be >= 0")
         self.cycle = list(cycle)
         self.stripe_unit = stripe_unit
-
-    def map(self, offset: int, nbytes: int, for_write: bool = False) -> list[IoSegment]:
-        self._check(offset, nbytes)
-        out: list[IoSegment] = []
-        pos, end = offset, offset + nbytes
-        unit = self.stripe_unit
-        while pos < end:
-            stripe = pos // unit
-            take = min(end - pos, (stripe + 1) * unit - pos)
-            out.append(IoSegment(self.cycle[stripe % len(self.cycle)], pos, take))
-            pos += take
-        return _merge(out)
+        self.strips = StripPattern([(slot, stripe_unit) for slot in self.cycle])
 
     def describe(self) -> dict:
         return {"type": self.name, "cycle": list(self.cycle), "stripe_unit": self.stripe_unit}
@@ -143,28 +129,9 @@ class VarStripDriver(AggregationDriver):
     name = "varstrip"
 
     def __init__(self, pattern: list[tuple[int, int]]):
-        if not pattern:
-            raise ValueError("pattern must be non-empty")
-        for slot, length in pattern:
-            if slot < 0 or length < 1:
-                raise ValueError("bad pattern entry")
-        self.pattern = [(int(s), int(l)) for s, l in pattern]
-        self.cycle = sum(l for _, l in self.pattern)
-
-    def map(self, offset: int, nbytes: int, for_write: bool = False) -> list[IoSegment]:
-        self._check(offset, nbytes)
-        out: list[IoSegment] = []
-        pos, end = offset, offset + nbytes
-        while pos < end:
-            _k, rem = divmod(pos, self.cycle)
-            for slot, length in self.pattern:
-                if rem < length:
-                    take = min(end - pos, length - rem)
-                    out.append(IoSegment(slot, pos, take))
-                    pos += take
-                    break
-                rem -= length
-        return _merge(out)
+        self.strips = StripPattern(pattern)
+        self.pattern = self.strips.strips
+        self.cycle = self.strips.cycle
 
     def describe(self) -> dict:
         return {"type": self.name, "pattern": list(self.pattern)}
@@ -224,24 +191,13 @@ class HierarchicalDriver(AggregationDriver):
         self.group_size = group_size
         self.outer_unit = outer_unit
         self.inner_unit = inner_unit
-
-    def map(self, offset: int, nbytes: int, for_write: bool = False) -> list[IoSegment]:
-        self._check(offset, nbytes)
-        out: list[IoSegment] = []
-        pos, end = offset, offset + nbytes
-        while pos < end:
-            outer = pos // self.outer_unit
-            group = outer % self.ngroups
-            within_outer = pos - outer * self.outer_unit
-            inner = within_outer // self.inner_unit
-            slot = group * self.group_size + inner % self.group_size
-            take = min(
-                end - pos,
-                (inner + 1) * self.inner_unit - within_outer,
-            )
-            out.append(IoSegment(slot, pos, take))
-            pos += take
-        return _merge(out)
+        self.strips = StripPattern(
+            [
+                (group * group_size + i % group_size, inner_unit)
+                for group in range(ngroups)
+                for i in range(outer_unit // inner_unit)
+            ]
+        )
 
     def describe(self) -> dict:
         return {
@@ -251,22 +207,6 @@ class HierarchicalDriver(AggregationDriver):
             "outer_unit": self.outer_unit,
             "inner_unit": self.inner_unit,
         }
-
-
-def _merge(segments: list[IoSegment]) -> list[IoSegment]:
-    """Coalesce adjacent segments on the same slot."""
-    out: list[IoSegment] = []
-    for seg in segments:
-        if (
-            out
-            and out[-1].device_slot == seg.device_slot
-            and out[-1].offset + out[-1].length == seg.offset
-        ):
-            prev = out.pop()
-            out.append(IoSegment(prev.device_slot, prev.offset, prev.length + seg.length))
-        else:
-            out.append(seg)
-    return out
 
 
 # -- registry ---------------------------------------------------------------

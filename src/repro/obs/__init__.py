@@ -3,9 +3,9 @@
 The diagnostic substrate behind the paper's per-component arguments
 (§6.2.1 attributes each regime to disks, NICs, or CPUs):
 
-* :class:`MetricsRegistry` + :class:`Sampler` — named counters,
-  gauges, and histograms over every component, sampled into time
-  series (:mod:`repro.obs.metrics`, wired by :mod:`repro.obs.attach`);
+* :class:`MetricsRegistry` + :class:`Sampler` — named gauges over
+  every component's counters, sampled into time series
+  (:mod:`repro.obs.metrics`, wired by :mod:`repro.obs.attach`);
 * :class:`SpanCollector` — span tracing from client op through RPC
   attempt, server handler, and disk request, exported as Chrome
   trace-event JSON for Perfetto (:mod:`repro.obs.spans`);
@@ -29,14 +29,12 @@ from repro.obs.attach import (
     observe_rpc_server,
     observe_storage_daemon,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, Sampler
+from repro.obs.metrics import Gauge, MetricsRegistry, Sampler
 from repro.obs.rpc_trace import RpcRecord, RpcTrace
 from repro.obs.spans import Span, SpanCollector, current_collector
 
 __all__ = [
-    "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "RpcRecord",
     "RpcTrace",

@@ -130,8 +130,9 @@ def observe_deployment(reg: MetricsRegistry, dep, clients=()) -> None:
     """Observe a whole :class:`~repro.cluster.configs.Deployment`.
 
     Registers every testbed node, every server-side RPC service
-    (NFS data/metadata servers and PVFS2 daemons, found by duck
-    typing), the network, and any ``clients`` passed in.
+    (NFS data/metadata servers, PVFS2 daemons and PVFS2 metadata
+    servers, found by duck typing), the network, and any ``clients``
+    passed in.
     """
     tb = dep.testbed
     observe_engine(reg, tb.sim)
@@ -139,15 +140,21 @@ def observe_deployment(reg: MetricsRegistry, dep, clients=()) -> None:
     for node in tb.server_nodes + tb.client_nodes + [tb.extra_node]:
         observe_node(reg, node)
     seen = set()
-    for server in list(getattr(dep, "servers", ())) or []:
-        rpc = getattr(server, "rpc", None)
+
+    def observe_rpc_of(service) -> None:
+        rpc = getattr(service, "rpc", None)
         if rpc is not None and hasattr(rpc, "calls_served") and id(rpc) not in seen:
             seen.add(id(rpc))
             observe_rpc_server(reg, rpc)
+
+    for server in getattr(dep, "servers", ()):
+        observe_rpc_of(server)
     for daemon in getattr(dep.pvfs, "daemons", ()):
         observe_storage_daemon(reg, daemon)
-        if hasattr(daemon, "rpc") and id(daemon.rpc) not in seen:
-            seen.add(id(daemon.rpc))
-            observe_rpc_server(reg, daemon.rpc)
+        observe_rpc_of(daemon)
+    # ``dep.servers`` is the NFS tier wherever there is one; the PVFS2
+    # metadata servers behind it take the create/journal path.
+    for mds in getattr(dep.pvfs, "metadata_servers", ()):
+        observe_rpc_of(mds)
     for client in clients:
         observe_client(reg, client)

@@ -1,17 +1,11 @@
-"""Metrics registry: named counters, gauges, histograms + a sampler.
+"""Metrics registry: named gauges + a sampler.
 
 Components do not push into the registry on their hot paths — they keep
 the plain attribute counters they already have (``nic.tx_bytes``,
 ``disk.busy_time``, ``client.writeback_errors``, ...) and an
-observation pass *registers* them afterwards:
-
-* :meth:`MetricsRegistry.counter` — a monotonic count the owner
-  increments directly (cheap ``+= 1``, registry or not);
-* :meth:`MetricsRegistry.gauge` — a zero-argument callable sampled on
-  demand, the bridge to existing attribute counters;
-* :meth:`MetricsRegistry.histogram` — a distribution with cached-sort
-  nearest-rank percentiles (backed by
-  :class:`repro.sim.stats.LatencyRecorder`).
+observation pass *registers* them afterwards as gauges
+(:meth:`MetricsRegistry.gauge`): zero-argument callables sampled on
+demand.
 
 :class:`Sampler` walks the registry at a fixed sim-time interval and
 produces per-metric time series — the raw material for "disk queue
@@ -29,24 +23,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.sim.engine import Simulator
-from repro.sim.stats import LatencyRecorder
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "Sampler"]
-
-
-class Counter:
-    """Named monotonic counter owned by the registry."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
+__all__ = ["Gauge", "MetricsRegistry", "Sampler"]
 
 
 class Gauge:
@@ -62,105 +40,34 @@ class Gauge:
         return self.fn()
 
 
-class Histogram:
-    """Named distribution with count/mean/percentile summaries."""
-
-    __slots__ = ("name", "_rec")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._rec = LatencyRecorder(name)
-
-    def observe(self, value: float) -> None:
-        self._rec.record(value)
-
-    @property
-    def count(self) -> int:
-        return self._rec.count
-
-    def percentile(self, p: float) -> float:
-        return self._rec.percentile(p)
-
-    def summary(self) -> dict:
-        if self._rec.count == 0:
-            return {"count": 0}
-        return {
-            "count": self._rec.count,
-            "mean": self._rec.mean,
-            "p50": self._rec.percentile(50),
-            "p95": self._rec.percentile(95),
-            "max": self._rec.percentile(100),
-        }
-
-
 class MetricsRegistry:
-    """Flat namespace of metrics, collected into one dict on demand.
+    """Flat namespace of gauges, collected into one dict on demand.
 
-    Metric names are dotted paths (``s0.disk0.busy_seconds``); a name
-    belongs to exactly one kind.  ``counter`` is get-or-create so two
-    components may share one count; ``gauge`` registration is
-    first-wins-raises to catch accidental double observation.
+    Metric names are dotted paths (``s0.disk0.busy_seconds``);
+    registration is first-wins-raises to catch accidental double
+    observation.
     """
 
     def __init__(self):
-        self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    def _check_fresh(self, name: str, kind: dict) -> None:
-        for space in (self._counters, self._gauges, self._histograms):
-            if space is not kind and name in space:
-                raise ValueError(f"metric {name!r} already registered with another kind")
-
-    def counter(self, name: str) -> Counter:
-        self._check_fresh(name, self._counters)
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter(name)
-        return c
 
     def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
-        self._check_fresh(name, self._gauges)
         if name in self._gauges:
             raise ValueError(f"gauge {name!r} already registered")
         g = self._gauges[name] = Gauge(name, fn)
         return g
 
-    def histogram(self, name: str) -> Histogram:
-        self._check_fresh(name, self._histograms)
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram(name)
-        return h
-
     def names(self) -> list[str]:
-        return sorted(
-            list(self._counters) + list(self._gauges) + list(self._histograms)
-        )
+        return sorted(self._gauges)
 
     def collect(self) -> dict:
-        """Every metric's current value, flat, sorted by name.
-
-        Counters and gauges collapse to numbers; histograms to their
-        summary dicts.
-        """
-        out: dict = {}
-        for name, c in self._counters.items():
-            out[name] = c.value
-        for name, g in self._gauges.items():
-            out[name] = g.read()
-        for name, h in self._histograms.items():
-            out[name] = h.summary()
-        return dict(sorted(out.items()))
+        """Every metric's current value, flat, sorted by name."""
+        return dict(sorted(self.sample_numeric().items()))
 
     def sample_numeric(self) -> dict[str, float]:
-        """Counters and gauges only — what the :class:`Sampler` records."""
-        out: dict[str, float] = {}
-        for name, c in self._counters.items():
-            out[name] = c.value
-        for name, g in self._gauges.items():
-            out[name] = g.read()
-        return out
+        """Every gauge read once, in registration order — what the
+        :class:`Sampler` records."""
+        return {name: g.read() for name, g in self._gauges.items()}
 
 
 class Sampler:

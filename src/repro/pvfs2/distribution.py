@@ -1,29 +1,35 @@
 """File data distributions: how logical bytes map onto storage servers.
 
-A :class:`Distribution` answers three questions:
+A :class:`Distribution` is a :class:`~repro.vfs.striping.StripPattern`
+over the file system's storage servers, and answers three questions:
 
 * which server stores logical offset *o* and at which *local* offset in
   that server's bstream (``runs`` splits a byte range into per-server
   contiguous runs; ``extents`` groups those runs into the one bstream
   extent each server holds of the range),
-* how large is the logical file given each server's bstream size
-  (``logical_size`` — PVFS2 derives file size from its datafiles), and
+* how large is the logical file given each server's bstream size, and
+  the reverse (``logical_size`` — PVFS2 derives file size from its
+  datafiles; ``local_sizes`` — what a truncate leaves on each server),
 * how to describe itself portably (``describe`` /
   :func:`distribution_from_description`) — the contract the Direct-pNFS
   layout translator relies on (paper §4.2: the translator does not
   interpret file-system-specific layout information, it forwards the
   aggregation type and parameters).
 
-``SimpleStripe`` is PVFS2's default round-robin striping;
-``VarStrip`` expresses arbitrary repeating (server, length) patterns —
-the "variable stripe size" scheme the paper cites as needing an
-optional aggregation driver.
+The first two are the strip pattern's; a distribution class only builds
+its strips and describes them.  ``SimpleStripe`` is PVFS2's default
+round-robin striping — one stripe unit per server, starting at
+``start_server``; ``VarStrip`` takes the strips as given — the
+"variable stripe size" scheme the paper cites as needing an optional
+aggregation driver.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+
+from repro.vfs.striping import Run, StripPattern
 
 __all__ = [
     "Distribution",
@@ -33,20 +39,6 @@ __all__ = [
     "VarStrip",
     "distribution_from_description",
 ]
-
-
-@dataclass(frozen=True)
-class Run:
-    """A maximal contiguous byte run on one server.
-
-    ``logical`` is the file offset of the run's first byte; ``local`` is
-    the offset inside the server's bstream; ``length`` is in bytes.
-    """
-
-    server: int
-    local: int
-    length: int
-    logical: int
 
 
 @dataclass(frozen=True)
@@ -63,51 +55,26 @@ class Extent:
     pieces: tuple[Run, ...]
 
 
-class Distribution(ABC):
-    """Mapping between a file's logical bytes and server bstreams."""
+class Distribution(StripPattern, ABC):
+    """Mapping between a file's logical bytes and server bstreams.
+
+    A strip pattern over the file system's storage servers: ``locate``,
+    ``runs``, ``logical_size`` and ``local_sizes`` are inherited; a
+    subclass builds its strips and describes itself.
+    """
 
     #: registry key used by ``describe``/``distribution_from_description``
     name: str = "abstract"
 
-    def __init__(self, nservers: int):
+    def __init__(self, nservers: int, strips: list[tuple[int, int]]):
         if nservers < 1:
             raise ValueError("distribution needs at least one server")
+        super().__init__(strips, nservers)
         self.nservers = nservers
-
-    @abstractmethod
-    def locate(self, offset: int) -> tuple[int, int, int]:
-        """Map logical ``offset`` to ``(server, local_offset, run_remaining)``.
-
-        ``run_remaining`` is the number of bytes from ``offset`` (incl.)
-        that stay contiguous on that server.
-        """
-
-    @abstractmethod
-    def logical_size(self, local_sizes: list[int]) -> int:
-        """Logical EOF implied by each server's bstream size."""
 
     @abstractmethod
     def describe(self) -> dict:
         """Portable description: ``{"type": name, ...params}``."""
-
-    def runs(self, offset: int, nbytes: int) -> list[Run]:
-        """Split ``[offset, offset+nbytes)`` into per-server runs in logical order."""
-        if offset < 0 or nbytes < 0:
-            raise ValueError("offset/nbytes must be >= 0")
-        out: list[Run] = []
-        pos = offset
-        end = offset + nbytes
-        while pos < end:
-            server, local, remaining = self.locate(pos)
-            length = min(remaining, end - pos)
-            # Merge with previous run when contiguous on the same server.
-            if out and out[-1].server == server and out[-1].local + out[-1].length == local:
-                prev = out.pop()
-                out.append(Run(server, prev.local, prev.length + length, prev.logical))
-            else:
-                out.append(Run(server, local, length, pos))
-            pos += length
-        return out
 
     def extents(self, offset: int, nbytes: int) -> list[Extent]:
         """Group ``runs(offset, nbytes)`` into per-server bstream extents.
@@ -151,40 +118,16 @@ class SimpleStripe(Distribution):
     name = "simple_stripe"
 
     def __init__(self, nservers: int, stripe_size: int, start_server: int = 0):
-        super().__init__(nservers)
         if stripe_size < 1:
             raise ValueError("stripe_size must be >= 1")
         if not 0 <= start_server < nservers:
             raise ValueError("start_server out of range")
+        super().__init__(
+            nservers,
+            [((start_server + i) % nservers, stripe_size) for i in range(nservers)],
+        )
         self.stripe_size = stripe_size
         self.start_server = start_server
-
-    def locate(self, offset: int) -> tuple[int, int, int]:
-        unit = self.stripe_size
-        stripe_no = offset // unit
-        within = offset - stripe_no * unit
-        server = (stripe_no + self.start_server) % self.nservers
-        local = (stripe_no // self.nservers) * unit + within
-        return server, local, unit - within
-
-    def logical_size(self, local_sizes: list[int]) -> int:
-        if len(local_sizes) != self.nservers:
-            raise ValueError(
-                f"expected {self.nservers} bstream sizes, got {len(local_sizes)}"
-            )
-        unit = self.stripe_size
-        eof = 0
-        for server, lsize in enumerate(local_sizes):
-            if lsize == 0:
-                continue
-            # Position of this server in the rotated round-robin order.
-            rr = (server - self.start_server) % self.nservers
-            last = lsize - 1  # last local byte index on this server
-            full = last // unit
-            within = last - full * unit
-            logical_last = (full * self.nservers + rr) * unit + within
-            eof = max(eof, logical_last + 1)
-        return eof
 
     def describe(self) -> dict:
         return {
@@ -206,61 +149,8 @@ class VarStrip(Distribution):
     name = "varstrip"
 
     def __init__(self, nservers: int, pattern: list[tuple[int, int]]):
-        super().__init__(nservers)
-        if not pattern:
-            raise ValueError("pattern must be non-empty")
-        for server, length in pattern:
-            if not 0 <= server < nservers:
-                raise ValueError(f"pattern server {server} out of range")
-            if length < 1:
-                raise ValueError("pattern strip lengths must be >= 1")
-        self.pattern = [(int(s), int(l)) for s, l in pattern]
-        self.cycle = sum(l for _, l in self.pattern)
-        # Per-server bytes contributed by one full cycle, and the local
-        # offset of each strip within its server's per-cycle share.
-        per_server = [0] * nservers
-        self._strip_local_base: list[int] = []
-        self._strip_logical_base: list[int] = []
-        logical = 0
-        for server, length in self.pattern:
-            self._strip_local_base.append(per_server[server])
-            self._strip_logical_base.append(logical)
-            per_server[server] += length
-            logical += length
-        self.per_cycle = per_server
-
-    def locate(self, offset: int) -> tuple[int, int, int]:
-        k, rem = divmod(offset, self.cycle)
-        for idx, (server, length) in enumerate(self.pattern):
-            if rem < length:
-                local = k * self.per_cycle[server] + self._strip_local_base[idx] + rem
-                return server, local, length - rem
-            rem -= length
-        raise AssertionError("unreachable: rem < cycle by construction")
-
-    def logical_size(self, local_sizes: list[int]) -> int:
-        if len(local_sizes) != self.nservers:
-            raise ValueError(
-                f"expected {self.nservers} bstream sizes, got {len(local_sizes)}"
-            )
-        eof = 0
-        for server, lsize in enumerate(local_sizes):
-            if lsize == 0 or self.per_cycle[server] == 0:
-                continue
-            last = lsize - 1
-            k, rem = divmod(last, self.per_cycle[server])
-            # Find the strip of this server containing per-cycle local `rem`.
-            for idx, (s, length) in enumerate(self.pattern):
-                if s != server:
-                    continue
-                base = self._strip_local_base[idx]
-                if base <= rem < base + length:
-                    logical_last = (
-                        k * self.cycle + self._strip_logical_base[idx] + (rem - base)
-                    )
-                    eof = max(eof, logical_last + 1)
-                    break
-        return eof
+        super().__init__(nservers, pattern)
+        self.pattern = self.strips
 
     def describe(self) -> dict:
         return {

@@ -20,7 +20,11 @@ from typing import Optional
 
 from repro import rpc
 from repro.pvfs2.config import Pvfs2Config
-from repro.pvfs2.distribution import Distribution, SimpleStripe
+from repro.pvfs2.distribution import (
+    Distribution,
+    SimpleStripe,
+    distribution_from_description,
+)
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
 from repro.vfs.api import IsDirectory, NoEntry
@@ -96,6 +100,12 @@ class MetadataServer:
             return self.files[ns_handle]
         except KeyError:
             raise NoEntry(f"file meta for handle {ns_handle}") from None
+
+    def _dist(self, meta: FileMeta) -> Distribution:
+        """The file's distribution, rebuilt from its description on first use."""
+        if meta.dist is None:
+            meta.dist = distribution_from_description(meta.dist_desc)
+        return meta.dist
 
     def _journal(self):
         """Synchronous metadata journal write (BDB sync, see config)."""
@@ -197,12 +207,8 @@ class MetadataServer:
         attrs = entry.attrs.copy()
         if not entry.is_dir:
             meta = self._file_meta(entry.handle)
-            if meta.dist is None:
-                from repro.pvfs2.distribution import distribution_from_description
-
-                meta.dist = distribution_from_description(meta.dist_desc)
             sizes = yield from self._query_sizes(meta)
-            attrs.size = meta.dist.logical_size(sizes)
+            attrs.size = self._dist(meta).logical_size(sizes)
         info = self._entry_info(entry)
         info["attrs"] = attrs
         return info, None
@@ -252,16 +258,9 @@ class MetadataServer:
         if entry.is_dir:
             raise IsDirectory(args["path"])
         meta = self._file_meta(entry.handle)
-        if meta.dist is None:
-            from repro.pvfs2.distribution import distribution_from_description
-
-            meta.dist = distribution_from_description(meta.dist_desc)
         size = args["size"]
         # Per-server local sizes implied by truncating to `size`.
-        local_end = [0] * len(meta.dfiles)
-        if size > 0:
-            for run in meta.dist.runs(0, size):
-                local_end[run.server] = max(local_end[run.server], run.local + run.length)
+        local_end = self._dist(meta).local_sizes(size)
         procs = [
             self.sim.process(
                 self._daemon_call(

@@ -31,7 +31,6 @@ from repro.sim.disk import Disk, DiskFailed, DiskSpec
 from repro.sim.faults import FaultInjector
 from repro.sim.cpu import Cpu, CpuSpec
 from repro.sim.node import Node, NodeSpec
-from repro.sim.stats import LatencyRecorder
 
 __all__ = [
     "AllOf",
@@ -46,7 +45,6 @@ __all__ = [
     "FaultInjector",
     "Flow",
     "Interrupt",
-    "LatencyRecorder",
     "Network",
     "Nic",
     "Node",

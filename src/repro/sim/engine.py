@@ -142,22 +142,6 @@ class Event:
             raise SimulationError("value of untriggered event")
         return self._value
 
-    @property
-    def callbacks(self) -> Optional[list[Callable[["Event"], None]]]:
-        """Snapshot of pending callbacks; ``None`` once processed.
-
-        Introspection only — mutating the returned list has no effect
-        (the single-waiter slot is internal).
-        """
-        if self._state == _PROCESSED:
-            return None
-        out: list[Callable[["Event"], None]] = []
-        if self._cb1 is not None:
-            out.append(self._cb1)
-        if self._cbs:
-            out.extend(self._cbs)
-        return out
-
     # -- triggering ----------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Schedule this event to fire successfully after ``delay``."""

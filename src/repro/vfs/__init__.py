@@ -5,7 +5,10 @@
 architectures implement and all workloads program against, plus the
 :class:`~repro.vfs.api.Payload` byte-or-synthetic data carrier and the
 error hierarchy.  :mod:`repro.vfs.filedata` stores file contents;
-:mod:`repro.vfs.namespace` provides the server-side directory tree.
+:mod:`repro.vfs.namespace` provides the server-side directory tree;
+:mod:`repro.vfs.striping` is the one striped-placement walk that the
+PVFS2 distributions and the Direct-pNFS aggregation drivers both build
+on.
 """
 
 from repro.vfs.api import (

@@ -27,7 +27,6 @@ class TestWriteRegime:
             arch,
             IorWorkload(op="write", block_size=4 * MB, scale=0.1),
             8,
-            measure_utilisation=True,
         )
         storage = [u for u in result.utilisation if u.node.startswith("server")]
         assert storage
@@ -44,7 +43,6 @@ class TestReadRegime:
             "direct-pnfs",
             IorWorkload(op="read", block_size=4 * MB, scale=0.1),
             8,
-            measure_utilisation=True,
         )
         storage = [u for u in result.utilisation if u.node.startswith("server")]
         assert all(u.disk < 0.05 for u in storage)
@@ -57,7 +55,6 @@ class TestReadRegime:
             "nfsv4",
             IorWorkload(op="read", block_size=4 * MB, scale=0.1),
             4,
-            measure_utilisation=True,
         )
         by_node = {u.node: u for u in result.utilisation}
         gateway = by_node["extra0"]

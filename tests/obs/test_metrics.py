@@ -2,32 +2,12 @@
 
 import pytest
 
-from repro.obs import Counter, MetricsRegistry, Sampler
+from repro.cluster.configs import make_deployment
+from repro.obs import MetricsRegistry, Sampler, observe_deployment
 from repro.sim import Simulator
 
 
-class TestCounter:
-    def test_increments(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-
-    def test_monotonic(self):
-        c = Counter("x")
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-
 class TestRegistry:
-    def test_counter_is_get_or_create(self):
-        reg = MetricsRegistry()
-        a = reg.counter("n.hits")
-        b = reg.counter("n.hits")
-        assert a is b
-        a.inc(3)
-        assert reg.collect()["n.hits"] == 3
-
     def test_gauge_reads_live_value(self):
         reg = MetricsRegistry()
         box = {"v": 1}
@@ -42,51 +22,28 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.gauge("g", lambda: 1)
 
-    def test_cross_kind_name_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("m")
-        with pytest.raises(ValueError):
-            reg.gauge("m", lambda: 0)
-        with pytest.raises(ValueError):
-            reg.histogram("m")
-
-    def test_histogram_summary(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        assert h.summary() == {"count": 0}
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        s = h.summary()
-        assert s["count"] == 4
-        assert s["mean"] == pytest.approx(2.5)
-        assert s["p50"] == 2.0
-        assert s["max"] == 4.0
-
     def test_collect_sorted_and_names(self):
         reg = MetricsRegistry()
-        reg.counter("b")
-        reg.gauge("a", lambda: 0)
-        reg.histogram("c")
+        for name in ("b", "a", "c"):
+            reg.gauge(name, lambda: 0)
         assert reg.names() == ["a", "b", "c"]
         assert list(reg.collect()) == ["a", "b", "c"]
-
-    def test_sample_numeric_excludes_histograms(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.histogram("h").observe(1.0)
-        assert reg.sample_numeric() == {"c": 1}
+        # The sampler's view keeps registration order.
+        assert list(reg.sample_numeric()) == ["b", "a", "c"]
 
 
 def _run_sampled(interval=0.5, horizon=2.0):
-    """One deterministic run: a process bumps a counter every 0.3 s."""
+    """One deterministic run: a process bumps a count every 0.3 s."""
     sim = Simulator()
     reg = MetricsRegistry()
-    c = reg.counter("work")
+    work = 0
+    reg.gauge("work", lambda: work)
 
     def worker():
+        nonlocal work
         while sim.now < horizon:
             yield sim.timeout(0.3)
-            c.inc()
+            work += 1
 
     proc = sim.process(worker())
     with Sampler(sim, reg, interval=interval) as sampler:
@@ -140,3 +97,20 @@ class TestSampler:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             Sampler(Simulator(), MetricsRegistry(), interval=0.0)
+
+
+@pytest.mark.parametrize("arch", ["direct-pnfs", "nfsv4", "pvfs2", "direct-pnfs-sharded"])
+def test_observe_deployment_sees_the_pvfs2_services_behind_an_nfs_front(arch):
+    """``dep.servers`` is the NFS tier on every row but ``pvfs2``; the
+    PVFS2 daemons and metadata servers behind it — the create/journal
+    path — are observed all the same, and each service exactly once
+    (a second registration of a name raises)."""
+    dep = make_deployment(arch, n_clients=1)
+    reg = MetricsRegistry()
+    observe_deployment(reg, dep)
+    names = set(reg.names())
+    services = dep.servers + dep.pvfs.daemons + dep.pvfs.metadata_servers
+    assert len(dep.pvfs.metadata_servers) == (2 if arch.endswith("sharded") else 1)
+    for service in services:
+        assert f"{service.rpc.name}.rpc.calls_served" in names
+    assert "server0.pvfs2-mds.rpc.calls_served" in names

@@ -3,8 +3,14 @@
 import pytest
 
 from repro import rpc
-from repro.pvfs2 import Pvfs2Config, Pvfs2System, VarStrip
+from repro.pvfs2 import (
+    Pvfs2Config,
+    Pvfs2System,
+    VarStrip,
+    distribution_from_description,
+)
 from repro.vfs import Exists, NoEntry, Payload
+from repro.vfs.striping import StripPattern
 
 from tests.conftest import build_cluster, drive
 
@@ -122,3 +128,43 @@ class TestTruncateWire:
             return (yield from client.getattr("/z"))
 
         assert drive(cluster.sim, scenario()).size == 0
+
+    def test_truncate_sizes_bstreams_without_walking_the_file(
+        self, cluster, fs, monkeypatch
+    ):
+        """64 MiB at 64-byte stripes is a million strips: the per-server
+        sizes must come from the pattern in closed form, not from a walk
+        (which took 2 s of host time and a million-element list)."""
+        locate = StripPattern.locate
+        calls = []
+
+        def counting(self, offset):
+            calls.append(offset)
+            return locate(self, offset)
+
+        monkeypatch.setattr(StripPattern, "locate", counting)
+        client = fs.make_client(cluster.clients[0])
+        big, small = 64 * 1024 * 1024, 1000
+
+        def scenario():
+            yield from client.mount()
+            f = yield from client.create("/big")
+            sizes = []
+            for size in (big, small):
+                yield from client.truncate("/big", size)
+                attrs = yield from client.getattr("/big")
+                assert attrs.size == size
+                sizes.append(
+                    [d.bstreams[h].size for d, h in zip(fs.daemons, f.state["dfiles"])]
+                )
+            return f, sizes
+
+        f, (at_big, at_small) = drive(cluster.sim, scenario())
+        assert len(calls) <= 8
+        assert sum(at_big) == big and max(at_big) - min(at_big) <= 64
+        # On a size small enough to walk: what the walk gives.
+        dist = distribution_from_description(f.state["dist"])
+        walked = [0] * len(fs.daemons)
+        for run in dist.runs(0, small):
+            walked[run.server] = max(walked[run.server], run.local + run.length)
+        assert at_small == walked

@@ -13,7 +13,6 @@ from repro.sim import (
     Simulator,
 )
 from repro.sim.resources import Resource
-from repro.sim.stats import LatencyRecorder
 
 
 class TestDisk:
@@ -253,23 +252,6 @@ class TestNode:
 
 
 class TestStats:
-    def test_latency_recorder_percentiles(self):
-        r = LatencyRecorder()
-        for v in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]:
-            r.record(v)
-        assert r.mean == 5.5
-        assert r.percentile(50) == 5
-        assert r.percentile(95) == 10
-        assert r.percentile(100) == 10
-
-    def test_latency_recorder_cached_sort_sees_new_samples(self):
-        r = LatencyRecorder()
-        r.record(5)
-        assert r.percentile(50) == 5
-        r.record(1)  # must invalidate the cached sort
-        assert r.percentile(50) == 1
-        assert r.percentile(0) == 1
-
     def test_nearest_rank_shared_between_stats_and_tracing(self):
         from repro.sim.stats import nearest_rank
         from repro.obs.rpc_trace import nearest_rank as tracing_nearest_rank
@@ -277,10 +259,3 @@ class TestStats:
         assert tracing_nearest_rank is nearest_rank
         assert nearest_rank([1, 2, 3, 4], 0.5) == 2
         assert nearest_rank([1, 2, 3, 4], 1.0) == 4
-
-    def test_latency_recorder_empty_errors(self):
-        r = LatencyRecorder()
-        with pytest.raises(ValueError):
-            _ = r.mean
-        with pytest.raises(ValueError):
-            r.percentile(50)
