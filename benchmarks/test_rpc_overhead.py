@@ -7,7 +7,10 @@ most of them zero-delay bookkeeping (process kicks, free-resource
 grants, leg joins).  With the fast lane and lightweight spawn the heap
 sees ~59 events per RPC and the rest ride a deque; with network legs as
 callback flows and event-free grants on free cores and worker threads
-the deque carries ~129 instead of ~160.
+the deque carried ~129 instead of ~160; with FIFO grants that never
+cost an event of their own (a free one is pre-fired, a queued one is
+the waiter's service event) and fan-out legs started in the spawner's
+stack it carries ~53 — fewer than the heap.
 
 This gate pins that down so it cannot silently regress:
 
@@ -15,8 +18,9 @@ This gate pins that down so it cannot silently regress:
   within ``HEAP_EVENTS_PER_RPC`` +/- 1 — every heap event is a physical
   delay, so removing relay hops must not move the figure at all,
 * total events per RPC must stay below ``EVENTS_PER_RPC_MAX``,
-* the fast lane must carry the majority of scheduled events (the
-  structural claim of the two-lane design on this workload),
+* physical delays must be at least half of all scheduled events (what
+  is left on the deque is pipe arbitration, message completions,
+  process kicks and joins),
 * simulated physics must match the checked-in throughput (the kernel
   is a scheduler, not a model: it must never change results).
 
@@ -49,12 +53,13 @@ SCALE = 0.2
 #: recorded reference point for the trajectory artifact.
 PRE_TWO_LANE_EVENTS_PER_RPC = 242.9
 
-#: Ceilings with headroom over the measured values (~59 heap / ~188
+#: Ceilings with headroom over the measured values (~59 heap / ~112
 #: total per RPC): loose enough for config drift in other layers, tight
-#: enough that losing the fast lane (or re-growing a per-leg Process +
-#: AllOf chain, ~220 total) trips them immediately.
+#: enough that losing the fast lane, or re-growing a grant event per
+#: queued CPU charge (~30 more per RPC, scripts/event_census.py), trips
+#: them immediately.
 HEAP_EVENTS_PER_RPC_MAX = 90.0
-EVENTS_PER_RPC_MAX = 200.0
+EVENTS_PER_RPC_MAX = 120.0
 
 #: Heap events per RPC with a Process per chunk and a grant event per
 #: free core (59.4): the physical delays.  Only zero-delay relay hops
@@ -109,8 +114,8 @@ def test_events_per_rpc_stays_below_ceiling():
 
     # The physics is untouched by kernel scheduling changes.
     assert res.aggregate_mbps == pytest.approx(EXPECTED_MBPS, rel=MAX_DRIFT)
-    # The structural claim: most events never touch the heap here.
-    assert engine["fast_lane_events"] > engine["heap_events"]
+    # The structural claim: at least every other event is a physical delay.
+    assert engine["heap_events"] >= 0.5 * engine["events_scheduled"]
     assert engine["events_processed"] == pytest.approx(
         engine["events_scheduled"], abs=64
     )

@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Census of scheduled events for one cell: who schedules what, per RPC.
+
+Wraps ``Simulator._enqueue`` from outside for one ``run_cell`` and
+classifies every scheduled event by
+
+* its type (``Timeout``, ``Event``, ``_Kick``, ``Process``, ``Join`` ...),
+* zero or positive delay (positive = a physical delay on the heap),
+* the kernel call that scheduled it (``acquire[fifo]``, ``release[fifo]``,
+  ``spawn``, ``process``, ``timeout``, ``end`` of a process ...), and
+* the first frame outside ``sim/engine.py`` and ``sim/resources.py`` —
+  or, for a process completion, the generator that finished,
+
+then prints events by class per front-end RPC (ROADMAP item 2c's table).
+A reader, not a hook: nothing in ``src/repro`` knows it exists, so it is
+free when not run::
+
+    python scripts/event_census.py direct-pnfs pinned            # BENCH_engine.json's cell
+    python scripts/event_census.py nfsv4 ior-read-8k --clients 4 --scale 0.1
+    python scripts/event_census.py direct-pnfs pinned --check    # CI: exit 1 on a relay
+
+``--check`` fails when the cell schedules a grant of a *free* FIFO
+resource or a ``spawn`` start kick — the two relay classes PR 20
+removed (docs/architecture.md, "resource grants").
+"""
+
+from __future__ import annotations
+
+import argparse
+import pathlib
+import sys
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.bench.runner import run_cell  # noqa: E402
+from repro.cli import _WORKLOADS  # noqa: E402
+from repro.sim.engine import Simulator  # noqa: E402
+from repro.workloads import IorWorkload  # noqa: E402
+
+SRC = str(ROOT / "src" / "repro") + "/"
+KERNEL = (SRC + "sim/engine.py", SRC + "sim/resources.py")
+
+#: ``pinned`` is the workload of benchmarks/test_rpc_overhead.py (with
+#: the defaults below, ``direct-pnfs pinned`` is its cell).
+KINDS = {
+    **_WORKLOADS,
+    "pinned": lambda scale: IorWorkload(
+        op="write", block_size=2 * 1024 * 1024, shared_file=False, scale=scale
+    ),
+}
+
+
+def classify(event, delay: float, frame) -> tuple[str, str, str, str]:
+    """``(event type, delay class, kernel call, site)`` of one scheduling.
+
+    Walks out of the kernel: the kernel call is the outermost kernel
+    function on the way (what product code called), the site the first
+    frame beyond it.
+    """
+    kernel_call = "?"
+    site = "(event loop)"
+    while frame is not None:
+        code = frame.f_code
+        if code.co_filename not in KERNEL:
+            site = f"{code.co_filename.removeprefix(SRC)}:{code.co_name}"
+            break
+        name = code.co_name
+        if name == "_resume":
+            # No product frame between the generator driver and the
+            # scheduling: the generator itself ended (or failed).
+            gen = frame.f_locals["gen"]
+            kernel_call, site = "end", getattr(gen, "__qualname__", str(gen))
+            break
+        if name == "run":
+            break  # a kernel callback (a condition's check) fired it
+        if name in ("acquire", "release"):
+            name += f"[{frame.f_locals['self'].policy}]"
+        if name != "_process_callbacks":
+            kernel_call = name
+        frame = frame.f_back
+    return type(event).__name__, "delay" if delay > 0 else "zero", kernel_call, site
+
+
+def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):
+    """Run the cell with ``_enqueue`` wrapped; ``(classes, front-end RPCs)``."""
+    classes: Counter = Counter()
+    enqueue = Simulator._enqueue
+
+    def counted(self, event, delay, urgent=False):
+        classes[classify(event, delay, sys._getframe(1))] += 1
+        enqueue(self, event, delay, urgent)
+
+    Simulator._enqueue = counted
+    try:
+        res = run_cell(arch, KINDS[kind](scale), clients, keep_deployment=True, seed=seed)
+    finally:
+        Simulator._enqueue = enqueue
+    return classes, sum(s.rpc.calls_served for s in res.deployment.servers)
+
+
+def relays(classes: Counter) -> Counter:
+    """The classes ``--check`` refuses: free FIFO grants and spawn kicks."""
+    return Counter(
+        {
+            cls: n
+            for cls, n in classes.items()
+            if (cls[1] == "zero" and cls[2] == "acquire[fifo]")
+            or (cls[0] == "_Kick" and cls[2] == "spawn")
+        }
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("arch", help="architecture (see `repro list`)")
+    parser.add_argument("kind", choices=sorted(KINDS))
+    parser.add_argument("--clients", type=int, default=8)
+    parser.add_argument("--scale", type=float, default=0.2)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--top", type=int, default=40, help="classes to print")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="exit 1 if a free FIFO grant or a spawn kick was scheduled",
+    )
+    args = parser.parse_args(argv)
+    classes, rpcs = census(args.arch, args.kind, args.clients, args.scale, args.seed)
+    total = sum(classes.values())
+    physical = sum(n for cls, n in classes.items() if cls[1] == "delay")
+    print(
+        f"{args.arch} / {args.kind} @ {args.clients} clients (scale {args.scale}): "
+        f"{total} events, {rpcs} front-end RPCs, {total / rpcs:.1f} events/RPC, "
+        f"{100 * physical / total:.0f} % physical delays"
+    )
+    print(f"{'per RPC':>8} {'share':>6}  {'event':8} {'delay':5} {'kernel call':15} site")
+    top = classes.most_common(args.top)
+    for cls, n in top:
+        print(f"{n / rpcs:8.2f} {100 * n / total:5.1f}%  {cls[0]:8} {cls[1]:5} {cls[2]:15} {cls[3]}")
+    rest = total - sum(n for _cls, n in top)
+    if rest:
+        print(f"{rest / rpcs:8.2f} {100 * rest / total:5.1f}%  ({len(classes) - len(top)} more classes)")
+    bad = relays(classes)
+    if bad:
+        nbad = sum(bad.values())
+        print(f"relays: {nbad} events ({nbad / rpcs:.1f} per RPC)")
+        if args.check:
+            for cls, n in bad.most_common():
+                print(f"  {n:7d}  {' '.join(cls)}", file=sys.stderr)
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

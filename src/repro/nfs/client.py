@@ -289,14 +289,6 @@ class Nfs4Client(FileSystemClient):
             for pos in range(s, e, size):
                 yield pos, min(pos + size, e)
 
-    def _fetch(self, f: OpenFile, ranges: list[tuple[int, int]]):
-        procs = [
-            self.sim.process(self._fetch_block(f, s, e))
-            for s, e in self._blocks(ranges, self.cfg.rsize)
-        ]
-        if procs:
-            yield self.sim.all_of(procs)
-
     def _extend_readahead(self, f: OpenFile, pc: PageCache, end: int) -> None:
         """Top up the prefetch pipeline to a full window beyond ``end``.
 
@@ -382,7 +374,12 @@ class Nfs4Client(FileSystemClient):
             miss = sum(e - s for s, e in gaps)
             self.cache_miss_bytes += miss
             self.cache_hit_bytes += (end - offset) - miss
-            yield from self._fetch(f, gaps)
+            yield self.sim.spawn(
+                *(
+                    self._fetch_block(f, s, e)
+                    for s, e in self._blocks(gaps, self.cfg.rsize)
+                )
+            )
             end = min(end, pc.size)
             if end <= offset:
                 return Payload(b"")

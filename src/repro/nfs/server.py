@@ -252,22 +252,16 @@ class Nfs4Server:
         holders = self._read_delegations.get(fh)
         if not holders:
             return
-        procs = []
+        recalls = []
         for cb, stateid in list(holders.items()):
-            if cb is exclude:
-                del holders[cb]
-                continue
-            procs.append(
-                self.sim.process(
-                    self._cb_call(
-                        cb, "cb_recall_delegation", {"fh": fh, "stateid": stateid}
-                    )
-                )
-            )
             del holders[cb]
+            if cb is exclude:
+                continue
+            recalls.append(
+                self._cb_call(cb, "cb_recall_delegation", {"fh": fh, "stateid": stateid})
+            )
             self.delegations_recalled += 1
-        if procs:
-            yield self.sim.all_of(procs)
+        yield self.sim.spawn(*recalls)
 
     def expire_client(self, callback) -> int:
         """Drop all state of a client whose lease lapsed; returns the

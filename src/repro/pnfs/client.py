@@ -157,18 +157,12 @@ class PnfsClient(Nfs4Client):
         yield from self._ensure_layout(f)
         layout, agg = f.state["layout"], f.state["agg"]
         segments = agg.map(offset, nbytes, for_write=False)
-        results: list = [None] * len(segments)
 
-        def proxy_read(i, seg):
-            res, data = yield from Nfs4Client._io_read(self, f, seg.offset, seg.length)
-            self.proxied_bytes += data.nbytes
-            results[i] = (res, data)
-
-        def seg_read(i, seg):
+        def seg_read(seg):
             ds = self._ds_for(layout, seg.device_slot)
             if not self._ds_down(ds):
                 try:
-                    res, data = yield from self._call(
+                    _res, data = yield from self._call(
                         "read",
                         {
                             "fh": layout.fhs[seg.device_slot],
@@ -178,20 +172,16 @@ class PnfsClient(Nfs4Client):
                         server=ds,
                     )
                     self._note_ds_ok(ds)
-                    results[i] = (res, data)
-                    return
+                    return data
                 except RpcTimeout:
                     yield from self._note_ds_failure(f, ds)
-            yield from proxy_read(i, seg)
+            _res, data = yield from Nfs4Client._io_read(self, f, seg.offset, seg.length)
+            self.proxied_bytes += data.nbytes
+            return data
 
-        procs = [
-            self.sim.process(seg_read(i, seg)) for i, seg in enumerate(segments)
-        ]
-        if procs:
-            yield self.sim.all_of(procs)
-
+        datas = yield self.sim.spawn(*(seg_read(seg) for seg in segments))
         out = Payload.assemble(
-            [(seg.length, data) for seg, (_res, data) in zip(segments, results)]
+            [(seg.length, data) for seg, data in zip(segments, datas)]
         )
         return {"count": out.nbytes, "eof": out.nbytes < nbytes}, out
 
@@ -199,12 +189,6 @@ class PnfsClient(Nfs4Client):
         yield from self._ensure_layout(f)
         layout, agg = f.state["layout"], f.state["agg"]
         segments = agg.map(offset, payload.nbytes, for_write=True)
-
-        def proxy_write(seg, sub):
-            yield from Nfs4Client._io_write(self, f, seg.offset, sub)
-            self.proxied_bytes += sub.nbytes
-            # Proxied data is only durable via a COMMIT at the MDS.
-            f.state["mds_dirty"] = True
 
         def seg_write(seg):
             ds = self._ds_for(layout, seg.device_slot)
@@ -222,11 +206,12 @@ class PnfsClient(Nfs4Client):
                     return
                 except RpcTimeout:
                     yield from self._note_ds_failure(f, ds)
-            yield from proxy_write(seg, sub)
+            yield from Nfs4Client._io_write(self, f, seg.offset, sub)
+            self.proxied_bytes += sub.nbytes
+            # Proxied data is only durable via a COMMIT at the MDS.
+            f.state["mds_dirty"] = True
 
-        procs = [self.sim.process(seg_write(seg)) for seg in segments]
-        if procs:
-            yield self.sim.all_of(procs)
+        yield self.sim.spawn(*(seg_write(seg) for seg in segments))
         return {"count": payload.nbytes}, None
 
     def _io_commit(self, f: OpenFile):
@@ -236,7 +221,7 @@ class PnfsClient(Nfs4Client):
             yield from super()._io_commit(f)
             f.state["mds_dirty"] = False
         else:
-            need_mds = [f.state.pop("mds_dirty", False)]
+            mds_dirty = f.state.pop("mds_dirty", False)
 
             def seg_commit(slot):
                 ds = self._ds_for(layout, slot)
@@ -246,20 +231,17 @@ class PnfsClient(Nfs4Client):
                             "commit", {"fh": layout.fhs[slot]}, server=ds
                         )
                         self._note_ds_ok(ds)
-                        return
+                        return False
                     except RpcTimeout:
                         yield from self._note_ds_failure(f, ds)
                 # Data written through this server reached the shared
                 # backend; a COMMIT at the MDS makes it durable there.
-                need_mds[0] = True
+                return True
 
-            procs = [
-                self.sim.process(seg_commit(slot))
-                for slot in sorted(f.state["commit_slots"])
-            ]
-            if procs:
-                yield self.sim.all_of(procs)
-            if need_mds[0]:
+            need_mds = yield self.sim.spawn(
+                *(seg_commit(slot) for slot in sorted(f.state["commit_slots"]))
+            )
+            if mds_dirty or any(need_mds):
                 yield from Nfs4Client._io_commit(self, f)
         f.state["commit_slots"].clear()
         # Inform the MDS of metadata changes — only when the file size

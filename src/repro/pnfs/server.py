@@ -101,22 +101,17 @@ class PnfsMetadataServer(Nfs4Server):
     def recall_layouts(self, fh):
         """Generator: CB_LAYOUTRECALL every issued layout for ``fh``."""
         grants = self._issued.pop(fh, [])
-        procs = []
+        recalls = []
         for layout, callback in grants:
             if callback is None:
                 continue
-            procs.append(
-                self.sim.process(
-                    self._cb_call(
-                        callback,
-                        "cb_layoutrecall",
-                        {"fh": fh, "stateid": layout.stateid},
-                    )
+            recalls.append(
+                self._cb_call(
+                    callback, "cb_layoutrecall", {"fh": fh, "stateid": layout.stateid}
                 )
             )
             self.layouts_recalled += 1
-        if procs:
-            yield self.sim.all_of(procs)
+        yield self.sim.spawn(*recalls)
 
     def issued_for(self, fh) -> int:
         """Number of currently issued layouts for ``fh`` (introspection)."""

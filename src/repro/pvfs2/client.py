@@ -124,14 +124,14 @@ class Pvfs2Client(FileSystemClient):
                 f"remote server {server_idx}"
             )
 
-    def _unit_io(self, op: str, server: int, args: dict, payload, results, idx):
+    def _unit_io(self, op: str, server: int, args: dict, payload=None):
         yield self._flight.acquire()
         try:
-            result, reply = yield from rpc.call(
-                self.node, self.daemons[server].rpc, op, args, payload=payload
+            return (
+                yield from rpc.call(
+                    self.node, self.daemons[server].rpc, op, args, payload=payload
+                )
             )
-            if results is not None:
-                results[idx] = (result, reply)
         finally:
             self._flight.release()
 
@@ -178,9 +178,8 @@ class Pvfs2Client(FileSystemClient):
         dfiles = f.state["dfiles"]
         units = self._split_units(dist, offset, nbytes)
         yield from self._setup(units)
-        results: list = [None] * len(units)
-        procs = [
-            self.sim.process(
+        results = yield self.sim.spawn(
+            *(
                 self._unit_io(
                     "read",
                     server,
@@ -190,15 +189,10 @@ class Pvfs2Client(FileSystemClient):
                         "nbytes": length,
                         "setup": setup,
                     },
-                    None,
-                    results,
-                    i,
                 )
+                for server, local, length, setup, _parts in units
             )
-            for i, (server, local, length, setup, _parts) in enumerate(units)
-        ]
-        if procs:
-            yield self.sim.all_of(procs)
+        )
         # Scatter each reply back onto its logical pieces; a reply cut
         # short by the end of its bstream leaves the later ones empty.
         frags: list[tuple[int, int, Payload]] = []
@@ -217,8 +211,8 @@ class Pvfs2Client(FileSystemClient):
         dfiles = f.state["dfiles"]
         units = self._split_units(dist, offset, payload.nbytes)
         yield from self._setup(units)
-        procs = [
-            self.sim.process(
+        yield self.sim.spawn(
+            *(
                 self._unit_io(
                     "write",
                     server,
@@ -227,14 +221,10 @@ class Pvfs2Client(FileSystemClient):
                     payload.slice(*parts[0])
                     if len(parts) == 1
                     else Payload.concat([payload.slice(*part) for part in parts]),
-                    None,
-                    i,
                 )
+                for server, local, _length, setup, parts in units
             )
-            for i, (server, local, _length, setup, parts) in enumerate(units)
-        ]
-        if procs:
-            yield self.sim.all_of(procs)
+        )
         self.bytes_written += payload.nbytes
         # No MDS round trip on the write path: PVFS2 file size lives on
         # the storage servers and is recomputed by getattr.
@@ -252,14 +242,12 @@ class Pvfs2Client(FileSystemClient):
         # fsync-per-transaction workloads (§6.4).
         if targets:
             yield from self.node.compute(self.cfg.request_setup_client * len(targets))
-        procs = [
-            self.sim.process(
+        yield self.sim.spawn(
+            *(
                 rpc.call(self.node, self.daemons[server].rpc, "flush", {"handle": dfile})
+                for server, dfile in targets
             )
-            for server, dfile in targets
-        ]
-        if procs:
-            yield self.sim.all_of(procs)
+        )
 
     def close(self, f: OpenFile):
         # PVFS2 close is a purely local operation: no cache to flush,

@@ -121,19 +121,22 @@ class MetadataServer:
         finally:
             self._journal_lock.release()
 
-    def _daemon_call(self, server_idx: int, proc: str, args: dict):
-        daemon = self.daemons[server_idx]
-        return rpc.call(self.node, daemon.rpc, proc, args)
+    def _all_daemons(self, proc: str, args: list[dict]):
+        """Join of ``proc`` on every storage server in parallel, server
+        ``i`` with ``args[i]``; its value is the ``(result, payload)``
+        replies in server order."""
+        return self.sim.spawn(
+            *(
+                rpc.call(self.node, daemon.rpc, proc, a)
+                for daemon, a in zip(self.daemons, args)
+            )
+        )
 
     def _query_sizes(self, meta: FileMeta):
         """Gather bstream sizes from every storage server (parallel)."""
-        procs = [
-            self.sim.process(
-                self._daemon_call(i, "bstream_size", {"handle": dfile})
-            )
-            for i, dfile in enumerate(meta.dfiles)
-        ]
-        replies = yield self.sim.all_of(procs)
+        replies = yield self._all_daemons(
+            "bstream_size", [{"handle": d} for d in meta.dfiles]
+        )
         return [size for size, _payload in replies]
 
     def _entry_info(self, entry) -> dict:
@@ -192,11 +195,7 @@ class MetadataServer:
         self.files[entry.handle] = meta
         yield from self._journal()
         # Allocate a datafile on every storage server — the costly part.
-        procs = [
-            self.sim.process(self._daemon_call(i, "create_bstream", {"handle": d}))
-            for i, d in enumerate(dfiles)
-        ]
-        yield self.sim.all_of(procs)
+        yield self._all_daemons("create_bstream", [{"handle": d} for d in dfiles])
         return self._entry_info(entry), None
 
     def _h_getattr(self, args, payload):
@@ -241,11 +240,9 @@ class MetadataServer:
         self.namespace.remove(args["path"], now=self.sim.now)
         yield from self._journal()
         if meta is not None:
-            procs = [
-                self.sim.process(self._daemon_call(i, "remove_bstream", {"handle": d}))
-                for i, d in enumerate(meta.dfiles)
-            ]
-            yield self.sim.all_of(procs)
+            yield self._all_daemons(
+                "remove_bstream", [{"handle": d} for d in meta.dfiles]
+            )
         return None, None
 
     def _h_rename(self, args, payload):
@@ -261,15 +258,10 @@ class MetadataServer:
         size = args["size"]
         # Per-server local sizes implied by truncating to `size`.
         local_end = self._dist(meta).local_sizes(size)
-        procs = [
-            self.sim.process(
-                self._daemon_call(
-                    i, "truncate_bstream", {"handle": d, "size": local_end[i]}
-                )
-            )
-            for i, d in enumerate(meta.dfiles)
-        ]
-        yield self.sim.all_of(procs)
+        yield self._all_daemons(
+            "truncate_bstream",
+            [{"handle": d, "size": n} for d, n in zip(meta.dfiles, local_end)],
+        )
         entry.attrs.size = size
         # Deterministic attribute bump: truncate is a metadata change,
         # so clients revalidating by mtime must see it move.

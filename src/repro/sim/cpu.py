@@ -43,21 +43,22 @@ class Cpu:
         self.busy_time = 0.0
 
     def consume(self, work_seconds: float):
-        """Process generator: occupy one core for ``work / speed``."""
+        """Process generator: occupy one core for ``work / speed``.
+
+        One event per charge, busy or not: the core's grant event fires
+        at the *end* of the service time (``acquire(hold=)``), scheduled
+        here when a core is free and by the releasing job when queued.
+        An interrupt before that returns the core (or withdraws the
+        request) and charges no ``busy_time``.
+        """
         if work_seconds < 0:
             raise ValueError("work must be >= 0")
         if work_seconds == 0:
             return
-        # A free core is taken on the spot; only a busy (or queued-for)
-        # CPU costs a grant event, in FIFO order.
-        if not self.cores.try_acquire():
-            yield self.cores.acquire()
-        try:
-            duration = work_seconds / self.spec.speed
-            yield self.sim.timeout(duration)
-            self.busy_time += duration
-        finally:
-            self.cores.release()
+        duration = work_seconds / self.spec.speed
+        yield self.cores.acquire(hold=duration)
+        self.busy_time += duration
+        self.cores.release()
 
     @property
     def queue_len(self) -> int:

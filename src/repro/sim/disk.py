@@ -168,11 +168,8 @@ class Disk:
                 bus_time = chunk / self.bus_bw if self.io_bus is not None else 0.0
                 media_time = chunk / media_bw
                 if self.io_bus is not None:
-                    yield self.io_bus.acquire()
-                    try:
-                        yield self.sim.timeout(bus_time)
-                    finally:
-                        self.io_bus.release()
+                    yield self.io_bus.acquire(hold=bus_time)
+                    self.io_bus.release()
                 residual = media_time - bus_time
                 if residual > 0:
                     yield self.sim.timeout(residual)

@@ -17,10 +17,13 @@ Two-lane scheduling
 -------------------
 The kernel keeps two queues: a FIFO *fast lane* (a deque) for events
 scheduled with zero delay at the current instant, and the time-ordered
-heap for genuinely future timestamps.  Most of a protocol simulation's
-events are zero-delay bookkeeping — process start kicks, free-resource
-grants, condition joins — and the fast lane turns each of those from an
-O(log n) heap push/pop with tuple comparisons into a deque append/pop.
+heap for genuinely future timestamps.  Close to half of a protocol
+simulation's events are zero-delay bookkeeping — process start kicks,
+pipe grants, hand-offs to queued waiters, joins, message completions —
+and the fast lane turns each of those from an O(log n) heap push/pop
+with tuple comparisons into a deque append/pop.  (What only relays
+control is not an event at all: a free FIFO grant is pre-fired and a
+``spawn`` leg starts in its spawner's stack.)
 
 The split preserves firing order *by construction*.  Every entry in
 either lane carries the same ``(time, priority, seq)`` key the pure
@@ -274,11 +277,13 @@ _START = _Start()
 
 
 class _Kick:
-    """Fast-lane entry that starts a process/task at the current instant.
+    """Fast-lane entry that starts a process at the current instant.
 
     Replaces the per-process init :class:`Event`: the scheduler calls
     ``_process_callbacks`` on whatever it pops, and a kick's only job
-    is to push the wrapped activity into its first generator segment.
+    is to push the process into its first generator segment.  (A
+    :meth:`Simulator.spawn` leg has no handle anyone could act on
+    first, and starts inline.)
     """
 
     __slots__ = ("proc",)
@@ -471,27 +476,41 @@ class AnyOf(_Condition):
 
 
 class Join(Event):
-    """Completion event for a batch of lightweight tasks.
+    """Completion event for a batch of lightweight legs.
 
-    Returned by :meth:`Simulator.spawn`; fires (value ``None``) when
-    every spawned generator has run to completion, or fails with the
-    first task exception.  Unlike :class:`AllOf` over processes, the
-    join is told about completions directly — finishing a task costs no
-    per-task completion event.
+    Returned by :meth:`Simulator.spawn`; fires when every spawned
+    generator has run to completion — its value is the tuple of their
+    return values in spawn order, like :class:`AllOf` — or fails with
+    the first leg's exception.  Unlike ``AllOf`` over processes, the
+    join is told about completions directly: finishing a leg costs no
+    per-leg completion event.
+
+    The join holds its legs (as ``AllOf.events`` holds its processes):
+    a leg parked on an event nothing else references stays reachable
+    through whoever waits on the join, so the cyclic garbage collector
+    cannot close its generator — and run its ``finally:`` blocks — in
+    the middle of a live simulation.
     """
 
-    __slots__ = ("_pending_count",)
+    __slots__ = ("legs", "_pending_count")
 
-    def __init__(self, sim: "Simulator", count: int):
+    def __init__(self, sim: "Simulator", generators: tuple):
         super().__init__(sim)
-        self._pending_count = count
-        if count == 0:
-            self.succeed(None)
+        self.legs = legs = tuple(_Task(sim, gen, self) for gen in generators)
+        self._pending_count = len(legs)
+        if not legs:
+            # Nothing to wait for: pre-fired, like a free FIFO grant.
+            self._value = ()
+            self._state = _PROCESSED
+        # Each leg runs its first segment here, in the spawner's stack:
+        # a start kick would only relay control.
+        for leg in legs:
+            leg._resume(_START)
 
     def _task_done(self) -> None:
         self._pending_count -= 1
         if self._pending_count == 0 and self._state == _PENDING:
-            self.succeed(None)
+            self.succeed(tuple(leg.value for leg in self.legs))
 
     def _task_fail(self, exc: BaseException) -> None:
         # Mirrors AllOf: the first failure fails the join; a later one
@@ -505,47 +524,60 @@ class _Task:
 
     Unlike :class:`Process` a task is not itself an event — nothing can
     wait on (or interrupt) an individual leg, only the shared
-    :class:`Join` — so a leg costs one slotted object and no completion
-    event.  Tasks skip the ``_active_process`` bookkeeping too: spans
-    only ever begin inside full processes.
+    :class:`Join` — so a leg costs one slotted object, no start kick
+    and no completion event.  It does stand in as the simulator's
+    active process while it runs, so spans begun by concurrent legs
+    land in lanes of their own.
     """
 
-    __slots__ = ("sim", "_generator", "join")
+    __slots__ = ("sim", "_generator", "join", "value")
 
     def __init__(self, sim: "Simulator", generator: Generator, join: Join):
         self.sim = sim
         self._generator = generator
         self.join = join
-        sim._enqueue(_Kick(self), 0.0)
+        self.value: Any = None
 
     def _resume(self, event) -> None:
         sim = self.sim
         gen = self._generator
-        while True:
-            try:
-                if event.ok:
-                    target = gen.send(event._value)
-                else:
-                    event._defused = True
-                    target = gen.throw(event._value)
-            except StopIteration:
-                self.join._task_done()
+        # A first segment runs inside the spawner's resume: put the
+        # spawner back when this one parks or ends.
+        outer, sim._active_process = sim._active_process, self
+        try:
+            while True:
+                try:
+                    if event.ok:
+                        target = gen.send(event._value)
+                    else:
+                        event._defused = True
+                        target = gen.throw(event._value)
+                except StopIteration as stop:
+                    # The join holds this leg; a finished leg lets go of
+                    # the join, so a completed fan-out is freed by
+                    # reference count, not left as a cycle to collect.
+                    self.value = stop.value
+                    join, self.join = self.join, None
+                    join._task_done()
+                    return
+                except BaseException as exc:
+                    join, self.join = self.join, None
+                    join._task_fail(exc)
+                    return
+                if not isinstance(target, Event):
+                    raise SimulationError(
+                        f"task {getattr(gen, '__name__', gen)!r} yielded "
+                        f"non-event {target!r}"
+                    )
+                if target.sim is not sim:
+                    raise SimulationError("yielded event belongs to another simulator")
+                if target._state == _PROCESSED:
+                    event = target
+                    continue
+                target.add_callback(self._resume)
                 return
-            except BaseException as exc:
-                self.join._task_fail(exc)
-                return
-            if not isinstance(target, Event):
-                raise SimulationError(
-                    f"task {getattr(gen, '__name__', gen)!r} yielded "
-                    f"non-event {target!r}"
-                )
-            if target.sim is not sim:
-                raise SimulationError("yielded event belongs to another simulator")
-            if target._state == _PROCESSED:
-                event = target
-                continue
-            target.add_callback(self._resume)
-            return
+        finally:
+            sim._active_process = outer
 
 
 @dataclass
@@ -642,20 +674,20 @@ class Simulator:
         return Process(self, generator, name)
 
     def spawn(self, *generators: Generator) -> Join:
-        """Run ``generators`` as lightweight legs; join fires when all end.
+        """Run ``generators`` as lightweight legs, joined where started.
 
-        Cheaper than ``all_of([process(g) for g in generators])``: legs
-        are not events (nothing can join or interrupt one individually),
-        so each costs a small driver object instead of a full
-        :class:`Process` plus a completion event plus an ``AllOf``
-        callback chain.  Use for fire-and-join work like RPC transfer
-        legs; use :meth:`process` when the activity itself must be
-        awaitable or interruptible.
+        ``results = yield sim.spawn(a, b, c)`` is the fan-out idiom: the
+        legs start here and now, in the caller's stack, and the returned
+        :class:`Join` fires when all have ended, with their return
+        values in spawn order.  Cheaper than
+        ``all_of([process(g) for g in generators])`` by a start kick, a
+        completion event and an ``AllOf`` callback per leg: legs are not
+        events, so nothing can join or interrupt one individually.  Use
+        :meth:`process` for an activity that is joined *later* or by
+        someone else, or that must be interruptible (write-back in
+        flight, a prefetch, an RPC attempt under a retry timer).
         """
-        join = Join(self, len(generators))
-        for gen in generators:
-            _Task(self, gen, join)
-        return join
+        return Join(self, generators)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing when all ``events`` have fired."""

@@ -9,9 +9,15 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import _PROCESSED, Event, SimulationError, Simulator
 
 __all__ = ["Resource"]
+
+
+class _Grant(Event):
+    """An acquire's event; a queued one remembers its ``hold``."""
+
+    __slots__ = ("hold",)
 
 
 class Resource:
@@ -21,19 +27,39 @@ class Resource:
 
         yield resource.acquire()
         try:
-            yield sim.timeout(service_time)
+            yield from work_that_waits()
         finally:
             resource.release()
+
+    or, when the holder does nothing but occupy the units for a known
+    time (a CPU charge, a bus transfer)::
+
+        yield resource.acquire(hold=service_time)
+        resource.release()
 
     ``acquire(n)`` atomically claims ``n`` units (granted only when all
     ``n`` are free, still in FIFO order, so large requests are not
     starved).
 
+    A FIFO grant never costs an event of its own.  Free and unqueued,
+    ``acquire()`` returns an event that has *already fired* — nothing is
+    scheduled and the yielding process runs straight on — and
+    ``acquire(hold=d)`` returns the one heap event of the service time.
+    Queued, the releaser schedules the waiter's event ``hold`` seconds
+    out: that event is the grant *and* the end of service.  A FIFO queue
+    decides nothing at grant time (the oldest waiter gets the units
+    whoever is asked, whenever), so a grant event would only relay
+    control.
+
     ``policy="random"`` grants a uniformly random eligible waiter
     instead of the oldest — used by the network pipes, where packet
     interleaving is not per-flow round-robin at millisecond scale.  The
     randomness is what lets co-scheduled identical clients drift apart
-    instead of convoying in deterministic lockstep.
+    instead of convoying in deterministic lockstep.  A random pipe
+    schedules a grant event on every acquire, free or not: the event
+    puts the new holder behind what the instant has already scheduled,
+    and that order decides who is queued when the next release draws —
+    inlining it measured as a fairness change (PR 14).
     """
 
     def __init__(
@@ -66,6 +92,9 @@ class Resource:
         #: discarded lazily when they reach the front.
         self._waiters: dict[Event, int] = {}
         self._order: deque[Event] = deque()
+        #: One bound method for every grant's ``_abandon`` hook, not a
+        #: fresh one per acquire (the hottest call in the simulator).
+        self._abandon = self._abandon_acquire
 
     @property
     def in_use(self) -> int:
@@ -82,62 +111,48 @@ class Resource:
         """Number of acquire requests waiting."""
         return len(self._waiters)
 
-    def acquire(self, units: int = 1) -> Event:
-        """Return an event that fires when ``units`` are granted.
+    def acquire(self, units: int = 1, hold: float = 0.0) -> Event:
+        """Return an event that fires ``hold`` seconds after the grant.
 
         If the waiting process is interrupted, the pending request is
-        withdrawn (or, if already granted, the units are returned) —
-        no leak.
+        withdrawn (or, if already granted and the event has not fired
+        yet — a grant in flight, or service in progress under ``hold``
+        — the units are returned on the spot) — no leak.
         """
         if units < 1 or units > self.capacity:
             raise ValueError(
                 f"cannot acquire {units} units of {self.name or 'resource'} "
                 f"with capacity {self.capacity}"
             )
-        ev = Event(self.sim)
-        # Bound method, not a per-acquire closure: acquire() is one of
-        # the hottest calls in the simulator and the lambda allocation
-        # showed up in profiles.  The grant size travels as the event
-        # value, so the abandon path can recover it without capture.
-        ev._abandon = self._abandon_acquire
-        if not self._waiters and self._in_use + units <= self.capacity:
-            self._in_use += units
-            if self._in_use > self.high_water:
-                self.high_water = self._in_use
-            ev.succeed(units)
-        else:
+        ev = _Grant(self.sim)
+        if self._waiters or self._in_use + units > self.capacity:
+            ev.hold = hold
             self._waiters[ev] = units
             if self.policy == "fifo":
                 self._order.append(ev)
+        else:
+            self._in_use += units
+            if self._in_use > self.high_water:
+                self.high_water = self._in_use
+            if hold == 0.0 and self.policy == "fifo":
+                # Granted here and now, nothing to wait for: pre-fired.
+                ev._value = units
+                ev._state = _PROCESSED
+                return ev
+            ev.succeed(units, hold)
+        # The grant size travels as the event value, so the abandon
+        # path can recover it without a per-acquire closure.
+        ev._abandon = self._abandon
         return ev
-
-    def try_acquire(self, units: int = 1) -> bool:
-        """Claim ``units`` immediately if free; never queues.
-
-        Returns ``False`` when the units are not available *or* other
-        requests are already waiting (claiming would jump the queue).
-        The fast path for hot acquire/release cycles: a successful
-        try_acquire costs no event at all.
-        """
-        if units < 1 or units > self.capacity:
-            raise ValueError(
-                f"cannot acquire {units} units of {self.name or 'resource'} "
-                f"with capacity {self.capacity}"
-            )
-        if self._waiters or self._in_use + units > self.capacity:
-            return False
-        self._in_use += units
-        if self._in_use > self.high_water:
-            self.high_water = self._in_use
-        return True
 
     def _abandon_acquire(self, ev: Event) -> None:
         """The waiter was interrupted: withdraw or return the grant."""
         if self._waiters.pop(ev, None) is not None:
             return
         if ev.triggered:
-            # Grant already made but never consumed; the event value is
-            # the number of units granted (see acquire/release).
+            # Granted, but the event never reached its waiter (a grant
+            # in flight, or a hold cut short); its value is the number
+            # of units granted (see acquire/release).
             self.release(ev._value)
 
     def release(self, units: int = 1) -> None:
@@ -149,9 +164,13 @@ class Resource:
             )
         self._in_use -= units
         waiters = self._waiters
+        if not waiters:
+            # Nobody to wake (the common case); whatever is left in the
+            # FIFO shadow was withdrawn.
+            if self._order:
+                self._order.clear()
+            return
         if self.policy == "random":
-            if not waiters:
-                return
             # Build the eligible set once, in waiter order, then shrink
             # it incrementally.  Equivalent to re-filtering the whole
             # queue after every grant (the old O(n^2) inner loop):
@@ -168,7 +187,7 @@ class Resource:
                 self._in_use += want
                 if self._in_use > self.high_water:
                     self.high_water = self._in_use
-                ev.succeed(want)
+                ev.succeed(want, ev.hold)
                 avail -= want
                 if not eligible or avail <= 0:
                     # Nothing left to grant (wants are >= 1): done
@@ -186,19 +205,20 @@ class Resource:
                     mx = max((w for _e, w in eligible), default=0)
             return
         order = self._order
-        while order:
+        capacity = self.capacity
+        while order and self._in_use < capacity:
             ev = order[0]
             want = waiters.get(ev)
             if want is None:
                 # Withdrawn by _abandon_acquire; discard lazily.
                 order.popleft()
                 continue
-            if self._in_use + want > self.capacity:
+            if self._in_use + want > capacity:
                 break
             order.popleft()
             del waiters[ev]
             self._in_use += want
             if self._in_use > self.high_water:
                 self.high_water = self._in_use
-            ev.succeed(want)
+            ev.succeed(want, ev.hold)
 

@@ -55,8 +55,7 @@ class MdtestWorkload(Workload):
         rank_paths: list[list[str]] = [[] for _ in range(ranks)]
 
         def fan_out(maker):
-            procs = [sim.process(maker(r)) for r in range(ranks)]
-            return sim.all_of(procs)
+            return sim.spawn(*(maker(r) for r in range(ranks)))
 
         t0 = sim.now
 

@@ -75,8 +75,11 @@ def cached_reads_with_pending_prefetches(readahead: int) -> tuple[int, int]:
     # The service stops answering (no RPC timeout: calls wait forever).
     # A read far beyond the cached region blocks on its demand fetch and
     # leaves a full readahead window of prefetches pending behind it.
+    # The handle keeps the stuck read reachable: unreferenced, it and its
+    # demand fetch are garbage, and the collection in ``calls_made_by``
+    # would close them and hand their session slot to a queued prefetch.
     server.rpc.fail()
-    sim.process(client.read(f, far, BLOCK))
+    far_read = sim.process(client.read(f, far, BLOCK))
     sim.run()
     pending = client.readahead_issued_bytes // rsize
 
@@ -87,6 +90,7 @@ def cached_reads_with_pending_prefetches(readahead: int) -> tuple[int, int]:
     calls = calls_made_by(sim, stream())
     assert client.bytes_read == OPS * BLOCK
     assert client.cache_miss_bytes == BLOCK  # only the far read ever missed
+    assert far_read.is_alive
     return pending, calls
 
 

@@ -1,7 +1,10 @@
 """Session slot-table and reply-cache tests."""
 
+import pytest
+
 from repro.nfs.sessions import Session
 from repro.sim import Interrupt, Simulator
+from repro.sim.engine import SimulationError
 
 
 class TestHighWaterMark:
@@ -44,10 +47,16 @@ class TestHighWaterMark:
         """Regression: ``highest_used`` used to be sampled when the
         acquire event was *created*, so a grant abandoned before being
         consumed (the waiter was interrupted — e.g. by an RPC timeout)
-        inflated the high-water mark.  The mark must be sampled at
-        grant time, after urgent interrupts have returned the slot."""
+        inflated the high-water mark.  The mark must be sampled when
+        the grant event fires, after the interrupt has returned the
+        slot.  A *free* slot is consumed on the spot (its event is
+        pre-fired), so the grant that can still be abandoned is the
+        queued one: the table is full, the holder gives its slot back,
+        and the waiter that was just granted it is interrupted in the
+        same instant."""
         sim = Simulator()
-        session = Session(sim, slots=2)
+        session = Session(sim, slots=1)
+        outcome = []
 
         def phantom():
             try:
@@ -55,31 +64,33 @@ class TestHighWaterMark:
             except Interrupt:
                 # The abandon hook already returned the slot; the
                 # phantom never actually held it.
+                outcome.append("interrupted")
                 return
+            outcome.append("granted")
+            session.done()
 
         def holder():
             yield session.slot()
-            try:
-                yield sim.timeout(0.1)
-            finally:
-                session.done()
+            yield sim.timeout(0.1)
+            assert session.slots.queue_len == 1
+            # Forget the holder's own sample: one taken for the phantom
+            # would now show.
+            session.highest_used = 0
+            session.done()  # grants the queued phantom ...
+            assert (session.slots.in_use, session.slots.queue_len) == (1, 0)
+            p.interrupt("rpc timeout")  # ... whose event has not fired yet
+            assert session.slots.in_use == 0
 
-        p = sim.process(phantom())
         sim.process(holder())
-
-        def killer():
-            # Runs at t=0 after both acquires were granted but before
-            # either grant event's callbacks fire (urgent interrupt
-            # events process first): the phantom's slot is returned
-            # before any occupancy sample is taken.
-            p.interrupt("rpc timeout")
-            return
-            yield  # pragma: no cover
-
-        sim.process(killer())
+        p = sim.process(phantom())
         sim.run()
-        assert session.highest_used == 1
+        assert outcome == ["interrupted"]
+        assert session.highest_used == 0
+        # Returned exactly once: the table is empty and a second return
+        # would be an over-release.
         assert session.slots.in_use == 0
+        with pytest.raises(SimulationError):
+            session.done()
 
 
 class TestReplyCache:

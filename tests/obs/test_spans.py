@@ -60,6 +60,34 @@ class TestRecording:
         lanes = {s.lane for s in col.spans}
         assert len(lanes) == 2  # one lane per concurrent process
 
+    def test_spawn_legs_get_lanes_of_their_own(self):
+        """A leg is not a process, but spans it begins — in its first
+        segment, inside the spawner's stack, or after a wait — must not
+        pile onto the spawner's lane or onto each other's."""
+        sim = Simulator()
+        with SpanCollector(sim) as col:
+
+            def leg(d):
+                first = col.begin("rpc", "rpc", "c0")
+                yield sim.timeout(d)
+                col.end(first)
+                second = col.begin("rpc", "rpc", "c0")
+                yield sim.timeout(d)
+                col.end(second)
+
+            def parent():
+                whole = col.begin("read", "client-op", "c0")
+                yield sim.spawn(leg(1.0), leg(1.5))
+                tail = col.begin("copy", "client-op", "c0")
+                col.end(tail)
+                col.end(whole)
+
+            sim.run(until=sim.process(parent()))
+        whole, a1, b1, a2, b2, tail = sorted(col.spans, key=lambda s: (s.start, s.lane))
+        assert len({whole.lane, a1.lane, b1.lane}) == 3
+        assert (a2.lane, b2.lane) == (a1.lane, b1.lane)  # a leg keeps its lane
+        assert tail.lane == whole.lane  # the spawner got its own back
+
     def test_by_category(self):
         sim = Simulator()
         with SpanCollector(sim) as col:

@@ -229,3 +229,44 @@ class TestGatherWithTwoFailingLegs:
         sim.process(waiter())
         with pytest.raises(RuntimeError, match="late"):
             sim.run()
+
+
+class TestStuckFanOutSurvivesGarbageCollection:
+    """A leg parked on an event nothing else references (a message a
+    dead server swallowed) is only reachable through its ``Join``.  If
+    the join did not hold its legs, the leg, its generator and the event
+    would be cyclic garbage while the joiner still waits, and a
+    collection would close the generator — running its ``finally:`` and
+    handing the units it holds to someone else in a *live* simulation,
+    at an instant the host's allocator picks."""
+
+    def test_parked_leg_keeps_its_unit_while_the_joiner_is_referenced(self):
+        import gc
+
+        sim = Simulator()
+        res = Resource(sim, 1)
+        finalised = []
+
+        def leg():
+            yield res.acquire()
+            try:
+                yield sim.event()  # never fires; nothing else holds it
+            finally:
+                finalised.append(sim.now)
+                res.release()
+
+        def joiner():
+            yield sim.spawn(leg())
+
+        def later():
+            yield sim.timeout(1.0)
+            yield res.acquire()
+            return sim.now
+
+        waiting = sim.process(joiner())
+        queued = sim.process(later())
+        sim.run()
+        gc.collect()
+        sim.run()
+        assert finalised == [] and res.in_use == 1 and res.queue_len == 1
+        assert waiting.is_alive and queued.is_alive

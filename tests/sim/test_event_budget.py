@@ -135,8 +135,10 @@ class TestCpuBudget:
             sim.process(job(tag))
         sim.run()
         assert finished == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
-        # Per job: kick, service, completion; b and c also a grant.
-        assert sim.stats.events_processed - before == 3 * 3 + 2
+        # Per job: kick, service, completion.  The event that grants b
+        # and c the core is their service event, scheduled by the job
+        # releasing it.
+        assert sim.stats.events_processed - before == 3 * 3
         assert cpu.cores.high_water == 1
 
     def test_interrupt_while_queued_withdraws_without_leak(self):
@@ -167,6 +169,178 @@ class TestCpuBudget:
         assert cpu.cores.in_use == 0 and cpu.queue_len == 0
         assert cpu.busy_time == 2.0
 
+    def test_interrupt_in_service_releases_the_core_once_and_charges_nothing(self):
+        sim = Simulator()
+        cpu = Cpu(sim, CpuSpec(cores=1, speed=1.0))
+        log = []
+
+        def job(tag):
+            try:
+                yield from cpu.consume(1.0)
+                log.append((tag, sim.now))
+            except Interrupt:
+                log.append((tag, "interrupted", sim.now))
+
+        serving = sim.process(job("a"))
+        sim.process(job("b"))
+
+        def canceller():
+            yield sim.timeout(0.25)
+            assert cpu.cores.in_use == 1 and cpu.queue_len == 1
+            serving.interrupt()
+            # The core went straight to b: released once, granted once.
+            assert cpu.cores.in_use == 1 and cpu.queue_len == 0
+
+        sim.process(canceller())
+        sim.run()
+        assert log == [("a", "interrupted", 0.25), ("b", 1.25)]
+        assert cpu.cores.in_use == 0
+        assert cpu.busy_time == 1.0  # b's second; a's quarter is not charged
+
+
+class TestFifoGrantBudget:
+    """A FIFO grant never costs an event of its own; a random one always does."""
+
+    def test_free_acquire_is_already_fired_and_costs_nothing(self):
+        sim = Simulator()
+        res = Resource(sim, 2)
+        ev = res.acquire()
+        assert ev.processed and ev.value == 1 and res.in_use == 1
+        assert sim.stats.events_scheduled == 0
+
+        def user():
+            got = yield res.acquire()
+            assert got == 1 and res.in_use == 2
+            res.release()
+
+        assert events_of(sim, user()) == 0
+
+    def test_free_acquire_with_hold_is_one_heap_event_at_the_end_of_service(self):
+        sim = Simulator()
+        res = Resource(sim, 1)
+
+        def user():
+            yield sim.timeout(1.0)
+            yield res.acquire(hold=0.5)
+            assert sim.now == 1.5 and res.in_use == 1
+            res.release()
+
+        heap_before = sim.stats.heap_events
+        assert events_of(sim, user()) == 2  # the timeout and the hold
+        assert sim.stats.heap_events - heap_before == 2
+        assert sim.now == 1.5 and res.in_use == 0
+
+    def test_queued_hold_waiters_finish_back_to_back_in_arrival_order(self):
+        sim = Simulator()
+        res = Resource(sim, 1)
+        finished = []
+
+        def user(tag, hold):
+            yield res.acquire(hold=hold)
+            finished.append((tag, sim.now))
+            res.release()
+
+        before = sim.stats.events_processed
+        for tag, hold in [("a", 0.5), ("b", 0.25), ("c", 1.0), ("d", 0.125)]:
+            sim.process(user(tag, hold))
+        sim.run()
+        assert finished == [("a", 0.5), ("b", 0.75), ("c", 1.75), ("d", 1.875)]
+        assert sim.stats.events_processed - before == 4 * 3  # kick, hold, completion
+        assert res.in_use == 0 and res.high_water == 1
+
+    def test_free_random_pipe_acquire_still_costs_its_grant_event(self):
+        sim = Simulator()
+        pipe = Resource(sim, 1, policy="random")
+        ev = pipe.acquire()
+        assert ev.triggered and not ev.processed and pipe.in_use == 1
+        assert sim.stats.events_scheduled == 1
+        sim.run()
+        assert ev.processed and sim.stats.heap_events == 0
+
+
+class TestSpawnBudget:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_n_legs_that_wait_once_cost_n_plus_one_events(self, n):
+        """One event per leg's wait and one for the join: no start kicks."""
+        sim = Simulator()
+        started = []
+
+        def leg(i):
+            started.append((i, sim.now))
+            yield sim.timeout(1.0 + i)
+            return i * i
+
+        def parent():
+            join = sim.spawn(*(leg(i) for i in range(n)))
+            # Every leg has run its first segment in this very stack.
+            assert started == [(i, 0.0) for i in range(n)]
+            return (yield join)
+
+        before = sim.stats.events_processed
+        proc = sim.process(parent())
+        sim.run()
+        assert sim.stats.events_processed - before - 2 == n + 1
+        # Return values in spawn order, whatever order the legs ended in.
+        assert proc.value == tuple(i * i for i in range(n))
+
+    def test_join_value_is_in_spawn_order_not_completion_order(self):
+        sim = Simulator()
+
+        def leg(tag, delay):
+            yield sim.timeout(delay)
+            return tag
+
+        def parent():
+            return (yield sim.spawn(leg("slow", 3.0), leg("fast", 1.0), leg("mid", 2.0)))
+
+        proc = sim.process(parent())
+        sim.run()
+        assert proc.value == ("slow", "fast", "mid") and sim.now == 3.0
+
+    def test_a_leg_that_never_yields_settles_the_join(self):
+        sim = Simulator()
+
+        def instant(tag):
+            return tag
+            yield  # pragma: no cover
+
+        def waits():
+            yield sim.timeout(1.0)
+            return "waited"
+
+        def parent():
+            alone = yield sim.spawn(instant("only"))
+            mixed = yield sim.spawn(instant("a"), waits(), instant("b"))
+            empty = yield sim.spawn()
+            return alone, mixed, empty
+
+        proc = sim.process(parent())
+        sim.run()
+        assert proc.value == (("only",), ("a", "waited", "b"), ())
+
+    def test_a_leg_that_raises_in_its_first_segment_fails_the_join(self):
+        sim = Simulator()
+        ran = []
+
+        def broken():
+            raise RuntimeError("first segment")
+            yield  # pragma: no cover
+
+        def sibling():
+            yield sim.timeout(1.0)
+            ran.append(sim.now)
+
+        def parent():
+            try:
+                yield sim.spawn(broken(), sibling())
+            except RuntimeError as exc:
+                return str(exc), sim.now
+
+        proc = sim.process(parent())
+        sim.run()
+        # The failure reaches the joiner at once; the sibling runs on.
+        assert proc.value == ("first segment", 0.0) and ran == [1.0]
+
 
 class TestRpcBudget:
     def test_header_only_rpc_to_idle_server_costs_fourteen_events(self):
@@ -174,7 +348,8 @@ class TestRpcBudget:
         rx service each way, server CPU between) are eight heap events;
         the six zero-delay ones are the four pipe grants and the two
         message completions.  The free cores and worker thread cost
-        nothing."""
+        nothing — unchanged by pre-fired FIFO grants and inline spawn
+        legs, which touch neither the pipes nor a physical delay."""
         sim = Simulator()
         net = Network(sim, latency=LATENCY, per_message_bytes=120)
         client = Node(sim, NodeSpec(name="c", cpu=CpuSpec(cores=2, speed=1.0), nic_bw=BW), net)

@@ -121,24 +121,24 @@ class TestResource:
         assert max(peak) <= capacity
         assert res.in_use == 0
 
-    def test_try_acquire_claims_only_when_free_and_unqueued(self, sim):
+    def test_acquire_is_prefired_only_when_free_and_unqueued(self, sim):
         res = Resource(sim, 2)
-        assert res.try_acquire(2)
+        assert res.acquire(2).processed  # granted on the spot
         assert res.in_use == 2
-        assert not res.try_acquire()  # full
         waiter = res.acquire()
-        assert not waiter.triggered
+        assert not waiter.triggered  # full
         res.release(2)
         sim.run()
         assert waiter.processed and res.in_use == 1
         # One unit free, but someone queued earlier would be jumped:
-        res2 = Resource(sim, 1)
-        res2.try_acquire()
-        pending = res2.acquire()
+        res2 = Resource(sim, 3)
+        assert res2.acquire(2).processed
+        pending = res2.acquire(2)
         assert not pending.triggered
-        assert not res2.try_acquire()  # would jump `pending`
+        assert not res2.acquire().triggered  # would jump `pending`
+        assert res2.in_use == 2 and res2.queue_len == 2
         with pytest.raises(ValueError):
-            res.try_acquire(3)
+            res.acquire(3)
 
 
 class TestLongWaiterQueues:
@@ -156,7 +156,7 @@ class TestLongWaiterQueues:
 
     def _queue_up(self, sim, policy):
         res = Resource(sim, self.N, policy=policy)
-        assert res.try_acquire(self.N)
+        assert res.acquire(self.N).triggered
         events = [res.acquire() for _ in range(self.N)]
         assert res.queue_len == self.N
         return res, events
@@ -184,7 +184,7 @@ class TestLongWaiterQueues:
         for seed, capacity in [(1, 7), (2, 13), (3, 4)]:
             sim = Simulator(seed=seed)
             res = Resource(sim, capacity, policy="random")
-            assert res.try_acquire(capacity)
+            assert res.acquire(capacity).triggered
             rnd = np.random.default_rng(seed + 99)
             wants = [int(rnd.integers(1, capacity + 1)) for _ in range(50)]
             order: list = []
@@ -220,7 +220,7 @@ class TestLongWaiterQueues:
 
         sim = Simulator()
         res = Resource(sim, 1)
-        assert res.try_acquire()
+        assert res.acquire().processed
         holders = []
 
         def waiter():
