@@ -48,11 +48,6 @@ N_CLIENTS = 8
 BLOCK = 2 * MB
 SCALE = 0.2
 
-#: Measured on the pinned cell before the two-lane scheduler: every
-#: event was a heap event, ~243 of them per served RPC.  Kept as the
-#: recorded reference point for the trajectory artifact.
-PRE_TWO_LANE_EVENTS_PER_RPC = 242.9
-
 #: Ceilings with headroom over the measured values (~59 heap / ~112
 #: total per RPC): loose enough for config drift in other layers, tight
 #: enough that losing the fast lane, or re-growing a grant event per
@@ -95,7 +90,6 @@ def test_events_per_rpc_stays_below_ceiling():
         "rpcs": rpcs,
         "events_per_rpc": events_per_rpc,
         "heap_events_per_rpc": heap_per_rpc,
-        "pre_two_lane_events_per_rpc": PRE_TWO_LANE_EVENTS_PER_RPC,
         "ceilings": {
             "heap_events_per_rpc": HEAP_EVENTS_PER_RPC_MAX,
             "events_per_rpc": EVENTS_PER_RPC_MAX,
@@ -108,8 +102,7 @@ def test_events_per_rpc_stays_below_ceiling():
         json.dump(report, fh, indent=2)
     print()
     print(
-        f"  {rpcs} RPCs, {events_per_rpc:.1f} events/RPC "
-        f"({heap_per_rpc:.1f} heap, was {PRE_TWO_LANE_EVENTS_PER_RPC} pre-two-lane)"
+        f"  {rpcs} RPCs, {events_per_rpc:.1f} events/RPC ({heap_per_rpc:.1f} heap)"
     )
 
     # The physics is untouched by kernel scheduling changes.

@@ -6,10 +6,12 @@ classifies every scheduled event by
 
 * its type (``Timeout``, ``Event``, ``_Kick``, ``Process``, ``Join`` ...),
 * zero or positive delay (positive = a physical delay on the heap),
-* the kernel call that scheduled it (``acquire[fifo]``, ``release[fifo]``,
-  ``spawn``, ``process``, ``timeout``, ``end`` of a process ...), and
-* the first frame outside ``sim/engine.py`` and ``sim/resources.py`` —
-  or, for a process completion, the generator that finished,
+* the kernel call that scheduled it (``acquire[Resource]``,
+  ``release[Pipe]``, ``spawn``, ``process``, ``timeout``, ``end`` of a
+  process ...), and
+* the first frame outside the kernel (``sim/engine.py``,
+  ``sim/resources.py`` and :class:`~repro.sim.network.Pipe`) — or, for
+  a process completion, the generator that finished,
 
 then prints events by class per front-end RPC (ROADMAP item 2c's table).
 A reader, not a hook: nothing in ``src/repro`` knows it exists, so it is
@@ -20,7 +22,7 @@ free when not run::
     python scripts/event_census.py direct-pnfs pinned --check    # CI: exit 1 on a relay
 
 ``--check`` fails when the cell schedules a grant of a *free* FIFO
-resource or a ``spawn`` start kick — the two relay classes PR 20
+``Resource`` or a ``spawn`` start kick — the two relay classes PR 20
 removed (docs/architecture.md, "resource grants").
 """
 
@@ -37,6 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.bench.runner import run_cell  # noqa: E402
 from repro.cli import _WORKLOADS  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
+from repro.sim.network import Pipe  # noqa: E402
 from repro.workloads import IorWorkload  # noqa: E402
 
 SRC = str(ROOT / "src" / "repro") + "/"
@@ -63,20 +66,21 @@ def classify(event, delay: float, frame) -> tuple[str, str, str, str]:
     site = "(event loop)"
     while frame is not None:
         code = frame.f_code
-        if code.co_filename not in KERNEL:
+        owner = frame.f_locals.get("self")
+        if code.co_filename not in KERNEL and not isinstance(owner, Pipe):
             site = f"{code.co_filename.removeprefix(SRC)}:{code.co_name}"
             break
         name = code.co_name
         if name == "_resume":
             # No product frame between the generator driver and the
             # scheduling: the generator itself ended (or failed).
-            gen = frame.f_locals["gen"]
+            gen = owner._generator
             kernel_call, site = "end", getattr(gen, "__qualname__", str(gen))
             break
         if name == "run":
             break  # a kernel callback (a condition's check) fired it
         if name in ("acquire", "release"):
-            name += f"[{frame.f_locals['self'].policy}]"
+            name += f"[{type(owner).__name__}]"
         if name != "_process_callbacks":
             kernel_call = name
         frame = frame.f_back
@@ -106,7 +110,7 @@ def relays(classes: Counter) -> Counter:
         {
             cls: n
             for cls, n in classes.items()
-            if (cls[1] == "zero" and cls[2] == "acquire[fifo]")
+            if (cls[1] == "zero" and cls[2] == "acquire[Resource]")
             or (cls[0] == "_Kick" and cls[2] == "spawn")
         }
     )
@@ -133,10 +137,10 @@ def main(argv=None) -> int:
         f"{total} events, {rpcs} front-end RPCs, {total / rpcs:.1f} events/RPC, "
         f"{100 * physical / total:.0f} % physical delays"
     )
-    print(f"{'per RPC':>8} {'share':>6}  {'event':8} {'delay':5} {'kernel call':15} site")
+    print(f"{'per RPC':>8} {'share':>6}  {'event':8} {'delay':5} {'kernel call':17} site")
     top = classes.most_common(args.top)
     for cls, n in top:
-        print(f"{n / rpcs:8.2f} {100 * n / total:5.1f}%  {cls[0]:8} {cls[1]:5} {cls[2]:15} {cls[3]}")
+        print(f"{n / rpcs:8.2f} {100 * n / total:5.1f}%  {cls[0]:8} {cls[1]:5} {cls[2]:17} {cls[3]}")
     rest = total - sum(n for _cls, n in top)
     if rest:
         print(f"{rest / rpcs:8.2f} {100 * rest / total:5.1f}%  ({len(classes) - len(top)} more classes)")

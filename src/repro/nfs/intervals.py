@@ -24,9 +24,6 @@ class IntervalSet:
     def __bool__(self) -> bool:
         return bool(self._ivs)
 
-    def __len__(self) -> int:
-        return len(self._ivs)
-
     def __iter__(self):
         return iter(self._ivs)
 
@@ -34,13 +31,6 @@ class IntervalSet:
     def total(self) -> int:
         """Total bytes covered."""
         return sum(e - s for s, e in self._ivs)
-
-    @property
-    def span(self) -> tuple[int, int]:
-        """(min start, max end) or (0, 0) when empty."""
-        if not self._ivs:
-            return (0, 0)
-        return (self._ivs[0][0], self._ivs[-1][1])
 
     def add(self, start: int, end: int) -> tuple[int, int]:
         """Insert ``[start, end)``, merging overlapping/adjacent intervals;

@@ -1,8 +1,8 @@
 """Discrete-event cluster simulation substrate.
 
 This package provides the performance layer of the reproduction: a
-deterministic discrete-event engine (:mod:`repro.sim.engine`), resource
-primitives (:mod:`repro.sim.resources`), and hardware models — network
+deterministic discrete-event engine (:mod:`repro.sim.engine`), FIFO
+service pools (:mod:`repro.sim.resources`), and hardware models — network
 (:mod:`repro.sim.network`), disk (:mod:`repro.sim.disk`), CPU
 (:mod:`repro.sim.cpu`) — composed into cluster nodes
 (:mod:`repro.sim.node`) with measurement helpers
@@ -26,7 +26,7 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import Resource
-from repro.sim.network import Network, Nic, Flow
+from repro.sim.network import Network, Nic, Flow, Pipe
 from repro.sim.disk import Disk, DiskFailed, DiskSpec
 from repro.sim.faults import FaultInjector
 from repro.sim.cpu import Cpu, CpuSpec
@@ -49,6 +49,7 @@ __all__ = [
     "Nic",
     "Node",
     "NodeSpec",
+    "Pipe",
     "Process",
     "Resource",
     "SimulationError",

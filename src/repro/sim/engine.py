@@ -39,8 +39,14 @@ order is exactly the single-heap order.  Two supporting invariants:
   at zero delay, so they keep beating same-instant priority-1 events
   regardless of scheduling order, exactly as before.
 
-``Simulator(two_lane=False)`` routes everything through the heap — the
-reference kernel the differential tests compare against.
+The differential tests check the claim against a pure-heap reference
+kernel they keep beside them (a subclass overriding ``_enqueue``).
+
+One generator driver
+--------------------
+A :class:`Process` and a :meth:`Simulator.spawn` leg run on the same
+trampoline (:class:`_Driver`) and differ only in what ending means: a
+process is itself an event and fires, a leg reports to its :class:`Join`.
 
 Typical usage::
 
@@ -295,7 +301,65 @@ class _Kick:
         self.proc._resume(_START)
 
 
-class Process(Event):
+class _Driver:
+    """The generator trampoline behind :class:`Process` and spawn legs.
+
+    The driven object has ``sim``, ``_generator``, ``name`` and
+    ``_waiting_on`` and says what ending means: ``_finished(value)``
+    when the generator returns, ``_failed(exc)`` when it raises.
+    """
+
+    __slots__ = ()
+
+    def _resume(self, event) -> None:
+        # Trampoline: yielding an already-processed event used to recurse
+        # (``add_callback`` on a processed event calls back immediately);
+        # looping here resumes such targets iteratively, so long chains
+        # of completed events cost stack-free sends instead of recursion.
+        sim = self.sim
+        gen = self._generator
+        self._waiting_on = None
+        # A spawn leg's first segment runs inside its spawner's resume:
+        # put the spawner back when this one parks or ends.  (Resumed
+        # from the event loop, what is put back is ``None``.)
+        outer, sim._active_process = sim._active_process, self
+        try:
+            while True:
+                try:
+                    if event.ok:
+                        target = gen.send(event._value)
+                    else:
+                        event._defused = True
+                        target = gen.throw(event._value)
+                except StopIteration as stop:
+                    self._finished(stop.value)
+                    return
+                except BaseException as exc:
+                    self._failed(exc)
+                    return
+                if not isinstance(target, Event):
+                    # Thrown into the generator so its ``finally:`` blocks
+                    # run and whatever it holds is given back.
+                    error = SimulationError(f"{self.name!r} yielded non-event {target!r}")
+                    try:
+                        gen.throw(error)
+                    except BaseException as exc:
+                        self._failed(exc)
+                        return
+                    raise error
+                if target.sim is not sim:
+                    raise SimulationError("yielded event belongs to another simulator")
+                if target._state == _PROCESSED:
+                    event = target
+                    continue
+                self._waiting_on = target
+                target.add_callback(self._resume)
+                return
+        finally:
+            sim._active_process = outer
+
+
+class Process(Event, _Driver):
     """A running simulation activity wrapping a generator.
 
     A process is itself an event: it fires when the generator returns
@@ -351,49 +415,9 @@ class Process(Event):
         interrupt_ev.add_callback(self._resume)
 
     # -- engine internals ----------------------------------------------
-    def _resume(self, event) -> None:
-        # Trampoline: yielding an already-processed event used to recurse
-        # (``add_callback`` on a processed event calls back immediately);
-        # looping here resumes such targets iteratively, so long chains
-        # of completed events cost stack-free sends instead of recursion.
-        sim = self.sim
-        gen = self._generator
-        while True:
-            self._waiting_on = None
-            sim._active_process = self
-            try:
-                if event.ok:
-                    target = gen.send(event._value)
-                else:
-                    event._defused = True
-                    target = gen.throw(event._value)
-            except StopIteration as stop:
-                sim._active_process = None
-                self.succeed(stop.value)
-                return
-            except BaseException as exc:
-                sim._active_process = None
-                self.fail(exc)
-                return
-            sim._active_process = None
-            if not isinstance(target, Event):
-                error = SimulationError(
-                    f"process {self.name!r} yielded non-event {target!r}"
-                )
-                try:
-                    gen.throw(error)
-                except BaseException as exc:
-                    self.fail(exc)
-                    return
-                raise error
-            if target.sim is not sim:
-                raise SimulationError("yielded event belongs to another simulator")
-            if target._state == _PROCESSED:
-                event = target
-                continue
-            self._waiting_on = target
-            target.add_callback(self._resume)
-            return
+    #: How the driver ends a process: it fires, as any event does.
+    _finished = Event.succeed
+    _failed = Event.fail
 
 
 class _Condition(Event):
@@ -507,20 +531,9 @@ class Join(Event):
         for leg in legs:
             leg._resume(_START)
 
-    def _task_done(self) -> None:
-        self._pending_count -= 1
-        if self._pending_count == 0 and self._state == _PENDING:
-            self.succeed(tuple(leg.value for leg in self.legs))
 
-    def _task_fail(self, exc: BaseException) -> None:
-        # Mirrors AllOf: the first failure fails the join; a later one
-        # has no observer left and is dropped.
-        if self._state == _PENDING:
-            self.fail(exc)
-
-
-class _Task:
-    """Lightweight generator driver for :meth:`Simulator.spawn` legs.
+class _Task(_Driver):
+    """One :meth:`Simulator.spawn` leg: a driven generator and no more.
 
     Unlike :class:`Process` a task is not itself an event — nothing can
     wait on (or interrupt) an individual leg, only the shared
@@ -530,54 +543,35 @@ class _Task:
     land in lanes of their own.
     """
 
-    __slots__ = ("sim", "_generator", "join", "value")
+    __slots__ = ("sim", "_generator", "_waiting_on", "join", "value")
 
     def __init__(self, sim: "Simulator", generator: Generator, join: Join):
         self.sim = sim
         self._generator = generator
+        self._waiting_on: Optional[Event] = None
         self.join = join
         self.value: Any = None
 
-    def _resume(self, event) -> None:
-        sim = self.sim
-        gen = self._generator
-        # A first segment runs inside the spawner's resume: put the
-        # spawner back when this one parks or ends.
-        outer, sim._active_process = sim._active_process, self
-        try:
-            while True:
-                try:
-                    if event.ok:
-                        target = gen.send(event._value)
-                    else:
-                        event._defused = True
-                        target = gen.throw(event._value)
-                except StopIteration as stop:
-                    # The join holds this leg; a finished leg lets go of
-                    # the join, so a completed fan-out is freed by
-                    # reference count, not left as a cycle to collect.
-                    self.value = stop.value
-                    join, self.join = self.join, None
-                    join._task_done()
-                    return
-                except BaseException as exc:
-                    join, self.join = self.join, None
-                    join._task_fail(exc)
-                    return
-                if not isinstance(target, Event):
-                    raise SimulationError(
-                        f"task {getattr(gen, '__name__', gen)!r} yielded "
-                        f"non-event {target!r}"
-                    )
-                if target.sim is not sim:
-                    raise SimulationError("yielded event belongs to another simulator")
-                if target._state == _PROCESSED:
-                    event = target
-                    continue
-                target.add_callback(self._resume)
-                return
-        finally:
-            sim._active_process = outer
+    @property
+    def name(self) -> str:
+        return getattr(self._generator, "__name__", "task")
+
+    def _finished(self, value: Any) -> None:
+        # The join holds this leg; a finished leg lets go of the join,
+        # so a completed fan-out is freed by reference count, not left
+        # as a cycle to collect.
+        self.value = value
+        join, self.join = self.join, None
+        join._pending_count -= 1
+        if join._pending_count == 0 and join._state == _PENDING:
+            join.succeed(tuple(leg.value for leg in join.legs))
+
+    def _failed(self, exc: BaseException) -> None:
+        # Mirrors AllOf: the first failure fails the join; a later one
+        # has no observer left and is dropped.
+        join, self.join = self.join, None
+        if join._state == _PENDING:
+            join.fail(exc)
 
 
 @dataclass
@@ -634,13 +628,12 @@ class Simulator:
     same seed are exactly reproducible.
     """
 
-    def __init__(self, seed: int = 20070625, two_lane: bool = True):
+    def __init__(self, seed: int = 20070625):
         self.now: float = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         #: FIFO fast lane of ``(seq, event)`` pairs, all at time ``now``
-        #: with normal priority.  ``None`` disables the lane (pure-heap
-        #: reference kernel for the differential tests).
-        self._fast: Optional[deque] = deque() if two_lane else None
+        #: with normal priority.
+        self._fast: deque = deque()
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None
         self.stats = EngineStats()
@@ -702,11 +695,10 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule event {delay!r}s in the past")
         stats = self.stats
-        fast = self._fast
-        if delay == 0.0 and not urgent and fast is not None:
+        if delay == 0.0 and not urgent:
             # Zero-delay, normal priority: fires at ``now`` in seq order,
             # which is exactly FIFO append order on the lane.
-            fast.append((next(self._seq), event))
+            self._fast.append((next(self._seq), event))
             stats.fast_lane_events += 1
             return
         queue = self._queue

@@ -1,14 +1,14 @@
 """Cluster network model: NICs, a non-blocking switch, chunked flows.
 
 Every node owns a :class:`Nic` with independent transmit and receive
-pipes (full-duplex Ethernet).  A transfer is carved into fixed-size
-chunks; each chunk holds the sender's tx pipe, is buffered at the
-switch, then holds the receiver's rx pipe, with a small per-flow window
-keeping tx/rx pipelined.  That is faithful at packet-interleaving
-granularity — concurrent flows through one pipe share it by FIFO /
-seeded-random chunk interleaving, which is what reproduces bandwidth
-sharing among concurrent clients — at a cost of four events per chunk
-(a grant and a service time on each pipe).
+pipes (full-duplex Ethernet; a direction is a :class:`Pipe`).  A
+transfer is carved into fixed-size chunks; each chunk holds the sender's
+tx pipe, is buffered at the switch, then holds the receiver's rx pipe,
+with a small per-flow window keeping tx/rx pipelined.  That is faithful
+at packet-interleaving granularity — concurrent flows through one pipe
+share it by seeded-random chunk interleaving, which is what reproduces
+bandwidth sharing among concurrent clients — at a cost of four events
+per chunk (a grant and a service time on each pipe).
 
 A transfer is one :class:`_WireFlow` driven by event callbacks: it
 holds the pipes itself, and :meth:`Network.transfer` is only the
@@ -35,10 +35,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.sim.engine import Event, Simulator, Timeout
-from repro.sim.resources import Resource
+from repro.sim.engine import _PENDING, Event, SimulationError, Simulator, Timeout
 
-__all__ = ["Nic", "Network", "Flow"]
+__all__ = ["Pipe", "Nic", "Network", "Flow"]
 
 #: Default chunk size used to discretise flows (bytes).  Chosen close to
 #: a jumbo-frame TCP window slice: small enough for fair interleaving,
@@ -48,6 +47,64 @@ DEFAULT_CHUNK = 256 * 1024
 #: Per-flow switch-buffer window, in chunks: how far a flow's tx legs
 #: may run ahead of its rx legs.
 FLOW_WINDOW = 3
+
+
+class Pipe:
+    """One direction of a NIC: one holder, the next one drawn at random.
+
+    ``release()`` hands the pipe to a uniformly random waiter, not the
+    oldest: packet interleaving is not per-flow round-robin at
+    millisecond scale, and the randomness (``sim.rng``, so a seed fixes
+    it) is what lets co-scheduled identical clients drift apart instead
+    of convoying in deterministic lockstep.  ``acquire()`` schedules a
+    grant event every time, on an idle pipe too: the event puts the new
+    holder behind what the instant has already scheduled, and that order
+    decides who is queued when the next release draws — inlining it
+    measured as a fairness change (PR 14).
+    """
+
+    def __init__(self, sim: Simulator, name: str = ""):
+        self.sim = sim
+        self.name = name
+        #: 1 while the pipe is held, else 0.
+        self.in_use = 0
+        #: Grant events of the queued requests, in arrival order.
+        self._waiters: list[Event] = []
+        #: One bound method for every grant's ``_abandon`` hook.
+        self._abandon = self._abandon_acquire
+
+    @property
+    def queue_len(self) -> int:
+        """Number of acquire requests waiting."""
+        return len(self._waiters)
+
+    def acquire(self) -> Event:
+        """Return the event that fires when the pipe is granted."""
+        ev = Event(self.sim)
+        if self.in_use:
+            self._waiters.append(ev)
+        else:
+            self.in_use = 1
+            ev.succeed()
+        ev._abandon = self._abandon
+        return ev
+
+    def _abandon_acquire(self, ev: Event) -> None:
+        """A waiting process was interrupted: withdraw or return the grant."""
+        if ev._state == _PENDING:
+            self._waiters.remove(ev)
+        else:
+            self.release()
+
+    def release(self) -> None:
+        """Hand the pipe to a random waiter, or leave it idle."""
+        if not self.in_use:
+            raise SimulationError(f"release() of idle pipe {self.name or 'pipe'}")
+        waiters = self._waiters
+        if waiters:
+            waiters.pop(int(self.sim.rng.integers(0, len(waiters)))).succeed()
+        else:
+            self.in_use = 0
 
 
 class Nic:
@@ -60,8 +117,8 @@ class Nic:
         self.sim = sim
         self.name = name
         self.bandwidth = bandwidth
-        self.tx = Resource(sim, 1, name=f"{name}.tx", policy="random")
-        self.rx = Resource(sim, 1, name=f"{name}.rx", policy="random")
+        self.tx = Pipe(sim, f"{name}.tx")
+        self.rx = Pipe(sim, f"{name}.rx")
         #: Payload bytes sent/received over the wire.  Framing overhead
         #: (``Network.per_message_bytes``) is charged for *time* on the
         #: pipes but excluded here, so these counters compare directly
@@ -235,9 +292,9 @@ class _WireFlow:
       already settled.
 
     A lone k-chunk flow therefore costs ``4k + 2`` events.  The grants
-    stay events even on an idle pipe: the hop decides which same-instant
-    requests are eligible in a random arbitration round, which is
-    fairness, not plumbing.
+    stay events even on an idle pipe (see :class:`Pipe`): the hop
+    decides which same-instant requests are queued when a release
+    draws, which is fairness, not plumbing.
 
     ``FLOW_WINDOW`` bounds switch buffering per flow and keeps tx/rx
     pipelined so an uncontended flow still sees the full link

@@ -1,27 +1,29 @@
-"""Resource primitive for the simulation engine.
+"""FIFO service pools for the simulation engine.
 
-One primitive covers every queueing structure in the reproduction:
-:class:`Resource`, a counting semaphore (CPU cores, disk arms, network
-pipes, NFS server threads, NFSv4.1 session slots, PVFS2 buffer pools).
+:class:`Resource` is a counting semaphore granted in arrival order: CPU
+cores, disk arms, NFS server threads, NFSv4.1 session slots, PVFS2
+buffer pools.  (The other kind of queue in the testbed, a NIC direction
+shared by seeded-random chunk interleaving, is
+:class:`repro.sim.network.Pipe`.)
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro.sim.engine import _PROCESSED, Event, SimulationError, Simulator
+from repro.sim.engine import _PENDING, _PROCESSED, Event, SimulationError, Simulator
 
 __all__ = ["Resource"]
 
 
 class _Grant(Event):
-    """An acquire's event; a queued one remembers its ``hold``."""
+    """An acquire's event; a queued one remembers its ``units`` and ``hold``."""
 
-    __slots__ = ("hold",)
+    __slots__ = ("units", "hold")
 
 
 class Resource:
-    """Counting semaphore with FIFO (default) or randomised arbitration.
+    """Counting semaphore with FIFO arbitration.
 
     Usage from a process::
 
@@ -41,7 +43,7 @@ class Resource:
     ``n`` are free, still in FIFO order, so large requests are not
     starved).
 
-    A FIFO grant never costs an event of its own.  Free and unqueued,
+    A grant never costs an event of its own.  Free and unqueued,
     ``acquire()`` returns an event that has *already fired* — nothing is
     scheduled and the yielding process runs straight on — and
     ``acquire(hold=d)`` returns the one heap event of the service time.
@@ -50,48 +52,25 @@ class Resource:
     decides nothing at grant time (the oldest waiter gets the units
     whoever is asked, whenever), so a grant event would only relay
     control.
-
-    ``policy="random"`` grants a uniformly random eligible waiter
-    instead of the oldest — used by the network pipes, where packet
-    interleaving is not per-flow round-robin at millisecond scale.  The
-    randomness is what lets co-scheduled identical clients drift apart
-    instead of convoying in deterministic lockstep.  A random pipe
-    schedules a grant event on every acquire, free or not: the event
-    puts the new holder behind what the instant has already scheduled,
-    and that order decides who is queued when the next release draws —
-    inlining it measured as a fairness change (PR 14).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: int = 1,
-        name: str = "",
-        policy: str = "fifo",
-    ):
+    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if policy not in ("fifo", "random"):
-            raise ValueError(f"unknown arbitration policy {policy!r}")
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self.policy = policy
         self._in_use = 0
         #: Peak units simultaneously held over the resource's lifetime
         #: (occupancy high-water mark; tracked at grant time, same as
         #: the session slot table's ``highest_used``).
         self.high_water = 0
-        #: Pending acquires: the dict gives O(1) withdrawal for an
-        #: interrupted waiter (events hash by identity) and carries the
-        #: requested units; insertion order is FIFO order.  ``_order``
-        #: shadows the FIFO policy's grant order in a deque, because
-        #: peeking the oldest *dict* entry (``next(iter(d))``) walks the
-        #: tombstones of everything already granted — O(n²) across a
-        #: long drain.  Withdrawn events stay in the deque and are
-        #: discarded lazily when they reach the front.
-        self._waiters: dict[Event, int] = {}
-        self._order: deque[Event] = deque()
+        #: Pending acquires, oldest first.  An interrupted waiter's grant
+        #: is withdrawn in O(1) by zeroing its ``units`` where it sits; it
+        #: is discarded lazily when it reaches the front.  ``_queued``
+        #: counts the ones still wanted.
+        self._waiters: deque[_Grant] = deque()
+        self._queued = 0
         #: One bound method for every grant's ``_abandon`` hook, not a
         #: fresh one per acquire (the hottest call in the simulator).
         self._abandon = self._abandon_acquire
@@ -109,7 +88,7 @@ class Resource:
     @property
     def queue_len(self) -> int:
         """Number of acquire requests waiting."""
-        return len(self._waiters)
+        return self._queued
 
     def acquire(self, units: int = 1, hold: float = 0.0) -> Event:
         """Return an event that fires ``hold`` seconds after the grant.
@@ -125,16 +104,16 @@ class Resource:
                 f"with capacity {self.capacity}"
             )
         ev = _Grant(self.sim)
-        if self._waiters or self._in_use + units > self.capacity:
+        if self._queued or self._in_use + units > self.capacity:
+            ev.units = units
             ev.hold = hold
-            self._waiters[ev] = units
-            if self.policy == "fifo":
-                self._order.append(ev)
+            self._waiters.append(ev)
+            self._queued += 1
         else:
             self._in_use += units
             if self._in_use > self.high_water:
                 self.high_water = self._in_use
-            if hold == 0.0 and self.policy == "fifo":
+            if hold == 0.0:
                 # Granted here and now, nothing to wait for: pre-fired.
                 ev._value = units
                 ev._state = _PROCESSED
@@ -145,11 +124,13 @@ class Resource:
         ev._abandon = self._abandon
         return ev
 
-    def _abandon_acquire(self, ev: Event) -> None:
+    def _abandon_acquire(self, ev: _Grant) -> None:
         """The waiter was interrupted: withdraw or return the grant."""
-        if self._waiters.pop(ev, None) is not None:
-            return
-        if ev.triggered:
+        if ev._state == _PENDING:
+            if ev.units:
+                ev.units = 0
+                self._queued -= 1
+        else:
             # Granted, but the event never reached its waiter (a grant
             # in flight, or a hold cut short); its value is the number
             # of units granted (see acquire/release).
@@ -164,61 +145,23 @@ class Resource:
             )
         self._in_use -= units
         waiters = self._waiters
-        if not waiters:
+        if not self._queued:
             # Nobody to wake (the common case); whatever is left in the
-            # FIFO shadow was withdrawn.
-            if self._order:
-                self._order.clear()
+            # queue was withdrawn.
+            if waiters:
+                waiters.clear()
             return
-        if self.policy == "random":
-            # Build the eligible set once, in waiter order, then shrink
-            # it incrementally.  Equivalent to re-filtering the whole
-            # queue after every grant (the old O(n^2) inner loop):
-            # eligibility only ever shrinks while ``_in_use`` grows, the
-            # candidate order is unchanged, and the rng draws see the
-            # same list lengths, so the grant sequence is identical.
-            avail = self.capacity - self._in_use
-            eligible = [(ev, want) for ev, want in waiters.items() if want <= avail]
-            rng_integers = self.sim.rng.integers
-            mx = -1  # max outstanding want; computed lazily on first use
-            while eligible:
-                ev, want = eligible.pop(int(rng_integers(0, len(eligible))))
-                del waiters[ev]
-                self._in_use += want
-                if self._in_use > self.high_water:
-                    self.high_water = self._in_use
-                ev.succeed(want, ev.hold)
-                avail -= want
-                if not eligible or avail <= 0:
-                    # Nothing left to grant (wants are >= 1): done
-                    # without ever scanning for the max — the whole
-                    # loop for a capacity-1 pipe is one filter pass,
-                    # one draw, one grant.
-                    break
-                if mx < 0:
-                    mx = max(w for _e, w in eligible)
-                if mx > avail:
-                    # The grant made large requests ineligible: drop
-                    # them.  Skipped while every remaining want still
-                    # fits (the single-unit-waiters case).
-                    eligible = [e for e in eligible if e[1] <= avail]
-                    mx = max((w for _e, w in eligible), default=0)
-            return
-        order = self._order
         capacity = self.capacity
-        while order and self._in_use < capacity:
-            ev = order[0]
-            want = waiters.get(ev)
-            if want is None:
-                # Withdrawn by _abandon_acquire; discard lazily.
-                order.popleft()
-                continue
+        while waiters and self._in_use < capacity:
+            ev = waiters[0]
+            want = ev.units
             if self._in_use + want > capacity:
                 break
-            order.popleft()
-            del waiters[ev]
+            waiters.popleft()
+            if not want:
+                continue  # withdrawn by _abandon_acquire
+            self._queued -= 1
             self._in_use += want
             if self._in_use > self.high_water:
                 self.high_water = self._in_use
             ev.succeed(want, ev.hold)
-

@@ -12,7 +12,6 @@ class TestBasics:
         s = IntervalSet()
         assert not s
         assert s.total == 0
-        assert s.span == (0, 0)
         assert s.gaps(0, 10) == [(0, 10)]
         assert s.covers(5, 5)  # empty range trivially covered
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AnyOf, Interrupt, Resource, Simulator
+from repro.sim import AnyOf, Interrupt, Pipe, Resource, Simulator
 from repro.sim.engine import SimulationError
 
 
@@ -97,7 +97,7 @@ class TestRandomPolicyDeterminism:
     def test_same_seed_same_grant_order(self):
         def run(seed):
             sim = Simulator(seed=seed)
-            res = Resource(sim, 1, policy="random")
+            res = Pipe(sim)
             order = []
 
             def holder():
@@ -119,23 +119,6 @@ class TestRandomPolicyDeterminism:
         assert run(1) == run(1)
         # Different seeds usually differ (6! orderings; collision unlikely)
         assert run(1) != run(2) or run(3) != run(4)
-
-    def test_random_policy_multiunit_respects_capacity(self):
-        sim = Simulator()
-        res = Resource(sim, 3, policy="random")
-        peak = []
-
-        def user(units, hold):
-            yield res.acquire(units)
-            peak.append(res.in_use)
-            yield sim.timeout(hold)
-            res.release(units)
-
-        for units, hold in [(2, 3), (1, 1), (3, 2), (1, 4), (2, 2)]:
-            sim.process(user(units, hold))
-        sim.run()
-        assert max(peak) <= 3
-        assert res.in_use == 0
 
 
 class TestEngineMisc:
@@ -167,6 +150,45 @@ class TestEngineMisc:
         a.process(proc())
         with pytest.raises(SimulationError):
             a.run()
+
+
+class TestSpawnLegYieldingNonEvent:
+    """A leg that yields a non-event ends as a process doing so ends:
+    the error is thrown into its generator (``finally:`` runs, what it
+    holds comes back) and fails its join — it does not escape through
+    the run loop leaving the join pending and the unit held."""
+
+    @pytest.mark.parametrize("wait_first", [False, True], ids=["first-segment", "after-a-wait"])
+    def test_join_fails_and_the_leg_unwinds(self, wait_first):
+        sim = Simulator()
+        res = Resource(sim, 1)
+        seen = []
+
+        def leg():
+            yield res.acquire()
+            try:
+                if wait_first:
+                    yield sim.timeout(1.0)
+                seen.append(sim._active_process)
+                yield 42
+            finally:
+                res.release()
+
+        def parent():
+            me = sim._active_process
+            join = sim.spawn(leg())
+            assert sim._active_process is me  # put back as the leg found it
+            try:
+                yield join
+            except SimulationError as exc:
+                return str(exc)
+
+        proc = sim.process(parent())
+        sim.run()
+        assert "non-event 42" in proc.value and "leg" in proc.value
+        assert res.in_use == 0 and res.queue_len == 0
+        assert len(seen) == 1 and seen[0] is not proc  # the leg ran as itself
+        assert sim._active_process is None and sim.now == (1.0 if wait_first else 0.0)
 
 
 class TestGatherWithTwoFailingLegs:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import rpc
-from repro.sim import CpuSpec, Interrupt, Network, Node, NodeSpec, Simulator
+from repro.sim import CpuSpec, Interrupt, Network, Node, NodeSpec, Pipe, Simulator
 from repro.sim import network as network_mod
 from repro.sim.cpu import Cpu
 from repro.sim.network import FLOW_WINDOW
@@ -199,7 +199,7 @@ class TestCpuBudget:
 
 
 class TestFifoGrantBudget:
-    """A FIFO grant never costs an event of its own; a random one always does."""
+    """A FIFO grant never costs an event of its own; a pipe grant always does."""
 
     def test_free_acquire_is_already_fired_and_costs_nothing(self):
         sim = Simulator()
@@ -250,7 +250,7 @@ class TestFifoGrantBudget:
 
     def test_free_random_pipe_acquire_still_costs_its_grant_event(self):
         sim = Simulator()
-        pipe = Resource(sim, 1, policy="random")
+        pipe = Pipe(sim)
         ev = pipe.acquire()
         assert ev.triggered and not ev.processed and pipe.in_use == 1
         assert sim.stats.events_scheduled == 1

@@ -1,10 +1,10 @@
-"""Unit and property tests for Resource."""
+"""Unit and property tests for Resource and the NIC Pipe."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator
+from repro.sim import Pipe, Resource, Simulator
 from repro.sim.engine import Interrupt, SimulationError
 
 
@@ -141,79 +141,154 @@ class TestResource:
             res.acquire(3)
 
 
+    def test_withdrawn_waiter_is_skipped_where_it_sits(self, sim):
+        res = Resource(sim, 1)
+        assert res.acquire().processed
+        got = []
+
+        def waiter(tag):
+            try:
+                yield res.acquire()
+            except Interrupt:
+                return
+            got.append(tag)
+
+        procs = [sim.process(waiter(tag)) for tag in "abc"]
+        sim.run()
+        assert res.queue_len == 3
+        procs[1].interrupt()
+        sim.run()
+        assert res.queue_len == 2  # counted out at once, removed lazily
+        res.release()
+        sim.run()
+        assert got == ["a"] and res.queue_len == 1
+        res.release()
+        sim.run()
+        assert got == ["a", "c"] and res.queue_len == 0 and res.in_use == 1
+
+
+class TestPipeAbandon:
+    """A process that does wait on a pipe still cannot leak it."""
+
+    @staticmethod
+    def _waiter(pipe, log):
+        try:
+            yield pipe.acquire()
+        except Interrupt:
+            log.append("interrupted")
+            return
+        log.append("granted")
+        pipe.release()
+
+    def test_interrupted_while_queued_is_withdrawn(self, sim):
+        pipe, log = Pipe(sim), []
+        assert pipe.acquire().triggered  # held by the test
+        victim = sim.process(self._waiter(pipe, log))
+        other = sim.process(self._waiter(pipe, log))
+        sim.run()
+        assert pipe.queue_len == 2
+        victim.interrupt()
+        sim.run()
+        assert log == ["interrupted"] and pipe.queue_len == 1 and pipe.in_use == 1
+        pipe.release()  # only `other` is left to draw
+        sim.run()
+        assert log == ["interrupted", "granted"] and other.processed
+        assert pipe.in_use == 0 and pipe.queue_len == 0
+
+    def test_interrupted_between_grant_and_delivery_gives_the_pipe_back(self, sim):
+        pipe, log = Pipe(sim), []
+        assert pipe.acquire().triggered
+        waiters = [sim.process(self._waiter(pipe, log)) for _ in range(2)]
+        sim.run()
+        # The release draws one of the two; interrupt that one in the same
+        # instant, while its grant is scheduled but not yet delivered.
+        pipe.release()
+        assert pipe.in_use == 1 and pipe.queue_len == 1
+        (drawn,) = [p for p in waiters if p._waiting_on.triggered]
+        drawn.interrupt()
+        sim.run()
+        # It never ran with the pipe: the abandon hook handed the pipe on
+        # to the other waiter, who used it and released it.
+        assert log == ["interrupted", "granted"]
+        assert pipe.in_use == 0 and pipe.queue_len == 0
+        with pytest.raises(SimulationError):
+            pipe.release()  # nothing is held: an idle release is an error
+
+
 class TestLongWaiterQueues:
     """Regression tests for the O(n^2) release/abandon paths.
 
-    The old random-policy release rebuilt the full eligible list (and
-    indexed a deque, also O(n)) per grant; the old abandon path scanned
-    the waiter deque linearly.  Both are now bounded — a single release
-    granting N waiters and N abandons each run in (amortised) linear
-    time.  The wall-clock bounds are generous for CI noise; the old
-    code exceeds them by an order of magnitude at this queue length.
+    An old release rebuilt its candidate list per grant and an old
+    abandon scanned the waiter queue linearly.  Both are bounded now — a
+    FIFO release granting N waiters, a pipe handed down a queue of
+    waiters and N abandons each run in (amortised) linear time, or with
+    a constant small enough not to matter.  The wall-clock bounds are
+    generous for CI noise; the old code exceeds them by an order of
+    magnitude at these queue lengths.
     """
 
     N = 20_000
+    PIPE_N = 5_000
 
-    def _queue_up(self, sim, policy):
-        res = Resource(sim, self.N, policy=policy)
-        assert res.acquire(self.N).triggered
-        events = [res.acquire() for _ in range(self.N)]
-        assert res.queue_len == self.N
-        return res, events
-
-    @pytest.mark.parametrize("policy", ["fifo", "random"])
-    def test_bulk_release_grants_all_waiters_fast(self, policy):
+    @pytest.mark.parametrize("arbitration", ["fifo", "random"])
+    def test_bulk_release_grants_all_waiters_fast(self, arbitration):
         import time
 
         sim = Simulator()
-        res, events = self._queue_up(sim, policy)
-        t0 = time.perf_counter()
-        res.release(self.N)
-        elapsed = time.perf_counter() - t0
-        sim.run()
+        if arbitration == "fifo":
+            res = Resource(sim, self.N)
+            assert res.acquire(self.N).triggered
+            events = [res.acquire() for _ in range(self.N)]
+            assert res.queue_len == self.N
+            t0 = time.perf_counter()
+            res.release(self.N)
+            elapsed = time.perf_counter() - t0
+            sim.run()
+            assert res.in_use == self.N and res.queue_len == 0
+        else:
+            # A pipe has one holder: the queue drains by being handed on.
+            pipe = Pipe(sim)
+            assert pipe.acquire().triggered
+            events = [pipe.acquire() for _ in range(self.PIPE_N)]
+            for ev in events:
+                ev.add_callback(lambda _ev: pipe.release())
+            assert pipe.queue_len == self.PIPE_N
+            t0 = time.perf_counter()
+            pipe.release()
+            sim.run()
+            elapsed = time.perf_counter() - t0
+            assert pipe.in_use == 0 and pipe.queue_len == 0
         assert all(ev.processed for ev in events)
-        assert res.in_use == self.N and res.queue_len == 0
-        assert elapsed < 2.0, f"release of {self.N} waiters took {elapsed:.2f}s"
+        assert elapsed < 2.0, f"draining {len(events)} waiters took {elapsed:.2f}s"
 
     def test_random_policy_grant_sequence_matches_rebuild_reference(self):
-        # The incremental eligible list must draw and grant exactly as
-        # the old rebuild-from-scratch loop did: replay the reference
-        # algorithm with an identically-seeded rng and compare orders.
+        # A pipe's hand-off order is nothing but ``rng.integers(0, n)``
+        # popped from the arrival-ordered queue: replay that with an
+        # identically seeded generator and compare.
         import numpy as np
 
-        for seed, capacity in [(1, 7), (2, 13), (3, 4)]:
+        for seed in (1, 2, 3):
             sim = Simulator(seed=seed)
-            res = Resource(sim, capacity, policy="random")
-            assert res.acquire(capacity).triggered
-            rnd = np.random.default_rng(seed + 99)
-            wants = [int(rnd.integers(1, capacity + 1)) for _ in range(50)]
+            pipe = Pipe(sim)
+            assert pipe.acquire().triggered
             order: list = []
-            events = []
-            for i, w in enumerate(wants):
-                ev = res.acquire(w)
-                ev.add_callback(lambda _e, i=i: order.append(i))
-                events.append(ev)
-            freed = capacity
-            res.release(freed)
+
+            def granted(_ev, i):
+                order.append(i)
+                pipe.release()
+
+            for i in range(50):
+                pipe.acquire().add_callback(lambda ev, i=i: granted(ev, i))
+            pipe.release()
             sim.run()
 
-            # Reference: the pre-change algorithm on the same queue.
             ref_rng = np.random.default_rng(seed)
-            waiters = [(i, w) for i, w in enumerate(wants)]
-            in_use = capacity - freed
+            waiting = list(range(50))
             ref_order = []
-            while waiters:
-                eligible = [
-                    k for k, (_i, w) in enumerate(waiters)
-                    if in_use + w <= capacity
-                ]
-                if not eligible:
-                    break
-                idx = eligible[int(ref_rng.integers(0, len(eligible)))]
-                i, w = waiters.pop(idx)
-                in_use += w
-                ref_order.append(i)
+            while waiting:
+                ref_order.append(waiting.pop(int(ref_rng.integers(0, len(waiting)))))
             assert order == ref_order
+            assert pipe.in_use == 0 and pipe.queue_len == 0
 
     def test_abandon_long_queue_is_fast_and_leak_free(self):
         import time

@@ -1,11 +1,11 @@
 """Differential test: two-lane scheduler vs the pure-heap reference.
 
-The two-lane kernel (``Simulator()``, the default) claims to be
-*order-identical by construction* to the single-heap kernel
-(``Simulator(two_lane=False)``).  These tests make the claim empirical:
+The two-lane kernel (``Simulator``) claims to be *order-identical by
+construction* to a single-heap kernel (``PureHeapSimulator``, the
+reference defined here).  These tests make the claim empirical:
 randomized event programs — timeouts, zero-delay storms, conditions,
-interrupts, resource contention under both arbitration policies,
-lightweight spawns — run on both kernels and must produce the same
+interrupts, contention for a FIFO resource and a random-arbitration
+pipe, lightweight spawns — run on both kernels and must produce the same
 firing log: identical (time, label, value) triples in identical order.
 
 Because the log records *processing* order, not just outcomes, any
@@ -15,14 +15,27 @@ plausibly break) fails the comparison even when final state agrees.
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
 
 from collections import deque
 
-from repro.sim.engine import Event, Interrupt, Simulator
+from repro.sim.engine import Event, Interrupt, SimulationError, Simulator
+from repro.sim.network import Pipe
 from repro.sim.resources import Resource
+
+
+class PureHeapSimulator(Simulator):
+    """The reference kernel: every event through the time-ordered heap."""
+
+    def _enqueue(self, event, delay, urgent=False):
+        if delay < 0:
+            raise SimulationError(f"cannot schedule event {delay!r}s in the past")
+        key = (self.now + delay, 0 if urgent else 1, next(self._seq), event)
+        heapq.heappush(self._queue, key)
+        self.stats.heap_events += 1
 
 
 class Store:
@@ -66,14 +79,15 @@ class Store:
         return ev
 
 
-def _run_program(two_lane: bool, seed: int) -> list:
+def _run_program(kernel: type[Simulator], seed: int) -> list:
     """Build and run one randomized program; return its firing log."""
-    sim = Simulator(seed=12345, two_lane=two_lane)
+    sim = kernel(seed=12345)
     rnd = random.Random(seed)
     log: list = []
 
     fifo = Resource(sim, capacity=rnd.randint(1, 3), name="fifo")
-    rand = Resource(sim, capacity=rnd.randint(1, 3), name="rand", policy="random")
+    rnd.randint(1, 3)  # a draw the programs have always made here; keeps them the same 20
+    rand = Pipe(sim, name="rand")
     store = Store(sim, capacity=4)
     procs: list = []
 
@@ -173,14 +187,14 @@ def _run_program(two_lane: bool, seed: int) -> list:
 
 @pytest.mark.parametrize("seed", range(20))
 def test_two_lane_matches_pure_heap(seed):
-    ref = _run_program(two_lane=False, seed=seed)
-    fast = _run_program(two_lane=True, seed=seed)
+    ref = _run_program(PureHeapSimulator, seed=seed)
+    fast = _run_program(Simulator, seed=seed)
     assert ref == fast
     assert len(ref) > 0  # the program actually did something
 
 
 def test_pure_heap_mode_disables_fast_lane():
-    sim = Simulator(two_lane=False)
+    sim = PureHeapSimulator()
 
     def p():
         yield sim.timeout(0.0)
@@ -212,8 +226,8 @@ def test_two_lane_routes_zero_delay_to_fast_lane():
 def test_urgent_interrupt_beats_same_instant_fast_lane():
     # An interrupt scheduled at the same instant as pending fast-lane
     # events must still fire first (urgent events keep heap priority 0).
-    for two_lane in (False, True):
-        sim = Simulator(two_lane=two_lane)
+    for kernel in (PureHeapSimulator, Simulator):
+        sim = kernel()
         order = []
 
         def sleeper():
@@ -236,4 +250,4 @@ def test_urgent_interrupt_beats_same_instant_fast_lane():
         sim.process(noisy())
         sim.process(killer())
         sim.run()
-        assert order.index("interrupted") <= 1, (two_lane, order)
+        assert order.index("interrupted") <= 1, (kernel, order)
