@@ -2,9 +2,11 @@
 """Census of scheduled events for one cell: who schedules what, per RPC.
 
 Wraps ``Simulator._enqueue`` from outside for one ``run_cell`` and
-classifies every scheduled event by
+classifies every scheduled call by
 
-* its type (``Timeout``, ``Event``, ``_Kick``, ``Process``, ``Join`` ...),
+* what it is: the event's type when an event fires (``Timeout``,
+  ``_Grant``, ``Process``, ``Join`` ...), else the function called
+  (``_WireFlow._tx_served``, ``Process._resume`` for a start kick ...),
 * zero or positive delay (positive = a physical delay on the heap),
 * the kernel call that scheduled it (``acquire[Resource]``,
   ``release[Pipe]``, ``spawn``, ``process``, ``timeout``, ``end`` of a
@@ -38,7 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.bench.runner import run_cell  # noqa: E402
 from repro.cli import _WORKLOADS  # noqa: E402
-from repro.sim.engine import Simulator  # noqa: E402
+from repro.sim.engine import Event, Simulator  # noqa: E402
 from repro.sim.network import Pipe  # noqa: E402
 from repro.workloads import IorWorkload  # noqa: E402
 
@@ -55,8 +57,18 @@ KINDS = {
 }
 
 
-def classify(event, delay: float, frame) -> tuple[str, str, str, str]:
-    """``(event type, delay class, kernel call, site)`` of one scheduling.
+def what(fn, arg) -> str:
+    """Name a queued call: the event it fires, or the function it is."""
+    if fn is Event._process_callbacks:
+        return type(arg).__name__
+    owner = getattr(fn, "__self__", None)
+    if owner is not None:
+        return f"{type(owner).__name__}.{fn.__name__}"
+    return getattr(fn, "__qualname__", repr(fn))
+
+
+def classify(fn, arg, delay: float, frame) -> tuple[str, str, str, str]:
+    """``(what, delay class, kernel call, site)`` of one scheduling.
 
     Walks out of the kernel: the kernel call is the outermost kernel
     function on the way (what product code called), the site the first
@@ -84,7 +96,7 @@ def classify(event, delay: float, frame) -> tuple[str, str, str, str]:
         if name != "_process_callbacks":
             kernel_call = name
         frame = frame.f_back
-    return type(event).__name__, "delay" if delay > 0 else "zero", kernel_call, site
+    return what(fn, arg), "delay" if delay > 0 else "zero", kernel_call, site
 
 
 def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):
@@ -92,9 +104,9 @@ def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):
     classes: Counter = Counter()
     enqueue = Simulator._enqueue
 
-    def counted(self, event, delay, urgent=False):
-        classes[classify(event, delay, sys._getframe(1))] += 1
-        enqueue(self, event, delay, urgent)
+    def counted(self, fn, arg, delay, urgent=False):
+        classes[classify(fn, arg, delay, sys._getframe(1))] += 1
+        enqueue(self, fn, arg, delay, urgent)
 
     Simulator._enqueue = counted
     try:
@@ -111,7 +123,7 @@ def relays(classes: Counter) -> Counter:
             cls: n
             for cls, n in classes.items()
             if (cls[1] == "zero" and cls[2] == "acquire[Resource]")
-            or (cls[0] == "_Kick" and cls[2] == "spawn")
+            or (cls[0].endswith("._resume") and cls[2] == "spawn")
         }
     )
 
@@ -137,10 +149,10 @@ def main(argv=None) -> int:
         f"{total} events, {rpcs} front-end RPCs, {total / rpcs:.1f} events/RPC, "
         f"{100 * physical / total:.0f} % physical delays"
     )
-    print(f"{'per RPC':>8} {'share':>6}  {'event':8} {'delay':5} {'kernel call':17} site")
+    print(f"{'per RPC':>8} {'share':>6}  {'call':21} {'delay':5} {'kernel call':17} site")
     top = classes.most_common(args.top)
     for cls, n in top:
-        print(f"{n / rpcs:8.2f} {100 * n / total:5.1f}%  {cls[0]:8} {cls[1]:5} {cls[2]:17} {cls[3]}")
+        print(f"{n / rpcs:8.2f} {100 * n / total:5.1f}%  {cls[0]:21} {cls[1]:5} {cls[2]:17} {cls[3]}")
     rest = total - sum(n for _cls, n in top)
     if rest:
         print(f"{rest / rpcs:8.2f} {100 * rest / total:5.1f}%  ({len(classes) - len(top)} more classes)")

@@ -9,20 +9,39 @@ are fully under test.
 
 Determinism
 -----------
-Events scheduled for the same instant fire in FIFO order of scheduling
-(a monotonically increasing sequence number breaks time ties), so a
-simulation configured with a seeded RNG is exactly reproducible.
+Whatever is scheduled for the same instant fires in FIFO order of
+scheduling (a monotonically increasing sequence number breaks time
+ties), so a simulation configured with a seeded RNG is exactly
+reproducible.
+
+The queue holds calls
+---------------------
+A queue entry is a call, ``fn(arg)``, and the run loop does nothing but
+make it.  Three things enqueue:
+
+* an :class:`Event` that is triggered enqueues
+  ``(Event._process_callbacks, event)`` — the plain function, so firing
+  costs no bound-method allocation;
+* a :class:`Process` start enqueues its first resume,
+  ``(proc._resume, _START)`` (a ``spawn`` leg starts inline instead);
+* :meth:`Simulator.call_later` enqueues any ``fn(arg)`` in the slot an
+  event scheduled there would have taken — for kernel-side state
+  machines (the wire flow) whose only waiter is themselves, so a hop
+  costs a tuple and a call, not an event with its waiter list, failure
+  and defuse machinery.
+
+``Simulator._enqueue`` is the single choke point for all three.
 
 Two-lane scheduling
 -------------------
-The kernel keeps two queues: a FIFO *fast lane* (a deque) for events
+The kernel keeps two queues: a FIFO *fast lane* (a deque) for calls
 scheduled with zero delay at the current instant, and the time-ordered
 heap for genuinely future timestamps.  Close to half of a protocol
-simulation's events are zero-delay bookkeeping — process start kicks,
+simulation's entries are zero-delay bookkeeping — process start kicks,
 pipe grants, hand-offs to queued waiters, joins, message completions —
 and the fast lane turns each of those from an O(log n) heap push/pop
 with tuple comparisons into a deque append/pop.  (What only relays
-control is not an event at all: a free FIFO grant is pre-fired and a
+control is not queued at all: a free FIFO grant is pre-fired and a
 ``spawn`` leg starts in its spawner's stack.)
 
 The split preserves firing order *by construction*.  Every entry in
@@ -33,10 +52,10 @@ scheduler pops whichever lane has the smaller head key and the merged
 order is exactly the single-heap order.  Two supporting invariants:
 
 * a fast-lane entry's timestamp always equals ``now`` — the lane only
-  accepts zero-delay events, and it drains before the clock can
+  accepts zero-delay calls, and it drains before the clock can
   advance (its head always compares smaller than any later heap entry);
-* *urgent* events (process interrupts, priority 0) go to the heap even
-  at zero delay, so they keep beating same-instant priority-1 events
+* *urgent* calls (process interrupts, priority 0) go to the heap even
+  at zero delay, so they keep beating same-instant priority-1 entries
   regardless of scheduling order, exactly as before.
 
 The differential tests check the claim against a pure-heap reference
@@ -159,7 +178,7 @@ class Event:
         self._value = value
         self.ok = True
         self._state = _TRIGGERED
-        self.sim._enqueue(self, delay)
+        self.sim._enqueue(_fire, self, delay)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -171,7 +190,7 @@ class Event:
         self._value = exception
         self.ok = False
         self._state = _TRIGGERED
-        self.sim._enqueue(self, delay)
+        self.sim._enqueue(_fire, self, delay)
         return self
 
     def defuse(self) -> None:
@@ -227,6 +246,11 @@ class Event:
         return f"<{type(self).__name__} {state[self._state]} at {id(self):#x}>"
 
 
+#: What a triggered event puts on the queue, with itself as the argument:
+#: the plain function, so firing costs no bound-method allocation.
+_fire = Event._process_callbacks
+
+
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
@@ -240,7 +264,7 @@ class Timeout(Event):
         self._value = value
         self.ok = True
         self._state = _TRIGGERED
-        sim._enqueue(self, delay)
+        sim._enqueue(_fire, self, delay)
 
     def reset(self, delay: Optional[float] = None, value: Any = None) -> "Timeout":
         """Re-arm a *processed* timeout in place and return it.
@@ -262,7 +286,7 @@ class Timeout(Event):
         self.ok = True
         self._defused = False
         self._state = _TRIGGERED
-        self.sim._enqueue(self, delay)
+        self.sim._enqueue(_fire, self, delay)
         return self
 
 
@@ -270,8 +294,8 @@ class _Start:
     """Pre-fired sentinel delivered to a generator's first resume.
 
     Shaped like a processed, successful event (``ok``/``_value`` are
-    all ``_resume`` reads on the success path) without being one — the
-    start kick needs no per-process event allocation.
+    all ``_resume`` reads on the success path) without being one: a
+    process start is the queued call ``proc._resume(_START)``.
     """
 
     __slots__ = ()
@@ -280,25 +304,6 @@ class _Start:
 
 
 _START = _Start()
-
-
-class _Kick:
-    """Fast-lane entry that starts a process at the current instant.
-
-    Replaces the per-process init :class:`Event`: the scheduler calls
-    ``_process_callbacks`` on whatever it pops, and a kick's only job
-    is to push the process into its first generator segment.  (A
-    :meth:`Simulator.spawn` leg has no handle anyone could act on
-    first, and starts inline.)
-    """
-
-    __slots__ = ("proc",)
-
-    def __init__(self, proc):
-        self.proc = proc
-
-    def _process_callbacks(self) -> None:
-        self.proc._resume(_START)
 
 
 class _Driver:
@@ -376,11 +381,10 @@ class Process(Event, _Driver):
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        # Kick off the process at the current instant.  The kick takes
-        # the same scheduling slot the old init-event enqueue did, so
-        # firing order is unchanged — it just costs no Event allocation
-        # and (on the fast lane) no heap traffic.
-        sim._enqueue(_Kick(self), 0.0)
+        # Kick off the process at the current instant: the first resume
+        # is a queued call (a :meth:`Simulator.spawn` leg has no handle
+        # anyone could act on first, and starts inline instead).
+        sim._enqueue(self._resume, _START, 0.0)
 
     @property
     def is_alive(self) -> bool:
@@ -411,7 +415,7 @@ class Process(Event, _Driver):
             if target._abandon is not None:
                 target._abandon(target)
         self._waiting_on = None
-        self.sim._enqueue(interrupt_ev, 0.0, urgent=True)
+        self.sim._enqueue(_fire, interrupt_ev, 0.0, urgent=True)
         interrupt_ev.add_callback(self._resume)
 
     # -- engine internals ----------------------------------------------
@@ -621,7 +625,7 @@ class EngineStats:
 
 
 class Simulator:
-    """The event loop: a heap of (time, priority, seq, event) entries.
+    """The event loop: a heap of ``(time, priority, seq, fn, arg)`` calls.
 
     ``seed`` initialises the simulation-wide RNG used by stochastic
     components (e.g. randomised network-pipe arbitration); runs with the
@@ -630,9 +634,9 @@ class Simulator:
 
     def __init__(self, seed: int = 20070625):
         self.now: float = 0.0
-        self._queue: list[tuple[float, int, int, Event]] = []
-        #: FIFO fast lane of ``(seq, event)`` pairs, all at time ``now``
-        #: with normal priority.
+        self._queue: list[tuple[float, int, int, Callable[[Any], None], Any]] = []
+        #: FIFO fast lane of ``(seq, fn, arg)`` entries, all at time
+        #: ``now`` with normal priority.
         self._fast: deque = deque()
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None
@@ -691,19 +695,32 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float, urgent: bool = False) -> None:
+    def call_later(self, delay: float, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Call ``fn(arg)`` in the slot a ``Timeout(delay)`` would take.
+
+        For kernel-side state machines whose only waiter is themselves
+        and which cannot fail, be joined or be abandoned (a wire hop):
+        the same place in the firing order as an event scheduled here,
+        without the event.  An exception raised by ``fn`` surfaces from
+        :meth:`run`, like an undefused failure.
+        """
+        self._enqueue(fn, arg, delay)
+
+    def _enqueue(
+        self, fn: Callable[[Any], None], arg: Any, delay: float, urgent: bool = False
+    ) -> None:
         if delay < 0:
-            raise SimulationError(f"cannot schedule event {delay!r}s in the past")
+            raise SimulationError(f"cannot schedule a call {delay!r}s in the past")
         stats = self.stats
         if delay == 0.0 and not urgent:
             # Zero-delay, normal priority: fires at ``now`` in seq order,
             # which is exactly FIFO append order on the lane.
-            self._fast.append((next(self._seq), event))
+            self._fast.append((next(self._seq), fn, arg))
             stats.fast_lane_events += 1
             return
         queue = self._queue
         heapq.heappush(
-            queue, (self.now + delay, 0 if urgent else 1, next(self._seq), event)
+            queue, (self.now + delay, 0 if urgent else 1, next(self._seq), fn, arg)
         )
         stats.heap_events += 1
         if len(queue) > stats.peak_heap:
@@ -749,11 +766,11 @@ class Simulator:
                         if head[0] <= self.now and (
                             head[1] == 0 or head[2] < fast[0][0]
                         ):
-                            event = heappop(queue)[3]
+                            _, _, _, fn, arg = heappop(queue)
                         else:
-                            event = fast.popleft()[1]
+                            _, fn, arg = fast.popleft()
                     else:
-                        event = fast.popleft()[1]
+                        _, fn, arg = fast.popleft()
                     # No deadline check: fast entries fire at ``now`` and
                     # a winning heap head is also at ``now`` (it beat a
                     # same-instant key), so neither can pass ``deadline``.
@@ -762,10 +779,10 @@ class Simulator:
                     if when > deadline:
                         self.now = deadline
                         return None
-                    event = heappop(queue)[3]
+                    _, _, _, fn, arg = heappop(queue)
                     self.now = when
                 processed += 1
-                event._process_callbacks()
+                fn(arg)
                 if stop_event is not None and stop_event._state == _PROCESSED:
                     if not stop_event.ok:
                         raise stop_event._value

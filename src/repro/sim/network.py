@@ -7,12 +7,12 @@ tx pipe, is buffered at the switch, then holds the receiver's rx pipe,
 with a small per-flow window keeping tx/rx pipelined.  That is faithful
 at packet-interleaving granularity — concurrent flows through one pipe
 share it by seeded-random chunk interleaving, which is what reproduces
-bandwidth sharing among concurrent clients — at a cost of four events
-per chunk (a grant and a service time on each pipe).
+bandwidth sharing among concurrent clients — at a cost of four queued
+calls per chunk (a grant and a service time on each pipe).
 
-A transfer is one :class:`_WireFlow` driven by event callbacks: it
-holds the pipes itself, and :meth:`Network.transfer` is only the
-generator that waits for it.
+A transfer is one :class:`_WireFlow` driven by the calls it schedules:
+it holds the pipes itself, and :meth:`Network.transfer` is only the
+generator that waits for its one event, ``done``.
 
 Invariants:
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.sim.engine import _PENDING, Event, SimulationError, Simulator, Timeout
+from repro.sim.engine import Event, SimulationError, Simulator
 
 __all__ = ["Pipe", "Nic", "Network", "Flow"]
 
@@ -56,11 +56,13 @@ class Pipe:
     oldest: packet interleaving is not per-flow round-robin at
     millisecond scale, and the randomness (``sim.rng``, so a seed fixes
     it) is what lets co-scheduled identical clients drift apart instead
-    of convoying in deterministic lockstep.  ``acquire()`` schedules a
-    grant event every time, on an idle pipe too: the event puts the new
-    holder behind what the instant has already scheduled, and that order
-    decides who is queued when the next release draws — inlining it
-    measured as a fairness change (PR 14).
+    of convoying in deterministic lockstep.  The pipe is callback-granted
+    — ``acquire(fn, arg)`` has ``fn(arg)`` called once the pipe is the
+    caller's; no process can park on it — and the grant is a queued call
+    every time, on an idle pipe too: the hop puts the new holder behind
+    what the instant has already scheduled, and that order decides who
+    is queued when the next release draws — inlining it measured as a
+    fairness change (PR 14).
     """
 
     def __init__(self, sim: Simulator, name: str = ""):
@@ -68,43 +70,35 @@ class Pipe:
         self.name = name
         #: 1 while the pipe is held, else 0.
         self.in_use = 0
-        #: Grant events of the queued requests, in arrival order.
-        self._waiters: list[Event] = []
-        #: One bound method for every grant's ``_abandon`` hook.
-        self._abandon = self._abandon_acquire
+        #: ``(fn, arg)`` of the queued requests, in arrival order.
+        self._waiters: list[tuple] = []
 
     @property
     def queue_len(self) -> int:
         """Number of acquire requests waiting."""
         return len(self._waiters)
 
-    def acquire(self) -> Event:
-        """Return the event that fires when the pipe is granted."""
-        ev = Event(self.sim)
+    def acquire(self, fn, arg=None) -> None:
+        """Have ``fn(arg)`` called, a hop from now at the earliest, holding the pipe."""
         if self.in_use:
-            self._waiters.append(ev)
+            self._waiters.append((fn, arg))
         else:
             self.in_use = 1
-            ev.succeed()
-        ev._abandon = self._abandon
-        return ev
-
-    def _abandon_acquire(self, ev: Event) -> None:
-        """A waiting process was interrupted: withdraw or return the grant."""
-        if ev._state == _PENDING:
-            self._waiters.remove(ev)
-        else:
-            self.release()
+            self.sim._enqueue(fn, arg, 0.0)
 
     def release(self) -> None:
         """Hand the pipe to a random waiter, or leave it idle."""
         if not self.in_use:
             raise SimulationError(f"release() of idle pipe {self.name or 'pipe'}")
         waiters = self._waiters
-        if waiters:
-            waiters.pop(int(self.sim.rng.integers(0, len(waiters)))).succeed()
-        else:
+        if not waiters:
             self.in_use = 0
+            return
+        n = len(waiters)
+        # A lone waiter needs no draw: ``integers(0, 1)`` consumes no
+        # generator state (pinned in tests/sim/test_resources.py).
+        fn, arg = waiters.pop(int(self.sim.rng.integers(0, n)) if n > 1 else 0)
+        self.sim._enqueue(fn, arg, 0.0)
 
 
 class Nic:
@@ -278,22 +272,23 @@ class Network:
 class _WireFlow:
     """One wire transfer as a callback state machine.
 
-    Every event the flow schedules is a physical delay or a pipe
-    arbitration point — there is no process, so nothing is spent on
-    start kicks, completion relays or joins:
+    Every hop is a call the flow schedules on itself (``call_later`` or
+    a pipe grant) and ``done`` is the only event — there is no process,
+    so nothing is spent on start kicks, completion relays or joins.
+    Each queue entry is a physical delay or a pipe arbitration point:
 
-    * the one-way **latency** ``Timeout``;
-    * per chunk, the sender's **tx grant** (``tx.acquire()``), the **tx
-      service** ``Timeout``, the receiver's **rx grant** and the **rx
-      service** ``Timeout`` — store-and-forward through the switch,
-      with the pipes decoupled so a busy receiver never freezes the
-      sender's NIC for other flows;
+    * the one-way **latency**;
+    * per chunk, the sender's **tx grant** (``tx.acquire``), the **tx
+      service** time, the receiver's **rx grant** and the **rx service**
+      time — store-and-forward through the switch, with the pipes
+      decoupled so a busy receiver never freezes the sender's NIC for
+      other flows;
     * one **completion** event (``done``), fired with the counters
       already settled.
 
-    A lone k-chunk flow therefore costs ``4k + 2`` events.  The grants
-    stay events even on an idle pipe (see :class:`Pipe`): the hop
-    decides which same-instant requests are queued when a release
+    A lone k-chunk flow therefore costs ``4k + 2`` queue entries.  The
+    grants stay entries even on an idle pipe (see :class:`Pipe`): the
+    hop decides which same-instant requests are queued when a release
     draws, which is fairness, not plumbing.
 
     ``FLOW_WINDOW`` bounds switch buffering per flow and keeps tx/rx
@@ -332,11 +327,11 @@ class _WireFlow:
         self.lost = False
         latency = net.latency + snic.extra_latency + dnic.extra_latency
         if latency > 0:
-            Timeout(net.sim, latency).add_callback(self._next_chunk)
+            net.sim.call_later(latency, self._next_chunk)
         else:
             self._next_chunk()
 
-    def _next_chunk(self, _ev=None) -> None:
+    def _next_chunk(self, _=None) -> None:
         """Ask for the tx pipe, or settle the flow once nothing is left."""
         if self.lost:
             return
@@ -344,29 +339,32 @@ class _WireFlow:
             self.lost = True
             self.snic.flows_dropped += 1
         elif self.remaining > 0:
-            self.snic.tx.acquire().add_callback(self._tx_granted)
+            self.snic.tx.acquire(self._tx_granted)
         elif not self.live:
             self._finish()
 
-    def _tx_granted(self, _ev) -> None:
-        chunk = min(self.remaining, self.net.chunk_bytes)
-        Timeout(self.net.sim, chunk / self.snic.bandwidth).add_callback(self._tx_served)
+    def _tx_granted(self, _) -> None:
+        net = self.net
+        chunk = net.chunk_bytes if self.remaining > net.chunk_bytes else self.remaining
+        net.sim.call_later(chunk / self.snic.bandwidth, self._tx_served, chunk)
 
-    def _tx_served(self, _ev) -> None:
+    def _tx_served(self, chunk: int) -> None:
         self.snic.tx.release()
-        chunk = min(self.remaining, self.net.chunk_bytes)
         self.remaining -= chunk
-        leg = _RxLeg(self, chunk)
+        leg = _RxLeg(chunk)
         self.live += 1
         legs = self.legs
         legs.append(leg)
-        self.dnic.rx.acquire().add_callback(leg.granted)
+        self.dnic.rx.acquire(self._rx_granted, leg)
         if len(legs) > FLOW_WINDOW:
             oldest = legs.popleft()
             if oldest.alive:
                 self.blocked_on = oldest
                 return
         self._next_chunk()
+
+    def _rx_granted(self, leg: "_RxLeg") -> None:
+        self.net.sim.call_later(leg.nbytes / self.dnic.bandwidth, self._rx_served, leg)
 
     def _rx_served(self, leg: "_RxLeg") -> None:
         self.dnic.rx.release()
@@ -392,16 +390,8 @@ class _WireFlow:
 class _RxLeg:
     """One chunk buffered at the switch, then serialised into the rx pipe."""
 
-    __slots__ = ("flow", "nbytes", "alive")
+    __slots__ = ("nbytes", "alive")
 
-    def __init__(self, flow: _WireFlow, nbytes: int):
-        self.flow = flow
+    def __init__(self, nbytes: int):
         self.nbytes = nbytes
         self.alive = True
-
-    def granted(self, _ev) -> None:
-        flow = self.flow
-        Timeout(flow.net.sim, self.nbytes / flow.dnic.bandwidth).add_callback(self.served)
-
-    def served(self, _ev) -> None:
-        self.flow._rx_served(self)

@@ -100,25 +100,102 @@ class TestRandomPolicyDeterminism:
             res = Pipe(sim)
             order = []
 
-            def holder():
-                yield res.acquire()
-                yield sim.timeout(1)
-                res.release()
+            def granted(tag):
+                if tag == "holder":
+                    sim.call_later(1, lambda _: res.release())
+                else:
+                    order.append(tag)
+                    res.release()
 
-            def waiter(tag):
-                yield res.acquire()
-                order.append(tag)
-                res.release()
-
-            sim.process(holder())
+            res.acquire(granted, "holder")
             for tag in range(6):
-                sim.process(waiter(tag))
+                res.acquire(granted, tag)
             sim.run()
+            assert res.in_use == 0 and res.queue_len == 0
             return order
 
         assert run(1) == run(1)
         # Different seeds usually differ (6! orderings; collision unlikely)
         assert run(1) != run(2) or run(3) != run(4)
+
+
+class TestCallLater:
+    """``call_later(d, fn, arg)``: the slot of an event, without the event."""
+
+    @pytest.mark.parametrize("delay", [0.0, 0.5])
+    def test_shares_the_seq_order_of_events_issued_beside_it(self, delay):
+        sim = Simulator()
+        order = []
+        sim.call_later(delay, order.append, "call-1")
+        sim.timeout(delay).add_callback(lambda _ev: order.append("timeout-1"))
+        sim.call_later(delay, order.append, "call-2")
+        sim.timeout(delay).add_callback(lambda _ev: order.append("timeout-2"))
+        sim.run()
+        assert order == ["call-1", "timeout-1", "call-2", "timeout-2"]
+        assert sim.now == delay
+
+    def test_arg_defaults_to_none(self):
+        sim = Simulator()
+        got = []
+        sim.call_later(1.0, got.append)
+        sim.run()
+        assert got == [None]
+
+    def test_negative_delay_is_rejected_and_schedules_nothing(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.call_later(-1e-9, print)
+        assert sim.stats.events_scheduled == 0
+
+    def test_exception_from_the_call_surfaces_from_run(self):
+        sim = Simulator()
+        ran = []
+
+        def boom(_):
+            raise RuntimeError("boom")
+
+        sim.call_later(1.0, boom)
+        sim.call_later(2.0, ran.append, "later")
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        # Like an undefused failure: the run stops there, the clock and
+        # the rest of the queue are intact.
+        assert sim.now == 1.0 and ran == []
+        sim.run()
+        assert ran == ["later"]
+
+    def test_run_until_event_returns_right_after_the_call_that_fires_it(self):
+        sim = Simulator()
+        ev = sim.event()
+        ran = []
+
+        def fire(_):
+            ev.succeed("fired")
+            # Same instant, behind the event: must not run before the return.
+            sim.call_later(0.0, ran.append, "after")
+
+        sim.call_later(1.0, fire)
+        assert sim.run(until=ev) == "fired"
+        assert sim.now == 1.0 and ran == []
+
+    def test_run_until_time_leaves_a_later_call_queued(self):
+        sim = Simulator()
+        ran = []
+        sim.call_later(1.0, ran.append, "early")
+        sim.call_later(3.0, ran.append, "late")
+        sim.run(until=2.0)
+        assert ran == ["early"] and sim.now == 2.0
+        sim.run()
+        assert ran == ["early", "late"] and sim.now == 3.0
+
+    def test_each_call_is_one_processed_event_on_one_lane(self):
+        sim = Simulator()
+        sim.call_later(0.0, id)
+        assert (sim.stats.fast_lane_events, sim.stats.heap_events) == (1, 0)
+        sim.call_later(0.25, id)
+        assert (sim.stats.fast_lane_events, sim.stats.heap_events) == (1, 1)
+        sim.run()
+        assert sim.stats.events_processed == sim.stats.events_scheduled == 2
 
 
 class TestEngineMisc:

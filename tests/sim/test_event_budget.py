@@ -251,11 +251,14 @@ class TestFifoGrantBudget:
     def test_free_random_pipe_acquire_still_costs_its_grant_event(self):
         sim = Simulator()
         pipe = Pipe(sim)
-        ev = pipe.acquire()
-        assert ev.triggered and not ev.processed and pipe.in_use == 1
+        got = []
+        pipe.acquire(got.append, "mine")
+        # Held at once, told a hop later: the grant is a queued call.
+        assert pipe.in_use == 1 and got == []
         assert sim.stats.events_scheduled == 1
         sim.run()
-        assert ev.processed and sim.stats.heap_events == 0
+        assert got == ["mine"] and sim.stats.heap_events == 0
+        assert sim.stats.events_processed == 1
 
 
 class TestSpawnBudget:

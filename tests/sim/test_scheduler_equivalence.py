@@ -4,9 +4,10 @@ The two-lane kernel (``Simulator``) claims to be *order-identical by
 construction* to a single-heap kernel (``PureHeapSimulator``, the
 reference defined here).  These tests make the claim empirical:
 randomized event programs — timeouts, zero-delay storms, conditions,
-interrupts, contention for a FIFO resource and a random-arbitration
-pipe, lightweight spawns — run on both kernels and must produce the same
-firing log: identical (time, label, value) triples in identical order.
+interrupts, contention for a FIFO resource and a callback-granted
+random-arbitration pipe, lightweight spawns, bare ``call_later`` chains —
+run on both kernels and must produce the same firing log: identical
+(time, label, value) triples in identical order.
 
 Because the log records *processing* order, not just outcomes, any
 reordering of same-instant events (the thing the fast lane could
@@ -28,12 +29,12 @@ from repro.sim.resources import Resource
 
 
 class PureHeapSimulator(Simulator):
-    """The reference kernel: every event through the time-ordered heap."""
+    """The reference kernel: every call through the time-ordered heap."""
 
-    def _enqueue(self, event, delay, urgent=False):
+    def _enqueue(self, fn, arg, delay, urgent=False):
         if delay < 0:
-            raise SimulationError(f"cannot schedule event {delay!r}s in the past")
-        key = (self.now + delay, 0 if urgent else 1, next(self._seq), event)
+            raise SimulationError(f"cannot schedule a call {delay!r}s in the past")
+        key = (self.now + delay, 0 if urgent else 1, next(self._seq), fn, arg)
         heapq.heappush(self._queue, key)
         self.stats.heap_events += 1
 
@@ -86,10 +87,50 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
     log: list = []
 
     fifo = Resource(sim, capacity=rnd.randint(1, 3), name="fifo")
-    rnd.randint(1, 3)  # a draw the programs have always made here; keeps them the same 20
     rand = Pipe(sim, name="rand")
     store = Store(sim, capacity=4)
     procs: list = []
+
+    def hold_pipe(wid: int, s: int):
+        """Hold ``rand`` the way a wire flow does — by callbacks, so an
+        interrupted worker leaves the hold running, not leaked — and
+        return the event fired at the release."""
+        released = sim.event()
+
+        def granted(_):
+            log.append((sim.now, "rand-acq", wid, s))
+            sim.call_later(rnd_delays[wid][s], served)
+
+        def served(_):
+            rand.release()
+            log.append((sim.now, "rand-rel", wid, s))
+            released.succeed()
+
+        rand.acquire(granted)
+        return released
+
+    def call_chain(wid: int, s: int):
+        """A re-arming call, positive and zero delays alternating, whose
+        last lap fires the returned event."""
+        fired = sim.event()
+
+        def lap(left):
+            log.append((sim.now, "lap", wid, s, left))
+            if left:
+                sim.call_later(rnd_delays[wid][s] * (left % 2), lap, left - 1)
+            else:
+                fired.succeed((wid, s))
+
+        sim.call_later(rnd_delays[wid][s], lap, 3)
+        return fired
+
+    def ticker(wid: int, s: int):
+        def tick(left):
+            log.append((sim.now, "tick", wid, s, left))
+            if left:
+                sim.call_later(rnd_delays[wid][s], tick, left - 1)
+
+        return tick
 
     def worker(wid: int, steps: int):
         try:
@@ -118,11 +159,15 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
                 fifo.release()
                 log.append((sim.now, "fifo-rel", wid, s))
             elif action == "rand-res":
-                got = yield rand.acquire()
-                log.append((sim.now, "rand-acq", wid, s, got))
-                yield sim.timeout(rnd_delays[wid][s])
-                rand.release()
-                log.append((sim.now, "rand-rel", wid, s))
+                yield hold_pipe(wid, s)
+            elif action == "call-chain":
+                got = yield call_chain(wid, s)
+                log.append((sim.now, "chain-done", wid, s, got))
+            elif action == "call-detached":
+                # Nobody waits for these: they race whatever comes next.
+                tick = ticker(wid, s)
+                sim.call_later(0.0, tick, 2)
+                sim.call_later(rnd_delays[wid][s], tick, 0)
             elif action == "store":
                 yield store.put((wid, s))
                 item = yield store.get()
@@ -157,7 +202,7 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
     n_workers = rnd.randint(3, 6)
     actions = [
         "timeout", "zero-storm", "fifo-res", "rand-res",
-        "store", "any-of", "spawn", "interruptible",
+        "store", "any-of", "spawn", "interruptible", "call-chain", "call-detached",
     ]
     rnd_actions = [
         [rnd.choice(actions) for _ in range(rnd.randint(3, 8))]
