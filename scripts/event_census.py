@@ -6,11 +6,14 @@ classifies every scheduled call by
 
 * what it is: the event's type when an event fires (``Timeout``,
   ``_Grant``, ``Process``, ``Join`` ...), else the function called
-  (``_WireFlow._tx_served``, ``Process._resume`` for a start kick ...),
+  (``_WireFlow._tx_served``, ``Process._resume`` for a start kick,
+  ``Resource._end_service`` for the end of a service time ...),
 * zero or positive delay (positive = a physical delay on the heap),
-* the kernel call that scheduled it (``acquire[Resource]``,
-  ``release[Pipe]``, ``spawn``, ``process``, ``timeout``, ``end`` of a
-  process ...), and
+* the kernel call that scheduled it (``serve[Resource]``,
+  ``acquire[Resource]``, ``release[Pipe]``, ``spawn``, ``process``,
+  ``timeout``, ``end`` of a process ...; a service that ends and hands
+  its unit to a queued one reads ``release[Resource]`` from the event
+  loop), and
 * the first frame outside the kernel (``sim/engine.py``,
   ``sim/resources.py`` and :class:`~repro.sim.network.Pipe`) — or, for
   a process completion, the generator that finished,
@@ -91,9 +94,11 @@ def classify(fn, arg, delay: float, frame) -> tuple[str, str, str, str]:
             break
         if name == "run":
             break  # a kernel callback (a condition's check) fired it
-        if name in ("acquire", "release"):
+        if name in ("acquire", "release", "serve"):
             name += f"[{type(owner).__name__}]"
-        if name != "_process_callbacks":
+        # The two firing paths are how the kernel got here, not what
+        # was asked of it.
+        if name not in ("_process_callbacks", "_end_service"):
             kernel_call = name
         frame = frame.f_back
     return what(fn, arg), "delay" if delay > 0 else "zero", kernel_call, site

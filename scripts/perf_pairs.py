@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of one ``perf/`` workload, with the verdict.
+
+    python scripts/perf_pairs.py PARENT_REF --workload bulk_read [--pairs 10] [--seed S]
+
+Extracts ``PARENT_REF`` into a temporary directory (``git archive``: the
+committed files, nothing of this checkout's state), then runs
+``python3 perf/run.py --workload W`` on that tree and on this one —
+uncommitted edits included — ``--pairs`` times each, alternating which
+side goes first.  Every run of either side must report the same
+``sim_fingerprint``, ``events_total`` and ``sim_time_s`` (a perf change
+alters no physics); exit 1 at the first that does not.
+
+Prints, per host-time metric, each side's median [quartiles] and how
+many pairs the change won, and for ``wall_norm_s`` the verdict of the
+``choosing-metrics`` guide, section 8: a gain may be claimed only when
+the change wins at least nine tenths of the pairs (ties count for
+neither side) and the medians are further apart than the parent's own
+quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+HOST_METRICS = ("wall_norm_s", "setup_s", "peak_rss_mb")
+EXACT = ("events_total", "sim_time_s")
+
+
+def run_once(tree: pathlib.Path, workload: str, seed: int | None, out: pathlib.Path) -> dict:
+    """One ``perf/run.py --workload`` in ``tree``; its workload record."""
+    cmd = [sys.executable, "perf/run.py", "--workload", workload, "--out", str(out)]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{' '.join(cmd)} failed in {tree}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
+    return json.loads(out.read_text())["workloads"][workload]
+
+
+def physics(record: dict) -> tuple:
+    return (
+        record["sim_fingerprint"],
+        *(record["end_to_end"][key]["value"] for key in EXACT),
+        record["failed"],
+    )
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def verdict(parent: list[float], change: list[float]) -> str:
+    """Section 8: enough pairs won, and medians apart by more than the parent's spread."""
+    n = len(parent)
+    ahead = sum(c < p for p, c in zip(parent, change))
+    behind = sum(c > p for p, c in zip(parent, change))
+    q1, p_med, q3 = quartiles(parent)
+    gap, spread = p_med - statistics.median(change), q3 - q1
+    if ahead >= 0.9 * n and gap > spread:
+        return f"GAIN: ahead in {ahead}/{n}, medians apart by more than the parent's quartiles"
+    if behind >= 0.9 * n and -gap > spread:
+        return (
+            f"REGRESSION: behind in {behind}/{n}, medians apart by more than the parent's quartiles"
+        )
+    why = []
+    if ahead < 0.9 * n:
+        why.append(f"ahead in {ahead}/{n} (needs nine tenths)")
+    if gap <= spread:
+        why.append(f"medians {gap:+.4f} apart, parent's quartiles {spread:.4f}")
+    return "UNRESOLVED: " + "; ".join(why)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent_ref", help="commit to compare this tree against")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=None, help="passed to perf/run.py")
+    args = p.parse_args(argv)
+
+    records: dict[str, list[dict]] = {"parent": [], "change": []}
+
+    def series(side: str, key: str) -> list[float]:
+        return [record["end_to_end"][key]["value"] for record in records[side]]
+
+    with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
+        tmp = pathlib.Path(tmp)
+        parent_tree = tmp / "parent"
+        parent_tree.mkdir()
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", args.parent_ref], capture_output=True
+        )
+        if archive.returncode != 0:
+            sys.exit(archive.stderr.decode())
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive.stdout, check=True)
+
+        sides = {"parent": parent_tree, "change": ROOT}
+        reference = None
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                record = run_once(sides[side], args.workload, args.seed, tmp / "out.json")
+                if reference is None:
+                    reference = physics(record)
+                elif physics(record) != reference:
+                    print(f"pair {pair + 1}, {side}: physics differ")
+                    print(f"  {physics(record)}\n  {reference}")
+                    return 1
+                records[side].append(record)
+            before, after = series("parent", "wall_norm_s")[-1], series("change", "wall_norm_s")[-1]
+            print(
+                f"pair {pair + 1:2d} ({order[0]} first): wall_norm_s {before:.4f} -> {after:.4f}"
+                f"  ({100 * (after / before - 1):+.1f} %)",
+                flush=True,
+            )
+
+    fingerprint, events, sim_time, failed = reference
+    print(
+        f"\n{args.workload}: sim_fingerprint {fingerprint[:12]}, events_total {events:.0f}, "
+        f"sim_time_s {sim_time:.6g}, failed {failed} — equal in all {2 * args.pairs} runs"
+    )
+    for key in HOST_METRICS:
+        parent, change = series("parent", key), series("change", key)
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
+        ahead = sum(c < p for p, c in zip(parent, change))
+        print(
+            f"  {key:12s} parent {pmed:.4f} [{pq1:.4f}-{pq3:.4f}]"
+            f"  change {cmed:.4f} [{cq1:.4f}-{cq3:.4f}]"
+            f"  {100 * (cmed / pmed - 1):+.1f} % of parent's median,"
+            f" change ahead {ahead}/{args.pairs}"
+        )
+    walls = verdict(series("parent", "wall_norm_s"), series("change", "wall_norm_s"))
+    print(f"wall_norm_s: {walls}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -80,9 +80,9 @@ class LayoutTranslator(LayoutProvider):
         f = yield from self.meta_backend.open_by_handle(fh)
         dist_desc = f.state["dist"]
         aggregation = translate_aggregation(dist_desc)
-        nservers = dist_desc.get(
-            "nservers", len({s for s, _l in dist_desc.get("pattern", [])})
-        )
+        # Every distribution describes how many servers it spans; the
+        # devices a pattern happens to name may be fewer.
+        nservers = dist_desc["nservers"]
         # The pNFS server specifies the filehandles (§4.2): the backend
         # object handle is valid at every data server.
         self.translated += 1

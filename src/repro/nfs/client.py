@@ -322,17 +322,14 @@ class Nfs4Client(FileSystemClient):
             self.readahead_issued_bytes += e - s
 
     def read(self, f: OpenFile, offset: int, nbytes: int):
+        gen = self._read_impl(f, offset, nbytes)
         col = obs_spans.ACTIVE
         if col is None:
-            return (yield from self._read_impl(f, offset, nbytes))
-        span = col.begin(
-            "read", "client-op", self.node.name,
+            return gen
+        return col.traced(
+            gen, "read", "client-op", self.node.name,
             path=f.path, offset=offset, nbytes=nbytes,
         )
-        try:
-            return (yield from self._read_impl(f, offset, nbytes))
-        finally:
-            col.end(span)
 
     def _read_impl(self, f: OpenFile, offset: int, nbytes: int):
         pc: PageCache = f.state["pc"]
@@ -386,7 +383,7 @@ class Nfs4Client(FileSystemClient):
         pc.last_read_end = end
 
         length = end - offset
-        yield from self.node.compute(self.cfg.client_copy_per_byte * length)
+        yield self.node.compute(self.cfg.client_copy_per_byte * length)
         self.bytes_read += length
         return pc.cache.read(offset, length)
 
@@ -448,21 +445,18 @@ class Nfs4Client(FileSystemClient):
                 pos += wsize
 
     def write(self, f: OpenFile, offset: int, payload: Payload):
+        gen = self._write_impl(f, offset, payload)
         col = obs_spans.ACTIVE
         if col is None:
-            return (yield from self._write_impl(f, offset, payload))
-        span = col.begin(
-            "write", "client-op", self.node.name,
+            return gen
+        return col.traced(
+            gen, "write", "client-op", self.node.name,
             path=f.path, offset=offset, nbytes=payload.nbytes,
         )
-        try:
-            return (yield from self._write_impl(f, offset, payload))
-        finally:
-            col.end(span)
 
     def _write_impl(self, f: OpenFile, offset: int, payload: Payload):
         pc: PageCache = f.state["pc"]
-        yield from self.node.compute(self.cfg.client_copy_per_byte * payload.nbytes)
+        yield self.node.compute(self.cfg.client_copy_per_byte * payload.nbytes)
         pc.cache.write(offset, payload)
         end = offset + payload.nbytes
         pc.valid.add(offset, end)
@@ -487,14 +481,11 @@ class Nfs4Client(FileSystemClient):
         return payload.nbytes
 
     def fsync(self, f: OpenFile):
+        gen = self._fsync_impl(f)
         col = obs_spans.ACTIVE
         if col is None:
-            return (yield from self._fsync_impl(f))
-        span = col.begin("fsync", "client-op", self.node.name, path=f.path)
-        try:
-            return (yield from self._fsync_impl(f))
-        finally:
-            col.end(span)
+            return gen
+        return col.traced(gen, "fsync", "client-op", self.node.name, path=f.path)
 
     def _fsync_impl(self, f: OpenFile):
         pc: PageCache = f.state["pc"]

@@ -171,7 +171,7 @@ class Pvfs2Client(FileSystemClient):
         """Client-side request setup: once per server touched by the op."""
         nsetups = sum(1 for u in units if u[3])
         if nsetups:
-            yield from self.node.compute(self.cfg.request_setup_client * nsetups)
+            yield self.node.compute(self.cfg.request_setup_client * nsetups)
 
     def read(self, f: OpenFile, offset: int, nbytes: int):
         dist = self._dist_of(f)
@@ -241,7 +241,7 @@ class Pvfs2Client(FileSystemClient):
         # request setup as any other PVFS2 request — a real burden for
         # fsync-per-transaction workloads (§6.4).
         if targets:
-            yield from self.node.compute(self.cfg.request_setup_client * len(targets))
+            yield self.node.compute(self.cfg.request_setup_client * len(targets))
         yield self.sim.spawn(
             *(
                 rpc.call(self.node, self.daemons[server].rpc, "flush", {"handle": dfile})

@@ -153,7 +153,7 @@ class StorageDaemon:
     def _h_read(self, args, payload):
         handle, offset, nbytes = args["handle"], args["offset"], args["nbytes"]
         if args.get("setup"):
-            yield from self.node.compute(self.cfg.request_setup_server)
+            yield self.node.compute(self.cfg.request_setup_server)
         fd = self.bstreams.get(handle)
         if fd is None:
             return 0, Payload(b"")
@@ -164,7 +164,7 @@ class StorageDaemon:
                     handle * BSTREAM_STRIDE + offset, nbytes, write=False
                 )
             data = fd.read(offset, nbytes)
-            yield from self.node.compute(DAEMON_COPY_PER_BYTE * data.nbytes)
+            yield self.node.compute(DAEMON_COPY_PER_BYTE * data.nbytes)
         finally:
             self.flow_pool.release()
         self.bytes_read += data.nbytes
@@ -175,13 +175,13 @@ class StorageDaemon:
         assert payload is not None, "write carries a payload"
         nbytes = payload.nbytes
         if args.get("setup"):
-            yield from self.node.compute(
+            yield self.node.compute(
                 self.cfg.request_setup_server + self.cfg.request_setup_write_extra
             )
         delta = 0
         yield self.flow_pool.acquire()
         try:
-            yield from self.node.compute(DAEMON_COPY_PER_BYTE * nbytes)
+            yield self.node.compute(DAEMON_COPY_PER_BYTE * nbytes)
             disk_idx = self._disk_index(handle)
             # Overwrites of already-dirty bytes are free (the page is
             # rewritten in memory); only newly-dirtied bytes need
@@ -253,7 +253,7 @@ class StorageDaemon:
         """Barrier: returns once the dirty backlog fits the disk's own
         write cache (ATA drives acknowledge from cache — see config).
         Issuing the flush costs trove a request-setup's worth of work."""
-        yield from self.node.compute(self.cfg.request_setup_server)
+        yield self.node.compute(self.cfg.request_setup_server)
         if self._pending_bytes <= self.cfg.disk_cache_bytes:
             return None, None
         ev = Event(self.sim)

@@ -261,12 +261,15 @@ def _attempt(
         # 1. Client-side marshalling, then copy-out OVERLAPPED with the
         #    request transfer: real stacks stream while copying, so wall
         #    time is max(copy, wire), with the CPU held for the copy part.
-        #    A lone transfer is waited on inline; overlapped legs run as
-        #    lightweight spawned tasks.  Either way nothing interrupts a
-        #    leg individually: a retry timer interrupts the *attempt*,
-        #    which only detaches it from the wait — the network flow
-        #    holds its own pipes and keeps the wire busy regardless.
-        yield from client_node.compute(costs.client_per_call)
+        #    A CPU charge and a transfer are events: a lone transfer is
+        #    waited on inline, overlapped ones are joined by ``spawn``.
+        #    The transfers are delegated to (``yield from``), not
+        #    yielded, so a tracer may wrap ``Network.transfer`` in a
+        #    generator from outside.  Nothing interrupts a leg
+        #    individually: a retry timer interrupts the *attempt*, which
+        #    only detaches it from the wait — the network flow holds its
+        #    own pipes and keeps the wire busy regardless.
+        yield client_node.compute(costs.client_per_call)
         request = client_node.network.transfer(client_node.name, server.node.name, req_bytes)
         if req_payload_bytes:
             yield sim.spawn(
@@ -286,7 +289,7 @@ def _attempt(
         try:
             if not server.up:
                 yield _lost(sim)  # server died while the request queued
-            yield from server.node.compute(
+            yield server.node.compute(
                 costs.server_per_call + costs.per_byte_in * req_payload_bytes
             )
             cached = session.cached_reply(seq) if session is not None and seq is not None else None
@@ -370,90 +373,113 @@ def call(
     session=None,
     seq: Optional[int] = None,
 ):
-    """Process generator performing one RPC; returns the handler result.
+    """Return the process generator of one RPC (``yield from`` it).
 
     ``payload`` rides in the request (writes); the handler's reply
-    payload rides in the response (reads).  The returned value is
+    payload rides in the response (reads).  The generator's value is
     ``(result, reply_payload)`` exactly as produced by the handler.
 
     ``policy`` enables client-side timeouts with exponential backoff
     and retransmission (see :class:`RpcPolicy`); without it the call
-    waits forever, exactly as before the fault layer existed.
+    waits forever, exactly as before the fault layer existed — it *is*
+    the one attempt, with no frame of its own around it.
     ``session``/``seq`` engage the NFSv4.1 reply cache so retransmitted
     non-idempotent operations execute exactly once.
     """
-    sim = client_node.sim
     handler = server.handler(proc)  # fail fast on bad procedure
+    if policy is None:
+        exchange = _attempt(
+            client_node, server, proc, handler, args, payload,
+            args_bytes, session, seq, retries=0,
+        )
+    else:
+        exchange = _retrying(
+            client_node, server, proc, handler, args, payload,
+            args_bytes, policy, session, seq,
+        )
+    if session is not None and seq is not None:
+        return _retiring(exchange, session, seq)
+    return exchange
 
+
+def _retiring(exchange, session, seq: int):
+    """Run ``exchange`` and give its session slot back, however it ends."""
+    try:
+        return (yield from exchange)
+    finally:
+        session.retire(seq)
+
+
+def _retrying(
+    client_node: Node,
+    server: RpcServer,
+    proc: str,
+    handler: Callable,
+    args: object,
+    payload: Optional[Payload],
+    args_bytes: int,
+    policy: RpcPolicy,
+    session,
+    seq: Optional[int],
+):
+    """Attempts under a retry timer until one is answered or the budget runs out."""
+    sim = client_node.sim
     t_first = sim.now
     attempt_no = 0
     timer = None
-    try:
-        if policy is None:
-            # Fast path: identical behaviour (and event schedule) to the
-            # pre-fault-layer RPC — calibrated benchmarks depend on it.
-            return (
-                yield from _attempt(
-                    client_node, server, proc, handler, args, payload,
-                    args_bytes, session, seq, retries=0,
-                )
-            )
-        while True:
-            attempt = sim.process(
-                _attempt(
-                    client_node, server, proc, handler, args, payload,
-                    args_bytes, session, seq, retries=attempt_no,
-                ),
-                name=f"rpc:{proc}@{server.name}",
-            )
-            # Reuse one Timeout across retries: we only loop back here
-            # after the timer fired, so it is processed and re-armable.
-            # Saves an allocation per retransmission on lossy paths.
-            if timer is None:
-                timer = sim.timeout(policy.timeout_for(attempt_no))
-            else:
-                timer = timer.reset(policy.timeout_for(attempt_no))
-            # An FsError surfacing here is an error *reply*: the exchange
-            # completed, so it propagates to the caller untouched.
-            idx, value = yield sim.any_of([attempt, timer])
-            if idx == 0:
-                return value
-            # Timer fired first.  A photo finish (attempt completed in
-            # the same instant) still counts as delivered.
-            if not attempt.is_alive:
-                attempt.defuse()
-                if attempt.ok:
-                    return attempt.value
-                raise attempt.value
-            # The attempt is genuinely stuck: abandon it.  The interrupt
-            # unwinds its generator stack, releasing worker threads and
-            # resource grants via their finallys; a message already on
-            # the wire is not the attempt's to release and runs on.
+    while True:
+        attempt = sim.process(
+            _attempt(
+                client_node, server, proc, handler, args, payload,
+                args_bytes, session, seq, retries=attempt_no,
+            ),
+            name=f"rpc:{proc}@{server.name}",
+        )
+        # Reuse one Timeout across retries: we only loop back here
+        # after the timer fired, so it is processed and re-armable.
+        # Saves an allocation per retransmission on lossy paths.
+        if timer is None:
+            timer = sim.timeout(policy.timeout_for(attempt_no))
+        else:
+            timer = timer.reset(policy.timeout_for(attempt_no))
+        # An FsError surfacing here is an error *reply*: the exchange
+        # completed, so it propagates to the caller untouched.
+        idx, value = yield sim.any_of([attempt, timer])
+        if idx == 0:
+            return value
+        # Timer fired first.  A photo finish (attempt completed in
+        # the same instant) still counts as delivered.
+        if not attempt.is_alive:
             attempt.defuse()
-            attempt.interrupt("rpc timeout")
-            attempt_no += 1
-            if attempt_no > policy.max_retries:
-                server.client_timeouts += 1
-                col = obs_spans.ACTIVE
-                if col is not None:
-                    # One span for the whole failed call, from the first
-                    # send to the give-up.
-                    span = col.begin(
-                        f"rpc:{proc}", "rpc", client_node.name,
-                        server=server.name, attempt=attempt_no - 1,
-                    )
-                    span.start = t_first
-                    col.end(
-                        span, ok=False, timeout=True, error=True, reply_bytes=0,
-                        req_bytes=payload.nbytes if payload is not None else 0,
-                    )
-                raise RpcTimeout(
-                    f"{proc} to {server.name}: no reply after {attempt_no} attempts",
-                    server=server.name,
-                    proc=proc,
-                    attempts=attempt_no,
+            if attempt.ok:
+                return attempt.value
+            raise attempt.value
+        # The attempt is genuinely stuck: abandon it.  The interrupt
+        # unwinds its generator stack, releasing worker threads and
+        # resource grants via their finallys; a message already on
+        # the wire is not the attempt's to release and runs on.
+        attempt.defuse()
+        attempt.interrupt("rpc timeout")
+        attempt_no += 1
+        if attempt_no > policy.max_retries:
+            server.client_timeouts += 1
+            col = obs_spans.ACTIVE
+            if col is not None:
+                # One span for the whole failed call, from the first
+                # send to the give-up.
+                span = col.begin(
+                    f"rpc:{proc}", "rpc", client_node.name,
+                    server=server.name, attempt=attempt_no - 1,
                 )
-            server.retransmissions += 1
-    finally:
-        if session is not None and seq is not None:
-            session.retire(seq)
+                span.start = t_first
+                col.end(
+                    span, ok=False, timeout=True, error=True, reply_bytes=0,
+                    req_bytes=payload.nbytes if payload is not None else 0,
+                )
+            raise RpcTimeout(
+                f"{proc} to {server.name}: no reply after {attempt_no} attempts",
+                server=server.name,
+                proc=proc,
+                attempts=attempt_no,
+            )
+        server.retransmissions += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import _PROCESSED, Event, Simulator
 from repro.sim.resources import Resource
 
 __all__ = ["CpuSpec", "Cpu"]
@@ -40,25 +40,31 @@ class Cpu:
         self.spec = spec
         self.name = name
         self.cores = Resource(sim, spec.cores, name=f"{name}.cores")
-        self.busy_time = 0.0
+        #: What every zero-work charge returns: already fired, so a
+        #: process yielding it runs straight on.
+        self._no_work = Event(sim)
+        self._no_work._state = _PROCESSED
 
-    def consume(self, work_seconds: float):
-        """Process generator: occupy one core for ``work / speed``.
+    def consume(self, work_seconds: float) -> Event:
+        """Occupy one core for ``work / speed``; returns the event that
+        fires when the work is done (``yield`` it, or hand it to
+        :meth:`Simulator.spawn` to overlap it with something else).
 
-        One event per charge, busy or not: the core's grant event fires
-        at the *end* of the service time (``acquire(hold=)``), scheduled
-        here when a core is free and by the releasing job when queued.
-        An interrupt before that returns the core (or withdraws the
+        One event per charge, busy or not (:meth:`Resource.serve`); zero
+        work is an event that has already fired.  Interrupting the
+        waiter before the end returns the core (or withdraws the
         request) and charges no ``busy_time``.
         """
         if work_seconds < 0:
             raise ValueError("work must be >= 0")
         if work_seconds == 0:
-            return
-        duration = work_seconds / self.spec.speed
-        yield self.cores.acquire(hold=duration)
-        self.busy_time += duration
-        self.cores.release()
+            return self._no_work
+        return self.cores.serve(work_seconds / self.spec.speed)
+
+    @property
+    def busy_time(self) -> float:
+        """Core-seconds of completed charges."""
+        return self.cores.busy_time
 
     @property
     def queue_len(self) -> int:

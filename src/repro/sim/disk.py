@@ -126,18 +126,15 @@ class Disk:
             raise DiskFailed(f"{self.name}: media failed")
 
     def io(self, offset: int, nbytes: int, write: bool):
-        """Process generator performing one request against the media."""
+        """Return the process generator of one request against the media."""
+        gen = self._io_impl(offset, nbytes, write)
         col = obs_spans.ACTIVE
         if col is None:
-            return (yield from self._io_impl(offset, nbytes, write))
-        span = col.begin(
-            "disk:write" if write else "disk:read", "disk", self.name,
+            return gen
+        return col.traced(
+            gen, "disk:write" if write else "disk:read", "disk", self.name,
             offset=offset, nbytes=nbytes,
         )
-        try:
-            return (yield from self._io_impl(offset, nbytes, write))
-        finally:
-            col.end(span)
 
     def _io_impl(self, offset: int, nbytes: int, write: bool):
         if offset < 0 or nbytes < 0:
@@ -168,8 +165,7 @@ class Disk:
                 bus_time = chunk / self.bus_bw if self.io_bus is not None else 0.0
                 media_time = chunk / media_bw
                 if self.io_bus is not None:
-                    yield self.io_bus.acquire(hold=bus_time)
-                    self.io_bus.release()
+                    yield self.io_bus.serve(bus_time)
                 residual = media_time - bus_time
                 if residual > 0:
                     yield self.sim.timeout(residual)

@@ -17,20 +17,23 @@ reproducible.
 The queue holds calls
 ---------------------
 A queue entry is a call, ``fn(arg)``, and the run loop does nothing but
-make it.  Three things enqueue:
+make it.  Four things enqueue:
 
 * an :class:`Event` that is triggered enqueues
   ``(Event._process_callbacks, event)`` — the plain function, so firing
   costs no bound-method allocation;
 * a :class:`Process` start enqueues its first resume,
   ``(proc._resume, _START)`` (a ``spawn`` leg starts inline instead);
+* a service time (``Resource.serve``: a CPU charge, a bus hold)
+  enqueues the call that gives the unit back and then fires the
+  service's event, so the unit is free before any waiter runs;
 * :meth:`Simulator.call_later` enqueues any ``fn(arg)`` in the slot an
   event scheduled there would have taken — for kernel-side state
   machines (the wire flow) whose only waiter is themselves, so a hop
   costs a tuple and a call, not an event with its waiter list, failure
   and defuse machinery.
 
-``Simulator._enqueue`` is the single choke point for all three.
+``Simulator._enqueue`` is the single choke point for all four.
 
 Two-lane scheduling
 -------------------
@@ -225,6 +228,17 @@ class Event:
             self._cbs = [fn]
         else:
             self._cbs.append(fn)
+
+    def __iter__(self) -> Generator["Event", Any, Any]:
+        """``value = yield from event`` — wait for it, as ``yield event`` does.
+
+        The ``asyncio.Future`` idiom: a function may return either an
+        event or a generator and its caller delegates to both alike, so
+        a wrapper can put a generator around a primitive that returns an
+        event (a tracer timing ``Network.transfer`` from outside)
+        without the call sites knowing.
+        """
+        return (yield self)
 
     def _discard_callback(self, fn: Callable[["Event"], None]) -> None:
         """Detach a waiter (process interrupt); missing ``fn`` is a no-op.
@@ -506,12 +520,14 @@ class AnyOf(_Condition):
 class Join(Event):
     """Completion event for a batch of lightweight legs.
 
-    Returned by :meth:`Simulator.spawn`; fires when every spawned
-    generator has run to completion — its value is the tuple of their
-    return values in spawn order, like :class:`AllOf` — or fails with
-    the first leg's exception.  Unlike ``AllOf`` over processes, the
-    join is told about completions directly: finishing a leg costs no
-    per-leg completion event.
+    Returned by :meth:`Simulator.spawn`; fires when every leg has ended
+    — its value is the tuple of their values in spawn order, like
+    :class:`AllOf` — or fails with the first leg's exception.  A
+    generator leg is driven by a :class:`_Task` that tells the join
+    directly when it ends; a leg that is already an event (a CPU
+    charge, a wire transfer) gets the join's callback and nothing else
+    — no task, no start, no ``StopIteration``.  Either way, finishing a
+    leg costs no completion event of its own.
 
     The join holds its legs (as ``AllOf.events`` holds its processes):
     a leg parked on an event nothing else references stays reachable
@@ -522,22 +538,44 @@ class Join(Event):
 
     __slots__ = ("legs", "_pending_count")
 
-    def __init__(self, sim: "Simulator", generators: tuple):
+    def __init__(self, sim: "Simulator", legs: tuple):
         super().__init__(sim)
-        self.legs = legs = tuple(_Task(sim, gen, self) for gen in generators)
         self._pending_count = len(legs)
         if not legs:
             # Nothing to wait for: pre-fired, like a free FIFO grant.
             self._value = ()
             self._state = _PROCESSED
-        # Each leg runs its first segment here, in the spawner's stack:
-        # a start kick would only relay control.
+        #: Filled as the legs start: the join cannot complete — and read
+        #: their values — before the last one is in.
+        self.legs = started = []
+        leg_fired = self._leg_fired
         for leg in legs:
-            leg._resume(_START)
+            if isinstance(leg, Event):
+                started.append(leg)
+                leg.add_callback(leg_fired)
+            else:
+                # A generator leg runs its first segment here, in the
+                # spawner's stack: a start kick would only relay control.
+                leg = _Task(sim, leg, self)
+                started.append(leg)
+                leg._resume(_START)
+
+    def _leg_fired(self, event: Event) -> None:
+        """An event leg ended: what ``_Task._finished`` / ``_failed`` do
+        for a generator leg."""
+        if not event.ok:
+            event._defused = True
+            if self._state == _PENDING:
+                self.fail(event._value)
+            return
+        self._pending_count -= 1
+        if self._pending_count == 0 and self._state == _PENDING:
+            self.succeed(tuple(leg._value for leg in self.legs))
 
 
 class _Task(_Driver):
-    """One :meth:`Simulator.spawn` leg: a driven generator and no more.
+    """One generator leg of a :meth:`Simulator.spawn`: a driven generator
+    and no more.
 
     Unlike :class:`Process` a task is not itself an event — nothing can
     wait on (or interrupt) an individual leg, only the shared
@@ -547,14 +585,14 @@ class _Task(_Driver):
     land in lanes of their own.
     """
 
-    __slots__ = ("sim", "_generator", "_waiting_on", "join", "value")
+    __slots__ = ("sim", "_generator", "_waiting_on", "join", "_value")
 
     def __init__(self, sim: "Simulator", generator: Generator, join: Join):
         self.sim = sim
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         self.join = join
-        self.value: Any = None
+        self._value: Any = None
 
     @property
     def name(self) -> str:
@@ -564,11 +602,11 @@ class _Task(_Driver):
         # The join holds this leg; a finished leg lets go of the join,
         # so a completed fan-out is freed by reference count, not left
         # as a cycle to collect.
-        self.value = value
+        self._value = value
         join, self.join = self.join, None
         join._pending_count -= 1
         if join._pending_count == 0 and join._state == _PENDING:
-            join.succeed(tuple(leg.value for leg in join.legs))
+            join.succeed(tuple(leg._value for leg in join.legs))
 
     def _failed(self, exc: BaseException) -> None:
         # Mirrors AllOf: the first failure fails the join; a later one
@@ -670,21 +708,22 @@ class Simulator:
         """Start ``generator`` as a process at the current instant."""
         return Process(self, generator, name)
 
-    def spawn(self, *generators: Generator) -> Join:
-        """Run ``generators`` as lightweight legs, joined where started.
+    def spawn(self, *legs: "Generator | Event") -> Join:
+        """Run ``legs`` side by side, joined where started.
 
-        ``results = yield sim.spawn(a, b, c)`` is the fan-out idiom: the
-        legs start here and now, in the caller's stack, and the returned
-        :class:`Join` fires when all have ended, with their return
-        values in spawn order.  Cheaper than
+        ``results = yield sim.spawn(a, b, c)`` is the fan-out idiom: a
+        generator leg starts here and now, in the caller's stack, an
+        event leg (``node.compute(...)``, ``node.send(...)``) is simply
+        waited for, and the returned :class:`Join` fires when all have
+        ended, with their values in spawn order.  Cheaper than
         ``all_of([process(g) for g in generators])`` by a start kick, a
         completion event and an ``AllOf`` callback per leg: legs are not
-        events, so nothing can join or interrupt one individually.  Use
-        :meth:`process` for an activity that is joined *later* or by
+        processes, so nothing can join or interrupt one individually.
+        Use :meth:`process` for an activity that is joined *later* or by
         someone else, or that must be interruptible (write-back in
         flight, a prefetch, an RPC attempt under a retry timer).
         """
-        return Join(self, generators)
+        return Join(self, legs)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing when all ``events`` have fired."""

@@ -11,8 +11,8 @@ bandwidth sharing among concurrent clients — at a cost of four queued
 calls per chunk (a grant and a service time on each pipe).
 
 A transfer is one :class:`_WireFlow` driven by the calls it schedules:
-it holds the pipes itself, and :meth:`Network.transfer` is only the
-generator that waits for its one event, ``done``.
+it holds the pipes itself, and :meth:`Network.transfer` returns its one
+event, ``done``.
 
 Invariants:
 
@@ -213,15 +213,16 @@ class Network:
         except KeyError:
             raise KeyError(f"no NIC registered for node {name!r}") from None
 
-    def transfer(self, src: str, dst: str, nbytes: int):
-        """Process generator moving ``nbytes`` from ``src`` to ``dst``.
+    def transfer(self, src: str, dst: str, nbytes: int) -> Event:
+        """Move ``nbytes`` from ``src`` to ``dst``.
 
-        Yields until the last byte has been received.  Loopback
+        Returns the event that fires when the last byte has been
+        received; its value is the :class:`Flow` record.  Loopback
         transfers (src == dst) skip the wire entirely; the memory-copy
         cost of loopback is charged by the caller as CPU time, which is
         how the Direct-pNFS prototype's loopback conduit is modelled.
 
-        The generator only *waits*: the bytes are moved by a
+        The caller only *waits*: the bytes are moved by a
         :class:`_WireFlow` that holds the pipes itself, so interrupting
         the waiter (an RPC retry timer) detaches it and the flow runs
         on — an in-flight transfer keeps the wire busy regardless.
@@ -247,26 +248,20 @@ class Network:
             # Delivered in this instant, but through an event like any
             # other message: the receiver joins its server's queues
             # behind work already scheduled, not ahead of it.
-            done = Event(self.sim).succeed()
-        else:
-            snic = self.nic(src)
-            dnic = self.nic(dst)
-            dropped = snic.down or dnic.down
-            for nic in (snic, dnic):
-                if not dropped and nic.drop_prob > 0.0:
-                    dropped = float(self._rng_random()) < nic.drop_prob
-            if dropped:
-                # The flow vanishes on the wire: its completion never
-                # fires, and no error surfaces here — a waiting process
-                # hangs until an RPC timeout (repro.rpc) interrupts it.
-                snic.flows_dropped += 1
-                done = Event(self.sim)
-            else:
-                done = _WireFlow(self, snic, dnic, flow).done
-        yield done
-        if flow.end is None:
-            raise AssertionError("a dropped flow must never complete")
-        return flow
+            return Event(self.sim).succeed(flow)
+        snic = self.nic(src)
+        dnic = self.nic(dst)
+        dropped = snic.down or dnic.down
+        for nic in (snic, dnic):
+            if not dropped and nic.drop_prob > 0.0:
+                dropped = float(self._rng_random()) < nic.drop_prob
+        if dropped:
+            # The flow vanishes on the wire: its completion never
+            # fires, and no error surfaces here — a waiting process
+            # hangs until an RPC timeout (repro.rpc) interrupts it.
+            snic.flows_dropped += 1
+            return Event(self.sim)
+        return _WireFlow(self, snic, dnic, flow).done
 
 
 class _WireFlow:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.sim.cpu import Cpu, CpuSpec
 from repro.sim.disk import Disk, DiskSpec
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.network import Network, Nic
 from repro.sim.resources import Resource
 
@@ -73,13 +73,15 @@ class Node:
             raise ValueError(f"{self.name} has {len(self.disks)} disks, not 1")
         return self.disks[0]
 
-    def send(self, dst: "Node | str", nbytes: int):
-        """Process generator: move ``nbytes`` from this node to ``dst``."""
+    def send(self, dst: "Node | str", nbytes: int) -> Event:
+        """Move ``nbytes`` from this node to ``dst``; the event fires
+        (value: the ``Flow`` record) when the last byte has landed."""
         dst_name = dst.name if isinstance(dst, Node) else dst
         return self.network.transfer(self.name, dst_name, nbytes)
 
-    def compute(self, work_seconds: float):
-        """Process generator: charge protocol work to this node's CPU."""
+    def compute(self, work_seconds: float) -> Event:
+        """Charge protocol work to this node's CPU; the event fires when
+        it is done."""
         return self.cpu.consume(work_seconds)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -11,13 +11,23 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.sim.engine import _PENDING, _PROCESSED, Event, SimulationError, Simulator
+from repro.sim.engine import (
+    _PENDING,
+    _PROCESSED,
+    _TRIGGERED,
+    Event,
+    SimulationError,
+    Simulator,
+    _fire,
+)
 
 __all__ = ["Resource"]
 
 
 class _Grant(Event):
-    """An acquire's event; a queued one remembers its ``units`` and ``hold``."""
+    """A request's event: the ``units`` it wants or holds (0 once
+    withdrawn or given back) and, for a service, how long it ``hold``\\ s
+    them (``None``: a plain acquire, released by its holder)."""
 
     __slots__ = ("units", "hold")
 
@@ -33,11 +43,10 @@ class Resource:
         finally:
             resource.release()
 
-    or, when the holder does nothing but occupy the units for a known
+    or, when the holder does nothing but occupy one unit for a known
     time (a CPU charge, a bus transfer)::
 
-        yield resource.acquire(hold=service_time)
-        resource.release()
+        yield resource.serve(service_time)
 
     ``acquire(n)`` atomically claims ``n`` units (granted only when all
     ``n`` are free, still in FIFO order, so large requests are not
@@ -46,12 +55,12 @@ class Resource:
     A grant never costs an event of its own.  Free and unqueued,
     ``acquire()`` returns an event that has *already fired* — nothing is
     scheduled and the yielding process runs straight on — and
-    ``acquire(hold=d)`` returns the one heap event of the service time.
-    Queued, the releaser schedules the waiter's event ``hold`` seconds
-    out: that event is the grant *and* the end of service.  A FIFO queue
-    decides nothing at grant time (the oldest waiter gets the units
-    whoever is asked, whenever), so a grant event would only relay
-    control.
+    ``serve(d)`` returns the one heap event of the service time.
+    Queued, the releaser fires an acquire's event, or schedules a
+    service's ``d`` seconds out: that event is the grant *and* the end
+    of service.  A FIFO queue decides nothing at grant time (the oldest
+    waiter gets the units whoever is asked, whenever), so a grant event
+    would only relay control.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
@@ -65,15 +74,19 @@ class Resource:
         #: (occupancy high-water mark; tracked at grant time, same as
         #: the session slot table's ``highest_used``).
         self.high_water = 0
-        #: Pending acquires, oldest first.  An interrupted waiter's grant
+        #: Seconds of completed :meth:`serve` time, summed over units.
+        self.busy_time = 0.0
+        #: Pending requests, oldest first.  An interrupted waiter's grant
         #: is withdrawn in O(1) by zeroing its ``units`` where it sits; it
         #: is discarded lazily when it reaches the front.  ``_queued``
         #: counts the ones still wanted.
         self._waiters: deque[_Grant] = deque()
         self._queued = 0
-        #: One bound method for every grant's ``_abandon`` hook, not a
-        #: fresh one per acquire (the hottest call in the simulator).
-        self._abandon = self._abandon_acquire
+        #: One bound method each for every grant's ``_abandon`` hook and
+        #: every service's queue entry, not a fresh one per request (the
+        #: hottest calls in the simulator).
+        self._abandon = self._abandon_grant
+        self._served = self._end_service
 
     @property
     def in_use(self) -> int:
@@ -87,16 +100,15 @@ class Resource:
 
     @property
     def queue_len(self) -> int:
-        """Number of acquire requests waiting."""
+        """Number of requests waiting."""
         return self._queued
 
-    def acquire(self, units: int = 1, hold: float = 0.0) -> Event:
-        """Return an event that fires ``hold`` seconds after the grant.
+    def acquire(self, units: int = 1) -> Event:
+        """Return an event that fires once ``units`` are the caller's.
 
         If the waiting process is interrupted, the pending request is
-        withdrawn (or, if already granted and the event has not fired
-        yet — a grant in flight, or service in progress under ``hold``
-        — the units are returned on the spot) — no leak.
+        withdrawn (or, if already granted and the event has not reached
+        it yet, the units are returned on the spot) — no leak.
         """
         if units < 1 or units > self.capacity:
             raise ValueError(
@@ -106,35 +118,69 @@ class Resource:
         ev = _Grant(self.sim)
         if self._queued or self._in_use + units > self.capacity:
             ev.units = units
-            ev.hold = hold
+            ev.hold = None
+            ev._abandon = self._abandon
             self._waiters.append(ev)
             self._queued += 1
         else:
             self._in_use += units
             if self._in_use > self.high_water:
                 self.high_water = self._in_use
-            if hold == 0.0:
-                # Granted here and now, nothing to wait for: pre-fired.
-                ev._value = units
-                ev._state = _PROCESSED
-                return ev
-            ev.succeed(units, hold)
-        # The grant size travels as the event value, so the abandon
-        # path can recover it without a per-acquire closure.
-        ev._abandon = self._abandon
+            # Granted here and now, nothing to wait for: pre-fired.
+            ev._value = units
+            ev._state = _PROCESSED
         return ev
 
-    def _abandon_acquire(self, ev: _Grant) -> None:
-        """The waiter was interrupted: withdraw or return the grant."""
-        if ev._state == _PENDING:
-            if ev.units:
-                ev.units = 0
-                self._queued -= 1
+    def serve(self, duration: float) -> Event:
+        """Hold one unit for ``duration``; the event fires at the end.
+
+        One queue entry per service, busy or not: scheduled here when a
+        unit is free, by the releaser when queued.  The unit goes back
+        when that entry fires, *before* the waiter's callback runs —
+        where an explicit ``release()`` at the top of the waiter would
+        be — so whoever is queued is scheduled ahead of anything the
+        resumed process does next.  If the waiting process is
+        interrupted first, a queued service is withdrawn and one in
+        progress returns its unit on the spot; neither adds
+        ``busy_time``.
+        """
+        if duration < 0:
+            raise ValueError(f"negative service time {duration!r}")
+        ev = _Grant(self.sim)
+        ev.units = 1
+        ev.hold = duration
+        ev._abandon = self._abandon
+        if self._queued or self._in_use >= self.capacity:
+            self._waiters.append(ev)
+            self._queued += 1
         else:
-            # Granted, but the event never reached its waiter (a grant
-            # in flight, or a hold cut short); its value is the number
-            # of units granted (see acquire/release).
-            self.release(ev._value)
+            self._in_use += 1
+            if self._in_use > self.high_water:
+                self.high_water = self._in_use
+            ev._value = 1
+            ev._state = _TRIGGERED
+            self.sim._enqueue(self._served, ev, duration)
+        return ev
+
+    def _end_service(self, ev: _Grant) -> None:
+        """The queue entry of a service: give the unit back, then fire."""
+        if ev.units:  # else cut short by an interrupt: already given back
+            ev.units = 0
+            self.busy_time += ev.hold
+            self.release()
+        _fire(ev)
+
+    def _abandon_grant(self, ev: _Grant) -> None:
+        """The waiter was interrupted: withdraw or return the grant."""
+        units = ev.units
+        if units:
+            ev.units = 0
+            if ev._state == _PENDING:
+                self._queued -= 1
+            else:
+                # Granted, but the event never reached its waiter (a
+                # grant in flight, or a service cut short).
+                self.release(units)
 
     def release(self, units: int = 1) -> None:
         """Return ``units`` to the pool and wake FIFO waiters."""
@@ -159,9 +205,14 @@ class Resource:
                 break
             waiters.popleft()
             if not want:
-                continue  # withdrawn by _abandon_acquire
+                continue  # withdrawn by _abandon_grant
             self._queued -= 1
             self._in_use += want
             if self._in_use > self.high_water:
                 self.high_water = self._in_use
-            ev.succeed(want, ev.hold)
+            if ev.hold is None:
+                ev.succeed(want)
+            else:
+                ev._value = want
+                ev._state = _TRIGGERED
+                self.sim._enqueue(self._served, ev, ev.hold)

@@ -23,6 +23,11 @@ def test_census_names_events_and_calls_and_accounts_for_every_one(capsys):
     assert kinds["_Grant"] and kinds["Join"] and kinds["Process._resume"]
     assert kinds["_WireFlow._tx_served"] == kinds["_WireFlow._rx_served"] > 0
     assert ("_WireFlow._next_chunk", "delay", "call_later", "sim/network.py:__init__") in classes
+    # A service time is its own queued call, scheduled by ``serve`` when a
+    # unit is free and by the service ending before it when queued.
+    assert ("Resource._end_service", "delay", "serve[Resource]", "sim/cpu.py:consume") in classes
+    assert ("Resource._end_service", "delay", "release[Resource]", "(event loop)") in classes
+    assert kinds["Resource._end_service"] > kinds["_Grant"]
     assert not script.relays(classes)
     assert script.main(CELL + ["--check"]) == 0
     # The per-RPC table's header line totals what the kernel counted.
@@ -36,7 +41,7 @@ def test_check_refuses_a_free_fifo_grant_and_a_spawn_kick():
         ("_Task._resume", "zero", "spawn", "rpc.py:call"): 2,
     }
     fine = {
-        ("_Grant", "delay", "acquire[Resource]", "sim/cpu.py:consume"): 5,
+        ("Resource._end_service", "delay", "serve[Resource]", "sim/cpu.py:consume"): 5,
         ("Process._resume", "zero", "process", "nfs/client.py:_spawn_writeback"): 7,
         ("_WireFlow._tx_granted", "zero", "acquire[Pipe]", "sim/network.py:_next_chunk"): 1,
     }

@@ -69,6 +69,24 @@ class TestLayoutTranslator:
         assert layout.aggregation["type"] == "varstrip"
         assert [tuple(p) for p in layout.aggregation["pattern"]] == pattern
 
+    def test_varstrip_that_skips_a_device_still_yields_a_slot_per_server(self, cluster):
+        """The layout spans the distribution's servers, not just the
+        devices its pattern names: device 1 holds no strip here."""
+        pvfs = Pvfs2System(cluster.sim, cluster.storage, Pvfs2Config())
+        system = DirectPnfsSystem(cluster.sim, pvfs, NfsConfig())
+        client = system.make_client(cluster.clients[0])
+        pattern = [(0, 4096), (2, 8192)]
+
+        def scenario():
+            yield from client.mount()
+            dist = VarStrip(3, pattern).describe()
+            yield from system.mds.backend._mds_call("create", {"path": "/skip", "dist": dist})
+            return (yield from client.open("/skip"))
+
+        layout = drive(cluster.sim, scenario()).state["layout"]
+        assert layout.device_slots == [0, 1, 2] and len(layout.fhs) == 3
+        assert [tuple(p) for p in layout.aggregation["pattern"]] == pattern
+
     def test_unknown_aggregation_type_rejected(self):
         with pytest.raises(ValueError):
             translate_aggregation({"type": "proprietary-blob"})

@@ -174,7 +174,7 @@ class TestCpu:
         cpu = Cpu(sim, CpuSpec(cores=1, speed=2.0))
 
         def work():
-            yield from cpu.consume(1.0)
+            yield cpu.consume(1.0)
             return sim.now
 
         p = sim.process(work())
@@ -187,7 +187,7 @@ class TestCpu:
         ends = []
 
         def work():
-            yield from cpu.consume(1.0)
+            yield cpu.consume(1.0)
             ends.append(sim.now)
 
         for _ in range(4):
@@ -201,7 +201,7 @@ class TestCpu:
         cpu = Cpu(sim, CpuSpec(cores=1))
 
         def work():
-            yield from cpu.consume(0.0)
+            yield cpu.consume(0.0)
             return sim.now
 
         p = sim.process(work())
@@ -242,7 +242,7 @@ class TestNode:
         b = Node(sim, NodeSpec(name="b", nic_bw=10e6), net)
 
         def xfer():
-            yield from a.send(b, 10_000_000)
+            yield a.send(b, 10_000_000)
             return sim.now
 
         p = sim.process(xfer())

@@ -41,6 +41,11 @@ def events_of(sim, gen):
     return sim.stats.events_processed - before - 2
 
 
+def wait_for(make_event):
+    """Process body: make the event inside the process, wait, hand on its value."""
+    return (yield make_event())
+
+
 def pipes(net):
     return [pipe for nic in net._nics.values() for pipe in (nic.tx, nic.rx)]
 
@@ -55,7 +60,7 @@ class TestMessageBudget:
         """Latency, tx grant, tx service, rx grant, rx service, completion."""
         sim = Simulator()
         net = make_net(sim, per_message_bytes=120)
-        assert events_of(sim, net.transfer("n0", "n1", 344)) == 6
+        assert events_of(sim, wait_for(lambda: net.transfer("n0", "n1", 344))) == 6
         # Store-and-forward: the last bit lands after two wire crossings.
         assert sim.now == pytest.approx(LATENCY + 2 * (344 + 120) / BW, rel=1e-12)
 
@@ -64,7 +69,7 @@ class TestMessageBudget:
         sim = Simulator()
         net = make_net(sim)
         nbytes = k * CHUNK - 1  # k chunks, the last one short
-        assert events_of(sim, net.transfer("n0", "n1", nbytes)) == 4 * k + 2
+        assert events_of(sim, wait_for(lambda: net.transfer("n0", "n1", nbytes))) == 4 * k + 2
         # Pipelined: the short last chunk reaches the rx pipe behind the
         # full chunk before it, k chunk times in; alone it crosses twice.
         last = nbytes - (k - 1) * CHUNK
@@ -87,7 +92,7 @@ class TestMessageBudget:
         sim = Simulator()
         net = make_net(sim, latency=0.0)
         for i in (1, 2, 3):
-            sim.process(net.transfer(f"n{i}", "n0", 10 * CHUNK))
+            sim.process(wait_for(lambda i=i: net.transfer(f"n{i}", "n0", 10 * CHUNK)))
         sim.run()
         assert sorted(peaks.values()) == [FLOW_WINDOW + 1] * 3
         # One chunk time to fill the switch, then the sink never idles.
@@ -99,14 +104,14 @@ class TestMessageBudget:
         work already scheduled in this instant, not ahead of it."""
         sim = Simulator()
         net = make_net(sim)
-        assert events_of(sim, net.transfer("n0", "n0", 5000)) == 1
+        assert events_of(sim, wait_for(lambda: net.transfer("n0", "n0", 5000))) == 1
         assert sim.now == 0.0 and net.nic("n0").loopback_bytes == 5000
 
     def test_dropped_flow_never_completes_and_costs_nothing(self):
         sim = Simulator()
         net = make_net(sim)
         net.nic("n1").down = True
-        proc = sim.process(net.transfer("n0", "n1", 5000))
+        proc = sim.process(wait_for(lambda: net.transfer("n0", "n1", 5000)))
         sim.run()
         assert proc.is_alive and sim.stats.events_processed == 1  # the kick
         assert net.nic("n0").flows_dropped == 1 and net.flows_completed == 0
@@ -117,7 +122,7 @@ class TestCpuBudget:
     def test_free_core_costs_one_event(self):
         sim = Simulator()
         cpu = Cpu(sim, CpuSpec(cores=2, speed=2.0))
-        assert events_of(sim, cpu.consume(1.0)) == 1  # the service time
+        assert events_of(sim, wait_for(lambda: cpu.consume(1.0))) == 1  # the service time
         assert sim.now == 0.5 and cpu.busy_time == 0.5
         assert cpu.cores.in_use == 0
 
@@ -127,7 +132,7 @@ class TestCpuBudget:
         finished = []
 
         def job(tag):
-            yield from cpu.consume(1.0)
+            yield cpu.consume(1.0)
             finished.append((tag, sim.now))
 
         before = sim.stats.events_processed
@@ -148,7 +153,7 @@ class TestCpuBudget:
 
         def job(tag):
             try:
-                yield from cpu.consume(1.0)
+                yield cpu.consume(1.0)
                 log.append((tag, sim.now))
             except Interrupt:
                 log.append((tag, "interrupted"))
@@ -176,7 +181,7 @@ class TestCpuBudget:
 
         def job(tag):
             try:
-                yield from cpu.consume(1.0)
+                yield cpu.consume(1.0)
                 log.append((tag, sim.now))
             except Interrupt:
                 log.append((tag, "interrupted", sim.now))
@@ -221,9 +226,9 @@ class TestFifoGrantBudget:
 
         def user():
             yield sim.timeout(1.0)
-            yield res.acquire(hold=0.5)
-            assert sim.now == 1.5 and res.in_use == 1
-            res.release()
+            assert (yield res.serve(0.5)) == 1
+            # The unit went back in the fire path, before this resumed.
+            assert sim.now == 1.5 and res.in_use == 0
 
         heap_before = sim.stats.heap_events
         assert events_of(sim, user()) == 2  # the timeout and the hold
@@ -236,9 +241,8 @@ class TestFifoGrantBudget:
         finished = []
 
         def user(tag, hold):
-            yield res.acquire(hold=hold)
+            yield res.serve(hold)
             finished.append((tag, sim.now))
-            res.release()
 
         before = sim.stats.events_processed
         for tag, hold in [("a", 0.5), ("b", 0.25), ("c", 1.0), ("d", 0.125)]:
@@ -345,6 +349,101 @@ class TestSpawnBudget:
         assert proc.value == ("first segment", 0.0) and ran == [1.0]
 
 
+class TestSpawnEventLegs:
+    """A leg that is already an event gets the join's callback, no task."""
+
+    def test_event_legs_cost_their_own_event_and_the_join_no_more(self):
+        sim = Simulator()
+        cpu = Cpu(sim, CpuSpec(cores=4, speed=1.0))
+
+        def parent():
+            return (yield sim.spawn(cpu.consume(3.0), sim.timeout(1.0, "t"), cpu.consume(2.0)))
+
+        proc = sim.process(parent())
+        sim.run()
+        assert proc.value == (1, "t", 1) and sim.now == 3.0
+        assert sim.stats.events_processed - 2 == 3 + 1
+
+    def test_values_come_in_spawn_order_with_generator_and_event_legs_mixed(self):
+        sim = Simulator()
+        net = make_net(sim)
+        started = []
+
+        def leg(tag, delay):
+            started.append(tag)
+            yield sim.timeout(delay)
+            return tag
+
+        def parent():
+            join = sim.spawn(
+                leg("slow", 3.0), sim.timeout(2.0, "event"), leg("fast", 1.0),
+                net.transfer("n0", "n1", 500),
+            )
+            assert started == ["slow", "fast"]  # generator legs ran their first segment
+            return (yield join)
+
+        proc = sim.process(parent())
+        sim.run()
+        slow, event, fast, flow = proc.value
+        assert (slow, event, fast) == ("slow", "event", "fast")
+        assert flow.nbytes == 500 and flow.end == pytest.approx(LATENCY + 2 * 500 / BW)
+
+    def test_an_already_fired_leg_counts_at_once(self):
+        sim = Simulator()
+        cpu = Cpu(sim, CpuSpec(cores=1, speed=1.0))
+        done = sim.timeout(0.0, "early")
+        sim.run()
+        assert done.processed
+
+        def parent():
+            only = yield sim.spawn(done, cpu.consume(0))
+            mixed = yield sim.spawn(done, sim.timeout(1.0, "late"))
+            return only, mixed
+
+        before = sim.stats.events_processed
+        proc = sim.process(parent())
+        sim.run()
+        assert proc.value == (("early", None), ("early", "late"))
+        # Kick, first join, the timeout, second join, completion.
+        assert sim.stats.events_processed - before == 5
+
+    def test_a_failing_event_leg_fails_the_join_once(self):
+        sim = Simulator()
+        first, second = sim.event(), sim.event()
+        seen = []
+
+        def parent():
+            try:
+                yield sim.spawn(first, sim.timeout(5.0), second)
+            except RuntimeError as exc:
+                seen.append((str(exc), sim.now))
+            yield sim.timeout(10.0)
+
+        sim.process(parent())
+        first.fail(RuntimeError("first"), delay=1.0)
+        second.fail(RuntimeError("second"), delay=2.0)
+        sim.run()  # the second failure has no observer left and is defused
+        assert seen == [("first", 1.0)] and sim.now == 11.0
+
+    def test_interrupting_the_joiner_leaves_event_legs_running(self):
+        sim = Simulator()
+        cpu = Cpu(sim, CpuSpec(cores=1, speed=1.0))
+
+        def parent():
+            try:
+                yield sim.spawn(cpu.consume(2.0), cpu.consume(1.0))
+            except Interrupt:
+                return "interrupted"
+
+        proc = sim.process(parent())
+        sim.run(until=0.5)
+        proc.interrupt()
+        sim.run()
+        # Nothing interrupts a leg: both charges ran to their ends.
+        assert proc.value == "interrupted" and sim.now == 3.0
+        assert cpu.busy_time == 3.0 and cpu.cores.in_use == 0
+
+
 class TestRpcBudget:
     def test_header_only_rpc_to_idle_server_costs_fourteen_events(self):
         """Eight physical delays (client CPU, then latency / tx service /
@@ -442,7 +541,7 @@ def run_flow_set(flows, fault, monkeypatch):
 
     def sender(i, start, src, dst, nbytes):
         yield sim.timeout(start)
-        flow = yield from net.transfer(src, dst, nbytes)
+        flow = yield net.transfer(src, dst, nbytes)
         assert flow.end == sim.now and flow.nbytes == nbytes
         finished[i] = sim.now
 
@@ -494,7 +593,7 @@ def test_interrupted_waiter_leaves_the_flow_running():
 
         def waiter():
             try:
-                yield from net.transfer("n0", "n1", nbytes)
+                yield net.transfer("n0", "n1", nbytes)
                 outcome.append(("done", sim.now))
             except Interrupt:
                 outcome.append(("interrupted", sim.now))
@@ -502,7 +601,7 @@ def test_interrupted_waiter_leaves_the_flow_running():
         proc = sim.process(waiter())
         # A second flow queues behind the first on both pipes: it sees
         # the first one's holds end exactly when they would have anyway.
-        follower = sim.process(net.transfer("n0", "n1", 2 * CHUNK))
+        follower = sim.process(wait_for(lambda: net.transfer("n0", "n1", 2 * CHUNK)))
         if interrupt_at is not None:
             def timer():
                 yield sim.timeout(interrupt_at)

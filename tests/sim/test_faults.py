@@ -76,7 +76,7 @@ class TestNicFaults:
         inj.nic_down(cluster.storage[0].nic)
 
         def xfer():
-            yield from cluster.network.transfer("c0", "s0", 10_000)
+            yield cluster.network.transfer("c0", "s0", 10_000)
 
         p = cluster.sim.process(xfer())
         cluster.sim.run()
@@ -87,7 +87,7 @@ class TestNicFaults:
         inj.nic_up(cluster.storage[0].nic)
 
         def xfer2():
-            yield from cluster.network.transfer("c0", "s0", 10_000)
+            yield cluster.network.transfer("c0", "s0", 10_000)
 
         drive(cluster.sim, xfer2())
         assert cluster.storage[0].nic.rx_bytes == 10_000
@@ -99,13 +99,13 @@ class TestNicFaults:
     def test_nic_death_cuts_the_flow_in_flight(self, cluster, cut_at):
         sim, net = cluster.sim, cluster.network
         src, dst = cluster.clients[0].nic, cluster.storage[0].nic
-        p = sim.process(net.transfer("c0", "s0", 50 * MB))
+        done = net.transfer("c0", "s0", 50 * MB)
         inj = FaultInjector(sim)
         inj.at(cut_at, lambda: inj.nic_down(dst))
         sim.run()
         # A dead NIC carries nothing: the flow never completes, no bytes
         # are counted, and what it held on the pipes has drained.
-        assert p.is_alive and net.flows_completed == 0
+        assert not done.triggered and net.flows_completed == 0
         assert src.tx_bytes == 0 and dst.rx_bytes == 0
         assert src.flows_dropped == 1 and dst.flows_dropped == 0
         for pipe in (src.tx, src.rx, dst.tx, dst.rx):
@@ -117,7 +117,7 @@ class TestNicFaults:
         done = {}
 
         def xfer(src):
-            yield from cluster.network.transfer(src, "s0", 40 * MB)
+            yield cluster.network.transfer(src, "s0", 40 * MB)
             done[src] = sim.now
 
         sim.process(xfer("c0"))
@@ -173,7 +173,7 @@ class TestNicFaults:
 
         def timed():
             t0 = cluster.sim.now
-            yield from cluster.network.transfer("c0", "s0", 1000)
+            yield cluster.network.transfer("c0", "s0", 1000)
             return cluster.sim.now - t0
 
         base = drive(cluster.sim, timed())
@@ -189,7 +189,7 @@ class TestNicFaults:
             net.add_nic("b", 100e6)
             net.nic("a").drop_prob = 0.5
             for _ in range(40):
-                sim.process(net.transfer("a", "b", 1000))
+                net.transfer("a", "b", 1000)
             sim.run()
             return net.nic("a").flows_dropped
 

@@ -8,17 +8,26 @@ call: the only ``Event`` a message allocates is the ``done`` its sender
 waits on.  When every hop was a single-waiter ``Timeout`` or grant
 event a message took 79 calls; the bound fails if that machinery (or a
 relay per hop) comes back, on any machine.
+
+A CPU charge is pinned the same way: one queue entry, one object (its
+event), and — since ``Cpu.consume`` returns that event instead of being
+a generator that yields it — no generator frame of the simulator's own
+entered while 1 000 of them run.
 """
 
 import gc
 import sys
 
-from repro.sim import Network, Simulator
+import inspect
+
+from repro.sim import Cpu, CpuSpec, Network, Simulator
 from repro.sim.engine import Event
 
 MESSAGES = 1000
 NBYTES = 200
-MAX_CALLS_PER_MESSAGE = 60
+MAX_CALLS_PER_MESSAGE = 59  # measured 58.025; 59.025 while transfer() was a generator
+CHARGES = 1000
+MAX_CALLS_PER_CHARGE = 17  # measured 16.025
 
 
 def test_a_message_is_six_events_one_allocated_and_at_most_sixty_calls():
@@ -29,7 +38,7 @@ def test_a_message_is_six_events_one_allocated_and_at_most_sixty_calls():
 
     def sender():
         for _ in range(MESSAGES):
-            yield from net.transfer("a", "b", NBYTES)
+            yield net.transfer("a", "b", NBYTES)
 
     calls = events_built = 0
     event_init = Event.__init__.__code__
@@ -58,3 +67,45 @@ def test_a_message_is_six_events_one_allocated_and_at_most_sixty_calls():
     assert sim.stats.events_processed == 6 * MESSAGES + 2
     assert events_built == MESSAGES + 1
     assert calls <= MAX_CALLS_PER_MESSAGE * MESSAGES, calls / MESSAGES
+
+
+def test_a_cpu_charge_is_one_event_one_object_and_no_generator_frame():
+    sim = Simulator()
+    cpu = Cpu(sim, CpuSpec(cores=1, speed=2.0))
+
+    def worker():
+        for _ in range(CHARGES):
+            yield cpu.consume(1e-3)
+
+    calls = events_built = kernel_generator_frames = 0
+    event_init = Event.__init__.__code__
+
+    def profiler(frame, event, _arg):
+        nonlocal calls, events_built, kernel_generator_frames
+        if event in ("call", "c_call"):
+            calls += 1
+            if event == "call":
+                code = frame.f_code
+                if code is event_init:
+                    events_built += 1
+                elif code.co_flags & inspect.CO_GENERATOR and frame.f_globals[
+                    "__name__"
+                ].startswith("repro.sim"):
+                    kernel_generator_frames += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        proc = sim.process(worker())
+        sim.run(until=proc)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+
+    assert cpu.busy_time == sum([5e-4] * CHARGES) and cpu.cores.in_use == 0
+    # One queue entry per charge, plus the worker's kick and completion.
+    assert sim.stats.events_processed == CHARGES + 2
+    assert events_built == CHARGES + 1
+    assert kernel_generator_frames == 0
+    assert calls <= MAX_CALLS_PER_CHARGE * CHARGES, calls / CHARGES

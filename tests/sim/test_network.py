@@ -20,7 +20,7 @@ class TestSingleFlow:
         net = make_net(sim, bw=100e6)
 
         def xfer():
-            yield from net.transfer("n0", "n1", 100_000_000)
+            yield net.transfer("n0", "n1", 100_000_000)
             return sim.now
 
         p = sim.process(xfer())
@@ -32,7 +32,7 @@ class TestSingleFlow:
         net = make_net(sim, bw=100e6, latency=0.5)
 
         def xfer():
-            yield from net.transfer("n0", "n1", 1000)
+            yield net.transfer("n0", "n1", 1000)
             return sim.now
 
         p = sim.process(xfer())
@@ -46,7 +46,7 @@ class TestSingleFlow:
         net.add_nic("slow", 10e6)
 
         def xfer():
-            yield from net.transfer("fast", "slow", 10_000_000)
+            yield net.transfer("fast", "slow", 10_000_000)
             return sim.now
 
         p = sim.process(xfer())
@@ -58,7 +58,7 @@ class TestSingleFlow:
         net = make_net(sim)
 
         def xfer():
-            yield from net.transfer("n0", "n0", 10**9)
+            yield net.transfer("n0", "n0", 10**9)
             return sim.now
 
         p = sim.process(xfer())
@@ -70,7 +70,7 @@ class TestSingleFlow:
         net = make_net(sim, bw=1e6, per_message_bytes=1000)
 
         def xfer():
-            yield from net.transfer("n0", "n1", 0)
+            yield net.transfer("n0", "n1", 0)
             return sim.now
 
         p = sim.process(xfer())
@@ -82,8 +82,7 @@ class TestSingleFlow:
         sim = Simulator()
         net = make_net(sim)
         with pytest.raises(ValueError):
-            # generator raises on first advance
-            list(net.transfer("n0", "n1", -1))
+            net.transfer("n0", "n1", -1)
 
     def test_unknown_nic_rejected(self):
         sim = Simulator()
@@ -105,7 +104,7 @@ class TestSharing:
         done = []
 
         def xfer(src):
-            yield from net.transfer(src, "n2", 100_000_000)
+            yield net.transfer(src, "n2", 100_000_000)
             done.append(sim.now)
 
         sim.process(xfer("n0"))
@@ -120,7 +119,7 @@ class TestSharing:
         done = []
 
         def xfer(dst):
-            yield from net.transfer("n0", dst, 50_000_000)
+            yield net.transfer("n0", dst, 50_000_000)
             done.append(sim.now)
 
         sim.process(xfer("n1"))
@@ -134,7 +133,7 @@ class TestSharing:
         done = []
 
         def xfer(src, dst):
-            yield from net.transfer(src, dst, 100_000_000)
+            yield net.transfer(src, dst, 100_000_000)
             done.append(sim.now)
 
         sim.process(xfer("n0", "n1"))
@@ -148,7 +147,7 @@ class TestSharing:
         done = []
 
         def xfer(src, dst):
-            yield from net.transfer(src, dst, 100_000_000)
+            yield net.transfer(src, dst, 100_000_000)
             done.append(sim.now)
 
         # n0 sends to n1 while receiving from n1: full duplex, no slowdown.
@@ -165,7 +164,7 @@ class TestSharing:
         done = []
 
         def xfer(src):
-            yield from net.transfer(src, "n4", 25_000_000)
+            yield net.transfer(src, "n4", 25_000_000)
             done.append(sim.now)
 
         for i in range(4):
@@ -187,7 +186,7 @@ class TestSharing:
             net.add_nic(f"s{i}", bw)
 
         def xfer(i, size):
-            yield from net.transfer(f"s{i}", "dst", size)
+            yield net.transfer(f"s{i}", "dst", size)
 
         for i, size in enumerate(sizes):
             sim.process(xfer(i, size))
@@ -202,7 +201,7 @@ class TestSharing:
         net = make_net(sim, per_message_bytes=0)
 
         def xfer():
-            yield from net.transfer("n0", "n1", 1234)
+            yield net.transfer("n0", "n1", 1234)
 
         sim.process(xfer())
         sim.run()
@@ -220,7 +219,7 @@ class TestByteAccounting:
         net = make_net(sim, bw=100e6, per_message_bytes=120)
 
         def xfer():
-            yield from net.transfer("n0", "n1", 10_000)
+            yield net.transfer("n0", "n1", 10_000)
 
         sim.process(xfer())
         sim.run()
@@ -240,7 +239,7 @@ class TestByteAccounting:
 
         def xfer(net, key):
             t0 = sim.now
-            yield from net.transfer(*(("n0", "n1") if key == "bare" else ("a", "b")), 1_000_000)
+            yield net.transfer(*(("n0", "n1") if key == "bare" else ("a", "b")), 1_000_000)
             times[key] = sim.now - t0
 
         sim.process(xfer(bare, "bare"))
@@ -253,7 +252,7 @@ class TestByteAccounting:
         net = make_net(sim, per_message_bytes=120)
 
         def xfer():
-            yield from net.transfer("n0", "n0", 5_000)
+            yield net.transfer("n0", "n0", 5_000)
 
         sim.process(xfer())
         sim.run()

@@ -19,7 +19,7 @@ class TestStoreAndForward:
         net = make_net(sim, bw=1e6)
 
         def xfer():
-            yield from net.transfer("n0", "n1", 1000)
+            yield net.transfer("n0", "n1", 1000)
             return sim.now
 
         p = sim.process(xfer())
@@ -32,7 +32,7 @@ class TestStoreAndForward:
         size = 50_000_000
 
         def xfer():
-            yield from net.transfer("n0", "n1", size)
+            yield net.transfer("n0", "n1", size)
             return sim.now
 
         p = sim.process(xfer())
@@ -50,7 +50,7 @@ class TestStoreAndForward:
         done = {}
 
         def xfer(tag, src, dst, size):
-            yield from net.transfer(src, dst, size)
+            yield net.transfer(src, dst, size)
             done[tag] = sim.now
 
         sim.process(xfer("hog", "n1", "n2", 100_000_000))
@@ -73,12 +73,12 @@ class TestStoreAndForward:
         # stall; the sender should then stop after ~FLOW_WINDOW chunks
         # rather than monopolising its tx pipe.
         def hog():
-            yield from net.transfer("n1", "n2", 200_000_000)
+            yield net.transfer("n1", "n2", 200_000_000)
 
         progress = {}
 
         def windowed():
-            yield from net.transfer("n0", "n2", 50_000_000)
+            yield net.transfer("n0", "n2", 50_000_000)
             progress["done"] = sim.now
 
         def prober():
@@ -86,7 +86,7 @@ class TestStoreAndForward:
             # stalled on n2: a probe transfer through n0 finishes fast.
             yield sim.timeout(0.5)
             t0 = sim.now
-            yield from net.transfer("n0", "n3", 10_000_000)
+            yield net.transfer("n0", "n3", 10_000_000)
             progress["probe"] = sim.now - t0
 
         sim.process(hog())
@@ -110,7 +110,7 @@ class TestRandomArbitrationFairness:
         ends = []
 
         def xfer(i):
-            yield from net.transfer(f"s{i}", "sink", 20_000_000)
+            yield net.transfer(f"s{i}", "sink", 20_000_000)
             ends.append(sim.now)
 
         for i in range(n):

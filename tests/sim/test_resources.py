@@ -167,6 +167,128 @@ class TestResource:
         assert got == ["a", "c"] and res.queue_len == 0 and res.in_use == 1
 
 
+class TestServe:
+    """``serve(d)``: one unit for ``d`` seconds, as one queue entry, the
+    unit back before the waiter runs."""
+
+    def test_free_unit_costs_one_heap_event_and_no_grant(self, sim):
+        res = Resource(sim, 2)
+        ev = res.serve(0.5)
+        assert ev.triggered and not ev.processed
+        assert res.in_use == 1 and res.high_water == 1
+        assert sim.stats.events_scheduled == sim.stats.heap_events == 1
+        sim.run()
+        assert ev.processed and ev.value == 1 and sim.now == 0.5
+        assert res.in_use == 0 and res.busy_time == 0.5
+        assert sim.stats.events_processed == 1
+
+    def test_the_unit_is_back_before_the_waiter_runs(self, sim):
+        """A queued charge is scheduled ahead of whatever the resumed
+        process does next — where an explicit release() used to sit."""
+        res = Resource(sim, 1)
+        order = []
+
+        def first():
+            yield res.serve(1.0)
+            assert res.in_use == 1 and res.queue_len == 0  # second already holds it
+            order.append(("first-resumed", sim.now))
+            yield sim.timeout(0.5)  # scheduled after second's service
+            order.append(("first-timeout", sim.now))
+
+        def second():
+            yield res.serve(0.5)
+            order.append(("second-served", sim.now))
+
+        sim.process(first())
+        sim.process(second())
+        sim.run()
+        # Equal instants: second's entry was queued first, so it fires first.
+        assert order == [("first-resumed", 1.0), ("second-served", 1.5), ("first-timeout", 1.5)]
+
+    def test_busy_resource_serves_fifo_interleaved_with_acquire_waiters(self, sim):
+        res = Resource(sim, 1)
+        log = []
+
+        def served(tag, d):
+            yield res.serve(d)
+            log.append((tag, sim.now))
+
+        def holder(tag, d):
+            yield res.acquire()
+            log.append((tag + "-in", sim.now))
+            yield sim.timeout(d)
+            res.release()
+
+        before = sim.stats.events_processed
+        sim.process(served("a", 1.0))
+        sim.process(holder("b", 0.5))
+        sim.process(served("c", 0.25))
+        sim.process(holder("d", 0.125))
+        sim.run()
+        assert log == [("a", 1.0), ("b-in", 1.0), ("c", 1.75), ("d-in", 1.75)]
+        assert res.in_use == 0 and res.queue_len == 0 and res.high_water == 1
+        assert res.busy_time == 1.25  # services only; a holder's time is its own
+        # Per process a kick and a completion; a service is one entry, a
+        # queued acquire a grant entry plus its holder's timeout.
+        assert sim.stats.events_processed - before == 4 * 2 + 2 * 1 + 2 * 2
+
+    def test_interrupt_while_queued_withdraws_the_service(self, sim):
+        res = Resource(sim, 1)
+        log = []
+
+        def job(tag):
+            try:
+                yield res.serve(1.0)
+                log.append((tag, sim.now))
+            except Interrupt:
+                log.append((tag, "interrupted", sim.now))
+
+        sim.process(job("a"))
+        queued = sim.process(job("b"))
+        sim.process(job("c"))
+        sim.run(until=0.5)
+        assert res.queue_len == 2
+        queued.interrupt()
+        assert res.queue_len == 1 and res.in_use == 1
+        sim.run()
+        assert log == [("b", "interrupted", 0.5), ("a", 1.0), ("c", 2.0)]
+        assert res.in_use == 0 and res.busy_time == 2.0
+
+    def test_interrupt_in_service_returns_the_unit_once_and_the_late_fire_is_inert(self, sim):
+        res = Resource(sim, 1)
+        log = []
+
+        def job(tag):
+            try:
+                yield res.serve(1.0)
+                log.append((tag, sim.now))
+            except Interrupt:
+                log.append((tag, "interrupted", sim.now))
+
+        serving = sim.process(job("a"))
+        sim.process(job("b"))
+        sim.run(until=0.25)
+        assert res.in_use == 1 and res.queue_len == 1
+        serving.interrupt()
+        # Handed straight to b: released once, granted once.
+        assert res.in_use == 1 and res.queue_len == 0
+        sim.run(until=1.125)
+        # a's entry has fired at t=1.0 with b in service: it released
+        # nothing and charged nothing.
+        assert res.in_use == 1 and res.busy_time == 0.0
+        sim.run()
+        assert log == [("a", "interrupted", 0.25), ("b", 1.25)]
+        assert res.in_use == 0 and res.busy_time == 1.0
+
+    def test_negative_duration_rejected(self, sim):
+        with pytest.raises(ValueError):
+            Resource(sim, 1).serve(-1.0)
+
+    def test_acquire_takes_no_hold(self, sim):
+        with pytest.raises(TypeError):
+            Resource(sim, 1).acquire(hold=0.5)
+
+
 class TestPipeLoneWaiter:
     """``release()`` hands a lone waiter the pipe without drawing."""
 

@@ -4,8 +4,9 @@ The two-lane kernel (``Simulator``) claims to be *order-identical by
 construction* to a single-heap kernel (``PureHeapSimulator``, the
 reference defined here).  These tests make the claim empirical:
 randomized event programs — timeouts, zero-delay storms, conditions,
-interrupts, contention for a FIFO resource and a callback-granted
-random-arbitration pipe, lightweight spawns, bare ``call_later`` chains —
+interrupts, contention for a FIFO resource (held, and served for a
+time) and a callback-granted random-arbitration pipe, lightweight
+spawns over generator and event legs, bare ``call_later`` chains —
 run on both kernels and must produce the same firing log: identical
 (time, label, value) triples in identical order.
 
@@ -158,6 +159,11 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
                 yield sim.timeout(rnd_delays[wid][s])
                 fifo.release()
                 log.append((sim.now, "fifo-rel", wid, s))
+            elif action == "serve":
+                # A service time: interleaves with fifo-res waiters in
+                # the same queue, and a poke withdraws or cuts it short.
+                got = yield fifo.serve(rnd_delays[wid][s])
+                log.append((sim.now, "served", wid, s, got, fifo.busy_time))
             elif action == "rand-res":
                 yield hold_pipe(wid, s)
             elif action == "call-chain":
@@ -181,8 +187,9 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
                 def leg(tag):
                     yield sim.timeout(rnd_delays[wid][s] / (tag + 1))
                     log.append((sim.now, "leg", wid, s, tag))
-                yield sim.spawn(leg(0), leg(1))
-                log.append((sim.now, "spawn-join", wid, s))
+                # Generator legs and an event leg, joined as one.
+                values = yield sim.spawn(leg(0), fifo.serve(rnd_delays[wid][s]), leg(1))
+                log.append((sim.now, "spawn-join", wid, s, values))
             elif action == "interruptible":
                 try:
                     yield sim.timeout(5.0)
@@ -201,7 +208,7 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
 
     n_workers = rnd.randint(3, 6)
     actions = [
-        "timeout", "zero-storm", "fifo-res", "rand-res",
+        "timeout", "zero-storm", "fifo-res", "serve", "rand-res",
         "store", "any-of", "spawn", "interruptible", "call-chain", "call-detached",
     ]
     rnd_actions = [
