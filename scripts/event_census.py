@@ -8,7 +8,9 @@ classifies every scheduled call by
   ``_Grant``, ``Process``, ``Join`` ...), else the function called
   (``_WireFlow._tx_served``, ``Process._resume`` for a start kick,
   ``Resource._end_service`` for the end of a service time ...),
-* zero or positive delay (positive = a physical delay on the heap),
+* zero or positive delay (positive = a physical delay on the heap;
+  ``lone`` = zero, scheduled from the tail of a queue entry while
+  nothing else was due in that instant),
 * the kernel call that scheduled it (``serve[Resource]``,
   ``acquire[Resource]``, ``release[Pipe]``, ``spawn``, ``process``,
   ``timeout``, ``end`` of a process ...; a service that ends and hands
@@ -28,7 +30,9 @@ free when not run::
 
 ``--check`` fails when the cell schedules a grant of a *free* FIFO
 ``Resource`` or a ``spawn`` start kick — the two relay classes PR 20
-removed (docs/architecture.md, "resource grants").
+removed (docs/architecture.md, "resource grants") — or a ``lone`` call:
+a pipe grant or wire completion that was the next thing the loop would
+run and should have run in place (docs/architecture.md, "the wire").
 """
 
 from __future__ import annotations
@@ -70,18 +74,24 @@ def what(fn, arg) -> str:
     return getattr(fn, "__qualname__", repr(fn))
 
 
-def classify(fn, arg, delay: float, frame) -> tuple[str, str, str, str]:
+def classify(fn, arg, delay: float, frame, alone: bool = False) -> tuple[str, str, str, str]:
     """``(what, delay class, kernel call, site)`` of one scheduling.
 
     Walks out of the kernel: the kernel call is the outermost kernel
     function on the way (what product code called), the site the first
-    frame beyond it.
+    frame beyond it.  ``alone`` is ``Simulator.nothing_else_due()`` at
+    the scheduling; with a frame on the way that calls itself a tail
+    (``Pipe.acquire(..., tail=True)``, ``_WireFlow._finish(tail)``) a
+    zero-delay call is ``lone`` — unless an event fired in between:
+    what a waiter of an in-place ``done`` schedules is its own.
     """
     kernel_call = "?"
     site = "(event loop)"
+    tail = fired = False
     while frame is not None:
         code = frame.f_code
         owner = frame.f_locals.get("self")
+        tail = tail or (not fired and frame.f_locals.get("tail") is True)
         if code.co_filename not in KERNEL and not isinstance(owner, Pipe):
             site = f"{code.co_filename.removeprefix(SRC)}:{code.co_name}"
             break
@@ -98,10 +108,13 @@ def classify(fn, arg, delay: float, frame) -> tuple[str, str, str, str]:
             name += f"[{type(owner).__name__}]"
         # The two firing paths are how the kernel got here, not what
         # was asked of it.
-        if name not in ("_process_callbacks", "_end_service"):
+        if name in ("_process_callbacks", "_end_service"):
+            fired = True
+        else:
             kernel_call = name
         frame = frame.f_back
-    return what(fn, arg), "delay" if delay > 0 else "zero", kernel_call, site
+    when = "delay" if delay > 0 else "lone" if alone and tail else "zero"
+    return what(fn, arg), when, kernel_call, site
 
 
 def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):
@@ -110,7 +123,8 @@ def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):
     enqueue = Simulator._enqueue
 
     def counted(self, fn, arg, delay, urgent=False):
-        classes[classify(fn, arg, delay, sys._getframe(1))] += 1
+        alone = self.nothing_else_due()
+        classes[classify(fn, arg, delay, sys._getframe(1), alone)] += 1
         enqueue(self, fn, arg, delay, urgent)
 
     Simulator._enqueue = counted
@@ -122,13 +136,15 @@ def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):
 
 
 def relays(classes: Counter) -> Counter:
-    """The classes ``--check`` refuses: free FIFO grants and spawn kicks."""
+    """The classes ``--check`` refuses: free FIFO grants, spawn kicks
+    and tail calls queued with nothing else due."""
     return Counter(
         {
             cls: n
             for cls, n in classes.items()
             if (cls[1] == "zero" and cls[2] == "acquire[Resource]")
             or (cls[0].endswith("._resume") and cls[2] == "spawn")
+            or cls[1] == "lone"
         }
     )
 
@@ -143,7 +159,7 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=40, help="classes to print")
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 if a free FIFO grant or a spawn kick was scheduled",
+        help="exit 1 if a free FIFO grant, a spawn kick or a lone tail call was scheduled",
     )
     args = parser.parse_args(argv)
     classes, rpcs = census(args.arch, args.kind, args.clients, args.scale, args.seed)

@@ -8,11 +8,15 @@ committed files, nothing of this checkout's state), then runs
 ``python3 perf/run.py --workload W`` on that tree and on this one —
 uncommitted edits included — ``--pairs`` times each, alternating which
 side goes first.  Every run of either side must report the same
-``sim_fingerprint``, ``events_total`` and ``sim_time_s`` (a perf change
-alters no physics); exit 1 at the first that does not.
+``sim_time_s`` and ``failed`` (a perf change alters no physics), and
+every run of one side the same ``events_total`` and ``sim_fingerprint``
+(which hashes the count); exit 1 at the first that does not.
 
-Prints, per host-time metric, each side's median [quartiles] and how
-many pairs the change won, and for ``wall_norm_s`` the verdict of the
+``events_total`` may differ *between* the sides — a change that drops
+queue entries is measured in them — and is reported as the exact count
+it is: parent, change, direction and percentage.  Prints beside it, per
+host-time metric, each side's median [quartiles] and how many pairs
+the change won, and for ``wall_norm_s`` the verdict of the
 ``choosing-metrics`` guide, section 8: a gain may be claimed only when
 the change wins at least nine tenths of the pairs (ties count for
 neither side) and the medians are further apart than the parent's own
@@ -31,7 +35,6 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 HOST_METRICS = ("wall_norm_s", "setup_s", "peak_rss_mb")
-EXACT = ("events_total", "sim_time_s")
 
 
 def run_once(tree: pathlib.Path, workload: str, seed: int | None, out: pathlib.Path) -> dict:
@@ -46,11 +49,13 @@ def run_once(tree: pathlib.Path, workload: str, seed: int | None, out: pathlib.P
 
 
 def physics(record: dict) -> tuple:
-    return (
-        record["sim_fingerprint"],
-        *(record["end_to_end"][key]["value"] for key in EXACT),
-        record["failed"],
-    )
+    """What every run of either side must report alike."""
+    return record["end_to_end"]["sim_time_s"]["value"], record["failed"]
+
+
+def count(record: dict) -> tuple:
+    """What every run of one side must report alike."""
+    return record["end_to_end"]["events_total"]["value"], record["sim_fingerprint"]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -117,6 +122,10 @@ def main(argv=None) -> int:
                     print(f"pair {pair + 1}, {side}: physics differ")
                     print(f"  {physics(record)}\n  {reference}")
                     return 1
+                if records[side] and count(record) != count(records[side][0]):
+                    print(f"pair {pair + 1}, {side}: events_total differs between runs of one side")
+                    print(f"  {count(record)}\n  {count(records[side][0])}")
+                    return 1
                 records[side].append(record)
             before, after = series("parent", "wall_norm_s")[-1], series("change", "wall_norm_s")[-1]
             print(
@@ -125,11 +134,23 @@ def main(argv=None) -> int:
                 flush=True,
             )
 
-    fingerprint, events, sim_time, failed = reference
+    sim_time, failed = reference
     print(
-        f"\n{args.workload}: sim_fingerprint {fingerprint[:12]}, events_total {events:.0f}, "
-        f"sim_time_s {sim_time:.6g}, failed {failed} — equal in all {2 * args.pairs} runs"
+        f"\n{args.workload}: sim_time_s {sim_time!r}, failed {failed}"
+        f" — equal in all {2 * args.pairs} runs"
     )
+    (before, parent_print), (after, change_print) = (
+        count(records[side][0]) for side in ("parent", "change")
+    )
+    if parent_print == change_print:
+        print(f"  events_total {before:.0f}, sim_fingerprint {parent_print[:12]} on both sides")
+    else:
+        direction = "fewer" if after < before else "more" if after > before else "as many"
+        print(
+            f"  events_total parent {before:.0f}  change {after:.0f}: {direction},"
+            f" {100 * (after / before - 1):+.1f} % (exact, equal in every run of a side;"
+            f" sim_fingerprint {parent_print[:12]} -> {change_print[:12]})"
+        )
     for key in HOST_METRICS:
         parent, change = series("parent", key), series("change", key)
         (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)

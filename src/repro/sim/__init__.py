@@ -15,7 +15,6 @@ functional tests and the performance experiments.
 """
 
 from repro.sim.engine import (
-    AllOf,
     AnyOf,
     EngineStats,
     Event,
@@ -33,7 +32,6 @@ from repro.sim.cpu import Cpu, CpuSpec
 from repro.sim.node import Node, NodeSpec
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Cpu",
     "CpuSpec",

@@ -44,8 +44,10 @@ simulation's entries are zero-delay bookkeeping — process start kicks,
 pipe grants, hand-offs to queued waiters, joins, message completions —
 and the fast lane turns each of those from an O(log n) heap push/pop
 with tuple comparisons into a deque append/pop.  (What only relays
-control is not queued at all: a free FIFO grant is pre-fired and a
-``spawn`` leg starts in its spawner's stack.)
+control is not queued at all: a free FIFO grant is pre-fired, a
+``spawn`` leg starts in its spawner's stack, and a zero-delay call
+from the tail of a queue entry runs in place when
+:meth:`Simulator.nothing_else_due` — the wire's rule.)
 
 The split preserves firing order *by construction*.  Every entry in
 either lane carries the same ``(time, priority, seq)`` key the pure
@@ -94,7 +96,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "EngineStats",
     "Event",
@@ -438,74 +439,33 @@ class Process(Event, _Driver):
     _failed = Event.fail
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
-
-    __slots__ = ("events", "_pending_count")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = tuple(events)
-        for ev in self.events:
-            if ev.sim is not sim:
-                raise SimulationError("condition mixes events from two simulators")
-        self._pending_count = len(self.events)
-        if not self.events:
-            self.succeed(())
-        else:
-            for ev in self.events:
-                ev.add_callback(self._check)
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every constituent event has fired.
-
-    Its value is a tuple of the constituent values in construction
-    order.  If any constituent fails, the condition fails with that
-    exception; failures of later constituents are defused — the waiter
-    was handed the first, and nobody can observe the rest.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if not event.ok:
-            event.defuse()
-            if self._state == _PENDING:
-                self.fail(event._value)
-            return
-        if self._state != _PENDING:
-            return
-        self._pending_count -= 1
-        if self._pending_count == 0:
-            self.succeed(tuple(ev._value for ev in self.events))
-
-
-class AnyOf(_Condition):
+class AnyOf(Event):
     """Fires as soon as one constituent event fires.
 
     Its value is ``(index, value)`` of the first event to fire.  If the
     same event object appears more than once, the index of its *first*
     occurrence is reported (both slots fire at the same instant with the
-    same value, so the first occurrence is the meaningful one).
+    same value, so the first occurrence is the meaningful one).  A
+    constituent that fails first fails the condition with its exception.
     """
 
-    __slots__ = ("_index",)
+    __slots__ = ("events", "_index")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        events = tuple(events)
-        # id -> construction index, first occurrence wins.  Precomputed
-        # *before* callbacks can run (an already-fired constituent calls
-        # _check synchronously inside super().__init__), replacing the
-        # old O(n) ``tuple.index`` lookup per fire — which also reported
-        # a wrong (albeit first-occurrence-by-scan) slot under aliasing.
+        super().__init__(sim)
+        self.events = events = tuple(events)
+        # id -> construction index, first occurrence wins.  Built before
+        # any callback can run: an already-fired constituent calls
+        # ``_check`` synchronously from ``add_callback``.
         self._index: dict[int, int] = {}
         for i, ev in enumerate(events):
+            if ev.sim is not sim:
+                raise SimulationError("condition mixes events from two simulators")
             self._index.setdefault(id(ev), i)
-        super().__init__(sim, events)
+        if not events:
+            self.succeed(())
+        for ev in events:
+            ev.add_callback(self._check)
 
     def _check(self, event: Event) -> None:
         if self._state != _PENDING:
@@ -520,20 +480,21 @@ class AnyOf(_Condition):
 class Join(Event):
     """Completion event for a batch of lightweight legs.
 
-    Returned by :meth:`Simulator.spawn`; fires when every leg has ended
-    — its value is the tuple of their values in spawn order, like
-    :class:`AllOf` — or fails with the first leg's exception.  A
+    Returned by :meth:`Simulator.spawn` and :meth:`Simulator.all_of`
+    (the one fan-in): fires when every leg has ended — its value is the
+    tuple of their values in the order given — or fails with the first
+    leg's exception; failures of later legs are defused — the waiter
+    was handed the first, and nobody can observe the rest.  A
     generator leg is driven by a :class:`_Task` that tells the join
     directly when it ends; a leg that is already an event (a CPU
     charge, a wire transfer) gets the join's callback and nothing else
     — no task, no start, no ``StopIteration``.  Either way, finishing a
     leg costs no completion event of its own.
 
-    The join holds its legs (as ``AllOf.events`` holds its processes):
-    a leg parked on an event nothing else references stays reachable
-    through whoever waits on the join, so the cyclic garbage collector
-    cannot close its generator — and run its ``finally:`` blocks — in
-    the middle of a live simulation.
+    The join holds its legs: a leg parked on an event nothing else
+    references stays reachable through whoever waits on the join, so
+    the cyclic garbage collector cannot close its generator — and run
+    its ``finally:`` blocks — in the middle of a live simulation.
     """
 
     __slots__ = ("legs", "_pending_count")
@@ -609,8 +570,8 @@ class _Task(_Driver):
             join.succeed(tuple(leg._value for leg in join.legs))
 
     def _failed(self, exc: BaseException) -> None:
-        # Mirrors AllOf: the first failure fails the join; a later one
-        # has no observer left and is dropped.
+        # As for an event leg: the first failure fails the join; a later
+        # one has no observer left and is dropped.
         join, self.join = self.join, None
         if join._state == _PENDING:
             join.fail(exc)
@@ -716,18 +677,27 @@ class Simulator:
         event leg (``node.compute(...)``, ``node.send(...)``) is simply
         waited for, and the returned :class:`Join` fires when all have
         ended, with their values in spawn order.  Cheaper than
-        ``all_of([process(g) for g in generators])`` by a start kick, a
-        completion event and an ``AllOf`` callback per leg: legs are not
-        processes, so nothing can join or interrupt one individually.
+        ``all_of([process(g) for g in generators])`` by a start kick and
+        a completion event per leg: legs are not processes, so nothing
+        can join or interrupt one individually.
         Use :meth:`process` for an activity that is joined *later* or by
         someone else, or that must be interruptible (write-back in
         flight, a prefetch, an RPC attempt under a retry timer).
         """
         return Join(self, legs)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when all ``events`` have fired."""
-        return AllOf(self, events)
+    def all_of(self, events: Iterable[Event]) -> Join:
+        """Composite event firing when all ``events`` have fired.
+
+        A :class:`Join` over event legs — :meth:`spawn` for activities
+        started elsewhere (processes kept to be interrupted, timeouts).
+        With nothing to wait for it is already fired.
+        """
+        legs = tuple(events)
+        for ev in legs:
+            if ev.sim is not self:
+                raise SimulationError("condition mixes events from two simulators")
+        return Join(self, legs)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Composite event firing when the first of ``events`` fires."""
@@ -744,6 +714,20 @@ class Simulator:
         :meth:`run`, like an undefused failure.
         """
         self._enqueue(fn, arg, delay)
+
+    def nothing_else_due(self) -> bool:
+        """True when no queued call is due at ``now``.
+
+        Neither lane holds a same-instant entry, urgent or older, so a
+        zero-delay call scheduled now would be the very next thing
+        :meth:`run` pops.  A caller at the *tail* of the running queue
+        entry — nothing left to do after the call — may then make it in
+        place: the hop would decide nothing (the wire's pipe grants and
+        completions, :mod:`repro.sim.network`).  Reads the same on a
+        pure-heap kernel, whose fast lane is always empty.
+        """
+        queue = self._queue
+        return not self._fast and (not queue or queue[0][0] > self.now)
 
     def _enqueue(
         self, fn: Callable[[Any], None], arg: Any, delay: float, urgent: bool = False

@@ -7,8 +7,9 @@ tx pipe, is buffered at the switch, then holds the receiver's rx pipe,
 with a small per-flow window keeping tx/rx pipelined.  That is faithful
 at packet-interleaving granularity — concurrent flows through one pipe
 share it by seeded-random chunk interleaving, which is what reproduces
-bandwidth sharing among concurrent clients — at a cost of four queued
-calls per chunk (a grant and a service time on each pipe).
+bandwidth sharing among concurrent clients — at a cost of two queued
+calls per chunk (a service time on each pipe) plus a grant hop wherever
+a grant is made while something else is due in the same instant.
 
 A transfer is one :class:`_WireFlow` driven by the calls it schedules:
 it holds the pipes itself, and :meth:`Network.transfer` returns its one
@@ -35,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator, _fire
 
 __all__ = ["Pipe", "Nic", "Network", "Flow"]
 
@@ -58,11 +59,18 @@ class Pipe:
     it) is what lets co-scheduled identical clients drift apart instead
     of convoying in deterministic lockstep.  The pipe is callback-granted
     — ``acquire(fn, arg)`` has ``fn(arg)`` called once the pipe is the
-    caller's; no process can park on it — and the grant is a queued call
-    every time, on an idle pipe too: the hop puts the new holder behind
-    what the instant has already scheduled, and that order decides who
-    is queued when the next release draws — inlining it measured as a
-    fairness change (PR 14).
+    caller's; no process can park on it.
+
+    The grant of an idle pipe is a queued call whenever the hop decides
+    something: it puts the new holder behind what the instant has
+    already scheduled, and that order decides who is queued when the
+    next release draws — inlining it unconditionally measured as a
+    fairness change (PR 14).  It decides nothing in exactly one case:
+    the caller is at the ``tail`` of the running queue entry (nothing
+    follows the ``acquire`` that the grant could overtake) and
+    :meth:`Simulator.nothing_else_due` — the queued call would be the
+    next thing the loop runs, so ``fn(arg)`` runs in place.  A hand-off
+    by ``release()`` is never a tail and always hops.
     """
 
     def __init__(self, sim: Simulator, name: str = ""):
@@ -78,13 +86,22 @@ class Pipe:
         """Number of acquire requests waiting."""
         return len(self._waiters)
 
-    def acquire(self, fn, arg=None) -> None:
-        """Have ``fn(arg)`` called, a hop from now at the earliest, holding the pipe."""
+    def acquire(self, fn, arg=None, tail: bool = False) -> None:
+        """Have ``fn(arg)`` called holding the pipe.
+
+        A hop from now at the earliest — unless ``tail`` (the caller's
+        word that it does nothing after this call that ``fn`` could
+        overtake) and nothing else is due this instant: then now.
+        """
         if self.in_use:
             self._waiters.append((fn, arg))
+            return
+        self.in_use = 1
+        sim = self.sim
+        if tail and sim.nothing_else_due():
+            fn(arg)
         else:
-            self.in_use = 1
-            self.sim._enqueue(fn, arg, 0.0)
+            sim._enqueue(fn, arg, 0.0)
 
     def release(self) -> None:
         """Hand the pipe to a random waiter, or leave it idle."""
@@ -273,18 +290,31 @@ class _WireFlow:
     Each queue entry is a physical delay or a pipe arbitration point:
 
     * the one-way **latency**;
-    * per chunk, the sender's **tx grant** (``tx.acquire``), the **tx
-      service** time, the receiver's **rx grant** and the **rx service**
-      time — store-and-forward through the switch, with the pipes
-      decoupled so a busy receiver never freezes the sender's NIC for
-      other flows;
-    * one **completion** event (``done``), fired with the counters
-      already settled.
+    * per chunk, the **tx service** time and the **rx service** time —
+      store-and-forward through the switch, with the pipes decoupled so
+      a busy receiver never freezes the sender's NIC for other flows;
+    * per chunk, the sender's **tx grant** and the receiver's **rx
+      grant**, and once the **completion** (``done``, fired with the
+      counters already settled) — each of the three only when it is
+      made while something else is due in the same instant, or handed
+      on by a ``release()``.
 
-    A lone k-chunk flow therefore costs ``4k + 2`` queue entries.  The
-    grants stay entries even on an idle pipe (see :class:`Pipe`): the
-    hop decides which same-instant requests are queued when a release
-    draws, which is fairness, not plumbing.
+    The three zero-delay relays are made from the tail of a queue entry
+    — ``_next_chunk`` is one or ends one, ``_finish`` ends
+    ``_next_chunk``, and the rx grant in ``_tx_served`` does nothing but
+    one heap push the rest of the entry neither reads nor can overtake
+    — so when :meth:`Simulator.nothing_else_due` they are what the loop
+    would run next, and run in place (see :class:`Pipe`).  A lone flow
+    of k equal chunks therefore costs ``2k + 1`` queue entries, its
+    three kinds of physical delay (a short last chunk that catches up
+    with the one ahead of it on the rx pipe waits, and adds the
+    hand-off hop); a flow through busy pipes, or beside
+    anything else due in the instant of a grant, pays the hop — up to
+    ``4k + 2`` — because there the hop decides which same-instant
+    requests are queued when a release draws, which is fairness, not
+    plumbing.  With zero latency the flow starts inside
+    ``Network.transfer``, whose caller runs on: no tail, so that first
+    grant always hops.
 
     ``FLOW_WINDOW`` bounds switch buffering per flow and keeps tx/rx
     pipelined so an uncontended flow still sees the full link
@@ -324,19 +354,23 @@ class _WireFlow:
         if latency > 0:
             net.sim.call_later(latency, self._next_chunk)
         else:
-            self._next_chunk()
+            self._next_chunk(tail=False)
 
-    def _next_chunk(self, _=None) -> None:
-        """Ask for the tx pipe, or settle the flow once nothing is left."""
+    def _next_chunk(self, _=None, tail: bool = True) -> None:
+        """Ask for the tx pipe, or settle the flow once nothing is left.
+
+        A queue entry of its own or the last act of one (``tail``) —
+        except the zero-latency start.
+        """
         if self.lost:
             return
         if self.snic.down or self.dnic.down:
             self.lost = True
             self.snic.flows_dropped += 1
         elif self.remaining > 0:
-            self.snic.tx.acquire(self._tx_granted)
+            self.snic.tx.acquire(self._tx_granted, None, tail)
         elif not self.live:
-            self._finish()
+            self._finish(tail)
 
     def _tx_granted(self, _) -> None:
         net = self.net
@@ -350,7 +384,8 @@ class _WireFlow:
         self.live += 1
         legs = self.legs
         legs.append(leg)
-        self.dnic.rx.acquire(self._rx_granted, leg)
+        # As good as a tail: all the grant does is one heap push.
+        self.dnic.rx.acquire(self._rx_granted, leg, True)
         if len(legs) > FLOW_WINDOW:
             oldest = legs.popleft()
             if oldest.alive:
@@ -371,7 +406,7 @@ class _WireFlow:
         elif self.remaining <= 0 and not self.live:
             self._next_chunk()
 
-    def _finish(self) -> None:
+    def _finish(self, tail: bool) -> None:
         net = self.net
         net.flows_chunked += 1
         record = self.record
@@ -379,7 +414,13 @@ class _WireFlow:
         self.dnic.rx_bytes += record.nbytes
         record.end = net.sim.now
         net.flows_completed += 1
-        self.done.succeed(record)
+        done = self.done
+        if tail and net.sim.nothing_else_due():
+            # The firing would be the loop's next entry: fire here.
+            done._value = record
+            _fire(done)
+        else:
+            done.succeed(record)
 
 
 class _RxLeg:

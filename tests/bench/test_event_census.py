@@ -39,10 +39,43 @@ def test_check_refuses_a_free_fifo_grant_and_a_spawn_kick():
     relay = {
         ("_Grant", "zero", "acquire[Resource]", "sim/cpu.py:consume"): 3,
         ("_Task._resume", "zero", "spawn", "rpc.py:call"): 2,
+        # A tail call queued with nothing else due: it should have run in place.
+        ("_WireFlow._tx_granted", "lone", "acquire[Pipe]", "sim/network.py:_next_chunk"): 4,
+        ("Event", "lone", "succeed", "sim/network.py:_finish"): 1,
     }
     fine = {
         ("Resource._end_service", "delay", "serve[Resource]", "sim/cpu.py:consume"): 5,
         ("Process._resume", "zero", "process", "nfs/client.py:_spawn_writeback"): 7,
+        # Granted beside other work due in the instant: the hop decides.
         ("_WireFlow._tx_granted", "zero", "acquire[Pipe]", "sim/network.py:_next_chunk"): 1,
     }
     assert script.relays(Counter({**relay, **fine})) == Counter(relay)
+
+
+def test_an_uncontended_cell_queues_no_lone_tail_call_and_a_wire_that_always_hops_does(
+    monkeypatch,
+):
+    script = load_script("event_census")
+    cell = dict(clients=1, scale=0.02, seed=None)
+    classes, rpcs = script.census("direct-pnfs", "mdtest", **cell)
+    assert rpcs > 0 and not script.relays(classes)
+    # Most messages of one client meet idle pipes: few grants are queued at all.
+    grants = sum(n for cls, n in classes.items() if cls[0].endswith("_granted"))
+    served = sum(n for cls, n in classes.items() if cls[0].endswith("_served"))
+    assert 0 < grants < served / 2
+
+    # The wire before the tail rule: the grant of an idle pipe always hops.
+    from repro.sim.network import Pipe
+
+    def acquire(self, fn, arg=None, tail=False):
+        if self.in_use:
+            self._waiters.append((fn, arg))
+        else:
+            self.in_use = 1
+            self.sim._enqueue(fn, arg, 0.0)
+
+    monkeypatch.setattr(Pipe, "acquire", acquire)
+    hopping, _ = script.census("direct-pnfs", "mdtest", **cell)
+    lone = script.relays(hopping)
+    assert {cls[0] for cls in lone} == {"_WireFlow._tx_granted", "_WireFlow._rx_granted"}
+    assert all(cls[1] == "lone" and cls[2] == "acquire[Pipe]" for cls in lone)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator, Timeout
+from repro.sim import AnyOf, Event, Interrupt, Simulator, Timeout
 from repro.sim.engine import SimulationError
 
 
@@ -296,7 +296,7 @@ class TestConditions:
         b = make(1, "b")
 
         def waiter():
-            values = yield AllOf(sim, [a, b])
+            values = yield sim.all_of([a, b])
             return values
 
         p = sim.process(waiter())
@@ -319,7 +319,7 @@ class TestConditions:
 
     def test_all_of_empty_fires_immediately(self, sim):
         def waiter():
-            vals = yield AllOf(sim, [])
+            vals = yield sim.all_of([])
             return vals
 
         p = sim.process(waiter())
@@ -333,7 +333,7 @@ class TestConditions:
 
         def waiter():
             try:
-                yield AllOf(sim, [sim.process(bad()), sim.timeout(5)])
+                yield sim.all_of([sim.process(bad()), sim.timeout(5)])
             except RuntimeError:
                 return "caught"
 

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.sim import AnyOf, Interrupt, Pipe, Resource, Simulator
+from repro.sim import AnyOf, Interrupt, Network, Pipe, Resource, Simulator
 from repro.sim.engine import SimulationError
+from tests.sim.test_event_budget import assert_idle
+from tests.sim.test_scheduler_equivalence import PureHeapSimulator
+
+KERNELS = [Simulator, PureHeapSimulator]
 
 
 class TestAnyOfFailures:
@@ -198,6 +202,201 @@ class TestCallLater:
         assert sim.stats.events_processed == sim.stats.events_scheduled == 2
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestTailRule:
+    """A zero-delay call from the tail of a queue entry runs in place
+    exactly when nothing else is due in that instant — on either
+    kernel, the predicate reading the heap alike."""
+
+    CHUNK, BW = 1000, 1e6
+
+    def _net(self, sim, latency):
+        net = Network(sim, latency=latency, chunk_bytes=self.CHUNK, per_message_bytes=0)
+        for name in "ab":
+            net.add_nic(name, self.BW)
+        return net
+
+    def test_nothing_else_due_reads_both_lanes(self, kernel):
+        sim = kernel()
+        assert sim.nothing_else_due()
+        sim.call_later(1.0, lambda _: None)
+        assert sim.nothing_else_due()  # due later, not now
+        sim.call_later(0.0, lambda _: None)
+        assert not sim.nothing_else_due()
+        sim.run(until=0.5)
+        assert sim.nothing_else_due()
+        sim.run(until=1.0)  # an entry due at the deadline runs
+        assert sim.nothing_else_due() and sim.stats.events_processed == 2
+
+    def test_tail_acquire_alone_in_its_instant_is_granted_in_place(self, kernel):
+        sim, order = kernel(), []
+        pipe = Pipe(sim)
+
+        def entry(_):
+            pipe.acquire(order.append, "granted", True)
+            order.append("entry over")
+
+        sim.call_later(1.0, entry)
+        sim.run()
+        assert order == ["granted", "entry over"] and pipe.in_use == 1
+        assert sim.stats.events_processed == 1
+
+    def test_another_entry_already_due_this_instant_forces_the_hop(self, kernel):
+        sim, order = kernel(), []
+        pipe = Pipe(sim)
+        sim.call_later(1.0, lambda _: pipe.acquire(order.append, "granted", True))
+        sim.call_later(1.0, order.append, "other")
+        sim.run()
+        assert order == ["other", "granted"]
+        assert sim.stats.events_processed == 3
+
+    def test_a_zero_delay_call_made_earlier_in_the_entry_forces_the_hop(self, kernel):
+        sim, order = kernel(), []
+        pipe = Pipe(sim)
+
+        def entry(_):
+            sim.call_later(0.0, order.append, "first")
+            pipe.acquire(order.append, "granted", True)
+
+        sim.call_later(1.0, entry)
+        sim.run()
+        assert order == ["first", "granted"]
+
+    def test_urgent_interrupt_enqueued_in_the_instant_of_a_tail_grant_runs_first(self, kernel):
+        sim, order = kernel(), []
+        pipe = Pipe(sim)
+
+        def sleeper():
+            try:
+                yield sim.timeout(10.0)
+            except Interrupt as intr:
+                order.append(f"interrupted:{intr.cause}")
+
+        victim = sim.process(sleeper())
+
+        def entry(_):
+            victim.interrupt("now")
+            pipe.acquire(order.append, "granted", True)
+
+        sim.call_later(1.0, entry)
+        sim.run()
+        assert order == ["interrupted:now", "granted"]
+
+    def test_not_a_tail_hops_even_alone(self, kernel):
+        sim, order = kernel(), []
+        pipe = Pipe(sim)
+
+        def entry(_):
+            pipe.acquire(order.append, "granted")
+            order.append("entry over")
+
+        sim.call_later(1.0, entry)
+        sim.run()
+        assert order == ["entry over", "granted"]
+        assert sim.stats.events_processed == 2
+
+    def test_release_hands_on_through_the_queue_even_alone(self, kernel):
+        sim, order = kernel(), []
+        pipe = Pipe(sim)
+        pipe.acquire(order.append, "holder")
+        pipe.acquire(order.append, "waiter", True)
+        sim.run()
+
+        def entry(_):
+            pipe.release()
+            order.append("entry over")
+
+        sim.call_later(1.0, entry)
+        sim.run()
+        assert order == ["holder", "entry over", "waiter"]
+
+    def test_zero_latency_start_is_no_tail_and_hops(self, kernel):
+        sim = kernel()
+        net = self._net(sim, latency=0.0)
+        seen = []
+
+        def sender():
+            done = net.transfer("a", "b", 3 * self.CHUNK)
+            # Held at once, but the grant is a call due this instant:
+            # it — and the first service time — waits for this process
+            # to park.
+            seen.append((net.nic("a").tx.in_use, sim.nothing_else_due(), done.triggered))
+            yield done
+
+        before = sim.stats.events_processed
+        sim.run(until=sim.process(sender()))
+        assert seen == [(1, False, False)]
+        # The start's grant hop, then 2k service times; kick and completion.
+        assert sim.stats.events_processed - before == 1 + 2 * 3 + 2
+        assert sim.now == pytest.approx(4 * self.CHUNK / self.BW)
+        assert_idle(net)
+
+    def test_zero_latency_empty_message_completes_through_the_queue(self, kernel):
+        sim = kernel()
+        net = self._net(sim, latency=0.0)
+        done = net.transfer("a", "b", 0)
+        assert done.triggered and not done.processed
+        sim.run()
+        assert done.processed and net.flows_chunked == 1
+
+    def test_run_until_done_returns_when_done_fired_in_place(self, kernel):
+        sim = kernel()
+        net = self._net(sim, latency=1e-3)
+        done = net.transfer("a", "b", 2 * self.CHUNK)
+        sim.call_later(1.0, lambda _: None)  # still queued at the return
+        flow = sim.run(until=done)
+        assert flow.nbytes == 2 * self.CHUNK and flow.end == sim.now
+        assert sim.now == pytest.approx(1e-3 + 3 * self.CHUNK / self.BW)
+        # Latency and two service times on each pipe: done cost no entry.
+        assert sim.stats.events_processed == 5
+        assert_idle(net)
+
+    def test_failure_raised_by_a_waiter_of_an_in_place_done_surfaces_from_run(self, kernel):
+        sim = kernel()
+        net = self._net(sim, latency=1e-3)
+
+        def receiver():
+            yield net.transfer("a", "b", 10)
+            raise RuntimeError("receiver blew up")
+
+        proc = sim.process(receiver())
+        with pytest.raises(RuntimeError, match="receiver blew up"):
+            sim.run()
+        assert not proc.ok and net.flows_completed == 1
+        assert_idle(net)
+
+    def test_exception_from_a_callback_of_an_in_place_done_surfaces_from_run(self, kernel):
+        sim = kernel()
+        net = self._net(sim, latency=1e-3)
+
+        def boom(_event):
+            raise RuntimeError("callback blew up")
+
+        net.transfer("a", "b", 10).add_callback(boom)
+        with pytest.raises(RuntimeError, match="callback blew up"):
+            sim.run()
+        # The rx pipe went back before the completion was attempted.
+        assert_idle(net)
+        sim.run()  # and the loop is fit to go on
+
+    @pytest.mark.parametrize("dying", ["a", "b"])
+    def test_nic_dying_mid_flow_still_drains_both_pipes(self, kernel, dying):
+        sim = kernel()
+        net = self._net(sim, latency=1e-3)
+        done = net.transfer("a", "b", 10 * self.CHUNK)
+
+        def die(_):
+            net.nic(dying).down = True
+
+        # Mid-chunk: a tx and an rx leg are in service, granted in place.
+        sim.call_later(1e-3 + 3.5 * self.CHUNK / self.BW, die)
+        sim.run()
+        assert not done.triggered
+        assert net.nic("a").flows_dropped == 1 and net.flows_completed == 0
+        assert net.nic("b").rx_bytes == 0
+        assert_idle(net)
+
+
 class TestEngineMisc:
     def test_run_past_deadline_then_continue(self):
         sim = Simulator()
@@ -217,6 +416,11 @@ class TestEngineMisc:
         a, b = Simulator(), Simulator()
         with pytest.raises(SimulationError):
             AnyOf(a, [a.timeout(1), b.timeout(1)])
+
+    def test_all_of_across_simulators_rejected(self):
+        a, b = Simulator(), Simulator()
+        with pytest.raises(SimulationError):
+            a.all_of([a.timeout(1), b.timeout(1)])
 
     def test_process_yielding_foreign_event_fails(self):
         a, b = Simulator(), Simulator()

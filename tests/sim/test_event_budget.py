@@ -4,6 +4,13 @@ Every count here is deterministic (no wall clock): one event per
 physical delay or pipe arbitration point, nothing for relaying control.
 A budget that grows means a relay hop came back; one that shrinks means
 an arbitration point was dropped (see docs/architecture.md, "Layer 1").
+
+The wire is pinned in both regimes.  Alone in its instants a message
+costs its physical delays only (latency, tx service, rx service: the
+grants and the completion run in place at the tail of those entries);
+beside anything else due in the same instant it pays every grant hop,
+``4k + 2`` for k chunks, as every flow did before the tail rule — the
+test ids keep those older counts in their names.
 """
 
 import pytest
@@ -16,6 +23,7 @@ from repro.sim import network as network_mod
 from repro.sim.cpu import Cpu
 from repro.sim.network import FLOW_WINDOW
 from repro.sim.resources import Resource
+from tests.sim.test_scheduler_equivalence import AlwaysHopSimulator
 
 BW = 1e6
 CHUNK = 1000
@@ -55,21 +63,58 @@ def assert_idle(net):
         assert pipe.in_use == 0 and pipe.queue_len == 0, pipe.name
 
 
+def two_flows(pairs, nbytes, kernel=Simulator, per_message_bytes=0):
+    """One flow per ``(src, dst)`` pair, both started in one instant.
+    Returns ``(entries beyond the two senders' kicks and completions,
+    finish time, rng state after)``."""
+    sim = kernel(seed=11)
+    net = make_net(sim, per_message_bytes=per_message_bytes)
+    before = sim.stats.events_processed
+    for src, dst in pairs:
+        sim.process(wait_for(lambda src=src, dst=dst: net.transfer(src, dst, nbytes)))
+    sim.run()
+    assert net.flows_chunked == 2
+    assert_idle(net)
+    return sim.stats.events_processed - before - 4, sim.now, sim.rng.bit_generator.state
+
+
+#: Disjoint pipes, yet in lockstep: each flow is due in the instant of
+#: every grant and completion of the other.
+TWINS = (("n0", "n2"), ("n1", "n3"))
+
+
 class TestMessageBudget:
     def test_lone_subchunk_message_costs_six_events(self):
-        """Latency, tx grant, tx service, rx grant, rx service, completion."""
+        """Alone: latency, tx service, rx service — the tx grant, the rx
+        grant and the completion run in place.  Six is what the message
+        costs beside a twin."""
         sim = Simulator()
         net = make_net(sim, per_message_bytes=120)
-        assert events_of(sim, wait_for(lambda: net.transfer("n0", "n1", 344))) == 6
+        assert events_of(sim, wait_for(lambda: net.transfer("n0", "n1", 344))) == 3
         # Store-and-forward: the last bit lands after two wire crossings.
         assert sim.now == pytest.approx(LATENCY + 2 * (344 + 120) / BW, rel=1e-12)
 
+    def test_subchunk_message_beside_a_twin_still_costs_six_events(self):
+        """Latency, tx grant, tx service, rx grant, rx service, completion."""
+        entries, finished, _ = two_flows(TWINS, 344, per_message_bytes=120)
+        assert entries == 2 * 6
+        assert finished == pytest.approx(LATENCY + 2 * (344 + 120) / BW, rel=1e-12)
+
     @pytest.mark.parametrize("k", [1, 2, 3, FLOW_WINDOW + 1, FLOW_WINDOW + 2, 10])
     def test_lone_k_chunk_flow_costs_4k_plus_2(self, k):
+        """Alone: the latency and a service time per chunk on each pipe,
+        ``2k + 1`` physical delays — and one hop where the flow contends
+        with itself: the short last chunk is off the tx pipe before the
+        full chunk ahead of it is off the rx pipe, queues, and is handed
+        the pipe by ``release()``, which always hops.  ``4k + 2`` is the
+        twin's count, below."""
         sim = Simulator()
         net = make_net(sim)
         nbytes = k * CHUNK - 1  # k chunks, the last one short
-        assert events_of(sim, wait_for(lambda: net.transfer("n0", "n1", nbytes))) == 4 * k + 2
+        heap_before = sim.stats.heap_events
+        cost = events_of(sim, wait_for(lambda: net.transfer("n0", "n1", nbytes)))
+        assert cost == 2 * k + 1 + (k > 1)
+        assert sim.stats.heap_events - heap_before == 2 * k + 1
         # Pipelined: the short last chunk reaches the rx pipe behind the
         # full chunk before it, k chunk times in; alone it crosses twice.
         last = nbytes - (k - 1) * CHUNK
@@ -77,6 +122,41 @@ class TestMessageBudget:
         assert sim.now == pytest.approx(LATENCY + (ahead + last) / BW, rel=1e-9)
         assert net.flows_chunked == 1 and net.nic("n1").rx_bytes == nbytes
         assert_idle(net)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, FLOW_WINDOW + 1, FLOW_WINDOW + 2, 10])
+    def test_lone_flow_of_k_full_chunks_costs_2k_plus_1(self, k):
+        """Equal chunks never meet on the rx pipe: every entry is a
+        physical delay, and every one of them sits on the heap."""
+        sim = Simulator()
+        net = make_net(sim)
+        cost = events_of(sim, wait_for(lambda: net.transfer("n0", "n1", k * CHUNK)))
+        assert cost == 2 * k + 1
+        assert sim.stats.heap_events == 2 * k + 1 and sim.stats.fast_lane_events == 2
+        assert sim.now == pytest.approx(LATENCY + (k + 1) * CHUNK / BW, rel=1e-9)
+        assert_idle(net)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, FLOW_WINDOW + 1, FLOW_WINDOW + 2, 10])
+    def test_twin_k_chunk_flows_cost_4k_plus_2_each(self, k):
+        """In lockstep on disjoint pipes, each flow is due in the instant
+        of every grant the other asks for: every hop stays."""
+        nbytes = k * CHUNK - 1
+        entries, finished, _ = two_flows(TWINS, nbytes)
+        assert entries == 2 * (4 * k + 2)
+        last = nbytes - (k - 1) * CHUNK
+        ahead = k * CHUNK if k > 1 else last
+        assert finished == pytest.approx(LATENCY + (ahead + last) / BW, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_two_flows_through_one_pipe_pay_every_hop_and_draw_the_same_numbers(self, k):
+        """Two senders into one sink: the finish time and the random
+        draws are those of a wire whose every relay is a queued call,
+        and so are the queue entries but one — the completion of the
+        flow that finishes last, alone in its instant."""
+        incast = (("n1", "n0"), ("n2", "n0"))
+        entries, finished, rng_state = two_flows(incast, k * CHUNK - 1)
+        hopping = two_flows(incast, k * CHUNK - 1, kernel=AlwaysHopSimulator)
+        assert (entries + 1, finished, rng_state) == hopping
+        assert entries + 1 == 2 * (4 * k + 2)
 
     def test_stalled_receiver_fills_the_window_and_no_more(self, monkeypatch):
         """Three senders into one sink: a flow runs ahead of the rx pipe
@@ -204,7 +284,9 @@ class TestCpuBudget:
 
 
 class TestFifoGrantBudget:
-    """A FIFO grant never costs an event of its own; a pipe grant always does."""
+    """A FIFO grant never costs an event of its own; a pipe grant does
+    unless its caller is a tail and nothing else is due (TestTailRule in
+    test_engine_edge.py)."""
 
     def test_free_acquire_is_already_fired_and_costs_nothing(self):
         sim = Simulator()
@@ -445,27 +527,40 @@ class TestSpawnEventLegs:
 
 
 class TestRpcBudget:
-    def test_header_only_rpc_to_idle_server_costs_fourteen_events(self):
-        """Eight physical delays (client CPU, then latency / tx service /
-        rx service each way, server CPU between) are eight heap events;
-        the six zero-delay ones are the four pipe grants and the two
-        message completions.  The free cores and worker thread cost
-        nothing — unchanged by pre-fired FIFO grants and inline spawn
-        legs, which touch neither the pipes nor a physical delay."""
+    @staticmethod
+    def _ping_pairs(n):
+        """``n`` client/server node pairs on one network; returns
+        ``(sim, net, [(client, server), ...])``."""
         sim = Simulator()
         net = Network(sim, latency=LATENCY, per_message_bytes=120)
-        client = Node(sim, NodeSpec(name="c", cpu=CpuSpec(cores=2, speed=1.0), nic_bw=BW), net)
-        server_node = Node(sim, NodeSpec(name="s", cpu=CpuSpec(cores=2, speed=1.0), nic_bw=BW), net)
         costs = rpc.RpcCosts(client_per_call=20e-6, server_per_call=25e-6)
-        server = rpc.RpcServer(sim, server_node, "svc", costs, threads=8)
 
         def ping(args, payload):
             return "pong", None
             yield  # pragma: no cover
 
-        server.register("ping", ping)
+        pairs = []
+        cpu = CpuSpec(cores=2, speed=1.0)
+        for i in range(n):
+            client, server_node = (
+                Node(sim, NodeSpec(name=f"{role}{i}", cpu=cpu, nic_bw=BW), net) for role in "cs"
+            )
+            server = rpc.RpcServer(sim, server_node, f"svc{i}", costs, threads=8)
+            server.register("ping", ping)
+            pairs.append((client, server))
+        return sim, net, pairs
+
+    def test_header_only_rpc_to_idle_server_costs_fourteen_events(self):
+        """Eight physical delays (client CPU, then latency / tx service /
+        rx service each way, server CPU between) are eight heap events,
+        and alone that is all of it: the four pipe grants and the two
+        message completions run in place at the tail of those entries
+        (fourteen is the count beside a twin, below).  The free cores
+        and worker thread cost nothing — pre-fired FIFO grants and
+        inline spawn legs touch neither the pipes nor a physical delay."""
+        sim, net, [(client, server)] = self._ping_pairs(1)
         heap_before = sim.stats.heap_events
-        assert events_of(sim, rpc.call(client, server, "ping", args_bytes=64)) == 14
+        assert events_of(sim, rpc.call(client, server, "ping", args_bytes=64)) == 8
         assert sim.stats.heap_events - heap_before == 8
         request = (rpc.HEADER_BYTES + 64 + 120) / BW
         reply = (rpc.HEADER_BYTES + 120) / BW
@@ -474,6 +569,28 @@ class TestRpcBudget:
         )
         assert server.calls_served == 1
         assert server.threads.in_use == 0 and server.threads.high_water == 1
+        assert_idle(net)
+
+    def test_header_only_rpcs_in_lockstep_still_cost_fourteen_events_each(self):
+        """Two clients calling two servers in the same instants: each
+        message is due beside its twin at every grant and completion,
+        so the six zero-delay entries per RPC stay queue entries."""
+        sim, net, pairs = self._ping_pairs(2)
+        before = sim.stats.events_processed
+        heap_before = sim.stats.heap_events
+        procs = [
+            sim.process(rpc.call(client, server, "ping", args_bytes=64))
+            for client, server in pairs
+        ]
+        sim.run()
+        assert all(p.processed and p.ok for p in procs)
+        assert sim.stats.events_processed - before - 2 * 2 == 2 * 14
+        assert sim.stats.heap_events - heap_before == 2 * 8
+        request = (rpc.HEADER_BYTES + 64 + 120) / BW
+        reply = (rpc.HEADER_BYTES + 120) / BW
+        assert sim.now == pytest.approx(
+            20e-6 + LATENCY + 2 * request + 25e-6 + LATENCY + 2 * reply, rel=1e-12
+        )
         assert_idle(net)
 
 

@@ -2,12 +2,15 @@
 
 ``sys.setprofile`` counts every Python and C call the simulator makes
 while one process sends 1 000 sub-chunk messages back to back between
-two NICs.  Each costs its six queue entries (latency, two grants, two
-service times, completion) and every hop but the completion is a bare
-call: the only ``Event`` a message allocates is the ``done`` its sender
-waits on.  When every hop was a single-waiter ``Timeout`` or grant
-event a message took 79 calls; the bound fails if that machinery (or a
-relay per hop) comes back, on any machine.
+two NICs.  Alone on the wire each costs its three physical delays as
+queue entries (latency, two service times): the two grants and the
+completion run in place at the tail of those entries.  Two senders in
+lockstep pay all six (each is due in the instant of the other's grants
+and completion), every hop but the completion a bare call.  Either way
+the only ``Event`` a message allocates is the ``done`` its sender waits
+on.  When every hop was a single-waiter ``Timeout`` or grant event a
+message took 79 calls; the bounds fail if that machinery (or a relay
+per hop) comes back, on any machine.
 
 A CPU charge is pinned the same way: one queue entry, one object (its
 event), and — since ``Cpu.consume`` returns that event instead of being
@@ -25,20 +28,23 @@ from repro.sim.engine import Event
 
 MESSAGES = 1000
 NBYTES = 200
-MAX_CALLS_PER_MESSAGE = 59  # measured 58.025; 59.025 while transfer() was a generator
+MAX_CALLS_PER_MESSAGE = 49  # measured 48.025; 58.025 while every grant and done hopped
+MAX_CALLS_PER_TWIN_MESSAGE = 62  # measured 61.022: the six entries and three refused tail checks
 CHARGES = 1000
 MAX_CALLS_PER_CHARGE = 17  # measured 16.025
 
 
-def test_a_message_is_six_events_one_allocated_and_at_most_sixty_calls():
+def _profiled_senders(pairs):
+    """One sender per ``(src, dst)`` pair, started together; returns
+    ``(sim, net, calls made, Events built)``."""
     sim = Simulator()
     net = Network(sim)
-    net.add_nic("a", 125e6)
-    net.add_nic("b", 125e6)
+    for name in {name for pair in pairs for name in pair}:
+        net.add_nic(name, 125e6)
 
-    def sender():
+    def sender(src, dst):
         for _ in range(MESSAGES):
-            yield net.transfer("a", "b", NBYTES)
+            yield net.transfer(src, dst, NBYTES)
 
     calls = events_built = 0
     event_init = Event.__init__.__code__
@@ -56,17 +62,33 @@ def test_a_message_is_six_events_one_allocated_and_at_most_sixty_calls():
     gc.disable()
     sys.setprofile(profiler)
     try:
-        proc = sim.process(sender())
-        sim.run(until=proc)
+        procs = [sim.process(sender(src, dst)) for src, dst in pairs]
+        sim.run()
     finally:
         sys.setprofile(None)
         gc.enable()
+    assert all(proc.processed and proc.ok for proc in procs)
+    return sim, net, calls, events_built
 
+
+def test_a_message_is_six_events_one_allocated_and_at_most_sixty_calls():
+    """Alone: three entries, at most 49 calls (the id keeps the counts
+    of a wire whose grants and completions always hopped)."""
+    sim, net, calls, events_built = _profiled_senders([("a", "b")])
     assert net.flows_chunked == MESSAGES and net.nic("b").rx_bytes == MESSAGES * NBYTES
     # The sending process is an event too, and costs a kick and a completion.
-    assert sim.stats.events_processed == 6 * MESSAGES + 2
+    assert sim.stats.events_processed == 3 * MESSAGES + 2
     assert events_built == MESSAGES + 1
     assert calls <= MAX_CALLS_PER_MESSAGE * MESSAGES, calls / MESSAGES
+
+
+def test_a_message_beside_a_twin_is_still_six_events_and_one_allocated():
+    sim, net, calls, events_built = _profiled_senders([("a", "b"), ("c", "d")])
+    assert net.flows_chunked == 2 * MESSAGES
+    assert net.nic("b").rx_bytes == net.nic("d").rx_bytes == MESSAGES * NBYTES
+    assert sim.stats.events_processed == 6 * 2 * MESSAGES + 2 * 2
+    assert events_built == 2 * MESSAGES + 2
+    assert calls <= MAX_CALLS_PER_TWIN_MESSAGE * 2 * MESSAGES, calls / (2 * MESSAGES)
 
 
 def test_a_cpu_charge_is_one_event_one_object_and_no_generator_frame():

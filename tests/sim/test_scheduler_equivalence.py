@@ -5,14 +5,22 @@ construction* to a single-heap kernel (``PureHeapSimulator``, the
 reference defined here).  These tests make the claim empirical:
 randomized event programs — timeouts, zero-delay storms, conditions,
 interrupts, contention for a FIFO resource (held, and served for a
-time) and a callback-granted random-arbitration pipe, lightweight
-spawns over generator and event legs, bare ``call_later`` chains —
-run on both kernels and must produce the same firing log: identical
-(time, label, value) triples in identical order.
+time) and a callback-granted random-arbitration pipe (asked for
+mid-entry and from the tail of one), lightweight spawns over generator
+and event legs, bare ``call_later`` chains, wire transfers over a
+zero- or positive-latency network — run on both kernels and must
+produce the same firing log: identical (time, label, value) triples in
+identical order.
 
 Because the log records *processing* order, not just outcomes, any
 reordering of same-instant events (the thing the fast lane could
 plausibly break) fails the comparison even when final state agrees.
+
+The same programs check the wire's tail rule (a zero-delay call from
+the tail of a queue entry runs in place when
+``Simulator.nothing_else_due``): ``AlwaysHopSimulator`` never lets it,
+so every pipe grant and wire completion is a queued call, and the
+firing log must not move — only the number of queue entries may.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import pytest
 from collections import deque
 
 from repro.sim.engine import Event, Interrupt, SimulationError, Simulator
-from repro.sim.network import Pipe
+from repro.sim.network import Network, Pipe
 from repro.sim.resources import Resource
 
 
@@ -38,6 +46,13 @@ class PureHeapSimulator(Simulator):
         key = (self.now + delay, 0 if urgent else 1, next(self._seq), fn, arg)
         heapq.heappush(self._queue, key)
         self.stats.heap_events += 1
+
+
+class AlwaysHopSimulator(Simulator):
+    """The wire before the tail rule: every relay a queued call."""
+
+    def nothing_else_due(self):
+        return False
 
 
 class Store:
@@ -90,6 +105,11 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
     fifo = Resource(sim, capacity=rnd.randint(1, 3), name="fifo")
     rand = Pipe(sim, name="rand")
     store = Store(sim, capacity=4)
+    # Ten chunks a second; some programs start their flows with no
+    # latency entry (inside ``transfer``, where nothing is a tail).
+    net = Network(sim, latency=rnd.choice([0.0, 0.01]), chunk_bytes=1000)
+    for name in "abc":
+        net.add_nic(name, 1e4)
     procs: list = []
 
     def hold_pipe(wid: int, s: int):
@@ -108,6 +128,27 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
             released.succeed()
 
         rand.acquire(granted)
+        return released
+
+    def hold_pipe_from_tail(wid: int, s: int):
+        """The same hold, asked for as the last act of a queue entry:
+        granted in place when nothing else is due in that instant."""
+        released = sim.event()
+
+        def ask(_):
+            log.append((sim.now, "tail-ask", wid, s))
+            rand.acquire(granted, None, True)
+
+        def granted(_):
+            log.append((sim.now, "tail-acq", wid, s))
+            sim.call_later(rnd_delays[wid][s], served)
+
+        def served(_):
+            rand.release()
+            log.append((sim.now, "tail-rel", wid, s))
+            released.succeed()
+
+        sim.call_later(rnd_delays[wid][(s + 1) % len(rnd_delays[wid])], ask)
         return released
 
     def call_chain(wid: int, s: int):
@@ -166,6 +207,15 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
                 log.append((sim.now, "served", wid, s, got, fifo.busy_time))
             elif action == "rand-res":
                 yield hold_pipe(wid, s)
+            elif action == "tail-grant":
+                yield hold_pipe_from_tail(wid, s)
+            elif action == "wire":
+                # One byte to eleven chunks; a poke detaches the waiter
+                # and the flow runs on, holding its pipes.
+                src = "abc"[wid % 3]
+                dst = "abc"[(wid + 1 + s % 2) % 3]
+                flow = yield net.transfer(src, dst, int(rnd_delays[wid][s] * 10_000) + 1)
+                log.append((sim.now, "wire", wid, s, flow.nbytes, net.flows_completed))
             elif action == "call-chain":
                 got = yield call_chain(wid, s)
                 log.append((sim.now, "chain-done", wid, s, got))
@@ -210,6 +260,7 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
     actions = [
         "timeout", "zero-storm", "fifo-res", "serve", "rand-res",
         "store", "any-of", "spawn", "interruptible", "call-chain", "call-detached",
+        "tail-grant", "wire",
     ]
     rnd_actions = [
         [rnd.choice(actions) for _ in range(rnd.randint(3, 8))]
@@ -234,15 +285,36 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
 
     sim.process(joiner(), name="joiner")
     sim.run()
-    return [(round(t, 12),) + tuple(rest) for t, *rest in log]
+    assert rand.in_use == 0 and rand.queue_len == 0
+    for name in "abc":
+        for pipe in (net.nic(name).tx, net.nic(name).rx):
+            assert pipe.in_use == 0 and pipe.queue_len == 0, pipe.name
+    log.append((sim.now, "rng", sim.rng.bit_generator.state["state"]["state"]))
+    return [(round(t, 12),) + tuple(rest) for t, *rest in log], sim.stats.events_processed
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_two_lane_matches_pure_heap(seed):
     ref = _run_program(PureHeapSimulator, seed=seed)
     fast = _run_program(Simulator, seed=seed)
-    assert ref == fast
-    assert len(ref) > 0  # the program actually did something
+    assert ref == fast  # the same log from the same number of entries
+    assert len(ref[0]) > 0  # the program actually did something
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tail_relays_in_place_match_always_hopping(seed):
+    hop_log, hop_entries = _run_program(AlwaysHopSimulator, seed=seed)
+    log, entries = _run_program(Simulator, seed=seed)
+    assert log == hop_log
+    assert entries <= hop_entries
+
+
+def test_the_programs_do_run_relays_in_place():
+    saved = [
+        _run_program(AlwaysHopSimulator, seed)[1] - _run_program(Simulator, seed)[1]
+        for seed in range(20)
+    ]
+    assert all(n >= 0 for n in saved) and sum(n > 0 for n in saved) >= 15, saved
 
 
 def test_pure_heap_mode_disables_fast_lane():
