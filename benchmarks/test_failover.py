@@ -17,6 +17,7 @@ import os
 import pathlib
 
 from repro.cluster.configs import make_deployment
+from repro.rpc import RpcPolicy
 from repro.sim import FaultInjector
 from repro.vfs import Payload
 
@@ -38,8 +39,7 @@ def build(rpc_timeout: float, ds_retry: float):
             rsize=BLOCK,
             wsize=BLOCK,
             readahead=0,  # per-block completion stamps stay meaningful
-            rpc_timeout=rpc_timeout,
-            rpc_max_retries=1,
+            rpc_policy=RpcPolicy(timeout=rpc_timeout, max_retries=1),
             ds_retry_interval=ds_retry,
         ),
     )

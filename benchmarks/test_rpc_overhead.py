@@ -1,32 +1,30 @@
 """Events-per-RPC gate: the kernel must stay cheap per protocol op.
 
-The two-lane scheduler exists to cut what one RPC costs the event
-kernel: before it, the pinned cell below (Direct-pNFS, 8-client IOR
-separate-file writes) pushed ~243 events — all heap — per served RPC,
-most of them zero-delay bookkeeping (process kicks, free-resource
-grants, leg joins).  With the fast lane and lightweight spawn the heap
-sees ~59 events per RPC and the rest ride a deque; with network legs as
-callback flows and event-free grants on free cores and worker threads
-the deque carried ~129 instead of ~160; with FIFO grants that never
-cost an event of their own (a free one is pre-fired, a queued one is
-the waiter's service event) and fan-out legs started in the spawner's
-stack it carries ~53 — fewer than the heap; with the wire's grants and
-completions run in place wherever nothing else is due in their instant
-it carries ~49 (the pinned cell is contended: most of its grants are
-hand-offs of a busy pipe or made beside other work, and keep the hop —
-the uncontended cell below is where that rule shows).
+Before any of the work below, the pinned cell (Direct-pNFS, 8-client
+IOR separate-file writes) queued ~243 events per served RPC, most of
+them zero-delay bookkeeping (process kicks, free-resource grants, leg
+joins).  Lightweight spawn, network legs as callback flows, FIFO grants
+that never cost an event of their own (a free one is pre-fired, a
+queued one is the waiter's service event), fan-out legs started in the
+spawner's stack and the wire's grants and completions run in place
+wherever nothing else is due in their instant took it to ~108, of
+which ~59 are physical delays (the pinned cell is contended: most of
+its grants are hand-offs of a busy pipe or made beside other work, and
+keep the hop — the uncontended cell below is where that rule shows).
 
 This gate pins that down so it cannot silently regress:
 
-* heap events per RPC must stay below ``HEAP_EVENTS_PER_RPC_MAX`` and
-  within ``HEAP_EVENTS_PER_RPC`` +/- 1 — every heap event is a physical
-  delay, so removing relay hops must not move the figure at all,
+* physical delays (calls queued with a positive delay, counted by
+  wrapping ``Simulator._enqueue`` from outside, as
+  ``scripts/event_census.py`` does) per RPC must stay within
+  ``PHYSICAL_DELAYS_PER_RPC`` +/- 1 — removing relay hops must not
+  move the figure at all,
 * total events per RPC must stay below ``EVENTS_PER_RPC_MAX``,
-* physical delays must be at least half of all scheduled events (what
-  is left on the deque is pipe arbitration, message completions,
-  process kicks and joins) — and at least three quarters on the
-  uncontended cell (one mdtest client), where a message mostly meets
-  idle pipes and costs its three physical delays,
+* physical delays must be at least half of all scheduled events (the
+  rest is pipe arbitration, message completions, process kicks and
+  joins) — and at least three quarters on the uncontended cell (one
+  mdtest client), where a message mostly meets idle pipes and costs
+  its three physical delays,
 * simulated physics must match the checked-in throughput (the kernel
   is a scheduler, not a model: it must never change results).
 
@@ -41,6 +39,7 @@ import pathlib
 import pytest
 
 from repro.bench.runner import run_cell
+from repro.sim.engine import Simulator
 from repro.workloads import IorWorkload
 
 MB = 1024 * 1024
@@ -54,12 +53,10 @@ N_CLIENTS = 8
 BLOCK = 2 * MB
 SCALE = 0.2
 
-#: Ceilings with headroom over the measured values (~59 heap / ~108
-#: total per RPC): loose enough for config drift in other layers, tight
-#: enough that losing the fast lane, or re-growing a grant event per
-#: queued CPU charge (~30 more per RPC, scripts/event_census.py), trips
-#: them immediately.
-HEAP_EVENTS_PER_RPC_MAX = 90.0
+#: Ceiling with headroom over the measured value (~108 per RPC): loose
+#: enough for config drift in other layers, tight enough that
+#: re-growing a grant event per queued CPU charge (~30 more per RPC,
+#: scripts/event_census.py) trips it immediately.
 EVENTS_PER_RPC_MAX = 115.0
 
 #: The uncontended cell (``scripts/event_census.py direct-pnfs mdtest
@@ -74,10 +71,10 @@ LONE_CLIENT_PHYSICAL_SHARE_MIN = 0.75
 #: would be ~29 more.
 DRIVER_RESUMES_PER_RPC_MAX = 70.0
 
-#: Heap events per RPC with a Process per chunk and a grant event per
-#: free core (59.4): the physical delays.  Only zero-delay relay hops
-#: have been removed since, so the figure must not have moved.
-HEAP_EVENTS_PER_RPC = 59.4
+#: Physical delays per RPC with a Process per chunk and a grant event
+#: per free core (59.4; 59.2 measured since).  Only zero-delay relay
+#: hops have been removed since, so the figure must not have moved.
+PHYSICAL_DELAYS_PER_RPC = 59.4
 
 #: Simulated aggregate throughput of the pinned cell (deterministic for
 #: a fixed config; scheduler changes must not move it at all).
@@ -85,7 +82,23 @@ EXPECTED_MBPS = 112.73
 MAX_DRIFT = 0.05
 
 
-def test_events_per_rpc_stays_below_ceiling():
+def count_physical_delays(monkeypatch) -> list:
+    """Wrap ``Simulator._enqueue`` for the rest of the test; the one
+    element of the returned list counts the calls queued with a
+    positive delay."""
+    delays = [0]
+    enqueue = Simulator._enqueue
+
+    def counted(self, fn, arg, delay, urgent=False):
+        delays[0] += delay > 0
+        enqueue(self, fn, arg, delay, urgent)
+
+    monkeypatch.setattr(Simulator, "_enqueue", counted)
+    return delays
+
+
+def test_events_per_rpc_stays_below_ceiling(monkeypatch):
+    delays = count_physical_delays(monkeypatch)
     res = run_cell(
         ARCH,
         IorWorkload(op="write", block_size=BLOCK, shared_file=False, scale=SCALE),
@@ -95,7 +108,7 @@ def test_events_per_rpc_stays_below_ceiling():
     engine = res.engine
     rpcs = sum(s.rpc.calls_served for s in res.deployment.servers)
     assert rpcs > 0
-    heap_per_rpc = engine["heap_events"] / rpcs
+    physical_per_rpc = delays[0] / rpcs
     events_per_rpc = engine["events_processed"] / rpcs
 
     report = {
@@ -107,11 +120,8 @@ def test_events_per_rpc_stays_below_ceiling():
         },
         "rpcs": rpcs,
         "events_per_rpc": events_per_rpc,
-        "heap_events_per_rpc": heap_per_rpc,
-        "ceilings": {
-            "heap_events_per_rpc": HEAP_EVENTS_PER_RPC_MAX,
-            "events_per_rpc": EVENTS_PER_RPC_MAX,
-        },
+        "physical_delays_per_rpc": physical_per_rpc,
+        "ceilings": {"events_per_rpc": EVENTS_PER_RPC_MAX},
         "aggregate_mbps": res.aggregate_mbps,
         "engine": dict(engine),
     }
@@ -120,35 +130,32 @@ def test_events_per_rpc_stays_below_ceiling():
         json.dump(report, fh, indent=2)
     print()
     print(
-        f"  {rpcs} RPCs, {events_per_rpc:.1f} events/RPC ({heap_per_rpc:.1f} heap)"
+        f"  {rpcs} RPCs, {events_per_rpc:.1f} events/RPC ({physical_per_rpc:.1f} physical)"
     )
 
     # The physics is untouched by kernel scheduling changes.
     assert res.aggregate_mbps == pytest.approx(EXPECTED_MBPS, rel=MAX_DRIFT)
     # The structural claim: at least every other event is a physical delay.
-    assert engine["heap_events"] >= 0.5 * engine["events_scheduled"]
+    assert delays[0] >= 0.5 * engine["events_scheduled"]
     assert engine["events_processed"] == pytest.approx(
         engine["events_scheduled"], abs=64
     )
     # The gate.
-    assert heap_per_rpc == pytest.approx(HEAP_EVENTS_PER_RPC, abs=1.0)
-    assert heap_per_rpc < HEAP_EVENTS_PER_RPC_MAX, (
-        f"{heap_per_rpc:.1f} heap events per RPC "
-        f"(ceiling {HEAP_EVENTS_PER_RPC_MAX})"
-    )
+    assert physical_per_rpc == pytest.approx(PHYSICAL_DELAYS_PER_RPC, abs=1.0)
     assert events_per_rpc < EVENTS_PER_RPC_MAX, (
         f"{events_per_rpc:.1f} events per RPC (ceiling {EVENTS_PER_RPC_MAX})"
     )
 
 
-def test_uncontended_cell_is_mostly_physical_delays():
+def test_uncontended_cell_is_mostly_physical_delays(monkeypatch):
     from repro.workloads import MdtestWorkload
 
+    delays = count_physical_delays(monkeypatch)
     res = run_cell(ARCH, MdtestWorkload(scale=SCALE), 1, keep_deployment=True)
     engine = res.engine
     rpcs = sum(s.rpc.calls_served for s in res.deployment.servers)
     events_per_rpc = engine["events_processed"] / rpcs
-    physical = engine["heap_events"] / engine["events_scheduled"]
+    physical = delays[0] / engine["events_scheduled"]
     print(f"\n  {rpcs} RPCs, {events_per_rpc:.1f} events/RPC, {100 * physical:.0f} % physical")
     assert events_per_rpc < LONE_CLIENT_EVENTS_PER_RPC_MAX
     assert physical >= LONE_CLIENT_PHYSICAL_SHARE_MIN
@@ -186,7 +193,7 @@ def test_driver_resumes_per_rpc_stay_below_ceiling(monkeypatch):
 
 
 def test_engine_stats_flow_into_run_result():
-    """The lane counters are observable per run: ``RunResult.engine``
+    """The kernel counters are observable per run: ``RunResult.engine``
     carries them (and therefore every benchmark JSON that embeds it),
     and ``repro.obs`` exports them as gauges."""
     from repro.obs import MetricsRegistry, observe_engine
@@ -197,15 +204,11 @@ def test_engine_stats_flow_into_run_result():
         2,
         keep_deployment=True,
     )
-    for key in ("fast_lane_events", "heap_events", "events_scheduled"):
-        assert key in res.engine
-    assert (
-        res.engine["fast_lane_events"] + res.engine["heap_events"]
-        == res.engine["events_scheduled"]
-    )
+    assert res.engine["events_scheduled"] >= res.engine["events_processed"] > 0
+    assert res.engine["peak_heap"] > 0
 
     reg = MetricsRegistry()
     observe_engine(reg, res.deployment.testbed.sim)
     snap = reg.sample_numeric()
-    assert snap["engine.fast_lane_events"] == res.engine["fast_lane_events"]
-    assert snap["engine.heap_events"] == res.engine["heap_events"]
+    for key in ("events_scheduled", "events_processed", "peak_heap"):
+        assert snap[f"engine.{key}"] == res.engine[key]

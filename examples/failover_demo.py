@@ -24,6 +24,7 @@ import sys
 
 from repro.cluster.configs import make_deployment
 from repro.obs import RpcTrace, SpanCollector
+from repro.rpc import RpcPolicy
 from repro.sim import FaultInjector
 from repro.vfs import Payload
 
@@ -42,8 +43,7 @@ def main() -> None:
             rsize=block,
             wsize=block,
             readahead=0,  # keep each phase honest: no prefetch across the kill
-            rpc_timeout=0.2,
-            rpc_max_retries=1,
+            rpc_policy=RpcPolicy(timeout=0.2, max_retries=1),
             ds_retry_interval=1.0,
         ),
     )

@@ -58,10 +58,7 @@ TORTURE_NFS = dict(
     readahead=32 * KB,
     ac_timeo=0.05,
     delegations=False,
-    rpc_timeout=0.25,
-    rpc_max_retries=3,
-    rpc_backoff=2.0,
-    rpc_max_timeout=2.0,
+    rpc_policy=rpc.RpcPolicy(timeout=0.25, max_retries=3, backoff=2.0, max_timeout=2.0),
     ds_retry_interval=0.5,
 )
 TORTURE_PVFS = dict(stripe_size=32 * KB)

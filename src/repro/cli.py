@@ -169,8 +169,12 @@ def _cmd_metrics(args) -> int:
 
     header, run = _cell(args)
     result = run(metrics=True, sample_interval=args.interval)
-    print(f"{header} {result.makespan:.3f} s makespan, {result.aggregate_mbps:.1f} MB/s")
-    print(format_metrics(result))
+    out = sys.stderr if args.json == "-" else sys.stdout
+    print(
+        f"{header} {result.makespan:.3f} s makespan, {result.aggregate_mbps:.1f} MB/s",
+        file=out,
+    )
+    print(format_metrics(result), file=out)
     if args.json:
         report = {
             "arch": result.arch,
@@ -182,9 +186,7 @@ def _cmd_metrics(args) -> int:
             "engine": result.engine,
             "metrics": result.metrics,
         }
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2, default=str)
-        print(f"wrote {args.json}")
+        _emit_json(json.dumps(report, indent=2, default=str), args.json, out)
     return 0
 
 
@@ -270,6 +272,7 @@ def _cmd_torture(args) -> int:
         return 2
     factory = MUTANTS[args.mutant] if args.mutant else None
     metadata = args.metadata or args.mutant == "truncate"
+    out = sys.stderr if args.json == "-" else sys.stdout
 
     if args.replay is not None:
         program = generate(args.replay, metadata_ops=metadata)
@@ -281,28 +284,28 @@ def _cmd_torture(args) -> int:
                 f"seed {args.replay} / {arch}: {status}  "
                 f"trace {res.trace_hash[:16]}  "
                 f"({res.op_count} ops, {len(program.faults)} faults, "
-                f"{res.stats.get('sim_time', 0)} sim s)"
+                f"{res.stats.get('sim_time', 0)} sim s)",
+                file=out,
             )
             for v in res.violations:
-                print(f"  - {v}")
+                print(f"  - {v}", file=out)
             if res.violations and failing is None:
                 failing = arch
         if failing is None:
             return 0
         if args.shrink:
-            print(f"\nshrinking against {failing} ...")
+            print(f"\nshrinking against {failing} ...", file=out)
             minimal, runs = shrink_program(
                 program, failing, client_factory=factory
             )
             print(
                 f"minimal failing program after {runs} runs: "
-                f"{minimal.op_count} ops, {len(minimal.faults)} faults"
+                f"{minimal.op_count} ops, {len(minimal.faults)} faults",
+                file=out,
             )
-            print(minimal.to_json())
+            print(minimal.to_json(), file=out)
             if args.json:
-                with open(args.json, "w") as fh:
-                    fh.write(minimal.to_json())
-                print(f"wrote {args.json}")
+                _emit_json(minimal.to_json(), args.json, out)
         return 1
 
     from repro.check.runner import sweep
@@ -332,7 +335,8 @@ def _cmd_torture(args) -> int:
     print(
         f"{total - len(failures)}/{total} episodes clean "
         f"(seeds {args.start_seed}..{args.start_seed + args.seeds - 1}, "
-        f"arches: {', '.join(arches)})"
+        f"arches: {', '.join(arches)})",
+        file=out,
     )
     if not failures:
         return 0
@@ -344,27 +348,21 @@ def _cmd_torture(args) -> int:
         flags += f" --mutant {args.mutant}"
     print(
         f"\nreproduce with: repro torture --replay {first.seed} "
-        f"--arch {first.arch}{flags} --shrink"
+        f"--arch {first.arch}{flags} --shrink",
+        file=out,
     )
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(
-                [
-                    {
-                        "seed": r.seed,
-                        "arch": r.arch,
-                        "violations": r.violations,
-                        "trace_hash": r.trace_hash,
-                        "program": json.loads(
-                            generate(r.seed, metadata_ops=metadata).to_json()
-                        ),
-                    }
-                    for r in failures
-                ],
-                fh,
-                indent=2,
-            )
-        print(f"wrote {args.json}")
+        report = [
+            {
+                "seed": r.seed,
+                "arch": r.arch,
+                "violations": r.violations,
+                "trace_hash": r.trace_hash,
+                "program": json.loads(generate(r.seed, metadata_ops=metadata).to_json()),
+            }
+            for r in failures
+        ]
+        _emit_json(json.dumps(report, indent=2), args.json, out)
     return 1
 
 
@@ -423,7 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     p_metrics.add_argument(
         "--interval", type=float, default=0.25, help="sampler interval (sim s)"
     )
-    p_metrics.add_argument("--json", help="also write the full report as JSON")
+    p_metrics.add_argument(
+        "--json", help="also write the full report as JSON ('-' for stdout)"
+    )
 
     p_trace = sub.add_parser(
         "trace", help="run one cell and export a Chrome/Perfetto trace"
@@ -466,7 +466,9 @@ def main(argv: list[str] | None = None) -> int:
         "power: 'writeback' = pre-fix silent write-back loss, 'truncate' "
         "= pre-fix attr-cache-only truncate (implies --metadata)",
     )
-    p_torture.add_argument("--json", help="write failing programs as JSON")
+    p_torture.add_argument(
+        "--json", help="write failing programs as JSON ('-' for stdout)"
+    )
     p_torture.add_argument(
         "--jobs",
         type=int,

@@ -38,18 +38,14 @@ class NfsConfig:
     lease_time: float = 90.0
     #: App↔page-cache memcpy cost charged on the client (s/byte).
     client_copy_per_byte: float = 1.0e-9
-    #: RPC fault-layer knobs.  ``rpc_timeout`` is the first attempt's
-    #: client-side timer; 0 (the default) disables timeouts entirely —
-    #: calls wait forever, the pre-fault-layer behaviour, so calibrated
-    #: experiments are bit-identical unless a config opts in.  With a
-    #: timeout, retransmissions back off by ``rpc_backoff`` up to
-    #: ``rpc_max_timeout``, and after ``rpc_max_retries`` retries the
-    #: call raises :class:`repro.rpc.RpcTimeout`.  Retransmission is
-    #: exactly-once via the session reply cache (repro.nfs.sessions).
-    rpc_timeout: float = 0.0
-    rpc_max_retries: int = 5
-    rpc_backoff: float = 2.0
-    rpc_max_timeout: float = 30.0
+    #: The RPC fault layer: client-side timeouts, backoff and retries
+    #: (:class:`repro.rpc.RpcPolicy`).  ``None`` (the default) disables
+    #: it entirely — calls wait forever, the pre-fault-layer behaviour,
+    #: so calibrated experiments are bit-identical unless a config opts
+    #: in.  With a policy, a call that runs out of retries raises
+    #: :class:`repro.rpc.RpcTimeout`; retransmission is exactly-once via
+    #: the session reply cache (repro.nfs.sessions).
+    rpc_policy: Optional[RpcPolicy] = None
     #: Direct-pNFS failover: how long (seconds) a failed data server is
     #: blacklisted before the client re-probes the direct path.  While
     #: blacklisted, its stripes are proxied through the MDS.
@@ -72,27 +68,5 @@ class NfsConfig:
             raise ValueError("thread/slot counts must be >= 1")
         if self.readahead < 0:
             raise ValueError("readahead must be >= 0")
-        if self.rpc_timeout < 0:
-            raise ValueError("rpc_timeout must be >= 0 (0 disables)")
         if self.ds_retry_interval <= 0:
             raise ValueError("ds_retry_interval must be positive")
-        if self.rpc_timeout > 0:
-            # Constructing the policy validates the remaining knobs.
-            RpcPolicy(
-                timeout=self.rpc_timeout,
-                max_retries=self.rpc_max_retries,
-                backoff=self.rpc_backoff,
-                max_timeout=self.rpc_max_timeout,
-            )
-
-    @property
-    def rpc_policy(self) -> Optional[RpcPolicy]:
-        """The retry policy, or ``None`` when timeouts are disabled."""
-        if self.rpc_timeout <= 0:
-            return None
-        return RpcPolicy(
-            timeout=self.rpc_timeout,
-            max_retries=self.rpc_max_retries,
-            backoff=self.rpc_backoff,
-            max_timeout=self.rpc_max_timeout,
-        )

@@ -110,19 +110,13 @@ def observe_network(reg: MetricsRegistry, network) -> None:
 
 
 def observe_engine(reg: MetricsRegistry, sim) -> None:
-    """Event-kernel counters: lane split, heap depth, events-per-run.
+    """Event-kernel counters: calls scheduled and run, queue depth.
 
     Exposes :class:`~repro.sim.engine.EngineStats` so a sampler can
     plot events-per-RPC against the RPC-server counters.
     """
     stats = sim.stats
-    for attr in (
-        "events_scheduled",
-        "events_processed",
-        "fast_lane_events",
-        "heap_events",
-        "peak_heap",
-    ):
+    for attr in ("events_scheduled", "events_processed", "peak_heap"):
         _gauge_attr(reg, f"engine.{attr}", stats, attr)
 
 

@@ -55,7 +55,7 @@ class PnfsClient(Nfs4Client):
         #: direct path timed out, mapped to the sim time at which the
         #: client will probe them again.  While a server is listed, its
         #: stripes are proxied through the MDS as plain NFSv4 I/O.
-        #: Only meaningful when ``cfg.rpc_timeout`` enables the fault
+        #: Only meaningful when ``cfg.rpc_policy`` enables the fault
         #: layer — without timeouts a dead server hangs the call.
         self._ds_blacklist: dict[Nfs4Server, float] = {}
         #: Times a healthy data server was newly failed over from.

@@ -92,9 +92,6 @@ class MetadataServer:
             self.rpc.register(proc, handler)
 
     # -- helpers -----------------------------------------------------------
-    def default_distribution(self) -> Distribution:
-        return SimpleStripe(len(self.daemons), self.cfg.stripe_size)
-
     def _file_meta(self, ns_handle: int) -> FileMeta:
         try:
             return self.files[ns_handle]

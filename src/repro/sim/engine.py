@@ -12,7 +12,8 @@ Determinism
 Whatever is scheduled for the same instant fires in FIFO order of
 scheduling (a monotonically increasing sequence number breaks time
 ties), so a simulation configured with a seeded RNG is exactly
-reproducible.
+reproducible.  The one exception is an *urgent* call (a process
+interrupt), which beats every normal call due in its instant.
 
 The queue holds calls
 ---------------------
@@ -35,36 +36,19 @@ make it.  Four things enqueue:
 
 ``Simulator._enqueue`` is the single choke point for all four.
 
-Two-lane scheduling
--------------------
-The kernel keeps two queues: a FIFO *fast lane* (a deque) for calls
-scheduled with zero delay at the current instant, and the time-ordered
-heap for genuinely future timestamps.  Close to half of a protocol
-simulation's entries are zero-delay bookkeeping — process start kicks,
-pipe grants, hand-offs to queued waiters, joins, message completions —
-and the fast lane turns each of those from an O(log n) heap push/pop
-with tuple comparisons into a deque append/pop.  (What only relays
-control is not queued at all: a free FIFO grant is pre-fired, a
-``spawn`` leg starts in its spawner's stack, and a zero-delay call
-from the tail of a queue entry runs in place when
-:meth:`Simulator.nothing_else_due` — the wire's rule.)
+One queue
+---------
+The queue is one binary heap of ``(time, key, fn, arg)`` entries.
+``key`` is the scheduling sequence number, or that number minus
+``2**62`` for an urgent call, so one integer orders what a
+``(priority, seq)`` pair would: urgent calls first within an instant,
+FIFO among themselves, then everything else FIFO.  Keys are unique, so
+a comparison never reaches ``fn``.
 
-The split preserves firing order *by construction*.  Every entry in
-either lane carries the same ``(time, priority, seq)`` key the pure
-heap used; the fast lane is sorted by that key automatically (entries
-are appended at the current instant with increasing seq), so the
-scheduler pops whichever lane has the smaller head key and the merged
-order is exactly the single-heap order.  Two supporting invariants:
-
-* a fast-lane entry's timestamp always equals ``now`` — the lane only
-  accepts zero-delay calls, and it drains before the clock can
-  advance (its head always compares smaller than any later heap entry);
-* *urgent* calls (process interrupts, priority 0) go to the heap even
-  at zero delay, so they keep beating same-instant priority-1 entries
-  regardless of scheduling order, exactly as before.
-
-The differential tests check the claim against a pure-heap reference
-kernel they keep beside them (a subclass overriding ``_enqueue``).
+What only relays control is not queued at all: a free FIFO grant is
+pre-fired, a ``spawn`` leg starts in its spawner's stack, and a
+zero-delay call from the tail of a queue entry runs in place when
+:meth:`Simulator.nothing_else_due` — the wire's rule.
 
 One generator driver
 --------------------
@@ -88,11 +72,9 @@ Typical usage::
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time as _time
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -264,6 +246,10 @@ class Event:
 #: What a triggered event puts on the queue, with itself as the argument:
 #: the plain function, so firing costs no bound-method allocation.
 _fire = Event._process_callbacks
+
+#: Subtracted from an urgent call's sequence number: it sorts ahead of
+#: every normal call of its instant, and behind older urgent ones.
+_URGENT = 1 << 62
 
 
 class Timeout(Event):
@@ -583,25 +569,15 @@ class EngineStats:
 
     ``wall_seconds`` accumulates real (host) time spent inside
     :meth:`Simulator.run` — the number host-cost claims are measured
-    against, not asserted from.
+    against, not asserted from.  ``peak_heap`` is the most calls the
+    queue ever held at once.
     """
 
+    #: Calls queued so far — and so the next call's sequence number.
+    events_scheduled: int = 0
     events_processed: int = 0
     peak_heap: int = 0
     wall_seconds: float = 0.0
-    #: Lane split of scheduled events: zero-delay entries routed to the
-    #: FIFO fast lane vs entries that paid for a real heap push.
-    fast_lane_events: int = 0
-    heap_events: int = 0
-
-    @property
-    def events_scheduled(self) -> int:
-        """Total events scheduled (sum of the two lane counters).
-
-        Derived rather than counted: ``_enqueue`` is the hottest call
-        in the kernel and bumps exactly one lane counter per event.
-        """
-        return self.fast_lane_events + self.heap_events
 
     def as_dict(self) -> dict:
         return {
@@ -609,14 +585,11 @@ class EngineStats:
             "events_processed": self.events_processed,
             "peak_heap": self.peak_heap,
             "wall_seconds": self.wall_seconds,
-            "fast_lane_events": self.fast_lane_events,
-            "heap_events": self.heap_events,
         }
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"{self.events_scheduled} events scheduled "
-            f"({self.fast_lane_events} fast-lane / {self.heap_events} heap), "
+            f"{self.events_scheduled} events scheduled, "
             f"{self.events_processed} processed, "
             f"peak heap {self.peak_heap}, "
             f"{self.wall_seconds:.3f}s wall"
@@ -624,7 +597,7 @@ class EngineStats:
 
 
 class Simulator:
-    """The event loop: a heap of ``(time, priority, seq, fn, arg)`` calls.
+    """The event loop: a heap of ``(time, key, fn, arg)`` calls.
 
     ``seed`` initialises the simulation-wide RNG used by stochastic
     components (e.g. randomised network-pipe arbitration); runs with the
@@ -633,11 +606,7 @@ class Simulator:
 
     def __init__(self, seed: int = 20070625):
         self.now: float = 0.0
-        self._queue: list[tuple[float, int, int, Callable[[Any], None], Any]] = []
-        #: FIFO fast lane of ``(seq, fn, arg)`` entries, all at time
-        #: ``now`` with normal priority.
-        self._fast: deque = deque()
-        self._seq = itertools.count()
+        self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._active_process: Optional[Process] = None
         self.stats = EngineStats()
         #: Per-simulation id streams (sessions, layout stateids, ...).
@@ -718,41 +687,34 @@ class Simulator:
     def nothing_else_due(self) -> bool:
         """True when no queued call is due at ``now``.
 
-        Neither lane holds a same-instant entry, urgent or older, so a
+        The queue holds no same-instant entry, urgent or older, so a
         zero-delay call scheduled now would be the very next thing
         :meth:`run` pops.  A caller at the *tail* of the running queue
         entry — nothing left to do after the call — may then make it in
         place: the hop would decide nothing (the wire's pipe grants and
-        completions, :mod:`repro.sim.network`).  Reads the same on a
-        pure-heap kernel, whose fast lane is always empty.
+        completions, :mod:`repro.sim.network`).
         """
         queue = self._queue
-        return not self._fast and (not queue or queue[0][0] > self.now)
+        return not queue or queue[0][0] > self.now
 
     def _enqueue(
         self, fn: Callable[[Any], None], arg: Any, delay: float, urgent: bool = False
     ) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule a call {delay!r}s in the past")
+        # The count of calls scheduled so far is the sequence number.
         stats = self.stats
-        if delay == 0.0 and not urgent:
-            # Zero-delay, normal priority: fires at ``now`` in seq order,
-            # which is exactly FIFO append order on the lane.
-            self._fast.append((next(self._seq), fn, arg))
-            stats.fast_lane_events += 1
-            return
+        key = stats.events_scheduled
+        stats.events_scheduled = key + 1
         queue = self._queue
-        heapq.heappush(
-            queue, (self.now + delay, 0 if urgent else 1, next(self._seq), fn, arg)
-        )
-        stats.heap_events += 1
+        heappush(queue, (self.now + delay, key - _URGENT if urgent else key, fn, arg))
         if len(queue) > stats.peak_heap:
             stats.peak_heap = len(queue)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run until the queues drain, a deadline passes, or an event fires.
+        """Run until the queue drains, a deadline passes, or an event fires.
 
-        ``until`` may be ``None`` (drain the queues), a number (stop when
+        ``until`` may be ``None`` (drain the queue), a number (stop when
         simulated time would exceed it; ``now`` is set to the deadline),
         or an :class:`Event` (stop when it fires and return its value).
         """
@@ -770,40 +732,18 @@ class Simulator:
                 )
 
         # Hot loop: this is where a protocol simulation spends most of
-        # its wall clock, so lane heads are compared inline (no
-        # key-tuple allocation) and hot attributes live in
-        # locals.  ``events_processed`` is batched into one add at exit.
+        # its wall clock, so hot attributes live in locals and
+        # ``events_processed`` is batched into one add at exit.
         stats = self.stats
         queue = self._queue
-        fast = self._fast
-        heappop = heapq.heappop
         processed = 0
         wall_start = _time.perf_counter()
         try:
-            while queue or fast:
-                if fast:
-                    if queue:
-                        head = queue[0]
-                        # Heap head beats the fast head only at the same
-                        # instant, via urgent priority or an older seq.
-                        if head[0] <= self.now and (
-                            head[1] == 0 or head[2] < fast[0][0]
-                        ):
-                            _, _, _, fn, arg = heappop(queue)
-                        else:
-                            _, fn, arg = fast.popleft()
-                    else:
-                        _, fn, arg = fast.popleft()
-                    # No deadline check: fast entries fire at ``now`` and
-                    # a winning heap head is also at ``now`` (it beat a
-                    # same-instant key), so neither can pass ``deadline``.
-                else:
-                    when = queue[0][0]
-                    if when > deadline:
-                        self.now = deadline
-                        return None
-                    _, _, _, fn, arg = heappop(queue)
-                    self.now = when
+            while queue:
+                if queue[0][0] > deadline:
+                    self.now = deadline
+                    return None
+                self.now, _, fn, arg = heappop(queue)
                 processed += 1
                 fn(arg)
                 if stop_event is not None and stop_event._state == _PROCESSED:

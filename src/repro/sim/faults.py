@@ -3,8 +3,9 @@
 The :class:`FaultInjector` schedules failures and repairs at simulated
 times — it is the experiment-side counterpart of the recovery machinery
 in the protocol layers (RPC retry, session replay, pNFS failover).
-Schedules are driven purely by sim time and a seeded RNG, so a run with
-a given seed is exactly reproducible (no wall clock anywhere).
+Schedules are driven purely by sim time (a dropped flow draws from the
+simulation's seeded RNG), so a run with a given seed is exactly
+reproducible (no wall clock anywhere).
 
 Fault classes it knows how to inject:
 
@@ -21,7 +22,7 @@ Fault classes it knows how to inject:
 
 Usage::
 
-    inj = FaultInjector(sim, seed=7)
+    inj = FaultInjector(sim)
     inj.outage(ds.rpc, start=2.0, duration=1.5)     # fail at 2s, back at 3.5s
     inj.at(4.0, lambda: nic_delay(...))             # anything callable
     sim.run()
@@ -33,7 +34,7 @@ tests that drive time by hand.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from repro.sim.disk import Disk
 from repro.sim.engine import Simulator
@@ -46,14 +47,8 @@ __all__ = ["FaultInjector"]
 class FaultInjector:
     """Schedules deterministic failures/repairs against sim components."""
 
-    def __init__(self, sim: Simulator, seed: Optional[int] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        if seed is None:
-            self.rng = sim.rng  # share the simulation's seeded stream
-        else:
-            import numpy as np
-
-            self.rng = np.random.default_rng(seed)
         #: Chronological log of injected events: (sim time, description).
         self.events: list[tuple[float, str]] = []
 
@@ -155,16 +150,6 @@ class FaultInjector:
             raise ValueError("outage duration must be positive")
         self.at(start, lambda: self.fail_server(server))
         self.at(start + duration, lambda: self.restore_server(server))
-
-    def node_outage(
-        self, node: Node, start: float, duration: float, services: Iterable = ()
-    ) -> None:
-        """Crash ``node`` at ``start``, restart at ``start + duration``."""
-        if duration <= 0:
-            raise ValueError("outage duration must be positive")
-        svcs = tuple(services)
-        self.at(start, lambda: self.crash_node(node, svcs))
-        self.at(start + duration, lambda: self.restart_node(node, svcs))
 
     def flaky_nic(self, nic: Nic, prob: float, start: float, duration: float) -> None:
         """Drop a random fraction of ``nic``'s flows during the window

@@ -88,6 +88,59 @@ class TestCli:
         kinds = {op["kind"] for ops in failure["program"]["ops"] for op in ops}
         assert "truncate" in kinds
 
+    def test_metrics_json_dash_owns_stdout(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        rc = main(
+            [
+                "metrics", "nfsv4", "ior-write",
+                "--clients", "2", "--scale", "0.02", "--json", "-",
+            ]
+        )
+        assert rc == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["arch"] == "nfsv4" and "utilisation" in report["metrics"]
+        assert "bottleneck" in captured.err
+        assert not (tmp_path / "-").exists()
+
+    def test_torture_json_dash_owns_stdout(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        rc = main(
+            [
+                "torture", "--seeds", "1", "--arch", "nfsv4",
+                "--mutant", "truncate", "--json", "-",
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        (failure,) = json.loads(captured.out)
+        assert failure["seed"] == 0 and failure["violations"]
+        assert "reproduce with:" in captured.err
+        assert not (tmp_path / "-").exists()
+
+    def test_profile_reports_the_hottest_functions(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        rc = main(
+            [
+                "profile", "nfsv4", "ior-write",
+                "--clients", "1", "--scale", "0.02", "--top", "5", "--json", "-",
+            ]
+        )
+        assert rc == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["arch"] == "nfsv4" and len(report["top"]) == 5
+        cumtimes = [row["cumtime"] for row in report["top"]]
+        assert cumtimes == sorted(cumtimes, reverse=True)
+        assert "cumulative" in captured.err
+        assert not (tmp_path / "-").exists()
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.configs import ARCHITECTURES, make_deployment
 from repro.cluster.testbed import FAST_ETHERNET, GIGE, Testbed
 from repro.nfs import NfsConfig
+from repro.rpc import RpcPolicy
 from repro.pvfs2 import Pvfs2Config
 from repro.vfs import Payload
 
@@ -200,7 +201,7 @@ class TestArchitectureTable:
             n_clients=2,
             nfs_overrides=dict(
                 rsize=64 * KB, wsize=64 * KB, readahead=0,
-                rpc_timeout=0.25, rpc_max_retries=1, ds_retry_interval=1.0,
+                rpc_policy=RpcPolicy(timeout=0.25, max_retries=1), ds_retry_interval=1.0,
             ),
             pvfs_overrides=dict(stripe_size=64 * KB),
         )

@@ -163,7 +163,7 @@ class TestMdsFailover:
         cluster = build_cluster(n_storage=3, n_clients=2)
         sim = cluster.sim
         system = _build_direct(
-            cluster, rpc_timeout=0.25, rpc_max_retries=1, ds_retry_interval=1.0
+            cluster, rpc_policy=rpc.RpcPolicy(timeout=0.25, max_retries=1), ds_retry_interval=1.0
         )
         writer = system.make_client(cluster.clients[0])
         reader = system.make_client(cluster.clients[1])
@@ -223,7 +223,7 @@ class TestMdsFailover:
         cluster = build_cluster(n_storage=3, n_clients=2)
         sim = cluster.sim
         system = _build_direct(
-            cluster, rpc_timeout=0.25, rpc_max_retries=1, ds_retry_interval=5.0
+            cluster, rpc_policy=rpc.RpcPolicy(timeout=0.25, max_retries=1), ds_retry_interval=5.0
         )
         writer = system.make_client(cluster.clients[0])
         reader = system.make_client(cluster.clients[1])
@@ -260,7 +260,7 @@ class TestMdsFailover:
         still blocked."""
         cluster = build_cluster(n_storage=3, n_clients=2)
         sim = cluster.sim
-        system = _build_direct(cluster)  # rpc_timeout=0: no fault layer
+        system = _build_direct(cluster)  # rpc_policy=None: no fault layer
         writer = system.make_client(cluster.clients[0])
         reader = system.make_client(cluster.clients[1])
 

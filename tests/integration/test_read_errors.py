@@ -16,7 +16,7 @@ them again.  The write-side twin is ``test_writeback_errors.py``.
 """
 
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
-from repro.rpc import RpcTimeout
+from repro.rpc import RpcPolicy, RpcTimeout
 from repro.vfs import Payload
 from repro.vfs.localfs import LocalClient, LocalFileSystem
 
@@ -33,8 +33,7 @@ def make_faulty(cluster, readahead):
         rsize=RSIZE,
         wsize=RSIZE,
         readahead=readahead,
-        rpc_timeout=0.2,
-        rpc_max_retries=1,
+        rpc_policy=RpcPolicy(timeout=0.2, max_retries=1),
     )
     sim = cluster.sim
     server = Nfs4Server(

@@ -11,7 +11,7 @@ pages for real.
 """
 
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
-from repro.rpc import RpcTimeout
+from repro.rpc import RpcPolicy, RpcTimeout
 from repro.vfs import Payload
 from repro.vfs.localfs import LocalClient, LocalFileSystem
 
@@ -27,8 +27,7 @@ def make_faulty(cluster):
     cfg = NfsConfig(
         rsize=WSIZE,
         wsize=WSIZE,
-        rpc_timeout=0.2,
-        rpc_max_retries=1,
+        rpc_policy=RpcPolicy(timeout=0.2, max_retries=1),
     )
     backing = LocalFileSystem()
     server = Nfs4Server(

@@ -95,7 +95,7 @@ class TestCloseErrorSemantics:
         seed 65: write → reopen during an outage → post-heal fsync
         reported clean while the data was gone)."""
         client, server, backing = make(
-            cluster, rpc_timeout=0.2, rpc_max_retries=1, rpc_backoff=1.0
+            cluster, rpc_policy=rpc_mod.RpcPolicy(timeout=0.2, max_retries=1, backoff=1.0)
         )
         inj = FaultInjector(cluster.sim)
 

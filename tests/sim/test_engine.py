@@ -502,8 +502,6 @@ class TestEngineStats:
             "events_processed",
             "peak_heap",
             "wall_seconds",
-            "fast_lane_events",
-            "heap_events",
         }
 
     def test_timeout_reuse_avoids_new_schedules(self):

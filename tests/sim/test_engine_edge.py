@@ -5,9 +5,6 @@ import pytest
 from repro.sim import AnyOf, Interrupt, Network, Pipe, Resource, Simulator
 from repro.sim.engine import SimulationError
 from tests.sim.test_event_budget import assert_idle
-from tests.sim.test_scheduler_equivalence import PureHeapSimulator
-
-KERNELS = [Simulator, PureHeapSimulator]
 
 
 class TestAnyOfFailures:
@@ -195,18 +192,91 @@ class TestCallLater:
     def test_each_call_is_one_processed_event_on_one_lane(self):
         sim = Simulator()
         sim.call_later(0.0, id)
-        assert (sim.stats.fast_lane_events, sim.stats.heap_events) == (1, 0)
+        assert (sim.stats.events_scheduled, sim.stats.peak_heap) == (1, 1)
         sim.call_later(0.25, id)
-        assert (sim.stats.fast_lane_events, sim.stats.heap_events) == (1, 1)
+        assert (sim.stats.events_scheduled, sim.stats.peak_heap) == (2, 2)
         sim.run()
         assert sim.stats.events_processed == sim.stats.events_scheduled == 2
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+class TestQueueKey:
+    """One heap of ``(time, key, fn, arg)``: the key is the sequence
+    number, less ``2**62`` for an urgent call — earlier time first,
+    then urgent before normal, then FIFO."""
+
+    def test_urgent_call_scheduled_after_same_instant_calls_runs_first(self):
+        sim, order = Simulator(), []
+
+        def entry(_):
+            for i in range(5):
+                sim.call_later(0.0, order.append, i)
+            sim._enqueue(order.append, "urgent", 0.0, urgent=True)
+
+        sim.call_later(1.0, entry)
+        sim.run()
+        assert order == ["urgent", 0, 1, 2, 3, 4]
+
+    def test_urgent_calls_stay_fifo_among_themselves(self):
+        sim, order = Simulator(), []
+        for tag in ("u0", "u1", "u2"):
+            sim.call_later(0.0, order.append, "normal")
+            sim._enqueue(order.append, tag, 0.0, urgent=True)
+        sim.run()
+        assert order == ["u0", "u1", "u2", "normal", "normal", "normal"]
+
+    def test_a_later_time_never_overtakes_even_when_urgent(self):
+        sim, order = Simulator(), []
+        sim.call_later(1.0, order.append, "normal same time")
+        sim._enqueue(order.append, "urgent later", 1.0, urgent=True)
+        sim.call_later(0.5, order.append, "normal sooner")
+        sim.run()
+        assert order == ["normal sooner", "urgent later", "normal same time"]
+
+    def test_nothing_else_is_due_while_an_urgent_call_is(self):
+        sim = Simulator()
+        seen = []
+
+        def entry(_):
+            seen.append(sim.nothing_else_due())
+            sim._enqueue(seen.append, "urgent", 0.0, urgent=True)
+            seen.append(sim.nothing_else_due())
+
+        sim.call_later(1.0, entry)
+        sim.run()
+        assert seen == [True, False, "urgent"]
+
+    def test_urgent_interrupt_beats_same_instant_calls(self):
+        """An interrupt scheduled in the instant of a pending zero-delay
+        timeout fires first: without the urgent key the second tick
+        would come before it."""
+        sim, order = Simulator(), []
+
+        def sleeper():
+            try:
+                yield sim.timeout(10.0)
+            except Interrupt:
+                order.append("interrupted")
+
+        def noisy():
+            for _ in range(3):
+                yield sim.timeout(0.0)
+                order.append("tick")
+
+        victim = sim.process(sleeper())
+
+        def killer():
+            yield sim.timeout(0.0)
+            victim.interrupt("now")
+
+        sim.process(noisy())
+        sim.process(killer())
+        sim.run()
+        assert order == ["tick", "interrupted", "tick", "tick"]
+
+
 class TestTailRule:
     """A zero-delay call from the tail of a queue entry runs in place
-    exactly when nothing else is due in that instant — on either
-    kernel, the predicate reading the heap alike."""
+    exactly when nothing else is due in that instant."""
 
     CHUNK, BW = 1000, 1e6
 
@@ -216,8 +286,8 @@ class TestTailRule:
             net.add_nic(name, self.BW)
         return net
 
-    def test_nothing_else_due_reads_both_lanes(self, kernel):
-        sim = kernel()
+    def test_nothing_else_due_reads_the_queue_head(self):
+        sim = Simulator()
         assert sim.nothing_else_due()
         sim.call_later(1.0, lambda _: None)
         assert sim.nothing_else_due()  # due later, not now
@@ -228,8 +298,8 @@ class TestTailRule:
         sim.run(until=1.0)  # an entry due at the deadline runs
         assert sim.nothing_else_due() and sim.stats.events_processed == 2
 
-    def test_tail_acquire_alone_in_its_instant_is_granted_in_place(self, kernel):
-        sim, order = kernel(), []
+    def test_tail_acquire_alone_in_its_instant_is_granted_in_place(self):
+        sim, order = Simulator(), []
         pipe = Pipe(sim)
 
         def entry(_):
@@ -241,8 +311,8 @@ class TestTailRule:
         assert order == ["granted", "entry over"] and pipe.in_use == 1
         assert sim.stats.events_processed == 1
 
-    def test_another_entry_already_due_this_instant_forces_the_hop(self, kernel):
-        sim, order = kernel(), []
+    def test_another_entry_already_due_this_instant_forces_the_hop(self):
+        sim, order = Simulator(), []
         pipe = Pipe(sim)
         sim.call_later(1.0, lambda _: pipe.acquire(order.append, "granted", True))
         sim.call_later(1.0, order.append, "other")
@@ -250,8 +320,8 @@ class TestTailRule:
         assert order == ["other", "granted"]
         assert sim.stats.events_processed == 3
 
-    def test_a_zero_delay_call_made_earlier_in_the_entry_forces_the_hop(self, kernel):
-        sim, order = kernel(), []
+    def test_a_zero_delay_call_made_earlier_in_the_entry_forces_the_hop(self):
+        sim, order = Simulator(), []
         pipe = Pipe(sim)
 
         def entry(_):
@@ -262,8 +332,8 @@ class TestTailRule:
         sim.run()
         assert order == ["first", "granted"]
 
-    def test_urgent_interrupt_enqueued_in_the_instant_of_a_tail_grant_runs_first(self, kernel):
-        sim, order = kernel(), []
+    def test_urgent_interrupt_enqueued_in_the_instant_of_a_tail_grant_runs_first(self):
+        sim, order = Simulator(), []
         pipe = Pipe(sim)
 
         def sleeper():
@@ -282,8 +352,8 @@ class TestTailRule:
         sim.run()
         assert order == ["interrupted:now", "granted"]
 
-    def test_not_a_tail_hops_even_alone(self, kernel):
-        sim, order = kernel(), []
+    def test_not_a_tail_hops_even_alone(self):
+        sim, order = Simulator(), []
         pipe = Pipe(sim)
 
         def entry(_):
@@ -295,8 +365,8 @@ class TestTailRule:
         assert order == ["entry over", "granted"]
         assert sim.stats.events_processed == 2
 
-    def test_release_hands_on_through_the_queue_even_alone(self, kernel):
-        sim, order = kernel(), []
+    def test_release_hands_on_through_the_queue_even_alone(self):
+        sim, order = Simulator(), []
         pipe = Pipe(sim)
         pipe.acquire(order.append, "holder")
         pipe.acquire(order.append, "waiter", True)
@@ -310,8 +380,8 @@ class TestTailRule:
         sim.run()
         assert order == ["holder", "entry over", "waiter"]
 
-    def test_zero_latency_start_is_no_tail_and_hops(self, kernel):
-        sim = kernel()
+    def test_zero_latency_start_is_no_tail_and_hops(self):
+        sim = Simulator()
         net = self._net(sim, latency=0.0)
         seen = []
 
@@ -331,16 +401,16 @@ class TestTailRule:
         assert sim.now == pytest.approx(4 * self.CHUNK / self.BW)
         assert_idle(net)
 
-    def test_zero_latency_empty_message_completes_through_the_queue(self, kernel):
-        sim = kernel()
+    def test_zero_latency_empty_message_completes_through_the_queue(self):
+        sim = Simulator()
         net = self._net(sim, latency=0.0)
         done = net.transfer("a", "b", 0)
         assert done.triggered and not done.processed
         sim.run()
         assert done.processed and net.flows_chunked == 1
 
-    def test_run_until_done_returns_when_done_fired_in_place(self, kernel):
-        sim = kernel()
+    def test_run_until_done_returns_when_done_fired_in_place(self):
+        sim = Simulator()
         net = self._net(sim, latency=1e-3)
         done = net.transfer("a", "b", 2 * self.CHUNK)
         sim.call_later(1.0, lambda _: None)  # still queued at the return
@@ -351,8 +421,8 @@ class TestTailRule:
         assert sim.stats.events_processed == 5
         assert_idle(net)
 
-    def test_failure_raised_by_a_waiter_of_an_in_place_done_surfaces_from_run(self, kernel):
-        sim = kernel()
+    def test_failure_raised_by_a_waiter_of_an_in_place_done_surfaces_from_run(self):
+        sim = Simulator()
         net = self._net(sim, latency=1e-3)
 
         def receiver():
@@ -365,8 +435,8 @@ class TestTailRule:
         assert not proc.ok and net.flows_completed == 1
         assert_idle(net)
 
-    def test_exception_from_a_callback_of_an_in_place_done_surfaces_from_run(self, kernel):
-        sim = kernel()
+    def test_exception_from_a_callback_of_an_in_place_done_surfaces_from_run(self):
+        sim = Simulator()
         net = self._net(sim, latency=1e-3)
 
         def boom(_event):
@@ -380,8 +450,8 @@ class TestTailRule:
         sim.run()  # and the loop is fit to go on
 
     @pytest.mark.parametrize("dying", ["a", "b"])
-    def test_nic_dying_mid_flow_still_drains_both_pipes(self, kernel, dying):
-        sim = kernel()
+    def test_nic_dying_mid_flow_still_drains_both_pipes(self, dying):
+        sim = Simulator()
         net = self._net(sim, latency=1e-3)
         done = net.transfer("a", "b", 10 * self.CHUNK)
 

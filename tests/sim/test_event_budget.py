@@ -63,6 +63,21 @@ def assert_idle(net):
         assert pipe.in_use == 0 and pipe.queue_len == 0, pipe.name
 
 
+class Delays:
+    """Counts the positive-delay calls ``sim`` queues from now on — its
+    physical delays — by wrapping ``sim._enqueue`` from outside."""
+
+    def __init__(self, sim):
+        self.n = 0
+        enqueue = sim._enqueue
+
+        def counted(fn, arg, delay, urgent=False):
+            self.n += delay > 0
+            enqueue(fn, arg, delay, urgent)
+
+        sim._enqueue = counted
+
+
 def two_flows(pairs, nbytes, kernel=Simulator, per_message_bytes=0):
     """One flow per ``(src, dst)`` pair, both started in one instant.
     Returns ``(entries beyond the two senders' kicks and completions,
@@ -111,10 +126,10 @@ class TestMessageBudget:
         sim = Simulator()
         net = make_net(sim)
         nbytes = k * CHUNK - 1  # k chunks, the last one short
-        heap_before = sim.stats.heap_events
+        delays = Delays(sim)
         cost = events_of(sim, wait_for(lambda: net.transfer("n0", "n1", nbytes)))
         assert cost == 2 * k + 1 + (k > 1)
-        assert sim.stats.heap_events - heap_before == 2 * k + 1
+        assert delays.n == 2 * k + 1
         # Pipelined: the short last chunk reaches the rx pipe behind the
         # full chunk before it, k chunk times in; alone it crosses twice.
         last = nbytes - (k - 1) * CHUNK
@@ -126,12 +141,14 @@ class TestMessageBudget:
     @pytest.mark.parametrize("k", [1, 2, 3, FLOW_WINDOW + 1, FLOW_WINDOW + 2, 10])
     def test_lone_flow_of_k_full_chunks_costs_2k_plus_1(self, k):
         """Equal chunks never meet on the rx pipe: every entry is a
-        physical delay, and every one of them sits on the heap."""
+        physical delay, and only the process's kick and completion are
+        not."""
         sim = Simulator()
         net = make_net(sim)
+        delays = Delays(sim)
         cost = events_of(sim, wait_for(lambda: net.transfer("n0", "n1", k * CHUNK)))
         assert cost == 2 * k + 1
-        assert sim.stats.heap_events == 2 * k + 1 and sim.stats.fast_lane_events == 2
+        assert delays.n == 2 * k + 1 and sim.stats.events_scheduled == 2 * k + 3
         assert sim.now == pytest.approx(LATENCY + (k + 1) * CHUNK / BW, rel=1e-9)
         assert_idle(net)
 
@@ -312,9 +329,9 @@ class TestFifoGrantBudget:
             # The unit went back in the fire path, before this resumed.
             assert sim.now == 1.5 and res.in_use == 0
 
-        heap_before = sim.stats.heap_events
+        delays = Delays(sim)
         assert events_of(sim, user()) == 2  # the timeout and the hold
-        assert sim.stats.heap_events - heap_before == 2
+        assert delays.n == 2
         assert sim.now == 1.5 and res.in_use == 0
 
     def test_queued_hold_waiters_finish_back_to_back_in_arrival_order(self):
@@ -337,13 +354,14 @@ class TestFifoGrantBudget:
     def test_free_random_pipe_acquire_still_costs_its_grant_event(self):
         sim = Simulator()
         pipe = Pipe(sim)
+        delays = Delays(sim)
         got = []
         pipe.acquire(got.append, "mine")
         # Held at once, told a hop later: the grant is a queued call.
         assert pipe.in_use == 1 and got == []
         assert sim.stats.events_scheduled == 1
         sim.run()
-        assert got == ["mine"] and sim.stats.heap_events == 0
+        assert got == ["mine"] and delays.n == 0
         assert sim.stats.events_processed == 1
 
 
@@ -552,16 +570,16 @@ class TestRpcBudget:
 
     def test_header_only_rpc_to_idle_server_costs_fourteen_events(self):
         """Eight physical delays (client CPU, then latency / tx service /
-        rx service each way, server CPU between) are eight heap events,
+        rx service each way, server CPU between) are eight queue entries,
         and alone that is all of it: the four pipe grants and the two
         message completions run in place at the tail of those entries
         (fourteen is the count beside a twin, below).  The free cores
         and worker thread cost nothing — pre-fired FIFO grants and
         inline spawn legs touch neither the pipes nor a physical delay."""
         sim, net, [(client, server)] = self._ping_pairs(1)
-        heap_before = sim.stats.heap_events
+        delays = Delays(sim)
         assert events_of(sim, rpc.call(client, server, "ping", args_bytes=64)) == 8
-        assert sim.stats.heap_events - heap_before == 8
+        assert delays.n == 8
         request = (rpc.HEADER_BYTES + 64 + 120) / BW
         reply = (rpc.HEADER_BYTES + 120) / BW
         assert sim.now == pytest.approx(
@@ -577,7 +595,7 @@ class TestRpcBudget:
         so the six zero-delay entries per RPC stay queue entries."""
         sim, net, pairs = self._ping_pairs(2)
         before = sim.stats.events_processed
-        heap_before = sim.stats.heap_events
+        delays = Delays(sim)
         procs = [
             sim.process(rpc.call(client, server, "ping", args_bytes=64))
             for client, server in pairs
@@ -585,7 +603,7 @@ class TestRpcBudget:
         sim.run()
         assert all(p.processed and p.ok for p in procs)
         assert sim.stats.events_processed - before - 2 * 2 == 2 * 14
-        assert sim.stats.heap_events - heap_before == 2 * 8
+        assert delays.n == 2 * 8
         request = (rpc.HEADER_BYTES + 64 + 120) / BW
         reply = (rpc.HEADER_BYTES + 120) / BW
         assert sim.now == pytest.approx(

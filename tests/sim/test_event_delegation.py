@@ -62,7 +62,7 @@ def physics(res):
         res.makespan,
         res.total_bytes,
         res.engine["events_processed"],
-        res.engine["heap_events"],
+        res.engine["events_scheduled"],
         res.engine["flows_chunked"],
     )
 

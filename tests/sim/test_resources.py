@@ -176,7 +176,7 @@ class TestServe:
         ev = res.serve(0.5)
         assert ev.triggered and not ev.processed
         assert res.in_use == 1 and res.high_water == 1
-        assert sim.stats.events_scheduled == sim.stats.heap_events == 1
+        assert sim.stats.events_scheduled == 1
         sim.run()
         assert ev.processed and ev.value == 1 and sim.now == 0.5
         assert res.in_use == 0 and res.busy_time == 0.5

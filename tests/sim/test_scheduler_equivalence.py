@@ -1,51 +1,34 @@
-"""Differential test: two-lane scheduler vs the pure-heap reference.
+"""Differential test: the wire's tail rule against always hopping.
 
-The two-lane kernel (``Simulator``) claims to be *order-identical by
-construction* to a single-heap kernel (``PureHeapSimulator``, the
-reference defined here).  These tests make the claim empirical:
-randomized event programs — timeouts, zero-delay storms, conditions,
-interrupts, contention for a FIFO resource (held, and served for a
-time) and a callback-granted random-arbitration pipe (asked for
-mid-entry and from the tail of one), lightweight spawns over generator
-and event legs, bare ``call_later`` chains, wire transfers over a
-zero- or positive-latency network — run on both kernels and must
-produce the same firing log: identical (time, label, value) triples in
-identical order.
+The tail rule (a zero-delay call from the tail of a queue entry runs in
+place when ``Simulator.nothing_else_due``) claims to move no order.
+These tests make the claim empirical: randomized event programs —
+timeouts, zero-delay storms, conditions, interrupts, contention for a
+FIFO resource (held, and served for a time) and a callback-granted
+random-arbitration pipe (asked for mid-entry and from the tail of one),
+lightweight spawns over generator and event legs, bare ``call_later``
+chains, wire transfers over a zero- or positive-latency network — run
+on ``Simulator`` and on ``AlwaysHopSimulator``, which never lets the
+rule apply, so every pipe grant and wire completion is a queued call.
+Both must produce the same firing log: identical (time, label, value)
+triples in identical order; only the number of queue entries may move.
 
 Because the log records *processing* order, not just outcomes, any
-reordering of same-instant events (the thing the fast lane could
-plausibly break) fails the comparison even when final state agrees.
-
-The same programs check the wire's tail rule (a zero-delay call from
-the tail of a queue entry runs in place when
-``Simulator.nothing_else_due``): ``AlwaysHopSimulator`` never lets it,
-so every pipe grant and wire completion is a queued call, and the
-firing log must not move — only the number of queue entries may.
+reordering of same-instant events fails the comparison even when final
+state agrees.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 
 import pytest
 
 from collections import deque
 
-from repro.sim.engine import Event, Interrupt, SimulationError, Simulator
+from repro.sim.engine import Event, Interrupt, Simulator
 from repro.sim.network import Network, Pipe
 from repro.sim.resources import Resource
-
-
-class PureHeapSimulator(Simulator):
-    """The reference kernel: every call through the time-ordered heap."""
-
-    def _enqueue(self, fn, arg, delay, urgent=False):
-        if delay < 0:
-            raise SimulationError(f"cannot schedule a call {delay!r}s in the past")
-        key = (self.now + delay, 0 if urgent else 1, next(self._seq), fn, arg)
-        heapq.heappush(self._queue, key)
-        self.stats.heap_events += 1
 
 
 class AlwaysHopSimulator(Simulator):
@@ -249,7 +232,7 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
 
     def interrupter():
         # Fire mid-run and interrupt every still-alive worker waiting on
-        # something — exercises urgent events racing the fast lane.
+        # something — exercises urgent calls racing same-instant ones.
         yield sim.timeout(1.5)
         for p in procs:
             if p.is_alive:
@@ -294,14 +277,6 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_two_lane_matches_pure_heap(seed):
-    ref = _run_program(PureHeapSimulator, seed=seed)
-    fast = _run_program(Simulator, seed=seed)
-    assert ref == fast  # the same log from the same number of entries
-    assert len(ref[0]) > 0  # the program actually did something
-
-
-@pytest.mark.parametrize("seed", range(20))
 def test_tail_relays_in_place_match_always_hopping(seed):
     hop_log, hop_entries = _run_program(AlwaysHopSimulator, seed=seed)
     log, entries = _run_program(Simulator, seed=seed)
@@ -317,61 +292,3 @@ def test_the_programs_do_run_relays_in_place():
     assert all(n >= 0 for n in saved) and sum(n > 0 for n in saved) >= 15, saved
 
 
-def test_pure_heap_mode_disables_fast_lane():
-    sim = PureHeapSimulator()
-
-    def p():
-        yield sim.timeout(0.0)
-        yield sim.timeout(1.0)
-
-    sim.run(until=sim.process(p()))
-    assert sim.stats.fast_lane_events == 0
-    assert sim.stats.heap_events == sim.stats.events_scheduled
-
-
-def test_two_lane_routes_zero_delay_to_fast_lane():
-    sim = Simulator()
-
-    def p():
-        yield sim.timeout(0.0)
-        yield sim.timeout(1.0)
-
-    sim.run(until=sim.process(p()))
-    # Process kick + zero-delay timeout + completion all ride the lane;
-    # only the 1.0s timeout pays for the heap.
-    assert sim.stats.fast_lane_events >= 3
-    assert sim.stats.heap_events >= 1
-    assert (
-        sim.stats.fast_lane_events + sim.stats.heap_events
-        == sim.stats.events_scheduled
-    )
-
-
-def test_urgent_interrupt_beats_same_instant_fast_lane():
-    # An interrupt scheduled at the same instant as pending fast-lane
-    # events must still fire first (urgent events keep heap priority 0).
-    for kernel in (PureHeapSimulator, Simulator):
-        sim = kernel()
-        order = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(10.0)
-            except Interrupt:
-                order.append("interrupted")
-
-        def noisy():
-            for _ in range(3):
-                yield sim.timeout(0.0)
-                order.append("tick")
-
-        victim = sim.process(sleeper())
-
-        def killer():
-            yield sim.timeout(0.0)
-            victim.interrupt("now")
-
-        sim.process(noisy())
-        sim.process(killer())
-        sim.run()
-        assert order.index("interrupted") <= 1, (kernel, order)
