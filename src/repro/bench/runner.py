@@ -1,10 +1,11 @@
 """Execute one experiment cell: (architecture, workload, #clients).
 
 The runner reproduces the paper's measurement protocol: a preparation
-pass (through an extra admin client — creating read data sets warms the
-server caches), then all clients started at the same instant, and the
-aggregate throughput computed as total payload bytes over the group
-makespan, in decimal MB/s as the figures report.
+pass through an extra admin client (read data sets are created over the
+wire and their bytes installed straight into the storage daemons, the
+paper's warm server cache), then all clients started at the same
+instant, and the aggregate throughput computed as total payload bytes
+over the group makespan, in decimal MB/s as the figures report.
 """
 
 from __future__ import annotations
@@ -128,8 +129,10 @@ def run_cell(
     prep_proc = sim.process(prep(), name="prepare")
     sim.run(until=prep_proc)
 
-    # Quiesce: let the storage daemons drain preparation data before
-    # the measured phase (the paper runs each experiment in isolation).
+    # Quiesce: let the storage daemons drain what a prepare wrote over
+    # the wire before the measured phase (the paper runs each experiment
+    # in isolation).  Installed data is already on disk, so after a
+    # read prepare this returns at once.
     def settle():
         deadline = sim.now + 600.0  # safety bound; drains take seconds
         tick = None

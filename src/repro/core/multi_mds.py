@@ -38,6 +38,9 @@ class ShardedPnfsRouter(ShardRouting, FileSystemClient):
     def test_lock(self, f: OpenFile, start: int, end: int, kind: str = "write"):
         return (yield from f.client.test_lock(f, start, end, kind))
 
+    def install(self, path: str, nbytes: int):
+        return self._shard(path).install(path, nbytes)
+
     # Broadcast paths: each pNFS MDS's *backend* is itself a sharded
     # client that broadcasts/unions — routing through one MDS suffices
     # (and broadcasting here too would double-create).

@@ -187,6 +187,13 @@ class Nfs4Client(FileSystemClient):
         for fh in [fh for fh, pc in self._inode_cache.items() if pc.path == path]:
             del self._inode_cache[fh]
 
+    # -- set-up by construction ---------------------------------------------
+    def install(self, path: str, nbytes: int):
+        """Install ``path``'s first ``nbytes`` straight into the exported
+        file system (its ``install``), no simulated time; returns the
+        filehandle."""
+        return self.server.backend.install(path, nbytes)
+
     # -- FileSystemClient ----------------------------------------------------
     def mount(self):
         result, _ = yield from self._call("mount", {})

@@ -123,6 +123,12 @@ class Nfs4Server:
             self._open_files[fh] = f
         return f
 
+    def bind(self, fh) -> None:
+        """Bind ``fh`` now, as :meth:`_file` would at its first I/O, with
+        no simulated time (set-up of installed files)."""
+        if fh not in self._open_files:
+            self._open_files[fh] = self.backend.bind(fh)
+
     # -- handlers -------------------------------------------------------------
     def _h_mount(self, args, payload):
         info = yield from self.backend.mount()

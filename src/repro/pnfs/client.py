@@ -119,6 +119,17 @@ class PnfsClient(Nfs4Client):
         f.state["layout"] = None
         f.state["agg"] = None
 
+    def install(self, path: str, nbytes: int):
+        """Install the bytes, then bind the data servers the file's
+        layout sends ``[0, nbytes)`` to — as a wire write's first I/O at
+        each would have.  ``path`` must have been opened here (layout)."""
+        fh = super().install(path, nbytes)
+        layout = self._layout_cache[fh]
+        segments = driver_for(layout.aggregation).map(0, nbytes, for_write=True)
+        for slot in sorted({seg.device_slot for seg in segments}):
+            self._ds_for(layout, slot).bind(layout.fhs[slot])
+        return fh
+
     # -- data path -------------------------------------------------------------
     def _ds_for(self, layout, slot: int) -> Nfs4Server:
         return self.devices[layout.device_slots[slot]]

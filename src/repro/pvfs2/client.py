@@ -282,3 +282,30 @@ class Pvfs2Client(FileSystemClient):
     def truncate(self, path: str, size: int):
         """Truncate ``path`` to ``size`` bytes (extension beyond POSIX open)."""
         yield from self._mds_call("truncate", {"path": path, "size": size})
+
+    # -- set-up by construction -------------------------------------------
+    def install(self, path: str, nbytes: int) -> int:
+        """Fill the existing file ``path`` with ``nbytes`` of synthetic
+        data, bypassing the wire: a plain call, no simulated time.
+
+        The file is resolved at its metadata server and each server's
+        extent of ``[0, nbytes)`` is laid into its bstream, durable
+        (:meth:`StorageDaemon.install`) — the state a write of the whole
+        file, an fsync and a drain of the daemons would leave, without
+        simulating any of it.  Workloads use it to set up data sets
+        their measured phase only reads.  Returns the file's handle.
+        """
+        f = self.bind(self.mds.namespace.resolve(path).handle)
+        dfiles = f.state["dfiles"]
+        for ext in self._dist_of(f).extents(0, nbytes):
+            self.daemons[ext.server].install(
+                dfiles[ext.server], ext.local, Payload.synthetic(ext.length)
+            )
+        return f.handle
+
+    def bind(self, handle: int) -> OpenFile:
+        """What :meth:`open_by_handle` returns, read off the metadata
+        server directly: no RPC, no simulated time."""
+        info = self.mds._entry_info(self.mds.namespace.by_handle(handle))
+        self._require_file(info, f"handle:{handle}")
+        return self._open_from_info(f"handle:{handle}", info)

@@ -173,3 +173,9 @@ class ShardedPvfs2Client(ShardRouting, FileSystemClient):
 
     def size_hint(self, handle, size):
         return (yield from self._shard_by_handle(handle).size_hint(handle, size))
+
+    def install(self, path: str, nbytes: int) -> int:
+        return self._shard(path).install(path, nbytes)
+
+    def bind(self, handle: int):
+        return self._shard_by_handle(handle).bind(handle)

@@ -218,6 +218,20 @@ class StorageDaemon:
         self.bytes_written += nbytes
         return nbytes, None
 
+    def install(self, handle: int, offset: int, payload: Payload) -> None:
+        """Lay ``payload`` into bstream ``handle`` at ``offset`` directly.
+
+        No request, no simulated time: the bytes end up resident, clean
+        and on the platter, as a write followed by a full drain leaves
+        them.  The direct writer (:meth:`Pvfs2Client.install`) uses it
+        to set up data sets that the measured phase only reads.
+        """
+        self._bstream(handle, create=True).write(offset, payload)
+        if payload.nbytes:
+            self._persisted.setdefault(handle, IntervalSet()).add(
+                offset, offset + payload.nbytes
+            )
+
     def persisted_bytes(self, handle: int) -> int:
         """Bytes of ``handle`` known to be on a platter (introspection)."""
         ivs = self._persisted.get(handle)

@@ -2,10 +2,15 @@
 
 A workload is architecture-agnostic: it only sees
 :class:`~repro.vfs.api.FileSystemClient` instances.  The benchmark
-runner calls ``prepare`` once (through an extra "admin" client — e.g.
-pre-creating the files a read experiment will read, which also warms
-the server caches exactly as the paper's warm-cache read experiments
-require), then starts ``client_proc`` simultaneously on every client.
+runner calls ``prepare`` once through an extra "admin" client, then
+starts ``client_proc`` simultaneously on every client.  ``prepare``
+makes the namespace over the wire (directories, files: handle
+allocation, placement and open state as any client would leave them)
+and lays the bulk bytes a read experiment reads straight into the
+storage daemons with ``admin.install(path, nbytes)``.  The paper
+measures reads from a warm server cache, not how the data got there,
+so simulating an admin client writing it would cost host time no
+figure reports.
 
 All workloads accept a ``scale`` factor that shrinks data volumes and
 operation counts proportionally, so the test suite can exercise them
@@ -59,7 +64,11 @@ class Workload(ABC):
         return np.random.default_rng((self.seed, name_tag, client_idx))
 
     def prepare(self, sim, admin: FileSystemClient, n_clients: int):
-        """Generator: one-time setup (directories, pre-created files)."""
+        """Generator: one-time setup (directories, pre-created files).
+
+        Namespace operations go through ``admin``; bulk data a read
+        phase needs is installed with ``admin.install``.
+        """
         return None
         yield  # pragma: no cover
 

@@ -83,6 +83,28 @@ class TestIor:
         attrs = drive(cluster.sim, check())
         assert attrs.size == 2 * (1 << 20)
 
+    @pytest.mark.parametrize("shared_file", [False, True])
+    def test_read_prepare_cost_is_per_file_not_per_byte(self, shared_file):
+        """The data set is installed, not written: set-up events follow
+        the file count, and a 64x larger file costs the same."""
+        events = []
+        for file_size in (1 << 20, 64 << 20):
+            cluster = build_cluster()
+            pvfs = Pvfs2System(cluster.sim, cluster.storage, Pvfs2Config(stripe_size=256 * 1024))
+            system = DirectPnfsSystem(cluster.sim, pvfs, NfsConfig())
+            w = IorWorkload(
+                op="read", block_size=1 << 20, file_size=file_size, shared_file=shared_file
+            )
+            admin = system.make_client(cluster.clients[0])
+
+            def prep(admin=admin, w=w, sim=cluster.sim):
+                yield from admin.mount()
+                yield from w.prepare(sim, admin, 2)
+
+            drive(cluster.sim, prep())
+            events.append(cluster.sim.stats.events_processed)
+        assert events[0] == events[1]
+
     def test_file_size_rounded_to_blocks(self):
         w = IorWorkload(op="write", block_size=8192, file_size=100_000, scale=1.0)
         assert w.file_size % 8192 == 0
