@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import partial
-from types import MethodType
 
 from repro import rpc
 from repro.check.model import Model
@@ -39,7 +37,6 @@ from repro.vfs.api import FsError, Payload
 
 __all__ = [
     "EpisodeResult",
-    "MUTANTS",
     "run_episode",
     "sweep",
     "TORTURE_NFS",
@@ -94,76 +91,12 @@ def _caps(arch: str) -> set:
     return _FAULT_CAPS.get(arch, {"outage", "blackout", "nic_drop", "nic_delay"})
 
 
-def _unfixed_writeback(self, f, start, end):
-    """``Nfs4Client._writeback`` with the pre-fix write-back bug.
-
-    Before the errseq fix, a failed asynchronous write-back left the
-    range off the dirty list and latched no error: the bytes were gone
-    and the next fsync still reported success.  Re-running a sweep with
-    this mutant must make the durability oracle report the silent
-    loss — the standing proof that the harness has the power to catch
-    the bug class this repo already shipped a fix for.
-    """
-    pc = f.state["pc"]
-    data = pc.cache.read(start, end - start)
-    try:
-        yield from self._io_write(f, start, data)
-    except (FsError, rpc.RpcTimeout):
-        return  # the bug: range already left ``dirty``, no error latched
-    finally:
-        pc.flushing.remove(start, end)
-    pc.commit_needed = True
-    self.bytes_written += data.nbytes
-
-
-def _unfixed_truncate(self, path, size):
-    """``Nfs4Client.truncate`` with the pre-fix truncate bug.
-
-    Before the fix, ``truncate`` only dropped the path's cached
-    attributes: every open file kept its stale ``size``, its cached
-    pages above the cut, and its dirty ranges — so later reads served
-    resurrected bytes from local cache and later write-backs pushed
-    them back to the server — no ``PageCache.clip``, hence no readahead
-    cursor reset either.  A metadata-enabled sweep with this mutant must
-    report truncate-resurrection.
-    """
-    self._attr_cache.pop(path, None)  # the bug: this was the whole fix-less op
-    yield from self._call(
-        "truncate", {"path": path, "size": size, "callback": self._cb}
-    )
-
-
-def _mutant(name, method, dep, node):
-    """Client factory: ``dep``'s client with pre-fix ``method`` bound
-    over its ``name``.  The native PVFS2 client has no page cache,
-    hence neither bug: it stays stock."""
-    cl = dep.make_client(node)
-    if hasattr(cl, "_open_paths"):
-        setattr(cl, name, MethodType(method, cl))
-    return cl
-
-
-#: Named client factories that each revert one shipped fix in memory —
-#: the checker-power gates (``repro torture --mutant NAME``).  A new
-#: gate is one entry here; the name travels through specs and the CLI.
-MUTANTS = {
-    "writeback": partial(_mutant, "_writeback", _unfixed_writeback),
-    "truncate": partial(_mutant, "truncate", _unfixed_truncate),
-}
-
-
 def run_episode(
     program: Program,
     arch: str,
     deadline: float = _EPISODE_DEADLINE,
-    client_factory=None,
 ) -> EpisodeResult:
-    """Run ``program`` against ``arch``; returns violations + trace hash.
-
-    ``client_factory(deployment, node)`` overrides client construction —
-    the hook the silent-loss demonstration uses to install a client
-    class with the pre-fix write-back bug.
-    """
+    """Run ``program`` against ``arch``; returns violations + trace hash."""
     result = EpisodeResult(seed=program.seed, arch=arch, op_count=program.op_count)
     dep = make_deployment(
         arch,
@@ -176,10 +109,9 @@ def run_episode(
     model = Model(program)
     trace: list[tuple] = []
     violations = result.violations
-    make_client = client_factory or (lambda d, node: d.make_client(node))
 
     clients = [
-        make_client(dep, node)
+        dep.make_client(node)
         for node in dep.testbed.client_nodes[: program.n_clients]
     ]
 
@@ -419,9 +351,7 @@ def run_episode(
 
     # -- final verification (skip if wedged: cluster state is moot) ----
     if not result.wedged:
-        verifier = make_client(
-            dep, dep.testbed.client_nodes[program.n_clients]
-        )
+        verifier = dep.make_client(dep.testbed.client_nodes[program.n_clients])
 
         def verify():
             yield from verifier.mount()
@@ -528,7 +458,6 @@ def sweep(
     arches: list[str],
     seeds: int,
     start_seed: int = 0,
-    mutant: str | None = None,
     progress=None,
     jobs: int = 1,
     metadata: bool = False,
@@ -543,14 +472,12 @@ def sweep(
     ``jobs`` fans the (seed, arch) episodes over worker processes via
     :mod:`repro.parallel`; every episode is a pure function of its
     seed, so the result list — including each episode's ``trace_hash``
-    — is identical whatever ``jobs`` is.  ``mutant`` names a
-    :data:`MUTANTS` client factory to run every episode with (workers
-    look it up by name; callables don't pickle).
+    — is identical whatever ``jobs`` is.
     """
     from repro.parallel import run_jobs, torture_spec
 
     specs = [
-        torture_spec(seed, arch, mutant=mutant, metadata=metadata)
+        torture_spec(seed, arch, metadata=metadata)
         for seed in range(start_seed, start_seed + seeds)
         for arch in arches
     ]

@@ -54,7 +54,6 @@ def _violation_kinds(violations: Iterable[str]) -> set:
 def shrink_program(
     program: Program,
     arch: str,
-    client_factory=None,
     max_runs: int = 400,
     progress=None,
 ) -> tuple[Program, int]:
@@ -64,7 +63,7 @@ def shrink_program(
     violation of the same *kind* (same checker) as the original — so
     the shrinker chases one bug instead of hopping between bugs.
     """
-    baseline = run_episode(program, arch, client_factory=client_factory)
+    baseline = run_episode(program, arch)
     if baseline.ok:
         raise ValueError("program does not fail; nothing to shrink")
     target_kinds = _violation_kinds(baseline.violations)
@@ -75,7 +74,7 @@ def shrink_program(
         if runs >= max_runs:
             return False  # budget exhausted: stop accepting removals
         runs += 1
-        res = run_episode(candidate, arch, client_factory=client_factory)
+        res = run_episode(candidate, arch)
         hit = bool(_violation_kinds(res.violations) & target_kinds)
         if progress is not None:
             progress(candidate, hit, runs)

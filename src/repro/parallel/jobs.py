@@ -41,23 +41,9 @@ def figure_cell_spec(exp_id: str, system: str, n_clients: int, scale: float) -> 
     }
 
 
-def torture_spec(
-    seed: int,
-    arch: str,
-    mutant: str | None = None,
-    metadata: bool = False,
-) -> dict:
-    """Spec for one torture episode (seed x architecture).
-
-    ``mutant`` names an entry of :data:`repro.check.runner.MUTANTS`.
-    """
-    return {
-        "kind": "torture",
-        "seed": seed,
-        "arch": arch,
-        "mutant": mutant,
-        "metadata": metadata,
-    }
+def torture_spec(seed: int, arch: str, metadata: bool = False) -> dict:
+    """Spec for one torture episode (seed x architecture)."""
+    return {"kind": "torture", "seed": seed, "arch": arch, "metadata": metadata}
 
 
 def describe(spec: dict) -> str:
@@ -87,13 +73,10 @@ def _run_figure_cell(spec: dict):
 
 def _run_torture(spec: dict):
     from repro.check.program import generate
-    from repro.check.runner import MUTANTS, run_episode
+    from repro.check.runner import run_episode
 
     program = generate(spec["seed"], metadata_ops=spec.get("metadata", False))
-    mutant = spec.get("mutant")
-    return run_episode(
-        program, spec["arch"], client_factory=MUTANTS[mutant] if mutant else None
-    )
+    return run_episode(program, spec["arch"])
 
 
 _RUNNERS = {

@@ -25,6 +25,7 @@ from repro.pvfs2.distribution import (
     SimpleStripe,
     distribution_from_description,
 )
+from repro.pvfs2.storage import Journal
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
 from repro.vfs.api import IsDirectory, NoEntry
@@ -71,10 +72,7 @@ class MetadataServer:
         self.files: dict[int, FileMeta] = {}
         self._next_dfile = handle_base + 1
         self._created_files = 0
-        from repro.sim.resources import Resource as _Resource
-
-        self._journal_lock = _Resource(sim, 1, name=f"{self.name}.journal")
-        self._journal_seq = 0
+        self.journal = Journal(sim, node, cfg, self.name, base=1 << 40)
         for proc, handler in [
             ("mount", self._h_mount),
             ("lookup", self._h_lookup),
@@ -103,20 +101,6 @@ class MetadataServer:
         if meta.dist is None:
             meta.dist = distribution_from_description(meta.dist_desc)
         return meta.dist
-
-    def _journal(self):
-        """Synchronous metadata journal write (BDB sync, see config)."""
-        if not self.cfg.metadata_sync or not self.node.disks:
-            return
-        yield self._journal_lock.acquire()
-        try:
-            offset = (1 << 40) + self._journal_seq * self.cfg.journal_io_bytes
-            self._journal_seq += 1
-            yield from self.node.disks[0].io(
-                offset, self.cfg.journal_io_bytes, write=True
-            )
-        finally:
-            self._journal_lock.release()
 
     def _all_daemons(self, proc: str, args: list[dict]):
         """Join of ``proc`` on every storage server in parallel, server
@@ -190,7 +174,7 @@ class MetadataServer:
             self._next_dfile += 1
         meta = FileMeta(ns_handle=entry.handle, dfiles=dfiles, dist_desc=dist)
         self.files[entry.handle] = meta
-        yield from self._journal()
+        yield from self.journal.write()
         # Allocate a datafile on every storage server — the costly part.
         yield self._all_daemons("create_bstream", [{"handle": d} for d in dfiles])
         return self._entry_info(entry), None
@@ -220,7 +204,7 @@ class MetadataServer:
 
     def _h_mkdir(self, args, payload):
         entry = self.namespace.create(args["path"], is_dir=True, now=self.sim.now)
-        yield from self._journal()
+        yield from self.journal.write()
         return self._entry_info(entry), None
 
     def _h_readdir(self, args, payload):
@@ -231,11 +215,11 @@ class MetadataServer:
         entry = self.namespace.resolve(args["path"])
         if entry.is_dir:
             self.namespace.remove(args["path"], now=self.sim.now)
-            yield from self._journal()
+            yield from self.journal.write()
             return None, None
         meta = self.files.pop(entry.handle, None)
         self.namespace.remove(args["path"], now=self.sim.now)
-        yield from self._journal()
+        yield from self.journal.write()
         if meta is not None:
             yield self._all_daemons(
                 "remove_bstream", [{"handle": d} for d in meta.dfiles]
@@ -244,7 +228,7 @@ class MetadataServer:
 
     def _h_rename(self, args, payload):
         self.namespace.rename(args["old"], args["new"], now=self.sim.now)
-        yield from self._journal()
+        yield from self.journal.write()
         return None, None
 
     def _h_truncate(self, args, payload):

@@ -34,7 +34,7 @@ from repro.sim.resources import Resource
 from repro.vfs.api import FsError, NoEntry, Payload
 from repro.vfs.filedata import FileData
 
-__all__ = ["StorageDaemon"]
+__all__ = ["Journal", "StorageDaemon"]
 
 #: Max bytes the flusher coalesces into one disk request.
 FLUSH_COALESCE = 4 * 1024 * 1024
@@ -45,6 +45,31 @@ BSTREAM_STRIDE = 1 << 34
 
 #: Extra user-level copy cost (s/byte) for the daemon's kernel↔user hop.
 DAEMON_COPY_PER_BYTE = 2.0e-9
+
+
+class Journal:
+    """Synchronous metadata writes (trove/BDB sync) on a node's first
+    disk, one at a time, laid out sequentially from disk address ``base``."""
+
+    def __init__(self, sim: Simulator, node: Node, cfg: Pvfs2Config, name: str, base: int):
+        self.node = node
+        self.cfg = cfg
+        self.base = base
+        self._lock = Resource(sim, 1, name=f"{name}.journal")
+        self._seq = 0
+
+    def write(self):
+        if not self.cfg.metadata_sync or not self.node.disks:
+            return
+        yield self._lock.acquire()
+        try:
+            offset = self.base + self._seq * self.cfg.journal_io_bytes
+            self._seq += 1
+            yield from self.node.disks[0].io(
+                offset, self.cfg.journal_io_bytes, write=True
+            )
+        finally:
+            self._lock.release()
 
 
 class StorageDaemon:
@@ -75,8 +100,7 @@ class StorageDaemon:
         self._drain_waiters: list[Event] = []
         self.bytes_read = 0
         self.bytes_written = 0
-        self._journal_lock = Resource(sim, 1, name=f"{self.name}.journal")
-        self._journal_seq = 0
+        self.journal = Journal(sim, node, cfg, self.name, base=1 << 41)
         for proc, handler in [
             ("read", self._h_read),
             ("write", self._h_write),
@@ -115,29 +139,15 @@ class StorageDaemon:
         return self._pending_bytes
 
     # -- handlers ----------------------------------------------------------
-    def _journal(self):
-        """Synchronous dspace metadata write (trove/BDB sync)."""
-        if not self.cfg.metadata_sync or not self.node.disks:
-            return
-        yield self._journal_lock.acquire()
-        try:
-            offset = (1 << 41) + self._journal_seq * self.cfg.journal_io_bytes
-            self._journal_seq += 1
-            yield from self.node.disks[0].io(
-                offset, self.cfg.journal_io_bytes, write=True
-            )
-        finally:
-            self._journal_lock.release()
-
     def _h_create(self, args, payload):
         self._bstream(args["handle"], create=True)
-        yield from self._journal()
+        yield from self.journal.write()
         return None, None
 
     def _h_remove(self, args, payload):
         self.bstreams.pop(args["handle"], None)
         self._persisted.pop(args["handle"], None)
-        yield from self._journal()
+        yield from self.journal.write()
         return None, None
 
     def _h_size(self, args, payload):

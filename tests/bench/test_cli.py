@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from tests.check import mutants
 
 
 class TestCli:
@@ -65,17 +66,20 @@ class TestCli:
         cats = {e.get("cat") for e in doc["traceEvents"]}
         assert {"client-op", "rpc", "server", "disk"} <= cats
 
-    def test_torture_json_holds_the_program_that_failed(self, capsys, tmp_path):
+    def test_torture_json_holds_the_program_that_failed(
+        self, capsys, tmp_path, monkeypatch
+    ):
         """A failing sweep writes (and tells how to replay) the program
-        it ran — the metadata program ``--mutant truncate`` implies, not
-        the plain program of the same seed."""
+        it ran — the metadata program ``--metadata`` asks for, not the
+        plain program of the same seed."""
         import json
 
+        mutants.apply(monkeypatch, "truncate")
         out_json = tmp_path / "failures.json"
         rc = main(
             [
                 "torture", "--seeds", "1", "--arch", "nfsv4",
-                "--mutant", "truncate", "--json", str(out_json),
+                "--metadata", "--jobs", "1", "--json", str(out_json),
             ]
         )
         assert rc == 1  # seed 0 is the mutant's pinned catching seed
@@ -83,7 +87,7 @@ class TestCli:
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("reproduce with:")
         ]
-        assert hint and "--mutant truncate" in hint[0]
+        assert hint and "--metadata" in hint[0]
         (failure,) = json.loads(out_json.read_text())
         kinds = {op["kind"] for ops in failure["program"]["ops"] for op in ops}
         assert "truncate" in kinds
@@ -109,10 +113,11 @@ class TestCli:
         import json
 
         monkeypatch.chdir(tmp_path)
+        mutants.apply(monkeypatch, "truncate")
         rc = main(
             [
                 "torture", "--seeds", "1", "--arch", "nfsv4",
-                "--mutant", "truncate", "--json", "-",
+                "--metadata", "--jobs", "1", "--json", "-",
             ]
         )
         assert rc == 1
@@ -148,3 +153,11 @@ class TestCli:
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             main(["cell", "direct-pnfs", "nope"])
+
+    @pytest.mark.parametrize(
+        "argv", [["torture", "--mutant", "writeback"], ["quickstart"]]
+    )
+    def test_removed_options_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

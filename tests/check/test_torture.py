@@ -20,8 +20,12 @@ so the failure mode can never quietly return:
 import pytest
 
 from repro.check.program import generate
-from repro.check.runner import MUTANTS, run_episode, sweep
+from repro.check.runner import run_episode, sweep
 from repro.check.shrink import shrink_list
+from repro.cluster.configs import ARCHITECTURES, make_deployment
+from repro.core.system import PnfsSystem
+from repro.nfs.client import Nfs4Client
+from tests.check import mutants
 
 ALL_ARCHES = ["direct-pnfs", "pvfs2", "pnfs-2tier", "pnfs-3tier", "nfsv4"]
 
@@ -55,17 +59,20 @@ class TestEpisodes:
 
 
 class TestPostQuiesceOracles:
-    def test_slot_leak_inside_a_shard_router_is_reported(self):
+    def test_slot_leak_inside_a_shard_router_is_reported(self, monkeypatch):
         """The leak / exactly-once / readahead oracles descend into a
         router's per-shard clients, where the sessions live."""
+        make_client = PnfsSystem.make_client
 
-        def leaky(dep, node):
-            cl = dep.make_client(node)
+        def leaky(self, node):
+            cl = make_client(self, node)
             shard = cl.shards[1]
             shard._session_for(shard.server).slots.acquire()  # never returned
             return cl
 
-        res = run_episode(generate(3), "direct-pnfs-sharded", client_factory=leaky)
+        with monkeypatch.context() as mp:
+            mp.setattr(PnfsSystem, "make_client", leaky)
+            res = run_episode(generate(3), "direct-pnfs-sharded")
         assert any(v.startswith("leak: client0 session to") for v in res.violations)
         assert run_episode(generate(3), "direct-pnfs-sharded").ok
 
@@ -89,14 +96,14 @@ class TestPinnedRegressions:
         res = run_episode(generate(161), "nfsv4")
         assert res.ok, res.violations
 
-    def test_seed_28_buggy_writeback_is_caught(self):
+    def test_seed_28_buggy_writeback_is_caught(self, monkeypatch):
         # Checker power: revert the errseq re-dirty/latch behaviour and
         # the durability oracle must report the silent loss.  nfsv4 has
         # no DS failover, so a long blackout really does kill the
         # write-backs.
-        res = run_episode(
-            generate(28), "nfsv4", client_factory=MUTANTS["writeback"]
-        )
+        with monkeypatch.context() as mp:
+            mutants.apply(mp, "writeback")
+            res = run_episode(generate(28), "nfsv4")
         assert not res.ok
         assert any("silent-loss" in v for v in res.violations)
         # ... and the fixed client sails through the same episode.
@@ -114,14 +121,36 @@ class TestShrinker:
         with pytest.raises(ValueError):
             shrink_list([1, 2], lambda ks: False)
 
-    def test_shrink_seed_65_drops_most_ops(self):
+    def test_shrink_seed_65_drops_most_ops(self, monkeypatch):
         from repro.check.shrink import shrink_program
 
+        mutants.apply(monkeypatch, "writeback")
         program = generate(65)
-        small, runs = shrink_program(program, "nfsv4", MUTANTS["writeback"])
+        small, runs = shrink_program(program, "nfsv4")
         assert runs > 1
         # Not asserting an exact program — just that ddmin made real
         # progress and the result still fails for the same reason.
         assert small.op_count < program.op_count
-        res = run_episode(small, "nfsv4", client_factory=MUTANTS["writeback"])
+        res = run_episode(small, "nfsv4")
         assert not res.ok
+
+
+class TestMutantReach:
+    @pytest.mark.parametrize("name", sorted(mutants.MUTANTS))
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_every_nfs_family_client_runs_the_mutant(self, arch, name, monkeypatch):
+        """The class patch reaches every NFS-family client a deployment
+        builds, each shard behind a router included; the native PVFS2
+        client stays stock."""
+        method, body = mutants.MUTANTS[name]
+        mutants.apply(monkeypatch, name)
+        nfs_family = arch != "pvfs2"
+        dep = make_deployment(arch, n_clients=2)
+        for node in dep.testbed.client_nodes:
+            cl = dep.make_client(node)
+            parts = getattr(cl, "shards", [cl])
+            assert len(parts) == ARCHITECTURES[arch].n_meta
+            for part in parts:
+                assert isinstance(part, Nfs4Client) == nfs_family
+                bound = getattr(part, method, None)
+                assert (getattr(bound, "__func__", None) is body) == nfs_family

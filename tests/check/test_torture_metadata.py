@@ -15,7 +15,8 @@ Pinned regressions for the metadata bug swarm:
 import pytest
 
 from repro.check.program import Program, generate, ns_path, scratch_path
-from repro.check.runner import MUTANTS, run_episode, sweep
+from repro.check.runner import run_episode, sweep
+from tests.check import mutants
 
 ALL_ARCHES = ["direct-pnfs", "pvfs2", "pnfs-2tier", "pnfs-3tier", "nfsv4"]
 
@@ -95,15 +96,13 @@ class TestEpisodes:
 
 
 class TestPinnedRegressions:
-    def test_seed_0_buggy_truncate_is_caught(self):
+    def test_seed_0_buggy_truncate_is_caught(self, monkeypatch):
         # Checker power: revert the truncate fix to its pre-fix
         # attr-cache-only form and the durability oracle must label the
         # failure as truncate-resurrection.
-        res = run_episode(
-            generate(0, metadata_ops=True),
-            "nfsv4",
-            client_factory=MUTANTS["truncate"],
-        )
+        with monkeypatch.context() as mp:
+            mutants.apply(mp, "truncate")
+            res = run_episode(generate(0, metadata_ops=True), "nfsv4")
         assert not res.ok
         assert any("truncate-resurrection" in v for v in res.violations)
         # ... and the fixed client sails through the same episode.
@@ -119,18 +118,15 @@ class TestPinnedRegressions:
 
 
 class TestShrinker:
-    def test_shrink_handles_metadata_kinds(self):
+    def test_shrink_handles_metadata_kinds(self, monkeypatch):
         from repro.check.shrink import shrink_program
 
+        mutants.apply(monkeypatch, "truncate")
         program = generate(0, metadata_ops=True)
-        small, runs = shrink_program(
-            program, "nfsv4", MUTANTS["truncate"]
-        )
+        small, runs = shrink_program(program, "nfsv4")
         assert runs > 1
         assert small.op_count < program.op_count
-        res = run_episode(
-            small, "nfsv4", client_factory=MUTANTS["truncate"]
-        )
+        res = run_episode(small, "nfsv4")
         assert not res.ok
         # The minimised program still carries the essential metadata op.
         kinds = {op.kind for t in small.ops for op in t}

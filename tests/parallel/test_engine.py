@@ -26,16 +26,16 @@ from repro.parallel import (
 
 class TestCacheKeys:
     def test_key_is_stable_and_order_insensitive(self):
-        a = {"kind": "torture", "seed": 3, "arch": "nfsv4", "mutant": None}
-        b = {"mutant": None, "arch": "nfsv4", "seed": 3, "kind": "torture"}
+        a = {"kind": "torture", "seed": 3, "arch": "nfsv4", "metadata": False}
+        b = {"metadata": False, "arch": "nfsv4", "seed": 3, "kind": "torture"}
         assert spec_key(a, "fp") == spec_key(b, "fp")
 
     def test_key_depends_on_every_spec_field_and_code(self):
         base = torture_spec(3, "nfsv4")
         assert spec_key(base, "fp") != spec_key(torture_spec(4, "nfsv4"), "fp")
         assert spec_key(base, "fp") != spec_key(torture_spec(3, "pvfs2"), "fp")
-        mutated = torture_spec(3, "nfsv4", mutant="writeback")
-        assert spec_key(base, "fp") != spec_key(mutated, "fp")
+        metadata = torture_spec(3, "nfsv4", metadata=True)
+        assert spec_key(base, "fp") != spec_key(metadata, "fp")
         assert spec_key(base, "fp") != spec_key(base, "other-code")
 
     def test_code_fingerprint_covers_the_package(self):
