@@ -19,6 +19,7 @@ any observed byte identifies exactly which write produced it.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import asdict, dataclass, field, replace
 
@@ -231,6 +232,30 @@ _FAULT_KINDS = ["outage", "blackout", "nic_drop", "nic_delay"]
 _FAULT_WEIGHTS = [0.40, 0.20, 0.25, 0.15]
 
 
+def _cdf(weights: list[float]) -> list[float]:
+    """The table numpy's ``choice(p=weights)`` searches: the cumulative
+    weights, normalised by their total, as Python floats.
+
+    ``kinds[bisect.bisect_right(cdf, rng.random())]`` is then the same
+    draw as numpy's ``choice(kinds, p=weights)`` — one ``random()``, a
+    right-sided search — without re-validating ``p`` on every call.
+    """
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+_OP_CDF = _cdf(_OP_WEIGHTS)
+_META_OP_CDF = _cdf(_META_OP_WEIGHTS)
+_FAULT_CDF = _cdf(_FAULT_WEIGHTS)
+
+
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` for scalars: numpy's own formula over one
+    ``random()``, without the array machinery."""
+    return lo + (hi - lo) * rng.random()
+
+
 def generate(
     seed: int,
     n_clients: int | None = None,
@@ -241,7 +266,7 @@ def generate(
     """The torture program for ``seed`` — pure function of its arguments."""
     rng = np.random.default_rng(seed)
     n = int(n_clients) if n_clients is not None else int(rng.integers(2, 4))
-    chunk = int(rng.choice([8, 16, 32])) * KB
+    chunk = (8, 16, 32)[int(rng.integers(0, 3))] * KB
     slots_per_client = int(rng.integers(2, 4))
     prog = Program(
         seed=seed,
@@ -267,7 +292,7 @@ def generate(
         def own_range(rng=rng, c=c, own_slots=own_slots):
             """A write range the client owns: one shared slot or private."""
             if rng.random() < 0.6:
-                slot = int(rng.choice(own_slots))
+                slot = own_slots[int(rng.integers(0, len(own_slots)))]
                 base = slot * chunk
                 span = chunk
                 path = SHARED
@@ -303,7 +328,7 @@ def generate(
             file so truncate/recreate have bytes to resurrect."""
             r = rng.random()
             if r < 0.5:
-                slot = int(rng.choice(own_slots))
+                slot = own_slots[int(rng.integers(0, len(own_slots)))]
                 base, span, path = slot * chunk, chunk, SHARED
             elif r < 0.75:
                 base, span, path = 0, prog.private_size, private_path(c)
@@ -316,10 +341,10 @@ def generate(
         # The mode selects the op table and the two path pickers; the
         # metadata kinds are reachable from the metadata table only.
         if metadata_ops:
-            kinds, weights = _META_OP_KINDS, _META_OP_WEIGHTS
+            kinds, cdf = _META_OP_KINDS, _META_OP_CDF
             write_range, pick_path = own_range_meta, meta_rw_path
         else:
-            kinds, weights = _OP_KINDS, _OP_WEIGHTS
+            kinds, cdf = _OP_KINDS, _OP_CDF
             write_range, pick_path = own_range, rw_path
 
         count = (
@@ -328,7 +353,7 @@ def generate(
             else int(rng.integers(6, 14))
         )
         for _ in range(count):
-            kind = str(rng.choice(kinds, p=weights))
+            kind = kinds[bisect.bisect_right(cdf, rng.random())]
             if kind == "write":
                 path, start, end = write_range()
                 track.append(
@@ -393,7 +418,7 @@ def generate(
             else:
                 # Think time stretches the episode across the fault
                 # windows; without it the whole workload outruns them.
-                track.append(Op("sleep", delay=float(rng.uniform(0.01, 0.15))))
+                track.append(Op("sleep", delay=_uniform(rng, 0.01, 0.15)))
         # Orderly epilogue: drop every lock still held, then persist.
         for path, start, end in held:
             track.append(Op("unlock", path, start, end - start))
@@ -405,7 +430,7 @@ def generate(
 
     if with_faults:
         for _ in range(int(rng.integers(0, 3))):
-            kind = str(rng.choice(_FAULT_KINDS, p=_FAULT_WEIGHTS))
+            kind = _FAULT_KINDS[bisect.bisect_right(_FAULT_CDF, rng.random())]
             # Start/duration are sized against the workload: episodes run
             # their ops in a few hundred milliseconds of sim time, so
             # windows beyond that only ever fault an idle cluster.  Most
@@ -414,18 +439,18 @@ def generate(
             # data; a minority outlast it, forcing write-backs to *fail*
             # and the errseq/failover paths to carry the episode.
             duration = (
-                float(rng.uniform(4.0, 8.0))
+                _uniform(rng, 4.0, 8.0)
                 if rng.random() < 0.3
-                else float(rng.uniform(0.05, 0.45))
+                else _uniform(rng, 0.05, 0.45)
             )
             spec = FaultSpec(
                 kind=kind,
                 target=int(rng.integers(0, 8)),
-                start=float(rng.uniform(0.002, 0.2)),
+                start=_uniform(rng, 0.002, 0.2),
                 duration=duration,
-                param=float(rng.uniform(0.05, 0.4))
+                param=_uniform(rng, 0.05, 0.4)
                 if kind == "nic_drop"
-                else float(rng.uniform(0.001, 0.05)),
+                else _uniform(rng, 0.001, 0.05),
             )
             prog.faults.append(spec)
     return prog
