@@ -29,6 +29,7 @@ import pytest
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.report import format_table, shape_checks
+from repro.parallel import ResultCache, default_jobs
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -37,17 +38,10 @@ def bench_scale() -> float:
     return float(os.environ.get("REPRO_SCALE", "0.25"))
 
 
-def bench_jobs() -> int:
-    """Worker processes per panel sweep (``REPRO_JOBS``, default 1)."""
-    return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-
-
 def bench_cache():
     """Shared result cache when ``REPRO_CACHE=1`` (else ``None``)."""
     if not os.environ.get("REPRO_CACHE"):
         return None
-    from repro.parallel import ResultCache
-
     return ResultCache()
 
 
@@ -70,7 +64,7 @@ def run_panel(benchmark):
                 exp_id,
                 scale=bench_scale(),
                 client_counts=bench_counts(exp_id),
-                jobs=bench_jobs(),
+                jobs=default_jobs(),
                 cache=bench_cache(),
             )
 

@@ -141,9 +141,7 @@ def test_ablation_loopback_tax(benchmark):
 
     def once():
         free = replace(
-            ARCHITECTURES["direct-pnfs"],
-            loopback_copy_per_byte=0.0,
-            extra_read_per_byte=0.0,
+            ARCHITECTURES["direct-pnfs"], extra_read_per_byte=0.0, extra_write_per_byte=0.0
         )
         for label, arch in (("taxed", "direct-pnfs"), ("free", free)):
             w = IorWorkload(op="read", block_size=4 * MB, shared_file=True, scale=SCALE)

@@ -33,7 +33,6 @@ Quick start::
 
 from repro.cluster.configs import ARCHITECTURES, make_deployment
 from repro.cluster.testbed import Testbed
-from repro.core.system import DirectPnfsSystem
 from repro.pvfs2.system import Pvfs2System
 from repro.sim.engine import Simulator
 from repro.vfs.api import FileSystemClient, Payload
@@ -42,7 +41,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ARCHITECTURES",
-    "DirectPnfsSystem",
     "FileSystemClient",
     "Payload",
     "Pvfs2System",

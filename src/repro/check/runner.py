@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro import rpc
 from repro.check.model import Model
 from repro.check.program import Program
-from repro.cluster.configs import make_deployment
+from repro.cluster.configs import ARCHITECTURES, make_deployment
 from repro.sim.faults import FaultInjector
 from repro.vfs.api import FsError, Payload
 
@@ -60,11 +60,6 @@ TORTURE_NFS = dict(
 )
 TORTURE_PVFS = dict(stripe_size=32 * KB)
 
-#: Fault kinds each architecture can absorb without wedging by design.
-#: The native PVFS2 client has no RPC retry layer at all — a lost flow
-#: hangs it forever — so it only gets added-latency faults.
-_FAULT_CAPS = {"pvfs2": {"nic_delay"}}
-
 _EPISODE_DEADLINE = 120.0  # sim seconds
 _VERIFY_DEADLINE = 60.0
 _SETTLE = 8.0
@@ -88,7 +83,12 @@ class EpisodeResult:
 
 
 def _caps(arch: str) -> set:
-    return _FAULT_CAPS.get(arch, {"outage", "blackout", "nic_drop", "nic_delay"})
+    """Fault kinds ``arch`` can absorb without wedging by design.  The
+    native PVFS2 client front has no RPC retry layer at all — a lost
+    flow hangs it forever — so it only gets added-latency faults."""
+    if ARCHITECTURES[arch].front == "pvfs2":
+        return {"nic_delay"}
+    return {"outage", "blackout", "nic_drop", "nic_delay"}
 
 
 def run_episode(

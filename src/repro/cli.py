@@ -26,13 +26,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.bench.experiments import EXPERIMENTS
+from repro.cluster.configs import ARCHITECTURES
+
 __all__ = ["main"]
 
 
 def _cmd_list(args) -> int:
-    from repro.bench.experiments import EXPERIMENTS
-    from repro.cluster.configs import ARCHITECTURES
-
     print("architectures:")
     for name in sorted(ARCHITECTURES):
         print(f"  {name}")
@@ -49,7 +49,7 @@ def _cmd_list(args) -> int:
 def _cmd_run(args) -> int:
     import json
 
-    from repro.bench.experiments import EXPERIMENTS, run_experiment
+    from repro.bench.experiments import run_experiment
     from repro.bench.report import experiment_report, format_table, shape_checks
     from repro.parallel import ProgressReporter, ResultCache, default_jobs, describe
 
@@ -350,7 +350,7 @@ def _verb(sub, name: str, func, help: str, cell: bool = False, json: str = ""):
     parser = sub.add_parser(name, help=help)
     parser.set_defaults(func=func)
     if cell:
-        parser.add_argument("arch", help="architecture (see `repro list`)")
+        parser.add_argument("arch", choices=sorted(ARCHITECTURES))
         parser.add_argument("workload", choices=sorted(_WORKLOADS))
         parser.add_argument("--clients", type=int, default=4)
         parser.add_argument("--scale", type=float, default=0.1)
@@ -375,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         sub, "run", _cmd_run, "regenerate one figure panel",
         json="the deterministic result report",
     )
-    p.add_argument("experiment", help="e.g. fig6a, fig7c, fig8d")
+    p.add_argument("experiment", choices=list(EXPERIMENTS))
     p.add_argument("--scale", type=float, default=0.1)
     p.add_argument("--clients", help="comma-separated counts, e.g. 1,4,8")
     p.add_argument("--chart", action="store_true", help="also render an ASCII bar chart")
@@ -418,6 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--arch",
         action="append",
+        choices=sorted(ARCHITECTURES),
         help="architecture to torture (repeatable; default: direct-pnfs, pnfs-2tier)",
     )
     p.add_argument("--seeds", type=int, default=25, help="seed budget")

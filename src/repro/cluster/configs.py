@@ -30,7 +30,7 @@ from functools import partial
 from typing import Callable
 
 from repro.cluster.testbed import GIGE, Testbed
-from repro.core.system import DEFAULT_LOOPBACK_COPY, DEFAULT_LOOPBACK_READ_EXTRA, PnfsSystem
+from repro.core.system import PnfsSystem
 from repro.nfs.client import Nfs4Client
 from repro.nfs.config import NfsConfig
 from repro.nfs.server import Nfs4Server
@@ -41,6 +41,17 @@ from repro.sim.node import Node
 __all__ = ["ARCHITECTURES", "Architecture", "Deployment", "make_deployment"]
 
 MB = 1024 * 1024
+
+#: Per-byte CPU cost (s/byte) of the nfsd <-> loopback <-> user-level
+#: PVFS2 hop on a data server that shares its node with a storage
+#: daemon (§5): an extra user↔kernel copy plus the crossings.  Through
+#: the conduit, replies cross the transfer buffers once more than writes
+#: do — the read extra.  The read total calibrates the data-server CPU
+#: ceiling that flattens warm-cache reads near 509 MB/s (Fig 7a) and
+#: costs Direct-pNFS the Figure 7b crossover against PVFS2 at eight
+#: clients.
+DEFAULT_LOOPBACK_COPY = 8e-9
+DEFAULT_LOOPBACK_READ_EXTRA = 12e-9
 
 #: Gateway surcharges for NFS servers whose backend is a FULL parallel-FS
 #: client (store-and-forward).  These are *measured* inefficiencies the
@@ -65,8 +76,9 @@ class Architecture:
     ``conduit`` makes their backends local-only; ``layout_stripe`` is
     the synthetic layouts' stripe unit, ``None`` for translated
     layouts.  ``n_meta`` is the PVFS2 (and so pNFS) metadata-server
-    count.  The three per-byte surcharges are charged on the NFS
-    server(s) that carry data.  ``label`` names clients and servers.
+    count.  The two per-byte surcharges are each direction's whole
+    extra server CPU (reply bytes, request bytes) on the NFS server(s)
+    that carry data.  ``label`` names clients and servers.
     """
 
     label: str
@@ -75,7 +87,6 @@ class Architecture:
     conduit: bool = False
     layout_stripe: int | None = None
     n_meta: int = 1
-    loopback_copy_per_byte: float = 0.0
     extra_read_per_byte: float = 0.0
     extra_write_per_byte: float = 0.0
 
@@ -83,14 +94,14 @@ class Architecture:
 ARCHITECTURES: dict[str, Architecture] = {
     "direct-pnfs": Architecture(
         "direct-pnfs", "pnfs", conduit=True,
-        loopback_copy_per_byte=DEFAULT_LOOPBACK_COPY,
-        extra_read_per_byte=DEFAULT_LOOPBACK_READ_EXTRA,
+        extra_read_per_byte=DEFAULT_LOOPBACK_COPY + DEFAULT_LOOPBACK_READ_EXTRA,
+        extra_write_per_byte=DEFAULT_LOOPBACK_COPY,
     ),
     "pvfs2": Architecture("pvfs2", "pvfs2"),
     "pnfs-2tier": Architecture(
         "pnfs-2tier", "pnfs", layout_stripe=1 * MB,
-        loopback_copy_per_byte=DEFAULT_LOOPBACK_COPY,
-        extra_write_per_byte=GATEWAY_WRITE_PER_BYTE,
+        extra_read_per_byte=DEFAULT_LOOPBACK_COPY,
+        extra_write_per_byte=DEFAULT_LOOPBACK_COPY + GATEWAY_WRITE_PER_BYTE,
     ),
     "pnfs-3tier": Architecture(
         "pnfs-3tier", "pnfs", dedicated_ds=True, layout_stripe=2 * MB,
@@ -141,11 +152,6 @@ def make_deployment(
     nfs_cfg = NfsConfig(**(nfs_overrides or {}))
     pvfs_cfg = Pvfs2Config(**(pvfs_overrides or {}))
     pvfs = Pvfs2System(tb.sim, tb.storage_nodes, pvfs_cfg, n_meta=row.n_meta)
-    surcharges = dict(
-        loopback_copy_per_byte=row.loopback_copy_per_byte,
-        extra_read_per_byte=row.extra_read_per_byte,
-        extra_write_per_byte=row.extra_write_per_byte,
-    )
     pnfs = None
     if row.front == "pvfs2":
         make_client = pvfs.make_client
@@ -153,15 +159,16 @@ def make_deployment(
     elif row.front == "nfsv4":
         server = Nfs4Server(
             tb.sim, tb.extra_node, pvfs.make_client(tb.extra_node), nfs_cfg,
-            name="nfsv4-server", **surcharges,
+            name="nfsv4-server",
+            extra_read_per_byte=row.extra_read_per_byte,
+            extra_write_per_byte=row.extra_write_per_byte,
         )
         make_client = partial(Nfs4Client, tb.sim, server=server, cfg=nfs_cfg)
         servers = [server]
     else:
         pnfs = PnfsSystem(
-            tb.sim, pvfs, nfs_cfg, label=row.label,
+            tb.sim, pvfs, nfs_cfg, row,
             ds_nodes=tb.diskless_server_nodes if row.dedicated_ds else None,
-            conduit=row.conduit, stripe_unit=row.layout_stripe, **surcharges,
         )
         make_client = pnfs.make_client
         servers = pnfs.data_servers + pnfs.mds_list

@@ -15,8 +15,9 @@ file system's storage nodes directly:
   nodes, reaching local data through a loopback conduit — no
   inter-server data traffic;
 * :mod:`repro.core.system` assembles any file-layout pNFS system over a
-  :class:`~repro.pvfs2.system.Pvfs2System` (``PnfsSystem``); Direct-pNFS
-  is the one with the translator and the conduits (``DirectPnfsSystem``).
+  :class:`~repro.pvfs2.system.Pvfs2System` (``PnfsSystem``) from its
+  :data:`~repro.cluster.configs.ARCHITECTURES` row; Direct-pNFS is the
+  row with the translator and the conduits (``"direct-pnfs"``).
 """
 
 from repro.core.aggregation import (
@@ -34,12 +35,11 @@ from repro.core.layout_translator import LayoutTranslator
 
 # Last: it imports repro.pnfs.client, which imports the aggregation
 # registry above.
-from repro.core.system import DirectPnfsSystem, PnfsSystem
+from repro.core.system import PnfsSystem
 
 __all__ = [
     "AggregationDriver",
     "DeviceCycleDriver",
-    "DirectPnfsSystem",
     "HierarchicalDriver",
     "IoSegment",
     "LayoutTranslator",

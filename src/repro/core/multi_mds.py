@@ -1,8 +1,10 @@
 """Extension: Direct-pNFS over decentralised metadata.
 
 :mod:`repro.pvfs2.sharding` hash-partitions the PVFS2 namespace over
-several metadata servers; :class:`~repro.core.system.DirectPnfsSystem`
-then colocates one pNFS metadata server with each.  The client side is
+several metadata servers; :class:`~repro.core.system.PnfsSystem`, built
+from the ``direct-pnfs-sharded`` row of
+:data:`~repro.cluster.configs.ARCHITECTURES`, then colocates one pNFS
+metadata server with each.  The client side is
 this router: stock pNFS clients, one session per shard, control
 operations routed by path — the decentralised counterpart of NFSv4's
 single metadata server (§6.4.3, future work in the paper).

@@ -27,6 +27,8 @@ no remote parallel-FS metadata requests from the pNFS server (§4.1).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.layout_translator import LayoutTranslator
 from repro.core.multi_mds import ShardedPnfsRouter
 from repro.nfs.config import NfsConfig
@@ -38,60 +40,52 @@ from repro.pvfs2.system import Pvfs2System
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
 
-__all__ = ["DEFAULT_LOOPBACK_COPY", "DEFAULT_LOOPBACK_READ_EXTRA", "DirectPnfsSystem", "PnfsSystem"]
+if TYPE_CHECKING:
+    from repro.cluster.configs import Architecture
 
-#: Per-byte CPU cost (s/byte) of the nfsd <-> loopback <-> user-level
-#: PVFS2 hop on a data server that shares its node with a storage
-#: daemon (§5): an extra user↔kernel copy plus the crossings.  Through
-#: the conduit, replies cross the transfer buffers once more than writes
-#: do — the read extra.  The read total calibrates the data-server CPU
-#: ceiling that flattens warm-cache reads near 509 MB/s (Fig 7a) and
-#: costs Direct-pNFS the Figure 7b crossover against PVFS2 at eight
-#: clients.
-DEFAULT_LOOPBACK_COPY = 8e-9
-DEFAULT_LOOPBACK_READ_EXTRA = 12e-9
+__all__ = ["PnfsSystem"]
 
 
 class PnfsSystem:
     """A running file-layout pNFS file system exported from a parallel FS.
 
-    ``ds_nodes`` are dedicated data-server nodes (3-tier); by default
-    the data servers share the parallel FS's storage nodes, in daemon
-    order, so the translator's identity device mapping lines up with
-    the distribution.  ``conduit`` makes their backends local-only;
-    ``stripe_unit`` issues synthetic round-robin layouts at that unit —
-    blind to where PVFS2 put the bytes (§3.4.1) — instead of translated
-    ones.  ``ds_costs`` are the per-byte surcharges of every data
-    server (:class:`~repro.nfs.server.Nfs4Server`'s three).  ``label``
-    names the clients and, less its ``pnfs`` affix, the servers.
+    ``arch`` is the pNFS row of :data:`~repro.cluster.configs.ARCHITECTURES`
+    that shapes it: its ``conduit`` makes the data servers' backends
+    local-only; its ``layout_stripe`` issues synthetic round-robin
+    layouts at that unit — blind to where PVFS2 put the bytes (§3.4.1)
+    — instead of translated ones; its two surcharges are every data
+    server's; its ``label`` names the clients and, less its ``pnfs``
+    affix, the servers.  ``ds_nodes`` are dedicated data-server nodes
+    (3-tier); by default the data servers share the parallel FS's
+    storage nodes, in daemon order, so the translator's identity device
+    mapping lines up with the distribution.
     """
 
     def __init__(
         self,
         sim: Simulator,
         pvfs: Pvfs2System,
-        cfg: NfsConfig | None = None,
-        label: str = "pnfs",
+        cfg: NfsConfig,
+        arch: Architecture,
         ds_nodes: list[Node] | None = None,
-        conduit: bool = False,
-        stripe_unit: int | None = None,
-        **ds_costs: float,
     ):
         self.sim = sim
         self.pvfs = pvfs
-        self.cfg = cfg = cfg or NfsConfig()
-        self.label = label
+        self.cfg = cfg
+        self.label = arch.label
         # Server names are hashed into the trace pins and printed by the
         # fault log: ``{node}.{tier}-ds`` / ``{node}.{tier}-mds``, the
         # MDS of a dedicated tier historically without its node prefix.
-        tier = label.removeprefix("pnfs-").removesuffix("-pnfs")
+        tier = arch.label.removeprefix("pnfs-").removesuffix("-pnfs")
         dedicated = ds_nodes is not None
         if not dedicated:
             ds_nodes = pvfs.storage_nodes
         self.data_servers = [
             Nfs4Server(
-                sim, node, pvfs.make_client(node, local_only=conduit), cfg,
-                name=f"{node.name}.{tier}-ds", **ds_costs,
+                sim, node, pvfs.make_client(node, local_only=arch.conduit), cfg,
+                name=f"{node.name}.{tier}-ds",
+                extra_read_per_byte=arch.extra_read_per_byte,
+                extra_write_per_byte=arch.extra_write_per_byte,
             )
             for node in ds_nodes
         ]
@@ -100,10 +94,10 @@ class PnfsSystem:
         self.mds_list: list[PnfsMetadataServer] = []
         for node in ds_nodes[: len(pvfs.metadata_servers)]:
             backend = pvfs.make_client(node)
-            if stripe_unit is None:
+            if arch.layout_stripe is None:
                 provider = LayoutTranslator(backend)
             else:
-                provider = SyntheticFileLayoutProvider(len(ds_nodes), stripe_unit)
+                provider = SyntheticFileLayoutProvider(len(ds_nodes), arch.layout_stripe)
             name = f"{tier}-mds" if dedicated else f"{node.name}.{tier}-mds"
             self.mds_list.append(
                 PnfsMetadataServer(sim, node, backend, cfg, self.data_servers, provider, name=name)
@@ -140,15 +134,3 @@ class PnfsSystem:
     def restart_data_server(self, node: Node | str) -> None:
         """Bring the data-server service on ``node`` back up."""
         self.data_server_for(node).rpc.restore()
-
-
-class DirectPnfsSystem(PnfsSystem):
-    """Direct-pNFS over ``pvfs`` (Figures 4 and 5): translated layouts,
-    conduit data servers on every storage node."""
-
-    def __init__(self, sim: Simulator, pvfs: Pvfs2System, cfg: NfsConfig | None = None):
-        super().__init__(
-            sim, pvfs, cfg, label="direct-pnfs", conduit=True,
-            loopback_copy_per_byte=DEFAULT_LOOPBACK_COPY,
-            extra_read_per_byte=DEFAULT_LOOPBACK_READ_EXTRA,
-        )

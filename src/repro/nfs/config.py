@@ -57,7 +57,8 @@ class NfsConfig:
             client_per_call=35e-6,
             client_per_byte=3.5e-9,
             server_per_call=50e-6,
-            server_per_byte=5.5e-9,
+            server_per_byte_in=5.5e-9,
+            server_per_byte_out=5.5e-9,
         )
     )
 

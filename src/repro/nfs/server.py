@@ -47,7 +47,6 @@ class Nfs4Server:
         backend: FileSystemClient,
         cfg: NfsConfig,
         name: str = "",
-        loopback_copy_per_byte: float = 0.0,
         extra_read_per_byte: float = 0.0,
         extra_write_per_byte: float = 0.0,
     ):
@@ -56,28 +55,16 @@ class Nfs4Server:
         self.backend = backend
         self.cfg = cfg
         self.name = name or f"{node.name}.nfsd"
-        #: Extra per-byte CPU charged on data ops — the Direct-pNFS
-        #: loopback conduit copy (kernel nfsd ↔ user PVFS2 daemon).
-        self.loopback_copy_per_byte = loopback_copy_per_byte
-        #: Calibrated gateway surcharges for servers whose backend is a
-        #: *full* parallel-FS client (store-and-forward data servers /
-        #: standalone NFSv4): extra effective CPU per byte on the read
-        #: and write paths beyond what the copy model captures —
-        #: request re-buffering, kernel/user crossings, unaligned
-        #: stripe handling (see repro.cluster.configs).
-        self.extra_read_per_byte = extra_read_per_byte
-        self.extra_write_per_byte = extra_write_per_byte
-        # Per-byte path costs are part of the server's streaming
-        # pipeline: fold them into the RPC cost model so they overlap
-        # the wire (and still consume this node's CPU).
+        # The surcharges — extra CPU per request (write) and reply (read)
+        # byte: the Direct-pNFS loopback conduit copy, the gateway costs
+        # of a full parallel-FS backend (repro.cluster.configs) — are
+        # part of the server's streaming pipeline: fold them into the RPC
+        # cost model so they overlap the wire (and still consume this
+        # node's CPU).
         costs = replace(
             cfg.costs,
-            server_per_byte_in=cfg.costs.per_byte_in
-            + loopback_copy_per_byte
-            + extra_write_per_byte,
-            server_per_byte_out=cfg.costs.per_byte_out
-            + loopback_copy_per_byte
-            + extra_read_per_byte,
+            server_per_byte_in=cfg.costs.server_per_byte_in + extra_write_per_byte,
+            server_per_byte_out=cfg.costs.server_per_byte_out + extra_read_per_byte,
         )
         self.rpc = RpcServer(sim, node, self.name, costs, threads=cfg.server_threads)
         self._open_files: dict[object, OpenFile] = {}

@@ -60,7 +60,8 @@ class Pvfs2Config:
             client_per_call=60e-6,
             client_per_byte=4.5e-9,
             server_per_call=60e-6,
-            server_per_byte=5.0e-9,
+            server_per_byte_in=5.0e-9,
+            server_per_byte_out=5.0e-9,
         )
     )
     #: Per-*request* setup, charged once per (I/O op, server) pair —
@@ -77,7 +78,8 @@ class Pvfs2Config:
             client_per_call=150e-6,
             client_per_byte=2e-9,
             server_per_call=180e-6,
-            server_per_byte=2e-9,
+            server_per_byte_in=2e-9,
+            server_per_byte_out=2e-9,
         )
     )
 

@@ -128,29 +128,19 @@ class RpcCosts:
     """CPU cost model for one protocol stack (reference-speed seconds).
 
     ``*_per_call`` covers marshalling, context switches and interrupt
-    handling; ``*_per_byte`` covers data copies (user↔kernel↔NIC).
-    ``server_per_byte_in``/``_out`` override the symmetric
-    ``server_per_byte`` for asymmetric paths (gateway data servers whose
-    write and read pipelines differ).  The calibrated values are the
-    ``NfsConfig`` / ``Pvfs2Config`` defaults.
+    handling; ``*_per_byte*`` covers data copies (user↔kernel↔NIC).  The
+    server's per-byte cost is per direction: ``_in`` per request-payload
+    byte (write path), ``_out`` per reply-payload byte (read path), so a
+    data server whose write and read pipelines differ is two numbers.
+    The calibrated values are the ``NfsConfig`` / ``Pvfs2Config``
+    defaults.
     """
 
     client_per_call: float = 20e-6
     client_per_byte: float = 4e-9
     server_per_call: float = 25e-6
-    server_per_byte: float = 4e-9
-    server_per_byte_in: Optional[float] = None
-    server_per_byte_out: Optional[float] = None
-
-    @property
-    def per_byte_in(self) -> float:
-        """Server CPU per request-payload byte (write path)."""
-        return self.server_per_byte_in if self.server_per_byte_in is not None else self.server_per_byte
-
-    @property
-    def per_byte_out(self) -> float:
-        """Server CPU per reply-payload byte (read path)."""
-        return self.server_per_byte_out if self.server_per_byte_out is not None else self.server_per_byte
+    server_per_byte_in: float = 4e-9
+    server_per_byte_out: float = 4e-9
 
 
 class RpcServer:
@@ -290,7 +280,7 @@ def _attempt(
             if not server.up:
                 yield _lost(sim)  # server died while the request queued
             yield server.node.compute(
-                costs.server_per_call + costs.per_byte_in * req_payload_bytes
+                costs.server_per_call + costs.server_per_byte_in * req_payload_bytes
             )
             cached = session.cached_reply(seq) if session is not None and seq is not None else None
             if cached is not None:
@@ -336,7 +326,7 @@ def _attempt(
             if reply_payload_bytes:
                 yield sim.spawn(
                     reply,
-                    server.node.compute(costs.per_byte_out * reply_payload_bytes),
+                    server.node.compute(costs.server_per_byte_out * reply_payload_bytes),
                     client_node.compute(costs.client_per_byte * reply_payload_bytes),
                 )
             else:

@@ -155,6 +155,21 @@ class TestCli:
             main(["cell", "direct-pnfs", "nope"])
 
     @pytest.mark.parametrize(
+        "argv, valid",
+        [
+            (["cell", "afs", "ior-write"], "direct-pnfs"),
+            (["run", "fig9"], "fig7a"),
+            (["torture", "--arch", "afs"], "pnfs-2tier"),
+        ],
+    )
+    def test_unknown_name_lists_the_valid_ones(self, argv, valid, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and valid in err
+
+    @pytest.mark.parametrize(
         "argv", [["torture", "--mutant", "writeback"], ["quickstart"]]
     )
     def test_removed_options_rejected(self, argv):

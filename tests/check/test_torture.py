@@ -17,6 +17,8 @@ so the failure mode can never quietly return:
   silent loss within the CI seed budget.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.check.program import generate
@@ -56,6 +58,17 @@ class TestEpisodes:
         results = sweep(["direct-pnfs"], seeds=2, start_seed=3)
         assert len(results) == 2
         assert all(r.ok for r in results)
+
+    def test_fault_caps_follow_the_front_not_the_name(self, monkeypatch):
+        """A native-PVFS2 row under another name has no retry layer
+        either: seed 24's outage is skipped, only its NIC delay plays."""
+        copy = replace(ARCHITECTURES["pvfs2"], label="pvfs2-copy")
+        monkeypatch.setitem(ARCHITECTURES, "pvfs2-copy", copy)
+        program = generate(24)
+        assert {f.kind for f in program.faults} == {"nic_delay", "outage"}
+        res = run_episode(program, "pvfs2-copy")
+        assert res.ok, res.violations
+        assert res.fault_log and all("nic delay" in what for _, what in res.fault_log)
 
 
 class TestPostQuiesceOracles:

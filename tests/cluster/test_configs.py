@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.configs import ARCHITECTURES, make_deployment
 from repro.cluster.testbed import FAST_ETHERNET, GIGE, Testbed
 from repro.nfs import NfsConfig
+from repro.nfs.server import Nfs4Server
 from repro.rpc import RpcPolicy
 from repro.pvfs2 import Pvfs2Config
 from repro.vfs import Payload
@@ -147,11 +148,38 @@ SERVER_NAMES = {
     "pvfs2": [f"server{i}.pvfs2d" for i in range(6)] + ["server0.pvfs2-mds"],
 }
 
+#: The exact server CPU per request / reply byte of each row's NFS
+#: servers (``repr`` of the float), as ``(data server, MDS)`` pairs; the
+#: nfsv4 server is a data server, the native PVFS2 front has none.  A
+#: surcharge sum written in another association order moves these
+#: before it moves a trace pin.
+EFFECTIVE_PER_BYTE = {
+    "direct-pnfs": (("1.35e-08", "2.55e-08"), ("5.5e-09", "5.5e-09")),
+    "direct-pnfs-sharded": (("1.35e-08", "2.55e-08"), ("5.5e-09", "5.5e-09")),
+    "pnfs-2tier": (("6.349999999999999e-08", "1.35e-08"), ("5.5e-09", "5.5e-09")),
+    "pnfs-3tier": (("5.55e-08", "7.05e-08"), ("5.5e-09", "5.5e-09")),
+    "nfsv4": (("5.55e-08", "5.5e-09"), None),
+    "pvfs2": (None, None),
+}
+
 
 class TestArchitectureTable:
     @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
     def test_server_names_and_order_are_the_hashed_ones(self, arch):
         assert [s.name for s in make_deployment(arch).servers] == SERVER_NAMES[arch]
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_effective_per_byte_costs_are_pinned(self, arch):
+        got = {}
+        for server in make_deployment(arch, n_clients=1).servers:
+            if isinstance(server, Nfs4Server):
+                costs = server.rpc.costs
+                role = "mds" if server.name.endswith("-mds") else "ds"
+                got.setdefault(role, set()).add(
+                    (repr(costs.server_per_byte_in), repr(costs.server_per_byte_out))
+                )
+        ds, mds = EFFECTIVE_PER_BYTE[arch]
+        assert got == {role: {pair} for role, pair in (("ds", ds), ("mds", mds)) if pair}
 
     def test_an_ablation_is_a_row_with_one_field_replaced(self):
         matched = replace(ARCHITECTURES["pnfs-2tier"], layout_stripe=2 * MB)

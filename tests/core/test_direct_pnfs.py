@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import DirectPnfsSystem
+from repro.cluster.configs import ARCHITECTURES
+from repro.core import PnfsSystem
 from repro.core.layout_translator import register_translation, translate_aggregation
 from repro.nfs import NfsConfig
 from repro.pvfs2 import Pvfs2Config, Pvfs2System, VarStrip
@@ -17,7 +18,7 @@ def make_direct(cluster, stripe_size=64 * 1024, **nfs_kw):
     )
     nfs_kw.setdefault("rsize", 64 * 1024)
     nfs_kw.setdefault("wsize", 64 * 1024)
-    system = DirectPnfsSystem(cluster.sim, pvfs, NfsConfig(**nfs_kw))
+    system = PnfsSystem(cluster.sim, pvfs, NfsConfig(**nfs_kw), ARCHITECTURES["direct-pnfs"])
     return system, pvfs
 
 
@@ -51,7 +52,7 @@ class TestLayoutTranslator:
 
     def test_varstrip_distribution_translates_to_varstrip_driver(self, cluster):
         pvfs = Pvfs2System(cluster.sim, cluster.storage, Pvfs2Config())
-        system = DirectPnfsSystem(cluster.sim, pvfs, NfsConfig())
+        system = PnfsSystem(cluster.sim, pvfs, NfsConfig(), ARCHITECTURES["direct-pnfs"])
         client = system.make_client(cluster.clients[0])
         pattern = [(0, 4096), (1, 8192), (2, 4096)]
 
@@ -73,7 +74,7 @@ class TestLayoutTranslator:
         """The layout spans the distribution's servers, not just the
         devices its pattern names: device 1 holds no strip here."""
         pvfs = Pvfs2System(cluster.sim, cluster.storage, Pvfs2Config())
-        system = DirectPnfsSystem(cluster.sim, pvfs, NfsConfig())
+        system = PnfsSystem(cluster.sim, pvfs, NfsConfig(), ARCHITECTURES["direct-pnfs"])
         client = system.make_client(cluster.clients[0])
         pattern = [(0, 4096), (2, 8192)]
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import DirectPnfsSystem
+from repro.cluster.configs import ARCHITECTURES
+from repro.core import PnfsSystem
 from repro.nfs import NfsConfig
 from repro.nfs.locks import LockConflict
 from repro.pvfs2 import Pvfs2Config, Pvfs2System
@@ -20,8 +21,9 @@ def make_sharded(cluster, n_meta=2):
         Pvfs2Config(stripe_size=64 * 1024),
         n_meta=n_meta,
     )
-    system = DirectPnfsSystem(
-        cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
+    system = PnfsSystem(
+        cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024),
+        ARCHITECTURES["direct-pnfs"],
     )
     return pvfs, system
 
@@ -201,8 +203,9 @@ class TestShardedDirectPnfs:
             pvfs = Pvfs2System(
                 cl.sim, cl.storage, Pvfs2Config(stripe_size=64 * 1024), n_meta=n_meta
             )
-            system = DirectPnfsSystem(
-                cl.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
+            system = PnfsSystem(
+                cl.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024),
+                ARCHITECTURES["direct-pnfs"],
             )
             clients = [system.make_client(cl.clients[i]) for i in range(4)]
 

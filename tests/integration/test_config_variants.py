@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import DirectPnfsSystem
+from repro.cluster.configs import ARCHITECTURES
+from repro.core import PnfsSystem
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.pvfs2 import Pvfs2Config, Pvfs2System
 from repro.vfs import Payload
@@ -63,8 +64,9 @@ class TestColdReads:
 class TestCommitThroughMds:
     def test_commit_routes_to_mds_when_layout_says_so(self, cluster):
         pvfs = Pvfs2System(cluster.sim, cluster.storage, Pvfs2Config(stripe_size=64 * 1024))
-        system = DirectPnfsSystem(
-            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
+        system = PnfsSystem(
+            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024),
+            ARCHITECTURES["direct-pnfs"],
         )
         system.mds.layout_provider.commit_through_mds = True
         client = system.make_client(cluster.clients[0])
@@ -127,8 +129,9 @@ class TestWorkloadEdges:
         from repro.workloads import BtioWorkload
 
         pvfs = Pvfs2System(cluster.sim, cluster.storage, Pvfs2Config(stripe_size=64 * 1024))
-        system = DirectPnfsSystem(
-            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
+        system = PnfsSystem(
+            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024),
+            ARCHITECTURES["direct-pnfs"],
         )
         client = system.make_client(cluster.clients[0])
         w = BtioWorkload(
@@ -166,8 +169,9 @@ class TestWorkloadEdges:
         from repro.workloads import IorWorkload
 
         pvfs = Pvfs2System(cluster.sim, cluster.storage, Pvfs2Config(stripe_size=64 * 1024))
-        system = DirectPnfsSystem(
-            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
+        system = PnfsSystem(
+            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024),
+            ARCHITECTURES["direct-pnfs"],
         )
         client = system.make_client(cluster.clients[0])
         w = IorWorkload(

@@ -7,7 +7,8 @@ coherence across open/close, and concurrent mixed workloads.
 
 import pytest
 
-from repro.core import DirectPnfsSystem
+from repro.cluster.configs import ARCHITECTURES
+from repro.core import PnfsSystem
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.pvfs2 import Pvfs2Config, Pvfs2System
 from repro.vfs import Payload
@@ -69,8 +70,9 @@ class TestNativeAndDirectShareBackend:
         pvfs = Pvfs2System(
             cluster.sim, cluster.storage, Pvfs2Config(stripe_size=64 * 1024)
         )
-        direct = DirectPnfsSystem(
-            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
+        direct = PnfsSystem(
+            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024),
+            ARCHITECTURES["direct-pnfs"],
         )
         nfs_client = direct.make_client(cluster.clients[0])
         native = pvfs.make_client(cluster.clients[1])
@@ -102,8 +104,9 @@ class TestCloseToOpenCache:
         pvfs = Pvfs2System(
             cluster.sim, cluster.storage, Pvfs2Config(stripe_size=64 * 1024)
         )
-        system = DirectPnfsSystem(
-            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
+        system = PnfsSystem(
+            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024),
+            ARCHITECTURES["direct-pnfs"],
         )
         return system
 
@@ -177,8 +180,9 @@ class TestConcurrentMixedLoad:
         pvfs = Pvfs2System(
             cluster.sim, cluster.storage, Pvfs2Config(stripe_size=64 * 1024)
         )
-        system = DirectPnfsSystem(
-            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
+        system = PnfsSystem(
+            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024),
+            ARCHITECTURES["direct-pnfs"],
         )
         bulk = system.make_client(cluster.clients[0])
         small = system.make_client(cluster.clients[1])

@@ -10,7 +10,8 @@ recovering direct access when it returns.
 import pytest
 
 from repro import rpc
-from repro.core import DirectPnfsSystem
+from repro.cluster.configs import ARCHITECTURES
+from repro.core import PnfsSystem
 from repro.nfs import NfsConfig
 from repro.nfs.sessions import Session
 from repro.obs import RpcTrace, SpanCollector
@@ -152,7 +153,7 @@ def _build_direct(cluster, **nfs_overrides):
         cluster.sim, cluster.storage, Pvfs2Config(stripe_size=64 * 1024)
     )
     cfg = NfsConfig(rsize=64 * 1024, wsize=64 * 1024, **nfs_overrides)
-    return DirectPnfsSystem(cluster.sim, pvfs, cfg)
+    return PnfsSystem(cluster.sim, pvfs, cfg, ARCHITECTURES["direct-pnfs"])
 
 
 BLOB = bytes(range(256)) * 1024  # 256 KB -> 4 stripes over 3 servers

@@ -8,7 +8,8 @@ not survive a storage-node crash, while fsync'd data does.
 
 import pytest
 
-from repro.core import DirectPnfsSystem
+from repro.cluster.configs import ARCHITECTURES
+from repro.core import PnfsSystem
 from repro.nfs import NfsConfig
 from repro.pvfs2 import Pvfs2Config, Pvfs2System
 from repro.vfs import Payload
@@ -22,8 +23,8 @@ def stack(cluster):
     pvfs = Pvfs2System(
         cluster.sim, cluster.storage, Pvfs2Config(stripe_size=16 * 1024)
     )
-    direct = DirectPnfsSystem(
-        cluster.sim, pvfs, NfsConfig(rsize=32 * 1024, wsize=32 * 1024)
+    direct = PnfsSystem(
+        cluster.sim, pvfs, NfsConfig(rsize=32 * 1024, wsize=32 * 1024), ARCHITECTURES["direct-pnfs"]
     )
     return cluster, pvfs, direct
 

@@ -9,7 +9,8 @@ layout translation, and storage daemons all sit between the two.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DirectPnfsSystem
+from repro.cluster.configs import ARCHITECTURES
+from repro.core import PnfsSystem
 from repro.nfs import NfsConfig
 from repro.pvfs2 import Pvfs2Config, Pvfs2System
 from repro.vfs import Payload
@@ -41,8 +42,9 @@ class TestEndToEndConsistency:
         pvfs = Pvfs2System(
             cluster.sim, cluster.storage, Pvfs2Config(stripe_size=16 * 1024)
         )
-        system = DirectPnfsSystem(
-            cluster.sim, pvfs, NfsConfig(rsize=32 * 1024, wsize=32 * 1024)
+        system = PnfsSystem(
+            cluster.sim, pvfs, NfsConfig(rsize=32 * 1024, wsize=32 * 1024),
+            ARCHITECTURES["direct-pnfs"],
         )
         client = system.make_client(cluster.clients[0])
         ref = bytearray()
@@ -96,8 +98,9 @@ class TestEndToEndConsistency:
         pvfs = Pvfs2System(
             cluster.sim, cluster.storage, Pvfs2Config(stripe_size=16 * 1024)
         )
-        system = DirectPnfsSystem(
-            cluster.sim, pvfs, NfsConfig(rsize=32 * 1024, wsize=32 * 1024)
+        system = PnfsSystem(
+            cluster.sim, pvfs, NfsConfig(rsize=32 * 1024, wsize=32 * 1024),
+            ARCHITECTURES["direct-pnfs"],
         )
         writer = system.make_client(cluster.clients[0])
         reader = system.make_client(cluster.clients[1])

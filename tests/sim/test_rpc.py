@@ -113,7 +113,9 @@ class TestTiming:
 
     def test_copy_costs_overlap_the_wire(self, cluster):
         """Per-byte CPU below wire pace must not add to transfer time."""
-        cheap = make_server(cluster, server_per_byte=1e-9, client_per_byte=1e-9)
+        cheap = make_server(
+            cluster, server_per_byte_in=1e-9, server_per_byte_out=1e-9, client_per_byte=1e-9
+        )
 
         def big(args, payload):
             return None, Payload.synthetic(10_000_000)
@@ -149,12 +151,32 @@ class TestTiming:
         cluster.sim.run()
         assert ends[1] - ends[0] >= 1.0
 
-    def test_asymmetric_per_byte_costs(self):
-        costs = rpc.RpcCosts(
-            server_per_byte=5e-9, server_per_byte_in=50e-9, server_per_byte_out=None
-        )
-        assert costs.per_byte_in == 50e-9
-        assert costs.per_byte_out == 5e-9
+    def test_asymmetric_per_byte_costs(self, cluster):
+        """Server CPU per byte is per direction: a write and a read of
+        the same size charge the server's cores differently."""
+        n = 1_000_000
+        server = make_server(cluster, server_per_byte_in=50e-9, server_per_byte_out=5e-9)
+
+        def put(args, payload):
+            return None, None
+            yield  # pragma: no cover
+
+        def get(args, payload):
+            return None, Payload.synthetic(n)
+            yield  # pragma: no cover
+
+        server.register("put", put)
+        server.register("get", get)
+        cpu = server.node.cpu
+
+        def server_busy(proc, payload=None):
+            before = cpu.busy_time
+            drive(cluster.sim, rpc.call(cluster.clients[0], server, proc, payload=payload))
+            return cpu.busy_time - before
+
+        write = server_busy("put", Payload.synthetic(n))
+        read = server_busy("get")
+        assert write - read == pytest.approx((50e-9 - 5e-9) * n / cpu.spec.speed)
 
 
 class TestHandlerCrash:

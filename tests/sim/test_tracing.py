@@ -161,13 +161,15 @@ class TestTracer:
 
     def test_traces_full_stack_run(self, cluster):
         """Tracer sees the composed Direct-pNFS protocol mix."""
-        from repro.core import DirectPnfsSystem
+        from repro.cluster.configs import ARCHITECTURES
+        from repro.core import PnfsSystem
         from repro.nfs import NfsConfig
         from repro.pvfs2 import Pvfs2Config, Pvfs2System
         from repro.vfs import Payload as P
 
         pvfs = Pvfs2System(cluster.sim, cluster.storage, Pvfs2Config(stripe_size=64 * 1024))
-        system = DirectPnfsSystem(cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024))
+        cfg = NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
+        system = PnfsSystem(cluster.sim, pvfs, cfg, ARCHITECTURES["direct-pnfs"])
         client = system.make_client(cluster.clients[0])
 
         def scenario():

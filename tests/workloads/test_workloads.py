@@ -8,7 +8,8 @@ statistics) rather than performance.
 import numpy as np
 import pytest
 
-from repro.core import DirectPnfsSystem
+from repro.cluster.configs import ARCHITECTURES
+from repro.core import PnfsSystem
 from repro.nfs import NfsConfig
 from repro.pvfs2 import Pvfs2Config, Pvfs2System
 from repro.workloads import (
@@ -29,8 +30,9 @@ def setup(cluster):
     pvfs = Pvfs2System(
         cluster.sim, cluster.storage, Pvfs2Config(stripe_size=256 * 1024)
     )
-    system = DirectPnfsSystem(
-        cluster.sim, pvfs, NfsConfig(rsize=256 * 1024, wsize=256 * 1024)
+    system = PnfsSystem(
+        cluster.sim, pvfs, NfsConfig(rsize=256 * 1024, wsize=256 * 1024),
+        ARCHITECTURES["direct-pnfs"],
     )
     return cluster, system
 
@@ -91,7 +93,7 @@ class TestIor:
         for file_size in (1 << 20, 64 << 20):
             cluster = build_cluster()
             pvfs = Pvfs2System(cluster.sim, cluster.storage, Pvfs2Config(stripe_size=256 * 1024))
-            system = DirectPnfsSystem(cluster.sim, pvfs, NfsConfig())
+            system = PnfsSystem(cluster.sim, pvfs, NfsConfig(), ARCHITECTURES["direct-pnfs"])
             w = IorWorkload(
                 op="read", block_size=1 << 20, file_size=file_size, shared_file=shared_file
             )
