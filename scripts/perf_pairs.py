@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one ``perf/`` workload, with the verdict.
+"""Alternating parent/change pairs of ``perf/`` workloads, with the verdicts.
 
-    python scripts/perf_pairs.py PARENT_REF --workload bulk_read [--pairs 10] [--seed S]
+    python scripts/perf_pairs.py PARENT_REF --workload bulk_read[,small_read,...] [--pairs 10] [--seed S]
 
 Extracts ``PARENT_REF`` into ``<tmp>/parent`` (``git archive``: the
 committed files, nothing of this checkout's state) and copies this
 checkout — uncommitted edits and untracked, unignored files included —
-into ``<tmp>/change``, then runs ``python3 perf/run.py --workload W`` in
-each ``--pairs`` times, alternating which side goes first.  The two
-trees sit at paths of one length because the path alone moves host
-time: the same commit run from two directories whose paths differ in
-length read ``wall_norm_s`` 3.7 % apart on ``torture_batch``, 5 of 5
-pairs the same way.  Every run of either side must report the same
-``sim_time_s`` and ``failed`` (a perf change alters no physics), and
-every run of one side the same ``events_total`` and ``sim_fingerprint``
-(which hashes the count); exit 1 at the first that does not.
+into ``<tmp>/change`` (once), then, for each listed workload in turn,
+runs ``python3 perf/run.py --workload W`` in each ``--pairs`` times,
+alternating which side goes first.  The two trees sit at paths of one
+length because the path alone moves host time: the same commit run
+from two directories whose paths differ in length read ``wall_norm_s``
+3.7 % apart on ``torture_batch``, 5 of 5 pairs the same way.  Every
+run of either side must report the same ``sim_time_s`` and ``failed``
+(a perf change alters no physics), and every run of one side the same
+``events_total`` and ``sim_fingerprint`` (which hashes the count); a
+workload stops at the first run that does not, the others still run,
+and the exit status is 1.
 
 ``events_total`` may differ *between* the sides — a change that drops
 queue entries is measured in them — and is reported as the exact count
@@ -106,63 +108,41 @@ def verdict(parent: list[float], change: list[float]) -> str:
     return "UNRESOLVED: " + "; ".join(why)
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("parent_ref", help="commit to compare this tree against")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None, help="passed to perf/run.py")
-    args = p.parse_args(argv)
-
+def compare(workload: str, pairs: int, run) -> int:
+    """``pairs`` alternating parent/change pairs of one workload, with
+    the physics check, a line per pair and the verdicts; 1 if the
+    physics (or one side's count) differ, else 0.  ``run(side, workload)``
+    returns one ``perf/run.py`` record of that side's tree."""
     records: dict[str, list[dict]] = {"parent": [], "change": []}
 
     def series(side: str, key: str) -> list[float]:
         return [record["end_to_end"][key]["value"] for record in records[side]]
 
-    with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
-        tmp = pathlib.Path(tmp)
-        parent_tree = tmp / "parent"
-        parent_tree.mkdir()
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", args.parent_ref], capture_output=True
-        )
-        if archive.returncode != 0:
-            sys.exit(archive.stderr.decode())
-        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive.stdout, check=True)
-
-        change_tree = tmp / "change"
-        copy_checkout(change_tree)
-
-        sides = {"parent": parent_tree, "change": change_tree}
-        reference = None
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                record = run_once(sides[side], args.workload, args.seed, tmp / "out.json")
-                if reference is None:
-                    reference = physics(record)
-                elif physics(record) != reference:
-                    print(f"pair {pair + 1}, {side}: physics differ")
-                    print(f"  {physics(record)}\n  {reference}")
-                    return 1
-                if records[side] and count(record) != count(records[side][0]):
-                    print(f"pair {pair + 1}, {side}: events_total differs between runs of one side")
-                    print(f"  {count(record)}\n  {count(records[side][0])}")
-                    return 1
-                records[side].append(record)
-            moves = []
-            for key in PAIR_METRICS:
-                before, after = series("parent", key)[-1], series("change", key)[-1]
-                moves.append(
-                    f"{key} {before:.4f} -> {after:.4f} ({100 * (after / before - 1):+.1f} %)"
-                )
-            print(f"pair {pair + 1:2d} ({order[0]} first): " + "  ".join(moves), flush=True)
+    print(f"== {workload}", flush=True)
+    reference = None
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            record = run(side, workload)
+            if reference is None:
+                reference = physics(record)
+            elif physics(record) != reference:
+                print(f"pair {pair + 1}, {side}: physics differ")
+                print(f"  {physics(record)}\n  {reference}")
+                return 1
+            if records[side] and count(record) != count(records[side][0]):
+                print(f"pair {pair + 1}, {side}: events_total differs between runs of one side")
+                print(f"  {count(record)}\n  {count(records[side][0])}")
+                return 1
+            records[side].append(record)
+        moves = []
+        for key in PAIR_METRICS:
+            before, after = series("parent", key)[-1], series("change", key)[-1]
+            moves.append(f"{key} {before:.4f} -> {after:.4f} ({100 * (after / before - 1):+.1f} %)")
+        print(f"pair {pair + 1:2d} ({order[0]} first): " + "  ".join(moves), flush=True)
 
     sim_time, failed = reference
-    print(
-        f"\n{args.workload}: sim_time_s {sim_time!r}, failed {failed}"
-        f" — equal in all {2 * args.pairs} runs"
-    )
+    print(f"\n{workload}: sim_time_s {sim_time!r}, failed {failed} — equal in all {2 * pairs} runs")
     (before, parent_print), (after, change_print) = (
         count(records[side][0]) for side in ("parent", "change")
     )
@@ -183,11 +163,52 @@ def main(argv=None) -> int:
             f"  {key:12s} parent {pmed:.4f} [{pq1:.4f}-{pq3:.4f}]"
             f"  change {cmed:.4f} [{cq1:.4f}-{cq3:.4f}]"
             f"  {100 * (cmed / pmed - 1):+.1f} % of parent's median,"
-            f" change ahead {ahead}/{args.pairs}"
+            f" change ahead {ahead}/{pairs}"
         )
     for key in HOST_METRICS:
         print(f"{key}: {verdict(series('parent', key), series('change', key))}")
     return 0
+
+
+def run_pairs(workloads: list[str], pairs: int, run) -> int:
+    """:func:`compare` each workload in turn, all of them whatever one
+    reports; 1 if any workload's physics differ."""
+    status = 0
+    for i, workload in enumerate(workloads):
+        if i:
+            print()
+        status |= compare(workload, pairs, run)
+    return status
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent_ref", help="commit to compare this tree against")
+    p.add_argument("--workload", required=True, help="one workload, or a comma-separated list")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=None, help="passed to perf/run.py")
+    args = p.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
+        tmp = pathlib.Path(tmp)
+        parent_tree = tmp / "parent"
+        parent_tree.mkdir()
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", args.parent_ref], capture_output=True
+        )
+        if archive.returncode != 0:
+            sys.exit(archive.stderr.decode())
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive.stdout, check=True)
+
+        change_tree = tmp / "change"
+        copy_checkout(change_tree)
+
+        sides = {"parent": parent_tree, "change": change_tree}
+
+        def run(side: str, workload: str) -> dict:
+            return run_once(sides[side], workload, args.seed, tmp / "out.json")
+
+        return run_pairs(args.workload.split(","), args.pairs, run)
 
 
 if __name__ == "__main__":

@@ -340,7 +340,9 @@ class Nfs4Client(FileSystemClient):
 
     def _read_impl(self, f: OpenFile, offset: int, nbytes: int):
         pc: PageCache = f.state["pc"]
-        end = min(offset + nbytes, pc.size)
+        end = offset + nbytes
+        if end > pc.size:
+            end = pc.size
         if end <= offset:
             return Payload(b"")
 
@@ -463,9 +465,10 @@ class Nfs4Client(FileSystemClient):
 
     def _write_impl(self, f: OpenFile, offset: int, payload: Payload):
         pc: PageCache = f.state["pc"]
-        yield self.node.compute(self.cfg.client_copy_per_byte * payload.nbytes)
+        nbytes = payload.nbytes
+        yield self.node.compute(self.cfg.client_copy_per_byte * nbytes)
         pc.cache.write(offset, payload)
-        end = offset + payload.nbytes
+        end = offset + nbytes
         pc.valid.add(offset, end)
         run_start, run_end = pc.dirty.add(offset, end)
         if end > pc.size:
@@ -475,17 +478,19 @@ class Nfs4Client(FileSystemClient):
         # authoritative for local writes): a getattr served from the
         # attr cache within ac_timeo must not under-report an extend
         # this client just made.
-        hit = self._attr_cache.get(f.path)
-        if hit is not None and hit[0].size < pc.size:
-            patched = hit[0].copy()
-            patched.size = pc.size
-            self._attr_cache[f.path] = (patched, hit[1])
+        attr_cache = self._attr_cache
+        if attr_cache:
+            hit = attr_cache.get(f.path)
+            if hit is not None and hit[0].size < pc.size:
+                patched = hit[0].copy()
+                patched.size = pc.size
+                attr_cache[f.path] = (patched, hit[1])
         # Only the run just written can have completed a wsize block —
         # unless an earlier pass (or a failed write-back) left one.
         wsize = self.cfg.wsize
         if pc.flush_deferred or -(-run_start // wsize) * wsize + wsize <= run_end:
             self._flush_full_blocks(f, pc)
-        return payload.nbytes
+        return nbytes
 
     def fsync(self, f: OpenFile):
         gen = self._fsync_impl(f)

@@ -12,6 +12,8 @@ from bisect import bisect_left, bisect_right
 
 __all__ = ["IntervalSet"]
 
+_INF = float("inf")  # sorts after any end in a ``(start, end)`` probe
+
 
 class IntervalSet:
     """Sorted, coalesced set of half-open integer intervals."""
@@ -45,7 +47,9 @@ class IntervalSet:
         if ivs:
             s, e = ivs[-1]
             if s <= start <= e:
-                run = ivs[-1] = (s, max(e, end))
+                if end > e:
+                    e = end
+                run = ivs[-1] = (s, e)
                 return run
         # Find all intervals touching [start, end] (adjacency merges too).
         lo = bisect_left(ivs, (start,))
@@ -66,11 +70,17 @@ class IntervalSet:
 
         Like :meth:`add`, the touched run is located with ``bisect`` and
         replaced with one slice splice — O(log n + k) for k affected
-        intervals, instead of rebuilding the whole list.
+        intervals, instead of rebuilding the whole list.  Trimming the
+        front of the first run — a sequential reader consuming what
+        readahead issued — rewrites that run in place.
         """
-        if start >= end or not self._ivs:
-            return 0
         ivs = self._ivs
+        if start >= end or not ivs:
+            return 0
+        s, e = ivs[0]
+        if start == s and end < e:
+            ivs[0] = (end, e)
+            return end - start
         lo = bisect_left(ivs, (start,))
         # The preceding interval may reach into [start, end).
         if lo > 0 and ivs[lo - 1][1] > start:
@@ -98,7 +108,7 @@ class IntervalSet:
     def _first_overlapping(self, start: int) -> int:
         """Index of the first interval with ``end > start``."""
         ivs = self._ivs
-        i = bisect_right(ivs, (start, float("inf"))) - 1
+        i = bisect_right(ivs, (start, _INF)) - 1
         if i < 0 or ivs[i][1] <= start:
             i += 1
         return i
@@ -107,7 +117,7 @@ class IntervalSet:
         """True if ``[start, end)`` is fully covered."""
         if start >= end:
             return True
-        idx = bisect_right(self._ivs, (start, float("inf"))) - 1
+        idx = bisect_right(self._ivs, (start, _INF)) - 1
         if idx < 0:
             return False
         s, e = self._ivs[idx]

@@ -31,7 +31,7 @@ from repro.nfs.locks import LockManager
 from repro.rpc import RpcServer
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
-from repro.vfs.api import FileSystemClient, FsError, OpenFile
+from repro.vfs.api import FileSystemClient, FsError, InvalidArgument, OpenFile
 from repro.vfs.security import READ, WRITE, check_access
 
 __all__ = ["Nfs4Server"]
@@ -284,7 +284,8 @@ class Nfs4Server:
 
     def _h_write(self, args, payload):
         fh, offset = args["fh"], args["offset"]
-        assert payload is not None
+        if payload is None:
+            raise InvalidArgument("WRITE carries no data")  # NFS4ERR_INVAL
         f = yield from self._file(fh)
         count = yield from self.backend.write(f, offset, payload)
         stable = args.get("stable", False)

@@ -31,7 +31,7 @@ from repro.rpc import RpcServer
 from repro.sim.engine import Event, Simulator
 from repro.sim.node import Node
 from repro.sim.resources import Resource
-from repro.vfs.api import FsError, NoEntry, Payload
+from repro.vfs.api import FsError, InvalidArgument, NoEntry, Payload
 from repro.vfs.filedata import FileData
 
 __all__ = ["Journal", "StorageDaemon"]
@@ -182,7 +182,8 @@ class StorageDaemon:
 
     def _h_write(self, args, payload):
         handle, offset = args["handle"], args["offset"]
-        assert payload is not None, "write carries a payload"
+        if payload is None:
+            raise InvalidArgument("write carries no data")
         nbytes = payload.nbytes
         if args.get("setup"):
             yield self.node.compute(
@@ -213,9 +214,10 @@ class StorageDaemon:
                 acquired += grant
             self._bstream(handle, create=True).write(offset, payload)
             if nbytes > 0:
-                before = ivs.total
+                # Nothing yielded since ``overlap`` was counted: the add
+                # dirties exactly the rest.
                 ivs.add(offset, offset + nbytes)
-                delta = ivs.total - before
+                delta = nbytes - overlap
                 self._pending_bytes += delta
                 if acquired > delta:
                     self.dirty_tokens.release(acquired - delta)

@@ -36,7 +36,8 @@ class FileData:
         if offset < 0:
             raise ValueError("offset must be >= 0")
         end = offset + payload.nbytes
-        self.size = max(self.size, end)
+        if end > self.size:
+            self.size = end
         if not self.exact:
             return
         if payload.is_synthetic or end > self.cap:
@@ -55,8 +56,11 @@ class FileData:
         """
         if offset < 0 or nbytes < 0:
             raise ValueError("offset/nbytes must be >= 0")
-        start = min(offset, self.size)
-        length = min(nbytes, self.size - start)
+        size = self.size
+        start = offset if offset < size else size
+        length = size - start
+        if nbytes < length:
+            length = nbytes
         if not self.exact:
             return Payload.synthetic(length)
         end = start + length

@@ -84,20 +84,28 @@ class IorWorkload(Workload):
     def client_proc(self, sim, fsc: FileSystemClient, client_idx: int, n_clients: int):
         path = self._path(client_idx)
         base = self._base(client_idx)
-        if self.op == "write" and not self.shared_file:
+        writing = self.op == "write"
+        if writing and not self.shared_file:
             f = yield from fsc.create(path)
         else:
-            f = yield from fsc.open(path, write=self.op == "write")
+            f = yield from fsc.open(path, write=writing)
 
+        file_size, block_size, fsync_every = self.file_size, self.block_size, self.fsync_every
+        # A payload is immutable, so one serves every full block.
+        block = Payload.synthetic(block_size)
         moved = 0
         pos = 0
         blocks = 0
-        while pos < self.file_size:
-            n = min(self.block_size, self.file_size - pos)
-            if self.op == "write":
-                yield from fsc.write(f, base + pos, Payload.synthetic(n))
+        while pos < file_size:
+            n = file_size - pos
+            if n > block_size:
+                n = block_size
+            if writing:
+                yield from fsc.write(
+                    f, base + pos, block if n == block_size else Payload.synthetic(n)
+                )
                 blocks += 1
-                if self.fsync_every and blocks % self.fsync_every == 0:
+                if fsync_every and blocks % fsync_every == 0:
                     yield from fsc.fsync(f)
             else:
                 data = yield from fsc.read(f, base + pos, n)
@@ -108,7 +116,7 @@ class IorWorkload(Workload):
             moved += n
             pos += n
 
-        if self.op == "write" and self.fsync_at_end:
+        if writing and self.fsync_at_end:
             yield from fsc.fsync(f)
         yield from fsc.close(f)
-        return WorkloadResult(bytes_moved=moved, transactions=self.file_size // self.block_size)
+        return WorkloadResult(bytes_moved=moved, transactions=file_size // block_size)

@@ -1,4 +1,5 @@
-"""The section-8 verdict ``scripts/perf_pairs.py`` prints per host metric."""
+"""``scripts/perf_pairs.py``: the section-8 verdict it prints per host
+metric, and its loop over several workloads."""
 
 import pytest
 
@@ -9,8 +10,13 @@ PARENT = [0.95, 0.97, 0.98, 0.99, 1.00, 1.00, 1.01, 1.02, 1.03, 1.05]
 
 
 @pytest.fixture(scope="module")
-def verdict():
-    return load_script("perf_pairs").verdict
+def perf_pairs():
+    return load_script("perf_pairs")
+
+
+@pytest.fixture(scope="module")
+def verdict(perf_pairs):
+    return perf_pairs.verdict
 
 
 def test_gain_needs_nine_tenths_and_a_gap_beyond_the_spread(verdict):
@@ -45,3 +51,48 @@ def test_ties_count_for_neither_side(verdict):
     assert verdict(PARENT, eight).startswith("UNRESOLVED: ahead in 8/10")
     # All ties: neither ahead nor behind, and no gap.
     assert verdict(PARENT, list(PARENT)).startswith("UNRESOLVED: ahead in 0/10")
+
+
+def record(sim_time, wall, events=1000):
+    metrics = {"sim_time_s": sim_time, "events_total": events, "wall_norm_s": wall}
+    metrics.update(setup_s=0.1, peak_rss_mb=50.0)
+    return {
+        "end_to_end": {key: {"value": value} for key, value in metrics.items()},
+        "failed": 0,
+        "sim_fingerprint": f"fp{events}",
+    }
+
+
+def test_every_workload_runs_and_differing_physics_exits_one(perf_pairs, capsys):
+    """Two workloads: the first is a clean gain; the change moves the
+    second's simulated time, which fails the run after both have run."""
+    runs = []
+
+    def stub(side, workload):
+        runs.append((side, workload))
+        if workload == "small_write":
+            return record(17.5, 1.0 if side == "parent" else 0.8)
+        return record(2.0 if side == "parent" else 2.5, 0.3)
+
+    assert perf_pairs.run_pairs(["small_write", "small_read"], 3, stub) == 1
+    out = capsys.readouterr().out
+    assert runs[:6] == [
+        ("parent", "small_write"), ("change", "small_write"),
+        ("change", "small_write"), ("parent", "small_write"),
+        ("parent", "small_write"), ("change", "small_write"),
+    ]
+    assert runs[6:] == [("parent", "small_read"), ("change", "small_read")]
+    first, second = out.split("== small_read")
+    assert "small_write: sim_time_s 17.5, failed 0" in first
+    assert "wall_norm_s: GAIN: ahead in 3/3" in first
+    assert "pair 1, change: physics differ" in second
+    assert "GAIN" not in second
+
+
+def test_equal_physics_on_every_workload_exits_zero(perf_pairs, capsys):
+    def stub(side, workload):
+        return record(len(workload), 0.5, events=900 if side == "change" else 1000)
+
+    assert perf_pairs.run_pairs(["a", "bb"], 2, stub) == 0
+    out = capsys.readouterr().out
+    assert out.count("events_total parent 1000  change 900: fewer, -10.0 %") == 2

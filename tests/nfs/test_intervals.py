@@ -77,6 +77,39 @@ class TestBasics:
         assert s.runs_in(15, 35) == [(15, 20), (30, 35)]
         assert s.runs_in(0, 5) == []
 
+    @staticmethod
+    def _two_runs():
+        s = IntervalSet()
+        s.add(10, 20)
+        s.add(30, 40)
+        return s
+
+    def test_take_trims_the_front_of_the_first_run(self):
+        s = self._two_runs()
+        assert s.take(10, 15) == 5
+        assert list(s) == [(15, 20), (30, 40)]
+
+    def test_take_to_the_end_of_the_first_run_drops_it(self):
+        s = self._two_runs()
+        assert s.take(10, 20) == 10
+        assert list(s) == [(30, 40)]
+
+    def test_take_from_before_the_first_run(self):
+        s = self._two_runs()
+        assert s.take(5, 15) == 5
+        assert list(s) == [(15, 20), (30, 40)]
+
+    @pytest.mark.parametrize(
+        "end, run", [(35, (20, 40)), (40, (20, 40)), (45, (20, 45))]
+    )
+    def test_add_inside_the_tail_run(self, end, run):
+        # ``end`` below, at and beyond the tail run's end.
+        s = IntervalSet()
+        s.add(0, 10)
+        s.add(20, 40)
+        assert s.add(25, end) == run
+        assert list(s) == [(0, 10), run]
+
     def test_copy_is_independent(self):
         s = IntervalSet()
         s.add(0, 10)

@@ -32,6 +32,12 @@ def gen_interval_ops(rng, count=30):
             # the last run: the append stream ``add`` handles without bisect.
             ops.append(("tail", int(rng.integers(-2, 6)), int(rng.integers(0, 5))))
             continue
+        if roll < 0.25:
+            # ("head", length): a take from the first run's start — short
+            # of its end, to it, or past it: a sequential reader consuming
+            # prefetched bytes, which ``take`` trims in place.
+            ops.append(("head", int(rng.integers(0, 8))))
+            continue
         kind = "add" if roll < 0.6 else "remove"
         s = int(rng.integers(0, LIMIT))
         e = int(rng.integers(s, LIMIT + 1))  # empty ranges allowed on purpose
@@ -43,10 +49,16 @@ def interval_violation(ops):
     """First invariant broken by replaying ``ops``, or None."""
     ivs = IntervalSet()
     model = set()
-    for step, (kind, s, e) in enumerate(ops):
+    for step, (kind, *args) in enumerate(ops):
         if kind == "tail":
-            s = max(0, max(model, default=-1) + 1 - s)
-            kind, e = "add", s + e
+            back, length = args
+            s = max(0, max(model, default=-1) + 1 - back)
+            kind, e = "add", s + length
+        elif kind == "head":
+            s = min(model, default=0)
+            kind, e = "remove", s + args[0]
+        else:
+            s, e = args
         if kind == "add":
             run = ivs.add(s, e)
             model |= set(range(s, e))

@@ -5,6 +5,7 @@ import pytest
 from repro import rpc
 from repro.nfs import Nfs4Server, NfsConfig
 from repro.vfs import NoEntry, Payload
+from repro.vfs.api import InvalidArgument
 from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import build_cluster, drive
@@ -89,6 +90,14 @@ class TestHandlers:
         srv, _backing = server
         with pytest.raises(NoEntry):
             call(cluster, srv, "open", {"path": "/ghost"})
+
+    def test_write_without_data_is_invalid(self, cluster, server):
+        """A WRITE that carries no payload is NFS4ERR_INVAL, not a
+        server fault (nor, under ``python -O``, an AttributeError)."""
+        srv, _backing = server
+        result, _ = call(cluster, srv, "open", {"path": "/w", "create": True})
+        with pytest.raises(InvalidArgument):
+            call(cluster, srv, "write", {"fh": result["fh"], "offset": 0}, payload=None)
 
     def test_rename_and_readdir(self, cluster, server):
         srv, _backing = server

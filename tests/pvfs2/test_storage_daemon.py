@@ -5,6 +5,7 @@ import pytest
 from repro import rpc
 from repro.pvfs2 import Pvfs2Config, StorageDaemon
 from repro.vfs import Payload
+from repro.vfs.api import InvalidArgument
 
 from tests.conftest import build_cluster, drive
 
@@ -67,6 +68,47 @@ class TestWriteBehind:
         assert daemon.dirty_backlog == backlog + 500
         cluster.sim.run()
         assert daemon.persisted_bytes(1) == 500 + 1500
+
+    def test_newly_dirtied_bytes_are_the_growth_of_the_dirty_runs(self):
+        """Each write accounts ``nbytes - overlap`` — exactly the growth
+        of the bstream's dirty runs, ``total`` after minus before, which
+        the daemon once computed with two scans per write."""
+        cluster = self._slow_disk_cluster()
+        daemon = make_daemon(cluster)
+
+        def dirty_runs():
+            ivs = daemon._dirty[0].get(1)
+            return list(ivs) if ivs else []
+
+        # The flusher takes this extent onto the slow disk and sits there
+        # for the rest of the test: nothing below drains.
+        call(cluster, daemon, "write", {"handle": 1, "offset": 0}, Payload(b"A" * 500))
+        steps = [
+            (100_000, 1000, [(100_000, 101_000)]),  # disjoint
+            (100_500, 1000, [(100_000, 101_500)]),  # overlaps the tail
+            (101_500, 500, [(100_000, 102_000)]),  # adjacent to the tail
+            (98_000, 1000, [(98_000, 99_000), (100_000, 102_000)]),  # disjoint, below
+            (99_000, 1000, [(98_000, 102_000)]),  # adjacent on both sides
+            (97_000, 6000, [(97_000, 103_000)]),  # covers everything, and more
+            (97_500, 100, [(97_000, 103_000)]),  # already dirty: free
+            (200_000, 300, [(97_000, 103_000), (200_000, 200_300)]),  # disjoint, above
+        ]
+        for offset, nbytes, want in steps:
+            before = sum(e - s for s, e in dirty_runs())
+            pending, tokens = daemon.dirty_backlog, daemon.dirty_tokens.in_use
+            call(cluster, daemon, "write", {"handle": 1, "offset": offset},
+                 Payload(b"w" * nbytes))
+            runs = dirty_runs()
+            grown = sum(e - s for s, e in runs) - before
+            assert runs == want, offset
+            assert daemon.dirty_backlog - pending == grown, offset
+            assert daemon.dirty_tokens.in_use - tokens == grown, offset
+        assert daemon.dirty_backlog == 500 + 6000 + 300
+
+    def test_write_without_data_is_invalid(self, cluster):
+        daemon = make_daemon(cluster)
+        with pytest.raises(InvalidArgument):
+            call(cluster, daemon, "write", {"handle": 1, "offset": 0}, payload=None)
 
     def test_contiguous_writes_merge_into_one_disk_io(self, cluster):
         daemon = make_daemon(cluster)
