@@ -110,9 +110,12 @@ def result_hash(report: dict) -> str:
     """sha256 of a report's deterministic content.
 
     ``result_hash`` and ``timing`` keys are excluded: the hash covers
-    only what the simulation computed, never how long or with how many
-    workers the host computed it — this is the value the parallel-
-    equals-serial CI gate compares.
+    only what the simulation computed — values, makespans, bytes, shape
+    verdicts — never how the host computed it: not how long, with how
+    many workers, nor how many queue entries the event kernel popped
+    (an order-preserving kernel change moves that count and nothing
+    else).  This is the value the parallel-equals-serial CI gate
+    compares.
     """
     clean = {k: v for k, v in report.items() if k not in ("result_hash", "timing")}
     return hashlib.sha256(canonical_json(clean).encode()).hexdigest()
@@ -122,10 +125,11 @@ def experiment_report(res: ExperimentResult) -> dict:
     """JSON-able sweep report with only deterministic content.
 
     Everything here is a pure function of the experiment spec: values,
-    per-cell makespans/bytes/event counts, shape-check verdicts, and a
-    ``result_hash`` over all of it.  Wall-clock and worker telemetry
-    belong in a separate ``timing`` section (``ExperimentResult.
-    parallel``) that callers may attach *after* hashing.
+    per-cell makespans/bytes, shape-check verdicts, and a
+    ``result_hash`` over all of it.  Wall-clock, worker and event-kernel
+    telemetry (each job's ``events_processed``) belong in a separate
+    ``timing`` section (``ExperimentResult.parallel``) that callers may
+    attach *after* hashing.
     """
     exp = res.experiment
     cells = [
@@ -135,9 +139,6 @@ def experiment_report(res: ExperimentResult) -> dict:
             "value": exp.value_of(r),
             "makespan": r.makespan,
             "total_bytes": r.total_bytes,
-            "events_processed": int(r.engine.get("events_processed", 0))
-            if r.engine
-            else 0,
         }
         for (system, n), r in sorted(res.raw.items())
     ]

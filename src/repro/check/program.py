@@ -143,13 +143,6 @@ class Program:
                 return c
         raise ValueError(f"unknown torture file {path!r}")
 
-    def owner_map(self, path: str) -> np.ndarray:
-        """:meth:`owner_of` for every byte of ``path`` at once (int16)."""
-        size = self.file_size(path)
-        if path == SHARED:
-            return ((np.arange(size) // self.chunk) % self.n_clients).astype(np.int16)
-        return np.full(size, self.owner_of(path, 0), dtype=np.int16)
-
     def file_size(self, path: str) -> int:
         return self.shared_size if path == SHARED else self.private_size
 

@@ -85,10 +85,15 @@ class EngineReport:
         else:
             self.job_seconds += wall
         engine = getattr(result, "engine", None)
-        if isinstance(engine, dict):
-            self.events_processed += int(engine.get("events_processed", 0))
+        events = int(engine.get("events_processed", 0)) if isinstance(engine, dict) else 0
+        self.events_processed += events
         self.per_job.append(
-            {"job": describe(spec), "wall_seconds": wall, "cached": cached}
+            {
+                "job": describe(spec),
+                "wall_seconds": wall,
+                "cached": cached,
+                "events_processed": events,
+            }
         )
 
 

@@ -716,13 +716,16 @@ class Simulator:
 
         ``until`` may be ``None`` (drain the queue), a number (stop when
         simulated time would exceed it; ``now`` is set to the deadline),
-        or an :class:`Event` (stop when it fires and return its value).
+        or an :class:`Event` (stop when it fires and return its value, or
+        raise it if the event failed — also when it had fired already).
         """
         stop_event: Optional[Event] = None
         deadline = float("inf")
         if isinstance(until, Event):
             stop_event = until
             if stop_event.processed:
+                if not stop_event.ok:
+                    raise stop_event._value
                 return stop_event._value
         elif until is not None:
             deadline = float(until)

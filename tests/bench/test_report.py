@@ -4,8 +4,9 @@ import pytest
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.paper_data import PAPER
-from repro.bench.report import format_table, shape_checks
+from repro.bench.report import experiment_report, format_table, result_hash, shape_checks
 from repro.bench.experiments import ExperimentResult
+from repro.bench.runner import RunResult
 
 
 def synthetic(exp_id: str, values: dict) -> ExperimentResult:
@@ -56,6 +57,31 @@ class TestShapeChecksOnPaperValues:
         res = synthetic("fig7b", paperlike("fig7b"))
         failures = [c for c in shape_checks(res) if not c.ok]
         assert not failures, failures
+
+
+class TestResultHash:
+    @staticmethod
+    def _report(events: int) -> dict:
+        raw = {
+            ("direct-pnfs", 1): RunResult(
+                "direct-pnfs", "ior", 1, makespan=2.0, total_bytes=200 * 10**6,
+                engine={"events_processed": events, "events_scheduled": events},
+            ),
+        }
+        res = ExperimentResult(
+            experiment=EXPERIMENTS["fig7c"], scale=0.1,
+            values={"direct-pnfs": {1: 100.0}}, raw=raw,
+        )
+        return experiment_report(res)
+
+    def test_kernel_event_counts_do_not_move_the_hash(self):
+        """An order-preserving kernel change moves the queue-entry count
+        of every cell and nothing the simulation computed."""
+        a, b = self._report(1000), self._report(700)
+        assert a["result_hash"] == b["result_hash"]
+        assert a == b
+        # ... while a simulated value still does.
+        assert result_hash(dict(a, values={"direct-pnfs": {1: 100.5}})) != a["result_hash"]
 
 
 class TestShapeChecksCatchViolations:

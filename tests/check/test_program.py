@@ -2,9 +2,7 @@
 
 import hashlib
 
-import numpy as np
-
-from repro.check.program import SHARED, Op, Program, generate, ns_path, private_path
+from repro.check.program import SHARED, Op, Program, generate, private_path
 
 #: sha256 over ``generate(seed, **kw).to_json()`` for seeds 0..59 of each
 #: argument set below, in that order.  Recorded from the ``rng.choice``
@@ -43,26 +41,6 @@ class TestGeneration:
                         continue
                     for x in (op.offset, op.offset + op.length - 1):
                         assert p.owner_of(op.file, x) == c, (seed, c, op)
-
-    def test_owner_map_equals_per_byte_owner_of(self):
-        """The vectorised map is defined by ``owner_of``: checked at every
-        chunk's first and last byte (where ``SHARED`` ownership changes)
-        and at 500 seeded random offsets per file."""
-        rng = np.random.default_rng(0)
-        for seed in (0, 7, 28):
-            for metadata in (False, True):
-                p = generate(seed, metadata_ops=metadata)
-                paths = p.files + [ns_path(p.ns_slot_of(c)) for c in range(p.n_clients)]
-                for path in paths:
-                    size = p.file_size(path)
-                    owners = p.owner_map(path)
-                    assert owners.dtype.name == "int16"
-                    assert len(owners) == size
-                    firsts = range(0, size, p.chunk)
-                    offsets = [*firsts, *(x + p.chunk - 1 for x in firsts)]
-                    offsets += rng.integers(0, size, 500).tolist()
-                    for x in offsets:
-                        assert owners[x] == p.owner_of(path, x), (seed, metadata, path, x)
 
     def test_write_tags_nonzero(self):
         for seed in range(30):

@@ -482,6 +482,18 @@ class TestEngineMisc:
         sim.run()
         assert done == [10]
 
+    def test_run_until_an_already_failed_event_raises_it(self):
+        """A failure is raised by ``run(until=ev)`` whether ``ev`` fails
+        during the run or had failed, defused, before it."""
+        sim = Simulator()
+        ev = sim.event()
+        ev.fail(ValueError("boom"))
+        ev.defuse()
+        sim.run()
+        assert ev.processed and not ev.ok
+        with pytest.raises(ValueError, match="boom"):
+            sim.run(until=ev)
+
     def test_condition_across_simulators_rejected(self):
         a, b = Simulator(), Simulator()
         with pytest.raises(SimulationError):
