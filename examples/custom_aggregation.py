@@ -9,17 +9,17 @@ example:
    small strips on one server for metadata-ish regions, big strips on
    the others — and shows the layout translator forwarding the pattern
    to the client's varstrip aggregation driver;
-2. registers a brand-new custom driver + translation at runtime and
-   reads data placed with it, demonstrating the extension seam.
+2. adds a brand-new aggregation scheme as one row of the client's
+   ``AGGREGATIONS`` table and maps a range with it, demonstrating the
+   extension seam.
 
 Run:  python examples/custom_aggregation.py
 """
 
 from repro.cluster.configs import make_deployment
-from repro.core.aggregation import RoundRobinDriver, register_driver
-from repro.core.layout_translator import register_translation
-from repro.pvfs2.distribution import VarStrip
+from repro.core.aggregation import AGGREGATIONS, aggregation_for
 from repro.vfs import Payload
+from repro.vfs.striping import StripPattern
 
 KB = 1024
 
@@ -44,7 +44,7 @@ def main() -> None:
             tb.client_nodes[0],
             mds_backend.rpc,
             "create",
-            {"path": "/varstrip.dat", "dist": VarStrip(6, pattern).describe()},
+            {"path": "/varstrip.dat", "dist": {"type": "varstrip", "nservers": 6, "pattern": pattern}},
         )
         f = yield from client.open("/varstrip.dat")
         print("layout for the varstrip file:")
@@ -67,41 +67,25 @@ def main() -> None:
     print(f"  bytes per storage node: {placed}")
     print("  (server 0 carries only the small 16 KB strips)")
 
-    # -- 2. a custom driver registered at runtime -------------------------
-    class EvenStripesFirstDriver(RoundRobinDriver):
+    # -- 2. a custom aggregation: one new row ---------------------------
+    def even_odd(desc):
         """Toy scheme: even stripes on slots 0..2, odd stripes on 3..5.
 
-        Overrides ``map`` to show the seam a scheme that is not a strip
-        pattern uses; this one is, and could simply be
-        ``DeviceCycleDriver([0, 3, 1, 4, 2, 5], stripe_unit)``.
+        A row turns the layout's description into the client's
+        ``map(offset, nbytes, for_write) -> [Run]``; this scheme is a
+        strip pattern, so its map is the pattern's ``runs``.
         """
+        runs = StripPattern([(slot, desc["stripe_unit"]) for slot in (0, 3, 1, 4, 2, 5)]).runs
+        return lambda offset, nbytes, for_write=False: runs(offset, nbytes)
 
-        name = "even_odd"
-
-        def __init__(self, stripe_unit: int):
-            super().__init__(nslots=6, stripe_unit=stripe_unit)
-
-        def map(self, offset, nbytes, for_write=False):
-            segs = super().map(offset, nbytes, for_write)
-            remapped = []
-            for seg in segs:
-                stripe = seg.offset // self.stripe_unit
-                half = 0 if stripe % 2 == 0 else 3
-                slot = half + (stripe // 2) % 3
-                remapped.append(type(seg)(slot, seg.offset, seg.length))
-            return remapped
-
-        def describe(self):
-            return {"type": self.name, "stripe_unit": self.stripe_unit}
-
-    register_driver("even_odd", lambda d: EvenStripesFirstDriver(d["stripe_unit"]))
-    print("\nregistered custom aggregation driver 'even_odd'")
-    drv = EvenStripesFirstDriver(64 * KB)
-    segs = drv.map(0, 6 * 64 * KB)
-    print(f"  placement of six stripes: {[s.device_slot for s in segs]}")
-    print("  (a parallel FS using this scheme would register a matching")
-    print("   layout translation with register_translation(...))")
-
+    AGGREGATIONS["even_odd"] = even_odd
+    print("\nadded aggregation row 'even_odd'")
+    runs = aggregation_for({"type": "even_odd", "stripe_unit": 64 * KB})(0, 6 * 64 * KB)
+    placement = [run.server for run in runs]
+    print(f"  placement of six stripes: {placement}")
+    assert placement == [0, 3, 1, 4, 2, 5]
+    print("  (a parallel FS using this scheme would add the matching")
+    print("   row to repro.core.layout_translator.TRANSLATIONS)")
 
 if __name__ == "__main__":
     main()

@@ -9,8 +9,9 @@ file system's storage nodes directly:
   information — only the aggregation type and its parameters cross the
   boundary;
 * **aggregation drivers** (:mod:`repro.core.aggregation`) give clients
-  a compact, pluggable way to understand non-round-robin placements
-  (variable stripes, replication, hierarchical striping);
+  a compact way to understand non-round-robin placements (variable
+  stripes, replication, hierarchical striping): one table row per
+  aggregation type;
 * **data servers** are stock NFSv4.1 servers colocated with storage
   nodes, reaching local data through a loopback conduit — no
   inter-server data traffic;
@@ -20,33 +21,17 @@ file system's storage nodes directly:
   row with the translator and the conduits (``"direct-pnfs"``).
 """
 
-from repro.core.aggregation import (
-    AggregationDriver,
-    DeviceCycleDriver,
-    HierarchicalDriver,
-    IoSegment,
-    ReplicatedDriver,
-    RoundRobinDriver,
-    VarStripDriver,
-    driver_for,
-    register_driver,
-)
-from repro.core.layout_translator import LayoutTranslator
+from repro.core.aggregation import AGGREGATIONS, aggregation_for
+from repro.core.layout_translator import TRANSLATIONS, LayoutTranslator
 
 # Last: it imports repro.pnfs.client, which imports the aggregation
-# registry above.
+# table above.
 from repro.core.system import PnfsSystem
 
 __all__ = [
-    "AggregationDriver",
-    "DeviceCycleDriver",
-    "HierarchicalDriver",
-    "IoSegment",
+    "AGGREGATIONS",
+    "TRANSLATIONS",
     "LayoutTranslator",
     "PnfsSystem",
-    "ReplicatedDriver",
-    "RoundRobinDriver",
-    "VarStripDriver",
-    "driver_for",
-    "register_driver",
+    "aggregation_for",
 ]

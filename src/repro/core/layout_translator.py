@@ -5,11 +5,11 @@ a pNFS file-based layout so that clients learn the *exact* location of
 every byte.  Per the paper, the translator is independent of the
 underlying parallel FS: it never interprets FS-specific layout blobs.
 The parallel FS hands over only (aggregation type, parameters) — here,
-the portable ``describe()`` dict of a PVFS2 distribution — and the
+the ``{"type": ...}`` description a PVFS2 file carries — and the
 translator (with the pNFS server supplying filehandles) assembles the
-layout.  Translation rules are a registry keyed by aggregation type, so
-a new parallel FS needs only to register how its placement maps onto an
-aggregation-driver description.
+layout.  :data:`TRANSLATIONS` has one row per aggregation type, so a
+new parallel FS needs only a row mapping its placement onto an
+aggregation description (:data:`repro.core.aggregation.AGGREGATIONS`).
 """
 
 from __future__ import annotations
@@ -20,44 +20,31 @@ from repro.pnfs.layout import FileLayout
 from repro.pnfs.providers import LayoutProvider
 from repro.vfs.api import FileSystemClient
 
-__all__ = ["LayoutTranslator", "register_translation"]
+__all__ = ["TRANSLATIONS", "LayoutTranslator", "translate_aggregation"]
 
-#: dist-type -> fn(dist_desc) -> aggregation description
-_TRANSLATIONS: dict[str, Callable[[dict], dict]] = {}
-
-
-def register_translation(dist_type: str, fn: Callable[[dict], dict]) -> None:
-    """Register how a parallel-FS aggregation type maps to a driver desc."""
-    if dist_type in _TRANSLATIONS:
-        raise ValueError(f"translation for {dist_type!r} already registered")
-    _TRANSLATIONS[dist_type] = fn
-
-
-def translate_aggregation(dist_desc: dict) -> dict:
-    """Map a distribution description to an aggregation-driver description."""
-    kind = dist_desc.get("type")
-    try:
-        fn = _TRANSLATIONS[kind]
-    except KeyError:
-        raise ValueError(f"no layout translation for aggregation type {kind!r}") from None
-    return fn(dist_desc)
-
-
-# PVFS2's stock distributions.  simple_stripe is exactly NFSv4.1
-# round-robin; varstrip needs the optional aggregation driver.
-register_translation(
-    "simple_stripe",
-    lambda d: {
+#: distribution type -> fn(distribution description) -> aggregation description.
+#: PVFS2's stock distributions: simple_stripe is exactly NFSv4.1
+#: round-robin; varstrip needs the optional aggregation driver.
+TRANSLATIONS: dict[str, Callable[[dict], dict]] = {
+    "simple_stripe": lambda d: {
         "type": "round_robin",
         "nslots": d["nservers"],
         "stripe_unit": d["stripe_size"],
         "first_slot": d.get("start_server", 0),
     },
-)
-register_translation(
-    "varstrip",
-    lambda d: {"type": "varstrip", "pattern": [tuple(p) for p in d["pattern"]]},
-)
+    "varstrip": lambda d: {"type": "varstrip", "pattern": [tuple(p) for p in d["pattern"]]},
+}
+
+
+def translate_aggregation(dist_desc: dict) -> dict:
+    """Map a distribution description to an aggregation description."""
+    try:
+        row = TRANSLATIONS[dist_desc.get("type")]
+    except KeyError:
+        raise ValueError(
+            f"no layout translation for aggregation type {dist_desc.get('type')!r}"
+        ) from None
+    return row(dist_desc)
 
 
 class LayoutTranslator(LayoutProvider):

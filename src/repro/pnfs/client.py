@@ -22,7 +22,7 @@ layout contents differ.
 
 from __future__ import annotations
 
-from repro.core.aggregation import driver_for
+from repro.core.aggregation import aggregation_for
 from repro.nfs.client import Nfs4Client
 from repro.nfs.config import NfsConfig
 from repro.nfs.server import Nfs4Server
@@ -86,7 +86,7 @@ class PnfsClient(Nfs4Client):
             layout = result["layout"]
             self._layout_cache[f.state["fh"]] = layout
         f.state["layout"] = layout
-        f.state["agg"] = driver_for(layout.aggregation)
+        f.state["agg"] = aggregation_for(layout.aggregation)
         f.state.setdefault("commit_slots", set())
         f.state.setdefault("layoutcommitted_size", f.state["pc"].size)
         siblings = self._open_by_fh.setdefault(f.state["fh"], [])
@@ -125,8 +125,8 @@ class PnfsClient(Nfs4Client):
         each would have.  ``path`` must have been opened here (layout)."""
         fh = super().install(path, nbytes)
         layout = self._layout_cache[fh]
-        segments = driver_for(layout.aggregation).map(0, nbytes, for_write=True)
-        for slot in sorted({seg.device_slot for seg in segments}):
+        runs = aggregation_for(layout.aggregation)(0, nbytes, for_write=True)
+        for slot in sorted({run.server for run in runs}):
             self._ds_for(layout, slot).bind(layout.fhs[slot])
         return fh
 
@@ -167,18 +167,18 @@ class PnfsClient(Nfs4Client):
     def _io_read(self, f: OpenFile, offset: int, nbytes: int):
         yield from self._ensure_layout(f)
         layout, agg = f.state["layout"], f.state["agg"]
-        segments = agg.map(offset, nbytes, for_write=False)
+        runs = agg(offset, nbytes, for_write=False)
 
-        def seg_read(seg):
-            ds = self._ds_for(layout, seg.device_slot)
+        def run_read(run):
+            ds = self._ds_for(layout, run.server)
             if not self._ds_down(ds):
                 try:
                     _res, data = yield from self._call(
                         "read",
                         {
-                            "fh": layout.fhs[seg.device_slot],
-                            "offset": seg.offset,
-                            "nbytes": seg.length,
+                            "fh": layout.fhs[run.server],
+                            "offset": run.logical,
+                            "nbytes": run.length,
                         },
                         server=ds,
                     )
@@ -186,43 +186,41 @@ class PnfsClient(Nfs4Client):
                     return data
                 except RpcTimeout:
                     yield from self._note_ds_failure(f, ds)
-            _res, data = yield from Nfs4Client._io_read(self, f, seg.offset, seg.length)
+            _res, data = yield from Nfs4Client._io_read(self, f, run.logical, run.length)
             self.proxied_bytes += data.nbytes
             return data
 
-        datas = yield self.sim.spawn(*(seg_read(seg) for seg in segments))
-        out = Payload.assemble(
-            [(seg.length, data) for seg, data in zip(segments, datas)]
-        )
+        datas = yield self.sim.spawn(*(run_read(run) for run in runs))
+        out = Payload.assemble([(run.length, data) for run, data in zip(runs, datas)])
         return {"count": out.nbytes, "eof": out.nbytes < nbytes}, out
 
     def _io_write(self, f: OpenFile, offset: int, payload: Payload):
         yield from self._ensure_layout(f)
         layout, agg = f.state["layout"], f.state["agg"]
-        segments = agg.map(offset, payload.nbytes, for_write=True)
+        runs = agg(offset, payload.nbytes, for_write=True)
 
-        def seg_write(seg):
-            ds = self._ds_for(layout, seg.device_slot)
-            sub = payload.slice(seg.offset - offset, seg.length)
+        def run_write(run):
+            ds = self._ds_for(layout, run.server)
+            sub = payload.slice(run.logical - offset, run.length)
             if not self._ds_down(ds):
                 try:
                     yield from self._call(
                         "write",
-                        {"fh": layout.fhs[seg.device_slot], "offset": seg.offset},
+                        {"fh": layout.fhs[run.server], "offset": run.logical},
                         payload=sub,
                         server=ds,
                     )
                     self._note_ds_ok(ds)
-                    f.state["commit_slots"].add(seg.device_slot)
+                    f.state["commit_slots"].add(run.server)
                     return
                 except RpcTimeout:
                     yield from self._note_ds_failure(f, ds)
-            yield from Nfs4Client._io_write(self, f, seg.offset, sub)
+            yield from Nfs4Client._io_write(self, f, run.logical, sub)
             self.proxied_bytes += sub.nbytes
             # Proxied data is only durable via a COMMIT at the MDS.
             f.state["mds_dirty"] = True
 
-        yield self.sim.spawn(*(seg_write(seg) for seg in segments))
+        yield self.sim.spawn(*(run_write(run) for run in runs))
         return {"count": payload.nbytes}, None
 
     def _io_commit(self, f: OpenFile):

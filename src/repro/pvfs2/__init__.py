@@ -3,8 +3,8 @@
 The paper's prototype exports PVFS2 1.5.1; this package reimplements the
 pieces its evaluation depends on:
 
-* striping distributions (:mod:`repro.pvfs2.distribution`) — round-robin
-  ``simple_stripe`` plus ``varstrip``-style patterns,
+* striping distributions (:mod:`repro.pvfs2.distribution`) — one table
+  row each for round-robin ``simple_stripe`` and ``varstrip`` patterns,
 * storage daemons (:mod:`repro.pvfs2.storage`) with in-memory bstreams,
   a bounded dirty buffer drained by a write-behind flusher, and a fixed
   kernel↔user transfer-buffer pool,
@@ -17,30 +17,20 @@ pieces its evaluation depends on:
 """
 
 from repro.pvfs2.config import Pvfs2Config
-from repro.pvfs2.distribution import (
-    Distribution,
-    Extent,
-    Run,
-    SimpleStripe,
-    VarStrip,
-    distribution_from_description,
-)
+from repro.pvfs2.distribution import DISTRIBUTIONS, Extent, extents
 from repro.pvfs2.metadata import FileMeta, MetadataServer
 from repro.pvfs2.storage import StorageDaemon
 from repro.pvfs2.client import Pvfs2Client
 from repro.pvfs2.system import Pvfs2System
 
 __all__ = [
-    "Distribution",
+    "DISTRIBUTIONS",
     "Extent",
     "FileMeta",
     "MetadataServer",
     "Pvfs2Client",
     "Pvfs2Config",
     "Pvfs2System",
-    "Run",
-    "SimpleStripe",
     "StorageDaemon",
-    "VarStrip",
-    "distribution_from_description",
+    "extents",
 ]

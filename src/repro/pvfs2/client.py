@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro import rpc
 from repro.pvfs2.config import Pvfs2Config
-from repro.pvfs2.distribution import Distribution, distribution_from_description
+from repro.pvfs2.distribution import DISTRIBUTIONS, extents
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
 from repro.sim.resources import Resource
@@ -39,6 +39,7 @@ from repro.vfs.api import (
     OpenFile,
     Payload,
 )
+from repro.vfs.striping import StripPattern
 
 __all__ = ["Pvfs2Client"]
 
@@ -76,11 +77,11 @@ class Pvfs2Client(FileSystemClient):
         if info["is_dir"]:
             raise IsDirectory(path)
 
-    def _dist_of(self, f: OpenFile) -> Distribution:
+    def _dist_of(self, f: OpenFile) -> StripPattern:
         dist = f.state.get("dist_obj")
         if dist is None:
-            dist = distribution_from_description(f.state["dist"])
-            f.state["dist_obj"] = dist
+            desc = f.state["dist"]
+            dist = f.state["dist_obj"] = DISTRIBUTIONS[desc["type"]](desc)
         return dist
 
     def _open_from_info(self, path: str, info: dict) -> OpenFile:
@@ -145,7 +146,7 @@ class Pvfs2Client(FileSystemClient):
         """
         flow_unit = self.cfg.flow_unit
         units: list[tuple[int, int, int, bool, list[tuple[int, int]]]] = []
-        for ext in dist.extents(offset, nbytes):
+        for ext in extents(dist, offset, nbytes):
             self._check_local(ext.server)
             pieces = iter(ext.pieces)
             piece = next(pieces)
@@ -297,7 +298,7 @@ class Pvfs2Client(FileSystemClient):
         """
         f = self.bind(self.mds.namespace.resolve(path).handle)
         dfiles = f.state["dfiles"]
-        for ext in self._dist_of(f).extents(0, nbytes):
+        for ext in extents(self._dist_of(f), 0, nbytes):
             self.daemons[ext.server].install(
                 dfiles[ext.server], ext.local, Payload.synthetic(ext.length)
             )

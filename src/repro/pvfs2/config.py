@@ -36,7 +36,6 @@ class Pvfs2Config:
     client_max_flight: int = 8
     dirty_watermark: int = 64 * 1024 * 1024
     storage_threads: int = 16
-    cold_reads: bool = False  # charge disk on reads (ablation; paper uses warm cache)
     #: Write-cache/queue allowance: a flush barrier returns once the
     #: backlog is at or below this.  2002-era ATA drives acknowledge
     #: writes from their on-drive cache and 2.6.17 ext3 issued no write

@@ -15,21 +15,17 @@ faithfully:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro import rpc
 from repro.pvfs2.config import Pvfs2Config
-from repro.pvfs2.distribution import (
-    Distribution,
-    SimpleStripe,
-    distribution_from_description,
-)
+from repro.pvfs2.distribution import DISTRIBUTIONS
 from repro.pvfs2.storage import Journal
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
-from repro.vfs.api import IsDirectory, NoEntry
+from repro.vfs.api import InvalidArgument, IsDirectory, NoEntry
 from repro.vfs.namespace import Namespace
+from repro.vfs.striping import StripPattern
 
 __all__ = ["FileMeta", "MetadataServer"]
 
@@ -40,8 +36,8 @@ class FileMeta:
 
     ns_handle: int
     dfiles: list[int]
-    dist_desc: dict = field(default_factory=dict)
-    dist: Optional[Distribution] = None
+    dist_desc: dict
+    dist: StripPattern  # built from ``dist_desc`` at create
 
 
 class MetadataServer:
@@ -95,12 +91,6 @@ class MetadataServer:
             return self.files[ns_handle]
         except KeyError:
             raise NoEntry(f"file meta for handle {ns_handle}") from None
-
-    def _dist(self, meta: FileMeta) -> Distribution:
-        """The file's distribution, rebuilt from its description on first use."""
-        if meta.dist is None:
-            meta.dist = distribution_from_description(meta.dist_desc)
-        return meta.dist
 
     def _all_daemons(self, proc: str, args: list[dict]):
         """Join of ``proc`` on every storage server in parallel, server
@@ -157,22 +147,32 @@ class MetadataServer:
 
     def _h_create(self, args, payload):
         path = args["path"]
+        nservers = len(self.daemons)
         dist = args.get("dist")
         if dist is None:
             # Rotate the first datafile per file so concurrent streams
             # spread over the storage servers instead of convoying.
-            dist = SimpleStripe(
-                len(self.daemons),
-                self.cfg.stripe_size,
-                start_server=self._created_files % len(self.daemons),
-            ).describe()
+            dist = {
+                "type": "simple_stripe",
+                "nservers": nservers,
+                "stripe_size": self.cfg.stripe_size,
+                "start_server": self._created_files % nservers,
+            }
+        # A description every later getattr and client can place bytes
+        # by, over this file system's servers — or no file at all.
+        try:
+            pattern = DISTRIBUTIONS[dist["type"]](dist)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidArgument(f"distribution {dist!r}: {exc!r}") from None
+        if dist["nservers"] != nservers:
+            raise InvalidArgument(f"distribution {dist!r} is not over {nservers} servers")
         self._created_files += 1
         entry = self.namespace.create(path, is_dir=False, now=self.sim.now)
         dfiles = []
         for _ in self.daemons:
             dfiles.append(self._next_dfile)
             self._next_dfile += 1
-        meta = FileMeta(ns_handle=entry.handle, dfiles=dfiles, dist_desc=dist)
+        meta = FileMeta(entry.handle, dfiles, dist, pattern)
         self.files[entry.handle] = meta
         yield from self.journal.write()
         # Allocate a datafile on every storage server — the costly part.
@@ -188,7 +188,7 @@ class MetadataServer:
         if not entry.is_dir:
             meta = self._file_meta(entry.handle)
             sizes = yield from self._query_sizes(meta)
-            attrs.size = self._dist(meta).logical_size(sizes)
+            attrs.size = meta.dist.logical_size(sizes)
         info = self._entry_info(entry)
         info["attrs"] = attrs
         return info, None
@@ -238,7 +238,7 @@ class MetadataServer:
         meta = self._file_meta(entry.handle)
         size = args["size"]
         # Per-server local sizes implied by truncating to `size`.
-        local_end = self._dist(meta).local_sizes(size)
+        local_end = meta.dist.local_sizes(size)
         yield self._all_daemons(
             "truncate_bstream",
             [{"handle": d, "size": n} for d, n in zip(meta.dfiles, local_end)],

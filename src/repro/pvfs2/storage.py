@@ -169,10 +169,6 @@ class StorageDaemon:
             return 0, Payload(b"")
         yield self.flow_pool.acquire()
         try:
-            if self.cfg.cold_reads:
-                yield from self._disk_for(handle).io(
-                    handle * BSTREAM_STRIDE + offset, nbytes, write=False
-                )
             data = fd.read(offset, nbytes)
             yield self.node.compute(DAEMON_COPY_PER_BYTE * data.nbytes)
         finally:

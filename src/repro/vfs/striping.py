@@ -2,15 +2,16 @@
 
 Every placement in this repository — PVFS2's ``simple_stripe`` and
 ``varstrip`` distributions, and the round-robin, device-cycle, varstrip
-and hierarchical aggregation drivers of paper §4.3 — is one thing: a
-cycle of ``(device, length)`` strips laid end to end and repeated for
-the length of the file, each device storing the strips it is handed
-densely, in logical order, in its own byte stream.  (It is also what
-PVFS list-I/O runs and Clusterfile's two-level striping reduce to.)
+and hierarchical aggregations of paper §4.3 — is one thing: a cycle of
+``(device, length)`` strips laid end to end and repeated for the length
+of the file, each device storing the strips it is handed densely, in
+logical order, in its own byte stream.  (It is also what PVFS list-I/O
+runs and Clusterfile's two-level striping reduce to.)
 :class:`StripPattern` is that cycle, and the only code that decides
-which device holds a byte; :mod:`repro.pvfs2.distribution` and
-:mod:`repro.core.aggregation` build strip lists and describe them on
-the wire, nothing more.
+which device holds a byte; the rows of
+:data:`repro.pvfs2.distribution.DISTRIBUTIONS` and
+:data:`repro.core.aggregation.AGGREGATIONS` turn a ``{"type": ...}``
+description into strips, nothing more.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["Run", "StripPattern"]
+__all__ = ["Run", "StripPattern", "round_robin"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,14 @@ class Run:
     local: int
     length: int
     logical: int
+
+
+def round_robin(n: int, unit: int, first: int = 0) -> list[tuple[int, int]]:
+    """Round-robin strips: unit *i* on device *(first + i) mod n* (PVFS2's
+    ``start_server``, RFC 5661's first stripe index)."""
+    if not 0 <= first < n:
+        raise ValueError(f"first device {first} out of range for {n} devices")
+    return [((first + i) % n, unit) for i in range(n)]
 
 
 class StripPattern:

@@ -4,9 +4,9 @@ import pytest
 
 from repro.cluster.configs import ARCHITECTURES
 from repro.core import PnfsSystem
-from repro.core.layout_translator import register_translation, translate_aggregation
+from repro.core.layout_translator import TRANSLATIONS, translate_aggregation
 from repro.nfs import NfsConfig
-from repro.pvfs2 import Pvfs2Config, Pvfs2System, VarStrip
+from repro.pvfs2 import Pvfs2Config, Pvfs2System
 from repro.vfs import Payload
 
 from tests.conftest import build_cluster, drive
@@ -59,7 +59,7 @@ class TestLayoutTranslator:
         def scenario():
             yield from client.mount()
             # create with an explicit varstrip distribution via the MDS
-            dist = VarStrip(3, pattern).describe()
+            dist = {"type": "varstrip", "nservers": 3, "pattern": pattern}
             info, _ = yield from system.mds.backend._mds_call(
                 "create", {"path": "/vs", "dist": dist}
             )
@@ -80,7 +80,7 @@ class TestLayoutTranslator:
 
         def scenario():
             yield from client.mount()
-            dist = VarStrip(3, pattern).describe()
+            dist = {"type": "varstrip", "nservers": 3, "pattern": pattern}
             yield from system.mds.backend._mds_call("create", {"path": "/skip", "dist": dist})
             return (yield from client.open("/skip"))
 
@@ -93,14 +93,13 @@ class TestLayoutTranslator:
             translate_aggregation({"type": "proprietary-blob"})
 
     def test_translation_registry_extensible(self):
-        register_translation("blockiness", lambda d: {"type": "round_robin", "nslots": 1, "stripe_unit": 1})
+        """A new parallel-FS placement is a new row."""
+        TRANSLATIONS["blockiness"] = lambda d: {"type": "round_robin", "nslots": 1, "stripe_unit": 1}
         try:
             agg = translate_aggregation({"type": "blockiness"})
             assert agg["type"] == "round_robin"
         finally:
-            from repro.core import layout_translator
-
-            del layout_translator._TRANSLATIONS["blockiness"]
+            del TRANSLATIONS["blockiness"]
 
 
 class TestEndToEnd:
@@ -132,10 +131,7 @@ class TestEndToEnd:
 
         f = drive(cluster.sim, scenario())
         dist = pvfs.mds.files[f.state["fh"]]
-        from repro.pvfs2.distribution import distribution_from_description
-
-        d = distribution_from_description(dist.dist_desc)
-        for run in d.runs(0, len(data))[:20]:
+        for run in dist.dist.runs(0, len(data))[:20]:
             daemon = pvfs.daemons[run.server]
             dfile = dist.dfiles[run.server]
             stored = daemon.bstreams[dfile].read(run.local, run.length)

@@ -7,58 +7,9 @@ from repro.core import PnfsSystem
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.pvfs2 import Pvfs2Config, Pvfs2System
 from repro.vfs import Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
-from tests.conftest import build_cluster, drive
-
-
-class TestColdReads:
-    """The cold-read ablation flag charges disk time on reads."""
-
-    def test_cold_reads_slower_than_warm(self):
-        def read_time(cold):
-            cluster = build_cluster()
-            pvfs = Pvfs2System(
-                cluster.sim,
-                cluster.storage,
-                Pvfs2Config(stripe_size=64 * 1024, cold_reads=cold),
-            )
-            client = pvfs.make_client(cluster.clients[0])
-
-            def scenario():
-                yield from client.mount()
-                f = yield from client.create("/c")
-                yield from client.write(f, 0, Payload.synthetic(4 << 20))
-                yield from client.fsync(f)
-                t0 = cluster.sim.now
-                yield from client.read(f, 0, 4 << 20)
-                return cluster.sim.now - t0
-
-            return drive(cluster.sim, scenario())
-
-        warm = read_time(False)
-        cold = read_time(True)
-        # disk time overlaps the wire, so the penalty is real but modest
-        assert cold > warm * 1.1
-
-    def test_cold_reads_charge_disk_counters(self):
-        cluster = build_cluster()
-        pvfs = Pvfs2System(
-            cluster.sim,
-            cluster.storage,
-            Pvfs2Config(stripe_size=64 * 1024, cold_reads=True),
-        )
-        client = pvfs.make_client(cluster.clients[0])
-
-        def scenario():
-            yield from client.mount()
-            f = yield from client.create("/d")
-            yield from client.write(f, 0, Payload.synthetic(1 << 20))
-            yield from client.fsync(f)
-            yield from client.read(f, 0, 1 << 20)
-
-        drive(cluster.sim, scenario())
-        assert sum(n.disk.read_bytes for n in cluster.storage) == 1 << 20
+from tests.conftest import drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 
 class TestCommitThroughMds:

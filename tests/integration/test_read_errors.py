@@ -18,9 +18,9 @@ them again.  The write-side twin is ``test_writeback_errors.py``.
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.rpc import RpcPolicy, RpcTimeout
 from repro.vfs import Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 KB = 1024
 RSIZE = 16 * KB

@@ -13,9 +13,9 @@ pages for real.
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.rpc import RpcPolicy, RpcTimeout
 from repro.vfs import Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 KB = 1024
 WSIZE = 64 * KB

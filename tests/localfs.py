@@ -1,10 +1,9 @@
 """In-memory local file system.
 
 A zero-cost :class:`~repro.vfs.api.FileSystemClient` used as (a) the
-reference implementation in conformance tests, (b) a standalone-NFS
-export backend in unit tests, and (c) a convenient playground in the
-examples.  An optional fixed per-operation delay and per-byte media
-rate let tests give it a crude timing envelope.
+reference implementation in conformance tests and (b) a standalone-NFS
+export backend in unit tests.  An optional fixed per-operation delay
+and per-byte media rate let tests give it a crude timing envelope.
 """
 
 from __future__ import annotations

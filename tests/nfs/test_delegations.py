@@ -4,9 +4,9 @@ import pytest
 
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.vfs import Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import build_cluster, drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 
 @pytest.fixture

@@ -16,9 +16,9 @@ import sys
 
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.vfs import Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import build_cluster, drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 KB, MB = 1024, 1024 * 1024
 OPS = 2000

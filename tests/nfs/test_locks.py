@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.nfs.locks import READ_LT, WRITE_LT, LockConflict, LockManager
 from repro.vfs import Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import build_cluster, drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 
 class TestLockManager:

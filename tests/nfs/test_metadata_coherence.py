@@ -11,9 +11,9 @@ import pytest
 
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.vfs import Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 
 def build_nfs(cluster, **overrides):

@@ -4,9 +4,9 @@ import pytest
 
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.vfs import NoEntry, Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import build_cluster, drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 
 def make_nfs(cluster, **cfg_kw):

@@ -6,9 +6,9 @@ from repro import rpc as rpc_mod
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.sim import FaultInjector
 from repro.vfs import FsError, Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import build_cluster, drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 KB = 1024
 

@@ -6,9 +6,9 @@ from repro import rpc
 from repro.nfs import Nfs4Server, NfsConfig
 from repro.vfs import NoEntry, Payload
 from repro.vfs.api import InvalidArgument
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import build_cluster, drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 
 @pytest.fixture

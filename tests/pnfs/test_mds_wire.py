@@ -7,9 +7,9 @@ from repro.nfs import Nfs4Server, NfsConfig
 from repro.pnfs import PnfsMetadataServer, SyntheticFileLayoutProvider
 from repro.rpc import RpcServer
 from repro.vfs import Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import build_cluster, drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 
 @pytest.fixture

@@ -11,9 +11,9 @@ import pytest
 from repro.nfs import Nfs4Server, NfsConfig
 from repro.pnfs import PnfsClient, PnfsMetadataServer, SyntheticFileLayoutProvider
 from repro.vfs import Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import build_cluster, drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 
 def make_pnfs(cluster, n_ds=3, stripe_unit=64 * 1024, **cfg_kw):

@@ -12,9 +12,9 @@ from repro.nfs import Nfs4Server, NfsConfig
 from repro.pnfs import FileLayout, PnfsClient, PnfsMetadataServer
 from repro.pnfs.providers import LayoutProvider
 from repro.vfs import Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import build_cluster, drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 KB = 1024
 

@@ -14,7 +14,7 @@ filehandles, and what a fresh client sees.
 import pytest
 
 from repro.cluster.configs import ARCHITECTURES, make_deployment
-from repro.pvfs2 import Pvfs2Config, Pvfs2System, VarStrip
+from repro.pvfs2 import Pvfs2Config, Pvfs2System
 from repro.vfs import NoEntry, Payload
 
 from tests.conftest import build_cluster, drive
@@ -137,7 +137,7 @@ def test_install_through_varstrip():
         def prep(client=client, fs=fs, direct=direct):
             yield from client.mount()
             yield from client._mds_call(
-                "create", {"path": "/vs", "dist": VarStrip(3, pattern).describe()}
+                "create", {"path": "/vs", "dist": {"type": "varstrip", "nservers": 3, "pattern": pattern}}
             )
             if direct:
                 client.install("/vs", nbytes)

@@ -1,21 +1,37 @@
-"""Distribution mapping tests: striping correctness and inverses."""
+"""Distribution mapping tests: the rows of ``DISTRIBUTIONS``, striping
+correctness and inverses."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pvfs2 import (
-    Distribution,
-    SimpleStripe,
-    VarStrip,
-    distribution_from_description,
-)
+from repro import rpc
+from repro.pvfs2 import DISTRIBUTIONS, Pvfs2Config, Pvfs2System
+from repro.pvfs2.distribution import extents as extents_of
+from repro.vfs.api import InvalidArgument, NoEntry
+from repro.vfs.striping import StripPattern, round_robin
+
+from tests.conftest import drive
 
 
-def check_extents(d: Distribution, offset: int, nbytes: int) -> None:
+def simple_stripe(nservers, stripe_size, start_server=0):
+    desc = {
+        "type": "simple_stripe",
+        "nservers": nservers,
+        "stripe_size": stripe_size,
+        "start_server": start_server,
+    }
+    return DISTRIBUTIONS["simple_stripe"](desc)
+
+
+def varstrip(nservers, pattern):
+    return DISTRIBUTIONS["varstrip"]({"type": "varstrip", "nservers": nservers, "pattern": pattern})
+
+
+def check_extents(d: StripPattern, offset: int, nbytes: int) -> None:
     """``extents`` is ``runs`` regrouped: one bstream extent per server."""
     runs = d.runs(offset, nbytes)
-    extents = d.extents(offset, nbytes)
+    extents = extents_of(d, offset, nbytes)
     # One locally-contiguous extent per server touched, in order of first touch.
     assert [e.server for e in extents] == list(dict.fromkeys(r.server for r in runs))
     for e in extents:
@@ -51,19 +67,19 @@ def check_extents(d: Distribution, offset: int, nbytes: int) -> None:
 
 class TestSimpleStripe:
     def test_first_stripes_round_robin(self):
-        d = SimpleStripe(nservers=3, stripe_size=10)
+        d = simple_stripe(nservers=3, stripe_size=10)
         assert d.locate(0) == (0, 0, 10)
         assert d.locate(10) == (1, 0, 10)
         assert d.locate(20) == (2, 0, 10)
         assert d.locate(30) == (0, 10, 10)
 
     def test_mid_stripe_offset(self):
-        d = SimpleStripe(nservers=2, stripe_size=100)
+        d = simple_stripe(nservers=2, stripe_size=100)
         server, local, rem = d.locate(250)
         assert (server, local, rem) == (0, 150, 50)
 
     def test_runs_split_and_merge(self):
-        d = SimpleStripe(nservers=2, stripe_size=10)
+        d = simple_stripe(nservers=2, stripe_size=10)
         runs = d.runs(5, 20)
         # [5,10) s0, [10,20) s1, [20,25) s0-local10
         assert [(r.server, r.local, r.length, r.logical) for r in runs] == [
@@ -73,13 +89,13 @@ class TestSimpleStripe:
         ]
 
     def test_runs_merge_contiguous_single_server(self):
-        d = SimpleStripe(nservers=1, stripe_size=10)
+        d = simple_stripe(nservers=1, stripe_size=10)
         runs = d.runs(0, 100)
         assert len(runs) == 1
         assert runs[0].length == 100
 
     def test_logical_size_round_trip_exact_stripes(self):
-        d = SimpleStripe(nservers=3, stripe_size=10)
+        d = simple_stripe(nservers=3, stripe_size=10)
         # file of 65 bytes: stripes 0..6, last is 5 bytes on server 0
         local = [0, 0, 0]
         for run in d.runs(0, 65):
@@ -87,25 +103,21 @@ class TestSimpleStripe:
         assert d.logical_size(local) == 65
 
     def test_logical_size_empty(self):
-        d = SimpleStripe(nservers=4, stripe_size=10)
+        d = simple_stripe(nservers=4, stripe_size=10)
         assert d.logical_size([0, 0, 0, 0]) == 0
 
     def test_logical_size_wrong_arity_rejected(self):
-        d = SimpleStripe(nservers=2, stripe_size=10)
+        d = simple_stripe(nservers=2, stripe_size=10)
         with pytest.raises(ValueError):
             d.logical_size([1])
 
-    def test_describe_round_trip(self):
-        d = SimpleStripe(nservers=5, stripe_size=64 * 1024)
-        d2 = distribution_from_description(d.describe())
-        assert isinstance(d2, SimpleStripe)
-        assert d2.nservers == 5 and d2.stripe_size == 64 * 1024
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            SimpleStripe(0, 10)
+            simple_stripe(0, 10)
         with pytest.raises(ValueError):
-            SimpleStripe(2, 0)
+            simple_stripe(2, 0)
+        with pytest.raises(ValueError):
+            simple_stripe(2, 10, start_server=2)
 
     @given(
         nservers=st.integers(1, 6),
@@ -115,7 +127,7 @@ class TestSimpleStripe:
     )
     @settings(max_examples=80, deadline=None)
     def test_property_runs_cover_range_exactly(self, nservers, stripe, offset, nbytes):
-        d = SimpleStripe(nservers, stripe)
+        d = simple_stripe(nservers, stripe)
         runs = d.runs(offset, nbytes)
         assert sum(r.length for r in runs) == nbytes
         pos = offset
@@ -128,15 +140,15 @@ class TestSimpleStripe:
             assert (server, local) == (r.server, r.local)
 
     def test_extents_one_per_server_in_first_touch_order(self):
-        d = SimpleStripe(nservers=2, stripe_size=10, start_server=1)
-        extents = d.extents(5, 40)
+        d = simple_stripe(nservers=2, stripe_size=10, start_server=1)
+        extents = extents_of(d, 5, 40)
         # [5,10) s1 | [10,20) s0 | [20,30) s1 | [30,40) s0 | [40,45) s1
         assert [(e.server, e.local, e.length) for e in extents] == [
             (1, 5, 20),
             (0, 0, 20),
         ]
         assert [p.logical for p in extents[0].pieces] == [5, 20, 40]
-        assert d.extents(7, 0) == []
+        assert extents_of(d, 7, 0) == []
 
     @given(
         nservers=st.integers(1, 6),
@@ -147,7 +159,7 @@ class TestSimpleStripe:
     )
     @settings(max_examples=80, deadline=None)
     def test_property_extents(self, nservers, stripe, start, offset, nbytes):
-        check_extents(SimpleStripe(nservers, stripe, start % nservers), offset, nbytes)
+        check_extents(simple_stripe(nservers, stripe, start % nservers), offset, nbytes)
 
     @given(
         nservers=st.integers(1, 5),
@@ -156,7 +168,7 @@ class TestSimpleStripe:
     )
     @settings(max_examples=80, deadline=None)
     def test_property_logical_size_inverse(self, nservers, stripe, size):
-        d = SimpleStripe(nservers, stripe)
+        d = simple_stripe(nservers, stripe)
         local = [0] * nservers
         for run in d.runs(0, size):
             local[run.server] = max(local[run.server], run.local + run.length)
@@ -165,7 +177,7 @@ class TestSimpleStripe:
 
 class TestVarStrip:
     def test_pattern_layout(self):
-        d = VarStrip(nservers=3, pattern=[(0, 5), (1, 3), (2, 7)])
+        d = varstrip(nservers=3, pattern=[(0, 5), (1, 3), (2, 7)])
         assert d.locate(0) == (0, 0, 5)
         assert d.locate(5) == (1, 0, 3)
         assert d.locate(8) == (2, 0, 7)
@@ -173,7 +185,7 @@ class TestVarStrip:
         assert d.locate(15) == (0, 5, 5)
 
     def test_same_server_twice_per_cycle(self):
-        d = VarStrip(nservers=2, pattern=[(0, 4), (1, 4), (0, 2)])
+        d = varstrip(nservers=2, pattern=[(0, 4), (1, 4), (0, 2)])
         # Third strip also on server 0, local base = 4 in cycle 0.
         assert d.locate(8) == (0, 4, 2)
         # Cycle 1 first strip: server 0 local = per_cycle(6)*1 = 6.
@@ -181,17 +193,11 @@ class TestVarStrip:
 
     def test_invalid_patterns(self):
         with pytest.raises(ValueError):
-            VarStrip(2, [])
+            varstrip(2, [])
         with pytest.raises(ValueError):
-            VarStrip(2, [(5, 4)])
+            varstrip(2, [(5, 4)])
         with pytest.raises(ValueError):
-            VarStrip(2, [(0, 0)])
-
-    def test_describe_round_trip(self):
-        d = VarStrip(nservers=2, pattern=[(0, 3), (1, 9)])
-        d2 = distribution_from_description(d.describe())
-        assert isinstance(d2, VarStrip)
-        assert d2.pattern == [(0, 3), (1, 9)]
+            varstrip(2, [(0, 0)])
 
     @given(
         pattern=st.lists(
@@ -202,7 +208,7 @@ class TestVarStrip:
     )
     @settings(max_examples=80, deadline=None)
     def test_property_runs_cover_range(self, pattern, offset, nbytes):
-        d = VarStrip(4, pattern)
+        d = varstrip(4, pattern)
         runs = d.runs(offset, nbytes)
         assert sum(r.length for r in runs) == nbytes
         pos = offset
@@ -220,7 +226,7 @@ class TestVarStrip:
     @settings(max_examples=80, deadline=None)
     def test_property_extents(self, pattern, offset, nbytes):
         # Includes patterns that name one server several times per cycle.
-        check_extents(VarStrip(4, pattern), offset, nbytes)
+        check_extents(varstrip(4, pattern), offset, nbytes)
 
     @given(
         pattern=st.lists(
@@ -230,7 +236,7 @@ class TestVarStrip:
     )
     @settings(max_examples=80, deadline=None)
     def test_property_logical_size_inverse(self, pattern, size):
-        d = VarStrip(3, pattern)
+        d = varstrip(3, pattern)
         local = [0, 0, 0]
         for run in d.runs(0, size):
             local[run.server] = max(local[run.server], run.local + run.length)
@@ -245,7 +251,7 @@ class TestVarStrip:
     @settings(max_examples=40, deadline=None)
     def test_property_no_two_bytes_share_a_local_slot(self, pattern, offsets):
         """Distinct logical bytes never collide on (server, local)."""
-        d = VarStrip(3, pattern)
+        d = varstrip(3, pattern)
         seen = {}
         for off in range(0, 300):
             server, local, _ = d.locate(off)
@@ -254,28 +260,33 @@ class TestVarStrip:
             seen[key] = off
 
 
-def test_unknown_description_rejected():
-    with pytest.raises(ValueError):
-        distribution_from_description({"type": "mystery"})
+def test_unknown_description_rejected(cluster):
+    """The MDS refuses to create a file no row can place."""
+    fs = Pvfs2System(cluster.sim, cluster.storage, Pvfs2Config())
+
+    def create():
+        args = {"path": "/m", "dist": {"type": "mystery", "nservers": 3}}
+        yield from rpc.call(cluster.clients[0], fs.mds.rpc, "create", args)
+
+    with pytest.raises(InvalidArgument):
+        drive(cluster.sim, create())
+    with pytest.raises(NoEntry):
+        fs.mds.namespace.resolve("/m")
 
 
 def test_extents_start_a_second_extent_where_runs_do_not_abut():
     """The one-extent-per-server fact is a property of striping, not an
     assumption: a distribution that breaks it still maps correctly."""
 
-    class Backwards(SimpleStripe):
-        name = "backwards"
-
+    class Backwards(StripPattern):
         def locate(self, offset):
             server, local, remaining = super().locate(offset)
-            # Server 0 stores its stripe units in reverse order.
+            # Server 0 stores its 10-byte stripe units in reverse order.
             if server == 0:
-                unit = self.stripe_size
-                local = (9 - local // unit) * unit + local % unit
+                local = (9 - local // 10) * 10 + local % 10
             return server, local, remaining
 
-    d = Backwards(nservers=2, stripe_size=10)
-    extents = d.extents(0, 40)
+    extents = extents_of(Backwards(round_robin(2, 10)), 0, 40)
     assert [(e.server, e.local, e.length) for e in extents] == [
         (0, 90, 10),
         (1, 0, 20),

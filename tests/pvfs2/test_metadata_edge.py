@@ -3,13 +3,9 @@
 import pytest
 
 from repro import rpc
-from repro.pvfs2 import (
-    Pvfs2Config,
-    Pvfs2System,
-    VarStrip,
-    distribution_from_description,
-)
+from repro.pvfs2 import Pvfs2Config, Pvfs2System
 from repro.vfs import Exists, NoEntry, Payload
+from repro.vfs.api import InvalidArgument
 from repro.vfs.striping import StripPattern
 
 from tests.conftest import build_cluster, drive
@@ -38,10 +34,33 @@ class TestMetadataWire:
             cluster,
             fs,
             "create",
-            {"path": "/vs", "dist": VarStrip(3, pattern).describe()},
+            {"path": "/vs", "dist": {"type": "varstrip", "nservers": 3, "pattern": pattern}},
         )
         assert result["dist"]["type"] == "varstrip"
         assert [tuple(p) for p in result["dist"]["pattern"]] == pattern
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            {"type": "varstrip", "nservers": 2, "pattern": [(0, 16), (1, 16)]},
+            {"type": "blob"},
+            {"type": "simple_stripe", "nservers": 3, "stripe_size": 64, "start_server": 9},
+        ],
+        ids=["varstrip-over-two-of-three-servers", "unknown-type", "start-server-out-of-range"],
+    )
+    def test_malformed_distribution_rejected_before_any_state(self, cluster, fs, dist):
+        """A description no getattr could later place bytes by is refused
+        at create: no namespace entry, journal write or datafile."""
+        with pytest.raises(InvalidArgument):
+            mds_call(cluster, fs, "create", {"path": "/bad", "dist": dist})
+        with pytest.raises(NoEntry):
+            mds_call(cluster, fs, "lookup", {"path": "/bad"})
+        assert fs.mds.files == {} and fs.mds.journal._seq == 0
+        assert all(not d.bstreams for d in fs.daemons)
+        # The next create (default distribution) is unaffected.
+        result, _ = mds_call(cluster, fs, "create", {"path": "/good"})
+        assert result["dist"]["start_server"] == 0
+        mds_call(cluster, fs, "getattr", {"path": "/good"})
 
     def test_default_distribution_rotates(self, cluster, fs):
         starts = []
@@ -163,7 +182,7 @@ class TestTruncateWire:
         assert len(calls) <= 8
         assert sum(at_big) == big and max(at_big) - min(at_big) <= 64
         # On a size small enough to walk: what the walk gives.
-        dist = distribution_from_description(f.state["dist"])
+        dist = fs.mds.files[f.handle].dist
         walked = [0] * len(fs.daemons)
         for run in dist.runs(0, small):
             walked[run.server] = max(walked[run.server], run.local + run.length)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.pvfs2 import Pvfs2Config, Pvfs2System, SimpleStripe
+from repro.pvfs2 import Pvfs2Config, Pvfs2System, extents
+from repro.vfs.striping import StripPattern, round_robin
 from repro.vfs import Exists, NoEntry, Payload
 from repro.vfs.api import FsError
 
@@ -57,7 +58,7 @@ class TestBasicIo:
             return f
 
         f = drive(cluster.sim, scenario())
-        dist = SimpleStripe(3, 64)
+        dist = StripPattern(round_robin(3, 64))
         for run in dist.runs(0, 200):
             daemon = fs.daemons[run.server]
             dfile = f.state["dfiles"][run.server]
@@ -204,7 +205,7 @@ class TestPerServerExtents:
             data, counts = drive(cluster.sim, scenario())
             cost[stripe] = cluster.sim.stats.events_processed - before
             assert data.nbytes == mb
-            extent = max(e.length for e in SimpleStripe(3, stripe).extents(0, mb))
+            extent = max(e.length for e in extents(StripPattern(round_robin(3, stripe)), 0, mb))
             budget = len(fs.daemons) * -(-extent // fs.cfg.flow_unit)
             for op_requests in (counts[1] - counts[0], counts[2] - counts[1]):
                 assert 1 <= op_requests <= budget, (stripe, op_requests, budget)

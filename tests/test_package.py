@@ -1,6 +1,15 @@
 """Package-level API surface tests."""
 
+import importlib
+import pkgutil
+
+import pytest
+
 import repro
+
+SUBPACKAGES = sorted(
+    m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
+)
 
 
 class TestPackageSurface:
@@ -10,6 +19,16 @@ class TestPackageSurface:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+    @pytest.mark.parametrize("name", SUBPACKAGES)
+    def test_subpackage_exports_resolve(self, name):
+        module = importlib.import_module(name)
+        assert module.__all__, f"{name} declares no __all__"
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ names {missing}"
+
+    def test_every_subpackage_is_checked(self):
+        assert {"repro.core", "repro.pvfs2", "repro.vfs"} <= set(SUBPACKAGES)
 
     def test_architectures_registered(self):
         assert sorted(repro.ARCHITECTURES) == [

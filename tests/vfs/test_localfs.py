@@ -4,9 +4,9 @@ import pytest
 
 from repro.sim import Simulator
 from repro.vfs import IsDirectory, NoEntry, Payload
-from repro.vfs.localfs import LocalClient, LocalFileSystem
 
 from tests.conftest import drive
+from tests.localfs import LocalClient, LocalFileSystem
 
 
 @pytest.fixture

@@ -72,7 +72,7 @@ class TestAces:
 class TestNfsIntegration:
     def test_open_denied_for_unauthorised_user(self, cluster):
         from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
-        from repro.vfs.localfs import LocalClient, LocalFileSystem
+        from tests.localfs import LocalClient, LocalFileSystem
         from tests.conftest import drive
 
         cfg = NfsConfig()
@@ -108,7 +108,7 @@ class TestNfsIntegration:
         (the server used to demand write permission of every OPEN) and
         is still refused a writable open."""
         from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
-        from repro.vfs.localfs import LocalClient, LocalFileSystem
+        from tests.localfs import LocalClient, LocalFileSystem
         from tests.conftest import drive
 
         cfg = NfsConfig()

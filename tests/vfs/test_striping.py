@@ -1,11 +1,11 @@
-"""The one placement walk (repro.vfs.striping) and the classes built on it.
+"""The one placement walk (repro.vfs.striping) and the table rows built on it.
 
 Three angles: a per-byte brute-force oracle on random strip patterns;
 golden vectors recorded from the six hand-written walks this module
 replaced (``striping_golden.json``, written at the commit before the
 replacement by running the old ``SimpleStripe`` / ``VarStrip`` ``runs``
-and ``logical_size`` and the old drivers' ``map`` on fixed inputs);
-and the size inversions against each other.
+and ``logical_size`` and the old drivers' ``map`` on fixed inputs, and
+keyed by those class names); and the size inversions against each other.
 """
 
 import json
@@ -14,13 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.aggregation import (
-    DeviceCycleDriver,
-    HierarchicalDriver,
-    RoundRobinDriver,
-    VarStripDriver,
-)
-from repro.pvfs2.distribution import SimpleStripe, VarStrip
+from repro.core.aggregation import aggregation_for
+from repro.pvfs2.distribution import DISTRIBUTIONS
 from repro.vfs.striping import Run, StripPattern
 
 
@@ -139,47 +134,75 @@ class TestAgainstPerByteOracle:
 # ---------------------------------------------------------------------------
 
 GOLDEN = json.loads((Path(__file__).parent / "striping_golden.json").read_text())
-CLASSES = {
-    cls.__name__: cls
-    for cls in (
-        SimpleStripe,
-        VarStrip,
-        RoundRobinDriver,
-        DeviceCycleDriver,
-        VarStripDriver,
-        HierarchicalDriver,
-    )
+
+
+def simple_stripe(nservers, stripe_size, start_server=0):
+    return {
+        "type": "simple_stripe",
+        "nservers": nservers,
+        "stripe_size": stripe_size,
+        "start_server": start_server,
+    }
+
+
+def pvfs2_varstrip(nservers, pattern):
+    return {"type": "varstrip", "nservers": nservers, "pattern": pattern}
+
+
+#: The recorded class -> its constructor arguments as a description.
+DESCRIPTIONS = {
+    "SimpleStripe": simple_stripe,
+    "VarStrip": pvfs2_varstrip,
+    "RoundRobinDriver": lambda nslots, unit, first=0: {
+        "type": "round_robin",
+        "nslots": nslots,
+        "stripe_unit": unit,
+        "first_slot": first,
+    },
+    "DeviceCycleDriver": lambda cycle, unit: {
+        "type": "device_cycle",
+        "cycle": cycle,
+        "stripe_unit": unit,
+    },
+    "VarStripDriver": lambda pattern: {"type": "varstrip", "pattern": pattern},
+    "HierarchicalDriver": lambda ngroups, group_size, outer, inner: {
+        "type": "hierarchical",
+        "ngroups": ngroups,
+        "group_size": group_size,
+        "outer_unit": outer,
+        "inner_unit": inner,
+    },
 }
 
 
-def build(entry):
-    # JSON has no tuples: a list of pairs is a strip pattern.
-    args = [
-        [tuple(p) for p in a] if isinstance(a, list) and isinstance(a[0], list) else a
-        for a in entry["args"]
-    ]
-    return CLASSES[entry["cls"]](*args)
+def pattern_of(dist):
+    return DISTRIBUTIONS[dist["type"]](dist)
 
 
 @pytest.mark.parametrize(
     "entry", GOLDEN, ids=[f"{e['cls']}{i}" for i, e in enumerate(GOLDEN)]
 )
 def test_golden_vectors_from_the_six_replaced_walks(entry):
-    placement = build(entry)
-    for offset, nbytes, expected in entry.get("runs", []):
-        got = placement.runs(offset, nbytes)
+    desc = DESCRIPTIONS[entry["cls"]](*entry["args"])
+    if "map" in entry:
+        map_ = aggregation_for(desc)
+        for offset, nbytes, expected in entry["map"]:
+            got = map_(offset, nbytes)
+            assert [[r.server, r.logical, r.length] for r in got] == expected
+        return
+    pattern = pattern_of(desc)
+    for offset, nbytes, expected in entry["runs"]:
+        got = pattern.runs(offset, nbytes)
         assert [[r.server, r.local, r.length, r.logical] for r in got] == expected
-    for sizes, expected in entry.get("logical_size", []):
-        assert placement.logical_size(sizes) == expected
-    for offset, nbytes, expected in entry.get("map", []):
-        got = placement.map(offset, nbytes)
-        assert [[s.device_slot, s.offset, s.length] for s in got] == expected
+    for sizes, expected in entry["logical_size"]:
+        assert pattern.logical_size(sizes) == expected
 
 
 def test_golden_file_covers_all_six_classes():
-    assert {e["cls"] for e in GOLDEN} == set(CLASSES)
+    assert {e["cls"] for e in GOLDEN} == set(DESCRIPTIONS)
     for entry in GOLDEN:
         assert len(entry.get("runs", entry.get("map"))) >= 12
+        assert set(entry) in ({"cls", "args", "map"}, {"cls", "args", "runs", "logical_size"})
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +211,25 @@ def test_golden_file_covers_all_six_classes():
 
 
 @pytest.mark.parametrize(
-    "dist",
+    "desc",
     [
-        SimpleStripe(3, 10),
-        SimpleStripe(4, 7, start_server=2),
-        SimpleStripe(1, 5),
-        VarStrip(3, [(0, 5), (1, 3), (2, 7)]),
-        VarStrip(2, [(0, 4), (1, 4), (0, 2)]),
-        VarStrip(4, [(3, 1), (3, 2), (0, 16), (3, 1)]),
+        simple_stripe(3, 10),
+        simple_stripe(4, 7, start_server=2),
+        simple_stripe(1, 5),
+        pvfs2_varstrip(3, [(0, 5), (1, 3), (2, 7)]),
+        pvfs2_varstrip(2, [(0, 4), (1, 4), (0, 2)]),
+        pvfs2_varstrip(4, [(3, 1), (3, 2), (0, 16), (3, 1)]),
     ],
-    ids=lambda d: f"{d.name}-{d.nservers}-{d.cycle}",
+    ids=lambda d: f"{d['type']}-{d['nservers']}-{pattern_of(d).cycle}",
 )
-def test_logical_size_inverts_local_sizes(dist):
+def test_logical_size_inverts_local_sizes(desc):
+    dist = pattern_of(desc)
     for size in range(4 * dist.cycle + 2):
         sizes = dist.local_sizes(size)
         assert sum(sizes) == size
         assert dist.logical_size(sizes) == size
         # What the replaced truncate computed by walking the file.
-        walked = [0] * dist.nservers
+        walked = [0] * desc["nservers"]
         for run in dist.runs(0, size):
             walked[run.server] = max(walked[run.server], run.local + run.length)
         assert sizes == walked
