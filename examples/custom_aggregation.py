@@ -72,11 +72,10 @@ def main() -> None:
         """Toy scheme: even stripes on slots 0..2, odd stripes on 3..5.
 
         A row turns the layout's description into the client's
-        ``map(offset, nbytes, for_write) -> [Run]``; this scheme is a
-        strip pattern, so its map is the pattern's ``runs``.
+        ``map(offset, nbytes) -> [Run]``; this scheme is a strip
+        pattern, so its map is the pattern's ``runs``.
         """
-        runs = StripPattern([(slot, desc["stripe_unit"]) for slot in (0, 3, 1, 4, 2, 5)]).runs
-        return lambda offset, nbytes, for_write=False: runs(offset, nbytes)
+        return StripPattern([(slot, desc["stripe_unit"]) for slot in (0, 3, 1, 4, 2, 5)]).runs
 
     AGGREGATIONS["even_odd"] = even_odd
     print("\nadded aggregation row 'even_odd'")

@@ -1,0 +1,238 @@
+#!/usr/bin/env python3
+"""Call census: which ``src/repro`` functions does product traffic enter?
+
+Every named function in ``src/repro`` must be entered by a figure panel,
+a torture episode, an example, a CLI verb or a benchmark workload, or be
+named in ``scripts/reach_allow.json`` with a one-line reason (a failure
+path, a ROADMAP item that will use it, a reader outside ``src/``)::
+
+    python scripts/reach.py            # run the census, list the unreached
+    python scripts/reach.py --check    # ... and exit 1 on a gap or a stale entry
+
+``--check`` fails when a named function no source enters is not in the
+allowlist, or when an allowlist entry names no function any more.  An
+allowlisted function that traffic now reaches is only reported.
+
+A function is ``module:qualname`` (``repro.nfs.server:Nfs4Server._h_read``);
+lambdas, comprehensions, module and class bodies are not counted.  The
+census is ``sys.settrace`` with call events only (no line tracer, so
+``repro profile``'s cProfile runs under it), in this process, so every
+source runs serially.  The traffic, one source after another:
+
+* ``figures``: every panel at scale 0.02, its first and last client count;
+* ``torture``: the 360 episodes ``scripts/trace_pins.py`` replays;
+* ``examples``: every example, with the arguments ``tests/test_examples.py``
+  gives it;
+* ``cli``: every verb once, ``run --cache`` twice and ``torture --replay``;
+* ``perf``: ``perf/run.py --workload W --quick --reps 1`` for every
+  workload at ``--trace 0`` and ``--trace 1``.
+
+It takes several minutes; CI's torture-smoke job runs ``--check``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import contextlib
+import inspect
+import io
+import json
+import os
+import pathlib
+import runpy
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PACKAGE = SRC / "repro"
+ALLOW = ROOT / "scripts" / "reach_allow.json"
+FIGURE_SCALE = 0.02
+
+
+def _module_of(path: pathlib.Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _functions(code, prefix: str = ""):
+    """``(qualname, code)`` of every ``def`` below ``code``: not lambdas,
+    comprehensions or class bodies (the qualname is computed, not read
+    off ``co_qualname``, which Python 3.10 lacks)."""
+    for const in code.co_consts:
+        if not inspect.iscode(const):
+            continue
+        qualname = prefix + const.co_name
+        if not const.co_flags & inspect.CO_OPTIMIZED:  # a class body
+            yield from _functions(const, qualname + ".")
+            continue
+        if not const.co_name.startswith("<"):
+            yield qualname, const
+        yield from _functions(const, qualname + ".<locals>.")
+
+
+Site = tuple[str, int, str]  # (file, first line, name) of a code object
+
+
+def named_functions() -> dict[str, set[Site]]:
+    """``module:qualname`` -> the site of each of its code objects (a
+    name defined twice, say in two branches, has two), read off the
+    source without importing it."""
+    out: dict[str, set[Site]] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        filename = os.path.realpath(path)
+        module = _module_of(path)
+        for qualname, code in _functions(compile(path.read_text(), filename, "exec")):
+            site = (filename, code.co_firstlineno, code.co_name)
+            out.setdefault(f"{module}:{qualname}", set()).add(site)
+    return out
+
+
+# -- traffic ------------------------------------------------------------------
+
+
+def _figures(tmp: pathlib.Path) -> None:
+    from repro.bench.experiments import EXPERIMENTS, run_experiment
+
+    for name, exp in EXPERIMENTS.items():
+        counts = sorted({exp.client_counts[0], exp.client_counts[-1]})
+        run_experiment(name, scale=FIGURE_SCALE, client_counts=counts)
+
+
+def _torture(tmp: pathlib.Path) -> None:
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import trace_pins
+
+    for key in trace_pins.keys():
+        trace_pins.run_pin(key)
+
+
+def example_runs() -> list[tuple[str, ...]]:
+    """``(script, *argv)`` of every ``run_example`` call in the examples'
+    smoke tests."""
+    tree = ast.parse((ROOT / "tests" / "test_examples.py").read_text())
+    return [
+        tuple(arg.value for arg in node.args)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_example"
+    ]
+
+
+def _examples(tmp: pathlib.Path) -> None:
+    runs = example_runs()
+    missing = {p.name for p in (ROOT / "examples").glob("*.py")} - {r[0] for r in runs}
+    if missing:
+        raise SystemExit(f"examples the smoke tests do not run: {sorted(missing)}")
+    saved = sys.argv
+    try:
+        for name, *argv in runs:
+            sys.argv = [name, *argv]
+            runpy.run_path(str(ROOT / "examples" / name), run_name="__main__")
+    finally:
+        sys.argv = saved
+
+
+def _cli(tmp: pathlib.Path) -> None:
+    from repro.cli import main
+
+    cell = ["--clients", "1", "--scale", str(FIGURE_SCALE)]
+    cached_run = ["run", "fig6a", "--scale", str(FIGURE_SCALE), "--clients", "1",
+                  "--jobs", "1", "--cache", "--cache-dir", str(tmp / "cache")]
+    for argv in [
+        ["list"],
+        cached_run + ["--json", str(tmp / "fig6a.json")],
+        cached_run + ["--chart"],
+        ["cell", "direct-pnfs", "ior-write", *cell],
+        ["metrics", "direct-pnfs", "ior-read", *cell, "--interval", "0.01",
+         "--json", str(tmp / "metrics.json")],
+        ["trace", "pnfs-2tier", "ior-read-8k", *cell, "--out", str(tmp / "trace.json")],
+        ["profile", "nfsv4", "mdtest", *cell, "--top", "5"],
+        ["torture", "--seeds", "2", "--arch", "pvfs2", "--jobs", "1",
+         "--json", str(tmp / "fail.json")],
+        ["torture", "--replay", "3", "--metadata", "--arch", "direct-pnfs", "--shrink"],
+    ]:
+        main(argv)
+
+
+def _perf(tmp: pathlib.Path) -> None:
+    sys.path.insert(0, str(ROOT))
+    from perf import run
+    from perf.workloads import WORKLOADS
+
+    for trace in ("0", "1"):
+        for name in WORKLOADS:
+            run.main(["--workload", name, "--quick", "--reps", "1", "--trace", trace,
+                      "--out", str(tmp / f"perf-{name}-{trace}.json")])
+
+
+SOURCES = {
+    "figures": _figures,
+    "torture": _torture,
+    "examples": _examples,
+    "cli": _cli,
+    "perf": _perf,
+}
+
+
+def census() -> dict[str, set[Site]]:
+    """Source name -> the site of every ``src/repro`` code object it
+    entered."""
+    sys.path.insert(0, str(SRC))
+    prefix = os.path.realpath(PACKAGE) + os.sep
+    reached: dict[str, set[Site]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, source in SOURCES.items():
+            codes = set()
+            enter = codes.add
+
+            def tracer(frame, event, arg):
+                enter(frame.f_code)
+
+            started = time.perf_counter()
+            sys.settrace(tracer)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    source(pathlib.Path(tmp))
+            finally:
+                sys.settrace(None)
+            reached[name] = {
+                (os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name)
+                for c in codes
+                if os.path.realpath(c.co_filename).startswith(prefix)
+            }
+            print(f"  {name:9s} {time.perf_counter() - started:6.1f} s", flush=True)
+    return reached
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 on an unlisted unreached function or a stale entry")
+    args = parser.parse_args(argv)
+    functions = named_functions()
+    allow = json.loads(ALLOW.read_text())
+    print(f"{len(functions)} named functions in src/repro; census:")
+    reached = census()
+    for name, codes in reached.items():
+        print(f"  {name:9s} enters {sum(1 for sites in functions.values() if sites & codes)}")
+    entered = set().union(*reached.values())
+    unreached = sorted(key for key, sites in functions.items() if not sites & entered)
+    gaps = [key for key in unreached if key not in allow]
+    stale = sorted(key for key in allow if key not in functions)
+    now_reached = sorted(key for key in allow if key in functions and key not in unreached)
+    print(f"{len(functions) - len(unreached)} reached, {len(unreached)} unreached "
+          f"({len(unreached) - len(gaps)} allowlisted)")
+    for key in now_reached:
+        print(f"  reached now, may leave the allowlist: {key}")
+    for key in stale:
+        print(f"  STALE allowlist entry (no such function): {key}")
+    for key in gaps:
+        print(f"  UNREACHED, not allowlisted: {key}")
+    return 1 if args.check and (gaps or stale) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,8 +10,7 @@ file system's storage nodes directly:
   boundary;
 * **aggregation drivers** (:mod:`repro.core.aggregation`) give clients
   a compact way to understand non-round-robin placements (variable
-  stripes, replication, hierarchical striping): one table row per
-  aggregation type;
+  stripes): one table row per aggregation type the translator emits;
 * **data servers** are stock NFSv4.1 servers colocated with storage
   nodes, reaching local data through a loopback conduit — no
   inter-server data traffic;

@@ -37,9 +37,6 @@ class ShardedPnfsRouter(ShardRouting, FileSystemClient):
     def unlock(self, f: OpenFile, start: int, end: int):
         return (yield from f.client.unlock(f, start, end))
 
-    def test_lock(self, f: OpenFile, start: int, end: int, kind: str = "write"):
-        return (yield from f.client.test_lock(f, start, end, kind))
-
     def install(self, path: str, nbytes: int):
         return self._shard(path).install(path, nbytes)
 

@@ -681,17 +681,3 @@ class Nfs4Client(FileSystemClient):
             },
         )
         return result["freed"]
-
-    def test_lock(self, f: OpenFile, start: int, end: int, kind: str = "write"):
-        """Probe for conflicts without acquiring (NFSv4 LOCKT)."""
-        result, _ = yield from self._call(
-            "lockt",
-            {
-                "fh": f.state["fh"],
-                "owner": self._lock_owner(f),
-                "start": start,
-                "end": end,
-                "kind": kind,
-            },
-        )
-        return result["conflict"]

@@ -80,7 +80,7 @@ class LockManager:
             raise ValueError(f"unknown lock type {kind!r}")
 
     def test(self, fh, owner, start: int, end: int, kind: str):
-        """Return the first conflicting lock, or None (NFSv4 LOCKT)."""
+        """Return the first conflicting lock, or None (LOCK's conflict check)."""
         self._validate(start, end, kind)
         for lock in self._table(fh):
             if lock.owner == owner or not lock.overlaps(start, end):

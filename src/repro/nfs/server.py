@@ -16,9 +16,9 @@ the backend's ``open_by_handle`` (how our Direct-pNFS data servers
 serve layouts issued by the metadata server, §5).
 
 WRITE honours the prototype's departure from NFSv4 durability (§5):
-UNSTABLE writes land in the exported file system's storage-node memory
-and reach the platter on COMMIT (client fsync/close) — matching PVFS2
-semantics.
+every write is UNSTABLE — it lands in the exported file system's
+storage-node memory and reaches the platter on COMMIT (client
+fsync/close), matching PVFS2 semantics.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ class Nfs4Server:
         self.locks = LockManager()
         for proc, handler in [
             ("mount", self._h_mount),
-            ("lookup", self._h_lookup),
             ("open", self._h_open),
             ("close", self._h_close),
             ("read", self._h_read),
@@ -97,7 +96,6 @@ class Nfs4Server:
             ("renew", self._h_renew),
             ("lock", self._h_lock),
             ("unlock", self._h_unlock),
-            ("lockt", self._h_lockt),
         ]:
             self.rpc.register(proc, handler)
 
@@ -120,15 +118,6 @@ class Nfs4Server:
     def _h_mount(self, args, payload):
         info = yield from self.backend.mount()
         return {"root": info.get("root", 1)}, None
-
-    def _h_lookup(self, args, payload):
-        attrs = yield from self.backend.getattr(args["path"])
-        fh = None
-        if not attrs.is_dir:
-            f = yield from self.backend.open(args["path"])
-            self._open_files[f.handle] = f
-            fh = f.handle
-        return {"fh": fh, "attrs": attrs}, None
 
     def _h_open(self, args, payload):
         path, create = args["path"], args.get("create", False)
@@ -191,7 +180,7 @@ class Nfs4Server:
         return {"lease_time": self.cfg.lease_time}, None
         yield  # pragma: no cover
 
-    # -- byte-range locks (NFSv4 LOCK / LOCKU / LOCKT) ----------------------
+    # -- byte-range locks (NFSv4 LOCK / LOCKU) ------------------------------
     def _h_lock(self, args, payload):
         granted = self.locks.lock(
             args["fh"], args["owner"], args["start"], args["end"], args["kind"]
@@ -202,20 +191,6 @@ class Nfs4Server:
     def _h_unlock(self, args, payload):
         freed = self.locks.unlock(args["fh"], args["owner"], args["start"], args["end"])
         return {"freed": freed}, None
-        yield  # pragma: no cover
-
-    def _h_lockt(self, args, payload):
-        conflict = self.locks.test(
-            args["fh"], args["owner"], args["start"], args["end"], args["kind"]
-        )
-        info = None
-        if conflict is not None:
-            info = {
-                "start": conflict.start,
-                "end": conflict.end,
-                "kind": conflict.kind,
-            }
-        return {"conflict": info}, None
         yield  # pragma: no cover
 
     # -- delegation / lease state machinery ---------------------------------
@@ -288,10 +263,7 @@ class Nfs4Server:
             raise InvalidArgument("WRITE carries no data")  # NFS4ERR_INVAL
         f = yield from self._file(fh)
         count = yield from self.backend.write(f, offset, payload)
-        stable = args.get("stable", False)
-        if stable:
-            yield from self.backend.fsync(f)
-        return {"count": count, "committed": stable}, None
+        return {"count": count}, None
 
     def _h_commit(self, args, payload):
         f = yield from self._file(args["fh"])
@@ -299,10 +271,7 @@ class Nfs4Server:
         return None, None
 
     def _h_getattr(self, args, payload):
-        if "fh" in args and args["fh"] is not None:
-            attrs = yield from self.backend.getattr_handle(args["fh"])
-        else:
-            attrs = yield from self.backend.getattr(args["path"])
+        attrs = yield from self.backend.getattr(args["path"])
         return {"attrs": attrs}, None
 
     def _h_setattr(self, args, payload):

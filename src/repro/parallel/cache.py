@@ -87,7 +87,10 @@ class ResultCache:
         try:
             with open(path, "rb") as fh:
                 value = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except Exception:
+            # A damaged pickle fails in many ways (UnpicklingError,
+            # ValueError, OverflowError, MemoryError, ...): all are a
+            # miss, and run_jobs re-stores the entry.
             self.misses += 1
             return None
         self.hits += 1

@@ -125,7 +125,7 @@ class PnfsClient(Nfs4Client):
         each would have.  ``path`` must have been opened here (layout)."""
         fh = super().install(path, nbytes)
         layout = self._layout_cache[fh]
-        runs = aggregation_for(layout.aggregation)(0, nbytes, for_write=True)
+        runs = aggregation_for(layout.aggregation)(0, nbytes)
         for slot in sorted({run.server for run in runs}):
             self._ds_for(layout, slot).bind(layout.fhs[slot])
         return fh
@@ -167,7 +167,7 @@ class PnfsClient(Nfs4Client):
     def _io_read(self, f: OpenFile, offset: int, nbytes: int):
         yield from self._ensure_layout(f)
         layout, agg = f.state["layout"], f.state["agg"]
-        runs = agg(offset, nbytes, for_write=False)
+        runs = agg(offset, nbytes)
 
         def run_read(run):
             ds = self._ds_for(layout, run.server)
@@ -197,7 +197,7 @@ class PnfsClient(Nfs4Client):
     def _io_write(self, f: OpenFile, offset: int, payload: Payload):
         yield from self._ensure_layout(f)
         layout, agg = f.state["layout"], f.state["agg"]
-        runs = agg(offset, payload.nbytes, for_write=True)
+        runs = agg(offset, payload.nbytes)
 
         def run_write(run):
             ds = self._ds_for(layout, run.server)

@@ -81,11 +81,7 @@ class PnfsMetadataServer(Nfs4Server):
 
     def _h_layoutcommit(self, args, payload):
         """Record post-I/O metadata: possible file-size extension (§5)."""
-        fh, size = args["fh"], args.get("size")
-        try:
-            yield from self.backend.size_hint(fh, size)
-        except NotImplementedError:
-            pass
+        yield from self.backend.size_hint(args["fh"], args.get("size"))
         return None, None
 
     def _h_layoutreturn(self, args, payload):
@@ -119,24 +115,17 @@ class PnfsMetadataServer(Nfs4Server):
 
     # -- conflicting metadata ops trigger recalls ------------------------------
     def _h_truncate(self, args, payload):
-        # Truncate invalidates issued layouts: resolve the path to its
-        # filehandle(s) through the open-file table (layouts are only
-        # issued against handles this server has opened) and recall
-        # every grant.  The old fh-only match never fired — clients
-        # send path-based truncates — so stale layouts survived the
-        # cut.  Recalls run detached from this handler (see the base
-        # class's truncate-recall note): the grants leave ``_issued``
-        # the moment the recall process starts, and a holder that
-        # cannot be reached is simply revoked.
+        # Truncate invalidates issued layouts.  Clients send path-based
+        # truncates: resolve the path to its filehandle(s) through the
+        # open-file table (layouts are only issued against handles this
+        # server has opened) and recall every grant.  Recalls run
+        # detached from this handler (see the base class's
+        # truncate-recall note): the grants leave ``_issued`` the moment
+        # the recall process starts, and a holder that cannot be reached
+        # is simply revoked.
         for fh, f in list(self._open_files.items()):
             if f.path == args["path"] and fh in self._issued:
                 self.sim.process(
                     self.recall_layouts(fh), name=f"{self.name}.layout-recall"
                 )
-        if args.get("fh") is not None and args["fh"] in self._issued:
-            self.sim.process(
-                self.recall_layouts(args["fh"]),
-                name=f"{self.name}.layout-recall",
-            )
-        result = yield from super()._h_truncate(args, payload)
-        return result
+        return (yield from super()._h_truncate(args, payload))

@@ -261,11 +261,6 @@ class Pvfs2Client(FileSystemClient):
         info, _ = yield from self._mds_call("getattr", {"path": path})
         return info["attrs"]
 
-    def getattr_handle(self, handle: int):
-        """getattr by namespace handle (used by NFS exports)."""
-        info, _ = yield from self._mds_call("getattr", {"handle": handle})
-        return info["attrs"]
-
     def mkdir(self, path: str):
         info, _ = yield from self._mds_call("mkdir", {"path": path})
         return info

@@ -180,10 +180,7 @@ class MetadataServer:
         return self._entry_info(entry), None
 
     def _h_getattr(self, args, payload):
-        if "handle" in args:
-            entry = self.namespace.by_handle(args["handle"])
-        else:
-            entry = self.namespace.resolve(args["path"])
+        entry = self.namespace.resolve(args["path"])
         attrs = entry.attrs.copy()
         if not entry.is_dir:
             meta = self._file_meta(entry.handle)

@@ -180,11 +180,7 @@ class Payload:
 
 @dataclass
 class FileAttributes:
-    """The attribute subset the protocols exchange (NFSv4 fattr4-ish).
-
-    ``acl`` holds NFSv4-style access-control entries evaluated before
-    the mode bits (see :mod:`repro.vfs.security`).
-    """
+    """The attribute subset the protocols exchange (NFSv4 fattr4-ish)."""
 
     size: int = 0
     is_dir: bool = False
@@ -193,7 +189,6 @@ class FileAttributes:
     mtime: float = 0.0
     ctime: float = 0.0
     nlink: int = 1
-    acl: tuple = ()
 
     def copy(self) -> "FileAttributes":
         return FileAttributes(
@@ -204,7 +199,6 @@ class FileAttributes:
             mtime=self.mtime,
             ctime=self.ctime,
             nlink=self.nlink,
-            acl=self.acl,
         )
 
 
@@ -309,34 +303,6 @@ class FileSystemClient(ABC):
     @abstractmethod
     def rename(self, old: str, new: str) -> Iterator:
         """Atomically rename ``old`` to ``new``."""
-
-    # -- optional extensions (servers exporting a backend rely on these) --
-
-    def open_by_handle(self, handle) -> Iterator:
-        """Open a file by backend handle (used by NFS servers for lazy
-        filehandle binding); optional."""
-        raise NotImplementedError(f"{self.label} has no open_by_handle")
-        yield  # pragma: no cover
-
-    def getattr_handle(self, handle) -> Iterator:
-        """getattr by backend handle; optional."""
-        raise NotImplementedError(f"{self.label} has no getattr_handle")
-        yield  # pragma: no cover
-
-    def truncate(self, path: str, size: int) -> Iterator:
-        """Truncate a file to ``size``; optional."""
-        raise NotImplementedError(f"{self.label} has no truncate")
-        yield  # pragma: no cover
-
-    def setattr(self, path: str, mode: Optional[int] = None) -> Iterator:
-        """Update attributes (chmod-style); optional, cheap metadata op."""
-        raise NotImplementedError(f"{self.label} has no setattr")
-        yield  # pragma: no cover
-
-    def size_hint(self, handle, size: Optional[int]) -> Iterator:
-        """Record a post-I/O size/mtime hint (pNFS LAYOUTCOMMIT); optional."""
-        raise NotImplementedError(f"{self.label} has no size_hint")
-        yield  # pragma: no cover
 
 
 def split_path(path: str) -> list[str]:

@@ -8,8 +8,8 @@ the authorization decision — who may read/write/traverse what — as
 data structures checked on access, not the cryptography.
 
 :class:`Credential` identifies a caller; :func:`check_access` evaluates
-classic owner/other mode bits plus NFSv4-style ACE overrides attached
-to :class:`~repro.vfs.api.FileAttributes` via ``acl`` entries.
+the owner/other mode bits of :class:`~repro.vfs.api.FileAttributes`,
+the decision the server makes on OPEN.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.vfs.api import AccessDenied, FileAttributes
 
-__all__ = ["ACE", "Credential", "check_access", "READ", "WRITE", "EXECUTE"]
+__all__ = ["Credential", "check_access", "READ", "WRITE", "EXECUTE"]
 
 READ = 4
 WRITE = 2
@@ -30,57 +30,23 @@ class Credential:
     """An authenticated principal (the result of RPCSEC_GSS, §3.1)."""
 
     user: str = "root"
-    groups: tuple[str, ...] = ()
 
     @property
     def is_superuser(self) -> bool:
         return self.user == "root"
 
 
-@dataclass(frozen=True)
-class ACE:
-    """NFSv4-style access-control entry: allow or deny bits per principal."""
-
-    principal: str  # user name, "group:<name>", or "EVERYONE"
-    allow: bool
-    mask: int
-
-    def matches(self, cred: Credential) -> bool:
-        if self.principal == "EVERYONE":
-            return True
-        if self.principal.startswith("group:"):
-            return self.principal[6:] in cred.groups
-        return self.principal == cred.user
-
-
 def check_access(attrs: FileAttributes, cred: Credential, want: int) -> None:
-    """Raise :class:`AccessDenied` unless ``cred`` holds ``want`` bits.
-
-    NFSv4 ACL semantics: ACEs are evaluated in order, first match per
-    bit wins; bits not decided by any ACE fall back to the mode bits
-    (owner class for the owner, other class otherwise).
-    """
+    """Raise :class:`AccessDenied` unless ``cred`` holds ``want`` bits:
+    the owner class of the mode bits for the owner, the other class
+    otherwise."""
     if not 0 < want <= 7:
         raise ValueError("want must be a combination of R/W/X bits")
     if cred.is_superuser:
         return
-    remaining = want
-    for ace in getattr(attrs, "acl", None) or ():
-        if not ace.matches(cred):
-            continue
-        decided = remaining & ace.mask
-        if not decided:
-            continue
-        if not ace.allow:
-            raise AccessDenied(
-                f"{cred.user}: denied {decided:#o} by ACE for {ace.principal}"
-            )
-        remaining &= ~decided
-        if not remaining:
-            return
     mode = attrs.mode
     granted = (mode >> 6) & 7 if cred.user == attrs.owner else mode & 7
-    if remaining & ~granted:
+    if want & ~granted:
         raise AccessDenied(
             f"{cred.user}: mode {mode:#o} grants {granted:#o}, wanted {want:#o}"
         )

@@ -1,8 +1,8 @@
 """Striped placement: which device holds which byte.
 
 Every placement in this repository — PVFS2's ``simple_stripe`` and
-``varstrip`` distributions, and the round-robin, device-cycle, varstrip
-and hierarchical aggregations of paper §4.3 — is one thing: a cycle of
+``varstrip`` distributions, and the round-robin and varstrip
+aggregations of paper §4.3 — is one thing: a cycle of
 ``(device, length)`` strips laid end to end and repeated for the length
 of the file, each device storing the strips it is handed densely, in
 logical order, in its own byte stream.  (It is also what PVFS list-I/O

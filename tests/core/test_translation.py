@@ -89,6 +89,5 @@ def test_translated_aggregation_places_bytes_like_the_distribution(seed):
         offset = int(rng.integers(0, span))
         nbytes = int(rng.integers(0, span))
         expected = [(r.server, r.logical, r.length) for r in pattern.runs(offset, nbytes)]
-        for for_write in (False, True):
-            got = [(r.server, r.logical, r.length) for r in map_(offset, nbytes, for_write)]
-            assert got == expected, (desc, aggregation, offset, nbytes)
+        got = [(r.server, r.logical, r.length) for r in map_(offset, nbytes)]
+        assert got == expected, (desc, aggregation, offset, nbytes)

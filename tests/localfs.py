@@ -103,14 +103,6 @@ class LocalClient(FileSystemClient):
             attrs.size = self.fs.data_for(entry.handle).size
         return attrs
 
-    def getattr_handle(self, handle: int):
-        yield from self._tick()
-        entry = self.fs.namespace.by_handle(handle)
-        attrs = entry.attrs.copy()
-        if not entry.is_dir:
-            attrs.size = self.fs.data_for(entry.handle).size
-        return attrs
-
     def mkdir(self, path: str):
         yield from self._tick()
         self.fs.namespace.create(path, is_dir=True, now=self.sim.now)

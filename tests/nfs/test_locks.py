@@ -162,11 +162,9 @@ class TestWireProtocol:
             f = yield from c0.create("/u")
             yield from c0.lock(f, 0, 10, "write")
             g = yield from c1.open("/u")
-            conflict = yield from c1.test_lock(g, 0, 10, "write")
-            assert conflict is not None
+            with pytest.raises(LockConflict):
+                yield from c1.lock(g, 0, 10, "write")
             yield from c0.unlock(f, 0, 10)
-            conflict2 = yield from c1.test_lock(g, 0, 10, "write")
-            assert conflict2 is None
             yield from c1.lock(g, 0, 10, "write")
             return "ok"
 

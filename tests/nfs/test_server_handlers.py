@@ -33,22 +33,6 @@ class TestHandlers:
         result, _ = call(cluster, srv, "mount", {})
         assert result["root"] == 1
 
-    def test_open_create_then_stable_write(self, cluster, server):
-        srv, backing = server
-        result, _ = call(cluster, srv, "open", {"path": "/s", "create": True})
-        fh = result["fh"]
-        wr, _ = call(
-            cluster,
-            srv,
-            "write",
-            {"fh": fh, "offset": 0, "stable": True},
-            payload=Payload(b"stable!"),
-        )
-        assert wr["count"] == 7
-        assert wr["committed"] is True
-        entry = backing.namespace.resolve("/s")
-        assert backing.contents[entry.handle].read(0, 7).data == b"stable!"
-
     def test_read_reports_eof(self, cluster, server):
         srv, _backing = server
         result, _ = call(cluster, srv, "open", {"path": "/r", "create": True})
@@ -59,32 +43,6 @@ class TestHandlers:
         assert data.data == b"abc"
         rd2, _ = call(cluster, srv, "read", {"fh": fh, "offset": 0, "nbytes": 3})
         assert rd2["eof"] is False
-
-    def test_lookup_directory_has_no_fh(self, cluster, server):
-        srv, _backing = server
-        call(cluster, srv, "mkdir", {"path": "/dir"})
-        result, _ = call(cluster, srv, "lookup", {"path": "/dir"})
-        assert result["fh"] is None
-        assert result["attrs"].is_dir
-
-    def test_lookup_file_binds_handle(self, cluster, server):
-        srv, _backing = server
-        call(cluster, srv, "open", {"path": "/f", "create": True})
-        result, _ = call(cluster, srv, "lookup", {"path": "/f"})
-        assert result["fh"] is not None
-
-    def test_getattr_by_fh(self, cluster, server):
-        srv, _backing = server
-        opened, _ = call(cluster, srv, "open", {"path": "/g", "create": True})
-        call(
-            cluster,
-            srv,
-            "write",
-            {"fh": opened["fh"], "offset": 0},
-            payload=Payload(b"12345678"),
-        )
-        result, _ = call(cluster, srv, "getattr", {"fh": opened["fh"]})
-        assert result["attrs"].size == 8
 
     def test_missing_path_propagates_noent(self, cluster, server):
         srv, _backing = server

@@ -63,6 +63,19 @@ class TestResultCache:
         cache._path(key).write_bytes(b"not a pickle")
         assert cache.get(key) is None
 
+    def test_one_flipped_byte_degrades_to_miss(self, tmp_path):
+        """A damaged pickle can raise ValueError ("unsupported pickle
+        protocol"), OverflowError or MemoryError, not only
+        UnpicklingError: every one is a miss, never a crash."""
+        cache = ResultCache(tmp_path)
+        key = cache.key_for({"kind": "x"})
+        cache.put(key, {"value": [1, 2, 3]})
+        raw = bytearray(cache._path(key).read_bytes())
+        raw[1] ^= 0x5A
+        cache._path(key).write_bytes(bytes(raw))
+        assert cache.get(key) is None
+        assert cache.misses == 1
+
     def test_unpicklable_value_is_not_stored(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache.key_for({"kind": "x"})

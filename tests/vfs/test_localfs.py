@@ -61,7 +61,7 @@ class TestLocalFs:
             yield from client.write(f, 0, Payload(b"12345"))
             a1 = yield from client.getattr("/g")
             yield from client.size_hint(f.handle, 100)
-            a2 = yield from client.getattr_handle(f.handle)
+            a2 = yield from client.getattr("/g")
             return f, a1, a2
 
         f, a1, a2 = drive(sim, scenario())

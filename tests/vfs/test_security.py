@@ -1,13 +1,13 @@
-"""Access-control tests: credentials, mode bits, NFSv4-style ACEs."""
+"""Access-control tests: credentials and mode bits."""
 
 import pytest
 
 from repro.vfs import AccessDenied, FileAttributes, Payload
-from repro.vfs.security import ACE, EXECUTE, READ, WRITE, Credential, check_access
+from repro.vfs.security import EXECUTE, READ, WRITE, Credential, check_access
 
 
-def attrs(mode=0o644, owner="alice", acl=()):
-    return FileAttributes(mode=mode, owner=owner, acl=tuple(acl))
+def attrs(mode=0o644, owner="alice"):
+    return FileAttributes(mode=mode, owner=owner)
 
 
 class TestModeBits:
@@ -31,42 +31,6 @@ class TestModeBits:
             check_access(attrs(), Credential("alice"), 0)
         with pytest.raises(ValueError):
             check_access(attrs(), Credential("alice"), 8)
-
-
-class TestAces:
-    def test_allow_ace_grants_beyond_mode(self):
-        a = attrs(0o600, acl=[ACE("bob", allow=True, mask=READ)])
-        check_access(a, Credential("bob"), READ)
-
-    def test_deny_ace_overrides_mode(self):
-        a = attrs(0o644, acl=[ACE("bob", allow=False, mask=READ)])
-        with pytest.raises(AccessDenied):
-            check_access(a, Credential("bob"), READ)
-
-    def test_first_matching_ace_wins(self):
-        a = attrs(
-            0o000,
-            acl=[
-                ACE("bob", allow=True, mask=READ),
-                ACE("bob", allow=False, mask=READ),
-            ],
-        )
-        check_access(a, Credential("bob"), READ)
-
-    def test_group_ace(self):
-        a = attrs(0o600, acl=[ACE("group:physics", allow=True, mask=READ | WRITE)])
-        check_access(a, Credential("carol", groups=("physics",)), READ | WRITE)
-        with pytest.raises(AccessDenied):
-            check_access(a, Credential("dave"), READ)
-
-    def test_everyone_ace(self):
-        a = attrs(0o000, acl=[ACE("EVERYONE", allow=True, mask=READ)])
-        check_access(a, Credential("anyone"), READ)
-
-    def test_partial_ace_falls_back_to_mode(self):
-        # ACE grants READ only; WRITE still decided by mode (owner class).
-        a = attrs(0o200, owner="alice", acl=[ACE("alice", allow=True, mask=READ)])
-        check_access(a, Credential("alice"), READ | WRITE)
 
 
 class TestNfsIntegration:
