@@ -39,6 +39,7 @@ import pathlib
 import pytest
 
 from repro.bench.runner import run_cell
+from repro.cluster.configs import make_deployment
 from repro.sim.engine import Simulator
 from repro.workloads import IorWorkload
 
@@ -99,14 +100,14 @@ def count_physical_delays(monkeypatch) -> list:
 
 def test_events_per_rpc_stays_below_ceiling(monkeypatch):
     delays = count_physical_delays(monkeypatch)
+    dep = make_deployment(ARCH, n_clients=N_CLIENTS)
     res = run_cell(
-        ARCH,
+        dep,
         IorWorkload(op="write", block_size=BLOCK, shared_file=False, scale=SCALE),
         N_CLIENTS,
-        keep_deployment=True,
     )
     engine = res.engine
-    rpcs = sum(s.rpc.calls_served for s in res.deployment.servers)
+    rpcs = sum(s.rpc.calls_served for s in dep.servers)
     assert rpcs > 0
     physical_per_rpc = delays[0] / rpcs
     events_per_rpc = engine["events_processed"] / rpcs
@@ -151,9 +152,10 @@ def test_uncontended_cell_is_mostly_physical_delays(monkeypatch):
     from repro.workloads import MdtestWorkload
 
     delays = count_physical_delays(monkeypatch)
-    res = run_cell(ARCH, MdtestWorkload(scale=SCALE), 1, keep_deployment=True)
+    dep = make_deployment(ARCH, n_clients=1)
+    res = run_cell(dep, MdtestWorkload(scale=SCALE), 1)
     engine = res.engine
-    rpcs = sum(s.rpc.calls_served for s in res.deployment.servers)
+    rpcs = sum(s.rpc.calls_served for s in dep.servers)
     events_per_rpc = engine["events_processed"] / rpcs
     physical = delays[0] / engine["events_scheduled"]
     print(f"\n  {rpcs} RPCs, {events_per_rpc:.1f} events/RPC, {100 * physical:.0f} % physical")
@@ -178,13 +180,13 @@ def test_driver_resumes_per_rpc_stay_below_ceiling(monkeypatch):
         resume(self, event)
 
     monkeypatch.setattr(engine._Driver, "_resume", counted)
+    dep = make_deployment(ARCH, n_clients=N_CLIENTS)
     res = run_cell(
-        ARCH,
+        dep,
         IorWorkload(op="write", block_size=BLOCK, shared_file=False, scale=SCALE),
         N_CLIENTS,
-        keep_deployment=True,
     )
-    rpcs = sum(s.rpc.calls_served for s in res.deployment.servers)
+    rpcs = sum(s.rpc.calls_served for s in dep.servers)
     print(f"\n  {rpcs} RPCs, {resumes / rpcs:.1f} driver resumes/RPC")
     assert res.aggregate_mbps == pytest.approx(EXPECTED_MBPS, rel=MAX_DRIFT)
     assert resumes / rpcs < DRIVER_RESUMES_PER_RPC_MAX, (
@@ -198,17 +200,17 @@ def test_engine_stats_flow_into_run_result():
     and ``repro.obs`` exports them as gauges."""
     from repro.obs import MetricsRegistry, observe_engine
 
+    dep = make_deployment(ARCH, n_clients=2)
     res = run_cell(
-        ARCH,
+        dep,
         IorWorkload(op="write", block_size=BLOCK, shared_file=False, scale=0.02),
         2,
-        keep_deployment=True,
     )
     assert res.engine["events_scheduled"] >= res.engine["events_processed"] > 0
     assert res.engine["peak_heap"] > 0
 
     reg = MetricsRegistry()
-    observe_engine(reg, res.deployment.testbed.sim)
+    observe_engine(reg, dep.testbed.sim)
     snap = reg.sample_numeric()
     for key in ("events_scheduled", "events_processed", "peak_heap"):
         assert snap[f"engine.{key}"] == res.engine[key]

@@ -47,6 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.bench.runner import run_cell  # noqa: E402
 from repro.cli import _WORKLOADS  # noqa: E402
+from repro.cluster.configs import make_deployment  # noqa: E402
 from repro.sim.engine import Event, Simulator  # noqa: E402
 from repro.sim.network import Pipe  # noqa: E402
 from repro.workloads import IorWorkload  # noqa: E402
@@ -118,7 +119,10 @@ def classify(fn, arg, delay: float, frame, alone: bool = False) -> tuple[str, st
 
 
 def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):
-    """Run the cell with ``_enqueue`` wrapped; ``(classes, front-end RPCs)``."""
+    """Run the cell with ``_enqueue`` wrapped; ``(classes, front-end RPCs)``.
+
+    The deployment is built inside the wrapped region: construction
+    queues the flushers' start kicks, and they are the cell's too."""
     classes: Counter = Counter()
     enqueue = Simulator._enqueue
 
@@ -129,10 +133,11 @@ def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):
 
     Simulator._enqueue = counted
     try:
-        res = run_cell(arch, KINDS[kind](scale), clients, keep_deployment=True, seed=seed)
+        dep = make_deployment(arch, n_clients=clients, seed=seed)
+        run_cell(dep, KINDS[kind](scale), clients)
     finally:
         Simulator._enqueue = enqueue
-    return classes, sum(s.rpc.calls_served for s in res.deployment.servers)
+    return classes, sum(s.rpc.calls_served for s in dep.servers)
 
 
 def relays(classes: Counter) -> Counter:

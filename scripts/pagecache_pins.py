@@ -19,21 +19,22 @@ A change to the page cache's bookkeeping must replay all of them
 bit-identically; tier-1 runs the whole table
 (``tests/nfs/test_pagecache_pins.py``).  The programs use only the
 public ``FileSystemClient`` calls, so the same file records a parent
-commit and checks a change.
+commit and checks a change.  The check / re-record loop is
+``scripts/trace_pins.py``'s.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import pathlib
 import random
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "scripts"))
 
+import trace_pins  # noqa: E402
 from repro.cluster.configs import make_deployment  # noqa: E402
 from repro.vfs import Payload  # noqa: E402
 
@@ -337,32 +338,11 @@ def run_pin(key: str) -> dict:
 
 def mismatches(selected: list[str]) -> list[str]:
     """One line per selected program whose replay differs from its pin."""
-    pins = json.loads(PINS.read_text())
-    out = []
-    for key in selected:
-        got = run_pin(key)
-        if got != pins.get(key):
-            out.append(f"{key}: pinned {pins.get(key)}, got {got}")
-    return out
+    return trace_pins.mismatches(selected, PINS, run_pin)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    action = parser.add_mutually_exclusive_group(required=True)
-    action.add_argument("--check", action="store_true", help="replay and compare")
-    action.add_argument("--update", action="store_true", help="replay and re-record")
-    args = parser.parse_args(argv)
-    table = keys()
-    if args.update:
-        pins = {key: run_pin(key) for key in table}
-        PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-        print(f"recorded {len(pins)} programs in {PINS.relative_to(ROOT)}")
-        return 0
-    bad = mismatches(table)
-    for line in bad:
-        print(line)
-    print(f"{len(table) - len(bad)}/{len(table)} pinned programs identical")
-    return 1 if bad else 0
+    return trace_pins.main(argv, PINS, keys, run_pin, "programs", __doc__)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,10 @@ the writeback mutant's seed) x the five paper architectures and
 episodes, about twelve seconds.  Tier-1 checks
 a subset (``tests/check/test_trace_pins.py``); CI's ``torture-smoke``
 job checks all of it.
+
+``mismatches`` and ``main`` take the pin file, the table and the
+replay as arguments, so every pin script shares one check / re-record
+loop (``scripts/pagecache_pins.py`` passes its own).
 """
 
 from __future__ import annotations
@@ -53,33 +57,34 @@ def run_pin(key: str) -> dict:
     }
 
 
-def mismatches(selected: list[str]) -> list[str]:
-    """One line per selected episode whose replay differs from its pin."""
-    pins = json.loads(PINS.read_text())
+def mismatches(selected: list[str], pin_file=PINS, run=run_pin) -> list[str]:
+    """One line per selected key whose replay differs from its pin."""
+    pins = json.loads(pin_file.read_text())
     out = []
     for key in selected:
-        got = run_pin(key)
+        got = run(key)
         if got != pins.get(key):
             out.append(f"{key}: pinned {pins.get(key)}, got {got}")
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def main(argv=None, pin_file=PINS, table=keys, run=run_pin, noun="episodes",
+         description=__doc__) -> int:
+    parser = argparse.ArgumentParser(description=description.splitlines()[0])
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument("--check", action="store_true", help="replay and compare")
     action.add_argument("--update", action="store_true", help="replay and re-record")
     args = parser.parse_args(argv)
-    table = keys()
+    selected = table()
     if args.update:
-        pins = {key: run_pin(key) for key in table}
-        PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-        print(f"recorded {len(pins)} episodes in {PINS.relative_to(ROOT)}")
+        pins = {key: run(key) for key in selected}
+        pin_file.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+        print(f"recorded {len(pins)} {noun} in {pin_file.relative_to(ROOT)}")
         return 0
-    bad = mismatches(table)
+    bad = mismatches(selected, pin_file, run)
     for line in bad:
         print(line)
-    print(f"{len(table) - len(bad)}/{len(table)} pinned episodes identical")
+    print(f"{len(selected) - len(bad)}/{len(selected)} pinned {noun} identical")
     return 1 if bad else 0
 
 

@@ -10,7 +10,7 @@ testbed.
 
 from __future__ import annotations
 
-__all__ = ["PAPER", "paper_series"]
+__all__ = ["PAPER"]
 
 CLIENTS_1_8 = [1, 2, 3, 4, 5, 6, 7, 8]
 
@@ -97,9 +97,3 @@ PAPER: dict[str, dict[str, dict[int, float]]] = {
         "pvfs2": {1: 1, 4: 1, 8: 1},
     },
 }
-
-
-def paper_series(fig: str, system: str, clients: list[int]) -> list[float]:
-    """Paper values for ``system`` at each client count in ``clients``."""
-    table = PAPER[fig][system]
-    return [table[n] for n in clients]

@@ -31,7 +31,6 @@ class RunResult:
     makespan: float
     total_bytes: int
     results: list[WorkloadResult] = field(default_factory=list)
-    deployment: Deployment | None = None
     #: Per-node utilisation over the measured window: the server nodes,
     #: the extra node and the measured client nodes.
     utilisation: list = field(default_factory=list)
@@ -81,7 +80,6 @@ def run_cell(
     net_bw: float = GIGE,
     nfs_overrides: dict | None = None,
     pvfs_overrides: dict | None = None,
-    keep_deployment: bool = False,
     metrics: bool = False,
     sample_interval: float = 0.25,
     trace: bool = False,
@@ -91,10 +89,10 @@ def run_cell(
 
     ``arch`` is whatever :func:`make_deployment` takes — a table name
     or an :class:`Architecture` row — or an already-built
-    :class:`Deployment` (for a run that adjusts a component first; the
-    four build arguments are then unused).  ``seed`` initialises the
-    deployment's simulator (randomised pipe arbitration); ``None`` is
-    the simulator's own default.
+    :class:`Deployment` (for a run that adjusts a component first, or
+    reads one after; the four build arguments are then unused).
+    ``seed`` initialises the deployment's simulator (randomised pipe
+    arbitration); ``None`` is the simulator's own default.
 
     ``RunResult.utilisation`` always holds per-node CPU / NIC / disk
     utilisation over the measured phase (two counter snapshots).
@@ -211,7 +209,6 @@ def run_cell(
         makespan=makespan,
         total_bytes=sum(r.bytes_moved for r in results),
         results=results,
-        deployment=dep if keep_deployment else None,
         utilisation=reports,
         metrics=metrics_section,
         trace=collector,

@@ -77,10 +77,6 @@ class EpisodeResult:
     fault_log: list[tuple[float, str]] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def _caps(arch: str) -> set:
     """Fault kinds ``arch`` can absorb without wedging by design.  The

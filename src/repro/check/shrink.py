@@ -64,7 +64,7 @@ def shrink_program(
     the shrinker chases one bug instead of hopping between bugs.
     """
     baseline = run_episode(program, arch)
-    if baseline.ok:
+    if not baseline.violations:
         raise ValueError("program does not fail; nothing to shrink")
     target_kinds = _violation_kinds(baseline.violations)
     runs = 1

@@ -28,8 +28,41 @@ import sys
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.cluster.configs import ARCHITECTURES
+from repro.cluster.testbed import MAX_CLIENTS
 
 __all__ = ["main"]
+
+
+# -- argument types: a bad number exits 2 with argparse's one error line --
+def _number(text: str, kind, ok, want: str):
+    try:
+        value = kind(text)
+        if ok(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not {want}")
+
+
+def _clients(text: str) -> int:
+    return _number(
+        text, int, lambda n: 1 <= n <= MAX_CLIENTS, f"a client count between 1 and {MAX_CLIENTS}"
+    )
+
+
+def _client_list(text: str) -> list[int]:
+    return [_clients(part) for part in text.split(",")]
+
+
+def _positive(text: str) -> float:
+    return _number(text, float, lambda x: x > 0, "a positive number")
+
+
+def _at_least(lo: int):
+    def parse(text: str) -> int:
+        return _number(text, int, lambda n: n >= lo, f"an integer >= {lo}")
+
+    return parse
 
 
 def _cmd_list(args) -> int:
@@ -53,16 +86,15 @@ def _cmd_run(args) -> int:
     from repro.bench.report import experiment_report, format_table, shape_checks
     from repro.parallel import ProgressReporter, ResultCache, default_jobs, describe
 
-    counts = [int(c) for c in args.clients.split(",")] if args.clients else None
     jobs = default_jobs(args.jobs)
     cache = ResultCache(args.cache_dir) if args.cache else None
     exp = EXPERIMENTS[args.experiment]
-    total = len(exp.systems) * len(counts or exp.client_counts)
+    total = len(exp.systems) * len(args.clients or exp.client_counts)
     reporter = ProgressReporter(total, label="cells")
     result = run_experiment(
         args.experiment,
         scale=args.scale,
-        client_counts=counts,
+        client_counts=args.clients,
         jobs=jobs,
         cache=cache,
         progress=lambda spec, res, wall, cached: reporter.update(
@@ -352,8 +384,8 @@ def _verb(sub, name: str, func, help: str, cell: bool = False, json: str = ""):
     if cell:
         parser.add_argument("arch", choices=sorted(ARCHITECTURES))
         parser.add_argument("workload", choices=sorted(_WORKLOADS))
-        parser.add_argument("--clients", type=int, default=4)
-        parser.add_argument("--scale", type=float, default=0.1)
+        parser.add_argument("--clients", type=_clients, default=4)
+        parser.add_argument("--scale", type=_positive, default=0.1)
     if json:
         parser.add_argument(
             "--json",
@@ -376,8 +408,8 @@ def main(argv: list[str] | None = None) -> int:
         json="the deterministic result report",
     )
     p.add_argument("experiment", choices=list(EXPERIMENTS))
-    p.add_argument("--scale", type=float, default=0.1)
-    p.add_argument("--clients", help="comma-separated counts, e.g. 1,4,8")
+    p.add_argument("--scale", type=_positive, default=0.1)
+    p.add_argument("--clients", type=_client_list, help="comma-separated counts, e.g. 1,4,8")
     p.add_argument("--chart", action="store_true", help="also render an ASCII bar chart")
     p.add_argument(
         "--jobs",
@@ -400,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         sub, "metrics", _cmd_metrics, "run one cell with the metrics registry attached",
         cell=True, json="the full report",
     )
-    p.add_argument("--interval", type=float, default=0.25, help="sampler interval (sim s)")
+    p.add_argument("--interval", type=_positive, default=0.25, help="sampler interval (sim s)")
 
     p = _verb(
         sub, "trace", _cmd_trace, "run one cell and export a Chrome/Perfetto trace",
@@ -421,9 +453,9 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(ARCHITECTURES),
         help="architecture to torture (repeatable; default: direct-pnfs, pnfs-2tier)",
     )
-    p.add_argument("--seeds", type=int, default=25, help="seed budget")
-    p.add_argument("--start-seed", type=int, default=0)
-    p.add_argument("--replay", type=int, help="replay one seed instead of sweeping")
+    p.add_argument("--seeds", type=_at_least(1), default=25, help="seed budget")
+    p.add_argument("--start-seed", type=_at_least(0), default=0)
+    p.add_argument("--replay", type=_at_least(0), help="replay one seed instead of sweeping")
     p.add_argument(
         "--shrink",
         action="store_true",

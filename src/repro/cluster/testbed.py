@@ -28,7 +28,7 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.node import Node, NodeSpec
 
-__all__ = ["FAST_ETHERNET", "GIGE", "Testbed"]
+__all__ = ["FAST_ETHERNET", "GIGE", "MAX_CLIENTS", "Testbed"]
 
 #: Gigabit Ethernet with jumbo frames: practical TCP payload rate.
 GIGE = 117e6
@@ -50,6 +50,8 @@ SERVER_IO_BUS = 28e6
 SERVER_CPU = CpuSpec(cores=2, speed=1.7)
 CLIENT_CPU_SLOW = CpuSpec(cores=2, speed=1.3)  # clients 1-7
 CLIENT_CPU_FAST = CpuSpec(cores=2, speed=1.7)  # clients 8-9
+#: Client nodes 1-9.
+MAX_CLIENTS = 9
 
 
 class Testbed:
@@ -74,8 +76,8 @@ class Testbed:
         latency: float = LATENCY,
         seed: int | None = None,
     ):
-        if not 1 <= n_clients <= 9:
-            raise ValueError("the testbed has at most nine client nodes")
+        if not 1 <= n_clients <= MAX_CLIENTS:
+            raise ValueError(f"the testbed has between 1 and {MAX_CLIENTS} client nodes")
         self.sim = Simulator() if seed is None else Simulator(seed=seed)
         self.network = Network(self.sim, latency=latency)
         self.server_nodes: list[Node] = []

@@ -149,11 +149,6 @@ class LockManager:
         """Snapshot of the locks on ``fh``."""
         return tuple(self._table(fh))
 
-    @property
-    def table_count(self) -> int:
-        """Number of per-filehandle tables currently materialised."""
-        return len(self._locks)
-
     def snapshot(self) -> dict:
         """Immutable snapshot of every table (invariant checkers)."""
         return {fh: tuple(table) for fh, table in self._locks.items()}

@@ -10,8 +10,8 @@ The diagnostic substrate behind the paper's per-component arguments
   attempt, server handler, and disk request, exported as Chrome
   trace-event JSON for Perfetto (:mod:`repro.obs.spans`);
 * :class:`RpcTrace` — the same spans reduced to one record per RPC
-  exchange, with per-procedure / per-server latency, volume and
-  failure tables (:mod:`repro.obs.rpc_trace`);
+  exchange, with a per-procedure latency, volume and failure table
+  (:mod:`repro.obs.rpc_trace`);
 * ``repro metrics`` / ``repro trace`` CLI verbs and the
   ``run_cell(metrics=True, trace=True)`` harness hooks consume both.
 
@@ -31,7 +31,7 @@ from repro.obs.attach import (
 )
 from repro.obs.metrics import Gauge, MetricsRegistry, Sampler
 from repro.obs.rpc_trace import RpcRecord, RpcTrace
-from repro.obs.spans import Span, SpanCollector, current_collector
+from repro.obs.spans import Span, SpanCollector
 
 __all__ = [
     "Gauge",
@@ -41,7 +41,6 @@ __all__ = [
     "Sampler",
     "Span",
     "SpanCollector",
-    "current_collector",
     "observe_client",
     "observe_deployment",
     "observe_engine",

@@ -10,9 +10,8 @@ demand.
 :class:`Sampler` walks the registry at a fixed sim-time interval and
 produces per-metric time series — the raw material for "disk queue
 depth over the run" style plots.  It drives itself with a re-armed
-:class:`~repro.sim.engine.Timeout` and must be stopped explicitly
-(or via its context-manager form), so a drained event queue still ends
-the run.
+:class:`~repro.sim.engine.Timeout` and must be stopped explicitly, so
+a drained event queue still ends the run.
 
 See :mod:`repro.obs.attach` for the functions that wire the simulator's
 components into a registry.
@@ -112,12 +111,6 @@ class Sampler:
             # already processed stays processed.  Either way, detach.
             self._tick._discard_callback(self._on_tick)
 
-    def __enter__(self) -> "Sampler":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
     def _take(self) -> None:
         self.samples.append((self.sim.now, self.registry.sample_numeric()))
 
@@ -137,10 +130,6 @@ class Sampler:
         self._tick.add_callback(self._on_tick)
 
     # -- analysis ----------------------------------------------------------
-    def series(self, name: str) -> list[tuple[float, float]]:
-        """The time series of one metric: ``[(t, value), ...]``."""
-        return [(t, vals[name]) for t, vals in self.samples if name in vals]
-
     def as_dict(self) -> dict:
         """JSON-shaped form: sample times plus one series per metric."""
         times = [t for t, _vals in self.samples]

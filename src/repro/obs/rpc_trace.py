@@ -3,7 +3,7 @@
 :mod:`repro.rpc` opens one ``rpc`` span per attempt (and one per call
 that exhausts its retry budget).  :class:`RpcTrace` reduces a
 :class:`~repro.obs.spans.SpanCollector` to one :class:`RpcRecord` per
-*exchange* and aggregates them by procedure and by server — enough to
+*exchange* and aggregates them by procedure — enough to
 answer "why is this workload slow" without reading event logs::
 
     with SpanCollector(sim) as spans:
@@ -77,39 +77,10 @@ class RpcTrace:
         )
 
     # -- analysis -------------------------------------------------------------
-    def _group(self, field: str) -> dict[str, list[RpcRecord]]:
+    def by_proc(self) -> dict[str, list[RpcRecord]]:
         out: dict[str, list[RpcRecord]] = {}
         for r in self.records:
-            out.setdefault(getattr(r, field), []).append(r)
-        return out
-
-    def by_proc(self) -> dict[str, list[RpcRecord]]:
-        return self._group("proc")
-
-    def by_server(self) -> dict[str, list[RpcRecord]]:
-        return self._group("server")
-
-    def total_payload_bytes(self) -> int:
-        return sum(r.req_bytes + r.reply_bytes for r in self.records)
-
-    def server_counters(self) -> dict[str, dict[str, int]]:
-        """Per-server failure accounting: errors, timeouts, retries.
-
-        ``errors`` counts completed exchanges whose reply carried an
-        error status; ``timeouts`` counts calls that gave up without a
-        reply; ``retries`` sums retransmissions across all records.
-        """
-        out: dict[str, dict[str, int]] = {}
-        for r in self.records:
-            c = out.setdefault(
-                r.server, {"calls": 0, "errors": 0, "timeouts": 0, "retries": 0}
-            )
-            c["calls"] += 1
-            if r.timeout:
-                c["timeouts"] += 1
-            elif r.error:
-                c["errors"] += 1
-            c["retries"] += r.retries
+            out.setdefault(r.proc, []).append(r)
         return out
 
     def summary(self) -> str:

@@ -33,15 +33,10 @@ from typing import Optional
 
 from repro.sim.engine import Simulator
 
-__all__ = ["Span", "SpanCollector", "current_collector"]
+__all__ = ["Span", "SpanCollector"]
 
 #: The installed collector, if any (read by instrumented code paths).
 ACTIVE: Optional["SpanCollector"] = None
-
-
-def current_collector() -> Optional["SpanCollector"]:
-    """The installed span collector, if any."""
-    return ACTIVE
 
 
 @dataclass
@@ -55,11 +50,6 @@ class Span:
     start: float
     end: Optional[float] = None
     args: dict = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        """Span length in sim seconds (0.0 while still open)."""
-        return (self.end - self.start) if self.end is not None else 0.0
 
 
 class SpanCollector:

@@ -45,7 +45,3 @@ class FileLayout:
             raise ValueError("layout needs at least one device")
         if "type" not in self.aggregation:
             raise ValueError("aggregation description needs a 'type'")
-
-    @property
-    def ndevices(self) -> int:
-        return len(self.device_slots)

@@ -70,11 +70,7 @@ class PnfsMetadataServer(Nfs4Server):
     def _h_layoutget(self, args, payload):
         fh = args["fh"]
         layout = yield from self.layout_provider.get_layout(fh, args.get("path", ""))
-        if layout.stateid == 0:
-            # Stamp freshly minted layouts from the simulation's own id
-            # stream (providers may also return cached, already-issued
-            # layouts, which keep their stateid).
-            layout.stateid = self.sim.next_id("layout-stateid")
+        layout.stateid = self.sim.next_id("layout-stateid")
         self._issued.setdefault(fh, []).append((layout, args.get("callback")))
         self.layouts_granted += 1
         return {"layout": layout}, None
@@ -108,10 +104,6 @@ class PnfsMetadataServer(Nfs4Server):
             )
             self.layouts_recalled += 1
         yield self.sim.spawn(*recalls)
-
-    def issued_for(self, fh) -> int:
-        """Number of currently issued layouts for ``fh`` (introspection)."""
-        return len(self._issued.get(fh, []))
 
     # -- conflicting metadata ops trigger recalls ------------------------------
     def _h_truncate(self, args, payload):

@@ -25,7 +25,7 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import Resource
-from repro.sim.network import Network, Nic, Flow, Pipe
+from repro.sim.network import Network, Nic, Pipe
 from repro.sim.disk import Disk, DiskFailed, DiskSpec
 from repro.sim.faults import FaultInjector
 from repro.sim.cpu import Cpu, CpuSpec
@@ -41,7 +41,6 @@ __all__ = [
     "EngineStats",
     "Event",
     "FaultInjector",
-    "Flow",
     "Interrupt",
     "Network",
     "Nic",

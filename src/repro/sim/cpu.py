@@ -65,8 +65,3 @@ class Cpu:
     def busy_time(self) -> float:
         """Core-seconds of completed charges."""
         return self.cores.busy_time
-
-    @property
-    def queue_len(self) -> int:
-        """Work items waiting for a core (instantaneous queue depth)."""
-        return self.cores.queue_len

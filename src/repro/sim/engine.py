@@ -626,10 +626,6 @@ class Simulator:
         return n
 
     # -- event constructors ---------------------------------------------
-    def event(self) -> Event:
-        """Create an untriggered one-shot event."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` simulated seconds from now."""
         return Timeout(self, delay, value)
@@ -643,7 +639,7 @@ class Simulator:
 
         ``results = yield sim.spawn(a, b, c)`` is the fan-out idiom: a
         generator leg starts here and now, in the caller's stack, an
-        event leg (``node.compute(...)``, ``node.send(...)``) is simply
+        event leg (``node.compute(...)``, a ``network.transfer(...)``) is simply
         waited for, and the returned :class:`Join` fires when all have
         ended, with their values in spawn order.  Cheaper than
         ``all_of([process(g) for g in generators])`` by a start kick and

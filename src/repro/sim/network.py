@@ -38,7 +38,7 @@ from typing import Optional
 
 from repro.sim.engine import Event, SimulationError, Simulator, _fire
 
-__all__ = ["Pipe", "Nic", "Network", "Flow"]
+__all__ = ["Pipe", "Nic", "Network"]
 
 #: Default chunk size used to discretise flows (bytes).  Chosen close to
 #: a jumbo-frame TCP window slice: small enough for fair interleaving,
@@ -80,11 +80,6 @@ class Pipe:
         self.in_use = 0
         #: ``(fn, arg)`` of the queued requests, in arrival order.
         self._waiters: list[tuple] = []
-
-    @property
-    def queue_len(self) -> int:
-        """Number of acquire requests waiting."""
-        return len(self._waiters)
 
     def acquire(self, fn, arg=None, tail: bool = False) -> None:
         """Have ``fn(arg)`` called holding the pipe.
@@ -153,36 +148,8 @@ class Nic:
         #: death.  Each lost flow counts once, at the sender.
         self.flows_dropped = 0
 
-    def counters(self) -> dict:
-        """Snapshot of this NIC's cumulative counters (observability)."""
-        return {
-            "tx_bytes": self.tx_bytes,
-            "rx_bytes": self.rx_bytes,
-            "loopback_bytes": self.loopback_bytes,
-            "flows_dropped": self.flows_dropped,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Nic {self.name} {self.bandwidth/1e6:.0f} MB/s>"
-
-
-class Flow:
-    """Bookkeeping record for one transfer (returned for inspection)."""
-
-    __slots__ = ("src", "dst", "nbytes", "start", "end")
-
-    def __init__(self, src: str, dst: str, nbytes: int, start: float):
-        self.src = src
-        self.dst = dst
-        self.nbytes = nbytes
-        self.start = start
-        self.end: Optional[float] = None
-
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            raise RuntimeError("flow still in progress")
-        return self.end - self.start
 
 
 class Network:
@@ -233,11 +200,11 @@ class Network:
     def transfer(self, src: str, dst: str, nbytes: int) -> Event:
         """Move ``nbytes`` from ``src`` to ``dst``.
 
-        Returns the event that fires when the last byte has been
-        received; its value is the :class:`Flow` record.  Loopback
-        transfers (src == dst) skip the wire entirely; the memory-copy
-        cost of loopback is charged by the caller as CPU time, which is
-        how the Direct-pNFS prototype's loopback conduit is modelled.
+        Returns the event that fires (value ``None``) when the last byte
+        has been received.  Loopback transfers (src == dst) skip the
+        wire entirely; the memory-copy cost of loopback is charged by
+        the caller as CPU time, which is how the Direct-pNFS
+        prototype's loopback conduit is modelled.
 
         The caller only *waits*: the bytes are moved by a
         :class:`_WireFlow` that holds the pipes itself, so interrupting
@@ -255,17 +222,15 @@ class Network:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        flow = Flow(src, dst, nbytes, self.sim.now)
         if src == dst:
             lnic = self._nics.get(src)
             if lnic is not None:
                 lnic.loopback_bytes += nbytes
-            flow.end = self.sim.now
             self.flows_completed += 1
             # Delivered in this instant, but through an event like any
             # other message: the receiver joins its server's queues
             # behind work already scheduled, not ahead of it.
-            return Event(self.sim).succeed(flow)
+            return Event(self.sim).succeed()
         snic = self.nic(src)
         dnic = self.nic(dst)
         dropped = snic.down or dnic.down
@@ -278,7 +243,7 @@ class Network:
             # hangs until an RPC timeout (repro.rpc) interrupts it.
             snic.flows_dropped += 1
             return Event(self.sim)
-        return _WireFlow(self, snic, dnic, flow).done
+        return _WireFlow(self, snic, dnic, nbytes).done
 
 
 class _WireFlow:
@@ -331,17 +296,18 @@ class _WireFlow:
     """
 
     __slots__ = (
-        "net", "snic", "dnic", "record", "done", "remaining",
+        "net", "snic", "dnic", "nbytes", "done", "remaining",
         "legs", "live", "blocked_on", "lost",
     )
 
-    def __init__(self, net: Network, snic: Nic, dnic: Nic, record: Flow):
+    def __init__(self, net: Network, snic: Nic, dnic: Nic, nbytes: int):
         self.net = net
         self.snic = snic
         self.dnic = dnic
-        self.record = record
+        #: Payload bytes, counted on both NICs when the flow completes.
+        self.nbytes = nbytes
         self.done = Event(net.sim)
-        self.remaining = record.nbytes + net.per_message_bytes
+        self.remaining = nbytes + net.per_message_bytes
         #: The newest ``FLOW_WINDOW`` rx legs, oldest first.
         self.legs: deque[_RxLeg] = deque()
         #: Rx legs queued or in service (legs outside the window are done).
@@ -409,18 +375,15 @@ class _WireFlow:
     def _finish(self, tail: bool) -> None:
         net = self.net
         net.flows_chunked += 1
-        record = self.record
-        self.snic.tx_bytes += record.nbytes
-        self.dnic.rx_bytes += record.nbytes
-        record.end = net.sim.now
+        self.snic.tx_bytes += self.nbytes
+        self.dnic.rx_bytes += self.nbytes
         net.flows_completed += 1
         done = self.done
         if tail and net.sim.nothing_else_due():
             # The firing would be the loop's next entry: fire here.
-            done._value = record
             _fire(done)
         else:
-            done.succeed(record)
+            done.succeed()
 
 
 class _RxLeg:

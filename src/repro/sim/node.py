@@ -66,19 +66,6 @@ class Node:
             for i, dspec in enumerate(spec.disks)
         ]
 
-    @property
-    def disk(self) -> Disk:
-        """The node's sole disk (errors if it has zero or several)."""
-        if len(self.disks) != 1:
-            raise ValueError(f"{self.name} has {len(self.disks)} disks, not 1")
-        return self.disks[0]
-
-    def send(self, dst: "Node | str", nbytes: int) -> Event:
-        """Move ``nbytes`` from this node to ``dst``; the event fires
-        (value: the ``Flow`` record) when the last byte has landed."""
-        dst_name = dst.name if isinstance(dst, Node) else dst
-        return self.network.transfer(self.name, dst_name, nbytes)
-
     def compute(self, work_seconds: float) -> Event:
         """Charge protocol work to this node's CPU; the event fires when
         it is done."""

@@ -94,11 +94,6 @@ class Resource:
         return self._in_use
 
     @property
-    def available(self) -> int:
-        """Units currently free."""
-        return self.capacity - self._in_use
-
-    @property
     def queue_len(self) -> int:
         """Number of requests waiting."""
         return self._queued

@@ -86,8 +86,7 @@ class Payload:
     """A chunk of file data: real bytes or a synthetic length.
 
     ``Payload(b"abc")`` carries real bytes; ``Payload.synthetic(n)``
-    carries only a length.  Synthetic payloads compare equal to each
-    other by length; slicing and concatenation work on both kinds.
+    carries only a length.  Slicing and concatenation work on both kinds.
     A real payload owns an immutable copy of its bytes, so it keeps
     observing what was read even if the store it came from changes.
     """
@@ -112,9 +111,6 @@ class Payload:
     @property
     def is_synthetic(self) -> bool:
         return self.data is None
-
-    def __len__(self) -> int:
-        return self.nbytes
 
     def slice(self, start: int, length: int) -> "Payload":
         """Sub-payload ``[start, start+length)``; clamped to bounds."""
@@ -155,18 +151,6 @@ class Payload:
                 p = Payload.concat([p, pad])
             parts.append(p)
         return Payload.concat(parts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Payload):
-            return NotImplemented
-        if self.nbytes != other.nbytes:
-            return False
-        if self.is_synthetic or other.is_synthetic:
-            return self.is_synthetic and other.is_synthetic
-        return self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash((self.nbytes, self.data))
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "synthetic" if self.is_synthetic else "bytes"

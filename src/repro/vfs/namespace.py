@@ -93,15 +93,6 @@ class Namespace:
         except KeyError:
             raise NoEntry(f"handle {handle}") from None
 
-    def path_of(self, entry: NsEntry) -> str:
-        """Reconstruct an entry's absolute path."""
-        parts: list[str] = []
-        node: Optional[NsEntry] = entry
-        while node is not None and node is not self.root:
-            parts.append(node.name)
-            node = node.parent
-        return "/" + "/".join(reversed(parts))
-
     # -- mutation ----------------------------------------------------------
     def create(self, path: str, is_dir: bool = False, now: float = 0.0) -> NsEntry:
         """Create a file or directory; raises :class:`Exists` on conflict."""

@@ -63,14 +63,13 @@ class Workload(ABC):
         name_tag = zlib.crc32(self.name.encode()) & 0xFFFF
         return np.random.default_rng((self.seed, name_tag, client_idx))
 
+    @abstractmethod
     def prepare(self, sim, admin: FileSystemClient, n_clients: int):
         """Generator: one-time setup (directories, pre-created files).
 
         Namespace operations go through ``admin``; bulk data a read
         phase needs is installed with ``admin.install``.
         """
-        return None
-        yield  # pragma: no cover
 
     @abstractmethod
     def client_proc(self, sim, fsc: FileSystemClient, client_idx: int, n_clients: int):

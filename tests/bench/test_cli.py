@@ -176,3 +176,27 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["cell", "direct-pnfs", "ior-write", "--clients", "10"], "'10'"),
+            (["cell", "direct-pnfs", "ior-write", "--clients", "0"], "'0'"),
+            (["run", "fig7a", "--clients", "1,x"], "'x'"),
+            (["run", "fig7a", "--clients", "1,10"], "'10'"),
+            (["cell", "direct-pnfs", "ior-write", "--scale", "0"], "'0'"),
+            (["run", "fig7a", "--scale", "-1"], "'-1'"),
+            (["metrics", "direct-pnfs", "ior-write", "--interval", "0"], "'0'"),
+            (["torture", "--replay", "-1"], "'-1'"),
+            (["torture", "--start-seed", "-3"], "'-3'"),
+            (["torture", "--seeds", "0"], "'0'"),
+        ],
+    )
+    def test_out_of_range_number_exits_2_with_one_error_line(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and value in errors[0]
+        assert "Traceback" not in captured.err and captured.out == ""

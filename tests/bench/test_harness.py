@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment
-from repro.bench.paper_data import PAPER, paper_series
+from repro.bench.paper_data import PAPER
 from repro.bench.report import format_table, shape_checks
 from repro.bench.runner import run_cell
 from repro.workloads import IorWorkload
@@ -44,12 +44,6 @@ class TestRunner:
         )
         assert r.transactions_per_second == pytest.approx(100 / 12)
 
-    def test_keep_deployment_exposes_internals(self):
-        w = IorWorkload(op="write", block_size=256 * 1024, scale=0.01)
-        result = run_cell("pvfs2", w, n_clients=1, keep_deployment=True)
-        assert result.deployment is not None
-        assert result.deployment.pvfs.daemons
-
 
 class TestExperimentDefinitions:
     def test_all_figures_defined(self):
@@ -71,7 +65,7 @@ class TestExperimentDefinitions:
                     assert n in PAPER[exp_id][system], (exp_id, system, n)
 
     def test_paper_series_helper(self):
-        series = paper_series("fig6a", "direct-pnfs", [1, 4, 8])
+        series = [PAPER["fig6a"]["direct-pnfs"][n] for n in (1, 4, 8)]
         assert len(series) == 3
         assert series[1] == 119.2
 

@@ -37,7 +37,7 @@ class TestEpisodes:
         program = generate(3)
         for arch in ALL_ARCHES:
             res = run_episode(program, arch)
-            assert res.ok, (arch, res.violations)
+            assert not res.violations, (arch, res.violations)
             assert not res.wedged
             assert res.stats["reads_checked"] > 0
 
@@ -57,7 +57,7 @@ class TestEpisodes:
     def test_sweep_reports_clean_seeds(self):
         results = sweep(["direct-pnfs"], seeds=2, start_seed=3)
         assert len(results) == 2
-        assert all(r.ok for r in results)
+        assert not any(r.violations for r in results)
 
     def test_fault_caps_follow_the_front_not_the_name(self, monkeypatch):
         """A native-PVFS2 row under another name has no retry layer
@@ -67,7 +67,7 @@ class TestEpisodes:
         program = generate(24)
         assert {f.kind for f in program.faults} == {"nic_delay", "outage"}
         res = run_episode(program, "pvfs2-copy")
-        assert res.ok, res.violations
+        assert res.violations == []
         assert res.fault_log and all("nic delay" in what for _, what in res.fault_log)
 
 
@@ -87,7 +87,7 @@ class TestPostQuiesceOracles:
             mp.setattr(PnfsSystem, "make_client", leaky)
             res = run_episode(generate(3), "direct-pnfs-sharded")
         assert any(v.startswith("leak: client0 session to") for v in res.violations)
-        assert run_episode(generate(3), "direct-pnfs-sharded").ok
+        assert not run_episode(generate(3), "direct-pnfs-sharded").violations
 
 
 class TestPinnedRegressions:
@@ -96,18 +96,18 @@ class TestPinnedRegressions:
         # Overlapping writes to one private file; the re-dirtied block
         # must not race its own in-flight write-back.
         res = run_episode(generate(146), arch)
-        assert res.ok, res.violations
+        assert res.violations == []
 
     @pytest.mark.parametrize("arch", ["direct-pnfs", "nfsv4"])
     def test_seed_65_dirty_survives_close(self, arch):
         # write → reopen during a long outage (close's flush fails) →
         # post-heal fsync must re-flush the re-dirtied ranges.
         res = run_episode(generate(65), arch)
-        assert res.ok, res.violations
+        assert res.violations == []
 
     def test_seed_161_dirty_survives_close_shared(self):
         res = run_episode(generate(161), "nfsv4")
-        assert res.ok, res.violations
+        assert res.violations == []
 
     def test_seed_28_buggy_writeback_is_caught(self, monkeypatch):
         # Checker power: revert the errseq re-dirty/latch behaviour and
@@ -117,10 +117,10 @@ class TestPinnedRegressions:
         with monkeypatch.context() as mp:
             mutants.apply(mp, "writeback")
             res = run_episode(generate(28), "nfsv4")
-        assert not res.ok
+        assert res.violations
         assert any("silent-loss" in v for v in res.violations)
         # ... and the fixed client sails through the same episode.
-        assert run_episode(generate(28), "nfsv4").ok
+        assert not run_episode(generate(28), "nfsv4").violations
 
 
 class TestShrinker:
@@ -145,7 +145,7 @@ class TestShrinker:
         # progress and the result still fails for the same reason.
         assert small.op_count < program.op_count
         res = run_episode(small, "nfsv4")
-        assert not res.ok
+        assert res.violations
 
 
 class TestMutantReach:

@@ -77,7 +77,7 @@ class TestEpisodes:
         program = generate(0, metadata_ops=True)
         for arch in ALL_ARCHES:
             res = run_episode(program, arch)
-            assert res.ok, (arch, res.violations)
+            assert not res.violations, (arch, res.violations)
             assert not res.wedged
 
     def test_metadata_replay_is_byte_identical(self):
@@ -90,8 +90,8 @@ class TestEpisodes:
     def test_metadata_sweep_clean(self):
         results = sweep(["nfsv4"], seeds=3, metadata=True)
         assert len(results) == 3
-        assert all(r.ok for r in results), [
-            (r.seed, r.violations) for r in results if not r.ok
+        assert not any(r.violations for r in results), [
+            (r.seed, r.violations) for r in results if r.violations
         ]
 
 
@@ -103,10 +103,10 @@ class TestPinnedRegressions:
         with monkeypatch.context() as mp:
             mutants.apply(mp, "truncate")
             res = run_episode(generate(0, metadata_ops=True), "nfsv4")
-        assert not res.ok
+        assert res.violations
         assert any("truncate-resurrection" in v for v in res.violations)
         # ... and the fixed client sails through the same episode.
-        assert run_episode(generate(0, metadata_ops=True), "nfsv4").ok
+        assert not run_episode(generate(0, metadata_ops=True), "nfsv4").violations
 
     def test_seed_32_truncate_recall_exactly_once(self):
         # The MDS truncate handler must not block on layout recalls:
@@ -114,7 +114,7 @@ class TestPinnedRegressions:
         # re-executed the handler (reply cache can only suppress
         # *completed* executions).
         res = run_episode(generate(32, metadata_ops=True), "pnfs-3tier")
-        assert res.ok, res.violations
+        assert res.violations == []
 
 
 class TestShrinker:
@@ -127,7 +127,7 @@ class TestShrinker:
         assert runs > 1
         assert small.op_count < program.op_count
         res = run_episode(small, "nfsv4")
-        assert not res.ok
+        assert res.violations
         # The minimised program still carries the essential metadata op.
         kinds = {op.kind for t in small.ops for op in t}
         assert "truncate" in kinds

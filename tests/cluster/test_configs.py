@@ -37,10 +37,9 @@ class TestTestbed:
         assert tb.client_nodes[8].cpu.spec.speed == pytest.approx(1.7)
 
     def test_client_count_bounds(self):
-        with pytest.raises(ValueError):
-            Testbed(n_clients=0)
-        with pytest.raises(ValueError):
-            Testbed(n_clients=10)
+        for n in (0, 10):
+            with pytest.raises(ValueError, match="between 1 and 9"):
+                Testbed(n_clients=n)
 
     def test_network_speed_applies(self):
         tb = Testbed(net_bw=FAST_ETHERNET)

@@ -175,7 +175,7 @@ class TestEndToEnd:
         # …but once the flusher drains, every byte is on a platter
         # (plus a few 4 KB metadata-journal writes from the create).
         cluster.sim.run()
-        disk_bytes = sum(n.disk.write_bytes for n in cluster.storage)
+        disk_bytes = sum(n.disks[0].write_bytes for n in cluster.storage)
         assert 3_000_000 <= disk_bytes <= 3_000_000 + 16 * 4096
 
     def test_size_visible_after_layoutcommit(self, cluster, direct):

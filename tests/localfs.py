@@ -72,9 +72,8 @@ class LocalClient(FileSystemClient):
         entry = self.fs.namespace.by_handle(handle)
         if entry.is_dir:
             raise IsDirectory(f"handle {handle}")
-        return OpenFile(
-            path=self.fs.namespace.path_of(entry), handle=handle, client=self
-        )
+        # As Pvfs2Client.open_by_handle: a handle-bound file has no path.
+        return OpenFile(path=f"handle:{handle}", handle=handle, client=self)
 
     def read(self, f: OpenFile, offset: int, nbytes: int):
         yield from self._tick()

@@ -335,9 +335,9 @@ def lock_violation(ops):
             if (conflict is None) != model.can_lock(0, o, probe_s, probe_s + 4, "write"):
                 return f"step {step}: test(0, {o}) disagrees with model"
         # Bounded tables: one per fh with live locks, none for empty fhs.
-        if mgr.table_count != len(model.active_fhs()):
+        if len(mgr.snapshot()) != len(model.active_fhs()):
             return (
-                f"step {step}: {mgr.table_count} tables for "
+                f"step {step}: {len(mgr.snapshot())} tables for "
                 f"{len(model.active_fhs())} active fhs"
             )
     return None

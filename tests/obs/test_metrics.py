@@ -46,8 +46,9 @@ def _run_sampled(interval=0.5, horizon=2.0):
             work += 1
 
     proc = sim.process(worker())
-    with Sampler(sim, reg, interval=interval) as sampler:
-        sim.run(until=proc)
+    sampler = Sampler(sim, reg, interval=interval).start()
+    sim.run(until=proc)
+    sampler.stop()
     return sampler
 
 
@@ -62,7 +63,7 @@ class TestSampler:
 
     def test_series_is_monotonic_counter_trace(self):
         sampler = _run_sampled()
-        vals = [v for _, v in sampler.series("work")]
+        vals = sampler.as_dict()["series"]["work"]
         assert vals == sorted(vals)
         assert vals[-1] == 7  # 0.3s ticks until 2.0: 2.1/0.3
 

@@ -15,7 +15,7 @@ class TestFileLayout:
             fhs=[7, 7, 7],
             aggregation={"type": "round_robin", "nslots": 3, "stripe_unit": 1024},
         )
-        assert lo.ndevices == 3
+        assert len(lo.device_slots) == 3
         # Stateids come from the issuing MDS, not construction: a bare
         # layout is "not yet issued".
         assert lo.stateid == 0

@@ -59,10 +59,10 @@ class TestMountAndLayout:
         f = drive(cluster.sim, scenario())
         layout = f.state["layout"]
         assert layout is not None
-        assert layout.ndevices == 3
+        assert len(layout.device_slots) == 3
         assert layout.aggregation["type"] == "round_robin"
         assert mds.layouts_granted >= 1
-        assert mds.issued_for(f.state["fh"]) == 1
+        assert [lo for lo, _cb in mds._issued[f.state["fh"]]] == [layout]
 
     def test_layout_return(self, cluster, pnfs):
         client, mds, _ds, _backing = pnfs
@@ -74,7 +74,7 @@ class TestMountAndLayout:
 
         f = drive(cluster.sim, scenario())
         assert f.state["layout"] is None
-        assert mds.issued_for(f.state["fh"]) == 0
+        assert mds._issued[f.state["fh"]] == []
 
 
 class TestDataPath:
@@ -215,4 +215,4 @@ class TestLayoutCommitAndRecall:
 
         data, f0, f1 = drive(cluster.sim, scenario())
         assert data.data == b"from c0!"
-        assert mds.issued_for(f1.state["fh"]) == 2
+        assert len(mds._issued[f1.state["fh"]]) == 2

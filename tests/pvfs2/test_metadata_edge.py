@@ -89,10 +89,10 @@ class TestMetadataWire:
 
 class TestJournalling:
     def test_creates_journal_to_disk(self, cluster, fs):
-        disk_writes_before = cluster.storage[0].disk.write_bytes
+        disk_writes_before = cluster.storage[0].disks[0].write_bytes
         for i in range(5):
             mds_call(cluster, fs, "create", {"path": f"/j{i}"})
-        extra = cluster.storage[0].disk.write_bytes - disk_writes_before
+        extra = cluster.storage[0].disks[0].write_bytes - disk_writes_before
         # MDS journal (5 x 4 KB) plus daemon-0 bstream journals (5 x 4 KB)
         assert extra == 10 * fs.cfg.journal_io_bytes
 
@@ -103,7 +103,7 @@ class TestJournalling:
             Pvfs2Config(stripe_size=64, metadata_sync=False),
         )
         mds_call(cluster, fs, "create", {"path": "/nosync"})
-        assert all(n.disk.write_bytes == 0 for n in cluster.storage)
+        assert all(n.disks[0].write_bytes == 0 for n in cluster.storage)
 
     def test_journal_writes_are_sequential_in_their_region(self, cluster, fs):
         """Consecutive journal commits do not pay full positioning."""
@@ -112,7 +112,7 @@ class TestJournalling:
         mds_call(cluster, fs, "mkdir", {"path": "/b"})
         t_second = cluster.sim.now - t0
         # second mkdir journals right after the first: no full seek
-        spec = cluster.storage[0].disk.spec
+        spec = cluster.storage[0].disks[0].spec
         assert t_second < spec.positioning + 0.004
 
 

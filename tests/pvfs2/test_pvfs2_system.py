@@ -305,7 +305,7 @@ class TestDurability:
         drive(cluster.sim, scenario())
         assert all(d.dirty_backlog <= fs.cfg.disk_cache_bytes for d in fs.daemons)
         cluster.sim.run()  # drain the flushers
-        disk_bytes = sum(n.disk.write_bytes for n in cluster.storage)
+        disk_bytes = sum(n.disks[0].write_bytes for n in cluster.storage)
         # payload plus a handful of 4 KB metadata journal writes
         assert 4_000_000 <= disk_bytes <= 4_000_000 + 16 * 4096
 
@@ -319,7 +319,7 @@ class TestDurability:
         drive(cluster.sim, scenario())
         cluster.sim.run()  # drive() stops with the scenario; let the flushers drain
         # The invariant is that data eventually reaches disk unprompted.
-        payload_bytes = sum(n.disk.write_bytes for n in cluster.storage)
+        payload_bytes = sum(n.disks[0].write_bytes for n in cluster.storage)
         assert 1_000_000 <= payload_bytes <= 1_000_000 + 16 * 4096
 
     def test_fsync_time_reflects_disk_speed(self, cluster):

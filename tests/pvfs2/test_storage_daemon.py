@@ -112,7 +112,7 @@ class TestWriteBehind:
 
     def test_contiguous_writes_merge_into_one_disk_io(self, cluster):
         daemon = make_daemon(cluster)
-        disk = cluster.storage[0].disk
+        disk = cluster.storage[0].disks[0]
         for i in range(8):
             call(
                 cluster,
@@ -182,7 +182,7 @@ class TestElevator:
     def test_sweep_prefers_forward_order(self, cluster):
         """Out-of-order arrivals drain in ascending offset order."""
         daemon = make_daemon(cluster)
-        disk = cluster.storage[0].disk
+        disk = cluster.storage[0].disks[0]
         offsets = [5_000_000, 1_000_000, 3_000_000]
         for off in offsets:
             call(

@@ -232,8 +232,6 @@ class TestNode:
         node = Node(sim, NodeSpec(name="c0"), net)
         assert node.disks == []
         assert node.io_bus is None
-        with pytest.raises(ValueError):
-            _ = node.disk
 
     def test_send_between_nodes(self):
         sim = Simulator()
@@ -242,7 +240,7 @@ class TestNode:
         b = Node(sim, NodeSpec(name="b", nic_bw=10e6), net)
 
         def xfer():
-            yield a.send(b, 10_000_000)
+            yield net.transfer(a.name, b.name, 10_000_000)
             return sim.now
 
         p = sim.process(xfer())

@@ -95,7 +95,7 @@ class TestRunSemantics:
             sim.run(until=1)
 
     def test_run_until_unreachable_event_raises(self, sim):
-        ev = sim.event()  # never triggered
+        ev = Event(sim)  # never triggered
         with pytest.raises(SimulationError):
             sim.run(until=ev)
 
@@ -106,7 +106,7 @@ class TestRunSemantics:
 
 class TestEvents:
     def test_manual_succeed_wakes_waiter(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         got = []
 
         def waiter():
@@ -122,13 +122,13 @@ class TestEvents:
         assert got == ["done"]
 
     def test_double_trigger_rejected(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed(1)
         with pytest.raises(SimulationError):
             ev.succeed(2)
 
     def test_fail_propagates_into_waiting_process(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         caught = []
 
         def waiter():
@@ -143,21 +143,21 @@ class TestEvents:
         assert caught == ["boom"]
 
     def test_unhandled_failure_surfaces_from_run(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.fail(RuntimeError("unhandled"))
         with pytest.raises(RuntimeError, match="unhandled"):
             sim.run()
 
     def test_fail_requires_exception_instance(self, sim):
         with pytest.raises(TypeError):
-            sim.event().fail("not an exception")
+            Event(sim).fail("not an exception")
 
     def test_value_unavailable_before_trigger(self, sim):
         with pytest.raises(SimulationError):
-            _ = sim.event().value
+            _ = Event(sim).value
 
     def test_callback_on_processed_event_runs_immediately(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed(9)
         sim.run()
         seen = []

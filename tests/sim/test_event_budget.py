@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import rpc
-from repro.sim import CpuSpec, Interrupt, Network, Node, NodeSpec, Pipe, Simulator
+from repro.sim import CpuSpec, Event, Interrupt, Network, Node, NodeSpec, Pipe, Simulator
 from repro.sim import network as network_mod
 from repro.sim.cpu import Cpu
 from repro.sim.network import FLOW_WINDOW
@@ -60,7 +60,7 @@ def pipes(net):
 
 def assert_idle(net):
     for pipe in pipes(net):
-        assert pipe.in_use == 0 and pipe.queue_len == 0, pipe.name
+        assert pipe.in_use == 0 and pipe._waiters == [], pipe.name
 
 
 class Delays:
@@ -261,14 +261,14 @@ class TestCpuBudget:
 
         def canceller():
             yield sim.timeout(0.5)
-            assert cpu.queue_len == 2
+            assert cpu.cores.queue_len == 2
             queued.interrupt()
-            assert cpu.queue_len == 1
+            assert cpu.cores.queue_len == 1
 
         sim.process(canceller())
         sim.run()
         assert log == [("b", "interrupted"), ("a", 1.0), ("c", 2.0)]
-        assert cpu.cores.in_use == 0 and cpu.queue_len == 0
+        assert cpu.cores.in_use == 0 and cpu.cores.queue_len == 0
         assert cpu.busy_time == 2.0
 
     def test_interrupt_in_service_releases_the_core_once_and_charges_nothing(self):
@@ -288,10 +288,10 @@ class TestCpuBudget:
 
         def canceller():
             yield sim.timeout(0.25)
-            assert cpu.cores.in_use == 1 and cpu.queue_len == 1
+            assert cpu.cores.in_use == 1 and cpu.cores.queue_len == 1
             serving.interrupt()
             # The core went straight to b: released once, granted once.
-            assert cpu.cores.in_use == 1 and cpu.queue_len == 0
+            assert cpu.cores.in_use == 1 and cpu.cores.queue_len == 0
 
         sim.process(canceller())
         sim.run()
@@ -474,19 +474,21 @@ class TestSpawnEventLegs:
             yield sim.timeout(delay)
             return tag
 
+        landed = []
+
         def parent():
+            wire = net.transfer("n0", "n1", 500)
+            wire.add_callback(lambda _ev: landed.append(sim.now))
             join = sim.spawn(
-                leg("slow", 3.0), sim.timeout(2.0, "event"), leg("fast", 1.0),
-                net.transfer("n0", "n1", 500),
+                leg("slow", 3.0), sim.timeout(2.0, "event"), leg("fast", 1.0), wire,
             )
             assert started == ["slow", "fast"]  # generator legs ran their first segment
             return (yield join)
 
         proc = sim.process(parent())
         sim.run()
-        slow, event, fast, flow = proc.value
-        assert (slow, event, fast) == ("slow", "event", "fast")
-        assert flow.nbytes == 500 and flow.end == pytest.approx(LATENCY + 2 * 500 / BW)
+        assert list(proc.value) == ["slow", "event", "fast", None]
+        assert landed == [pytest.approx(LATENCY + 2 * 500 / BW)]
 
     def test_an_already_fired_leg_counts_at_once(self):
         sim = Simulator()
@@ -509,7 +511,7 @@ class TestSpawnEventLegs:
 
     def test_a_failing_event_leg_fails_the_join_once(self):
         sim = Simulator()
-        first, second = sim.event(), sim.event()
+        first, second = Event(sim), Event(sim)
         seen = []
 
         def parent():
@@ -676,8 +678,7 @@ def run_flow_set(flows, fault, monkeypatch):
 
     def sender(i, start, src, dst, nbytes):
         yield sim.timeout(start)
-        flow = yield net.transfer(src, dst, nbytes)
-        assert flow.end == sim.now and flow.nbytes == nbytes
+        yield net.transfer(src, dst, nbytes)
         finished[i] = sim.now
 
     if fault is not None and fault[0] == "drop":
@@ -702,7 +703,8 @@ def run_flow_set(flows, fault, monkeypatch):
     if fault is None:
         assert lost == 0
     assert_idle(net)
-    return finished, sim.stats.events_processed, [n.counters() for n in nics]
+    counters = [(n.tx_bytes, n.rx_bytes, n.loopback_bytes, n.flows_dropped) for n in nics]
+    return finished, sim.stats.events_processed, counters
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -736,7 +738,11 @@ def test_interrupted_waiter_leaves_the_flow_running():
         proc = sim.process(waiter())
         # A second flow queues behind the first on both pipes: it sees
         # the first one's holds end exactly when they would have anyway.
-        follower = sim.process(wait_for(lambda: net.transfer("n0", "n1", 2 * CHUNK)))
+        def follow():
+            yield net.transfer("n0", "n1", 2 * CHUNK)
+            return sim.now
+
+        follower = sim.process(follow())
         if interrupt_at is not None:
             def timer():
                 yield sim.timeout(interrupt_at)
@@ -745,7 +751,7 @@ def test_interrupted_waiter_leaves_the_flow_running():
             sim.process(timer())
         sim.run()
         assert_idle(net)
-        return outcome, follower.value.end, net.flows_completed, net.nic("n1").rx_bytes, sim.now
+        return outcome, follower.value, net.flows_completed, net.nic("n1").rx_bytes, sim.now
 
     undisturbed = run(None)
     interrupted = run(LATENCY + 1.5 * CHUNK / BW)

@@ -55,7 +55,7 @@ class TestSchedules:
 
 class TestDiskFaults:
     def test_failed_disk_raises_and_recovers(self, cluster):
-        disk = cluster.storage[0].disk
+        disk = cluster.storage[0].disks[0]
         inj = FaultInjector(cluster.sim)
         inj.fail_disk(disk)
 
@@ -109,7 +109,7 @@ class TestNicFaults:
         assert src.tx_bytes == 0 and dst.rx_bytes == 0
         assert src.flows_dropped == 1 and dst.flows_dropped == 0
         for pipe in (src.tx, src.rx, dst.tx, dst.rx):
-            assert pipe.in_use == 0 and pipe.queue_len == 0, pipe.name
+            assert pipe.in_use == 0 and pipe._waiters == [], pipe.name
         assert sim.now < cut_at + 0.02  # a few buffered chunks, not the flow
 
     def test_survivor_reclaims_the_pipe_from_a_dead_sender(self, cluster):
@@ -204,8 +204,8 @@ class TestNodeCrash:
         server = rpc.RpcServer(cluster.sim, node, "svc", rpc.RpcCosts())
         inj = FaultInjector(cluster.sim)
         inj.crash_node(node, services=[server])
-        assert node.nic.down and node.disk.failed and not server.up
+        assert node.nic.down and node.disks[0].failed and not server.up
         inj.restart_node(node, services=[server])
-        assert not node.nic.down and not node.disk.failed and server.up
+        assert not node.nic.down and not node.disks[0].failed and server.up
         kinds = [name.split()[0] for _t, name in inj.events]
         assert kinds == ["crash", "restart"]

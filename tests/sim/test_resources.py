@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Pipe, Resource, Simulator
+from repro.sim import Event, Pipe, Resource, Simulator
 from repro.sim.engine import Interrupt, SimulationError
 
 
@@ -19,7 +19,6 @@ class TestResource:
         ev = res.acquire()
         assert ev.triggered
         assert res.in_use == 1
-        assert res.available == 1
 
     def test_fifo_queueing(self, sim):
         res = Resource(sim, 1)
@@ -299,7 +298,7 @@ class TestPipeLoneWaiter:
         before = sim.rng.bit_generator.state
         pipe.release()
         sim.run()
-        assert got == ["holder", "waiter"] and pipe.in_use == 1 and pipe.queue_len == 0
+        assert got == ["holder", "waiter"] and pipe.in_use == 1 and pipe._waiters == []
         assert sim.rng.bit_generator.state == before
         pipe.release()
         with pytest.raises(SimulationError):
@@ -351,7 +350,7 @@ class TestLongWaiterQueues:
         else:
             # A pipe has one holder: the queue drains by being handed on.
             pipe = Pipe(sim)
-            events = [sim.event() for _ in range(self.PIPE_N)]
+            events = [Event(sim) for _ in range(self.PIPE_N)]
 
             def granted(ev):
                 ev.succeed()
@@ -360,12 +359,12 @@ class TestLongWaiterQueues:
             pipe.acquire(lambda _: None)  # held by the test
             for ev in events:
                 pipe.acquire(granted, ev)
-            assert pipe.queue_len == self.PIPE_N
+            assert len(pipe._waiters) == self.PIPE_N
             t0 = time.perf_counter()
             pipe.release()
             sim.run()
             elapsed = time.perf_counter() - t0
-            assert pipe.in_use == 0 and pipe.queue_len == 0
+            assert pipe.in_use == 0 and pipe._waiters == []
         assert all(ev.processed for ev in events)
         assert elapsed < 2.0, f"draining {len(events)} waiters took {elapsed:.2f}s"
 
@@ -396,7 +395,7 @@ class TestLongWaiterQueues:
             while waiting:
                 ref_order.append(waiting.pop(int(ref_rng.integers(0, len(waiting)))))
             assert order == ref_order
-            assert pipe.in_use == 0 and pipe.queue_len == 0
+            assert pipe.in_use == 0 and pipe._waiters == []
 
     def test_abandon_long_queue_is_fast_and_leak_free(self):
         import time

@@ -99,7 +99,7 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
         """Hold ``rand`` the way a wire flow does — by callbacks, so an
         interrupted worker leaves the hold running, not leaked — and
         return the event fired at the release."""
-        released = sim.event()
+        released = Event(sim)
 
         def granted(_):
             log.append((sim.now, "rand-acq", wid, s))
@@ -116,7 +116,7 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
     def hold_pipe_from_tail(wid: int, s: int):
         """The same hold, asked for as the last act of a queue entry:
         granted in place when nothing else is due in that instant."""
-        released = sim.event()
+        released = Event(sim)
 
         def ask(_):
             log.append((sim.now, "tail-ask", wid, s))
@@ -137,7 +137,7 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
     def call_chain(wid: int, s: int):
         """A re-arming call, positive and zero delays alternating, whose
         last lap fires the returned event."""
-        fired = sim.event()
+        fired = Event(sim)
 
         def lap(left):
             log.append((sim.now, "lap", wid, s, left))
@@ -197,8 +197,9 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
                 # and the flow runs on, holding its pipes.
                 src = "abc"[wid % 3]
                 dst = "abc"[(wid + 1 + s % 2) % 3]
-                flow = yield net.transfer(src, dst, int(rnd_delays[wid][s] * 10_000) + 1)
-                log.append((sim.now, "wire", wid, s, flow.nbytes, net.flows_completed))
+                nbytes = int(rnd_delays[wid][s] * 10_000) + 1
+                yield net.transfer(src, dst, nbytes)
+                log.append((sim.now, "wire", wid, s, nbytes, net.flows_completed))
             elif action == "call-chain":
                 got = yield call_chain(wid, s)
                 log.append((sim.now, "chain-done", wid, s, got))
@@ -268,10 +269,10 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
 
     sim.process(joiner(), name="joiner")
     sim.run()
-    assert rand.in_use == 0 and rand.queue_len == 0
+    assert rand.in_use == 0 and rand._waiters == []
     for name in "abc":
         for pipe in (net.nic(name).tx, net.nic(name).rx):
-            assert pipe.in_use == 0 and pipe.queue_len == 0, pipe.name
+            assert pipe.in_use == 0 and pipe._waiters == [], pipe.name
     log.append((sim.now, "rng", sim.rng.bit_generator.state["state"]["state"]))
     return [(round(t, 12),) + tuple(rest) for t, *rest in log], sim.stats.events_processed
 

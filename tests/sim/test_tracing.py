@@ -3,7 +3,7 @@
 import pytest
 
 from repro import rpc
-from repro.obs import RpcRecord, RpcTrace, SpanCollector, current_collector
+from repro.obs import RpcRecord, RpcTrace, SpanCollector, spans as obs_spans
 from repro.sim.stats import nearest_rank
 from repro.vfs.api import NoEntry, Payload
 
@@ -86,7 +86,7 @@ class TestTracer:
             yield from rpc.call(cluster.clients[0], server, "echo", {})
 
         drive(cluster.sim, scenario())
-        assert current_collector() is None
+        assert obs_spans.ACTIVE is None
 
     def test_nested_installation_rejected(self, cluster):
         with SpanCollector(cluster.sim):
@@ -106,8 +106,8 @@ class TestTracer:
             drive(cluster.sim, scenario())
         tracer = RpcTrace.from_spans(spans)
         assert set(tracer.by_proc()) == {"echo"}
-        assert set(tracer.by_server()) == {"svc"}
-        assert tracer.total_payload_bytes() == 5 * 200
+        assert {r.server for r in tracer.records} == {"svc"}
+        assert sum(r.req_bytes + r.reply_bytes for r in tracer.records) == 5 * 200
         text = tracer.summary()
         assert "echo" in text and "5" in text
 
@@ -147,17 +147,6 @@ class TestTracer:
         assert row[1] == "3"  # calls
         assert row[5] == "2"  # errors: one error reply + one timeout
         assert row[6] == "3"  # retries
-
-    def test_server_counters(self):
-        tracer = RpcTrace([
-            make_record(0.001, server="a"),
-            make_record(0.002, server="a", error=True),
-            make_record(0.003, server="a", error=True, timeout=True, retries=2),
-            make_record(0.001, server="b", retries=1),
-        ])
-        counters = tracer.server_counters()
-        assert counters["a"] == {"calls": 3, "errors": 1, "timeouts": 1, "retries": 2}
-        assert counters["b"] == {"calls": 1, "errors": 0, "timeouts": 0, "retries": 1}
 
     def test_traces_full_stack_run(self, cluster):
         """Tracer sees the composed Direct-pNFS protocol mix."""

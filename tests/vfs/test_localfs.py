@@ -47,10 +47,10 @@ class TestLocalFs:
             f = yield from client.create("/h")
             yield from client.write(f, 0, Payload(b"by-handle"))
             g = yield from client.open_by_handle(f.handle)
-            return g.path, (yield from client.read(g, 0, 9))
+            return f.handle, g.handle, (yield from client.read(g, 0, 9))
 
-        path, data = drive(sim, scenario())
-        assert path == "/h"
+        handle, bound, data = drive(sim, scenario())
+        assert bound == handle
         assert data.data == b"by-handle"
 
     def test_getattr_and_size_hint(self, fs):

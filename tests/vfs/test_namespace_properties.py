@@ -7,7 +7,7 @@ cases pin the rename/remove edge semantics the torture harness
 leans on: rename into one's own descendant (EINVAL), rename over an
 existing file (target dies) or directory (EEXIST), rename onto
 itself (no-op), handle staleness after remove, handle stability and
-``path_of`` after rename.
+the entry's path after rename.
 """
 
 import numpy as np
@@ -87,17 +87,20 @@ class TestRenameEdges:
         ns.create("/d1", is_dir=True)
         ns.create("/d2", is_dir=True)
         f = ns.create("/d1/f")
-        assert ns.path_of(f) == "/d1/f"
+        assert ns.resolve("/d1/f") is f
         ns.rename("/d1/f", "/d2/g")
-        assert ns.path_of(f) == "/d2/g"
+        assert ns.resolve("/d2/g") is f
+        with pytest.raises(NoEntry):
+            ns.resolve("/d1/f")
 
     def test_path_of_inside_renamed_dir(self):
         ns = Namespace()
         ns.create("/old", is_dir=True)
         leaf = ns.create("/old/leaf")
         ns.rename("/old", "/new")
-        assert ns.path_of(leaf) == "/new/leaf"
         assert ns.resolve("/new/leaf") is leaf
+        with pytest.raises(NoEntry):
+            ns.resolve("/old/leaf")
         with pytest.raises(NoEntry):
             ns.resolve("/old/leaf")
 

@@ -12,13 +12,13 @@ from repro.vfs import FileData, Payload
 class TestPayload:
     def test_real_payload_roundtrip(self):
         p = Payload(b"hello")
-        assert len(p) == 5
+        assert p.nbytes == 5
         assert not p.is_synthetic
         assert p.data == b"hello"
 
     def test_synthetic_payload(self):
         p = Payload.synthetic(1000)
-        assert len(p) == 1000
+        assert p.nbytes == 1000
         assert p.is_synthetic
         assert p.data is None
 
@@ -70,13 +70,8 @@ class TestPayload:
         ],
     )
     def test_assemble_zero_fills_holes_but_not_eof(self, pieces, expected):
-        assert Payload.assemble(pieces) == expected
-
-    def test_equality(self):
-        assert Payload(b"x") == Payload(b"x")
-        assert Payload(b"x") != Payload(b"y")
-        assert Payload.synthetic(5) == Payload.synthetic(5)
-        assert Payload.synthetic(5) != Payload(b"12345")
+        got = Payload.assemble(pieces)
+        assert (got.nbytes, got.data) == (expected.nbytes, expected.data)
 
     def test_accepts_bytearray_and_memoryview(self):
         assert Payload(bytearray(b"ab")).data == b"ab"
@@ -87,7 +82,7 @@ class TestPayload:
         fd.write(0, Payload(b"abcd"))
         for p in (fd.read(0, 4), Payload(b"abcd").slice(1, 2), Payload.synthetic(9)):
             clone = pickle.loads(pickle.dumps(p))
-            assert clone == p and clone.data == p.data
+            assert (clone.nbytes, clone.data) == (p.nbytes, p.data)
 
 
 class TestSnapshotAtRead:
@@ -125,13 +120,6 @@ class TestSnapshotAtRead:
         fd.write(0, Payload(b"\xff" * 64))
         for i, snap in enumerate(snaps):
             assert snap.data == bytes(range(i * 8, i * 8 + 8))
-
-    def test_read_payload_equality_and_hash(self):
-        fd = FileData()
-        fd.write(0, Payload(b"abcd"))
-        got = fd.read(0, 4)
-        assert got == Payload(b"abcd")
-        assert hash(got) == hash(Payload(b"abcd"))
 
 
 class TestFileData:

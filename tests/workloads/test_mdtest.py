@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.runner import run_cell
+from repro.cluster.configs import make_deployment
 from repro.workloads import MdtestWorkload
 
 
@@ -15,10 +16,9 @@ class TestMdtest:
             assert res.transactions == 60
 
     def test_tree_cleaned_up(self):
-        r = run_cell(
-            "pvfs2", MdtestWorkload(nfiles=40, scale=1.0), 1, keep_deployment=True
-        )
-        mds = r.deployment.pvfs.mds
+        dep = make_deployment("pvfs2", n_clients=1)
+        run_cell(dep, MdtestWorkload(nfiles=40, scale=1.0), 1)
+        mds = dep.pvfs.mds
         # all files and dirs removed: only the /mdtest root and c0 left? no —
         # c0 and its subdirs were removed too; /mdtest remains.
         assert mds.namespace.listdir("/mdtest") == []
