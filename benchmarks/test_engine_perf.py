@@ -148,7 +148,7 @@ def test_parallel_engine_determinism_and_cache(tmp_path):
     warm = run_experiment(PANEL, cache=warm_cache, **PANEL_KW)
     warm_s = time.perf_counter() - t0
     assert canonical_json(experiment_report(warm)) == serial_report
-    assert warm_cache.hits == len(serial.raw), "warm run missed the cache"
+    assert warm.parallel["cache_hits"] == len(serial.raw), "warm run missed the cache"
     assert warm_s < 0.10 * cold_s, (
         f"cached re-run took {warm_s:.2f}s vs {cold_s:.2f}s cold "
         f"(need < 10%)"
@@ -173,7 +173,7 @@ def test_parallel_engine_determinism_and_cache(tmp_path):
         "cache": {
             "cold_seconds": cold_s,
             "warm_seconds": warm_s,
-            "hits": warm_cache.hits,
+            "hits": warm.parallel["cache_hits"],
         },
     }
     RESULTS_DIR.mkdir(exist_ok=True)

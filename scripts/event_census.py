@@ -45,12 +45,12 @@ from collections import Counter
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.bench.experiments import MB, _ior  # noqa: E402
 from repro.bench.runner import run_cell  # noqa: E402
 from repro.cli import _WORKLOADS  # noqa: E402
 from repro.cluster.configs import make_deployment  # noqa: E402
 from repro.sim.engine import Event, Simulator  # noqa: E402
 from repro.sim.network import Pipe  # noqa: E402
-from repro.workloads import IorWorkload  # noqa: E402
 
 SRC = str(ROOT / "src" / "repro") + "/"
 KERNEL = (SRC + "sim/engine.py", SRC + "sim/resources.py")
@@ -59,9 +59,7 @@ KERNEL = (SRC + "sim/engine.py", SRC + "sim/resources.py")
 #: the defaults below, ``direct-pnfs pinned`` is its cell).
 KINDS = {
     **_WORKLOADS,
-    "pinned": lambda scale: IorWorkload(
-        op="write", block_size=2 * 1024 * 1024, shared_file=False, scale=scale
-    ),
+    "pinned": _ior("write", 2 * MB, shared=False),
 }
 
 

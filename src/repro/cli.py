@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.experiments import EXPERIMENTS
+from repro.bench.experiments import EXPERIMENTS, MB, _ior
 from repro.cluster.configs import ARCHITECTURES
 from repro.cluster.testbed import MAX_CLIENTS
 
@@ -132,10 +132,10 @@ def _emit_json(text: str, args) -> None:
 
 
 _WORKLOADS = {
-    "ior-write": lambda scale: _ior("write", scale),
-    "ior-read": lambda scale: _ior("read", scale),
-    "ior-write-8k": lambda scale: _ior("write", scale, block=8192),
-    "ior-read-8k": lambda scale: _ior("read", scale, block=8192),
+    "ior-write": _ior("write", 4 * MB, shared=False),
+    "ior-read": _ior("read", 4 * MB, shared=False),
+    "ior-write-8k": _ior("write", 8192, shared=False),
+    "ior-read-8k": _ior("read", 8192, shared=False),
     "atlas": lambda scale: _mk("AtlasWorkload", scale),
     "btio": lambda scale: _mk("BtioWorkload", scale),
     "oltp": lambda scale: _mk("OltpWorkload", scale),
@@ -143,12 +143,6 @@ _WORKLOADS = {
     "sshbuild": lambda scale: _mk("SshBuildWorkload", scale),
     "mdtest": lambda scale: _mk("MdtestWorkload", scale),
 }
-
-
-def _ior(op: str, scale: float, block: int = 4 * 1024 * 1024):
-    from repro.workloads import IorWorkload
-
-    return IorWorkload(op=op, block_size=block, scale=scale)
 
 
 def _mk(name: str, scale: float):

@@ -60,7 +60,6 @@ class LayoutTranslator(LayoutProvider):
     def __init__(self, meta_backend: FileSystemClient, commit_through_mds: bool = False):
         self.meta_backend = meta_backend
         self.commit_through_mds = commit_through_mds
-        self.translated = 0
 
     def get_layout(self, fh, path: str):
         # One loopback metadata lookup: aggregation type + parameters.
@@ -72,7 +71,6 @@ class LayoutTranslator(LayoutProvider):
         nservers = dist_desc["nservers"]
         # The pNFS server specifies the filehandles (§4.2): the backend
         # object handle is valid at every data server.
-        self.translated += 1
         return FileLayout(
             device_slots=list(range(nservers)),
             fhs=[fh] * nservers,

@@ -58,7 +58,7 @@ class LockManager:
 
     def __init__(self):
         self._locks: dict[object, list[LockRange]] = {}
-        self.granted = 0
+        #: LOCK requests refused for a conflicting holder.
         self.conflicts = 0
 
     def _table(self, fh):
@@ -115,7 +115,6 @@ class LockManager:
         granted = LockRange(owner, start, end, kind)
         remaining.append(granted)
         self._locks[fh] = remaining
-        self.granted += 1
         return granted
 
     def unlock(self, fh, owner, start: int, end: int) -> int:

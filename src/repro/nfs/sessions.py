@@ -41,8 +41,6 @@ class Session:
         self._seq = itertools.count(1)
         #: Server-side reply cache: seq -> (result, reply_payload, error).
         self._replay: dict[int, tuple] = {}
-        #: Reply-cache hits observed on this session.
-        self.replays = 0
         #: Server-side executions per unretired seq.  Only retrying
         #: clients hand their session to :func:`repro.rpc.call`, so
         #: policy-less (calibrated) runs never reach this bookkeeping.
@@ -96,10 +94,7 @@ class Session:
         """The cached reply for ``seq``, or ``None`` if this is the
         first execution the server sees.  A hit means the request is a
         retransmission of an already-executed operation."""
-        hit = self._replay.get(seq)
-        if hit is not None:
-            self.replays += 1
-        return hit
+        return self._replay.get(seq)
 
     def retire(self, seq: int) -> None:
         """The client received the reply for ``seq``: the server may

@@ -26,6 +26,7 @@ from repro.obs.attach import (
     observe_engine,
     observe_network,
     observe_node,
+    observe_protocol_events,
     observe_rpc_server,
     observe_storage_daemon,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "observe_engine",
     "observe_network",
     "observe_node",
+    "observe_protocol_events",
     "observe_rpc_server",
     "observe_storage_daemon",
 ]

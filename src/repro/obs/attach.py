@@ -7,6 +7,7 @@ under dotted names::
 
     s0.cpu.busy_seconds      s0.nic.tx_bytes       s0.disk0.busy_seconds
     s0.disk0.queue           mds.rpc.calls_served  c0.client.writeback_errors
+    s0.direct-mds.layouts_granted
 
 Everything here is duck-typed on the attribute names the components
 already expose, so this module imports nothing from the simulation
@@ -21,6 +22,7 @@ from repro.obs.metrics import MetricsRegistry
 __all__ = [
     "observe_node",
     "observe_rpc_server",
+    "observe_protocol_events",
     "observe_client",
     "observe_storage_daemon",
     "observe_network",
@@ -68,6 +70,24 @@ def observe_rpc_server(reg: MetricsRegistry, server, name: str = "") -> None:
     reg.gauge(f"{n}.rpc.threads_busy", lambda: threads.in_use)
     reg.gauge(f"{n}.rpc.threads_queue", lambda: threads.queue_len)
     _gauge_attr(reg, f"{n}.rpc.threads_high_water", threads, "high_water")
+
+
+def observe_protocol_events(reg: MetricsRegistry, server) -> None:
+    """The NFSv4 / pNFS protocol events a server counts, those it has:
+    read delegations and layouts granted and recalled, and byte-range
+    lock conflicts."""
+    n = server.name
+    for attr in (
+        "delegations_granted",
+        "delegations_recalled",
+        "layouts_granted",
+        "layouts_recalled",
+    ):
+        if hasattr(server, attr):
+            _gauge_attr(reg, f"{n}.{attr}", server, attr)
+    locks = getattr(server, "locks", None)
+    if locks is not None:
+        _gauge_attr(reg, f"{n}.lock_conflicts", locks, "conflicts")
 
 
 def observe_client(reg: MetricsRegistry, client, name: str = "") -> None:
@@ -125,8 +145,8 @@ def observe_deployment(reg: MetricsRegistry, dep, clients=()) -> None:
 
     Registers every testbed node, every server-side RPC service
     (NFS data/metadata servers, PVFS2 daemons and PVFS2 metadata
-    servers, found by duck typing), the network, and any ``clients``
-    passed in.
+    servers, found by duck typing), the NFS tier's protocol events,
+    the network, and any ``clients`` passed in.
     """
     tb = dep.testbed
     observe_engine(reg, tb.sim)
@@ -143,6 +163,7 @@ def observe_deployment(reg: MetricsRegistry, dep, clients=()) -> None:
 
     for server in getattr(dep, "servers", ()):
         observe_rpc_of(server)
+        observe_protocol_events(reg, server)
     for daemon in getattr(dep.pvfs, "daemons", ()):
         observe_storage_daemon(reg, daemon)
         observe_rpc_of(daemon)

@@ -72,8 +72,6 @@ class ResultCache:
     def __init__(self, root: str | os.PathLike | None = None):
         root = root or os.environ.get("REPRO_CACHE_DIR") or ".repro-cache"
         self.root = pathlib.Path(root)
-        self.hits = 0
-        self.misses = 0
 
     def key_for(self, spec: dict) -> str:
         return spec_key(spec)
@@ -91,9 +89,7 @@ class ResultCache:
             # A damaged pickle fails in many ways (UnpicklingError,
             # ValueError, OverflowError, MemoryError, ...): all are a
             # miss, and run_jobs re-stores the entry.
-            self.misses += 1
             return None
-        self.hits += 1
         return value
 
     def put(self, key: str, value) -> None:

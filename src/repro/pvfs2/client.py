@@ -65,7 +65,6 @@ class Pvfs2Client(FileSystemClient):
         self.cfg = cfg
         self.local_only = local_only
         self._flight = Resource(sim, cfg.client_max_flight, name=f"{node.name}.pvfs2flight")
-        self._mounted = False
         self.bytes_read = 0
         self.bytes_written = 0
 
@@ -93,8 +92,6 @@ class Pvfs2Client(FileSystemClient):
     # -- FileSystemClient --------------------------------------------------
     def mount(self):
         info, _ = yield from self._mds_call("mount", {})
-        self._root = info["root"]
-        self._mounted = True
         return info
 
     def create(self, path: str):

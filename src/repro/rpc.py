@@ -176,13 +176,11 @@ class RpcServer:
         #: and replies — the fail-stop model; messages in flight to it
         #: are lost, and only a client-side timer notices.
         self.up = True
-        self.fail_count = 0
 
     def fail(self) -> None:
         """Take the service down (fail-stop).  In-flight exchanges are
         lost at their next checkpoint; new requests disappear."""
         self.up = False
-        self.fail_count += 1
 
     def restore(self) -> None:
         """Bring the service back.  Requests lost while down stay lost

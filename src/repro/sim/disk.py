@@ -106,7 +106,6 @@ class Disk:
         #: Set by the fault injector; requests against a failed disk
         #: raise :class:`DiskFailed` instead of touching the media.
         self.failed = False
-        self.failed_requests = 0
 
     def fail(self) -> None:
         """Fail the media: every request raises :class:`DiskFailed`
@@ -122,7 +121,6 @@ class Disk:
 
     def _check_failed(self) -> None:
         if self.failed:
-            self.failed_requests += 1
             raise DiskFailed(f"{self.name}: media failed")
 
     def io(self, offset: int, nbytes: int, write: bool):

@@ -50,6 +50,25 @@ class TestCli:
         assert any(name.endswith("writeback_errors") for name in counters)
         assert any(name.endswith("readahead_errors") for name in counters)
 
+    def test_metrics_shows_protocol_events(self, capsys):
+        """The layout grants and read delegations a Direct-pNFS read
+        cell runs on its MDS are counters in the report."""
+        import json
+
+        rc = main(
+            [
+                "metrics", "direct-pnfs", "ior-read",
+                "--clients", "2", "--scale", "0.02", "--json", "-",
+            ]
+        )
+        assert rc == 0
+        counters = json.loads(capsys.readouterr().out)["metrics"]["counters"]
+        for event in ("layouts_granted", "delegations_granted"):
+            assert len([
+                name for name, value in counters.items()
+                if name.endswith(f".{event}") and value > 0
+            ]) == 1, event
+
     def test_trace(self, capsys, tmp_path):
         import json
 

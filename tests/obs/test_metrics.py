@@ -115,3 +115,21 @@ def test_observe_deployment_sees_the_pvfs2_services_behind_an_nfs_front(arch):
     for service in services:
         assert f"{service.rpc.name}.rpc.calls_served" in names
     assert "server0.pvfs2-mds.rpc.calls_served" in names
+
+
+@pytest.mark.parametrize("arch", ["nfsv4", "direct-pnfs", "pvfs2"])
+def test_observe_deployment_registers_the_nfs_tiers_protocol_events(arch):
+    """Every NFS server counts delegations and lock conflicts, and a
+    pNFS MDS layouts too; a PVFS2 service counts none of them."""
+    dep = make_deployment(arch, n_clients=1)
+    reg = MetricsRegistry()
+    observe_deployment(reg, dep)
+    names = set(reg.names())
+    nfs_tier = [] if arch == "pvfs2" else dep.servers
+    for server in nfs_tier:
+        for event in ("delegations_granted", "delegations_recalled", "lock_conflicts"):
+            assert f"{server.name}.{event}" in names
+    assert len([n for n in names if n.endswith(".lock_conflicts")]) == len(nfs_tier)
+    assert len([n for n in names if n.endswith(".layouts_recalled")]) == (
+        1 if arch == "direct-pnfs" else 0
+    )

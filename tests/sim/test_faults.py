@@ -50,7 +50,7 @@ class TestSchedules:
         drive(cluster.sim, probe())
         assert [up for _t, up in observed] == [True, True, False, True]
         assert [t for t, _up in observed] == pytest.approx([0.0, 0.6, 1.2, 1.8])
-        assert server.fail_count == 1
+        assert inj.events == [(1.0, "fail server svc"), (1.5, "restore server svc")]
 
 
 class TestDiskFaults:
@@ -64,10 +64,12 @@ class TestDiskFaults:
 
         with pytest.raises(DiskFailed):
             drive(cluster.sim, io())
-        assert disk.failed_requests == 1
         inj.restore_disk(disk)
         drive(cluster.sim, io())
         assert disk.write_bytes == 4096
+        assert [what for _t, what in inj.events] == [
+            f"fail disk {disk.name}", f"restore disk {disk.name}",
+        ]
 
 
 class TestNicFaults:
