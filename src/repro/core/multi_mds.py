@@ -42,7 +42,8 @@ class ShardedPnfsRouter(ShardRouting, FileSystemClient):
 
     # Broadcast paths: each pNFS MDS's *backend* is itself a sharded
     # client that broadcasts/unions — routing through one MDS suffices
-    # (and broadcasting here too would double-create).
+    # (and broadcasting here too would double-create).  The backend
+    # also refuses a rename of a top-level directory.
     def mkdir(self, path: str):
         if is_broadcast_path(path):
             return (yield from self.shards[0].mkdir(path))
@@ -57,3 +58,6 @@ class ShardedPnfsRouter(ShardRouting, FileSystemClient):
         if is_broadcast_path(path):
             return (yield from self.shards[0].remove(path))
         return (yield from self._shard(path).remove(path))
+
+    def rename(self, old: str, new: str):
+        return (yield from self._rename_shard(old, new).rename(old, new))

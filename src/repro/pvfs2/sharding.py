@@ -19,13 +19,9 @@ with PVFS2's synchronous metadata journalling on, the per-create
 daemon-side disk work does not shard and caps the gain).
 
 Restrictions (documented, enforced): a rename may not cross shards or
-move broadcast entries, and directory listings of broadcast paths are
-shard unions.  :meth:`ShardRouting.rename` takes every top-level path
-for a broadcast entry, top-level *files* included, although a file
-lives on one shard.  The torture programs rename only top-level files,
-so on ``direct-pnfs-sharded`` every one is refused here and no rename
-RPC is sent (metadata seeds 0-24: 31 attempted, 31 refused): that
-row's rename oracle checks nothing yet.
+move a broadcast (top-level) directory, and directory listings of
+broadcast paths are shard unions.  A top-level *file* lives on one
+shard and renames there like any other path.
 """
 
 from __future__ import annotations
@@ -138,14 +134,22 @@ class ShardRouting:
             return None
         return (yield from self._shard(path).remove(path))
 
-    def rename(self, old: str, new: str):
-        if is_broadcast_path(old) or is_broadcast_path(new):
-            raise FsError("rename of a broadcast (top-level) entry is not supported")
+    def _rename_shard(self, old: str, new: str):
         if shard_of(old, len(self.shards)) != shard_of(new, len(self.shards)):
             raise FsError(
                 f"rename across metadata shards is not supported: {old} -> {new}"
             )
-        return (yield from self._shard(old).rename(old, new))
+        return self._shard(old)
+
+    def rename(self, old: str, new: str):
+        shard = self._rename_shard(old, new)
+        # A top-level directory lives on every shard; a top-level file,
+        # like any other path, on one.
+        if is_broadcast_path(old) or is_broadcast_path(new):
+            attrs = yield from shard.getattr(old)
+            if attrs.is_dir:
+                raise FsError(f"rename of a broadcast (top-level) directory: {old}")
+        return (yield from shard.rename(old, new))
 
     def truncate(self, path: str, size: int):
         return (yield from self._shard(path).truncate(path, size))

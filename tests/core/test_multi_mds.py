@@ -278,3 +278,60 @@ class TestFoldedIntoBaseSystems:
             assert sorted(mds.files) == list(range(base + 3, base + 3 + len(mds.files)))
             dfiles = sorted(d for meta in mds.files.values() for d in meta.dfiles)
             assert dfiles == list(range(base + 1, base + 1 + len(dfiles)))
+
+
+def _same_shard_pair(nshards: int) -> tuple[str, str]:
+    """Two top-level file names on one shard."""
+    names = [f"/f{i}" for i in range(32)]
+    return next(
+        (a, b) for a in names for b in names
+        if a != b and shard_of(a, nshards) == shard_of(b, nshards)
+    )
+
+
+class TestTopLevelRename:
+    """A top-level file lives on one shard and renames there; a
+    top-level directory lives on every shard and stays put."""
+
+    @pytest.mark.parametrize("level", ["pvfs2", "pnfs"])
+    def test_top_level_file_renames_on_its_shard(self, cluster, level):
+        pvfs, system = make_sharded(cluster, n_meta=3)
+        stack = pvfs if level == "pvfs2" else system
+        client = stack.make_client(cluster.clients[0])
+        old, new = _same_shard_pair(3)
+
+        def scenario():
+            yield from client.mount()
+            f = yield from client.create(old)
+            yield from client.write(f, 0, Payload(b"moved"))
+            yield from client.close(f)
+            yield from client.rename(old, new)
+            g = yield from client.open(new, write=False)
+            data = yield from client.read(g, 0, 5)
+            return data.data, (yield from client.readdir("/"))
+
+        data, listing = drive(cluster.sim, scenario())
+        assert data == b"moved"
+        assert listing == [new.lstrip("/")]
+        owner = pvfs.metadata_servers[shard_of(new, 3)]
+        assert new.lstrip("/") in owner.namespace.root.children
+
+    @pytest.mark.parametrize("level", ["pvfs2", "pnfs"])
+    def test_top_level_directory_rename_refused(self, cluster, level):
+        pvfs, system = make_sharded(cluster, n_meta=3)
+        stack = pvfs if level == "pvfs2" else system
+        client = stack.make_client(cluster.clients[0])
+        old, new = _same_shard_pair(3)
+
+        def scenario():
+            yield from client.mount()
+            yield from client.mkdir(old)
+            with pytest.raises(FsError):
+                yield from client.rename(old, new)
+            return (yield from client.readdir("/"))
+
+        assert drive(cluster.sim, scenario()) == [old.lstrip("/")]
+        assert all(
+            list(mds.namespace.root.children) == [old.lstrip("/")]
+            for mds in pvfs.metadata_servers
+        )
