@@ -73,21 +73,15 @@ def observe_rpc_server(reg: MetricsRegistry, server, name: str = "") -> None:
 
 
 def observe_protocol_events(reg: MetricsRegistry, server) -> None:
-    """The NFSv4 / pNFS protocol events a server counts, those it has:
-    read delegations and layouts granted and recalled, and byte-range
-    lock conflicts."""
+    """The NFSv4 / pNFS protocol events a server counts: delegations and
+    layouts granted and recalled, byte-range lock conflicts."""
     n = server.name
-    for attr in (
-        "delegations_granted",
-        "delegations_recalled",
-        "layouts_granted",
-        "layouts_recalled",
-    ):
+    events = ("delegations_granted", "delegations_recalled", "layouts_granted", "layouts_recalled")
+    for attr in events:
         if hasattr(server, attr):
             _gauge_attr(reg, f"{n}.{attr}", server, attr)
-    locks = getattr(server, "locks", None)
-    if locks is not None:
-        _gauge_attr(reg, f"{n}.lock_conflicts", locks, "conflicts")
+    if hasattr(server, "locks"):
+        _gauge_attr(reg, f"{n}.lock_conflicts", server.locks, "conflicts")
 
 
 def observe_client(reg: MetricsRegistry, client, name: str = "") -> None:

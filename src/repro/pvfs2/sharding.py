@@ -143,8 +143,6 @@ class ShardRouting:
 
     def rename(self, old: str, new: str):
         shard = self._rename_shard(old, new)
-        # A top-level directory lives on every shard; a top-level file,
-        # like any other path, on one.
         if is_broadcast_path(old) or is_broadcast_path(new):
             attrs = yield from shard.getattr(old)
             if attrs.is_dir:
