@@ -6,13 +6,14 @@ classifies every scheduled call by
 
 * what it is: the event's type when an event fires (``Timeout``,
   ``_Grant``, ``Process``, ``Join`` ...), else the function called
-  (``_WireFlow._tx_served``, ``Process._resume`` for a start kick,
+  (``_Message._tx_served``, ``Pipe._start`` for a pipe's grant hop,
+  ``Process._resume`` for a start kick,
   ``Resource._end_service`` for the end of a service time ...),
 * zero or positive delay (positive = a physical delay on the heap;
   ``lone`` = zero, scheduled from the tail of a queue entry while
   nothing else was due in that instant),
 * the kernel call that scheduled it (``serve[Resource]``,
-  ``acquire[Resource]``, ``release[Pipe]``, ``spawn``, ``process``,
+  ``acquire[Resource]``, ``serve[Pipe]``, ``release[Pipe]``, ``spawn``, ``process``,
   ``timeout``, ``end`` of a process ...; a service that ends and hands
   its unit to a queued one reads ``release[Resource]`` from the event
   loop), and
@@ -80,7 +81,7 @@ def classify(fn, arg, delay: float, frame, alone: bool = False) -> tuple[str, st
     function on the way (what product code called), the site the first
     frame beyond it.  ``alone`` is ``Simulator.nothing_else_due()`` at
     the scheduling; with a frame on the way that calls itself a tail
-    (``Pipe.acquire(..., tail=True)``, ``_WireFlow._finish(tail)``) a
+    (``Pipe.serve(..., tail=True)``, ``_WireFlow._finish(tail)``) a
     zero-delay call is ``lone`` — unless an event fired in between:
     what a waiter of an in-place ``done`` schedules is its own.
     """

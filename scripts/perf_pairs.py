@@ -26,6 +26,15 @@ change won and the verdict of the ``choosing-metrics`` guide, section
 8: a gain may be claimed only when the change wins at least nine
 tenths of the pairs (ties count for neither side) and the medians are
 further apart than the parent's own quartiles.
+
+Then, for each of ``BENCHMARK.json``'s ``end_to_end`` metrics, the
+bound verdict of the guide's section 6.5: the change's median is
+``within bound`` or ``WORSE than bound`` (further from the parent's, in
+the metric's bad direction, than the bound's fraction of it) —
+``unresolved`` when the run-to-run spread (the wider side's quartiles,
+as a fraction of the parent's median) exceeds the bound, unless every
+run of the change beats every run of the parent.  A workload with a
+metric worse than its bound also makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -87,6 +96,35 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def end_to_end_bounds() -> dict[str, tuple[float, str]]:
+    """``name -> (bound, better)`` of ``BENCHMARK.json``'s end-to-end metrics."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {metric["name"]: (metric["bound"], metric["better"]) for metric in spec["end_to_end"]}
+
+
+def bound_verdict(parent: list[float], change: list[float], bound: float, better: str) -> str:
+    """Section 6.5: is the change's median worse than the parent's by more than ``bound``?"""
+    sign = 1 if better == "lower" else -1
+    (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
+    scale = abs(pmed) or 1.0
+    worse = sign * (cmed - pmed) / scale
+    spread = max(pq3 - pq1, cq3 - cq1) / scale
+    if worse > 0:
+        moved = f"median {100 * worse:.1f} % worse"
+    elif worse < 0:
+        moved = f"median {-100 * worse:.1f} % better"
+    else:
+        moved = "medians equal"
+    moved += f", bound {100 * bound:g} %"
+    if max(sign * c for c in change) < min(sign * p for p in parent):
+        return f"within bound: every change run better than every parent run ({moved})"
+    if spread > bound:
+        return f"unresolved: spread {100 * spread:.1f} % is wider than the bound ({moved})"
+    if worse > bound:
+        return f"WORSE than bound: {moved}"
+    return f"within bound: {moved}"
+
+
 def verdict(parent: list[float], change: list[float]) -> str:
     """Section 8: enough pairs won, and medians apart by more than the parent's spread."""
     n = len(parent)
@@ -111,7 +149,8 @@ def verdict(parent: list[float], change: list[float]) -> str:
 def compare(workload: str, pairs: int, run) -> int:
     """``pairs`` alternating parent/change pairs of one workload, with
     the physics check, a line per pair and the verdicts; 1 if the
-    physics (or one side's count) differ, else 0.  ``run(side, workload)``
+    physics (or one side's count) differ or a metric is worse than its
+    bound, else 0.  ``run(side, workload)``
     returns one ``perf/run.py`` record of that side's tree."""
     records: dict[str, list[dict]] = {"parent": [], "change": []}
 
@@ -167,12 +206,18 @@ def compare(workload: str, pairs: int, run) -> int:
         )
     for key in HOST_METRICS:
         print(f"{key}: {verdict(series('parent', key), series('change', key))}")
-    return 0
+    status = 0
+    for key, (bound, better) in end_to_end_bounds().items():
+        result = bound_verdict(series("parent", key), series("change", key), bound, better)
+        print(f"{key} bound: {result}")
+        if result.startswith("WORSE"):
+            status = 1
+    return status
 
 
 def run_pairs(workloads: list[str], pairs: int, run) -> int:
     """:func:`compare` each workload in turn, all of them whatever one
-    reports; 1 if any workload's physics differ."""
+    reports; 1 if any workload's physics differ or a bound is broken."""
     status = 0
     for i, workload in enumerate(workloads):
         if i:

@@ -118,7 +118,8 @@ class Nfs4Client(FileSystemClient):
         # sequence id so retransmissions of non-idempotent ops replay
         # the cached reply instead of re-executing (exactly-once).
         seq = session.next_seq() if policy is not None else None
-        yield session.slot()
+        if not session.slots.try_acquire():
+            yield session.slots.acquire()
         try:
             result = yield from rpc.call(
                 self.node,
@@ -131,7 +132,7 @@ class Nfs4Client(FileSystemClient):
                 seq=seq,
             )
         finally:
-            session.done()
+            session.slots.release()
         return result
 
     # -- I/O hooks (overridden by the pNFS client) ---------------------------

@@ -36,8 +36,8 @@ class Session:
         # replayed run hands out identical ids no matter how many other
         # simulations ran earlier in this process.
         self.sessionid = sim.next_id("session")
+        #: The slot table: a client holds one unit per outstanding request.
         self.slots = Resource(sim, slots, name=name or f"session{self.sessionid}")
-        self.highest_used = 0
         self._seq = itertools.count(1)
         #: Server-side reply cache: seq -> (result, reply_payload, error).
         self._replay: dict[int, tuple] = {}
@@ -49,26 +49,6 @@ class Session:
         #: violation (the reply cache failed to suppress a retransmitted
         #: non-idempotent op).
         self.duplicate_executions = 0
-
-    # -- slot table --------------------------------------------------------
-    def slot(self):
-        """Acquire event for one slot; caller must release via ``done``."""
-        ev = self.slots.acquire()
-        # Sample occupancy when the slot is *granted*, not when the
-        # acquire is merely requested: a queued request has not raised
-        # occupancy yet, and a grant abandoned by an interrupted waiter
-        # is returned (urgent interrupts process before the grant's own
-        # callbacks) before this callback samples — so highest_used
-        # reports slots that were actually held.
-        ev.add_callback(self._note_grant)
-        return ev
-
-    def _note_grant(self, _ev) -> None:
-        self.highest_used = max(self.highest_used, self.slots.in_use)
-
-    def done(self) -> None:
-        """Return a slot."""
-        self.slots.release()
 
     # -- reply cache -------------------------------------------------------
     def next_seq(self) -> int:

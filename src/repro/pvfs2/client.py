@@ -123,7 +123,8 @@ class Pvfs2Client(FileSystemClient):
             )
 
     def _unit_io(self, op: str, server: int, args: dict, payload=None):
-        yield self._flight.acquire()
+        if not self._flight.try_acquire():
+            yield self._flight.acquire()
         try:
             return (
                 yield from rpc.call(

@@ -61,7 +61,8 @@ class Journal:
     def write(self):
         if not self.cfg.metadata_sync or not self.node.disks:
             return
-        yield self._lock.acquire()
+        if not self._lock.try_acquire():
+            yield self._lock.acquire()
         try:
             offset = self.base + self._seq * self.cfg.journal_io_bytes
             self._seq += 1
@@ -167,7 +168,8 @@ class StorageDaemon:
         fd = self.bstreams.get(handle)
         if fd is None:
             return 0, Payload(b"")
-        yield self.flow_pool.acquire()
+        if not self.flow_pool.try_acquire():
+            yield self.flow_pool.acquire()
         try:
             data = fd.read(offset, nbytes)
             yield self.node.compute(DAEMON_COPY_PER_BYTE * data.nbytes)
@@ -186,7 +188,8 @@ class StorageDaemon:
                 self.cfg.request_setup_server + self.cfg.request_setup_write_extra
             )
         delta = 0
-        yield self.flow_pool.acquire()
+        if not self.flow_pool.try_acquire():
+            yield self.flow_pool.acquire()
         try:
             yield self.node.compute(DAEMON_COPY_PER_BYTE * nbytes)
             disk_idx = self._disk_index(handle)
@@ -206,7 +209,8 @@ class StorageDaemon:
                 if need <= 0:
                     break
                 grant = min(need, self.dirty_tokens.capacity)
-                yield self.dirty_tokens.acquire(grant)
+                if not self.dirty_tokens.try_acquire(grant):
+                    yield self.dirty_tokens.acquire(grant)
                 acquired += grant
             self._bstream(handle, create=True).write(offset, payload)
             if nbytes > 0:

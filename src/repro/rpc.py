@@ -268,9 +268,10 @@ def _attempt(
         if not server.up:
             yield _lost(sim)  # request arrived at a dead server
 
-        # 2. Server processing under a worker thread (pre-fired when one
-        #    is free and nobody queues for it).
-        yield server.threads.acquire()
+        # 2. Server processing under a worker thread (claimed in place
+        #    when one is free and nobody queues for it).
+        if not server.threads.try_acquire():
+            yield server.threads.acquire()
         error: Optional[FsError] = None
         result = None
         reply_payload: Optional[Payload] = None

@@ -138,7 +138,8 @@ class Disk:
         if offset < 0 or nbytes < 0:
             raise ValueError("offset/nbytes must be >= 0")
         self._check_failed()
-        yield self.arm.acquire()
+        if not self.arm.try_acquire():
+            yield self.arm.acquire()
         t_start = self.sim.now
         try:
             self._check_failed()

@@ -18,7 +18,7 @@ interrupt), which beats every normal call due in its instant.
 The queue holds calls
 ---------------------
 A queue entry is a call, ``fn(arg)``, and the run loop does nothing but
-make it.  Four things enqueue:
+make it.  Five things enqueue:
 
 * an :class:`Event` that is triggered enqueues
   ``(Event._process_callbacks, event)`` — the plain function, so firing
@@ -28,13 +28,17 @@ make it.  Four things enqueue:
 * a service time (``Resource.serve``: a CPU charge, a bus hold)
   enqueues the call that gives the unit back and then fires the
   service's event, so the unit is free before any waiter runs;
+* a NIC pipe's service (``Pipe.serve``) enqueues its holder's
+  callback at the end of the service time, and, where the grant
+  decides an order, first the grant hop ``Pipe._start`` that
+  schedules it;
 * :meth:`Simulator.call_later` enqueues any ``fn(arg)`` in the slot an
   event scheduled there would have taken — for kernel-side state
   machines (the wire flow) whose only waiter is themselves, so a hop
   costs a tuple and a call, not an event with its waiter list, failure
   and defuse machinery.
 
-``Simulator._enqueue`` is the single choke point for all four.
+``Simulator._enqueue`` is the single choke point for all five.
 
 One queue
 ---------
@@ -46,7 +50,8 @@ FIFO among themselves, then everything else FIFO.  Keys are unique, so
 a comparison never reaches ``fn``.
 
 What only relays control is not queued at all: a free FIFO grant is
-pre-fired, a ``spawn`` leg starts in its spawner's stack, and a
+pre-fired (or, through ``Resource.try_acquire``, not even an event), a
+``spawn`` leg starts in its spawner's stack, and a
 zero-delay call from the tail of a queue entry runs in place when
 :meth:`Simulator.nothing_else_due` — the wire's rule.
 

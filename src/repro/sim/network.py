@@ -13,7 +13,12 @@ a grant is made while something else is due in the same instant.
 
 A transfer is one :class:`_WireFlow` driven by the calls it schedules:
 it holds the pipes itself, and :meth:`Network.transfer` returns its one
-event, ``done``.
+event, ``done``.  A message whose wire size (payload plus
+``per_message_bytes``) fits one chunk — every header, metadata call and
+small I/O — is a :class:`_Message` instead: the same queue entries,
+checks and counters in three states, without the leg objects and
+window a multi-chunk flow needs to pipeline.  Each pipe grant and its
+service time are one :meth:`Pipe.serve` call.
 
 Invariants:
 
@@ -57,20 +62,21 @@ class Pipe:
     oldest: packet interleaving is not per-flow round-robin at
     millisecond scale, and the randomness (``sim.rng``, so a seed fixes
     it) is what lets co-scheduled identical clients drift apart instead
-    of convoying in deterministic lockstep.  The pipe is callback-granted
-    — ``acquire(fn, arg)`` has ``fn(arg)`` called once the pipe is the
-    caller's; no process can park on it.
+    of convoying in deterministic lockstep.  The pipe is callback-served
+    — ``serve(duration, fn, arg)`` has ``fn(arg)`` called ``duration``
+    seconds after the pipe became the caller's, still holding it (``fn``
+    releases it); no process can park on it.
 
-    The grant of an idle pipe is a queued call whenever the hop decides
-    something: it puts the new holder behind what the instant has
-    already scheduled, and that order decides who is queued when the
-    next release draws — inlining it unconditionally measured as a
-    fairness change (PR 14).  It decides nothing in exactly one case:
-    the caller is at the ``tail`` of the running queue entry (nothing
-    follows the ``acquire`` that the grant could overtake) and
-    :meth:`Simulator.nothing_else_due` — the queued call would be the
-    next thing the loop runs, so ``fn(arg)`` runs in place.  A hand-off
-    by ``release()`` is never a tail and always hops.
+    The grant of an idle pipe is a queued call, :meth:`_start`, whenever
+    the hop decides something: it puts the new holder behind what the
+    instant has already scheduled, and that order decides who is queued
+    when the next release draws — inlining it unconditionally measured
+    as a fairness change (PR 14).  It decides nothing in exactly one
+    case: the caller is at the ``tail`` of the running queue entry
+    (nothing follows the ``serve`` that the grant could overtake) and
+    :meth:`Simulator.nothing_else_due` — the queued grant would be the
+    next thing the loop runs, so the service time is scheduled in
+    place.  A hand-off by ``release()`` is never a tail and always hops.
     """
 
     def __init__(self, sim: Simulator, name: str = ""):
@@ -78,25 +84,31 @@ class Pipe:
         self.name = name
         #: 1 while the pipe is held, else 0.
         self.in_use = 0
-        #: ``(fn, arg)`` of the queued requests, in arrival order.
+        #: ``(duration, fn, arg)`` of the queued requests, in arrival order.
         self._waiters: list[tuple] = []
 
-    def acquire(self, fn, arg=None, tail: bool = False) -> None:
-        """Have ``fn(arg)`` called holding the pipe.
+    def serve(self, duration: float, fn, arg=None, tail: bool = False) -> None:
+        """Hold the pipe for ``duration``, then call ``fn(arg)`` holding it.
 
-        A hop from now at the earliest — unless ``tail`` (the caller's
-        word that it does nothing after this call that ``fn`` could
-        overtake) and nothing else is due this instant: then now.
+        The service starts a hop from now at the earliest — unless
+        ``tail`` (the caller's word that it does nothing after this call
+        that the grant could overtake) and nothing else is due this
+        instant: then now.
         """
         if self.in_use:
-            self._waiters.append((fn, arg))
+            self._waiters.append((duration, fn, arg))
             return
         self.in_use = 1
         sim = self.sim
         if tail and sim.nothing_else_due():
-            fn(arg)
+            sim._enqueue(fn, arg, duration)
         else:
-            sim._enqueue(fn, arg, 0.0)
+            sim._enqueue(self._start, (duration, fn, arg), 0.0)
+
+    def _start(self, job: tuple) -> None:
+        """The grant hop: the holder's service time begins."""
+        duration, fn, arg = job
+        self.sim._enqueue(fn, arg, duration)
 
     def release(self) -> None:
         """Hand the pipe to a random waiter, or leave it idle."""
@@ -109,8 +121,8 @@ class Pipe:
         n = len(waiters)
         # A lone waiter needs no draw: ``integers(0, 1)`` consumes no
         # generator state (pinned in tests/sim/test_resources.py).
-        fn, arg = waiters.pop(int(self.sim.rng.integers(0, n)) if n > 1 else 0)
-        self.sim._enqueue(fn, arg, 0.0)
+        job = waiters.pop(int(self.sim.rng.integers(0, n)) if n > 1 else 0)
+        self.sim._enqueue(self._start, job, 0.0)
 
 
 class Nic:
@@ -173,7 +185,8 @@ class Network:
         self.latency = latency
         self.chunk_bytes = chunk_bytes
         self.per_message_bytes = per_message_bytes
-        self._nics: dict[str, Nic] = {}
+        #: The registered NICs by node name.
+        self.nics: dict[str, Nic] = {}
         #: Cached bound method: the per-flow drop check sits on the hot
         #: path of every transfer and attribute-chasing ``sim.rng.random``
         #: each time is measurable at millions of flows.
@@ -184,18 +197,11 @@ class Network:
 
     def add_nic(self, name: str, bandwidth: float) -> Nic:
         """Register a NIC for node ``name`` (bytes/second per direction)."""
-        if name in self._nics:
+        if name in self.nics:
             raise ValueError(f"duplicate NIC for node {name!r}")
         nic = Nic(self.sim, name, bandwidth)
-        self._nics[name] = nic
+        self.nics[name] = nic
         return nic
-
-    def nic(self, name: str) -> Nic:
-        """Look up the NIC registered for ``name``."""
-        try:
-            return self._nics[name]
-        except KeyError:
-            raise KeyError(f"no NIC registered for node {name!r}") from None
 
     def transfer(self, src: str, dst: str, nbytes: int) -> Event:
         """Move ``nbytes`` from ``src`` to ``dst``.
@@ -207,9 +213,10 @@ class Network:
         prototype's loopback conduit is modelled.
 
         The caller only *waits*: the bytes are moved by a
-        :class:`_WireFlow` that holds the pipes itself, so interrupting
-        the waiter (an RPC retry timer) detaches it and the flow runs
-        on — an in-flight transfer keeps the wire busy regardless.
+        :class:`_Message` (one chunk) or a :class:`_WireFlow` that holds
+        the pipes itself, so interrupting the waiter (an RPC retry
+        timer) detaches it and the flow runs on — an in-flight transfer
+        keeps the wire busy regardless.
 
         Every completed transfer counts one ``flows_completed``;
         ``nbytes`` of *payload* lands in the NIC's
@@ -223,7 +230,7 @@ class Network:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         if src == dst:
-            lnic = self._nics.get(src)
+            lnic = self.nics.get(src)
             if lnic is not None:
                 lnic.loopback_bytes += nbytes
             self.flows_completed += 1
@@ -231,27 +238,37 @@ class Network:
             # other message: the receiver joins its server's queues
             # behind work already scheduled, not ahead of it.
             return Event(self.sim).succeed()
-        snic = self.nic(src)
-        dnic = self.nic(dst)
-        dropped = snic.down or dnic.down
-        for nic in (snic, dnic):
-            if not dropped and nic.drop_prob > 0.0:
-                dropped = float(self._rng_random()) < nic.drop_prob
-        if dropped:
+        nics = self.nics
+        try:
+            snic = nics[src]
+            dnic = nics[dst]
+        except KeyError as missing:
+            raise KeyError(f"no NIC registered for node {missing.args[0]!r}") from None
+        # The sender's drop coin first, the receiver's only if that one
+        # missed.
+        if (
+            snic.down
+            or dnic.down
+            or (snic.drop_prob > 0.0 and float(self._rng_random()) < snic.drop_prob)
+            or (dnic.drop_prob > 0.0 and float(self._rng_random()) < dnic.drop_prob)
+        ):
             # The flow vanishes on the wire: its completion never
             # fires, and no error surfaces here — a waiting process
             # hangs until an RPC timeout (repro.rpc) interrupts it.
             snic.flows_dropped += 1
             return Event(self.sim)
+        if 0 < nbytes + self.per_message_bytes <= self.chunk_bytes:
+            return _Message(self, snic, dnic, nbytes).done
         return _WireFlow(self, snic, dnic, nbytes).done
 
 
 class _WireFlow:
-    """One wire transfer as a callback state machine.
+    """One multi-chunk wire transfer as a callback state machine.
 
     Every hop is a call the flow schedules on itself (``call_later`` or
-    a pipe grant) and ``done`` is the only event — there is no process,
-    so nothing is spent on start kicks, completion relays or joins.
+    a pipe's ``serve``) and ``done`` is the only event — there is no
+    process, so nothing is spent on start kicks, completion relays or
+    joins.
     Each queue entry is a physical delay or a pipe arbitration point:
 
     * the one-way **latency**;
@@ -259,8 +276,9 @@ class _WireFlow:
       store-and-forward through the switch, with the pipes decoupled so
       a busy receiver never freezes the sender's NIC for other flows;
     * per chunk, the sender's **tx grant** and the receiver's **rx
-      grant**, and once the **completion** (``done``, fired with the
-      counters already settled) — each of the three only when it is
+      grant** (:meth:`Pipe._start`), and once the **completion**
+      (``done``, fired with the counters already settled) — each of
+      the three only when it is
       made while something else is due in the same instant, or handed
       on by a ``release()``.
 
@@ -293,6 +311,10 @@ class _WireFlow:
     and the sender's ``flows_dropped`` goes up by one.  Chunks already
     granted a pipe finish their service and release it, so the pipes
     drain and the survivors re-share them.
+
+    A message that fits one chunk is a :class:`_Message` instead; this
+    class stays its reference (``tests/sim/test_message_differential.py``
+    drives both through the same scenarios).
     """
 
     __slots__ = (
@@ -334,33 +356,29 @@ class _WireFlow:
             self.lost = True
             self.snic.flows_dropped += 1
         elif self.remaining > 0:
-            self.snic.tx.acquire(self._tx_granted, None, tail)
+            # Sized now: ``remaining`` only moves when this request's
+            # service ends.
+            net = self.net
+            chunk = net.chunk_bytes if self.remaining > net.chunk_bytes else self.remaining
+            self.snic.tx.serve(chunk / self.snic.bandwidth, self._tx_served, chunk, tail)
         elif not self.live:
             self._finish(tail)
-
-    def _tx_granted(self, _) -> None:
-        net = self.net
-        chunk = net.chunk_bytes if self.remaining > net.chunk_bytes else self.remaining
-        net.sim.call_later(chunk / self.snic.bandwidth, self._tx_served, chunk)
 
     def _tx_served(self, chunk: int) -> None:
         self.snic.tx.release()
         self.remaining -= chunk
-        leg = _RxLeg(chunk)
+        leg = _RxLeg()
         self.live += 1
         legs = self.legs
         legs.append(leg)
         # As good as a tail: all the grant does is one heap push.
-        self.dnic.rx.acquire(self._rx_granted, leg, True)
+        self.dnic.rx.serve(chunk / self.dnic.bandwidth, self._rx_served, leg, True)
         if len(legs) > FLOW_WINDOW:
             oldest = legs.popleft()
             if oldest.alive:
                 self.blocked_on = oldest
                 return
         self._next_chunk()
-
-    def _rx_granted(self, leg: "_RxLeg") -> None:
-        self.net.sim.call_later(leg.nbytes / self.dnic.bandwidth, self._rx_served, leg)
 
     def _rx_served(self, leg: "_RxLeg") -> None:
         self.dnic.rx.release()
@@ -389,8 +407,80 @@ class _WireFlow:
 class _RxLeg:
     """One chunk buffered at the switch, then serialised into the rx pipe."""
 
-    __slots__ = ("nbytes", "alive")
+    __slots__ = ("alive",)
 
-    def __init__(self, nbytes: int):
-        self.nbytes = nbytes
+    def __init__(self):
         self.alive = True
+
+
+class _Message:
+    """A transfer that fits one chunk: :class:`_WireFlow`'s rules with
+    none of its windowing.
+
+    Three states, each a queue entry of one physical delay — the
+    one-way **latency**, the **tx service** and the **rx service** —
+    plus, as for a flow, a pipe's grant hop wherever one decides
+    something (:class:`Pipe`) and a ``done`` fired in place when
+    :meth:`Simulator.nothing_else_due`.  No leg object, window or live
+    count: one chunk has nothing to pipeline.  The NIC checks are the
+    flow's three — at send, after tx service (the rx service already
+    requested still runs, and releases its pipe) and at rx service —
+    and so are the counters, so every event, draw and count matches a
+    one-chunk :class:`_WireFlow` exactly.
+    """
+
+    __slots__ = ("net", "snic", "dnic", "nbytes", "done", "lost")
+
+    def __init__(self, net: Network, snic: Nic, dnic: Nic, nbytes: int):
+        self.net = net
+        self.snic = snic
+        self.dnic = dnic
+        #: Payload bytes, counted on both NICs when the message arrives.
+        self.nbytes = nbytes
+        self.done = Event(net.sim)
+        #: Cut by a NIC death after tx service: ``done`` stays unfired.
+        self.lost = False
+        latency = net.latency + snic.extra_latency + dnic.extra_latency
+        if latency > 0:
+            net.sim.call_later(latency, self._send)
+        else:
+            self._send(None, False)
+
+    def _send(self, _=None, tail: bool = True) -> None:
+        """Ask for the tx pipe: the latency's queue entry, or — at zero
+        latency — inside ``Network.transfer``, which is no tail."""
+        snic = self.snic
+        if snic.down or self.dnic.down:
+            snic.flows_dropped += 1
+        else:
+            wire = self.nbytes + self.net.per_message_bytes
+            snic.tx.serve(wire / snic.bandwidth, self._tx_served, wire, tail)
+
+    def _tx_served(self, wire: int) -> None:
+        snic = self.snic
+        dnic = self.dnic
+        snic.tx.release()
+        dnic.rx.serve(wire / dnic.bandwidth, self._rx_served, None, True)
+        if snic.down or dnic.down:
+            self.lost = True
+            snic.flows_dropped += 1
+
+    def _rx_served(self, _) -> None:
+        snic = self.snic
+        dnic = self.dnic
+        dnic.rx.release()
+        if self.lost:
+            return
+        if snic.down or dnic.down:
+            snic.flows_dropped += 1
+            return
+        net = self.net
+        net.flows_chunked += 1
+        snic.tx_bytes += self.nbytes
+        dnic.rx_bytes += self.nbytes
+        net.flows_completed += 1
+        if net.sim.nothing_else_due():
+            # The firing would be the loop's next entry: fire here.
+            _fire(self.done)
+        else:
+            self.done.succeed()

@@ -48,6 +48,12 @@ class Resource:
 
         yield resource.serve(service_time)
 
+    A process that may well find the pool free claims it in place
+    first, and queues only when that fails::
+
+        if not resource.try_acquire():
+            yield resource.acquire()
+
     ``acquire(n)`` atomically claims ``n`` units (granted only when all
     ``n`` are free, still in FIFO order, so large requests are not
     starved).
@@ -71,8 +77,8 @@ class Resource:
         self.name = name
         self._in_use = 0
         #: Peak units simultaneously held over the resource's lifetime
-        #: (occupancy high-water mark; tracked at grant time, same as
-        #: the session slot table's ``highest_used``).
+        #: (occupancy high-water mark, tracked at grant time: a queued
+        #: request has not raised it yet).
         self.high_water = 0
         #: Seconds of completed :meth:`serve` time, summed over units.
         self.busy_time = 0.0
@@ -111,20 +117,34 @@ class Resource:
                 f"with capacity {self.capacity}"
             )
         ev = _Grant(self.sim)
-        if self._queued or self._in_use + units > self.capacity:
+        if self.try_acquire(units):
+            # Granted here and now, nothing to wait for: pre-fired.
+            ev._value = units
+            ev._state = _PROCESSED
+        else:
             ev.units = units
             ev.hold = None
             ev._abandon = self._abandon
             self._waiters.append(ev)
             self._queued += 1
-        else:
-            self._in_use += units
-            if self._in_use > self.high_water:
-                self.high_water = self._in_use
-            # Granted here and now, nothing to wait for: pre-fired.
-            ev._value = units
-            ev._state = _PROCESSED
         return ev
+
+    def try_acquire(self, units: int = 1) -> bool:
+        """Claim ``units`` here and now if they are free and nobody
+        queues; say whether.
+
+        The free case of :meth:`acquire` without its event: no ``_Grant``
+        is built, and the caller does not yield, so nothing resumes its
+        generator chain just to hand it what it already holds.  When it
+        says no, ``acquire(units)`` queues the request (and rejects a
+        bad ``units``).
+        """
+        if self._queued or units < 1 or self._in_use + units > self.capacity:
+            return False
+        self._in_use += units
+        if self._in_use > self.high_water:
+            self.high_water = self._in_use
+        return True
 
     def serve(self, duration: float) -> Event:
         """Hold one unit for ``duration``; the event fires at the end.

@@ -21,8 +21,11 @@ def test_census_names_events_and_calls_and_accounts_for_every_one(capsys):
         kinds[what] += n
     # Events by their type, bare calls by what is called.
     assert kinds["_Grant"] and kinds["Join"] and kinds["Process._resume"]
+    # Multi-chunk data flows and one-chunk messages (headers, replies).
     assert kinds["_WireFlow._tx_served"] == kinds["_WireFlow._rx_served"] > 0
+    assert kinds["_Message._tx_served"] == kinds["_Message._rx_served"] > 0
     assert ("_WireFlow._next_chunk", "delay", "call_later", "sim/network.py:__init__") in classes
+    assert ("_Message._send", "delay", "call_later", "sim/network.py:__init__") in classes
     # A service time is its own queued call, scheduled by ``serve`` when a
     # unit is free and by the service ending before it when queued.
     assert ("Resource._end_service", "delay", "serve[Resource]", "sim/cpu.py:consume") in classes
@@ -40,14 +43,15 @@ def test_check_refuses_a_free_fifo_grant_and_a_spawn_kick():
         ("_Grant", "zero", "acquire[Resource]", "sim/cpu.py:consume"): 3,
         ("_Task._resume", "zero", "spawn", "rpc.py:call"): 2,
         # A tail call queued with nothing else due: it should have run in place.
-        ("_WireFlow._tx_granted", "lone", "acquire[Pipe]", "sim/network.py:_next_chunk"): 4,
+        ("Pipe._start", "lone", "serve[Pipe]", "sim/network.py:_next_chunk"): 4,
         ("Event", "lone", "succeed", "sim/network.py:_finish"): 1,
     }
     fine = {
         ("Resource._end_service", "delay", "serve[Resource]", "sim/cpu.py:consume"): 5,
         ("Process._resume", "zero", "process", "nfs/client.py:_spawn_writeback"): 7,
         # Granted beside other work due in the instant: the hop decides.
-        ("_WireFlow._tx_granted", "zero", "acquire[Pipe]", "sim/network.py:_next_chunk"): 1,
+        ("Pipe._start", "zero", "serve[Pipe]", "sim/network.py:_next_chunk"): 1,
+        ("Pipe._start", "zero", "release[Pipe]", "sim/network.py:_tx_served"): 2,
     }
     assert script.relays(Counter({**relay, **fine})) == Counter(relay)
 
@@ -60,22 +64,27 @@ def test_an_uncontended_cell_queues_no_lone_tail_call_and_a_wire_that_always_hop
     classes, rpcs = script.census("direct-pnfs", "mdtest", **cell)
     assert rpcs > 0 and not script.relays(classes)
     # Most messages of one client meet idle pipes: few grants are queued at all.
-    grants = sum(n for cls, n in classes.items() if cls[0].endswith("_granted"))
+    grants = sum(n for cls, n in classes.items() if cls[0] == "Pipe._start")
     served = sum(n for cls, n in classes.items() if cls[0].endswith("_served"))
     assert 0 < grants < served / 2
 
     # The wire before the tail rule: the grant of an idle pipe always hops.
     from repro.sim.network import Pipe
 
-    def acquire(self, fn, arg=None, tail=False):
+    def serve(self, duration, fn, arg=None, tail=False):
         if self.in_use:
-            self._waiters.append((fn, arg))
+            self._waiters.append((duration, fn, arg))
         else:
             self.in_use = 1
-            self.sim._enqueue(fn, arg, 0.0)
+            self.sim._enqueue(self._start, (duration, fn, arg), 0.0)
 
-    monkeypatch.setattr(Pipe, "acquire", acquire)
+    monkeypatch.setattr(Pipe, "serve", serve)
     hopping, _ = script.census("direct-pnfs", "mdtest", **cell)
     lone = script.relays(hopping)
-    assert {cls[0] for cls in lone} == {"_WireFlow._tx_granted", "_WireFlow._rx_granted"}
-    assert all(cls[1] == "lone" and cls[2] == "acquire[Pipe]" for cls in lone)
+    # Both grants of a one-chunk message: the tx pipe's at the end of the
+    # latency, the rx pipe's at the end of tx service.
+    assert {(cls[0], cls[3]) for cls in lone} == {
+        ("Pipe._start", "sim/network.py:_send"),
+        ("Pipe._start", "sim/network.py:_tx_served"),
+    }
+    assert all(cls[1] == "lone" and cls[2] == "serve[Pipe]" for cls in lone)

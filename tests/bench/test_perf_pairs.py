@@ -96,3 +96,63 @@ def test_equal_physics_on_every_workload_exits_zero(perf_pairs, capsys):
     assert perf_pairs.run_pairs(["a", "bb"], 2, stub) == 0
     out = capsys.readouterr().out
     assert out.count("events_total parent 1000  change 900: fewer, -10.0 %") == 2
+
+
+@pytest.fixture(scope="module")
+def bound_verdict(perf_pairs):
+    return perf_pairs.bound_verdict
+
+
+def test_a_small_lean_inside_a_tight_spread_is_within_bound(bound_verdict):
+    # The section-8 rule reads a +0.3 % memory lean as a regression; the
+    # 10 % bound does not.
+    parent = [50.0, 50.0, 50.1, 50.1, 50.1]
+    change = [50.2, 50.2, 50.25, 50.3, 50.3]
+    assert bound_verdict(parent, change, 0.10, "lower") == (
+        "within bound: median 0.3 % worse, bound 10 %"
+    )
+
+
+def test_a_median_past_the_bound_is_worse(bound_verdict):
+    change = [p * 1.3 for p in PARENT]
+    assert bound_verdict(PARENT, change, 0.25, "lower").startswith(
+        "WORSE than bound: median 30.0 % worse, bound 25 %"
+    )
+    # "higher is better": the bad direction is down.
+    assert bound_verdict(PARENT, [p * 0.7 for p in PARENT], 0.25, "higher").startswith(
+        "WORSE than bound: median 30.0 % worse"
+    )
+    assert bound_verdict(PARENT, change, 0.25, "higher") == (
+        "within bound: every change run better than every parent run"
+        " (median 30.0 % better, bound 25 %)"
+    )
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_is_better(
+    bound_verdict,
+):
+    noisy = [0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
+    assert bound_verdict(noisy, [0.7, 0.9, 1.1, 1.3, 1.5, 1.7], 0.10, "lower").startswith(
+        "unresolved: spread"
+    )
+    # The change's own spread counts too.
+    assert bound_verdict(PARENT, noisy, 0.10, "lower").startswith("unresolved")
+    assert bound_verdict(noisy, [0.1, 0.2, 0.3, 0.4, 0.5, 0.55], 0.10, "lower").startswith(
+        "within bound: every change run better than every parent run"
+    )
+
+
+def test_compare_prints_a_bound_verdict_per_end_to_end_metric_and_fails_past_one(
+    perf_pairs, capsys
+):
+    bounds = perf_pairs.end_to_end_bounds()
+    assert set(bounds) == {"wall_norm_s", "setup_s", "events_total", "sim_time_s", "peak_rss_mb"}
+
+    def stub(side, workload):
+        return record(1.0, 1.0 if side == "parent" else 1.5)
+
+    assert perf_pairs.run_pairs(["w"], 2, stub) == 1
+    out = capsys.readouterr().out
+    assert "wall_norm_s bound: WORSE than bound: median 50.0 % worse, bound 25 %" in out
+    for key in ("setup_s", "events_total", "sim_time_s", "peak_rss_mb"):
+        assert f"{key} bound: within bound: medians equal, bound" in out

@@ -321,4 +321,5 @@ class TestSessions:
 
         drive(cluster.sim, scenario())
         session = client._sessions[server]
-        assert session.highest_used <= 2
+        assert session.slots.high_water == 2
+        assert session.slots.in_use == 0

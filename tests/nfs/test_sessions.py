@@ -8,75 +8,67 @@ from repro.sim.engine import SimulationError
 
 
 class TestHighWaterMark:
+    """The slot table's occupancy is its ``Resource``'s: ``high_water``
+    is sampled when units are granted, ``in_use`` is what is held."""
+
+    @staticmethod
+    def _holder(sim, session, hold_for):
+        if not session.slots.try_acquire():
+            yield session.slots.acquire()
+        try:
+            yield sim.timeout(hold_for)
+        finally:
+            session.slots.release()
+
     def test_counts_concurrent_holders(self):
         sim = Simulator()
         session = Session(sim, slots=2)
-
-        def holder(hold_for):
-            yield session.slot()
-            try:
-                yield sim.timeout(hold_for)
-            finally:
-                session.done()
-
-        sim.process(holder(0.2))
-        sim.process(holder(0.1))
+        sim.process(self._holder(sim, session, 0.2))
+        sim.process(self._holder(sim, session, 0.1))
         sim.run()
-        assert session.highest_used == 2
+        assert session.slots.high_water == 2
         assert session.slots.in_use == 0
 
     def test_queued_acquire_counted_when_granted(self):
-        """With one slot, a queued second caller must still register an
-        occupancy of 1 when *it* finally holds the slot."""
+        """With one slot, a queued second caller holds it only once the
+        first gives it back: the mark never passes 1."""
         sim = Simulator()
         session = Session(sim, slots=1)
-
-        def holder(hold_for):
-            yield session.slot()
-            try:
-                yield sim.timeout(hold_for)
-            finally:
-                session.done()
-
-        sim.process(holder(0.1))
-        sim.process(holder(0.1))
+        sim.process(self._holder(sim, session, 0.1))
+        sim.process(self._holder(sim, session, 0.1))
+        sim.run(until=0.15)
+        assert (session.slots.in_use, session.slots.queue_len) == (1, 0)
         sim.run()
-        assert session.highest_used == 1
+        assert session.slots.high_water == 1
+        assert session.slots.in_use == 0
 
     def test_abandoned_grant_not_counted(self):
-        """Regression: ``highest_used`` used to be sampled when the
-        acquire event was *created*, so a grant abandoned before being
-        consumed (the waiter was interrupted — e.g. by an RPC timeout)
-        inflated the high-water mark.  The mark must be sampled when
-        the grant event fires, after the interrupt has returned the
-        slot.  A *free* slot is consumed on the spot (its event is
-        pre-fired), so the grant that can still be abandoned is the
-        queued one: the table is full, the holder gives its slot back,
-        and the waiter that was just granted it is interrupted in the
-        same instant."""
+        """A queued grant abandoned by an interrupted waiter (an RPC
+        timeout) is returned exactly once.  A *free* slot is claimed on
+        the spot, so the grant that can still be abandoned is the queued
+        one: the table is full, the holder gives its slot back, and the
+        waiter that was just granted it is interrupted in the same
+        instant."""
         sim = Simulator()
         session = Session(sim, slots=1)
         outcome = []
 
         def phantom():
             try:
-                yield session.slot()
+                yield session.slots.acquire()
             except Interrupt:
                 # The abandon hook already returned the slot; the
                 # phantom never actually held it.
                 outcome.append("interrupted")
                 return
             outcome.append("granted")
-            session.done()
+            session.slots.release()
 
         def holder():
-            yield session.slot()
+            assert session.slots.try_acquire()
             yield sim.timeout(0.1)
             assert session.slots.queue_len == 1
-            # Forget the holder's own sample: one taken for the phantom
-            # would now show.
-            session.highest_used = 0
-            session.done()  # grants the queued phantom ...
+            session.slots.release()  # grants the queued phantom ...
             assert (session.slots.in_use, session.slots.queue_len) == (1, 0)
             p.interrupt("rpc timeout")  # ... whose event has not fired yet
             assert session.slots.in_use == 0
@@ -85,12 +77,12 @@ class TestHighWaterMark:
         p = sim.process(phantom())
         sim.run()
         assert outcome == ["interrupted"]
-        assert session.highest_used == 0
+        assert session.slots.high_water == 1
         # Returned exactly once: the table is empty and a second return
         # would be an over-release.
         assert session.slots.in_use == 0
         with pytest.raises(SimulationError):
-            session.done()
+            session.slots.release()
 
 
 class TestReplyCache:

@@ -113,15 +113,16 @@ class TestSession:
         session = Session(sim, slots=2)
 
         def user():
-            yield session.slot()
+            if not session.slots.try_acquire():
+                yield session.slots.acquire()
             yield sim.timeout(1)
-            session.done()
+            session.slots.release()
 
         sim.process(user())
         sim.process(user())
         sim.process(user())
         sim.run()
-        assert session.highest_used == 2
+        assert session.slots.high_water == 2
         assert session.slots.in_use == 0
 
     def test_session_ids_unique(self):

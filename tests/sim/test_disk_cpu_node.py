@@ -223,7 +223,7 @@ class TestNode:
         node = Node(sim, spec, net)
         assert node.cpu is not None
         assert len(node.disks) == 2
-        assert net.nic("s0") is node.nic
+        assert net.nics["s0"] is node.nic
         assert node.io_bus is not None
 
     def test_diskless_node_has_no_bus(self):

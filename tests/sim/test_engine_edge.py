@@ -101,16 +101,16 @@ class TestRandomPolicyDeterminism:
             res = Pipe(sim)
             order = []
 
-            def granted(tag):
+            def served(tag):
                 if tag == "holder":
                     sim.call_later(1, lambda _: res.release())
                 else:
                     order.append(tag)
                     res.release()
 
-            res.acquire(granted, "holder")
+            res.serve(0.0, served, "holder")
             for tag in range(6):
-                res.acquire(granted, tag)
+                res.serve(0.25, served, tag)
             sim.run()
             assert res.in_use == 0 and res._waiters == []
             return order
@@ -298,43 +298,57 @@ class TestTailRule:
         sim.run(until=1.0)  # an entry due at the deadline runs
         assert sim.nothing_else_due() and sim.stats.events_processed == 2
 
-    def test_tail_acquire_alone_in_its_instant_is_granted_in_place(self):
-        sim, order = Simulator(), []
+    @staticmethod
+    def _watched(sim, order):
+        """A pipe whose grant hop, when one is queued, marks ``order``."""
         pipe = Pipe(sim)
 
+        def start(job):
+            order.append("hop")
+            Pipe._start(pipe, job)
+
+        pipe._start = start
+        return pipe
+
+    def test_tail_acquire_alone_in_its_instant_is_granted_in_place(self):
+        sim, order = Simulator(), []
+        pipe = self._watched(sim, order)
+
         def entry(_):
-            pipe.acquire(order.append, "granted", True)
+            pipe.serve(0.5, order.append, "served", True)
             order.append("entry over")
 
         sim.call_later(1.0, entry)
         sim.run()
-        assert order == ["granted", "entry over"] and pipe.in_use == 1
-        assert sim.stats.events_processed == 1
+        assert order == ["entry over", "served"] and pipe.in_use == 1
+        assert sim.now == 1.5
+        # The entry and the service time: no grant hop between them.
+        assert sim.stats.events_processed == 2
 
     def test_another_entry_already_due_this_instant_forces_the_hop(self):
         sim, order = Simulator(), []
-        pipe = Pipe(sim)
-        sim.call_later(1.0, lambda _: pipe.acquire(order.append, "granted", True))
+        pipe = self._watched(sim, order)
+        sim.call_later(1.0, lambda _: pipe.serve(0.0, order.append, "served", True))
         sim.call_later(1.0, order.append, "other")
         sim.run()
-        assert order == ["other", "granted"]
-        assert sim.stats.events_processed == 3
+        assert order == ["other", "hop", "served"]
+        assert sim.stats.events_processed == 4
 
     def test_a_zero_delay_call_made_earlier_in_the_entry_forces_the_hop(self):
         sim, order = Simulator(), []
-        pipe = Pipe(sim)
+        pipe = self._watched(sim, order)
 
         def entry(_):
             sim.call_later(0.0, order.append, "first")
-            pipe.acquire(order.append, "granted", True)
+            pipe.serve(0.0, order.append, "served", True)
 
         sim.call_later(1.0, entry)
         sim.run()
-        assert order == ["first", "granted"]
+        assert order == ["first", "hop", "served"]
 
     def test_urgent_interrupt_enqueued_in_the_instant_of_a_tail_grant_runs_first(self):
         sim, order = Simulator(), []
-        pipe = Pipe(sim)
+        pipe = self._watched(sim, order)
 
         def sleeper():
             try:
@@ -346,30 +360,31 @@ class TestTailRule:
 
         def entry(_):
             victim.interrupt("now")
-            pipe.acquire(order.append, "granted", True)
+            pipe.serve(0.0, order.append, "served", True)
 
         sim.call_later(1.0, entry)
         sim.run()
-        assert order == ["interrupted:now", "granted"]
+        assert order == ["interrupted:now", "hop", "served"]
 
     def test_not_a_tail_hops_even_alone(self):
         sim, order = Simulator(), []
-        pipe = Pipe(sim)
+        pipe = self._watched(sim, order)
 
         def entry(_):
-            pipe.acquire(order.append, "granted")
+            pipe.serve(0.5, order.append, "served")
             order.append("entry over")
 
         sim.call_later(1.0, entry)
         sim.run()
-        assert order == ["entry over", "granted"]
-        assert sim.stats.events_processed == 2
+        assert order == ["entry over", "hop", "served"]
+        assert sim.now == 1.5
+        assert sim.stats.events_processed == 3
 
     def test_release_hands_on_through_the_queue_even_alone(self):
         sim, order = Simulator(), []
-        pipe = Pipe(sim)
-        pipe.acquire(order.append, "holder")
-        pipe.acquire(order.append, "waiter", True)
+        pipe = self._watched(sim, order)
+        pipe.serve(0.0, order.append, "holder")
+        pipe.serve(0.0, order.append, "waiter", True)
         sim.run()
 
         def entry(_):
@@ -378,7 +393,7 @@ class TestTailRule:
 
         sim.call_later(1.0, entry)
         sim.run()
-        assert order == ["holder", "entry over", "waiter"]
+        assert order == ["hop", "holder", "entry over", "hop", "waiter"]
 
     def test_zero_latency_start_is_no_tail_and_hops(self):
         sim = Simulator()
@@ -390,7 +405,7 @@ class TestTailRule:
             # Held at once, but the grant is a call due this instant:
             # it — and the first service time — waits for this process
             # to park.
-            seen.append((net.nic("a").tx.in_use, sim.nothing_else_due(), done.triggered))
+            seen.append((net.nics["a"].tx.in_use, sim.nothing_else_due(), done.triggered))
             yield done
 
         before = sim.stats.events_processed
@@ -456,14 +471,14 @@ class TestTailRule:
         done = net.transfer("a", "b", 10 * self.CHUNK)
 
         def die(_):
-            net.nic(dying).down = True
+            net.nics[dying].down = True
 
         # Mid-chunk: a tx and an rx leg are in service, granted in place.
         sim.call_later(1e-3 + 3.5 * self.CHUNK / self.BW, die)
         sim.run()
         assert not done.triggered
-        assert net.nic("a").flows_dropped == 1 and net.flows_completed == 0
-        assert net.nic("b").rx_bytes == 0
+        assert net.nics["a"].flows_dropped == 1 and net.flows_completed == 0
+        assert net.nics["b"].rx_bytes == 0
         assert_idle(net)
 
 

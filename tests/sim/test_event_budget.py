@@ -55,7 +55,7 @@ def wait_for(make_event):
 
 
 def pipes(net):
-    return [pipe for nic in net._nics.values() for pipe in (nic.tx, nic.rx)]
+    return [pipe for nic in net.nics.values() for pipe in (nic.tx, nic.rx)]
 
 
 def assert_idle(net):
@@ -135,7 +135,7 @@ class TestMessageBudget:
         last = nbytes - (k - 1) * CHUNK
         ahead = k * CHUNK if k > 1 else last
         assert sim.now == pytest.approx(LATENCY + (ahead + last) / BW, rel=1e-9)
-        assert net.flows_chunked == 1 and net.nic("n1").rx_bytes == nbytes
+        assert net.flows_chunked == 1 and net.nics["n1"].rx_bytes == nbytes
         assert_idle(net)
 
     @pytest.mark.parametrize("k", [1, 2, 3, FLOW_WINDOW + 1, FLOW_WINDOW + 2, 10])
@@ -202,16 +202,16 @@ class TestMessageBudget:
         sim = Simulator()
         net = make_net(sim)
         assert events_of(sim, wait_for(lambda: net.transfer("n0", "n0", 5000))) == 1
-        assert sim.now == 0.0 and net.nic("n0").loopback_bytes == 5000
+        assert sim.now == 0.0 and net.nics["n0"].loopback_bytes == 5000
 
     def test_dropped_flow_never_completes_and_costs_nothing(self):
         sim = Simulator()
         net = make_net(sim)
-        net.nic("n1").down = True
+        net.nics["n1"].down = True
         proc = sim.process(wait_for(lambda: net.transfer("n0", "n1", 5000)))
         sim.run()
         assert proc.is_alive and sim.stats.events_processed == 1  # the kick
-        assert net.nic("n0").flows_dropped == 1 and net.flows_completed == 0
+        assert net.nics["n0"].flows_dropped == 1 and net.flows_completed == 0
         assert_idle(net)
 
 
@@ -351,18 +351,58 @@ class TestFifoGrantBudget:
         assert sim.stats.events_processed - before == 4 * 3  # kick, hold, completion
         assert res.in_use == 0 and res.high_water == 1
 
+    def test_free_try_acquire_builds_no_event_and_yields_nothing(self, monkeypatch):
+        sim = Simulator()
+        res = Resource(sim, 2)
+
+        def user():
+            # The idiom: claimed in place, so the process runs straight on.
+            if not res.try_acquire():
+                yield res.acquire()
+            assert res.in_use == 1 and res.high_water == 1
+            res.release()
+            yield sim.timeout(1.0)
+
+        built = []
+        init = Event.__init__
+
+        def counted(self, sim):
+            built.append(type(self).__name__)
+            init(self, sim)
+
+        monkeypatch.setattr(Event, "__init__", counted)
+        assert events_of(sim, user()) == 1  # the timeout
+        assert built == ["Process", "Timeout"] and res.in_use == 0
+
+    def test_try_acquire_refuses_a_busy_or_queued_pool_and_a_bad_count(self):
+        sim = Simulator()
+        res = Resource(sim, 2)
+        assert res.try_acquire(2)
+        assert not res.try_acquire()
+        waiter = res.acquire()
+        res.release()  # one unit back: it goes to the waiter
+        assert waiter.triggered and res.in_use == 2
+        res.release()
+        queued = res.acquire(2)  # waits behind the unit still held
+        assert not res.try_acquire()  # free unit, but someone queues
+        assert not queued.triggered
+        for bad in (0, 3):
+            assert not res.try_acquire(bad)
+            with pytest.raises(ValueError):
+                res.acquire(bad)
+
     def test_free_random_pipe_acquire_still_costs_its_grant_event(self):
         sim = Simulator()
         pipe = Pipe(sim)
         delays = Delays(sim)
         got = []
-        pipe.acquire(got.append, "mine")
-        # Held at once, told a hop later: the grant is a queued call.
+        pipe.serve(0.5, got.append, "mine")
+        # Held at once, served a hop later: the grant is a queued call.
         assert pipe.in_use == 1 and got == []
         assert sim.stats.events_scheduled == 1
         sim.run()
-        assert got == ["mine"] and delays.n == 0
-        assert sim.stats.events_processed == 1
+        assert got == ["mine"] and delays.n == 1 and sim.now == 0.5
+        assert sim.stats.events_processed == 2
 
 
 class TestSpawnBudget:
@@ -682,18 +722,18 @@ def run_flow_set(flows, fault, monkeypatch):
         finished[i] = sim.now
 
     if fault is not None and fault[0] == "drop":
-        net.nic(f"n{fault[1]}").drop_prob = fault[2]
+        net.nics[f"n{fault[1]}"].drop_prob = fault[2]
     for i, spec in enumerate(flows):
         sim.process(sender(i, *spec))
     if fault is not None and fault[0] == "down":
         def kill():
             yield sim.timeout(fault[2])
-            net.nic(f"n{fault[1]}").down = True
+            net.nics[f"n{fault[1]}"].down = True
 
         sim.process(kill())
     sim.run()
 
-    nics = list(net._nics.values())
+    nics = list(net.nics.values())
     moved = sum(flows[i][3] for i in finished)
     assert sum(n.tx_bytes for n in nics) == moved
     assert sum(n.rx_bytes for n in nics) == moved
@@ -751,7 +791,7 @@ def test_interrupted_waiter_leaves_the_flow_running():
             sim.process(timer())
         sim.run()
         assert_idle(net)
-        return outcome, follower.value, net.flows_completed, net.nic("n1").rx_bytes, sim.now
+        return outcome, follower.value, net.flows_completed, net.nics["n1"].rx_bytes, sim.now
 
     undisturbed = run(None)
     interrupted = run(LATENCY + 1.5 * CHUNK / BW)

@@ -189,11 +189,11 @@ class TestNicFaults:
             net = Network(sim, latency=0.0)
             net.add_nic("a", 100e6)
             net.add_nic("b", 100e6)
-            net.nic("a").drop_prob = 0.5
+            net.nics["a"].drop_prob = 0.5
             for _ in range(40):
                 net.transfer("a", "b", 1000)
             sim.run()
-            return net.nic("a").flows_dropped
+            return net.nics["a"].flows_dropped
 
         dropped = run(1234)
         assert dropped == run(1234)  # same seed, same losses

@@ -9,13 +9,18 @@ lockstep pay all six (each is due in the instant of the other's grants
 and completion), every hop but the completion a bare call.  Either way
 the only ``Event`` a message allocates is the ``done`` its sender waits
 on.  When every hop was a single-waiter ``Timeout`` or grant event a
-message took 79 calls; the bounds fail if that machinery (or a relay
-per hop) comes back, on any machine.
+message took 79 calls, and 44 while a one-chunk message still ran the
+multi-chunk flow's windowing; the bounds fail if that machinery (or a
+relay per hop) comes back, on any machine.
 
 A CPU charge is pinned the same way: one queue entry, one object (its
 event), and — since ``Cpu.consume`` returns that event instead of being
 a generator that yields it — no generator frame of the simulator's own
 entered while 1 000 of them run.
+
+So is an idle RPC: its eight queue entries (two CPU charges and two
+three-entry messages), and a free worker thread claimed without an
+event or a resume of the caller's generator chain.
 """
 
 import gc
@@ -23,31 +28,27 @@ import sys
 
 import inspect
 
-from repro.sim import Cpu, CpuSpec, Network, Simulator
+from repro import rpc
+from repro.sim import Cpu, CpuSpec, Network, Node, NodeSpec, Simulator
 from repro.sim.engine import Event
 
 MESSAGES = 1000
 NBYTES = 200
 #: A queue entry costs one ``heappush`` and one ``len`` (the peak); its
 #: sequence number is a counter, not a call.
-MAX_CALLS_PER_MESSAGE = 46  # measured 45.025; 58.025 while every grant and done hopped
-MAX_CALLS_PER_TWIN_MESSAGE = 59  # measured 58.022: the six entries and three refused tail checks
+MAX_CALLS_PER_MESSAGE = 33  # measured 32.025; 44.025 through the multi-chunk flow
+MAX_CALLS_PER_TWIN_MESSAGE = 48  # measured 47.022: the six entries and three refused tail checks
 CHARGES = 1000
 MAX_CALLS_PER_CHARGE = 16  # measured 15.025
+RPCS = 1000
+#: 139.025 while a one-chunk message ran the flow's windowing and a free
+#: worker thread was a pre-fired grant the caller's generators resumed on.
+MAX_CALLS_PER_IDLE_RPC = 111  # measured 110.025
 
 
-def _profiled_senders(pairs):
-    """One sender per ``(src, dst)`` pair, started together; returns
-    ``(sim, net, calls made, Events built)``."""
-    sim = Simulator()
-    net = Network(sim)
-    for name in {name for pair in pairs for name in pair}:
-        net.add_nic(name, 125e6)
-
-    def sender(src, dst):
-        for _ in range(MESSAGES):
-            yield net.transfer(src, dst, NBYTES)
-
+def _profiled(sim, processes):
+    """Run ``processes`` (generators) under a call counter; returns
+    ``(calls made, Events built)``."""
     calls = events_built = 0
     event_init = Event.__init__.__code__
 
@@ -64,20 +65,36 @@ def _profiled_senders(pairs):
     gc.disable()
     sys.setprofile(profiler)
     try:
-        procs = [sim.process(sender(src, dst)) for src, dst in pairs]
+        procs = [sim.process(gen) for gen in processes]
         sim.run()
     finally:
         sys.setprofile(None)
         gc.enable()
     assert all(proc.processed and proc.ok for proc in procs)
+    return calls, events_built
+
+
+def _profiled_senders(pairs):
+    """One sender per ``(src, dst)`` pair, started together; returns
+    ``(sim, net, calls made, Events built)``."""
+    sim = Simulator()
+    net = Network(sim)
+    for name in {name for pair in pairs for name in pair}:
+        net.add_nic(name, 125e6)
+
+    def sender(src, dst):
+        for _ in range(MESSAGES):
+            yield net.transfer(src, dst, NBYTES)
+
+    calls, events_built = _profiled(sim, [sender(src, dst) for src, dst in pairs])
     return sim, net, calls, events_built
 
 
 def test_a_message_is_six_events_one_allocated_and_at_most_sixty_calls():
-    """Alone: three entries, at most 49 calls (the id keeps the counts
+    """Alone: three entries, at most 33 calls (the id keeps the counts
     of a wire whose grants and completions always hopped)."""
     sim, net, calls, events_built = _profiled_senders([("a", "b")])
-    assert net.flows_chunked == MESSAGES and net.nic("b").rx_bytes == MESSAGES * NBYTES
+    assert net.flows_chunked == MESSAGES and net.nics["b"].rx_bytes == MESSAGES * NBYTES
     # The sending process is an event too, and costs a kick and a completion.
     assert sim.stats.events_processed == 3 * MESSAGES + 2
     assert events_built == MESSAGES + 1
@@ -87,7 +104,7 @@ def test_a_message_is_six_events_one_allocated_and_at_most_sixty_calls():
 def test_a_message_beside_a_twin_is_still_six_events_and_one_allocated():
     sim, net, calls, events_built = _profiled_senders([("a", "b"), ("c", "d")])
     assert net.flows_chunked == 2 * MESSAGES
-    assert net.nic("b").rx_bytes == net.nic("d").rx_bytes == MESSAGES * NBYTES
+    assert net.nics["b"].rx_bytes == net.nics["d"].rx_bytes == MESSAGES * NBYTES
     assert sim.stats.events_processed == 6 * 2 * MESSAGES + 2 * 2
     assert events_built == 2 * MESSAGES + 2
     assert calls <= MAX_CALLS_PER_TWIN_MESSAGE * 2 * MESSAGES, calls / (2 * MESSAGES)
@@ -133,3 +150,30 @@ def test_a_cpu_charge_is_one_event_one_object_and_no_generator_frame():
     assert events_built == CHARGES + 1
     assert kernel_generator_frames == 0
     assert calls <= MAX_CALLS_PER_CHARGE * CHARGES, calls / CHARGES
+
+
+def test_an_idle_rpc_is_eight_events_and_its_free_thread_no_grant():
+    """One client, a server nobody else uses, no payload either way."""
+    sim = Simulator()
+    net = Network(sim)
+    server_node = Node(sim, NodeSpec(name="s", cpu=CpuSpec(cores=2, speed=1.3), nic_bw=117e6), net)
+    client = Node(sim, NodeSpec(name="c", cpu=CpuSpec(cores=2, speed=1.0), nic_bw=117e6), net)
+    server = rpc.RpcServer(sim, server_node, "svc", rpc.RpcCosts())
+
+    def noop(args, payload):
+        return None, None
+        yield  # pragma: no cover
+
+    server.register("noop", noop)
+
+    def caller():
+        for _ in range(RPCS):
+            yield from rpc.call(client, server, "noop")
+
+    calls, events_built = _profiled(sim, [caller()])
+    assert server.calls_served == RPCS and server.threads.in_use == 0
+    # Client charge, request (latency, tx, rx), server charge, reply.
+    assert sim.stats.events_processed == 8 * RPCS + 2
+    assert calls <= MAX_CALLS_PER_IDLE_RPC * RPCS, calls / RPCS
+    # The two charges' events and the two messages' ``done``: no ``_Grant``.
+    assert events_built == 4 * RPCS + 1

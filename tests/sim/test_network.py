@@ -87,8 +87,10 @@ class TestSingleFlow:
     def test_unknown_nic_rejected(self):
         sim = Simulator()
         net = make_net(sim, n=1)
-        with pytest.raises(KeyError):
-            net.nic("ghost")
+        with pytest.raises(KeyError, match="no NIC registered for node 'ghost'"):
+            net.transfer("n0", "ghost", 1)
+        with pytest.raises(KeyError, match="no NIC registered for node 'ghost'"):
+            net.transfer("ghost", "n0", 1)
 
     def test_duplicate_nic_rejected(self):
         sim = Simulator()
@@ -205,8 +207,8 @@ class TestSharing:
 
         sim.process(xfer())
         sim.run()
-        assert net.nic("n0").tx_bytes == 1234
-        assert net.nic("n1").rx_bytes == 1234
+        assert net.nics["n0"].tx_bytes == 1234
+        assert net.nics["n1"].rx_bytes == 1234
         assert net.flows_completed == 1
 
 
@@ -224,8 +226,8 @@ class TestByteAccounting:
         sim.process(xfer())
         sim.run()
         # Framing used to leak into the counters (10_120 here).
-        assert net.nic("n0").tx_bytes == 10_000
-        assert net.nic("n1").rx_bytes == 10_000
+        assert net.nics["n0"].tx_bytes == 10_000
+        assert net.nics["n1"].rx_bytes == 10_000
         assert net.flows_completed == 1
 
     def test_framing_still_costs_wire_time(self):
@@ -256,7 +258,7 @@ class TestByteAccounting:
 
         sim.process(xfer())
         sim.run()
-        nic = net.nic("n0")
+        nic = net.nics["n0"]
         assert nic.loopback_bytes == 5_000
         assert nic.tx_bytes == 0 and nic.rx_bytes == 0
         assert net.flows_completed == 1

@@ -293,12 +293,15 @@ class TestPipeLoneWaiter:
 
     def test_lone_waiter_is_handed_the_pipe_without_a_draw(self, sim):
         pipe, got = Pipe(sim), []
-        pipe.acquire(got.append, "holder")
-        pipe.acquire(got.append, "waiter")
+        pipe.serve(0.5, got.append, "holder")
+        pipe.serve(0.25, got.append, "waiter")
+        sim.run()
+        assert got == ["holder"] and pipe.in_use == 1
         before = sim.rng.bit_generator.state
         pipe.release()
         sim.run()
         assert got == ["holder", "waiter"] and pipe.in_use == 1 and pipe._waiters == []
+        assert sim.now == 0.75  # the waiter's service began at the release
         assert sim.rng.bit_generator.state == before
         pipe.release()
         with pytest.raises(SimulationError):
@@ -356,9 +359,9 @@ class TestLongWaiterQueues:
                 ev.succeed()
                 pipe.release()
 
-            pipe.acquire(lambda _: None)  # held by the test
+            pipe.serve(0.0, lambda _: None)  # held by the test
             for ev in events:
-                pipe.acquire(granted, ev)
+                pipe.serve(0.0, granted, ev)
             assert len(pipe._waiters) == self.PIPE_N
             t0 = time.perf_counter()
             pipe.release()
@@ -383,9 +386,9 @@ class TestLongWaiterQueues:
                 order.append(i)
                 pipe.release()
 
-            pipe.acquire(lambda _: None)  # held by the test
+            pipe.serve(0.0, lambda _: None)  # held by the test
             for i in range(50):
-                pipe.acquire(granted, i)
+                pipe.serve(1e-3, granted, i)
             pipe.release()
             sim.run()
 

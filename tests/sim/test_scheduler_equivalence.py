@@ -4,12 +4,13 @@ The tail rule (a zero-delay call from the tail of a queue entry runs in
 place when ``Simulator.nothing_else_due``) claims to move no order.
 These tests make the claim empirical: randomized event programs —
 timeouts, zero-delay storms, conditions, interrupts, contention for a
-FIFO resource (held, and served for a time) and a callback-granted
+FIFO resource (held, and served for a time) and a callback-served
 random-arbitration pipe (asked for mid-entry and from the tail of one),
 lightweight spawns over generator and event legs, bare ``call_later``
 chains, wire transfers over a zero- or positive-latency network — run
 on ``Simulator`` and on ``AlwaysHopSimulator``, which never lets the
-rule apply, so every pipe grant and wire completion is a queued call.
+rule apply, so every pipe grant (``Pipe._start``) and wire completion
+is a queued call.
 Both must produce the same firing log: identical (time, label, value)
 triples in identical order; only the number of queue entries may move.
 
@@ -101,16 +102,13 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
         return the event fired at the release."""
         released = Event(sim)
 
-        def granted(_):
-            log.append((sim.now, "rand-acq", wid, s))
-            sim.call_later(rnd_delays[wid][s], served)
-
         def served(_):
             rand.release()
             log.append((sim.now, "rand-rel", wid, s))
             released.succeed()
 
-        rand.acquire(granted)
+        log.append((sim.now, "rand-ask", wid, s))
+        rand.serve(rnd_delays[wid][s], served)
         return released
 
     def hold_pipe_from_tail(wid: int, s: int):
@@ -120,11 +118,7 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
 
         def ask(_):
             log.append((sim.now, "tail-ask", wid, s))
-            rand.acquire(granted, None, True)
-
-        def granted(_):
-            log.append((sim.now, "tail-acq", wid, s))
-            sim.call_later(rnd_delays[wid][s], served)
+            rand.serve(rnd_delays[wid][s], served, None, True)
 
         def served(_):
             rand.release()
@@ -271,7 +265,7 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
     sim.run()
     assert rand.in_use == 0 and rand._waiters == []
     for name in "abc":
-        for pipe in (net.nic(name).tx, net.nic(name).rx):
+        for pipe in (net.nics[name].tx, net.nics[name].rx):
             assert pipe.in_use == 0 and pipe._waiters == [], pipe.name
     log.append((sim.now, "rng", sim.rng.bit_generator.state["state"]["state"]))
     return [(round(t, 12),) + tuple(rest) for t, *rest in log], sim.stats.events_processed

@@ -6,8 +6,10 @@ only tests ever look at the count.  This is the same rule at attribute
 grain, read off the source without running anything.  An attribute that
 a class in ``src/repro`` writes on ``self`` must be
 
-* loaded by product code (``self.n += 1`` is a write, not a load; a
-  ``getattr`` / ``hasattr`` with the name spelled out is a load), or
+* loaded by product code (``self.n += 1`` is a write, not a load, and
+  so is ``self.n = max(self.n, k)``: a load of ``self.n`` inside the
+  value stored to ``self.n``; a ``getattr`` / ``hasattr`` with the name
+  spelled out is a load), or
 * named in :mod:`repro.obs.attach`, which registers it as a gauge that
   ``repro metrics`` and the :class:`~repro.obs.Sampler` read.
 
@@ -63,10 +65,35 @@ def _self_writes(cls: ast.ClassDef):
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _is_self_attr(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def _self_updates(tree: ast.Module) -> set[int]:
+    """Ids of the ``self.x`` loads inside the value of a ``self.x = …``:
+    the attribute feeding its own next value, which is no reader."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            stored = {target.attr for target in node.targets if _is_self_attr(target)}
+            out.update(
+                id(load)
+                for load in ast.walk(node.value)
+                if _is_self_attr(load) and load.attr in stored
+            )
+    return out
+
+
 def _reads(path: pathlib.Path, tree: ast.Module):
+    updates = _self_updates(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+            if id(node) not in updates:
+                yield node.attr
         elif (
             isinstance(node, ast.Call)
             and getattr(node.func, "id", None) in ("getattr", "hasattr")
@@ -114,3 +141,13 @@ def test_the_scan_sees_writes_reads_and_the_exemption():
         if isinstance(node, ast.ClassDef) and node.name == "RpcServer"
     )
     assert {"calls_served", "calls_replayed", "up"} <= set(_self_writes(rpc_server))
+
+
+def test_an_attribute_feeding_its_own_next_value_is_not_read():
+    tree = ast.parse(
+        "class A:\n"
+        "    def f(self, k):\n"
+        "        self.hi = max(self.hi, k)\n"
+        "        self.n = self.hi + self.m\n"
+    )
+    assert sorted(_reads(PACKAGE / "a.py", tree)) == ["hi", "m"]
