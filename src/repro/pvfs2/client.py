@@ -144,39 +144,46 @@ class Pvfs2Client(FileSystemClient):
         """
         flow_unit = self.cfg.flow_unit
         units: list[tuple[int, int, int, bool, list[tuple[int, int]]]] = []
-        for ext in extents(dist, offset, nbytes):
-            self._check_local(ext.server)
-            pieces = iter(ext.pieces)
-            piece = next(pieces)
-            used = 0  # bytes of ``piece`` already handed to a slice
+        for server, ext_local, ext_length, ext_pieces in extents(dist, offset, nbytes):
+            self._check_local(server)
+            pieces = iter(ext_pieces)
+            _server, _local, piece_length, piece_logical = next(pieces)
+            used = 0  # bytes of the current piece already handed to a slice
             pos = 0
-            while pos < ext.length:
-                length = min(flow_unit, ext.length - pos)
+            while pos < ext_length:
+                length = ext_length - pos
+                if length > flow_unit:
+                    length = flow_unit
                 parts = []
                 need = length
                 while need:
-                    if used == piece.length:
-                        piece = next(pieces)
+                    if used == piece_length:
+                        _server, _local, piece_length, piece_logical = next(pieces)
                         used = 0
-                    take = min(need, piece.length - used)
-                    parts.append((piece.logical - offset + used, take))
+                    take = piece_length - used
+                    if take > need:
+                        take = need
+                    parts.append((piece_logical - offset + used, take))
                     used += take
                     need -= take
-                units.append((ext.server, ext.local + pos, length, pos == 0, parts))
+                units.append((server, ext_local + pos, length, pos == 0, parts))
                 pos += length
         return units
 
     def _setup(self, units):
-        """Client-side request setup: once per server touched by the op."""
-        nsetups = sum(1 for u in units if u[3])
-        if nsetups:
-            yield self.node.compute(self.cfg.request_setup_client * nsetups)
+        """Client-side request setup, once per server touched by the op:
+        the CPU charge's event (already fired when there is none)."""
+        nsetups = 0
+        for unit in units:
+            if unit[3]:
+                nsetups += 1
+        return self.node.compute(self.cfg.request_setup_client * nsetups)
 
     def read(self, f: OpenFile, offset: int, nbytes: int):
         dist = self._dist_of(f)
         dfiles = f.state["dfiles"]
         units = self._split_units(dist, offset, nbytes)
-        yield from self._setup(units)
+        yield self._setup(units)
         results = yield self.sim.spawn(
             *(
                 self._unit_io(
@@ -194,13 +201,20 @@ class Pvfs2Client(FileSystemClient):
         )
         # Scatter each reply back onto its logical pieces; a reply cut
         # short by the end of its bstream leaves the later ones empty.
+        # A reply is never longer than asked, so a one-piece slice's
+        # reply is its piece as it stands.
         frags: list[tuple[int, int, Payload]] = []
         for (_server, _local, _length, _setup, parts), (_n, reply) in zip(units, results):
+            if len(parts) == 1:
+                src_off, length = parts[0]
+                frags.append((src_off, length, reply))
+                continue
             pos = 0
             for src_off, length in parts:
                 frags.append((src_off, length, reply.slice(pos, length)))
                 pos += length
-        frags.sort(key=lambda frag: frag[0])
+        # Logical offsets are unique: the sort never compares payloads.
+        frags.sort()
         out = Payload.assemble([(want, p) for _src_off, want, p in frags])
         self.bytes_read += out.nbytes
         return out
@@ -209,7 +223,7 @@ class Pvfs2Client(FileSystemClient):
         dist = self._dist_of(f)
         dfiles = f.state["dfiles"]
         units = self._split_units(dist, offset, payload.nbytes)
-        yield from self._setup(units)
+        yield self._setup(units)
         yield self.sim.spawn(
             *(
                 self._unit_io(

@@ -24,8 +24,7 @@ holds of a range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.vfs.striping import Run, StripPattern, round_robin
 
@@ -41,8 +40,7 @@ DISTRIBUTIONS: dict[str, Callable[[dict], StripPattern]] = {
 }
 
 
-@dataclass(frozen=True)
-class Extent:
+class Extent(NamedTuple):
     """One server's share of a contiguous logical range.
 
     Bstream bytes ``[local, local + length)`` on ``server``; ``pieces``
@@ -68,18 +66,16 @@ def extents(pattern: StripPattern, offset: int, nbytes: int) -> list[Extent]:
     groups: list[list[Run]] = []
     current: dict[int, list[Run]] = {}
     for run in pattern.runs(offset, nbytes):
-        group = current.get(run.server)
-        if group is not None and group[-1].local + group[-1].length == run.local:
+        server, local, _length, _logical = run
+        group = current.get(server)
+        if group is not None and (last := group[-1]).local + last.length == local:
             group.append(run)
         else:
-            group = current[run.server] = [run]
+            group = current[server] = [run]
             groups.append(group)
-    return [
-        Extent(
-            g[0].server,
-            g[0].local,
-            g[-1].local + g[-1].length - g[0].local,
-            tuple(g),
-        )
-        for g in groups
-    ]
+    out = []
+    for group in groups:
+        server, local, _length, _logical = group[0]
+        _server, last_local, last_length, _logical = group[-1]
+        out.append(Extent(server, local, last_local + last_length - local, tuple(group)))
+    return out

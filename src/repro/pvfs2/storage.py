@@ -47,6 +47,33 @@ BSTREAM_STRIDE = 1 << 34
 DAEMON_COPY_PER_BYTE = 2.0e-9
 
 
+def cscan_pick(dirty: dict[int, IntervalSet], sweep_pos: tuple[int, int]) -> int | None:
+    """The bstream whose first dirty extent the flusher writes next;
+    ``None`` when nothing is dirty.
+
+    A C-SCAN elevator over ``(bstream, offset)``: the lowest first
+    extent at or after ``sweep_pos`` (the end of the last one written),
+    wrapping to the lowest of all when none is.  Interval sets have
+    already merged contiguous arrivals, so each pick is a maximal
+    sequential run.  A bstream has one first extent, so the order is
+    the handles' except on the sweep's own bstream, whose first extent
+    counts as ahead only from ``sweep_pos`` on.  One walk of ``dirty``.
+    """
+    sweep_handle, sweep_offset = sweep_pos
+    lowest = ahead = None
+    for handle, ivs in dirty.items():
+        if not ivs:
+            continue
+        if lowest is None or handle < lowest:
+            lowest = handle
+        if (ahead is None or handle < ahead) and (
+            handle > sweep_handle
+            or (handle == sweep_handle and next(iter(ivs))[0] >= sweep_offset)
+        ):
+            ahead = handle
+    return lowest if ahead is None else ahead
+
+
 class Journal:
     """Synchronous metadata writes (trove/BDB sync) on a node's first
     disk, one at a time, laid out sequentially from disk address ``base``."""
@@ -199,12 +226,15 @@ class StorageDaemon:
             # flusher may drain (and even drop) this bstream's interval
             # set meanwhile — so re-fetch and re-count until settled,
             # then mutate with no yields in between.
+            dirty = self._dirty[disk_idx]
             acquired = 0
             while True:
-                ivs = self._dirty[disk_idx].setdefault(handle, IntervalSet())
-                overlap = sum(
-                    e - s for s, e in ivs.runs_in(offset, offset + nbytes)
-                )
+                ivs = dirty.get(handle)
+                if ivs is None:
+                    ivs = dirty[handle] = IntervalSet()
+                overlap = 0
+                for s, e in ivs.runs_in(offset, offset + nbytes):
+                    overlap += e - s
                 need = (nbytes - overlap) - acquired
                 if need <= 0:
                     break
@@ -292,18 +322,11 @@ class StorageDaemon:
         dirty = self._dirty[disk_idx]
         sweep_pos: tuple[int, int] = (0, 0)
         while True:
-            while not any(dirty.values()):
+            handle = cscan_pick(dirty, sweep_pos)
+            if handle is None:
                 self._dirty_signal[disk_idx] = Event(self.sim)
                 yield self._dirty_signal[disk_idx]
-            # C-SCAN elevator over (bstream, offset): keep sweeping
-            # forward from the last serviced position, wrap when past
-            # the end.  Interval sets have already merged contiguous
-            # arrivals, so each pick is a maximal sequential run.
-            candidates = [
-                (h, next(iter(ivs))[0]) for h, ivs in dirty.items() if ivs
-            ]
-            ahead = [c for c in candidates if c >= sweep_pos]
-            handle, start = min(ahead) if ahead else min(candidates)
+                continue
             ivs = dirty[handle]
             start, end = next(iter(ivs))
             nbytes = min(end - start, FLUSH_COALESCE)

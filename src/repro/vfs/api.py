@@ -125,10 +125,15 @@ class Payload:
     @staticmethod
     def concat(parts: list["Payload"]) -> "Payload":
         """Join payloads; any synthetic part makes the result synthetic."""
-        total = sum(p.nbytes for p in parts)
-        if any(p.is_synthetic for p in parts):
+        total = 0
+        synthetic = False
+        for p in parts:
+            total += p.nbytes
+            if p.data is None:
+                synthetic = True
+        if synthetic:
             return Payload.synthetic(total)
-        return Payload(b"".join(p.data for p in parts))  # type: ignore[arg-type]
+        return Payload(b"".join([p.data for p in parts]))  # type: ignore[arg-type]
 
     @staticmethod
     def assemble(pieces: list[tuple[int, "Payload"]]) -> "Payload":
@@ -140,14 +145,15 @@ class Payload:
         if the short piece is synthetic).  A trailing shortfall is
         end-of-file and stays short.
         """
-        last_with_data = max(
-            (i for i, (_want, p) in enumerate(pieces) if p.nbytes > 0), default=-1
-        )
+        last_with_data = -1
+        for i, (_want, p) in enumerate(pieces):
+            if p.nbytes:
+                last_with_data = i
         parts = []
         for i, (want, p) in enumerate(pieces):
             if i < last_with_data and p.nbytes < want:
                 gap = want - p.nbytes
-                pad = Payload.synthetic(gap) if p.is_synthetic else Payload(bytes(gap))
+                pad = Payload.synthetic(gap) if p.data is None else Payload(bytes(gap))
                 p = Payload.concat([p, pad])
             parts.append(p)
         return Payload.concat(parts)
