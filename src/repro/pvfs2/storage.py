@@ -156,10 +156,7 @@ class StorageDaemon:
 
     def _disk_index(self, handle: int) -> int:
         """Bstreams are spread over the node's disks (two in 3-tier)."""
-        return handle % max(1, len(self.node.disks))
-
-    def _disk_for(self, handle: int):
-        return self.node.disks[self._disk_index(handle)]
+        return handle % len(self._dirty)
 
     @property
     def dirty_backlog(self) -> int:
@@ -344,15 +341,16 @@ class StorageDaemon:
                 else None
             )
             try:
-                yield from self._disk_for(handle).io(
+                yield from self.node.disks[disk_idx].io(
                     handle * BSTREAM_STRIDE + start, nbytes, write=True
                 )
             finally:
                 if span is not None:
                     col.end(span)
-            self._persisted.setdefault(handle, IntervalSet()).add(
-                start, start + nbytes
-            )
+            persisted = self._persisted.get(handle)
+            if persisted is None:
+                persisted = self._persisted[handle] = IntervalSet()
+            persisted.add(start, start + nbytes)
             release = min(nbytes, self.dirty_tokens.in_use)
             if release > 0:
                 self.dirty_tokens.release(release)
