@@ -170,8 +170,17 @@ class StorageDaemon:
         return None, None
 
     def _h_remove(self, args, payload):
-        self.bstreams.pop(args["handle"], None)
-        self._persisted.pop(args["handle"], None)
+        handle = args["handle"]
+        self.bstreams.pop(handle, None)
+        self._persisted.pop(handle, None)
+        # The file's queued write-behind goes with it: its bytes will
+        # never reach the disk, so they give back their admission
+        # tokens and leave the backlog a flush barrier waits on.  (An
+        # extent already on the arm finishes and is accounted by the
+        # flusher.)
+        ivs = self._dirty[self._disk_index(handle)].pop(handle, None)
+        if ivs:
+            self._retire(ivs.total)
         yield from self.journal.write()
         return None, None
 
@@ -347,17 +356,27 @@ class StorageDaemon:
             finally:
                 if span is not None:
                     col.end(span)
-            persisted = self._persisted.get(handle)
-            if persisted is None:
-                persisted = self._persisted[handle] = IntervalSet()
-            persisted.add(start, start + nbytes)
-            release = min(nbytes, self.dirty_tokens.in_use)
-            if release > 0:
-                self.dirty_tokens.release(release)
-            # The clamps guard the crash path: a crash mid-io zeroes the
-            # accounting while this extent is still on the arm.
-            self._pending_bytes = max(0, self._pending_bytes - nbytes)
-            if self._pending_bytes <= self.cfg.disk_cache_bytes and self._drain_waiters:
-                waiters, self._drain_waiters = self._drain_waiters, []
-                for ev in waiters:
-                    ev.succeed()
+            # A bstream removed while this extent was on the arm stays
+            # removed: nothing of it is persisted.
+            if handle in self.bstreams:
+                persisted = self._persisted.get(handle)
+                if persisted is None:
+                    persisted = self._persisted[handle] = IntervalSet()
+                persisted.add(start, start + nbytes)
+            self._retire(nbytes)
+
+    def _retire(self, nbytes: int) -> None:
+        """``nbytes`` of write-behind left the queue, written or dropped
+        with their bstream: they give back their admission tokens and
+        backlog, and the flush barriers go once the backlog fits the
+        disk's write cache."""
+        # The clamps guard the crash path: a crash mid-io zeroes the
+        # accounting while an extent is still on the arm.
+        release = min(nbytes, self.dirty_tokens.in_use)
+        if release > 0:
+            self.dirty_tokens.release(release)
+        self._pending_bytes = max(0, self._pending_bytes - nbytes)
+        if self._pending_bytes <= self.cfg.disk_cache_bytes and self._drain_waiters:
+            waiters, self._drain_waiters = self._drain_waiters, []
+            for ev in waiters:
+                ev.succeed()

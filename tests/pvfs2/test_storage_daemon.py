@@ -161,6 +161,36 @@ class TestWriteBehind:
         waited = drive(cluster.sim, scenario())
         assert waited > 0.02  # actually sat at the barrier
 
+    def test_removing_a_bstream_drops_its_queued_write_behind(self):
+        """A removed bstream's queued extents never reach the disk: they
+        give back their tokens and backlog, so a flush barrier on
+        another file does not wait for them, and the extent that was
+        already on the arm lands without re-creating the file's
+        persisted ranges."""
+        cluster = self._slow_disk_cluster()
+        daemon = make_daemon(cluster, disk_cache_bytes=0)
+        disk = cluster.storage[0].disks[0]
+        # extent A: the flusher takes it onto the slow disk at once
+        call(cluster, daemon, "write", {"handle": 1, "offset": 0}, Payload(b"A" * 500))
+        # extent B: queued behind A (0.51 s of disk time if it were written)
+        call(cluster, daemon, "write", {"handle": 1, "offset": 100_000}, Payload(b"x" * 1000))
+        assert daemon.dirty_backlog == daemon.dirty_tokens.in_use == 1500
+        call(cluster, daemon, "remove_bstream", {"handle": 1})
+        # A landed while the remove's journal write queued behind it.
+        assert daemon.dirty_backlog == daemon.dirty_tokens.in_use == 0
+        call(cluster, daemon, "write", {"handle": 2, "offset": 0}, Payload(b"B" * 100))
+        t0 = cluster.sim.now
+        call(cluster, daemon, "flush", {"handle": 2})
+        waited = cluster.sim.now - t0
+        cluster.sim.run()
+        assert daemon.dirty_backlog == daemon.dirty_tokens.in_use == 0
+        assert daemon.persisted_bytes(1) == 0
+        assert daemon.persisted_bytes(2) == 100
+        # A, the remove's journal write and handle 2's extent: never B.
+        assert disk.write_bytes == 500 + daemon.cfg.journal_io_bytes + 100
+        # The barrier waited for handle 2's one positioning, not for B's.
+        assert waited < 2 * disk.spec.positioning, waited
+
     def test_reads_see_unflushed_writes(self, cluster):
         daemon = make_daemon(cluster)
         call(cluster, daemon, "write", {"handle": 7, "offset": 0}, Payload(b"fresh"))
