@@ -116,8 +116,11 @@ class Payload:
         """Sub-payload ``[start, start+length)``; clamped to bounds."""
         if start < 0 or length < 0:
             raise ValueError("negative slice bounds")
-        start = min(start, self.nbytes)
-        length = min(length, self.nbytes - start)
+        nbytes = self.nbytes
+        if start > nbytes:
+            start = nbytes
+        if length > nbytes - start:
+            length = nbytes - start
         if self.data is None:
             return Payload.synthetic(length)
         return Payload(self.data[start : start + length])
