@@ -64,13 +64,13 @@ def read_pieces(draw):
 
 
 @given(st.lists(payloads(), max_size=6))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_concat_matches_the_generator_form(parts):
     assert same(Payload.concat(parts), reference_concat(parts))
 
 
 @given(read_pieces())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_assemble_matches_the_generator_form(pieces):
     assert same(Payload.assemble(pieces), reference_assemble(pieces))
 
