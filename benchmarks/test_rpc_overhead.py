@@ -12,25 +12,30 @@ which ~59 are physical delays (the pinned cell is contended: most of
 its grants are hand-offs of a busy pipe or made beside other work, and
 keep the hop — the uncontended cell below is where that rule shows).
 
-This gate pins that down so it cannot silently regress:
+This gate pins that down so it cannot silently regress.  Each cell runs
+once, recorded by ``scripts/event_census.py`` (which wraps
+``Simulator._enqueue`` and ``_Driver._resume`` from outside):
 
-* physical delays (calls queued with a positive delay, counted by
-  wrapping ``Simulator._enqueue`` from outside, as
-  ``scripts/event_census.py`` does) per RPC must stay within
-  ``PHYSICAL_DELAYS_PER_RPC`` +/- 1 — removing relay hops must not
-  move the figure at all,
-* total events per RPC must stay below ``EVENTS_PER_RPC_MAX``,
+* physical delays (calls queued with a positive delay) per RPC must
+  stay within ``PHYSICAL_DELAYS_PER_RPC`` +/- 1 — removing relay hops
+  must not move the figure at all,
+* total events per RPC must stay below ``EVENTS_PER_RPC_MAX``, and
+  generator resumes per RPC below ``DRIVER_RESUMES_PER_RPC_MAX``,
 * physical delays must be at least half of all scheduled events (the
   rest is pipe arbitration, message completions, process kicks and
   joins) — and at least three quarters on the uncontended cell (one
   mdtest client), where a message mostly meets idle pipes and costs
   its three physical delays,
+* no cell schedules a relay: a grant of a free FIFO resource, a spawn
+  start kick, or a lone tail call (``relays()`` in the census) — also
+  on native PVFS2's 8 KB write path, which neither direct-pnfs cell runs,
 * simulated physics must match the checked-in throughput (the kernel
   is a scheduler, not a model: it must never change results).
 
 The measurement lands in ``benchmarks/results/BENCH_engine.json`` —
 the engine-cost trajectory artifact CI uploads next to
-``BENCH_parallel.json``.
+``BENCH_parallel.json``.  Its ``engine.wall_seconds`` is the recorded
+run's, the census's classification included: not a host-time figure.
 """
 
 import json
@@ -40,15 +45,17 @@ import pytest
 
 from repro.bench.runner import run_cell
 from repro.cluster.configs import make_deployment
-from repro.sim.engine import Simulator
 from repro.workloads import IorWorkload
+from tests.conftest import load_script
 
 MB = 1024 * 1024
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+event_census = load_script("event_census")
 
 #: Pinned cell: the acceptance-criteria config (direct-pnfs/ior-write
 #: @ 8 clients), RPC-dense (2 MB blocks -> many WRITEs + layout traffic)
 #: so per-RPC kernel overhead, not byte-moving, dominates the bill.
+#: ``pinned`` is the census's name for its workload.
 ARCH = "direct-pnfs"
 N_CLIENTS = 8
 BLOCK = 2 * MB
@@ -68,8 +75,11 @@ LONE_CLIENT_EVENTS_PER_RPC_MAX = 62.0
 LONE_CLIENT_PHYSICAL_SHARE_MIN = 0.75
 
 #: Generator resumes (``_Driver._resume`` entries) per RPC: 65.5
-#: measured.  A task per overlapped CPU charge or transfer leg again
-#: would be ~29 more.
+#: measured.  Events are one bill, resumes the other: a wait that is an
+#: event (a CPU charge, a wire transfer, a ``spawn`` leg over either)
+#: resumes nobody but its waiter.  With each of those a generator under
+#: its own task the pinned cell took 94.4; a task per overlapped CPU
+#: charge or transfer leg again would be ~29 more.
 DRIVER_RESUMES_PER_RPC_MAX = 70.0
 
 #: Physical delays per RPC with a Process per chunk and a grant event
@@ -83,34 +93,14 @@ EXPECTED_MBPS = 112.73
 MAX_DRIFT = 0.05
 
 
-def count_physical_delays(monkeypatch) -> list:
-    """Wrap ``Simulator._enqueue`` for the rest of the test; the one
-    element of the returned list counts the calls queued with a
-    positive delay."""
-    delays = [0]
-    enqueue = Simulator._enqueue
-
-    def counted(self, fn, arg, delay, urgent=False):
-        delays[0] += delay > 0
-        enqueue(self, fn, arg, delay, urgent)
-
-    monkeypatch.setattr(Simulator, "_enqueue", counted)
-    return delays
-
-
-def test_events_per_rpc_stays_below_ceiling(monkeypatch):
-    delays = count_physical_delays(monkeypatch)
-    dep = make_deployment(ARCH, n_clients=N_CLIENTS)
-    res = run_cell(
-        dep,
-        IorWorkload(op="write", block_size=BLOCK, shared_file=False, scale=SCALE),
-        N_CLIENTS,
-    )
+def test_pinned_cell_events_and_resumes_per_rpc_stay_below_their_ceilings():
+    rec, rpcs, res = event_census.census(ARCH, "pinned", N_CLIENTS, SCALE, seed=None)
     engine = res.engine
-    rpcs = sum(s.rpc.calls_served for s in dep.servers)
     assert rpcs > 0
-    physical_per_rpc = delays[0] / rpcs
+    delays = rec.count("delay")
+    physical_per_rpc = delays / rpcs
     events_per_rpc = engine["events_processed"] / rpcs
+    resumes_per_rpc = rec.resumes / rpcs
 
     report = {
         "config": {
@@ -131,67 +121,45 @@ def test_events_per_rpc_stays_below_ceiling(monkeypatch):
         json.dump(report, fh, indent=2)
     print()
     print(
-        f"  {rpcs} RPCs, {events_per_rpc:.1f} events/RPC ({physical_per_rpc:.1f} physical)"
+        f"  {rpcs} RPCs, {events_per_rpc:.1f} events/RPC ({physical_per_rpc:.1f} physical), "
+        f"{resumes_per_rpc:.1f} driver resumes/RPC"
     )
 
     # The physics is untouched by kernel scheduling changes.
     assert res.aggregate_mbps == pytest.approx(EXPECTED_MBPS, rel=MAX_DRIFT)
     # The structural claim: at least every other event is a physical delay.
-    assert delays[0] >= 0.5 * engine["events_scheduled"]
+    assert delays >= 0.5 * engine["events_scheduled"]
     assert engine["events_processed"] == pytest.approx(
         engine["events_scheduled"], abs=64
     )
+    assert not event_census.relays(rec.classes)
     # The gate.
     assert physical_per_rpc == pytest.approx(PHYSICAL_DELAYS_PER_RPC, abs=1.0)
     assert events_per_rpc < EVENTS_PER_RPC_MAX, (
         f"{events_per_rpc:.1f} events per RPC (ceiling {EVENTS_PER_RPC_MAX})"
     )
+    assert resumes_per_rpc < DRIVER_RESUMES_PER_RPC_MAX, (
+        f"{resumes_per_rpc:.1f} driver resumes per RPC (ceiling {DRIVER_RESUMES_PER_RPC_MAX})"
+    )
 
 
-def test_uncontended_cell_is_mostly_physical_delays(monkeypatch):
-    from repro.workloads import MdtestWorkload
-
-    delays = count_physical_delays(monkeypatch)
-    dep = make_deployment(ARCH, n_clients=1)
-    res = run_cell(dep, MdtestWorkload(scale=SCALE), 1)
+def test_uncontended_cell_is_mostly_physical_delays():
+    rec, rpcs, res = event_census.census(ARCH, "mdtest", 1, SCALE, seed=None)
     engine = res.engine
-    rpcs = sum(s.rpc.calls_served for s in dep.servers)
     events_per_rpc = engine["events_processed"] / rpcs
-    physical = delays[0] / engine["events_scheduled"]
+    physical = rec.count("delay") / engine["events_scheduled"]
     print(f"\n  {rpcs} RPCs, {events_per_rpc:.1f} events/RPC, {100 * physical:.0f} % physical")
+    assert not event_census.relays(rec.classes)
     assert events_per_rpc < LONE_CLIENT_EVENTS_PER_RPC_MAX
     assert physical >= LONE_CLIENT_PHYSICAL_SHARE_MIN
 
 
-def test_driver_resumes_per_rpc_stay_below_ceiling(monkeypatch):
-    """Events are one bill, generator resumes the other: a wait that is
-    an event (a CPU charge, a wire transfer, a ``spawn`` leg over
-    either) resumes nobody but its waiter.  With each of those a
-    generator under its own task the pinned cell took 94.4 resumes per
-    RPC; as events it takes 65.5, whatever the events."""
-    from repro.sim import engine
-
-    resumes = 0
-    resume = engine._Driver._resume
-
-    def counted(self, event):
-        nonlocal resumes
-        resumes += 1
-        resume(self, event)
-
-    monkeypatch.setattr(engine._Driver, "_resume", counted)
-    dep = make_deployment(ARCH, n_clients=N_CLIENTS)
-    res = run_cell(
-        dep,
-        IorWorkload(op="write", block_size=BLOCK, shared_file=False, scale=SCALE),
-        N_CLIENTS,
-    )
-    rpcs = sum(s.rpc.calls_served for s in dep.servers)
-    print(f"\n  {rpcs} RPCs, {resumes / rpcs:.1f} driver resumes/RPC")
-    assert res.aggregate_mbps == pytest.approx(EXPECTED_MBPS, rel=MAX_DRIFT)
-    assert resumes / rpcs < DRIVER_RESUMES_PER_RPC_MAX, (
-        f"{resumes / rpcs:.1f} driver resumes per RPC (ceiling {DRIVER_RESUMES_PER_RPC_MAX})"
-    )
+def test_native_pvfs2_small_writes_schedule_no_relay():
+    """The cacheless PVFS2 client's 8 KB path: per-request setup, one
+    daemon RPC per flow unit, write-behind wakes."""
+    rec, rpcs, _res = event_census.census("pvfs2", "ior-write-8k", 4, 0.05, seed=None)
+    assert rpcs > 0
+    assert not event_census.relays(rec.classes)
 
 
 def test_engine_stats_flow_into_run_result():

@@ -22,12 +22,16 @@ classifies every scheduled call by
   a process completion, the generator that finished,
 
 then prints events by class per front-end RPC (ROADMAP item 2c's table).
+It counts generator resumes (``_Driver._resume`` entries) beside them.
 A reader, not a hook: nothing in ``src/repro`` knows it exists, so it is
-free when not run::
+free when not run.  :func:`recording` is the one wrap of the kernel the
+repo has; the events-per-RPC gate (``benchmarks/test_rpc_overhead.py``)
+and the exact event budgets (``tests/sim/test_event_budget.py``) read
+it too::
 
     python scripts/event_census.py direct-pnfs pinned            # BENCH_engine.json's cell
     python scripts/event_census.py nfsv4 ior-read-8k --clients 4 --scale 0.1
-    python scripts/event_census.py direct-pnfs pinned --check    # CI: exit 1 on a relay
+    python scripts/event_census.py direct-pnfs pinned --check    # exit 1 on a relay
 
 ``--check`` fails when the cell schedules a grant of a *free* FIFO
 ``Resource`` or a ``spawn`` start kick — the two relay classes PR 20
@@ -39,6 +43,8 @@ run and should have run in place (docs/architecture.md, "the wire").
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import pathlib
 import sys
 from collections import Counter
@@ -48,9 +54,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.bench.experiments import MB, _ior  # noqa: E402
 from repro.bench.runner import run_cell  # noqa: E402
-from repro.cli import _WORKLOADS  # noqa: E402
-from repro.cluster.configs import make_deployment  # noqa: E402
-from repro.sim.engine import Event, Simulator  # noqa: E402
+from repro.cli import _WORKLOADS, _clients, _positive  # noqa: E402
+from repro.cluster.configs import ARCHITECTURES, make_deployment  # noqa: E402
+from repro.sim.engine import Event, Simulator, _Driver  # noqa: E402
 from repro.sim.network import Pipe  # noqa: E402
 
 SRC = str(ROOT / "src" / "repro") + "/"
@@ -117,26 +123,53 @@ def classify(fn, arg, delay: float, frame, alone: bool = False) -> tuple[str, st
     return what(fn, arg), when, kernel_call, site
 
 
-def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):
-    """Run the cell with ``_enqueue`` wrapped; ``(classes, front-end RPCs)``.
+class Recording:
+    """What the simulators of a :func:`recording` block scheduled and resumed."""
 
-    The deployment is built inside the wrapped region: construction
-    queues the flushers' start kicks, and they are the cell's too."""
-    classes: Counter = Counter()
-    enqueue = Simulator._enqueue
+    def __init__(self):
+        #: Scheduled calls by :func:`classify`'s class.
+        self.classes: Counter = Counter()
+        #: ``_Driver._resume`` entries: generator resumes.
+        self.resumes = 0
+
+    def count(self, when: str) -> int:
+        """Calls scheduled with delay class ``when`` (``delay`` = physical)."""
+        return sum(n for cls, n in self.classes.items() if cls[1] == when)
+
+
+@contextlib.contextmanager
+def recording():
+    """Wrap ``Simulator._enqueue`` and ``_Driver._resume`` for the block,
+    class-wide, and yield the :class:`Recording` they fill."""
+    rec = Recording()
+    enqueue, resume = Simulator._enqueue, _Driver._resume
 
     def counted(self, fn, arg, delay, urgent=False):
         alone = self.nothing_else_due()
-        classes[classify(fn, arg, delay, sys._getframe(1), alone)] += 1
+        rec.classes[classify(fn, arg, delay, sys._getframe(1), alone)] += 1
         enqueue(self, fn, arg, delay, urgent)
 
-    Simulator._enqueue = counted
+    @functools.wraps(resume)  # a queued resume keeps its name in the census
+    def resumed(self, event):
+        rec.resumes += 1
+        resume(self, event)
+
+    Simulator._enqueue, _Driver._resume = counted, resumed
     try:
-        dep = make_deployment(arch, n_clients=clients, seed=seed)
-        run_cell(dep, KINDS[kind](scale), clients)
+        yield rec
     finally:
-        Simulator._enqueue = enqueue
-    return classes, sum(s.rpc.calls_served for s in dep.servers)
+        Simulator._enqueue, _Driver._resume = enqueue, resume
+
+
+def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):
+    """Run the cell recorded; ``(recording, front-end RPCs, RunResult)``.
+
+    The deployment is built inside the recorded block: construction
+    queues the flushers' start kicks, and they are the cell's too."""
+    with recording() as rec:
+        dep = make_deployment(arch, n_clients=clients, seed=seed)
+        res = run_cell(dep, KINDS[kind](scale), clients)
+    return rec, sum(s.rpc.calls_served for s in dep.servers), res
 
 
 def relays(classes: Counter) -> Counter:
@@ -155,10 +188,10 @@ def relays(classes: Counter) -> Counter:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("arch", help="architecture (see `repro list`)")
+    parser.add_argument("arch", choices=sorted(ARCHITECTURES))
     parser.add_argument("kind", choices=sorted(KINDS))
-    parser.add_argument("--clients", type=int, default=8)
-    parser.add_argument("--scale", type=float, default=0.2)
+    parser.add_argument("--clients", type=_clients, default=8)
+    parser.add_argument("--scale", type=_positive, default=0.2)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--top", type=int, default=40, help="classes to print")
     parser.add_argument(
@@ -166,9 +199,10 @@ def main(argv=None) -> int:
         help="exit 1 if a free FIFO grant, a spawn kick or a lone tail call was scheduled",
     )
     args = parser.parse_args(argv)
-    classes, rpcs = census(args.arch, args.kind, args.clients, args.scale, args.seed)
+    rec, rpcs, _res = census(args.arch, args.kind, args.clients, args.scale, args.seed)
+    classes = rec.classes
     total = sum(classes.values())
-    physical = sum(n for cls, n in classes.items() if cls[1] == "delay")
+    physical = rec.count("delay")
     print(
         f"{args.arch} / {args.kind} @ {args.clients} clients (scale {args.scale}): "
         f"{total} events, {rpcs} front-end RPCs, {total / rpcs:.1f} events/RPC, "

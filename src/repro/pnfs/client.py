@@ -164,28 +164,31 @@ class PnfsClient(Nfs4Client):
                 # to — the layout will be recalled when state recovers.
                 pass
 
+    def _direct(self, f: OpenFile, layout, slot: int, proc: str, args: dict, payload=None):
+        """``proc`` straight at the data server of stripe ``slot``: the
+        reply, or None when the caller must go through the MDS — the
+        server is blacklisted, or the call timed out and failed it over."""
+        ds = self._ds_for(layout, slot)
+        if self._ds_down(ds):
+            return None
+        try:
+            reply = yield from self._call(proc, args, payload=payload, server=ds)
+        except RpcTimeout:
+            yield from self._note_ds_failure(f, ds)
+            return None
+        self._note_ds_ok(ds)
+        return reply
+
     def _io_read(self, f: OpenFile, offset: int, nbytes: int):
         yield from self._ensure_layout(f)
         layout, agg = f.state["layout"], f.state["agg"]
         runs = agg(offset, nbytes)
 
         def run_read(run):
-            ds = self._ds_for(layout, run.server)
-            if not self._ds_down(ds):
-                try:
-                    _res, data = yield from self._call(
-                        "read",
-                        {
-                            "fh": layout.fhs[run.server],
-                            "offset": run.logical,
-                            "nbytes": run.length,
-                        },
-                        server=ds,
-                    )
-                    self._note_ds_ok(ds)
-                    return data
-                except RpcTimeout:
-                    yield from self._note_ds_failure(f, ds)
+            args = {"fh": layout.fhs[run.server], "offset": run.logical, "nbytes": run.length}
+            reply = yield from self._direct(f, layout, run.server, "read", args)
+            if reply is not None:
+                return reply[1]
             _res, data = yield from Nfs4Client._io_read(self, f, run.logical, run.length)
             self.proxied_bytes += data.nbytes
             return data
@@ -200,21 +203,11 @@ class PnfsClient(Nfs4Client):
         runs = agg(offset, payload.nbytes)
 
         def run_write(run):
-            ds = self._ds_for(layout, run.server)
             sub = payload.slice(run.logical - offset, run.length)
-            if not self._ds_down(ds):
-                try:
-                    yield from self._call(
-                        "write",
-                        {"fh": layout.fhs[run.server], "offset": run.logical},
-                        payload=sub,
-                        server=ds,
-                    )
-                    self._note_ds_ok(ds)
-                    f.state["commit_slots"].add(run.server)
-                    return
-                except RpcTimeout:
-                    yield from self._note_ds_failure(f, ds)
+            args = {"fh": layout.fhs[run.server], "offset": run.logical}
+            if (yield from self._direct(f, layout, run.server, "write", args, sub)) is not None:
+                f.state["commit_slots"].add(run.server)
+                return
             yield from Nfs4Client._io_write(self, f, run.logical, sub)
             self.proxied_bytes += sub.nbytes
             # Proxied data is only durable via a COMMIT at the MDS.
@@ -233,19 +226,9 @@ class PnfsClient(Nfs4Client):
             mds_dirty = f.state.pop("mds_dirty", False)
 
             def seg_commit(slot):
-                ds = self._ds_for(layout, slot)
-                if not self._ds_down(ds):
-                    try:
-                        yield from self._call(
-                            "commit", {"fh": layout.fhs[slot]}, server=ds
-                        )
-                        self._note_ds_ok(ds)
-                        return False
-                    except RpcTimeout:
-                        yield from self._note_ds_failure(f, ds)
-                # Data written through this server reached the shared
-                # backend; a COMMIT at the MDS makes it durable there.
-                return True
+                # Data written through a failed-over server reached the
+                # shared backend; a COMMIT at the MDS makes it durable there.
+                return (yield from self._direct(f, layout, slot, "commit", {"fh": layout.fhs[slot]})) is None
 
             need_mds = yield self.sim.spawn(
                 *(seg_commit(slot) for slot in sorted(f.state["commit_slots"]))

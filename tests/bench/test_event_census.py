@@ -1,11 +1,14 @@
 """scripts/event_census.py still reads the kernel it wraps.
 
-The census patches ``Simulator._enqueue`` from outside, so a change of
-that signature breaks it without any product test noticing — the CI
-``--check`` step is the first to find out.  This runs it on a tiny cell.
+The census patches ``Simulator._enqueue`` and ``_Driver._resume`` from
+outside, so a change of either signature, or a push onto the queue that
+goes round ``_enqueue``, breaks it without any product test noticing.
+This runs it on tiny cells.
 """
 
 from collections import Counter
+
+import pytest
 
 from tests.conftest import load_script
 
@@ -14,7 +17,8 @@ CELL = ["direct-pnfs", "pinned", "--clients", "2", "--scale", "0.02"]
 
 def test_census_names_events_and_calls_and_accounts_for_every_one(capsys):
     script = load_script("event_census")
-    classes, rpcs = script.census("direct-pnfs", "pinned", clients=2, scale=0.02, seed=None)
+    rec, rpcs, _res = script.census("direct-pnfs", "pinned", clients=2, scale=0.02, seed=None)
+    classes = rec.classes
     assert rpcs > 0
     kinds = Counter()
     for (what, _delay, _call, _site), n in classes.items():
@@ -35,6 +39,30 @@ def test_census_names_events_and_calls_and_accounts_for_every_one(capsys):
     assert script.main(CELL + ["--check"]) == 0
     # The per-RPC table's header line totals what the kernel counted.
     assert f"{sum(classes.values())} events, {rpcs} front-end RPCs" in capsys.readouterr().out
+
+
+def test_the_recording_accounts_for_every_scheduled_call_and_counts_resumes():
+    """Every call the cell's simulator counted as scheduled went through
+    the wrapped ``_enqueue``, deployment construction included."""
+    script = load_script("event_census")
+    rec, _rpcs, res = script.census("direct-pnfs", "pinned", clients=2, scale=0.02, seed=None)
+    assert sum(rec.classes.values()) == res.engine["events_scheduled"]
+    assert rec.resumes > 0
+    # Queued resumes keep their name: the census reads ``_resume``, not the wrapper.
+    assert any(cls[0] == "Process._resume" for cls in rec.classes)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--clients", "0"], ["--clients", "99"], ["--scale", "0"], ["--scale", "x"]]
+)
+def test_a_bad_client_count_or_scale_exits_2_with_one_error_line(argv, capsys):
+    script = load_script("event_census")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["direct-pnfs", "pinned", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and repr(argv[1]) in errors[0] and "Traceback" not in err
 
 
 def test_check_refuses_a_free_fifo_grant_and_a_spawn_kick():
@@ -61,7 +89,8 @@ def test_an_uncontended_cell_queues_no_lone_tail_call_and_a_wire_that_always_hop
 ):
     script = load_script("event_census")
     cell = dict(clients=1, scale=0.02, seed=None)
-    classes, rpcs = script.census("direct-pnfs", "mdtest", **cell)
+    rec, rpcs, _res = script.census("direct-pnfs", "mdtest", **cell)
+    classes = rec.classes
     assert rpcs > 0 and not script.relays(classes)
     # Most messages of one client meet idle pipes: few grants are queued at all.
     grants = sum(n for cls, n in classes.items() if cls[0] == "Pipe._start")
@@ -79,8 +108,8 @@ def test_an_uncontended_cell_queues_no_lone_tail_call_and_a_wire_that_always_hop
             self.sim._enqueue(self._start, (duration, fn, arg), 0.0)
 
     monkeypatch.setattr(Pipe, "serve", serve)
-    hopping, _ = script.census("direct-pnfs", "mdtest", **cell)
-    lone = script.relays(hopping)
+    hopping, _rpcs, _res = script.census("direct-pnfs", "mdtest", **cell)
+    lone = script.relays(hopping.classes)
     # Both grants of a one-chunk message: the tx pipe's at the end of the
     # latency, the rx pipe's at the end of tx service.
     assert {(cls[0], cls[3]) for cls in lone} == {

@@ -1,7 +1,10 @@
 """Shared test fixtures: small clusters and process-driving helpers."""
 
+import gc
 import importlib.util
 import pathlib
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import pytest
@@ -61,6 +64,38 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def profile_calls(fn, *args) -> tuple[int, Counter]:
+    """Call ``fn(*args)`` under ``sys.setprofile``: ``(Python and C calls
+    made, Counter of the code objects entered)``.  A generator's code is
+    entered again at each resumption, and each entry is a call.
+
+    Host work as a count, not a time: it moves with the interpreter,
+    not with the machine or its load.
+    """
+    calls = 0
+    entered: Counter = Counter()
+
+    def profiler(frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+            entered[frame.f_code] += 1
+        elif event == "c_call":
+            calls += 1
+
+    # A cycle collection landing inside the measurement would finalise
+    # another simulator's suspended generators under the profiler.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls, entered
 
 
 def drive(sim: Simulator, gen):

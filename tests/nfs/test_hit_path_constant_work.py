@@ -1,6 +1,6 @@
 """A page-cache hit is constant host work — asserted by count, not time.
 
-``sys.setprofile`` counts every Python and C call the simulator makes
+``profile_calls`` counts every Python and C call the simulator makes
 while an application issues 2 000 cached 8 KB operations.  The count
 must not depend on how much bookkeeping the open file carries that the
 operations do not touch: pending readahead blocks elsewhere in the
@@ -11,13 +11,10 @@ every dirty run.  The counts per call are also bounded, so the path
 cannot grow back unnoticed.
 """
 
-import gc
-import sys
-
 from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.vfs import Payload
 
-from tests.conftest import build_cluster, drive
+from tests.conftest import build_cluster, drive, profile_calls
 from tests.localfs import LocalClient, LocalFileSystem
 
 KB, MB = 1024, 1024 * 1024
@@ -42,27 +39,6 @@ def make(**cfg_kw):
     return cluster.sim, client, server
 
 
-def calls_made_by(sim, gen) -> int:
-    calls = 0
-
-    def profiler(_frame, event, _arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
-    # A cycle collection landing inside the measurement would finalise
-    # another simulator's suspended generators under the profiler.
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profiler)
-    try:
-        drive(sim, gen)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return calls
-
-
 def cached_reads_with_pending_prefetches(readahead: int) -> tuple[int, int]:
     """(pending prefetch blocks, calls made by 2 000 cached reads)."""
     rsize = 256 * KB
@@ -83,7 +59,7 @@ def cached_reads_with_pending_prefetches(readahead: int) -> tuple[int, int]:
     # A read far beyond the cached region blocks on its demand fetch and
     # leaves a full readahead window of prefetches pending behind it.
     # The handle keeps the stuck read reachable: unreferenced, it and its
-    # demand fetch are garbage, and the collection in ``calls_made_by``
+    # demand fetch are garbage, and the collection in ``profile_calls``
     # would close them and hand their session slot to a queued prefetch.
     server.rpc.fail()
     far_read = sim.process(client.read(f, far, BLOCK))
@@ -94,7 +70,7 @@ def cached_reads_with_pending_prefetches(readahead: int) -> tuple[int, int]:
         for i in range(OPS):
             yield from client.read(f, i * BLOCK, BLOCK)
 
-    calls = calls_made_by(sim, stream())
+    calls, _ = profile_calls(drive, sim, stream())
     assert client.bytes_read == OPS * BLOCK
     assert client.cache_miss_bytes == BLOCK  # only the far read ever missed
     assert far_read.is_alive
@@ -118,7 +94,7 @@ def appends_above_dirty_runs(earlier_runs: int) -> int:
         for i in range(OPS):
             yield from client.write(f, base + i * BLOCK, Payload.synthetic(BLOCK))
 
-    calls = calls_made_by(sim, stream())
+    calls, _ = profile_calls(drive, sim, stream())
     assert len(list(f.state["pc"].dirty)) == earlier_runs + 1
     assert client.bytes_written == 0  # nothing was flushed
     return calls

@@ -1,6 +1,6 @@
 """An uncached PVFS2 request is bounded host work — asserted by count, not time.
 
-``sys.setprofile`` counts every Python and C call the simulator makes
+``profile_calls`` counts every Python and C call the simulator makes
 while one native PVFS2 client issues 2 000 8 KB writes and then 2 000
 8 KB reads of the same file (2 MB stripes, so each op is one request to
 one storage daemon).  Each op pays for its RPC and the daemon's
@@ -11,13 +11,10 @@ flusher's pick.  The write count includes the flusher draining behind
 the writes.
 """
 
-import gc
-import sys
-
 from repro.cluster import make_deployment
 from repro.vfs import Payload
 
-from tests.conftest import drive
+from tests.conftest import drive, profile_calls
 
 KB, MB = 1024, 1024 * 1024
 OPS = 2000
@@ -29,27 +26,6 @@ BLOCK = 8 * KB
 #: function, and the flusher built two candidate lists per pick.
 MAX_CALLS_PER_PVFS2_WRITE = 346  # measured 345.8235
 MAX_CALLS_PER_PVFS2_READ = 277  # measured 276.03
-
-
-def calls_made_by(sim, gen) -> int:
-    calls = 0
-
-    def profiler(_frame, event, _arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
-    # A cycle collection landing inside the measurement would finalise
-    # another simulator's suspended generators under the profiler.
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profiler)
-    try:
-        drive(sim, gen)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return calls
 
 
 def uncached_write_then_read_calls() -> tuple[int, int]:
@@ -72,8 +48,8 @@ def uncached_write_then_read_calls() -> tuple[int, int]:
         for i in range(OPS):
             yield from client.read(f, i * BLOCK, BLOCK)
 
-    write_calls = calls_made_by(sim, writes())
-    read_calls = calls_made_by(sim, reads())
+    write_calls, _ = profile_calls(drive, sim, writes())
+    read_calls, _ = profile_calls(drive, sim, reads())
     assert client.bytes_written == client.bytes_read == OPS * BLOCK
     assert sum(d.bytes_written for d in dep.pvfs.daemons) == OPS * BLOCK
     return write_calls, read_calls

@@ -23,6 +23,7 @@ from repro.sim import network as network_mod
 from repro.sim.cpu import Cpu
 from repro.sim.network import FLOW_WINDOW
 from repro.sim.resources import Resource
+from tests.conftest import load_script
 from tests.sim.test_scheduler_equivalence import AlwaysHopSimulator
 
 BW = 1e6
@@ -63,19 +64,9 @@ def assert_idle(net):
         assert pipe.in_use == 0 and pipe._waiters == [], pipe.name
 
 
-class Delays:
-    """Counts the positive-delay calls ``sim`` queues from now on — its
-    physical delays — by wrapping ``sim._enqueue`` from outside."""
-
-    def __init__(self, sim):
-        self.n = 0
-        enqueue = sim._enqueue
-
-        def counted(fn, arg, delay, urgent=False):
-            self.n += delay > 0
-            enqueue(fn, arg, delay, urgent)
-
-        sim._enqueue = counted
+#: Its ``recording()`` counts physical delays: calls queued with a
+#: positive delay (class ``delay``), by wrapping ``_enqueue`` from outside.
+event_census = load_script("event_census")
 
 
 def two_flows(pairs, nbytes, kernel=Simulator, per_message_bytes=0):
@@ -126,10 +117,10 @@ class TestMessageBudget:
         sim = Simulator()
         net = make_net(sim)
         nbytes = k * CHUNK - 1  # k chunks, the last one short
-        delays = Delays(sim)
-        cost = events_of(sim, wait_for(lambda: net.transfer("n0", "n1", nbytes)))
+        with event_census.recording() as rec:
+            cost = events_of(sim, wait_for(lambda: net.transfer("n0", "n1", nbytes)))
         assert cost == 2 * k + 1 + (k > 1)
-        assert delays.n == 2 * k + 1
+        assert rec.count("delay") == 2 * k + 1
         # Pipelined: the short last chunk reaches the rx pipe behind the
         # full chunk before it, k chunk times in; alone it crosses twice.
         last = nbytes - (k - 1) * CHUNK
@@ -145,10 +136,10 @@ class TestMessageBudget:
         not."""
         sim = Simulator()
         net = make_net(sim)
-        delays = Delays(sim)
-        cost = events_of(sim, wait_for(lambda: net.transfer("n0", "n1", k * CHUNK)))
+        with event_census.recording() as rec:
+            cost = events_of(sim, wait_for(lambda: net.transfer("n0", "n1", k * CHUNK)))
         assert cost == 2 * k + 1
-        assert delays.n == 2 * k + 1 and sim.stats.events_scheduled == 2 * k + 3
+        assert rec.count("delay") == 2 * k + 1 and sim.stats.events_scheduled == 2 * k + 3
         assert sim.now == pytest.approx(LATENCY + (k + 1) * CHUNK / BW, rel=1e-9)
         assert_idle(net)
 
@@ -329,9 +320,9 @@ class TestFifoGrantBudget:
             # The unit went back in the fire path, before this resumed.
             assert sim.now == 1.5 and res.in_use == 0
 
-        delays = Delays(sim)
-        assert events_of(sim, user()) == 2  # the timeout and the hold
-        assert delays.n == 2
+        with event_census.recording() as rec:
+            assert events_of(sim, user()) == 2  # the timeout and the hold
+        assert rec.count("delay") == 2
         assert sim.now == 1.5 and res.in_use == 0
 
     def test_queued_hold_waiters_finish_back_to_back_in_arrival_order(self):
@@ -394,14 +385,14 @@ class TestFifoGrantBudget:
     def test_free_random_pipe_acquire_still_costs_its_grant_event(self):
         sim = Simulator()
         pipe = Pipe(sim)
-        delays = Delays(sim)
         got = []
-        pipe.serve(0.5, got.append, "mine")
-        # Held at once, served a hop later: the grant is a queued call.
-        assert pipe.in_use == 1 and got == []
-        assert sim.stats.events_scheduled == 1
-        sim.run()
-        assert got == ["mine"] and delays.n == 1 and sim.now == 0.5
+        with event_census.recording() as rec:
+            pipe.serve(0.5, got.append, "mine")
+            # Held at once, served a hop later: the grant is a queued call.
+            assert pipe.in_use == 1 and got == []
+            assert sim.stats.events_scheduled == 1
+            sim.run()
+        assert got == ["mine"] and rec.count("delay") == 1 and sim.now == 0.5
         assert sim.stats.events_processed == 2
 
 
@@ -619,9 +610,9 @@ class TestRpcBudget:
         and worker thread cost nothing — pre-fired FIFO grants and
         inline spawn legs touch neither the pipes nor a physical delay."""
         sim, net, [(client, server)] = self._ping_pairs(1)
-        delays = Delays(sim)
-        assert events_of(sim, rpc.call(client, server, "ping", args_bytes=64)) == 8
-        assert delays.n == 8
+        with event_census.recording() as rec:
+            assert events_of(sim, rpc.call(client, server, "ping", args_bytes=64)) == 8
+        assert rec.count("delay") == 8
         request = (rpc.HEADER_BYTES + 64 + 120) / BW
         reply = (rpc.HEADER_BYTES + 120) / BW
         assert sim.now == pytest.approx(
@@ -637,15 +628,15 @@ class TestRpcBudget:
         so the six zero-delay entries per RPC stay queue entries."""
         sim, net, pairs = self._ping_pairs(2)
         before = sim.stats.events_processed
-        delays = Delays(sim)
-        procs = [
-            sim.process(rpc.call(client, server, "ping", args_bytes=64))
-            for client, server in pairs
-        ]
-        sim.run()
+        with event_census.recording() as rec:
+            procs = [
+                sim.process(rpc.call(client, server, "ping", args_bytes=64))
+                for client, server in pairs
+            ]
+            sim.run()
         assert all(p.processed and p.ok for p in procs)
         assert sim.stats.events_processed - before - 2 * 2 == 2 * 14
-        assert delays.n == 2 * 8
+        assert rec.count("delay") == 2 * 8
         request = (rpc.HEADER_BYTES + 64 + 120) / BW
         reply = (rpc.HEADER_BYTES + 120) / BW
         assert sim.now == pytest.approx(

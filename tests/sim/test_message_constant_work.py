@@ -1,6 +1,6 @@
 """A wire message is constant, small host work — asserted by count, not time.
 
-``sys.setprofile`` counts every Python and C call the simulator makes
+``profile_calls`` counts every Python and C call the simulator makes
 while one process sends 1 000 sub-chunk messages back to back between
 two NICs.  Alone on the wire each costs its three physical delays as
 queue entries (latency, two service times): the two grants and the
@@ -23,15 +23,17 @@ three-entry messages), and a free worker thread claimed without an
 event or a resume of the caller's generator chain.
 """
 
-import gc
-import sys
-
 import inspect
+import os
 
 from repro import rpc
 from repro.sim import Cpu, CpuSpec, Network, Node, NodeSpec, Simulator
 from repro.sim.engine import Event
 
+from tests.conftest import drive, profile_calls
+
+#: The simulator's own code: a generator entered in here is the kernel's.
+SIM_DIR = os.path.dirname(inspect.getfile(Simulator)) + os.sep
 MESSAGES = 1000
 NBYTES = 200
 #: A queue entry costs one ``heappush`` and one ``len`` (the peak); its
@@ -49,29 +51,15 @@ MAX_CALLS_PER_IDLE_RPC = 111  # measured 110.025
 def _profiled(sim, processes):
     """Run ``processes`` (generators) under a call counter; returns
     ``(calls made, Events built)``."""
-    calls = events_built = 0
-    event_init = Event.__init__.__code__
+    procs = []
 
-    def profiler(frame, event, _arg):
-        nonlocal calls, events_built
-        if event in ("call", "c_call"):
-            calls += 1
-            if frame.f_code is event_init and event == "call":
-                events_built += 1
-
-    # A cycle collection landing inside the measurement would finalise
-    # another simulator's suspended generators under the profiler.
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profiler)
-    try:
-        procs = [sim.process(gen) for gen in processes]
+    def run():
+        procs.extend([sim.process(gen) for gen in processes])
         sim.run()
-    finally:
-        sys.setprofile(None)
-        gc.enable()
+
+    calls, entered = profile_calls(run)
     assert all(proc.processed and proc.ok for proc in procs)
-    return calls, events_built
+    return calls, entered[Event.__init__.__code__]
 
 
 def _profiled_senders(pairs):
@@ -118,31 +106,13 @@ def test_a_cpu_charge_is_one_event_one_object_and_no_generator_frame():
         for _ in range(CHARGES):
             yield cpu.consume(1e-3)
 
-    calls = events_built = kernel_generator_frames = 0
-    event_init = Event.__init__.__code__
-
-    def profiler(frame, event, _arg):
-        nonlocal calls, events_built, kernel_generator_frames
-        if event in ("call", "c_call"):
-            calls += 1
-            if event == "call":
-                code = frame.f_code
-                if code is event_init:
-                    events_built += 1
-                elif code.co_flags & inspect.CO_GENERATOR and frame.f_globals[
-                    "__name__"
-                ].startswith("repro.sim"):
-                    kernel_generator_frames += 1
-
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profiler)
-    try:
-        proc = sim.process(worker())
-        sim.run(until=proc)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
+    calls, entered = profile_calls(drive, sim, worker())
+    events_built = entered[Event.__init__.__code__]
+    kernel_generator_frames = sum(
+        n
+        for code, n in entered.items()
+        if code.co_flags & inspect.CO_GENERATOR and code.co_filename.startswith(SIM_DIR)
+    )
 
     assert cpu.busy_time == sum([5e-4] * CHARGES) and cpu.cores.in_use == 0
     # One queue entry per charge, plus the worker's kick and completion.
