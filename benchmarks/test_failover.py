@@ -102,35 +102,24 @@ def bucketise(stamps, duration, nbuckets=24):
     return width, [b / width for b in buckets]  # bytes/s per bucket
 
 
-def test_failover_dip_and_recovery(benchmark):
-    holder = {}
+def test_failover_dip_and_recovery():
+    base_dur, _s, _c, _i = run_ior(outage=None)
+    # Kill the victim a third of the way through the healthy run
+    # length, bring it back at two thirds.  The retry ladder and
+    # blacklist window scale with the run so the outage geometry is
+    # the same at every REPRO_SCALE: the full ladder
+    # (timeout + backoff*timeout ~ 3*rpc_timeout) fits well inside
+    # the outage, and the blacklist lapses well before the tail of
+    # the run ends.
+    fail_at, restore_at = base_dur / 3, 2 * base_dur / 3
+    dur, stamps, clients, _inj = run_ior(
+        outage=(fail_at, restore_at),
+        rpc_timeout=base_dur / 16,
+        ds_retry=base_dur / 8,
+    )
 
-    def once():
-        base_dur, _s, _c, _i = run_ior(outage=None)
-        # Kill the victim a third of the way through the healthy run
-        # length, bring it back at two thirds.  The retry ladder and
-        # blacklist window scale with the run so the outage geometry is
-        # the same at every REPRO_SCALE: the full ladder
-        # (timeout + backoff*timeout ~ 3*rpc_timeout) fits well inside
-        # the outage, and the blacklist lapses well before the tail of
-        # the run ends.
-        fail_at, restore_at = base_dur / 3, 2 * base_dur / 3
-        dur, stamps, clients, inj = run_ior(
-            outage=(fail_at, restore_at),
-            rpc_timeout=base_dur / 16,
-            ds_retry=base_dur / 8,
-        )
-        holder.update(
-            base_dur=base_dur, dur=dur, stamps=stamps, clients=clients,
-            inj=inj, fail_at=fail_at, restore_at=restore_at,
-        )
-
-    benchmark.pedantic(once, rounds=1, iterations=1)
-
-    base_dur, dur = holder["base_dur"], holder["dur"]
     steady = N_CLIENTS * PER_CLIENT_BYTES / base_dur
-    width, buckets = bucketise(holder["stamps"], dur)
-    fail_at, restore_at = holder["fail_at"], holder["restore_at"]
+    width, buckets = bucketise(stamps, dur)
 
     outage_buckets = [
         b for i, b in enumerate(buckets)
@@ -144,9 +133,9 @@ def test_failover_dip_and_recovery(benchmark):
             recovery_time = t - restore_at
             break
 
-    failovers = sum(c.failovers for c in holder["clients"])
-    recoveries = sum(c.recoveries for c in holder["clients"])
-    proxied = sum(c.proxied_bytes for c in holder["clients"])
+    failovers = sum(c.failovers for c in clients)
+    recoveries = sum(c.recoveries for c in clients)
+    proxied = sum(c.proxied_bytes for c in clients)
 
     print()
     print(f"healthy run      : {base_dur:6.2f} s  ({steady / 1e6:7.1f} MB/s aggregate)")
@@ -178,7 +167,7 @@ def test_failover_dip_and_recovery(benchmark):
 
     # The run completed with every byte accounted for (no wedge), the
     # outage cost throughput, and throughput came back after restart.
-    assert len(holder["stamps"]) == N_CLIENTS * max(8, PER_CLIENT_BYTES // BLOCK)
+    assert len(stamps) == N_CLIENTS * max(8, PER_CLIENT_BYTES // BLOCK)
     assert failovers >= 1 and recoveries >= 1 and proxied > 0
     assert dur > base_dur
     assert dip < 0.9 * steady

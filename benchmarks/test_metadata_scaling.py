@@ -27,7 +27,7 @@ def run_storm(n_meta: int, n_clients: int = 8, metadata_sync: bool = True) -> fl
     ).makespan
 
 
-def test_metadata_scaling_with_shards(benchmark):
+def test_metadata_scaling_with_shards():
     """Two regimes, one finding each:
 
     * with PVFS2's synchronous per-create journalling ON, sharding
@@ -38,14 +38,10 @@ def test_metadata_scaling_with_shards(benchmark):
       bottleneck and the storm scales near-linearly with the shard
       count — the decentralisation §6.4.3 calls for.
     """
-    out = {True: {}, False: {}}
-
-    def once():
-        for sync in (True, False):
-            for n_meta in (1, 2, 4):
-                out[sync][n_meta] = run_storm(n_meta, metadata_sync=sync)
-
-    benchmark.pedantic(once, rounds=1, iterations=1)
+    out = {
+        sync: {n_meta: run_storm(n_meta, metadata_sync=sync) for n_meta in (1, 2, 4)}
+        for sync in (True, False)
+    }
     for sync, label in ((True, "journalling ON"), (False, "journalling OFF")):
         print(f"\nmdtest storm over Direct-pNFS ({label}):")
         for n_meta, t in out[sync].items():

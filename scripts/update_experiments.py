@@ -1,31 +1,38 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md from benchmark results.
-
-Run the benchmark suite first (it writes ``benchmarks/results/*.json``),
-then::
+"""Record every figure panel and regenerate EXPERIMENTS.md::
 
     python scripts/update_experiments.py
 
-The generated document records, per figure panel: measured vs paper
-values at every client count swept, plus the verdicts of the
-qualitative shape criteria.  Sections of the existing document that
-this script does not generate (the hand-written "Torture sweeps"
-guide) are carried over unchanged, after the generated ones.
+Runs each panel of ``EXPERIMENTS`` at ``REPRO_SCALE`` (default 0.25)
+over ``REPRO_JOBS`` worker processes, prints its table and shape
+checks, and writes its report to ``benchmarks/results/<panel>.json``.
+A panel that sweeps more than four client counts records 1, 2, 4 and
+8 (``repro run <panel>`` shows every count).  The generated document
+records, per figure panel: measured vs paper values at every client
+count swept, plus the verdicts of the qualitative shape criteria.
+Sections of the existing document that this script does not generate
+(the hand-written "Torture sweeps" guide) are carried over unchanged,
+after the generated ones.  Exits 1 if any shape check failed.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.bench.experiments import EXPERIMENTS  # noqa: E402
+from repro.bench.experiments import EXPERIMENTS, run_experiment  # noqa: E402
 from repro.bench.paper_data import PAPER  # noqa: E402
+from repro.bench.report import experiment_report, format_table, shape_checks  # noqa: E402
+from repro.parallel import default_jobs  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RESULTS = ROOT / "benchmarks" / "results"
+#: The client counts recorded for a panel that sweeps more than four.
+RECORDED_COUNTS = (1, 2, 4, 8)
 
 HEADER = """\
 # Experiments: paper vs measured
@@ -36,7 +43,7 @@ authors' 2006 testbed; the comparison criteria are the paper's claims —
 who wins, by roughly what factor, where curves flatten.  Each table
 reports ``measured (paper)`` per client count; the shape criteria below
 each table are asserted by the benchmark suite
-(``python -m pytest benchmarks/ --benchmark-only``).
+(``python scripts/update_experiments.py`` runs them and writes this file).
 
 Scale note: these results were produced at the scale recorded per
 experiment (fraction of the paper's 500 MB-per-client data volumes);
@@ -155,11 +162,31 @@ def render(existing: str = "") -> str:
     return "\n".join(sections)
 
 
-def main() -> None:
+def record(exp_id: str, scale: float, jobs: int) -> bool:
+    """Run one panel, print its table and checks, write its report;
+    ``True`` if every shape check holds."""
+    counts = EXPERIMENTS[exp_id].client_counts
+    if len(counts) > 4:
+        counts = [n for n in counts if n in RECORDED_COUNTS]
+    res = run_experiment(exp_id, scale=scale, client_counts=counts, jobs=jobs)
+    print(format_table(res))
+    checks = shape_checks(res)
+    for check in checks:
+        print("  ", check)
+    print()
+    (RESULTS / f"{exp_id}.json").write_text(json.dumps(experiment_report(res), indent=2) + "\n")
+    return all(check.ok for check in checks)
+
+
+def main() -> int:
+    scale = float(os.environ.get("REPRO_SCALE", "0.25"))
+    jobs = default_jobs()
+    ok = all([record(exp_id, scale, jobs) for exp_id in EXPERIMENTS])  # a failure stops none
     out = ROOT / "EXPERIMENTS.md"
     out.write_text(render(out.read_text() if out.exists() else ""))
     print(f"wrote {out}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

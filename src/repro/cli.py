@@ -84,9 +84,8 @@ def _cmd_run(args) -> int:
 
     from repro.bench.experiments import run_experiment
     from repro.bench.report import experiment_report, format_table, shape_checks
-    from repro.parallel import ProgressReporter, ResultCache, default_jobs, describe
+    from repro.parallel import ProgressReporter, ResultCache, describe
 
-    jobs = default_jobs(args.jobs)
     cache = ResultCache(args.cache_dir) if args.cache else None
     exp = EXPERIMENTS[args.experiment]
     total = len(exp.systems) * len(args.clients or exp.client_counts)
@@ -95,7 +94,7 @@ def _cmd_run(args) -> int:
         args.experiment,
         scale=args.scale,
         client_counts=args.clients,
-        jobs=jobs,
+        jobs=args.jobs,
         cache=cache,
         progress=lambda spec, res, wall, cached: reporter.update(
             describe(spec), wall, cached
@@ -311,7 +310,7 @@ def _cmd_torture(args) -> int:
         return 1
 
     from repro.check.runner import sweep
-    from repro.parallel import ProgressReporter, default_jobs
+    from repro.parallel import ProgressReporter
 
     total = args.seeds * len(arches)
     reporter = ProgressReporter(total, label="episodes")
@@ -328,7 +327,7 @@ def _cmd_torture(args) -> int:
         args.seeds,
         start_seed=args.start_seed,
         progress=progress,
-        jobs=default_jobs(args.jobs),
+        jobs=args.jobs,
         metadata=args.metadata,
     )
     reporter.close()
@@ -407,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--chart", action="store_true", help="also render an ASCII bar chart")
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_at_least(1),
         help="worker processes for the cell fan-out (default: REPRO_JOBS or 1; "
         "results are identical whatever the value)",
     )
@@ -463,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_at_least(1),
         help="worker processes for the episode fan-out (default: REPRO_JOBS "
         "or 1; trace hashes are identical whatever the value)",
     )
@@ -472,9 +471,16 @@ def main(argv: list[str] | None = None) -> int:
         sub, "profile", _cmd_profile, "cProfile one cell and print the hottest functions",
         cell=True, json="the top functions",
     )
-    p.add_argument("--top", type=int, default=25, help="functions to print (by cumtime)")
+    p.add_argument("--top", type=_at_least(1), default=25, help="functions to print (by cumtime)")
 
     args = parser.parse_args(argv)
+    if "jobs" in vars(args):
+        from repro.parallel import default_jobs
+
+        try:
+            args.jobs = default_jobs(args.jobs)
+        except ValueError as exc:
+            parser.error(str(exc))
     # Human-readable output moves to stderr when the JSON document owns
     # stdout (`--json -`): stdout stays machine-parseable either way.
     args.out = sys.stderr if getattr(args, "json", None) == "-" else sys.stdout

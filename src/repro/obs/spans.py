@@ -109,20 +109,6 @@ class SpanCollector:
         if extra_args:
             span.args.update(extra_args)
 
-    def traced(self, gen, name: str, cat: str, track: str, **args):
-        """Process generator: run ``gen`` as the body of a span.
-
-        The span opens when the generator is first resumed — in the
-        process that runs it, which is what picks its lane — and closes
-        however ``gen`` ends.  Instrumented entry points return ``gen``
-        itself when no collector is installed.
-        """
-        span = self.begin(name, cat, track, **args)
-        try:
-            return (yield from gen)
-        finally:
-            self.end(span)
-
     # -- analysis ----------------------------------------------------------
     def by_category(self) -> dict[str, list[Span]]:
         out: dict[str, list[Span]] = {}

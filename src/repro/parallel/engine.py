@@ -36,13 +36,19 @@ __all__ = ["EngineReport", "default_jobs", "run_jobs"]
 
 
 def default_jobs(requested: int | None = None) -> int:
-    """Worker count: ``requested``, else ``REPRO_JOBS``, else 1 (serial)."""
-    if requested is not None and requested > 0:
+    """Worker count: ``requested``, else ``REPRO_JOBS``, else 1 (serial).
+
+    Raises ``ValueError`` naming the variable if ``REPRO_JOBS`` is set
+    but is not an integer >= 1.
+    """
+    if requested is not None:
         return requested
     env = os.environ.get("REPRO_JOBS")
-    if env:
-        return max(1, int(env))
-    return 1
+    if not env:
+        return 1
+    if env.strip().isdigit() and int(env) >= 1:
+        return int(env)
+    raise ValueError(f"REPRO_JOBS={env!r} is not an integer >= 1")
 
 
 @dataclass

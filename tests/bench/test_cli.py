@@ -209,6 +209,10 @@ class TestCli:
             (["torture", "--replay", "-1"], "'-1'"),
             (["torture", "--start-seed", "-3"], "'-3'"),
             (["torture", "--seeds", "0"], "'0'"),
+            (["run", "fig7a", "--jobs", "0"], "'0'"),
+            (["run", "fig7a", "--jobs", "-2"], "'-2'"),
+            (["torture", "--jobs", "0"], "'0'"),
+            (["profile", "direct-pnfs", "ior-write", "--top", "-3"], "'-3'"),
         ],
     )
     def test_out_of_range_number_exits_2_with_one_error_line(self, argv, value, capsys):
@@ -218,4 +222,18 @@ class TestCli:
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and value in errors[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
+    @pytest.mark.parametrize("argv", [["run", "fig8b"], ["torture"]])
+    def test_bad_repro_jobs_exits_2_with_one_error_line_naming_it(
+        self, argv, env, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_JOBS", env)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"REPRO_JOBS={env!r}" in errors[0]
         assert "Traceback" not in captured.err and captured.out == ""

@@ -9,7 +9,10 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.sim import CpuSpec, DiskSpec, Network, Node, NodeSpec, Simulator
+
+from tests.localfs import LocalClient, LocalFileSystem
 
 
 @dataclass
@@ -102,6 +105,21 @@ def drive(sim: Simulator, gen):
     """Run generator ``gen`` as a process to completion; return its value."""
     proc = sim.process(gen)
     return sim.run(until=proc)
+
+
+def build_nfs(cluster: MiniCluster, **cfg):
+    """``(c0, c1, server)``: an ``Nfs4Server`` over an in-memory file
+    system on ``storage[0]``, mounted by two clients (``clients[0]``
+    first); ``cfg`` is the ``NfsConfig`` all three share."""
+    cfg = NfsConfig(**cfg)
+    server = Nfs4Server(
+        cluster.sim, cluster.storage[0], LocalClient(cluster.sim, LocalFileSystem()), cfg
+    )
+    c0 = Nfs4Client(cluster.sim, cluster.clients[0], server, cfg)
+    c1 = Nfs4Client(cluster.sim, cluster.clients[1], server, cfg)
+    drive(cluster.sim, c0.mount())
+    drive(cluster.sim, c1.mount())
+    return c0, c1, server
 
 
 @pytest.fixture

@@ -2,25 +2,14 @@
 
 import pytest
 
-from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.vfs import Payload
 
-from tests.conftest import build_cluster, drive
-from tests.localfs import LocalClient, LocalFileSystem
+from tests.conftest import build_nfs, drive
 
 
 @pytest.fixture
 def nfs(cluster):
-    cfg = NfsConfig(rsize=64 * 1024, wsize=64 * 1024)
-    backing = LocalFileSystem()
-    server = Nfs4Server(
-        cluster.sim, cluster.storage[0], LocalClient(cluster.sim, backing), cfg
-    )
-    c0 = Nfs4Client(cluster.sim, cluster.clients[0], server, cfg)
-    c1 = Nfs4Client(cluster.sim, cluster.clients[1], server, cfg)
-    drive(cluster.sim, c0.mount())
-    drive(cluster.sim, c1.mount())
-    return c0, c1, server
+    return build_nfs(cluster, rsize=64 * 1024, wsize=64 * 1024)
 
 
 class TestCloseToOpen:

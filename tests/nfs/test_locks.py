@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.nfs.locks import READ_LT, WRITE_LT, LockConflict, LockManager
 from repro.vfs import Payload
 
-from tests.conftest import build_cluster, drive
-from tests.localfs import LocalClient, LocalFileSystem
+from tests.conftest import build_nfs, drive
 
 
 class TestLockManager:
@@ -126,16 +124,7 @@ class TestLockManager:
 class TestWireProtocol:
     @pytest.fixture
     def nfs(self, cluster):
-        cfg = NfsConfig()
-        backing = LocalFileSystem()
-        server = Nfs4Server(
-            cluster.sim, cluster.storage[0], LocalClient(cluster.sim, backing), cfg
-        )
-        c0 = Nfs4Client(cluster.sim, cluster.clients[0], server, cfg)
-        c1 = Nfs4Client(cluster.sim, cluster.clients[1], server, cfg)
-        drive(cluster.sim, c0.mount())
-        drive(cluster.sim, c1.mount())
-        return c0, c1, server
+        return build_nfs(cluster)
 
     def test_lock_excludes_other_client(self, cluster, nfs):
         c0, c1, _server = nfs

@@ -9,29 +9,15 @@ conflicting read delegations and reply with fresh attributes.
 
 import pytest
 
-from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
+from repro.nfs import NfsConfig
 from repro.vfs import Payload
 
-from tests.conftest import drive
-from tests.localfs import LocalClient, LocalFileSystem
-
-
-def build_nfs(cluster, **overrides):
-    cfg = NfsConfig(rsize=64 * 1024, wsize=64 * 1024, **overrides)
-    backing = LocalFileSystem()
-    server = Nfs4Server(
-        cluster.sim, cluster.storage[0], LocalClient(cluster.sim, backing), cfg
-    )
-    c0 = Nfs4Client(cluster.sim, cluster.clients[0], server, cfg)
-    c1 = Nfs4Client(cluster.sim, cluster.clients[1], server, cfg)
-    drive(cluster.sim, c0.mount())
-    drive(cluster.sim, c1.mount())
-    return c0, c1, server
+from tests.conftest import build_nfs, drive
 
 
 @pytest.fixture
 def nfs(cluster):
-    return build_nfs(cluster)
+    return build_nfs(cluster, rsize=64 * 1024, wsize=64 * 1024)
 
 
 class TestTruncateCoherence:
@@ -118,7 +104,7 @@ class TestTruncateCoherence:
         assert after.mtime > before.mtime
 
     def test_truncate_recalls_read_delegations(self, cluster):
-        c0, c1, server = build_nfs(cluster, delegations=True)
+        c0, c1, server = build_nfs(cluster, rsize=64 * 1024, wsize=64 * 1024, delegations=True)
 
         def scenario():
             f = yield from c0.create("/d")

@@ -23,8 +23,9 @@ BLOCK = 8 * KB
 #: write was 367.7 and a read 296.0 while ``Run`` / ``Extent`` were
 #: frozen dataclasses, request setup was a generator the op delegated
 #: to, a one-piece read slice was re-sliced and sorted by a key
-#: function, and the flusher built two candidate lists per pick.
-MAX_CALLS_PER_PVFS2_WRITE = 346  # measured 345.8235
+#: function, and the flusher built two candidate lists per pick.  A
+#: write was 345.8235 while ``Disk.io`` returned a separate body generator.
+MAX_CALLS_PER_PVFS2_WRITE = 345  # measured 344.8385
 MAX_CALLS_PER_PVFS2_READ = 277  # measured 276.03
 
 
