@@ -18,15 +18,20 @@ import os
 import pathlib
 import time
 
+import pytest
+
 from repro.bench.runner import run_cell
+from repro.cluster.configs import ARCHITECTURES
 from repro.workloads import IorWorkload
 
 MB = 1024 * 1024
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def test_observability_is_pay_for_what_you_use():
-    """The obs layer's contract: off means free, on means same physics.
+@pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+def test_observability_is_pay_for_what_you_use(arch):
+    """The obs layer's contract: off means free, on means same physics,
+    on every row of the architecture table.
 
     * With no registry or collector installed (the default), the
       instrumented code paths must not change the simulated outcome;
@@ -44,7 +49,7 @@ def test_observability_is_pay_for_what_you_use():
 
     def run(**obs_kw):
         t0 = time.perf_counter()
-        res = run_cell("nfsv4", IorWorkload(**workload_kw), 4, **obs_kw)
+        res = run_cell(arch, IorWorkload(**workload_kw), 4, **obs_kw)
         return res, time.perf_counter() - t0
 
     plain, wall_off = run()
@@ -71,7 +76,7 @@ def test_observability_is_pay_for_what_you_use():
     assert obs_spans.ACTIVE is None
 
     ratio = wall_on / wall_off
-    print(f"\n  obs overhead: {wall_off:.3f}s off, {wall_on:.3f}s on ({ratio:.2f}x)")
+    print(f"\n  obs overhead ({arch}): {wall_off:.3f}s off, {wall_on:.3f}s on ({ratio:.2f}x)")
     # Generous bound (CI wall clocks are noisy); catches accidental
     # per-event work sneaking into the hot path, not micro-costs.
     assert ratio < 3.0, f"observability overhead {ratio:.1f}x (need < 3x)"

@@ -4,8 +4,8 @@
 Reproduces the paper's §6.2.1 discussion *with instruments attached*:
 run an IOR cell on a chosen architecture, then print
 
-* per-server-node utilisation (CPU / NIC / disk) and the dominant
-  resource, and
+* the metrics report: per-node utilisation (CPU / NIC / disk), the
+  dominant resource and the bottleneck verdict, then the counters, and
 * the RPC mix: per-procedure call counts, latencies, and bytes moved.
 
 Run:  python examples/bottleneck_analysis.py [arch] [read|write] [scale]
@@ -14,6 +14,7 @@ Run:  python examples/bottleneck_analysis.py [arch] [read|write] [scale]
 
 import sys
 
+from repro.bench.report import format_metrics
 from repro.bench.runner import run_cell
 from repro.obs import RpcTrace
 from repro.workloads import IorWorkload
@@ -27,19 +28,18 @@ def main() -> None:
     scale = float(sys.argv[3]) if len(sys.argv) > 3 else 0.1
 
     workload = IorWorkload(op=op, block_size=4 * MB, scale=scale)
-    result = run_cell(arch, workload, n_clients=8, trace=True)
+    result = run_cell(arch, workload, n_clients=8, metrics=True, trace=True)
 
     print(f"{arch} / IOR {op} @ 8 clients (scale {scale})")
     print(f"aggregate: {result.aggregate_mbps:.1f} MB/s over {result.makespan:.2f} s\n")
 
-    print("per-node utilisation over the measured window:")
-    for report in result.utilisation:
-        print(f"  {report}")
+    print(format_metrics(result))
 
     print("\nRPC mix over the measured window:")
     print(RpcTrace.from_spans(result.trace).summary())
 
-    dominant = {r.dominant for r in result.utilisation if r.node.startswith("server")}
+    rows = result.metrics["utilisation"]
+    dominant = {r["dominant"] for r in rows if r["node"].startswith("server")}
     print(
         f"\nDominant server resource(s): {sorted(dominant)} — the paper's "
         f"§6.2.1 expectation is 'disk' for large writes and 'cpu' for "

@@ -12,7 +12,6 @@ from repro.bench.runner import RunResult, run_cell
 from repro.bench.experiments import EXPERIMENTS, Experiment, run_experiment
 from repro.bench.report import format_table, shape_checks
 from repro.bench.charts import render_series
-from repro.bench.bottleneck import snapshot, utilisation
 
 __all__ = [
     "EXPERIMENTS",
@@ -23,6 +22,4 @@ __all__ = [
     "run_cell",
     "run_experiment",
     "shape_checks",
-    "snapshot",
-    "utilisation",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.bottleneck import attribute, snapshot, utilisation
 from repro.cluster.configs import Architecture, Deployment, make_deployment
 from repro.cluster.testbed import GIGE
 from repro.sim.stats import MB
@@ -31,12 +30,10 @@ class RunResult:
     makespan: float
     total_bytes: int
     results: list[WorkloadResult] = field(default_factory=list)
-    #: Per-node utilisation over the measured window: the server nodes,
-    #: the extra node and the measured client nodes.
-    utilisation: list = field(default_factory=list)
     #: Observability section (populated when ``run_cell(metrics=True)``):
     #: final counter/gauge values, the sampler's time series, per-node
-    #: utilisation dicts over the measured phase, and the bottleneck
+    #: utilisation rows over the measured phase (the server nodes, the
+    #: extra node and the measured client nodes), and the bottleneck
     #: verdict — the metrics/utilization section of the JSON report.
     metrics: dict = field(default_factory=dict)
     #: Span trace of the measured phase (populated when
@@ -94,12 +91,11 @@ def run_cell(
     ``seed`` initialises the deployment's simulator (randomised pipe
     arbitration); ``None`` is the simulator's own default.
 
-    ``RunResult.utilisation`` always holds per-node CPU / NIC / disk
-    utilisation over the measured phase (two counter snapshots).
     ``metrics=True`` attaches a :class:`~repro.obs.MetricsRegistry` to
     every component, samples it every ``sample_interval`` sim seconds
     over the measured phase, and fills ``RunResult.metrics`` with
-    counters, time series, per-node utilisation, and the bottleneck
+    counters, time series, per-node CPU / NIC / disk utilisation (the
+    sampler's first reading against the final one), and the bottleneck
     verdict.  ``trace=True`` records spans over the measured phase into
     ``RunResult.trace``.  Both default off and add nothing to the run
     when off.
@@ -154,9 +150,6 @@ def run_cell(
     mount_proc = sim.process(mount_all(), name="mounts")
     sim.run(until=mount_proc)
 
-    monitored = tb.server_nodes + [tb.extra_node] + tb.client_nodes[:n_clients]
-    before = [snapshot(node) for node in monitored]
-
     registry = sampler = None
     if metrics:
         from repro.obs import MetricsRegistry, Sampler, observe_deployment
@@ -190,15 +183,18 @@ def run_cell(
     makespan = sim.now - t0
     results = [p.value for p in procs]
 
-    after = [snapshot(node) for node in monitored]
-    reports = [utilisation(node, b, a) for node, b, a in zip(monitored, before, after)]
     metrics_section: dict = {}
     if metrics:
+        from repro.obs import bottleneck, node_utilisation
+
+        counters = registry.collect()
+        monitored = tb.server_nodes + [tb.extra_node] + tb.client_nodes[:n_clients]
+        rows = node_utilisation(monitored, sampler.samples[0][1], counters, makespan)
         metrics_section = {
-            "counters": registry.collect(),
+            "counters": counters,
             "series": sampler.as_dict(),
-            "utilisation": [r.as_dict() for r in reports],
-            "bottleneck": attribute(reports),
+            "utilisation": rows,
+            "bottleneck": bottleneck(rows),
         }
     engine = dict(sim.stats.as_dict())
     engine["flows_chunked"] = tb.network.flows_chunked
@@ -209,7 +205,6 @@ def run_cell(
         makespan=makespan,
         total_bytes=sum(r.bytes_moved for r in results),
         results=results,
-        utilisation=reports,
         metrics=metrics_section,
         trace=collector,
         engine=engine,

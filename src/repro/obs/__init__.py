@@ -21,6 +21,8 @@ load (spans) or a plain integer increment (counters).
 """
 
 from repro.obs.attach import (
+    bottleneck,
+    node_utilisation,
     observe_client,
     observe_deployment,
     observe_engine,
@@ -42,6 +44,8 @@ __all__ = [
     "Sampler",
     "Span",
     "SpanCollector",
+    "bottleneck",
+    "node_utilisation",
     "observe_client",
     "observe_deployment",
     "observe_engine",

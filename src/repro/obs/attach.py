@@ -12,7 +12,10 @@ under dotted names::
 Everything here is duck-typed on the attribute names the components
 already expose, so this module imports nothing from the simulation
 layers and can be attached to any object that looks right (the tests
-attach bare stubs).
+attach bare stubs).  :func:`node_utilisation` reads the node gauges
+back: two registry readings make the per-node utilisation rows behind
+the paper's §6.2.1 attribution, and :func:`bottleneck` names the
+busiest of them.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
+    "bottleneck",
+    "node_utilisation",
     "observe_node",
     "observe_rpc_server",
     "observe_protocol_events",
@@ -55,6 +60,54 @@ def observe_node(reg: MetricsRegistry, node) -> None:
         )
 
 
+def node_utilisation(nodes, first: dict, last: dict, window: float) -> list[dict]:
+    """Per-node utilisation between two readings of :func:`observe_node`'s gauges.
+
+    ``first`` and ``last`` are ``{name: value}`` readings of a registry
+    taken ``window`` sim seconds apart.  One row per node: the busy
+    fraction of its CPU (over all cores), of its NIC in each direction,
+    and of its busiest disk (0.0 when diskless), and the ``dominant``
+    resource class — the one closest to saturation.
+    """
+    if window <= 0:
+        raise ValueError("readings must span a positive window")
+    rows = []
+    for node in nodes:
+        n = node.name
+
+        def used(metric: str):
+            return last[f"{n}.{metric}"] - first[f"{n}.{metric}"]
+
+        disk = 0.0
+        for i in range(len(node.disks)):
+            disk = max(disk, used(f"disk{i}.busy_seconds") / window)
+        cpu = used("cpu.busy_seconds") / (window * node.cpu.spec.cores)
+        nic_tx = used("nic.tx_bytes") / node.nic.bandwidth / window
+        nic_rx = used("nic.rx_bytes") / node.nic.bandwidth / window
+        classes = {"cpu": cpu, "nic": max(nic_tx, nic_rx), "disk": disk}
+        rows.append({
+            "node": n,
+            "cpu": cpu,
+            "nic_tx": nic_tx,
+            "nic_rx": nic_rx,
+            "disk": disk,
+            "window": window,
+            "dominant": max(classes, key=classes.get),
+        })
+    return rows
+
+
+def bottleneck(rows: list[dict]) -> dict:
+    """The most-utilised (node, component) pair over utilisation rows —
+    the component a run's makespan is attributed to; ``{}`` for none."""
+    best: dict = {}
+    for r in rows:
+        for component in ("cpu", "nic_tx", "nic_rx", "disk"):
+            if not best or r[component] > best["utilisation"]:
+                best = {"node": r["node"], "component": component, "utilisation": r[component]}
+    return best
+
+
 def observe_rpc_server(reg: MetricsRegistry, server, name: str = "") -> None:
     """RPC service counters: served/errors/replays/retransmissions."""
     n = name or server.name
@@ -85,8 +138,17 @@ def observe_protocol_events(reg: MetricsRegistry, server) -> None:
 
 
 def observe_client(reg: MetricsRegistry, client, name: str = "") -> None:
-    """File-system client counters; NFS page-cache ones when present."""
+    """File-system client counters; NFS page-cache ones when present.
+
+    A shard router keeps no counters of its own: each shard's client is
+    observed as ``{name}.shard{i}``.
+    """
     n = name or f"{client.node.name}.{client.label}"
+    shards = getattr(client, "shards", None)
+    if shards is not None:
+        for i, shard in enumerate(shards):
+            observe_client(reg, shard, f"{n}.shard{i}")
+        return
     _gauge_attr(reg, f"{n}.bytes_read", client, "bytes_read")
     _gauge_attr(reg, f"{n}.bytes_written", client, "bytes_written")
     for attr in (

@@ -100,12 +100,17 @@ class Sampler:
         return self
 
     def stop(self) -> None:
-        """Take a final sample and disarm the tick."""
+        """Take a final sample and disarm the tick.
+
+        The final sample replaces a tick's at the same instant: the tick
+        may have run before the rest of that instant's work.
+        """
         if not self._running:
             return
         self._running = False
-        if not self.samples or self.samples[-1][0] != self.sim.now:
-            self._take()
+        if self.samples[-1][0] == self.sim.now:
+            self.samples.pop()
+        self._take()
         if self._tick is not None:
             # A tick still pending on the heap fires as a no-op; one
             # already processed stays processed.  Either way, detach.

@@ -5,19 +5,20 @@ available disk bandwidth.  In the read experiments, data are read
 directly from the server cache, so the disks are not a bottleneck.
 Instead, client and server CPU performance becomes the limiting
 factor."
+
+The per-node rows come from the metrics registry
+(``run_cell(metrics=True)``, :func:`repro.obs.node_utilisation`).
 """
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.bottleneck import UtilisationReport
 from repro.bench.runner import run_cell
+from repro.obs import node_utilisation
 from repro.workloads import IorWorkload
 
 MB = 1024 * 1024
-
-
-def storage_reports(result):
-    return [u for u in result.utilisation if u.disk > 0 or "server" in u.node]
 
 
 class TestWriteRegime:
@@ -27,13 +28,14 @@ class TestWriteRegime:
             arch,
             IorWorkload(op="write", block_size=4 * MB, scale=0.1),
             8,
+            metrics=True,
         )
-        storage = [u for u in result.utilisation if u.node.startswith("server")]
+        storage = [u for u in result.metrics["utilisation"] if u["node"].startswith("server")]
         assert storage
         # disks saturated...
-        assert sum(u.disk for u in storage) / len(storage) > 0.7
+        assert sum(u["disk"] for u in storage) / len(storage) > 0.7
         # ...and clearly the dominant resource on most storage nodes
-        dominants = [u.dominant for u in storage]
+        dominants = [u["dominant"] for u in storage]
         assert dominants.count("disk") >= len(storage) - 1
 
 
@@ -43,40 +45,55 @@ class TestReadRegime:
             "direct-pnfs",
             IorWorkload(op="read", block_size=4 * MB, scale=0.1),
             8,
+            metrics=True,
         )
-        storage = [u for u in result.utilisation if u.node.startswith("server")]
-        assert all(u.disk < 0.05 for u in storage)
+        storage = [u for u in result.metrics["utilisation"] if u["node"].startswith("server")]
+        assert all(u["disk"] < 0.05 for u in storage)
         # servers loaded on CPU/NIC instead
-        assert all(u.dominant in ("cpu", "nic") for u in storage)
-        assert max(max(u.cpu, u.nic_tx) for u in storage) > 0.5
+        assert all(u["dominant"] in ("cpu", "nic") for u in storage)
+        assert max(max(u["cpu"], u["nic_tx"]) for u in storage) > 0.5
 
     def test_nfsv4_single_server_is_the_hotspot(self):
         result = run_cell(
             "nfsv4",
             IorWorkload(op="read", block_size=4 * MB, scale=0.1),
             4,
+            metrics=True,
         )
-        by_node = {u.node: u for u in result.utilisation}
+        by_node = {u["node"]: u for u in result.metrics["utilisation"]}
         gateway = by_node["extra0"]
         backends = [u for n, u in by_node.items() if n.startswith("server")]
         # the single NFS server's NIC runs hot while backends coast
-        assert max(gateway.nic_tx, gateway.nic_rx) > 0.7
-        assert all(max(u.nic_tx, u.nic_rx) < 0.5 for u in backends)
+        assert max(gateway["nic_tx"], gateway["nic_rx"]) > 0.7
+        assert all(max(u["nic_tx"], u["nic_rx"]) < 0.5 for u in backends)
+
+
+def _node(name="x", cores=1, bandwidth=1.0, n_disks=1):
+    """A stub with the capacities :func:`node_utilisation` divides by."""
+    return SimpleNamespace(
+        name=name,
+        cpu=SimpleNamespace(spec=SimpleNamespace(cores=cores)),
+        nic=SimpleNamespace(bandwidth=bandwidth),
+        disks=[None] * n_disks,
+    )
+
+
+def _reading(cpu=0.0, tx=0.0, rx=0.0, disk=0.0, name="x"):
+    return {
+        f"{name}.cpu.busy_seconds": cpu,
+        f"{name}.nic.tx_bytes": tx,
+        f"{name}.nic.rx_bytes": rx,
+        f"{name}.disk0.busy_seconds": disk,
+    }
 
 
 class TestReportMechanics:
     def test_dominant_resource_selection(self):
-        r = UtilisationReport(
-            node="x", cpu=0.3, nic_tx=0.9, nic_rx=0.2, disk=0.5, window=1.0
+        (r,) = node_utilisation(
+            [_node()], _reading(), _reading(cpu=0.3, tx=0.9, rx=0.2, disk=0.5), 1.0
         )
-        assert r.dominant == "nic"
+        assert r["dominant"] == "nic"
 
     def test_zero_window_rejected(self):
-        from repro.bench.bottleneck import NodeSnapshot, utilisation
-        from repro.sim import Network, Node, NodeSpec, Simulator
-
-        sim = Simulator()
-        node = Node(sim, NodeSpec(name="n"), Network(sim))
-        snap = NodeSnapshot(t=0.0, cpu_busy=0, tx_bytes=0, rx_bytes=0, disk_busy=())
         with pytest.raises(ValueError):
-            utilisation(node, snap, snap)
+            node_utilisation([_node()], _reading(), _reading(), 0.0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.cluster.configs import ARCHITECTURES
 from tests.check import mutants
 
 
@@ -68,6 +69,28 @@ class TestCli:
                 name for name, value in counters.items()
                 if name.endswith(f".{event}") and value > 0
             ]) == 1, event
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_metrics_reports_every_measured_client(self, capsys, arch):
+        """Every row runs; each measured client's counters are in the
+        report — on the sharded row, each shard's client under its own
+        name (a router keeps no counters of its own)."""
+        import json
+
+        rc = main(
+            [
+                "metrics", arch, "mdtest",
+                "--clients", "2", "--scale", "0.02", "--json", "-",
+            ]
+        )
+        assert rc == 0
+        counters = json.loads(capsys.readouterr().out)["metrics"]["counters"]
+        for i in range(2):
+            read = [
+                name for name in counters
+                if name.startswith(f"client{i}.") and name.endswith(".bytes_read")
+            ]
+            assert len(read) == ARCHITECTURES[arch].n_meta, read
 
     def test_trace(self, capsys, tmp_path):
         import json

@@ -1,11 +1,13 @@
 """Checker-power mutants: shipped fixes reverted in memory.
 
-Each mutant is the pre-fix body of one ``Nfs4Client`` method.  A test
+Each mutant is a broken body of one method of a named class.  A test
 applies it with ``apply(monkeypatch, name)``, which patches the class
-for that test only, so every NFS-family client the deployment builds —
-``PnfsClient``, each shard behind a ``ShardedPnfsRouter``, and the
-torture verifier — runs the pre-fix code.  The native PVFS2 client has
-no page cache, hence neither bug: it stays stock.
+for that test only.  The client mutants are the pre-fix bodies of
+``Nfs4Client`` methods, so every NFS-family client the deployment
+builds — ``PnfsClient``, each shard behind a ``ShardedPnfsRouter``,
+and the torture verifier — runs the pre-fix code; the native PVFS2
+client has no page cache, hence neither bug: it stays stock.  The
+``lock`` mutant blinds every NFS server's lock table to conflicts.
 
 A class patch does not reach ``repro.parallel`` pool workers, so runs
 under a mutant stay serial (``jobs=1``).
@@ -13,6 +15,7 @@ under a mutant stay serial (``jobs=1``).
 
 from repro import rpc
 from repro.nfs.client import Nfs4Client
+from repro.nfs.locks import LockManager
 from repro.vfs.api import FsError
 
 
@@ -55,14 +58,25 @@ def unfixed_truncate(self, path, size):
     )
 
 
-#: name -> (the ``Nfs4Client`` method it replaces, its pre-fix body).
+def blind_lock_test(self, fh, owner, start, end, kind):
+    """``LockManager.test`` that never sees a conflict.
+
+    Every LOCK is granted, so two owners can hold overlapping write
+    locks at once; the lock-safety oracle must report the coexisting
+    grants.
+    """
+    return None
+
+
+#: name -> (the class it patches, the method it replaces, the broken body).
 MUTANTS = {
-    "writeback": ("_writeback", unfixed_writeback),
-    "truncate": ("truncate", unfixed_truncate),
+    "writeback": (Nfs4Client, "_writeback", unfixed_writeback),
+    "truncate": (Nfs4Client, "truncate", unfixed_truncate),
+    "lock": (LockManager, "test", blind_lock_test),
 }
 
 
 def apply(monkeypatch, name: str) -> None:
-    """Revert fix ``name`` on ``Nfs4Client`` until the test ends."""
-    method, body = MUTANTS[name]
-    monkeypatch.setattr(Nfs4Client, method, body)
+    """Apply mutant ``name`` to its class until the test ends."""
+    cls, method, body = MUTANTS[name]
+    monkeypatch.setattr(cls, method, body)

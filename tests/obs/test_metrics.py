@@ -95,6 +95,28 @@ class TestSampler:
         sim.run(until=sim.process(iter(sim.timeout(3.0) for _ in range(1))))
         assert len(sampler.samples) == n
 
+    def test_final_sample_reflects_the_state_at_stop(self):
+        """Work queued behind a tick at the stop instant is in the last
+        sample: the final reading replaces the tick's, not the other way."""
+        sim = Simulator()
+        reg = MetricsRegistry()
+        work = 0
+        reg.gauge("work", lambda: work)
+        sampler = Sampler(sim, reg, interval=0.25).start()
+
+        def worker():
+            nonlocal work
+            yield sim.timeout(0.25)
+            yield sim.timeout(0.25)  # armed after the tick's re-arm
+            work += 1
+
+        sim.run(until=sim.process(worker()))
+        sampler.stop()
+        assert sim.now == 0.5
+        d = sampler.as_dict()
+        assert d["t"] == [0.0, 0.25, 0.5]
+        assert d["series"]["work"] == [0, 0, 1]
+
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             Sampler(Simulator(), MetricsRegistry(), interval=0.0)
