@@ -47,14 +47,12 @@ KB = 1024
 
 #: Aggressive-but-sane protocol knobs for torture runs: small transfers
 #: (more interleavings per byte), short RPC timeouts (faults surface
-#: within the episode), no delegations (recalls to a crashed client
-#: cannot wedge an episode).
+#: within the episode).
 TORTURE_NFS = dict(
     rsize=16 * KB,
     wsize=16 * KB,
     readahead=32 * KB,
     ac_timeo=0.05,
-    delegations=False,
     rpc_policy=rpc.RpcPolicy(timeout=0.25, max_retries=3, backoff=2.0, max_timeout=2.0),
     ds_retry_interval=0.5,
 )

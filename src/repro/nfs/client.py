@@ -30,7 +30,6 @@ from repro.nfs.intervals import IntervalSet
 from repro.nfs.pagecache import END, PageCache
 from repro.nfs.server import Nfs4Server
 from repro.nfs.sessions import Session
-from repro.obs import spans as obs_spans
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
 from repro.vfs.api import FileSystemClient, FsError, OpenFile, Payload
@@ -330,71 +329,62 @@ class Nfs4Client(FileSystemClient):
             self.readahead_issued_bytes += e - s
 
     def read(self, f: OpenFile, offset: int, nbytes: int):
-        col = obs_spans.ACTIVE
-        if col is not None:
-            span = col.begin(
-                "read", "client-op", self.node.name, path=f.path, offset=offset, nbytes=nbytes
-            )
-        try:
-            pc: PageCache = f.state["pc"]
-            end = offset + nbytes
-            if end > pc.size:
-                end = pc.size
+        pc: PageCache = f.state["pc"]
+        end = offset + nbytes
+        if end > pc.size:
+            end = pc.size
+        if end <= offset:
+            return Payload(b"")
+
+        # Sequential stream: top up the prefetch window BEFORE waiting,
+        # so the pipeline refills while we block at its frontier.
+        sequential = pc.last_read_end is None or offset == pc.last_read_end
+        if sequential and self.cfg.readahead > 0:
+            self._extend_readahead(f, pc, end)
+
+        # Wait for readahead already covering part of this range — none
+        # can when every pending block starts at or beyond ``end``.
+        if pc.ra_done or pc.ra_lo < end:
+            overlapping = [
+                p for (s, e, p) in pc.ra if s < end and e > offset and p.is_alive
+            ]
+            if overlapping:
+                yield self.sim.all_of(overlapping)
+            pc.ra = [r for r in pc.ra if r[2].is_alive]
+            pc.ra_lo = min((r[0] for r in pc.ra), default=END)
+            pc.ra_done = False
+            end = min(end, pc.size)  # eof may have moved during the wait
             if end <= offset:
                 return Payload(b"")
 
-            # Sequential stream: top up the prefetch window BEFORE waiting,
-            # so the pipeline refills while we block at its frontier.
-            sequential = pc.last_read_end is None or offset == pc.last_read_end
-            if sequential and self.cfg.readahead > 0:
-                self._extend_readahead(f, pc, end)
+        # Readahead accounting: bytes of this range a prefetch covered
+        # count as used (each issued byte is counted used at most once).
+        self.readahead_used_bytes += pc.ra_issued.take(offset, end)
 
-            # Wait for readahead already covering part of this range — none
-            # can when every pending block starts at or beyond ``end``.
-            if pc.ra_done or pc.ra_lo < end:
-                overlapping = [
-                    p for (s, e, p) in pc.ra if s < end and e > offset and p.is_alive
-                ]
-                if overlapping:
-                    yield self.sim.all_of(overlapping)
-                pc.ra = [r for r in pc.ra if r[2].is_alive]
-                pc.ra_lo = min((r[0] for r in pc.ra), default=END)
-                pc.ra_done = False
-                end = min(end, pc.size)  # eof may have moved during the wait
-                if end <= offset:
-                    return Payload(b"")
-
-            # Readahead accounting: bytes of this range a prefetch covered
-            # count as used (each issued byte is counted used at most once).
-            self.readahead_used_bytes += pc.ra_issued.take(offset, end)
-
-            # Hit/miss accounting: a miss is a byte fetched synchronously
-            # on demand; everything else (cached or prefetched) is a hit.
-            if pc.valid.covers(offset, end):
-                self.cache_hit_bytes += end - offset
-            else:
-                gaps = pc.valid.gaps(offset, end)
-                miss = sum(e - s for s, e in gaps)
-                self.cache_miss_bytes += miss
-                self.cache_hit_bytes += (end - offset) - miss
-                yield self.sim.spawn(
-                    *(
-                        self._fetch_block(f, s, e)
-                        for s, e in self._blocks(gaps, self.cfg.rsize)
-                    )
+        # Hit/miss accounting: a miss is a byte fetched synchronously
+        # on demand; everything else (cached or prefetched) is a hit.
+        if pc.valid.covers(offset, end):
+            self.cache_hit_bytes += end - offset
+        else:
+            gaps = pc.valid.gaps(offset, end)
+            miss = sum(e - s for s, e in gaps)
+            self.cache_miss_bytes += miss
+            self.cache_hit_bytes += (end - offset) - miss
+            yield self.sim.spawn(
+                *(
+                    self._fetch_block(f, s, e)
+                    for s, e in self._blocks(gaps, self.cfg.rsize)
                 )
-                end = min(end, pc.size)
-                if end <= offset:
-                    return Payload(b"")
-            pc.last_read_end = end
+            )
+            end = min(end, pc.size)
+            if end <= offset:
+                return Payload(b"")
+        pc.last_read_end = end
 
-            length = end - offset
-            yield self.node.compute(self.cfg.client_copy_per_byte * length)
-            self.bytes_read += length
-            return pc.cache.read(offset, length)
-        finally:
-            if col is not None:
-                col.end(span)
+        length = end - offset
+        yield self.node.compute(self.cfg.client_copy_per_byte * length)
+        self.bytes_read += length
+        return pc.cache.read(offset, length)
 
     # -- writes ---------------------------------------------------------------
     def _writeback(self, f: OpenFile, start: int, end: int):
@@ -454,84 +444,67 @@ class Nfs4Client(FileSystemClient):
                 pos += wsize
 
     def write(self, f: OpenFile, offset: int, payload: Payload):
-        col = obs_spans.ACTIVE
-        if col is not None:
-            span = col.begin(
-                "write", "client-op", self.node.name,
-                path=f.path, offset=offset, nbytes=payload.nbytes,
-            )
-        try:
-            pc: PageCache = f.state["pc"]
-            nbytes = payload.nbytes
-            yield self.node.compute(self.cfg.client_copy_per_byte * nbytes)
-            pc.cache.write(offset, payload)
-            end = offset + nbytes
-            pc.valid.add(offset, end)
-            run_start, run_end = pc.dirty.add(offset, end)
-            if end > pc.size:
-                pc.size = end
-            pc.own_writes = True
-            # Local change wins over cached attributes (Linux: i_size is
-            # authoritative for local writes): a getattr served from the
-            # attr cache within ac_timeo must not under-report an extend
-            # this client just made.
-            attr_cache = self._attr_cache
-            if attr_cache:
-                hit = attr_cache.get(f.path)
-                if hit is not None and hit[0].size < pc.size:
-                    patched = hit[0].copy()
-                    patched.size = pc.size
-                    attr_cache[f.path] = (patched, hit[1])
-            # Only the run just written can have completed a wsize block —
-            # unless an earlier pass (or a failed write-back) left one.
-            wsize = self.cfg.wsize
-            if pc.flush_deferred or -(-run_start // wsize) * wsize + wsize <= run_end:
-                self._flush_full_blocks(f, pc)
-            return nbytes
-        finally:
-            if col is not None:
-                col.end(span)
+        pc: PageCache = f.state["pc"]
+        nbytes = payload.nbytes
+        yield self.node.compute(self.cfg.client_copy_per_byte * nbytes)
+        pc.cache.write(offset, payload)
+        end = offset + nbytes
+        pc.valid.add(offset, end)
+        run_start, run_end = pc.dirty.add(offset, end)
+        if end > pc.size:
+            pc.size = end
+        pc.own_writes = True
+        # Local change wins over cached attributes (Linux: i_size is
+        # authoritative for local writes): a getattr served from the
+        # attr cache within ac_timeo must not under-report an extend
+        # this client just made.
+        attr_cache = self._attr_cache
+        if attr_cache:
+            hit = attr_cache.get(f.path)
+            if hit is not None and hit[0].size < pc.size:
+                patched = hit[0].copy()
+                patched.size = pc.size
+                attr_cache[f.path] = (patched, hit[1])
+        # Only the run just written can have completed a wsize block —
+        # unless an earlier pass (or a failed write-back) left one.
+        wsize = self.cfg.wsize
+        if pc.flush_deferred or -(-run_start // wsize) * wsize + wsize <= run_end:
+            self._flush_full_blocks(f, pc)
+        return nbytes
 
     def fsync(self, f: OpenFile):
-        col = obs_spans.ACTIVE
-        if col is not None:
-            span = col.begin("fsync", "client-op", self.node.name, path=f.path)
-        try:
-            pc: PageCache = f.state["pc"]
-            # Flush every remaining dirty run in ≤ wsize slices — except
-            # bytes already under write-back, which are deferred until the
-            # in-flight WRITE completes (same-range WRITEs must never race:
-            # the server may apply them in either order).  Loop until
-            # nothing is dirty or in flight, or a write-back error latches
-            # (the failed ranges are re-dirtied; retrying them within this
-            # fsync would spin against a dead server).
-            while True:
-                plan: list[tuple[int, int]] = []
-                for s, e in list(pc.dirty):
-                    plan.extend(pc.flushing.gaps(s, e))
-                for s, e in self._blocks(plan, self.cfg.wsize):
-                    self._spawn_writeback(f, s, e)
-                if not pc.inflight:
-                    break
-                while pc.inflight:
-                    procs, pc.inflight = pc.inflight, []
-                    yield self.sim.all_of(procs)
-                if pc.wb_error is not None:
-                    break
-            err = pc.wb_error
-            if err is not None:
-                # Surface the latched write-back failure (errseq semantics:
-                # reported once, then cleared).  The failed ranges are back
-                # in ``dirty``, so a later fsync — after the server
-                # recovers — re-flushes them; nothing is silently dropped.
-                pc.wb_error = None
-                raise err
-            if pc.commit_needed:
-                yield from self._io_commit(f)
-                pc.commit_needed = False
-        finally:
-            if col is not None:
-                col.end(span)
+        pc: PageCache = f.state["pc"]
+        # Flush every remaining dirty run in ≤ wsize slices — except
+        # bytes already under write-back, which are deferred until the
+        # in-flight WRITE completes (same-range WRITEs must never race:
+        # the server may apply them in either order).  Loop until
+        # nothing is dirty or in flight, or a write-back error latches
+        # (the failed ranges are re-dirtied; retrying them within this
+        # fsync would spin against a dead server).
+        while True:
+            plan: list[tuple[int, int]] = []
+            for s, e in list(pc.dirty):
+                plan.extend(pc.flushing.gaps(s, e))
+            for s, e in self._blocks(plan, self.cfg.wsize):
+                self._spawn_writeback(f, s, e)
+            if not pc.inflight:
+                break
+            while pc.inflight:
+                procs, pc.inflight = pc.inflight, []
+                yield self.sim.all_of(procs)
+            if pc.wb_error is not None:
+                break
+        err = pc.wb_error
+        if err is not None:
+            # Surface the latched write-back failure (errseq semantics:
+            # reported once, then cleared).  The failed ranges are back
+            # in ``dirty``, so a later fsync — after the server
+            # recovers — re-flushes them; nothing is silently dropped.
+            pc.wb_error = None
+            raise err
+        if pc.commit_needed:
+            yield from self._io_commit(f)
+            pc.commit_needed = False
 
     def close(self, f: OpenFile):
         try:

@@ -31,9 +31,6 @@ class NfsConfig:
     readahead: int = 12 * 1024 * 1024
     #: Attribute-cache timeout (seconds).
     ac_timeo: float = 3.0
-    #: Grant NFSv4 read delegations to read-only opens with no
-    #: conflicting writers (served locally on reopen until recalled).
-    delegations: bool = True
     #: Client lease duration (state is discarded when it lapses).
     lease_time: float = 90.0
     #: App↔page-cache memcpy cost charged on the client (s/byte).

@@ -30,6 +30,11 @@ class IntervalSet:
         return iter(self._ivs)
 
     @property
+    def first(self) -> tuple[int, int]:
+        """The lowest interval (the set must not be empty)."""
+        return self._ivs[0]
+
+    @property
     def total(self) -> int:
         """Total bytes covered."""
         return sum(e - s for s, e in self._ivs)

@@ -145,11 +145,7 @@ class Nfs4Server:
             # A writer conflicts with outstanding read delegations.
             yield from self.recall_read_delegations(f.handle, exclude=callback)
             self._write_opens[f.handle] = self._write_opens.get(f.handle, 0) + 1
-        elif (
-            self.cfg.delegations
-            and callback is not None
-            and not self._write_opens.get(f.handle)
-        ):
+        elif callback is not None and not self._write_opens.get(f.handle):
             holders = self._read_delegations.setdefault(f.handle, {})
             if callback not in holders:
                 holders[callback] = stateid

@@ -15,9 +15,10 @@ The diagnostic substrate behind the paper's per-component arguments
 * ``repro metrics`` / ``repro trace`` CLI verbs and the
   ``run_cell(metrics=True, trace=True)`` harness hooks consume both.
 
-Everything is pay-for-what-you-use: without a collector installed and
-a registry attached, the instrumented code paths cost one attribute
-load (spans) or a plain integer increment (counters).
+Everything is pay-for-what-you-use: the product imports nothing from
+this package.  A collector wraps the traced entry points only while it
+is installed, and without a registry attached a counter is a plain
+integer increment.
 """
 
 from repro.obs.attach import (

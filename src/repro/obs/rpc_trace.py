@@ -1,7 +1,8 @@
 """RPC-level view of a span trace: which calls went where, how long.
 
-:mod:`repro.rpc` opens one ``rpc`` span per attempt (and one per call
-that exhausts its retry budget).  :class:`RpcTrace` reduces a
+A :class:`~repro.obs.spans.SpanCollector` records one ``rpc`` span per
+attempt of :func:`repro.rpc.call` (and one per call that exhausts its
+retry budget).  :class:`RpcTrace` reduces a
 :class:`~repro.obs.spans.SpanCollector` to one :class:`RpcRecord` per
 *exchange* and aggregates them by procedure — enough to
 answer "why is this workload slow" without reading event logs::

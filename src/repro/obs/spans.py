@@ -13,11 +13,12 @@ so a run can be dropped into Perfetto (https://ui.perfetto.dev) or
         sim.run(until=proc)
     spans.write_chrome_trace("run.trace.json")
 
-Pay-for-what-you-use: instrumented code checks the module-level
-``ACTIVE`` slot (one attribute load) and does nothing when no collector
-is installed, so uninstrumented benchmark runs keep their event
-schedule and cost.  It is the only tracing hook in the request path:
-:class:`repro.obs.RpcTrace` is a reducer over the ``rpc`` spans.
+Tracing from outside: while installed, the collector wraps a fixed
+table of entry points (:meth:`SpanCollector._wrappers`: the NFS client
+ops, RPC attempts and handlers, disk requests, storage flushes) and
+restores them on exit, raise or not.  The product imports nothing from
+here, so untraced it runs no tracing code, and a wrapper schedules
+nothing, so a traced run keeps the untraced event schedule.
 
 Tracks: each span carries a ``track`` (rendered as the Chrome "pid",
 one per node or component) and a lane within it (the "tid"), assigned
@@ -31,11 +32,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.sim.engine import Simulator
+from repro import rpc
+from repro.nfs.client import Nfs4Client
+from repro.pvfs2.storage import StorageDaemon
+from repro.sim.disk import Disk
+from repro.sim.engine import Interrupt, SimulationError, Simulator
+from repro.vfs.api import FsError
 
 __all__ = ["Span", "SpanCollector"]
 
-#: The installed collector, if any (read by instrumented code paths).
+#: The installed collector, if any: at most one is installed at a time.
 ACTIVE: Optional["SpanCollector"] = None
 
 
@@ -66,12 +72,118 @@ class SpanCollector:
         global ACTIVE
         if ACTIVE is not None:
             raise RuntimeError("a SpanCollector is already installed")
+        wrappers = self._wrappers()
+        self._saved = [(owner, name, vars(owner)[name]) for owner, name, _ in wrappers]
+        for owner, name, wrapper in wrappers:
+            setattr(owner, name, wrapper)
         ACTIVE = self
         return self
 
     def __exit__(self, *exc) -> None:
         global ACTIVE
+        for owner, name, original in reversed(self._saved):
+            setattr(owner, name, original)
         ACTIVE = None
+
+    def _wrappers(self) -> list[tuple[object, str, object]]:
+        """``(owner, attribute, wrapper)`` per traced entry point: the span
+        names and arguments.  A wrapper calls the attribute's value at
+        installation; its span opens at the generator's first resume."""
+        col = self
+        attempt, retrying = rpc._attempt, rpc._retrying
+
+        def spanning(owner, name, begin):
+            # ``begin`` takes the wrapped function's arguments and opens its span.
+            func = vars(owner)[name]
+
+            def wrapper(*args, **kwargs):
+                span = begin(*args, **kwargs)
+                try:
+                    return (yield from func(*args, **kwargs))
+                finally:
+                    col.end(span)
+
+            return owner, name, wrapper
+
+        def traced_attempt(client_node, server, proc, handler, args, payload, *rest, retries):
+            # Only an exchange that ran to its reply carries the payload
+            # sizes (an RpcTrace record); an abandoned attempt has none.
+            span = col.begin(
+                f"rpc:{proc}", "rpc", client_node.name, server=server.name, attempt=retries
+            )
+            req_bytes = payload.nbytes if payload is not None else 0
+            handler = handling(handler, f"handle:{proc}", server.node.name)
+            try:
+                value = yield from attempt(
+                    client_node, server, proc, handler, args, payload, *rest, retries=retries
+                )
+            except FsError:  # an error reply carries no payload back
+                col.end(span, req_bytes=req_bytes, reply_bytes=0, error=True, ok=False)
+                raise
+            except BaseException:
+                col.end(span, ok=False)
+                raise
+            reply_bytes = value[1].nbytes if value[1] is not None else 0
+            col.end(span, req_bytes=req_bytes, reply_bytes=reply_bytes, error=False, ok=True)
+            return value
+
+        def traced_retrying(client_node, server, proc, handler, args, payload, *rest):
+            first_send = col.sim.now
+            try:
+                return (
+                    yield from retrying(client_node, server, proc, handler, args, payload, *rest)
+                )
+            except rpc.RpcTimeout as exc:
+                # One span for the whole failed call, first send to give-up.
+                span = col.begin(
+                    f"rpc:{proc}", "rpc", client_node.name,
+                    server=server.name, attempt=exc.attempts - 1,
+                )
+                span.start = first_send
+                col.end(
+                    span, ok=False, timeout=True, error=True, reply_bytes=0,
+                    req_bytes=payload.nbytes if payload is not None else 0,
+                )
+                raise
+
+        def handling(handler, name, track):
+            # The attempt's handler run (none for a replayed reply).
+            def handle(args, payload):
+                span = col.begin(name, "server", track)
+                ok = True
+                try:
+                    return (yield from handler(args, payload))
+                except (Interrupt, SimulationError):
+                    raise
+                except Exception:
+                    ok = False  # an FsError, or a bug the server replies to
+                    raise
+                finally:
+                    col.end(span, ok=ok)
+
+            return handle
+
+        return [
+            spanning(Nfs4Client, "read", lambda client, f, offset, nbytes: col.begin(
+                "read", "client-op", client.node.name, path=f.path, offset=offset, nbytes=nbytes
+            )),
+            spanning(Nfs4Client, "write", lambda client, f, offset, payload: col.begin(
+                "write", "client-op", client.node.name,
+                path=f.path, offset=offset, nbytes=payload.nbytes,
+            )),
+            spanning(Nfs4Client, "fsync", lambda client, f: col.begin(
+                "fsync", "client-op", client.node.name, path=f.path
+            )),
+            (rpc, "_attempt", traced_attempt),
+            (rpc, "_retrying", traced_retrying),
+            spanning(Disk, "io", lambda disk, offset, nbytes, write: col.begin(
+                "disk:write" if write else "disk:read", "disk", disk.name,
+                offset=offset, nbytes=nbytes,
+            )),
+            spanning(StorageDaemon, "_flush_extent", lambda d, disk_idx, handle, start, nbytes: (
+                col.begin("flush", "storage", d.name, handle=handle, offset=start, nbytes=nbytes)
+            )),
+        ]
 
     # -- recording ---------------------------------------------------------
     def _lane_for(self, track: str) -> int:

@@ -25,7 +25,6 @@ request" (§5).
 from __future__ import annotations
 
 from repro.nfs.intervals import IntervalSet
-from repro.obs import spans as obs_spans
 from repro.pvfs2.config import Pvfs2Config
 from repro.rpc import RpcServer
 from repro.sim.engine import Event, Simulator
@@ -68,7 +67,7 @@ def cscan_pick(dirty: dict[int, IntervalSet], sweep_pos: tuple[int, int]) -> int
             lowest = handle
         if (ahead is None or handle < ahead) and (
             handle > sweep_handle
-            or (handle == sweep_handle and next(iter(ivs))[0] >= sweep_offset)
+            or (handle == sweep_handle and ivs.first[0] >= sweep_offset)
         ):
             ahead = handle
     return lowest if ahead is None else ahead
@@ -334,28 +333,13 @@ class StorageDaemon:
                 yield self._dirty_signal[disk_idx]
                 continue
             ivs = dirty[handle]
-            start, end = next(iter(ivs))
+            start, end = ivs.first
             nbytes = min(end - start, FLUSH_COALESCE)
             ivs.remove(start, start + nbytes)
             if not ivs:
                 del dirty[handle]
             sweep_pos = (handle, start + nbytes)
-            col = obs_spans.ACTIVE
-            span = (
-                col.begin(
-                    "flush", "storage", self.name,
-                    handle=handle, offset=start, nbytes=nbytes,
-                )
-                if col is not None
-                else None
-            )
-            try:
-                yield from self.node.disks[disk_idx].io(
-                    handle * BSTREAM_STRIDE + start, nbytes, write=True
-                )
-            finally:
-                if span is not None:
-                    col.end(span)
+            yield from self._flush_extent(disk_idx, handle, start, nbytes)
             # A bstream removed while this extent was on the arm stays
             # removed: nothing of it is persisted.
             if handle in self.bstreams:
@@ -364,6 +348,14 @@ class StorageDaemon:
                     persisted = self._persisted[handle] = IntervalSet()
                 persisted.add(start, start + nbytes)
             self._retire(nbytes)
+
+    def _flush_extent(self, disk_idx: int, handle: int, start: int, nbytes: int):
+        """The disk write of one flushed extent (a collector's ``flush``
+        span wraps it): ``disk.io``'s generator, returned rather than
+        delegated to, so the flusher resumes no frame of this method."""
+        return self.node.disks[disk_idx].io(
+            handle * BSTREAM_STRIDE + start, nbytes, write=True
+        )
 
     def _retire(self, nbytes: int) -> None:
         """``nbytes`` of write-behind left the queue, written or dropped

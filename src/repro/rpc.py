@@ -48,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.obs import spans as obs_spans
 from repro.sim.engine import Event, Interrupt, SimulationError, Simulator
 from repro.sim.node import Node
 from repro.sim.resources import Resource
@@ -222,133 +221,103 @@ def _attempt(
     seq: Optional[int],
     retries: int,
 ):
-    """One request/reply exchange, span-traced when a collector is on.
+    """One request/reply exchange: the handler's value, or its error reply raised.
 
-    The span covers the whole attempt — marshalling, wire, queueing,
-    handler, reply — and is closed by the ``finally`` even when a retry
-    timer interrupts the attempt mid-flight, so abandoned attempts show
-    up in the trace as truncated bars rather than vanishing.  Only an
-    exchange that runs to its reply — success or error status — stamps
-    the span with its payload sizes, which is how
-    :class:`repro.obs.RpcTrace` tells the two apart.
+    Under a policy each attempt is a process that :func:`_retrying`
+    interrupts if its timer fires first.  ``retries`` numbers the attempt
+    (0 = first send) for a :class:`~repro.obs.SpanCollector`, which wraps
+    this function from outside while it is installed.
     """
-    col = obs_spans.ACTIVE
-    span = None
-    if col is not None:
-        span = col.begin(
-            f"rpc:{proc}", "rpc", client_node.name,
-            server=server.name, attempt=retries,
-        )
-    ok = False
-    try:
-        sim = client_node.sim
-        costs = server.costs
-        req_payload_bytes = payload.nbytes if payload is not None else 0
-        req_bytes = HEADER_BYTES + args_bytes + req_payload_bytes
+    sim = client_node.sim
+    costs = server.costs
+    req_payload_bytes = payload.nbytes if payload is not None else 0
+    req_bytes = HEADER_BYTES + args_bytes + req_payload_bytes
 
-        # 1. Client-side marshalling, then copy-out OVERLAPPED with the
-        #    request transfer: real stacks stream while copying, so wall
-        #    time is max(copy, wire), with the CPU held for the copy part.
-        #    A CPU charge and a transfer are events: a lone transfer is
-        #    waited on inline, overlapped ones are joined by ``spawn``.
-        #    The transfers are delegated to (``yield from``), not
-        #    yielded, so a tracer may wrap ``Network.transfer`` in a
-        #    generator from outside.  Nothing interrupts a leg
-        #    individually: a retry timer interrupts the *attempt*, which
-        #    only detaches it from the wait — the network flow holds its
-        #    own pipes and keeps the wire busy regardless.
-        yield client_node.compute(costs.client_per_call)
-        request = client_node.network.transfer(client_node.name, server.node.name, req_bytes)
-        if req_payload_bytes:
+    # 1. Client-side marshalling, then copy-out OVERLAPPED with the
+    #    request transfer: real stacks stream while copying, so wall
+    #    time is max(copy, wire), with the CPU held for the copy part.
+    #    A CPU charge and a transfer are events: a lone transfer is
+    #    waited on inline, overlapped ones are joined by ``spawn``.
+    #    The transfers are delegated to (``yield from``), not
+    #    yielded, so a tracer may wrap ``Network.transfer`` in a
+    #    generator from outside.  Nothing interrupts a leg
+    #    individually: a retry timer interrupts the *attempt*, which
+    #    only detaches it from the wait — the network flow holds its
+    #    own pipes and keeps the wire busy regardless.
+    yield client_node.compute(costs.client_per_call)
+    request = client_node.network.transfer(client_node.name, server.node.name, req_bytes)
+    if req_payload_bytes:
+        yield sim.spawn(
+            request, client_node.compute(costs.client_per_byte * req_payload_bytes)
+        )
+    else:
+        yield from request
+    if not server.up:
+        yield _lost(sim)  # request arrived at a dead server
+
+    # 2. Server processing under a worker thread (claimed in place
+    #    when one is free and nobody queues for it).
+    if not server.threads.try_acquire():
+        yield server.threads.acquire()
+    error: Optional[FsError] = None
+    result = None
+    reply_payload: Optional[Payload] = None
+    try:
+        if not server.up:
+            yield _lost(sim)  # server died while the request queued
+        yield server.node.compute(
+            costs.server_per_call + costs.server_per_byte_in * req_payload_bytes
+        )
+        cached = session.cached_reply(seq) if session is not None and seq is not None else None
+        if cached is not None:
+            # NFSv4.1 slot-table retransmission hit: replay the reply
+            # recorded by the original execution — exactly-once.
+            result, reply_payload, error = cached
+            server.calls_replayed += 1
+        else:
+            if session is not None and seq is not None:
+                session.note_execution(seq)
+            try:
+                result, reply_payload = yield from handler(args, payload)
+            except FsError as exc:
+                error = exc
+            except (Interrupt, SimulationError):
+                raise
+            except Exception as exc:
+                # Server bug: do not let it escape the reply path — the
+                # exchange completes as a traced server-error reply.
+                error = RpcServerError(
+                    f"{server.name}.{proc}: unhandled handler exception: {exc!r}"
+                )
+                error.__cause__ = exc
+            if session is not None and seq is not None:
+                session.cache_reply(seq, result, reply_payload, error)
+        # 3. Reply: server copy-out, wire, and client copy-in all
+        #    overlap (chunk-pipelined), while the thread stays busy.
+        if not server.up:
+            yield _lost(sim)  # server died before the reply left
+        reply_payload_bytes = reply_payload.nbytes if reply_payload is not None else 0
+        reply_bytes = HEADER_BYTES + reply_payload_bytes
+        reply = client_node.network.transfer(
+            server.node.name, client_node.name, reply_bytes
+        )
+        if reply_payload_bytes:
             yield sim.spawn(
-                request, client_node.compute(costs.client_per_byte * req_payload_bytes)
+                reply,
+                server.node.compute(costs.server_per_byte_out * reply_payload_bytes),
+                client_node.compute(costs.client_per_byte * reply_payload_bytes),
             )
         else:
-            yield from request
-        if not server.up:
-            yield _lost(sim)  # request arrived at a dead server
-
-        # 2. Server processing under a worker thread (claimed in place
-        #    when one is free and nobody queues for it).
-        if not server.threads.try_acquire():
-            yield server.threads.acquire()
-        error: Optional[FsError] = None
-        result = None
-        reply_payload: Optional[Payload] = None
-        try:
-            if not server.up:
-                yield _lost(sim)  # server died while the request queued
-            yield server.node.compute(
-                costs.server_per_call + costs.server_per_byte_in * req_payload_bytes
-            )
-            cached = session.cached_reply(seq) if session is not None and seq is not None else None
-            if cached is not None:
-                # NFSv4.1 slot-table retransmission hit: replay the reply
-                # recorded by the original execution — exactly-once.
-                result, reply_payload, error = cached
-                server.calls_replayed += 1
-            else:
-                if session is not None and seq is not None:
-                    session.note_execution(seq)
-                hspan = (
-                    col.begin(f"handle:{proc}", "server", server.node.name)
-                    if span is not None
-                    else None
-                )
-                try:
-                    result, reply_payload = yield from handler(args, payload)
-                except FsError as exc:
-                    error = exc
-                except (Interrupt, SimulationError):
-                    raise
-                except Exception as exc:
-                    # Server bug: do not let it escape the reply path — the
-                    # exchange completes as a traced server-error reply.
-                    error = RpcServerError(
-                        f"{server.name}.{proc}: unhandled handler exception: {exc!r}"
-                    )
-                    error.__cause__ = exc
-                finally:
-                    if hspan is not None:
-                        col.end(hspan, ok=error is None)
-                if session is not None and seq is not None:
-                    session.cache_reply(seq, result, reply_payload, error)
-            # 3. Reply: server copy-out, wire, and client copy-in all
-            #    overlap (chunk-pipelined), while the thread stays busy.
-            if not server.up:
-                yield _lost(sim)  # server died before the reply left
-            reply_payload_bytes = reply_payload.nbytes if reply_payload is not None else 0
-            reply_bytes = HEADER_BYTES + reply_payload_bytes
-            reply = client_node.network.transfer(
-                server.node.name, client_node.name, reply_bytes
-            )
-            if reply_payload_bytes:
-                yield sim.spawn(
-                    reply,
-                    server.node.compute(costs.server_per_byte_out * reply_payload_bytes),
-                    client_node.compute(costs.client_per_byte * reply_payload_bytes),
-                )
-            else:
-                yield from reply
-            server.calls_served += 1
-            if error is not None:
-                server.errors += 1
-        finally:
-            server.threads.release()
-
-        ok = error is None
-        if span is not None:
-            span.args.update(
-                req_bytes=req_payload_bytes,
-                reply_bytes=reply_payload_bytes,
-                error=not ok,
-            )
+            yield from reply
+        server.calls_served += 1
         if error is not None:
-            raise error
-        return result, reply_payload
+            server.errors += 1
     finally:
-        if span is not None:
-            col.end(span, ok=ok)
+        server.threads.release()
+
+    if error is not None:
+        raise error
+    return result, reply_payload
 
 
 def call(
@@ -413,7 +382,6 @@ def _retrying(
 ):
     """Attempts under a retry timer until one is answered or the budget runs out."""
     sim = client_node.sim
-    t_first = sim.now
     attempt_no = 0
     timer = None
     while True:
@@ -452,19 +420,6 @@ def _retrying(
         attempt_no += 1
         if attempt_no > policy.max_retries:
             server.client_timeouts += 1
-            col = obs_spans.ACTIVE
-            if col is not None:
-                # One span for the whole failed call, from the first
-                # send to the give-up.
-                span = col.begin(
-                    f"rpc:{proc}", "rpc", client_node.name,
-                    server=server.name, attempt=attempt_no - 1,
-                )
-                span.start = t_first
-                col.end(
-                    span, ok=False, timeout=True, error=True, reply_bytes=0,
-                    req_bytes=payload.nbytes if payload is not None else 0,
-                )
             raise RpcTimeout(
                 f"{proc} to {server.name}: no reply after {attempt_no} attempts",
                 server=server.name,

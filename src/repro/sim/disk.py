@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs import spans as obs_spans
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
 
@@ -125,55 +124,45 @@ class Disk:
 
     def io(self, offset: int, nbytes: int, write: bool):
         """Process generator of one request against the media."""
-        col = obs_spans.ACTIVE
-        if col is not None:
-            span = col.begin(
-                "disk:write" if write else "disk:read", "disk", self.name,
-                offset=offset, nbytes=nbytes,
-            )
+        if offset < 0 or nbytes < 0:
+            raise ValueError("offset/nbytes must be >= 0")
+        self._check_failed()
+        if not self.arm.try_acquire():
+            yield self.arm.acquire()
+        t_start = self.sim.now
         try:
-            if offset < 0 or nbytes < 0:
-                raise ValueError("offset/nbytes must be >= 0")
             self._check_failed()
-            if not self.arm.try_acquire():
-                yield self.arm.acquire()
-            t_start = self.sim.now
-            try:
-                self._check_failed()
-                self.requests += 1
-                if offset != self._last_end:
-                    # Forward sweeps over short gaps are cheap; anything
-                    # else (including backward jumps) pays the full cost.
-                    gap = offset - self._last_end
-                    if self._last_end >= 0 and 0 < gap:
-                        cost = self.spec.position_cost(gap)
-                    else:
-                        cost = self.spec.positioning
-                    if cost > 0:
-                        yield self.sim.timeout(cost)
-                media_bw = self.spec.write_bw if write else self.spec.read_bw
-                remaining = nbytes
-                while remaining > 0:
-                    chunk = min(remaining, DISK_CHUNK)
-                    # The bus is held only for the wire time of the chunk;
-                    # the media-transfer residual overlaps with the other
-                    # disk's bus usage (buffered DMA pipeline).
-                    bus_time = chunk / self.bus_bw if self.io_bus is not None else 0.0
-                    media_time = chunk / media_bw
-                    if self.io_bus is not None:
-                        yield self.io_bus.serve(bus_time)
-                    residual = media_time - bus_time
-                    if residual > 0:
-                        yield self.sim.timeout(residual)
-                    remaining -= chunk
-                self._last_end = offset + nbytes
-                if write:
-                    self.write_bytes += nbytes
+            self.requests += 1
+            if offset != self._last_end:
+                # Forward sweeps over short gaps are cheap; anything
+                # else (including backward jumps) pays the full cost.
+                gap = offset - self._last_end
+                if self._last_end >= 0 and 0 < gap:
+                    cost = self.spec.position_cost(gap)
                 else:
-                    self.read_bytes += nbytes
-            finally:
-                self.busy_time += self.sim.now - t_start
-                self.arm.release()
+                    cost = self.spec.positioning
+                if cost > 0:
+                    yield self.sim.timeout(cost)
+            media_bw = self.spec.write_bw if write else self.spec.read_bw
+            remaining = nbytes
+            while remaining > 0:
+                chunk = min(remaining, DISK_CHUNK)
+                # The bus is held only for the wire time of the chunk;
+                # the media-transfer residual overlaps with the other
+                # disk's bus usage (buffered DMA pipeline).
+                bus_time = chunk / self.bus_bw if self.io_bus is not None else 0.0
+                media_time = chunk / media_bw
+                if self.io_bus is not None:
+                    yield self.io_bus.serve(bus_time)
+                residual = media_time - bus_time
+                if residual > 0:
+                    yield self.sim.timeout(residual)
+                remaining -= chunk
+            self._last_end = offset + nbytes
+            if write:
+                self.write_bytes += nbytes
+            else:
+                self.read_bytes += nbytes
         finally:
-            if col is not None:
-                col.end(span)
+            self.busy_time += self.sim.now - t_start
+            self.arm.release()

@@ -187,10 +187,6 @@ class Network:
         self.per_message_bytes = per_message_bytes
         #: The registered NICs by node name.
         self.nics: dict[str, Nic] = {}
-        #: Cached bound method: the per-flow drop check sits on the hot
-        #: path of every transfer and attribute-chasing ``sim.rng.random``
-        #: each time is measurable at millions of flows.
-        self._rng_random = sim.rng.random
         self.flows_completed = 0
         #: Completed wire transfers (``flows_completed`` minus loopback).
         self.flows_chunked = 0
@@ -249,8 +245,8 @@ class Network:
         if (
             snic.down
             or dnic.down
-            or (snic.drop_prob > 0.0 and float(self._rng_random()) < snic.drop_prob)
-            or (dnic.drop_prob > 0.0 and float(self._rng_random()) < dnic.drop_prob)
+            or (snic.drop_prob > 0.0 and float(self.sim.rng.random()) < snic.drop_prob)
+            or (dnic.drop_prob > 0.0 and float(self.sim.rng.random()) < dnic.drop_prob)
         ):
             # The flow vanishes on the wire: its completion never
             # fires, and no error surfaces here — a waiting process

@@ -31,7 +31,6 @@ class IorWorkload(Workload):
         block_size: int = 2 * MB,
         file_size: int = 500 * MB,
         shared_file: bool = False,
-        fsync_at_end: bool = True,
         fsync_every: int = 0,
         scale: float = 1.0,
         seed: int = 20070625,
@@ -49,7 +48,6 @@ class IorWorkload(Workload):
         scaled = max(int(file_size * scale), block_size)
         self.file_size = ((scaled + block_size - 1) // block_size) * block_size
         self.shared_file = shared_file
-        self.fsync_at_end = fsync_at_end
         #: fsync after every N blocks (0 = only at the end) — the
         #: O_SYNC-style mode used by the write-back-cache ablation.
         self.fsync_every = fsync_every
@@ -116,7 +114,7 @@ class IorWorkload(Workload):
             moved += n
             pos += n
 
-        if writing and self.fsync_at_end:
+        if writing:
             yield from fsc.fsync(f)
         yield from fsc.close(f)
         return WorkloadResult(bytes_moved=moved, transactions=file_size // block_size)

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.nfs import Nfs4Client, Nfs4Server, NfsConfig
 from repro.vfs import Payload
 
 from tests.conftest import build_nfs, drive
-from tests.localfs import LocalClient, LocalFileSystem
 
 
 @pytest.fixture
@@ -59,23 +57,6 @@ class TestGrant:
 
         drive(cluster.sim, scenario())
         assert "/h" not in c1._delegations
-
-    def test_disabled_by_config(self, cluster):
-        cfg = NfsConfig(delegations=False)
-        backing = LocalFileSystem()
-        server = Nfs4Server(
-            cluster.sim, cluster.storage[0], LocalClient(cluster.sim, backing), cfg
-        )
-        client = Nfs4Client(cluster.sim, cluster.clients[0], server, cfg)
-        drive(cluster.sim, client.mount())
-        make_file(cluster.sim, client, "/x")
-
-        def scenario():
-            f = yield from client.open("/x", write=False)
-            yield from client.close(f)
-
-        drive(cluster.sim, scenario())
-        assert server.delegations_granted == 0
 
 
 class TestLocalOpens:

@@ -104,7 +104,7 @@ class TestTruncateCoherence:
         assert after.mtime > before.mtime
 
     def test_truncate_recalls_read_delegations(self, cluster):
-        c0, c1, server = build_nfs(cluster, rsize=64 * 1024, wsize=64 * 1024, delegations=True)
+        c0, c1, server = build_nfs(cluster, rsize=64 * 1024, wsize=64 * 1024)
 
         def scenario():
             f = yield from c0.create("/d")

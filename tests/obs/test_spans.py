@@ -1,11 +1,31 @@
-"""Span collector semantics and Chrome trace-event export."""
+"""Span collector semantics, Chrome trace-event export and span pins."""
 
+import hashlib
 import json
 
 import pytest
 
-from repro.obs import SpanCollector, spans as obs_spans
-from repro.sim import Simulator
+from repro import rpc
+from repro.bench.runner import run_cell
+from repro.nfs.client import Nfs4Client
+from repro.obs import RpcTrace, SpanCollector, spans as obs_spans
+from repro.pvfs2.storage import StorageDaemon
+from repro.sim import Disk, FaultInjector, Simulator
+from repro.vfs.api import NoEntry, Payload
+from repro.workloads import IorWorkload
+
+MB = 1024 * 1024
+
+#: Every attribute a collector wraps while it is installed.
+WRAPPED = [
+    (Nfs4Client, "read"),
+    (Nfs4Client, "write"),
+    (Nfs4Client, "fsync"),
+    (rpc, "_attempt"),
+    (rpc, "_retrying"),
+    (Disk, "io"),
+    (StorageDaemon, "_flush_extent"),
+]
 
 
 class TestCollectorInstall:
@@ -26,6 +46,21 @@ class TestCollectorInstall:
     def test_uninstalled_by_default(self):
         # The pay-for-what-you-use contract: no collector unless one is
         # explicitly installed.
+        assert obs_spans.ACTIVE is None
+
+    def test_exit_restores_every_wrapped_attribute(self):
+        originals = [vars(owner)[name] for owner, name in WRAPPED]
+        sim = Simulator()
+        with SpanCollector(sim):
+            assert all(
+                vars(owner)[name] is not original
+                for (owner, name), original in zip(WRAPPED, originals)
+            )
+        assert [vars(owner)[name] for owner, name in WRAPPED] == originals
+        with pytest.raises(ZeroDivisionError):
+            with SpanCollector(sim):
+                1 / 0
+        assert [vars(owner)[name] for owner, name in WRAPPED] == originals
         assert obs_spans.ACTIVE is None
 
 
@@ -151,55 +186,57 @@ class TestChromeTrace:
         json.loads(path.read_text())  # must not raise
 
 
+def faulted_rpc_run(cluster):
+    """An error reply, a call answered on its third send and a call that
+    gives up, under a collector: ``(collector, client node, marks)``."""
+    sim = cluster.sim
+    server = rpc.RpcServer(sim, cluster.storage[0], "svc", rpc.RpcCosts())
+
+    def echo(args, payload):
+        return args, payload
+        yield  # pragma: no cover
+
+    def fail(args, payload):
+        raise NoEntry("x")
+        yield  # pragma: no cover
+
+    server.register("echo", echo)
+    server.register("fail", fail)
+    inj = FaultInjector(sim)
+    node = cluster.clients[0]
+    marks = {}
+
+    def scenario():
+        with pytest.raises(NoEntry):
+            yield from rpc.call(node, server, "fail", {})
+        # Down until +1.0 s: the sends at +0 and +0.4 are swallowed,
+        # the one at +1.2 is answered.
+        inj.fail_server(server)
+        inj.at(sim.now + 1.0, lambda: inj.restore_server(server))
+        yield from rpc.call(
+            node, server, "echo", {}, payload=Payload(b"abc"),
+            policy=rpc.RpcPolicy(timeout=0.4, max_retries=5, backoff=2.0),
+        )
+        inj.fail_server(server)
+        marks["gave_up_from"] = sim.now
+        with pytest.raises(rpc.RpcTimeout):
+            yield from rpc.call(
+                node, server, "echo", {}, payload=Payload(b"abcde"),
+                policy=rpc.RpcPolicy(timeout=0.2, max_retries=2, backoff=2.0),
+            )
+        marks["gave_up_at"] = sim.now
+
+    with SpanCollector(sim) as col:
+        sim.run(until=sim.process(scenario()))
+    return col, node, marks
+
+
 class TestRpcTraceReduction:
     def test_faulted_run_reduces_to_one_record_per_exchange(self, cluster):
         """Error reply, retransmitted-then-delivered and give-up each
         become one record; attempts abandoned by the retry timer become
         none (their spans stay in the trace as truncated bars)."""
-        from repro import rpc
-        from repro.obs import RpcTrace
-        from repro.sim import FaultInjector
-        from repro.vfs.api import NoEntry, Payload
-
-        sim = cluster.sim
-        server = rpc.RpcServer(sim, cluster.storage[0], "svc", rpc.RpcCosts())
-
-        def echo(args, payload):
-            return args, payload
-            yield  # pragma: no cover
-
-        def fail(args, payload):
-            raise NoEntry("x")
-            yield  # pragma: no cover
-
-        server.register("echo", echo)
-        server.register("fail", fail)
-        inj = FaultInjector(sim)
-        node = cluster.clients[0]
-        marks = {}
-
-        def scenario():
-            with pytest.raises(NoEntry):
-                yield from rpc.call(node, server, "fail", {})
-            # Down until +1.0 s: the sends at +0 and +0.4 are swallowed,
-            # the one at +1.2 is answered.
-            inj.fail_server(server)
-            inj.at(sim.now + 1.0, lambda: inj.restore_server(server))
-            yield from rpc.call(
-                node, server, "echo", {}, payload=Payload(b"abc"),
-                policy=rpc.RpcPolicy(timeout=0.4, max_retries=5, backoff=2.0),
-            )
-            inj.fail_server(server)
-            marks["gave_up_from"] = sim.now
-            with pytest.raises(rpc.RpcTimeout):
-                yield from rpc.call(
-                    node, server, "echo", {}, payload=Payload(b"abcde"),
-                    policy=rpc.RpcPolicy(timeout=0.2, max_retries=2, backoff=2.0),
-                )
-            marks["gave_up_at"] = sim.now
-
-        with SpanCollector(sim) as col:
-            sim.run(until=sim.process(scenario()))
+        col, node, marks = faulted_rpc_run(cluster)
         rpc_spans = col.by_category()["rpc"]
         trace = RpcTrace.from_spans(col)
         errored, delivered, gave_up = trace.records
@@ -221,3 +258,40 @@ class TestRpcTraceReduction:
         assert len(abandoned) == 5
         assert all(s.end is not None and s.args["ok"] is False for s in abandoned)
         assert sum(r.retries for r in trace.records) == 4
+
+
+def span_digest(col: SpanCollector) -> str:
+    """sha256 of ``col``'s Chrome trace, each event's lane left out.
+
+    Lanes are keyed by the running process's ``id()``, and CPython
+    hands a freed process's address to a later one, so which lane a
+    span lands in follows the allocation history of the whole run: a
+    product function losing a local variable moves it.  Everything else
+    is pinned: name, category, track, start, duration, args and order.
+    """
+    events = [
+        {k: v for k, v in e.items() if k != "tid"} for e in col.chrome_trace()["traceEvents"]
+    ]
+    return hashlib.sha256(json.dumps(events, default=str).encode()).hexdigest()
+
+
+class TestSpanPins:
+    """The spans a collector records, pinned from the tree in which each
+    layer read the collector slot itself: moving the tracing out of the
+    request path left every span as it was."""
+
+    def test_direct_pnfs_ior_write(self):
+        workload = IorWorkload(op="write", block_size=4 * MB, shared_file=False, scale=0.02)
+        res = run_cell("direct-pnfs", workload, n_clients=2, trace=True)
+        assert len(res.trace.spans) == 408
+        assert span_digest(res.trace) == DIRECT_PNFS_IOR_WRITE
+
+    def test_faulted_rpc_scenario(self, cluster):
+        col, _node, _marks = faulted_rpc_run(cluster)
+        assert span_digest(col) == FAULTED_RPC
+
+
+#: ``repro trace direct-pnfs ior-write --clients 2 --scale 0.02``.
+DIRECT_PNFS_IOR_WRITE = "3413ee6d8f017f5a5b918bc42c79170eba4deb808f2d2c69b9ccebe6b5dd0ae9"
+#: :func:`faulted_rpc_run`'s ten spans.
+FAULTED_RPC = "f45245af7fdd60b4b2cafe2c247678de26d63d0eb3dfd6848a146afd6e8f2714"

@@ -25,7 +25,7 @@ BLOCK = 8 * KB
 #: to, a one-piece read slice was re-sliced and sorted by a key
 #: function, and the flusher built two candidate lists per pick.  A
 #: write was 345.8235 while ``Disk.io`` returned a separate body generator.
-MAX_CALLS_PER_PVFS2_WRITE = 345  # measured 344.8385
+MAX_CALLS_PER_PVFS2_WRITE = 345  # measured 339.9225
 MAX_CALLS_PER_PVFS2_READ = 277  # measured 276.03
 
 
