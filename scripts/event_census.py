@@ -4,10 +4,13 @@
 Wraps ``Simulator._enqueue`` from outside for one ``run_cell`` and
 classifies every scheduled call by
 
-* what it is: the event's type when an event fires (``Timeout``,
-  ``_Grant``, ``Process``, ``Join`` ...), else the function called
-  (``_Message._tx_served``, ``Pipe._start`` for a pipe's grant hop,
-  ``Process._resume`` for a start kick,
+* what it is: when an event fires, its class (``Process``, ``Join``,
+  ``AnyOf``) or, for a plain ``Event``, what the kernel call that
+  queued it makes of it (``Timeout`` for a timer, armed or re-armed;
+  ``grant`` for a queued ``Resource`` acquire handed its units;
+  ``Event`` for anything else, such as a message's ``done``); else the
+  function called (``_Message._tx_served``, ``Pipe._start`` for a
+  pipe's grant hop, ``Process._resume`` for a start kick,
   ``Resource._end_service`` for the end of a service time ...),
 * zero or positive delay (positive = a physical delay on the heap;
   ``lone`` = zero, scheduled from the tail of a queue entry while
@@ -70,9 +73,20 @@ KINDS = {
 }
 
 
-def what(fn, arg) -> str:
+#: A plain ``Event`` named by the kernel call that queued it.
+PLAIN_EVENTS = {
+    "timeout": "Timeout",
+    "reset": "Timeout",
+    "acquire[Resource]": "grant",
+    "release[Resource]": "grant",
+}
+
+
+def what(fn, arg, kernel_call: str = "?") -> str:
     """Name a queued call: the event it fires, or the function it is."""
     if fn is Event._process_callbacks:
+        if type(arg) is Event:
+            return PLAIN_EVENTS.get(kernel_call, "Event")
         return type(arg).__name__
     owner = getattr(fn, "__self__", None)
     if owner is not None:
@@ -120,7 +134,7 @@ def classify(fn, arg, delay: float, frame, alone: bool = False) -> tuple[str, st
             kernel_call = name
         frame = frame.f_back
     when = "delay" if delay > 0 else "lone" if alone and tail else "zero"
-    return what(fn, arg), when, kernel_call, site
+    return what(fn, arg, kernel_call), when, kernel_call, site
 
 
 class Recording:

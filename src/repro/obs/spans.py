@@ -22,13 +22,15 @@ nothing, so a traced run keeps the untraced event schedule.
 
 Tracks: each span carries a ``track`` (rendered as the Chrome "pid",
 one per node or component) and a lane within it (the "tid"), assigned
-per simulation process so concurrent work on one node stacks into
-parallel lanes instead of overlapping.
+per simulation process or spawn leg, in the order the simulation
+reaches them, so concurrent work on one node stacks into parallel
+lanes instead of overlapping.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,13 +38,17 @@ from repro import rpc
 from repro.nfs.client import Nfs4Client
 from repro.pvfs2.storage import StorageDaemon
 from repro.sim.disk import Disk
-from repro.sim.engine import Interrupt, SimulationError, Simulator
+from repro.sim.engine import Interrupt, SimulationError, Simulator, _Driver
 from repro.vfs.api import FsError
 
 __all__ = ["Span", "SpanCollector"]
 
 #: The installed collector, if any: at most one is installed at a time.
 ACTIVE: Optional["SpanCollector"] = None
+
+#: The code of ``_Driver._resume``: its frame's ``self`` is the running
+#: process or spawn leg.
+_RESUME = _Driver._resume.__code__
 
 
 @dataclass
@@ -187,14 +193,21 @@ class SpanCollector:
 
     # -- recording ---------------------------------------------------------
     def _lane_for(self, track: str) -> int:
-        """Lane within ``track`` for the currently running process.
+        """Lane within ``track`` for the running process or spawn leg.
 
-        One lane per (track, process): concurrent spans on the same
-        component land in parallel lanes; sequential work from the same
-        process reuses its lane.
+        One lane per (track, process or leg), numbered in the order the
+        simulation first opens a span there: concurrent spans on the
+        same component land in parallel lanes; sequential work from the
+        same process reuses its lane.  The one running is the ``self``
+        of the nearest ``_Driver._resume`` frame on the stack — a spawn
+        leg's first segment runs inside its spawner's resume — and the
+        key holds it, so a finished process's address never passes its
+        lane to a later one.
         """
-        proc = self.sim._active_process
-        key = (track, id(proc) if proc is not None else 0)
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not _RESUME:
+            frame = frame.f_back
+        key = (track, frame.f_locals["self"] if frame is not None else None)
         lane = self._lanes.get(key)
         if lane is None:
             lane = self._lane_count.get(track, 0)

@@ -124,9 +124,21 @@ class Event:
     ``ok`` flag.  Failed events (``ok is False``) propagate their value
     as an exception into every process waiting on them, unless the
     failure is *defused* by a waiter that handles it.
+
+    Timers (:meth:`Simulator.timeout`), ``Resource`` grants and the
+    process-start sentinel are plain events too, not subclasses: the
+    kernel's hot sites then see one class, and CPython's cached slot
+    reads hit (docs/architecture.md, "One event class").  The last
+    three slots serve them and stay unset on any other event: a
+    timer's ``delay`` (what :meth:`reset` re-arms with), and a grant's
+    ``units`` (wanted or held; 0 once withdrawn or given back) and
+    ``hold`` (a service's duration; ``None`` for a plain acquire).
     """
 
-    __slots__ = ("sim", "_cb1", "_cbs", "_value", "ok", "_state", "_defused", "_abandon")
+    __slots__ = (
+        "sim", "_cb1", "_cbs", "_value", "ok", "_state", "_defused", "_abandon",
+        "delay", "units", "hold",
+    )
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -187,6 +199,33 @@ class Event:
     def defuse(self) -> None:
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True
+
+    def reset(self, delay: Optional[float] = None, value: Any = None) -> "Event":
+        """Re-arm a *processed* timer in place and return it.
+
+        Retry/backoff loops fire the same timer over and over (the RPC
+        retransmission ladder, drain polls); re-arming the event that
+        just fired is cheaper than allocating a fresh timer per lap.
+        Only a processed event can be re-armed — a pending one still
+        sits on the queue — and without a ``delay`` only a timer, which
+        reuses its last one.
+        """
+        if self._state != _PROCESSED:
+            raise SimulationError("reset() on an event that has not fired yet")
+        if delay is None:
+            try:
+                delay = self.delay
+            except AttributeError:
+                raise SimulationError("reset() without a delay on a non-timer") from None
+        elif delay < 0:
+            raise ValueError(f"negative timeout delay {delay!r}")
+        self.delay = delay
+        self._value = value
+        self.ok = True
+        self._defused = False
+        self._state = _TRIGGERED
+        self.sim._enqueue(_fire, self, delay)
+        return self
 
     # -- engine internals ----------------------------------------------
     def _process_callbacks(self) -> None:
@@ -257,59 +296,11 @@ _fire = Event._process_callbacks
 _URGENT = 1 << 62
 
 
-class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        self._value = value
-        self.ok = True
-        self._state = _TRIGGERED
-        sim._enqueue(_fire, self, delay)
-
-    def reset(self, delay: Optional[float] = None, value: Any = None) -> "Timeout":
-        """Re-arm a *processed* timeout in place and return it.
-
-        Retry/backoff loops fire the same timer over and over (the RPC
-        retransmission ladder, drain polls); re-arming the object that
-        just fired is cheaper than allocating a fresh ``Timeout`` per
-        lap.  Only a processed timeout can be re-armed — a pending one
-        still sits on the event heap.
-        """
-        if self._state != _PROCESSED:
-            raise SimulationError("reset() on a timeout that has not fired yet")
-        if delay is None:
-            delay = self.delay
-        elif delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
-        self.delay = delay
-        self._value = value
-        self.ok = True
-        self._defused = False
-        self._state = _TRIGGERED
-        self.sim._enqueue(_fire, self, delay)
-        return self
-
-
-class _Start:
-    """Pre-fired sentinel delivered to a generator's first resume.
-
-    Shaped like a processed, successful event (``ok``/``_value`` are
-    all ``_resume`` reads on the success path) without being one: a
-    process start is the queued call ``proc._resume(_START)``.
-    """
-
-    __slots__ = ()
-    ok = True
-    _value = None
-
-
-_START = _Start()
+#: The pre-fired event a generator's first resume receives: a process
+#: start is the queued call ``proc._resume(_START)``.  Never queued,
+#: never re-armed, and of the same class as every other resume argument.
+_START = Event(None)
+_START._state = _PROCESSED
 
 
 class _Driver:
@@ -330,44 +321,37 @@ class _Driver:
         sim = self.sim
         gen = self._generator
         self._waiting_on = None
-        # A spawn leg's first segment runs inside its spawner's resume:
-        # put the spawner back when this one parks or ends.  (Resumed
-        # from the event loop, what is put back is ``None``.)
-        outer, sim._active_process = sim._active_process, self
-        try:
-            while True:
+        while True:
+            try:
+                if event.ok:
+                    target = gen.send(event._value)
+                else:
+                    event._defused = True
+                    target = gen.throw(event._value)
+            except StopIteration as stop:
+                self._finished(stop.value)
+                return
+            except BaseException as exc:
+                self._failed(exc)
+                return
+            if not isinstance(target, Event):
+                # Thrown into the generator so its ``finally:`` blocks
+                # run and whatever it holds is given back.
+                error = SimulationError(f"{self.name!r} yielded non-event {target!r}")
                 try:
-                    if event.ok:
-                        target = gen.send(event._value)
-                    else:
-                        event._defused = True
-                        target = gen.throw(event._value)
-                except StopIteration as stop:
-                    self._finished(stop.value)
-                    return
+                    gen.throw(error)
                 except BaseException as exc:
                     self._failed(exc)
                     return
-                if not isinstance(target, Event):
-                    # Thrown into the generator so its ``finally:`` blocks
-                    # run and whatever it holds is given back.
-                    error = SimulationError(f"{self.name!r} yielded non-event {target!r}")
-                    try:
-                        gen.throw(error)
-                    except BaseException as exc:
-                        self._failed(exc)
-                        return
-                    raise error
-                if target.sim is not sim:
-                    raise SimulationError("yielded event belongs to another simulator")
-                if target._state == _PROCESSED:
-                    event = target
-                    continue
-                self._waiting_on = target
-                target.add_callback(self._resume)
-                return
-        finally:
-            sim._active_process = outer
+                raise error
+            if target.sim is not sim:
+                raise SimulationError("yielded event belongs to another simulator")
+            if target._state == _PROCESSED:
+                event = target
+                continue
+            self._waiting_on = target
+            target.add_callback(self._resume)
+            return
 
 
 class Process(Event, _Driver):
@@ -532,9 +516,9 @@ class _Task(_Driver):
     Unlike :class:`Process` a task is not itself an event — nothing can
     wait on (or interrupt) an individual leg, only the shared
     :class:`Join` — so a leg costs one slotted object, no start kick
-    and no completion event.  It does stand in as the simulator's
-    active process while it runs, so spans begun by concurrent legs
-    land in lanes of their own.
+    and no completion event.  It does run in a ``_resume`` frame of its
+    own, so a tracer that looks for the nearest one on the stack tells
+    concurrent legs apart.
     """
 
     __slots__ = ("sim", "_generator", "_waiting_on", "join", "_value")
@@ -612,7 +596,6 @@ class Simulator:
     def __init__(self, seed: int = 20070625):
         self.now: float = 0.0
         self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
-        self._active_process: Optional[Process] = None
         self.stats = EngineStats()
         #: Per-simulation id streams (sessions, layout stateids, ...).
         #: Keeping these on the simulator — never module-global — makes
@@ -631,9 +614,18 @@ class Simulator:
         return n
 
     # -- event constructors ---------------------------------------------
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float, value: Any = None) -> Event:
+        """A timer: a plain :class:`Event` firing ``delay`` simulated
+        seconds from now (``Timeout(sim, delay, value)`` is the same
+        function)."""
+        if delay < 0:
+            raise ValueError(f"negative timeout delay {delay!r}")
+        ev = Event(self)
+        ev.delay = delay
+        ev._value = value
+        ev._state = _TRIGGERED
+        self._enqueue(_fire, ev, delay)
+        return ev
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start ``generator`` as a process at the current instant."""
@@ -675,7 +667,7 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
     def call_later(self, delay: float, fn: Callable[[Any], None], arg: Any = None) -> None:
-        """Call ``fn(arg)`` in the slot a ``Timeout(delay)`` would take.
+        """Call ``fn(arg)`` in the slot a ``timeout(delay)`` would take.
 
         For kernel-side state machines whose only waiter is themselves
         and which cannot fail, be joined or be abandoned (a wire hop):
@@ -764,3 +756,8 @@ class Simulator:
         finally:
             stats.events_processed += processed
             stats.wall_seconds += _time.perf_counter() - wall_start
+
+
+#: ``Timeout(sim, delay, value=None)``: :meth:`Simulator.timeout` called
+#: as a function — a constructor of timers, which are plain events.
+Timeout = Simulator.timeout

@@ -24,14 +24,6 @@ from repro.sim.engine import (
 __all__ = ["Resource"]
 
 
-class _Grant(Event):
-    """A request's event: the ``units`` it wants or holds (0 once
-    withdrawn or given back) and, for a service, how long it ``hold``\\ s
-    them (``None``: a plain acquire, released by its holder)."""
-
-    __slots__ = ("units", "hold")
-
-
 class Resource:
     """Counting semaphore with FIFO arbitration.
 
@@ -82,11 +74,12 @@ class Resource:
         self.high_water = 0
         #: Seconds of completed :meth:`serve` time, summed over units.
         self.busy_time = 0.0
-        #: Pending requests, oldest first.  An interrupted waiter's grant
+        #: Pending requests, oldest first: plain events carrying the
+        #: request's ``units`` and ``hold``.  An interrupted waiter's grant
         #: is withdrawn in O(1) by zeroing its ``units`` where it sits; it
         #: is discarded lazily when it reaches the front.  ``_queued``
         #: counts the ones still wanted.
-        self._waiters: deque[_Grant] = deque()
+        self._waiters: deque[Event] = deque()
         self._queued = 0
         #: One bound method each for every grant's ``_abandon`` hook and
         #: every service's queue entry, not a fresh one per request (the
@@ -116,7 +109,7 @@ class Resource:
                 f"cannot acquire {units} units of {self.name or 'resource'} "
                 f"with capacity {self.capacity}"
             )
-        ev = _Grant(self.sim)
+        ev = Event(self.sim)
         if self.try_acquire(units):
             # Granted here and now, nothing to wait for: pre-fired.
             ev._value = units
@@ -133,7 +126,7 @@ class Resource:
         """Claim ``units`` here and now if they are free and nobody
         queues; say whether.
 
-        The free case of :meth:`acquire` without its event: no ``_Grant``
+        The free case of :meth:`acquire` without its event: no grant
         is built, and the caller does not yield, so nothing resumes its
         generator chain just to hand it what it already holds.  When it
         says no, ``acquire(units)`` queues the request (and rejects a
@@ -161,7 +154,7 @@ class Resource:
         """
         if duration < 0:
             raise ValueError(f"negative service time {duration!r}")
-        ev = _Grant(self.sim)
+        ev = Event(self.sim)
         ev.units = 1
         ev.hold = duration
         ev._abandon = self._abandon
@@ -177,7 +170,7 @@ class Resource:
             self.sim._enqueue(self._served, ev, duration)
         return ev
 
-    def _end_service(self, ev: _Grant) -> None:
+    def _end_service(self, ev: Event) -> None:
         """The queue entry of a service: give the unit back, then fire."""
         if ev.units:  # else cut short by an interrupt: already given back
             ev.units = 0
@@ -185,7 +178,7 @@ class Resource:
             self.release()
         _fire(ev)
 
-    def _abandon_grant(self, ev: _Grant) -> None:
+    def _abandon_grant(self, ev: Event) -> None:
         """The waiter was interrupted: withdraw or return the grant."""
         units = ev.units
         if units:

@@ -24,7 +24,7 @@ def test_census_names_events_and_calls_and_accounts_for_every_one(capsys):
     for (what, _delay, _call, _site), n in classes.items():
         kinds[what] += n
     # Events by their type, bare calls by what is called.
-    assert kinds["_Grant"] and kinds["Join"] and kinds["Process._resume"]
+    assert kinds["grant"] and kinds["Join"] and kinds["Process._resume"]
     # Multi-chunk data flows and one-chunk messages (headers, replies).
     assert kinds["_WireFlow._tx_served"] == kinds["_WireFlow._rx_served"] > 0
     assert kinds["_Message._tx_served"] == kinds["_Message._rx_served"] > 0
@@ -34,7 +34,7 @@ def test_census_names_events_and_calls_and_accounts_for_every_one(capsys):
     # unit is free and by the service ending before it when queued.
     assert ("Resource._end_service", "delay", "serve[Resource]", "sim/cpu.py:consume") in classes
     assert ("Resource._end_service", "delay", "release[Resource]", "(event loop)") in classes
-    assert kinds["Resource._end_service"] > kinds["_Grant"]
+    assert kinds["Resource._end_service"] > kinds["grant"]
     assert not script.relays(classes)
     assert script.main(CELL + ["--check"]) == 0
     # The per-RPC table's header line totals what the kernel counted.

@@ -260,19 +260,25 @@ class TestRpcTraceReduction:
         assert sum(r.retries for r in trace.records) == 4
 
 
-def span_digest(col: SpanCollector) -> str:
-    """sha256 of ``col``'s Chrome trace, each event's lane left out.
+def span_digest(col: SpanCollector, lanes: bool = False) -> str:
+    """sha256 of ``col``'s Chrome trace: name, category, track, start,
+    duration, args and order, and each event's lane only if ``lanes``.
 
-    Lanes are keyed by the running process's ``id()``, and CPython
-    hands a freed process's address to a later one, so which lane a
-    span lands in follows the allocation history of the whole run: a
-    product function losing a local variable moves it.  Everything else
-    is pinned: name, category, track, start, duration, args and order.
+    Lanes are keyed by the running process or leg itself, so they are the
+    simulation's; the lane-free pins date from when they were keyed by
+    its ``id()`` and followed the allocator.
     """
     events = [
-        {k: v for k, v in e.items() if k != "tid"} for e in col.chrome_trace()["traceEvents"]
+        e if lanes else {k: v for k, v in e.items() if k != "tid"}
+        for e in col.chrome_trace()["traceEvents"]
     ]
     return hashlib.sha256(json.dumps(events, default=str).encode()).hexdigest()
+
+
+def direct_pnfs_ior_write():
+    """``repro trace direct-pnfs ior-write --clients 2 --scale 0.02``'s collector."""
+    workload = IorWorkload(op="write", block_size=4 * MB, shared_file=False, scale=0.02)
+    return run_cell("direct-pnfs", workload, n_clients=2, trace=True).trace
 
 
 class TestSpanPins:
@@ -281,10 +287,22 @@ class TestSpanPins:
     request path left every span as it was."""
 
     def test_direct_pnfs_ior_write(self):
-        workload = IorWorkload(op="write", block_size=4 * MB, shared_file=False, scale=0.02)
-        res = run_cell("direct-pnfs", workload, n_clients=2, trace=True)
-        assert len(res.trace.spans) == 408
-        assert span_digest(res.trace) == DIRECT_PNFS_IOR_WRITE
+        col = direct_pnfs_ior_write()
+        assert len(col.spans) == 408
+        assert span_digest(col) == DIRECT_PNFS_IOR_WRITE
+
+    def test_lanes_are_the_simulations_not_the_allocators(self):
+        """The same cell with its lanes pinned, run twice in one
+        interpreter: the second run meets a heap where thousands of
+        objects were allocated and every other one freed, so it is
+        handed other addresses than the first run was, and its lanes
+        must not move."""
+        first = span_digest(direct_pnfs_ior_write(), lanes=True)
+        churn = [[n] * (n % 16) for n in range(6000)]
+        del churn[::2]
+        second = span_digest(direct_pnfs_ior_write(), lanes=True)
+        del churn
+        assert first == second == DIRECT_PNFS_IOR_WRITE_LANES
 
     def test_faulted_rpc_scenario(self, cluster):
         col, _node, _marks = faulted_rpc_run(cluster)
@@ -293,5 +311,7 @@ class TestSpanPins:
 
 #: ``repro trace direct-pnfs ior-write --clients 2 --scale 0.02``.
 DIRECT_PNFS_IOR_WRITE = "3413ee6d8f017f5a5b918bc42c79170eba4deb808f2d2c69b9ccebe6b5dd0ae9"
+#: The same trace with its lanes.
+DIRECT_PNFS_IOR_WRITE_LANES = "165d6fa9014f92267f4a8b4b191a2fbf3f17dbc3dc2109f1f3407531f580baed"
 #: :func:`faulted_rpc_run`'s ten spans.
 FAULTED_RPC = "f45245af7fdd60b4b2cafe2c247678de26d63d0eb3dfd6848a146afd6e8f2714"

@@ -363,7 +363,7 @@ class TestFifoGrantBudget:
 
         monkeypatch.setattr(Event, "__init__", counted)
         assert events_of(sim, user()) == 1  # the timeout
-        assert built == ["Process", "Timeout"] and res.in_use == 0
+        assert built == ["Process", "Event"] and res.in_use == 0
 
     def test_try_acquire_refuses_a_busy_or_queued_pool_and_a_bad_count(self):
         sim = Simulator()
