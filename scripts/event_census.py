@@ -4,11 +4,13 @@
 Wraps ``Simulator._enqueue`` from outside for one ``run_cell`` and
 classifies every scheduled call by
 
-* what it is: when an event fires, its class (``Process``, ``Join``,
-  ``AnyOf``) or, for a plain ``Event``, what the kernel call that
-  queued it makes of it (``Timeout`` for a timer, armed or re-armed;
-  ``grant`` for a queued ``Resource`` acquire handed its units;
-  ``Event`` for anything else, such as a message's ``done``); else the
+* what it is: when an event fires, its class (``Process``) or, for a
+  plain ``Event``, what the kernel call that queued it makes of it
+  (``Timeout`` for a timer, armed or re-armed; ``grant`` for a queued
+  ``Resource`` acquire handed its units; ``Join`` for a fan-in that
+  ended with its last leg or failed with its first; ``AnyOf`` for a
+  first-of; ``Event`` for anything else, such as a message's
+  ``done``); else the
   function called (``_Message._tx_served``, ``Pipe._start`` for a
   pipe's grant hop, ``Process._resume`` for a start kick,
   ``Resource._end_service`` for the end of a service time ...),
@@ -25,7 +27,10 @@ classifies every scheduled call by
   a process completion, the generator that finished,
 
 then prints events by class per front-end RPC (ROADMAP item 2c's table).
-It counts generator resumes (``_Driver._resume`` entries) beside them.
+It counts generator resumes (``_Driver._resume`` entries) beside them,
+and prints the class mix the kernel's hot sites meet: the fired events
+by exact class, and the resumes by (driver class, handed-event class)
+(docs/architecture.md, "One event class").
 A reader, not a hook: nothing in ``src/repro`` knows it exists, so it is
 free when not run.  :func:`recording` is the one wrap of the kernel the
 repo has; the events-per-RPC gate (``benchmarks/test_rpc_overhead.py``)
@@ -73,12 +78,22 @@ KINDS = {
 }
 
 
-#: A plain ``Event`` named by the kernel call that queued it.
+#: A plain ``Event`` named by the kernel call that queued it.  A join
+#: fires from its last generator leg's ``end`` (or first failure), from
+#: an event leg's ``_leg_fired``, or at once from the call that built
+#: it when every leg had fired already; an any-of from ``_first_fired``
+#: or its builder.
 PLAIN_EVENTS = {
     "timeout": "Timeout",
     "reset": "Timeout",
     "acquire[Resource]": "grant",
     "release[Resource]": "grant",
+    "end": "Join",
+    "_leg_fired": "Join",
+    "spawn": "Join",
+    "all_of": "Join",
+    "_first_fired": "AnyOf",
+    "any_of": "AnyOf",
 }
 
 
@@ -143,12 +158,35 @@ class Recording:
     def __init__(self):
         #: Scheduled calls by :func:`classify`'s class.
         self.classes: Counter = Counter()
-        #: ``_Driver._resume`` entries: generator resumes.
-        self.resumes = 0
+        #: Queued event firings by the event's exact class.
+        self.fired: Counter = Counter()
+        #: ``_Driver._resume`` entries by (driver class, handed-event class).
+        self.drives: Counter = Counter()
+
+    @property
+    def resumes(self) -> int:
+        """``_Driver._resume`` entries: generator resumes."""
+        return sum(self.drives.values())
 
     def count(self, when: str) -> int:
         """Calls scheduled with delay class ``when`` (``delay`` = physical)."""
         return sum(n for cls, n in self.classes.items() if cls[1] == when)
+
+    def class_mix(self) -> list[str]:
+        """The two lines of what the kernel's hot sites met: fired
+        events by exact class, and resumes by driver and event class."""
+
+        def shares(counter: Counter) -> str:
+            total = sum(counter.values()) or 1
+            return ", ".join(
+                f"{name} {100 * n / total:.1f} %" for name, n in counter.most_common()
+            )
+
+        drives = Counter({f"{d}<-{e}": n for (d, e), n in self.drives.items()})
+        return [
+            f"fired by class ({sum(self.fired.values())}): {shares(self.fired)}",
+            f"resumes by driver<-event ({self.resumes}): {shares(drives)}",
+        ]
 
 
 @contextlib.contextmanager
@@ -161,11 +199,13 @@ def recording():
     def counted(self, fn, arg, delay, urgent=False):
         alone = self.nothing_else_due()
         rec.classes[classify(fn, arg, delay, sys._getframe(1), alone)] += 1
+        if fn is Event._process_callbacks:
+            rec.fired[type(arg).__name__] += 1
         enqueue(self, fn, arg, delay, urgent)
 
     @functools.wraps(resume)  # a queued resume keeps its name in the census
     def resumed(self, event):
-        rec.resumes += 1
+        rec.drives[type(self).__name__, type(event).__name__] += 1
         resume(self, event)
 
     Simulator._enqueue, _Driver._resume = counted, resumed
@@ -229,6 +269,8 @@ def main(argv=None) -> int:
     rest = total - sum(n for _cls, n in top)
     if rest:
         print(f"{rest / rpcs:8.2f} {100 * rest / total:5.1f}%  ({len(classes) - len(top)} more classes)")
+    for line in rec.class_mix():
+        print(line)
     bad = relays(classes)
     if bad:
         nbad = sum(bad.values())

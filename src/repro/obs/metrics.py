@@ -10,7 +10,8 @@ demand.
 :class:`Sampler` walks the registry at a fixed sim-time interval and
 produces per-metric time series — the raw material for "disk queue
 depth over the run" style plots.  It drives itself with a re-armed
-:class:`~repro.sim.engine.Timeout` and must be stopped explicitly, so
+:meth:`~repro.sim.engine.Simulator.timeout` timer
+(:meth:`~repro.sim.engine.Event.reset`) and must be stopped explicitly, so
 a drained event queue still ends the run.
 
 See :mod:`repro.obs.attach` for the functions that wire the simulator's

@@ -21,16 +21,17 @@ here, so untraced it runs no tracing code, and a wrapper schedules
 nothing, so a traced run keeps the untraced event schedule.
 
 Tracks: each span carries a ``track`` (rendered as the Chrome "pid",
-one per node or component) and a lane within it (the "tid"), assigned
-per simulation process or spawn leg, in the order the simulation
-reaches them, so concurrent work on one node stacks into parallel
-lanes instead of overlapping.
+one per node or component) and a lane within it (the "tid"), held by
+a simulation process or spawn leg while it has a span open there, so
+concurrent work on one node stacks into parallel lanes instead of
+overlapping, and a track has no more lanes than it had workers at once.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,6 +63,8 @@ class Span:
     start: float
     end: Optional[float] = None
     args: dict = field(default_factory=dict)
+    #: ``(track, driver)`` holding the lane while the span is open.
+    _holder: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 class SpanCollector:
@@ -70,7 +73,11 @@ class SpanCollector:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.spans: list[Span] = []
-        self._lanes: dict[tuple, int] = {}
+        #: ``(track, driver)`` -> ``[lane, spans open]`` now, and its last lane.
+        self._held: dict[tuple, list] = {}
+        self._last: dict[tuple, int] = {}
+        #: Per track: its lanes not held now, ascending, and how many it has.
+        self._free: dict[str, list[int]] = {}
         self._lane_count: dict[str, int] = {}
 
     # -- installation ------------------------------------------------------
@@ -192,47 +199,53 @@ class SpanCollector:
         ]
 
     # -- recording ---------------------------------------------------------
-    def _lane_for(self, track: str) -> int:
-        """Lane within ``track`` for the running process or spawn leg.
+    def begin(self, name: str, cat: str, track: str, **args) -> Span:
+        """Open a span on ``track`` starting now, in its driver's lane.
 
-        One lane per (track, process or leg), numbered in the order the
-        simulation first opens a span there: concurrent spans on the
-        same component land in parallel lanes; sequential work from the
-        same process reuses its lane.  The one running is the ``self``
-        of the nearest ``_Driver._resume`` frame on the stack — a spawn
-        leg's first segment runs inside its spawner's resume — and the
-        key holds it, so a finished process's address never passes its
-        lane to a later one.
+        The driver is the running process or spawn leg: the ``self`` of
+        the nearest ``_Driver._resume`` frame on the stack (a spawn leg's
+        first segment runs inside its spawner's resume), keyed by itself,
+        not its address.  It keeps its lane while it has a span open on
+        the track (nested spans share it); otherwise it takes the lane it
+        last had there if that is free, else the lowest free one, else a
+        new one — so lanes follow the simulated order alone.
         """
         frame = sys._getframe(1)
         while frame is not None and frame.f_code is not _RESUME:
             frame = frame.f_back
         key = (track, frame.f_locals["self"] if frame is not None else None)
-        lane = self._lanes.get(key)
-        if lane is None:
-            lane = self._lane_count.get(track, 0)
-            self._lane_count[track] = lane + 1
-            self._lanes[key] = lane
-        return lane
-
-    def begin(self, name: str, cat: str, track: str, **args) -> Span:
-        """Open a span on ``track`` starting now."""
-        span = Span(
-            name=name,
-            cat=cat,
-            track=track,
-            lane=self._lane_for(track),
-            start=self.sim.now,
-            args=args,
-        )
+        held = self._held.get(key)
+        if held is None:
+            free = self._free.setdefault(track, [])
+            lane = self._last.get(key)
+            if lane is not None and lane in free:
+                free.remove(lane)
+            elif free:
+                lane = free.pop(0)
+            else:
+                lane = self._lane_count.get(track, 0)
+                self._lane_count[track] = lane + 1
+            self._held[key] = held = [lane, 0]
+            self._last[key] = lane
+        held[1] += 1
+        span = Span(name=name, cat=cat, track=track, lane=held[0], start=self.sim.now, args=args)
+        span._holder = key
         self.spans.append(span)
         return span
 
     def end(self, span: Span, **extra_args) -> None:
-        """Close ``span`` now; ``extra_args`` merge into its args."""
+        """Close ``span`` now; ``extra_args`` merge into its args.  The
+        last span its driver has open on the track gives the lane back."""
         span.end = self.sim.now
         if extra_args:
             span.args.update(extra_args)
+        key, span._holder = span._holder, None
+        if key is not None:
+            held = self._held[key]
+            held[1] -= 1
+            if not held[1]:
+                del self._held[key]
+                insort(self._free[key[0]], held[0])
 
     # -- analysis ----------------------------------------------------------
     def by_category(self) -> dict[str, list[Span]]:

@@ -59,7 +59,8 @@ One generator driver
 --------------------
 A :class:`Process` and a :meth:`Simulator.spawn` leg run on the same
 trampoline (:class:`_Driver`) and differ only in what ending means: a
-process is itself an event and fires, a leg reports to its :class:`Join`.
+process is itself an event and fires, a leg reports to its join (a
+plain :class:`Event`, :meth:`Simulator.spawn`).
 
 Typical usage::
 
@@ -125,19 +126,20 @@ class Event:
     as an exception into every process waiting on them, unless the
     failure is *defused* by a waiter that handles it.
 
-    Timers (:meth:`Simulator.timeout`), ``Resource`` grants and the
-    process-start sentinel are plain events too, not subclasses: the
-    kernel's hot sites then see one class, and CPython's cached slot
-    reads hit (docs/architecture.md, "One event class").  The last
-    three slots serve them and stay unset on any other event: a
-    timer's ``delay`` (what :meth:`reset` re-arms with), and a grant's
-    ``units`` (wanted or held; 0 once withdrawn or given back) and
-    ``hold`` (a service's duration; ``None`` for a plain acquire).
+    Timers, ``Resource`` grants, the process-start sentinel and the
+    fan-ins are plain events too, not subclasses: the kernel's hot
+    sites then see one class, and CPython's cached slot reads hit
+    (docs/architecture.md, "One event class").  The last five slots
+    serve them and stay unset on any other event: a timer's ``delay``
+    (what :meth:`reset` re-arms with), a grant's ``units`` (wanted or
+    held; 0 once withdrawn or given back) and ``hold`` (a service's
+    duration; ``None`` for a plain acquire), a fan-in's ``legs`` and a
+    join's ``_pending_count`` (legs yet to end).
     """
 
     __slots__ = (
         "sim", "_cb1", "_cbs", "_value", "ok", "_state", "_defused", "_abandon",
-        "delay", "units", "hold",
+        "delay", "units", "hold", "legs", "_pending_count",
     )
 
     def __init__(self, sim: "Simulator"):
@@ -255,6 +257,31 @@ class Event:
             self._cbs = [fn]
         else:
             self._cbs.append(fn)
+
+    def _leg_fired(self, event: "Event") -> None:
+        """An event leg of this join ended: what ``_Task._finished`` /
+        ``_failed`` do for a generator leg."""
+        if not event.ok:
+            event._defused = True
+            if self._state == _PENDING:
+                self.fail(event._value)
+            return
+        self._pending_count -= 1
+        if self._pending_count == 0 and self._state == _PENDING:
+            self.succeed(tuple(leg._value for leg in self.legs))
+
+    def _first_fired(self, event: "Event") -> None:
+        """A leg of this any-of fired: the first decides it."""
+        if self._state != _PENDING:
+            return
+        if not event.ok:
+            event._defused = True
+            self.fail(event._value)
+            return
+        for index, leg in enumerate(self.legs):
+            if leg is event:
+                break
+        self.succeed((index, event._value))
 
     def __iter__(self) -> Generator["Event", Any, Any]:
         """``value = yield from event`` — wait for it, as ``yield event`` does.
@@ -414,116 +441,21 @@ class Process(Event, _Driver):
     _failed = Event.fail
 
 
-class AnyOf(Event):
-    """Fires as soon as one constituent event fires.
-
-    Its value is ``(index, value)`` of the first event to fire.  If the
-    same event object appears more than once, the index of its *first*
-    occurrence is reported (both slots fire at the same instant with the
-    same value, so the first occurrence is the meaningful one).  A
-    constituent that fails first fails the condition with its exception.
-    """
-
-    __slots__ = ("events", "_index")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = events = tuple(events)
-        # id -> construction index, first occurrence wins.  Built before
-        # any callback can run: an already-fired constituent calls
-        # ``_check`` synchronously from ``add_callback``.
-        self._index: dict[int, int] = {}
-        for i, ev in enumerate(events):
-            if ev.sim is not sim:
-                raise SimulationError("condition mixes events from two simulators")
-            self._index.setdefault(id(ev), i)
-        if not events:
-            self.succeed(())
-        for ev in events:
-            ev.add_callback(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self._state != _PENDING:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event._value)
-            return
-        self.succeed((self._index[id(event)], event._value))
-
-
-class Join(Event):
-    """Completion event for a batch of lightweight legs.
-
-    Returned by :meth:`Simulator.spawn` and :meth:`Simulator.all_of`
-    (the one fan-in): fires when every leg has ended — its value is the
-    tuple of their values in the order given — or fails with the first
-    leg's exception; failures of later legs are defused — the waiter
-    was handed the first, and nobody can observe the rest.  A
-    generator leg is driven by a :class:`_Task` that tells the join
-    directly when it ends; a leg that is already an event (a CPU
-    charge, a wire transfer) gets the join's callback and nothing else
-    — no task, no start, no ``StopIteration``.  Either way, finishing a
-    leg costs no completion event of its own.
-
-    The join holds its legs: a leg parked on an event nothing else
-    references stays reachable through whoever waits on the join, so
-    the cyclic garbage collector cannot close its generator — and run
-    its ``finally:`` blocks — in the middle of a live simulation.
-    """
-
-    __slots__ = ("legs", "_pending_count")
-
-    def __init__(self, sim: "Simulator", legs: tuple):
-        super().__init__(sim)
-        self._pending_count = len(legs)
-        if not legs:
-            # Nothing to wait for: pre-fired, like a free FIFO grant.
-            self._value = ()
-            self._state = _PROCESSED
-        #: Filled as the legs start: the join cannot complete — and read
-        #: their values — before the last one is in.
-        self.legs = started = []
-        leg_fired = self._leg_fired
-        for leg in legs:
-            if isinstance(leg, Event):
-                started.append(leg)
-                leg.add_callback(leg_fired)
-            else:
-                # A generator leg runs its first segment here, in the
-                # spawner's stack: a start kick would only relay control.
-                leg = _Task(sim, leg, self)
-                started.append(leg)
-                leg._resume(_START)
-
-    def _leg_fired(self, event: Event) -> None:
-        """An event leg ended: what ``_Task._finished`` / ``_failed`` do
-        for a generator leg."""
-        if not event.ok:
-            event._defused = True
-            if self._state == _PENDING:
-                self.fail(event._value)
-            return
-        self._pending_count -= 1
-        if self._pending_count == 0 and self._state == _PENDING:
-            self.succeed(tuple(leg._value for leg in self.legs))
-
-
 class _Task(_Driver):
     """One generator leg of a :meth:`Simulator.spawn`: a driven generator
     and no more.
 
     Unlike :class:`Process` a task is not itself an event — nothing can
-    wait on (or interrupt) an individual leg, only the shared
-    :class:`Join` — so a leg costs one slotted object, no start kick
-    and no completion event.  It does run in a ``_resume`` frame of its
+    wait on (or interrupt) an individual leg, only the shared join — so
+    a leg costs one slotted object, no start kick and no completion
+    event.  It does run in a ``_resume`` frame of its
     own, so a tracer that looks for the nearest one on the stack tells
     concurrent legs apart.
     """
 
     __slots__ = ("sim", "_generator", "_waiting_on", "join", "_value")
 
-    def __init__(self, sim: "Simulator", generator: Generator, join: Join):
+    def __init__(self, sim: "Simulator", generator: Generator, join: Event):
         self.sim = sim
         self._generator = generator
         self._waiting_on: Optional[Event] = None
@@ -631,13 +563,13 @@ class Simulator:
         """Start ``generator`` as a process at the current instant."""
         return Process(self, generator, name)
 
-    def spawn(self, *legs: "Generator | Event") -> Join:
+    def spawn(self, *legs: "Generator | Event") -> Event:
         """Run ``legs`` side by side, joined where started.
 
         ``results = yield sim.spawn(a, b, c)`` is the fan-out idiom: a
         generator leg starts here and now, in the caller's stack, an
         event leg (``node.compute(...)``, a ``network.transfer(...)``) is simply
-        waited for, and the returned :class:`Join` fires when all have
+        waited for, and the returned join fires when all have
         ended, with their values in spawn order.  Cheaper than
         ``all_of([process(g) for g in generators])`` by a start kick and
         a completion event per leg: legs are not processes, so nothing
@@ -646,12 +578,12 @@ class Simulator:
         someone else, or that must be interruptible (write-back in
         flight, a prefetch, an RPC attempt under a retry timer).
         """
-        return Join(self, legs)
+        return self._join(legs)
 
-    def all_of(self, events: Iterable[Event]) -> Join:
+    def all_of(self, events: Iterable[Event]) -> Event:
         """Composite event firing when all ``events`` have fired.
 
-        A :class:`Join` over event legs — :meth:`spawn` for activities
+        A join over event legs — :meth:`spawn` for activities
         started elsewhere (processes kept to be interrupted, timeouts).
         With nothing to wait for it is already fired.
         """
@@ -659,11 +591,57 @@ class Simulator:
         for ev in legs:
             if ev.sim is not self:
                 raise SimulationError("condition mixes events from two simulators")
-        return Join(self, legs)
+        return self._join(legs)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when the first of ``events`` fires."""
-        return AnyOf(self, events)
+    def _join(self, legs: tuple) -> Event:
+        """The one fan-in, ``Join(sim, legs)``: a plain event firing with
+        the legs' values in order once all have ended, or failing with
+        the first failure (later ones are defused: nobody observes them).
+
+        A generator leg is driven by a :class:`_Task` that tells the join
+        when it ends; an event leg gets ``_leg_fired`` and nothing else.
+        The join holds its legs, so the cyclic garbage collector cannot
+        close a parked leg's generator — and run its ``finally:`` blocks
+        — in the middle of a live simulation.
+        """
+        join = Event(self)
+        join._pending_count = len(legs)
+        if not legs:
+            # Nothing to wait for: pre-fired, like a free FIFO grant.
+            join._value = ()
+            join._state = _PROCESSED
+        # Filled as the legs start: it cannot complete before the last is in.
+        join.legs = started = []
+        leg_fired = join._leg_fired
+        for leg in legs:
+            if isinstance(leg, Event):
+                started.append(leg)
+                leg.add_callback(leg_fired)
+            else:
+                # A generator leg runs its first segment here, in the
+                # spawner's stack: a start kick would only relay control.
+                leg = _Task(self, leg, join)
+                started.append(leg)
+                leg._resume(_START)
+        return join
+
+    def any_of(self, events: Iterable[Event]) -> Event:
+        """Composite event firing when the first of ``events`` fires:
+        ``AnyOf(sim, events)``, a plain event with value ``(index,
+        value)`` of the first to fire (an event given twice reports its
+        first position), or failing with its exception."""
+        first = Event(self)
+        # Set first: an already-fired leg calls back from ``add_callback``.
+        first.legs = legs = tuple(events)
+        for ev in legs:
+            if ev.sim is not self:
+                raise SimulationError("condition mixes events from two simulators")
+        if not legs:
+            first.succeed(())
+        fired = first._first_fired
+        for ev in legs:
+            ev.add_callback(fired)
+        return first
 
     # -- scheduling -------------------------------------------------------
     def call_later(self, delay: float, fn: Callable[[Any], None], arg: Any = None) -> None:
@@ -758,6 +736,8 @@ class Simulator:
             stats.wall_seconds += _time.perf_counter() - wall_start
 
 
-#: ``Timeout(sim, delay, value=None)``: :meth:`Simulator.timeout` called
-#: as a function — a constructor of timers, which are plain events.
+#: Constructors of plain events called as functions: ``Timeout(sim,
+#: delay, value=None)``, ``Join(sim, legs)``, ``AnyOf(sim, events)``.
 Timeout = Simulator.timeout
+Join = Simulator._join
+AnyOf = Simulator.any_of

@@ -52,6 +52,23 @@ def test_the_recording_accounts_for_every_scheduled_call_and_counts_resumes():
     assert any(cls[0] == "Process._resume" for cls in rec.classes)
 
 
+def test_the_kernels_hot_sites_meet_one_event_class_and_process(capsys):
+    """Timers, grants, the start sentinel and the fan-ins are plain
+    events: every queued firing is an ``Event`` or a ``Process``, and so
+    is every event a generator is resumed with (docs/architecture.md,
+    "One event class")."""
+    script = load_script("event_census")
+    rec, _rpcs, _res = script.census("direct-pnfs", "pinned", 2, 0.02, None)
+    assert rec.fired["Event"] and rec.fired["Process"]
+    assert set(rec.fired) == {"Event", "Process"}
+    assert {event for _driver, event in rec.drives} == {"Event"}
+    assert {driver for driver, _event in rec.drives} == {"Process", "_Task"}
+    assert sum(rec.drives.values()) == rec.resumes
+    fired, resumed = rec.class_mix()
+    assert fired.startswith(f"fired by class ({sum(rec.fired.values())}): Event ")
+    assert resumed.startswith(f"resumes by driver<-event ({rec.resumes}): ")
+
+
 @pytest.mark.parametrize(
     "argv", [["--clients", "0"], ["--clients", "99"], ["--scale", "0"], ["--scale", "x"]]
 )

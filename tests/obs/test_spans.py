@@ -121,6 +121,32 @@ class TestRecording:
         assert (a2.lane, b2.lane) == (a1.lane, b1.lane)  # a leg keeps its lane
         assert tail.lane == whole.lane  # the spawner got its own back
 
+    def test_a_lane_is_held_while_a_span_is_open_and_then_given_back(self):
+        """A track has no more lanes than it had workers with a span open
+        at once: a worker's last closing span frees its lane, a worker
+        takes back the lane it last had if that is free, else the lowest
+        free one, and nested spans share their worker's lane."""
+        sim = Simulator()
+        with SpanCollector(sim) as col:
+
+            def work(spans):
+                for name, at, d in spans:
+                    yield sim.timeout(at - sim.now)
+                    span = col.begin(name, "disk", "s0")
+                    if name == "outer":
+                        col.end(col.begin("inner", "disk", "s0"))
+                    yield sim.timeout(d)
+                    col.end(span)
+
+            sim.process(work([("a", 0.0, 1.0)]))
+            sim.process(work([("b", 0.5, 1.0), ("b-again", 2.0, 1.0)]))
+            sim.process(work([("c", 2.5, 1.0)]))
+            sim.process(work([("outer", 4.0, 1.0)]))
+            sim.run()
+        lanes = {s.name: s.lane for s in col.spans}
+        # b-again takes back lane 1 although 0 is free; c gets the lowest.
+        assert lanes == {"a": 0, "b": 1, "b-again": 1, "c": 0, "outer": 0, "inner": 0}
+
     def test_by_category(self):
         sim = Simulator()
         with SpanCollector(sim) as col:
@@ -312,6 +338,6 @@ class TestSpanPins:
 #: ``repro trace direct-pnfs ior-write --clients 2 --scale 0.02``.
 DIRECT_PNFS_IOR_WRITE = "3413ee6d8f017f5a5b918bc42c79170eba4deb808f2d2c69b9ccebe6b5dd0ae9"
 #: The same trace with its lanes.
-DIRECT_PNFS_IOR_WRITE_LANES = "165d6fa9014f92267f4a8b4b191a2fbf3f17dbc3dc2109f1f3407531f580baed"
+DIRECT_PNFS_IOR_WRITE_LANES = "8eb55bb9ec72c1af33bba52b26c80ce602cfe2c15ee09d8abeb36b07c2872f42"
 #: :func:`faulted_rpc_run`'s ten spans.
 FAULTED_RPC = "f45245af7fdd60b4b2cafe2c247678de26d63d0eb3dfd6848a146afd6e8f2714"

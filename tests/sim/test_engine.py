@@ -397,10 +397,11 @@ class TestAnyOfDuplicateEvents:
         sim.run(until=p)
         assert p.value == (0, "v")
 
-    def test_index_lookup_is_constant_time_structure(self, sim):
-        events = [Timeout(sim, i + 1.0) for i in range(5)]
+    def test_the_fourth_of_five_firing_first_reports_index_3(self, sim):
+        events = [Timeout(sim, 0.5 if i == 3 else i + 1.0, value=i) for i in range(5)]
         cond = AnyOf(sim, events)
-        assert cond._index[id(events[3])] == 3
+        assert sim.run(until=cond) == (3, 3)
+        assert sim.now == 0.5
 
 
 class TestTimeoutReset:

@@ -2,18 +2,18 @@
 
 CPython caches a ``__slots__`` read for one exact class, so a site that
 meets a mix of ``Event`` subclasses misses the cache on most reads.
-Timers, ``Resource`` grants and services, CPU charges, wire completions
-and the process-start sentinel are therefore all plain ``Event``\\ s —
-``type(...) is Event``, not an ``isinstance`` — and only ``Process``,
-``Join`` and ``AnyOf`` remain subclasses (docs/architecture.md, "One
-event class").
+Timers, ``Resource`` grants and services, CPU charges, wire completions,
+the process-start sentinel and the fan-ins (``spawn``, ``all_of``,
+``any_of``) are therefore all plain ``Event``\\ s — ``type(...) is
+Event``, not an ``isinstance`` — and ``Process`` is the only subclass
+left (docs/architecture.md, "One event class").
 """
 
 import pytest
 
-from repro.sim import Event, Network, SimulationError, Simulator, Timeout
+from repro.sim import AnyOf, Event, Network, SimulationError, Simulator, Timeout
 from repro.sim.cpu import Cpu, CpuSpec
-from repro.sim.engine import _START
+from repro.sim.engine import _START, Join
 from repro.sim.resources import Resource
 
 CHUNK = 1000
@@ -90,3 +90,46 @@ def test_reset_without_a_delay_needs_a_timer(sim):
     assert grant.processed
     with pytest.raises(SimulationError):
         grant.reset()
+
+
+def test_spawns_are_plain_events_with_generator_event_or_no_legs(sim):
+    def leg(d):
+        yield sim.timeout(d)
+        return d
+
+    generators = sim.spawn(leg(1.0), leg(2.0))
+    events = sim.spawn(sim.timeout(1.0, "a"), sim.timeout(0.5, "b"))
+    none = sim.spawn()
+    assert type(generators) is type(events) is type(none) is Event
+    assert none.processed and none.value == ()
+    sim.run()
+    assert (generators.value, events.value) == ((1.0, 2.0), ("a", "b"))
+
+
+def test_a_spawn_whose_last_leg_already_fired_is_a_plain_event(sim):
+    fired = Event(sim).succeed("x")
+    sim.run()
+    join = sim.spawn(sim.timeout(1.0, "t"), fired)
+    assert type(join) is Event
+    sim.run()
+    assert join.value == ("t", "x")
+    done = sim.spawn(fired)  # the only leg fired already: triggered at once
+    assert type(done) is Event and done.triggered
+    sim.run()
+    assert done.value == ("x",)
+
+
+def test_all_of_and_any_of_are_plain_events(sim):
+    every = sim.all_of([sim.timeout(1.0, "a"), sim.timeout(2.0, "b")])
+    first = sim.any_of([sim.timeout(2.0, "a"), sim.timeout(1.0, "b")])
+    assert type(every) is type(first) is Event
+    sim.run()
+    assert (every.value, first.value) == (("a", "b"), (1, "b"))
+
+
+def test_join_and_any_of_called_as_functions_build_plain_events(sim):
+    join = Join(sim, (sim.timeout(1.0, "a"),))
+    first = AnyOf(sim, [sim.timeout(1.0, "b")])
+    assert type(join) is type(first) is Event
+    sim.run()
+    assert (join.value, first.value) == (("a",), (0, "b"))
