@@ -13,9 +13,9 @@ Invariants checked (ISSUE: torture-harness checkers):
 
 * data integrity / errseq — :mod:`repro.check.model` oracles;
 * exactly-once — no session sequence id executes twice server-side
-  (``Session.duplicate_executions``);
-* lock safety — a monitor polls every server's lock tables for
-  conflicting coexisting grants;
+  (reply-cache misses counted by wrapping ``Session.cached_reply``);
+* lock safety — every grant is checked against the locks held beside
+  it (each server's ``LockManager.lock`` wrapped on the instance);
 * liveness — the episode and the final verification each finish within
   a generous sim-time deadline (RPC timeouts bound every stall);
 * conservation / leaks — post-heal: no session slot or server worker
@@ -26,12 +26,14 @@ Invariants checked (ISSUE: torture-harness checkers):
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro import rpc
 from repro.check.model import Model
 from repro.check.program import Program
 from repro.cluster.configs import ARCHITECTURES, make_deployment
+from repro.nfs.sessions import Session
 from repro.sim.faults import FaultInjector
 from repro.vfs.api import FsError, Payload
 
@@ -61,7 +63,6 @@ TORTURE_PVFS = dict(stripe_size=32 * KB)
 _EPISODE_DEADLINE = 120.0  # sim seconds
 _VERIFY_DEADLINE = 60.0
 _SETTLE = 8.0
-_LOCK_POLL = 0.02
 
 
 @dataclass
@@ -91,6 +92,26 @@ def run_episode(
     deadline: float = _EPISODE_DEADLINE,
 ) -> EpisodeResult:
     """Run ``program`` against ``arch``; returns violations + trace hash."""
+    # The exactly-once oracle's input, counted from outside the product:
+    # a reply-cache miss means the server is about to execute ``seq``.
+    # Sequence ids are never reused, so retiring one needs no wrapper.
+    executions: Counter = Counter()
+    cached_reply = Session.cached_reply
+
+    def counting(session, seq):
+        reply = cached_reply(session, seq)
+        if reply is None:
+            executions[session, seq] += 1
+        return reply
+
+    Session.cached_reply = counting
+    try:
+        return _episode(program, arch, deadline, executions)
+    finally:
+        Session.cached_reply = cached_reply
+
+
+def _episode(program: Program, arch: str, deadline: float, executions: Counter) -> EpisodeResult:
     result = EpisodeResult(seed=program.seed, arch=arch, op_count=program.op_count)
     dep = make_deployment(
         arch,
@@ -108,6 +129,31 @@ def run_episode(
         dep.make_client(node)
         for node in dep.testbed.client_nodes[: program.n_clients]
     ]
+
+    # -- lock safety, checked at each grant ----------------------------
+    # A conflicting pair can only come into being at a grant, so a check
+    # of each new range against the others held on its file is exact.
+    lock_reports: set[str] = set()
+
+    def watch_grants(srv, locks):
+        grant = locks.lock
+
+        def lock(fh, owner, start, end, kind):
+            granted = grant(fh, owner, start, end, kind)
+            lock_reports.update(
+                f"lock-safety: {srv.name} fh={fh} conflicting grants "
+                f"{a.kind}[{a.start},{a.end}) and {kind}[{start},{end}) coexist"
+                for a in locks.held(fh)
+                if a.owner != owner and a.overlaps(start, end) and "write" in (a.kind, kind)
+            )
+            return granted
+
+        locks.lock = lock
+
+    for srv in dep.servers:
+        locks = getattr(srv, "locks", None)
+        if locks is not None:
+            watch_grants(srv, locks)
 
     # -- setup: mount + create every file before faults start ----------
     def setup():
@@ -303,33 +349,6 @@ def run_episode(
     ]
     done = sim.all_of(procs)
 
-    # -- lock-safety monitor ------------------------------------------
-    lock_reports: set[str] = set()
-
-    def lock_monitor():
-        while not done.triggered:
-            for srv in dep.servers:
-                locks = getattr(srv, "locks", None)
-                if locks is None:
-                    continue
-                for fh, table in locks.snapshot().items():
-                    for i, a in enumerate(table):
-                        for b in table[i + 1 :]:
-                            if (
-                                a.owner != b.owner
-                                and a.overlaps(b.start, b.end)
-                                and ("write" in (a.kind, b.kind))
-                            ):
-                                lock_reports.add(
-                                    f"lock-safety: {srv.name} fh={fh} "
-                                    f"conflicting grants {a.kind}"
-                                    f"[{a.start},{a.end}) and {b.kind}"
-                                    f"[{b.start},{b.end}) coexist"
-                                )
-            yield sim.timeout(_LOCK_POLL)
-
-    sim.process(lock_monitor(), name="lock-monitor")
-
     sim.run(until=sim.any_of([done, sim.timeout(deadline)]))
     if not done.triggered:
         result.wedged = True
@@ -391,6 +410,9 @@ def run_episode(
             for c, cl in enumerate(clients + [verifier])
             for part in getattr(cl, "shards", [cl])
         ]
+        reexecuted: Counter = Counter()
+        for (sess, _seq), n in executions.items():
+            reexecuted[sess] += n - 1
         for c, cl in all_clients:
             for srv, sess in getattr(cl, "_sessions", {}).items():
                 if sess.slots.in_use:
@@ -398,10 +420,10 @@ def run_episode(
                         f"leak: client{c} session to {srv.name} still "
                         f"holds {sess.slots.in_use} slots after quiesce"
                     )
-                if sess.duplicate_executions:
+                if reexecuted[sess]:
                     violations.append(
                         f"exactly-once: client{c} session to {srv.name} "
-                        f"re-executed {sess.duplicate_executions} "
+                        f"re-executed {reexecuted[sess]} "
                         f"retransmitted requests (reply cache failed)"
                     )
             issued = getattr(cl, "readahead_issued_bytes", 0)

@@ -147,7 +147,3 @@ class LockManager:
     def held(self, fh) -> Iterable[LockRange]:
         """Snapshot of the locks on ``fh``."""
         return tuple(self._table(fh))
-
-    def snapshot(self) -> dict:
-        """Immutable snapshot of every table (invariant checkers)."""
-        return {fh: tuple(table) for fh, table in self._locks.items()}

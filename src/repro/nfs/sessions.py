@@ -29,7 +29,8 @@ __all__ = ["Session"]
 
 
 class Session:
-    """One client↔server NFSv4.1 session."""
+    """One client↔server NFSv4.1 session (no checker state: the torture
+    runner counts executions by wrapping :meth:`cached_reply`)."""
 
     def __init__(self, sim: Simulator, slots: int, name: str = ""):
         # Session ids come from the simulation's own id stream, so a
@@ -41,27 +42,12 @@ class Session:
         self._seq = itertools.count(1)
         #: Server-side reply cache: seq -> (result, reply_payload, error).
         self._replay: dict[int, tuple] = {}
-        #: Server-side executions per unretired seq.  Only retrying
-        #: clients hand their session to :func:`repro.rpc.call`, so
-        #: policy-less (calibrated) runs never reach this bookkeeping.
-        self.executed: dict[int, int] = {}
-        #: Sequence ids the server ran more than once — an exactly-once
-        #: violation (the reply cache failed to suppress a retransmitted
-        #: non-idempotent op).
-        self.duplicate_executions = 0
 
     # -- reply cache -------------------------------------------------------
     def next_seq(self) -> int:
         """Allocate a sequence id for one logical request (all of its
         retransmissions carry the same id)."""
         return next(self._seq)
-
-    def note_execution(self, seq: int) -> None:
-        """The server is about to *execute* (not replay) ``seq``."""
-        n = self.executed.get(seq, 0) + 1
-        self.executed[seq] = n
-        if n > 1:
-            self.duplicate_executions += 1
 
     def cache_reply(
         self, seq: int, result: Any, payload: Any, error: Optional[Exception]
@@ -78,8 +64,5 @@ class Session:
 
     def retire(self, seq: int) -> None:
         """The client received the reply for ``seq``: the server may
-        drop its cache entry (slot-reuse advances the cache window).
-        No attempt for ``seq`` is alive any more, so its execution count
-        is final and goes too."""
+        drop its cache entry (slot-reuse advances the cache window)."""
         self._replay.pop(seq, None)
-        self.executed.pop(seq, None)

@@ -73,9 +73,8 @@ class SpanCollector:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.spans: list[Span] = []
-        #: ``(track, driver)`` -> ``[lane, spans open]`` now, and its last lane.
+        #: ``(track, driver)`` -> ``[lane, spans open]`` while it has one open.
         self._held: dict[tuple, list] = {}
-        self._last: dict[tuple, int] = {}
         #: Per track: its lanes not held now, ascending, and how many it has.
         self._free: dict[str, list[int]] = {}
         self._lane_count: dict[str, int] = {}
@@ -206,9 +205,9 @@ class SpanCollector:
         the nearest ``_Driver._resume`` frame on the stack (a spawn leg's
         first segment runs inside its spawner's resume), keyed by itself,
         not its address.  It keeps its lane while it has a span open on
-        the track (nested spans share it); otherwise it takes the lane it
-        last had there if that is free, else the lowest free one, else a
-        new one — so lanes follow the simulated order alone.
+        the track (nested spans share it); otherwise it takes the lowest
+        free lane, else a new one — so lanes follow the simulated order
+        alone, and a driver is held only while it has a span open.
         """
         frame = sys._getframe(1)
         while frame is not None and frame.f_code is not _RESUME:
@@ -217,16 +216,12 @@ class SpanCollector:
         held = self._held.get(key)
         if held is None:
             free = self._free.setdefault(track, [])
-            lane = self._last.get(key)
-            if lane is not None and lane in free:
-                free.remove(lane)
-            elif free:
+            if free:
                 lane = free.pop(0)
             else:
                 lane = self._lane_count.get(track, 0)
                 self._lane_count[track] = lane + 1
             self._held[key] = held = [lane, 0]
-            self._last[key] = lane
         held[1] += 1
         span = Span(name=name, cat=cat, track=track, lane=held[0], start=self.sim.now, args=args)
         span._holder = key

@@ -275,8 +275,6 @@ def _attempt(
             result, reply_payload, error = cached
             server.calls_replayed += 1
         else:
-            if session is not None and seq is not None:
-                session.note_execution(seq)
             try:
                 result, reply_payload = yield from handler(args, payload)
             except FsError as exc:

@@ -61,13 +61,12 @@ class FaultInjector:
         if when < self.sim.now:
             raise ValueError(f"cannot schedule fault in the past ({when} < {self.sim.now})")
 
-        def fire():
-            yield self.sim.timeout(when - self.sim.now)
+        def fire(_):
             if name:
                 self._log(name)
             action()
 
-        self.sim.process(fire(), name=name or "fault")
+        self.sim.call_later(when - self.sim.now, fire)
 
     # -- immediate actions --------------------------------------------------
     def fail_server(self, server) -> None:

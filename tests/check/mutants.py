@@ -7,7 +7,8 @@ for that test only.  The client mutants are the pre-fix bodies of
 builds — ``PnfsClient``, each shard behind a ``ShardedPnfsRouter``,
 and the torture verifier — runs the pre-fix code; the native PVFS2
 client has no page cache, hence neither bug: it stays stock.  The
-``lock`` mutant blinds every NFS server's lock table to conflicts.
+``lock`` mutant blinds every NFS server's lock table to conflicts, and
+the ``replycache`` mutant empties every session's reply cache.
 
 A class patch does not reach ``repro.parallel`` pool workers, so runs
 under a mutant stay serial (``jobs=1``).
@@ -16,6 +17,7 @@ under a mutant stay serial (``jobs=1``).
 from repro import rpc
 from repro.nfs.client import Nfs4Client
 from repro.nfs.locks import LockManager
+from repro.nfs.sessions import Session
 from repro.vfs.api import FsError
 
 
@@ -68,11 +70,22 @@ def blind_lock_test(self, fh, owner, start, end, kind):
     return None
 
 
+def empty_reply_cache(self, seq):
+    """``Session.cached_reply`` that never finds a reply.
+
+    Every retransmission the server receives is executed again, so a
+    retried non-idempotent op runs twice; the exactly-once oracle must
+    report the re-execution.
+    """
+    return None
+
+
 #: name -> (the class it patches, the method it replaces, the broken body).
 MUTANTS = {
     "writeback": (Nfs4Client, "_writeback", unfixed_writeback),
     "truncate": (Nfs4Client, "truncate", unfixed_truncate),
     "lock": (LockManager, "test", blind_lock_test),
+    "replycache": (Session, "cached_reply", empty_reply_cache),
 }
 
 

@@ -15,13 +15,15 @@ so the failure mode can never quietly return:
 * **seed 28 + nfsv4 + buggy write-back** — checker-power demo: with the
   errseq re-dirty/latch fix reverted, the durability oracle reports the
   silent loss within the CI seed budget.
+* **seed 14 + direct-pnfs + empty reply cache** — checker-power demo for
+  exactly-once: a retransmitted request is executed again.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.check.program import generate
+from repro.check.program import SHARED, Op, Program, generate
 from repro.check.runner import run_episode, sweep
 from repro.check.shrink import shrink_list
 from repro.cluster.configs import ARCHITECTURES, make_deployment
@@ -121,6 +123,36 @@ class TestPinnedRegressions:
         assert any("silent-loss" in v for v in res.violations)
         # ... and the fixed client sails through the same episode.
         assert not run_episode(generate(28), "nfsv4").violations
+
+    def test_seed_14_empty_reply_cache_is_caught(self, monkeypatch):
+        # Checker power: with no reply cache, a retransmission after a
+        # lost reply runs the request again on the server.
+        with monkeypatch.context() as mp:
+            mutants.apply(mp, "replycache")
+            res = run_episode(generate(14), "direct-pnfs")
+        assert any(v.startswith("exactly-once:") for v in res.violations)
+        assert not run_episode(generate(14), "direct-pnfs").violations
+
+    @pytest.mark.parametrize("arch", ["nfsv4", "direct-pnfs"])
+    def test_a_5ms_overlap_of_two_write_locks_is_caught(self, arch, monkeypatch):
+        # Checker power at grant grain: two clients hold overlapping
+        # write locks on the shared file for 5 ms, far shorter than any
+        # polling period a monitor could afford.
+        track = [
+            Op("sleep", delay=0.001),
+            Op("lock", SHARED, 0, 64),
+            Op("sleep", delay=0.005),
+            Op("unlock", SHARED, 0, 64),
+        ]
+        program = Program(
+            seed=0, n_clients=2, chunk=8 * 1024, shared_size=16 * 1024,
+            private_size=8 * 1024, ops=[track, track],
+        )
+        assert not run_episode(program, arch).violations
+        with monkeypatch.context() as mp:
+            mutants.apply(mp, "lock")
+            res = run_episode(program, arch)
+        assert any(v.startswith("lock-safety:") for v in res.violations)
 
     @pytest.mark.xfail(
         strict=True,

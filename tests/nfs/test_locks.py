@@ -189,14 +189,14 @@ class TestLockTableBounded:
             assert lm.test(f"fh{i}", "o", 0, 10, WRITE_LT) is None
             assert lm.held(f"fh{i}") == ()
             assert lm.unlock(f"fh{i}", "o", 0, 10) == 0
-        assert len(lm.snapshot()) == 0
+        assert len(lm._locks) == 0
 
     def test_unlock_prunes_emptied_table(self):
         lm = LockManager()
         lm.lock("fh", "o", 0, 10, WRITE_LT)
-        assert len(lm.snapshot()) == 1
+        assert len(lm._locks) == 1
         lm.unlock("fh", "o", 0, 10)
-        assert len(lm.snapshot()) == 0
+        assert len(lm._locks) == 0
 
     def test_release_owner_prunes_emptied_tables(self):
         lm = LockManager()
@@ -205,7 +205,7 @@ class TestLockTableBounded:
         lm.lock("shared", "o", 0, 10, READ_LT)
         lm.lock("shared", "p", 20, 30, READ_LT)
         assert lm.release_owner("o") == 9
-        assert len(lm.snapshot()) == 1  # only "shared" (p's lock) survives
+        assert len(lm._locks) == 1  # only "shared" (p's lock) survives
 
     def test_open_lock_close_churn_stays_bounded(self):
         lm = LockManager()
@@ -215,5 +215,5 @@ class TestLockTableBounded:
             lm.lock(fh, "o", 0, 10, WRITE_LT)
             lm.held(fh)
             lm.release_owner("o")
-            assert len(lm.snapshot()) <= 1
-        assert len(lm.snapshot()) == 0
+            assert len(lm._locks) <= 1
+        assert len(lm._locks) == 0

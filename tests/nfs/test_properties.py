@@ -335,9 +335,9 @@ def lock_violation(ops):
             if (conflict is None) != model.can_lock(0, o, probe_s, probe_s + 4, "write"):
                 return f"step {step}: test(0, {o}) disagrees with model"
         # Bounded tables: one per fh with live locks, none for empty fhs.
-        if len(mgr.snapshot()) != len(model.active_fhs()):
+        if len(mgr._locks) != len(model.active_fhs()):
             return (
-                f"step {step}: {len(mgr.snapshot())} tables for "
+                f"step {step}: {len(mgr._locks)} tables for "
                 f"{len(model.active_fhs())} active fhs"
             )
     return None

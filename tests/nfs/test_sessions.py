@@ -105,18 +105,3 @@ class TestReplyCache:
         err = ValueError("status")
         session.cache_reply(seq, None, None, err)
         assert session.cached_reply(seq) == (None, None, err)
-
-    def test_executions_counted_without_a_switch_and_dropped_on_retire(self):
-        """The exactly-once oracle's input: always on, bounded by retire."""
-        sim = Simulator()
-        session = Session(sim, slots=4)
-        s1, s2 = session.next_seq(), session.next_seq()
-        session.note_execution(s1)
-        session.note_execution(s2)
-        assert session.duplicate_executions == 0
-        session.note_execution(s1)  # the reply cache failed to suppress it
-        assert session.duplicate_executions == 1
-        session.retire(s1)
-        session.retire(s2)
-        assert session.executed == {}
-        assert session.duplicate_executions == 1  # the verdict outlives the table

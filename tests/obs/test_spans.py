@@ -11,6 +11,7 @@ from repro.nfs.client import Nfs4Client
 from repro.obs import RpcTrace, SpanCollector, spans as obs_spans
 from repro.pvfs2.storage import StorageDaemon
 from repro.sim import Disk, FaultInjector, Simulator
+from repro.sim.engine import _Driver
 from repro.vfs.api import NoEntry, Payload
 from repro.workloads import IorWorkload
 
@@ -124,8 +125,8 @@ class TestRecording:
     def test_a_lane_is_held_while_a_span_is_open_and_then_given_back(self):
         """A track has no more lanes than it had workers with a span open
         at once: a worker's last closing span frees its lane, a worker
-        takes back the lane it last had if that is free, else the lowest
-        free one, and nested spans share their worker's lane."""
+        with no span open takes the lowest free lane, and nested spans
+        share their worker's lane."""
         sim = Simulator()
         with SpanCollector(sim) as col:
 
@@ -144,8 +145,8 @@ class TestRecording:
             sim.process(work([("outer", 4.0, 1.0)]))
             sim.run()
         lanes = {s.name: s.lane for s in col.spans}
-        # b-again takes back lane 1 although 0 is free; c gets the lowest.
-        assert lanes == {"a": 0, "b": 1, "b-again": 1, "c": 0, "outer": 0, "inner": 0}
+        # b-again takes the lowest free lane, not the one b had; so does c.
+        assert lanes == {"a": 0, "b": 1, "b-again": 0, "c": 1, "outer": 0, "inner": 0}
 
     def test_by_category(self):
         sim = Simulator()
@@ -330,6 +331,31 @@ class TestSpanPins:
         del churn
         assert first == second == DIRECT_PNFS_IOR_WRITE_LANES
 
+    def test_after_a_traced_cell_only_open_spans_hold_drivers(self):
+        """The collector keeps a process or spawn leg (and, through it, its
+        generator) alive only while it has a span open: after the cell,
+        the drivers its attributes reach are those of the storage flushes
+        still running, not every driver that ever opened a span."""
+        col = direct_pnfs_ior_write()
+        still_open = {id(s._holder[1]) for s in col.spans if s.end is None}
+        assert still_open
+        drivers = []
+
+        def walk(obj):
+            if isinstance(obj, _Driver):
+                drivers.append(obj)
+            elif isinstance(obj, dict):
+                for item in obj.items():
+                    walk(item)
+            elif isinstance(obj, (list, tuple, set)):
+                for item in obj:
+                    walk(item)
+            elif isinstance(obj, obs_spans.Span):
+                walk(vars(obj))
+
+        walk({name: value for name, value in vars(col).items() if name != "sim"})
+        assert {id(d) for d in drivers} == still_open
+
     def test_faulted_rpc_scenario(self, cluster):
         col, _node, _marks = faulted_rpc_run(cluster)
         assert span_digest(col) == FAULTED_RPC
@@ -337,7 +363,8 @@ class TestSpanPins:
 
 #: ``repro trace direct-pnfs ior-write --clients 2 --scale 0.02``.
 DIRECT_PNFS_IOR_WRITE = "3413ee6d8f017f5a5b918bc42c79170eba4deb808f2d2c69b9ccebe6b5dd0ae9"
-#: The same trace with its lanes.
-DIRECT_PNFS_IOR_WRITE_LANES = "8eb55bb9ec72c1af33bba52b26c80ce602cfe2c15ee09d8abeb36b07c2872f42"
+#: The same trace with its lanes; a driver with no span open on a track
+#: takes the lowest free lane there.
+DIRECT_PNFS_IOR_WRITE_LANES = "51e2d03462ac6456ae9cbe82abebea95109ee5c818c5d8dbe58a9c778e7d9358"
 #: :func:`faulted_rpc_run`'s ten spans.
 FAULTED_RPC = "f45245af7fdd60b4b2cafe2c247678de26d63d0eb3dfd6848a146afd6e8f2714"

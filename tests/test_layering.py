@@ -1,9 +1,11 @@
 """Layering: the simulated system does not import its observers.
 
-Metrics and spans watch the product from outside (``repro.obs.attach``
-reads counters, a ``SpanCollector`` wraps entry points while it is
-installed), so no module of the simulator, the protocols or the file
-systems imports ``repro.obs``.
+Metrics, spans and the torture oracles watch the product from outside
+(``repro.obs.attach`` reads counters, a ``SpanCollector`` wraps entry
+points while it is installed, ``repro.check.runner`` wraps the lock
+tables and the reply cache for an episode), so no module of the
+simulator, the protocols or the file systems imports ``repro.obs`` or
+``repro.check``.
 """
 
 import ast
@@ -11,6 +13,8 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 PRODUCT = ["sim", "rpc.py", "nfs", "pnfs", "pvfs2", "core", "vfs"]
+#: The observer packages no product module may import.
+OBSERVERS = ("repro.obs", "repro.check")
 
 
 def _module_name(path: pathlib.Path, root: pathlib.Path = SRC) -> str:
@@ -51,7 +55,8 @@ def test_product_modules_do_not_import_obs():
     offenders = {
         _module_name(path): sorted(
             name for name in _imported(path)
-            if name == "repro.obs" or name.startswith("repro.obs.")
+            for observer in OBSERVERS
+            if name == observer or name.startswith(observer + ".")
         )
         for path in files
     }
