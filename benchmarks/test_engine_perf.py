@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.bench.runner import run_cell
+from repro.bench.runner import Cell
 from repro.cluster.configs import ARCHITECTURES
 from repro.workloads import IorWorkload
 
@@ -41,19 +41,25 @@ def test_observability_is_pay_for_what_you_use(arch):
       same physics (makespan, bytes, throughput): observation reads the
       run, it never perturbs it.  Wall overhead must stay bounded.
     """
-    from repro.obs import spans as obs_spans
+    from repro.obs import SpanCollector, measure_with_metrics, spans as obs_spans
 
     assert obs_spans.ACTIVE is None  # default-off really is off
 
     workload_kw = dict(op="write", block_size=4 * MB, shared_file=False, scale=0.05)
 
-    def run(**obs_kw):
+    def run(observe: bool):
         t0 = time.perf_counter()
-        res = run_cell(arch, IorWorkload(**workload_kw), 4, **obs_kw)
-        return res, time.perf_counter() - t0
+        cell = Cell(arch, IorWorkload(**workload_kw), 4)
+        cell.setup()
+        if observe:
+            with SpanCollector(cell.sim) as spans:
+                res, section = measure_with_metrics(cell)
+        else:
+            res, section, spans = cell.measure(), None, None
+        return res, section, spans, time.perf_counter() - t0
 
-    plain, wall_off = run()
-    observed, wall_on = run(metrics=True, trace=True)
+    plain, _, _, wall_off = run(observe=False)
+    observed, section, spans, wall_on = run(observe=True)
 
     # Identical simulated physics, to the bit.
     assert observed.makespan == plain.makespan
@@ -63,14 +69,14 @@ def test_observability_is_pay_for_what_you_use(arch):
     extra_events = (
         observed.engine["events_processed"] - plain.engine["events_processed"]
     )
-    n_samples = len(observed.metrics["series"]["t"])
+    n_samples = len(section["series"]["t"])
     assert 0 <= extra_events <= n_samples + 2
 
     # The observed run actually captured something.
-    assert observed.metrics["counters"]
-    assert observed.metrics["bottleneck"]
-    assert len(observed.metrics["series"]["t"]) >= 2
-    assert observed.trace.spans
+    assert section["counters"]
+    assert section["bottleneck"]
+    assert len(section["series"]["t"]) >= 2
+    assert spans.spans
 
     # Collector is uninstalled again: later runs are back to zero-cost.
     assert obs_spans.ACTIVE is None

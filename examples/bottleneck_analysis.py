@@ -15,8 +15,8 @@ Run:  python examples/bottleneck_analysis.py [arch] [read|write] [scale]
 import sys
 
 from repro.bench.report import format_metrics
-from repro.bench.runner import run_cell
-from repro.obs import RpcTrace
+from repro.bench.runner import Cell
+from repro.obs import RpcTrace, SpanCollector, measure_with_metrics
 from repro.workloads import IorWorkload
 
 MB = 1024 * 1024
@@ -28,17 +28,20 @@ def main() -> None:
     scale = float(sys.argv[3]) if len(sys.argv) > 3 else 0.1
 
     workload = IorWorkload(op=op, block_size=4 * MB, scale=scale)
-    result = run_cell(arch, workload, n_clients=8, metrics=True, trace=True)
+    cell = Cell(arch, workload, n_clients=8)
+    cell.setup()
+    with SpanCollector(cell.sim) as spans:
+        result, section = measure_with_metrics(cell)
 
     print(f"{arch} / IOR {op} @ 8 clients (scale {scale})")
     print(f"aggregate: {result.aggregate_mbps:.1f} MB/s over {result.makespan:.2f} s\n")
 
-    print(format_metrics(result))
+    print(format_metrics(result, section))
 
     print("\nRPC mix over the measured window:")
-    print(RpcTrace.from_spans(result.trace).summary())
+    print(RpcTrace.from_spans(spans).summary())
 
-    rows = result.metrics["utilisation"]
+    rows = section["utilisation"]
     dominant = {r["dominant"] for r in rows if r["node"].startswith("server")}
     print(
         f"\nDominant server resource(s): {sorted(dominant)} — the paper's "

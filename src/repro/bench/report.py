@@ -62,8 +62,9 @@ def format_table(res: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def format_metrics(result) -> str:
-    """ASCII rendering of a ``RunResult``'s observability section.
+def format_metrics(result, section: dict) -> str:
+    """ASCII rendering of the metrics ``section`` of a ``RunResult``
+    (:func:`repro.obs.measure_with_metrics`).
 
     Utilisation table with the bottleneck verdict, then the counters
     that answer "where did the bytes (and the failures) go" — cache
@@ -71,19 +72,16 @@ def format_metrics(result) -> str:
     stayed at zero are suppressed except the failure-path ones, whose
     zeroes are the interesting reassurance.
     """
-    m = result.metrics
-    if not m:
-        return "(no metrics captured — run with metrics=True)"
     lines = [
         f"metrics: {result.arch} / {result.workload} @ {result.n_clients} clients",
     ]
     lines.append("  utilisation over the measured phase:")
-    for u in m["utilisation"]:
+    for u in section["utilisation"]:
         lines.append(
             f"    {u['node']:>8}: cpu {u['cpu']:5.1%}  tx {u['nic_tx']:5.1%}  "
             f"rx {u['nic_rx']:5.1%}  disk {u['disk']:5.1%}  -> {u['dominant']}"
         )
-    bn = m.get("bottleneck") or {}
+    bn = section.get("bottleneck") or {}
     if bn:
         lines.append(
             f"  bottleneck: {bn['component']} on {bn['node']} "
@@ -91,12 +89,12 @@ def format_metrics(result) -> str:
         )
     always = ("writeback_errors", "client_timeouts", "retransmissions", "errors")
     lines.append("  counters:")
-    for name, value in m["counters"].items():
+    for name, value in section["counters"].items():
         if value or name.endswith(always):
             lines.append(f"    {name} = {value}")
-    n_samples = len(m["series"]["t"])
+    n_samples = len(section["series"]["t"])
     lines.append(
-        f"  sampler: {n_samples} samples at {m['series']['interval']}s intervals"
+        f"  sampler: {n_samples} samples at {section['series']['interval']}s intervals"
     )
     return "\n".join(lines)
 

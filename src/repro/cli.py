@@ -151,23 +151,22 @@ def _mk(name: str, scale: float):
 
 
 def _cell(args):
-    """``(header, run)`` for the cell a ``cell=True`` verb describes;
-    ``run(**run_cell_kwargs)`` executes it."""
-    from functools import partial
-
-    from repro.bench.runner import run_cell
+    """``(header, cell)`` for the :class:`~repro.bench.runner.Cell` a
+    ``cell=True`` verb describes, not yet set up."""
+    from repro.bench.runner import Cell
 
     workload = _WORKLOADS[args.workload](args.scale)
     header = (
         f"{args.arch} / {args.workload} @ {args.clients} clients "
         f"(scale {args.scale}):"
     )
-    return header, partial(run_cell, args.arch, workload, n_clients=args.clients)
+    return header, Cell(args.arch, workload, args.clients)
 
 
 def _cmd_cell(args) -> int:
-    header, run = _cell(args)
-    result = run()
+    header, cell = _cell(args)
+    cell.setup()
+    result = cell.measure()
     print(header)
     print(f"  makespan   : {result.makespan:.3f} s")
     print(f"  aggregate  : {result.aggregate_mbps:.1f} MB/s")
@@ -180,14 +179,16 @@ def _cmd_metrics(args) -> int:
     import json
 
     from repro.bench.report import format_metrics
+    from repro.obs import measure_with_metrics
 
-    header, run = _cell(args)
-    result = run(metrics=True, sample_interval=args.interval)
+    header, cell = _cell(args)
+    cell.setup()
+    result, section = measure_with_metrics(cell, interval=args.interval)
     print(
         f"{header} {result.makespan:.3f} s makespan, {result.aggregate_mbps:.1f} MB/s",
         file=args.out,
     )
-    print(format_metrics(result), file=args.out)
+    print(format_metrics(result, section), file=args.out)
     if args.json:
         report = {
             "arch": result.arch,
@@ -197,20 +198,27 @@ def _cmd_metrics(args) -> int:
             "total_bytes": result.total_bytes,
             "aggregate_mbps": result.aggregate_mbps,
             "engine": result.engine,
-            "metrics": result.metrics,
+            "metrics": section,
         }
         _emit_json(json.dumps(report, indent=2, default=str), args)
     return 0
 
 
 def _cmd_trace(args) -> int:
-    """Run one cell under a span collector and export a Chrome trace."""
-    header, run = _cell(args)
-    result = run(trace=True)
-    result.trace.write_chrome_trace(args.trace_out)
-    cats = {c: len(s) for c, s in sorted(result.trace.by_category().items())}
+    """Export a Chrome trace of one cell's measured phase, collected on
+    through the storage daemons' drain after it so that no span is left
+    open (the makespan printed is the measured phase's)."""
+    from repro.obs import SpanCollector
+
+    header, cell = _cell(args)
+    cell.setup()
+    with SpanCollector(cell.sim) as spans:
+        result = cell.measure()
+        cell.settle()
+    spans.write_chrome_trace(args.trace_out)
+    cats = {c: len(s) for c, s in sorted(spans.by_category().items())}
     print(f"{header} {result.makespan:.3f} s makespan")
-    print(f"  {len(result.trace.spans)} spans: " + ", ".join(
+    print(f"  {len(spans.spans)} spans: " + ", ".join(
         f"{n} {c}" for c, n in cats.items()
     ))
     print(f"wrote {args.trace_out} (open at https://ui.perfetto.dev)")
@@ -229,10 +237,11 @@ def _cmd_profile(args) -> int:
     import json
     import pstats
 
-    header, run = _cell(args)
+    header, cell = _cell(args)
     prof = cProfile.Profile()
     prof.enable()
-    result = run()
+    cell.setup()
+    result = cell.measure()
     prof.disable()
 
     print(

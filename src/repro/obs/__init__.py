@@ -12,8 +12,9 @@ The diagnostic substrate behind the paper's per-component arguments
 * :class:`RpcTrace` — the same spans reduced to one record per RPC
   exchange, with a per-procedure latency, volume and failure table
   (:mod:`repro.obs.rpc_trace`);
-* ``repro metrics`` / ``repro trace`` CLI verbs and the
-  ``run_cell(metrics=True, trace=True)`` harness hooks consume both.
+* :func:`measure_with_metrics` and ``with SpanCollector(cell.sim):``
+  wrap a set-up :class:`~repro.bench.runner.Cell`'s ``measure()`` from
+  outside, as the ``repro metrics`` / ``repro trace`` CLI verbs do.
 
 Everything is pay-for-what-you-use: the product imports nothing from
 this package.  A collector wraps the traced entry points only while it
@@ -23,6 +24,7 @@ integer increment.
 
 from repro.obs.attach import (
     bottleneck,
+    measure_with_metrics,
     node_utilisation,
     observe_client,
     observe_deployment,
@@ -46,6 +48,7 @@ __all__ = [
     "Span",
     "SpanCollector",
     "bottleneck",
+    "measure_with_metrics",
     "node_utilisation",
     "observe_client",
     "observe_deployment",

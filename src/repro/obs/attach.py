@@ -15,15 +15,17 @@ layers and can be attached to any object that looks right (the tests
 attach bare stubs).  :func:`node_utilisation` reads the node gauges
 back: two registry readings make the per-node utilisation rows behind
 the paper's §6.2.1 attribution, and :func:`bottleneck` names the
-busiest of them.
+busiest of them.  :func:`measure_with_metrics` does all of that around
+a cell's measured phase.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, Sampler
 
 __all__ = [
     "bottleneck",
+    "measure_with_metrics",
     "node_utilisation",
     "observe_node",
     "observe_rpc_server",
@@ -229,3 +231,28 @@ def observe_deployment(reg: MetricsRegistry, dep, clients=()) -> None:
         observe_rpc_of(mds)
     for client in clients:
         observe_client(reg, client)
+
+
+def measure_with_metrics(cell, interval: float = 0.25):
+    """``(result, section)`` of a set-up cell's ``measure()`` (duck-typed:
+    ``dep``, ``sim``, ``clients``) with the deployment observed and
+    sampled every ``interval`` sim s: final ``counters``, ``series``,
+    per-node ``utilisation`` over the measured phase and ``bottleneck``.
+    """
+    registry = MetricsRegistry()
+    observe_deployment(registry, cell.dep, clients=cell.clients)
+    sampler = Sampler(cell.sim, registry, interval=interval).start()
+    try:
+        result = cell.measure()
+    finally:
+        sampler.stop()
+    counters = registry.collect()
+    tb = cell.dep.testbed
+    monitored = tb.server_nodes + [tb.extra_node] + tb.client_nodes[: len(cell.clients)]
+    rows = node_utilisation(monitored, sampler.samples[0][1], counters, result.makespan)
+    return result, {
+        "counters": counters,
+        "series": sampler.as_dict(),
+        "utilisation": rows,
+        "bottleneck": bottleneck(rows),
+    }

@@ -6,31 +6,38 @@ directly from the server cache, so the disks are not a bottleneck.
 Instead, client and server CPU performance becomes the limiting
 factor."
 
-The per-node rows come from the metrics registry
-(``run_cell(metrics=True)``, :func:`repro.obs.node_utilisation`).
+The per-node rows come from the metrics registry attached around a
+cell's measured phase (:func:`repro.obs.measure_with_metrics`,
+:func:`repro.obs.node_utilisation`).
 """
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.runner import run_cell
-from repro.obs import node_utilisation
+from repro.bench.runner import Cell
+from repro.obs import measure_with_metrics, node_utilisation
 from repro.workloads import IorWorkload
 
 MB = 1024 * 1024
 
 
+def utilisation(arch, workload, n_clients):
+    """Per-node utilisation rows over the cell's measured phase."""
+    cell = Cell(arch, workload, n_clients)
+    cell.setup()
+    return measure_with_metrics(cell)[1]["utilisation"]
+
+
 class TestWriteRegime:
     @pytest.mark.parametrize("arch", ["direct-pnfs", "pvfs2"])
     def test_large_writes_are_disk_bound(self, arch):
-        result = run_cell(
+        rows = utilisation(
             arch,
             IorWorkload(op="write", block_size=4 * MB, scale=0.1),
             8,
-            metrics=True,
         )
-        storage = [u for u in result.metrics["utilisation"] if u["node"].startswith("server")]
+        storage = [u for u in rows if u["node"].startswith("server")]
         assert storage
         # disks saturated...
         assert sum(u["disk"] for u in storage) / len(storage) > 0.7
@@ -41,26 +48,24 @@ class TestWriteRegime:
 
 class TestReadRegime:
     def test_warm_reads_leave_disks_idle(self):
-        result = run_cell(
+        rows = utilisation(
             "direct-pnfs",
             IorWorkload(op="read", block_size=4 * MB, scale=0.1),
             8,
-            metrics=True,
         )
-        storage = [u for u in result.metrics["utilisation"] if u["node"].startswith("server")]
+        storage = [u for u in rows if u["node"].startswith("server")]
         assert all(u["disk"] < 0.05 for u in storage)
         # servers loaded on CPU/NIC instead
         assert all(u["dominant"] in ("cpu", "nic") for u in storage)
         assert max(max(u["cpu"], u["nic_tx"]) for u in storage) > 0.5
 
     def test_nfsv4_single_server_is_the_hotspot(self):
-        result = run_cell(
+        rows = utilisation(
             "nfsv4",
             IorWorkload(op="read", block_size=4 * MB, scale=0.1),
             4,
-            metrics=True,
         )
-        by_node = {u["node"]: u for u in result.metrics["utilisation"]}
+        by_node = {u["node"]: u for u in rows}
         gateway = by_node["extra0"]
         backends = [u for n, u in by_node.items() if n.startswith("server")]
         # the single NFS server's NIC runs hot while backends coast

@@ -107,6 +107,9 @@ class TestCli:
         doc = json.loads(out_trace.read_text())
         cats = {e.get("cat") for e in doc["traceEvents"]}
         assert {"client-op", "rpc", "server", "disk"} <= cats
+        # The collector outlives the measured phase until the storage
+        # daemons have drained, so every span it opened is closed.
+        assert not [e for e in doc["traceEvents"] if e.get("args", {}).get("unfinished")]
 
     def test_torture_json_holds_the_program_that_failed(
         self, capsys, tmp_path, monkeypatch

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro import rpc
-from repro.bench.runner import run_cell
+from repro.bench.runner import Cell
 from repro.nfs.client import Nfs4Client
 from repro.obs import RpcTrace, SpanCollector, spans as obs_spans
 from repro.pvfs2.storage import StorageDaemon
@@ -303,9 +303,15 @@ def span_digest(col: SpanCollector, lanes: bool = False) -> str:
 
 
 def direct_pnfs_ior_write():
-    """``repro trace direct-pnfs ior-write --clients 2 --scale 0.02``'s collector."""
+    """A collector over the measured phase of ``repro trace direct-pnfs
+    ior-write --clients 2 --scale 0.02`` (the verb's own collector also
+    stays installed through the drain after it)."""
     workload = IorWorkload(op="write", block_size=4 * MB, shared_file=False, scale=0.02)
-    return run_cell("direct-pnfs", workload, n_clients=2, trace=True).trace
+    cell = Cell("direct-pnfs", workload, n_clients=2)
+    cell.setup()
+    with SpanCollector(cell.sim) as col:
+        cell.measure()
+    return col
 
 
 class TestSpanPins:
@@ -361,7 +367,8 @@ class TestSpanPins:
         assert span_digest(col) == FAULTED_RPC
 
 
-#: ``repro trace direct-pnfs ior-write --clients 2 --scale 0.02``.
+#: The measured phase of ``repro trace direct-pnfs ior-write --clients 2
+#: --scale 0.02``.
 DIRECT_PNFS_IOR_WRITE = "3413ee6d8f017f5a5b918bc42c79170eba4deb808f2d2c69b9ccebe6b5dd0ae9"
 #: The same trace with its lanes; a driver with no span open on a track
 #: takes the lowest free lane there.

@@ -224,5 +224,8 @@ class TestCliJson:
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["top"], "no profile rows"
-        assert any("run_cell" in row["function"] for row in report["top"])
+        assert any(
+            "bench/runner.py" in row["function"] and row["function"].endswith("(measure)")
+            for row in report["top"]
+        )
         assert "cumulative" in captured.err or "makespan" in captured.err

@@ -4,15 +4,15 @@ Metrics, spans and the torture oracles watch the product from outside
 (``repro.obs.attach`` reads counters, a ``SpanCollector`` wraps entry
 points while it is installed, ``repro.check.runner`` wraps the lock
 tables and the reply cache for an episode), so no module of the
-simulator, the protocols or the file systems imports ``repro.obs`` or
-``repro.check``.
+simulator, the protocols or the file systems, nor the cell harness
+they are measured by, imports ``repro.obs`` or ``repro.check``.
 """
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-PRODUCT = ["sim", "rpc.py", "nfs", "pnfs", "pvfs2", "core", "vfs"]
+PRODUCT = ["sim", "rpc.py", "nfs", "pnfs", "pvfs2", "core", "vfs", "bench/runner.py"]
 #: The observer packages no product module may import.
 OBSERVERS = ("repro.obs", "repro.check")
 
