@@ -15,8 +15,9 @@ classifies every scheduled call by
   pipe's grant hop, ``Process._resume`` for a start kick,
   ``Resource._end_service`` for the end of a service time ...),
 * zero or positive delay (positive = a physical delay on the heap;
-  ``lone`` = zero, scheduled from the tail of a queue entry while
-  nothing else was due in that instant),
+  ``lone`` = zero, scheduled while nothing else was due in that
+  instant from the tail of a queue entry, or by a pipe's ``release()``
+  handing on a service of positive duration),
 * the kernel call that scheduled it (``serve[Resource]``,
   ``acquire[Resource]``, ``serve[Pipe]``, ``release[Pipe]``, ``spawn``, ``process``,
   ``timeout``, ``end`` of a process ...; a service that ends and hands
@@ -44,8 +45,9 @@ it too::
 ``--check`` fails when the cell schedules a grant of a *free* FIFO
 ``Resource`` or a ``spawn`` start kick — the two relay classes PR 20
 removed (docs/architecture.md, "resource grants") — or a ``lone`` call:
-a pipe grant or wire completion that was the next thing the loop would
-run and should have run in place (docs/architecture.md, "the wire").
+a pipe grant, hand-off or wire completion that was the next thing the
+loop would run and should have run in place (docs/architecture.md, "the
+wire").
 """
 
 from __future__ import annotations
@@ -118,7 +120,9 @@ def classify(fn, arg, delay: float, frame, alone: bool = False) -> tuple[str, st
     the scheduling; with a frame on the way that calls itself a tail
     (``Pipe.serve(..., tail=True)``, ``_WireFlow._finish(tail)``) a
     zero-delay call is ``lone`` — unless an event fired in between:
-    what a waiter of an in-place ``done`` schedules is its own.
+    what a waiter of an in-place ``done`` schedules is its own.  So is
+    a hand-off hop ``release[Pipe]`` queues for a job (``arg``) of
+    positive duration: the hop would only schedule the job's end.
     """
     kernel_call = "?"
     site = "(event loop)"
@@ -148,7 +152,12 @@ def classify(fn, arg, delay: float, frame, alone: bool = False) -> tuple[str, st
         else:
             kernel_call = name
         frame = frame.f_back
-    when = "delay" if delay > 0 else "lone" if alone and tail else "zero"
+    if delay > 0:
+        when = "delay"
+    elif alone and (tail or kernel_call == "release[Pipe]" and arg[0] > 0):
+        when = "lone"
+    else:
+        when = "zero"
     return what(fn, arg, kernel_call), when, kernel_call, site
 
 
@@ -227,8 +236,8 @@ def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):
 
 
 def relays(classes: Counter) -> Counter:
-    """The classes ``--check`` refuses: free FIFO grants, spawn kicks
-    and tail calls queued with nothing else due."""
+    """The classes ``--check`` refuses: free FIFO grants, spawn kicks,
+    and tail calls and pipe hand-offs queued with nothing else due."""
     return Counter(
         {
             cls: n
@@ -250,7 +259,7 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=40, help="classes to print")
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 if a free FIFO grant, a spawn kick or a lone tail call was scheduled",
+        help="exit 1 if a free FIFO grant, a spawn kick or a lone call was scheduled",
     )
     args = parser.parse_args(argv)
     rec, rpcs, _res = census(args.arch, args.kind, args.clients, args.scale, args.seed)

@@ -52,7 +52,8 @@ a comparison never reaches ``fn``.
 What only relays control is not queued at all: a free FIFO grant is
 pre-fired (or, through ``Resource.try_acquire``, not even an event), a
 ``spawn`` leg starts in its spawner's stack, and a
-zero-delay call from the tail of a queue entry runs in place when
+zero-delay call from the tail of a queue entry, or a pipe's hand-off of
+a positive service, runs in place when
 :meth:`Simulator.nothing_else_due` — the wire's rule.
 
 One generator driver

@@ -9,7 +9,8 @@ at packet-interleaving granularity — concurrent flows through one pipe
 share it by seeded-random chunk interleaving, which is what reproduces
 bandwidth sharing among concurrent clients — at a cost of two queued
 calls per chunk (a service time on each pipe) plus a grant hop wherever
-a grant is made while something else is due in the same instant.
+a grant or hand-off is made while something else is due in the same
+instant.
 
 A transfer is one :class:`_WireFlow` driven by the calls it schedules:
 it holds the pipes itself, and :meth:`Network.transfer` returns its one
@@ -71,12 +72,21 @@ class Pipe:
     the hop decides something: it puts the new holder behind what the
     instant has already scheduled, and that order decides who is queued
     when the next release draws — inlining it unconditionally measured
-    as a fairness change (PR 14).  It decides nothing in exactly one
-    case: the caller is at the ``tail`` of the running queue entry
-    (nothing follows the ``serve`` that the grant could overtake) and
+    as a fairness change (PR 14).  It decides nothing when
     :meth:`Simulator.nothing_else_due` — the queued grant would be the
-    next thing the loop runs, so the service time is scheduled in
-    place.  A hand-off by ``release()`` is never a tail and always hops.
+    next thing the loop runs — and nothing after it in the running
+    entry can land beside the service's end:
+
+    * ``serve`` from the ``tail`` of the entry (nothing follows the call
+      that the grant could overtake) schedules the service time in place;
+    * ``release()`` handing the pipe to a waiter whose service has a
+      positive duration does too.  The releaser runs on, but its
+      zero-delay calls are due before that end, and the contract of a
+      holder's callback — after ``release()``, it schedules positive
+      delays only through pipe grants and wire completions — keeps
+      everything else behind it, as behind the hop.  A zero-duration
+      service would end in this instant, ahead of the releaser's
+      zero-delay calls: it hops.
     """
 
     def __init__(self, sim: Simulator, name: str = ""):
@@ -111,7 +121,11 @@ class Pipe:
         self.sim._enqueue(fn, arg, duration)
 
     def release(self) -> None:
-        """Hand the pipe to a random waiter, or leave it idle."""
+        """Hand the pipe to a random waiter, or leave it idle.
+
+        The waiter's service starts a hop from now — or now, when it
+        lasts a positive time and nothing else is due this instant.
+        """
         if not self.in_use:
             raise SimulationError(f"release() of idle pipe {self.name or 'pipe'}")
         waiters = self._waiters
@@ -121,8 +135,14 @@ class Pipe:
         n = len(waiters)
         # A lone waiter needs no draw: ``integers(0, 1)`` consumes no
         # generator state (pinned in tests/sim/test_resources.py).
-        job = waiters.pop(int(self.sim.rng.integers(0, n)) if n > 1 else 0)
-        self.sim._enqueue(self._start, job, 0.0)
+        sim = self.sim
+        duration, fn, arg = job = waiters.pop(int(sim.rng.integers(0, n)) if n > 1 else 0)
+        if duration > 0 and sim.nothing_else_due():
+            # The hop would be the loop's next entry, and the end it
+            # schedules lands after this instant: schedule it here.
+            sim._enqueue(fn, arg, duration)
+        else:
+            sim._enqueue(self._start, job, 0.0)
 
 
 class Nic:
@@ -274,26 +294,25 @@ class _WireFlow:
     * per chunk, the sender's **tx grant** and the receiver's **rx
       grant** (:meth:`Pipe._start`), and once the **completion**
       (``done``, fired with the counters already settled) — each of
-      the three only when it is
-      made while something else is due in the same instant, or handed
-      on by a ``release()``.
+      the three only when it is made, or handed on by a ``release()``,
+      while something else is due in the same instant.
 
     The three zero-delay relays are made from the tail of a queue entry
     — ``_next_chunk`` is one or ends one, ``_finish`` ends
     ``_next_chunk``, and the rx grant in ``_tx_served`` does nothing but
     one heap push the rest of the entry neither reads nor can overtake
     — so when :meth:`Simulator.nothing_else_due` they are what the loop
-    would run next, and run in place (see :class:`Pipe`).  A lone flow
-    of k equal chunks therefore costs ``2k + 1`` queue entries, its
-    three kinds of physical delay (a short last chunk that catches up
-    with the one ahead of it on the rx pipe waits, and adds the
-    hand-off hop); a flow through busy pipes, or beside
-    anything else due in the instant of a grant, pays the hop — up to
-    ``4k + 2`` — because there the hop decides which same-instant
-    requests are queued when a release draws, which is fairness, not
-    plumbing.  With zero latency the flow starts inside
-    ``Network.transfer``, whose caller runs on: no tail, so that first
-    grant always hops.
+    would run next, and run in place (see :class:`Pipe`); so does a
+    hand-off, whose service time is positive.  A lone flow of k chunks
+    therefore costs ``2k + 1`` queue entries, its three kinds of
+    physical delay — a short last chunk that catches up with the one
+    ahead of it on the rx pipe waits, and is handed the pipe in place.
+    A flow beside anything else due in the instant of a grant or
+    hand-off pays the hop — up to ``4k + 2`` — because there the hop
+    decides which same-instant requests are queued when a release
+    draws, which is fairness, not plumbing.  With zero latency the flow
+    starts inside ``Network.transfer``, whose caller runs on: no tail,
+    so that first grant always hops.
 
     ``FLOW_WINDOW`` bounds switch buffering per flow and keeps tx/rx
     pipelined so an uncontended flow still sees the full link

@@ -134,3 +134,34 @@ def test_an_uncontended_cell_queues_no_lone_tail_call_and_a_wire_that_always_hop
         ("Pipe._start", "sim/network.py:_tx_served"),
     }
     assert all(cls[1] == "lone" and cls[2] == "serve[Pipe]" for cls in lone)
+
+
+def test_a_contended_cell_queues_no_lone_hand_off_and_a_release_that_always_hops_does(
+    monkeypatch,
+):
+    script = load_script("event_census")
+    rec, _rpcs, _res = script.census("direct-pnfs", "pinned", 2, 0.02, None)
+    # Hand-offs still hop beside other work due in their instant.
+    assert any(cls[:3] == ("Pipe._start", "zero", "release[Pipe]") for cls in rec.classes)
+    assert not script.relays(rec.classes)
+
+    # The hand-off before it ran in place: always a queued hop.
+    from repro.sim.network import Pipe
+
+    def release(self):
+        waiters = self._waiters
+        if not waiters:
+            self.in_use = 0
+            return
+        n = len(waiters)
+        job = waiters.pop(int(self.sim.rng.integers(0, n)) if n > 1 else 0)
+        self.sim._enqueue(self._start, job, 0.0)
+
+    monkeypatch.setattr(Pipe, "release", release)
+    hopping, _rpcs, _res = script.census("direct-pnfs", "pinned", 2, 0.02, None)
+    lone = script.relays(hopping.classes)
+    assert lone
+    assert all(cls[:3] == ("Pipe._start", "lone", "release[Pipe]") for cls in lone)
+    assert {cls[3] for cls in lone} <= {
+        "sim/network.py:_tx_served", "sim/network.py:_rx_served",
+    }

@@ -5,6 +5,7 @@ import pytest
 from repro.sim import AnyOf, Event, Interrupt, Network, Pipe, Resource, Simulator
 from repro.sim.engine import SimulationError
 from tests.sim.test_event_budget import assert_idle
+from tests.sim.test_scheduler_equivalence import AlwaysHopSimulator
 
 
 class TestAnyOfFailures:
@@ -394,6 +395,52 @@ class TestTailRule:
         sim.call_later(1.0, entry)
         sim.run()
         assert order == ["hop", "holder", "entry over", "hop", "waiter"]
+
+    @staticmethod
+    def _hand_off(kernel, also_due=False):
+        """A holder and a waiter of 0.5 s services; at t=1 an entry
+        releases the pipe — beside another call due then if
+        ``also_due`` — and at t=1.5, queued long before, a call lands
+        in the instant the waiter's service ends."""
+        sim, order = kernel(), []
+        pipe = TestTailRule._watched(sim, order)
+
+        def note(tag):
+            order.append((sim.now, tag))
+
+        pipe.serve(0.5, note, "holder")
+        pipe.serve(0.5, note, "waiter", True)
+        sim.call_later(1.5, note, "queued for 1.5")
+        sim.run(until=0.75)
+
+        def entry(_):
+            pipe.release()
+            note("entry over")
+
+        sim.call_later(0.25, entry)
+        if also_due:
+            sim.call_later(0.25, note, "also due")
+        sim.run()
+        return order, sim.stats.events_processed
+
+    def test_release_hands_on_in_place_when_nothing_else_is_due(self):
+        order, entries = self._hand_off(Simulator)
+        hop_order, hop_entries = self._hand_off(AlwaysHopSimulator)
+        assert order == [
+            "hop", (0.5, "holder"), (1.0, "entry over"),
+            (1.5, "queued for 1.5"), (1.5, "waiter"),
+        ]
+        # The waiter's end: the same time and place as behind the hop.
+        assert [step for step in hop_order if step != "hop"] == order[1:]
+        assert hop_order.count("hop") == 2 and entries == hop_entries - 1
+
+    def test_release_beside_a_call_due_in_its_instant_still_hops(self):
+        order, entries = self._hand_off(Simulator, also_due=True)
+        assert order == [
+            "hop", (0.5, "holder"), (1.0, "entry over"), (1.0, "also due"),
+            "hop", (1.5, "queued for 1.5"), (1.5, "waiter"),
+        ]
+        assert (order, entries) == self._hand_off(AlwaysHopSimulator, also_due=True)
 
     def test_zero_latency_start_is_no_tail_and_hops(self):
         sim = Simulator()

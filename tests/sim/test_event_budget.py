@@ -7,10 +7,11 @@ an arbitration point was dropped (see docs/architecture.md, "Layer 1").
 
 The wire is pinned in both regimes.  Alone in its instants a message
 costs its physical delays only (latency, tx service, rx service: the
-grants and the completion run in place at the tail of those entries);
-beside anything else due in the same instant it pays every grant hop,
-``4k + 2`` for k chunks, as every flow did before the tail rule — the
-test ids keep those older counts in their names.
+grants and the completion run in place at the tail of those entries,
+and a ``release()`` hands the pipe on in place), ``2k + 1`` for k
+chunks; beside anything else due in the same instant it pays every
+grant hop, ``4k + 2``, as every flow did before the tail rule — the
+twin test ids keep those older counts in their names.
 """
 
 import pytest
@@ -107,19 +108,19 @@ class TestMessageBudget:
         assert finished == pytest.approx(LATENCY + 2 * (344 + 120) / BW, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, FLOW_WINDOW + 1, FLOW_WINDOW + 2, 10])
-    def test_lone_k_chunk_flow_costs_4k_plus_2(self, k):
+    def test_lone_k_chunk_flow_costs_2k_plus_1(self, k):
         """Alone: the latency and a service time per chunk on each pipe,
-        ``2k + 1`` physical delays — and one hop where the flow contends
-        with itself: the short last chunk is off the tx pipe before the
-        full chunk ahead of it is off the rx pipe, queues, and is handed
-        the pipe by ``release()``, which always hops.  ``4k + 2`` is the
-        twin's count, below."""
+        ``2k + 1`` physical delays and nothing else.  The flow contends
+        with itself once — the short last chunk is off the tx pipe
+        before the full chunk ahead of it is off the rx pipe, and queues
+        — but ``release()`` hands it the pipe in place, nothing else
+        being due.  ``4k + 2`` is the twin's count, below."""
         sim = Simulator()
         net = make_net(sim)
         nbytes = k * CHUNK - 1  # k chunks, the last one short
         with event_census.recording() as rec:
             cost = events_of(sim, wait_for(lambda: net.transfer("n0", "n1", nbytes)))
-        assert cost == 2 * k + 1 + (k > 1)
+        assert cost == 2 * k + 1
         assert rec.count("delay") == 2 * k + 1
         # Pipelined: the short last chunk reaches the rx pipe behind the
         # full chunk before it, k chunk times in; alone it crosses twice.
@@ -158,13 +159,16 @@ class TestMessageBudget:
     def test_two_flows_through_one_pipe_pay_every_hop_and_draw_the_same_numbers(self, k):
         """Two senders into one sink: the finish time and the random
         draws are those of a wire whose every relay is a queued call,
-        and so are the queue entries but one — the completion of the
-        flow that finishes last, alone in its instant."""
+        ``2 (4k + 2)`` entries.  Fewer entries here: the completion of
+        the flow that finishes last, alone in its instant, and every
+        ``release()`` hand-off of the sink's rx pipe made while nothing
+        else was due run in place."""
         incast = (("n1", "n0"), ("n2", "n0"))
         entries, finished, rng_state = two_flows(incast, k * CHUNK - 1)
         hopping = two_flows(incast, k * CHUNK - 1, kernel=AlwaysHopSimulator)
-        assert (entries + 1, finished, rng_state) == hopping
-        assert entries + 1 == 2 * (4 * k + 2)
+        assert (finished, rng_state) == hopping[1:]
+        assert hopping[0] == 2 * (4 * k + 2)
+        assert entries < hopping[0] and entries == {1: 9, 3: 22, 10: 71}[k]
 
     def test_stalled_receiver_fills_the_window_and_no_more(self, monkeypatch):
         """Three senders into one sink: a flow runs ahead of the rx pipe
