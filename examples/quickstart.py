@@ -33,7 +33,6 @@ def main() -> None:
         print("\nlayout from the layout translator:")
         print(f"  aggregation : {layout.aggregation}")
         print(f"  device slots: {layout.device_slots}")
-        print(f"  policy      : {layout.policy}")
 
         message = b"Direct-pNFS: direct, parallel access via stock NFSv4.1\n"
         yield from client.write(f, 0, Payload(message * 100))

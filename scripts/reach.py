@@ -8,10 +8,17 @@ path, a ROADMAP item that will use it, a reader outside ``src/``)::
 
     python scripts/reach.py            # run the census, list the unreached
     python scripts/reach.py --check    # ... and exit 1 on a gap or a stale entry
+    python scripts/reach.py --options  # ... and list the parameters no call varied
 
 ``--check`` fails when a named function no source enters is not in the
 allowlist, or when an allowlist entry names no function any more.  An
 allowlisted function that traffic now reaches is only reported.
+
+``--options`` counts, in the same pass, the calls that bind each
+parameter with a default to another value (``!=``, falling back to
+``is not`` where ``!=`` raises), and prints the parameters of entered
+functions that no call varied, with their call counts.  It is a report:
+such a parameter is a candidate for a constant, not a failure.
 
 A function is ``module:qualname`` (``repro.nfs.server:Nfs4Server._h_read``);
 lambdas, comprehensions, module and class bodies are not counted.  The
@@ -35,6 +42,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import dis
 import inspect
 import io
 import json
@@ -52,8 +60,8 @@ ALLOW = ROOT / "scripts" / "reach_allow.json"
 FIGURE_SCALE = 0.02
 
 
-def _module_of(path: pathlib.Path) -> str:
-    parts = path.relative_to(SRC).with_suffix("").parts
+def _module_of(path: pathlib.Path, root: pathlib.Path) -> str:
+    parts = path.relative_to(root).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
@@ -76,18 +84,103 @@ def _functions(code, prefix: str = ""):
 Site = tuple[str, int, str]  # (file, first line, name) of a code object
 
 
-def named_functions() -> dict[str, set[Site]]:
+def named_functions(package: pathlib.Path = PACKAGE) -> dict[str, set[Site]]:
     """``module:qualname`` -> the site of each of its code objects (a
     name defined twice, say in two branches, has two), read off the
     source without importing it."""
     out: dict[str, set[Site]] = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         filename = os.path.realpath(path)
-        module = _module_of(path)
+        module = _module_of(path, package.parent)
         for qualname, code in _functions(compile(path.read_text(), filename, "exec")):
             site = (filename, code.co_firstlineno, code.co_name)
             out.setdefault(f"{module}:{qualname}", set()).add(site)
     return out
+
+
+def _defaults(package: pathlib.Path) -> dict[Site, list[tuple[str, str]]]:
+    """Site -> ``(parameter, default's source)`` of every ``def`` below
+    ``package`` with defaults (a decorated def's code starts at its
+    first decorator)."""
+    out = {}
+    for path in sorted(package.rglob("*.py")):
+        filename = os.path.realpath(path)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+            pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if pairs:
+                line = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                out[(filename, line, node.name)] = [(arg.arg, ast.unparse(d)) for arg, d in pairs]
+    return out
+
+
+def _first_yield(code) -> int:
+    """Offset of ``code``'s first yield: a call event below it enters the
+    frame, one at or past it resumes a generator (not a call)."""
+    offsets = [
+        ins.offset for ins in dis.get_instructions(code)
+        if ins.opname in ("YIELD_VALUE", "YIELD_FROM", "SEND")
+    ]
+    return min(offsets, default=sys.maxsize)
+
+
+class OptionCounter:
+    """Per ``(function, parameter with a default)``: the calls that
+    entered the function, and those that bound the parameter to a value
+    other than its default.  :meth:`call` is fed every call event."""
+
+    def __init__(self, package: pathlib.Path = PACKAGE):
+        self._defaults = _defaults(package)
+        self._names = {site: key for key, sites in named_functions(package).items()
+                       for site in sites}
+        self._entries: dict = {}  # code -> (function, [(parameter, default)], first yield)
+        self.calls: dict[tuple[str, str], int] = {}
+        self.varied: dict[tuple[str, str], int] = {}
+
+    def _entry(self, frame):
+        code = frame.f_code
+        site = (os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name)
+        function = self._names.get(site)
+        params = []
+        for name, source in self._defaults.get(site, ()) if function else ():
+            try:  # a default naming an enclosing function's local is skipped
+                params.append((name, eval(source, frame.f_globals)))
+            except Exception:
+                continue
+            self.calls[function, name] = self.varied[function, name] = 0
+        return (function, params, _first_yield(code)) if params else None
+
+    def call(self, frame) -> None:
+        code = frame.f_code
+        try:
+            entry = self._entries[code]
+        except KeyError:
+            entry = self._entries[code] = self._entry(frame)
+        if entry is None or frame.f_lasti >= entry[2]:
+            return
+        function, params, _ = entry
+        local = frame.f_locals
+        for name, default in params:
+            value = local[name]
+            try:
+                differs = bool(value != default)
+            except Exception:
+                differs = value is not default
+            self.calls[function, name] += 1
+            self.varied[function, name] += differs
+
+    def unvaried(self) -> list[tuple[str, str, int]]:
+        """``(function, parameter, calls)`` of every entered function's
+        parameter that no call varied, most calls first."""
+        return sorted(
+            ((function, name, n) for (function, name), n in self.calls.items()
+             if n and not self.varied[function, name]),
+            key=lambda row: (-row[2], row[0], row[1]),
+        )
 
 
 # -- traffic ------------------------------------------------------------------
@@ -176,9 +269,9 @@ SOURCES = {
 }
 
 
-def census() -> dict[str, set[Site]]:
+def census(options: OptionCounter | None = None) -> dict[str, set[Site]]:
     """Source name -> the site of every ``src/repro`` code object it
-    entered."""
+    entered; ``options``, if given, is fed every call event as well."""
     sys.path.insert(0, str(SRC))
     prefix = os.path.realpath(PACKAGE) + os.sep
     reached: dict[str, set[Site]] = {}
@@ -187,8 +280,13 @@ def census() -> dict[str, set[Site]]:
             codes = set()
             enter = codes.add
 
-            def tracer(frame, event, arg):
-                enter(frame.f_code)
+            if options is None:
+                def tracer(frame, event, arg):
+                    enter(frame.f_code)
+            else:
+                def tracer(frame, event, arg, count=options.call):
+                    enter(frame.f_code)
+                    count(frame)
 
             started = time.perf_counter()
             sys.settrace(tracer)
@@ -211,11 +309,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on an unlisted unreached function or a stale entry")
+    parser.add_argument("--options", action="store_true",
+                        help="also list the parameters with a default that no call varied")
     args = parser.parse_args(argv)
     functions = named_functions()
     allow = json.loads(ALLOW.read_text())
+    options = OptionCounter() if args.options else None
     print(f"{len(functions)} named functions in src/repro; census:")
-    reached = census()
+    reached = census(options)
     for name, codes in reached.items():
         print(f"  {name:9s} enters {sum(1 for sites in functions.values() if sites & codes)}")
     entered = set().union(*reached.values())
@@ -231,6 +332,12 @@ def main(argv=None) -> int:
         print(f"  STALE allowlist entry (no such function): {key}")
     for key in gaps:
         print(f"  UNREACHED, not allowlisted: {key}")
+    if options is not None:
+        rows = options.unvaried()
+        print(f"{len(rows)} of {sum(1 for n in options.calls.values() if n)} entered "
+              f"parameters with a default: no call varied them (calls)")
+        for function, name, n in rows:
+            print(f"  {n:9d}  {function}({name}=)")
     return 1 if args.check and (gaps or stale) else 0
 
 

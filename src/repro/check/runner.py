@@ -73,7 +73,6 @@ class EpisodeResult:
     trace_hash: str = ""
     wedged: bool = False
     op_count: int = 0
-    fault_log: list[tuple[float, str]] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
 
@@ -453,7 +452,6 @@ def _episode(program: Program, arch: str, deadline: float, executions: Counter) 
                 f"{tx} were sent"
             )
 
-    result.fault_log = list(inj.events)
     result.stats = {
         "reads_checked": model.reads_checked,
         "bytes_checked": model.bytes_checked,

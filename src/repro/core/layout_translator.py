@@ -75,6 +75,5 @@ class LayoutTranslator(LayoutProvider):
             device_slots=list(range(nservers)),
             fhs=[fh] * nservers,
             aggregation=aggregation,
-            policy={"source": "layout-translator", "dist_type": dist_desc.get("type")},
             commit_through_mds=self.commit_through_mds,
         )

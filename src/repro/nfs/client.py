@@ -48,14 +48,11 @@ class Nfs4Client(FileSystemClient):
         node: Node,
         server: Nfs4Server,
         cfg: NfsConfig,
-        cred=None,
     ):
         self.sim = sim
         self.node = node
         self.server = server
         self.cfg = cfg
-        #: RPCSEC_GSS principal presented on opens (None = trusted root).
-        self.cred = cred
         self._sessions: dict[object, Session] = {}
         self._attr_cache: dict[str, tuple[object, float]] = {}
         #: Per-inode page cache retained across open/close, revalidated
@@ -139,7 +136,7 @@ class Nfs4Client(FileSystemClient):
         """One wire READ ≤ rsize; returns (result dict, payload)."""
         return (
             yield from self._call(
-                "read", {"fh": f.state["fh"], "offset": offset, "nbytes": nbytes}
+                "read", {"fh": f.handle, "offset": offset, "nbytes": nbytes}
             )
         )
 
@@ -147,13 +144,13 @@ class Nfs4Client(FileSystemClient):
         """One wire WRITE ≤ wsize; returns (result dict, payload)."""
         return (
             yield from self._call(
-                "write", {"fh": f.state["fh"], "offset": offset}, payload=payload
+                "write", {"fh": f.handle, "offset": offset}, payload=payload
             )
         )
 
     def _io_commit(self, f: OpenFile):
         """COMMIT cached writes to stable storage."""
-        yield from self._call("commit", {"fh": f.state["fh"]})
+        yield from self._call("commit", {"fh": f.handle})
 
     def _post_open(self, f: OpenFile):
         """pNFS hook: fetch a layout after OPEN.  No-op for plain NFSv4."""
@@ -165,7 +162,6 @@ class Nfs4Client(FileSystemClient):
         """The open-file record: a page cache (adopting the inode's
         retained one when revalidation allows) registered under ``path``."""
         f = OpenFile(path=path, handle=fh, client=self, writable=writable)
-        f.state["fh"] = fh
         f.state["pc"] = PageCache(size, attrs, self._inode_cache.get(fh))
         self._open_paths.setdefault(path, []).append(f)
         return f
@@ -229,14 +225,12 @@ class Nfs4Client(FileSystemClient):
                 f.state["local_open"] = True
                 return f
         result, _ = yield from self._call(
-            "open",
-            {"path": path, "cred": self.cred, "write": write, "callback": self._cb},
+            "open", {"path": path, "write": write, "callback": self._cb}
         )
         if result.get("delegation"):
             self._delegations[path] = {"fh": result["fh"], "attrs": result["attrs"]}
         attrs = result["attrs"]
         f = self._new_open(path, result["fh"], attrs.size if attrs else 0, attrs, write)
-        f.state["open_write"] = write
         yield from self._post_open(f)
         return f
 
@@ -521,13 +515,10 @@ class Nfs4Client(FileSystemClient):
             # seed 65 (write, reopen during a long outage, fsync).
             pc: PageCache = f.state["pc"]
             pc.path = f.path
-            self._inode_cache[f.state["fh"]] = pc
+            self._inode_cache[f.handle] = pc
             self._unregister_open(f)
         if not f.state.get("local_open"):
-            yield from self._call(
-                "close",
-                {"fh": f.state["fh"], "write": f.state.get("open_write", True)},
-            )
+            yield from self._call("close", {"fh": f.handle, "write": f.writable})
         self._attr_cache.pop(f.path, None)
         f.closed = True
 
@@ -621,7 +612,7 @@ class Nfs4Client(FileSystemClient):
 
     # -- byte-range locks ----------------------------------------------------
     def _lock_owner(self, f: OpenFile):
-        return (self._cb, f.state["fh"])
+        return (self._cb, f.handle)
 
     def lock(self, f: OpenFile, start: int, end: int, kind: str = "write"):
         """Acquire an advisory byte-range lock (NFSv4 LOCK).
@@ -633,7 +624,7 @@ class Nfs4Client(FileSystemClient):
         result, _ = yield from self._call(
             "lock",
             {
-                "fh": f.state["fh"],
+                "fh": f.handle,
                 "owner": self._lock_owner(f),
                 "start": start,
                 "end": end,
@@ -647,7 +638,7 @@ class Nfs4Client(FileSystemClient):
         result, _ = yield from self._call(
             "unlock",
             {
-                "fh": f.state["fh"],
+                "fh": f.handle,
                 "owner": self._lock_owner(f),
                 "start": start,
                 "end": end,

@@ -32,7 +32,6 @@ from repro.rpc import RpcServer
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
 from repro.vfs.api import FileSystemClient, FsError, InvalidArgument, OpenFile
-from repro.vfs.security import READ, WRITE, check_access
 
 __all__ = ["Nfs4Server"]
 
@@ -133,13 +132,6 @@ class Nfs4Server:
         stateid = self._next_stateid
         self._next_stateid += 1
         attrs = yield from self.backend.getattr(path)
-        # Authorization on the control path (NFSv4 ACLs / mode bits,
-        # §3.1): the data path inherits this decision via the stateid.
-        # A read-only open asks for read permission only.
-        cred = args.get("cred")
-        if cred is not None and not create:
-            check_access(attrs, cred, READ | WRITE if write else READ)
-
         delegation = None
         if write:
             # A writer conflicts with outstanding read delegations.

@@ -77,19 +77,19 @@ class PnfsClient(Nfs4Client):
         yield from self._layoutget(f)
 
     def _layoutget(self, f: OpenFile):
-        layout = self._layout_cache.get(f.state["fh"])
+        layout = self._layout_cache.get(f.handle)
         if layout is None:
             result, _ = yield from self._call(
                 "layoutget",
-                {"fh": f.state["fh"], "path": f.path, "callback": self._cb},
+                {"fh": f.handle, "path": f.path, "callback": self._cb},
             )
             layout = result["layout"]
-            self._layout_cache[f.state["fh"]] = layout
+            self._layout_cache[f.handle] = layout
         f.state["layout"] = layout
         f.state["agg"] = aggregation_for(layout.aggregation)
         f.state.setdefault("commit_slots", set())
         f.state.setdefault("layoutcommitted_size", f.state["pc"].size)
-        siblings = self._open_by_fh.setdefault(f.state["fh"], [])
+        siblings = self._open_by_fh.setdefault(f.handle, [])
         if f not in siblings:
             siblings.append(f)
         return layout
@@ -113,9 +113,9 @@ class PnfsClient(Nfs4Client):
         if layout is None:
             return
         yield from self._call(
-            "layoutreturn", {"fh": f.state["fh"], "stateid": layout.stateid}
+            "layoutreturn", {"fh": f.handle, "stateid": layout.stateid}
         )
-        self._layout_cache.pop(f.state["fh"], None)
+        self._layout_cache.pop(f.handle, None)
         f.state["layout"] = None
         f.state["agg"] = None
 
@@ -242,12 +242,12 @@ class PnfsClient(Nfs4Client):
         pc = f.state["pc"]
         if pc.size > f.state.get("layoutcommitted_size", -1):
             yield from self._call(
-                "layoutcommit", {"fh": f.state["fh"], "size": pc.size}
+                "layoutcommit", {"fh": f.handle, "size": pc.size}
             )
             f.state["layoutcommitted_size"] = pc.size
 
     def close(self, f: OpenFile):
         yield from super().close(f)
-        siblings = self._open_by_fh.get(f.state["fh"], [])
+        siblings = self._open_by_fh.get(f.handle, [])
         if f in siblings:
             siblings.remove(f)

@@ -1,14 +1,15 @@
 """pNFS file-based layout types (paper §3.4).
 
-A file-based layout carries exactly what the paper lists: aggregation
-type and stripe size, data-server identifiers, one filehandle per data
-server, and policy parameters.  Layouts govern the whole file and stay
-valid until returned or recalled.
+A file-based layout carries what the paper lists: aggregation type and
+stripe size, data-server identifiers, one filehandle per data server,
+and a policy parameter (whether COMMIT goes through the metadata
+server).  Layouts govern the whole file and stay valid until returned
+or recalled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["FileLayout"]
 
@@ -30,7 +31,6 @@ class FileLayout:
     device_slots: list[int]
     fhs: list
     aggregation: dict
-    policy: dict = field(default_factory=dict)
     commit_through_mds: bool = False
     #: Assigned by the issuing metadata server from its simulation's id
     #: stream (``Simulator.next_id``); 0 means "not yet issued".  Ids

@@ -34,7 +34,6 @@ __all__ = ["FileMeta", "MetadataServer"]
 class FileMeta:
     """Metadata of one regular file."""
 
-    ns_handle: int
     dfiles: list[int]
     dist_desc: dict
     dist: StripPattern  # built from ``dist_desc`` at create
@@ -172,7 +171,7 @@ class MetadataServer:
         for _ in self.daemons:
             dfiles.append(self._next_dfile)
             self._next_dfile += 1
-        meta = FileMeta(entry.handle, dfiles, dist, pattern)
+        meta = FileMeta(dfiles, dist, pattern)
         self.files[entry.handle] = meta
         yield from self.journal.write()
         # Allocate a datafile on every storage server — the costly part.

@@ -64,6 +64,8 @@ __all__ = [
 
 #: Bytes of header/marshalling attributed to every request and reply.
 HEADER_BYTES = 160
+#: Bytes of marshalled arguments attributed to every request.
+ARGS_BYTES = 64
 
 
 class RpcTimeout(Exception):
@@ -216,7 +218,6 @@ def _attempt(
     handler: Callable,
     args: object,
     payload: Optional[Payload],
-    args_bytes: int,
     session,
     seq: Optional[int],
     retries: int,
@@ -231,7 +232,7 @@ def _attempt(
     sim = client_node.sim
     costs = server.costs
     req_payload_bytes = payload.nbytes if payload is not None else 0
-    req_bytes = HEADER_BYTES + args_bytes + req_payload_bytes
+    req_bytes = HEADER_BYTES + ARGS_BYTES + req_payload_bytes
 
     # 1. Client-side marshalling, then copy-out OVERLAPPED with the
     #    request transfer: real stacks stream while copying, so wall
@@ -324,7 +325,6 @@ def call(
     proc: str,
     args: object = None,
     payload: Optional[Payload] = None,
-    args_bytes: int = 64,
     policy: Optional[RpcPolicy] = None,
     session=None,
     seq: Optional[int] = None,
@@ -345,13 +345,11 @@ def call(
     handler = server.handler(proc)  # fail fast on bad procedure
     if policy is None:
         exchange = _attempt(
-            client_node, server, proc, handler, args, payload,
-            args_bytes, session, seq, retries=0,
+            client_node, server, proc, handler, args, payload, session, seq, retries=0
         )
     else:
         exchange = _retrying(
-            client_node, server, proc, handler, args, payload,
-            args_bytes, policy, session, seq,
+            client_node, server, proc, handler, args, payload, policy, session, seq
         )
     if session is not None and seq is not None:
         return _retiring(exchange, session, seq)
@@ -373,7 +371,6 @@ def _retrying(
     handler: Callable,
     args: object,
     payload: Optional[Payload],
-    args_bytes: int,
     policy: RpcPolicy,
     session,
     seq: Optional[int],
@@ -385,8 +382,8 @@ def _retrying(
     while True:
         attempt = sim.process(
             _attempt(
-                client_node, server, proc, handler, args, payload,
-                args_bytes, session, seq, retries=attempt_no,
+                client_node, server, proc, handler, args, payload, session, seq,
+                retries=attempt_no,
             ),
             name=f"rpc:{proc}@{server.name}",
         )

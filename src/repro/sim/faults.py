@@ -56,17 +56,11 @@ class FaultInjector:
         self.events.append((self.sim.now, what))
 
     # -- scheduling ---------------------------------------------------------
-    def at(self, when: float, action: Callable[[], None], name: str = "") -> None:
+    def at(self, when: float, action: Callable[[], None]) -> None:
         """Run ``action()`` at sim time ``when`` (>= now)."""
         if when < self.sim.now:
             raise ValueError(f"cannot schedule fault in the past ({when} < {self.sim.now})")
-
-        def fire(_):
-            if name:
-                self._log(name)
-            action()
-
-        self.sim.call_later(when - self.sim.now, fire)
+        self.sim.call_later(when - self.sim.now, lambda _: action())
 
     # -- immediate actions --------------------------------------------------
     def fail_server(self, server) -> None:

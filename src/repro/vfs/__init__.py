@@ -12,7 +12,6 @@ on.
 """
 
 from repro.vfs.api import (
-    AccessDenied,
     Exists,
     FileAttributes,
     FileSystemClient,
@@ -27,7 +26,6 @@ from repro.vfs.filedata import FileData
 from repro.vfs.namespace import Namespace
 
 __all__ = [
-    "AccessDenied",
     "Exists",
     "FileAttributes",
     "FileData",

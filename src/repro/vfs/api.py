@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 __all__ = [
-    "AccessDenied",
     "Exists",
     "FileAttributes",
     "FileSystemClient",
@@ -66,10 +65,6 @@ class NotDirectory(FsError):
 
 class IsDirectory(FsError):
     """File operation applied to a directory (EISDIR)."""
-
-
-class AccessDenied(FsError):
-    """Caller lacks permission (EACCES / NFS4ERR_ACCESS)."""
 
 
 class InvalidArgument(FsError):
@@ -178,7 +173,6 @@ class FileAttributes:
     size: int = 0
     is_dir: bool = False
     mode: int = 0o644
-    owner: str = "root"
     mtime: float = 0.0
     ctime: float = 0.0
     nlink: int = 1
@@ -188,7 +182,6 @@ class FileAttributes:
             size=self.size,
             is_dir=self.is_dir,
             mode=self.mode,
-            owner=self.owner,
             mtime=self.mtime,
             ctime=self.ctime,
             nlink=self.nlink,

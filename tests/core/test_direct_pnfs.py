@@ -39,7 +39,7 @@ class TestLayoutTranslator:
 
         f = drive(cluster.sim, scenario())
         layout = f.state["layout"]
-        dist_desc = pvfs.mds.files[f.state["fh"]].dist_desc
+        dist_desc = pvfs.mds.files[f.handle].dist_desc
         assert layout.aggregation == {
             "type": "round_robin",
             "nslots": len(pvfs.daemons),
@@ -47,7 +47,6 @@ class TestLayoutTranslator:
             "first_slot": dist_desc["start_server"],
         }
         assert layout.device_slots == list(range(len(pvfs.daemons)))
-        assert layout.policy["source"] == "layout-translator"
         assert system.mds.layouts_granted >= 1
 
     def test_varstrip_distribution_translates_to_varstrip_driver(self, cluster):
@@ -130,7 +129,7 @@ class TestEndToEnd:
             return f
 
         f = drive(cluster.sim, scenario())
-        dist = pvfs.mds.files[f.state["fh"]]
+        dist = pvfs.mds.files[f.handle]
         for run in dist.dist.runs(0, len(data))[:20]:
             daemon = pvfs.daemons[run.server]
             dfile = dist.dfiles[run.server]

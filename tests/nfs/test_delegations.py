@@ -58,6 +58,26 @@ class TestGrant:
         drive(cluster.sim, scenario())
         assert "/h" not in c1._delegations
 
+    def test_a_read_only_close_leaves_the_writer_counted(self, cluster, nfs):
+        """A read-only close does not end another client's write open:
+        a second read-only open still finds the writer and gets no
+        delegation."""
+        c0, c1, server = nfs
+        make_file(cluster.sim, c0, "/h")
+
+        def scenario():
+            w = yield from c0.open("/h", write=True)
+            r = yield from c1.open("/h", write=False)
+            yield from c1.close(r)
+            r = yield from c1.open("/h", write=False)
+            held = "/h" in c1._delegations
+            yield from c1.close(r)
+            yield from c0.close(w)
+            return held
+
+        assert drive(cluster.sim, scenario()) is False
+        assert server.delegations_granted == 0
+
 
 class TestLocalOpens:
     def test_reopen_under_delegation_is_rpc_free(self, cluster, nfs):

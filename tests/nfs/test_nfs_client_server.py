@@ -45,7 +45,7 @@ class TestBasicIo:
         def scenario():
             f = yield from client.create("/f")
             yield from client.write(f, 0, Payload(b"cached"))  # < wsize: stays dirty
-            fd = backing.contents.get(f.state["fh"])
+            fd = backing.contents.get(f.handle)
             size_before = fd.size if fd is not None else 0
             yield from client.fsync(f)
             return size_before

@@ -62,7 +62,7 @@ class TestMountAndLayout:
         assert len(layout.device_slots) == 3
         assert layout.aggregation["type"] == "round_robin"
         assert mds.layouts_granted >= 1
-        assert [lo for lo, _cb in mds._issued[f.state["fh"]]] == [layout]
+        assert [lo for lo, _cb in mds._issued[f.handle]] == [layout]
 
     def test_layout_return(self, cluster, pnfs):
         client, mds, _ds, _backing = pnfs
@@ -74,7 +74,7 @@ class TestMountAndLayout:
 
         f = drive(cluster.sim, scenario())
         assert f.state["layout"] is None
-        assert mds._issued[f.state["fh"]] == []
+        assert mds._issued[f.handle] == []
 
 
 class TestDataPath:
@@ -182,7 +182,7 @@ class TestLayoutCommitAndRecall:
             f = yield from client.create("/rec")
             yield from client.write(f, 0, Payload(b"x" * 1000))
             yield from client.fsync(f)
-            fh = f.state["fh"]
+            fh = f.handle
             yield from mds.recall_layouts(fh)
             assert f.state["layout"] is None
             # Cached data still readable without a layout...
@@ -215,4 +215,4 @@ class TestLayoutCommitAndRecall:
 
         data, f0, f1 = drive(cluster.sim, scenario())
         assert data.data == b"from c0!"
-        assert len(mds._issued[f1.state["fh"]]) == 2
+        assert len(mds._issued[f1.handle]) == 2

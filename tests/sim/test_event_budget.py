@@ -615,9 +615,9 @@ class TestRpcBudget:
         inline spawn legs touch neither the pipes nor a physical delay."""
         sim, net, [(client, server)] = self._ping_pairs(1)
         with event_census.recording() as rec:
-            assert events_of(sim, rpc.call(client, server, "ping", args_bytes=64)) == 8
+            assert events_of(sim, rpc.call(client, server, "ping")) == 8
         assert rec.count("delay") == 8
-        request = (rpc.HEADER_BYTES + 64 + 120) / BW
+        request = (rpc.HEADER_BYTES + rpc.ARGS_BYTES + 120) / BW
         reply = (rpc.HEADER_BYTES + 120) / BW
         assert sim.now == pytest.approx(
             20e-6 + LATENCY + 2 * request + 25e-6 + LATENCY + 2 * reply, rel=1e-12
@@ -634,14 +634,14 @@ class TestRpcBudget:
         before = sim.stats.events_processed
         with event_census.recording() as rec:
             procs = [
-                sim.process(rpc.call(client, server, "ping", args_bytes=64))
+                sim.process(rpc.call(client, server, "ping"))
                 for client, server in pairs
             ]
             sim.run()
         assert all(p.processed and p.ok for p in procs)
         assert sim.stats.events_processed - before - 2 * 2 == 2 * 14
         assert rec.count("delay") == 2 * 8
-        request = (rpc.HEADER_BYTES + 64 + 120) / BW
+        request = (rpc.HEADER_BYTES + rpc.ARGS_BYTES + 120) / BW
         reply = (rpc.HEADER_BYTES + 120) / BW
         assert sim.now == pytest.approx(
             20e-6 + LATENCY + 2 * request + 25e-6 + LATENCY + 2 * reply, rel=1e-12

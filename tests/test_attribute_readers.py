@@ -4,7 +4,8 @@ The call census (``scripts/reach.py``) works at function grain: a
 counter bumped inside a function that traffic enters passes it even if
 only tests ever look at the count.  This is the same rule at attribute
 grain, read off the source without running anything.  An attribute that
-a class in ``src/repro`` writes on ``self`` must be
+a class in ``src/repro`` writes on ``self``, and a field a dataclass
+there declares (``InitVar`` pseudo-fields aside), must be
 
 * loaded by product code (``self.n += 1`` is a write, not a load, and
   so is ``self.n = max(self.n, k)``: a load of ``self.n`` inside the
@@ -16,6 +17,7 @@ a class in ``src/repro`` writes on ``self`` must be
 A counter only tests read is registered there or deleted.  Reads are
 matched by name, whichever class they load it from.  Fields of
 exception classes are exempt: whoever catches the exception reads them.
+So is each attribute named in :data:`EXEMPT`, with its reason.
 """
 
 import ast
@@ -25,6 +27,14 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "repro"
 ATTACH = PACKAGE / "obs" / "attach.py"
+
+#: ``module:Class.attr`` -> why it stays without a product reader.
+EXEMPT = {
+    "repro.cluster.configs:Deployment.pnfs": (
+        "examples/failover_demo.py reaches the pNFS front's fault helpers "
+        "through it (ROADMAP 2b)"
+    ),
+}
 
 
 def _trees() -> dict[pathlib.Path, ast.Module]:
@@ -63,6 +73,19 @@ def _self_writes(cls: ast.ClassDef):
         ):
             yield node.attr
         stack.extend(ast.iter_child_nodes(node))
+
+
+def _dataclass_fields(cls: ast.ClassDef):
+    """Names ``cls`` declares as dataclass fields (``InitVar``s are not fields)."""
+    decorators = [
+        deco.func if isinstance(deco, ast.Call) else deco for deco in cls.decorator_list
+    ]
+    if not any(ast.unparse(deco).rsplit(".", 1)[-1] == "dataclass" for deco in decorators):
+        return
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            if not ast.unparse(node.annotation).startswith("InitVar["):
+                yield node.target.id
 
 
 def _is_self_attr(node: ast.AST) -> bool:
@@ -106,7 +129,8 @@ def _reads(path: pathlib.Path, tree: ast.Module):
 
 
 def write_only_attributes() -> list[str]:
-    """``module:Class.attr`` of every attribute written and never read."""
+    """``module:Class.attr`` of every attribute written and never read,
+    :data:`EXEMPT` left out."""
     trees = _trees()
     exempt = _exception_classes(trees)
     read = {name for path, tree in trees.items() for name in _reads(path, tree)}
@@ -117,10 +141,10 @@ def write_only_attributes() -> list[str]:
             if isinstance(cls, ast.ClassDef) and cls.name not in exempt:
                 out.update(
                     f"{module}:{cls.name}.{attr}"
-                    for attr in _self_writes(cls)
+                    for attr in (*_self_writes(cls), *_dataclass_fields(cls))
                     if attr not in read
                 )
-    return sorted(out)
+    return sorted(out - EXEMPT.keys())
 
 
 def test_every_written_attribute_has_a_product_reader():
@@ -141,6 +165,15 @@ def test_the_scan_sees_writes_reads_and_the_exemption():
         if isinstance(node, ast.ClassDef) and node.name == "RpcServer"
     )
     assert {"calls_served", "calls_replayed", "up"} <= set(_self_writes(rpc_server))
+    file_layout = next(
+        node
+        for node in ast.walk(trees[PACKAGE / "pnfs" / "layout.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "FileLayout"
+    )
+    assert list(_dataclass_fields(file_layout)) == [
+        "device_slots", "fhs", "aggregation", "commit_through_mds", "stateid",
+    ]
+    assert list(EXEMPT) == ["repro.cluster.configs:Deployment.pnfs"]
 
 
 def test_an_attribute_feeding_its_own_next_value_is_not_read():
@@ -151,3 +184,18 @@ def test_an_attribute_feeding_its_own_next_value_is_not_read():
         "        self.n = self.hi + self.m\n"
     )
     assert sorted(_reads(PACKAGE / "a.py", tree)) == ["hi", "m"]
+
+
+def test_a_dataclass_declares_its_fields_but_not_its_init_vars():
+    tree = ast.parse(
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class A:\n"
+        "    n: int\n"
+        "    scale: InitVar[float]\n"
+        "    items: list = field(default_factory=list)\n"
+        "class B:\n"
+        "    m: int\n"
+    )
+    a, b = tree.body
+    assert list(_dataclass_fields(a)) == ["n", "items"]
+    assert list(_dataclass_fields(b)) == []

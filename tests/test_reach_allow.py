@@ -1,11 +1,14 @@
 """The call census's allowlist names real functions, each with its reason.
 
 ``scripts/reach.py --check`` (CI's torture-smoke job) runs the census;
-these tests only read the allowlist and the source, running no traffic.
+these tests only read the allowlist and the source, running no product
+traffic (the ``--options`` counter is driven on a toy module).
 """
 
+import importlib.util
 import json
 import pathlib
+import sys
 
 from tests.conftest import load_script
 
@@ -20,7 +23,6 @@ REASONS = (
     "ROADMAP 2a",
     "ROADMAP 2b",
     "ROADMAP 2c",
-    "the \u00a73.1 authorization model",
 )
 
 
@@ -33,7 +35,7 @@ def test_every_allowlist_entry_names_a_function_with_a_reason():
     assert [key for key, why in allow.items() if not (isinstance(why, str) and why.strip())] == []
 
 
-def test_every_reason_is_one_of_five_kinds():
+def test_every_reason_is_one_of_four_kinds():
     allow = json.loads(load_script("reach").ALLOW.read_text())
     assert [key for key, why in allow.items() if not why.startswith(REASONS)] == []
 
@@ -48,3 +50,59 @@ def test_function_names_are_module_and_qualname():
 def test_census_runs_every_example():
     runs = load_script("reach").example_runs()
     assert {run[0] for run in runs} == {path.name for path in EXAMPLES.glob("*.py")}
+
+
+TOY = """\
+SIZE = 64
+
+
+def send(n, size=SIZE, *, name=""):
+    yield n
+    size = 0  # a resumed generator is not a call: this is never counted
+    yield size
+
+
+def go(k, scale=1.0, tag=None):
+    return list(send(k, name=tag or ""))
+"""
+
+
+def test_the_option_counter_counts_calls_that_vary_a_default(tmp_path):
+    """``--options`` counts entered calls per defaulted parameter and the
+    ones that bound another value; ``!=`` that raises falls back to
+    ``is not``."""
+    reach = load_script("reach")
+    package = tmp_path / "toy"
+    package.mkdir()
+    (package / "mod.py").write_text(TOY)
+    spec = importlib.util.spec_from_file_location("toy.mod", package / "mod.py")
+    toy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(toy)
+
+    class Unequal:
+        def __ne__(self, other):
+            raise TypeError("no ordering")
+
+    counter = reach.OptionCounter(package)
+    saved = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: counter.call(frame))
+    try:
+        toy.go(1)
+        toy.go(2, scale=1)  # equal to the default: not varied
+        toy.go(3, tag="x")
+        toy.go(4, scale=Unequal())
+    finally:
+        sys.settrace(saved)
+    assert counter.calls == {
+        ("toy.mod:go", "scale"): 4,
+        ("toy.mod:go", "tag"): 4,
+        ("toy.mod:send", "size"): 4,
+        ("toy.mod:send", "name"): 4,
+    }
+    assert counter.varied == {
+        ("toy.mod:go", "scale"): 1,
+        ("toy.mod:go", "tag"): 1,
+        ("toy.mod:send", "size"): 0,
+        ("toy.mod:send", "name"): 1,
+    }
+    assert counter.unvaried() == [("toy.mod:send", "size", 4)]
