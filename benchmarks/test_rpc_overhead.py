@@ -8,7 +8,9 @@ that never cost an event of their own (a free one is pre-fired, a
 queued one is the waiter's service event), fan-out legs started in the
 spawner's stack and the wire's grants, hand-offs and completions run
 in place wherever nothing else is due in their instant took it to ~96,
-of which ~59 are physical delays (the pinned cell is contended: a
+and the completions of joins, first-ofs and processes made as their
+entry's last act joining that rule to ~89, of which ~59 are physical
+delays (the pinned cell is contended: a
 grant or hand-off made beside other work due in its instant keeps the
 hop, since there the hop decides the arbitration order; the
 uncontended cell below is where the rule shows most).
@@ -28,8 +30,8 @@ once, recorded by ``scripts/event_census.py`` (which wraps
   mdtest client), where a message mostly meets idle pipes and costs
   its three physical delays,
 * no cell schedules a relay: a grant of a free FIFO resource, a spawn
-  start kick, or a lone tail call or pipe hand-off (``relays()`` in the
-  census) — also
+  start kick, or a lone tail call, pipe hand-off or completion
+  (``relays()`` in the census) — also
   on native PVFS2's 8 KB write path, which neither direct-pnfs cell runs,
 * simulated physics must match the checked-in throughput (the kernel
   is a scheduler, not a model: it must never change results).
@@ -63,19 +65,21 @@ N_CLIENTS = 8
 BLOCK = 2 * MB
 SCALE = 0.2
 
-#: Ceiling with headroom over the measured value (95.5 per RPC; 107.8
-#: while every pipe hand-off was a queued hop): loose enough for config
+#: Ceiling with headroom over the measured value (88.7 per RPC; 95.5
+#: while every join, first-of and process firing was a queued call,
+#: 107.8 while every pipe hand-off was too): loose enough for config
 #: drift in other layers, tight enough that re-growing a grant event
-#: per queued CPU charge (~30 more per RPC, scripts/event_census.py) or
-#: the hand-off hop (~12 more) trips it immediately.
-EVENTS_PER_RPC_MAX = 100.0
+#: per queued CPU charge (~30 more per RPC, scripts/event_census.py),
+#: the hand-off hop (~12 more) or the queued completions (~7 more)
+#: trips it immediately.
+EVENTS_PER_RPC_MAX = 92.0
 
 #: The uncontended cell (``scripts/event_census.py direct-pnfs mdtest
-#: --clients 1``): 55.2 events per RPC measured, 84 % of them physical
-#: delays (58.1 and 80 % while every pipe hand-off hopped); with every
-#: pipe grant, hand-off and wire completion a queued call it was 78.7
-#: and 59 %.
-LONE_CLIENT_EVENTS_PER_RPC_MAX = 58.0
+#: --clients 1``): 54.4 events per RPC measured, 86 % of them physical
+#: delays (55.2 and 84 % while every completion was a queued call, 58.1
+#: and 80 % while every pipe hand-off hopped); with every pipe grant,
+#: hand-off and wire completion a queued call it was 78.7 and 59 %.
+LONE_CLIENT_EVENTS_PER_RPC_MAX = 55.0
 LONE_CLIENT_PHYSICAL_SHARE_MIN = 0.75
 
 #: Generator resumes (``_Driver._resume`` entries) per RPC: 65.5

@@ -16,8 +16,11 @@ classifies every scheduled call by
   ``Resource._end_service`` for the end of a service time ...),
 * zero or positive delay (positive = a physical delay on the heap;
   ``lone`` = zero, scheduled while nothing else was due in that
-  instant from the tail of a queue entry, or by a pipe's ``release()``
-  handing on a service of positive duration),
+  instant from the tail of a queue entry — a pipe grant, a wire
+  completion, or a completion (a join, a first-of or a process firing)
+  queued from the last callback of a firing or from a process's start
+  entry — or by a pipe's ``release()`` handing on a service of
+  positive duration),
 * the kernel call that scheduled it (``serve[Resource]``,
   ``acquire[Resource]``, ``serve[Pipe]``, ``release[Pipe]``, ``spawn``, ``process``,
   ``timeout``, ``end`` of a process ...; a service that ends and hands
@@ -45,9 +48,9 @@ it too::
 ``--check`` fails when the cell schedules a grant of a *free* FIFO
 ``Resource`` or a ``spawn`` start kick — the two relay classes PR 20
 removed (docs/architecture.md, "resource grants") — or a ``lone`` call:
-a pipe grant, hand-off or wire completion that was the next thing the
-loop would run and should have run in place (docs/architecture.md, "the
-wire").
+a pipe grant, hand-off, wire completion or completion of a join,
+first-of or process that was the next thing the loop would run and
+should have run in place (docs/architecture.md, "The tail rule").
 """
 
 from __future__ import annotations
@@ -67,10 +70,16 @@ from repro.bench.runner import run_cell  # noqa: E402
 from repro.cli import _WORKLOADS, _clients, _positive  # noqa: E402
 from repro.cluster.configs import ARCHITECTURES, make_deployment  # noqa: E402
 from repro.sim.engine import Event, Simulator, _Driver  # noqa: E402
-from repro.sim.network import Pipe  # noqa: E402
+from repro.sim.network import Pipe, _Message, _WireFlow  # noqa: E402
 
 SRC = str(ROOT / "src" / "repro") + "/"
 KERNEL = (SRC + "sim/engine.py", SRC + "sim/resources.py")
+
+#: The wire's completions: always the last act of their queue entry.
+WIRE_TAILS = (_WireFlow._finish.__code__, _Message._rx_served.__code__)
+
+#: What a completion's firing is called: it fires in place at a tail.
+COMPLETIONS = ("Join", "AnyOf", "Process")
 
 #: ``pinned`` is the workload of benchmarks/test_rpc_overhead.py (with
 #: the defaults below, ``direct-pnfs pinned`` is its cell).
@@ -118,47 +127,77 @@ def classify(fn, arg, delay: float, frame, alone: bool = False) -> tuple[str, st
     function on the way (what product code called), the site the first
     frame beyond it.  ``alone`` is ``Simulator.nothing_else_due()`` at
     the scheduling; with a frame on the way that calls itself a tail
-    (``Pipe.serve(..., tail=True)``, ``_WireFlow._finish(tail)``) a
+    (``Pipe.serve(..., tail=True)``, the wire's completions) a
     zero-delay call is ``lone`` — unless an event fired in between:
     what a waiter of an in-place ``done`` schedules is its own.  So is
     a hand-off hop ``release[Pipe]`` queues for a job (``arg``) of
-    positive duration: the hop would only schedule the job's end.
+    positive duration: the hop would only schedule the job's end, and
+    a completion queued at a tail (:func:`last_act`).  Past an event
+    that fired in place, only the site is left to find: what its
+    waiters queue is not the kernel call that fired it.
     """
     kernel_call = "?"
     site = "(event loop)"
     tail = fired = False
+    start = frame
     while frame is not None:
         code = frame.f_code
         owner = frame.f_locals.get("self")
-        tail = tail or (not fired and frame.f_locals.get("tail") is True)
+        tail = tail or (
+            not fired and (frame.f_locals.get("tail") is True or code in WIRE_TAILS)
+        )
         if code.co_filename not in KERNEL and not isinstance(owner, Pipe):
             site = f"{code.co_filename.removeprefix(SRC)}:{code.co_name}"
             break
         name = code.co_name
-        if name == "_resume":
+        if name == "run":
+            break  # a kernel callback (a condition's check) fired it
+        if name in ("_process_callbacks", "_end_service"):
+            # How the kernel got here, not what was asked of it.
+            fired = True
+        elif fired:
+            pass
+        elif name == "_resume":
             # No product frame between the generator driver and the
             # scheduling: the generator itself ended (or failed).
             gen = owner._generator
             kernel_call, site = "end", getattr(gen, "__qualname__", str(gen))
             break
-        if name == "run":
-            break  # a kernel callback (a condition's check) fired it
-        if name in ("acquire", "release", "serve"):
-            name += f"[{type(owner).__name__}]"
-        # The two firing paths are how the kernel got here, not what
-        # was asked of it.
-        if name in ("_process_callbacks", "_end_service"):
-            fired = True
         else:
+            if name in ("acquire", "release", "serve"):
+                name += f"[{type(owner).__name__}]"
             kernel_call = name
         frame = frame.f_back
+    called = what(fn, arg, kernel_call)
     if delay > 0:
         when = "delay"
-    elif alone and (tail or kernel_call == "release[Pipe]" and arg[0] > 0):
+    elif alone and (
+        tail
+        or kernel_call == "release[Pipe]" and arg[0] > 0
+        or called in COMPLETIONS and last_act(start)
+    ):
         when = "lone"
     else:
         when = "zero"
-    return what(fn, arg, kernel_call), when, kernel_call, site
+    return called, when, kernel_call, site
+
+
+def last_act(frame) -> bool:
+    """Whether the kernel frames out from ``frame`` are the last act of
+    their queue entry: the last callback of a firing (none left in the
+    event's ``_cbs``) or the entry itself — not a builder adding legs
+    (``add_callback`` calling back on a fired leg, a spawn leg's first
+    segment in ``_join``) nor anything product code called."""
+    while frame is not None and frame.f_code.co_filename in KERNEL:
+        name = frame.f_code.co_name
+        if name == "_process_callbacks":
+            return not frame.f_locals["self"]._cbs
+        if name == "run":
+            return True
+        if name in ("add_callback", "_join"):
+            return False
+        frame = frame.f_back
+    return False
 
 
 class Recording:
@@ -206,7 +245,10 @@ def recording():
     enqueue, resume = Simulator._enqueue, _Driver._resume
 
     def counted(self, fn, arg, delay, urgent=False):
-        alone = self.nothing_else_due()
+        # ``nothing_else_due()``, read off the queue: a kernel that never
+        # lets the tail rule apply still shows what it queued alone.
+        queue = self._queue
+        alone = not queue or queue[0][0] > self.now
         rec.classes[classify(fn, arg, delay, sys._getframe(1), alone)] += 1
         if fn is Event._process_callbacks:
             rec.fired[type(arg).__name__] += 1
@@ -237,7 +279,8 @@ def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):
 
 def relays(classes: Counter) -> Counter:
     """The classes ``--check`` refuses: free FIFO grants, spawn kicks,
-    and tail calls and pipe hand-offs queued with nothing else due."""
+    and tail calls, pipe hand-offs and completions queued with nothing
+    else due."""
     return Counter(
         {
             cls: n

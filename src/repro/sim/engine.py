@@ -32,7 +32,7 @@ make it.  Five things enqueue:
   callback at the end of the service time, and, where the grant
   decides an order, first the grant hop ``Pipe._start`` that
   schedules it;
-* :meth:`Simulator.call_later` enqueues any ``fn(arg)`` in the slot an
+* :meth:`Simulator.call_later` enqueues any ``fn(None)`` in the slot an
   event scheduled there would have taken — for kernel-side state
   machines (the wire flow) whose only waiter is themselves, so a hop
   costs a tuple and a call, not an event with its waiter list, failure
@@ -54,14 +54,26 @@ pre-fired (or, through ``Resource.try_acquire``, not even an event), a
 ``spawn`` leg starts in its spawner's stack, and a
 zero-delay call from the tail of a queue entry, or a pipe's hand-off of
 a positive service, runs in place when
-:meth:`Simulator.nothing_else_due` — the wire's rule.
+:meth:`Simulator.nothing_else_due` — the tail rule.  The wire's pipe
+grants and completions follow it, and so do the completions a
+generator's end or an event leg makes: a process firing, a join firing
+on its last leg, a first-of on its first (:meth:`Event._complete`; a
+failure is always queued).  Tail-ness is structural: every caller of
+``_process_callbacks`` is an entry's tail, and a callback is the last
+act when none is left after it in the event's ``_cbs``; ``spawn``,
+``all_of`` and ``any_of`` hold their event while they add legs, so a
+leg that has fired already, or ends in its first segment, never
+completes a fan-in from its builder's stack.  Nested in place, such
+completions cost three frames a level: a cascade of a few hundred in
+one instant is what the recursion limit allows.
 
 One generator driver
 --------------------
 A :class:`Process` and a :meth:`Simulator.spawn` leg run on the same
 trampoline (:class:`_Driver`) and differ only in what ending means: a
 process is itself an event and fires, a leg reports to its join (a
-plain :class:`Event`, :meth:`Simulator.spawn`).
+plain :class:`Event`, :meth:`Simulator.spawn`) — either in place when
+the end is its entry's last act and nothing else is due.
 
 Typical usage::
 
@@ -134,8 +146,9 @@ class Event:
     serve them and stay unset on any other event: a timer's ``delay``
     (what :meth:`reset` re-arms with), a grant's ``units`` (wanted or
     held; 0 once withdrawn or given back) and ``hold`` (a service's
-    duration; ``None`` for a plain acquire), a fan-in's ``legs`` and a
-    join's ``_pending_count`` (legs yet to end).
+    duration; ``None`` for a plain acquire), a fan-in's ``legs`` and
+    ``_pending_count`` (a join's legs yet to end; one more for the
+    builder of a join or any-of while it adds them).
     """
 
     __slots__ = (
@@ -177,18 +190,18 @@ class Event:
         return self._value
 
     # -- triggering ----------------------------------------------------
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Schedule this event to fire successfully after ``delay``."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Schedule this event to fire successfully in this instant."""
         if self._state != _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._value = value
         self.ok = True
         self._state = _TRIGGERED
-        self.sim._enqueue(_fire, self, delay)
+        self.sim._enqueue(_fire, self, 0.0)
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
-        """Schedule this event to fire as a failure after ``delay``."""
+    def fail(self, exception: BaseException) -> "Event":
+        """Schedule this event to fire as a failure in this instant."""
         if self._state != _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
@@ -196,7 +209,7 @@ class Event:
         self._value = exception
         self.ok = False
         self._state = _TRIGGERED
-        self.sim._enqueue(_fire, self, delay)
+        self.sim._enqueue(_fire, self, 0.0)
         return self
 
     def defuse(self) -> None:
@@ -215,6 +228,8 @@ class Event:
         """
         if self._state != _PROCESSED:
             raise SimulationError("reset() on an event that has not fired yet")
+        if self._cbs:
+            raise SimulationError("reset() before every waiter of the firing has run")
         if delay is None:
             try:
                 delay = self.delay
@@ -232,18 +247,38 @@ class Event:
 
     # -- engine internals ----------------------------------------------
     def _process_callbacks(self) -> None:
+        # Every caller is the tail of a queue entry (the run loop, the
+        # end of a service or of a wire transfer, an in-place
+        # completion), so a callback is the entry's last act when none
+        # is left after it: the ones not run yet stay in ``_cbs`` while
+        # one runs.  The list is taken first: a last callback may re-arm
+        # a timer and give it new waiters.
         cb1, cbs = self._cb1, self._cbs
         self._cb1 = None
-        self._cbs = None
         self._state = _PROCESSED
         if cb1 is not None:
             cb1(self)
         if cbs:
+            last = cbs.pop()
             for cb in cbs:
                 cb(self)
+            self._cbs = None
+            last(self)
         if not self.ok and not self._defused:
             # Nobody caught the failure: surface it to the caller of run().
             raise self._value
+
+    def _complete(self, value: Any, tail: bool) -> None:
+        """Fire successfully with ``value`` — in place when ``tail`` (the
+        caller's act is the last of the running queue entry) and nothing
+        else is due this instant: the queued firing would be the next
+        thing the loop runs, so the hop would decide nothing.  Else
+        through the queue, as :meth:`succeed`."""
+        if tail and self.sim.nothing_else_due():
+            self._value = value
+            _fire(self)
+        else:
+            self.succeed(value)
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Invoke ``fn(event)`` when the event fires.
@@ -269,7 +304,7 @@ class Event:
             return
         self._pending_count -= 1
         if self._pending_count == 0 and self._state == _PENDING:
-            self.succeed(tuple(leg._value for leg in self.legs))
+            self._complete(tuple(leg._value for leg in self.legs), not event._cbs)
 
     def _first_fired(self, event: "Event") -> None:
         """A leg of this any-of fired: the first decides it."""
@@ -282,7 +317,8 @@ class Event:
         for index, leg in enumerate(self.legs):
             if leg is event:
                 break
-        self.succeed((index, event._value))
+        # ``_pending_count`` is 1 while ``any_of`` adds the legs.
+        self._complete((index, event._value), not event._cbs and not self._pending_count)
 
     def __iter__(self) -> Generator["Event", Any, Any]:
         """``value = yield from event`` — wait for it, as ``yield event`` does.
@@ -335,8 +371,14 @@ class _Driver:
     """The generator trampoline behind :class:`Process` and spawn legs.
 
     The driven object has ``sim``, ``_generator``, ``name`` and
-    ``_waiting_on`` and says what ending means: ``_finished(value)``
-    when the generator returns, ``_failed(exc)`` when it raises.
+    ``_waiting_on`` and says what ending means: ``_finished(value,
+    tail)`` when the generator returns, ``_failed(exc)`` when it
+    raises.  ``tail`` says the end is the last act of the running queue
+    entry — the resume was that entry (a process start) or the last
+    callback of its firing (nothing left in the event's ``_cbs``) — so a
+    completion it makes may fire in place (:meth:`Event._complete`).  A
+    spawn leg's first segment runs in its spawner's stack, no entry's
+    tail, but its join is held there (:meth:`Simulator._join`).
     """
 
     __slots__ = ()
@@ -346,18 +388,21 @@ class _Driver:
         # (``add_callback`` on a processed event calls back immediately);
         # looping here resumes such targets iteratively, so long chains
         # of completed events cost stack-free sends instead of recursion.
+        # ``event`` stays what the entry handed in; ``got`` is the event
+        # being delivered.
         sim = self.sim
         gen = self._generator
         self._waiting_on = None
+        got = event
         while True:
             try:
-                if event.ok:
-                    target = gen.send(event._value)
+                if got.ok:
+                    target = gen.send(got._value)
                 else:
-                    event._defused = True
-                    target = gen.throw(event._value)
+                    got._defused = True
+                    target = gen.throw(got._value)
             except StopIteration as stop:
-                self._finished(stop.value)
+                self._finished(stop.value, not event._cbs)
                 return
             except BaseException as exc:
                 self._failed(exc)
@@ -375,7 +420,7 @@ class _Driver:
             if target.sim is not sim:
                 raise SimulationError("yielded event belongs to another simulator")
             if target._state == _PROCESSED:
-                event = target
+                got = target
                 continue
             self._waiting_on = target
             target.add_callback(self._resume)
@@ -387,7 +432,10 @@ class Process(Event, _Driver):
 
     A process is itself an event: it fires when the generator returns
     (value = the generator's return value) or raises (failure).  Other
-    processes may therefore ``yield`` a process to join it.
+    processes may therefore ``yield`` a process to join it.  A return
+    that is the last act of its queue entry, with nothing else due,
+    fires it in place: its waiters run in that entry, as they would
+    have in the next one.
     """
 
     __slots__ = ("_generator", "_waiting_on", "name")
@@ -437,8 +485,10 @@ class Process(Event, _Driver):
         interrupt_ev.add_callback(self._resume)
 
     # -- engine internals ----------------------------------------------
-    #: How the driver ends a process: it fires, as any event does.
-    _finished = Event.succeed
+    #: How the driver ends a process: it fires, as any event does — in
+    #: place when the end is its entry's last act and nothing else is
+    #: due; a failure is always queued.
+    _finished = Event._complete
     _failed = Event.fail
 
 
@@ -467,7 +517,7 @@ class _Task(_Driver):
     def name(self) -> str:
         return getattr(self._generator, "__name__", "task")
 
-    def _finished(self, value: Any) -> None:
+    def _finished(self, value: Any, tail: bool) -> None:
         # The join holds this leg; a finished leg lets go of the join,
         # so a completed fan-out is freed by reference count, not left
         # as a cycle to collect.
@@ -475,7 +525,14 @@ class _Task(_Driver):
         join, self.join = self.join, None
         join._pending_count -= 1
         if join._pending_count == 0 and join._state == _PENDING:
-            join.succeed(tuple(leg._value for leg in join.legs))
+            values = tuple(leg._value for leg in join.legs)
+            # ``join._complete(values, tail)``, inline: a chain of nested
+            # spawns completing in place costs three frames a level.
+            if tail and self.sim.nothing_else_due():
+                join._value = values
+                _fire(join)
+            else:
+                join.succeed(values)
 
     def _failed(self, exc: BaseException) -> None:
         # As for an event leg: the first failure fails the join; a later
@@ -571,7 +628,10 @@ class Simulator:
         generator leg starts here and now, in the caller's stack, an
         event leg (``node.compute(...)``, a ``network.transfer(...)``) is simply
         waited for, and the returned join fires when all have
-        ended, with their values in spawn order.  Cheaper than
+        ended, with their values in spawn order — in place when the
+        last leg's end is its entry's last act and nothing else is due,
+        through the queue when every leg has ended by the time this
+        returns.  Cheaper than
         ``all_of([process(g) for g in generators])`` by a start kick and
         a completion event per leg: legs are not processes, so nothing
         can join or interrupt one individually.
@@ -606,12 +666,14 @@ class Simulator:
         — in the middle of a live simulation.
         """
         join = Event(self)
-        join._pending_count = len(legs)
+        # One more than the legs while they are added: the builder holds
+        # the join, so a leg that has fired already, or ends in its first
+        # segment, cannot complete it from this stack — no entry's tail.
+        join._pending_count = len(legs) + 1
         if not legs:
             # Nothing to wait for: pre-fired, like a free FIFO grant.
             join._value = ()
             join._state = _PROCESSED
-        # Filled as the legs start: it cannot complete before the last is in.
         join.legs = started = []
         leg_fired = join._leg_fired
         for leg in legs:
@@ -624,6 +686,9 @@ class Simulator:
                 leg = _Task(self, leg, join)
                 started.append(leg)
                 leg._resume(_START)
+        join._pending_count -= 1
+        if join._pending_count == 0 and join._state == _PENDING:
+            join.succeed(tuple(leg._value for leg in started))
         return join
 
     def any_of(self, events: Iterable[Event]) -> Event:
@@ -639,14 +704,18 @@ class Simulator:
                 raise SimulationError("condition mixes events from two simulators")
         if not legs:
             first.succeed(())
+        # Held while the legs are added, as a join is: an already-fired
+        # leg decides it through the queue.
+        first._pending_count = 1
         fired = first._first_fired
         for ev in legs:
             ev.add_callback(fired)
+        first._pending_count = 0
         return first
 
     # -- scheduling -------------------------------------------------------
-    def call_later(self, delay: float, fn: Callable[[Any], None], arg: Any = None) -> None:
-        """Call ``fn(arg)`` in the slot a ``timeout(delay)`` would take.
+    def call_later(self, delay: float, fn: Callable[[Any], None]) -> None:
+        """Call ``fn(None)`` in the slot a ``timeout(delay)`` would take.
 
         For kernel-side state machines whose only waiter is themselves
         and which cannot fail, be joined or be abandoned (a wire hop):
@@ -654,7 +723,7 @@ class Simulator:
         without the event.  An exception raised by ``fn`` surfaces from
         :meth:`run`, like an undefused failure.
         """
-        self._enqueue(fn, arg, delay)
+        self._enqueue(fn, None, delay)
 
     def nothing_else_due(self) -> bool:
         """True when no queued call is due at ``now``.
@@ -690,6 +759,9 @@ class Simulator:
         simulated time would exceed it; ``now`` is set to the deadline),
         or an :class:`Event` (stop when it fires and return its value, or
         raise it if the event failed — also when it had fired already).
+        An event stops the run after the queue entry it fired in, with
+        whatever that entry ran in place: a waiter of the event that
+        ends there has ended too.
         """
         stop_event: Optional[Event] = None
         deadline = float("inf")

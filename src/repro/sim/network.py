@@ -310,9 +310,8 @@ class _WireFlow:
     A flow beside anything else due in the instant of a grant or
     hand-off pays the hop — up to ``4k + 2`` — because there the hop
     decides which same-instant requests are queued when a release
-    draws, which is fairness, not plumbing.  With zero latency the flow
-    starts inside ``Network.transfer``, whose caller runs on: no tail,
-    so that first grant always hops.
+    draws, which is fairness, not plumbing.  A zero latency is an entry
+    like any other: the flow starts in a queued call of its own.
 
     ``FLOW_WINDOW`` bounds switch buffering per flow and keeps tx/rx
     pipelined so an uncontended flow still sees the full link
@@ -353,17 +352,12 @@ class _WireFlow:
         self.blocked_on: Optional[_RxLeg] = None
         #: Cut by a NIC death: no further chunk is sent, ``done`` stays unfired.
         self.lost = False
-        latency = net.latency + snic.extra_latency + dnic.extra_latency
-        if latency > 0:
-            net.sim.call_later(latency, self._next_chunk)
-        else:
-            self._next_chunk(tail=False)
+        net.sim.call_later(net.latency + snic.extra_latency + dnic.extra_latency, self._next_chunk)
 
-    def _next_chunk(self, _=None, tail: bool = True) -> None:
+    def _next_chunk(self, _=None) -> None:
         """Ask for the tx pipe, or settle the flow once nothing is left.
 
-        A queue entry of its own or the last act of one (``tail``) —
-        except the zero-latency start.
+        A queue entry of its own or the last act of one: a tail.
         """
         if self.lost:
             return
@@ -375,9 +369,9 @@ class _WireFlow:
             # service ends.
             net = self.net
             chunk = net.chunk_bytes if self.remaining > net.chunk_bytes else self.remaining
-            self.snic.tx.serve(chunk / self.snic.bandwidth, self._tx_served, chunk, tail)
+            self.snic.tx.serve(chunk / self.snic.bandwidth, self._tx_served, chunk, True)
         elif not self.live:
-            self._finish(tail)
+            self._finish()
 
     def _tx_served(self, chunk: int) -> None:
         self.snic.tx.release()
@@ -405,14 +399,14 @@ class _WireFlow:
         elif self.remaining <= 0 and not self.live:
             self._next_chunk()
 
-    def _finish(self, tail: bool) -> None:
+    def _finish(self) -> None:
         net = self.net
         net.flows_chunked += 1
         self.snic.tx_bytes += self.nbytes
         self.dnic.rx_bytes += self.nbytes
         net.flows_completed += 1
         done = self.done
-        if tail and net.sim.nothing_else_due():
+        if net.sim.nothing_else_due():
             # The firing would be the loop's next entry: fire here.
             _fire(done)
         else:
@@ -455,21 +449,16 @@ class _Message:
         self.done = Event(net.sim)
         #: Cut by a NIC death after tx service: ``done`` stays unfired.
         self.lost = False
-        latency = net.latency + snic.extra_latency + dnic.extra_latency
-        if latency > 0:
-            net.sim.call_later(latency, self._send)
-        else:
-            self._send(None, False)
+        net.sim.call_later(net.latency + snic.extra_latency + dnic.extra_latency, self._send)
 
-    def _send(self, _=None, tail: bool = True) -> None:
-        """Ask for the tx pipe: the latency's queue entry, or — at zero
-        latency — inside ``Network.transfer``, which is no tail."""
+    def _send(self, _) -> None:
+        """Ask for the tx pipe: the latency's queue entry, a tail."""
         snic = self.snic
         if snic.down or self.dnic.down:
             snic.flows_dropped += 1
         else:
             wire = self.nbytes + self.net.per_message_bytes
-            snic.tx.serve(wire / snic.bandwidth, self._tx_served, wire, tail)
+            snic.tx.serve(wire / snic.bandwidth, self._tx_served, wire, True)
 
     def _tx_served(self, wire: int) -> None:
         snic = self.snic

@@ -54,19 +54,46 @@ def test_the_recording_accounts_for_every_scheduled_call_and_counts_resumes():
 
 def test_the_kernels_hot_sites_meet_one_event_class_and_process(capsys):
     """Timers, grants, the start sentinel and the fan-ins are plain
-    events: every queued firing is an ``Event`` or a ``Process``, and so
-    is every event a generator is resumed with (docs/architecture.md,
-    "One event class")."""
+    events: every queued firing is an ``Event`` or a ``Process``, and
+    every event a generator is resumed with is an ``Event`` — handed to
+    a ``Process`` or a spawn leg (docs/architecture.md, "One event
+    class").  This cell's processes all end alone in their instants:
+    each fires in place, and none is queued."""
     script = load_script("event_census")
     rec, _rpcs, _res = script.census("direct-pnfs", "pinned", 2, 0.02, None)
-    assert rec.fired["Event"] and rec.fired["Process"]
-    assert set(rec.fired) == {"Event", "Process"}
+    assert rec.fired["Event"] and set(rec.fired) <= {"Event", "Process"}
     assert {event for _driver, event in rec.drives} == {"Event"}
     assert {driver for driver, _event in rec.drives} == {"Process", "_Task"}
     assert sum(rec.drives.values()) == rec.resumes
     fired, resumed = rec.class_mix()
     assert fired.startswith(f"fired by class ({sum(rec.fired.values())}): Event ")
     assert resumed.startswith(f"resumes by driver<-event ({rec.resumes}): ")
+    assert "Process<-Event" in resumed and "_Task<-Event" in resumed
+
+
+def test_a_cell_queues_no_lone_completion_and_a_kernel_that_always_hops_does(monkeypatch):
+    """A join, first-of or process firing queued from the last callback
+    of a firing, or from a process's start entry, with nothing else due
+    is ``lone``: it should have fired in place.  The pinned cell has
+    none; on a kernel that never lets the tail rule apply it queues
+    about seven such firings per front-end RPC (6.8), the entries the
+    rule saves."""
+    script = load_script("event_census")
+    rec, rpcs, _res = script.census("direct-pnfs", "pinned", 8, 0.2, None)
+    assert not script.relays(rec.classes)
+
+    from repro.sim.engine import Simulator
+
+    monkeypatch.setattr(Simulator, "nothing_else_due", lambda self: False)
+    hopping, hop_rpcs, _res = script.census("direct-pnfs", "pinned", 8, 0.2, None)
+    assert hop_rpcs == rpcs
+    relays = script.relays(hopping.classes)
+    lone = Counter({cls: n for cls, n in relays.items() if cls[0] in script.COMPLETIONS})
+    assert {cls[0] for cls in lone} == {"Join", "Process"}
+    assert all(cls[1] == "lone" for cls in lone)
+    # Ended legs' joins, event legs' joins and write-back processes.
+    assert {cls[2] for cls in lone} == {"end", "_leg_fired"}
+    assert 6.5 < sum(lone.values()) / rpcs < 7.5
 
 
 @pytest.mark.parametrize(

@@ -24,9 +24,11 @@ BLOCK = 8 * KB
 #: frozen dataclasses, request setup was a generator the op delegated
 #: to, a one-piece read slice was re-sliced and sorted by a key
 #: function, and the flusher built two candidate lists per pick.  A
-#: write was 345.8235 while ``Disk.io`` returned a separate body generator.
-MAX_CALLS_PER_PVFS2_WRITE = 345  # measured 339.9225
-MAX_CALLS_PER_PVFS2_READ = 277  # measured 276.03
+#: write was 345.8235 while ``Disk.io`` returned a separate body generator,
+#: and a write 338.935 and a read 276.0295 while every join and process
+#: firing was a queued call.
+MAX_CALLS_PER_PVFS2_WRITE = 332  # measured 331.9335
+MAX_CALLS_PER_PVFS2_READ = 270  # measured 269.028
 
 
 def uncached_write_then_read_calls() -> tuple[int, int]:

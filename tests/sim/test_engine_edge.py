@@ -122,21 +122,21 @@ class TestRandomPolicyDeterminism:
 
 
 class TestCallLater:
-    """``call_later(d, fn, arg)``: the slot of an event, without the event."""
+    """``call_later(d, fn)``: the slot of an event, without the event."""
 
     @pytest.mark.parametrize("delay", [0.0, 0.5])
     def test_shares_the_seq_order_of_events_issued_beside_it(self, delay):
         sim = Simulator()
         order = []
-        sim.call_later(delay, order.append, "call-1")
+        sim.call_later(delay, lambda _: order.append("call-1"))
         sim.timeout(delay).add_callback(lambda _ev: order.append("timeout-1"))
-        sim.call_later(delay, order.append, "call-2")
+        sim.call_later(delay, lambda _: order.append("call-2"))
         sim.timeout(delay).add_callback(lambda _ev: order.append("timeout-2"))
         sim.run()
         assert order == ["call-1", "timeout-1", "call-2", "timeout-2"]
         assert sim.now == delay
 
-    def test_arg_defaults_to_none(self):
+    def test_the_call_is_handed_none(self):
         sim = Simulator()
         got = []
         sim.call_later(1.0, got.append)
@@ -157,7 +157,7 @@ class TestCallLater:
             raise RuntimeError("boom")
 
         sim.call_later(1.0, boom)
-        sim.call_later(2.0, ran.append, "later")
+        sim.call_later(2.0, lambda _: ran.append("later"))
         with pytest.raises(RuntimeError, match="boom"):
             sim.run()
         # Like an undefused failure: the run stops there, the clock and
@@ -174,7 +174,7 @@ class TestCallLater:
         def fire(_):
             ev.succeed("fired")
             # Same instant, behind the event: must not run before the return.
-            sim.call_later(0.0, ran.append, "after")
+            sim.call_later(0.0, lambda _: ran.append("after"))
 
         sim.call_later(1.0, fire)
         assert sim.run(until=ev) == "fired"
@@ -183,8 +183,8 @@ class TestCallLater:
     def test_run_until_time_leaves_a_later_call_queued(self):
         sim = Simulator()
         ran = []
-        sim.call_later(1.0, ran.append, "early")
-        sim.call_later(3.0, ran.append, "late")
+        sim.call_later(1.0, lambda _: ran.append("early"))
+        sim.call_later(3.0, lambda _: ran.append("late"))
         sim.run(until=2.0)
         assert ran == ["early"] and sim.now == 2.0
         sim.run()
@@ -210,7 +210,7 @@ class TestQueueKey:
 
         def entry(_):
             for i in range(5):
-                sim.call_later(0.0, order.append, i)
+                sim.call_later(0.0, lambda _, i=i: order.append(i))
             sim._enqueue(order.append, "urgent", 0.0, urgent=True)
 
         sim.call_later(1.0, entry)
@@ -220,16 +220,16 @@ class TestQueueKey:
     def test_urgent_calls_stay_fifo_among_themselves(self):
         sim, order = Simulator(), []
         for tag in ("u0", "u1", "u2"):
-            sim.call_later(0.0, order.append, "normal")
+            sim.call_later(0.0, lambda _: order.append("normal"))
             sim._enqueue(order.append, tag, 0.0, urgent=True)
         sim.run()
         assert order == ["u0", "u1", "u2", "normal", "normal", "normal"]
 
     def test_a_later_time_never_overtakes_even_when_urgent(self):
         sim, order = Simulator(), []
-        sim.call_later(1.0, order.append, "normal same time")
+        sim.call_later(1.0, lambda _: order.append("normal same time"))
         sim._enqueue(order.append, "urgent later", 1.0, urgent=True)
-        sim.call_later(0.5, order.append, "normal sooner")
+        sim.call_later(0.5, lambda _: order.append("normal sooner"))
         sim.run()
         assert order == ["normal sooner", "urgent later", "normal same time"]
 
@@ -330,7 +330,7 @@ class TestTailRule:
         sim, order = Simulator(), []
         pipe = self._watched(sim, order)
         sim.call_later(1.0, lambda _: pipe.serve(0.0, order.append, "served", True))
-        sim.call_later(1.0, order.append, "other")
+        sim.call_later(1.0, lambda _: order.append("other"))
         sim.run()
         assert order == ["other", "hop", "served"]
         assert sim.stats.events_processed == 4
@@ -340,7 +340,7 @@ class TestTailRule:
         pipe = self._watched(sim, order)
 
         def entry(_):
-            sim.call_later(0.0, order.append, "first")
+            sim.call_later(0.0, lambda _: order.append("first"))
             pipe.serve(0.0, order.append, "served", True)
 
         sim.call_later(1.0, entry)
@@ -410,7 +410,7 @@ class TestTailRule:
 
         pipe.serve(0.5, note, "holder")
         pipe.serve(0.5, note, "waiter", True)
-        sim.call_later(1.5, note, "queued for 1.5")
+        sim.call_later(1.5, lambda _: note("queued for 1.5"))
         sim.run(until=0.75)
 
         def entry(_):
@@ -419,7 +419,7 @@ class TestTailRule:
 
         sim.call_later(0.25, entry)
         if also_due:
-            sim.call_later(0.25, note, "also due")
+            sim.call_later(0.25, lambda _: note("also due"))
         sim.run()
         return order, sim.stats.events_processed
 
@@ -442,34 +442,37 @@ class TestTailRule:
         ]
         assert (order, entries) == self._hand_off(AlwaysHopSimulator, also_due=True)
 
-    def test_zero_latency_start_is_no_tail_and_hops(self):
+    def test_zero_latency_flow_starts_and_ends_in_the_instants_it_did_inline(self):
+        """A zero latency is an entry like any other: the flow asks for
+        the tx pipe in a call due at the instant of the transfer — the
+        instant its inline start used to take the pipe in — and lands
+        when it always did, four chunk times later."""
         sim = Simulator()
         net = self._net(sim, latency=0.0)
         seen = []
 
         def sender():
             done = net.transfer("a", "b", 3 * self.CHUNK)
-            # Held at once, but the grant is a call due this instant:
-            # it — and the first service time — waits for this process
-            # to park.
+            # Not held yet: the start is a call due this instant.
             seen.append((net.nics["a"].tx.in_use, sim.nothing_else_due(), done.triggered))
             yield done
+            seen.append(sim.now)
 
-        before = sim.stats.events_processed
         sim.run(until=sim.process(sender()))
-        assert seen == [(1, False, False)]
-        # The start's grant hop, then 2k service times; kick and completion.
-        assert sim.stats.events_processed - before == 1 + 2 * 3 + 2
-        assert sim.now == pytest.approx(4 * self.CHUNK / self.BW)
+        assert seen == [(0, False, False), pytest.approx(4 * self.CHUNK / self.BW)]
+        # The kick, the start and 2k service times: the grants, ``done``
+        # and the end run in place.
+        assert sim.stats.events_processed == 1 + 1 + 2 * 3
         assert_idle(net)
 
-    def test_zero_latency_empty_message_completes_through_the_queue(self):
+    def test_zero_latency_empty_flow_completes_in_its_start_entry(self):
         sim = Simulator()
         net = self._net(sim, latency=0.0)
         done = net.transfer("a", "b", 0)
-        assert done.triggered and not done.processed
+        assert not done.triggered
         sim.run()
         assert done.processed and net.flows_chunked == 1
+        assert sim.stats.events_processed == 1
 
     def test_run_until_done_returns_when_done_fired_in_place(self):
         sim = Simulator()
@@ -510,6 +513,139 @@ class TestTailRule:
         # The rx pipe went back before the completion was attempted.
         assert_idle(net)
         sim.run()  # and the loop is fit to go on
+
+    @staticmethod
+    def _join_waiter(kernel, also_due=False):
+        """A process waits on ``all_of`` two timers (1 s and 2 s); a call
+        lands at 3 s, and — if ``also_due`` — one is due at 2 s behind
+        the last timer."""
+        sim, order = kernel(), []
+
+        def note(tag):
+            order.append((sim.now, tag))
+
+        def waiter():
+            got = yield sim.all_of([sim.timeout(1.0, "x"), sim.timeout(2.0, "y")])
+            note(("joined", got))
+
+        sim.process(waiter())
+        sim.call_later(3.0, lambda _: note("later"))
+        sim.run(until=1.0)
+        if also_due:
+            sim.call_later(1.0, lambda _: note("also due"))
+        sim.run()
+        return order, sim.stats.events_processed
+
+    def test_a_join_completed_alone_in_its_instant_fires_in_place(self):
+        order, entries = self._join_waiter(Simulator)
+        hop_order, hop_entries = self._join_waiter(AlwaysHopSimulator)
+        # The waiter resumes at the same time and place in the order.
+        assert order == hop_order == [(2.0, ("joined", ("x", "y"))), (3.0, "later")]
+        # The kick, two timers and the later call: the join and the end
+        # cost no entry.
+        assert entries == 4 and hop_entries == entries + 2
+
+    def test_a_join_completed_beside_a_due_call_still_queues(self):
+        order, entries = self._join_waiter(Simulator, also_due=True)
+        hop_order, hop_entries = self._join_waiter(AlwaysHopSimulator, also_due=True)
+        assert order == hop_order == [
+            (2.0, "also due"), (2.0, ("joined", ("x", "y"))), (3.0, "later"),
+        ]
+        # The join is an entry; only the end, alone after it, is not.
+        assert entries == 6 and hop_entries == entries + 1
+
+    def test_a_spawn_whose_legs_all_end_in_their_first_segment_queues_its_join(self):
+        sim = Simulator()
+        seen = []
+
+        def instant(tag):
+            return tag
+            yield  # pragma: no cover
+
+        def parent():
+            join = sim.spawn(instant("a"), instant("b"))
+            # The legs ended in the spawner's stack, no entry's tail.
+            seen.append((join.triggered, join.processed))
+            return (yield join)
+
+        proc = sim.process(parent())
+        sim.run()
+        assert seen == [(True, False)] and proc.value == ("a", "b")
+        assert sim.stats.events_processed == 2  # the kick and the join
+
+    @pytest.mark.parametrize("fan_in", ["all_of", "any_of"])
+    def test_a_fan_in_over_legs_that_have_fired_queues_its_firing(self, fan_in):
+        sim = Simulator()
+        early = sim.timeout(0.0, "early")
+        sim.run()
+        seen = []
+
+        def entry(_):
+            # The entry's last act, with nothing else due: still queued.
+            ev = getattr(sim, fan_in)([early])
+            seen.append((ev.triggered, ev.processed))
+
+        sim.call_later(1.0, entry)
+        sim.run()
+        assert seen == [(True, False)]
+
+    @pytest.mark.parametrize("ending", ["first", "second"])
+    def test_of_two_waiters_on_one_event_only_the_second_ends_in_place(self, ending):
+        sim = Simulator()
+        gate = sim.timeout(1.0)
+
+        def waiter(tag):
+            yield gate
+            if tag != ending:
+                yield sim.timeout(1.0)
+
+        procs = {tag: sim.process(waiter(tag)) for tag in ("first", "second")}
+        # Returns right after the gate's entry: an end made in place has
+        # fired, a queued one has not.
+        sim.run(until=gate)
+        assert procs[ending].triggered
+        assert procs[ending].processed == (ending == "second")
+        sim.run()
+        assert all(proc.processed for proc in procs.values())
+
+    @staticmethod
+    def _run_until_end(kernel):
+        sim, log = kernel(), []
+
+        def worker():
+            yield sim.timeout(1.0)
+            log.append(sim.now)
+            return "done"
+
+        later = sim.timeout(2.0)
+        value = sim.run(until=sim.process(worker()))
+        stats = sim.stats
+        return value, sim.now, log, later.processed, stats.events_scheduled - stats.events_processed
+
+    def test_run_until_a_process_that_ends_in_place_returns_as_behind_the_hop(self):
+        state = self._run_until_end(Simulator)
+        assert state == self._run_until_end(AlwaysHopSimulator)
+        assert state == ("done", 1.0, [1.0], False, 1)
+
+    def test_a_chain_of_nested_spawns_ending_in_place_stays_under_the_recursion_limit(self):
+        """Each level parks before it spawns the next, so the chain is
+        built from shallow stacks; at the end every join completes in
+        place, inside the one below — three frames a level."""
+        sim = Simulator()
+        depth = 300
+
+        def level(n):
+            yield sim.timeout(1.0)
+            if not n:
+                return 0
+            (below,) = yield sim.spawn(level(n - 1))
+            return below + 1
+
+        proc = sim.process(level(depth))
+        sim.run()
+        assert proc.value == depth and sim.now == depth + 1.0
+        # The kick and a timer a level: every join and the end in place.
+        assert sim.stats.events_processed == 1 + depth + 1
 
     @pytest.mark.parametrize("dying", ["a", "b"])
     def test_nic_dying_mid_flow_still_drains_both_pipes(self, dying):
@@ -555,6 +691,28 @@ class TestEngineMisc:
         assert ev.processed and not ev.ok
         with pytest.raises(ValueError, match="boom"):
             sim.run(until=ev)
+
+    def test_reset_refuses_a_timer_whose_firing_still_has_waiters_to_run(self):
+        """Its first waiter may not re-arm it: the second, still to run,
+        is kept in the timer's ``_cbs`` and would be handed the new arming."""
+        sim = Simulator()
+        timer = sim.timeout(1.0, "fired")
+        seen = []
+
+        def first():
+            seen.append((yield timer))
+            with pytest.raises(SimulationError, match="waiter"):
+                timer.reset()
+
+        def second():
+            seen.append((yield timer))
+            timer.reset(2.0, "again")
+            seen.append((yield timer))
+
+        sim.process(first())
+        sim.process(second())
+        sim.run()
+        assert seen == ["fired", "fired", "again"] and sim.now == 3.0
 
     def test_condition_across_simulators_rejected(self):
         a, b = Simulator(), Simulator()

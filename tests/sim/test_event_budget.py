@@ -43,12 +43,13 @@ def make_net(sim, n=4, latency=LATENCY, per_message_bytes=0):
 
 def events_of(sim, gen):
     """Run ``gen`` as the only process; events it cost beyond the
-    process's own start kick and completion."""
+    process's own start kick.  Its end, alone in its instant, fires in
+    place: no entry."""
     before = sim.stats.events_processed
     proc = sim.process(gen)
     sim.run()
     assert proc.processed and proc.ok
-    return sim.stats.events_processed - before - 2
+    return sim.stats.events_processed - before - 1
 
 
 def wait_for(make_event):
@@ -72,8 +73,9 @@ event_census = load_script("event_census")
 
 def two_flows(pairs, nbytes, kernel=Simulator, per_message_bytes=0):
     """One flow per ``(src, dst)`` pair, both started in one instant.
-    Returns ``(entries beyond the two senders' kicks and completions,
-    finish time, rng state after)``."""
+    Returns ``(entries less two per sender — its kick and its end, an
+    entry when something else is due beside it — finish time, rng state
+    after)``."""
     sim = kernel(seed=11)
     net = make_net(sim, per_message_bytes=per_message_bytes)
     before = sim.stats.events_processed
@@ -133,14 +135,13 @@ class TestMessageBudget:
     @pytest.mark.parametrize("k", [1, 2, 3, FLOW_WINDOW + 1, FLOW_WINDOW + 2, 10])
     def test_lone_flow_of_k_full_chunks_costs_2k_plus_1(self, k):
         """Equal chunks never meet on the rx pipe: every entry is a
-        physical delay, and only the process's kick and completion are
-        not."""
+        physical delay, and only the process's kick is not."""
         sim = Simulator()
         net = make_net(sim)
         with event_census.recording() as rec:
             cost = events_of(sim, wait_for(lambda: net.transfer("n0", "n1", k * CHUNK)))
         assert cost == 2 * k + 1
-        assert rec.count("delay") == 2 * k + 1 and sim.stats.events_scheduled == 2 * k + 3
+        assert rec.count("delay") == 2 * k + 1 and sim.stats.events_scheduled == 2 * k + 2
         assert sim.now == pytest.approx(LATENCY + (k + 1) * CHUNK / BW, rel=1e-9)
         assert_idle(net)
 
@@ -160,15 +161,15 @@ class TestMessageBudget:
         """Two senders into one sink: the finish time and the random
         draws are those of a wire whose every relay is a queued call,
         ``2 (4k + 2)`` entries.  Fewer entries here: the completion of
-        the flow that finishes last, alone in its instant, and every
+        the flow that finishes last, alone in its instant, every
         ``release()`` hand-off of the sink's rx pipe made while nothing
-        else was due run in place."""
+        else was due, and both senders' ends run in place."""
         incast = (("n1", "n0"), ("n2", "n0"))
         entries, finished, rng_state = two_flows(incast, k * CHUNK - 1)
         hopping = two_flows(incast, k * CHUNK - 1, kernel=AlwaysHopSimulator)
         assert (finished, rng_state) == hopping[1:]
         assert hopping[0] == 2 * (4 * k + 2)
-        assert entries < hopping[0] and entries == {1: 9, 3: 22, 10: 71}[k]
+        assert entries < hopping[0] and entries == {1: 7, 3: 20, 10: 69}[k]
 
     def test_stalled_receiver_fills_the_window_and_no_more(self, monkeypatch):
         """Three senders into one sink: a flow runs ahead of the rx pipe
@@ -232,10 +233,10 @@ class TestCpuBudget:
             sim.process(job(tag))
         sim.run()
         assert finished == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
-        # Per job: kick, service, completion.  The event that grants b
-        # and c the core is their service event, scheduled by the job
-        # releasing it.
-        assert sim.stats.events_processed - before == 3 * 3
+        # Per job: kick and service; its end fires in place.  The event
+        # that grants b and c the core is their service event, scheduled
+        # by the job releasing it.
+        assert sim.stats.events_processed - before == 3 * 2
         assert cpu.cores.high_water == 1
 
     def test_interrupt_while_queued_withdraws_without_leak(self):
@@ -343,7 +344,7 @@ class TestFifoGrantBudget:
             sim.process(user(tag, hold))
         sim.run()
         assert finished == [("a", 0.5), ("b", 0.75), ("c", 1.75), ("d", 1.875)]
-        assert sim.stats.events_processed - before == 4 * 3  # kick, hold, completion
+        assert sim.stats.events_processed - before == 4 * 2  # kick, hold; the end in place
         assert res.in_use == 0 and res.high_water == 1
 
     def test_free_try_acquire_builds_no_event_and_yields_nothing(self, monkeypatch):
@@ -403,7 +404,8 @@ class TestFifoGrantBudget:
 class TestSpawnBudget:
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_n_legs_that_wait_once_cost_n_plus_one_events(self, n):
-        """One event per leg's wait and one for the join: no start kicks."""
+        """One event per leg's wait: no start kicks, and the join, which
+        the last leg completes alone in its instant, fires in place."""
         sim = Simulator()
         started = []
 
@@ -421,7 +423,7 @@ class TestSpawnBudget:
         before = sim.stats.events_processed
         proc = sim.process(parent())
         sim.run()
-        assert sim.stats.events_processed - before - 2 == n + 1
+        assert sim.stats.events_processed - before == 1 + n  # and the kick
         # Return values in spawn order, whatever order the legs ended in.
         assert proc.value == tuple(i * i for i in range(n))
 
@@ -497,7 +499,9 @@ class TestSpawnEventLegs:
         proc = sim.process(parent())
         sim.run()
         assert proc.value == (1, "t", 1) and sim.now == 3.0
-        assert sim.stats.events_processed - 2 == 3 + 1
+        # The kick and the legs' own events: the join and the end fire
+        # in place.
+        assert sim.stats.events_processed == 1 + 3
 
     def test_values_come_in_spawn_order_with_generator_and_event_legs_mixed(self):
         sim = Simulator()
@@ -541,8 +545,9 @@ class TestSpawnEventLegs:
         proc = sim.process(parent())
         sim.run()
         assert proc.value == (("early", None), ("early", "late"))
-        # Kick, first join, the timeout, second join, completion.
-        assert sim.stats.events_processed - before == 5
+        # Kick, the first join (both legs had fired: the builder queues
+        # it) and the timeout; the second join and the end fire in place.
+        assert sim.stats.events_processed - before == 3
 
     def test_a_failing_event_leg_fails_the_join_once(self):
         sim = Simulator()
@@ -557,8 +562,8 @@ class TestSpawnEventLegs:
             yield sim.timeout(10.0)
 
         sim.process(parent())
-        first.fail(RuntimeError("first"), delay=1.0)
-        second.fail(RuntimeError("second"), delay=2.0)
+        sim.call_later(1.0, lambda _: first.fail(RuntimeError("first")))
+        sim.call_later(2.0, lambda _: second.fail(RuntimeError("second")))
         sim.run()  # the second failure has no observer left and is defused
         assert seen == [("first", 1.0)] and sim.now == 11.0
 

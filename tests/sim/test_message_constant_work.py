@@ -83,8 +83,9 @@ def test_a_message_is_six_events_one_allocated_and_at_most_sixty_calls():
     of a wire whose grants and completions always hopped)."""
     sim, net, calls, events_built = _profiled_senders([("a", "b")])
     assert net.flows_chunked == MESSAGES and net.nics["b"].rx_bytes == MESSAGES * NBYTES
-    # The sending process is an event too, and costs a kick and a completion.
-    assert sim.stats.events_processed == 3 * MESSAGES + 2
+    # The sending process is an event too, and costs a kick; its end,
+    # alone in its instant, fires in place.
+    assert sim.stats.events_processed == 3 * MESSAGES + 1
     assert events_built == MESSAGES + 1
     assert calls <= MAX_CALLS_PER_MESSAGE * MESSAGES, calls / MESSAGES
 
@@ -115,8 +116,9 @@ def test_a_cpu_charge_is_one_event_one_object_and_no_generator_frame():
     )
 
     assert cpu.busy_time == sum([5e-4] * CHARGES) and cpu.cores.in_use == 0
-    # One queue entry per charge, plus the worker's kick and completion.
-    assert sim.stats.events_processed == CHARGES + 2
+    # One queue entry per charge, plus the worker's kick (its end fires
+    # in place).
+    assert sim.stats.events_processed == CHARGES + 1
     assert events_built == CHARGES + 1
     assert kernel_generator_frames == 0
     assert calls <= MAX_CALLS_PER_CHARGE * CHARGES, calls / CHARGES
@@ -142,8 +144,9 @@ def test_an_idle_rpc_is_eight_events_and_its_free_thread_no_grant():
 
     calls, events_built = _profiled(sim, [caller()])
     assert server.calls_served == RPCS and server.threads.in_use == 0
-    # Client charge, request (latency, tx, rx), server charge, reply.
-    assert sim.stats.events_processed == 8 * RPCS + 2
+    # Client charge, request (latency, tx, rx), server charge, reply; and
+    # the caller's kick.
+    assert sim.stats.events_processed == 8 * RPCS + 1
     assert calls <= MAX_CALLS_PER_IDLE_RPC * RPCS, calls / RPCS
     # The two charges' events and the two messages' ``done``: no ``_Grant``.
     assert events_built == 4 * RPCS + 1

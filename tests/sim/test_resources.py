@@ -227,9 +227,11 @@ class TestServe:
         assert log == [("a", 1.0), ("b-in", 1.0), ("c", 1.75), ("d-in", 1.75)]
         assert res.in_use == 0 and res.queue_len == 0 and res.high_water == 1
         assert res.busy_time == 1.25  # services only; a holder's time is its own
-        # Per process a kick and a completion; a service is one entry, a
-        # queued acquire a grant entry plus its holder's timeout.
-        assert sim.stats.events_processed - before == 4 * 2 + 2 * 1 + 2 * 2
+        # Per process a kick and an end; a service is one entry, a queued
+        # acquire a grant entry plus its holder's timeout.  A holder's
+        # end fires in place, alone in its instant; a served process's
+        # is queued behind the grant its service's end hands on.
+        assert sim.stats.events_processed - before == 4 * 1 + 2 + 2 * 1 + 2 * 2
 
     def test_interrupt_while_queued_withdraws_the_service(self, sim):
         res = Resource(sim, 1)

@@ -1,18 +1,22 @@
-"""Differential test: the wire's tail rule against always hopping.
+"""Differential test: the tail rule against always hopping.
 
-The tail rule (a zero-delay call from the tail of a queue entry, or a
-pipe's ``release()`` hand-off of a positive service, runs in place when
-``Simulator.nothing_else_due``) claims to move no order.
+The tail rule (a zero-delay call from the tail of a queue entry — a
+pipe grant, a wire completion, the end of a process or spawn leg, a
+join's or first-of's firing — or a pipe's ``release()`` hand-off of a
+positive service, runs in place when ``Simulator.nothing_else_due``)
+claims to move no order.
 These tests make the claim empirical: randomized event programs —
 timeouts, zero-delay storms, conditions, interrupts, contention for a
 FIFO resource (held, and served for a time) and a callback-served
 random-arbitration pipe (asked for mid-entry and from the tail of one),
-lightweight spawns over generator and event legs, bare ``call_later``
-chains, wire transfers over a zero- or positive-latency network, NIC
-outages that cut flows mid-flight — run on ``Simulator`` and on
+lightweight spawns over generator and event legs, process joins, a
+first-of over a process and a timer (an RPC attempt under its retry
+timer), events with two waiters, bare ``call_later`` chains, wire
+transfers over a zero- or positive-latency network, NIC outages that
+cut flows mid-flight — run on ``Simulator`` and on
 ``AlwaysHopSimulator``, which never lets the rule apply, so every pipe
-grant and hand-off (``Pipe._start``) and wire completion is a queued
-call.
+grant and hand-off (``Pipe._start``), wire completion and completion
+of a process or fan-in is a queued call.
 Both must produce the same firing log: identical (time, label, value)
 triples in identical order; only the number of queue entries may move.
 
@@ -91,8 +95,8 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
     fifo = Resource(sim, capacity=rnd.randint(1, 3), name="fifo")
     rand = Pipe(sim, name="rand")
     store = Store(sim, capacity=4)
-    # Ten chunks a second; some programs start their flows with no
-    # latency entry (inside ``transfer``, where nothing is a tail).
+    # Ten chunks a second; some programs' flows start with a zero
+    # latency, in a call due at the instant of the transfer.
     net = Network(sim, latency=rnd.choice([0.0, 0.01]), chunk_bytes=1000)
     for name in "abc":
         net.add_nic(name, 1e4)
@@ -138,25 +142,33 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
         def lap(left):
             log.append((sim.now, "lap", wid, s, left))
             if left:
-                sim.call_later(rnd_delays[wid][s] * (left % 2), lap, left - 1)
+                sim.call_later(rnd_delays[wid][s] * (left % 2), lambda _: lap(left - 1))
             else:
                 fired.succeed((wid, s))
 
-        sim.call_later(rnd_delays[wid][s], lap, 3)
+        sim.call_later(rnd_delays[wid][s], lambda _: lap(3))
         return fired
 
     def ticker(wid: int, s: int):
         def tick(left):
             log.append((sim.now, "tick", wid, s, left))
             if left:
-                sim.call_later(rnd_delays[wid][s], tick, left - 1)
+                sim.call_later(rnd_delays[wid][s], lambda _: tick(left - 1))
 
         return tick
 
-    def set_down(change):
-        nic, down = change
+    def set_down(nic, down):
         nic.down = down
         log.append((sim.now, "nic-down" if down else "nic-up", nic.name))
+
+    def child(wid: int, s: int, delay: float):
+        """A process a worker joins, or races against a timer."""
+        try:
+            yield sim.timeout(delay)
+            log.append((sim.now, "child", wid, s))
+        except Interrupt as intr:
+            log.append((sim.now, "child-cut", wid, s, str(intr.cause)))
+        return wid, s
 
     def worker(wid: int, steps: int):
         try:
@@ -206,16 +218,16 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
                 # are lost at their next ask for the wire or at the
                 # completion, and their granted chunks drain the pipes.
                 nic = net.nics["abc"[(wid + s) % 3]]
-                sim.call_later(rnd_delays[wid][s], set_down, (nic, True))
-                sim.call_later(rnd_delays[wid][s] + 0.05, set_down, (nic, False))
+                sim.call_later(rnd_delays[wid][s], lambda _, nic=nic: set_down(nic, True))
+                sim.call_later(rnd_delays[wid][s] + 0.05, lambda _, nic=nic: set_down(nic, False))
             elif action == "call-chain":
                 got = yield call_chain(wid, s)
                 log.append((sim.now, "chain-done", wid, s, got))
             elif action == "call-detached":
                 # Nobody waits for these: they race whatever comes next.
                 tick = ticker(wid, s)
-                sim.call_later(0.0, tick, 2)
-                sim.call_later(rnd_delays[wid][s], tick, 0)
+                sim.call_later(0.0, lambda _, tick=tick: tick(2))
+                sim.call_later(rnd_delays[wid][s], lambda _, tick=tick: tick(0))
             elif action == "store":
                 yield store.put((wid, s))
                 item = yield store.get()
@@ -232,6 +244,38 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
                 # Generator legs and an event leg, joined as one.
                 values = yield sim.spawn(leg(0), fifo.serve(rnd_delays[wid][s]), leg(1))
                 log.append((sim.now, "spawn-join", wid, s, values))
+            elif action == "join-proc":
+                got = yield sim.process(child(wid, s, rnd_delays[wid][s]))
+                log.append((sim.now, "proc-joined", wid, s, got))
+            elif action == "retry":
+                # The RPC retry shape: an attempt raced against a timer,
+                # and cut when the timer wins.
+                attempt = sim.process(child(wid, s, rnd_delays[wid][s]))
+                timer = sim.timeout(rnd_delays[wid][(s + 1) % len(rnd_delays[wid])])
+                idx, _value = yield sim.any_of([attempt, timer])
+                log.append((sim.now, "retry", wid, s, idx, attempt.is_alive))
+                if attempt.is_alive:
+                    attempt.interrupt("retry timer")
+            elif action == "two-waiters":
+                # One event, a fan-in and two or three processes waiting
+                # on it, some lingering after the wake: a waiter's end or
+                # a fan-in's firing is its entry's last act only when no
+                # other wake is still to come.
+                gate = sim.timeout(rnd_delays[wid][s])
+
+                def woken(tag):
+                    yield gate
+                    log.append((sim.now, "woke", wid, s, tag))
+                    if (wid + s + tag) % 2:
+                        yield sim.timeout(rnd_delays[wid][s])
+                    return tag
+
+                waiters = [sim.process(woken(tag)) for tag in range(2 + s % 2)]
+                if (wid + s) % 3:
+                    yield (sim.all_of if (wid + s) % 3 == 1 else sim.any_of)([gate])
+                    log.append((sim.now, "gate", wid, s))
+                for proc in waiters[1:] + waiters[:1]:
+                    log.append((sim.now, "joined", wid, s, (yield proc)))
             elif action == "interruptible":
                 try:
                     yield sim.timeout(5.0)
@@ -252,7 +296,7 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
     actions = [
         "timeout", "zero-storm", "fifo-res", "serve", "rand-res",
         "store", "any-of", "spawn", "interruptible", "call-chain", "call-detached",
-        "tail-grant", "wire", "nic-outage",
+        "tail-grant", "wire", "nic-outage", "join-proc", "retry", "two-waiters",
     ]
     rnd_actions = [
         [rnd.choice(actions) for _ in range(rnd.randint(3, 8))]
