@@ -13,8 +13,6 @@ measures the consequence the paper attributes to it:
 * **readahead** — 8 KB sequential reads with prefetch disabled.
 * **loopback conduit tax** — warm-cache reads with the conduit copy
   cost removed: the Figure 7b crossover disappears.
-* **commit through the MDS** — OLTP with COMMIT routed through the
-  metadata server instead of the data servers.
 * **metadata sync** — Postmark with PVFS2's synchronous metadata
   journalling disabled.
 """
@@ -24,7 +22,7 @@ from dataclasses import replace
 
 from repro.bench.runner import run_cell
 from repro.cluster.configs import ARCHITECTURES, make_deployment
-from repro.workloads import IorWorkload, OltpWorkload, PostmarkWorkload
+from repro.workloads import IorWorkload, PostmarkWorkload
 
 MB = 1024 * 1024
 SCALE = float(os.environ.get("REPRO_SCALE", "0.25"))
@@ -123,20 +121,6 @@ def test_ablation_loopback_tax():
         f"zero-copy conduit {out['free']:.0f} MB/s"
     )
     assert out["free"] > out["taxed"]
-
-
-def test_ablation_commit_through_mds():
-    """OLTP with COMMIT recentralised at the MDS vs at the data servers."""
-    out = {}
-    for label, through_mds in (("ds", False), ("mds", True)):
-        dep = make_deployment("direct-pnfs", n_clients=4)
-        dep.pnfs.mds.layout_provider.commit_through_mds = through_mds
-        out[label] = run_cell(dep, OltpWorkload(scale=SCALE * 0.1), 4).aggregate_mbps
-    print(
-        f"\ncommit path: data servers {out['ds']:.1f} MB/s vs "
-        f"through MDS {out['mds']:.1f} MB/s"
-    )
-    assert out["ds"] >= 0.9 * out["mds"]
 
 
 def test_ablation_metadata_sync():

@@ -16,11 +16,10 @@ classifies every scheduled call by
   ``Resource._end_service`` for the end of a service time ...),
 * zero or positive delay (positive = a physical delay on the heap;
   ``lone`` = zero, scheduled while nothing else was due in that
-  instant from the tail of a queue entry — a pipe grant, a wire
-  completion, or a completion (a join, a first-of or a process firing)
-  queued from the last callback of a firing or from a process's start
-  entry — or by a pipe's ``release()`` handing on a service of
-  positive duration),
+  instant from the tail of a queue entry — a pipe grant, or a
+  completion (a join, a first-of, a process firing or a wire's
+  ``done``) queued as it was parked — or by a pipe's ``release()``
+  handing on a service of positive duration),
 * the kernel call that scheduled it (``serve[Resource]``,
   ``acquire[Resource]``, ``serve[Pipe]``, ``release[Pipe]``, ``spawn``, ``process``,
   ``timeout``, ``end`` of a process ...; a service that ends and hands
@@ -29,6 +28,12 @@ classifies every scheduled call by
 * the first frame outside the kernel (``sim/engine.py``,
   ``sim/resources.py`` and :class:`~repro.sim.network.Pipe`) — or, for
   a process completion, the generator that finished,
+
+a completion parked for the run loop (``Event._complete``) by the act
+that parked it, read off the stack at the park, whether the loop
+queues it later or fires it in place — and then what its waiters
+queue reads through the loop to the same act, as when it fired in
+the parker's stack;
 
 then prints events by class per front-end RPC (ROADMAP item 2c's table).
 It counts generator resumes (``_Driver._resume`` entries) beside them,
@@ -69,17 +74,11 @@ from repro.bench.experiments import MB, _ior  # noqa: E402
 from repro.bench.runner import run_cell  # noqa: E402
 from repro.cli import _WORKLOADS, _clients, _positive  # noqa: E402
 from repro.cluster.configs import ARCHITECTURES, make_deployment  # noqa: E402
-from repro.sim.engine import Event, Simulator, _Driver  # noqa: E402
-from repro.sim.network import Pipe, _Message, _WireFlow  # noqa: E402
+from repro.sim.engine import Event, Simulator, _Driver, _fire  # noqa: E402
+from repro.sim.network import Pipe  # noqa: E402
 
 SRC = str(ROOT / "src" / "repro") + "/"
 KERNEL = (SRC + "sim/engine.py", SRC + "sim/resources.py")
-
-#: The wire's completions: always the last act of their queue entry.
-WIRE_TAILS = (_WireFlow._finish.__code__, _Message._rx_served.__code__)
-
-#: What a completion's firing is called: it fires in place at a tail.
-COMPLETIONS = ("Join", "AnyOf", "Process")
 
 #: ``pinned`` is the workload of benchmarks/test_rpc_overhead.py (with
 #: the defaults below, ``direct-pnfs pinned`` is its cell).
@@ -110,7 +109,7 @@ PLAIN_EVENTS = {
 
 def what(fn, arg, kernel_call: str = "?") -> str:
     """Name a queued call: the event it fires, or the function it is."""
-    if fn is Event._process_callbacks:
+    if fn is _fire:
         if type(arg) is Event:
             return PLAIN_EVENTS.get(kernel_call, "Event")
         return type(arg).__name__
@@ -120,38 +119,46 @@ def what(fn, arg, kernel_call: str = "?") -> str:
     return getattr(fn, "__qualname__", repr(fn))
 
 
-def classify(fn, arg, delay: float, frame, alone: bool = False) -> tuple[str, str, str, str]:
+def classify(
+    fn, arg, delay: float, frame, alone: bool = False, fired: bool = False, root=(None, None)
+) -> tuple[str, str, str, str]:
     """``(what, delay class, kernel call, site)`` of one scheduling.
 
     Walks out of the kernel: the kernel call is the outermost kernel
     function on the way (what product code called), the site the first
     frame beyond it.  ``alone`` is ``Simulator.nothing_else_due()`` at
     the scheduling; with a frame on the way that calls itself a tail
-    (``Pipe.serve(..., tail=True)``, the wire's completions) a
+    (``Pipe.serve``, a completion's ``_complete(..., tail=True)``) a
     zero-delay call is ``lone`` — unless an event fired in between:
     what a waiter of an in-place ``done`` schedules is its own.  So is
     a hand-off hop ``release[Pipe]`` queues for a job (``arg``) of
-    positive duration: the hop would only schedule the job's end, and
-    a completion queued at a tail (:func:`last_act`).  Past an event
-    that fired in place, only the site is left to find: what its
-    waiters queue is not the kernel call that fired it.
+    positive duration.  Past an event that fired (``fired``), only the
+    site is left to find: what its waiters queue is not the kernel call
+    that fired it.  ``root`` is the completion last parked and the site
+    past its park: if the loop fired it in place, that is the site.
     """
     kernel_call = "?"
     site = "(event loop)"
-    tail = fired = False
-    start = frame
+    tail = False
+    inner = None
     while frame is not None:
         code = frame.f_code
-        owner = frame.f_locals.get("self")
-        tail = tail or (
-            not fired and (frame.f_locals.get("tail") is True or code in WIRE_TAILS)
-        )
-        if code.co_filename not in KERNEL and not isinstance(owner, Pipe):
-            site = f"{code.co_filename.removeprefix(SRC)}:{code.co_name}"
-            break
         name = code.co_name
+        owner = frame.f_locals.get("self")
+        pipe = isinstance(owner, Pipe)
+        # Every caller of a pipe's ``serve`` makes it as its entry's last act.
+        tail = tail or (
+            not fired and (pipe and name == "serve" or frame.f_locals.get("tail") is True)
+        )
+        if code.co_filename not in KERNEL and not pipe:
+            site = f"{code.co_filename.removeprefix(SRC)}:{name}"
+            break
         if name == "run":
-            break  # a kernel callback (a condition's check) fired it
+            # A kernel callback (a condition's check) fired it — or the
+            # loop fired a parked completion, whose park says where.
+            if inner is not None and inner.f_locals.get("self") is root[0]:
+                site = root[1]
+            break
         if name in ("_process_callbacks", "_end_service"):
             # How the kernel got here, not what was asked of it.
             fired = True
@@ -163,41 +170,20 @@ def classify(fn, arg, delay: float, frame, alone: bool = False) -> tuple[str, st
             gen = owner._generator
             kernel_call, site = "end", getattr(gen, "__qualname__", str(gen))
             break
+        elif name in ("acquire", "release", "serve"):
+            kernel_call = f"{name}[{type(owner).__name__}]"
         else:
-            if name in ("acquire", "release", "serve"):
-                name += f"[{type(owner).__name__}]"
-            kernel_call = name
-        frame = frame.f_back
+            # A completion is what ``succeed`` queues.
+            kernel_call = "succeed" if name == "_complete" else name
+        inner, frame = frame, frame.f_back
     called = what(fn, arg, kernel_call)
     if delay > 0:
         when = "delay"
-    elif alone and (
-        tail
-        or kernel_call == "release[Pipe]" and arg[0] > 0
-        or called in COMPLETIONS and last_act(start)
-    ):
+    elif alone and (tail or kernel_call == "release[Pipe]" and arg[0] > 0):
         when = "lone"
     else:
         when = "zero"
     return called, when, kernel_call, site
-
-
-def last_act(frame) -> bool:
-    """Whether the kernel frames out from ``frame`` are the last act of
-    their queue entry: the last callback of a firing (none left in the
-    event's ``_cbs``) or the entry itself — not a builder adding legs
-    (``add_callback`` calling back on a fired leg, a spawn leg's first
-    segment in ``_join``) nor anything product code called."""
-    while frame is not None and frame.f_code.co_filename in KERNEL:
-        name = frame.f_code.co_name
-        if name == "_process_callbacks":
-            return not frame.f_locals["self"]._cbs
-        if name == "run":
-            return True
-        if name in ("add_callback", "_join"):
-            return False
-        frame = frame.f_back
-    return False
 
 
 class Recording:
@@ -240,19 +226,49 @@ class Recording:
 @contextlib.contextmanager
 def recording():
     """Wrap ``Simulator._enqueue`` and ``_Driver._resume`` for the block,
-    class-wide, and yield the :class:`Recording` they fill."""
+    class-wide, put a property on the simulator's parking slot
+    (``_tail``), and yield the :class:`Recording` they fill."""
     rec = Recording()
     enqueue, resume = Simulator._enqueue, _Driver._resume
+    # A reference kernel's own slot (one that queues every park), if set.
+    slot = vars(Simulator).get("_tail")
+    # The completion last parked, its class, and the site past its park;
+    # ``parked[::2]`` is the root a walk that reaches the loop reads.
+    parked = [None, None, None]
 
     def counted(self, fn, arg, delay, urgent=False):
         # ``nothing_else_due()``, read off the queue: a kernel that never
         # lets the tail rule apply still shows what it queued alone.
         queue = self._queue
         alone = not queue or queue[0][0] > self.now
-        rec.classes[classify(fn, arg, delay, sys._getframe(1), alone)] += 1
-        if fn is Event._process_callbacks:
+        if fn is _fire and arg is parked[0]:
+            # Queued after its park, by the loop or a reference kernel:
+            # named at the park.  Its firing is queued: no longer a root.
+            cls, parked[:] = parked[1], (None, None, None)
+        else:
+            cls = classify(fn, arg, delay, sys._getframe(1), alone, root=parked[::2])
+        rec.classes[cls] += 1
+        if fn is _fire:
             rec.fired[type(arg).__name__] += 1
         enqueue(self, fn, arg, delay, urgent)
+
+    def park(self, event):
+        if event is not None:
+            frame, queue = sys._getframe(1), self._queue
+            alone = not queue or queue[0][0] > self.now
+            root = parked[::2]
+            parked[:] = (
+                event,
+                classify(_fire, event, 0.0, frame, alone, root=root),
+                classify(_fire, event, 0.0, frame, fired=True, root=root)[3],
+            )
+        if slot is None:
+            self.__dict__["_tail"] = event
+        else:
+            slot.__set__(self, event)
+
+    def parking(self):
+        return self.__dict__.get("_tail") if slot is None else slot.__get__(self)
 
     @functools.wraps(resume)  # a queued resume keeps its name in the census
     def resumed(self, event):
@@ -260,10 +276,15 @@ def recording():
         resume(self, event)
 
     Simulator._enqueue, _Driver._resume = counted, resumed
+    Simulator._tail = property(parking, park)
     try:
         yield rec
     finally:
         Simulator._enqueue, _Driver._resume = enqueue, resume
+        if slot is None:
+            del Simulator._tail
+        else:
+            Simulator._tail = slot
 
 
 def census(arch: str, kind: str, clients: int, scale: float, seed: int | None):

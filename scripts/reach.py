@@ -8,17 +8,19 @@ path, a ROADMAP item that will use it, a reader outside ``src/``)::
 
     python scripts/reach.py            # run the census, list the unreached
     python scripts/reach.py --check    # ... and exit 1 on a gap or a stale entry
-    python scripts/reach.py --options  # ... and list the parameters no call varied
+    python scripts/reach.py --options  # ... and list the parameters held at one value
 
 ``--check`` fails when a named function no source enters is not in the
 allowlist, or when an allowlist entry names no function any more.  An
 allowlisted function that traffic now reaches is only reported.
 
-``--options`` counts, in the same pass, the calls that bind each
-parameter with a default to another value (``!=``, falling back to
-``is not`` where ``!=`` raises), and prints the parameters of entered
-functions that no call varied, with their call counts.  It is a report:
-such a parameter is a candidate for a constant, not a failure.
+``--options`` compares, in the same pass, the value each call binds to
+a parameter with a default with the value the first call bound
+(``!=``, falling back to ``is not`` where ``!=`` raises), and prints
+the parameters of entered functions that every call held at one value
+— the default or another — with that value and the call count.  It is
+a report: such a parameter is a candidate for a constant, not a
+failure.
 
 A function is ``module:qualname`` (``repro.nfs.server:Nfs4Server._h_read``);
 lambdas, comprehensions, module and class bodies are not counted.  The
@@ -98,9 +100,9 @@ def named_functions(package: pathlib.Path = PACKAGE) -> dict[str, set[Site]]:
     return out
 
 
-def _defaults(package: pathlib.Path) -> dict[Site, list[tuple[str, str]]]:
-    """Site -> ``(parameter, default's source)`` of every ``def`` below
-    ``package`` with defaults (a decorated def's code starts at its
+def _defaults(package: pathlib.Path) -> dict[Site, list[str]]:
+    """Site -> the parameters with a default of every ``def`` below
+    ``package`` that has any (a decorated def's code starts at its
     first decorator)."""
     out = {}
     for path in sorted(package.rglob("*.py")):
@@ -114,7 +116,7 @@ def _defaults(package: pathlib.Path) -> dict[Site, list[tuple[str, str]]]:
             pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
             if pairs:
                 line = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                out[(filename, line, node.name)] = [(arg.arg, ast.unparse(d)) for arg, d in pairs]
+                out[(filename, line, node.name)] = [arg.arg for arg, _default in pairs]
     return out
 
 
@@ -130,28 +132,27 @@ def _first_yield(code) -> int:
 
 class OptionCounter:
     """Per ``(function, parameter with a default)``: the calls that
-    entered the function, and those that bound the parameter to a value
-    other than its default.  :meth:`call` is fed every call event."""
+    entered the function, the value the first call bound it to, and
+    whether a later call bound another.  :meth:`call` is fed every call
+    event."""
 
     def __init__(self, package: pathlib.Path = PACKAGE):
         self._defaults = _defaults(package)
         self._names = {site: key for key, sites in named_functions(package).items()
                        for site in sites}
-        self._entries: dict = {}  # code -> (function, [(parameter, default)], first yield)
+        self._entries: dict = {}  # code -> (function, [parameter], first yield)
         self.calls: dict[tuple[str, str], int] = {}
-        self.varied: dict[tuple[str, str], int] = {}
+        #: The value the first call bound, kept while no call has varied it.
+        self.held: dict[tuple[str, str], object] = {}
+        self.varied: set[tuple[str, str]] = set()
 
     def _entry(self, frame):
         code = frame.f_code
         site = (os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name)
         function = self._names.get(site)
-        params = []
-        for name, source in self._defaults.get(site, ()) if function else ():
-            try:  # a default naming an enclosing function's local is skipped
-                params.append((name, eval(source, frame.f_globals)))
-            except Exception:
-                continue
-            self.calls[function, name] = self.varied[function, name] = 0
+        params = self._defaults.get(site, []) if function else []
+        for name in params:
+            self.calls[function, name] = 0
         return (function, params, _first_yield(code)) if params else None
 
     def call(self, frame) -> None:
@@ -164,21 +165,32 @@ class OptionCounter:
             return
         function, params, _ = entry
         local = frame.f_locals
-        for name, default in params:
+        for name in params:
+            key = function, name
             value = local[name]
+            self.calls[key] += 1
+            if key in self.varied:
+                continue
+            if key not in self.held:
+                self.held[key] = value
+                continue
+            held = self.held[key]
             try:
-                differs = bool(value != default)
+                differs = bool(value != held)
             except Exception:
-                differs = value is not default
-            self.calls[function, name] += 1
-            self.varied[function, name] += differs
+                differs = value is not held
+            if differs:
+                self.varied.add(key)
+                del self.held[key]  # no reference kept to a varied value
 
-    def unvaried(self) -> list[tuple[str, str, int]]:
-        """``(function, parameter, calls)`` of every entered function's
-        parameter that no call varied, most calls first."""
+    def unvaried(self) -> list[tuple[str, str, int, object]]:
+        """``(function, parameter, calls, value)`` of every entered
+        function's parameter that every call held at one value, most
+        calls first."""
         return sorted(
-            ((function, name, n) for (function, name), n in self.calls.items()
-             if n and not self.varied[function, name]),
+            ((function, name, n, self.held[function, name])
+             for (function, name), n in self.calls.items()
+             if n and (function, name) not in self.varied),
             key=lambda row: (-row[2], row[0], row[1]),
         )
 
@@ -305,12 +317,17 @@ def census(options: OptionCounter | None = None) -> dict[str, set[Site]]:
     return reached
 
 
+def _short(value, width: int = 40) -> str:
+    text = repr(value)
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on an unlisted unreached function or a stale entry")
     parser.add_argument("--options", action="store_true",
-                        help="also list the parameters with a default that no call varied")
+                        help="also list the parameters with a default held at one value")
     args = parser.parse_args(argv)
     functions = named_functions()
     allow = json.loads(ALLOW.read_text())
@@ -335,9 +352,9 @@ def main(argv=None) -> int:
     if options is not None:
         rows = options.unvaried()
         print(f"{len(rows)} of {sum(1 for n in options.calls.values() if n)} entered "
-              f"parameters with a default: no call varied them (calls)")
-        for function, name, n in rows:
-            print(f"  {n:9d}  {function}({name}=)")
+              f"parameters with a default: every call held them at one value (calls)")
+        for function, name, n, value in rows:
+            print(f"  {n:9d}  {function}({name}={_short(value)})")
     return 1 if args.check and (gaps or stale) else 0
 
 

@@ -57,9 +57,8 @@ class LayoutTranslator(LayoutProvider):
     servers are built in daemon order.
     """
 
-    def __init__(self, meta_backend: FileSystemClient, commit_through_mds: bool = False):
+    def __init__(self, meta_backend: FileSystemClient):
         self.meta_backend = meta_backend
-        self.commit_through_mds = commit_through_mds
 
     def get_layout(self, fh, path: str):
         # One loopback metadata lookup: aggregation type + parameters.
@@ -75,5 +74,4 @@ class LayoutTranslator(LayoutProvider):
             device_slots=list(range(nservers)),
             fhs=[fh] * nservers,
             aggregation=aggregation,
-            commit_through_mds=self.commit_through_mds,
         )

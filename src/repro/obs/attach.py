@@ -110,9 +110,9 @@ def bottleneck(rows: list[dict]) -> dict:
     return best
 
 
-def observe_rpc_server(reg: MetricsRegistry, server, name: str = "") -> None:
+def observe_rpc_server(reg: MetricsRegistry, server) -> None:
     """RPC service counters: served/errors/replays/retransmissions."""
-    n = name or server.name
+    n = server.name
     for attr in (
         "calls_served",
         "errors",

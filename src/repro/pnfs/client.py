@@ -219,22 +219,18 @@ class PnfsClient(Nfs4Client):
     def _io_commit(self, f: OpenFile):
         yield from self._ensure_layout(f)
         layout = f.state["layout"]
-        if layout.commit_through_mds:
-            yield from super()._io_commit(f)
-            f.state["mds_dirty"] = False
-        else:
-            mds_dirty = f.state.pop("mds_dirty", False)
+        mds_dirty = f.state.pop("mds_dirty", False)
 
-            def seg_commit(slot):
-                # Data written through a failed-over server reached the
-                # shared backend; a COMMIT at the MDS makes it durable there.
-                return (yield from self._direct(f, layout, slot, "commit", {"fh": layout.fhs[slot]})) is None
+        def seg_commit(slot):
+            # Data written through a failed-over server reached the
+            # shared backend; a COMMIT at the MDS makes it durable there.
+            return (yield from self._direct(f, layout, slot, "commit", {"fh": layout.fhs[slot]})) is None
 
-            need_mds = yield self.sim.spawn(
-                *(seg_commit(slot) for slot in sorted(f.state["commit_slots"]))
-            )
-            if mds_dirty or any(need_mds):
-                yield from Nfs4Client._io_commit(self, f)
+        need_mds = yield self.sim.spawn(
+            *(seg_commit(slot) for slot in sorted(f.state["commit_slots"]))
+        )
+        if mds_dirty or any(need_mds):
+            yield from Nfs4Client._io_commit(self, f)
         f.state["commit_slots"].clear()
         # Inform the MDS of metadata changes — only when the file size
         # may actually have moved (Linux sends LAYOUTCOMMIT only for

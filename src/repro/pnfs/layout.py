@@ -23,15 +23,12 @@ class FileLayout:
     ``aggregation`` describes how bytes map to slots and is interpreted
     by an aggregation driver on the client (round-robin for the two
     schemes NFSv4.1 supports natively, richer types via optional
-    drivers).  ``commit_through_mds`` selects whether COMMIT goes to
-    data servers or the metadata server (a standard file-layout policy
-    bit).
+    drivers).  COMMIT goes to the data servers that took the writes.
     """
 
     device_slots: list[int]
     fhs: list
     aggregation: dict
-    commit_through_mds: bool = False
     #: Assigned by the issuing metadata server from its simulation's id
     #: stream (``Simulator.next_id``); 0 means "not yet issued".  Ids
     #: must never come from process-global state: replayed runs have to

@@ -48,7 +48,6 @@ class MetadataServer:
         node: Node,
         daemons: list,
         cfg: Pvfs2Config,
-        name: str = "",
         handle_base: int = 0,
     ):
         if not daemons:
@@ -57,7 +56,7 @@ class MetadataServer:
         self.node = node
         self.daemons = daemons
         self.cfg = cfg
-        self.name = name or f"{node.name}.pvfs2-mds"
+        self.name = f"{node.name}.pvfs2-mds"
         self.rpc = rpc.RpcServer(
             sim, node, self.name, cfg.meta_costs, threads=cfg.storage_threads
         )

@@ -102,11 +102,11 @@ class Journal:
 class StorageDaemon:
     """One storage node's data service."""
 
-    def __init__(self, sim: Simulator, node: Node, cfg: Pvfs2Config, name: str = ""):
+    def __init__(self, sim: Simulator, node: Node, cfg: Pvfs2Config):
         self.sim = sim
         self.node = node
         self.cfg = cfg
-        self.name = name or f"{node.name}.pvfs2d"
+        self.name = f"{node.name}.pvfs2d"
         self.rpc = RpcServer(sim, node, self.name, cfg.costs, threads=cfg.storage_threads)
         self.flow_pool = Resource(sim, cfg.flow_buffers, name=f"{self.name}.flow")
         self.dirty_tokens = Resource(

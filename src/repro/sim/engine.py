@@ -53,27 +53,29 @@ What only relays control is not queued at all: a free FIFO grant is
 pre-fired (or, through ``Resource.try_acquire``, not even an event), a
 ``spawn`` leg starts in its spawner's stack, and a
 zero-delay call from the tail of a queue entry, or a pipe's hand-off of
-a positive service, runs in place when
-:meth:`Simulator.nothing_else_due` — the tail rule.  The wire's pipe
-grants and completions follow it, and so do the completions a
-generator's end or an event leg makes: a process firing, a join firing
-on its last leg, a first-of on its first (:meth:`Event._complete`; a
-failure is always queued).  Tail-ness is structural: every caller of
-``_process_callbacks`` is an entry's tail, and a callback is the last
-act when none is left after it in the event's ``_cbs``; ``spawn``,
-``all_of`` and ``any_of`` hold their event while they add legs, so a
-leg that has fired already, or ends in its first segment, never
-completes a fan-in from its builder's stack.  Nested in place, such
-completions cost three frames a level: a cascade of a few hundred in
-one instant is what the recursion limit allows.
+a positive service, runs in place when nothing else is due in the
+instant — the tail rule.  A pipe's grant and hand-off ask
+:meth:`Simulator.nothing_else_due` themselves.  A completion made as
+the entry's last act — a process firing, a join firing on its last
+leg, a first-of on its first, the wire's ``done`` — parks instead, in
+the simulator's one-event slot (:meth:`Event._complete`; a failure is
+always queued), and the run loop, after the entry, fires it in place
+when nothing else is due or queues it where ``succeed()`` would have.
+Its firing may park the next completion, so a cascade of any depth in
+one instant is a loop, not recursion.  Tail-ness is structural: every
+caller of ``_process_callbacks`` is an entry's tail, and a callback is
+the last act when none is left after it in the event's ``_cbs``;
+``spawn``, ``all_of`` and ``any_of`` hold their event while they add
+legs, so a leg that has fired already, or ends in its first segment,
+never completes a fan-in from its builder's stack.
 
 One generator driver
 --------------------
 A :class:`Process` and a :meth:`Simulator.spawn` leg run on the same
 trampoline (:class:`_Driver`) and differ only in what ending means: a
 process is itself an event and fires, a leg reports to its join (a
-plain :class:`Event`, :meth:`Simulator.spawn`) — either in place when
-the end is its entry's last act and nothing else is due.
+plain :class:`Event`, :meth:`Simulator.spawn`) — parked for the run
+loop when the end is its entry's last act.
 
 Typical usage::
 
@@ -216,8 +218,8 @@ class Event:
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True
 
-    def reset(self, delay: Optional[float] = None, value: Any = None) -> "Event":
-        """Re-arm a *processed* timer in place and return it.
+    def reset(self, delay: Optional[float] = None) -> "Event":
+        """Re-arm a *processed* timer in place and return it (value ``None``).
 
         Retry/backoff loops fire the same timer over and over (the RPC
         retransmission ladder, drain polls); re-arming the event that
@@ -238,7 +240,7 @@ class Event:
         elif delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
         self.delay = delay
-        self._value = value
+        self._value = None
         self.ok = True
         self._defused = False
         self._state = _TRIGGERED
@@ -269,14 +271,18 @@ class Event:
             raise self._value
 
     def _complete(self, value: Any, tail: bool) -> None:
-        """Fire successfully with ``value`` — in place when ``tail`` (the
-        caller's act is the last of the running queue entry) and nothing
-        else is due this instant: the queued firing would be the next
-        thing the loop runs, so the hop would decide nothing.  Else
-        through the queue, as :meth:`succeed`."""
-        if tail and self.sim.nothing_else_due():
+        """Fire successfully with ``value``.  At a ``tail`` (the caller's
+        act is the last of the running queue entry) the event is
+        triggered and parked in the simulator's one-event slot: the run
+        loop fires it in place after the entry when nothing else is due
+        this instant — the queued firing would be the next thing it runs,
+        so the hop would decide nothing — and else queues it, in the
+        place :meth:`succeed` would have given it here.  Not at a tail,
+        :meth:`succeed`."""
+        if tail:
             self._value = value
-            _fire(self)
+            self._state = _TRIGGERED
+            self.sim._tail = self
         else:
             self.succeed(value)
 
@@ -376,9 +382,10 @@ class _Driver:
     raises.  ``tail`` says the end is the last act of the running queue
     entry — the resume was that entry (a process start) or the last
     callback of its firing (nothing left in the event's ``_cbs``) — so a
-    completion it makes may fire in place (:meth:`Event._complete`).  A
-    spawn leg's first segment runs in its spawner's stack, no entry's
-    tail, but its join is held there (:meth:`Simulator._join`).
+    completion it makes is parked for the run loop
+    (:meth:`Event._complete`).  A spawn leg's first segment runs in its
+    spawner's stack, no entry's tail, but its join is held there
+    (:meth:`Simulator._join`).
     """
 
     __slots__ = ()
@@ -434,8 +441,8 @@ class Process(Event, _Driver):
     (value = the generator's return value) or raises (failure).  Other
     processes may therefore ``yield`` a process to join it.  A return
     that is the last act of its queue entry, with nothing else due,
-    fires it in place: its waiters run in that entry, as they would
-    have in the next one.
+    fires it in place, right after that entry: its waiters run where
+    they would have in the next one.
     """
 
     __slots__ = ("_generator", "_waiting_on", "name")
@@ -485,9 +492,9 @@ class Process(Event, _Driver):
         interrupt_ev.add_callback(self._resume)
 
     # -- engine internals ----------------------------------------------
-    #: How the driver ends a process: it fires, as any event does — in
-    #: place when the end is its entry's last act and nothing else is
-    #: due; a failure is always queued.
+    #: How the driver ends a process: it fires, as any event does —
+    #: parked for the run loop when the end is its entry's last act; a
+    #: failure is always queued.
     _finished = Event._complete
     _failed = Event.fail
 
@@ -525,14 +532,7 @@ class _Task(_Driver):
         join, self.join = self.join, None
         join._pending_count -= 1
         if join._pending_count == 0 and join._state == _PENDING:
-            values = tuple(leg._value for leg in join.legs)
-            # ``join._complete(values, tail)``, inline: a chain of nested
-            # spawns completing in place costs three frames a level.
-            if tail and self.sim.nothing_else_due():
-                join._value = values
-                _fire(join)
-            else:
-                join.succeed(values)
+            join._complete(tuple(leg._value for leg in join.legs), tail)
 
     def _failed(self, exc: BaseException) -> None:
         # As for an event leg: the first failure fails the join; a later
@@ -593,6 +593,9 @@ class Simulator:
         #: many simulations ran earlier in the process (the same-seed-
         #: same-trace guarantee the torture replayer depends on).
         self._ids: dict[str, int] = {}
+        #: The completion the running entry parked as its last act
+        #: (:meth:`Event._complete`), for :meth:`run` to fire or queue.
+        self._tail: Optional[Event] = None
         import numpy as _np
 
         self.rng = _np.random.default_rng(seed)
@@ -732,8 +735,9 @@ class Simulator:
         zero-delay call scheduled now would be the very next thing
         :meth:`run` pops.  A caller at the *tail* of the running queue
         entry — nothing left to do after the call — may then make it in
-        place: the hop would decide nothing (the wire's pipe grants and
-        completions, :mod:`repro.sim.network`).
+        place: the hop would decide nothing (a pipe's grant or hand-off,
+        :class:`repro.sim.network.Pipe`; :meth:`run` applies the same
+        rule to a parked completion).
         """
         queue = self._queue
         return not queue or queue[0][0] > self.now
@@ -759,9 +763,17 @@ class Simulator:
         simulated time would exceed it; ``now`` is set to the deadline),
         or an :class:`Event` (stop when it fires and return its value, or
         raise it if the event failed — also when it had fired already).
-        An event stops the run after the queue entry it fired in, with
-        whatever that entry ran in place: a waiter of the event that
-        ends there has ended too.
+
+        After each entry the loop takes the completion it parked, if
+        any (:meth:`Event._complete`): with something else due in the
+        instant it is queued — in the place :meth:`Event.succeed` gave
+        it at the park, the park being the entry's last act — and else
+        fired here, which may park the next.  A completion parked
+        outside ``run()`` is taken the same way before the first entry
+        (unless ``until`` had fired already); one parked by an entry
+        that raises is queued.  An event stops
+        the run after the entry it fired in and what that entry parked:
+        a waiter of the event that ends there has ended too.
         """
         stop_event: Optional[Event] = None
         deadline = float("inf")
@@ -786,17 +798,27 @@ class Simulator:
         processed = 0
         wall_start = _time.perf_counter()
         try:
-            while queue:
+            while True:
+                parked = self._tail
+                if parked is not None:
+                    self._tail = None
+                    if queue and queue[0][0] <= self.now:
+                        self._enqueue(_fire, parked, 0.0)
+                    else:
+                        _fire(parked)
+                        continue
+                if stop_event is not None and stop_event._state == _PROCESSED:
+                    if not stop_event.ok:
+                        raise stop_event._value
+                    return stop_event._value
+                if not queue:
+                    break
                 if queue[0][0] > deadline:
                     self.now = deadline
                     return None
                 self.now, _, fn, arg = heappop(queue)
                 processed += 1
                 fn(arg)
-                if stop_event is not None and stop_event._state == _PROCESSED:
-                    if not stop_event.ok:
-                        raise stop_event._value
-                    return stop_event._value
             if stop_event is not None:
                 raise SimulationError(
                     "run() ran out of events before the awaited event fired"
@@ -806,6 +828,10 @@ class Simulator:
             return None
         finally:
             stats.events_processed += processed
+            parked = self._tail
+            if parked is not None:
+                self._tail = None
+                self._enqueue(_fire, parked, 0.0)
             stats.wall_seconds += _time.perf_counter() - wall_start
 
 

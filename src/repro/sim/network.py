@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.sim.engine import Event, SimulationError, Simulator, _fire
+from repro.sim.engine import Event, SimulationError, Simulator
 
 __all__ = ["Pipe", "Nic", "Network"]
 
@@ -77,8 +77,9 @@ class Pipe:
     next thing the loop runs — and nothing after it in the running
     entry can land beside the service's end:
 
-    * ``serve`` from the ``tail`` of the entry (nothing follows the call
-      that the grant could overtake) schedules the service time in place;
+    * ``serve``, whose every caller makes it as the last act of its
+      entry (nothing follows the call that the grant could overtake),
+      schedules the service time in place;
     * ``release()`` handing the pipe to a waiter whose service has a
       positive duration does too.  The releaser runs on, but its
       zero-delay calls are due before that end, and the contract of a
@@ -97,20 +98,19 @@ class Pipe:
         #: ``(duration, fn, arg)`` of the queued requests, in arrival order.
         self._waiters: list[tuple] = []
 
-    def serve(self, duration: float, fn, arg=None, tail: bool = False) -> None:
+    def serve(self, duration: float, fn, arg=None) -> None:
         """Hold the pipe for ``duration``, then call ``fn(arg)`` holding it.
 
-        The service starts a hop from now at the earliest — unless
-        ``tail`` (the caller's word that it does nothing after this call
-        that the grant could overtake) and nothing else is due this
-        instant: then now.
+        Call it as the tail of a queue entry: nothing after the call
+        that the grant could overtake.  The service starts now when
+        nothing else is due this instant, else a hop from now.
         """
         if self.in_use:
             self._waiters.append((duration, fn, arg))
             return
         self.in_use = 1
         sim = self.sim
-        if tail and sim.nothing_else_due():
+        if sim.nothing_else_due():
             sim._enqueue(fn, arg, duration)
         else:
             sim._enqueue(self._start, (duration, fn, arg), 0.0)
@@ -301,9 +301,11 @@ class _WireFlow:
     — ``_next_chunk`` is one or ends one, ``_finish`` ends
     ``_next_chunk``, and the rx grant in ``_tx_served`` does nothing but
     one heap push the rest of the entry neither reads nor can overtake
-    — so when :meth:`Simulator.nothing_else_due` they are what the loop
-    would run next, and run in place (see :class:`Pipe`); so does a
-    hand-off, whose service time is positive.  A lone flow of k chunks
+    — so when nothing else is due in the instant they are what the
+    loop would run next, and run in place: the grants by
+    :class:`Pipe`'s rule, ``done`` parked for the loop
+    (:meth:`Event._complete`); so does a hand-off, whose service time
+    is positive.  A lone flow of k chunks
     therefore costs ``2k + 1`` queue entries, its three kinds of
     physical delay — a short last chunk that catches up with the one
     ahead of it on the rx pipe waits, and is handed the pipe in place.
@@ -369,7 +371,7 @@ class _WireFlow:
             # service ends.
             net = self.net
             chunk = net.chunk_bytes if self.remaining > net.chunk_bytes else self.remaining
-            self.snic.tx.serve(chunk / self.snic.bandwidth, self._tx_served, chunk, True)
+            self.snic.tx.serve(chunk / self.snic.bandwidth, self._tx_served, chunk)
         elif not self.live:
             self._finish()
 
@@ -381,7 +383,7 @@ class _WireFlow:
         legs = self.legs
         legs.append(leg)
         # As good as a tail: all the grant does is one heap push.
-        self.dnic.rx.serve(chunk / self.dnic.bandwidth, self._rx_served, leg, True)
+        self.dnic.rx.serve(chunk / self.dnic.bandwidth, self._rx_served, leg)
         if len(legs) > FLOW_WINDOW:
             oldest = legs.popleft()
             if oldest.alive:
@@ -405,12 +407,7 @@ class _WireFlow:
         self.snic.tx_bytes += self.nbytes
         self.dnic.rx_bytes += self.nbytes
         net.flows_completed += 1
-        done = self.done
-        if net.sim.nothing_else_due():
-            # The firing would be the loop's next entry: fire here.
-            _fire(done)
-        else:
-            done.succeed()
+        self.done._complete(None, True)
 
 
 class _RxLeg:
@@ -429,8 +426,8 @@ class _Message:
     Three states, each a queue entry of one physical delay — the
     one-way **latency**, the **tx service** and the **rx service** —
     plus, as for a flow, a pipe's grant hop wherever one decides
-    something (:class:`Pipe`) and a ``done`` fired in place when
-    :meth:`Simulator.nothing_else_due`.  No leg object, window or live
+    something (:class:`Pipe`) and a ``done`` parked for the run loop,
+    fired in place when nothing else is due.  No leg object, window or live
     count: one chunk has nothing to pipeline.  The NIC checks are the
     flow's three — at send, after tx service (the rx service already
     requested still runs, and releases its pipe) and at rx service —
@@ -458,13 +455,13 @@ class _Message:
             snic.flows_dropped += 1
         else:
             wire = self.nbytes + self.net.per_message_bytes
-            snic.tx.serve(wire / snic.bandwidth, self._tx_served, wire, True)
+            snic.tx.serve(wire / snic.bandwidth, self._tx_served, wire)
 
     def _tx_served(self, wire: int) -> None:
         snic = self.snic
         dnic = self.dnic
         snic.tx.release()
-        dnic.rx.serve(wire / dnic.bandwidth, self._rx_served, None, True)
+        dnic.rx.serve(wire / dnic.bandwidth, self._rx_served)
         if snic.down or dnic.down:
             self.lost = True
             snic.flows_dropped += 1
@@ -483,8 +480,4 @@ class _Message:
         snic.tx_bytes += self.nbytes
         dnic.rx_bytes += self.nbytes
         net.flows_completed += 1
-        if net.sim.nothing_else_due():
-            # The firing would be the loop's next entry: fire here.
-            _fire(self.done)
-        else:
-            self.done.succeed()
+        self.done._complete(None, True)

@@ -75,20 +75,24 @@ def test_a_cell_queues_no_lone_completion_and_a_kernel_that_always_hops_does(mon
     """A join, first-of or process firing queued from the last callback
     of a firing, or from a process's start entry, with nothing else due
     is ``lone``: it should have fired in place.  The pinned cell has
-    none; on a kernel that never lets the tail rule apply it queues
-    about seven such firings per front-end RPC (6.8), the entries the
-    rule saves."""
+    none; on a kernel that queues every completion as it parks it
+    queues about seven such firings per front-end RPC (6.8), the
+    entries the rule saves."""
     script = load_script("event_census")
     rec, rpcs, _res = script.census("direct-pnfs", "pinned", 8, 0.2, None)
     assert not script.relays(rec.classes)
 
     from repro.sim.engine import Simulator
+    from tests.sim.test_scheduler_equivalence import AlwaysHopSimulator
 
-    monkeypatch.setattr(Simulator, "nothing_else_due", lambda self: False)
+    # The reference kernel's switch, on every simulator the cell builds.
+    monkeypatch.setattr(Simulator, "_tail", vars(AlwaysHopSimulator)["_tail"], raising=False)
     hopping, hop_rpcs, _res = script.census("direct-pnfs", "pinned", 8, 0.2, None)
     assert hop_rpcs == rpcs
     relays = script.relays(hopping.classes)
-    lone = Counter({cls: n for cls, n in relays.items() if cls[0] in script.COMPLETIONS})
+    lone = Counter(
+        {cls: n for cls, n in relays.items() if cls[0] in ("Join", "AnyOf", "Process")}
+    )
     assert {cls[0] for cls in lone} == {"Join", "Process"}
     assert all(cls[1] == "lone" for cls in lone)
     # Ended legs' joins, event legs' joins and write-back processes.
@@ -144,7 +148,7 @@ def test_an_uncontended_cell_queues_no_lone_tail_call_and_a_wire_that_always_hop
     # The wire before the tail rule: the grant of an idle pipe always hops.
     from repro.sim.network import Pipe
 
-    def serve(self, duration, fn, arg=None, tail=False):
+    def serve(self, duration, fn, arg=None):
         if self.in_use:
             self._waiters.append((duration, fn, arg))
         else:

@@ -12,36 +12,6 @@ from tests.conftest import drive
 from tests.localfs import LocalClient, LocalFileSystem
 
 
-class TestCommitThroughMds:
-    def test_commit_routes_to_mds_when_layout_says_so(self, cluster):
-        pvfs = Pvfs2System(cluster.sim, cluster.storage, Pvfs2Config(stripe_size=64 * 1024))
-        system = PnfsSystem(
-            cluster.sim, pvfs, NfsConfig(rsize=64 * 1024, wsize=64 * 1024),
-            ARCHITECTURES["direct-pnfs"],
-        )
-        system.mds.layout_provider.commit_through_mds = True
-        client = system.make_client(cluster.clients[0])
-
-        def scenario():
-            yield from client.mount()
-            f = yield from client.create("/m")
-            yield from client.write(f, 0, Payload.synthetic(8192))
-            ds_before = [ds.rpc.calls_served for ds in system.data_servers]
-            mds_before = system.mds.rpc.calls_served
-            yield from client.fsync(f)
-            ds_commits = sum(
-                ds.rpc.calls_served - b
-                for ds, b in zip(system.data_servers, ds_before)
-            )
-            mds_calls = system.mds.rpc.calls_served - mds_before
-            return ds_commits, mds_calls
-
-        ds_commits, mds_calls = drive(cluster.sim, scenario())
-        # One WRITE hits a data server; COMMIT + LAYOUTCOMMIT hit the MDS.
-        assert ds_commits == 1
-        assert mds_calls >= 2
-
-
 class TestAttrCacheExpiry:
     def test_stale_attrs_refresh_after_timeout(self, cluster):
         cfg = NfsConfig(ac_timeo=1.0)

@@ -26,8 +26,8 @@ BLOCK = 8 * KB
 #: read was 32.17 while it and ``FileData.read`` clamped with ``min()``.
 #: Each was one call more (24.0145 / 29.17) while ``read`` and ``write``
 #: returned a separate body generator.
-MAX_CALLS_PER_CACHED_WRITE = 24  # measured 23.0145
-MAX_CALLS_PER_CACHED_READ = 29  # measured 28.17
+MAX_CALLS_PER_CACHED_WRITE = 24  # measured 23.012
+MAX_CALLS_PER_CACHED_READ = 29  # measured 28.1675
 
 
 def make(**cfg_kw):

@@ -26,9 +26,10 @@ BLOCK = 8 * KB
 #: function, and the flusher built two candidate lists per pick.  A
 #: write was 345.8235 while ``Disk.io`` returned a separate body generator,
 #: and a write 338.935 and a read 276.0295 while every join and process
-#: firing was a queued call.
-MAX_CALLS_PER_PVFS2_WRITE = 332  # measured 331.9335
-MAX_CALLS_PER_PVFS2_READ = 270  # measured 269.028
+#: firing was a queued call, and 331.9335 and 269.028 while a completion
+#: at a tail asked ``nothing_else_due()`` itself.
+MAX_CALLS_PER_PVFS2_WRITE = 331  # measured 330.9325
+MAX_CALLS_PER_PVFS2_READ = 269  # measured 268.027
 
 
 def uncached_write_then_read_calls() -> tuple[int, int]:

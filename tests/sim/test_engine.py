@@ -414,14 +414,15 @@ class TestTimeoutReset:
             times.append(sim.now)
             yield t.reset()  # same delay
             times.append(sim.now)
-            yield t.reset(0.5, value="late")
+            yield t.reset(0.5)
             times.append(sim.now)
             return t._value
 
         p = sim.process(proc())
         sim.run(until=p)
         assert times == [1.0, 2.0, 2.5]
-        assert p.value == "late"
+        # A re-armed timer fires with no value, whatever it first had.
+        assert p.value is None
 
     def test_reset_of_pending_timeout_rejected(self, sim):
         t = sim.timeout(1.0)

@@ -316,7 +316,7 @@ class TestTailRule:
         pipe = self._watched(sim, order)
 
         def entry(_):
-            pipe.serve(0.5, order.append, "served", True)
+            pipe.serve(0.5, order.append, "served")
             order.append("entry over")
 
         sim.call_later(1.0, entry)
@@ -329,7 +329,7 @@ class TestTailRule:
     def test_another_entry_already_due_this_instant_forces_the_hop(self):
         sim, order = Simulator(), []
         pipe = self._watched(sim, order)
-        sim.call_later(1.0, lambda _: pipe.serve(0.0, order.append, "served", True))
+        sim.call_later(1.0, lambda _: pipe.serve(0.0, order.append, "served"))
         sim.call_later(1.0, lambda _: order.append("other"))
         sim.run()
         assert order == ["other", "hop", "served"]
@@ -341,7 +341,7 @@ class TestTailRule:
 
         def entry(_):
             sim.call_later(0.0, lambda _: order.append("first"))
-            pipe.serve(0.0, order.append, "served", True)
+            pipe.serve(0.0, order.append, "served")
 
         sim.call_later(1.0, entry)
         sim.run()
@@ -361,31 +361,17 @@ class TestTailRule:
 
         def entry(_):
             victim.interrupt("now")
-            pipe.serve(0.0, order.append, "served", True)
+            pipe.serve(0.0, order.append, "served")
 
         sim.call_later(1.0, entry)
         sim.run()
         assert order == ["interrupted:now", "hop", "served"]
 
-    def test_not_a_tail_hops_even_alone(self):
-        sim, order = Simulator(), []
-        pipe = self._watched(sim, order)
-
-        def entry(_):
-            pipe.serve(0.5, order.append, "served")
-            order.append("entry over")
-
-        sim.call_later(1.0, entry)
-        sim.run()
-        assert order == ["entry over", "hop", "served"]
-        assert sim.now == 1.5
-        assert sim.stats.events_processed == 3
-
     def test_release_hands_on_through_the_queue_even_alone(self):
         sim, order = Simulator(), []
         pipe = self._watched(sim, order)
         pipe.serve(0.0, order.append, "holder")
-        pipe.serve(0.0, order.append, "waiter", True)
+        pipe.serve(0.0, order.append, "waiter")
         sim.run()
 
         def entry(_):
@@ -394,7 +380,9 @@ class TestTailRule:
 
         sim.call_later(1.0, entry)
         sim.run()
-        assert order == ["hop", "holder", "entry over", "hop", "waiter"]
+        # Granted in place, the idle pipe: handed on, a zero-length
+        # service hops.
+        assert order == ["holder", "entry over", "hop", "waiter"]
 
     @staticmethod
     def _hand_off(kernel, also_due=False):
@@ -409,7 +397,7 @@ class TestTailRule:
             order.append((sim.now, tag))
 
         pipe.serve(0.5, note, "holder")
-        pipe.serve(0.5, note, "waiter", True)
+        pipe.serve(0.5, note, "waiter")
         sim.call_later(1.5, lambda _: note("queued for 1.5"))
         sim.run(until=0.75)
 
@@ -427,20 +415,22 @@ class TestTailRule:
         order, entries = self._hand_off(Simulator)
         hop_order, hop_entries = self._hand_off(AlwaysHopSimulator)
         assert order == [
-            "hop", (0.5, "holder"), (1.0, "entry over"),
+            (0.5, "holder"), (1.0, "entry over"),
             (1.5, "queued for 1.5"), (1.5, "waiter"),
         ]
         # The waiter's end: the same time and place as behind the hop.
-        assert [step for step in hop_order if step != "hop"] == order[1:]
-        assert hop_order.count("hop") == 2 and entries == hop_entries - 1
+        assert [step for step in hop_order if step != "hop"] == order
+        assert hop_order.count("hop") == 2 and entries == hop_entries - 2
 
     def test_release_beside_a_call_due_in_its_instant_still_hops(self):
         order, entries = self._hand_off(Simulator, also_due=True)
         assert order == [
-            "hop", (0.5, "holder"), (1.0, "entry over"), (1.0, "also due"),
+            (0.5, "holder"), (1.0, "entry over"), (1.0, "also due"),
             "hop", (1.5, "queued for 1.5"), (1.5, "waiter"),
         ]
-        assert (order, entries) == self._hand_off(AlwaysHopSimulator, also_due=True)
+        # Only the holder's grant, made alone, differs.
+        hop_order, hop_entries = self._hand_off(AlwaysHopSimulator, also_due=True)
+        assert (hop_order, hop_entries) == (["hop"] + order, entries + 1)
 
     def test_zero_latency_flow_starts_and_ends_in_the_instants_it_did_inline(self):
         """A zero latency is an entry like any other: the flow asks for
@@ -630,7 +620,7 @@ class TestTailRule:
     def test_a_chain_of_nested_spawns_ending_in_place_stays_under_the_recursion_limit(self):
         """Each level parks before it spawns the next, so the chain is
         built from shallow stacks; at the end every join completes in
-        place, inside the one below — three frames a level."""
+        place, fired by the run loop after the one below."""
         sim = Simulator()
         depth = 300
 
@@ -646,6 +636,61 @@ class TestTailRule:
         assert proc.value == depth and sim.now == depth + 1.0
         # The kick and a timer a level: every join and the end in place.
         assert sim.stats.events_processed == 1 + depth + 1
+
+    def test_a_chain_of_5000_joined_processes_ending_in_one_instant_completes(self):
+        """Each process joins the one started before it, and all end in
+        the instant the first one's timer fires: every end is parked by
+        the one before and fired by the loop, one after another — no
+        frame deeper per level, so no recursion limit."""
+        sim = Simulator()
+        depth = 5000
+
+        def first():
+            yield sim.timeout(1.0)
+            return 0
+
+        def after(below):
+            return (yield below) + 1
+
+        proc = sim.process(first())
+        for _ in range(depth - 1):
+            proc = sim.process(after(proc))
+        sim.run()
+        assert proc.value == depth - 1 and sim.now == 1.0
+        # The kicks and the timer: every end in place.
+        assert sim.stats.events_processed == depth + 1
+
+    def test_a_completion_parked_by_an_entry_that_then_raises_is_queued(self):
+        sim, seen = Simulator(), []
+        ev = Event(sim)
+        ev.add_callback(lambda event: seen.append(event.value))
+
+        def entry(_):
+            ev._complete("parked", True)
+            raise RuntimeError("entry blew up")
+
+        sim.call_later(1.0, entry)
+        with pytest.raises(RuntimeError, match="entry blew up"):
+            sim.run()
+        assert ev.triggered and not ev.processed and seen == []
+        assert sim.stats.events_scheduled == 2
+        sim.run()
+        assert seen == ["parked"] and sim.now == 1.0
+
+    @pytest.mark.parametrize("due", [False, True])
+    def test_a_completion_parked_outside_run_is_taken_by_the_next_run(self, due):
+        """Fired in place when nothing else is due, else queued behind
+        what is — where ``succeed()`` would have put it."""
+        sim, order = Simulator(), []
+        ev = Event(sim)
+        ev.add_callback(lambda event: order.append(event.value))
+        if due:
+            sim.call_later(0.0, lambda _: order.append("due"))
+        ev._complete("parked", True)
+        assert ev.triggered and not ev.processed
+        sim.run()
+        assert order == (["due", "parked"] if due else ["parked"])
+        assert sim.stats.events_processed == (2 if due else 0)
 
     @pytest.mark.parametrize("dying", ["a", "b"])
     def test_nic_dying_mid_flow_still_drains_both_pipes(self, dying):
@@ -706,13 +751,13 @@ class TestEngineMisc:
 
         def second():
             seen.append((yield timer))
-            timer.reset(2.0, "again")
+            timer.reset(2.0)
             seen.append((yield timer))
 
         sim.process(first())
         sim.process(second())
         sim.run()
-        assert seen == ["fired", "fired", "again"] and sim.now == 3.0
+        assert seen == ["fired", "fired", None] and sim.now == 3.0
 
     def test_condition_across_simulators_rejected(self):
         a, b = Simulator(), Simulator()

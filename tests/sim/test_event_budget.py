@@ -298,7 +298,7 @@ class TestCpuBudget:
 
 class TestFifoGrantBudget:
     """A FIFO grant never costs an event of its own; a pipe grant does
-    unless its caller is a tail and nothing else is due (TestTailRule in
+    while something else is due in its instant (TestTailRule in
     test_engine_edge.py)."""
 
     def test_free_acquire_is_already_fired_and_costs_nothing(self):
@@ -392,13 +392,15 @@ class TestFifoGrantBudget:
         pipe = Pipe(sim)
         got = []
         with event_census.recording() as rec:
+            sim.call_later(0.0, lambda _: None)
             pipe.serve(0.5, got.append, "mine")
-            # Held at once, served a hop later: the grant is a queued call.
+            # Held at once, served a hop later, behind the call already
+            # due: the grant is a queued call.
             assert pipe.in_use == 1 and got == []
-            assert sim.stats.events_scheduled == 1
+            assert sim.stats.events_scheduled == 2
             sim.run()
         assert got == ["mine"] and rec.count("delay") == 1 and sim.now == 0.5
-        assert sim.stats.events_processed == 2
+        assert sim.stats.events_processed == 3
 
 
 class TestSpawnBudget:

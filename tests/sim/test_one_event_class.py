@@ -71,10 +71,10 @@ def test_a_rearmed_timer_fires_once_more_at_its_new_delay(sim):
     timer.add_callback(lambda ev: fired.append((sim.now, ev.value)))
     sim.run()
     # The retry-ladder / sampler idiom: re-arm from the timer's own callback.
-    timer.reset(0.25, "second")
+    timer.reset(0.25)
     timer.add_callback(lambda ev: fired.append((sim.now, ev.value)))
     sim.run()
-    assert fired == [(1.0, "first"), (1.25, "second")]
+    assert fired == [(1.0, "first"), (1.25, None)]
     timer.reset()  # no delay: the last one
     sim.run()
     assert sim.now == 1.5 and timer.processed

@@ -3,20 +3,21 @@
 The tail rule (a zero-delay call from the tail of a queue entry — a
 pipe grant, a wire completion, the end of a process or spawn leg, a
 join's or first-of's firing — or a pipe's ``release()`` hand-off of a
-positive service, runs in place when ``Simulator.nothing_else_due``)
-claims to move no order.
+positive service, runs in place when nothing else is due in its
+instant: a pipe asks ``Simulator.nothing_else_due``, a completion parks
+for the run loop to fire or queue) claims to move no order.
 These tests make the claim empirical: randomized event programs —
 timeouts, zero-delay storms, conditions, interrupts, contention for a
 FIFO resource (held, and served for a time) and a callback-served
-random-arbitration pipe (asked for mid-entry and from the tail of one),
+random-arbitration pipe (asked for from the tail of a queue entry),
 lightweight spawns over generator and event legs, process joins, a
 first-of over a process and a timer (an RPC attempt under its retry
 timer), events with two waiters, bare ``call_later`` chains, wire
 transfers over a zero- or positive-latency network, NIC outages that
 cut flows mid-flight — run on ``Simulator`` and on
 ``AlwaysHopSimulator``, which never lets the rule apply, so every pipe
-grant and hand-off (``Pipe._start``), wire completion and completion
-of a process or fan-in is a queued call.
+grant and hand-off (``Pipe._start``) is a queued call, and every wire
+completion and completion of a process or fan-in is queued as it parks.
 Both must produce the same firing log: identical (time, label, value)
 triples in identical order; only the number of queue entries may move.
 
@@ -33,16 +34,27 @@ import pytest
 
 from collections import deque
 
-from repro.sim.engine import Event, Interrupt, Simulator
+from repro.sim.engine import Event, Interrupt, Simulator, _fire
 from repro.sim.network import Network, Pipe
 from repro.sim.resources import Resource
 
 
 class AlwaysHopSimulator(Simulator):
-    """The wire before the tail rule: every relay a queued call."""
+    """The kernel before the tail rule: every relay a queued call."""
 
     def nothing_else_due(self):
         return False
+
+    @property
+    def _tail(self):
+        return None
+
+    @_tail.setter
+    def _tail(self, event):
+        # A parked completion is queued at once, where ``succeed()``
+        # would have put it: the run loop never sees one.
+        if event is not None:
+            self._enqueue(_fire, event, 0.0)
 
 
 class Store:
@@ -103,28 +115,32 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
     procs: list = []
 
     def hold_pipe(wid: int, s: int):
-        """Hold ``rand`` the way a wire flow does — by callbacks, so an
-        interrupted worker leaves the hold running, not leaked — and
-        return the event fired at the release."""
+        """Hold ``rand`` the way a wire flow does — asked for as the last
+        act of a queue entry due in this instant, served by callbacks,
+        so an interrupted worker leaves the hold running, not leaked —
+        and return the event fired at the release."""
         released = Event(sim)
+
+        def ask(_):
+            log.append((sim.now, "rand-ask", wid, s))
+            rand.serve(rnd_delays[wid][s], served)
 
         def served(_):
             rand.release()
             log.append((sim.now, "rand-rel", wid, s))
             released.succeed()
 
-        log.append((sim.now, "rand-ask", wid, s))
-        rand.serve(rnd_delays[wid][s], served)
+        sim.call_later(0.0, ask)
         return released
 
     def hold_pipe_from_tail(wid: int, s: int):
-        """The same hold, asked for as the last act of a queue entry:
+        """The same hold, asked for by an entry due a while from now:
         granted in place when nothing else is due in that instant."""
         released = Event(sim)
 
         def ask(_):
             log.append((sim.now, "tail-ask", wid, s))
-            rand.serve(rnd_delays[wid][s], served, None, True)
+            rand.serve(rnd_delays[wid][s], served)
 
         def served(_):
             rand.release()

@@ -171,7 +171,7 @@ def test_the_scan_sees_writes_reads_and_the_exemption():
         if isinstance(node, ast.ClassDef) and node.name == "FileLayout"
     )
     assert list(_dataclass_fields(file_layout)) == [
-        "device_slots", "fhs", "aggregation", "commit_through_mds", "stateid",
+        "device_slots", "fhs", "aggregation", "stateid",
     ]
     assert list(EXEMPT) == ["repro.cluster.configs:Deployment.pnfs"]
 

@@ -56,21 +56,21 @@ TOY = """\
 SIZE = 64
 
 
-def send(n, size=SIZE, *, name=""):
+def send(n, size=SIZE, *, name="", fast=False):
     yield n
     size = 0  # a resumed generator is not a call: this is never counted
     yield size
 
 
 def go(k, scale=1.0, tag=None):
-    return list(send(k, name=tag or ""))
+    return list(send(k, name=tag or "", fast=True))
 """
 
 
 def test_the_option_counter_counts_calls_that_vary_a_default(tmp_path):
-    """``--options`` counts entered calls per defaulted parameter and the
-    ones that bound another value; ``!=`` that raises falls back to
-    ``is not``."""
+    """``--options`` counts entered calls per defaulted parameter and
+    finds the ones every call held at one value, the default or another
+    (``send(fast=)``); ``!=`` that raises falls back to ``is not``."""
     reach = load_script("reach")
     package = tmp_path / "toy"
     package.mkdir()
@@ -98,11 +98,11 @@ def test_the_option_counter_counts_calls_that_vary_a_default(tmp_path):
         ("toy.mod:go", "tag"): 4,
         ("toy.mod:send", "size"): 4,
         ("toy.mod:send", "name"): 4,
+        ("toy.mod:send", "fast"): 4,
     }
     assert counter.varied == {
-        ("toy.mod:go", "scale"): 1,
-        ("toy.mod:go", "tag"): 1,
-        ("toy.mod:send", "size"): 0,
-        ("toy.mod:send", "name"): 1,
+        ("toy.mod:go", "scale"), ("toy.mod:go", "tag"), ("toy.mod:send", "name"),
     }
-    assert counter.unvaried() == [("toy.mod:send", "size", 4)]
+    assert counter.unvaried() == [
+        ("toy.mod:send", "fast", 4, True), ("toy.mod:send", "size", 4, 64),
+    ]
