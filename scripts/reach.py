@@ -18,9 +18,15 @@ allowlisted function that traffic now reaches is only reported.
 a parameter with a default with the value the first call bound
 (``!=``, falling back to ``is not`` where ``!=`` raises), and prints
 the parameters of entered functions that every call held at one value
-— the default or another — with that value and the call count.  It is
-a report: such a parameter is a candidate for a constant, not a
-failure.
+— the default or another — with that value and the call count; then,
+the same way, the fields with a default of ``src/repro`` dataclasses
+(their generated ``__init__``) that every construction held at one
+value.  It is a report: such a parameter or field is a candidate for a
+constant, not a verdict.  The figures run at scale 0.02 only, so a
+value that only larger runs vary reads as held: ``Resource.acquire``'s
+``units`` is 1 in every census call, yet a storage daemon's write-behind
+wait asks for more than one unit once an IOR write at scale 0.25 fills
+it.
 
 A function is ``module:qualname`` (``repro.nfs.server:Nfs4Server._h_read``);
 lambdas, comprehensions, module and class bodies are not counted.  The
@@ -44,6 +50,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import dataclasses
 import dis
 import inspect
 import io
@@ -133,24 +140,52 @@ def _first_yield(code) -> int:
 class OptionCounter:
     """Per ``(function, parameter with a default)``: the calls that
     entered the function, the value the first call bound it to, and
-    whether a later call bound another.  :meth:`call` is fed every call
-    event."""
+    whether a later call bound another.  A dataclass's generated
+    ``__init__`` counts as function ``module:Class``, its fields with a
+    default as the parameters.  :meth:`call` is fed every call event."""
 
     def __init__(self, package: pathlib.Path = PACKAGE):
         self._defaults = _defaults(package)
         self._names = {site: key for key, sites in named_functions(package).items()
                        for site in sites}
+        self._modules = {_module_of(path, package.parent) for path in package.rglob("*.py")}
         self._entries: dict = {}  # code -> (function, [parameter], first yield)
         self.calls: dict[tuple[str, str], int] = {}
         #: The value the first call bound, kept while no call has varied it.
         self.held: dict[tuple[str, str], object] = {}
         self.varied: set[tuple[str, str]] = set()
+        #: The ``module:Class`` keys of the dataclasses entered.
+        self.dataclasses: set[str] = set()
+
+    def _dataclass(self, frame):
+        """``(module:Class, [field with a default])`` if ``frame`` runs
+        the generated ``__init__`` of a dataclass of the package."""
+        code = frame.f_code
+        if code.co_name != "__init__" or not code.co_argcount:
+            return None, []
+        for cls in type(frame.f_locals.get(code.co_varnames[0])).__mro__:
+            init = cls.__dict__.get("__init__")
+            if getattr(init, "__code__", None) is code:
+                break
+        else:
+            return None, []
+        if not dataclasses.is_dataclass(cls) or cls.__module__ not in self._modules:
+            return None, []
+        function = f"{cls.__module__}:{cls.__qualname__}"
+        self.dataclasses.add(function)
+        return function, [
+            p.name for p in inspect.signature(init).parameters.values()
+            if p.default is not p.empty
+        ]
 
     def _entry(self, frame):
         code = frame.f_code
         site = (os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name)
         function = self._names.get(site)
-        params = self._defaults.get(site, []) if function else []
+        if function:
+            params = self._defaults.get(site, [])
+        else:
+            function, params = self._dataclass(frame)
         for name in params:
             self.calls[function, name] = 0
         return (function, params, _first_yield(code)) if params else None
@@ -183,14 +218,21 @@ class OptionCounter:
                 self.varied.add(key)
                 del self.held[key]  # no reference kept to a varied value
 
-    def unvaried(self) -> list[tuple[str, str, int, object]]:
+    def entered(self, fields: bool = False) -> int:
+        """How many parameters with a default (``fields``: dataclass
+        fields) entered functions have."""
+        return sum(1 for (function, _), n in self.calls.items()
+                   if n and (function in self.dataclasses) == fields)
+
+    def unvaried(self, fields: bool = False) -> list[tuple[str, str, int, object]]:
         """``(function, parameter, calls, value)`` of every entered
-        function's parameter that every call held at one value, most
-        calls first."""
+        function's parameter (``fields``: dataclass field) that every
+        call held at one value, most calls first."""
         return sorted(
             ((function, name, n, self.held[function, name])
              for (function, name), n in self.calls.items()
-             if n and (function, name) not in self.varied),
+             if n and (function, name) not in self.varied
+             and (function in self.dataclasses) == fields),
             key=lambda row: (-row[2], row[0], row[1]),
         )
 
@@ -350,11 +392,12 @@ def main(argv=None) -> int:
     for key in gaps:
         print(f"  UNREACHED, not allowlisted: {key}")
     if options is not None:
-        rows = options.unvaried()
-        print(f"{len(rows)} of {sum(1 for n in options.calls.values() if n)} entered "
-              f"parameters with a default: every call held them at one value (calls)")
-        for function, name, n, value in rows:
-            print(f"  {n:9d}  {function}({name}={_short(value)})")
+        for fields, what in ((False, "parameters"), (True, "dataclass fields")):
+            rows = options.unvaried(fields)
+            print(f"{len(rows)} of {options.entered(fields)} entered {what} with a "
+                  f"default: every call held them at one value (calls)")
+            for function, name, n, value in rows:
+                print(f"  {n:9d}  {function}({name}={_short(value)})")
     return 1 if args.check and (gaps or stale) else 0
 
 

@@ -85,11 +85,7 @@ def _caps(arch: str) -> set:
     return {"outage", "blackout", "nic_drop", "nic_delay"}
 
 
-def run_episode(
-    program: Program,
-    arch: str,
-    deadline: float = _EPISODE_DEADLINE,
-) -> EpisodeResult:
+def run_episode(program: Program, arch: str) -> EpisodeResult:
     """Run ``program`` against ``arch``; returns violations + trace hash."""
     # The exactly-once oracle's input, counted from outside the product:
     # a reply-cache miss means the server is about to execute ``seq``.
@@ -105,12 +101,12 @@ def run_episode(
 
     Session.cached_reply = counting
     try:
-        return _episode(program, arch, deadline, executions)
+        return _episode(program, arch, executions)
     finally:
         Session.cached_reply = cached_reply
 
 
-def _episode(program: Program, arch: str, deadline: float, executions: Counter) -> EpisodeResult:
+def _episode(program: Program, arch: str, executions: Counter) -> EpisodeResult:
     result = EpisodeResult(seed=program.seed, arch=arch, op_count=program.op_count)
     dep = make_deployment(
         arch,
@@ -348,12 +344,12 @@ def _episode(program: Program, arch: str, deadline: float, executions: Counter) 
     ]
     done = sim.all_of(procs)
 
-    sim.run(until=sim.any_of([done, sim.timeout(deadline)]))
+    sim.run(until=sim.any_of([done, sim.timeout(_EPISODE_DEADLINE)]))
     if not done.triggered:
         result.wedged = True
         stuck = [p.name for p in procs if not p.triggered]
         violations.append(
-            f"liveness: episode exceeded {deadline}s sim deadline; "
+            f"liveness: episode exceeded {_EPISODE_DEADLINE}s sim deadline; "
             f"stuck: {', '.join(stuck)}"
         )
     violations.extend(sorted(lock_reports))

@@ -544,7 +544,7 @@ class Nfs4Client(FileSystemClient):
             attrs.size = local
         return attrs
 
-    def setattr(self, path: str, mode=None):
+    def setattr(self, path: str, mode: int):
         result, _ = yield from self._call("setattr", {"path": path, "mode": mode})
         self._attr_cache.pop(path, None)
         return result["attrs"]

@@ -263,7 +263,7 @@ class Nfs4Server:
         return {"attrs": attrs}, None
 
     def _h_setattr(self, args, payload):
-        attrs = yield from self.backend.setattr(args["path"], mode=args.get("mode"))
+        attrs = yield from self.backend.setattr(args["path"], args["mode"])
         return {"attrs": attrs}, None
 
     def _h_mkdir(self, args, payload):

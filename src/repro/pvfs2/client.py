@@ -108,7 +108,7 @@ class Pvfs2Client(FileSystemClient):
         self._require_file(info, f"handle:{handle}")
         return self._open_from_info(f"handle:{handle}", info)
 
-    def setattr(self, path: str, mode=None):
+    def setattr(self, path: str, mode: int):
         info, _ = yield from self._mds_call("setattr", {"path": path, "mode": mode})
         return info["attrs"]
 

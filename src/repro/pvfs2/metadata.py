@@ -137,8 +137,7 @@ class MetadataServer:
 
     def _h_setattr(self, args, payload):
         entry = self.namespace.resolve(args["path"])
-        if args.get("mode") is not None:
-            entry.attrs.mode = args["mode"]
+        entry.attrs.mode = args["mode"]
         entry.attrs.ctime = self.sim.now
         return self._entry_info(entry), None
         yield  # pragma: no cover

@@ -152,8 +152,8 @@ class ShardRouting:
     def truncate(self, path: str, size: int):
         return (yield from self._shard(path).truncate(path, size))
 
-    def setattr(self, path: str, mode=None):
-        return (yield from self._shard(path).setattr(path, mode=mode))
+    def setattr(self, path: str, mode: int):
+        return (yield from self._shard(path).setattr(path, mode))
 
 
 class ShardedPvfs2Client(ShardRouting, FileSystemClient):

@@ -30,7 +30,7 @@ from repro.rpc import RpcServer
 from repro.sim.engine import Event, Simulator
 from repro.sim.node import Node
 from repro.sim.resources import Resource
-from repro.vfs.api import FsError, InvalidArgument, NoEntry, Payload
+from repro.vfs.api import FsError, InvalidArgument, Payload
 from repro.vfs.filedata import FileData
 
 __all__ = ["Journal", "StorageDaemon"]
@@ -144,13 +144,11 @@ class StorageDaemon:
             )
 
     # -- helpers ---------------------------------------------------------
-    def _bstream(self, handle: int, create: bool = False) -> FileData:
+    def _bstream(self, handle: int) -> FileData:
+        """Bstream ``handle``, created empty if it does not exist yet."""
         fd = self.bstreams.get(handle)
         if fd is None:
-            if not create:
-                raise NoEntry(f"{self.name}: bstream {handle}")
-            fd = FileData()
-            self.bstreams[handle] = fd
+            fd = self.bstreams[handle] = FileData()
         return fd
 
     def _disk_index(self, handle: int) -> int:
@@ -164,7 +162,7 @@ class StorageDaemon:
 
     # -- handlers ----------------------------------------------------------
     def _h_create(self, args, payload):
-        self._bstream(args["handle"], create=True)
+        self._bstream(args["handle"])
         yield from self.journal.write()
         return None, None
 
@@ -189,7 +187,7 @@ class StorageDaemon:
         yield  # pragma: no cover
 
     def _h_truncate(self, args, payload):
-        self._bstream(args["handle"], create=True).truncate(args["size"])
+        self._bstream(args["handle"]).truncate(args["size"])
         return None, None
         yield  # pragma: no cover
 
@@ -247,7 +245,7 @@ class StorageDaemon:
                 if not self.dirty_tokens.try_acquire(grant):
                     yield self.dirty_tokens.acquire(grant)
                 acquired += grant
-            self._bstream(handle, create=True).write(offset, payload)
+            self._bstream(handle).write(offset, payload)
             if nbytes > 0:
                 # Nothing yielded since ``overlap`` was counted: the add
                 # dirties exactly the rest.
@@ -273,7 +271,7 @@ class StorageDaemon:
         them.  The direct writer (:meth:`Pvfs2Client.install`) uses it
         to set up data sets that the measured phase only reads.
         """
-        self._bstream(handle, create=True).write(offset, payload)
+        self._bstream(handle).write(offset, payload)
         if payload.nbytes:
             self._persisted.setdefault(handle, IntervalSet()).add(
                 offset, offset + payload.nbytes

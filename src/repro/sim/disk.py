@@ -19,7 +19,6 @@ The model charges, per request on a single arm (capacity-1 resource):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
@@ -78,18 +77,18 @@ class DiskSpec:
 class Disk:
     """One disk arm attached to a node's I/O bus.
 
-    ``io_bus`` is an optional capacity-1 resource shared by all disks of
-    a node; ``bus_bw`` is that bus's bandwidth.  When absent, the disk
-    is limited only by its own media rate.
+    ``io_bus`` is the capacity-1 resource shared by all disks of a node
+    (:class:`~repro.sim.node.Node` gives every disk its node's);
+    ``bus_bw`` is that bus's bandwidth.
     """
 
     def __init__(
         self,
         sim: Simulator,
         spec: DiskSpec,
+        io_bus: Resource,
+        bus_bw: float,
         name: str = "disk",
-        io_bus: Optional[Resource] = None,
-        bus_bw: float = float("inf"),
     ):
         self.sim = sim
         self.spec = spec
@@ -150,10 +149,9 @@ class Disk:
                 # The bus is held only for the wire time of the chunk;
                 # the media-transfer residual overlaps with the other
                 # disk's bus usage (buffered DMA pipeline).
-                bus_time = chunk / self.bus_bw if self.io_bus is not None else 0.0
+                bus_time = chunk / self.bus_bw
                 media_time = chunk / media_bw
-                if self.io_bus is not None:
-                    yield self.io_bus.serve(bus_time)
+                yield self.io_bus.serve(bus_time)
                 residual = media_time - bus_time
                 if residual > 0:
                     yield self.sim.timeout(residual)

@@ -607,15 +607,14 @@ class Simulator:
         return n
 
     # -- event constructors ---------------------------------------------
-    def timeout(self, delay: float, value: Any = None) -> Event:
+    def timeout(self, delay: float) -> Event:
         """A timer: a plain :class:`Event` firing ``delay`` simulated
-        seconds from now (``Timeout(sim, delay, value)`` is the same
-        function)."""
+        seconds from now, with value ``None`` (``Timeout(sim, delay)``
+        is the same function)."""
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
         ev = Event(self)
         ev.delay = delay
-        ev._value = value
         ev._state = _TRIGGERED
         self._enqueue(_fire, ev, delay)
         return ev
@@ -836,7 +835,7 @@ class Simulator:
 
 
 #: Constructors of plain events called as functions: ``Timeout(sim,
-#: delay, value=None)``, ``Join(sim, legs)``, ``AnyOf(sim, events)``.
+#: delay)``, ``Join(sim, legs)``, ``AnyOf(sim, events)``.
 Timeout = Simulator.timeout
 Join = Simulator._join
 AnyOf = Simulator.any_of

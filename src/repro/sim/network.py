@@ -15,7 +15,7 @@ instant.
 A transfer is one :class:`_WireFlow` driven by the calls it schedules:
 it holds the pipes itself, and :meth:`Network.transfer` returns its one
 event, ``done``.  A message whose wire size (payload plus
-``per_message_bytes``) fits one chunk — every header, metadata call and
+``PER_MESSAGE_BYTES``) fits one chunk — every header, metadata call and
 small I/O — is a :class:`_Message` instead: the same queue entries,
 checks and counters in three states, without the leg objects and
 window a multi-chunk flow needs to pipeline.  Each pipe grant and its
@@ -46,10 +46,13 @@ from repro.sim.engine import Event, SimulationError, Simulator
 
 __all__ = ["Pipe", "Nic", "Network"]
 
-#: Default chunk size used to discretise flows (bytes).  Chosen close to
-#: a jumbo-frame TCP window slice: small enough for fair interleaving,
+#: Chunk size used to discretise flows (bytes).  Chosen close to a
+#: jumbo-frame TCP window slice: small enough for fair interleaving,
 #: large enough to keep the event count manageable.
-DEFAULT_CHUNK = 256 * 1024
+CHUNK_BYTES = 256 * 1024
+
+#: Framing/RPC header overhead added to every wire transfer (bytes).
+PER_MESSAGE_BYTES = 120
 
 #: Per-flow switch-buffer window, in chunks: how far a flow's tx legs
 #: may run ahead of its rx legs.
@@ -158,7 +161,7 @@ class Nic:
         self.tx = Pipe(sim, f"{name}.tx")
         self.rx = Pipe(sim, f"{name}.rx")
         #: Payload bytes sent/received over the wire.  Framing overhead
-        #: (``Network.per_message_bytes``) is charged for *time* on the
+        #: (``PER_MESSAGE_BYTES``) is charged for *time* on the
         #: pipes but excluded here, so these counters compare directly
         #: against application-level byte counts.  Loopback transfers
         #: never touch the wire and are tallied in ``loopback_bytes``.
@@ -188,23 +191,13 @@ class Network:
     """Registry of NICs plus the transfer primitive.
 
     ``latency`` is the one-way message latency (propagation + switch +
-    interrupt handling), charged once per transfer.  ``per_message_bytes``
-    models framing/RPC header overhead added to every transfer.
+    interrupt handling), charged once per transfer.  Every transfer
+    also carries ``PER_MESSAGE_BYTES`` of framing/RPC header overhead.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        latency: float = 60e-6,
-        chunk_bytes: int = DEFAULT_CHUNK,
-        per_message_bytes: int = 120,
-    ):
-        if chunk_bytes < 1:
-            raise ValueError("chunk_bytes must be >= 1")
+    def __init__(self, sim: Simulator, latency: float = 60e-6):
         self.sim = sim
         self.latency = latency
-        self.chunk_bytes = chunk_bytes
-        self.per_message_bytes = per_message_bytes
         #: The registered NICs by node name.
         self.nics: dict[str, Nic] = {}
         self.flows_completed = 0
@@ -238,7 +231,7 @@ class Network:
         ``nbytes`` of *payload* lands in the NIC's
         ``tx_bytes``/``rx_bytes`` for wire transfers and in
         ``loopback_bytes`` for loopback ones.  The
-        ``per_message_bytes`` framing overhead occupies pipe time (it
+        ``PER_MESSAGE_BYTES`` framing overhead occupies pipe time (it
         slows the wire) but is deliberately excluded from all byte
         counters, so they stay comparable with application-level
         accounting.
@@ -273,7 +266,7 @@ class Network:
             # hangs until an RPC timeout (repro.rpc) interrupts it.
             snic.flows_dropped += 1
             return Event(self.sim)
-        if 0 < nbytes + self.per_message_bytes <= self.chunk_bytes:
+        if nbytes + PER_MESSAGE_BYTES <= CHUNK_BYTES:
             return _Message(self, snic, dnic, nbytes).done
         return _WireFlow(self, snic, dnic, nbytes).done
 
@@ -345,7 +338,7 @@ class _WireFlow:
         #: Payload bytes, counted on both NICs when the flow completes.
         self.nbytes = nbytes
         self.done = Event(net.sim)
-        self.remaining = nbytes + net.per_message_bytes
+        self.remaining = nbytes + PER_MESSAGE_BYTES
         #: The newest ``FLOW_WINDOW`` rx legs, oldest first.
         self.legs: deque[_RxLeg] = deque()
         #: Rx legs queued or in service (legs outside the window are done).
@@ -369,8 +362,7 @@ class _WireFlow:
         elif self.remaining > 0:
             # Sized now: ``remaining`` only moves when this request's
             # service ends.
-            net = self.net
-            chunk = net.chunk_bytes if self.remaining > net.chunk_bytes else self.remaining
+            chunk = CHUNK_BYTES if self.remaining > CHUNK_BYTES else self.remaining
             self.snic.tx.serve(chunk / self.snic.bandwidth, self._tx_served, chunk)
         elif not self.live:
             self._finish()
@@ -454,7 +446,7 @@ class _Message:
         if snic.down or self.dnic.down:
             snic.flows_dropped += 1
         else:
-            wire = self.nbytes + self.net.per_message_bytes
+            wire = self.nbytes + PER_MESSAGE_BYTES
             snic.tx.serve(wire / snic.bandwidth, self._tx_served, wire)
 
     def _tx_served(self, wire: int) -> None:

@@ -23,13 +23,12 @@ MATERIALISE_CAP = 64 * 1024 * 1024
 class FileData:
     """Contents of one storage object (whole file or one server's stripe)."""
 
-    __slots__ = ("size", "_buf", "exact", "cap")
+    __slots__ = ("size", "_buf", "exact")
 
-    def __init__(self, cap: int = MATERIALISE_CAP):
+    def __init__(self):
         self.size = 0
         self._buf = bytearray()
         self.exact = True
-        self.cap = cap
 
     def write(self, offset: int, payload: Payload) -> None:
         """Store ``payload`` at ``offset``, extending the object if needed."""
@@ -40,7 +39,7 @@ class FileData:
             self.size = end
         if not self.exact:
             return
-        if payload.is_synthetic or end > self.cap:
+        if payload.is_synthetic or end > MATERIALISE_CAP:
             # One-way degradation to size-only accounting.
             self.exact = False
             self._buf = bytearray()

@@ -70,7 +70,7 @@ class SshBuildWorkload(Workload):
             yield from fsc.write(f, 0, Payload.synthetic(int(rng.integers(256, 2048))))
             yield from fsc.close(f)
             yield from fsc.getattr(probe)
-            yield from fsc.setattr(probe, mode=0o755)
+            yield from fsc.setattr(probe, 0o755)
             yield from fsc.remove(probe)
         for path, _size in sources[: self.nsources // 4]:
             yield from fsc.getattr(path)

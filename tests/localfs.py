@@ -137,11 +137,10 @@ class LocalClient(FileSystemClient):
         entry.attrs.mtime = self.sim.now
         entry.attrs.ctime = self.sim.now
 
-    def setattr(self, path: str, mode=None):
+    def setattr(self, path: str, mode: int):
         yield from self._tick()
         entry = self.fs.namespace.resolve(path)
-        if mode is not None:
-            entry.attrs.mode = mode
+        entry.attrs.mode = mode
         entry.attrs.ctime = self.sim.now
         return entry.attrs.copy()
 

@@ -105,6 +105,47 @@ class TestWriteBehind:
             assert daemon.dirty_tokens.in_use - tokens == grown, offset
         assert daemon.dirty_backlog == 500 + 6000 + 300
 
+    def test_a_write_past_the_watermark_waits_for_the_flusher(self, monkeypatch):
+        """Back-pressure: with the write-behind full, a write waits in
+        ``dirty_tokens.acquire`` until the flusher retires bytes.  The
+        third write overlaps 4 KB the second left dirty; while it waits,
+        the flusher takes those bytes onto the disk, so the re-count
+        finds no overlap left and waits a second time for the rest."""
+        unit = 4096
+        cluster = self._slow_disk_cluster()
+        daemon = make_daemon(cluster, flow_unit=unit, dirty_watermark=2 * unit)
+        tokens, sim = daemon.dirty_tokens, cluster.sim
+        retired, waits = [], []
+        retire, acquire = daemon._retire, tokens.acquire
+
+        def logged_retire(nbytes):
+            retire(nbytes)
+            retired.append((sim.now, nbytes))
+
+        def logged_acquire(units=1):
+            waits.append(units)
+            return acquire(units)
+
+        monkeypatch.setattr(daemon, "_retire", logged_retire)
+        monkeypatch.setattr(tokens, "acquire", logged_acquire)
+        # The flusher takes the first extent onto the slow disk at once;
+        # the second fills the write-behind and queues behind it.
+        call(cluster, daemon, "write", {"handle": 1, "offset": 0}, Payload(b"1" * unit))
+        call(cluster, daemon, "write", {"handle": 1, "offset": unit}, Payload(b"2" * unit))
+        assert tokens.in_use == daemon.dirty_backlog == 2 * unit and waits == []
+        call(cluster, daemon, "write", {"handle": 1, "offset": unit},
+             Payload(b"3" * (2 * unit)))
+        # Stalled until both extents were retired, waiting once per extent.
+        assert [n for _, n in retired] == [unit, unit] and sim.now > retired[-1][0]
+        assert waits == [unit, unit]
+        # Every byte it dirtied holds a token: none more, none fewer.
+        assert tokens.in_use == daemon.dirty_backlog == 2 * unit
+        assert tokens.high_water == 2 * unit
+        sim.run()
+        assert tokens.in_use == daemon.dirty_backlog == 0
+        assert daemon.persisted_bytes(1) == 3 * unit
+        assert daemon.bstreams[1].read(0, 3 * unit).data == b"1" * unit + b"3" * (2 * unit)
+
     def test_write_without_data_is_invalid(self, cluster):
         daemon = make_daemon(cluster)
         with pytest.raises(InvalidArgument):

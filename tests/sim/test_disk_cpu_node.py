@@ -15,6 +15,11 @@ from repro.sim import (
 from repro.sim.resources import Resource
 
 
+#: A node bus faster than any media rate below: each chunk's bus leg
+#: plus its media residual is the media time, so the rates are the disk's.
+FAST_BUS = 1e9
+
+
 class TestDisk:
     def make(self, sim, **kw):
         spec = DiskSpec(
@@ -22,7 +27,7 @@ class TestDisk:
             write_bw=kw.pop("write_bw", 25e6),
             positioning=kw.pop("positioning", 0.010),
         )
-        return Disk(sim, spec, **kw)
+        return Disk(sim, spec, Resource(sim, 1), FAST_BUS)
 
     def test_sequential_write_rate(self):
         sim = Simulator()
@@ -115,8 +120,8 @@ class TestDisk:
         sim = Simulator()
         bus = Resource(sim, 1)
         spec = DiskSpec(read_bw=50e6, write_bw=25e6, positioning=0.0)
-        d0 = Disk(sim, spec, io_bus=bus, bus_bw=30e6)
-        d1 = Disk(sim, spec, io_bus=bus, bus_bw=30e6)
+        d0 = Disk(sim, spec, bus, 30e6)
+        d1 = Disk(sim, spec, bus, 30e6)
         ends = []
 
         def io(disk):
@@ -235,7 +240,7 @@ class TestNode:
 
     def test_send_between_nodes(self):
         sim = Simulator()
-        net = Network(sim, latency=0, per_message_bytes=0)
+        net = Network(sim, latency=0)
         a = Node(sim, NodeSpec(name="a", nic_bw=10e6), net)
         b = Node(sim, NodeSpec(name="b", nic_bw=10e6), net)
 

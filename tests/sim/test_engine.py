@@ -11,6 +11,16 @@ def sim():
     return Simulator()
 
 
+def after(sim, delay, value):
+    """A process that returns ``value`` ``delay`` seconds from now."""
+
+    def proc():
+        yield sim.timeout(delay)
+        return value
+
+    return sim.process(proc())
+
+
 class TestTimeoutsAndOrdering:
     def test_timeout_advances_clock(self, sim):
         log = []
@@ -60,14 +70,15 @@ class TestTimeoutsAndOrdering:
         sim.run()
         assert times == [0.5, 1.0, 1.5, 2.0]
 
-    def test_timeout_carries_value(self, sim):
+    def test_a_timer_fires_with_none(self, sim):
         def proc():
-            got = yield sim.timeout(1, value="payload")
+            got = yield sim.timeout(1)
             return got
 
         p = sim.process(proc())
         sim.run()
-        assert p.value == "payload"
+        assert p.value is None
+        assert sim.now == 1
 
 
 class TestRunSemantics:
@@ -305,8 +316,8 @@ class TestConditions:
         assert sim.now == 3
 
     def test_any_of_returns_first(self, sim):
-        slow = sim.timeout(10, value="slow")
-        fast = sim.timeout(2, value="fast")
+        slow = after(sim, 10, "slow")
+        fast = after(sim, 2, "fast")
 
         def waiter():
             idx, val = yield AnyOf(sim, [slow, fast])
@@ -371,7 +382,7 @@ class TestAnyOfDuplicateEvents:
         # the *first* position by scanning, which happened to be right,
         # but was O(n) per fire; the id->index map must preserve the
         # first-occurrence index for duplicates.
-        t = Timeout(sim, 1.0, value="tick")
+        t = after(sim, 1.0, "tick")
 
         def waiter():
             idx, value = yield AnyOf(sim, [t, t, sim.timeout(5)])
@@ -398,7 +409,7 @@ class TestAnyOfDuplicateEvents:
         assert p.value == (0, "v")
 
     def test_the_fourth_of_five_firing_first_reports_index_3(self, sim):
-        events = [Timeout(sim, 0.5 if i == 3 else i + 1.0, value=i) for i in range(5)]
+        events = [after(sim, 0.5 if i == 3 else i + 1.0, i) for i in range(5)]
         cond = AnyOf(sim, events)
         assert sim.run(until=cond) == (3, 3)
         assert sim.now == 0.5

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import AnyOf, Event, Interrupt, Network, Pipe, Resource, Simulator
 from repro.sim.engine import SimulationError
+from repro.sim.network import CHUNK_BYTES, PER_MESSAGE_BYTES
 from tests.sim.test_event_budget import assert_idle
 from tests.sim.test_scheduler_equivalence import AlwaysHopSimulator
 
@@ -279,10 +280,11 @@ class TestTailRule:
     """A zero-delay call from the tail of a queue entry runs in place
     exactly when nothing else is due in that instant."""
 
-    CHUNK, BW = 1000, 1e6
+    #: A payload of ``k * CHUNK - FRAME`` bytes is exactly k chunks on the wire.
+    CHUNK, FRAME, BW = CHUNK_BYTES, PER_MESSAGE_BYTES, 1e6
 
     def _net(self, sim, latency):
-        net = Network(sim, latency=latency, chunk_bytes=self.CHUNK, per_message_bytes=0)
+        net = Network(sim, latency=latency)
         for name in "ab":
             net.add_nic(name, self.BW)
         return net
@@ -442,7 +444,7 @@ class TestTailRule:
         seen = []
 
         def sender():
-            done = net.transfer("a", "b", 3 * self.CHUNK)
+            done = net.transfer("a", "b", 3 * self.CHUNK - self.FRAME)
             # Not held yet: the start is a call due this instant.
             seen.append((net.nics["a"].tx.in_use, sim.nothing_else_due(), done.triggered))
             yield done
@@ -455,19 +457,22 @@ class TestTailRule:
         assert sim.stats.events_processed == 1 + 1 + 2 * 3
         assert_idle(net)
 
-    def test_zero_latency_empty_flow_completes_in_its_start_entry(self):
+    def test_zero_latency_empty_transfer_still_sends_its_framing(self):
+        """No wire transfer is empty: a zero-byte one is a message of
+        ``FRAME`` bytes, three entries (start, tx and rx service)."""
         sim = Simulator()
         net = self._net(sim, latency=0.0)
         done = net.transfer("a", "b", 0)
         assert not done.triggered
         sim.run()
         assert done.processed and net.flows_chunked == 1
-        assert sim.stats.events_processed == 1
+        assert sim.now == pytest.approx(2 * self.FRAME / self.BW)
+        assert sim.stats.events_processed == 3
 
     def test_run_until_done_returns_when_done_fired_in_place(self):
         sim = Simulator()
         net = self._net(sim, latency=1e-3)
-        done = net.transfer("a", "b", 2 * self.CHUNK)
+        done = net.transfer("a", "b", 2 * self.CHUNK - self.FRAME)
         sim.call_later(1.0, lambda _: None)  # still queued at the return
         sim.run(until=done)
         assert done.processed
@@ -506,23 +511,29 @@ class TestTailRule:
 
     @staticmethod
     def _join_waiter(kernel, also_due=False):
-        """A process waits on ``all_of`` two timers (1 s and 2 s); a call
-        lands at 3 s, and — if ``also_due`` — one is due at 2 s behind
-        the last timer."""
+        """A process waits on ``all_of`` two processes that return "x"
+        and "y" after 1 s and 2 s; a call lands at 3 s, and — if
+        ``also_due`` — the last leg's first waiter schedules a call due
+        in its instant, ahead of the join."""
         sim, order = kernel(), []
 
         def note(tag):
             order.append((sim.now, tag))
 
+        def leg(delay, value):
+            yield sim.timeout(delay)
+            return value
+
+        x, y = sim.process(leg(1.0, "x")), sim.process(leg(2.0, "y"))
+        if also_due:
+            y.add_callback(lambda _: sim.call_later(0.0, lambda _: note("also due")))
+
         def waiter():
-            got = yield sim.all_of([sim.timeout(1.0, "x"), sim.timeout(2.0, "y")])
+            got = yield sim.all_of([x, y])
             note(("joined", got))
 
         sim.process(waiter())
         sim.call_later(3.0, lambda _: note("later"))
-        sim.run(until=1.0)
-        if also_due:
-            sim.call_later(1.0, lambda _: note("also due"))
         sim.run()
         return order, sim.stats.events_processed
 
@@ -531,9 +542,9 @@ class TestTailRule:
         hop_order, hop_entries = self._join_waiter(AlwaysHopSimulator)
         # The waiter resumes at the same time and place in the order.
         assert order == hop_order == [(2.0, ("joined", ("x", "y"))), (3.0, "later")]
-        # The kick, two timers and the later call: the join and the end
-        # cost no entry.
-        assert entries == 4 and hop_entries == entries + 2
+        # Three kicks, two timers and the later call: the legs' ends,
+        # the join and the waiter's end cost no entry.
+        assert entries == 6 and hop_entries == entries + 4
 
     def test_a_join_completed_beside_a_due_call_still_queues(self):
         order, entries = self._join_waiter(Simulator, also_due=True)
@@ -541,8 +552,9 @@ class TestTailRule:
         assert order == hop_order == [
             (2.0, "also due"), (2.0, ("joined", ("x", "y"))), (3.0, "later"),
         ]
-        # The join is an entry; only the end, alone after it, is not.
-        assert entries == 6 and hop_entries == entries + 1
+        # The join is an entry; the legs' ends and the waiter's end,
+        # each alone in its instant, are not.
+        assert entries == 8 and hop_entries == entries + 3
 
     def test_a_spawn_whose_legs_all_end_in_their_first_segment_queues_its_join(self):
         sim = Simulator()
@@ -566,7 +578,7 @@ class TestTailRule:
     @pytest.mark.parametrize("fan_in", ["all_of", "any_of"])
     def test_a_fan_in_over_legs_that_have_fired_queues_its_firing(self, fan_in):
         sim = Simulator()
-        early = sim.timeout(0.0, "early")
+        early = sim.timeout(0.0)
         sim.run()
         seen = []
 
@@ -696,7 +708,7 @@ class TestTailRule:
     def test_nic_dying_mid_flow_still_drains_both_pipes(self, dying):
         sim = Simulator()
         net = self._net(sim, latency=1e-3)
-        done = net.transfer("a", "b", 10 * self.CHUNK)
+        done = net.transfer("a", "b", 10 * self.CHUNK - self.FRAME)
 
         def die(_):
             net.nics[dying].down = True
@@ -741,7 +753,7 @@ class TestEngineMisc:
         """Its first waiter may not re-arm it: the second, still to run,
         is kept in the timer's ``_cbs`` and would be handed the new arming."""
         sim = Simulator()
-        timer = sim.timeout(1.0, "fired")
+        timer = sim.timeout(1.0)
         seen = []
 
         def first():
@@ -757,7 +769,7 @@ class TestEngineMisc:
         sim.process(first())
         sim.process(second())
         sim.run()
-        assert seen == ["fired", "fired", None] and sim.now == 3.0
+        assert seen == [None, None, None] and sim.now == 3.0
 
     def test_condition_across_simulators_rejected(self):
         a, b = Simulator(), Simulator()

@@ -22,20 +22,20 @@ from repro import rpc
 from repro.sim import CpuSpec, Event, Interrupt, Network, Node, NodeSpec, Pipe, Simulator
 from repro.sim import network as network_mod
 from repro.sim.cpu import Cpu
-from repro.sim.network import FLOW_WINDOW
+from repro.sim.network import CHUNK_BYTES, FLOW_WINDOW, PER_MESSAGE_BYTES
 from repro.sim.resources import Resource
 from tests.conftest import load_script
 from tests.sim.test_scheduler_equivalence import AlwaysHopSimulator
 
 BW = 1e6
-CHUNK = 1000
+CHUNK = CHUNK_BYTES
+#: Framing on the wire: a payload of ``k * CHUNK - FRAME`` bytes is k chunks.
+FRAME = PER_MESSAGE_BYTES
 LATENCY = 60e-6
 
 
-def make_net(sim, n=4, latency=LATENCY, per_message_bytes=0):
-    net = Network(
-        sim, latency=latency, chunk_bytes=CHUNK, per_message_bytes=per_message_bytes
-    )
+def make_net(sim, n=4, latency=LATENCY):
+    net = Network(sim, latency=latency)
     for i in range(n):
         net.add_nic(f"n{i}", BW)
     return net
@@ -71,13 +71,13 @@ def assert_idle(net):
 event_census = load_script("event_census")
 
 
-def two_flows(pairs, nbytes, kernel=Simulator, per_message_bytes=0):
+def two_flows(pairs, nbytes, kernel=Simulator):
     """One flow per ``(src, dst)`` pair, both started in one instant.
     Returns ``(entries less two per sender — its kick and its end, an
     entry when something else is due beside it — finish time, rng state
     after)``."""
     sim = kernel(seed=11)
-    net = make_net(sim, per_message_bytes=per_message_bytes)
+    net = make_net(sim)
     before = sim.stats.events_processed
     for src, dst in pairs:
         sim.process(wait_for(lambda src=src, dst=dst: net.transfer(src, dst, nbytes)))
@@ -98,16 +98,16 @@ class TestMessageBudget:
         grant and the completion run in place.  Six is what the message
         costs beside a twin."""
         sim = Simulator()
-        net = make_net(sim, per_message_bytes=120)
+        net = make_net(sim)
         assert events_of(sim, wait_for(lambda: net.transfer("n0", "n1", 344))) == 3
         # Store-and-forward: the last bit lands after two wire crossings.
-        assert sim.now == pytest.approx(LATENCY + 2 * (344 + 120) / BW, rel=1e-12)
+        assert sim.now == pytest.approx(LATENCY + 2 * (344 + FRAME) / BW, rel=1e-12)
 
     def test_subchunk_message_beside_a_twin_still_costs_six_events(self):
         """Latency, tx grant, tx service, rx grant, rx service, completion."""
-        entries, finished, _ = two_flows(TWINS, 344, per_message_bytes=120)
+        entries, finished, _ = two_flows(TWINS, 344)
         assert entries == 2 * 6
-        assert finished == pytest.approx(LATENCY + 2 * (344 + 120) / BW, rel=1e-12)
+        assert finished == pytest.approx(LATENCY + 2 * (344 + FRAME) / BW, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, FLOW_WINDOW + 1, FLOW_WINDOW + 2, 10])
     def test_lone_k_chunk_flow_costs_2k_plus_1(self, k):
@@ -119,14 +119,14 @@ class TestMessageBudget:
         being due.  ``4k + 2`` is the twin's count, below."""
         sim = Simulator()
         net = make_net(sim)
-        nbytes = k * CHUNK - 1  # k chunks, the last one short
+        nbytes = k * CHUNK - FRAME - 1  # k chunks, the last one short
         with event_census.recording() as rec:
             cost = events_of(sim, wait_for(lambda: net.transfer("n0", "n1", nbytes)))
         assert cost == 2 * k + 1
         assert rec.count("delay") == 2 * k + 1
         # Pipelined: the short last chunk reaches the rx pipe behind the
         # full chunk before it, k chunk times in; alone it crosses twice.
-        last = nbytes - (k - 1) * CHUNK
+        last = nbytes + FRAME - (k - 1) * CHUNK
         ahead = k * CHUNK if k > 1 else last
         assert sim.now == pytest.approx(LATENCY + (ahead + last) / BW, rel=1e-9)
         assert net.flows_chunked == 1 and net.nics["n1"].rx_bytes == nbytes
@@ -139,7 +139,9 @@ class TestMessageBudget:
         sim = Simulator()
         net = make_net(sim)
         with event_census.recording() as rec:
-            cost = events_of(sim, wait_for(lambda: net.transfer("n0", "n1", k * CHUNK)))
+            cost = events_of(
+                sim, wait_for(lambda: net.transfer("n0", "n1", k * CHUNK - FRAME))
+            )
         assert cost == 2 * k + 1
         assert rec.count("delay") == 2 * k + 1 and sim.stats.events_scheduled == 2 * k + 2
         assert sim.now == pytest.approx(LATENCY + (k + 1) * CHUNK / BW, rel=1e-9)
@@ -149,10 +151,10 @@ class TestMessageBudget:
     def test_twin_k_chunk_flows_cost_4k_plus_2_each(self, k):
         """In lockstep on disjoint pipes, each flow is due in the instant
         of every grant the other asks for: every hop stays."""
-        nbytes = k * CHUNK - 1
+        nbytes = k * CHUNK - FRAME - 1
         entries, finished, _ = two_flows(TWINS, nbytes)
         assert entries == 2 * (4 * k + 2)
-        last = nbytes - (k - 1) * CHUNK
+        last = nbytes + FRAME - (k - 1) * CHUNK
         ahead = k * CHUNK if k > 1 else last
         assert finished == pytest.approx(LATENCY + (ahead + last) / BW, rel=1e-9)
 
@@ -165,8 +167,8 @@ class TestMessageBudget:
         ``release()`` hand-off of the sink's rx pipe made while nothing
         else was due, and both senders' ends run in place."""
         incast = (("n1", "n0"), ("n2", "n0"))
-        entries, finished, rng_state = two_flows(incast, k * CHUNK - 1)
-        hopping = two_flows(incast, k * CHUNK - 1, kernel=AlwaysHopSimulator)
+        entries, finished, rng_state = two_flows(incast, k * CHUNK - FRAME - 1)
+        hopping = two_flows(incast, k * CHUNK - FRAME - 1, kernel=AlwaysHopSimulator)
         assert (finished, rng_state) == hopping[1:]
         assert hopping[0] == 2 * (4 * k + 2)
         assert entries < hopping[0] and entries == {1: 7, 3: 20, 10: 69}[k]
@@ -185,7 +187,7 @@ class TestMessageBudget:
         sim = Simulator()
         net = make_net(sim, latency=0.0)
         for i in (1, 2, 3):
-            sim.process(wait_for(lambda i=i: net.transfer(f"n{i}", "n0", 10 * CHUNK)))
+            sim.process(wait_for(lambda i=i: net.transfer(f"n{i}", "n0", 10 * CHUNK - FRAME)))
         sim.run()
         assert sorted(peaks.values()) == [FLOW_WINDOW + 1] * 3
         # One chunk time to fill the switch, then the sink never idles.
@@ -496,11 +498,11 @@ class TestSpawnEventLegs:
         cpu = Cpu(sim, CpuSpec(cores=4, speed=1.0))
 
         def parent():
-            return (yield sim.spawn(cpu.consume(3.0), sim.timeout(1.0, "t"), cpu.consume(2.0)))
+            return (yield sim.spawn(cpu.consume(3.0), sim.timeout(1.0), cpu.consume(2.0)))
 
         proc = sim.process(parent())
         sim.run()
-        assert proc.value == (1, "t", 1) and sim.now == 3.0
+        assert proc.value == (1, None, 1) and sim.now == 3.0
         # The kick and the legs' own events: the join and the end fire
         # in place.
         assert sim.stats.events_processed == 1 + 3
@@ -516,31 +518,35 @@ class TestSpawnEventLegs:
             return tag
 
         landed = []
+        event = Event(sim)
+        sim.call_later(2.0, lambda _: event.succeed("event"))
 
         def parent():
             wire = net.transfer("n0", "n1", 500)
             wire.add_callback(lambda _ev: landed.append(sim.now))
-            join = sim.spawn(
-                leg("slow", 3.0), sim.timeout(2.0, "event"), leg("fast", 1.0), wire,
-            )
+            join = sim.spawn(leg("slow", 3.0), event, leg("fast", 1.0), wire)
             assert started == ["slow", "fast"]  # generator legs ran their first segment
             return (yield join)
 
         proc = sim.process(parent())
         sim.run()
         assert list(proc.value) == ["slow", "event", "fast", None]
-        assert landed == [pytest.approx(LATENCY + 2 * 500 / BW)]
+        assert landed == [pytest.approx(LATENCY + 2 * (500 + FRAME) / BW)]
 
     def test_an_already_fired_leg_counts_at_once(self):
         sim = Simulator()
         cpu = Cpu(sim, CpuSpec(cores=1, speed=1.0))
-        done = sim.timeout(0.0, "early")
+        done = Event(sim).succeed("early")
         sim.run()
         assert done.processed
 
+        def late():
+            yield sim.timeout(1.0)
+            return "late"
+
         def parent():
             only = yield sim.spawn(done, cpu.consume(0))
-            mixed = yield sim.spawn(done, sim.timeout(1.0, "late"))
+            mixed = yield sim.spawn(done, late())
             return only, mixed
 
         before = sim.stats.events_processed
@@ -594,7 +600,7 @@ class TestRpcBudget:
         """``n`` client/server node pairs on one network; returns
         ``(sim, net, [(client, server), ...])``."""
         sim = Simulator()
-        net = Network(sim, latency=LATENCY, per_message_bytes=120)
+        net = Network(sim, latency=LATENCY)
         costs = rpc.RpcCosts(client_per_call=20e-6, server_per_call=25e-6)
 
         def ping(args, payload):
@@ -624,8 +630,8 @@ class TestRpcBudget:
         with event_census.recording() as rec:
             assert events_of(sim, rpc.call(client, server, "ping")) == 8
         assert rec.count("delay") == 8
-        request = (rpc.HEADER_BYTES + rpc.ARGS_BYTES + 120) / BW
-        reply = (rpc.HEADER_BYTES + 120) / BW
+        request = (rpc.HEADER_BYTES + rpc.ARGS_BYTES + FRAME) / BW
+        reply = (rpc.HEADER_BYTES + FRAME) / BW
         assert sim.now == pytest.approx(
             20e-6 + LATENCY + 2 * request + 25e-6 + LATENCY + 2 * reply, rel=1e-12
         )
@@ -648,8 +654,8 @@ class TestRpcBudget:
         assert all(p.processed and p.ok for p in procs)
         assert sim.stats.events_processed - before - 2 * 2 == 2 * 14
         assert rec.count("delay") == 2 * 8
-        request = (rpc.HEADER_BYTES + rpc.ARGS_BYTES + 120) / BW
-        reply = (rpc.HEADER_BYTES + 120) / BW
+        request = (rpc.HEADER_BYTES + rpc.ARGS_BYTES + FRAME) / BW
+        reply = (rpc.HEADER_BYTES + FRAME) / BW
         assert sim.now == pytest.approx(
             20e-6 + LATENCY + 2 * request + 25e-6 + LATENCY + 2 * reply, rel=1e-12
         )
@@ -676,7 +682,9 @@ def flow_sets(draw):
         tail = draw(st.integers(0, CHUNK - 1)) if chunks < 10 else 0
         # Starts staggered on a half-chunk-time grid, so ties are common.
         start = draw(st.integers(0, 12)) * (CHUNK / BW / 2)
-        flows.append((start, f"n{src}", f"n{dst}", chunks * CHUNK + tail))
+        # ``chunks * CHUNK + tail`` bytes on the wire, framing included.
+        nbytes = max(0, chunks * CHUNK + tail - FRAME)
+        flows.append((start, f"n{src}", f"n{dst}", nbytes))
     fault = draw(
         st.one_of(
             st.none(),
@@ -763,7 +771,7 @@ def test_flow_invariants_hold_and_replays_are_identical(spec):
 def test_interrupted_waiter_leaves_the_flow_running():
     """The pipes belong to the flow, not to the waiting generator: an
     interrupt (an RPC retry timer) detaches the waiter and nothing else."""
-    nbytes = 6 * CHUNK
+    nbytes, follow_bytes = 6 * CHUNK - FRAME, 2 * CHUNK - FRAME
 
     def run(interrupt_at):
         sim = Simulator()
@@ -781,7 +789,7 @@ def test_interrupted_waiter_leaves_the_flow_running():
         # A second flow queues behind the first on both pipes: it sees
         # the first one's holds end exactly when they would have anyway.
         def follow():
-            yield net.transfer("n0", "n1", 2 * CHUNK)
+            yield net.transfer("n0", "n1", follow_bytes)
             return sim.now
 
         follower = sim.process(follow())
@@ -800,4 +808,4 @@ def test_interrupted_waiter_leaves_the_flow_running():
     assert undisturbed[0][0][0] == "done"
     assert interrupted[0] == [("interrupted", LATENCY + 1.5 * CHUNK / BW)]
     assert interrupted[1:] == undisturbed[1:]
-    assert interrupted[2] == 2 and interrupted[3] == nbytes + 2 * CHUNK
+    assert interrupted[2] == 2 and interrupted[3] == nbytes + follow_bytes

@@ -21,19 +21,19 @@ def test_yield_from_an_event_waits_for_it_and_hands_back_its_value():
     sim = Simulator()
 
     def waiter():
-        early = yield from sim.timeout(1.0, "one")
-        late = yield from sim.timeout(1.0, "two")
-        fired = sim.timeout(0.0, "three")
+        timer = yield from sim.timeout(1.0)
+        late = yield from Event(sim).succeed("two")
+        fired = Event(sim).succeed("three")
         yield sim.timeout(1.0)
         assert fired.processed
-        return early, late, (yield from fired), sim.now
+        return timer, late, (yield from fired), sim.now
 
     proc = sim.process(waiter())
     before = sim.stats.events_processed
     sim.run()
-    assert proc.value == ("one", "two", "three", 3.0)
-    # Delegating costs no event of its own: kick and four timeouts (the
-    # end, alone in its instant, fires in place).
+    assert proc.value == (None, "two", "three", 2.0)
+    # Delegating costs no event of its own: kick, two timers and two
+    # firings (the end, alone in its instant, fires in place).
     assert sim.stats.events_processed - before == 5
 
 

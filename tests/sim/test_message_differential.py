@@ -1,11 +1,11 @@
 """Differential test: a one-chunk ``_Message`` against the ``_WireFlow`` it forks from.
 
 ``Network.transfer`` sends a message whose wire size (payload plus
-``per_message_bytes``) fits one chunk as a :class:`_Message` — three
+``PER_MESSAGE_BYTES``) fits one chunk as a :class:`_Message` — three
 states, no window — and everything else as a :class:`_WireFlow`.  The
 fork claims to move nothing.  These scenarios make the claim empirical:
 1–3 senders into one sink, each with 1–3 messages that may overlap,
-sizes from one byte to exactly one chunk,
+wire sizes from a bare frame to exactly one chunk,
 zero or positive latency, a NIC's ``extra_latency`` and ``drop_prob``,
 and a NIC that dies — before the send, during tx service or during rx
 service — and perhaps comes back.  Each runs twice: as the product
@@ -23,22 +23,22 @@ from hypothesis import strategies as st
 from repro.sim import Network, Simulator
 from repro.sim import network as network_mod
 
-CHUNK = 1000
+CHUNK = network_mod.CHUNK_BYTES
+FRAME = network_mod.PER_MESSAGE_BYTES
 #: Bytes per second: a chunk takes a millisecond on either pipe.
-BW = 1e6
+BW = CHUNK * 1e3
 
 
 @st.composite
 def scenarios(draw):
-    per_message = draw(st.sampled_from([0, 120]))
     n_senders = draw(st.integers(1, 3))
     sends = [
         [
             (
                 # When the message is sent: a sender's messages overlap.
                 draw(st.sampled_from([0.0, 0.0, 2e-4, 1e-3, 2.5e-3])),
-                # The wire size runs from one byte to exactly one chunk.
-                draw(st.integers(max(1 - per_message, 0), CHUNK - per_message)),
+                # The wire size runs from a bare frame to exactly one chunk.
+                draw(st.integers(0, CHUNK - FRAME)),
             )
             for _ in range(draw(st.integers(1, 3)))
         ]
@@ -58,7 +58,6 @@ def scenarios(draw):
         )
     )
     return {
-        "per_message": per_message,
         "latency": draw(st.sampled_from([0.0, 6e-5])),
         "extra": draw(st.sampled_from([None, (0, 3e-5), (1, 1e-4)])),
         "sends": sends,
@@ -75,12 +74,7 @@ def run(scenario: dict, reference: bool, monkeypatch) -> dict:
             # Every message here fits one chunk: no flow may be built.
             mp.setattr(network_mod, "_WireFlow", None)
         sim = Simulator(seed=11)
-        net = Network(
-            sim,
-            latency=scenario["latency"],
-            chunk_bytes=CHUNK,
-            per_message_bytes=scenario["per_message"],
-        )
+        net = Network(sim, latency=scenario["latency"])
         nics = [net.add_nic(f"n{i}", BW) for i in range(len(scenario["sends"]) + 1)]
         if scenario["extra"] is not None:
             which, extra = scenario["extra"]
@@ -151,8 +145,8 @@ def test_the_cases_the_fork_must_keep_by_hand():
 
         return watched
 
-    base = {"latency": 6e-5, "extra": None, "fault": None, "per_message": 0}
-    lone = [[(0.0, CHUNK)]]
+    base = {"latency": 6e-5, "extra": None, "fault": None}
+    lone = [[(0.0, CHUNK - FRAME)]]
     cases = {
         # The sink down at the send; dying in tx service; in rx service.
         "send": dict(base, sends=lone, fault=("down", 0, 1e-5, None)),
@@ -161,10 +155,10 @@ def test_the_cases_the_fork_must_keep_by_hand():
         # The sender dies in tx service and is back in rx service: still
         # lost, and counted once.
         "revived": dict(base, sends=lone, fault=("down", 1, 5e-4, 1e-3)),
-        # One byte and exactly one chunk of wire, three senders in one
-        # instant, one of them with three messages at once.
+        # A bare frame and exactly one chunk of wire, three senders in
+        # one instant, one of them with three messages at once.
         "edges": dict(
-            base, sends=[[(0.0, 1)], [(0.0, CHUNK)], [(0.0, CHUNK // 2)] * 3]
+            base, sends=[[(0.0, 0)], [(0.0, CHUNK - FRAME)], [(0.0, CHUNK // 2)] * 3]
         ),
     }
     results = {}

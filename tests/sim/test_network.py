@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Network, Simulator
+from repro.sim.network import CHUNK_BYTES, PER_MESSAGE_BYTES
 
 
-def make_net(sim, n=4, bw=100e6, latency=0.0, per_message_bytes=0):
-    net = Network(sim, latency=latency, per_message_bytes=per_message_bytes)
+def make_net(sim, n=4, bw=100e6, latency=0.0):
+    net = Network(sim, latency=latency)
     for i in range(n):
         net.add_nic(f"n{i}", bw)
     return net
@@ -41,7 +42,7 @@ class TestSingleFlow:
 
     def test_mismatched_bandwidths_use_minimum(self):
         sim = Simulator()
-        net = Network(sim, latency=0, per_message_bytes=0)
+        net = Network(sim, latency=0)
         net.add_nic("fast", 100e6)
         net.add_nic("slow", 10e6)
 
@@ -67,7 +68,7 @@ class TestSingleFlow:
 
     def test_per_message_overhead_adds_bytes(self):
         sim = Simulator()
-        net = make_net(sim, bw=1e6, per_message_bytes=1000)
+        net = make_net(sim, bw=1e6)
 
         def xfer():
             yield net.transfer("n0", "n1", 0)
@@ -75,8 +76,8 @@ class TestSingleFlow:
 
         p = sim.process(xfer())
         sim.run()
-        # Store-and-forward: the 1000-byte frame crosses tx then rx.
-        assert p.value == pytest.approx(0.002, rel=0.01)
+        # Store-and-forward: the bare frame crosses tx then rx.
+        assert p.value == pytest.approx(2 * PER_MESSAGE_BYTES / 1e6, rel=1e-12)
 
     def test_negative_size_rejected(self):
         sim = Simulator()
@@ -160,7 +161,7 @@ class TestSharing:
 
     def test_incast_n_to_one_scales_as_n(self):
         sim = Simulator()
-        net = Network(sim, latency=0, per_message_bytes=0)
+        net = Network(sim, latency=0)
         for i in range(5):
             net.add_nic(f"n{i}", 100e6)
         done = []
@@ -182,7 +183,7 @@ class TestSharing:
         """Shared-receiver makespan lies between ideal and fully serial."""
         bw = 100e6
         sim = Simulator()
-        net = Network(sim, latency=0, per_message_bytes=0)
+        net = Network(sim, latency=0)
         net.add_nic("dst", bw)
         for i in range(len(sizes)):
             net.add_nic(f"s{i}", bw)
@@ -196,11 +197,11 @@ class TestSharing:
         ideal = sum(sizes) / bw
         assert sim.now >= ideal * 0.999
         # Chunked interleaving should never be slower than serial + slack.
-        assert sim.now <= ideal * 1.05 + len(sizes) * (net.chunk_bytes / bw)
+        assert sim.now <= ideal * 1.05 + len(sizes) * (CHUNK_BYTES / bw)
 
     def test_accounting_tracks_bytes(self):
         sim = Simulator()
-        net = make_net(sim, per_message_bytes=0)
+        net = make_net(sim)
 
         def xfer():
             yield net.transfer("n0", "n1", 1234)
@@ -218,7 +219,7 @@ class TestByteAccounting:
 
     def test_wire_counters_exclude_framing(self):
         sim = Simulator()
-        net = make_net(sim, bw=100e6, per_message_bytes=120)
+        net = make_net(sim, bw=100e6)
 
         def xfer():
             yield net.transfer("n0", "n1", 10_000)
@@ -232,26 +233,19 @@ class TestByteAccounting:
 
     def test_framing_still_costs_wire_time(self):
         sim = Simulator()
-        bare = make_net(sim, bw=100e6, per_message_bytes=0)
-        framed = Network(sim, latency=0.0, per_message_bytes=100_000)
-        framed.add_nic("a", 100e6)
-        framed.add_nic("b", 100e6)
+        net = make_net(sim, bw=100e6)
 
-        times = {}
+        def xfer():
+            yield net.transfer("n0", "n1", 10_000)
 
-        def xfer(net, key):
-            t0 = sim.now
-            yield net.transfer(*(("n0", "n1") if key == "bare" else ("a", "b")), 1_000_000)
-            times[key] = sim.now - t0
-
-        sim.process(xfer(bare, "bare"))
-        sim.process(xfer(framed, "framed"))
+        sim.process(xfer())
         sim.run()
-        assert times["framed"] > times["bare"]
+        # Payload and frame cross tx then rx: the frame is wire time.
+        assert sim.now == pytest.approx(2 * (10_000 + PER_MESSAGE_BYTES) / 100e6, rel=1e-12)
 
     def test_loopback_counted_separately(self):
         sim = Simulator()
-        net = make_net(sim, per_message_bytes=120)
+        net = make_net(sim)
 
         def xfer():
             yield net.transfer("n0", "n0", 5_000)

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.sim import Network, Simulator
-from repro.sim.network import FLOW_WINDOW
+from repro.sim.network import FLOW_WINDOW, PER_MESSAGE_BYTES
 
 
 def make_net(sim, n=4, bw=100e6):
-    net = Network(sim, latency=0, per_message_bytes=0)
+    net = Network(sim, latency=0)
     for i in range(n):
         net.add_nic(f"n{i}", bw)
     return net
@@ -24,7 +24,7 @@ class TestStoreAndForward:
 
         p = sim.process(xfer())
         sim.run()
-        assert p.value == pytest.approx(0.002, rel=0.01)
+        assert p.value == pytest.approx(2 * (1000 + PER_MESSAGE_BYTES) / 1e6, rel=1e-12)
 
     def test_large_flow_pipelines_to_full_bandwidth(self):
         sim = Simulator()
@@ -102,7 +102,7 @@ class TestRandomArbitrationFairness:
         """Randomised grants are fair enough: equal flows into one sink
         finish within a modest spread of each other."""
         sim = Simulator()
-        net = Network(sim, latency=0, per_message_bytes=0)
+        net = Network(sim, latency=0)
         net.add_nic("sink", 100e6)
         n = 6
         for i in range(n):

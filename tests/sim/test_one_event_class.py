@@ -14,9 +14,8 @@ import pytest
 from repro.sim import AnyOf, Event, Network, SimulationError, Simulator, Timeout
 from repro.sim.cpu import Cpu, CpuSpec
 from repro.sim.engine import _START, Join
+from repro.sim.network import CHUNK_BYTES
 from repro.sim.resources import Resource
-
-CHUNK = 1000
 
 
 @pytest.fixture
@@ -24,9 +23,16 @@ def sim():
     return Simulator()
 
 
+def fires_at(sim, delay, value):
+    """A plain event that succeeds with ``value`` ``delay`` seconds from now."""
+    ev = Event(sim)
+    sim.call_later(delay, lambda _: ev.succeed(value))
+    return ev
+
+
 def test_timers_are_plain_events(sim):
     assert type(sim.timeout(1.0)) is Event
-    assert type(Timeout(sim, 1.0, "v")) is Event
+    assert type(Timeout(sim, 1.0)) is Event
     with pytest.raises(ValueError):
         Timeout(sim, -1.0)
 
@@ -49,12 +55,12 @@ def test_a_cpu_charge_is_a_plain_event(sim):
 
 
 def test_wire_completions_are_plain_events(sim):
-    net = Network(sim, latency=1e-6, chunk_bytes=CHUNK)
+    net = Network(sim, latency=1e-6)
     for name in ("a", "b"):
         net.add_nic(name, 1e6)
-    message = net.transfer("a", "b", CHUNK // 2)  # one chunk
-    flow = net.transfer("a", "b", 5 * CHUNK)  # chunked, windowed
-    loopback = net.transfer("a", "a", CHUNK)
+    message = net.transfer("a", "b", CHUNK_BYTES // 2)  # one chunk
+    flow = net.transfer("a", "b", 5 * CHUNK_BYTES)  # chunked, windowed
+    loopback = net.transfer("a", "a", CHUNK_BYTES)
     assert type(message) is type(flow) is type(loopback) is Event
     sim.run()
     assert message.processed and flow.processed and loopback.processed
@@ -67,14 +73,14 @@ def test_the_start_sentinel_is_a_processed_plain_event():
 
 def test_a_rearmed_timer_fires_once_more_at_its_new_delay(sim):
     fired = []
-    timer = sim.timeout(1.0, "first")
+    timer = sim.timeout(1.0)
     timer.add_callback(lambda ev: fired.append((sim.now, ev.value)))
     sim.run()
     # The retry-ladder / sampler idiom: re-arm from the timer's own callback.
     timer.reset(0.25)
     timer.add_callback(lambda ev: fired.append((sim.now, ev.value)))
     sim.run()
-    assert fired == [(1.0, "first"), (1.25, None)]
+    assert fired == [(1.0, None), (1.25, None)]
     timer.reset()  # no delay: the last one
     sim.run()
     assert sim.now == 1.5 and timer.processed
@@ -98,7 +104,7 @@ def test_spawns_are_plain_events_with_generator_event_or_no_legs(sim):
         return d
 
     generators = sim.spawn(leg(1.0), leg(2.0))
-    events = sim.spawn(sim.timeout(1.0, "a"), sim.timeout(0.5, "b"))
+    events = sim.spawn(fires_at(sim, 1.0, "a"), fires_at(sim, 0.5, "b"))
     none = sim.spawn()
     assert type(generators) is type(events) is type(none) is Event
     assert none.processed and none.value == ()
@@ -109,7 +115,7 @@ def test_spawns_are_plain_events_with_generator_event_or_no_legs(sim):
 def test_a_spawn_whose_last_leg_already_fired_is_a_plain_event(sim):
     fired = Event(sim).succeed("x")
     sim.run()
-    join = sim.spawn(sim.timeout(1.0, "t"), fired)
+    join = sim.spawn(fires_at(sim, 1.0, "t"), fired)
     assert type(join) is Event
     sim.run()
     assert join.value == ("t", "x")
@@ -120,16 +126,16 @@ def test_a_spawn_whose_last_leg_already_fired_is_a_plain_event(sim):
 
 
 def test_all_of_and_any_of_are_plain_events(sim):
-    every = sim.all_of([sim.timeout(1.0, "a"), sim.timeout(2.0, "b")])
-    first = sim.any_of([sim.timeout(2.0, "a"), sim.timeout(1.0, "b")])
+    every = sim.all_of([fires_at(sim, 1.0, "a"), fires_at(sim, 2.0, "b")])
+    first = sim.any_of([fires_at(sim, 2.0, "a"), fires_at(sim, 1.0, "b")])
     assert type(every) is type(first) is Event
     sim.run()
     assert (every.value, first.value) == (("a", "b"), (1, "b"))
 
 
 def test_join_and_any_of_called_as_functions_build_plain_events(sim):
-    join = Join(sim, (sim.timeout(1.0, "a"),))
-    first = AnyOf(sim, [sim.timeout(1.0, "b")])
+    join = Join(sim, (fires_at(sim, 1.0, "a"),))
+    first = AnyOf(sim, [fires_at(sim, 1.0, "b")])
     assert type(join) is type(first) is Event
     sim.run()
     assert (join.value, first.value) == (("a",), (0, "b"))

@@ -35,7 +35,7 @@ import pytest
 from collections import deque
 
 from repro.sim.engine import Event, Interrupt, Simulator, _fire
-from repro.sim.network import Network, Pipe
+from repro.sim.network import CHUNK_BYTES, Network, Pipe
 from repro.sim.resources import Resource
 
 
@@ -109,9 +109,9 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
     store = Store(sim, capacity=4)
     # Ten chunks a second; some programs' flows start with a zero
     # latency, in a call due at the instant of the transfer.
-    net = Network(sim, latency=rnd.choice([0.0, 0.01]), chunk_bytes=1000)
+    net = Network(sim, latency=rnd.choice([0.0, 0.01]))
     for name in "abc":
-        net.add_nic(name, 1e4)
+        net.add_nic(name, 10 * CHUNK_BYTES)
     procs: list = []
 
     def hold_pipe(wid: int, s: int):
@@ -226,7 +226,7 @@ def _run_program(kernel: type[Simulator], seed: int) -> list:
                 # and the flow runs on, holding its pipes.
                 src = "abc"[wid % 3]
                 dst = "abc"[(wid + 1 + s % 2) % 3]
-                nbytes = int(rnd_delays[wid][s] * 10_000) + 1
+                nbytes = int(rnd_delays[wid][s] * 10 * CHUNK_BYTES) + 1
                 yield net.transfer(src, dst, nbytes)
                 log.append((sim.now, "wire", wid, s, nbytes, net.flows_completed))
             elif action == "nic-outage":

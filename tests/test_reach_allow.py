@@ -53,6 +53,8 @@ def test_census_runs_every_example():
 
 
 TOY = """\
+from dataclasses import dataclass, field
+
 SIZE = 64
 
 
@@ -64,13 +66,21 @@ def send(n, size=SIZE, *, name="", fast=False):
 
 def go(k, scale=1.0, tag=None):
     return list(send(k, name=tag or "", fast=True))
+
+
+@dataclass(frozen=True)
+class Spec:
+    name: str
+    width: int = 8
+    tags: tuple = field(default_factory=tuple)
 """
 
 
 def test_the_option_counter_counts_calls_that_vary_a_default(tmp_path):
     """``--options`` counts entered calls per defaulted parameter and
     finds the ones every call held at one value, the default or another
-    (``send(fast=)``); ``!=`` that raises falls back to ``is not``."""
+    (``send(fast=)``); ``!=`` that raises falls back to ``is not``.  A
+    dataclass's fields with a default count per construction."""
     reach = load_script("reach")
     package = tmp_path / "toy"
     package.mkdir()
@@ -91,6 +101,9 @@ def test_the_option_counter_counts_calls_that_vary_a_default(tmp_path):
         toy.go(2, scale=1)  # equal to the default: not varied
         toy.go(3, tag="x")
         toy.go(4, scale=Unequal())
+        toy.Spec("a")
+        toy.Spec("b", width=8)
+        toy.Spec("c", tags=("x",))
     finally:
         sys.settrace(saved)
     assert counter.calls == {
@@ -99,10 +112,17 @@ def test_the_option_counter_counts_calls_that_vary_a_default(tmp_path):
         ("toy.mod:send", "size"): 4,
         ("toy.mod:send", "name"): 4,
         ("toy.mod:send", "fast"): 4,
+        ("toy.mod:Spec", "width"): 3,
+        ("toy.mod:Spec", "tags"): 3,
     }
     assert counter.varied == {
         ("toy.mod:go", "scale"), ("toy.mod:go", "tag"), ("toy.mod:send", "name"),
+        ("toy.mod:Spec", "tags"),
     }
     assert counter.unvaried() == [
         ("toy.mod:send", "fast", 4, True), ("toy.mod:send", "size", 4, 64),
     ]
+    # A dataclass's fields with a default, read off its generated
+    # ``__init__``, are reported apart from the functions' parameters.
+    assert counter.unvaried(fields=True) == [("toy.mod:Spec", "width", 3, 8)]
+    assert (counter.entered(), counter.entered(fields=True)) == (5, 2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vfs import FileData, Payload
+from repro.vfs import FileData, Payload, filedata
 
 
 class TestPayload:
@@ -105,8 +105,9 @@ class TestSnapshotAtRead:
         assert snap.data == b"abcdef"
         assert fd.read(0, 6).data == b"ab"
 
-    def test_read_survives_degradation_to_synthetic(self):
-        fd = FileData(cap=8)
+    def test_read_survives_degradation_to_synthetic(self, monkeypatch):
+        monkeypatch.setattr(filedata, "MATERIALISE_CAP", 8)
+        fd = FileData()
         fd.write(0, Payload(b"12345678"))
         snap = fd.read(0, 8)
         fd.write(8, Payload(b"xx"))  # over cap: store goes size-only
@@ -154,8 +155,9 @@ class TestFileData:
         out = fd.read(0, 150)
         assert out.is_synthetic and out.nbytes == 150
 
-    def test_cap_degrades_to_size_only(self):
-        fd = FileData(cap=100)
+    def test_cap_degrades_to_size_only(self, monkeypatch):
+        monkeypatch.setattr(filedata, "MATERIALISE_CAP", 100)
+        fd = FileData()
         fd.write(0, Payload(b"x" * 200))
         assert fd.size == 200
         assert fd.read(0, 10).is_synthetic
