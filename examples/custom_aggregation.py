@@ -48,7 +48,7 @@ def main() -> None:
         )
         f = yield from client.open("/varstrip.dat")
         print("layout for the varstrip file:")
-        print(f"  aggregation: {f.state['layout'].aggregation}")
+        print(f"  aggregation: {f.layout.aggregation}")
         blob = bytes(range(256)) * (3 * KB)  # 768 KB: several full cycles
         yield from client.write(f, 0, Payload(blob))
         yield from client.fsync(f)

@@ -29,7 +29,7 @@ def main() -> None:
         yield from client.mkdir("/demo")
         f = yield from client.create("/demo/hello.dat")
 
-        layout = f.state["layout"]
+        layout = f.layout
         print("\nlayout from the layout translator:")
         print(f"  aggregation : {layout.aggregation}")
         print(f"  device slots: {layout.device_slots}")

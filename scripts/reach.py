@@ -19,9 +19,10 @@ a parameter with a default with the value the first call bound
 (``!=``, falling back to ``is not`` where ``!=`` raises), and prints
 the parameters of entered functions that every call held at one value
 — the default or another — with that value and the call count; then,
-the same way, the fields with a default of ``src/repro`` dataclasses
-(their generated ``__init__``) that every construction held at one
-value.  It is a report: such a parameter or field is a candidate for a
+the same way, the fields with a default of ``src/repro`` frozen
+dataclasses (their generated ``__init__``) that every construction held
+at one value.  A mutable dataclass is a state record, not a
+configuration: its defaults are initial values, so it is not listed.  It is a report: such a parameter or field is a candidate for a
 constant, not a verdict.  The figures run at scale 0.02 only, so a
 value that only larger runs vary reads as held: ``Resource.acquire``'s
 ``units`` is 1 in every census call, yet a storage daemon's write-behind
@@ -140,7 +141,7 @@ def _first_yield(code) -> int:
 class OptionCounter:
     """Per ``(function, parameter with a default)``: the calls that
     entered the function, the value the first call bound it to, and
-    whether a later call bound another.  A dataclass's generated
+    whether a later call bound another.  A frozen dataclass's generated
     ``__init__`` counts as function ``module:Class``, its fields with a
     default as the parameters.  :meth:`call` is fed every call event."""
 
@@ -159,7 +160,9 @@ class OptionCounter:
 
     def _dataclass(self, frame):
         """``(module:Class, [field with a default])`` if ``frame`` runs
-        the generated ``__init__`` of a dataclass of the package."""
+        the generated ``__init__`` of a frozen dataclass of the package:
+        a value object, a candidate for a constant.  A mutable one is a
+        state record whose fields start at their initial values."""
         code = frame.f_code
         if code.co_name != "__init__" or not code.co_argcount:
             return None, []
@@ -169,7 +172,8 @@ class OptionCounter:
                 break
         else:
             return None, []
-        if not dataclasses.is_dataclass(cls) or cls.__module__ not in self._modules:
+        if (not dataclasses.is_dataclass(cls) or not cls.__dataclass_params__.frozen
+                or cls.__module__ not in self._modules):
             return None, []
         function = f"{cls.__module__}:{cls.__qualname__}"
         self.dataclasses.add(function)

@@ -63,7 +63,7 @@ class LayoutTranslator(LayoutProvider):
     def get_layout(self, fh, path: str):
         # One loopback metadata lookup: aggregation type + parameters.
         f = yield from self.meta_backend.open_by_handle(fh)
-        dist_desc = f.state["dist"]
+        dist_desc = f.dist
         aggregation = translate_aggregation(dist_desc)
         # Every distribution describes how many servers it spans; the
         # devices a pattern happens to name may be fewer.

@@ -22,6 +22,7 @@ the entire range of I/O workloads" (§1.1).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import rpc
@@ -32,9 +33,41 @@ from repro.nfs.server import Nfs4Server
 from repro.nfs.sessions import Session
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
-from repro.vfs.api import FileSystemClient, FsError, OpenFile, Payload
+from repro.vfs.api import FileAttributes, FileSystemClient, FsError, OpenFile, Payload
 
-__all__ = ["Nfs4Client"]
+__all__ = ["Nfs4Client", "NfsOpen"]
+
+
+@dataclass
+class _Inode:
+    """What one client keeps about one file (Linux: the inode), found by
+    filehandle: its live opens, the page cache its last close retained
+    (revalidated close-to-open style on the next open), the attributes
+    of the read delegation it holds and, on pNFS, its layout, valid for
+    the life of the inode (§5)."""
+
+    opens: list = field(default_factory=list)
+    pc: Optional[PageCache] = None
+    delegation: Optional[FileAttributes] = None
+    layout: object = None
+
+
+@dataclass(eq=False)
+class NfsOpen(OpenFile):
+    """One NFS open: its own page cache over the file's ``inode`` and,
+    on pNFS, the layout it does I/O through (``agg`` maps a byte range
+    to the layout's data servers), the data servers and the MDS it
+    owes a COMMIT and the size the MDS last heard by LAYOUTCOMMIT."""
+
+    inode: _Inode = None
+    pc: PageCache = None
+    #: Opened under a read delegation: no OPEN or CLOSE on the wire.
+    local: bool = False
+    layout: object = None
+    agg: object = None
+    commit_slots: set = field(default_factory=set)
+    mds_dirty: bool = False
+    layoutcommitted_size: Optional[int] = None
 
 
 class Nfs4Client(FileSystemClient):
@@ -55,23 +88,17 @@ class Nfs4Client(FileSystemClient):
         self.cfg = cfg
         self._sessions: dict[object, Session] = {}
         self._attr_cache: dict[str, tuple[object, float]] = {}
-        #: Per-inode page cache retained across open/close, revalidated
-        #: close-to-open style on the next open (Linux NFS behaviour —
-        #: the reason repeated header reads during a build are free).
-        self._inode_cache: dict[object, PageCache] = {}
-        #: Live open files by path: the set truncate/remove/rename must
-        #: reach to invalidate per-open page-cache state (Linux: those
-        #: ops act on the inode, which every open fd shares).
-        self._open_paths: dict[str, list[OpenFile]] = {}
+        #: Per-file records by filehandle, and the filehandle each name
+        #: last resolved to here.  A file's pages outlive its opens (the
+        #: reason repeated header reads during a build are free).
+        self._inodes: dict[object, _Inode] = {}
+        self._names: dict[str, object] = {}
         #: NFSv4 backchannel: delegation recalls (and, in the pNFS
         #: subclass, layout recalls) arrive here.
         from repro.rpc import RpcServer
 
         self._cb = RpcServer(sim, node, f"{node.name}.nfs4-cb", cfg.costs, threads=2)
         self._cb.register("cb_recall_delegation", self._h_cb_recall_delegation)
-        #: Read delegations held: path -> {"fh", "attrs"} — a reopen for
-        #: read is served locally, no OPEN round trip.
-        self._delegations: dict[str, dict] = {}
         self.bytes_read = 0
         self.bytes_written = 0
         # -- page-cache observability (plain ints: free when unobserved) --
@@ -132,7 +159,7 @@ class Nfs4Client(FileSystemClient):
         return result
 
     # -- I/O hooks (overridden by the pNFS client) ---------------------------
-    def _io_read(self, f: OpenFile, offset: int, nbytes: int):
+    def _io_read(self, f: NfsOpen, offset: int, nbytes: int):
         """One wire READ ≤ rsize; returns (result dict, payload)."""
         return (
             yield from self._call(
@@ -140,7 +167,7 @@ class Nfs4Client(FileSystemClient):
             )
         )
 
-    def _io_write(self, f: OpenFile, offset: int, payload: Payload):
+    def _io_write(self, f: NfsOpen, offset: int, payload: Payload):
         """One wire WRITE ≤ wsize; returns (result dict, payload)."""
         return (
             yield from self._call(
@@ -148,40 +175,40 @@ class Nfs4Client(FileSystemClient):
             )
         )
 
-    def _io_commit(self, f: OpenFile):
+    def _io_commit(self, f: NfsOpen):
         """COMMIT cached writes to stable storage."""
         yield from self._call("commit", {"fh": f.handle})
 
-    def _post_open(self, f: OpenFile):
+    def _post_open(self, f: NfsOpen):
         """pNFS hook: fetch a layout after OPEN.  No-op for plain NFSv4."""
         return None
         yield  # pragma: no cover
 
-    # -- open-file state ---------------------------------------------------
-    def _new_open(self, path: str, fh, size: int, attrs=None, writable=True) -> OpenFile:
-        """The open-file record: a page cache (adopting the inode's
-        retained one when revalidation allows) registered under ``path``."""
-        f = OpenFile(path=path, handle=fh, client=self, writable=writable)
-        f.state["pc"] = PageCache(size, attrs, self._inode_cache.get(fh))
-        self._open_paths.setdefault(path, []).append(f)
+    # -- per-file state ---------------------------------------------------
+    def _inode(self, path: str) -> _Inode:
+        """The record of the file ``path`` names here (an empty one,
+        not entered in the table, if none)."""
+        return self._inodes.get(self._names.get(path)) or _Inode()
+
+    def _new_open(self, path: str, fh, size: int, attrs=None, writable=True) -> NfsOpen:
+        """An open of ``fh`` under ``path``, its page cache adopting the
+        inode's retained one when revalidation allows."""
+        inode = self._inodes.get(fh)
+        if inode is None:
+            inode = self._inodes[fh] = _Inode()
+        self._names[path] = fh
+        f = NfsOpen(path, fh, self, writable, inode=inode, pc=PageCache(size, attrs, inode.pc))
+        inode.opens.append(f)
         return f
 
-    def _unregister_open(self, f: OpenFile) -> None:
-        siblings = self._open_paths.get(f.path)
-        if siblings and f in siblings:
-            siblings.remove(f)
-            if not siblings:
-                del self._open_paths[f.path]
-
-    def _live_opens(self, path: str) -> list[OpenFile]:
-        return [f for f in self._open_paths.get(path, []) if not f.closed]
-
-    def _evict_inode_cache(self, path: str) -> None:
-        """Drop retained pages for ``path`` — its inode is gone (remove)
-        or was replaced (rename-over): a recreated file must never adopt
-        the dead file's cache on a close-to-open size/mtime match."""
-        for fh in [fh for fh, pc in self._inode_cache.items() if pc.path == path]:
-            del self._inode_cache[fh]
+    def _forget(self, path: str) -> None:
+        """``path`` no longer names its file: drop the name, and the
+        record with it unless the file is open here.  Retained pages are
+        found by filehandle, which PVFS2 never reuses, so this is only
+        memory."""
+        fh = self._names.pop(path, None)
+        if fh in self._inodes and not self._inodes[fh].opens:
+            del self._inodes[fh]
 
     # -- set-up by construction ---------------------------------------------
     def install(self, path: str, nbytes: int):
@@ -204,39 +231,38 @@ class Nfs4Client(FileSystemClient):
 
     def _h_cb_recall_delegation(self, args, payload):
         """Backchannel: surrender the delegation (recall-on-reply)."""
-        for path, entry in list(self._delegations.items()):
-            if entry["fh"] == args["fh"]:
-                del self._delegations[path]
+        inode = self._inodes.get(args["fh"])
+        if inode is not None:
+            inode.delegation = None
         return None, None
         yield  # pragma: no cover
 
     def open(self, path: str, write: bool = True):
+        inode = self._inode(path)
+        held = inode.delegation
         if write:
             # A local writer gives up its own read delegation.
-            self._delegations.pop(path, None)
-        else:
-            held = self._delegations.get(path)
-            if held is not None:
-                # Open served locally under the read delegation: no
-                # round trip at all (the Linux NFSv4 fast path).
-                attrs = held["attrs"]
-                f = self._new_open(path, held["fh"], attrs.size, attrs, writable=False)
-                yield from self._post_open(f)
-                f.state["local_open"] = True
-                return f
+            inode.delegation = None
+        elif held is not None:
+            # Open served locally under the read delegation: no round
+            # trip at all (the Linux NFSv4 fast path).
+            f = self._new_open(path, self._names[path], held.size, held, writable=False)
+            f.local = True
+            yield from self._post_open(f)
+            return f
         result, _ = yield from self._call(
             "open", {"path": path, "write": write, "callback": self._cb}
         )
-        if result.get("delegation"):
-            self._delegations[path] = {"fh": result["fh"], "attrs": result["attrs"]}
         attrs = result["attrs"]
         f = self._new_open(path, result["fh"], attrs.size if attrs else 0, attrs, write)
+        if result.get("delegation"):
+            f.inode.delegation = attrs
         yield from self._post_open(f)
         return f
 
     # -- reads ----------------------------------------------------------------
-    def _fetch_block(self, f: OpenFile, start: int, end: int):
-        pc: PageCache = f.state["pc"]
+    def _fetch_block(self, f: NfsOpen, start: int, end: int):
+        pc = f.pc
         gen = pc.trunc_gen
         _result, data = yield from self._io_read(f, start, end - start)
         if pc.trunc_gen != gen:
@@ -268,12 +294,12 @@ class Nfs4Client(FileSystemClient):
                 pc.cache.write(s, data.slice(s - start, e - s))
                 pc.valid.add(s, e)
 
-    def _prefetch_block(self, f: OpenFile, start: int, end: int):
+    def _prefetch_block(self, f: NfsOpen, start: int, end: int):
         """One readahead block.  Its process is pre-defused: a failure
         reaches a reader already waiting on the block and is otherwise
         silent, as in Linux — the bytes stay invalid and the next read
         that wants them asks again."""
-        pc: PageCache = f.state["pc"]
+        pc = f.pc
         try:
             yield from self._fetch_block(f, start, end)
         except (FsError, rpc.RpcTimeout):
@@ -290,7 +316,7 @@ class Nfs4Client(FileSystemClient):
             for pos in range(s, e, size):
                 yield pos, min(pos + size, e)
 
-    def _extend_readahead(self, f: OpenFile, pc: PageCache, end: int) -> None:
+    def _extend_readahead(self, f: NfsOpen, pc: PageCache, end: int) -> None:
         """Top up the prefetch pipeline to a full window beyond ``end``.
 
         One prefetch process per rsize block, so readers wait only for
@@ -322,8 +348,8 @@ class Nfs4Client(FileSystemClient):
             pc.ra_issued.add(s, e)
             self.readahead_issued_bytes += e - s
 
-    def read(self, f: OpenFile, offset: int, nbytes: int):
-        pc: PageCache = f.state["pc"]
+    def read(self, f: NfsOpen, offset: int, nbytes: int):
+        pc = f.pc
         end = offset + nbytes
         if end > pc.size:
             end = pc.size
@@ -381,8 +407,8 @@ class Nfs4Client(FileSystemClient):
         return pc.cache.read(offset, length)
 
     # -- writes ---------------------------------------------------------------
-    def _writeback(self, f: OpenFile, start: int, end: int):
-        pc: PageCache = f.state["pc"]
+    def _writeback(self, f: NfsOpen, start: int, end: int):
+        pc = f.pc
         data = pc.cache.read(start, end - start)
         try:
             yield from self._io_write(f, start, data)
@@ -406,13 +432,13 @@ class Nfs4Client(FileSystemClient):
         pc.commit_needed = True
         self.bytes_written += data.nbytes
 
-    def _spawn_writeback(self, f: OpenFile, start: int, end: int) -> None:
-        pc: PageCache = f.state["pc"]
+    def _spawn_writeback(self, f: NfsOpen, start: int, end: int) -> None:
+        pc = f.pc
         pc.dirty.remove(start, end)
         pc.flushing.add(start, end)
         pc.inflight.append(self.sim.process(self._writeback(f, start, end)))
 
-    def _flush_full_blocks(self, f: OpenFile, pc: PageCache) -> None:
+    def _flush_full_blocks(self, f: NfsOpen, pc: PageCache) -> None:
         """Kick async WRITEs for every full wsize-aligned dirty block.
 
         A byte already under write-back is never flushed again until
@@ -437,8 +463,8 @@ class Nfs4Client(FileSystemClient):
                     pc.flush_deferred = True
                 pos += wsize
 
-    def write(self, f: OpenFile, offset: int, payload: Payload):
-        pc: PageCache = f.state["pc"]
+    def write(self, f: NfsOpen, offset: int, payload: Payload):
+        pc = f.pc
         nbytes = payload.nbytes
         yield self.node.compute(self.cfg.client_copy_per_byte * nbytes)
         pc.cache.write(offset, payload)
@@ -448,17 +474,6 @@ class Nfs4Client(FileSystemClient):
         if end > pc.size:
             pc.size = end
         pc.own_writes = True
-        # Local change wins over cached attributes (Linux: i_size is
-        # authoritative for local writes): a getattr served from the
-        # attr cache within ac_timeo must not under-report an extend
-        # this client just made.
-        attr_cache = self._attr_cache
-        if attr_cache:
-            hit = attr_cache.get(f.path)
-            if hit is not None and hit[0].size < pc.size:
-                patched = hit[0].copy()
-                patched.size = pc.size
-                attr_cache[f.path] = (patched, hit[1])
         # Only the run just written can have completed a wsize block —
         # unless an earlier pass (or a failed write-back) left one.
         wsize = self.cfg.wsize
@@ -466,8 +481,8 @@ class Nfs4Client(FileSystemClient):
             self._flush_full_blocks(f, pc)
         return nbytes
 
-    def fsync(self, f: OpenFile):
-        pc: PageCache = f.state["pc"]
+    def fsync(self, f: NfsOpen):
+        pc = f.pc
         # Flush every remaining dirty run in ≤ wsize slices — except
         # bytes already under write-back, which are deferred until the
         # in-flight WRITE completes (same-range WRITEs must never race:
@@ -500,7 +515,7 @@ class Nfs4Client(FileSystemClient):
             yield from self._io_commit(f)
             pc.commit_needed = False
 
-    def close(self, f: OpenFile):
+    def close(self, f: NfsOpen):
         try:
             yield from self.fsync(f)
         finally:
@@ -513,14 +528,11 @@ class Nfs4Client(FileSystemClient):
             # this, the re-dirtied ranges died with the abandoned
             # OpenFile and a post-reopen fsync reported clean — torture
             # seed 65 (write, reopen during a long outage, fsync).
-            pc: PageCache = f.state["pc"]
-            pc.path = f.path
-            self._inode_cache[f.handle] = pc
-            self._unregister_open(f)
-        if not f.state.get("local_open"):
+            f.inode.pc = f.pc
+            f.inode.opens.remove(f)
+        if not f.local:
             yield from self._call("close", {"fh": f.handle, "write": f.writable})
         self._attr_cache.pop(f.path, None)
-        f.closed = True
 
     # -- metadata --------------------------------------------------------------
     def getattr(self, path: str):
@@ -533,15 +545,18 @@ class Nfs4Client(FileSystemClient):
         return self._clamp_local_size(path, attrs)
 
     def _clamp_local_size(self, path: str, attrs):
-        """Local i_size is authoritative while the file is open here:
-        dirty extends not yet written back make both the server's and
-        the cached size under-report what this client already wrote."""
-        local = max(
-            (f.state["pc"].size for f in self._live_opens(path)), default=None
-        )
-        if local is not None and attrs is not None and attrs.size < local:
+        """Local i_size is authoritative while this client may still owe
+        the server bytes (Linux keeps i_size while write-backs are
+        outstanding): while the file is open here, and while a failed
+        close's dirty pages wait for the next open.  Both the server's
+        and the cached size under-report an extend not yet written back."""
+        inode = self._inode(path)
+        sizes = [f.pc.size for f in inode.opens]
+        if inode.pc is not None and inode.pc.dirty:
+            sizes.append(inode.pc.size)
+        if sizes and attrs is not None and attrs.size < max(sizes):
             attrs = attrs.copy()
-            attrs.size = local
+            attrs.size = max(sizes)
         return attrs
 
     def setattr(self, path: str, mode: int):
@@ -557,53 +572,48 @@ class Nfs4Client(FileSystemClient):
         return result["names"]
 
     def remove(self, path: str):
-        yield from self._call("remove", {"path": path})
+        yield from self._call("remove", {"path": path, "callback": self._cb})
         self._attr_cache.pop(path, None)
-        self._delegations.pop(path, None)
-        # The path's inode is gone: drop any retained pages for it, or a
-        # recreated file of the same size could adopt the dead file's
-        # cache on the close-to-open size/mtime match.
-        self._evict_inode_cache(path)
+        self._forget(path)
 
     def rename(self, old: str, new: str):
-        yield from self._call("rename", {"old": old, "new": new})
+        yield from self._call("rename", {"old": old, "new": new, "callback": self._cb})
         self._attr_cache.pop(old, None)
         self._attr_cache.pop(new, None)
-        self._delegations.pop(old, None)
-        self._delegations.pop(new, None)
-        # The rename target's inode (if any) was replaced: its retained
-        # pages must die with it.  The renamed file's own cache follows
-        # the inode to its new name, as do live open handles.
-        self._evict_inode_cache(new)
-        for pc in self._inode_cache.values():
-            if pc.path == old:
-                pc.path = new
-        for f in self._open_paths.pop(old, []):
+        # The target's file (if any) was replaced; the renamed file's
+        # pages and live opens follow it to its new name.  The server
+        # recalled other clients' delegations on both; this client
+        # drops its own.
+        inode = self._inode(old)
+        self._forget(new)
+        if old in self._names:
+            self._names[new] = self._names.pop(old)
+        inode.delegation = None
+        for f in inode.opens:
             f.path = new
-            self._open_paths.setdefault(new, []).append(f)
 
     def truncate(self, path: str, size: int):
-        open_files = self._live_opens(path)
+        inode = self._inode(path)
+        open_files = list(inode.opens)
         # Wait out in-flight write-backs first (Linux truncate blocks on
         # PageWriteback): a WRITE completing after the cut would land
         # pre-truncate bytes back on the server.
         for f in open_files:
-            pc: PageCache = f.state["pc"]
+            pc = f.pc
             while pc.inflight:
                 procs, pc.inflight = pc.inflight, []
                 yield self.sim.all_of(procs)
-        self._delegations.pop(path, None)
+        inode.delegation = None
         result, _ = yield from self._call(
             "truncate", {"path": path, "size": size, "callback": self._cb}
         )
-        # Clip every open handle for the path, and the retained
-        # close-to-open caches (clipped, not evicted: dirty ranges below
+        # Clip every open handle of the file, and the retained
+        # close-to-open cache (clipped, not evicted: dirty ranges below
         # the cut are still owed to the server).
         for f in open_files:
-            f.state["pc"].clip(size)
-        for pc in self._inode_cache.values():
-            if pc.path == path and pc.size > size:
-                pc.clip(size)
+            f.pc.clip(size)
+        if inode.pc is not None and inode.pc.size > size:
+            inode.pc.clip(size)
         attrs = (result or {}).get("attrs")
         if attrs is not None:
             self._attr_cache[path] = (attrs, self.sim.now + self.cfg.ac_timeo)
@@ -611,10 +621,10 @@ class Nfs4Client(FileSystemClient):
             self._attr_cache.pop(path, None)
 
     # -- byte-range locks ----------------------------------------------------
-    def _lock_owner(self, f: OpenFile):
+    def _lock_owner(self, f: NfsOpen):
         return (self._cb, f.handle)
 
-    def lock(self, f: OpenFile, start: int, end: int, kind: str = "write"):
+    def lock(self, f: NfsOpen, start: int, end: int, kind: str = "write"):
         """Acquire an advisory byte-range lock (NFSv4 LOCK).
 
         Raises :class:`repro.nfs.locks.LockConflict` when another
@@ -633,7 +643,7 @@ class Nfs4Client(FileSystemClient):
         )
         return result["granted"]
 
-    def unlock(self, f: OpenFile, start: int, end: int):
+    def unlock(self, f: NfsOpen, start: int, end: int):
         """Release an advisory byte-range lock (NFSv4 LOCKU)."""
         result, _ = yield from self._call(
             "unlock",

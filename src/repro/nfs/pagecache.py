@@ -1,8 +1,9 @@
 """One open file's page cache: pages, range sets and stream cursors.
 
 The NFSv4 client keeps one :class:`PageCache` per open file and retains
-it across ``close`` for close-to-open reuse (Linux: the address_space
-belongs to the inode and outlives every open).  Besides the pages and
+it across ``close`` in the file's record, by filehandle, for
+close-to-open reuse (Linux: the address_space belongs to the inode and
+outlives every open).  Besides the pages and
 the interval sets that classify them, it holds the cursors that make a
 cache *hit* constant work — what sequential readahead has already
 examined, where the pending prefetches lie, whether any full dirty
@@ -31,7 +32,7 @@ class PageCache:
         "cache", "valid", "dirty", "flushing", "inflight", "size", "trunc_gen",
         "wb_error", "commit_needed", "flush_deferred",
         "ra", "ra_lo", "ra_done", "ra_issued", "ra_from", "ra_top",
-        "last_read_end", "path", "mtime", "own_writes",
+        "last_read_end", "mtime", "own_writes",
     )  # fmt: skip
 
     def __init__(self, size: int, attrs=None, retained: Optional["PageCache"] = None):
@@ -80,8 +81,6 @@ class PageCache:
         #: ``[ra_from, ra_top)`` is valid or covered by an entry of ``ra``.
         self.ra_from, self.ra_top = 0, -1
         self.last_read_end: Optional[int] = None
-        #: Name it was closed under (retained caches are found by path).
-        self.path: Optional[str] = None
         self.mtime = attrs.mtime if attrs is not None else None
         self.own_writes = False
 

@@ -274,36 +274,43 @@ class Nfs4Server:
         names = yield from self.backend.readdir(args["path"])
         return {"names": names}, None
 
+    def _recall_detached(self, args, *paths):
+        """CB_RECALL the read delegations on the files open under
+        ``paths``, except the caller's own, without blocking its op.
+
+        Truncate, REMOVE and RENAME conflict with read delegations
+        exactly as a writer OPEN does (RFC 7530 §10.4.4): holders could
+        otherwise keep serving a cut, removed or replaced file locally.
+        A delegation can only exist for a file this server has opened,
+        so the open-file table names each delegated file's path.
+        Recalls are fired *without blocking the op*: a recall is a
+        backchannel round trip that can outlive this client's RPC
+        patience, and a handler parked on it would be abandoned and
+        re-executed on retransmission — an exactly-once violation the
+        torture harness caught.  Real servers answer the conflicting op
+        with NFS4ERR_DELAY rather than blocking; firing the recall
+        asynchronously models the same non-blocking property.
+        """
+        for fh, holders in list(self._read_delegations.items()):
+            if holders and self._open_files[fh].path in paths:
+                self.sim.process(
+                    self.recall_read_delegations(fh, exclude=args.get("callback")),
+                    name=f"{self.name}.recall",
+                )
+
     def _h_remove(self, args, payload):
+        self._recall_detached(args, args["path"])
         yield from self.backend.remove(args["path"])
         return None, None
 
     def _h_rename(self, args, payload):
+        self._recall_detached(args, args["old"], args["new"])
         yield from self.backend.rename(args["old"], args["new"])
         return None, None
 
     def _h_truncate(self, args, payload):
         path = args["path"]
-        # A truncate conflicts with outstanding read delegations exactly
-        # as a writer OPEN does: holders could otherwise keep serving
-        # stale size and pre-truncate pages locally.  Filehandles are
-        # resolved through the open-file table (a delegation can only
-        # exist for a file this server has opened).
-        # Recalls are fired *without blocking the truncate*: a recall is
-        # a backchannel round trip that can outlive this client's RPC
-        # patience, and a handler parked on it would be abandoned and
-        # re-executed on retransmission — an exactly-once violation the
-        # torture harness caught.  Real servers answer the conflicting
-        # op with NFS4ERR_DELAY rather than blocking; firing the recall
-        # asynchronously models the same non-blocking property.
-        for fh, f in list(self._open_files.items()):
-            if f.path == path and self._read_delegations.get(fh):
-                self.sim.process(
-                    self.recall_read_delegations(
-                        fh, exclude=args.get("callback")
-                    ),
-                    name=f"{self.name}.truncate-recall",
-                )
+        self._recall_detached(args, path)
         yield from self.backend.truncate(path, args["size"])
         # Reply with post-truncate attributes so the client can refresh
         # its attribute cache deterministically (size and bumped mtime)

@@ -23,14 +23,14 @@ layout contents differ.
 from __future__ import annotations
 
 from repro.core.aggregation import aggregation_for
-from repro.nfs.client import Nfs4Client
+from repro.nfs.client import Nfs4Client, NfsOpen
 from repro.nfs.config import NfsConfig
 from repro.nfs.server import Nfs4Server
 from repro.pnfs.server import PnfsMetadataServer
 from repro.rpc import RpcTimeout
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
-from repro.vfs.api import OpenFile, Payload
+from repro.vfs.api import Payload
 
 __all__ = ["PnfsClient"]
 
@@ -47,10 +47,6 @@ class PnfsClient(Nfs4Client):
         # Layout recalls share the base client's backchannel (one
         # session backchannel carries all callback programs).
         self._cb.register("cb_layoutrecall", self._h_cb_layoutrecall)
-        self._open_by_fh: dict[object, list[OpenFile]] = {}
-        #: Layouts are valid for the lifetime of the inode (§5): keep
-        #: them across open/close and skip LAYOUTGET on reopen.
-        self._layout_cache: dict[object, object] = {}
         #: Failover state (paper §5 "versatility"): data servers whose
         #: direct path timed out, mapped to the sim time at which the
         #: client will probe them again.  While a server is listed, its
@@ -73,58 +69,55 @@ class PnfsClient(Nfs4Client):
         self.devices = dres["devices"]
         return result
 
-    def _post_open(self, f: OpenFile):
+    def _post_open(self, f: NfsOpen):
         yield from self._layoutget(f)
 
-    def _layoutget(self, f: OpenFile):
-        layout = self._layout_cache.get(f.handle)
+    def _layoutget(self, f: NfsOpen):
+        """Give ``f`` its file's layout: LAYOUTGET unless the inode still
+        holds one (layouts outlive opens, so a reopen skips it)."""
+        layout = f.inode.layout
         if layout is None:
             result, _ = yield from self._call(
                 "layoutget",
                 {"fh": f.handle, "path": f.path, "callback": self._cb},
             )
-            layout = result["layout"]
-            self._layout_cache[f.handle] = layout
-        f.state["layout"] = layout
-        f.state["agg"] = aggregation_for(layout.aggregation)
-        f.state.setdefault("commit_slots", set())
-        f.state.setdefault("layoutcommitted_size", f.state["pc"].size)
-        siblings = self._open_by_fh.setdefault(f.handle, [])
-        if f not in siblings:
-            siblings.append(f)
+            layout = f.inode.layout = result["layout"]
+        f.layout = layout
+        f.agg = aggregation_for(layout.aggregation)
+        if f.layoutcommitted_size is None:
+            f.layoutcommitted_size = f.pc.size
         return layout
 
-    def _ensure_layout(self, f: OpenFile):
-        if f.state.get("layout") is None:
+    def _ensure_layout(self, f: NfsOpen):
+        if f.layout is None:
             yield from self._layoutget(f)
 
     def _h_cb_layoutrecall(self, args, payload):
         """Backchannel: drop the recalled layout; re-fetch lazily."""
-        self._layout_cache.pop(args["fh"], None)
-        for f in self._open_by_fh.get(args["fh"], []):
-            f.state["layout"] = None
-            f.state["agg"] = None
+        inode = self._inodes.get(args["fh"])
+        if inode is not None:
+            inode.layout = None
+            for f in inode.opens:
+                f.layout = f.agg = None
         return None, None
         yield  # pragma: no cover
 
-    def layout_return(self, f: OpenFile):
+    def layout_return(self, f: NfsOpen):
         """Voluntarily return the file's layout (LAYOUTRETURN)."""
-        layout = f.state.get("layout")
+        layout = f.layout
         if layout is None:
             return
         yield from self._call(
             "layoutreturn", {"fh": f.handle, "stateid": layout.stateid}
         )
-        self._layout_cache.pop(f.handle, None)
-        f.state["layout"] = None
-        f.state["agg"] = None
+        f.inode.layout = f.layout = f.agg = None
 
     def install(self, path: str, nbytes: int):
         """Install the bytes, then bind the data servers the file's
         layout sends ``[0, nbytes)`` to — as a wire write's first I/O at
         each would have.  ``path`` must have been opened here (layout)."""
         fh = super().install(path, nbytes)
-        layout = self._layout_cache[fh]
+        layout = self._inodes[fh].layout
         runs = aggregation_for(layout.aggregation)(0, nbytes)
         for slot in sorted({run.server for run in runs}):
             self._ds_for(layout, slot).bind(layout.fhs[slot])
@@ -148,7 +141,7 @@ class PnfsClient(Nfs4Client):
             del self._ds_blacklist[ds]
             self.recoveries += 1
 
-    def _note_ds_failure(self, f: OpenFile, ds: Nfs4Server):
+    def _note_ds_failure(self, f: NfsOpen, ds: Nfs4Server):
         """A direct call to ``ds`` timed out: blacklist it and return
         the layout so the MDS knows we are falling back (LAYOUTRETURN,
         §5).  Subsequent I/O to its stripes is proxied until a probe
@@ -164,7 +157,7 @@ class PnfsClient(Nfs4Client):
                 # to — the layout will be recalled when state recovers.
                 pass
 
-    def _direct(self, f: OpenFile, layout, slot: int, proc: str, args: dict, payload=None):
+    def _direct(self, f: NfsOpen, layout, slot: int, proc: str, args: dict, payload=None):
         """``proc`` straight at the data server of stripe ``slot``: the
         reply, or None when the caller must go through the MDS — the
         server is blacklisted, or the call timed out and failed it over."""
@@ -179,10 +172,10 @@ class PnfsClient(Nfs4Client):
         self._note_ds_ok(ds)
         return reply
 
-    def _io_read(self, f: OpenFile, offset: int, nbytes: int):
+    def _io_read(self, f: NfsOpen, offset: int, nbytes: int):
         yield from self._ensure_layout(f)
-        layout, agg = f.state["layout"], f.state["agg"]
-        runs = agg(offset, nbytes)
+        layout = f.layout
+        runs = f.agg(offset, nbytes)
 
         def run_read(run):
             args = {"fh": layout.fhs[run.server], "offset": run.logical, "nbytes": run.length}
@@ -197,29 +190,29 @@ class PnfsClient(Nfs4Client):
         out = Payload.assemble([(run.length, data) for run, data in zip(runs, datas)])
         return {"count": out.nbytes, "eof": out.nbytes < nbytes}, out
 
-    def _io_write(self, f: OpenFile, offset: int, payload: Payload):
+    def _io_write(self, f: NfsOpen, offset: int, payload: Payload):
         yield from self._ensure_layout(f)
-        layout, agg = f.state["layout"], f.state["agg"]
-        runs = agg(offset, payload.nbytes)
+        layout = f.layout
+        runs = f.agg(offset, payload.nbytes)
 
         def run_write(run):
             sub = payload.slice(run.logical - offset, run.length)
             args = {"fh": layout.fhs[run.server], "offset": run.logical}
             if (yield from self._direct(f, layout, run.server, "write", args, sub)) is not None:
-                f.state["commit_slots"].add(run.server)
+                f.commit_slots.add(run.server)
                 return
             yield from Nfs4Client._io_write(self, f, run.logical, sub)
             self.proxied_bytes += sub.nbytes
             # Proxied data is only durable via a COMMIT at the MDS.
-            f.state["mds_dirty"] = True
+            f.mds_dirty = True
 
         yield self.sim.spawn(*(run_write(run) for run in runs))
         return {"count": payload.nbytes}, None
 
-    def _io_commit(self, f: OpenFile):
+    def _io_commit(self, f: NfsOpen):
         yield from self._ensure_layout(f)
-        layout = f.state["layout"]
-        mds_dirty = f.state.pop("mds_dirty", False)
+        layout = f.layout
+        mds_dirty, f.mds_dirty = f.mds_dirty, False
 
         def seg_commit(slot):
             # Data written through a failed-over server reached the
@@ -227,23 +220,15 @@ class PnfsClient(Nfs4Client):
             return (yield from self._direct(f, layout, slot, "commit", {"fh": layout.fhs[slot]})) is None
 
         need_mds = yield self.sim.spawn(
-            *(seg_commit(slot) for slot in sorted(f.state["commit_slots"]))
+            *(seg_commit(slot) for slot in sorted(f.commit_slots))
         )
         if mds_dirty or any(need_mds):
             yield from Nfs4Client._io_commit(self, f)
-        f.state["commit_slots"].clear()
+        f.commit_slots.clear()
         # Inform the MDS of metadata changes — only when the file size
         # may actually have moved (Linux sends LAYOUTCOMMIT only for
         # size/mtime changes beyond the MDS's knowledge).
-        pc = f.state["pc"]
-        if pc.size > f.state.get("layoutcommitted_size", -1):
-            yield from self._call(
-                "layoutcommit", {"fh": f.handle, "size": pc.size}
-            )
-            f.state["layoutcommitted_size"] = pc.size
-
-    def close(self, f: OpenFile):
-        yield from super().close(f)
-        siblings = self._open_by_fh.get(f.handle, [])
-        if f in siblings:
-            siblings.remove(f)
+        pc = f.pc
+        if pc.size > f.layoutcommitted_size:
+            yield from self._call("layoutcommit", {"fh": f.handle, "size": pc.size})
+            f.layoutcommitted_size = pc.size

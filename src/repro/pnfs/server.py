@@ -112,7 +112,7 @@ class PnfsMetadataServer(Nfs4Server):
         # open-file table (layouts are only issued against handles this
         # server has opened) and recall every grant.  Recalls run
         # detached from this handler (see the base class's
-        # truncate-recall note): the grants leave ``_issued`` the moment
+        # ``_recall_detached`` note): the grants leave ``_issued`` the moment
         # the recall process starts, and a holder that cannot be reached
         # is simply revoked.
         for fh, f in list(self._open_files.items()):

@@ -26,6 +26,9 @@ storage node (DESIGN.md §4.1).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from functools import cached_property
+
 from repro import rpc
 from repro.pvfs2.config import Pvfs2Config
 from repro.pvfs2.distribution import DISTRIBUTIONS, extents
@@ -41,7 +44,21 @@ from repro.vfs.api import (
 )
 from repro.vfs.striping import StripPattern
 
-__all__ = ["Pvfs2Client"]
+__all__ = ["Pvfs2Client", "Pvfs2Open"]
+
+
+@dataclass(eq=False)
+class Pvfs2Open(OpenFile):
+    """A PVFS2 open: the file's datafile handles, one per storage
+    server, and its distribution's description."""
+
+    dfiles: list = field(default_factory=list)
+    dist: dict = field(default_factory=dict)
+
+    @cached_property
+    def pattern(self) -> StripPattern:
+        """The distribution, built at the open's first use."""
+        return DISTRIBUTIONS[self.dist["type"]](self.dist)
 
 
 class Pvfs2Client(FileSystemClient):
@@ -76,18 +93,8 @@ class Pvfs2Client(FileSystemClient):
         if info["is_dir"]:
             raise IsDirectory(path)
 
-    def _dist_of(self, f: OpenFile) -> StripPattern:
-        dist = f.state.get("dist_obj")
-        if dist is None:
-            desc = f.state["dist"]
-            dist = f.state["dist_obj"] = DISTRIBUTIONS[desc["type"]](desc)
-        return dist
-
-    def _open_from_info(self, path: str, info: dict) -> OpenFile:
-        f = OpenFile(path=path, handle=info["handle"], client=self)
-        f.state["dfiles"] = info["dfiles"]
-        f.state["dist"] = info["dist"]
-        return f
+    def _open_from_info(self, path: str, info: dict) -> Pvfs2Open:
+        return Pvfs2Open(path, info["handle"], self, dfiles=info["dfiles"], dist=info["dist"])
 
     # -- FileSystemClient --------------------------------------------------
     def mount(self):
@@ -179,10 +186,9 @@ class Pvfs2Client(FileSystemClient):
                 nsetups += 1
         return self.node.compute(self.cfg.request_setup_client * nsetups)
 
-    def read(self, f: OpenFile, offset: int, nbytes: int):
-        dist = self._dist_of(f)
-        dfiles = f.state["dfiles"]
-        units = self._split_units(dist, offset, nbytes)
+    def read(self, f: Pvfs2Open, offset: int, nbytes: int):
+        dfiles = f.dfiles
+        units = self._split_units(f.pattern, offset, nbytes)
         yield self._setup(units)
         results = yield self.sim.spawn(
             *(
@@ -219,10 +225,9 @@ class Pvfs2Client(FileSystemClient):
         self.bytes_read += out.nbytes
         return out
 
-    def write(self, f: OpenFile, offset: int, payload: Payload):
-        dist = self._dist_of(f)
-        dfiles = f.state["dfiles"]
-        units = self._split_units(dist, offset, payload.nbytes)
+    def write(self, f: Pvfs2Open, offset: int, payload: Payload):
+        dfiles = f.dfiles
+        units = self._split_units(f.pattern, offset, payload.nbytes)
         yield self._setup(units)
         yield self.sim.spawn(
             *(
@@ -243,10 +248,9 @@ class Pvfs2Client(FileSystemClient):
         # the storage servers and is recomputed by getattr.
         return payload.nbytes
 
-    def fsync(self, f: OpenFile):
-        dfiles = f.state["dfiles"]
+    def fsync(self, f: Pvfs2Open):
         targets = []
-        for server, dfile in enumerate(dfiles):
+        for server, dfile in enumerate(f.dfiles):
             if self.local_only and self.daemons[server].node is not self.node:
                 continue  # conduit flushes only its local daemon
             targets.append((server, dfile))
@@ -262,10 +266,9 @@ class Pvfs2Client(FileSystemClient):
             )
         )
 
-    def close(self, f: OpenFile):
+    def close(self, f: Pvfs2Open):
         # PVFS2 close is a purely local operation: no cache to flush,
         # durability only on explicit fsync (paper §5).
-        f.closed = True
         return None
         yield  # pragma: no cover
 
@@ -304,14 +307,13 @@ class Pvfs2Client(FileSystemClient):
         their measured phase only reads.  Returns the file's handle.
         """
         f = self.bind(self.mds.namespace.resolve(path).handle)
-        dfiles = f.state["dfiles"]
-        for ext in extents(self._dist_of(f), 0, nbytes):
+        for ext in extents(f.pattern, 0, nbytes):
             self.daemons[ext.server].install(
-                dfiles[ext.server], ext.local, Payload.synthetic(ext.length)
+                f.dfiles[ext.server], ext.local, Payload.synthetic(ext.length)
             )
         return f.handle
 
-    def bind(self, handle: int) -> OpenFile:
+    def bind(self, handle: int) -> Pvfs2Open:
         """What :meth:`open_by_handle` returns, read off the metadata
         server directly: no RPC, no simulated time."""
         info = self.mds._entry_info(self.mds.namespace.by_handle(handle))

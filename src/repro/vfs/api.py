@@ -25,7 +25,7 @@ never inspected).  Both kinds flow through exactly the same code paths.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 __all__ = [
@@ -188,20 +188,21 @@ class FileAttributes:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class OpenFile:
     """Client-side open-file record returned by ``open``/``create``.
 
-    ``handle`` is the backend's opaque file identifier; ``state`` holds
-    per-protocol state (NFSv4 stateid, cached layout, ...).
+    ``handle`` is the backend's opaque file identifier.  A protocol
+    client returns its own subclass, whose fields are what that open
+    adds (an NFS open's page cache and layout, a PVFS2 open's
+    datafiles).  Records compare by identity: two opens of one path are
+    two opens.
     """
 
     path: str
     handle: object
     client: "FileSystemClient"
     writable: bool = True
-    closed: bool = False
-    state: dict = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------

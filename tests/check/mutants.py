@@ -31,7 +31,7 @@ def unfixed_writeback(self, f, start, end):
     loss — the standing proof that the harness has the power to catch
     the bug class this repo already shipped a fix for.
     """
-    pc = f.state["pc"]
+    pc = f.pc
     data = pc.cache.read(start, end - start)
     try:
         yield from self._io_write(f, start, data)

@@ -126,7 +126,7 @@ class TestDeploymentShapes:
             return f
 
         f = drive(tb.sim, scenario())
-        layout = f.state["layout"]
+        layout = f.layout
         assert layout.aggregation["stripe_unit"] == 1024 * 1024
         assert dep.pvfs.cfg.stripe_size == 2 * 1024 * 1024
 
@@ -190,7 +190,7 @@ class TestArchitectureTable:
             return (yield from client.create("/m"))
 
         f = drive(dep.testbed.sim, scenario())
-        assert f.state["layout"].aggregation["stripe_unit"] == 2 * MB
+        assert f.layout.aggregation["stripe_unit"] == 2 * MB
         assert dep.label == client.label == "pnfs-2tier"
 
     def test_sharded_is_direct_with_two_metadata_servers(self):

@@ -122,6 +122,12 @@ def build_nfs(cluster: MiniCluster, **cfg):
     return c0, c1, server
 
 
+def delegated(client: Nfs4Client, path: str) -> bool:
+    """Whether ``client`` holds a read delegation on the file ``path``
+    names there."""
+    return client._inode(path).delegation is not None
+
+
 @pytest.fixture
 def cluster():
     return build_cluster()

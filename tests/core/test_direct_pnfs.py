@@ -38,7 +38,7 @@ class TestLayoutTranslator:
             return (yield from client.create("/f"))
 
         f = drive(cluster.sim, scenario())
-        layout = f.state["layout"]
+        layout = f.layout
         dist_desc = pvfs.mds.files[f.handle].dist_desc
         assert layout.aggregation == {
             "type": "round_robin",
@@ -65,7 +65,7 @@ class TestLayoutTranslator:
             return (yield from client.open("/vs"))
 
         f = drive(cluster.sim, scenario())
-        layout = f.state["layout"]
+        layout = f.layout
         assert layout.aggregation["type"] == "varstrip"
         assert [tuple(p) for p in layout.aggregation["pattern"]] == pattern
 
@@ -83,7 +83,7 @@ class TestLayoutTranslator:
             yield from system.mds.backend._mds_call("create", {"path": "/skip", "dist": dist})
             return (yield from client.open("/skip"))
 
-        layout = drive(cluster.sim, scenario()).state["layout"]
+        layout = drive(cluster.sim, scenario()).layout
         assert layout.device_slots == [0, 1, 2] and len(layout.fhs) == 3
         assert [tuple(p) for p in layout.aggregation["pattern"]] == pattern
 

@@ -55,7 +55,7 @@ class TestWritebackFailure:
             return f
 
         f = drive(sim, fill())
-        assert f.state["pc"].flushing or f.state["pc"].dirty
+        assert f.pc.flushing or f.pc.dirty
 
         # The WRITE RPCs are now in flight; the service dies under them.
         server.rpc.fail()
@@ -72,10 +72,10 @@ class TestWritebackFailure:
         assert client.writeback_errors > 0
         # Every lost range is dirty again — nothing fell into the gap
         # between ``dirty`` and ``flushing``.
-        assert f.state["pc"].dirty.total == len(BLOB)
-        assert not f.state["pc"].flushing
+        assert f.pc.dirty.total == len(BLOB)
+        assert not f.pc.flushing
         # The latch is one-shot: it reported, and is clear again.
-        assert f.state["pc"].wb_error is None
+        assert f.pc.wb_error is None
 
         # Recovery: the service comes back; the retried fsync pushes the
         # re-marked pages and the file is durable on the server.
@@ -86,7 +86,7 @@ class TestWritebackFailure:
             yield from client.close(f)
 
         drive(sim, retry_and_verify())
-        assert not f.state["pc"].dirty and not f.state["pc"].flushing
+        assert not f.pc.dirty and not f.pc.flushing
 
         # Read back through a cold client: every byte must have reached
         # the server (the writer's own cache cannot mask loss).
@@ -122,7 +122,7 @@ class TestWritebackFailure:
 
         assert isinstance(drive(sim, closing()), RpcTimeout)
         assert client.writeback_errors > 0
-        assert f.state["pc"].dirty.total == len(BLOB)
+        assert f.pc.dirty.total == len(BLOB)
 
     def test_healthy_path_unchanged(self, cluster):
         """With no failure, the fix is invisible: fsync commits, no
@@ -139,7 +139,7 @@ class TestWritebackFailure:
 
         f = drive(sim, scenario())
         assert client.writeback_errors == 0
-        assert f.state["pc"].wb_error is None
-        assert not f.state["pc"].dirty and not f.state["pc"].flushing
+        assert f.pc.wb_error is None
+        assert not f.pc.dirty and not f.pc.flushing
         entry = backing.namespace.resolve("/ok")
         assert backing.contents[entry.handle].size == len(BLOB)

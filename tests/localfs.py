@@ -92,7 +92,6 @@ class LocalClient(FileSystemClient):
 
     def close(self, f: OpenFile):
         yield from self._tick()
-        f.closed = True
 
     def getattr(self, path: str):
         yield from self._tick()

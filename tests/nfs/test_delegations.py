@@ -4,7 +4,7 @@ import pytest
 
 from repro.vfs import Payload
 
-from tests.conftest import build_nfs, drive
+from tests.conftest import build_nfs, delegated, drive
 
 
 @pytest.fixture
@@ -32,7 +32,7 @@ class TestGrant:
 
         drive(cluster.sim, scenario())
         assert server.delegations_granted == 1
-        assert "/f" in c0._delegations
+        assert delegated(c0, "/f")
 
     def test_write_open_gets_none(self, cluster, nfs):
         c0, _c1, server = nfs
@@ -56,7 +56,7 @@ class TestGrant:
             yield from c0.close(w)
 
         drive(cluster.sim, scenario())
-        assert "/h" not in c1._delegations
+        assert not delegated(c1, "/h")
 
     def test_a_read_only_close_leaves_the_writer_counted(self, cluster, nfs):
         """A read-only close does not end another client's write open:
@@ -70,7 +70,7 @@ class TestGrant:
             r = yield from c1.open("/h", write=False)
             yield from c1.close(r)
             r = yield from c1.open("/h", write=False)
-            held = "/h" in c1._delegations
+            held = delegated(c1, "/h")
             yield from c1.close(r)
             yield from c0.close(w)
             return held
@@ -105,11 +105,11 @@ class TestLocalOpens:
         def scenario():
             f = yield from c0.open("/f", write=False)
             yield from c0.close(f)
-            assert "/f" in c0._delegations
+            assert delegated(c0, "/f")
             g = yield from c0.open("/f", write=True)
             yield from c0.write(g, 0, Payload(b"NEW!!"))
             yield from c0.close(g)
-            return "/f" in c0._delegations
+            return delegated(c0, "/f")
 
         assert drive(cluster.sim, scenario()) is False
 
@@ -122,12 +122,12 @@ class TestRecall:
         def scenario():
             r = yield from c1.open("/f", write=False)
             yield from c1.close(r)
-            assert "/f" in c1._delegations
+            assert delegated(c1, "/f")
             w = yield from c0.open("/f", write=True)
             yield from c0.write(w, 0, Payload(b"newer"))
             yield from c0.close(w)
             # delegation was recalled over the backchannel
-            assert "/f" not in c1._delegations
+            assert not delegated(c1, "/f")
             # and a fresh read sees the new data
             g = yield from c1.open("/f", write=False)
             return (yield from c1.read(g, 0, 5))
@@ -143,7 +143,7 @@ class TestRecall:
             f = yield from c0.open("/gone", write=False)
             yield from c0.close(f)
             yield from c0.remove("/gone")
-            return "/gone" in c0._delegations
+            return delegated(c0, "/gone")
 
         assert drive(cluster.sim, scenario()) is False
 

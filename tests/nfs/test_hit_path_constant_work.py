@@ -97,7 +97,7 @@ def appends_above_dirty_runs(earlier_runs: int) -> int:
             yield from client.write(f, base + i * BLOCK, Payload.synthetic(BLOCK))
 
     calls, _ = profile_calls(drive, sim, stream())
-    assert len(list(f.state["pc"].dirty)) == earlier_runs + 1
+    assert len(list(f.pc.dirty)) == earlier_runs + 1
     assert client.bytes_written == 0  # nothing was flushed
     return calls
 

@@ -2,7 +2,8 @@
 
 Regressions for the bug swarm the metadata torture harness flushed
 out: truncate must invalidate page-cache state (not just attributes),
-remove/rename must evict retained close-to-open caches, getattr must
+remove/rename must never let a name reach a dead file's retained
+close-to-open cache, getattr must
 reflect the client's own cached extends, and a truncate must recall
 conflicting read delegations and reply with fresh attributes.
 """
@@ -12,7 +13,7 @@ import pytest
 from repro.nfs import NfsConfig
 from repro.vfs import Payload
 
-from tests.conftest import build_nfs, drive
+from tests.conftest import build_nfs, delegated, drive
 
 
 @pytest.fixture
@@ -34,7 +35,7 @@ class TestTruncateCoherence:
             yield from c0.read(f, 0, 8192)  # populate the page cache
             yield from c0.truncate("/t", 100)
             got = yield from c0.read(f, 0, 8192)
-            size = f.state["pc"].size
+            size = f.pc.size
             yield from c0.close(f)
             return got, size
 
@@ -112,14 +113,14 @@ class TestTruncateCoherence:
             yield from c0.close(f)
             g = yield from c1.open("/d", write=False)  # c1 gets a delegation
             yield from c1.close(g)
-            assert "/d" in c1._delegations
+            assert delegated(c1, "/d")
             yield from c0.truncate("/d", 7)
             # The recall runs detached from the truncate reply: settle.
             yield cluster.sim.timeout(1.0)
 
         drive(cluster.sim, scenario())
         assert server.delegations_recalled == 1
-        assert "/d" not in c1._delegations
+        assert not delegated(c1, "/d")
 
 
 class TestNamespaceEviction:

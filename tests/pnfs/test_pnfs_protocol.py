@@ -57,7 +57,7 @@ class TestMountAndLayout:
             return f
 
         f = drive(cluster.sim, scenario())
-        layout = f.state["layout"]
+        layout = f.layout
         assert layout is not None
         assert len(layout.device_slots) == 3
         assert layout.aggregation["type"] == "round_robin"
@@ -73,7 +73,7 @@ class TestMountAndLayout:
             return f
 
         f = drive(cluster.sim, scenario())
-        assert f.state["layout"] is None
+        assert f.layout is None
         assert mds._issued[f.handle] == []
 
 
@@ -184,10 +184,10 @@ class TestLayoutCommitAndRecall:
             yield from client.fsync(f)
             fh = f.handle
             yield from mds.recall_layouts(fh)
-            assert f.state["layout"] is None
+            assert f.layout is None
             # Cached data still readable without a layout...
             data = yield from client.read(f, 0, 1000)
-            assert f.state["layout"] is None
+            assert f.layout is None
             # ...but the next wire I/O transparently re-fetches one.
             yield from client.write(f, 5000, Payload(b"y" * 100))
             yield from client.fsync(f)
@@ -195,7 +195,7 @@ class TestLayoutCommitAndRecall:
 
         f, data = drive(cluster.sim, scenario())
         assert data.nbytes == 1000
-        assert f.state["layout"] is not None
+        assert f.layout is not None
         assert mds.layouts_recalled == 1
 
     def test_two_clients_each_get_layouts(self, cluster):

@@ -132,7 +132,7 @@ class TestTruncateWire:
         assert attrs.size == 100
         local_total = sum(
             d.bstreams[dfile].size
-            for d, dfile in zip(fs.daemons, f.state["dfiles"])
+            for d, dfile in zip(fs.daemons, f.dfiles)
         )
         assert local_total == 100
 
@@ -174,7 +174,7 @@ class TestTruncateWire:
                 attrs = yield from client.getattr("/big")
                 assert attrs.size == size
                 sizes.append(
-                    [d.bstreams[h].size for d, h in zip(fs.daemons, f.state["dfiles"])]
+                    [d.bstreams[h].size for d, h in zip(fs.daemons, f.dfiles)]
                 )
             return f, sizes
 

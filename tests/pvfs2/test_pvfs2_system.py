@@ -61,7 +61,7 @@ class TestBasicIo:
         dist = StripPattern(round_robin(3, 64))
         for run in dist.runs(0, 200):
             daemon = fs.daemons[run.server]
-            dfile = f.state["dfiles"][run.server]
+            dfile = f.dfiles[run.server]
             stored = daemon.bstreams[dfile].read(run.local, run.length)
             assert stored.data == data[run.logical : run.logical + run.length]
 
@@ -290,8 +290,8 @@ class TestMetadata:
             return (yield from client.create("/alloc"))
 
         f = drive(cluster.sim, scenario())
-        assert len(f.state["dfiles"]) == len(fs.daemons)
-        for daemon, dfile in zip(fs.daemons, f.state["dfiles"]):
+        assert len(f.dfiles) == len(fs.daemons)
+        for daemon, dfile in zip(fs.daemons, f.dfiles):
             assert dfile in daemon.bstreams
 
 

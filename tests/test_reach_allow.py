@@ -73,6 +73,12 @@ class Spec:
     name: str
     width: int = 8
     tags: tuple = field(default_factory=tuple)
+
+
+@dataclass
+class Record:
+    name: str
+    count: int = 0
 """
 
 
@@ -80,7 +86,7 @@ def test_the_option_counter_counts_calls_that_vary_a_default(tmp_path):
     """``--options`` counts entered calls per defaulted parameter and
     finds the ones every call held at one value, the default or another
     (``send(fast=)``); ``!=`` that raises falls back to ``is not``.  A
-    dataclass's fields with a default count per construction."""
+    frozen dataclass's fields with a default count per construction."""
     reach = load_script("reach")
     package = tmp_path / "toy"
     package.mkdir()
@@ -104,6 +110,8 @@ def test_the_option_counter_counts_calls_that_vary_a_default(tmp_path):
         toy.Spec("a")
         toy.Spec("b", width=8)
         toy.Spec("c", tags=("x",))
+        toy.Record("a")
+        toy.Record("b")
     finally:
         sys.settrace(saved)
     assert counter.calls == {
@@ -122,7 +130,9 @@ def test_the_option_counter_counts_calls_that_vary_a_default(tmp_path):
     assert counter.unvaried() == [
         ("toy.mod:send", "fast", 4, True), ("toy.mod:send", "size", 4, 64),
     ]
-    # A dataclass's fields with a default, read off its generated
-    # ``__init__``, are reported apart from the functions' parameters.
+    # A frozen dataclass's fields with a default, read off its generated
+    # ``__init__``, are reported apart from the functions' parameters;
+    # a mutable one's (``Record.count``) are a state record's initial
+    # values, not candidates for a constant, and are not counted.
     assert counter.unvaried(fields=True) == [("toy.mod:Spec", "width", 3, 8)]
     assert (counter.entered(), counter.entered(fields=True)) == (5, 2)
